@@ -9,7 +9,7 @@ import (
 func TestRegistryCompleteness(t *testing.T) {
 	names := Algorithms()
 	want := map[string]bool{
-		"a2sgd": true, "a2sgd-fused": true, "a2sgd-noef": true, "a2sgd-onemean": true,
+		"a2sgd": true, "a2sgd-noef": true, "a2sgd-onemean": true,
 		"a2sgd-allgather": true,
 		"dense":           true, "topk": true, "gaussiank": true, "qsgd": true,
 		"qsgd-elias": true, "randk": true, "terngrad": true, "dgc": true,

@@ -348,12 +348,13 @@ func BenchmarkAblationA2SGDNoEF(b *testing.B) {
 	}
 }
 
-// Faithful (explicit ε vector) vs fused single-pass reconstruction.
-func benchA2SGDMode(b *testing.B, mode core.Mode) {
+// The whole local cost of A2SGD: the means pass plus the in-place
+// reconstruction pass (the copy restores the gradient between iterations).
+func BenchmarkAblationA2SGDSync(b *testing.B) {
 	n := 1_000_000
 	g := randGrad(n)
 	err := comm.RunGroup(1, func(c *comm.Communicator) error {
-		a := core.New(n, core.WithMode(mode))
+		a := core.New(n)
 		buf := append([]float32(nil), g...)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -368,9 +369,6 @@ func benchA2SGDMode(b *testing.B, mode core.Mode) {
 		b.Fatal(err)
 	}
 }
-
-func BenchmarkAblationA2SGDFaithful(b *testing.B) { benchA2SGDMode(b, core.Faithful) }
-func BenchmarkAblationA2SGDFused(b *testing.B)    { benchA2SGDMode(b, core.Fused) }
 
 // One-mean vs two-level means (the "over-simplification" ablation).
 func BenchmarkAblationOneMean(b *testing.B) {

@@ -16,7 +16,7 @@ import (
 //	value := spec | scalar
 //
 // Names and scalars are runs of letters, digits and [._+-]; that one token
-// class covers algorithm names ("a2sgd-fused"), numbers ("0.01", "8") and
+// class covers algorithm names ("a2sgd-noef"), numbers ("0.01", "8") and
 // byte sizes ("64KiB"). Positional arguments (no key) are inner algorithm
 // specs for wrappers; keyed arguments are typed parameters validated against
 // the registered schema. Examples:

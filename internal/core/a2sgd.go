@@ -6,7 +6,7 @@
 // the absolute mean of the non-negative entries (µ+) and the absolute mean
 // of the negative entries (µ−) — allreduce-averages just those two values
 // (64 bits per worker, O(1) communication), and reconstructs its update from
-// the global means plus a locally retained error vector:
+// the global means plus its local error ε:
 //
 //	µ+  = E[v_i | v_i ≥ 0]            µ− = E[|v_i| | v_i < 0]
 //	enc(g) = pos(g)·µ+ − neg(g)·µ−                      (Eq. 2)
@@ -18,6 +18,22 @@
 // g + ∇µ with ∇µ = µ̄ − enc(g): the per-coordinate variance of the gradient
 // is retained (no variance blow-up), which is what Theorem 1's convergence
 // proof relies on.
+//
+// ε is retained algebraically, never stored. It is produced and consumed in
+// the same iteration and the gradient itself is untouched in between, so
+// lines 4 and 6 collapse per element to
+//
+//	g'[i] = (g[i] − µ+) + µ̄+    where g[i] ≥ 0
+//	g'[i] = (g[i] + µ−) − µ̄−    otherwise
+//
+// which is the same two float32 roundings, in the same order, as writing
+// ε[i] = g[i] ∓ µ± to a buffer and reading it back for ε[i] ± µ̄± — a float32
+// store and load change no bits — so the result is bitwise what the
+// materialized algorithm computes (oracle_test.go keeps that two-pass
+// algorithm as the oracle). Locally A2SGD therefore touches only the live
+// gradient: one read pass for the means (Encode), one read-modify-write pass
+// for the reconstruction (Exchange, tensor.SignedShift), and an instance
+// holds no n-sized memory.
 package core
 
 import (
@@ -59,32 +75,14 @@ func Enc(dst, g []float32, s Stats) {
 	}
 }
 
-// Mode selects between the two mathematically identical implementations.
-type Mode int
-
-// Implementation modes.
-const (
-	// Faithful materializes the error vector ε exactly as Algorithm 1 is
-	// written: ε = g − enc(g), then g' = ε + pos·µ̄+ − neg·µ̄−. Costs one
-	// n-element buffer and two passes.
-	Faithful Mode = iota
-	// Fused folds the algebra into one pass without an error buffer:
-	// g' = g + pos·(µ̄+ − µ+) − neg·(µ̄− − µ−). Bit-for-bit reordering of
-	// the same float operations is not guaranteed, but the results agree
-	// to rounding; the equivalence test pins the tolerance.
-	Fused
-)
-
 // A2SGD is the two-level gradient averaging algorithm. It implements
 // compress.Algorithm so the distributed runtime treats it uniformly with
 // the baselines. One instance per worker.
 type A2SGD struct {
-	mode      Mode
 	algo      comm.AllreduceAlgorithm
 	ef        bool // error feedback on (the paper's algorithm) or off (ablation)
 	oneMean   bool // ablation: collapse to a single signed mean
 	allgather bool // §4.4 future work: allgather-based mean exchange
-	errorVec  []float32
 	stats     Stats
 
 	// Reusable scratch (zero-allocation steady state): payload backs the
@@ -101,15 +99,12 @@ type A2SGD struct {
 // Option configures an A2SGD instance.
 type Option func(*A2SGD)
 
-// WithMode selects Faithful (default) or Fused execution.
-func WithMode(m Mode) Option { return func(a *A2SGD) { a.mode = m } }
-
 // WithAllreduce selects the scalar allreduce algorithm.
 func WithAllreduce(alg comm.AllreduceAlgorithm) Option {
 	return func(a *A2SGD) { a.algo = alg }
 }
 
-// WithoutErrorFeedback disables the local error vector (ablation §6 of
+// WithoutErrorFeedback drops the local error term (ablation §6 of
 // DESIGN.md): the update becomes enc-only, g' = pos·µ̄+ − neg·µ̄−. The paper
 // predicts this distorts gradients and slows convergence.
 func WithoutErrorFeedback() Option { return func(a *A2SGD) { a.ef = false } }
@@ -131,12 +126,9 @@ func New(n int, opts ...Option) *A2SGD {
 	if n <= 0 {
 		panic("core: non-positive parameter count")
 	}
-	a := &A2SGD{mode: Faithful, algo: comm.AlgoRecursiveDoubling, ef: true}
+	a := &A2SGD{algo: comm.AlgoRecursiveDoubling, ef: true}
 	for _, o := range opts {
 		o(a)
-	}
-	if a.mode == Faithful {
-		a.errorVec = make([]float32, n)
 	}
 	return a
 }
@@ -163,18 +155,17 @@ func (a *A2SGD) Name() string {
 // Stats returns the statistics captured by the last Encode.
 func (a *A2SGD) Stats() Stats { return a.stats }
 
-// Encode computes the two local means (Alg. 1 line 3) and, in Faithful
-// mode, materializes the error vector (line 4). The payload is exactly two
-// float32 values — 64 bits — backed by instance scratch (valid until the
-// next Encode on this instance).
+// Encode computes the two local means (Alg. 1 line 3) and nothing else: it
+// reads g once and writes no n-sized memory. The error vector of line 4 is
+// implied by g and the means, and Exchange applies it from there (see the
+// package comment). The payload is exactly two float32 values — 64 bits —
+// backed by instance scratch (valid until the next Encode on this instance).
 func (a *A2SGD) Encode(g []float32) compress.Payload {
 	return a.EncodeView(a.fv.Reset1(g))
 }
 
 // EncodeView implements compress.Algorithm over a strided gradient view:
-// the signed means reduce across the segments in flattened order, and the
-// error vector (one flat buffer, indexed by the flattened offset) is
-// materialized segment by segment.
+// the signed means reduce across the segments in flattened order.
 func (a *A2SGD) EncodeView(v *tensor.VecView) compress.Payload {
 	mp, mn, np := v.ParSignedMeans()
 	s := Stats{MuPos: mp, MuNeg: mn, NPos: np}
@@ -187,43 +178,30 @@ func (a *A2SGD) EncodeView(v *tensor.VecView) compress.Payload {
 		s = Stats{MuPos: m, MuNeg: -m, NPos: v.Len()}
 	}
 	a.stats = s
-	if a.mode == Faithful && a.ef {
-		if len(a.errorVec) != v.Len() {
-			a.errorVec = make([]float32, v.Len())
-		}
-		// ε = g − enc(g)
-		offs := v.Offsets()
-		for si, seg := range v.Segments() {
-			ev := a.errorVec[offs[si]:]
-			for i, x := range seg {
-				if x >= 0 {
-					ev[i] = x - s.MuPos
-				} else {
-					ev[i] = x + s.MuNeg
-				}
-			}
-		}
-	}
 	a.payload[0], a.payload[1] = s.MuPos, s.MuNeg
 	return compress.Payload{Data: a.payload[:], Bits: 64}
 }
 
 // Exchange allreduce-averages the two means (Alg. 1 line 5) and rebuilds
-// the synchronized gradient in g (line 6).
+// the synchronized gradient in g (lines 4 and 6 in one pass). g must still
+// hold the gradient p was encoded from.
 func (a *A2SGD) Exchange(p compress.Payload, g []float32, c *comm.Communicator) error {
 	return a.ExchangeView(p, a.fv.Reset1(g), c)
 }
 
-// ExchangeView implements compress.Algorithm: the two-scalar collective is
-// unchanged, and the reconstruction loops write directly into the view's
-// segments (per-element arithmetic, bitwise identical to the flat loops).
+// ExchangeView implements compress.Algorithm: after the two-scalar
+// collective, one in-place pass over the view's segments subtracts the local
+// mean of each element's sign class (p's two scalars) and adds the global one
+// — ε + enc(µ̄) without ε ever existing in memory, bitwise equal to the
+// materialized form (package comment). p carries everything the pass needs,
+// so the instance keeps nothing between Encode and Exchange.
 func (a *A2SGD) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Communicator) error {
 	a.mu[0], a.mu[1] = p.Data[0], p.Data[1]
 	mu := a.mu[:]
 	if a.allgather {
-		// The gather buffer lives on the instance like errorVec: its size
-		// depends only on the group width, so after the first step the
-		// allgather exchange runs without touching the allocator.
+		// The gather buffer lives on the instance: its size depends only on
+		// the group width, so after the first step the allgather exchange
+		// runs without touching the allocator.
 		if cap(a.gatherBuf) < 2*c.Size() {
 			a.gatherBuf = make([]float32, 2*c.Size())
 		}
@@ -242,41 +220,17 @@ func (a *A2SGD) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Comm
 		return err
 	}
 	gPos, gNeg := mu[0], mu[1]
-	segs, offs := v.Segments(), v.Offsets()
-	switch {
-	case !a.ef:
-		// Ablation: enc-only reconstruction.
-		for _, seg := range segs {
-			for i, x := range seg {
-				if x >= 0 {
-					seg[i] = gPos
-				} else {
-					seg[i] = -gNeg
-				}
-			}
-		}
-	case a.mode == Faithful:
-		// g' = ε + pos·µ̄+ − neg·µ̄−
-		for si, seg := range segs {
-			ev := a.errorVec[offs[si]:]
-			for i, x := range seg {
-				if x >= 0 {
-					seg[i] = ev[i] + gPos
-				} else {
-					seg[i] = ev[i] - gNeg
-				}
-			}
-		}
-	default: // Fused
-		dPos := gPos - a.stats.MuPos
-		dNeg := gNeg - a.stats.MuNeg
-		for _, seg := range segs {
-			for i, x := range seg {
-				if x >= 0 {
-					seg[i] = x + dPos
-				} else {
-					seg[i] = x - dNeg
-				}
+	if a.ef {
+		v.SignedShift(p.Data[0], p.Data[1], gPos, gNeg)
+		return nil
+	}
+	// Ablation: enc-only reconstruction.
+	for _, seg := range v.Segments() {
+		for i, x := range seg {
+			if x >= 0 {
+				seg[i] = gPos
+			} else {
+				seg[i] = -gNeg
 			}
 		}
 	}
@@ -295,13 +249,9 @@ func (a *A2SGD) ExchangeKind() netsim.ExchangeKind {
 // the O(1) headline of the paper.
 func (a *A2SGD) PayloadBytes(n int) int64 { return 8 }
 
-// Reset implements compress.Algorithm. A2SGD applies its error vector in
-// the same iteration, so there is no carried state to clear; the buffer is
-// zeroed anyway for hygiene.
-func (a *A2SGD) Reset() {
-	if a.errorVec != nil {
-		tensor.Zero(a.errorVec)
-	}
-}
+// Reset implements compress.Algorithm. A2SGD applies its error in the same
+// iteration, so no state carries across steps; only the last statistics are
+// cleared.
+func (a *A2SGD) Reset() { a.stats = Stats{} }
 
 var _ compress.Algorithm = (*A2SGD)(nil)

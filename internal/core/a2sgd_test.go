@@ -70,58 +70,19 @@ func TestErrorVectorZeroMeanPerClass(t *testing.T) {
 // reconstruction must return exactly the original gradient (ε + enc = g).
 // This is the variance-retention property of §3.
 func TestSingleWorkerIdentity(t *testing.T) {
-	for _, mode := range []Mode{Faithful, Fused} {
-		g := randGrad(3, 4096)
-		orig := append([]float32(nil), g...)
-		a := New(len(g), WithMode(mode))
-		err := comm.RunGroup(1, func(c *comm.Communicator) error {
-			_, err := compress.Sync(a, g, c)
-			return err
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range g {
-			if math.Abs(float64(g[i]-orig[i])) > 1e-6 {
-				t.Fatalf("mode %d: reconstruction differs at %d: %v vs %v", mode, i, g[i], orig[i])
-			}
-		}
+	g := randGrad(3, 4096)
+	orig := append([]float32(nil), g...)
+	a := New(len(g))
+	err := comm.RunGroup(1, func(c *comm.Communicator) error {
+		_, err := compress.Sync(a, g, c)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-// Faithful and Fused modes must agree to rounding for any worker count.
-func TestModesEquivalent(t *testing.T) {
-	p, n := 4, 2000
-	grads := make([][]float32, p)
-	for r := range grads {
-		grads[r] = randGrad(uint64(10+r), n)
-	}
-	results := map[Mode][][]float32{}
-	for _, mode := range []Mode{Faithful, Fused} {
-		out := make([][]float32, p)
-		var mu sync.Mutex
-		err := comm.RunGroup(p, func(c *comm.Communicator) error {
-			g := append([]float32(nil), grads[c.Rank()]...)
-			a := New(n, WithMode(mode))
-			if _, err := compress.Sync(a, g, c); err != nil {
-				return err
-			}
-			mu.Lock()
-			out[c.Rank()] = g
-			mu.Unlock()
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		results[mode] = out
-	}
-	for r := 0; r < p; r++ {
-		for i := 0; i < n; i++ {
-			a, b := results[Faithful][r][i], results[Fused][r][i]
-			if math.Abs(float64(a-b)) > 1e-5 {
-				t.Fatalf("rank %d elem %d: faithful %v vs fused %v", r, i, a, b)
-			}
+	for i := range g {
+		if math.Abs(float64(g[i]-orig[i])) > 1e-6 {
+			t.Fatalf("reconstruction differs at %d: %v vs %v", i, g[i], orig[i])
 		}
 	}
 }
@@ -375,10 +336,8 @@ func TestStatsAccessorAndReset(t *testing.T) {
 		t.Errorf("Stats = %+v", s)
 	}
 	a.Reset()
-	for _, v := range a.errorVec {
-		if v != 0 {
-			t.Fatal("Reset did not zero error vector")
-		}
+	if a.Stats() != (Stats{}) {
+		t.Fatalf("Reset left Stats = %+v", a.Stats())
 	}
 }
 
@@ -400,10 +359,11 @@ func TestEncLengthMismatchPanics(t *testing.T) {
 	Enc(make([]float32, 3), make([]float32, 4), Stats{})
 }
 
-func TestGradientLengthChangeReallocates(t *testing.T) {
+// An instance holds nothing sized by the gradient, so one instance serves
+// gradients of any length, whatever n it was built for.
+func TestGradientLengthChange(t *testing.T) {
 	a := New(4)
 	a.Encode(make([]float32, 4))
-	// A longer gradient must not crash Faithful mode.
 	g := randGrad(60, 8)
 	orig := append([]float32(nil), g...)
 	err := comm.RunGroup(1, func(c *comm.Communicator) error {

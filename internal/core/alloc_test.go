@@ -1,16 +1,17 @@
 package core
 
 import (
+	"runtime"
 	"runtime/debug"
 	"testing"
 
+	"a2sgd/internal/comm"
 	"a2sgd/internal/tensor"
 )
 
-// TestEncodeZeroAllocSteadyState: A2SGD's Encode — two-level means plus the
-// Faithful error vector — runs allocation-free on a warm instance, with the
-// two-scalar payload backed by instance scratch (the Payload contract in
-// compress.go).
+// TestEncodeZeroAllocSteadyState: A2SGD's Encode — the two-level means —
+// runs allocation-free on a warm instance, with the two-scalar payload
+// backed by instance scratch (the Payload contract in compress.go).
 func TestEncodeZeroAllocSteadyState(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-detector instrumentation allocates; run without -race")
@@ -18,12 +19,45 @@ func TestEncodeZeroAllocSteadyState(t *testing.T) {
 	const n = 1 << 18
 	g := make([]float32, n)
 	tensor.NewRNG(17).NormVec(g, 0, 0.05)
-	for _, mode := range []Mode{Faithful, Fused} {
-		a := New(n, WithMode(mode))
-		a.Encode(g)
-		defer debug.SetGCPercent(debug.SetGCPercent(-1))
-		if allocs := testing.AllocsPerRun(10, func() { a.Encode(g) }); allocs != 0 {
-			t.Errorf("mode %v: %.1f allocs per steady-state Encode, want 0", mode, allocs)
+	a := New(n)
+	a.Encode(g)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if allocs := testing.AllocsPerRun(10, func() { a.Encode(g) }); allocs != 0 {
+		t.Errorf("%.1f allocs per steady-state Encode, want 0", allocs)
+	}
+}
+
+// TestInstanceHoldsNoGradientSizedMemory: building an instance for a 1 Mi
+// gradient (4 MiB) and taking it through a whole EncodeView + ExchangeView
+// allocates less than 4 KiB in total — the error vector is never
+// materialized, so nothing n-sized can hide on the instance.
+func TestInstanceHoldsNoGradientSizedMemory(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; run without -race")
+	}
+	const n = 1 << 20
+	g := make([]float32, n)
+	tensor.NewRNG(18).NormVec(g, 0, 0.05)
+	v := tensor.NewVecView(g[:n/3], g[n/3:])
+	err := comm.RunGroup(1, func(c *comm.Communicator) error {
+		sync := func() error {
+			a := New(n)
+			return a.ExchangeView(a.EncodeView(v), v, c)
 		}
+		if err := sync(); err != nil { // warms the communicator's own scratch
+			return err
+		}
+		defer debug.SetGCPercent(debug.SetGCPercent(-1))
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := sync()
+		runtime.ReadMemStats(&after)
+		if grew := after.TotalAlloc - before.TotalAlloc; grew >= 4<<10 {
+			t.Errorf("New + EncodeView + ExchangeView on %d elements allocated %d B, want < 4 KiB", n, grew)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

@@ -41,8 +41,7 @@ func TestA2SGDViewMatchesFlatBitwise(t *testing.T) {
 		rng.NormVec(grads[r], 0, 0.1)
 	}
 	variants := map[string]func() *A2SGD{
-		"faithful":  func() *A2SGD { return New(n) },
-		"fused":     func() *A2SGD { return New(n, WithMode(Fused)) },
+		"a2sgd":     func() *A2SGD { return New(n) },
 		"noef":      func() *A2SGD { return New(n, WithoutErrorFeedback()) },
 		"onemean":   func() *A2SGD { return New(n, WithOneMean()) },
 		"allgather": func() *A2SGD { return New(n, WithAllgather()) },

@@ -15,7 +15,9 @@ package tensor
 // would change the rounded result. The quantization kernel reproduces the
 // scalar float64 arithmetic operation-for-operation (convert, abs, divide by
 // norm, multiply by s, truncate, stochastic promote, clamp). Kernels assume
-// finite inputs; gradient health checks (HasNaNOrInf) run upstream.
+// finite inputs; gradient health checks (HasNaNOrInf) run upstream. The
+// exception is signedShiftKernel, which classifies −0.0, NaN and ±Inf lane
+// for lane as the scalar x >= 0 does.
 
 // SIMDEnabled reports whether the assembly vector kernels are compiled in.
 func SIMDEnabled() bool { return true }
@@ -53,6 +55,14 @@ func qsgdFieldsKernel(fields *uint32, src *float32, rnd *float64, n int, norm fl
 //
 //go:noescape
 func signedMeansKernel(v *float32, n int) (sp, sn float64, nNeg int64)
+
+// signedShiftKernel is SignedShift over n elements: the sign class of each
+// lane is the ordered compare 0 <= x (true for −0.0, false for NaN — Go's
+// x >= 0), and the mask blends the per-class constants, so there is no
+// branch to mispredict.
+//
+//go:noescape
+func signedShiftKernel(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
 
 //go:noescape
 func absKernel(dst, src *float32, n int)
@@ -127,6 +137,14 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 	}
 	qsgdFieldsKernel(&fields[0], &g[0], &rnd[0], n, float64(norm), float64(levels))
 	return n
+}
+
+func vecSignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	if len(v) >= simdMinLen {
+		signedShiftKernel(&v[0], len(v), subPos, subNeg, addPos, addNeg)
+		return
+	}
+	signedShiftScalar(v, subPos, subNeg, addPos, addNeg)
 }
 
 func vecAbsInto(dst, src Vec) {

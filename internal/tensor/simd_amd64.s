@@ -497,3 +497,102 @@ smFold:
 	MOVQ   X4, AX
 	MOVQ   AX, nNeg+32(FP)
 	RET
+
+DATA signMask32<>+0(SB)/4, $0x80000000
+DATA signMask32<>+4(SB)/4, $0x80000000
+DATA signMask32<>+8(SB)/4, $0x80000000
+DATA signMask32<>+12(SB)/4, $0x80000000
+GLOBL signMask32<>(SB), RODATA|NOPTR, $16
+
+// func signedShiftKernel(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
+//
+// v[i] = (v[i] - s) + a with (s, a) = (subPos, addPos) where 0 <= v[i] and
+// (-subNeg, -addNeg) elsewhere; x - (-s) is x + s exactly, so the negative
+// class keeps the scalar rule's two roundings. The ordered compare is false
+// for NaN (negative class) and true for -0.0. The blend is
+// neg ^ (mask & (pos ^ neg)): X8/X10 hold pos^neg, X9/X11 hold neg.
+TEXT ·signedShiftKernel(SB), NOSPLIT, $0-32
+	MOVQ   v+0(FP), DI
+	MOVQ   n+8(FP), CX
+	MOVUPS signMask32<>(SB), X6
+	PXOR   X7, X7
+	MOVSS  subPos+16(FP), X8
+	MOVSS  subNeg+20(FP), X9
+	MOVSS  addPos+24(FP), X10
+	MOVSS  addNeg+28(FP), X11
+	SHUFPS $0x00, X8, X8
+	SHUFPS $0x00, X9, X9
+	SHUFPS $0x00, X10, X10
+	SHUFPS $0x00, X11, X11
+	XORPS  X6, X9   // -subNeg
+	XORPS  X6, X11  // -addNeg
+	XORPS  X9, X8   // subPos ^ -subNeg
+	XORPS  X11, X10 // addPos ^ -addNeg
+
+ss8:
+	CMPQ CX, $8
+	JLT  ss4
+	MOVUPS (DI), X0
+	MOVUPS 16(DI), X3
+	MOVAPS X7, X1
+	MOVAPS X7, X4
+	CMPPS  X0, X1, $2 // X1 = (0 <= x) ? ~0 : 0
+	CMPPS  X3, X4, $2
+	MOVAPS X1, X2
+	MOVAPS X4, X5
+	ANDPS  X8, X1
+	ANDPS  X8, X4
+	ANDPS  X10, X2
+	ANDPS  X10, X5
+	XORPS  X9, X1     // s
+	XORPS  X9, X4
+	XORPS  X11, X2    // a
+	XORPS  X11, X5
+	SUBPS  X1, X0
+	SUBPS  X4, X3
+	ADDPS  X2, X0
+	ADDPS  X5, X3
+	MOVUPS X0, (DI)
+	MOVUPS X3, 16(DI)
+	ADDQ   $32, DI
+	SUBQ   $8, CX
+	JMP    ss8
+
+ss4:
+	CMPQ CX, $4
+	JLT  ss1
+	MOVUPS (DI), X0
+	MOVAPS X7, X1
+	CMPPS  X0, X1, $2
+	MOVAPS X1, X2
+	ANDPS  X8, X1
+	ANDPS  X10, X2
+	XORPS  X9, X1
+	XORPS  X11, X2
+	SUBPS  X1, X0
+	ADDPS  X2, X0
+	MOVUPS X0, (DI)
+	ADDQ   $16, DI
+	SUBQ   $4, CX
+	JMP    ss4
+
+ss1:
+	CMPQ CX, $0
+	JLE  ssDone
+	MOVSS (DI), X0
+	MOVAPS X7, X1
+	CMPSS X0, X1, $2
+	MOVAPS X1, X2
+	ANDPS X8, X1
+	ANDPS X10, X2
+	XORPS X9, X1
+	XORPS X11, X2
+	SUBSS X1, X0
+	ADDSS X2, X0
+	MOVSS X0, (DI)
+	ADDQ  $4, DI
+	DECQ  CX
+	JMP   ss1
+
+ssDone:
+	RET

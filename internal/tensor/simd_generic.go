@@ -28,6 +28,10 @@ func signedMeansArch(v []float32) (sp, sn float64, np, done int) {
 
 func vecAbsInto(dst, src Vec) { absIntoScalar(dst, src) }
 
+func vecSignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	signedShiftScalar(v, subPos, subNeg, addPos, addNeg)
+}
+
 // gaussTailArch handles no elements on portable builds; the caller's scalar
 // predicate does all the work.
 func gaussTailArch(dst []int32, src []float32, base int32, mu, tau float64) (nsel, done int) {

@@ -244,3 +244,125 @@ func relErr(a, b float64) float64 {
 	}
 	return d
 }
+
+// refSignedShift is the rule SignedShift documents, written the slow way:
+// a branch per element, each class's two operations spelled as the scalar
+// A2SGD loops spelled them (add µ− / subtract µ̄−, no folded signs).
+func refSignedShift(v []float32, subPos, subNeg, addPos, addNeg float32) {
+	for i, x := range v {
+		if x >= 0 {
+			t := x - subPos
+			v[i] = t + addPos
+		} else {
+			t := x + subNeg
+			v[i] = t - addNeg
+		}
+	}
+}
+
+// sameF32 is bitwise equality with every NaN equal to every other: which
+// payload an operation on NaN returns is the hardware's choice, not Go's.
+func sameF32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || (a != a && b != b)
+}
+
+var f32Specials = []float32{
+	0, float32(math.Copysign(0, -1)), float32(math.NaN()),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 1e-39, -1e-39,
+	math.MaxFloat32, -math.MaxFloat32, 1, -1,
+}
+
+func checkSignedShift(t *testing.T, v []float32, c [4]float32) {
+	t.Helper()
+	want := Clone(v)
+	refSignedShift(want, c[0], c[1], c[2], c[3])
+	got := Clone(v)
+	SignedShift(got, c[0], c[1], c[2], c[3])
+	for i := range got {
+		if !sameF32(got[i], want[i]) {
+			t.Fatalf("n=%d consts=%v: [%d] x=%v (%#x): got %#x, reference %#x",
+				len(v), c, i, v[i], math.Float32bits(v[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+		}
+	}
+}
+
+// Every length through the kernel's 8/4/1 blocks, at every 16-byte
+// misalignment, with specials salted into random lanes.
+func TestSignedShiftMatchesReference(t *testing.T) {
+	rng := NewRNG(31)
+	lens := append([]int(nil), simdLens...)
+	for n := 0; n <= 67; n++ {
+		lens = append(lens, n)
+	}
+	for _, n := range lens {
+		for off := 0; off < 4; off++ {
+			v := randVec(rng, n+off)[off:]
+			for k := 0; k < n/5; k++ {
+				v[rng.Intn(n)] = f32Specials[rng.Intn(len(f32Specials))]
+			}
+			c := [4]float32{rng.Float32(), rng.Float32(), rng.Float32(), rng.Float32()}
+			checkSignedShift(t, v, c)
+		}
+	}
+}
+
+// Every special as the element in every lane of a vector block, against
+// ordinary and special constants (a NaN or infinite mean is what a gradient
+// holding one produces).
+func TestSignedShiftSpecials(t *testing.T) {
+	consts := [][4]float32{
+		{0.25, 0.5, 0.125, 0.75},
+		{0, 0, 0, 0},
+		{1e-39, 1e-39, 1e-40, 1e-40},
+		{float32(math.Inf(1)), 1, 2, float32(math.Inf(1))},
+		{float32(math.NaN()), 1, 2, 3},
+		{1, 2, 3, float32(math.NaN())},
+	}
+	for _, c := range consts {
+		for _, sp := range f32Specials {
+			for lane := 0; lane < 23; lane++ {
+				v := make([]float32, 23) // 8+8+4+1+1+1: every kernel block
+				for i := range v {
+					v[i] = float32(i%5) - 2
+				}
+				v[lane] = sp
+				checkSignedShift(t, v, c)
+			}
+		}
+	}
+	for _, fill := range []float32{1.5, -1.5} { // one class empty
+		v := make([]float32, 37)
+		Fill(v, fill)
+		checkSignedShift(t, v, consts[0])
+	}
+}
+
+func TestVecViewSignedShiftMatchesFlat(t *testing.T) {
+	rng := NewRNG(32)
+	for _, n := range simdLens {
+		flat := randVec(rng, n)
+		want := Clone(flat)
+		refSignedShift(want, 0.3, 0.7, 0.1, 0.9)
+		NewVecView(randSplit(rng, flat)...).SignedShift(0.3, 0.7, 0.1, 0.9)
+		for i := range flat {
+			if !sameF32(flat[i], want[i]) {
+				t.Fatalf("n=%d: [%d] = %v, reference %v", n, i, flat[i], want[i])
+			}
+		}
+	}
+}
+
+// FuzzSignedShift feeds raw bit patterns — elements and constants — so the
+// fuzzer reaches the NaN/Inf/denormal encodings directly.
+func FuzzSignedShift(f *testing.F) {
+	f.Add([]byte{0, 0, 0, 0x80, 0, 0, 0xc0, 0x7f, 1, 0, 0, 0}, uint32(0x3e800000), uint32(0x3f000000), uint32(0x3e000000), uint32(0x3f400000))
+	f.Add(make([]byte, 4*23), uint32(0), uint32(0x7f800000), uint32(0x80000000), uint32(1))
+	f.Fuzz(func(t *testing.T, raw []byte, a, b, c, d uint32) {
+		v := make([]float32, len(raw)/4)
+		GetF32LE(v, raw[:4*len(v)])
+		checkSignedShift(t, v, [4]float32{
+			math.Float32frombits(a), math.Float32frombits(b), math.Float32frombits(c), math.Float32frombits(d),
+		})
+	})
+}

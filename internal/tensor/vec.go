@@ -186,6 +186,36 @@ func signedMeansAccum(v Vec) (sp, sn float64, np int) {
 	return sp, sn, np
 }
 
+// SignedShift rewrites v in place by the sign class of each element:
+//
+//	v[i] = (v[i] − subPos) + addPos   where v[i] ≥ 0
+//	v[i] = (v[i] + subNeg) − addNeg   otherwise
+//
+// Each branch is two float32 roundings in the order written. The predicate is
+// Go's x >= 0: −0.0 takes the first branch and NaN the second (it stays NaN;
+// NaN payload bits are not part of the contract). This is A2SGD's whole
+// reconstruction — subtract the local signed mean, add the global one — as a
+// single read-modify-write pass, branch-free on every build.
+func SignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	vecSignedShift(v, subPos, subNeg, addPos, addNeg)
+}
+
+// signedShiftScalar selects the constants by index instead of branching: on
+// a zero-centred gradient the sign branch mispredicts every other element.
+// x − (−s) is x + s exactly under IEEE 754, so folding the negative class's
+// signs into the table keeps both roundings.
+func signedShiftScalar(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	sub := [2]float32{subPos, -subNeg}
+	add := [2]float32{addPos, -addNeg}
+	for i, x := range v {
+		k := 1
+		if x >= 0 {
+			k = 0
+		}
+		v[i] = (x - sub[k]) + add[k]
+	}
+}
+
 // HasNaNOrInf reports whether any element is NaN or ±Inf. The training
 // runtime uses it for failure injection tests and gradient health checks.
 func HasNaNOrInf(v Vec) bool {

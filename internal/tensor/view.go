@@ -254,6 +254,14 @@ func (v *VecView) ParSignedMeans() (muPos, muNeg float32, nPos int) {
 	return v.SignedMeans()
 }
 
+// SignedShift applies SignedShift to every segment — per-lane, so the
+// segmentation does not change a single bit of the result.
+func (v *VecView) SignedShift(subPos, subNeg, addPos, addNeg float32) {
+	for _, s := range v.segs {
+		SignedShift(s, subPos, subNeg, addPos, addNeg)
+	}
+}
+
 // HasNaNOrInf reports whether any element is NaN or ±Inf.
 func (v *VecView) HasNaNOrInf() bool {
 	for _, s := range v.segs {
