@@ -37,10 +37,8 @@ package a2sgd
 
 import (
 	"fmt"
-	"strconv"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
@@ -188,13 +186,13 @@ type TrainConfig struct {
 	// Spec selects gradient synchronization as an algorithm spec string:
 	// "a2sgd", "topk(density=0.01)", "periodic(qsgd(levels=8), interval=4)".
 	// See Algorithms() / AlgorithmUsage(). Empty defaults to "a2sgd" unless
-	// Algorithm or Policy is set.
+	// Policy or Schedule is set.
 	Spec string
 	// Policy selects gradient synchronization per bucket: "uniform(spec)",
 	// "mixed(big=a2sgd, small=dense, threshold=64KiB)" or
 	// "bylayer(pattern=spec, ..., default=spec)". Pair it with BucketBytes —
 	// with a single whole-model bucket every policy degenerates to the one
-	// spec it picks for bucket 0. Mutually exclusive with Spec/Algorithm.
+	// spec it picks for bucket 0. Mutually exclusive with Spec.
 	//
 	// "auto" (or "auto(spec, spec, ...)" with an explicit candidate list)
 	// hands the whole configuration to the cost-model planner instead:
@@ -203,11 +201,6 @@ type TrainConfig struct {
 	// (plan.Build), and the run uses the overlapped pipeline. BucketBytes
 	// and Topology, when set alongside "auto", pin those axes of the search.
 	Policy string
-	// Algorithm is the legacy spelling of Spec and keeps working (it also
-	// accepts full spec strings).
-	//
-	// Deprecated: use Spec.
-	Algorithm string
 	// Workers is the data-parallel width (default 1).
 	Workers int
 	// Epochs, StepsPerEpoch, BatchPerWorker bound the run (defaults 1/10/16).
@@ -216,14 +209,6 @@ type TrainConfig struct {
 	Seed uint64
 	// Momentum for the SGD optimizer (Table 1 runs use 0.9).
 	Momentum float32
-	// Density / QuantLevels override the paper defaults when non-zero. They
-	// lower onto the legacy Algorithm spec ("topk" + Density 0.01 builds
-	// exactly "topk(density=0.01)") and are rejected alongside Spec/Policy,
-	// which carry their parameters inline.
-	//
-	// Deprecated: write density= / levels= inside Spec.
-	Density     float64
-	QuantLevels int
 	// HistIters captures Figure-1 gradient histograms at these steps.
 	HistIters []int
 	// TCP runs the worker group over real loopback TCP sockets instead of
@@ -273,9 +258,6 @@ type TrainConfig struct {
 	// convergence-equivalent to flat runs (float tolerance, not bitwise)
 	// and deterministic for a fixed seed.
 	Topology int
-	// Allreduce selects the dense/scalar allreduce algorithm: "auto"
-	// (default), "ring", or "recdouble".
-	Allreduce string
 	// CheckpointEvery delivers a full-state training snapshot every k global
 	// steps (in addition to the snapshot at the start of the run), bounding
 	// the work lost to a failure. 0 disables periodic snapshots.
@@ -289,162 +271,65 @@ type TrainConfig struct {
 	// Family, Seed and the step grid must match the snapshot's.
 	ResumePath string
 	// Schedule runs a pre-planned synchronization schedule (BuildSchedule's
-	// output) instead of the hand-tuned knobs: bucket boundaries, per-bucket
-	// specs, topology and overlap all come from the schedule, so Spec,
-	// Policy, Algorithm, Density, QuantLevels, BucketBytes, Overlap and
-	// Topology must stay unset.
+	// output) as is: bucket boundaries, per-bucket specs, topology and
+	// overlap all come from the schedule, so Spec, Policy, BucketBytes,
+	// Overlap and Topology — which are sugar for the schedule Train would
+	// otherwise lower them to — must stay unset.
 	Schedule *Schedule
-}
-
-// allreduceByName maps TrainConfig.Allreduce to the comm algorithm.
-var allreduceByName = map[string]comm.AllreduceAlgorithm{
-	"":          comm.AlgoAuto,
-	"auto":      comm.AlgoAuto,
-	"ring":      comm.AlgoRing,
-	"recdouble": comm.AlgoRecursiveDoubling,
-}
-
-// lowerLegacy attaches the deprecated Density/QuantLevels overrides to the
-// root of a legacy Algorithm spec, when the root accepts the corresponding
-// parameter (algorithms that never used the knob keep ignoring it, as the
-// old flat config did). Explicit spec parameters win over the legacy
-// fields. FormatFloat(-1) round-trips exactly, so the lowered spec builds
-// the bit-identical algorithm the flat fields built.
-func lowerLegacy(s *compress.Spec, density float64, quantLevels int) {
-	b, ok := compress.LookupBuilder(s.Name)
-	if !ok {
-		return // CheckSpec reports the unknown name with the full usage list
-	}
-	accepts := func(name string) bool {
-		for _, p := range b.Params {
-			if p.Name == name {
-				return true
-			}
-		}
-		return false
-	}
-	if density > 0 && accepts("density") {
-		s.SetKeyed("density", strconv.FormatFloat(density, 'g', -1, 64))
-	}
-	if quantLevels > 0 && accepts("levels") {
-		s.SetKeyed("levels", strconv.Itoa(quantLevels))
-	}
-}
-
-// resolvePolicy turns the TrainConfig algorithm fields — Spec, Policy, or
-// the deprecated Algorithm/Density/QuantLevels — into one validated Policy.
-func (tc TrainConfig) resolvePolicy() (compress.Policy, error) {
-	set := 0
-	for _, s := range []string{tc.Spec, tc.Policy, tc.Algorithm} {
-		if s != "" {
-			set++
-		}
-	}
-	if set > 1 {
-		return nil, fmt.Errorf("a2sgd: set at most one of Spec, Policy and Algorithm (got Spec=%q Policy=%q Algorithm=%q)",
-			tc.Spec, tc.Policy, tc.Algorithm)
-	}
-	legacyKnobs := tc.Density > 0 || tc.QuantLevels > 0
-	if tc.Policy != "" {
-		if legacyKnobs {
-			return nil, fmt.Errorf("a2sgd: Density/QuantLevels cannot combine with Policy — write density=/levels= inside the policy's specs")
-		}
-		return compress.ParsePolicy(tc.Policy)
-	}
-	if tc.Spec != "" && legacyKnobs {
-		return nil, fmt.Errorf("a2sgd: Density/QuantLevels cannot combine with Spec — write density=/levels= inside the spec")
-	}
-	src := tc.Spec
-	if src == "" {
-		src = tc.Algorithm
-	}
-	if src == "" {
-		src = "a2sgd"
-	}
-	spec, err := compress.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	// The legacy knobs lower onto bare algorithm names only — the shape the
-	// old flat config could express. A parameterized or wrapped Algorithm
-	// spec carries its own parameters, and silently dropping the knobs
-	// there would train the wrong hyperparameters.
-	if legacyKnobs && len(spec.Args) > 0 {
-		return nil, fmt.Errorf("a2sgd: Density/QuantLevels only combine with a bare legacy Algorithm name, not %q — write density=/levels= inside the spec", src)
-	}
-	lowerLegacy(spec, tc.Density, tc.QuantLevels)
-	return compress.BuildPolicy(spec)
 }
 
 // Train runs data-parallel training with the configured algorithm spec,
 // per-bucket policy or pre-planned schedule and returns rank 0's view of
-// the run.
+// the run. Every configuration becomes one Schedule first — the given one,
+// the planner's for Policy "auto", or the one the knobs lower to — and
+// cluster.Train runs that.
 func Train(tc TrainConfig) (*Result, error) {
 	if tc.Seed == 0 {
 		tc.Seed = 1
-	}
-	allreduce, ok := allreduceByName[tc.Allreduce]
-	if !ok {
-		return nil, fmt.Errorf("a2sgd: unknown allreduce %q (have auto, ring, recdouble)", tc.Allreduce)
-	}
-	if tc.Schedule != nil {
-		if tc.Spec != "" || tc.Policy != "" || tc.Algorithm != "" || tc.Density > 0 || tc.QuantLevels > 0 ||
-			tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
-			return nil, fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/Algorithm/Density/QuantLevels/BucketBytes/Overlap/Topology unset")
-		}
-		return trainSchedule(tc, tc.Schedule, allreduce)
-	}
-	pol, err := tc.resolvePolicy()
-	if err != nil {
-		return nil, err
-	}
-	// The auto policy is the planner's front door: derive the full schedule
-	// from the netsim price and run that instead of the flat knobs.
-	if ap, isAuto := pol.(*compress.AutoPolicy); isAuto {
-		sched, err := autoSchedule(tc, ap)
-		if err != nil {
-			return nil, err
-		}
-		return trainSchedule(tc, sched, allreduce)
-	}
-	// Pre-build every spec the policy can return, so construction errors
-	// (out-of-range parameters, unregistered names) surface here and not
-	// inside the worker group.
-	for _, s := range pol.Specs() {
-		if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
-			return nil, err
-		}
 	}
 	cfg, err := clusterConfig(tc)
 	if err != nil {
 		return nil, err
 	}
-	cfg.BucketBytes = tc.BucketBytes
-	cfg.Overlap = tc.Overlap
-	cfg.Topology = tc.Topology
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		// compress.BucketSeed: bucket 0 keeps the historical per-rank seed
-		// so the default single-bucket run reproduces pre-bucketing results
-		// exactly; later buckets decorrelate their stochastic RNG.
-		o.Seed = compress.BucketSeed(tc.Seed, rank, info.Index)
-		o.Allreduce = allreduce
-		a, err := compress.Build(pol.SpecFor(info), o)
-		if err != nil {
-			// Every reachable spec was pre-built above.
-			panic(fmt.Sprintf("a2sgd: pre-validated spec failed to build: %v", err))
-		}
-		return a
+	if cfg.Schedule, err = tc.schedule(cfg.Workers); err != nil {
+		return nil, err
 	}
-	res, err := cluster.Train(cfg)
+	return cluster.Train(cfg)
+}
+
+// schedule resolves the TrainConfig algorithm fields into the run's
+// schedule at the given world size (the snapshot's, on a resume).
+func (tc TrainConfig) schedule(world int) (*Schedule, error) {
+	if tc.Schedule != nil {
+		if tc.Spec != "" || tc.Policy != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
+			return nil, fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/BucketBytes/Overlap/Topology unset")
+		}
+		return tc.Schedule, nil
+	}
+	if tc.Spec != "" && tc.Policy != "" {
+		return nil, fmt.Errorf("a2sgd: set at most one of Spec and Policy (got Spec=%q Policy=%q)", tc.Spec, tc.Policy)
+	}
+	src := tc.Policy
+	if src == "" {
+		src = tc.Spec
+	}
+	if src == "" {
+		src = "a2sgd"
+	}
+	pol, err := compress.ParsePolicy(src)
 	if err != nil {
 		return nil, err
 	}
-	res.Policy = pol.Name()
-	return res, nil
+	// The auto policy is the planner's front door: derive the full schedule
+	// from the netsim price instead of lowering the knobs.
+	if ap, isAuto := pol.(*compress.AutoPolicy); isAuto {
+		return autoSchedule(tc, ap, world)
+	}
+	return cluster.Lower(tc.Family, src, tc.BucketBytes, tc.Topology, tc.Overlap)
 }
 
-// clusterConfig copies the schedule-independent TrainConfig fields.
+// clusterConfig copies the schedule-independent TrainConfig fields and
+// resolves the world size: a ResumePath snapshot's wins over Workers.
 func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 	cfg := cluster.Config{
 		Workers:        tc.Workers,
@@ -485,42 +370,16 @@ func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 	return cfg, nil
 }
 
-// trainSchedule runs a pre-planned schedule: the cluster consumes its
-// bounds/topology/overlap, and each bucket's algorithm is built from the
-// scheduled spec with the same canonical seed derivation the policy path
-// uses — which is what makes a schedule lowered from legacy knobs
-// (plan.Lower) reproduce the flat configuration bitwise.
-func trainSchedule(tc TrainConfig, sched *Schedule, allreduce comm.AllreduceAlgorithm) (*Result, error) {
-	cfg, err := clusterConfig(tc)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Schedule = sched
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		o.Seed = compress.BucketSeed(tc.Seed, rank, info.Index)
-		o.Allreduce = allreduce
-		a, err := compress.Build(sched.Specs[info.Index], o)
-		if err != nil {
-			// cluster.Train pre-validates every scheduled spec.
-			panic(fmt.Sprintf("a2sgd: pre-validated schedule spec failed to build: %v", err))
-		}
-		return a
-	}
-	return cluster.Train(cfg)
-}
-
 // autoSchedule plans the schedule the "auto" policy stands for: the run's
-// worker count, the auto candidates, and the default IB100 price law —
+// world size, the auto candidates, and the default IB100 price law —
 // switching to the hierarchical TwoTierIB100 pair when Topology pins a
 // width. BucketBytes, when set, pins the bucket-budget axis. Auto runs
 // always use the overlapped pipeline (that is the makespan being minimized).
-func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy) (*Schedule, error) {
-	workers := tc.Workers
-	if workers <= 0 {
-		workers = 1
+func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy, world int) (*Schedule, error) {
+	if world <= 0 {
+		world = 1
 	}
-	o := plan.Options{Workers: workers, Pricer: netsim.IB100()}
+	o := plan.Options{Workers: world, Pricer: netsim.IB100()}
 	if tc.Topology > 1 {
 		o.Pricer = netsim.TwoTierIB100(tc.Topology)
 		o.RanksPerNode = []int{tc.Topology}

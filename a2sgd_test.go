@@ -82,7 +82,7 @@ func TestEveryRegisteredAlgorithmEncodes(t *testing.T) {
 
 func TestTrainFacadeSmoke(t *testing.T) {
 	res, err := Train(TrainConfig{
-		Family: "fnn3", Algorithm: "a2sgd", Workers: 2,
+		Family: "fnn3", Spec: "a2sgd", Workers: 2,
 		Epochs: 2, StepsPerEpoch: 4, BatchPerWorker: 4, Momentum: 0.9,
 	})
 	if err != nil {
@@ -104,7 +104,7 @@ func TestTrainFacadeSmoke(t *testing.T) {
 }
 
 func TestTrainFacadeDefaultsAndErrors(t *testing.T) {
-	if _, err := Train(TrainConfig{Family: "fnn3", Algorithm: "nope"}); err == nil {
+	if _, err := Train(TrainConfig{Family: "fnn3", Spec: "nope"}); err == nil {
 		t.Error("unknown algorithm must error")
 	}
 	// Defaults: algorithm a2sgd, 1 worker.
@@ -119,9 +119,8 @@ func TestTrainFacadeDefaultsAndErrors(t *testing.T) {
 
 func TestTrainDensityOverride(t *testing.T) {
 	res, err := Train(TrainConfig{
-		Family: "fnn3", Algorithm: "topk", Workers: 2,
+		Family: "fnn3", Spec: "topk(density=0.01)", Workers: 2,
 		Epochs: 1, StepsPerEpoch: 2, BatchPerWorker: 2,
-		Density: 0.01,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -144,7 +143,7 @@ func TestFamiliesAndParamCounts(t *testing.T) {
 
 func TestTrainFacadeBucketedOverlap(t *testing.T) {
 	base := TrainConfig{
-		Family: "fnn3", Algorithm: "a2sgd", Workers: 2,
+		Family: "fnn3", Spec: "a2sgd", Workers: 2,
 		Epochs: 2, StepsPerEpoch: 4, BatchPerWorker: 8, Seed: 5,
 	}
 	over := base
@@ -178,8 +177,5 @@ func TestTrainFacadeBucketedOverlap(t *testing.T) {
 	f := IB100()
 	if ro.ModeledIterSecOverlap(f) > ro.ModeledIterSecSerial(f) {
 		t.Error("overlap law must not exceed the serial law")
-	}
-	if _, err := Train(TrainConfig{Family: "fnn3", Allreduce: "bogus"}); err == nil {
-		t.Error("bad allreduce name must error")
 	}
 }

@@ -130,11 +130,9 @@ func TestTrainScheduleConflicts(t *testing.T) {
 	for _, mutate := range []func(*TrainConfig){
 		func(tc *TrainConfig) { tc.Spec = "a2sgd" },
 		func(tc *TrainConfig) { tc.Policy = "uniform(dense)" },
-		func(tc *TrainConfig) { tc.Algorithm = "dense" },
 		func(tc *TrainConfig) { tc.BucketBytes = 4096 },
 		func(tc *TrainConfig) { tc.Overlap = true },
 		func(tc *TrainConfig) { tc.Topology = 2 },
-		func(tc *TrainConfig) { tc.Density = 0.01 },
 	} {
 		tc := base
 		mutate(&tc)
@@ -167,6 +165,32 @@ func TestAutoPolicyPinsRespected(t *testing.T) {
 	}
 	if res.Algorithm == "dense" {
 		t.Errorf("pinned candidate ignored: %s", res.Algorithm)
+	}
+}
+
+// TestAutoPolicyResumesAtSnapshotWorld: the snapshot's world size wins over
+// Workers on every configuration path — "auto" must price and stamp its
+// schedule at the resumed world, exactly as a Spec run resumes there.
+func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
+	for _, algo := range []TrainConfig{{Policy: "auto"}, {Spec: "a2sgd"}} {
+		path := t.TempDir() + "/run.snap"
+		cfg := algo
+		cfg.Family, cfg.Workers, cfg.Seed = "fnn3", 2, 3
+		cfg.Epochs, cfg.StepsPerEpoch, cfg.BatchPerWorker = 2, 4, 4
+		cfg.CheckpointEvery, cfg.SnapshotPath = 4, path
+		full, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%+v: %v", algo, err)
+		}
+		cfg.SnapshotPath, cfg.ResumePath, cfg.Workers = "", path, 4
+		resumed, err := Train(cfg)
+		if err != nil {
+			t.Fatalf("%+v resumed with Workers 4: %v", algo, err)
+		}
+		if resumed.Workers != 2 {
+			t.Errorf("%+v: resumed at world %d, want the snapshot's 2", algo, resumed.Workers)
+		}
+		assertFacadeRunsIdentical(t, "resumed-vs-uninterrupted", full, resumed)
 	}
 }
 

@@ -202,7 +202,7 @@ func benchTrainStep(b *testing.B, algo string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_, err := Train(TrainConfig{
-			Family: "fnn3", Algorithm: algo, Workers: 4,
+			Family: "fnn3", Spec: algo, Workers: 4,
 			Epochs: 1, StepsPerEpoch: 4, BatchPerWorker: 8, Momentum: 0.9,
 		})
 		if err != nil {

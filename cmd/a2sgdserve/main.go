@@ -38,8 +38,6 @@ import (
 	"a2sgd"
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
-	"a2sgd/internal/compress"
-	_ "a2sgd/internal/core" // registers a2sgd and its ablation variants
 	"a2sgd/internal/elastic"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/plan"
@@ -109,11 +107,12 @@ type jobOutcome struct {
 
 // buildJob assembles the elastic supervisor for one job spec.
 func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool, drain <-chan struct{}) (*elastic.Job, error) {
-	if _, err := compress.ParseBuild(js.Spec, compress.DefaultOptions(4)); err != nil {
-		return nil, fmt.Errorf("job %s: spec: %w", js.Name, err)
+	sched, err := cluster.Lower(js.Family, js.Spec, js.BucketBytes, 0, false)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: %w", js.Name, err)
 	}
 	cc := cluster.Config{
-		Workers: js.Workers, Family: js.Family,
+		Workers: js.Workers, Family: js.Family, Schedule: sched,
 		Epochs: js.Epochs, StepsPerEpoch: js.Steps, BatchPerWorker: js.Batch,
 		Seed: js.Seed, Momentum: float32(js.Momentum),
 		CheckpointEvery: js.CheckpointEvery,
@@ -130,19 +129,10 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 		if js.BucketBytes != 0 {
 			return nil, fmt.Errorf("job %s: replan derives the bucket plan — leave bucket_bytes unset", js.Name)
 		}
-		// The planner owns bucket boundaries and per-bucket specs; cur tracks
-		// the current epoch's schedule so rescheduled segments build the
-		// specs the supervisor just planned.
-		var mu sync.Mutex
-		var cur *plan.Schedule
+		// The planner owns bucket boundaries and per-bucket specs: the
+		// supervisor swaps in its schedule for every membership epoch's world.
 		job.Replan = func(world int) (*plan.Schedule, error) {
-			s, err := a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: a2sgd.IB100()})
-			if err == nil {
-				mu.Lock()
-				cur = s
-				mu.Unlock()
-			}
-			return s, err
+			return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: a2sgd.IB100()})
 		}
 		if js.DriftReplan {
 			// After a drift event the planner prices on the fabric the
@@ -150,39 +140,8 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 			job.DriftReplan = true
 			job.DriftModel = a2sgd.IB100()
 			job.ReplanMeasured = func(world int, measured netsim.Fabric) (*plan.Schedule, error) {
-				s, err := a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: measured})
-				if err == nil {
-					mu.Lock()
-					cur = s
-					mu.Unlock()
-				}
-				return s, err
+				return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: measured})
 			}
-		}
-		cc.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-			mu.Lock()
-			s := cur
-			mu.Unlock()
-			o := compress.DefaultOptions(info.Params)
-			o.Seed = compress.BucketSeed(js.Seed, rank, info.Index)
-			a, err := compress.Build(s.Specs[info.Index], o)
-			if err != nil {
-				panic(fmt.Sprintf("a2sgdserve: planned spec failed to build: %v", err))
-			}
-			return a
-		}
-	} else {
-		cc.BucketBytes = js.BucketBytes
-		spec := js.Spec
-		seed := js.Seed
-		cc.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-			o := compress.DefaultOptions(info.Params)
-			o.Seed = compress.BucketSeed(seed, rank, info.Index)
-			a, err := compress.ParseBuild(spec, o)
-			if err != nil {
-				panic(fmt.Sprintf("a2sgdserve: pre-validated spec failed to build: %v", err))
-			}
-			return a
 		}
 	}
 	if js.DriftReplan && !js.Replan {

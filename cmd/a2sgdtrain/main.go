@@ -57,7 +57,6 @@ func main() {
 	batch := flag.Int("batch", 16, "batch size per worker")
 	seed := flag.Uint64("seed", 1, "experiment seed")
 	momentum := flag.Float64("momentum", 0.9, "SGD momentum")
-	density := flag.Float64("density", 0, "sparsifier density override (0 = paper default 0.001; prefer density= in -algo)")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	faults := flag.String("faults", "",
 		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: delay|bw|loss|dup|reorder|straggler|crash|stall|flap|partition, plus seed()/deadline()/retry()")
@@ -107,17 +106,13 @@ func main() {
 			sched.PipelinedSyncSec*1000, sched.SerialSyncSec*1000)
 		tc.Schedule = sched
 	} else {
-		// Density always passes through, so -density alongside -policy (or a
-		// parameterized -algo spec) hits the façade's conflict error instead
-		// of silently training the default.
-		tc.Density = *density
 		tc.BucketBytes = *bucketBytes
 		tc.Overlap = *overlap
 		tc.Topology = *topology
 		if *policy != "" {
 			tc.Policy = *policy
 		} else {
-			tc.Algorithm = *algo
+			tc.Spec = *algo
 		}
 	}
 

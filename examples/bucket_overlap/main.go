@@ -12,10 +12,10 @@ import (
 
 func main() {
 	base := a2sgd.TrainConfig{
-		Family:    "fnn3",
-		Algorithm: "a2sgd",
-		Workers:   4,
-		Epochs:    3,
+		Family:  "fnn3",
+		Spec:    "a2sgd",
+		Workers: 4,
+		Epochs:  3,
 	}
 	single, err := a2sgd.Train(base)
 	if err != nil {

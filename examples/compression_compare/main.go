@@ -43,15 +43,15 @@ func main() {
 	// multi-million-parameter models and would select single-digit k on
 	// this reduced one.
 	fmt.Println("\n== convergence on FNN-3, 4 workers, 6 epochs ==")
-	for _, name := range []string{"dense", "a2sgd", "a2sgd-noef", "a2sgd-onemean", "dgc", "randk", "terngrad"} {
+	for _, spec := range []string{"dense", "a2sgd", "a2sgd-noef", "a2sgd-onemean", "dgc(density=0.05)", "randk(density=0.05)", "terngrad"} {
 		res, err := a2sgd.Train(a2sgd.TrainConfig{
-			Family: "fnn3", Algorithm: name, Workers: 4,
+			Family: "fnn3", Spec: spec, Workers: 4,
 			Epochs: 6, StepsPerEpoch: 12, BatchPerWorker: 8,
-			Momentum: 0.9, Seed: 9, Density: 0.05,
+			Momentum: 0.9, Seed: 9,
 		})
 		if err != nil {
-			log.Fatalf("%s: %v", name, err)
+			log.Fatalf("%s: %v", spec, err)
 		}
-		fmt.Printf("%-14s final top-1 accuracy %.3f\n", name, res.FinalMetric())
+		fmt.Printf("%-19s final top-1 accuracy %.3f\n", spec, res.FinalMetric())
 	}
 }

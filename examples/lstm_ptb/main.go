@@ -25,7 +25,7 @@ func main() {
 	for _, algo := range a2sgd.EvaluatedAlgorithms() {
 		res, err := a2sgd.Train(a2sgd.TrainConfig{
 			Family:         "lstm",
-			Algorithm:      algo,
+			Spec:           algo,
 			Workers:        workers,
 			Epochs:         6,
 			StepsPerEpoch:  12,

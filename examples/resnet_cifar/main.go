@@ -17,7 +17,7 @@ func main() {
 		for _, algo := range []string{"dense", "a2sgd", "topk"} {
 			res, err := a2sgd.Train(a2sgd.TrainConfig{
 				Family:         "resnet20",
-				Algorithm:      algo,
+				Spec:           algo,
 				Workers:        workers,
 				Epochs:         5,
 				StepsPerEpoch:  10,

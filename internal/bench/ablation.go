@@ -54,12 +54,12 @@ func Ablation(w io.Writer, workers, epochs int) ([]AblationResult, error) {
 	var out []AblationResult
 	var rows [][]string
 	for _, variant := range AblationSpecs() {
-		spec := specWithDensity(variant, 0.05)
+		sched, err := cluster.Lower("fnn3", specWithDensity(variant, 0.05), 0, 0, false)
+		if err != nil {
+			return nil, fmt.Errorf("ablation %s: %w", variant, err)
+		}
 		res, err := cluster.Train(cluster.Config{
-			Workers: workers, Family: "fnn3",
-			NewAlgorithm: func(rank, n int) compress.Algorithm {
-				return newAlgo(spec, n, uint64(rank+1))
-			},
+			Workers: workers, Family: "fnn3", Schedule: sched,
 			Epochs:         epochs,
 			StepsPerEpoch:  12,
 			BatchPerWorker: 8,

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
 
@@ -75,13 +74,13 @@ func BucketSweep(w io.Writer, c BucketSweepConfig) ([]BucketPoint, error) {
 	for _, algo := range cfg.Algorithms {
 		for _, bb := range cfg.BucketBytes {
 			run := func(overlap bool) (*cluster.Result, error) {
+				sched, err := cluster.Lower(cfg.Family, algo, bb, 0, overlap)
+				if err != nil {
+					return nil, err
+				}
 				return cluster.Train(cluster.Config{
-					Workers: cfg.Workers, Family: cfg.Family,
-					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-					Seed: 11, BucketBytes: bb, Overlap: overlap,
-					NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-						return newAlgo(algo, info.Params, uint64(rank+1)+uint64(info.Index)*1_000_003)
-					},
+					Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
+					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: 11,
 				})
 			}
 			sync, err := run(false)

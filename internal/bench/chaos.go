@@ -9,7 +9,6 @@ import (
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
 
@@ -83,15 +82,14 @@ func (c *ChaosConfig) defaults() ChaosConfig {
 // ("" = fault-free) and returns the checkpoint bytes and the wall time.
 func chaosRun(cfg ChaosConfig, scenario string, topology int, overlap bool) (*cluster.Result, []byte, time.Duration, error) {
 	var ckpt bytes.Buffer
+	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, topology, overlap)
+	if err != nil {
+		return nil, nil, 0, err
+	}
 	cc := cluster.Config{
-		Workers: cfg.Workers, Family: cfg.Family,
+		Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
 		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-		Seed: cfg.Seed, BucketBytes: 8192, Overlap: overlap,
-		Topology:   topology,
-		Checkpoint: &ckpt,
-		NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-			return newAlgo("a2sgd", info.Params, compress.BucketSeed(cfg.Seed, rank, info.Index))
-		},
+		Seed: cfg.Seed, Checkpoint: &ckpt,
 	}
 	if scenario != "" {
 		sc, err := faultnet.Parse(scenario)

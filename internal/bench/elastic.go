@@ -9,8 +9,8 @@ import (
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/elastic"
+	"a2sgd/internal/plan"
 )
 
 // ElasticConfig bounds the elastic-recovery harness runs.
@@ -77,29 +77,30 @@ func (c *ElasticConfig) defaults() ElasticConfig {
 	return cfg
 }
 
-// elasticBase builds the representative training configuration the harness
-// supervises: the a2sgd algorithm on the bucketed overlap pipeline, with
-// periodic checkpointing and the final model checkpointed into ckpt.
-func elasticBase(cfg ElasticConfig, ckpt *bytes.Buffer) cluster.Config {
+// elasticBase builds the training configuration the harness supervises
+// around a schedule — representatively the a2sgd algorithm on the bucketed
+// overlap pipeline — with periodic checkpointing and the final model
+// checkpointed into ckpt.
+func elasticBase(cfg ElasticConfig, sched *plan.Schedule, ckpt *bytes.Buffer) cluster.Config {
 	return cluster.Config{
-		Workers: cfg.Workers, Family: cfg.Family,
-		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-		Seed: cfg.Seed, BucketBytes: 8192, Overlap: true,
+		Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
+		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: cfg.Seed,
 		CheckpointEvery: cfg.CheckpointEvery,
 		Checkpoint:      ckpt,
-		NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-			return newAlgo("a2sgd", info.Params, compress.BucketSeed(cfg.Seed, rank, info.Index))
-		},
 	}
 }
 
 // runElastic supervises one elastic run under the given scenario ("" =
 // fault-free), collecting every boundary snapshot by global step.
 func runElastic(cfg ElasticConfig, scenario string, drain <-chan struct{}) (*elastic.RunResult, []byte, map[int]*cluster.RunState, time.Duration, error) {
+	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, 0, true)
+	if err != nil {
+		return nil, nil, nil, 0, err
+	}
 	var ckpt bytes.Buffer
 	snaps := map[int]*cluster.RunState{}
 	job := &elastic.Job{
-		Config: elasticBase(cfg, &ckpt),
+		Config: elasticBase(cfg, sched, &ckpt),
 		TCP:    cfg.TCP,
 		Drain:  drain,
 		SnapshotSink: func(rs *cluster.RunState) error {
@@ -119,8 +120,12 @@ func runElastic(cfg ElasticConfig, scenario string, drain <-chan struct{}) (*ela
 // faults and returns the final checkpoint: the fixed-world reference an
 // elastic recovery must match bitwise.
 func refResume(cfg ElasticConfig, rs *cluster.RunState) ([]byte, error) {
+	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, 0, true)
+	if err != nil {
+		return nil, err
+	}
 	var ckpt bytes.Buffer
-	cc := elasticBase(cfg, &ckpt)
+	cc := elasticBase(cfg, sched, &ckpt)
 	cc.Workers = rs.World
 	cc.Resume = rs
 	if _, err := cluster.Train(cc); err != nil {

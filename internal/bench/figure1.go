@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/stats"
 )
 
@@ -34,11 +33,12 @@ func Figure1(w io.Writer, epochs, stepsPerEpoch int, render bool) ([]Figure1Resu
 
 	var out []Figure1Result
 	for _, fam := range []string{"fnn3", "resnet20"} {
+		sched, err := cluster.Lower(fam, "dense", 0, 0, false)
+		if err != nil {
+			return nil, err
+		}
 		res, err := cluster.Train(cluster.Config{
-			Workers: 1, Family: fam,
-			NewAlgorithm: func(rank, n int) compress.Algorithm {
-				return compress.NewDense(compress.DefaultOptions(n))
-			},
+			Workers: 1, Family: fam, Schedule: sched,
 			Epochs: epochs, StepsPerEpoch: stepsPerEpoch,
 			BatchPerWorker: 32, Seed: 11, Momentum: 0.9,
 			HistIters: iters,

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/models"
 )
 
@@ -85,12 +84,12 @@ func Figure3(w io.Writer, cfg Figure3Config) ([]Figure3Series, error) {
 			for _, algo := range cfg.Algos {
 				// The density override lowers onto the spec itself (the
 				// registry's schema decides whether the root accepts it).
-				spec := specWithDensity(algo, cfg.Density)
+				sched, err := cluster.Lower(fam, specWithDensity(algo, cfg.Density), 0, 0, false)
+				if err != nil {
+					return nil, fmt.Errorf("figure3 %s/%s: %w", fam, algo, err)
+				}
 				res, err := cluster.Train(cluster.Config{
-					Workers: p, Family: fam,
-					NewAlgorithm: func(rank, n int) compress.Algorithm {
-						return newAlgo(spec, n, cfg.Seed*31+uint64(rank)+1)
-					},
+					Workers: p, Family: fam, Schedule: sched,
 					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
 					BatchPerWorker: cfg.Batch, Seed: cfg.Seed, Momentum: 0.9,
 					LRScale: cfg.LRScale,

@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
 
@@ -126,13 +125,13 @@ func HierarchySweep(w io.Writer, c HierarchySweepConfig) ([]HierarchyPoint, erro
 				if eff > 1 {
 					topo = eff
 				}
+				sched, err := cluster.Lower(cfg.Family, algo, bb, topo, true)
+				if err != nil {
+					return nil, fmt.Errorf("bench: %s: %w", algo, err)
+				}
 				res, err := cluster.Train(cluster.Config{
-					Workers: cfg.Workers, Family: cfg.Family,
-					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-					Seed: 11, BucketBytes: bb, Overlap: true, Topology: topo,
-					NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-						return newAlgo(algo, info.Params, uint64(rank+1)+uint64(info.Index)*1_000_003)
-					},
+					Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
+					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: 11,
 				})
 				if err != nil {
 					return nil, fmt.Errorf("bench: %s rpn=%d bucket=%dB: %w", algo, eff, bb, err)

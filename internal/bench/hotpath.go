@@ -344,18 +344,12 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 	// parameter tensors per bucket. The strided-view pipeline must report
 	// every bucket as direct (exchanged in place, no gather/scatter copy).
 	{
+		sched, err := cluster.Lower("vgg16", "a2sgd", 8192, 0, true)
+		if err != nil {
+			return nil, err
+		}
 		res, err := cluster.Train(cluster.Config{
-			Workers: 2, Family: "vgg16",
-			NewAlgorithm: func(rank, n int) compress.Algorithm {
-				o := compress.DefaultOptions(n)
-				o.Seed = 5
-				a, err := compress.Build(&compress.Spec{Name: "a2sgd"}, o)
-				if err != nil {
-					panic(err)
-				}
-				return a
-			},
-			BucketBytes: 8192, Overlap: true,
+			Workers: 2, Family: "vgg16", Schedule: sched,
 			Epochs: 1, StepsPerEpoch: 2, BatchPerWorker: 2,
 			Seed: 5, EvalBatch: 8,
 		})

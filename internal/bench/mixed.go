@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"a2sgd/internal/cluster"
-	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
 
@@ -87,31 +86,20 @@ func MixedSweep(w io.Writer, c MixedSweepConfig) ([]MixedPoint, error) {
 	cfg := c.defaults()
 	var points []MixedPoint
 	for _, policySrc := range cfg.Policies {
-		pol, err := compress.ParsePolicy(policySrc)
-		if err != nil {
-			return nil, fmt.Errorf("bench: policy %q: %w", policySrc, err)
-		}
 		for _, bb := range cfg.BucketBytes {
+			sched, err := cluster.Lower(cfg.Family, policySrc, bb, 0, true)
+			if err != nil {
+				return nil, fmt.Errorf("bench: policy %q: %w", policySrc, err)
+			}
 			res, err := cluster.Train(cluster.Config{
-				Workers: cfg.Workers, Family: cfg.Family,
-				Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-				Seed: cfg.Seed, BucketBytes: bb, Overlap: true,
-				NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-					o := compress.DefaultOptions(info.Params)
-					o.Seed = cfg.Seed*31 + uint64(rank) + 1 + uint64(info.Index)*1_000_003
-					a, err := compress.Build(pol.SpecFor(info), o)
-					if err != nil {
-						panic("bench: " + err.Error())
-					}
-					return a
-				},
+				Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
+				Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: cfg.Seed,
 			})
 			if err != nil {
-				return nil, fmt.Errorf("bench: policy %q bucket=%dB: %w", pol.Name(), bb, err)
+				return nil, fmt.Errorf("bench: policy %q bucket=%dB: %w", sched.Policy, bb, err)
 			}
-			res.Policy = pol.Name()
 			points = append(points, MixedPoint{
-				Policy:          pol.Name(),
+				Policy:          res.Policy,
 				BucketBytes:     bb,
 				Buckets:         res.Buckets,
 				Composition:     res.Algorithm,

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"time"
 
+	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/elastic"
 	"a2sgd/internal/netsim"
@@ -105,21 +106,16 @@ func (c *StragglerConfig) defaults() StragglerConfig {
 	return cfg
 }
 
-// runStraggler supervises one run of the harness configuration under the
-// given job shape, returning the supervisor result, the final checkpoint and
-// the wall clock.
-func runStraggler(cfg StragglerConfig, mutate func(*elastic.Job)) (*elastic.RunResult, []byte, time.Duration, error) {
+// runStraggler supervises one run of the harness configuration on the given
+// schedule under the given job shape, returning the supervisor result, the
+// final checkpoint and the wall clock.
+func runStraggler(cfg StragglerConfig, sched *plan.Schedule, mutate func(*elastic.Job)) (*elastic.RunResult, []byte, time.Duration, error) {
 	var ckpt bytes.Buffer
 	ecfg := ElasticConfig{
 		Family: cfg.Family, Workers: cfg.Workers, Epochs: cfg.Epochs,
 		Steps: cfg.Steps, Seed: cfg.Seed, CheckpointEvery: cfg.CheckpointEvery,
 	}
-	cc := elasticBase(ecfg, &ckpt)
-	// Halve the bucket budget: more messages per step makes the straggler's
-	// per-message floor dominate the slow phase, which is what the backup
-	// promotion is supposed to win back.
-	cc.BucketBytes = 4096
-	job := &elastic.Job{Config: cc, TCP: cfg.TCP}
+	job := &elastic.Job{Config: elasticBase(ecfg, sched, &ckpt), TCP: cfg.TCP}
 	if mutate != nil {
 		mutate(job)
 	}
@@ -148,9 +144,17 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 		rep.Cases = append(rep.Cases, cse)
 	}
 
+	// Half the elastic harness's bucket budget: more messages per step makes
+	// the straggler's per-message floor dominate the slow phase, which is what
+	// the backup promotion is supposed to win back.
+	sched, err := cluster.Lower(cfg.Family, "a2sgd", 4096, 0, true)
+	if err != nil {
+		return nil, err
+	}
+
 	// fault-free: the bitwise reference and the wall-clock floor.
 	base := StragglerCase{Name: "fault-free"}
-	_, baseCkpt, baseWall, err := runStraggler(cfg, nil)
+	_, baseCkpt, baseWall, err := runStraggler(cfg, sched, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: straggler baseline: %w", err)
 	}
@@ -163,7 +167,7 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 
 	// straggler-unmitigated: the full slowdown, bit-for-bit the same model.
 	slow := StragglerCase{Name: "straggler-unmitigated", Scenario: scenario}
-	_, slowCkpt, slowWall, err := runStraggler(cfg, func(j *elastic.Job) {
+	_, slowCkpt, slowWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 	})
 	if err != nil {
@@ -179,7 +183,7 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 	// evict), mask the slow links, and recover ≥ MinSpeedup of the wall
 	// clock with an identical final model.
 	bk := StragglerCase{Name: "straggler-backup", Scenario: scenario}
-	rr, bkCkpt, bkWall, err := runStraggler(cfg, func(j *elastic.Job) {
+	rr, bkCkpt, bkWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 		j.BackupSlots = cfg.BackupSlots
 	})
@@ -266,9 +270,8 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 	return rep, nil
 }
 
-// stragglerDrift runs the drift leg of the matrix. The schedule-driven
-// configuration replaces the hand-tuned bucket knobs so a replan can swap
-// the schedule mid-run; BackupSlots keeps the degraded rank in the world so
+// stragglerDrift runs the drift leg of the matrix on planned schedules, which
+// a replan swaps mid-run; BackupSlots keeps the degraded rank in the world so
 // the stale and fresh schedules price at the same worker count.
 func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 	cse := StragglerCase{Name: "degrade-replan"}
@@ -277,30 +280,12 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 		return cse, err
 	}
 
-	scheduleJob := func(sched *plan.Schedule, mutate func(*elastic.Job)) (*elastic.RunResult, time.Duration, error) {
-		var ckpt bytes.Buffer
-		ecfg := ElasticConfig{
-			Family: cfg.Family, Workers: cfg.Workers, Epochs: cfg.Epochs,
-			Steps: cfg.Steps, Seed: cfg.Seed, CheckpointEvery: cfg.CheckpointEvery,
-		}
-		cc := elasticBase(ecfg, &ckpt)
-		cc.BucketBytes, cc.Overlap, cc.NewBucketAlgorithm = 0, false, nil
-		cc.Schedule = sched
-		job := &elastic.Job{Config: cc, TCP: cfg.TCP}
-		if mutate != nil {
-			mutate(job)
-		}
-		start := time.Now()
-		rr, err := job.Run()
-		return rr, time.Since(start), err
-	}
-
 	// Probe pass: measure the healthy fabric the planner should model.
 	modelSched, err := plan.Build(segs, plan.Options{Workers: cfg.Workers, Pricer: netsim.IB100()})
 	if err != nil {
 		return cse, err
 	}
-	probe, _, err := scheduleJob(modelSched, func(j *elastic.Job) { j.Health = true })
+	probe, _, _, err := runStraggler(cfg, modelSched, func(j *elastic.Job) { j.Health = true })
 	if err != nil {
 		return cse, fmt.Errorf("probe run: %w", err)
 	}
@@ -320,7 +305,7 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 	cse.Scenario = scenario
 	var replanned *plan.Schedule
 	var replanFabric netsim.Fabric
-	rr, wall, err := scheduleJob(stale, func(j *elastic.Job) {
+	rr, _, wall, err := runStraggler(cfg, stale, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 		j.BackupSlots = cfg.BackupSlots
 		j.DriftReplan = true

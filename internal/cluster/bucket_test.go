@@ -1,11 +1,11 @@
 package cluster
 
 import (
+	"sync"
 	"testing"
 
 	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
-	"a2sgd/internal/core"
 	"a2sgd/internal/netsim"
 )
 
@@ -14,30 +14,33 @@ import (
 const fourBucketBytes = 8192
 
 func bucketCfg(algo string, workers, bucketBytes int, overlap bool) Config {
-	cfg := quickCfg("fnn3", algo, workers)
-	cfg.BucketBytes = bucketBytes
-	cfg.Overlap = overlap
-	return cfg
+	return lowered(quickCfg("fnn3", algo, workers), algo, bucketBytes, 0, overlap)
 }
 
-// recDoublingFactory builds algorithms pinned to recursive-doubling
-// allreduce, whose per-element reduction order is independent of vector
-// length — the property that makes bucketed dense bitwise-equal to
-// whole-vector dense.
-func recDoublingFactory(name string) func(rank, n int) compress.Algorithm {
-	return func(rank, n int) compress.Algorithm {
-		o := compress.DefaultOptions(n)
-		o.Allreduce = comm.AlgoRecursiveDoubling
-		switch name {
-		case "dense":
-			return compress.NewDense(o)
-		case "a2sgd":
-			return core.NewFromOptions(o)
-		default:
-			panic("unknown algo " + name)
-		}
-	}
+// Test-only specs, registered the way any third-party compressor is:
+// "dense-recdouble" is dense pinned to recursive-doubling allreduce, whose
+// per-element reduction order is independent of vector length — the property
+// that makes bucketed dense bitwise-equal to whole-vector dense — and
+// "qsgd-seedprobe" is qsgd that reports the seed each instance was built with.
+func init() {
+	compress.Register("dense-recdouble", compress.Builder{
+		Summary: "test: dense with recursive-doubling allreduce",
+		Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
+			o.Allreduce = comm.AlgoRecursiveDoubling
+			return compress.NewDense(o), nil
+		},
+	})
+	compress.Register("qsgd-seedprobe", compress.Builder{
+		Summary: "test: qsgd recording its construction seed",
+		Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
+			seedProbe.Store(o.Seed, true)
+			return compress.NewQSGD(o), nil
+		},
+	})
 }
+
+// seedProbe collects the Options.Seed of every qsgd-seedprobe instance.
+var seedProbe sync.Map
 
 func assertRunsIdentical(t *testing.T, label string, a, b *Result) {
 	t.Helper()
@@ -83,18 +86,14 @@ func TestOverlapMatchesSynchronousBuckets(t *testing.T) {
 // exactly — bucketing only re-slices the vector, and rec-doubling's
 // per-element reduction order does not depend on the vector length.
 func TestBucketedDenseMatchesSingleBucket(t *testing.T) {
-	single := bucketCfg("dense", 4, 0, false)
-	single.NewAlgorithm = recDoublingFactory("dense")
-	rs, err := Train(single)
+	rs, err := Train(bucketCfg("dense-recdouble", 4, 0, false))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rs.Buckets != 1 {
 		t.Fatalf("single-bucket run has %d buckets", rs.Buckets)
 	}
-	bucketed := bucketCfg("dense", 4, fourBucketBytes, true)
-	bucketed.NewAlgorithm = recDoublingFactory("dense")
-	rb, err := Train(bucketed)
+	rb, err := Train(bucketCfg("dense-recdouble", 4, fourBucketBytes, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,26 +167,30 @@ func TestBucketedA2SGDConverges(t *testing.T) {
 	}
 }
 
-// TestPerBucketSeedsDiffer: NewBucketAlgorithm receives the bucket index, so
-// stochastic compressors can decorrelate their per-bucket RNG streams.
+// TestPerBucketSeedsDiffer: every (rank, bucket) instance is built with its
+// own compress.BucketSeed, so stochastic compressors decorrelate their
+// per-bucket RNG streams.
 func TestPerBucketSeedsDiffer(t *testing.T) {
-	seeds := map[int]uint64{}
-	cfg := bucketCfg("qsgd", 2, fourBucketBytes, true)
-	cfg.NewAlgorithm = nil
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		o.Seed = uint64(rank+1)*1000 + uint64(info.Index)
-		if rank == 0 {
-			seeds[info.Index] = o.Seed
-		}
-		return compress.NewQSGD(o)
-	}
+	cfg := bucketCfg("qsgd-seedprobe", 2, fourBucketBytes, true)
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Buckets != 4 || len(seeds) != 4 {
-		t.Fatalf("buckets %d, distinct bucket seeds %d", res.Buckets, len(seeds))
+	if res.Buckets != 4 {
+		t.Fatalf("buckets %d, want 4", res.Buckets)
+	}
+	seeds := map[uint64]bool{}
+	for rank := 0; rank < 2; rank++ {
+		for b := 0; b < res.Buckets; b++ {
+			seed := compress.BucketSeed(cfg.Seed, rank, b)
+			if _, ok := seedProbe.Load(seed); !ok {
+				t.Errorf("rank %d bucket %d was not built with its BucketSeed", rank, b)
+			}
+			seeds[seed] = true
+		}
+	}
+	if len(seeds) != 2*res.Buckets {
+		t.Errorf("%d distinct seeds over %d (rank, bucket) instances", len(seeds), 2*res.Buckets)
 	}
 }
 

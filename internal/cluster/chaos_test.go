@@ -49,8 +49,7 @@ func TestChaosPropertySweep(t *testing.T) {
 		if b, ok := baselines[key]; ok {
 			return b
 		}
-		cfg := bucketCfg(algo, 4, fourBucketBytes, false)
-		cfg.Topology = topo
+		cfg := lowered(quickCfg("fnn3", algo, 4), algo, fourBucketBytes, topo, false)
 		_, ckpt := trainWithCheckpoint(t, cfg)
 		if len(ckpt) == 0 {
 			t.Fatalf("%s: baseline produced an empty checkpoint", key)
@@ -70,8 +69,7 @@ func TestChaosPropertySweep(t *testing.T) {
 		label := fmt.Sprintf("draw %d: %s topo=%d conc=%d interleave=%v faults=%q",
 			i, algo, topo, conc, interleave, scenario)
 
-		cfg := bucketCfg(algo, 4, fourBucketBytes, true)
-		cfg.Topology = topo
+		cfg := lowered(quickCfg("fnn3", algo, 4), algo, fourBucketBytes, topo, true)
 		cfg.Concurrency = conc
 		cfg.Interleave = interleave
 		sc := faultnet.MustParse(fmt.Sprintf("seed(%d) %s", 100+uint64(i), scenario))

@@ -102,28 +102,6 @@ type Config struct {
 	Membership Membership
 	// Family selects the model family ("fnn3", "vgg16", "resnet20", "lstm").
 	Family string
-	// NewAlgorithm builds the per-worker synchronization algorithm. The
-	// parameter count is the bucket's element count (the model's NumParams
-	// when BucketBytes is 0, i.e. a single whole-model bucket).
-	NewAlgorithm func(rank, numParams int) compress.Algorithm
-	// NewBucketAlgorithm, when non-nil, builds per-bucket algorithm
-	// instances with the bucket's metadata available — its index (so
-	// per-bucket stochastic seeds can differ), element count, raw byte size
-	// and covered layer names — which is what a per-bucket policy (the
-	// compress.Policy layer) keys its spec choice on. Nil falls back to
-	// NewAlgorithm(rank, n) per bucket.
-	NewBucketAlgorithm func(rank int, info compress.BucketInfo) compress.Algorithm
-	// BucketBytes partitions the flattened gradient into layer-granular
-	// buckets of at most this many bytes (nn.PlanBuckets); each bucket gets
-	// its own algorithm instance and its own collective. 0 keeps the legacy
-	// whole-model single bucket.
-	BucketBytes int
-	// Overlap launches bucket i's exchange on the communicator's progress
-	// worker while bucket i+1 is still being gathered and encoded, hiding
-	// synchronization behind local compute. For a fixed seed and bucket
-	// plan the results are bitwise identical to the synchronous path (the
-	// collectives execute in the same order with the same operands).
-	Overlap bool
 	// Concurrency is the number of comm tag-space contexts the overlap path
 	// may use (comm.SetConcurrency): 0 or 1 keeps the Deterministic mode —
 	// one progress worker, exchanges strictly in posting order, bitwise
@@ -137,29 +115,17 @@ type Config struct {
 	// soon as backprop has finalized the bucket's gradient range (deepest
 	// layers first), instead of after the whole backward — hiding
 	// synchronization behind the remaining compute as well as behind encode.
-	// Requires Overlap. Histogram-capture steps fall back to the
+	// Requires Schedule.Overlap. Histogram-capture steps fall back to the
 	// post-backward launch on every rank (the capture needs the raw local
 	// gradient before any exchange rewrites it).
 	Interleave bool
-	// Topology is the two-level hierarchy width in ranks per node: when > 1,
-	// every collective (per-bucket exchanges, the setup broadcast and the
-	// final dense synchronization) runs the comm.SetTopology two-level
-	// schedule — intra-node reduce/gather, inter-node exchange among node
-	// leaders, intra-node broadcast. Consecutive ranks share a node. 0 or 1
-	// keeps the flat single-tier topology. The hierarchical reduction order
-	// differs from the flat one, so runs match flat runs to float tolerance
-	// (convergence-equivalent), not bitwise; for a fixed seed and topology
-	// they are fully deterministic.
-	Topology int
-	// Schedule, when non-nil, replaces the three hand-tuned knobs above with
-	// a complete pre-planned synchronization schedule (typically plan.Build's
-	// output): explicit bucket boundaries, per-bucket algorithm specs, the
-	// topology width and the overlap flag. BucketBytes, Topology and Overlap
-	// must stay zero — the schedule carries them. When NewAlgorithm and
-	// NewBucketAlgorithm are both nil, each bucket's algorithm is built from
-	// Schedule.Specs with the canonical compress.BucketSeed derivation, so a
-	// schedule lowered from a legacy configuration (plan.Lower) reproduces
-	// that configuration's results bitwise.
+	// Schedule is the run's synchronization plan (required), and the only way
+	// to say which algorithm runs on which slice of the gradient: bucket
+	// boundaries, one algorithm spec per bucket, the two-level hierarchy
+	// width and the overlap flag (see the package comment for what each
+	// does to the step). plan.Build prices one from a network model; Lower
+	// writes down the one a spec or policy string and the hand-picked bucket
+	// budget, topology width and overlap flag denote.
 	Schedule *plan.Schedule
 	// Epochs and StepsPerEpoch bound the run.
 	Epochs, StepsPerEpoch int
@@ -283,8 +249,8 @@ type Result struct {
 	// buckets allgather); the modelled price laws account each bucket under
 	// its own kind. Empty means every bucket uses ExchangeKind.
 	BucketExchangeKinds []netsim.ExchangeKind
-	// Policy is the canonical per-bucket policy spec the run used, when the
-	// caller built algorithms through the policy layer ("" otherwise).
+	// Policy is the schedule's policy string: the policy a lowered schedule
+	// came from, the auto policy's spec for a planned one.
 	Policy string
 
 	// BytesPerWorkerPerStep is the measured payload sent per worker per
@@ -396,21 +362,6 @@ func (o *bucketExchangeOp) RunOp(c *comm.Communicator) error {
 	return o.bk.ExchangeBucketView(o.b, o.p, o.v, c)
 }
 
-// bucketInfos derives each bucket's policy-facing metadata from the plan.
-func bucketInfos(plan nn.BucketPlan) []compress.BucketInfo {
-	infos := make([]compress.BucketInfo, len(plan.Buckets))
-	for b, bk := range plan.Buckets {
-		layers := make([]string, len(bk.Segments))
-		for i, sg := range bk.Segments {
-			layers[i] = sg.Name
-		}
-		infos[b] = compress.BucketInfo{
-			Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len), Layers: layers,
-		}
-	}
-	return infos
-}
-
 func (c *Config) defaults() Config {
 	cfg := *c
 	if cfg.Membership != nil {
@@ -437,38 +388,49 @@ func (c *Config) defaults() Config {
 	return cfg
 }
 
+// Lower writes down the schedule a hand-picked configuration denotes: the
+// family's parameter segments cut into layer-granular buckets of at most
+// bucketBytes bytes (0 = one whole-model bucket), every bucket on the spec
+// the policy — "mixed(big=a2sgd, small=dense, threshold=64KiB)", or a plain
+// algorithm spec such as "topk(density=0.01)" as shorthand for uniform(spec) —
+// picks for it, the given hierarchy width (ranks per node, 0 or 1 = flat) and
+// overlap flag. The schedule is not bound to a worker count, so an elastic job
+// keeps it across world-size changes.
+func Lower(family, policy string, bucketBytes, topology int, overlap bool) (*plan.Schedule, error) {
+	pol, err := compress.ParsePolicy(policy)
+	if err != nil {
+		return nil, err
+	}
+	m, err := models.New(models.Config{Family: family, Seed: 1, Reduced: true})
+	if err != nil {
+		return nil, err
+	}
+	return plan.Lower(m.ParamSegments(), pol, bucketBytes, topology, overlap, 0), nil
+}
+
 // Train runs the distributed training loop and returns rank 0's view.
 func Train(c Config) (*Result, error) {
 	cfg := c.defaults()
 	sched := cfg.Schedule
-	if sched != nil {
-		if cfg.BucketBytes != 0 || cfg.Topology != 0 || cfg.Overlap {
-			return nil, fmt.Errorf("cluster: Schedule carries the bucket/topology/overlap knobs — leave BucketBytes, Topology and Overlap zero")
-		}
-		if err := sched.Validate(); err != nil {
+	if sched == nil {
+		return nil, fmt.Errorf("cluster: Config.Schedule is required — plan one with plan.Build, or lower a spec or policy string with cluster.Lower")
+	}
+	if err := sched.Validate(); err != nil {
+		return nil, err
+	}
+	if sched.Workers != 0 && sched.Workers != cfg.Workers {
+		return nil, fmt.Errorf("cluster: schedule planned for %d workers, run configured for %d", sched.Workers, cfg.Workers)
+	}
+	// Pre-build every scheduled spec so construction errors surface here,
+	// not inside the worker group.
+	for _, s := range sched.Specs {
+		if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
 			return nil, err
 		}
-		if sched.Workers != 0 && sched.Workers != cfg.Workers {
-			return nil, fmt.Errorf("cluster: schedule planned for %d workers, run configured for %d", sched.Workers, cfg.Workers)
-		}
-		// Pre-build every scheduled spec so construction errors surface
-		// here, not inside the worker group.
-		for _, s := range sched.Specs {
-			if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
-				return nil, err
-			}
-		}
 	}
-	if cfg.NewAlgorithm == nil && cfg.NewBucketAlgorithm == nil && sched == nil {
-		return nil, fmt.Errorf("cluster: NewAlgorithm, NewBucketAlgorithm or a Schedule is required")
-	}
-	// The schedule, when present, owns the pipeline knobs. Concurrency and
-	// Interleave are runtime-execution knobs, not schedule-carried plan
-	// state, so they compose with either source.
-	overlap, topology := cfg.Overlap, cfg.Topology
-	if sched != nil {
-		overlap, topology = sched.Overlap, sched.Topology
-	}
+	// The schedule owns the pipeline shape. Concurrency and Interleave are
+	// runtime-execution knobs, not plan state.
+	overlap, topology := sched.Overlap, sched.Topology
 	if cfg.Concurrency < 0 || cfg.Concurrency > comm.MaxConcurrency {
 		return nil, fmt.Errorf("cluster: Concurrency %d out of range [0,%d]", cfg.Concurrency, comm.MaxConcurrency)
 	}
@@ -563,44 +525,24 @@ func Train(c Config) (*Result, error) {
 		}
 		n := model.NumParams()
 
-		// Partition the flattened gradient at layer granularity and build
-		// one algorithm instance per bucket (per-bucket error feedback,
-		// seeds and A2SGD means). BucketBytes 0 yields a single whole-model
-		// bucket whose instance — and arithmetic — matches the legacy path;
-		// a Schedule supplies explicit (possibly variable-size) boundaries
-		// instead.
-		var bplan nn.BucketPlan
-		if sched != nil {
-			bplan, err = nn.PlanFromBounds(model.ParamSegments(), sched.Bounds)
-			if err != nil {
-				return fmt.Errorf("cluster: schedule does not fit %s: %w", cfg.Family, err)
-			}
-		} else {
-			bplan = nn.PlanBuckets(model.ParamSegments(), cfg.BucketBytes)
-		}
-		infos := bucketInfos(bplan)
-		newBucketAlg := cfg.NewBucketAlgorithm
-		if newBucketAlg == nil && cfg.NewAlgorithm != nil {
-			newBucketAlg = func(rank int, info compress.BucketInfo) compress.Algorithm {
-				return cfg.NewAlgorithm(rank, info.Params)
-			}
-		}
-		if newBucketAlg == nil {
-			// Scheduled specs (validated above), with the canonical seed
-			// derivation the façade's policy path uses — what makes lowered
-			// schedules reproduce their legacy configurations bitwise.
-			newBucketAlg = func(rank int, info compress.BucketInfo) compress.Algorithm {
-				o := compress.DefaultOptions(info.Params)
-				o.Seed = compress.BucketSeed(cfg.Seed, rank, info.Index)
-				a, err := compress.Build(sched.Specs[info.Index], o)
-				if err != nil {
-					panic(fmt.Sprintf("cluster: pre-validated schedule spec failed to build: %v", err))
-				}
-				return a
-			}
+		// Cut the flattened gradient at the scheduled (layer-granular) bounds
+		// and build one algorithm instance per bucket — per-bucket error
+		// feedback, seeds and A2SGD means — from the scheduled specs
+		// (validated above). compress.BucketSeed keeps the historical
+		// per-rank seed on bucket 0 and decorrelates the later buckets'
+		// stochastic streams.
+		bplan, err := nn.PlanFromBounds(model.ParamSegments(), sched.Bounds)
+		if err != nil {
+			return fmt.Errorf("cluster: schedule does not fit %s: %w", cfg.Family, err)
 		}
 		bucketed := compress.NewBucketed(bplan.Bounds(), func(b, bn int) compress.Algorithm {
-			return newBucketAlg(rank, infos[b])
+			o := compress.DefaultOptions(bn)
+			o.Seed = compress.BucketSeed(cfg.Seed, rank, b)
+			a, err := compress.Build(sched.Specs[b], o)
+			if err != nil {
+				panic(fmt.Sprintf("cluster: pre-validated schedule spec failed to build: %v", err))
+			}
+			return a
 		})
 		bounds := bucketed.Bounds()
 		nb := bucketed.NumBuckets()
@@ -1018,10 +960,13 @@ func Train(c Config) (*Result, error) {
 			res.NumParams = n
 			res.Metric = model.Metric()
 			res.Epochs = epochs
-			res.AvgComputeSec = computeSec / float64(steps)
-			res.AvgEncodeSec = encodeSec / float64(steps)
-			res.AvgSyncSec = syncSec / float64(steps)
-			res.AvgStepSec = stepSec / float64(steps)
+			// A resume at the final boundary runs no step: the averages stay 0.
+			if steps > 0 {
+				res.AvgComputeSec = computeSec / float64(steps)
+				res.AvgEncodeSec = encodeSec / float64(steps)
+				res.AvgSyncSec = syncSec / float64(steps)
+				res.AvgStepSec = stepSec / float64(steps)
+			}
 			res.PayloadBytes = bucketed.PayloadBytes(n)
 			res.ExchangeKind = bucketed.ExchangeKind()
 			res.Buckets = nb
@@ -1033,9 +978,7 @@ func Train(c Config) (*Result, error) {
 			res.Topology = cm.Topology()
 			res.BucketPayloadBytes = bucketed.PayloadBytesPerBucket()
 			res.BucketExchangeKinds = bucketed.ExchangeKinds()
-			if sched != nil {
-				res.Policy = sched.Policy
-			}
+			res.Policy = sched.Policy
 			res.Histograms = hists
 			resMu.Unlock()
 		}

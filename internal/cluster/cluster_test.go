@@ -3,70 +3,87 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"strings"
 	"testing"
 
-	"a2sgd/internal/compress"
-	"a2sgd/internal/core"
+	_ "a2sgd/internal/core" // registers a2sgd and its ablation variants
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/nn"
 )
 
-func algoFactory(name string) func(rank, n int) compress.Algorithm {
-	return func(rank, n int) compress.Algorithm {
-		o := compress.DefaultOptions(n)
-		o.Seed = uint64(rank + 1)
-		switch name {
-		case "dense":
-			return compress.NewDense(o)
-		case "topk":
-			return compress.NewTopK(o)
-		case "gaussiank":
-			return compress.NewGaussianK(o)
-		case "qsgd":
-			return compress.NewQSGD(o)
-		case "a2sgd":
-			return core.New(n)
-		case "a2sgd-allgather":
-			return core.New(n, core.WithAllgather())
-		case "a2sgd-every4":
-			return compress.NewPeriodic(core.New(n), 4)
-		case "dgc":
-			return compress.NewDGC(o)
-		case "qsgd-elias":
-			return compress.NewQSGDElias(o)
-		case "randk":
-			return compress.NewRandK(o)
-		case "terngrad":
-			return compress.NewTernGrad(o)
-		default:
-			panic("unknown algo " + name)
-		}
+// lowered returns cfg running algo (any spec or policy string) on the
+// schedule Lower writes down for the given knobs.
+func lowered(cfg Config, algo string, bucketBytes, topology int, overlap bool) Config {
+	sched, err := Lower(cfg.Family, algo, bucketBytes, topology, overlap)
+	if err != nil {
+		panic(err)
 	}
+	cfg.Schedule = sched
+	return cfg
 }
 
 func quickCfg(family, algo string, workers int) Config {
-	return Config{
+	return lowered(Config{
 		Workers: workers, Family: family,
-		NewAlgorithm:   algoFactory(algo),
 		Epochs:         3,
 		StepsPerEpoch:  8,
 		BatchPerWorker: 8,
 		Seed:           7,
 		Momentum:       0.9,
 		EvalBatch:      64,
-	}
+	}, algo, 0, 0, false)
 }
 
 func TestTrainRequiresAlgorithm(t *testing.T) {
 	_, err := Train(Config{Workers: 1, Family: "fnn3"})
 	if err == nil {
-		t.Fatal("expected error without NewAlgorithm")
+		t.Fatal("expected error without a Schedule")
+	}
+	if !strings.Contains(err.Error(), "cluster.Lower") {
+		t.Errorf("nil-Schedule error does not name the lowering helper: %v", err)
+	}
+}
+
+// TestResumeAtFinalBoundaryReportsZeroAverages: a snapshot taken at the last
+// step boundary of a shorter run resumes into a run with no step left — the
+// loop runs zero steps and the per-step averages must be 0, not 0/0.
+func TestResumeAtFinalBoundaryReportsZeroAverages(t *testing.T) {
+	var last *RunState
+	cfg := quickCfg("fnn3", "a2sgd", 2)
+	cfg.Epochs, cfg.StepsPerEpoch = 2, 4
+	cfg.CheckpointEvery = 4
+	cfg.SnapshotSink = func(rs *RunState) error { last = rs; return nil }
+	if _, err := Train(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if last == nil || last.Step != 4 {
+		t.Fatalf("no snapshot at step 4: %+v", last)
+	}
+	cfg.Epochs, cfg.SnapshotSink, cfg.Resume = 1, nil, last
+	res, err := Train(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, v := range map[string]float64{
+		"AvgComputeSec": res.AvgComputeSec, "AvgEncodeSec": res.AvgEncodeSec,
+		"AvgSyncSec": res.AvgSyncSec, "AvgStepSec": res.AvgStepSec,
+	} {
+		if v != 0 {
+			t.Errorf("%s = %v after a zero-step resume, want 0", name, v)
+		}
+	}
+	if len(res.Epochs) != 1 {
+		t.Errorf("resumed run reports %d epochs, want the snapshot's 1", len(res.Epochs))
 	}
 }
 
 func TestTrainUnknownFamily(t *testing.T) {
-	cfg := quickCfg("nope", "dense", 1)
+	if _, err := Lower("nope", "dense", 0, 0, false); err == nil {
+		t.Error("Lower: expected error for unknown family")
+	}
+	cfg := quickCfg("fnn3", "dense", 1)
+	cfg.Family = "nope"
 	if _, err := Train(cfg); err == nil {
 		t.Fatal("expected error for unknown family")
 	}
@@ -122,7 +139,7 @@ func TestAllAlgorithmsTrainAllFamilies(t *testing.T) {
 	for _, fam := range models.Families() {
 		for _, algo := range []string{
 			"dense", "topk", "gaussiank", "qsgd", "a2sgd",
-			"a2sgd-allgather", "a2sgd-every4", "dgc", "qsgd-elias", "randk", "terngrad",
+			"a2sgd-allgather", "periodic(a2sgd, interval=4)", "dgc", "qsgd-elias", "randk", "terngrad",
 		} {
 			cfg := quickCfg(fam, algo, 2)
 			cfg.Epochs = 2

@@ -69,15 +69,13 @@ func TestConcurrencyMatrixBitwise(t *testing.T) {
 // remaining backward — and must still be bitwise identical to the serial
 // synchronous run.
 func TestLSTMInterleaveBitwise(t *testing.T) {
-	lstmCfg := func(concurrency int, overlap, interleave bool) Config {
-		cfg := quickCfg("lstm", "a2sgd", 3)
-		cfg.BucketBytes = fourBucketBytes
-		cfg.Overlap = overlap
+	lstmCfg := func(concurrency, topology int, overlap, interleave bool) Config {
+		cfg := lowered(quickCfg("lstm", "a2sgd", 3), "a2sgd", fourBucketBytes, topology, overlap)
 		cfg.Concurrency = concurrency
 		cfg.Interleave = interleave
 		return cfg
 	}
-	base, wantCkpt := trainWithCheckpoint(t, lstmCfg(0, false, false))
+	base, wantCkpt := trainWithCheckpoint(t, lstmCfg(0, 0, false, false))
 	if base.Buckets < 2 {
 		t.Fatalf("lstm plan produced %d buckets, want >= 2", base.Buckets)
 	}
@@ -85,9 +83,9 @@ func TestLSTMInterleaveBitwise(t *testing.T) {
 		label string
 		cfg   Config
 	}{
-		{"overlap-det", lstmCfg(0, true, false)},
-		{"interleave-det", lstmCfg(0, true, true)},
-		{"interleave-concurrent-4", lstmCfg(4, true, true)},
+		{"overlap-det", lstmCfg(0, 0, true, false)},
+		{"interleave-det", lstmCfg(0, 0, true, true)},
+		{"interleave-concurrent-4", lstmCfg(4, 0, true, true)},
 	}
 	for _, v := range variants {
 		res, ckpt := trainWithCheckpoint(t, v.cfg)
@@ -101,12 +99,8 @@ func TestLSTMInterleaveBitwise(t *testing.T) {
 	}
 	// Hierarchical: the two-level reduction order differs from flat, so the
 	// comparison is interleaved-vs-deterministic under the same topology.
-	det := lstmCfg(0, true, false)
-	det.Topology = 2
-	rd, hckpt := trainWithCheckpoint(t, det)
-	il := lstmCfg(4, true, true)
-	il.Topology = 2
-	ri, ickpt := trainWithCheckpoint(t, il)
+	rd, hckpt := trainWithCheckpoint(t, lstmCfg(0, 2, true, false))
+	ri, ickpt := trainWithCheckpoint(t, lstmCfg(4, 2, true, true))
 	assertRunsIdentical(t, "lstm hierarchical interleave-vs-det", rd, ri)
 	if !bytes.Equal(hckpt, ickpt) {
 		t.Error("lstm hierarchical: final weights differ between interleaved and deterministic runs")
@@ -119,9 +113,7 @@ func TestLSTMInterleaveOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp integration")
 	}
-	cfg := quickCfg("lstm", "a2sgd", 3)
-	cfg.BucketBytes = fourBucketBytes
-	cfg.Overlap = true
+	cfg := lowered(quickCfg("lstm", "a2sgd", 3), "a2sgd", fourBucketBytes, 0, true)
 	cfg.Interleave = true
 	inproc, wantCkpt := trainWithCheckpoint(t, cfg)
 	tcp := cfg
@@ -181,8 +173,7 @@ func TestConcurrencyValidation(t *testing.T) {
 	if _, err := Train(cfg); err == nil {
 		t.Error("Concurrency > 1 without Overlap must fail")
 	}
-	cfg = quickCfg("fnn3", "a2sgd", 2)
-	cfg.Overlap = true
+	cfg = bucketCfg("a2sgd", 2, 0, true)
 	cfg.Concurrency = 99
 	if _, err := Train(cfg); err == nil {
 		t.Error("Concurrency beyond comm.MaxConcurrency must fail")
@@ -193,11 +184,9 @@ func TestConcurrencyValidation(t *testing.T) {
 // topology (each shadow context replays the splits); the hierarchical
 // concurrent run must match the hierarchical deterministic run bitwise.
 func TestConcurrentHierarchical(t *testing.T) {
-	det := concCfg("a2sgd", 4, 0, false)
-	det.Topology = 2
+	det := lowered(concCfg("a2sgd", 4, 0, false), "a2sgd", fourBucketBytes, 2, true)
 	rd, wantCkpt := trainWithCheckpoint(t, det)
-	conc := concCfg("a2sgd", 4, 4, true)
-	conc.Topology = 2
+	conc := lowered(concCfg("a2sgd", 4, 4, true), "a2sgd", fourBucketBytes, 2, true)
 	rc, ckpt := trainWithCheckpoint(t, conc)
 	assertRunsIdentical(t, "a2sgd hierarchical concurrent-vs-det", rd, rc)
 	if !bytes.Equal(ckpt, wantCkpt) {

@@ -19,9 +19,7 @@ func TestHierarchicalTrainingConvergesLikeFlat(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s flat: %v", algo, err)
 		}
-		hcfg := cfg
-		hcfg.Topology = 4
-		hier, err := Train(hcfg)
+		hier, err := Train(lowered(cfg, algo, 0, 4, false))
 		if err != nil {
 			t.Fatalf("%s hierarchical: %v", algo, err)
 		}
@@ -46,9 +44,7 @@ func TestHierarchicalTrainingConvergesLikeFlat(t *testing.T) {
 func TestHierarchicalTrainingDeterministic(t *testing.T) {
 	cfg := quickCfg("fnn3", "a2sgd", 6)
 	cfg.Epochs, cfg.StepsPerEpoch = 2, 5
-	cfg.Topology = 3
-	cfg.Overlap = true
-	cfg.BucketBytes = 4096
+	cfg = lowered(cfg, "a2sgd", 4096, 3, true)
 	a, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -71,14 +67,11 @@ func TestHierarchicalTrainingDeterministic(t *testing.T) {
 func TestHierarchicalOverlapMatchesSync(t *testing.T) {
 	cfg := quickCfg("fnn3", "dense", 6)
 	cfg.Epochs, cfg.StepsPerEpoch = 2, 5
-	cfg.Topology = 2
-	cfg.BucketBytes = 4096
-	sync, err := Train(cfg)
+	sync, err := Train(lowered(cfg, "dense", 4096, 2, false))
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg.Overlap = true
-	over, err := Train(cfg)
+	over, err := Train(lowered(cfg, "dense", 4096, 2, true))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +91,7 @@ func TestHierarchicalTrainingOverTCP(t *testing.T) {
 	}
 	cfg := quickCfg("fnn3", "dense", 4)
 	cfg.Epochs, cfg.StepsPerEpoch = 1, 4
-	cfg.Topology = 2
+	cfg = lowered(cfg, "dense", 0, 2, false)
 	cfg.GroupRunner = tcpnet.RunGroup
 	tcp, err := Train(cfg)
 	if err != nil {

@@ -19,37 +19,12 @@ func fnn3Segments(t *testing.T) []nn.Segment {
 	return m.ParamSegments()
 }
 
-// legacyPolicyCfg builds the runtime's canonical policy-driven config: the
-// same construction (and compress.BucketSeed derivation) the a2sgd façade
-// uses for TrainConfig{BucketBytes, Policy, Topology}.
-func legacyPolicyCfg(t *testing.T, policy string, bucketBytes, topology int, overlap bool) Config {
-	t.Helper()
-	pol, err := compress.ParsePolicy(policy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
-	cfg.BucketBytes = bucketBytes
-	cfg.Topology = topology
-	cfg.Overlap = overlap
-	cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-		o := compress.DefaultOptions(info.Params)
-		o.Seed = compress.BucketSeed(cfg.Seed, rank, info.Index)
-		a, err := compress.Build(pol.SpecFor(info), o)
-		if err != nil {
-			panic(err)
-		}
-		return a
-	}
-	return cfg
-}
-
-// TestScheduleLoweringBitwiseIdentical is the back-compat acceptance pin:
-// for every legacy (policy, bucket, topology) configuration, running the
-// plan.Lower schedule through the schedule path — cluster building the
-// algorithms from Schedule.Specs itself — reproduces the legacy run
-// bitwise (identical per-epoch losses and metrics).
+// TestScheduleLoweringBitwiseIdentical is the schedule-conformance pin: for
+// every (policy, bucket, topology) configuration, the schedule plan.Lower
+// writes down over the family's segments at the run's worker count and the
+// worker-agnostic one the Lower helper returns train bitwise-identically
+// (per-epoch losses and metrics), and the run obeys the schedule — bucket
+// count, overlap, topology and policy all come from it.
 func TestScheduleLoweringBitwiseIdentical(t *testing.T) {
 	segs := fnn3Segments(t)
 	cases := []struct {
@@ -63,30 +38,29 @@ func TestScheduleLoweringBitwiseIdentical(t *testing.T) {
 		{"mixed hierarchical", "mixed(big=a2sgd, small=dense, threshold=8KiB)", fourBucketBytes, 2, true},
 	}
 	for _, tc := range cases {
-		legacy, err := Train(legacyPolicyCfg(t, tc.policy, tc.bucket, tc.topology, tc.overlap))
-		if err != nil {
-			t.Fatalf("%s legacy: %v", tc.name, err)
-		}
 		pol, err := compress.ParsePolicy(tc.policy)
 		if err != nil {
 			t.Fatal(err)
 		}
 		cfg := quickCfg("fnn3", "dense", 4)
-		cfg.NewAlgorithm = nil // cluster builds from Schedule.Specs
 		cfg.Schedule = plan.Lower(segs, pol, tc.bucket, tc.topology, tc.overlap, cfg.Workers)
-		lowered, err := Train(cfg)
+		explicit, err := Train(cfg)
 		if err != nil {
-			t.Fatalf("%s lowered: %v", tc.name, err)
+			t.Fatalf("%s plan.Lower: %v", tc.name, err)
 		}
-		assertRunsIdentical(t, tc.name+" legacy-vs-lowered", legacy, lowered)
-		if lowered.Buckets != legacy.Buckets || lowered.Overlap != legacy.Overlap ||
-			lowered.Topology != legacy.Topology {
-			t.Errorf("%s: run metadata diverged: %d/%v/%d vs %d/%v/%d", tc.name,
-				lowered.Buckets, lowered.Overlap, lowered.Topology,
-				legacy.Buckets, legacy.Overlap, legacy.Topology)
+		helper, err := Train(lowered(cfg, tc.policy, tc.bucket, tc.topology, tc.overlap))
+		if err != nil {
+			t.Fatalf("%s Lower: %v", tc.name, err)
 		}
-		if lowered.Policy != pol.Name() {
-			t.Errorf("%s: result policy %q, want %q", tc.name, lowered.Policy, pol.Name())
+		assertRunsIdentical(t, tc.name+" plan.Lower-vs-Lower", explicit, helper)
+		for _, res := range []*Result{explicit, helper} {
+			if res.Buckets != cfg.Schedule.NumBuckets() || res.Overlap != tc.overlap || res.Topology != tc.topology {
+				t.Errorf("%s: run metadata %d/%v/%d, schedule says %d/%v/%d", tc.name,
+					res.Buckets, res.Overlap, res.Topology, cfg.Schedule.NumBuckets(), tc.overlap, tc.topology)
+			}
+			if res.Policy != pol.Name() {
+				t.Errorf("%s: result policy %q, want %q", tc.name, res.Policy, pol.Name())
+			}
 		}
 	}
 }
@@ -103,7 +77,6 @@ func TestAutoPlannedRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
 	cfg.Schedule = sched
 	res, err := Train(cfg)
 	if err != nil {
@@ -136,23 +109,14 @@ func TestScheduleConfigValidation(t *testing.T) {
 	}
 	sched := plan.Lower(segs, pol, 0, 0, false, 4)
 
-	// Schedule + legacy knobs is a conflict.
-	cfg := quickCfg("fnn3", "dense", 4)
-	cfg.Schedule = sched
-	cfg.BucketBytes = 4096
-	if _, err := Train(cfg); err == nil {
-		t.Error("expected Schedule+BucketBytes conflict error")
-	}
 	// Worker mismatch is rejected.
-	cfg = quickCfg("fnn3", "dense", 2)
-	cfg.NewAlgorithm = nil
+	cfg := quickCfg("fnn3", "dense", 2)
 	cfg.Schedule = sched // planned for 4
 	if _, err := Train(cfg); err == nil {
 		t.Error("expected worker-count mismatch error")
 	}
 	// A schedule whose bounds don't fit the model is rejected.
 	cfg = quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
 	cfg.Schedule = &plan.Schedule{
 		Bounds: []int{0, 128}, Specs: []*compress.Spec{{Name: "dense"}},
 	}
@@ -161,7 +125,6 @@ func TestScheduleConfigValidation(t *testing.T) {
 	}
 	// An invalid spec in the schedule is rejected up front.
 	cfg = quickCfg("fnn3", "dense", 4)
-	cfg.NewAlgorithm = nil
 	cfg.Schedule = &plan.Schedule{
 		Bounds: []int{0, 9178}, Specs: []*compress.Spec{{Name: "no-such"}},
 	}

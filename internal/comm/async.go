@@ -22,12 +22,9 @@ import (
 //
 // Requests are pooled: posting draws a request from the communicator's
 // freelist and the first Wait returns it, so a steady-state post/Wait cycle
-// never touches the allocator. The built-in collectives post as typed
-// operations (no closure); arbitrary communication work posts through the Op
-// interface, whose RunOp receives the context communicator the operation was
-// assigned to. The legacy closure form Async(f) still exists for
-// non-collective work; closures capture the parent communicator, so they are
-// always pinned to context 0 and keep their strict mutual order.
+// never touches the allocator. All communication work posts through the Op
+// interface (Post), whose RunOp receives the context communicator the
+// operation was assigned to.
 //
 // Contract: all ranks must post the same sequence of operations with the
 // same concurrency setting, and the owner must not issue blocking
@@ -48,32 +45,15 @@ type Request interface {
 // communicator of the tag-space context the operation was assigned to and
 // must issue all its collectives on it. Implementations are typically small
 // caller-pooled structs — posting a *T converts to Op without allocating —
-// which is what replaces the closure queue on the training hot path.
+// which keeps the training hot path free of closures.
 type Op interface {
 	RunOp(c *Communicator) error
 }
 
-// opKind discriminates the typed operations a request can carry.
-type opKind uint8
-
-const (
-	opFn opKind = iota // legacy closure, pinned to context 0
-	opCustom
-	opAllreduceMean
-	opAllreduceSum
-	opAllgather
-)
-
 type asyncReq struct {
 	c    *Communicator
 	done chan struct{} // 1-buffered completion token, persists across reuse
-
-	kind opKind
-	fn   func() error
 	op   Op
-	v    []float32
-	out  []float32
-	algo AllreduceAlgorithm
 
 	err      error
 	released bool
@@ -89,23 +69,6 @@ func (r *asyncReq) Wait() error {
 	r.released = true
 	r.c.recycleReq(r)
 	return err
-}
-
-// run executes the request's operation on the context communicator cc.
-func (r *asyncReq) run(cc *Communicator) error {
-	switch r.kind {
-	case opFn:
-		return r.fn()
-	case opCustom:
-		return r.op.RunOp(cc)
-	case opAllreduceMean:
-		return cc.AllreduceMean(r.v, r.algo)
-	case opAllreduceSum:
-		return cc.AllreduceSum(r.v, r.algo)
-	case opAllgather:
-		return cc.Allgather(r.v, r.out)
-	}
-	return nil
 }
 
 // reqQueue is one context's FIFO of posted requests. buf[head:] are pending;
@@ -133,7 +96,7 @@ func (c *Communicator) initQueues(n int) {
 }
 
 // newReq draws a request from the freelist (or allocates on cold start) and
-// resets it for posting. Caller fills the operation fields.
+// resets it for posting. Caller fills in the operation.
 func (c *Communicator) newReq() *asyncReq {
 	c.asyncMu.Lock()
 	r := c.freeReqs
@@ -150,13 +113,10 @@ func (c *Communicator) newReq() *asyncReq {
 	return r
 }
 
-// recycleReq clears the request's payload references and returns it to the
+// recycleReq drops the request's operation reference and returns it to the
 // freelist.
 func (c *Communicator) recycleReq(r *asyncReq) {
-	r.fn = nil
 	r.op = nil
-	r.v = nil
-	r.out = nil
 	c.asyncMu.Lock()
 	r.next = c.freeReqs
 	c.freeReqs = r
@@ -164,16 +124,16 @@ func (c *Communicator) recycleReq(r *asyncReq) {
 }
 
 // enqueue routes a request to a context queue and ensures its worker runs.
-// Typed operations are distributed round-robin by posting sequence (every
-// rank posts the same sequence, so every rank picks the same context for the
-// k-th operation); pinned requests (legacy closures) always take context 0.
-func (c *Communicator) enqueue(r *asyncReq, pinned bool) {
+// Operations are distributed round-robin by posting sequence (every rank
+// posts the same sequence, so every rank picks the same context for the k-th
+// operation).
+func (c *Communicator) enqueue(r *asyncReq) {
 	c.asyncMu.Lock()
 	if len(c.ctxQueues) == 0 {
 		c.initQueues(1)
 	}
 	k := 0
-	if !pinned && len(c.ctxQueues) > 1 {
+	if len(c.ctxQueues) > 1 {
 		k = int(c.postSeq % uint64(len(c.ctxQueues)))
 		c.postSeq++
 	}
@@ -208,10 +168,10 @@ func (c *Communicator) ctxLoop(k int) {
 		c.asyncMu.Unlock()
 		if obs != nil {
 			t0 := time.Now()
-			r.err = r.run(cc)
+			r.err = r.op.RunOp(cc)
 			obs(time.Since(t0).Seconds())
 		} else {
-			r.err = r.run(cc)
+			r.err = r.op.RunOp(cc)
 		}
 		r.done <- struct{}{}
 	}
@@ -226,56 +186,8 @@ func (c *Communicator) ctxLoop(k int) {
 // pointer to a caller-pooled struct.
 func (c *Communicator) Post(op Op) Request {
 	r := c.newReq()
-	r.kind = opCustom
 	r.op = op
-	c.enqueue(r, false)
-	return r
-}
-
-// Async posts f for execution on the communicator's progress worker and
-// returns its Request. Closures capture the parent communicator, so they are
-// pinned to context 0 regardless of the concurrency setting: posted
-// functions run strictly in posting order relative to each other. New code
-// on the hot path should use Post (typed, pooled, context-distributed)
-// instead.
-func (c *Communicator) Async(f func() error) Request {
-	r := c.newReq()
-	r.kind = opFn
-	r.fn = f
-	c.enqueue(r, true)
-	return r
-}
-
-// IAllreduceMean is the nonblocking AllreduceMean: it returns immediately;
-// v must not be touched until the returned Request's Wait succeeds, at which
-// point v holds the across-rank mean.
-func (c *Communicator) IAllreduceMean(v []float32, algo AllreduceAlgorithm) Request {
-	r := c.newReq()
-	r.kind = opAllreduceMean
-	r.v = v
-	r.algo = algo
-	c.enqueue(r, false)
-	return r
-}
-
-// IAllreduceSum is the nonblocking AllreduceSum.
-func (c *Communicator) IAllreduceSum(v []float32, algo AllreduceAlgorithm) Request {
-	r := c.newReq()
-	r.kind = opAllreduceSum
-	r.v = v
-	r.algo = algo
-	c.enqueue(r, false)
-	return r
-}
-
-// IAllgather is the nonblocking Allgather: neither in nor out may be touched
-// until Wait succeeds.
-func (c *Communicator) IAllgather(in, out []float32) Request {
-	r := c.newReq()
-	r.kind = opAllgather
-	r.v = in
-	r.out = out
-	c.enqueue(r, false)
+	c.enqueue(r)
 	return r
 }
 

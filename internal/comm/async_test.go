@@ -5,6 +5,25 @@ import (
 	"testing"
 )
 
+// postedOp is the tests' Op: one collective on the context communicator Post
+// assigned it to — an Allgather of v into out when out is set, otherwise an
+// allreduce of v (the mean when mean is set).
+type postedOp struct {
+	v, out []float32
+	mean   bool
+	algo   AllreduceAlgorithm
+}
+
+func (o *postedOp) RunOp(cc *Communicator) error {
+	switch {
+	case o.out != nil:
+		return cc.Allgather(o.v, o.out)
+	case o.mean:
+		return cc.AllreduceMean(o.v, o.algo)
+	}
+	return cc.AllreduceSum(o.v, o.algo)
+}
+
 // TestIAllreduceMeanMatchesBlocking posts several nonblocking allreduces per
 // rank and checks the results are bitwise identical to the blocking path.
 func TestIAllreduceMeanMatchesBlocking(t *testing.T) {
@@ -32,7 +51,7 @@ func TestIAllreduceMeanMatchesBlocking(t *testing.T) {
 		reqs := make([]Request, nBufs)
 		for b := 0; b < nBufs; b++ {
 			bufs[b] = testVec(c.Rank(), b, n)
-			reqs[b] = c.IAllreduceMean(bufs[b], AlgoAuto)
+			reqs[b] = c.Post(&postedOp{v: bufs[b], mean: true})
 		}
 		if err := WaitAll(reqs); err != nil {
 			return err
@@ -70,8 +89,8 @@ func TestIAllgather(t *testing.T) {
 		out := make([]float32, n*p)
 		// Interleave with a second operation to exercise FIFO ordering.
 		sum := []float32{float32(c.Rank())}
-		r1 := c.IAllgather(in, out)
-		r2 := c.IAllreduceSum(sum, AlgoAuto)
+		r1 := c.Post(&postedOp{v: in, out: out})
+		r2 := c.Post(&postedOp{v: sum})
 		if err := r1.Wait(); err != nil {
 			return err
 		}
@@ -99,7 +118,7 @@ func TestIAllgather(t *testing.T) {
 func TestWaitIdempotent(t *testing.T) {
 	err := RunGroup(2, func(c *Communicator) error {
 		v := []float32{1, 2, 3}
-		req := c.IAllreduceMean(v, AlgoAuto)
+		req := c.Post(&postedOp{v: v, mean: true})
 		for i := 0; i < 3; i++ {
 			if err := req.Wait(); err != nil {
 				return err
@@ -118,7 +137,7 @@ func TestAsyncErrorPropagates(t *testing.T) {
 	f := NewInprocFabric(2)
 	cs := f.Communicators()
 	f.Shutdown()
-	req := cs[0].IAllreduceMean(make([]float32, 16), AlgoAuto)
+	req := cs[0].Post(&postedOp{v: make([]float32, 16), mean: true})
 	if err := req.Wait(); err == nil {
 		t.Fatal("expected error on closed fabric")
 	}
@@ -130,7 +149,7 @@ func TestAsyncWorkerParks(t *testing.T) {
 	err := RunGroup(2, func(c *Communicator) error {
 		for round := 0; round < 3; round++ {
 			v := []float32{float32(c.Rank() + round)}
-			if err := c.IAllreduceSum(v, AlgoAuto).Wait(); err != nil {
+			if err := c.Post(&postedOp{v: v}).Wait(); err != nil {
 				return err
 			}
 			if want := float32(1 + 2*round); v[0] != want {

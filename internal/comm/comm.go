@@ -55,9 +55,9 @@ type Traffic struct {
 // Communicator couples a Transport with traffic accounting and provides the
 // collectives. The intended model is one Communicator per worker goroutine,
 // mirroring MPI: blocking collectives are not safe for concurrent use, but
-// the owner may overlap computation with communication through the
-// nonblocking operations (Async/IAllreduceMean/IAllgather), which execute
-// serially on the communicator's progress worker.
+// the owner may overlap computation with communication through posted
+// operations (Post), which execute on the communicator's progress workers —
+// serially, in posting order, unless SetConcurrency adds contexts.
 type Communicator struct {
 	t         Transport
 	bytesSent atomic.Int64

@@ -2,6 +2,7 @@ package comm
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -58,7 +59,7 @@ func TestConcurrentCollectivesMatchDeterministic(t *testing.T) {
 			reqs := make([]Request, nBufs)
 			for b := 0; b < nBufs; b++ {
 				bufs[b] = testVec(c.Rank(), b, n)
-				reqs[b] = c.IAllreduceMean(bufs[b], AlgoAuto)
+				reqs[b] = c.Post(&postedOp{v: bufs[b], mean: true})
 			}
 			if err := WaitAll(reqs); err != nil {
 				return err
@@ -77,20 +78,6 @@ func TestConcurrentCollectivesMatchDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-}
-
-// postedOp is a caller-pooled typed operation: it runs its collective on the
-// context communicator Post assigned it to.
-type postedOp struct {
-	v   []float32
-	out []float32
-}
-
-func (o *postedOp) RunOp(cc *Communicator) error {
-	if o.out != nil {
-		return cc.Allgather(o.v, o.out)
-	}
-	return cc.AllreduceSum(o.v, AlgoAuto)
 }
 
 // TestPostTypedOps mixes typed custom operations (allgathers and allreduces
@@ -141,29 +128,48 @@ func TestPostTypedOps(t *testing.T) {
 	}
 }
 
-// TestAsyncPinnedWithConcurrency: legacy closures are pinned to context 0
-// and keep their strict mutual order even when typed operations are being
-// distributed across contexts.
-func TestAsyncPinnedWithConcurrency(t *testing.T) {
+// routedOp records, per context communicator, the order its posts ran in.
+type routedOp struct {
+	i   int
+	mu  *sync.Mutex
+	ran map[*Communicator][]int
+}
+
+func (o *routedOp) RunOp(cc *Communicator) error {
+	o.mu.Lock()
+	o.ran[cc] = append(o.ran[cc], o.i)
+	o.mu.Unlock()
+	return nil
+}
+
+// TestPostRoundRobinFIFOPerContext: the k-th posted operation runs on
+// context k mod n — the assignment depends on the posting sequence alone, so
+// every rank routes it to the same tag block — and each context runs its
+// operations in posting order.
+func TestPostRoundRobinFIFOPerContext(t *testing.T) {
+	const conc, posts = 3, 9
 	err := RunGroup(2, func(c *Communicator) error {
-		if err := c.SetConcurrency(3); err != nil {
+		if err := c.SetConcurrency(conc); err != nil {
 			return err
 		}
-		order := make([]int, 0, 4)
-		reqs := make([]Request, 0, 4)
-		for i := 0; i < 4; i++ {
-			i := i
-			reqs = append(reqs, c.Async(func() error {
-				order = append(order, i) // safe: all closures run on context 0's worker
-				return nil
-			}))
+		var mu sync.Mutex
+		ran := map[*Communicator][]int{}
+		reqs := make([]Request, 0, posts)
+		for i := 0; i < posts; i++ {
+			reqs = append(reqs, c.Post(&routedOp{i: i, mu: &mu, ran: ran}))
 		}
 		if err := WaitAll(reqs); err != nil {
 			return err
 		}
-		for i, got := range order {
-			if got != i {
-				return fmt.Errorf("closure order %v", order)
+		for k := 0; k < conc; k++ {
+			got := ran[c.ctxComm(k)]
+			for j, i := range got {
+				if i != k+j*conc {
+					return fmt.Errorf("context %d ran posts %v, want %d, %d, %d in order", k, got, k, k+conc, k+2*conc)
+				}
+			}
+			if len(got) != posts/conc {
+				return fmt.Errorf("context %d ran %d posts, want %d", k, len(got), posts/conc)
 			}
 		}
 		return nil
@@ -182,7 +188,7 @@ func TestSetConcurrencyResetsAcrossPhases(t *testing.T) {
 				return err
 			}
 			v := []float32{float32(c.Rank() + 1)}
-			if err := c.IAllreduceSum(v, AlgoAuto).Wait(); err != nil {
+			if err := c.Post(&postedOp{v: v}).Wait(); err != nil {
 				return err
 			}
 			if v[0] != 3 {

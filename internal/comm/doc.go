@@ -20,9 +20,9 @@
 //
 // Every Communicator owns lazily-started progress workers (one goroutine per
 // tag-space context, mirroring MPI progress threads) that execute posted
-// operations: Post (a typed Op), Async (a legacy closure, pinned to context
-// 0), IAllreduceMean, IAllreduceSum and IAllgather return a Request whose
-// Wait blocks until completion. In the default Deterministic mode —
+// operations: Post takes a typed Op — whose RunOp issues its collectives on
+// the context communicator it is handed — and returns a Request whose Wait
+// blocks until completion. In the default Deterministic mode —
 // SetConcurrency(1) — a single worker runs operations strictly in posting
 // order, so the floating-point reduction order — and therefore the numerical
 // result — is identical to issuing the same operations synchronously; the

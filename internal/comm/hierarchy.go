@@ -19,8 +19,8 @@ import "fmt"
 //
 // The schedules move the O(n·P) flat traffic off the slow tier: each bucket
 // crosses the inter-node network once per node instead of once per rank.
-// Callers — including the nonblocking IAllreduceMean/IAllgather requests and
-// every compression algorithm's Exchange — are unchanged; only the rank
+// Callers — including operations posted through Post and every compression
+// algorithm's Exchange — are unchanged; only the rank
 // partition is new. The reduction ORDER differs from the flat schedule, so
 // hierarchical results match flat ones to float tolerance, not bitwise; for
 // a fixed topology and seed they remain fully deterministic.

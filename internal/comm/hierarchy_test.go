@@ -259,7 +259,7 @@ func TestHierarchicalBroadcast(t *testing.T) {
 }
 
 func TestHierarchicalNonblockingPipeline(t *testing.T) {
-	// The overlapped step loop posts collectives through Async; the
+	// The overlapped step loop posts collectives through Post; the
 	// hierarchical schedules must compose with the progress worker.
 	const p, rpn, n = 6, 3, 256
 	want0 := hierMean(p, n)
@@ -269,9 +269,9 @@ func TestHierarchicalNonblockingPipeline(t *testing.T) {
 		}
 		a := hierVec(c.Rank(), n)
 		b := hierVec(c.Rank()+p, n)
-		r1 := c.IAllreduceMean(a, AlgoAuto)
+		r1 := c.Post(&postedOp{v: a, mean: true})
 		out := make([]float32, n/4*p)
-		r2 := c.IAllgather(b[:n/4], out)
+		r2 := c.Post(&postedOp{v: b[:n/4], out: out})
 		if err := WaitAll([]Request{r1, r2}); err != nil {
 			return err
 		}

@@ -59,13 +59,13 @@ func TestWaitAllFailureLeaksNothing(t *testing.T) {
 		go func() {
 			var reqs []Request
 			for i := 0; i < posts; i++ {
-				reqs = append(reqs, cs[1].IAllreduceSum(make([]float32, 32), AlgoRing))
+				reqs = append(reqs, cs[1].Post(&postedOp{v: make([]float32, 32), algo: AlgoRing}))
 			}
 			warm <- WaitAll(reqs)
 		}()
 		var reqs []Request
 		for i := 0; i < posts; i++ {
-			reqs = append(reqs, cs[0].IAllreduceSum(make([]float32, 32), AlgoRing))
+			reqs = append(reqs, cs[0].Post(&postedOp{v: make([]float32, 32), algo: AlgoRing}))
 		}
 		if err := WaitAll(reqs); err != nil {
 			t.Fatal(err)
@@ -80,7 +80,7 @@ func TestWaitAllFailureLeaksNothing(t *testing.T) {
 		f.Kill(1)
 		reqs = reqs[:0]
 		for i := 0; i < posts; i++ {
-			reqs = append(reqs, cs[0].IAllreduceSum(make([]float32, 32), AlgoRing))
+			reqs = append(reqs, cs[0].Post(&postedOp{v: make([]float32, 32), algo: AlgoRing}))
 		}
 		err := WaitAll(reqs)
 		if err == nil {
@@ -119,7 +119,7 @@ func TestFailedStepThenShutdownParksWorkers(t *testing.T) {
 	}()
 	time.Sleep(2 * time.Millisecond)
 	f.Kill(1)
-	req := cs[0].IAllreduceSum(make([]float32, 64), AlgoRing)
+	req := cs[0].Post(&postedOp{v: make([]float32, 64), algo: AlgoRing})
 	if err := req.Wait(); err == nil {
 		t.Fatal("exchange against a dead peer returned nil")
 	}

@@ -31,10 +31,9 @@ func (c *Communicator) SetSendObserver(f func(to, nBytes int, sec float64)) {
 }
 
 // SetOpObserver installs a per-operation timing beacon: f receives the wall
-// seconds each posted nonblocking operation (Post/IAllreduceMean/IAllgather)
-// spent executing on its progress worker. Same contract as SetSendObserver:
-// install at setup time; f must be concurrency-safe, non-blocking and
-// allocation-free.
+// seconds each posted operation (Post) spent executing on its progress
+// worker. Same contract as SetSendObserver: install at setup time; f must be
+// concurrency-safe, non-blocking and allocation-free.
 func (c *Communicator) SetOpObserver(f func(sec float64)) {
 	c.asyncMu.Lock()
 	c.opObs = f

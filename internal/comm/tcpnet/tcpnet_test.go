@@ -294,6 +294,17 @@ func TestRunGroupHelperPropagatesError(t *testing.T) {
 	}
 }
 
+// postedOp is the test's comm.Op: an Allgather of v into out when out is set,
+// otherwise AllreduceMean of v.
+type postedOp struct{ v, out []float32 }
+
+func (o *postedOp) RunOp(cc *comm.Communicator) error {
+	if o.out != nil {
+		return cc.Allgather(o.v, o.out)
+	}
+	return cc.AllreduceMean(o.v, comm.AlgoAuto)
+}
+
 // TestNonblockingCollectivesOverTCP runs the nonblocking allreduce/allgather
 // path over real loopback sockets: the progress worker sits above the
 // Transport interface, so the same pipeline must work on tcpnet unchanged.
@@ -306,8 +317,8 @@ func TestNonblockingCollectivesOverTCP(t *testing.T) {
 		}
 		in := []float32{float32(c.Rank() + 1)}
 		out := make([]float32, p)
-		r1 := c.IAllreduceMean(v, comm.AlgoAuto)
-		r2 := c.IAllgather(in, out)
+		r1 := c.Post(&postedOp{v: v})
+		r2 := c.Post(&postedOp{v: in, out: out})
 		if err := r1.Wait(); err != nil {
 			return err
 		}

@@ -102,9 +102,8 @@ func sampledCost(s *Spec, o Options) (CostModel, error) {
 // uses when it constructs algorithms from specs: bucket 0 keeps the
 // historical per-rank seed (so single-bucket runs reproduce pre-bucketing
 // results exactly) and later buckets decorrelate their stochastic streams.
-// The façade's legacy policy path and the schedule path share this one
-// formula, which is what makes a lowered schedule bitwise-identical to the
-// flat config it came from.
+// cluster.Train is its one caller in the runtime, so equal schedules and
+// seeds give bitwise-equal runs whoever wrote the schedule down.
 func BucketSeed(seed uint64, rank, bucket int) uint64 {
 	return seed*31 + uint64(rank) + 1 + uint64(bucket)*1_000_003
 }

@@ -110,8 +110,8 @@ func (s *Spec) Keyed(key string) (Value, bool) {
 }
 
 // SetKeyed appends a keyed argument unless the key is already present, and
-// reports whether it was added. Legacy TrainConfig fields lower onto the
-// spec through this (an explicit spec parameter always wins).
+// reports whether it was added. The bench sweeps' density override lowers
+// onto the spec through this (an explicit spec parameter always wins).
 func (s *Spec) SetKeyed(key, text string) bool {
 	if _, ok := s.Keyed(key); ok {
 		return false

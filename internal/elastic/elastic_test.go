@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"reflect"
-	"sync"
 	"testing"
 
 	"a2sgd/internal/cluster"
@@ -18,20 +17,14 @@ import (
 
 // testConfig builds a small bucketed run of the given spec.
 func testConfig(family, spec string, workers int) cluster.Config {
-	const seed = 7
+	sched, err := cluster.Lower(family, spec, 4096, 0, false)
+	if err != nil {
+		panic(err)
+	}
 	return cluster.Config{
-		Workers: workers, Family: family,
+		Workers: workers, Family: family, Schedule: sched,
 		Epochs: 2, StepsPerEpoch: 5, BatchPerWorker: 4,
-		Seed: seed, BucketBytes: 4096, Momentum: 0.9,
-		NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-			o := compress.DefaultOptions(info.Params)
-			o.Seed = compress.BucketSeed(seed, rank, info.Index)
-			a, err := compress.ParseBuild(spec, o)
-			if err != nil {
-				panic(err)
-			}
-			return a
-		},
+		Seed: 7, Momentum: 0.9,
 	}
 }
 
@@ -463,15 +456,6 @@ func TestPoolBoundsConcurrency(t *testing.T) {
 		go func(seed uint64) {
 			cfg := testConfig("fnn3", "a2sgd", 2)
 			cfg.Seed = seed
-			cfg.NewBucketAlgorithm = func(rank int, info compress.BucketInfo) compress.Algorithm {
-				o := compress.DefaultOptions(info.Params)
-				o.Seed = compress.BucketSeed(seed, rank, info.Index)
-				a, err := compress.ParseBuild("a2sgd", o)
-				if err != nil {
-					panic(err)
-				}
-				return a
-			}
 			job := &Job{Config: cfg, Pool: pool}
 			_, err := job.Run()
 			done <- err
@@ -532,30 +516,13 @@ func TestReplanPerEpoch(t *testing.T) {
 		return plan.Build(segs, plan.Options{Workers: world, Pricer: netsim.IB100()})
 	}
 
-	// A schedule-driven config: bucket boundaries and overlap come from the
-	// schedule, and the per-bucket algorithm builds the scheduled spec. cur
-	// tracks the epoch's schedule so rescheduled segments build the right
-	// specs.
-	var mu sync.Mutex
-	var cur *plan.Schedule
+	// A schedule-driven config: the supervisor's Replan supplies every
+	// segment's schedule, so the base carries none.
 	schedConfig := func(workers int) cluster.Config {
-		const seed = 7
 		return cluster.Config{
 			Workers: workers, Family: "fnn3",
 			Epochs: 2, StepsPerEpoch: 5, BatchPerWorker: 4,
-			Seed: seed, Momentum: 0.9,
-			NewBucketAlgorithm: func(rank int, info compress.BucketInfo) compress.Algorithm {
-				mu.Lock()
-				s := cur
-				mu.Unlock()
-				o := compress.DefaultOptions(info.Params)
-				o.Seed = compress.BucketSeed(seed, rank, info.Index)
-				a, err := compress.Build(s.Specs[info.Index], o)
-				if err != nil {
-					panic(err)
-				}
-				return a
-			},
+			Seed: 7, Momentum: 0.9,
 		}
 	}
 
@@ -564,7 +531,6 @@ func TestReplanPerEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("plan.Build: %v", err)
 	}
-	cur = static
 	ref := schedConfig(4)
 	ref.Schedule = static
 	_, refCkpt, _ := captureRun(t, ref)
@@ -574,10 +540,7 @@ func TestReplanPerEpoch(t *testing.T) {
 	replan := func(world int) (*plan.Schedule, error) {
 		s, err := build(world)
 		if err == nil {
-			mu.Lock()
 			worlds = append(worlds, world)
-			cur = s
-			mu.Unlock()
 		}
 		return s, err
 	}

@@ -92,7 +92,8 @@ type Job struct {
 	// Replan, when non-nil, supplies the synchronization schedule for every
 	// membership epoch at its world size (typically plan.Build, which is pure:
 	// unchanged membership replans to a bitwise-identical schedule). Nil keeps
-	// Config's own algorithm knobs across rescales.
+	// Config.Schedule across rescales — it must then not be bound to a worker
+	// count (cluster.Lower's schedules are not).
 	Replan func(world int) (*plan.Schedule, error)
 	// MaxRestarts bounds recovery attempts (default 8); a run that keeps
 	// failing past the bound surfaces its last error.
@@ -139,8 +140,8 @@ type Job struct {
 	DriftThreshold float64
 	// ReplanMeasured, when non-nil, supplies the schedule after a drift
 	// trigger, receiving the measured fabric (typically plan.Build with
-	// Options.Pricer set to it). Nil leaves Replan (or Config) in charge even
-	// after a drift event.
+	// Options.Pricer set to it). Nil leaves Replan (or Config.Schedule) in
+	// charge even after a drift event.
 	ReplanMeasured func(world int, measured netsim.Fabric) (*plan.Schedule, error)
 }
 

@@ -90,7 +90,7 @@ func TestBackupRecoveryBitwiseTCP(t *testing.T) {
 }
 
 func TestBackupRecoveryBitwiseHierarchical(t *testing.T) {
-	runLadderBackup(t, func(c *cluster.Config) { c.Topology = 2 }, false)
+	runLadderBackup(t, func(c *cluster.Config) { c.Schedule.Topology = 2 }, false)
 }
 
 // TestDegradedRankSoftDegradesBeforeEviction: with no backup slots, a

@@ -74,11 +74,8 @@ type Model interface {
 	GatherGrads(dst []float32)
 	ScatterGrads(src []float32)
 	// GatherGradsRange fills dst[lo:hi] with that slice of the flattened
-	// gradient — the per-bucket gather of the overlapped pipeline.
+	// gradient.
 	GatherGradsRange(dst []float32, lo, hi int)
-	// ScatterGradsRange writes src[lo:hi] back into the layers — the
-	// per-bucket inverse of GatherGradsRange.
-	ScatterGradsRange(src []float32, lo, hi int)
 	// GradView writes into dst a view of the live gradient storage backing
 	// the flattened elements [lo, hi), spanning parameter tensors as needed,
 	// and returns dst. Every bucket is encoded from and reconstructed into
@@ -137,9 +134,6 @@ func (c *classifier) GatherGrads(dst []float32)  { c.net.GatherGrads(dst) }
 func (c *classifier) ScatterGrads(src []float32) { c.net.ScatterGrads(src) }
 func (c *classifier) GatherGradsRange(dst []float32, lo, hi int) {
 	c.net.GatherGradsRange(dst, lo, hi)
-}
-func (c *classifier) ScatterGradsRange(src []float32, lo, hi int) {
-	c.net.ScatterGradsRange(src, lo, hi)
 }
 func (c *classifier) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {
 	return c.net.GradView(lo, hi, dst)
@@ -407,10 +401,6 @@ func (l *lstmModel) ScatterGrads(src []float32) {
 
 func (l *lstmModel) GatherGradsRange(dst []float32, lo, hi int) {
 	nn.GatherRange(l.lm.Params(), dst, lo, hi)
-}
-
-func (l *lstmModel) ScatterGradsRange(src []float32, lo, hi int) {
-	nn.ScatterRange(l.lm.Params(), src, lo, hi)
 }
 
 func (l *lstmModel) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {

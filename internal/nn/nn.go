@@ -245,31 +245,6 @@ func (n *Network) ScatterGrads(src []float32) {
 	}
 }
 
-// ScatterGradsRange writes the flattened-gradient elements [lo, hi) of
-// src[lo:hi] back into the layers — the per-bucket inverse of
-// GatherGradsRange, which lets the pipeline skip re-scattering buckets that
-// were exchanged in place.
-func (n *Network) ScatterGradsRange(src []float32, lo, hi int) {
-	ScatterRange(n.Params(), src, lo, hi)
-}
-
-// ScatterRange copies src[lo:hi] into the gradient slices of a parameter
-// list at the flattened offsets [lo, hi) — the inverse of GatherRange.
-func ScatterRange(ps []Param, src []float32, lo, hi int) {
-	off := 0
-	for _, p := range ps {
-		if off >= hi {
-			return
-		}
-		end := off + len(p.G)
-		if end > lo {
-			s, e := max(off, lo), min(end, hi)
-			copy(p.G[s-off:e-off], src[s:e])
-		}
-		off = end
-	}
-}
-
 // GatherParams copies all weights into dst.
 func (n *Network) GatherParams(dst []float32) {
 	off := 0

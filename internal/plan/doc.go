@@ -16,16 +16,17 @@
 // the candidate set, an auto-planned schedule is never modelled slower than
 // the best hand-tuned uniform configuration over the same grid.
 //
-// Lower converts a legacy hand-tuned configuration (BucketBytes + Policy +
-// Topology) into the trivial Schedule it denotes, without pricing anything;
-// running the lowered schedule is bitwise-identical to running the flat
-// configuration (same bounds, same specs, same per-bucket seeds).
+// Lower writes down, without pricing anything, the Schedule a hand-picked
+// configuration (policy + bucket budget + topology + overlap) denotes. A
+// Schedule is the only thing cluster.Train accepts, so the two functions are
+// the two ways in: planned or lowered.
 //
 // Dataflow:
 //
 //	nn.ParamSegments ──┐
-//	netsim.Pricer ─────┼─▶ plan.Build ─▶ plan.Schedule ─▶ cluster.Config.Schedule
-//	compress.SpecCost ─┘                      │
-//	                                          └─▶ bounds · per-bucket specs ·
-//	                                              topology · modelled price
+//	netsim.Pricer ─────┼─▶ plan.Build ─┐
+//	compress.SpecCost ─┘               ├─▶ plan.Schedule ─▶ cluster.Config.Schedule
+//	policy · bucket budget ·           │         │
+//	topology · overlap ───▶ plan.Lower ┘         └─▶ bounds · per-bucket specs ·
+//	                                                 topology · overlap · price
 package plan

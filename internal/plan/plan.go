@@ -9,13 +9,15 @@ import (
 	"a2sgd/internal/nn"
 )
 
-// Schedule is a complete, priced synchronization plan for one training
+// Schedule is a complete synchronization plan for one training
 // configuration: where the gradient is cut into buckets, which algorithm
 // spec synchronizes each bucket, and which topology the collectives run on.
-// cluster.Config and a2sgd.TrainConfig accept one in place of the hand-tuned
-// BucketBytes/Policy/Topology knobs.
+// It is the runtime's only input for all of that: cluster.Train accepts
+// nothing else, and every spec, policy and bucket/topology/overlap knob above
+// it (a2sgd.TrainConfig, the CLIs, the bench sweeps) is lowered to one first.
 type Schedule struct {
-	// Workers is the data-parallel width the schedule was planned for.
+	// Workers is the data-parallel width the schedule was planned for; 0
+	// (lowered schedules) binds it to none, so it runs at any world size.
 	Workers int
 	// Bounds are the cumulative bucket offsets over the flattened parameter
 	// vector (len = buckets+1, Bounds[0] = 0), aligned to segment
@@ -32,10 +34,10 @@ type Schedule struct {
 	Overlap bool
 	// Policy is the canonical policy string that produced Specs — the auto
 	// policy's spec for planned schedules, the source policy for lowered
-	// legacy configurations.
+	// ones.
 	Policy string
 	// PricedOn labels the network model the schedule was priced on (empty
-	// for lowered legacy schedules, which are never priced).
+	// for lowered schedules, which are never priced).
 	PricedOn string
 	// PipelinedSyncSec and SerialSyncSec are the modelled per-step
 	// encode+synchronization makespans of this schedule on that model.
@@ -457,12 +459,12 @@ func splitTail(segs []nn.Segment, p nn.BucketPlan, tailBudget int) (nn.BucketPla
 	return refined, true
 }
 
-// Lower converts a hand-tuned configuration into the trivial schedule it
-// denotes: PlanBuckets boundaries at the fixed budget, the policy's spec for
-// every bucket, the given topology and overlap flags, and no pricing.
-// Running the lowered schedule is bitwise-identical to running the legacy
-// knobs directly — same bounds, same specs, and (through
-// compress.BucketSeed) the same per-bucket compression seeds.
+// Lower converts a hand-picked configuration into the schedule it denotes:
+// PlanBuckets boundaries at the fixed budget, the policy's spec for every
+// bucket, the given topology and overlap flags, and no pricing. It is how
+// every knob above the runtime reaches it (cluster.Lower wraps it for a
+// family name and a policy string); workers 0 leaves the schedule valid at
+// any world size.
 func Lower(segs []nn.Segment, pol compress.Policy, bucketBytes, topology int, overlap bool, workers int) *Schedule {
 	p := nn.PlanBuckets(segs, bucketBytes)
 	specs := make([]*compress.Spec, len(p.Buckets))

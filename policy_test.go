@@ -28,44 +28,34 @@ func epochsEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestSpecBackCompatBitwise: the deprecated Algorithm/Density/QuantLevels
-// fields lower to a spec internally and must produce bitwise-identical runs.
+// TestSpecBackCompatBitwise: the spellings of one configuration — a Spec,
+// the uniform Policy over it, and (for a2sgd) the empty default — lower to
+// the same schedule and must produce bitwise-identical runs.
 func TestSpecBackCompatBitwise(t *testing.T) {
-	cases := []struct {
-		name   string
-		legacy func(*TrainConfig)
-		spec   string
-	}{
-		{"a2sgd-default", func(tc *TrainConfig) { tc.Algorithm = "a2sgd" }, "a2sgd"},
-		{"topk-density", func(tc *TrainConfig) { tc.Algorithm = "topk"; tc.Density = 0.01 }, "topk(density=0.01)"},
-		{"qsgd-levels", func(tc *TrainConfig) { tc.Algorithm = "qsgd"; tc.QuantLevels = 8 }, "qsgd(levels=8)"},
-		{"dense-ignores-density", func(tc *TrainConfig) { tc.Algorithm = "dense"; tc.Density = 0.5 }, "dense"},
-	}
-	for _, c := range cases {
-		oldCfg := smallRun()
-		c.legacy(&oldCfg)
-		newCfg := smallRun()
-		newCfg.Spec = c.spec
-		oldRes, err := Train(oldCfg)
+	for _, spec := range []string{"a2sgd", "topk(density=0.01)", "qsgd(levels=8)", "dense"} {
+		specCfg := smallRun()
+		specCfg.Spec = spec
+		specRes, err := Train(specCfg)
 		if err != nil {
-			t.Fatalf("%s legacy: %v", c.name, err)
+			t.Fatalf("%s spec: %v", spec, err)
 		}
-		newRes, err := Train(newCfg)
-		if err != nil {
-			t.Fatalf("%s spec: %v", c.name, err)
-		}
-		epochsEqual(t, c.name, oldRes, newRes)
-		if oldRes.PayloadBytes != newRes.PayloadBytes {
-			t.Errorf("%s: payload %d vs %d", c.name, oldRes.PayloadBytes, newRes.PayloadBytes)
-		}
-		// A policy spelling of the same spec matches too.
 		polCfg := smallRun()
-		polCfg.Policy = "uniform(" + c.spec + ")"
+		polCfg.Policy = "uniform(" + spec + ")"
 		polRes, err := Train(polCfg)
 		if err != nil {
-			t.Fatalf("%s policy: %v", c.name, err)
+			t.Fatalf("%s policy: %v", spec, err)
 		}
-		epochsEqual(t, c.name+"/policy", oldRes, polRes)
+		epochsEqual(t, spec+"/policy", specRes, polRes)
+		if specRes.PayloadBytes != polRes.PayloadBytes {
+			t.Errorf("%s: payload %d vs %d", spec, specRes.PayloadBytes, polRes.PayloadBytes)
+		}
+		if spec == "a2sgd" {
+			defRes, err := Train(smallRun())
+			if err != nil {
+				t.Fatalf("default: %v", err)
+			}
+			epochsEqual(t, "default", specRes, defRes)
+		}
 	}
 }
 
@@ -186,15 +176,8 @@ func TestTrainFieldConflicts(t *testing.T) {
 		mutate  func(*TrainConfig)
 		wantSub string
 	}{
-		{func(tc *TrainConfig) { tc.Spec = "a2sgd"; tc.Algorithm = "dense" }, "at most one"},
 		{func(tc *TrainConfig) { tc.Spec = "a2sgd"; tc.Policy = "uniform(dense)" }, "at most one"},
-		{func(tc *TrainConfig) { tc.Policy = "uniform(topk)"; tc.Density = 0.01 }, "cannot combine with Policy"},
-		{func(tc *TrainConfig) { tc.Spec = "topk"; tc.Density = 0.01 }, "cannot combine with Spec"},
 		{func(tc *TrainConfig) { tc.Spec = "topk(density=2)" }, "out of range"},
-		// Legacy knobs only lower onto bare names — a parameterized or
-		// wrapped Algorithm spec must not silently drop them.
-		{func(tc *TrainConfig) { tc.Algorithm = "periodic(topk, interval=2)"; tc.Density = 0.01 }, "bare legacy Algorithm name"},
-		{func(tc *TrainConfig) { tc.Algorithm = "topk(density=0.05)"; tc.Density = 0.01 }, "bare legacy Algorithm name"},
 		{func(tc *TrainConfig) { tc.Policy = "zigzag(a=1)" }, "unknown policy"},
 		{func(tc *TrainConfig) { tc.Spec = "periodic(interval=2)" }, "takes 1 inner"},
 	}
@@ -212,7 +195,7 @@ func TestTrainFieldConflicts(t *testing.T) {
 // the full registry with parameter signatures (satellite requirement).
 func TestUnknownSpecErrorListsSignatures(t *testing.T) {
 	cfg := smallRun()
-	cfg.Algorithm = "nope"
+	cfg.Spec = "nope"
 	_, err := Train(cfg)
 	if err == nil {
 		t.Fatal("expected error")
