@@ -89,9 +89,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad -workers:", err)
 		os.Exit(2)
 	}
-	fabric := netsim.IB100()
-	if *fabricName == "tcp10g" {
-		fabric = netsim.TCP10G()
+	fabric, ok := map[string]netsim.Fabric{"ib100": netsim.IB100(), "tcp10g": netsim.TCP10G()}[*fabricName]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "bad -fabric: unknown fabric %q (have ib100, tcp10g)\n", *fabricName)
+		os.Exit(2)
 	}
 
 	w := os.Stdout

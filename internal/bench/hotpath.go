@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 
-	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
@@ -43,12 +42,6 @@ type HotPathReport struct {
 	// 1.0 = the exchange is completely hidden behind posting; 0 = overlap
 	// bought nothing.
 	OverlapEfficiency float64 `json:"overlap_efficiency,omitempty"`
-	// DirectBuckets and TotalBuckets record the vgg16 multi-tensor plan
-	// probe: with strided gradient views every bucket — including those
-	// spanning parameter-tensor boundaries — encodes from and reconstructs
-	// into the layers' live storage, so the two counts must be equal.
-	DirectBuckets int `json:"direct_buckets,omitempty"`
-	TotalBuckets  int `json:"total_buckets,omitempty"`
 }
 
 // hotPathN is the vgg16-scale bucket the suite measures: 1 M float32
@@ -340,29 +333,6 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 		rep.OverlapEfficiency = (tSerial - tOverlap) / hideable
 	}
 
-	// Direct-bucket probe: a short vgg16 run whose bucket plan packs several
-	// parameter tensors per bucket. The strided-view pipeline must report
-	// every bucket as direct (exchanged in place, no gather/scatter copy).
-	{
-		sched, err := cluster.Lower("vgg16", "a2sgd", 8192, 0, true)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.Train(cluster.Config{
-			Workers: 2, Family: "vgg16", Schedule: sched,
-			Epochs: 1, StepsPerEpoch: 2, BatchPerWorker: 2,
-			Seed: 5, EvalBatch: 8,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("bench: hotpath vgg16 direct-bucket probe: %w", err)
-		}
-		rep.DirectBuckets, rep.TotalBuckets = res.DirectBuckets, res.Buckets
-		if res.DirectBuckets != res.Buckets {
-			return nil, fmt.Errorf("bench: vgg16 plan exchanged %d of %d buckets in place, want all",
-				res.DirectBuckets, res.Buckets)
-		}
-	}
-
 	fmt.Fprintf(w, "Hot path steady state (n = %d elements, GOMAXPROCS = %d, zero-copy net = %v)\n",
 		hotPathN, rep.GOMAXPROCS, rep.ZeroCopyNet)
 	rows := make([][]string, 0, len(rep.Points))
@@ -381,6 +351,5 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 		fmt.Fprintf(w, "overlap efficiency: %.2f (share of hideable exchange time the overlapped step hides)\n",
 			rep.OverlapEfficiency)
 	}
-	fmt.Fprintf(w, "vgg16 direct buckets: %d/%d exchanged in place\n", rep.DirectBuckets, rep.TotalBuckets)
 	return rep, nil
 }

@@ -2,11 +2,13 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
 	"time"
 
+	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/tensor"
 )
@@ -85,9 +87,10 @@ func TestChaosPropertySweep(t *testing.T) {
 	}
 }
 
-// TestChaosCrashSurfacesStepError: an injected crash makes Train return a
-// step-scoped error promptly — no deadlock, no hang — on both the overlap
-// and the synchronous paths.
+// TestChaosCrashSurfacesStepError: an injected crash makes Train return an
+// error naming the step, the bucket and the rank promptly — no deadlock, no
+// hang — under both executors, and the wrapping stays transparent to the
+// typed peer failure the elastic supervisor matches on.
 func TestChaosCrashSurfacesStepError(t *testing.T) {
 	for _, overlap := range []bool{true, false} {
 		cfg := bucketCfg("a2sgd", 4, fourBucketBytes, overlap)
@@ -106,6 +109,13 @@ func TestChaosCrashSurfacesStepError(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), "rank") {
 			t.Errorf("overlap=%v: error does not name a rank: %v", overlap, err)
+		}
+		if !strings.Contains(err.Error(), "bucket") {
+			t.Errorf("overlap=%v: error does not name a bucket: %v", overlap, err)
+		}
+		var pe *comm.PeerError
+		if !errors.As(err, &pe) && !errors.Is(err, comm.ErrGroupStop) {
+			t.Errorf("overlap=%v: neither a *comm.PeerError nor a group stop shows through: %v", overlap, err)
 		}
 	}
 }

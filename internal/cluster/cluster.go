@@ -3,10 +3,7 @@ package cluster
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 	"sync/atomic"
-	"time"
 
 	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
@@ -14,11 +11,8 @@ import (
 	"a2sgd/internal/health"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
-	"a2sgd/internal/nn"
-	"a2sgd/internal/optim"
 	"a2sgd/internal/plan"
 	"a2sgd/internal/stats"
-	"a2sgd/internal/tensor"
 )
 
 // Membership is a dynamic view of the worker group, maintained by an elastic
@@ -221,23 +215,19 @@ type Result struct {
 	// (non-hidden) time when Overlap pipelines sync behind encode.
 	AvgSyncSec float64
 	// AvgStepSec is the measured end-to-end wall time of one training step
-	// (compute + gather + encode + sync + scatter + optimizer).
+	// (compute + encode + sync + optimizer).
 	AvgStepSec float64
 
 	// Buckets is the gradient-pipeline bucket count (1 = whole model), and
 	// BucketBounds its cumulative offsets (len Buckets+1). Overlap records
-	// whether exchanges were pipelined with gather/encode, Concurrency the
-	// number of tag-space contexts they ran under (1 = deterministic),
-	// Interleave whether launches were folded into the backward pass, and
-	// DirectBuckets how many buckets were exchanged in place with no gather
-	// or scatter copy — since the strided-view pipeline, always equal to
-	// Buckets (the invariant the concurrency tests assert).
-	Buckets       int
-	BucketBounds  []int
-	Overlap       bool
-	Concurrency   int
-	Interleave    bool
-	DirectBuckets int
+	// whether exchanges were pipelined with encode, Concurrency the
+	// number of tag-space contexts they ran under (1 = deterministic) and
+	// Interleave whether launches were folded into the backward pass.
+	Buckets      int
+	BucketBounds []int
+	Overlap      bool
+	Concurrency  int
+	Interleave   bool
 	// Topology is the hierarchy width the run used (ranks per node after
 	// clamping; 0 = flat).
 	Topology int
@@ -344,24 +334,6 @@ func (r *Result) Throughput(f netsim.Pricer, batchPerWorker int) float64 {
 	return float64(batchPerWorker*r.Workers) / it
 }
 
-// bucketExchangeOp is the typed, pooled unit of work the step loop posts to
-// the communicator (comm.Post): one bucket's collective exchange. The step
-// loop owns an array of nb of these and re-fills them in place every step,
-// so posting a bucket never allocates — posting a *bucketExchangeOp converts
-// to comm.Op without boxing. RunOp receives the tag-space context
-// communicator the operation was assigned to. The exchange reconstructs
-// directly into the bucket's gradient view (the layers' live storage).
-type bucketExchangeOp struct {
-	bk *compress.Bucketed
-	b  int
-	p  compress.Payload
-	v  *tensor.VecView
-}
-
-func (o *bucketExchangeOp) RunOp(c *comm.Communicator) error {
-	return o.bk.ExchangeBucketView(o.b, o.p, o.v, c)
-}
-
 func (c *Config) defaults() Config {
 	cfg := *c
 	if cfg.Membership != nil {
@@ -408,595 +380,105 @@ func Lower(family, policy string, bucketBytes, topology int, overlap bool) (*pla
 	return plan.Lower(m.ParamSegments(), pol, bucketBytes, topology, overlap, 0), nil
 }
 
-// Train runs the distributed training loop and returns rank 0's view.
-func Train(c Config) (*Result, error) {
-	cfg := c.defaults()
+// validate checks everything about a defaulted Config that can be checked
+// before a worker exists, so a bad run fails here and not inside the group.
+func (cfg *Config) validate() error {
 	sched := cfg.Schedule
 	if sched == nil {
-		return nil, fmt.Errorf("cluster: Config.Schedule is required — plan one with plan.Build, or lower a spec or policy string with cluster.Lower")
+		return fmt.Errorf("cluster: Config.Schedule is required — plan one with plan.Build, or lower a spec or policy string with cluster.Lower")
 	}
 	if err := sched.Validate(); err != nil {
-		return nil, err
+		return err
 	}
 	if sched.Workers != 0 && sched.Workers != cfg.Workers {
-		return nil, fmt.Errorf("cluster: schedule planned for %d workers, run configured for %d", sched.Workers, cfg.Workers)
+		return fmt.Errorf("cluster: schedule planned for %d workers, run configured for %d", sched.Workers, cfg.Workers)
 	}
 	// Pre-build every scheduled spec so construction errors surface here,
 	// not inside the worker group.
 	for _, s := range sched.Specs {
 		if _, err := compress.Build(s, compress.DefaultOptions(4)); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	// The schedule owns the pipeline shape. Concurrency and Interleave are
 	// runtime-execution knobs, not plan state.
-	overlap, topology := sched.Overlap, sched.Topology
 	if cfg.Concurrency < 0 || cfg.Concurrency > comm.MaxConcurrency {
-		return nil, fmt.Errorf("cluster: Concurrency %d out of range [0,%d]", cfg.Concurrency, comm.MaxConcurrency)
+		return fmt.Errorf("cluster: Concurrency %d out of range [0,%d]", cfg.Concurrency, comm.MaxConcurrency)
 	}
-	if cfg.Concurrency > 1 && !overlap {
-		return nil, fmt.Errorf("cluster: Concurrency > 1 requires Overlap (there is nothing to run concurrently on the synchronous path)")
+	if cfg.Concurrency > 1 && !sched.Overlap {
+		return fmt.Errorf("cluster: Concurrency > 1 requires Overlap (there is nothing to run concurrently on the synchronous path)")
 	}
-	if cfg.Interleave && !overlap {
-		return nil, fmt.Errorf("cluster: Interleave requires Overlap")
+	if cfg.Interleave && !sched.Overlap {
+		return fmt.Errorf("cluster: Interleave requires Overlap")
 	}
 	totalSteps := cfg.Epochs * cfg.StepsPerEpoch
 	if rs := cfg.Resume; rs != nil {
 		if rs.Family != cfg.Family {
-			return nil, fmt.Errorf("cluster: snapshot is for family %q, run configured for %q", rs.Family, cfg.Family)
+			return fmt.Errorf("cluster: snapshot is for family %q, run configured for %q", rs.Family, cfg.Family)
 		}
 		if rs.Seed != cfg.Seed {
-			return nil, fmt.Errorf("cluster: snapshot seed %d != run seed %d", rs.Seed, cfg.Seed)
+			return fmt.Errorf("cluster: snapshot seed %d != run seed %d", rs.Seed, cfg.Seed)
 		}
 		if rs.StepsPerEpoch != cfg.StepsPerEpoch {
-			return nil, fmt.Errorf("cluster: snapshot StepsPerEpoch %d != run %d", rs.StepsPerEpoch, cfg.StepsPerEpoch)
+			return fmt.Errorf("cluster: snapshot StepsPerEpoch %d != run %d", rs.StepsPerEpoch, cfg.StepsPerEpoch)
 		}
 		if len(rs.Workers) != cfg.Workers || rs.World != cfg.Workers {
-			return nil, fmt.Errorf("cluster: snapshot holds %d workers, run configured for %d (reshard it first)", rs.World, cfg.Workers)
+			return fmt.Errorf("cluster: snapshot holds %d workers, run configured for %d (reshard it first)", rs.World, cfg.Workers)
 		}
 		if rs.Step < 0 || rs.Step > totalSteps {
-			return nil, fmt.Errorf("cluster: snapshot step %d outside run bounds [0, %d]", rs.Step, totalSteps)
+			return fmt.Errorf("cluster: snapshot step %d outside run bounds [0, %d]", rs.Step, totalSteps)
 		}
 	}
 	if cfg.StopStep < 0 || (cfg.StopStep > 0 && cfg.StopStep >= totalSteps) {
-		return nil, fmt.Errorf("cluster: StopStep %d outside (0, %d)", cfg.StopStep, totalSteps)
+		return fmt.Errorf("cluster: StopStep %d outside (0, %d)", cfg.StopStep, totalSteps)
 	}
 	if cfg.Health != nil && cfg.Health.World() != cfg.Workers {
-		return nil, fmt.Errorf("cluster: health monitor world %d != workers %d", cfg.Health.World(), cfg.Workers)
+		return fmt.Errorf("cluster: health monitor world %d != workers %d", cfg.Health.World(), cfg.Workers)
 	}
+	return nil
+}
 
+// Train runs the distributed training loop and returns rank 0's view: it
+// validates the configuration, runs one worker per rank over the group's
+// communicators and averages the ranks' traffic into the result.
+func Train(c Config) (*Result, error) {
+	cfg := c.defaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
 	img, txt, err := data.ForFamily(cfg.Family, cfg.Seed)
 	if err != nil {
 		return nil, err
 	}
-
-	res := &Result{Family: cfg.Family, Workers: cfg.Workers, HistIters: cfg.HistIters}
-	var resMu sync.Mutex
-	if cfg.Membership != nil {
-		res.MembershipEpoch = cfg.Membership.Epoch()
+	j := &job{
+		cfg: cfg, img: img, txt: txt,
+		totalSteps: cfg.Epochs * cfg.StepsPerEpoch,
+		res:        &Result{Family: cfg.Family, Workers: cfg.Workers, HistIters: cfg.HistIters},
+		snapSlots:  make([]atomic.Pointer[WorkerState], cfg.Workers),
 	}
-	// Per-rank sent bytes, collected after the last step (disjoint indices,
-	// read only after the group joins) and averaged into the result.
-	perRankSent := make([]int64, cfg.Workers)
-	// Per-rank snapshot slots: at a checkpoint boundary every rank deep-copies
-	// its state into its slot, the group barriers, and rank 0 assembles the
-	// RunState for the sink. Disjoint indices; the barrier orders the writes
-	// before rank 0's read in real time, but over loopback TCP that ordering
-	// flows through the kernel, which the Go memory model does not recognize —
-	// the slots are atomic pointers so the intra-process handoff has an
-	// explicit edge. All supported group runners (in-process channels,
-	// loopback TCP, the fault mesh) run every rank in this process, so the
-	// shared slice is visible to all of them.
-	snapSlots := make([]atomic.Pointer[WorkerState], cfg.Workers)
-
+	if cfg.Membership != nil {
+		j.res.MembershipEpoch = cfg.Membership.Epoch()
+	}
+	if cfg.Resume != nil {
+		j.startStep = cfg.Resume.Step
+	}
 	runGroup := cfg.GroupRunner
 	if runGroup == nil {
 		runGroup = comm.RunGroup
 	}
-	groupErr := runGroup(cfg.Workers, func(cm *comm.Communicator) error {
-		rank := cm.Rank()
-		// Two-level topology: partition the ranks into nodes so every
-		// collective below — per-bucket exchanges, the setup broadcast, the
-		// final dense sync — runs the hierarchical schedule.
-		if topology > 1 {
-			if err := cm.SetTopology(topology); err != nil {
-				return err
-			}
-		}
-		// Tag-space contexts for concurrent bucket exchanges. After the
-		// topology call so the shadow contexts replay the same splits.
-		if cfg.Concurrency > 1 {
-			if err := cm.SetConcurrency(cfg.Concurrency); err != nil {
-				return err
-			}
-		}
-		// Timing beacons: install after topology/concurrency so every derived
-		// communicator inherits the observers. Method values are built once
-		// here — the hot path calls them without allocating.
-		var rec *health.Recorder
-		if cfg.Health != nil {
-			rec = cfg.Health.Recorder(rank)
-			cm.SetSendObserver(rec.ObserveSend)
-			cm.SetOpObserver(rec.ObserveOp)
-		}
-		model, err := models.New(models.Config{Family: cfg.Family, Seed: cfg.Seed, Reduced: true})
+	err = runGroup(cfg.Workers, func(cm *comm.Communicator) error {
+		w, err := newWorker(j, cm)
 		if err != nil {
 			return err
 		}
-		n := model.NumParams()
-
-		// Cut the flattened gradient at the scheduled (layer-granular) bounds
-		// and build one algorithm instance per bucket — per-bucket error
-		// feedback, seeds and A2SGD means — from the scheduled specs
-		// (validated above). compress.BucketSeed keeps the historical
-		// per-rank seed on bucket 0 and decorrelates the later buckets'
-		// stochastic streams.
-		bplan, err := nn.PlanFromBounds(model.ParamSegments(), sched.Bounds)
-		if err != nil {
-			return fmt.Errorf("cluster: schedule does not fit %s: %w", cfg.Family, err)
-		}
-		bucketed := compress.NewBucketed(bplan.Bounds(), func(b, bn int) compress.Algorithm {
-			o := compress.DefaultOptions(bn)
-			o.Seed = compress.BucketSeed(cfg.Seed, rank, b)
-			a, err := compress.Build(sched.Specs[b], o)
-			if err != nil {
-				panic(fmt.Sprintf("cluster: pre-validated schedule spec failed to build: %v", err))
-			}
-			return a
-		})
-		bounds := bucketed.Bounds()
-		nb := bucketed.NumBuckets()
-
-		if cfg.Resume == nil {
-			// Broadcast rank 0's weights so replicas start identical even if
-			// a model family ever gains non-deterministic init.
-			w := make([]float32, n)
-			model.GatherParams(w)
-			if err := cm.Broadcast(w, 0); err != nil {
-				return err
-			}
-			model.ScatterParams(w)
-		} else if cfg.Resume.NumParams != n {
-			return fmt.Errorf("cluster: snapshot has %d params, model %s has %d", cfg.Resume.NumParams, cfg.Family, n)
-		}
-		// The setup broadcast is not part of the per-step algorithm cost.
-		cm.ResetTraffic()
-
-		lrSched, useLARS := optim.PolicyFor(cfg.Family, cfg.Workers)
-		momentum := cfg.Momentum
-		lrScale := 1.0
-		if cfg.LRScale > 0 {
-			lrScale = cfg.LRScale
-		}
-		if cfg.Family == "lstm" {
-			// Reduced-scale calibration: the paper's LR 22 is tuned for the
-			// 66 M-parameter PTB model; the reduced LM needs a smaller rate
-			// and, like the paper's LSTM runs, plain SGD without momentum.
-			momentum = 0
-			lrScale *= 0.25
-		}
-		opt := optim.NewSGD(momentum, cfg.WeightDecay)
-		opt.LARS = useLARS
-
-		sampleRNG := tensor.NewRNG(cfg.Seed*1000 + uint64(rank) + 1)
-		grad := make([]float32, n)
-		reqScratch := make([]comm.Request, 0, nb)
-		exchangeOps := make([]bucketExchangeOp, nb)
-
-		// Every bucket is direct: its view spans the layers' live gradient
-		// storage across however many parameter tensors the range covers, so
-		// encode reads — and the exchange reconstructs into — that storage
-		// with no gather copy before and no scatter copy after, regardless
-		// of where the bucket boundaries fall.
-		viewStore := make([]tensor.VecView, nb)
-		bucketView := make([]*tensor.VecView, nb)
-		for b := 0; b < nb; b++ {
-			bucketView[b] = model.GradView(bounds[b], bounds[b+1], &viewStore[b])
-		}
-
-		// encodeBucket checks bucket b's live gradient view is finite and
-		// encodes it in place, returning the payload and the encode duration.
-		// The serial loop, the parallel worker pool and the interleaved
-		// backward callbacks all run exactly this.
-		encodeBucket := func(b int) (compress.Payload, float64, error) {
-			bv := bucketView[b]
-			if bv.HasNaNOrInf() {
-				return compress.Payload{}, 0, fmt.Errorf("cluster: worker %d produced a non-finite gradient (diverged — lower the learning rate)", rank)
-			}
-			t1 := time.Now()
-			p := bucketed.EncodeBucketView(b, bv)
-			return p, time.Since(t1).Seconds(), nil
-		}
-
-		// postBucket fills bucket b's pooled op and posts its exchange.
-		postBucket := func(b int, p compress.Payload) comm.Request {
-			exchangeOps[b] = bucketExchangeOp{bk: bucketed, b: b, p: p, v: bucketView[b]}
-			return cm.Post(&exchangeOps[b])
-		}
-
-		// Parallel bucket encode (overlap path): a worker pool gathers and
-		// encodes buckets concurrently — every bucket owns its algorithm
-		// instance, scratch and RNG stream, so the encoded payloads are
-		// bitwise identical to serial encoding — while the step loop below
-		// enqueues each bucket's exchange in strict bucket order as soon as
-		// that bucket's encode lands. The collectives therefore launch in
-		// the same deterministic order with the same operands as the serial
-		// path (the bitwise-determinism tests cover both). The pool is
-		// sized by this process's share of the CPUs: in-process experiments
-		// run all cfg.Workers ranks in one process, so each rank claiming
-		// GOMAXPROCS workers would only oversubscribe.
-		encWorkers := 0
-		if overlap && !cfg.Interleave && nb > 1 {
-			if w := runtime.GOMAXPROCS(0) / cfg.Workers; w > 1 {
-				encWorkers = w
-				if encWorkers > nb {
-					encWorkers = nb
-				}
-			}
-		}
-		var (
-			encPayloads []compress.Payload
-			encDur      []float64
-			encErr      []error
-			encDone     []chan struct{}
-			encWork     chan int
-		)
-		if encWorkers > 0 {
-			encPayloads = make([]compress.Payload, nb)
-			encDur = make([]float64, nb)
-			encErr = make([]error, nb)
-			encDone = make([]chan struct{}, nb)
-			for b := range encDone {
-				encDone[b] = make(chan struct{}, 1)
-			}
-			encWork = make(chan int, nb)
-			for w := 0; w < encWorkers; w++ {
-				go func() {
-					for b := range encWork {
-						encPayloads[b], encDur[b], encErr[b] = encodeBucket(b)
-						encDone[b] <- struct{}{}
-					}
-				}()
-			}
-			defer close(encWork)
-		}
-
-		var evalSet models.Batch
-		if rank == 0 {
-			if img != nil {
-				evalSet = img.EvalSet(cfg.EvalBatch, cfg.Seed)
-			} else {
-				evalSet = txt.EvalSet(cfg.EvalBatch/4+1, cfg.SeqLen, cfg.Seed)
-			}
-		}
-
-		var computeSec, encodeSec, syncSec, stepSec float64
-		var epochs []EpochStats
-		var hists []*stats.Histogram
-		histAt := map[int]bool{}
-		for _, it := range cfg.HistIters {
-			histAt[it] = true
-		}
-		startStep := 0
-		var lossSum float64
-		if rs := cfg.Resume; rs != nil {
-			ws := rs.Workers[rank]
-			if ws == nil || len(ws.Params) != n {
-				return fmt.Errorf("cluster: snapshot worker %d does not hold %d params", rank, n)
-			}
-			model.ScatterParams(ws.Params)
-			if sl := model.StateLen(); sl > 0 && len(ws.ModelState) == sl {
-				model.ScatterState(ws.ModelState)
-			}
-			if len(ws.Velocity) == n {
-				opt.ScatterVelocity(model.Params(), ws.Velocity)
-			}
-			sampleRNG.SetState(ws.SampleRNG)
-			if len(rs.Bounds) >= 2 {
-				bucketed.LoadStates(compress.RemapStates(ws.Buckets, rs.Bounds, bounds))
-			}
-			startStep = rs.Step
-			lossSum = ws.LossSum
-			if rank == 0 {
-				epochs = append(epochs, rs.History...)
-			}
-		}
-		globalStep := startStep
-		steps := 0
-
-		// captureState deep-copies this rank's full training state; the
-		// snapshot stays valid while the rank trains on.
-		captureState := func() *WorkerState {
-			ws := &WorkerState{Rank: rank, SampleRNG: sampleRNG.State(), LossSum: lossSum}
-			ws.Params = make([]float32, n)
-			model.GatherParams(ws.Params)
-			if sl := model.StateLen(); sl > 0 {
-				ws.ModelState = make([]float32, sl)
-				model.GatherState(ws.ModelState)
-			}
-			ws.Velocity = make([]float32, n)
-			opt.GatherVelocity(model.Params(), ws.Velocity)
-			ws.Buckets = bucketed.SaveStates()
-			return ws
-		}
-		// deliverSnapshot captures every rank's state at boundary step (all
-		// ranks call it collectively), barriers so the slot writes are
-		// ordered before rank 0's read, and hands rank 0's assembled
-		// RunState to the sink.
-		deliverSnapshot := func(step int) error {
-			snapSlots[rank].Store(captureState())
-			if err := cm.Barrier(); err != nil {
-				return fmt.Errorf("cluster: snapshot barrier at step %d: %w", step, err)
-			}
-			if rank != 0 {
-				return nil
-			}
-			ws := make([]*WorkerState, len(snapSlots))
-			for i := range snapSlots {
-				ws[i] = snapSlots[i].Load()
-			}
-			rs := &RunState{
-				Family: cfg.Family, Seed: cfg.Seed,
-				Epochs: cfg.Epochs, StepsPerEpoch: cfg.StepsPerEpoch,
-				Step: step, World: cfg.Workers, NumParams: n,
-				Bounds:  append([]int(nil), bounds...),
-				History: append([]EpochStats(nil), epochs...),
-				Workers: ws,
-			}
-			if err := cfg.SnapshotSink(rs); err != nil {
-				return fmt.Errorf("cluster: snapshot sink at step %d: %w", step, err)
-			}
-			return nil
-		}
-
-		var drainFlag [1]float32
-		var lr float64
-		for g := startStep; ; g++ {
-			// g is a step boundary: steps [0, g) are complete on every rank.
-			// Pause/snapshot decisions happen here so a delivered snapshot is
-			// always at a clean boundary.
-			pause := cfg.StopStep > 0 && g == cfg.StopStep
-			if cfg.Drain != nil && !pause && g > startStep && g < totalSteps &&
-				(cfg.CheckpointEvery <= 0 || g%cfg.CheckpointEvery == 0) {
-				drainFlag[0] = 0
-				if rank == 0 {
-					select {
-					case <-cfg.Drain:
-						drainFlag[0] = 1
-					default:
-					}
-				}
-				if err := cm.Broadcast(drainFlag[:], 0); err != nil {
-					return fmt.Errorf("cluster: drain poll at step %d: %w", g, err)
-				}
-				pause = drainFlag[0] != 0
-			}
-			if cfg.SnapshotSink != nil {
-				snap := pause ||
-					(g == startStep && cfg.Resume == nil) ||
-					(g > startStep && g < totalSteps && cfg.CheckpointEvery > 0 && g%cfg.CheckpointEvery == 0)
-				if snap {
-					if err := deliverSnapshot(g); err != nil {
-						return err
-					}
-				}
-			}
-			if pause {
-				return ErrPaused
-			}
-			if g == totalSteps {
-				break
-			}
-			if g == startStep || g%cfg.StepsPerEpoch == 0 {
-				lr = lrSched.LR(g/cfg.StepsPerEpoch, cfg.Epochs) * lrScale
-				if g%cfg.StepsPerEpoch == 0 {
-					lossSum = 0
-				}
-			}
-			globalStep = g
-			{
-				encMark, syncMark, stepMark := encodeSec, syncSec, stepSec
-				var batch models.Batch
-				if img != nil {
-					batch = img.Sample(sampleRNG, cfg.BatchPerWorker)
-				} else {
-					batch = txt.Sample(sampleRNG, cfg.BatchPerWorker, cfg.SeqLen)
-				}
-				// Tell step-aware transports (faultnet) a new training step
-				// begins, so step-scoped faults (crash/stall at step k) fire
-				// on the step boundary. A no-op on plain transports.
-				cm.AdvanceStep()
-				model.ZeroGrads()
-				// Histogram steps take the post-backward launch path on
-				// EVERY rank (the capture needs the raw local gradient
-				// before any exchange rewrites it — exchanges reconstruct
-				// into the live storage the views alias — and the posting
-				// order must stay identical across ranks: concurrent
-				// contexts are assigned by posting sequence). Only rank 0
-				// actually gathers and captures.
-				histStep := histAt[globalStep]
-				reqs := reqScratch[:0]
-				t0 := time.Now()
-				var loss float64
-				if cfg.Interleave && !histStep {
-					// Backprop-interleaved launch: encode and post each
-					// bucket from inside the backward pass as soon as its
-					// gradient range is final, deepest buckets first. The
-					// exchange proceeds on the progress workers while the
-					// shallower layers are still back-propagating.
-					next := nb - 1
-					var encFail error
-					var inlineEnc float64
-					loss = model.StepInterleaved(batch, func(lo int) {
-						if encFail != nil {
-							return
-						}
-						for next >= 0 && bounds[next] >= lo {
-							p, dur, err := encodeBucket(next)
-							if err != nil {
-								encFail = err
-								return
-							}
-							inlineEnc += dur
-							reqs = append(reqs, postBucket(next, p))
-							next--
-						}
-					})
-					// The encode time spent inside the backward callbacks
-					// is compression cost, not model compute.
-					computeSec += time.Since(t0).Seconds() - inlineEnc
-					encodeSec += inlineEnc
-					lossSum += loss
-					if encFail != nil {
-						_ = comm.WaitAll(reqs) // drain in-flight buckets first
-						return fmt.Errorf("%w (step %d)", encFail, globalStep)
-					}
-				} else {
-					loss = model.Step(batch)
-					computeSec += time.Since(t0).Seconds()
-					lossSum += loss
-
-					// Figure-1 capture needs the raw local gradient in one
-					// piece, copied before any exchange reconstructs into
-					// the live storage.
-					if histStep && rank == 0 {
-						model.GatherGrads(grad)
-						h := stats.NewHistogram(-0.25, 0.25, 101)
-						h.AddSlice(grad)
-						hists = append(hists, h)
-					}
-
-					// Bucketed gradient pipeline: encode bucket b in place
-					// through its view and either run its collective inline
-					// (synchronous) or post it to the communicator's
-					// progress workers so it proceeds while bucket b+1 is
-					// encoded. With encode workers, encoding of all buckets
-					// fans out across the pool and the exchanges are still
-					// enqueued in bucket order as each encode completes.
-					if encWorkers > 0 {
-						for b := 0; b < nb; b++ {
-							encWork <- b
-						}
-						for b := 0; b < nb; b++ {
-							<-encDone[b]
-							if err := encErr[b]; err != nil {
-								encErr[b] = nil
-								for b2 := b + 1; b2 < nb; b2++ { // drain the step's remaining tokens
-									<-encDone[b2]
-								}
-								_ = comm.WaitAll(reqs) // drain in-flight buckets first
-								return fmt.Errorf("%w (step %d)", err, globalStep)
-							}
-							encodeSec += encDur[b]
-							reqs = append(reqs, postBucket(b, encPayloads[b]))
-						}
-					} else {
-						for b := 0; b < nb; b++ {
-							payload, dur, err := encodeBucket(b)
-							if err != nil {
-								_ = comm.WaitAll(reqs) // drain in-flight buckets first
-								return fmt.Errorf("%w (step %d)", err, globalStep)
-							}
-							encodeSec += dur
-							if overlap {
-								reqs = append(reqs, postBucket(b, payload))
-							} else {
-								t2 := time.Now()
-								if err := bucketed.ExchangeBucketView(b, payload, bucketView[b], cm); err != nil {
-									return fmt.Errorf("cluster: step %d bucket %d sync: %w", globalStep, b, err)
-								}
-								syncSec += time.Since(t2).Seconds()
-							}
-						}
-					}
-				}
-				if overlap {
-					t2 := time.Now()
-					if err := comm.WaitAll(reqs); err != nil {
-						return fmt.Errorf("cluster: step %d sync: %w", globalStep, err)
-					}
-					syncSec += time.Since(t2).Seconds()
-					reqScratch = reqs
-				}
-				// Every exchange reconstructed in place through its bucket
-				// view — there is nothing to scatter back.
-				opt.Step(model.Params(), lr)
-				stepSec += time.Since(t0).Seconds()
-				if rec != nil {
-					rec.RecordStep(encodeSec-encMark, syncSec-syncMark, stepSec-stepMark)
-				}
-				steps++
-			}
-			if (g+1)%cfg.StepsPerEpoch == 0 && rank == 0 {
-				evalLoss, metric := model.Eval(evalSet)
-				epochs = append(epochs, EpochStats{
-					Epoch: g / cfg.StepsPerEpoch, Loss: lossSum / float64(cfg.StepsPerEpoch),
-					EvalLoss: evalLoss, Metric: metric, LR: lr,
-				})
-			}
-		}
-
-		// Snapshot traffic before the final dense synchronization so the
-		// per-step accounting reflects the algorithm, not the epilogue.
-		perRankSent[rank] = cm.Traffic().BytesSent
-
-		// Algorithm 1, lines 9–10: one final dense synchronization so all
-		// replicas end identical (A2SGD replicas drift by design).
-		model.GatherParams(grad) // reuse the gradient buffer as scratch
-		if err := cm.AllreduceMean(grad, comm.AlgoAuto); err != nil {
-			return fmt.Errorf("cluster: final dense synchronization: %w", err)
-		}
-		model.ScatterParams(grad)
-
-		if rank == 0 && cfg.Checkpoint != nil {
-			if err := nn.SaveParams(cfg.Checkpoint, model.Params()); err != nil {
-				return fmt.Errorf("cluster: checkpoint: %w", err)
-			}
-		}
-
-		if rank == 0 {
-			resMu.Lock()
-			res.Algorithm = bucketed.Name()
-			res.NumParams = n
-			res.Metric = model.Metric()
-			res.Epochs = epochs
-			// A resume at the final boundary runs no step: the averages stay 0.
-			if steps > 0 {
-				res.AvgComputeSec = computeSec / float64(steps)
-				res.AvgEncodeSec = encodeSec / float64(steps)
-				res.AvgSyncSec = syncSec / float64(steps)
-				res.AvgStepSec = stepSec / float64(steps)
-			}
-			res.PayloadBytes = bucketed.PayloadBytes(n)
-			res.ExchangeKind = bucketed.ExchangeKind()
-			res.Buckets = nb
-			res.BucketBounds = append([]int(nil), bounds...)
-			res.Overlap = overlap
-			res.Concurrency = cm.Concurrency()
-			res.Interleave = cfg.Interleave
-			res.DirectBuckets = nb
-			res.Topology = cm.Topology()
-			res.BucketPayloadBytes = bucketed.PayloadBytesPerBucket()
-			res.BucketExchangeKinds = bucketed.ExchangeKinds()
-			res.Policy = sched.Policy
-			res.Histograms = hists
-			resMu.Unlock()
-		}
-		return nil
+		defer w.pipe.close()
+		return w.run()
 	})
-	if groupErr != nil {
-		return nil, groupErr
+	if err != nil {
+		return nil, err
 	}
-	var sentSum int64
-	for _, b := range perRankSent {
-		sentSum += b
+	if steps := j.totalSteps - j.startStep; steps > 0 {
+		j.res.BytesPerWorkerPerStep = float64(j.sent.Load()) / float64(cfg.Workers) / float64(steps)
 	}
-	steps := totalSteps
-	if cfg.Resume != nil {
-		steps -= cfg.Resume.Step
-	}
-	if steps > 0 {
-		res.BytesPerWorkerPerStep = float64(sentSum) / float64(cfg.Workers) / float64(steps)
-	}
-	return res, nil
+	return j.res, nil
 }

@@ -20,16 +20,32 @@
 //
 // # Gradient pipeline
 //
-// Each step flows bucket → encode → collective → decode → apply: the
-// flattened gradient is cut at the schedule's layer-granular bounds, every
-// bucket owns a full algorithm instance (compress.Bucketed — per-bucket
-// error feedback, seeds and A2SGD means) and is encoded from and
-// reconstructed into a view of the layers' live gradient storage, and with
-// Schedule.Overlap bucket i's collective runs on the communicator's progress
-// worker while bucket i+1 is still being encoded. Overlapped runs are
-// bitwise identical to synchronous ones for a fixed seed and bucket plan,
-// because the progress worker executes the same collectives in the same
-// order.
+// Train validates the Config, runs one worker per rank and averages the
+// ranks' traffic. A worker (worker.go) is the rank's life: setup or restore,
+// then for every global step g a boundary (pause, drain poll, snapshot,
+// learning rate) and a step (Algorithm 1's loop body), then finish (final
+// dense synchronization, checkpoint, Result). The step drives one pipeline
+// (pipeline.go), which owns the compress.Bucketed, the per-bucket views of
+// the layers' live gradient storage, the pooled exchange operations and the
+// encode and sync clocks.
+//
+// Each step flows backward → launch → wait → apply. The flattened gradient is
+// cut at the schedule's layer-granular bounds and every bucket owns a full
+// algorithm instance (compress.Bucketed — per-bucket error feedback, seeds
+// and A2SGD means). pipeline.launch(b) is the only place a bucket is
+// finite-checked, encoded from its view and handed to an executor: posted to
+// the communicator's progress workers under Schedule.Overlap, so bucket i's
+// collective runs while bucket i+1 is still being encoded, or the same
+// operation run inline. pipeline.wait joins the step's exchanges, each of
+// which has reconstructed into its bucket's view. The step chooses only the
+// launch order: ascending after the backward pass, descending from inside it
+// under Config.Interleave. Overlapped runs are bitwise identical to
+// synchronous ones for a fixed seed and bucket plan, because the progress
+// worker executes the same collectives in the same order.
+//
+// A whole-model combine (ROADMAP item 1: the paper's exact µ± from per-bucket
+// partial sums, one message per step) would sit in the pipeline, after the
+// step's encodes and before its first exchange.
 //
 // # Topology
 //

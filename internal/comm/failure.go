@@ -92,9 +92,6 @@ func DefaultRetry() RetryPolicy {
 	return RetryPolicy{Attempts: 10, Backoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
 }
 
-// Enabled reports whether the policy allows any retry at all.
-func (p RetryPolicy) Enabled() bool { return p.Attempts > 1 }
-
 // sleep blocks for the backoff of the given 0-based retry attempt.
 func (p RetryPolicy) sleep(attempt int) {
 	d := p.Backoff

@@ -196,21 +196,9 @@ func newErrorFeedback(n int) errorFeedback {
 	return errorFeedback{residual: make([]float32, n), acc: make([]float32, n)}
 }
 
-// accumulate forms acc = residual + g and returns it.
-func (e *errorFeedback) accumulate(g []float32) []float32 {
-	if len(g) != len(e.residual) {
-		panic("compress: gradient length changed between steps")
-	}
-	for i, r := range e.residual {
-		e.acc[i] = r + g[i]
-	}
-	return e.acc
-}
-
-// accumulateView is accumulate over a strided view: acc = residual, then
-// acc += v segment-by-segment with the per-lane vector add — element-for-
-// element the same r + g[i] sum, so bitwise identical to accumulate on the
-// flat vector.
+// accumulateView forms acc = residual + v and returns it: acc = residual,
+// then acc += v segment-by-segment with the per-lane vector add — element for
+// element the sum r + g[i] over the flat vector.
 func (e *errorFeedback) accumulateView(v *tensor.VecView) []float32 {
 	if v.Len() != len(e.residual) {
 		panic("compress: gradient length changed between steps")

@@ -60,9 +60,6 @@ func (s State) vec(key string, dst []float32) {
 // words returns the stored blob for key, or nil.
 func (s State) words(key string) []uint64 { return s.Words[key] }
 
-// Empty reports whether the state carries nothing.
-func (s State) Empty() bool { return len(s.Vecs) == 0 && len(s.Words) == 0 }
-
 // StateSaver is implemented by algorithms with cross-step state. SaveState
 // returns a deep copy — mutating the instance afterwards does not change the
 // snapshot, and vice versa.

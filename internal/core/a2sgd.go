@@ -133,11 +133,6 @@ func New(n int, opts ...Option) *A2SGD {
 	return a
 }
 
-// NewFromOptions adapts the shared compress.Options (used by the registry).
-func NewFromOptions(o compress.Options) *A2SGD {
-	return New(o.N, WithAllreduce(o.Allreduce))
-}
-
 // Name implements compress.Algorithm.
 func (a *A2SGD) Name() string {
 	switch {

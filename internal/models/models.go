@@ -70,12 +70,8 @@ type Model interface {
 	Metric() Metric
 	// ZeroGrads clears the gradient accumulators.
 	ZeroGrads()
-	// GatherGrads/ScatterGrads move the flattened gradient vector.
+	// GatherGrads copies the flattened gradient vector into dst.
 	GatherGrads(dst []float32)
-	ScatterGrads(src []float32)
-	// GatherGradsRange fills dst[lo:hi] with that slice of the flattened
-	// gradient.
-	GatherGradsRange(dst []float32, lo, hi int)
 	// GradView writes into dst a view of the live gradient storage backing
 	// the flattened elements [lo, hi), spanning parameter tensors as needed,
 	// and returns dst. Every bucket is encoded from and reconstructed into
@@ -130,11 +126,7 @@ func (c *classifier) Eval(b Batch) (float64, float64) {
 	return loss, nn.Accuracy(logits, b.Labels)
 }
 
-func (c *classifier) GatherGrads(dst []float32)  { c.net.GatherGrads(dst) }
-func (c *classifier) ScatterGrads(src []float32) { c.net.ScatterGrads(src) }
-func (c *classifier) GatherGradsRange(dst []float32, lo, hi int) {
-	c.net.GatherGradsRange(dst, lo, hi)
-}
+func (c *classifier) GatherGrads(dst []float32) { c.net.GatherGrads(dst) }
 func (c *classifier) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {
 	return c.net.GradView(lo, hi, dst)
 }
@@ -389,18 +381,6 @@ func (l *lstmModel) GatherGrads(dst []float32) {
 		copy(dst[off:off+len(p.G)], p.G)
 		off += len(p.G)
 	}
-}
-
-func (l *lstmModel) ScatterGrads(src []float32) {
-	off := 0
-	for _, p := range l.lm.Params() {
-		copy(p.G, src[off:off+len(p.G)])
-		off += len(p.G)
-	}
-}
-
-func (l *lstmModel) GatherGradsRange(dst []float32, lo, hi int) {
-	nn.GatherRange(l.lm.Params(), dst, lo, hi)
 }
 
 func (l *lstmModel) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {

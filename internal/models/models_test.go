@@ -81,7 +81,8 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		for i := range g {
 			g[i] = float32(i%7) - 3
 		}
-		m.ScatterGrads(g)
+		var gv tensor.VecView
+		m.GradView(0, n, &gv).CopyFrom(g)
 		g2 := make([]float32, n)
 		m.GatherGrads(g2)
 		for i := range g2 {

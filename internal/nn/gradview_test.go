@@ -27,7 +27,7 @@ func gradViewNet() *Network {
 }
 
 // TestGradViewMatchesGatherGrads: a view over any flattened range reads (and
-// writes) exactly the elements GatherGrads/ScatterGrads address, including
+// writes) exactly the elements GatherGrads addresses, including
 // ranges that span parameter-tensor boundaries.
 func TestGradViewMatchesGatherGrads(t *testing.T) {
 	net := gradViewNet()

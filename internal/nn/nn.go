@@ -51,9 +51,9 @@ type Network struct {
 	Layers []Layer
 
 	// Flattened views, built on first use and cached — the training step
-	// calls Params/GatherGrads/ScatterGrads every iteration, and rebuilding
-	// the slice each time is an avoidable steady-state allocation. Layers
-	// must not be mutated after the first flattened-view call.
+	// calls Params every iteration, and rebuilding the slice each time is an
+	// avoidable steady-state allocation. Layers must not be mutated after
+	// the first flattened-view call.
 	params   []Param
 	layerOff []int // flattened start offset of each layer's params
 	paramOff []int // flattened start offset of each param (+1 total entry)
@@ -159,30 +159,6 @@ func (n *Network) GatherGrads(dst []float32) {
 	}
 }
 
-// GatherGradsRange copies the flattened-gradient elements [lo, hi) into
-// dst[lo:hi] (dst has NumParams length). The bucketed pipeline uses it to
-// gather one bucket's gradients while an earlier bucket is synchronizing.
-func (n *Network) GatherGradsRange(dst []float32, lo, hi int) {
-	GatherRange(n.Params(), dst, lo, hi)
-}
-
-// GatherRange copies the flattened-gradient elements [lo, hi) of a parameter
-// list into dst[lo:hi] — the per-bucket slice of the GatherGrads layout.
-func GatherRange(ps []Param, dst []float32, lo, hi int) {
-	off := 0
-	for _, p := range ps {
-		if off >= hi {
-			return
-		}
-		end := off + len(p.G)
-		if end > lo {
-			s, e := max(off, lo), min(end, hi)
-			copy(dst[s:e], p.G[s-off:e-off])
-		}
-		off = end
-	}
-}
-
 // BackwardInterleaved is Backward with gradient-readiness reporting: after
 // layer i's backward completes, the flattened gradient elements
 // [off_i, NumParams()) are final — no earlier layer's backward touches them —
@@ -231,18 +207,6 @@ func (n *Network) ParamOffsets() []int {
 		n.buildCache()
 	}
 	return n.paramOff
-}
-
-// ScatterGrads writes the flattened gradient vector back into the layers.
-func (n *Network) ScatterGrads(src []float32) {
-	off := 0
-	for _, p := range n.Params() {
-		copy(p.G, src[off:off+len(p.G)])
-		off += len(p.G)
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: ScatterGrads length %d != %d", len(src), off))
-	}
 }
 
 // GatherParams copies all weights into dst.

@@ -4,7 +4,7 @@ import "fmt"
 
 // Segment locates one learnable tensor inside the flattened parameter
 // vector: the half-open range [Off, Off+Len). Segments are reported in
-// layer order, matching GatherGrads/ScatterGrads layout exactly, so a
+// layer order, matching the GatherGrads layout exactly, so a
 // bucketing scheme can partition the flattened vector at layer granularity.
 type Segment struct {
 	// Name is the owning tensor's name (layer + tensor role).

@@ -138,23 +138,6 @@ func TestParamSegmentsMatchGatherLayout(t *testing.T) {
 	if total != n {
 		t.Fatalf("segments cover %d, want %d", total, n)
 	}
-	// GatherGradsRange over any [lo, hi) must agree with full GatherGrads.
-	for _, p := range net.Params() {
-		for i := range p.G {
-			p.G[i] = rng.Float32()
-		}
-	}
-	full := make([]float32, n)
-	net.GatherGrads(full)
-	for _, span := range [][2]int{{0, n}, {3, 7}, {0, 1}, {n - 1, n}, {5, 5}} {
-		part := make([]float32, n)
-		net.GatherGradsRange(part, span[0], span[1])
-		for i := span[0]; i < span[1]; i++ {
-			if part[i] != full[i] {
-				t.Fatalf("range %v: element %d = %v, want %v", span, i, part[i], full[i])
-			}
-		}
-	}
 }
 
 func TestPlanBucketsSizedVariableBudgets(t *testing.T) {

@@ -19,9 +19,6 @@ package tensor
 // exception is signedShiftKernel, which classifies −0.0, NaN and ±Inf lane
 // for lane as the scalar x >= 0 does.
 
-// SIMDEnabled reports whether the assembly vector kernels are compiled in.
-func SIMDEnabled() bool { return true }
-
 // simdMinLen is the shortest vector worth the call overhead of an assembly
 // kernel; shorter vectors take the scalar path.
 const simdMinLen = 16

@@ -6,9 +6,6 @@ package tensor
 // non-amd64 targets and under the purego build tag; bitwise-identical to the
 // vector kernels by construction (same per-element arithmetic).
 
-// SIMDEnabled reports whether the assembly vector kernels are compiled in.
-func SIMDEnabled() bool { return false }
-
 func vecAdd(dst, src Vec)                 { addScalar(dst, src) }
 func vecAXPY(dst Vec, a float32, src Vec) { axpyScalar(dst, a, src) }
 func vecScale(v Vec, c float32)           { scaleScalar(v, c) }
