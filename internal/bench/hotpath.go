@@ -10,6 +10,8 @@ import (
 	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
+	"a2sgd/internal/data"
+	"a2sgd/internal/models"
 	"a2sgd/internal/tensor"
 )
 
@@ -60,6 +62,88 @@ type bucketOp struct {
 
 func (o *bucketOp) RunOp(c *comm.Communicator) error {
 	return o.bk.ExchangeBucket(o.b, o.p, o.g, c)
+}
+
+// vggConvShapes are the reduced vgg16's six convolutions as (output
+// channels, im2col depth C·3·3, output pixels).
+var vggConvShapes = [][3]int{{8, 27, 256}, {16, 72, 64}, {24, 144, 16}, {24, 216, 16}, {32, 216, 4}, {32, 288, 4}}
+
+// computeRung adds the compute rung's points — the bottom of the ladder the
+// repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
+// 256³ multiply, the matrix products one reduced-vgg16 step issues at batch
+// 16 (per convolution: the forward a×b and the column gradient aᵀ×b over the
+// whole batch, the weight gradient a×bᵀ once per sample), and a warm
+// ZeroGrads+Step of the two benchmark models. Their n is multiply-adds per
+// operation (gemm/*) or parameters (nn/*); allocs/op is part of the contract
+// for all four.
+func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
+	rng := tensor.NewRNG(13)
+	mat := func(rows, cols int) *tensor.Mat {
+		m := tensor.NewMat(rows, cols)
+		rng.NormVec(m.Data, 0, 1)
+		return m
+	}
+	{
+		const n = 256
+		a, b, c := mat(n, n), mat(n, n), mat(n, n)
+		add("gemm/nn-256", n*n*n, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				tensor.MatMul(c, a, b)
+			}
+		}))
+	}
+	{
+		const batch = 16
+		type product struct {
+			f         func(dst, a, b *tensor.Mat)
+			dst, a, b *tensor.Mat
+			times     int
+		}
+		var ps []product
+		macs := 0
+		for _, s := range vggConvShapes {
+			outC, k, ohw := s[0], s[1], s[2]
+			ps = append(ps,
+				product{tensor.MatMul, mat(outC, batch*ohw), mat(outC, k), mat(k, batch*ohw), 1},
+				product{tensor.MatMulATB, mat(k, batch*ohw), mat(outC, k), mat(outC, batch*ohw), 1},
+				product{tensor.MatMulABT, mat(outC, k), mat(outC, ohw), mat(k, ohw), batch})
+			macs += 3 * outC * k * batch * ohw
+		}
+		add("gemm/vgg-shapes", macs, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				for _, p := range ps {
+					for t := 0; t < p.times; t++ {
+						p.f(p.dst, p.a, p.b)
+					}
+				}
+			}
+		}))
+	}
+	for _, fam := range []string{"vgg16", "lstm"} {
+		m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})
+		if err != nil {
+			return err
+		}
+		img, txt, err := data.ForFamily(fam, 1)
+		if err != nil {
+			return err
+		}
+		var batch models.Batch
+		if img != nil {
+			batch = img.Sample(rng, 16)
+		} else {
+			batch = txt.Sample(rng, 16, 12)
+		}
+		m.ZeroGrads()
+		m.Step(batch) // warm-up: grows the layer workspaces once
+		add("nn/step-"+fam, m.NumParams(), 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				m.ZeroGrads()
+				m.Step(batch)
+			}
+		}))
+	}
+	return nil
 }
 
 // HotPath measures the steady-state hot path: warmed-instance Encode/Decode
@@ -200,6 +284,10 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 	}))
 	if meshErr != nil {
 		return nil, fmt.Errorf("bench: hotpath tcpnet: %w", meshErr)
+	}
+
+	if err := computeRung(add); err != nil {
+		return nil, err
 	}
 
 	// One full bucketed synchronization step: 4 workers, the 4 MiB gradient in

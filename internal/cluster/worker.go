@@ -61,6 +61,7 @@ type worker struct {
 	// final dense synchronization's weights.
 	scratch []float32
 
+	batch     models.Batch // the step's samples, refilled in place every step
 	evalSet   models.Batch // rank 0
 	hists     []*stats.Histogram
 	epochs    []EpochStats
@@ -262,12 +263,12 @@ func (w *worker) boundary(g int) error {
 func (w *worker) step(g int) error {
 	cfg, p := &w.cfg, w.pipe
 	encMark, syncMark := p.encodeSec, p.syncSec
-	var batch models.Batch
 	if w.img != nil {
-		batch = w.img.Sample(w.sampleRNG, cfg.BatchPerWorker)
+		w.img.SampleInto(w.sampleRNG, cfg.BatchPerWorker, &w.batch)
 	} else {
-		batch = w.txt.Sample(w.sampleRNG, cfg.BatchPerWorker, cfg.SeqLen)
+		w.txt.SampleInto(w.sampleRNG, cfg.BatchPerWorker, cfg.SeqLen, &w.batch)
 	}
+	batch := w.batch
 	// Tell step-aware transports (faultnet) a new training step begins, so
 	// step-scoped faults (crash/stall at step k) fire on the step boundary.
 	// A no-op on plain transports.

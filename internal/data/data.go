@@ -103,14 +103,33 @@ func (d *Images) fillSample(rng *tensor.RNG, c int, dst []float32) {
 // Sample draws a batch of size n with uniform class labels using the
 // caller's RNG (each worker passes its own stream → disjoint shards).
 func (d *Images) Sample(rng *tensor.RNG, n int) models.Batch {
-	x := tensor.NewMat(n, d.Shape.Size())
-	labels := make([]int, n)
+	var b models.Batch
+	d.SampleInto(rng, n, &b)
+	return b
+}
+
+// SampleInto is Sample into a caller-owned batch: b's matrix and label slice
+// are reused when large enough, so a training loop that keeps one batch
+// samples without allocating. The RNG draws are Sample's, in Sample's order.
+func (d *Images) SampleInto(rng *tensor.RNG, n int, b *models.Batch) {
+	size := d.Shape.Size()
+	if b.X == nil {
+		b.X = &tensor.Mat{}
+	}
+	if cap(b.X.Data) < n*size {
+		b.X.Data = make([]float32, n*size)
+	}
+	b.X.Rows, b.X.Cols, b.X.Data = n, size, b.X.Data[:n*size]
+	if cap(b.Labels) < n {
+		b.Labels = make([]int, n)
+	}
+	b.Labels = b.Labels[:n]
+	b.Tokens = nil
 	for s := 0; s < n; s++ {
 		c := rng.Intn(d.Classes)
-		labels[s] = c
-		d.fillSample(rng, c, x.Row(s))
+		b.Labels[s] = c
+		d.fillSample(rng, c, b.X.Row(s))
 	}
-	return models.Batch{X: x, Labels: labels}
 }
 
 // EvalSet returns a deterministic held-out batch shared by all workers.
@@ -147,7 +166,7 @@ type Text struct {
 	// succ[t] is token t's preferred successor (taken with prob. PSucc).
 	succ  []int
 	PSucc float64
-	zipfS float64
+	zipf  *tensor.Zipf // exponent 1.1 over the vocabulary; its table is built once
 }
 
 // NewText builds a corpus generator over a vocab-token alphabet.
@@ -160,30 +179,43 @@ func NewText(vocab int, seed uint64) *Text {
 	for t := range succ {
 		succ[t] = rng.Intn(vocab)
 	}
-	return &Text{Vocab: vocab, succ: succ, PSucc: 0.7, zipfS: 1.1}
+	return &Text{Vocab: vocab, succ: succ, PSucc: 0.7, zipf: tensor.NewZipf(nil, vocab, 1.1)}
 }
 
 // Sample draws a batch of token sequences of the given length (the model
 // predicts positions 1..seqLen−1 from their predecessors).
 func (t *Text) Sample(rng *tensor.RNG, batch, seqLen int) models.Batch {
+	var b models.Batch
+	t.SampleInto(rng, batch, seqLen, &b)
+	return b
+}
+
+// SampleInto is Sample into a caller-owned batch: b's token rows are reused
+// when large enough. The RNG draws are Sample's, in Sample's order.
+func (t *Text) SampleInto(rng *tensor.RNG, batch, seqLen int, b *models.Batch) {
 	if seqLen < 2 {
 		panic("data: seqLen must be ≥ 2")
 	}
-	z := tensor.NewZipf(rng, t.Vocab, t.zipfS)
-	toks := make([][]int, batch)
-	for b := range toks {
-		seq := make([]int, seqLen)
-		seq[0] = z.Next()
+	if cap(b.Tokens) < batch {
+		b.Tokens = append(b.Tokens[:cap(b.Tokens)], make([][]int, batch-cap(b.Tokens))...)
+	}
+	b.Tokens = b.Tokens[:batch]
+	b.X, b.Labels = nil, nil
+	for r := range b.Tokens {
+		if cap(b.Tokens[r]) < seqLen {
+			b.Tokens[r] = make([]int, seqLen)
+		}
+		seq := b.Tokens[r][:seqLen]
+		b.Tokens[r] = seq
+		seq[0] = t.zipf.Draw(rng)
 		for i := 1; i < seqLen; i++ {
 			if rng.Float64() < t.PSucc {
 				seq[i] = t.succ[seq[i-1]]
 			} else {
-				seq[i] = z.Next()
+				seq[i] = t.zipf.Draw(rng)
 			}
 		}
-		toks[b] = seq
 	}
-	return models.Batch{Tokens: toks}
 }
 
 // EvalSet returns a deterministic held-out batch shared by all workers.

@@ -1,0 +1,240 @@
+package models_test
+
+import (
+	"encoding/binary"
+	"fmt"
+	"hash"
+	"hash/fnv"
+	"math"
+	"runtime"
+	"testing"
+
+	"a2sgd/internal/data"
+	"a2sgd/internal/models"
+	"a2sgd/internal/optim"
+	"a2sgd/internal/tensor"
+)
+
+// The golden digests pin every family's training arithmetic to the last bit:
+// an FNV-1a hash of the loss bits and the flattened gradient after each phase
+// of a fixed script. They were recorded from the row-AXPY / scalar-Dot matmuls
+// and the allocate-per-call layers this repository had before the strided
+// GEMM and the layer workspaces, and any kernel, build tag or buffer-reuse
+// change must reproduce them exactly on amd64.
+//
+// The script is longer than one step on purpose. A freshly allocated matrix
+// is zero, and the old layers leaned on that (im2col padding, ReLU output,
+// the pools' and col2im's input gradients); a reused workspace that is
+// neither fully overwritten nor cleared is only wrong from its second use
+// on, and only shows when the batch changes between uses. So: three
+// ZeroGrads+Step rounds on fresh batches with an optimizer update between
+// them, an interleaved step, then train(16) → Eval(64) → train(16) →
+// train(8) so that a larger evaluation batch and a smaller training batch
+// both pass through every workspace.
+var goldenDigests = map[string][]string{
+	"fnn3": {
+		"step0:1e1d5b7843a5f042", "step1:bae644cb096c5eb7", "step2:2f6959287d570bee",
+		"interleaved:4b77881f279823ab", "train16:75dd85da52517fe8", "eval64:b48fbfc5baca4429",
+		"train16b:4933131fc4d9699a", "train8:27c7f314bd89475d", "state:8be262b600e8f111",
+	},
+	"vgg16": {
+		"step0:b040acc1194078c8", "step1:ac20975251f26c13", "step2:33ec67a8aba8cc2d",
+		"interleaved:d719666983863d66", "train16:263e1eb5c047ef4f", "eval64:ec9dc8196f991594",
+		"train16b:283181b51396e412", "train8:0fbc632dfd375c81", "state:5e6067803f1efe37",
+	},
+	"resnet20": {
+		"step0:96d9741d45e2faa2", "step1:3719490c51b19bdc", "step2:7f8f0e2166b0045f",
+		"interleaved:f689f2072ea9f4cf", "train16:5680edd460e4f778", "eval64:0a7a7cbbe2f7e70c",
+		"train16b:4af67b2e9dfc68f8", "train8:9470cbf1a373acf3", "state:1d236c925416de40",
+	},
+	"lstm": {
+		"step0:e133d9f7453d88a1", "step1:2def6d85a25024e1", "step2:d66e4f44dea8d4a4",
+		"interleaved:94dc1f56a7934b76", "train16:a3a4acaae244ec7c", "eval64:e55d898ebc42b832",
+		"train16b:39ac99ed7cba13e3", "train8:45a6a9fd7a1d2ac4", "state:ed120881878c3188",
+	},
+}
+
+// digest is an FNV-1a hash over 64-bit words.
+type digest struct{ h hash.Hash64 }
+
+func newDigest() digest { return digest{fnv.New64a()} }
+
+func (d digest) word(w uint64) {
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], w)
+	d.h.Write(b[:])
+}
+
+func (d digest) f64(v float64) { d.word(math.Float64bits(v)) }
+
+func (d digest) vec(v []float32) {
+	for _, x := range v {
+		d.word(uint64(math.Float32bits(x)))
+	}
+}
+
+// goldenScript runs the fixed script on one family and returns one
+// "phase:digest" string per phase.
+func goldenScript(t *testing.T, fam string) []string {
+	t.Helper()
+	m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, txt, err := data.ForFamily(fam, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(2)
+	sample := func(n int) models.Batch {
+		if img != nil {
+			return img.Sample(rng, n)
+		}
+		return txt.Sample(rng, n, 12)
+	}
+	opt := optim.NewSGD(0.9, 0)
+	grads := make([]float32, m.NumParams())
+	var out []string
+	record := func(phase string, vals ...float64) {
+		d := newDigest()
+		for _, v := range vals {
+			d.f64(v)
+		}
+		m.GatherGrads(grads)
+		d.vec(grads)
+		out = append(out, fmt.Sprintf("%s:%016x", phase, d.h.Sum64()))
+	}
+	train := func(phase string, n int) {
+		m.ZeroGrads()
+		loss := m.Step(sample(n))
+		record(phase, loss)
+		opt.Step(m.Params(), 0.05)
+	}
+
+	train("step0", 16)
+	train("step1", 16)
+	train("step2", 16)
+
+	m.ZeroGrads()
+	var ready []float64
+	loss := m.StepInterleaved(sample(16), func(lo int) { ready = append(ready, float64(lo)) })
+	record("interleaved", append([]float64{loss}, ready...)...)
+	opt.Step(m.Params(), 0.05)
+
+	train("train16", 16)
+	evalLoss, metric := m.Eval(sample(64))
+	record("eval64", evalLoss, metric)
+	train("train16b", 16)
+	train("train8", 8)
+
+	d := newDigest()
+	params := make([]float32, m.NumParams())
+	m.GatherParams(params)
+	d.vec(params)
+	state := make([]float32, m.StateLen())
+	m.GatherState(state)
+	d.vec(state)
+	out = append(out, fmt.Sprintf("state:%016x", d.h.Sum64()))
+	return out
+}
+
+func TestGoldenDigests(t *testing.T) {
+	if runtime.GOARCH != "amd64" {
+		// Other architectures may fuse a*b+c in the compiler's scalar code;
+		// the digests pin the amd64 arithmetic (assembly and purego alike).
+		t.Skip("golden digests are recorded on amd64")
+	}
+	for _, fam := range models.Families() {
+		got := goldenScript(t, fam)
+		want := goldenDigests[fam]
+		if len(want) != len(got) {
+			t.Errorf("%s: %d phases, %d recorded digests\n%q", fam, len(got), len(want), got)
+			continue
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Errorf("%s: phase %d is %s, recorded %s", fam, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// stepper builds fam with a fixed training batch and a larger fixed
+// evaluation batch, and returns closures running Step (no ZeroGrads) and
+// Eval on them.
+func stepper(t *testing.T, fam string) (m models.Model, step, eval func()) {
+	t.Helper()
+	m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, txt, err := data.ForFamily(fam, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := tensor.NewRNG(2)
+	var tb, eb models.Batch
+	if img != nil {
+		tb, eb = img.Sample(rng, 16), img.Sample(rng, 64)
+	} else {
+		tb, eb = txt.Sample(rng, 16, 12), txt.Sample(rng, 64, 12)
+	}
+	return m, func() { m.Step(tb) }, func() { m.Eval(eb) }
+}
+
+// A warm training step allocates nothing, and neither does alternating it
+// with a larger evaluation batch: workspaces only grow, so the evaluation
+// batch sizes them once and the training batch keeps fitting.
+func TestStepSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector empties sync.Pool at random; run without -race")
+	}
+	for _, fam := range models.Families() {
+		m, step, eval := stepper(t, fam)
+		train := func() {
+			m.ZeroGrads()
+			step()
+		}
+		train()
+		if n := testing.AllocsPerRun(5, train); n != 0 {
+			t.Errorf("%s: %v allocations per warm ZeroGrads+Step", fam, n)
+		}
+		eval()
+		train()
+		if n := testing.AllocsPerRun(5, func() { eval(); train() }); n != 0 {
+			t.Errorf("%s: %v allocations per warm Eval+Step", fam, n)
+		}
+	}
+}
+
+// Step accumulates: two steps on one batch without ZeroGrads leave twice one
+// step's gradient in EVERY tensor (to rounding — the second step adds to a
+// non-zero accumulator). Linear weights used to be overwritten instead.
+// Batch-norm's running statistics move between the two steps, but
+// training-mode gradients only see the batch's own.
+func TestGradientsAccumulateAcrossSteps(t *testing.T) {
+	for _, fam := range models.Families() {
+		m, step, _ := stepper(t, fam)
+		once, twice := make([]float32, m.NumParams()), make([]float32, m.NumParams())
+		m.ZeroGrads()
+		step()
+		m.GatherGrads(once)
+		step()
+		m.GatherGrads(twice)
+		off := 0
+		for _, p := range m.Params() {
+			var scale, worst float64
+			for i := range p.G {
+				scale = math.Max(scale, math.Abs(float64(once[off+i])))
+				worst = math.Max(worst, math.Abs(float64(twice[off+i])-2*float64(once[off+i])))
+			}
+			// The absolute floor is for convolution biases under a batch
+			// norm: their true gradient is zero and what is stored is
+			// rounding noise around 1e-8, which does not double.
+			if worst > 1e-5*scale+1e-7 {
+				t.Errorf("%s %s: two steps differ from 2× one step by %g (tensor scale %g)", fam, p.Name, worst, scale)
+			}
+			off += len(p.G)
+		}
+	}
+}

@@ -98,6 +98,7 @@ type Model interface {
 type classifier struct {
 	name string
 	net  *nn.Network
+	ce   nn.SoftmaxLoss
 }
 
 func (c *classifier) Name() string       { return c.name }
@@ -108,21 +109,21 @@ func (c *classifier) Params() []nn.Param { return c.net.Params() }
 
 func (c *classifier) Step(b Batch) float64 {
 	logits := c.net.Forward(b.X, true)
-	loss, dlogits := nn.SoftmaxCE(logits, b.Labels)
+	loss, dlogits := c.ce.Loss(logits, b.Labels)
 	c.net.Backward(dlogits)
 	return loss
 }
 
 func (c *classifier) StepInterleaved(b Batch, onReady func(lo int)) float64 {
 	logits := c.net.Forward(b.X, true)
-	loss, dlogits := nn.SoftmaxCE(logits, b.Labels)
+	loss, dlogits := c.ce.Loss(logits, b.Labels)
 	c.net.BackwardInterleaved(dlogits, onReady)
 	return loss
 }
 
 func (c *classifier) Eval(b Batch) (float64, float64) {
 	logits := c.net.Forward(b.X, false)
-	loss, _ := nn.SoftmaxCE(logits, b.Labels)
+	loss, _ := c.ce.Loss(logits, b.Labels)
 	return loss, nn.Accuracy(logits, b.Labels)
 }
 

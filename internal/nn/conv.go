@@ -19,6 +19,15 @@ func (s Shape) Size() int { return s.C * s.H * s.W }
 // Conv2D is a 2-D convolution implemented with im2col + matrix multiply —
 // the textbook GPU-style lowering. Stride and zero-padding are configurable;
 // the VGG/ResNet builders use 3×3, stride 1, pad 1.
+//
+// The lowering is batched: the tape holds one row per (channel, ky, kx) and
+// one column per (sample, output pixel), so the forward product and the
+// column gradient are each ONE matrix multiply per pass whatever the spatial
+// extent — late VGG stages have 2×2 outputs, and a per-sample multiply over
+// rows of four floats cannot fill a vector. Every output element is still
+// the same sum over the same terms in the same order; only the weight
+// gradient, whose terms a batched product would sum across samples in a
+// different association, stays one product per sample added in sample order.
 type Conv2D struct {
 	In          Shape
 	OutC        int
@@ -28,8 +37,12 @@ type Conv2D struct {
 	W, B   []float32 // W is (OutC, In.C·KH·KW) row-major
 	GW, GB []float32
 
-	x    *tensor.Mat // cached input
-	cols []*tensor.Mat
+	runs  [][]convRun // per kernel position, see kernelRuns
+	tape  buf         // lowered input: (In.C·KH·KW) × (samples·oh·ow)
+	cmaj  buf         // OutC × (samples·oh·ow): the forward product, then dout, channel-major
+	dcols buf         // gradient of the tape
+	res   buf
+	dx    buf
 }
 
 // NewConv2D builds a convolution layer with He initialization.
@@ -61,52 +74,101 @@ func (c *Conv2D) Params() []Param {
 	return []Param{{Name: c.Name() + ".W", W: c.W, G: c.GW}, {Name: c.Name() + ".b", W: c.B, G: c.GB}}
 }
 
-// im2col lowers one sample (flattened C×H×W) into a (C·KH·KW, oh·ow) matrix.
-func (c *Conv2D) im2col(sample []float32) *tensor.Mat {
-	out := c.OutShape()
-	rows := c.In.C * c.KH * c.KW
-	cols := tensor.NewMat(rows, out.H*out.W)
-	for ch := 0; ch < c.In.C; ch++ {
-		chBase := ch * c.In.H * c.In.W
+// convRun is a stretch of n consecutive output pixels of one channel whose
+// input pixels — Stride apart, from in on — all lie inside the image.
+type convRun struct{ out, in, n int }
+
+// convRunMin is the run length from which a stride-1 run moves as one copy
+// or vector add; shorter runs (the late VGG stages are 4 and 2 pixels wide)
+// are cheaper element by element than call by call.
+const convRunMin = 8
+
+// kernelRuns returns, for kernel position (ky, kx), the runs that pair every
+// output pixel with its input pixel when that lies inside the image — one
+// run per output row at most; output pixels in no run read padding. The
+// geometry is fixed at construction, so the table is built once.
+func (c *Conv2D) kernelRuns(ky, kx int) []convRun {
+	if c.runs == nil {
+		out := c.OutShape()
+		c.runs = make([][]convRun, c.KH*c.KW)
 		for ky := 0; ky < c.KH; ky++ {
 			for kx := 0; kx < c.KW; kx++ {
-				row := (ch*c.KH+ky)*c.KW + kx
-				dst := cols.Row(row)
-				i := 0
-				for oy := 0; oy < out.H; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					for ox := 0; ox < out.W; ox++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if iy >= 0 && iy < c.In.H && ix >= 0 && ix < c.In.W {
-							dst[i] = sample[chBase+iy*c.In.W+ix]
-						}
-						i++
+				// ox·Stride + kx − Pad ∈ [0, In.W) ⇔ ox ∈ [lo, hi).
+				lo, hi := max(0, (c.Pad-kx+c.Stride-1)/c.Stride), 0
+				if last := c.In.W - 1 + c.Pad - kx; last >= 0 {
+					hi = min(out.W, last/c.Stride+1)
+				}
+				for oy := 0; oy < out.H && lo < hi; oy++ {
+					if iy := oy*c.Stride + ky - c.Pad; iy >= 0 && iy < c.In.H {
+						c.runs[ky*c.KW+kx] = append(c.runs[ky*c.KW+kx],
+							convRun{out: oy*out.W + lo, in: iy*c.In.W + lo*c.Stride + kx - c.Pad, n: hi - lo})
 					}
 				}
 			}
 		}
 	}
-	return cols
+	return c.runs[ky*c.KW+kx]
 }
 
-// col2im scatters a (C·KH·KW, oh·ow) gradient back onto one input sample.
-func (c *Conv2D) col2im(cols *tensor.Mat, sample []float32) {
+// im2col lowers x into the tape, one column block of oh·ow per sample,
+// writing every element: padding positions are stored as
+// zeros, not left to a freshly allocated matrix. The tape is filled row by
+// row — all samples of one (channel, ky, kx) before the next — so the stores
+// walk memory forwards.
+func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 	out := c.OutShape()
+	ohw, ihw := out.H*out.W, c.In.H*c.In.W
 	for ch := 0; ch < c.In.C; ch++ {
-		chBase := ch * c.In.H * c.In.W
 		for ky := 0; ky < c.KH; ky++ {
 			for kx := 0; kx < c.KW; kx++ {
-				row := (ch*c.KH+ky)*c.KW + kx
-				src := cols.Row(row)
-				i := 0
-				for oy := 0; oy < out.H; oy++ {
-					iy := oy*c.Stride + ky - c.Pad
-					for ox := 0; ox < out.W; ox++ {
-						ix := ox*c.Stride + kx - c.Pad
-						if iy >= 0 && iy < c.In.H && ix >= 0 && ix < c.In.W {
-							sample[chBase+iy*c.In.W+ix] += src[i]
+				row := tape.Row((ch*c.KH+ky)*c.KW + kx)
+				runs := c.kernelRuns(ky, kx)
+				if len(runs) < out.H || runs[0].n < out.W {
+					clear(row) // some pixel of every sample reads padding
+				}
+				for s := 0; s < x.Rows; s++ {
+					src := x.Row(s)[ch*ihw : (ch+1)*ihw]
+					dst := row[s*ohw : (s+1)*ohw]
+					for _, r := range runs {
+						d, in := dst[r.out:r.out+r.n], src[r.in:]
+						if c.Stride == 1 && r.n >= convRunMin {
+							copy(d, in)
+							continue
 						}
-						i++
+						for j := range d {
+							d[j] = in[j*c.Stride]
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// col2im scatters the tape gradient back onto the (cleared) input gradient,
+// one column block of oh·ow per sample. Each input pixel receives its
+// contributions in ascending (ky, kx) order, at most one per kernel position
+// — the order the sums have always had.
+func (c *Conv2D) col2im(dcols, dx *tensor.Mat) {
+	out := c.OutShape()
+	ohw, ihw := out.H*out.W, c.In.H*c.In.W
+	for ch := 0; ch < c.In.C; ch++ {
+		for ky := 0; ky < c.KH; ky++ {
+			for kx := 0; kx < c.KW; kx++ {
+				row := dcols.Row((ch*c.KH+ky)*c.KW + kx)
+				runs := c.kernelRuns(ky, kx)
+				for s := 0; s < dx.Rows; s++ {
+					dst := dx.Row(s)[ch*ihw : (ch+1)*ihw]
+					src := row[s*ohw : (s+1)*ohw]
+					for _, r := range runs {
+						d, in := src[r.out:r.out+r.n], dst[r.in:]
+						if c.Stride == 1 && r.n >= convRunMin {
+							tensor.Add(in[:r.n], d)
+							continue
+						}
+						for j, v := range d {
+							in[j*c.Stride] += v
+						}
 					}
 				}
 			}
@@ -120,62 +182,69 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		panic(fmt.Sprintf("nn: %s got %d features, want %d", c.Name(), x.Cols, c.In.Size()))
 	}
 	out := c.OutShape()
-	res := tensor.NewMat(x.Rows, out.Size())
-	wm := tensor.MatFrom(c.OutC, c.In.C*c.KH*c.KW, c.W)
-	if train {
-		c.x = x
-		c.cols = make([]*tensor.Mat, x.Rows)
-	}
-	tensor.ParallelFor(x.Rows, func(lo, hi int) {
-		for s := lo; s < hi; s++ {
-			cols := c.im2col(x.Row(s))
-			if train {
-				c.cols[s] = cols
-			}
-			o := tensor.MatFrom(c.OutC, out.H*out.W, res.Row(s))
-			tensor.MatMul(o, wm, cols)
-			for oc := 0; oc < c.OutC; oc++ {
-				b := c.B[oc]
-				orow := o.Row(oc)
-				for i := range orow {
-					orow[i] += b
-				}
+	ohw, k := out.H*out.W, c.In.C*c.KH*c.KW
+	n := x.Rows * ohw
+	res := c.res.get(x.Rows, out.Size())
+	tape := c.tape.get(k, n)
+	c.im2col(x, tape)
+	prod := c.cmaj.get(c.OutC, n)
+	tensor.Gemm(prod.View(), tensor.ViewOf(c.OutC, k, c.W), tape.View(), tensor.Single)
+	// Transpose the product into the sample-major output, adding the bias on
+	// the way.
+	for s := 0; s < x.Rows; s++ {
+		dst := res.Row(s)
+		for oc := 0; oc < c.OutC; oc++ {
+			b := c.B[oc]
+			src := prod.Data[oc*n+s*ohw : oc*n+(s+1)*ohw]
+			d := dst[oc*ohw : (oc+1)*ohw]
+			for i, v := range src {
+				d[i] = v + b
 			}
 		}
-	})
+	}
 	return res
 }
 
 // Backward implements Layer.
 func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	out := c.OutShape()
-	dx := tensor.NewMat(c.x.Rows, c.In.Size())
-	wm := tensor.MatFrom(c.OutC, c.In.C*c.KH*c.KW, c.W)
-	gw := tensor.MatFrom(c.OutC, c.In.C*c.KH*c.KW, c.GW)
-	scratch := tensor.NewMat(c.OutC, c.In.C*c.KH*c.KW)
-	for s := 0; s < c.x.Rows; s++ {
-		do := tensor.MatFrom(c.OutC, out.H*out.W, dout.Row(s))
-		// dW += do × colsᵀ
-		tensor.MatMulABT(scratch, do, c.cols[s])
-		tensor.Add(gw.Data, scratch.Data)
-		// db += row sums of do
-		for oc := 0; oc < c.OutC; oc++ {
-			c.GB[oc] += float32(tensor.Sum(do.Row(oc)))
-		}
-		// dcols = Wᵀ × do, then scatter.
-		dcols := tensor.NewMat(c.In.C*c.KH*c.KW, out.H*out.W)
-		tensor.MatMulATB(dcols, wm, do)
-		c.col2im(dcols, dx.Row(s))
+	ohw, k := out.H*out.W, c.In.C*c.KH*c.KW
+	n := dout.Rows * ohw
+	tape := &c.tape.m
+	if tape.Rows != k || tape.Cols != n {
+		panic(fmt.Sprintf("nn: %s Backward on %d samples without a training Forward of that batch", c.Name(), dout.Rows))
 	}
-	c.cols = nil // release the cached lowering
+	// db += row sums of dout, sample by sample; and dout transposed to
+	// channel-major, the layout of the tape's columns.
+	doT := c.cmaj.get(c.OutC, n)
+	for s := 0; s < dout.Rows; s++ {
+		do := dout.Row(s)
+		for oc := 0; oc < c.OutC; oc++ {
+			src := do[oc*ohw : (oc+1)*ohw]
+			c.GB[oc] += float32(tensor.Sum(src))
+			copy(doT.Data[oc*n+s*ohw:], src)
+		}
+	}
+	// dW += do × colsᵀ, one product per sample in sample order.
+	gw := tensor.ViewOf(c.OutC, k, c.GW)
+	for s := 0; s < dout.Rows; s++ {
+		tensor.GemmAdd(gw, tensor.ViewOf(c.OutC, ohw, dout.Row(s)), tape.View().ColRange(s*ohw, (s+1)*ohw).T(), tensor.Wide)
+	}
+	// dcols = Wᵀ × do over the whole batch, then scatter.
+	dcols := c.dcols.get(k, n)
+	tensor.Gemm(dcols.View(), tensor.ViewOf(c.OutC, k, c.W).T(), doT.View(), tensor.Single)
+	dx := c.dx.get(dout.Rows, c.In.Size())
+	tensor.Zero(dx.Data)
+	c.col2im(dcols, dx)
 	return dx
 }
 
 // MaxPool2D is a k×k max pool with stride k (non-overlapping).
 type MaxPool2D struct {
-	In   Shape
-	K    int
-	argm []int32
+	In      Shape
+	K       int
+	argm    []int32
+	res, dx buf
 }
 
 // NewMaxPool2D builds the pooling layer; In.H and In.W must be divisible by k.
@@ -200,9 +269,9 @@ func (m *MaxPool2D) Params() []Param { return nil }
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	out := m.OutShape()
-	res := tensor.NewMat(x.Rows, out.Size())
+	res := m.res.get(x.Rows, out.Size())
 	if train {
-		m.argm = make([]int32, x.Rows*out.Size())
+		m.argm = grow(m.argm, x.Rows*out.Size())
 	}
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
@@ -212,19 +281,26 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			chOut := ch * out.H * out.W
 			for oy := 0; oy < out.H; oy++ {
 				for ox := 0; ox < out.W; ox++ {
-					best := float32(math.Inf(-1))
-					bi := 0
+					// The arg-max starts at the window's first element, so a
+					// window with no element above −Inf (all −Inf, all NaN)
+					// still routes its gradient into the window. The running
+					// maximum is carried as its bit pattern: with both updates
+					// on integers the compiler emits conditional moves, where
+					// a float assignment would branch — and mispredict.
+					best := math.Float32bits(float32(math.Inf(-1)))
+					bi := chIn + oy*m.K*m.In.W + ox*m.K
 					for ky := 0; ky < m.K; ky++ {
-						for kx := 0; kx < m.K; kx++ {
-							idx := chIn + (oy*m.K+ky)*m.In.W + ox*m.K + kx
-							if in[idx] > best {
-								best = in[idx]
+						base := chIn + (oy*m.K+ky)*m.In.W + ox*m.K
+						for kx, v := range in[base : base+m.K] {
+							vb, idx := math.Float32bits(v), base+kx
+							if v > math.Float32frombits(best) {
+								best = vb
 								bi = idx
 							}
 						}
 					}
 					o := chOut + oy*out.W + ox
-					dst[o] = best
+					dst[o] = math.Float32frombits(best)
 					if train {
 						m.argm[s*out.Size()+o] = int32(bi)
 					}
@@ -238,7 +314,8 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	out := m.OutShape()
-	dx := tensor.NewMat(dout.Rows, m.In.Size())
+	dx := m.dx.get(dout.Rows, m.In.Size())
+	tensor.Zero(dx.Data)
 	for s := 0; s < dout.Rows; s++ {
 		src := dout.Row(s)
 		dst := dx.Row(s)
@@ -252,7 +329,8 @@ func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 // GlobalAvgPool averages each channel over its spatial extent, producing C
 // features per sample (ResNet's final pooling).
 type GlobalAvgPool struct {
-	In Shape
+	In      Shape
+	res, dx buf
 }
 
 // NewGlobalAvgPool builds the layer.
@@ -267,7 +345,7 @@ func (g *GlobalAvgPool) Params() []Param { return nil }
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	hw := g.In.H * g.In.W
-	res := tensor.NewMat(x.Rows, g.In.C)
+	res := g.res.get(x.Rows, g.In.C)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
 		for ch := 0; ch < g.In.C; ch++ {
@@ -280,7 +358,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(dout *tensor.Mat) *tensor.Mat {
 	hw := g.In.H * g.In.W
-	dx := tensor.NewMat(dout.Rows, g.In.Size())
+	dx := g.dx.get(dout.Rows, g.In.Size())
 	inv := 1 / float32(hw)
 	for s := 0; s < dout.Rows; s++ {
 		dst := dx.Row(s)
@@ -307,9 +385,10 @@ type BatchNorm2D struct {
 	RunMean, RunVar []float32
 
 	// backward caches
-	xhat   []float32
-	invStd []float32
-	rows   int
+	xhat    buf
+	invStd  []float32
+	rows    int
+	res, dx buf
 }
 
 // NewBatchNorm2D builds a batch-norm layer over C channels.
@@ -356,7 +435,7 @@ func (b *BatchNorm2D) ScatterState(src []float32) {
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	hw := b.In.H * b.In.W
-	res := tensor.NewMat(x.Rows, x.Cols)
+	res := b.res.get(x.Rows, x.Cols)
 	if !train {
 		for s := 0; s < x.Rows; s++ {
 			in, out := x.Row(s), res.Row(s)
@@ -372,9 +451,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	}
 	n := float64(x.Rows * hw)
 	b.rows = x.Rows
-	if len(b.xhat) != len(x.Data) {
-		b.xhat = make([]float32, len(x.Data))
-	}
+	xhat := b.xhat.get(x.Rows, x.Cols).Data
 	if len(b.invStd) != b.In.C {
 		b.invStd = make([]float32, b.In.C)
 	}
@@ -403,7 +480,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 			base := s * x.Cols
 			for i := ch * hw; i < (ch+1)*hw; i++ {
 				xh := (in[i] - float32(mean)) * inv
-				b.xhat[base+i] = xh
+				xhat[base+i] = xh
 				out[i] = g*xh + be
 			}
 		}
@@ -415,7 +492,8 @@ func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 func (b *BatchNorm2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	hw := b.In.H * b.In.W
 	n := float32(b.rows * hw)
-	dx := tensor.NewMat(dout.Rows, dout.Cols)
+	dx := b.dx.get(dout.Rows, dout.Cols)
+	xhat := b.xhat.m.Data
 	for ch := 0; ch < b.In.C; ch++ {
 		var sumDy, sumDyXhat float64
 		for s := 0; s < dout.Rows; s++ {
@@ -424,7 +502,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Mat) *tensor.Mat {
 			for i := ch * hw; i < (ch+1)*hw; i++ {
 				dy := float64(do[i])
 				sumDy += dy
-				sumDyXhat += dy * float64(b.xhat[base+i])
+				sumDyXhat += dy * float64(xhat[base+i])
 			}
 		}
 		b.GBeta[ch] += float32(sumDy)
@@ -435,7 +513,7 @@ func (b *BatchNorm2D) Backward(dout *tensor.Mat) *tensor.Mat {
 			do, dxr := dout.Row(s), dx.Row(s)
 			base := s * dout.Cols
 			for i := ch * hw; i < (ch+1)*hw; i++ {
-				xh := b.xhat[base+i]
+				xh := xhat[base+i]
 				dxr[i] = g * inv / n * (n*do[i] - float32(sumDy) - xh*float32(sumDyXhat))
 			}
 		}

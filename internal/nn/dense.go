@@ -14,6 +14,7 @@ type Linear struct {
 	W, B      []float32
 	GW, GB    []float32
 	x         *tensor.Mat // cached input for backward
+	out, dx   buf
 }
 
 // NewLinear builds a Linear layer with He initialization.
@@ -43,27 +44,26 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if train {
 		l.x = x
 	}
-	out := tensor.NewMat(x.Rows, l.OutF)
-	wm := tensor.MatFrom(l.OutF, l.InF, l.W)
-	tensor.MatMulABT(out, x, wm)
+	out := l.out.get(x.Rows, l.OutF)
+	tensor.Gemm(out.View(), x.View(), tensor.ViewOf(l.OutF, l.InF, l.W).T(), tensor.Wide)
 	tensor.AddRowVec(out, l.B)
 	return out
 }
 
 // Backward implements Layer: dW += doutᵀ·x, db += Σ dout, dx = dout·W.
 func (l *Linear) Backward(dout *tensor.Mat) *tensor.Mat {
-	gw := tensor.MatFrom(l.OutF, l.InF, l.GW)
-	tensor.MatMulATB(gw, dout, l.x)
+	tensor.GemmAdd(tensor.ViewOf(l.OutF, l.InF, l.GW), dout.T(), l.x.View(), tensor.Single)
 	tensor.ColSums(l.GB, dout)
-	dx := tensor.NewMat(dout.Rows, l.InF)
-	wm := tensor.MatFrom(l.OutF, l.InF, l.W)
-	tensor.MatMul(dx, dout, wm)
+	dx := l.dx.get(dout.Rows, l.InF)
+	tensor.Gemm(dx.View(), dout.View(), tensor.ViewOf(l.OutF, l.InF, l.W), tensor.Single)
 	return dx
 }
 
-// ReLU is the rectified linear activation.
+// ReLU is the rectified linear activation. Both directions are branch-free:
+// on a zero-centred pre-activation a sign branch mispredicts every other
+// element.
 type ReLU struct {
-	mask []bool
+	out, dx buf
 }
 
 // NewReLU builds a ReLU layer.
@@ -75,45 +75,38 @@ func (r *ReLU) Name() string { return "ReLU" }
 // Params implements Layer.
 func (r *ReLU) Params() []Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer: out = x where x > 0, +0 elsewhere (−0 and NaN
+// included), computed on the bit patterns. x > 0 holds exactly when the
+// pattern lies in [1, +Inf's], i.e. when pattern−1 is below +Inf's pattern
+// as an unsigned number; the borrow of that comparison, smeared over the
+// word, is the keep mask.
 func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := tensor.NewMat(x.Rows, x.Cols)
-	if train {
-		if len(r.mask) != len(x.Data) {
-			r.mask = make([]bool, len(x.Data))
-		}
-		for i, v := range x.Data {
-			if v > 0 {
-				out.Data[i] = v
-				r.mask[i] = true
-			} else {
-				r.mask[i] = false
-			}
-		}
-		return out
-	}
+	const posInf = 0x7f800000
+	out := r.out.get(x.Rows, x.Cols)
+	od := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		if v > 0 {
-			out.Data[i] = v
-		}
+		b := math.Float32bits(v)
+		keep := uint32((uint64(b-1) - posInf) >> 32)
+		od[i] = math.Float32frombits(b & keep)
 	}
 	return out
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The mask is the layer's own output: it is
+// nonzero exactly where the input was positive.
 func (r *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
-	dx := tensor.NewMat(dout.Rows, dout.Cols)
+	dx := r.dx.get(dout.Rows, dout.Cols)
+	od, dd := r.out.m.Data[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
-		if r.mask[i] {
-			dx.Data[i] = v
-		}
+		keep := uint32(-int64(math.Float32bits(od[i])) >> 63)
+		dd[i] = math.Float32frombits(math.Float32bits(v) & keep)
 	}
 	return dx
 }
 
 // Tanh is the hyperbolic tangent activation.
 type Tanh struct {
-	out *tensor.Mat
+	out, dx buf
 }
 
 // NewTanh builds a Tanh layer.
@@ -127,21 +120,19 @@ func (t *Tanh) Params() []Param { return nil }
 
 // Forward implements Layer.
 func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := tensor.NewMat(x.Rows, x.Cols)
+	out := t.out.get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	if train {
-		t.out = out
 	}
 	return out
 }
 
-// Backward implements Layer: dx = dout · (1 − tanh²).
+// Backward implements Layer: dx = dout · (1 − tanh²), from the layer's own
+// output.
 func (t *Tanh) Backward(dout *tensor.Mat) *tensor.Mat {
-	dx := tensor.NewMat(dout.Rows, dout.Cols)
+	dx := t.dx.get(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		y := t.out.Data[i]
+		y := t.out.m.Data[i]
 		dx.Data[i] = v * (1 - y*y)
 	}
 	return dx
@@ -150,9 +141,9 @@ func (t *Tanh) Backward(dout *tensor.Mat) *tensor.Mat {
 // Dropout zeroes activations with probability P during training and scales
 // the survivors by 1/(1−P) (inverted dropout).
 type Dropout struct {
-	P    float32
-	rng  *tensor.RNG
-	mask []float32
+	P             float32
+	rng           *tensor.RNG
+	mask, out, dx buf
 }
 
 // NewDropout builds a dropout layer; p must be in [0, 1).
@@ -174,17 +165,16 @@ func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if !train || d.P == 0 {
 		return x
 	}
-	out := tensor.NewMat(x.Rows, x.Cols)
-	if len(d.mask) != len(x.Data) {
-		d.mask = make([]float32, len(x.Data))
-	}
+	out := d.out.get(x.Rows, x.Cols)
+	mask := d.mask.get(x.Rows, x.Cols).Data
 	scale := 1 / (1 - d.P)
 	for i, v := range x.Data {
 		if d.rng.Float32() >= d.P {
-			d.mask[i] = scale
+			mask[i] = scale
 			out.Data[i] = v * scale
 		} else {
-			d.mask[i] = 0
+			mask[i] = 0
+			out.Data[i] = 0
 		}
 	}
 	return out
@@ -195,9 +185,9 @@ func (d *Dropout) Backward(dout *tensor.Mat) *tensor.Mat {
 	if d.P == 0 {
 		return dout
 	}
-	dx := tensor.NewMat(dout.Rows, dout.Cols)
+	dx := d.dx.get(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		dx.Data[i] = v * d.mask[i]
+		dx.Data[i] = v * d.mask.m.Data[i]
 	}
 	return dx
 }
@@ -209,9 +199,10 @@ func (d *Dropout) Backward(dout *tensor.Mat) *tensor.Mat {
 // ResNet's stage transitions) the projection's output shape must match the
 // inner stack's.
 type Residual struct {
-	Inner []Layer
-	Proj  []Layer // nil = identity shortcut
-	label string
+	Inner   []Layer
+	Proj    []Layer // nil = identity shortcut
+	label   string
+	out, dx buf
 }
 
 // NewResidual builds an identity-shortcut residual block.
@@ -288,7 +279,7 @@ func (r *Residual) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		panic(fmt.Sprintf("nn: %s shape mismatch %dx%d vs %dx%d",
 			r.Name(), y.Rows, y.Cols, s.Rows, s.Cols))
 	}
-	out := tensor.NewMat(y.Rows, y.Cols)
+	out := r.out.get(y.Rows, y.Cols)
 	for i := range out.Data {
 		out.Data[i] = s.Data[i] + y.Data[i]
 	}
@@ -305,7 +296,7 @@ func (r *Residual) Backward(dout *tensor.Mat) *tensor.Mat {
 	for i := len(r.Proj) - 1; i >= 0; i-- {
 		ds = r.Proj[i].Backward(ds)
 	}
-	dx := tensor.NewMat(d.Rows, d.Cols)
+	dx := r.dx.get(d.Rows, d.Cols)
 	for i := range dx.Data {
 		dx.Data[i] = ds.Data[i] + d.Data[i]
 	}

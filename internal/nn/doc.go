@@ -11,6 +11,51 @@
 // flattened row-major as C×H×W per row; convolutional layers carry the
 // (C, H, W) shape metadata themselves.
 //
+// # Ownership and the allocation-free step
+//
+// A warm training step allocates nothing. Every layer (and LSTMLM, and
+// SoftmaxLoss) keeps grow-only workspaces for what it returns and what its
+// backward pass needs — outputs, input gradients, the batched im2col tape and
+// its gradient, batch-norm's normalized activations, pooling arg-maxes, the
+// LSTM's BPTT tapes — and hands out the same matrices call after call. The
+// rule that makes this safe is on Layer:
+//
+//   - A matrix returned by Forward or Backward belongs to the layer and is
+//     valid until the next call (of either method) on that layer. Inside a
+//     Network nothing outlives that: layer i's output is read by layer i+1's
+//     Forward and Backward, both before layer i runs again. A caller that
+//     holds a result across a later call on the same layer Clones it.
+//   - Nobody but the owner writes to a returned matrix, and a layer never
+//     writes to its input (ReLU's backward reads its own output, Linear's a
+//     reference to its input — both must still hold what Forward left).
+//   - A workspace is not cleared between uses. The freshly allocated matrices
+//     they replace were zero, and several loops relied on it (im2col padding,
+//     ReLU and dropout outputs, the input gradients of the pools and of
+//     col2im); each of those now writes or clears every element itself.
+//   - The backward record lives in the same workspaces evaluation uses, so a
+//     Forward(train=false) between a training Forward and its Backward
+//     destroys it: ReLU would mask by the evaluation batch's signs, Conv2D
+//     would multiply by its tape, and so on, silently. Finish the step, then
+//     evaluate. Conv2D panics when the shapes give the mistake away and
+//     LSTMLM whenever the last Forward was not a training one; the rest
+//     cannot tell.
+//   - Workspaces only grow, and Network.Forward runs an evaluation batch in
+//     chunks of the last training batch's size, so evaluating on a large
+//     held-out set between steps neither evicts anything a training step
+//     needs nor sizes any workspace.
+//
+// # Arithmetic
+//
+// All matrix products go through tensor.Gemm, whose specification (one
+// accumulator per output element, k ascending, separate multiply and add,
+// float64 accumulation for a·bᵀ) is the arithmetic the per-row loops it
+// replaced had; the layers batch products only where each output element's
+// sum is unchanged. Conv2D lowers a whole batch into one tape and multiplies
+// once for the forward pass and once for the tape gradient, but still forms
+// the weight gradient one sample at a time, added in sample order; col2im and
+// batch-norm keep the order of their sums. Every family's gradients and losses
+// are pinned to the last bit by golden digests (internal/models).
+//
 // # Parameter segments and bucket planning
 //
 // A model's learnable tensors flatten into one contiguous parameter/gradient

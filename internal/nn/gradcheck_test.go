@@ -20,7 +20,9 @@ func fdCheckLayer(t *testing.T, build func() Layer, rows, cols int, seed uint64,
 	out := l.Forward(x, true)
 	r := tensor.NewMat(out.Rows, out.Cols)
 	tensor.NewRNG(seed+1).NormVec(r.Data, 0, 1)
-	dx := l.Backward(r)
+	// The layer owns dx until its next call, and the parameter loop below
+	// calls it again (loss(l, x)): keep a copy.
+	dx := l.Backward(r).Clone()
 
 	loss := func(lay Layer, in *tensor.Mat) float64 {
 		o := lay.Forward(in, false)

@@ -8,13 +8,35 @@ import (
 
 // SoftmaxCE computes the mean softmax cross-entropy loss over a batch of
 // logits (rows = samples, cols = classes) with integer labels, and the
-// gradient dL/dlogits in the same shape. Numerically stabilized by the
-// per-row max shift.
+// gradient dL/dlogits in the same shape, freshly allocated. Numerically
+// stabilized by the per-row max shift. Training loops use a SoftmaxLoss,
+// which keeps the gradient matrix between calls.
 func SoftmaxCE(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.Mat) {
+	var l SoftmaxLoss
+	return l.Loss(logits, labels)
+}
+
+// SoftmaxLoss is SoftmaxCE with workspaces: the gradient it returns is owned
+// by the SoftmaxLoss and valid until its next Loss call, under the same rule
+// as a Layer's results.
+type SoftmaxLoss struct {
+	d    buf
+	exps []float64
+}
+
+// Loss returns SoftmaxCE(logits, labels).
+func (l *SoftmaxLoss) Loss(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.Mat) {
+	d := l.d.get(logits.Rows, logits.Cols)
+	return l.into(d, logits, labels), d
+}
+
+// into writes dL/dlogits over every element of d and returns the loss.
+func (l *SoftmaxLoss) into(d, logits *tensor.Mat, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic("nn: SoftmaxCE label count mismatch")
 	}
-	d := tensor.NewMat(logits.Rows, logits.Cols)
+	l.exps = grow(l.exps, logits.Cols)
+	exps := l.exps
 	invB := 1 / float32(logits.Rows)
 	for s := 0; s < logits.Rows; s++ {
 		row := logits.Row(s)
@@ -24,9 +46,12 @@ func SoftmaxCE(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.
 				m = v
 			}
 		}
+		// Each exponential is needed twice, for the normaliser and for its
+		// own probability; it is computed once.
 		var sum float64
-		for _, v := range row {
-			sum += math.Exp(float64(v - m))
+		for c, v := range row {
+			exps[c] = math.Exp(float64(v - m))
+			sum += exps[c]
 		}
 		logSum := math.Log(sum)
 		lbl := labels[s]
@@ -35,16 +60,15 @@ func SoftmaxCE(logits *tensor.Mat, labels []int) (loss float64, dlogits *tensor.
 		}
 		loss += -(float64(row[lbl]-m) - logSum)
 		dst := d.Row(s)
-		for c, v := range row {
-			p := float32(math.Exp(float64(v-m)) / sum)
+		for c, e := range exps {
+			p := float32(e / sum)
 			if c == lbl {
 				p -= 1
 			}
 			dst[c] = p * invB
 		}
 	}
-	loss /= float64(logits.Rows)
-	return loss, d
+	return loss / float64(logits.Rows)
 }
 
 // Accuracy returns the top-1 accuracy of logits against labels.

@@ -36,14 +36,44 @@ type LSTMLM struct {
 	params   []Param
 	paramOff []int
 
-	// caches for BPTT, indexed [layer][t]
+	// BPTT tapes, written by every Forward and read by the Backward that
+	// follows a training one. Each is one grow-only slab carved into equally
+	// shaped matrices, so a steady-state step allocates nothing; like a
+	// Layer's workspaces they serve evaluation too, so an evaluation Forward
+	// between a training Forward and its Backward overwrites the record.
 	tokens  [][]int
-	xs      [][]*tensor.Mat // layer inputs per t: (B, in)
-	hs, cs  [][]*tensor.Mat // states per t (index t+1; index 0 is zeros)
-	gates   [][]*tensor.Mat // post-activation gate values per t: (B, 4H)
-	tanhC   [][]*tensor.Mat // tanh(c_t) per t
-	dlogits []*tensor.Mat   // per t
+	steps   int     // T of the last Forward
+	emb     matTape // [t]: embedded inputs (B, Embed) — layer 0's input
+	hs, cs  matTape // [l·(T+1) + t]: states after step t−1 (index 0 is zeros)
+	gates   matTape // [l·T + t]: post-activation gate values (B, 4H)
+	tanhC   matTape // [l·T + t]: tanh(c_t)
+	dlogits matTape // [t]
+	logits  buf
+	labels  []int
+	ce      SoftmaxLoss
+	// Backward scratch.
+	dh, dc  matTape // [l]: state gradients carried from step t+1
+	dz, dx0 buf     // gate pre-activation gradient; layer 0's input gradient
 }
+
+// matTape is a grow-only sequence of equally shaped matrices carved from one
+// slab.
+type matTape struct {
+	mats []tensor.Mat
+	slab []float32
+}
+
+// shape re-carves the tape into count rows×cols matrices, reallocating only
+// when the request exceeds every earlier one. Contents are left as they are.
+func (t *matTape) shape(count, rows, cols int) {
+	n := rows * cols
+	t.slab, t.mats = grow(t.slab, count*n), grow(t.mats, count)
+	for i := range t.mats {
+		t.mats[i] = tensor.Mat{Rows: rows, Cols: cols, Data: t.slab[i*n : (i+1)*n]}
+	}
+}
+
+func (t *matTape) at(i int) *tensor.Mat { return &t.mats[i] }
 
 // NewLSTMLM builds a single-layer model with Xavier initialization.
 func NewLSTMLM(rng *tensor.RNG, vocab, embed, hidden int) *LSTMLM {
@@ -146,24 +176,28 @@ func (m *LSTMLM) layerIn(l int) int {
 	return m.Hidden
 }
 
-// cellForward runs one LSTM layer for one timestep: given input x, previous
-// h and c, it returns (gates, newH, newC, tanhC). gates holds the
-// post-activation [i f g o] values.
-func (m *LSTMLM) cellForward(l int, x, h, c *tensor.Mat) (z, newH, newC, tc *tensor.Mat) {
-	B := x.Rows
-	H := m.Hidden
-	wx := tensor.MatFrom(4*H, m.layerIn(l), m.Wx[l])
-	wh := tensor.MatFrom(4*H, H, m.Wh[l])
-	z = tensor.NewMat(B, 4*H)
-	tensor.MatMulABT(z, x, wx)
-	zh := tensor.NewMat(B, 4*H)
-	tensor.MatMulABT(zh, h, wh)
-	tensor.Add(z.Data, zh.Data)
+// layerInput returns layer l's input at step t: the embedding for the bottom
+// layer, the hidden state of the layer below otherwise.
+func (m *LSTMLM) layerInput(l, t int) *tensor.Mat {
+	if l == 0 {
+		return m.emb.at(t)
+	}
+	return m.hs.at((l-1)*(m.steps+1) + t + 1)
+}
+
+// cellForward runs one LSTM layer for one timestep, reading the layer input
+// and the previous states from the tapes and writing the post-activation
+// [i f g o] gate values, the new states and tanh(c) to them.
+func (m *LSTMLM) cellForward(l, t int) {
+	H, T := m.Hidden, m.steps
+	x := m.layerInput(l, t)
+	h, c := m.hs.at(l*(T+1)+t), m.cs.at(l*(T+1)+t)
+	newH, newC := m.hs.at(l*(T+1)+t+1), m.cs.at(l*(T+1)+t+1)
+	z, tc := m.gates.at(l*T+t), m.tanhC.at(l*T+t)
+	tensor.Gemm(z.View(), x.View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T(), tensor.Wide)
+	tensor.GemmAdd(z.View(), h.View(), tensor.ViewOf(4*H, H, m.Wh[l]).T(), tensor.Wide)
 	tensor.AddRowVec(z, m.B[l])
-	newH = tensor.NewMat(B, H)
-	newC = tensor.NewMat(B, H)
-	tc = tensor.NewMat(B, H)
-	for b := 0; b < B; b++ {
+	for b := 0; b < x.Rows; b++ {
 		zr := z.Row(b)
 		cPrev := c.Row(b)
 		hr, cr, tr := newH.Row(b), newC.Row(b), tc.Row(b)
@@ -178,12 +212,13 @@ func (m *LSTMLM) cellForward(l int, x, h, c *tensor.Mat) (z, newH, newC, tc *ten
 			hr[j] = og * tr[j]
 		}
 	}
-	return z, newH, newC, tc
 }
 
 // Forward runs the model over tokens[b][t], predicting tokens[b][t+1] for
-// t < T−1, and returns the mean cross-entropy per predicted token. When
-// train is true the activations are cached for Backward.
+// t < T−1, and returns the mean cross-entropy per predicted token. The
+// activations go to the BPTT tapes either way; train marks them as belonging
+// to a training batch, which Backward requires. tokens is retained until
+// that Backward.
 func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	B := len(tokens)
 	if B == 0 {
@@ -193,38 +228,29 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	if T < 1 {
 		panic("nn: LSTMLM needs sequences of length ≥ 2")
 	}
-	H := m.Hidden
-	wy := tensor.MatFrom(m.Vocab, H, m.Wy)
-
+	H, L := m.Hidden, m.Layers
+	m.tokens, m.steps = nil, T
 	if train {
 		m.tokens = tokens
-		m.xs = make([][]*tensor.Mat, m.Layers)
-		m.hs = make([][]*tensor.Mat, m.Layers)
-		m.cs = make([][]*tensor.Mat, m.Layers)
-		m.gates = make([][]*tensor.Mat, m.Layers)
-		m.tanhC = make([][]*tensor.Mat, m.Layers)
-		m.dlogits = make([]*tensor.Mat, T)
-		for l := 0; l < m.Layers; l++ {
-			m.xs[l] = make([]*tensor.Mat, T)
-			m.hs[l] = make([]*tensor.Mat, T+1)
-			m.cs[l] = make([]*tensor.Mat, T+1)
-			m.gates[l] = make([]*tensor.Mat, T)
-			m.tanhC[l] = make([]*tensor.Mat, T)
-			m.hs[l][0] = tensor.NewMat(B, H)
-			m.cs[l][0] = tensor.NewMat(B, H)
-		}
 	}
-	h := make([]*tensor.Mat, m.Layers)
-	c := make([]*tensor.Mat, m.Layers)
-	for l := range h {
-		h[l] = tensor.NewMat(B, H)
-		c[l] = tensor.NewMat(B, H)
+	m.emb.shape(T, B, m.Embed)
+	m.hs.shape(L*(T+1), B, H)
+	m.cs.shape(L*(T+1), B, H)
+	m.gates.shape(L*T, B, 4*H)
+	m.tanhC.shape(L*T, B, H)
+	m.dlogits.shape(T, B, m.Vocab)
+	for l := 0; l < L; l++ {
+		tensor.Zero(m.hs.at(l * (T + 1)).Data)
+		tensor.Zero(m.cs.at(l * (T + 1)).Data)
 	}
+	m.labels = grow(m.labels, B)
+	logits := m.logits.get(B, m.Vocab)
+	wy := tensor.ViewOf(m.Vocab, H, m.Wy)
 
 	var totalCE float64
 	for t := 0; t < T; t++ {
 		// Embed tokens at position t.
-		x := tensor.NewMat(B, m.Embed)
+		x := m.emb.at(t)
 		for b := 0; b < B; b++ {
 			tok := tokens[b][t]
 			if tok < 0 || tok >= m.Vocab {
@@ -232,33 +258,16 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 			}
 			copy(x.Row(b), m.E[tok*m.Embed:(tok+1)*m.Embed])
 		}
-		// Stack of LSTM layers.
-		in := x
-		for l := 0; l < m.Layers; l++ {
-			z, newH, newC, tc := m.cellForward(l, in, h[l], c[l])
-			if train {
-				m.xs[l][t] = in
-				m.gates[l][t] = z
-				m.tanhC[l][t] = tc
-				m.hs[l][t+1] = newH
-				m.cs[l][t+1] = newC
-			}
-			h[l], c[l] = newH, newC
-			in = newH
+		for l := 0; l < L; l++ {
+			m.cellForward(l, t)
 		}
 		// Output logits and loss against the next token.
-		logits := tensor.NewMat(B, m.Vocab)
-		tensor.MatMulABT(logits, in, wy)
+		tensor.Gemm(logits.View(), m.layerInput(L, t).View(), wy.T(), tensor.Wide)
 		tensor.AddRowVec(logits, m.By)
-		labels := make([]int, B)
 		for b := 0; b < B; b++ {
-			labels[b] = tokens[b][t+1]
+			m.labels[b] = tokens[b][t+1]
 		}
-		ce, dlog := SoftmaxCE(logits, labels)
-		totalCE += ce
-		if train {
-			m.dlogits[t] = dlog
-		}
+		totalCE += m.ce.into(m.dlogits.at(t), logits, m.labels)
 	}
 	return totalCE / float64(T)
 }
@@ -277,63 +286,56 @@ func (m *LSTMLM) Backward() { m.BackwardInterleaved(nil) }
 // with strictly decreasing offsets lo such that the flattened gradient
 // elements [lo, NumParams()) are final, ending with a guaranteed
 // onReady(0). nil onReady skips the reporting (plain Backward).
+//
+// Every weight gradient takes one product per timestep, added in descending
+// t — tensor.GemmAdd forms the product's sums on their own before the add,
+// so this is the scratch-then-Add the tapes replaced, without the scratch.
 func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 	if m.params == nil {
 		m.buildCache()
 	}
-	B := len(m.tokens)
-	T := len(m.dlogits)
-	H := m.Hidden
-	wy := tensor.MatFrom(m.Vocab, H, m.Wy)
-	gwy := tensor.MatFrom(m.Vocab, H, m.GWy)
-	scratchWy := tensor.NewMat(m.Vocab, H)
+	if m.tokens == nil {
+		panic("nn: LSTMLM Backward without a training Forward")
+	}
+	B, T, H, L := len(m.tokens), m.steps, m.Hidden, m.Layers
+	wy := tensor.ViewOf(m.Vocab, H, m.Wy)
+	gwy := tensor.ViewOf(m.Vocab, H, m.GWy)
 
 	// Per-layer carried state gradients.
-	dh := make([]*tensor.Mat, m.Layers)
-	dc := make([]*tensor.Mat, m.Layers)
-	for l := range dh {
-		dh[l] = tensor.NewMat(B, H)
-		dc[l] = tensor.NewMat(B, H)
-	}
+	m.dh.shape(L, B, H)
+	m.dc.shape(L, B, H)
+	tensor.Zero(m.dh.slab)
+	tensor.Zero(m.dc.slab)
+	dz := m.dz.get(B, 4*H)
 	invT := float32(1.0 / float64(T))
 
 	for t := T - 1; t >= 0; t-- {
-		dlog := m.dlogits[t]
+		dlog := m.dlogits.at(t)
 		// Scale: Forward averaged CE over T steps.
 		tensor.Scale(dlog.Data, invT)
-		top := m.Layers - 1
-		tensor.MatMulATB(scratchWy, dlog, m.hs[top][t+1])
-		tensor.Add(gwy.Data, scratchWy.Data)
-		for b := 0; b < B; b++ {
-			row := dlog.Row(b)
-			for v, g := range row {
-				m.GBy[v] += g
-			}
-		}
-		dhOut := tensor.NewMat(B, H)
-		tensor.MatMul(dhOut, dlog, wy)
-		tensor.Add(dh[top].Data, dhOut.Data)
+		top := L - 1
+		tensor.GemmAdd(gwy, dlog.T(), m.layerInput(L, t).View(), tensor.Single)
+		tensor.ColSums(m.GBy, dlog)
+		tensor.GemmAdd(m.dh.at(top).View(), dlog.View(), wy, tensor.Single)
 		if t == 0 && onReady != nil {
 			// No later write touches GWy/GBy: the projection span is final.
-			onReady(m.paramOff[1+3*m.Layers])
+			onReady(m.paramOff[1+3*L])
 		}
 
 		// Backward through the stack, top to bottom; dx of layer l feeds
 		// dh of layer l−1 (same timestep).
 		for l := top; l >= 0; l-- {
 			in := m.layerIn(l)
-			wx := tensor.MatFrom(4*H, in, m.Wx[l])
-			wh := tensor.MatFrom(4*H, H, m.Wh[l])
-			dz := tensor.NewMat(B, 4*H)
-			newDh := tensor.NewMat(B, H)
-			newDc := tensor.NewMat(B, H)
+			wx := tensor.ViewOf(4*H, in, m.Wx[l])
+			wh := tensor.ViewOf(4*H, H, m.Wh[l])
+			gates, tanhC, cPrevM := m.gates.at(l*T+t), m.tanhC.at(l*T+t), m.cs.at(l*(T+1)+t)
+			dh, dc := m.dh.at(l), m.dc.at(l)
 			for b := 0; b < B; b++ {
-				zr := m.gates[l][t].Row(b) // [i f g o] post-activation
-				tr := m.tanhC[l][t].Row(b)
-				cPrev := m.cs[l][t].Row(b)
-				dhr, dcr := dh[l].Row(b), dc[l].Row(b)
+				zr := gates.Row(b) // [i f g o] post-activation
+				tr := tanhC.Row(b)
+				cPrev := cPrevM.Row(b)
+				dhr, dcr := dh.Row(b), dc.Row(b)
 				dzr := dz.Row(b)
-				ndc := newDc.Row(b)
 				for j := 0; j < H; j++ {
 					ig, fg, gg, og := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
 					dcTot := dcr[j] + dhr[j]*og*(1-tr[j]*tr[j])
@@ -341,31 +343,27 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 					dzr[j] = dcTot * gg * ig * (1 - ig)         // di
 					dzr[H+j] = dcTot * cPrev[j] * fg * (1 - fg) // df
 					dzr[2*H+j] = dcTot * ig * (1 - gg*gg)       // dg
-					ndc[j] = dcTot * fg
+					dcr[j] = dcTot * fg                         // dc_{t-1}, in place
 				}
 			}
 			// Parameter grads.
-			scratchWx := tensor.NewMat(4*H, in)
-			tensor.MatMulATB(scratchWx, dz, m.xs[l][t])
-			tensor.Add(m.GWx[l], scratchWx.Data)
-			scratchWh := tensor.NewMat(4*H, H)
-			tensor.MatMulATB(scratchWh, dz, m.hs[l][t])
-			tensor.Add(m.GWh[l], scratchWh.Data)
+			tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View(), tensor.Single)
+			tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View(), tensor.Single)
 			tensor.ColSums(m.GB[l], dz)
 			// dx: to the embedding (l=0) or to the layer below's dh.
-			dx := tensor.NewMat(B, in)
-			tensor.MatMul(dx, dz, wx)
 			if l == 0 {
+				dx := m.dx0.get(B, in)
+				tensor.Gemm(dx.View(), dz.View(), wx, tensor.Single)
 				for b := 0; b < B; b++ {
 					tok := m.tokens[b][t]
 					tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], dx.Row(b))
 				}
 			} else {
-				tensor.Add(dh[l-1].Data, dx.Data)
+				tensor.GemmAdd(m.dh.at(l-1).View(), dz.View(), wx, tensor.Single)
 			}
-			// dh_{t-1}, dc_{t-1} for this layer.
-			tensor.MatMul(newDh, dz, wh)
-			dh[l], dc[l] = newDh, newDc
+			// dh_{t-1} for this layer; dz is complete, so dh can be
+			// overwritten in place.
+			tensor.Gemm(dh.View(), dz.View(), wh, tensor.Single)
 			if t == 0 && onReady != nil {
 				if l == 0 {
 					// Layer 0's input backprop wrote the last embedding
@@ -377,6 +375,5 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 			}
 		}
 	}
-	// Release caches.
-	m.xs, m.hs, m.cs, m.gates, m.tanhC, m.dlogits, m.tokens = nil, nil, nil, nil, nil, nil, nil
+	m.tokens = nil // the tapes are spent
 }

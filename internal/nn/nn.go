@@ -16,19 +16,65 @@ type Param struct {
 }
 
 // Layer is a differentiable module.
+//
+// Ownership. A layer owns every matrix it returns: Forward and Backward write
+// into grow-only workspaces the layer keeps between calls, so a steady-state
+// training step allocates nothing. A returned matrix is valid until the next
+// call — Forward or Backward — on the same layer; a caller that needs it for
+// longer Clones it. Inside a Network the rule is satisfied by construction:
+// layer i's output is read by layer i+1's Forward and Backward, both of which
+// run before layer i is called again, and an input gradient is consumed by
+// the layer below at once. Nobody but the layer writes to a matrix it
+// returned, and the layer does not write to its input.
+//
+// A training Forward also records what its Backward needs — a reference to
+// the input, the layer's own output (ReLU, Tanh and Sigmoid differentiate
+// through it), the lowered im2col tape, batch statistics, pooling arg-maxes.
+// The same workspaces serve evaluation, so a Forward(train=false) between a
+// training Forward and its Backward overwrites that record and the Backward
+// that follows differentiates the wrong batch: finish the step before
+// evaluating. Evaluation between steps is free — workspaces only grow, so a
+// large evaluation batch does not evict anything a training batch needs.
 type Layer interface {
 	// Forward computes the layer output for a batch (rows = samples).
 	// train toggles training-time behaviour (dropout, batch-norm stats).
-	// The layer may retain references to x and its own activations for
-	// Backward; callers must not mutate x until Backward completes.
+	// The layer may retain a reference to x for Backward; callers must not
+	// mutate x until Backward completes.
 	Forward(x *tensor.Mat, train bool) *tensor.Mat
 	// Backward takes dL/dout and returns dL/dx, accumulating dL/dW into
-	// the layer's gradient slices. Must follow a Forward with train=true.
+	// the layer's gradient slices (+=, so two steps without ZeroGrads sum).
+	// Must follow a Forward with train=true on the same batch.
 	Backward(dout *tensor.Mat) *tensor.Mat
 	// Params returns the learnable tensors (possibly none).
 	Params() []Param
 	// Name identifies the layer in summaries.
 	Name() string
+}
+
+// buf is a grow-only matrix workspace. get reshapes it — reallocating only
+// when the request exceeds every earlier one — and returns the same *Mat each
+// time. The contents are whatever the last use left: every user either
+// overwrites all of it or clears it first, which the freshly allocated
+// matrices this replaces did implicitly.
+type buf struct{ m tensor.Mat }
+
+func (b *buf) get(rows, cols int) *tensor.Mat {
+	n := rows * cols
+	if cap(b.m.Data) < n {
+		b.m.Data = make([]float32, n)
+	}
+	b.m.Rows, b.m.Cols, b.m.Data = rows, cols, b.m.Data[:n]
+	return &b.m
+}
+
+// grow is buf.get for a side table that is not a matrix: s resized to n
+// elements, reallocated only when n exceeds its capacity, contents
+// unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // Stateful is implemented by layers that carry non-learnable state a
@@ -59,6 +105,11 @@ type Network struct {
 	paramOff []int // flattened start offset of each param (+1 total entry)
 	nParams  int
 	gradView tensor.VecView // all gradient tensors, in flattened order
+
+	// Evaluation runs in chunks of the training batch (see Forward).
+	trainRows int        // rows of the last training Forward
+	chunk     tensor.Mat // the rows of an evaluation batch being forwarded
+	evalOut   buf        // the evaluation output, assembled chunk by chunk
 }
 
 // NewNetwork builds a sequential network.
@@ -106,8 +157,35 @@ func GradViewOf(ps []Param, dst *tensor.VecView) *tensor.VecView {
 	return dst.Reset(segs)
 }
 
-// Forward runs all layers in order.
+// Forward runs all layers in order. The result is the network's under the
+// Layer ownership rule: valid until the next Forward.
+//
+// An evaluation batch larger than the last training batch is forwarded in
+// chunks of that size and its output assembled here. In evaluation mode
+// every layer treats samples independently, so the output is the same bits
+// — and no layer workspace ever grows beyond what a training step needs,
+// however large the held-out set.
 func (n *Network) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	if train {
+		n.trainRows = x.Rows
+	}
+	if train || n.trainRows == 0 || x.Rows <= n.trainRows {
+		return n.forward(x, train)
+	}
+	var out *tensor.Mat
+	for lo := 0; lo < x.Rows; lo += n.trainRows {
+		hi := min(lo+n.trainRows, x.Rows)
+		n.chunk = tensor.Mat{Rows: hi - lo, Cols: x.Cols, Data: x.Data[lo*x.Cols : hi*x.Cols]}
+		y := n.forward(&n.chunk, false)
+		if out == nil {
+			out = n.evalOut.get(x.Rows, y.Cols)
+		}
+		copy(out.Data[lo*y.Cols:], y.Data)
+	}
+	return out
+}
+
+func (n *Network) forward(x *tensor.Mat, train bool) *tensor.Mat {
 	for _, l := range n.Layers {
 		x = l.Forward(x, train)
 	}

@@ -88,8 +88,9 @@ func TestDropoutTrainEval(t *testing.T) {
 	if out := d.Forward(x, false); out != x {
 		t.Error("eval-mode dropout must be identity")
 	}
-	// Train: ~half zeroed, survivors scaled by 2.
-	out := d.Forward(x, true)
+	// Train: ~half zeroed, survivors scaled by 2. (Cloned: the layer owns the
+	// result until its next call, and Backward below is one.)
+	out := d.Forward(x, true).Clone()
 	zeros, twos := 0, 0
 	for _, v := range out.Data {
 		switch v {

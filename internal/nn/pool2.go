@@ -10,8 +10,9 @@ import (
 // AvgPool2D is a k×k average pool with stride k (non-overlapping) — the
 // pooling variant some VGG deployments use in place of max pooling.
 type AvgPool2D struct {
-	In Shape
-	K  int
+	In      Shape
+	K       int
+	res, dx buf
 }
 
 // NewAvgPool2D builds the layer; In.H and In.W must be divisible by k.
@@ -36,7 +37,7 @@ func (a *AvgPool2D) Params() []Param { return nil }
 // Forward implements Layer.
 func (a *AvgPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	out := a.OutShape()
-	res := tensor.NewMat(x.Rows, out.Size())
+	res := a.res.get(x.Rows, out.Size())
 	inv := 1 / float32(a.K*a.K)
 	for s := 0; s < x.Rows; s++ {
 		in := x.Row(s)
@@ -63,7 +64,8 @@ func (a *AvgPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements Layer: the gradient spreads uniformly over the window.
 func (a *AvgPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	out := a.OutShape()
-	dx := tensor.NewMat(dout.Rows, a.In.Size())
+	dx := a.dx.get(dout.Rows, a.In.Size())
+	tensor.Zero(dx.Data)
 	inv := 1 / float32(a.K*a.K)
 	for s := 0; s < dout.Rows; s++ {
 		src := dout.Row(s)
@@ -88,7 +90,7 @@ func (a *AvgPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 
 // Sigmoid is the logistic activation layer.
 type Sigmoid struct {
-	out *tensor.Mat
+	out, dx buf
 }
 
 // NewSigmoid builds a Sigmoid layer.
@@ -102,21 +104,18 @@ func (s *Sigmoid) Params() []Param { return nil }
 
 // Forward implements Layer.
 func (s *Sigmoid) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := tensor.NewMat(x.Rows, x.Cols)
+	out := s.out.get(x.Rows, x.Cols)
 	for i, v := range x.Data {
 		out.Data[i] = float32(1 / (1 + math.Exp(-float64(v))))
-	}
-	if train {
-		s.out = out
 	}
 	return out
 }
 
-// Backward implements Layer: dx = dout · y(1−y).
+// Backward implements Layer: dx = dout · y(1−y), from the layer's own output.
 func (s *Sigmoid) Backward(dout *tensor.Mat) *tensor.Mat {
-	dx := tensor.NewMat(dout.Rows, dout.Cols)
+	dx := s.dx.get(dout.Rows, dout.Cols)
 	for i, v := range dout.Data {
-		y := s.out.Data[i]
+		y := s.out.m.Data[i]
 		dx.Data[i] = v * y * (1 - y)
 	}
 	return dx

@@ -1,0 +1,456 @@
+package tensor
+
+import "sync"
+
+// View is a strided window onto float32 storage: element (i, j) of the matrix
+// it describes is Data[i*RowStride + j*ColStride]. A transpose swaps the two
+// strides and a sub-matrix offsets Data and keeps them, so neither copies an
+// element nor needs a code path of its own in Gemm.
+type View struct {
+	Rows, Cols           int
+	RowStride, ColStride int
+	Data                 []float32
+}
+
+// View returns the row-major view of the whole matrix.
+func (m *Mat) View() View {
+	return View{Rows: m.Rows, Cols: m.Cols, RowStride: m.Cols, ColStride: 1, Data: m.Data}
+}
+
+// T returns the view of mᵀ.
+func (m *Mat) T() View { return m.View().T() }
+
+// ViewOf returns the row-major rows×cols view of data (no copy) — MatFrom
+// without the Mat.
+func ViewOf(rows, cols int, data []float32) View {
+	if len(data) != rows*cols {
+		panic("tensor: ViewOf length mismatch")
+	}
+	return View{Rows: rows, Cols: cols, RowStride: cols, ColStride: 1, Data: data}
+}
+
+// T returns the view of vᵀ over the same storage.
+func (v View) T() View {
+	return View{Rows: v.Cols, Cols: v.Rows, RowStride: v.ColStride, ColStride: v.RowStride, Data: v.Data}
+}
+
+// ColRange returns the sub-matrix of columns [lo, hi) over the same storage.
+func (v View) ColRange(lo, hi int) View {
+	if lo < 0 || hi < lo || hi > v.Cols {
+		panic("tensor: ColRange out of range")
+	}
+	if lo < hi {
+		v.Data = v.Data[lo*v.ColStride:]
+	}
+	v.Cols = hi - lo
+	return v
+}
+
+// check panics unless every element of v lies inside v.Data: the kernels
+// address operands by pointer and stride, so this is the bounds check.
+func (v View) check() {
+	if v.Rows < 0 || v.Cols < 0 || v.RowStride < 0 || v.ColStride < 0 {
+		panic("tensor: negative view dimension or stride")
+	}
+	if v.Rows > 0 && v.Cols > 0 && (v.Rows-1)*v.RowStride+(v.Cols-1)*v.ColStride >= len(v.Data) {
+		panic("tensor: view exceeds its storage")
+	}
+}
+
+// Precision selects the accumulator of a Gemm.
+type Precision uint8
+
+const (
+	// Single keeps each output element in one float32 accumulator:
+	// acc = float32(acc + float32(a·b)), two roundings per term, no FMA.
+	Single Precision = iota
+	// Wide keeps it in one float64 accumulator of the (exact) float64
+	// products, acc += float64(a)·float64(b), rounded to float32 once at the
+	// end — what Dot computes.
+	Wide
+)
+
+// Gemm computes dst = a·b. See GemmAdd for the contract.
+func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, p, false) }
+
+// GemmAdd computes dst += a·b.
+//
+// Arithmetic specification (shared with Gemm and the MatMul wrappers; the
+// sentence a fused-multiply-add or a float32-dot change would have to
+// rewrite): every output element is ONE accumulator that starts at +0 and
+// takes the terms a(i,p)·b(p,j) for p = 0, 1, …, k−1 in that order, in the
+// arithmetic its Precision names; the finished sum is rounded to float32
+// (Wide) and then stored (Gemm) or added to dst(i,j) with one float32 add
+// (GemmAdd). Register blocking, packing, vector width and row-parallelism
+// only choose which elements are in flight together — a vector lane always
+// holds a different output element, never a partial sum — so the vector
+// kernels of either width, the portable kernels and the naive triple loop in
+// the tests give the same bits on every build.
+//
+// No term is skipped: a zero in a still multiplies, so 0 × ±Inf and 0 × NaN
+// contribute NaN where the row-AXPY loops this replaced skipped them. On
+// finite operands the skip was unobservable (a term ±0 never changes an
+// accumulator that starts at +0, and such an accumulator never becomes −0);
+// on non-finite ones the NaN now reaches the gradient, where the training
+// step's finite check reports it.
+//
+// dst must be row-major (ColStride 1) and must not overlap a or b. Large
+// products are split over output rows across GOMAXPROCS goroutines.
+func GemmAdd(dst, a, b View, p Precision) { gemm(dst, a, b, p, true) }
+
+// MatMul computes dst = a × b in Single precision. dst must be pre-allocated
+// with shape a.Rows × b.Cols and must not alias a or b.
+func MatMul(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.View(), Single) }
+
+// MatMulATB computes dst = aᵀ × b in Single precision without materializing
+// the transpose. Shapes: a is m×n, b is m×p, dst is n×p.
+func MatMulATB(dst, a, b *Mat) { Gemm(dst.View(), a.T(), b.View(), Single) }
+
+// MatMulABT computes dst = a × bᵀ in Wide precision (each element is
+// float32(Dot(a row, b row))) without materializing the transpose.
+// Shapes: a is m×n, b is p×n, dst is m×p.
+func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T(), Wide) }
+
+// Register tile: a micro-kernel produces gemmMR rows by nr columns per call
+// from eight accumulator registers, two per row. nr depends on the kernel
+// variant (gemmVariant): 8 float32 or 4 float64 columns for the 128-bit and
+// the portable kernels, twice that for the 256-bit ones.
+const (
+	gemmMR    = 4
+	gemmMaxNR = 16
+)
+
+// gemmVariant is one set of micro-kernels. Every variant computes the same
+// bits; they differ in how many output elements a call produces.
+type gemmVariant struct {
+	name       string
+	id         int // selects the kernels in gemmKernel32 / gemmKernel64
+	nr, nrWide int // tile columns of the Single / Wide kernel
+}
+
+var (
+	gemmPortable = gemmVariant{name: "portable", id: 0, nr: 8, nrWide: 4}
+	// gemmActive is the variant in use: the widest this binary can run on
+	// this CPU, the last of gemmVariants (see the architecture files). Only
+	// tests assign it, to run every one of them.
+	gemmActive = gemmVariants()[len(gemmVariants())-1]
+)
+
+// gemmParMACs is the multiply-add count above which a product is split over
+// output rows. It sits above every per-layer product of the reduced models
+// (and of a 256³ benchmark multiply), so a training rank never fans out
+// inside its own step — its sibling ranks already own the other CPUs.
+const gemmParMACs = 1 << 25
+
+// gemmPackRows and gemmPackSpan decide when Single copies each B panel into
+// contiguous scratch before use: when at least gemmPackRows output rows
+// reuse it AND its k rows, read in place, span at least gemmPackSpan
+// elements of b — so far apart that every reuse misses the TLB and the few
+// L1 sets the rows collide in (a 64×4096×576 product runs 2× faster packed).
+// Anything smaller reads b in place: every product of the reduced models is
+// faster that way, by up to 40 % on the lstm's 16-row ones.
+const (
+	gemmPackRows = 8 * gemmMR
+	gemmPackSpan = 1 << 17
+)
+
+// gemmWideBlock bounds (in elements) the packed float64 A block a Wide
+// product holds at once, so scratch stays cache-sized for tall operands.
+const gemmWideBlock = 1 << 15
+
+// gemmScratch is one goroutine's packing space, recycled through gemmPool so
+// a steady-state product allocates nothing.
+type gemmScratch struct {
+	a32, b32 []float32
+	a64, b64 []float64
+	tile     [gemmMR * gemmMaxNR]float32
+}
+
+var gemmPool = sync.Pool{New: func() any { return new(gemmScratch) }}
+
+// grow returns *buf resized to n elements, reallocating only when n exceeds
+// every earlier request. The contents are unspecified.
+func grow[T any](buf *[]T, n int) []T {
+	if cap(*buf) < n {
+		*buf = make([]T, n)
+	}
+	*buf = (*buf)[:n]
+	return *buf
+}
+
+func gemm(dst, a, b View, p Precision, add bool) {
+	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
+		panic("tensor: Gemm shape mismatch")
+	}
+	if dst.ColStride != 1 && dst.Cols > 1 {
+		panic("tensor: Gemm destination must be row-major")
+	}
+	dst.check()
+	a.check()
+	b.check()
+	m, n, k := dst.Rows, dst.Cols, a.Cols
+	if m == 0 || n == 0 {
+		return
+	}
+	if k == 0 {
+		// The empty sum is +0: stored, or added (which turns a −0 into +0).
+		for i := 0; i < m; i++ {
+			row := dst.Data[i*dst.RowStride : i*dst.RowStride+n]
+			for j := range row {
+				if add {
+					row[j] += 0
+				} else {
+					row[j] = 0
+				}
+			}
+		}
+		return
+	}
+	workers := int64(maxProcs())
+	workers = min(workers, int64(m)*int64(n)*int64(k)/gemmParMACs, int64(m/gemmMR))
+	if workers <= 1 {
+		gemmRows(dst, a, b, p, add, 0, m)
+		return
+	}
+	// Row ranges are multiples of the register tile so every worker but the
+	// last runs full tiles only.
+	chunk := (m/gemmMR + int(workers) - 1) / int(workers) * gemmMR
+	var wg sync.WaitGroup
+	for lo := 0; lo < m; lo += chunk {
+		wg.Add(1)
+		go func(lo, hi int) {
+			defer wg.Done()
+			gemmRows(dst, a, b, p, add, lo, hi)
+		}(lo, min(lo+chunk, m))
+	}
+	wg.Wait()
+}
+
+// gemmRows computes output rows [lo, hi) on the calling goroutine.
+func gemmRows(dst, a, b View, p Precision, add bool, lo, hi int) {
+	s := gemmPool.Get().(*gemmScratch)
+	ad, cd := a.Data[lo*a.RowStride:], dst.Data[lo*dst.RowStride:]
+	if p == Wide {
+		s.wide(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, cd, dst.RowStride, add)
+	} else {
+		s.single(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, cd, dst.RowStride, add)
+	}
+	gemmPool.Put(s)
+}
+
+// single is the float32 driver. Full tiles read a in place (the kernel takes
+// both strides of A, so a transpose costs nothing) and b either in place or
+// from a packed panel; ragged edges go through zero-padded packed panels and
+// a scratch tile, so the same kernel computes them.
+func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
+	v := gemmActive
+	mFull := m &^ (gemmMR - 1)
+	var aEdge []float32
+	if mFull < m {
+		aEdge = grow(&s.a32, k*gemmMR)
+		pack32(aEdge, gemmMR, a[mFull*ars:], m-mFull, k, ars, acs)
+	}
+	packB := bcs != 1 || (m >= gemmPackRows && k*brs >= gemmPackSpan)
+	for j := 0; j < n; j += v.nr {
+		nr := min(v.nr, n-j)
+		bp, bps := b[j*bcs:], brs
+		if packB || nr < v.nr {
+			bp, bps = grow(&s.b32, k*v.nr), v.nr
+			pack32(bp, v.nr, b[j*bcs:], nr, k, bcs, brs)
+		}
+		for i := 0; i < mFull; i += gemmMR {
+			if nr == v.nr {
+				gemmKernel32(v.id, k, a[i*ars:], ars, acs, bp, bps, c[i*ldc+j:], ldc, add)
+			} else {
+				gemmKernel32(v.id, k, a[i*ars:], ars, acs, bp, bps, s.tile[:], v.nr, false)
+				s.storeTile(v.nr, c[i*ldc+j:], ldc, gemmMR, nr, add)
+			}
+		}
+		if mFull < m {
+			gemmKernel32(v.id, k, aEdge, 1, gemmMR, bp, bps, s.tile[:], v.nr, false)
+			s.storeTile(v.nr, c[mFull*ldc+j:], ldc, m-mFull, nr, add)
+		}
+	}
+}
+
+// wide is the float64-accumulate driver. Both operands are packed — the
+// conversion to float64 is exact and is paid once per element instead of
+// once per use — A a block of rows at a time, B one panel at a time.
+func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
+	v := gemmActive
+	mc := max(gemmWideBlock/k&^(gemmMR-1), gemmMR)
+	bp := grow(&s.b64, k*v.nrWide)
+	for i0 := 0; i0 < m; i0 += mc {
+		mb := min(mc, m-i0)
+		panels := (mb + gemmMR - 1) / gemmMR
+		ap := grow(&s.a64, panels*k*2*gemmMR)
+		for i := 0; i < mb; i += gemmMR {
+			pack64(ap[2*i*k:], gemmMR, 2, a[(i0+i)*ars:], min(gemmMR, mb-i), k, ars, acs)
+		}
+		for j := 0; j < n; j += v.nrWide {
+			nr := min(v.nrWide, n-j)
+			pack64(bp, v.nrWide, 1, b[j*bcs:], nr, k, bcs, brs)
+			for i := 0; i < mb; i += gemmMR {
+				mr := min(gemmMR, mb-i)
+				ct := c[(i0+i)*ldc+j:]
+				if mr == gemmMR && nr == v.nrWide {
+					gemmKernel64(v.id, k, ap[2*i*k:], bp, ct, ldc, add)
+				} else {
+					gemmKernel64(v.id, k, ap[2*i*k:], bp, s.tile[:], v.nrWide, false)
+					s.storeTile(v.nrWide, ct, ldc, mr, nr, add)
+				}
+			}
+		}
+	}
+}
+
+// storeTile moves the mr×nr corner of the scratch tile (row length ld) to c.
+func (s *gemmScratch) storeTile(ld int, c []float32, ldc, mr, nr int, add bool) {
+	for i := 0; i < mr; i++ {
+		row, t := c[i*ldc:i*ldc+nr], s.tile[i*ld:]
+		for j := range row {
+			if add {
+				row[j] += t[j]
+			} else {
+				row[j] = t[j]
+			}
+		}
+	}
+}
+
+// pack32 writes the panel dst[p*width+l] = src[l*laneStride + p*stepStride]
+// for l < lanes, p < k, zero in the lanes from lanes up to width.
+func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepStride int) {
+	if lanes == width && laneStride == 1 {
+		for p := 0; p < k; p++ {
+			copy(dst[p*width:p*width+width], src[p*stepStride:])
+		}
+		return
+	}
+	for p := 0; p < k; p++ {
+		d := dst[p*width : p*width+width]
+		for l := range d {
+			if l < lanes {
+				d[l] = src[l*laneStride+p*stepStride]
+			} else {
+				d[l] = 0
+			}
+		}
+	}
+}
+
+// pack64 is pack32 for the Wide kernels: the panel holds the operands
+// already converted to float64, each value rep times in a row. B panels use
+// rep 1; A panels use rep 2, so a 128-bit load of an A value is already the
+// broadcast a vector kernel needs.
+func pack64(dst []float64, width, rep int, src []float32, lanes, k, laneStride, stepStride int) {
+	if lanes < width {
+		clear(dst[:k*width*rep]) // the padding lanes
+	}
+	l := 0
+	if stepStride == 1 {
+		// Rows contiguous along k — the a·bᵀ layout of both operands — four
+		// at a time.
+		for ; l+4 <= lanes; l += 4 {
+			s0, s1, s2, s3 := src[l*laneStride:][:k], src[(l+1)*laneStride:][:k], src[(l+2)*laneStride:][:k], src[(l+3)*laneStride:][:k]
+			if rep == 2 {
+				for p := range s0 {
+					d := dst[(p*width+l)*2:][:8:8]
+					x0, x1, x2, x3 := float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
+					d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = x0, x0, x1, x1, x2, x2, x3, x3
+				}
+				continue
+			}
+			for p := range s0 {
+				d := dst[p*width+l:][:4:4]
+				d[0], d[1], d[2], d[3] = float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
+			}
+		}
+	}
+	for ; l < lanes; l++ {
+		for p := 0; p < k; p++ {
+			d := dst[(p*width+l)*rep:][:rep]
+			for r := range d {
+				d[r] = float64(src[l*laneStride+p*stepStride])
+			}
+		}
+	}
+}
+
+// gemmKernel32Go is the portable Single micro-kernel: C[4×8] (+)= A·B with
+// A(i,p) = a[i*ars+p*aps] and B(p,j) = b[p*bps+j], as four 2×4 blocks whose
+// eight accumulators the compiler keeps in registers. The explicit float32
+// conversion of each product forbids the compiler from fusing it into the
+// add on targets that have an FMA.
+func gemmKernel32Go(k int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
+	for i := 0; i < gemmMR; i += 2 {
+		a0, a1 := a[i*ars:], a[(i+1)*ars:]
+		for j := 0; j < 8; j += 4 {
+			var c00, c01, c02, c03, c10, c11, c12, c13 float32
+			bj := b[j:]
+			for p := 0; p < k; p++ {
+				bp := bj[p*bps : p*bps+4 : p*bps+4]
+				x0, x1 := a0[p*aps], a1[p*aps]
+				c00 += float32(x0 * bp[0])
+				c01 += float32(x0 * bp[1])
+				c02 += float32(x0 * bp[2])
+				c03 += float32(x0 * bp[3])
+				c10 += float32(x1 * bp[0])
+				c11 += float32(x1 * bp[1])
+				c12 += float32(x1 * bp[2])
+				c13 += float32(x1 * bp[3])
+			}
+			r0 := c[i*ldc+j : i*ldc+j+4 : i*ldc+j+4]
+			r1 := c[(i+1)*ldc+j : (i+1)*ldc+j+4 : (i+1)*ldc+j+4]
+			if add {
+				r0[0] += c00
+				r0[1] += c01
+				r0[2] += c02
+				r0[3] += c03
+				r1[0] += c10
+				r1[1] += c11
+				r1[2] += c12
+				r1[3] += c13
+			} else {
+				r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
+				r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
+			}
+		}
+	}
+}
+
+// gemmKernel64Go is the portable Wide micro-kernel over packed float64
+// panels a[p*8+2i] (each value stored twice, see pack64), b[p*4+j]:
+// C[4×4] (+)= float32(Σ_p a·b), two 2×4 blocks.
+func gemmKernel64Go(k int, a, b []float64, c []float32, ldc int, add bool) {
+	for i := 0; i < gemmMR; i += 2 {
+		var c00, c01, c02, c03, c10, c11, c12, c13 float64
+		for p := 0; p < k; p++ {
+			bp := b[p*4 : p*4+4 : p*4+4]
+			x0, x1 := a[p*8+2*i], a[p*8+2*i+2]
+			c00 += float64(x0 * bp[0])
+			c01 += float64(x0 * bp[1])
+			c02 += float64(x0 * bp[2])
+			c03 += float64(x0 * bp[3])
+			c10 += float64(x1 * bp[0])
+			c11 += float64(x1 * bp[1])
+			c12 += float64(x1 * bp[2])
+			c13 += float64(x1 * bp[3])
+		}
+		r0 := c[i*ldc : i*ldc+4 : i*ldc+4]
+		r1 := c[(i+1)*ldc : (i+1)*ldc+4 : (i+1)*ldc+4]
+		if add {
+			r0[0] += float32(c00)
+			r0[1] += float32(c01)
+			r0[2] += float32(c02)
+			r0[3] += float32(c03)
+			r1[0] += float32(c10)
+			r1[1] += float32(c11)
+			r1[2] += float32(c12)
+			r1[3] += float32(c13)
+		} else {
+			r0[0], r0[1], r0[2], r0[3] = float32(c00), float32(c01), float32(c02), float32(c03)
+			r1[0], r1[1], r1[2], r1[3] = float32(c10), float32(c11), float32(c12), float32(c13)
+		}
+	}
+}

@@ -38,79 +38,6 @@ func (m *Mat) Clone() *Mat {
 	return &Mat{Rows: m.Rows, Cols: m.Cols, Data: Clone(m.Data)}
 }
 
-// MatMul computes dst = a × b. dst must be pre-allocated with shape
-// a.Rows × b.Cols and must not alias a or b. The kernel is a blocked
-// ikj loop that vectorizes well and runs row-parallel for large outputs.
-func MatMul(dst, a, b *Mat) {
-	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
-		panic("tensor: MatMul shape mismatch")
-	}
-	n := a.Rows
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			di := dst.Data[i*dst.Cols : (i+1)*dst.Cols]
-			Zero(di)
-			ai := a.Data[i*a.Cols : (i+1)*a.Cols]
-			for k, av := range ai {
-				if av == 0 {
-					continue
-				}
-				bk := b.Data[k*b.Cols : (k+1)*b.Cols]
-				AXPY(di, av, bk)
-			}
-		}
-	}
-	// Parallelize across output rows when the work is worth it.
-	if n*a.Cols*b.Cols >= grainSize*8 {
-		ParallelFor(n, body)
-	} else {
-		body(0, n)
-	}
-}
-
-// MatMulATB computes dst = aᵀ × b without materializing the transpose.
-// Shapes: a is m×n, b is m×p, dst is n×p.
-func MatMulATB(dst, a, b *Mat) {
-	if a.Rows != b.Rows || dst.Rows != a.Cols || dst.Cols != b.Cols {
-		panic("tensor: MatMulATB shape mismatch")
-	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
-	for k := 0; k < a.Rows; k++ {
-		ak := a.Row(k)
-		bk := b.Row(k)
-		for i, av := range ak {
-			if av == 0 {
-				continue
-			}
-			AXPY(dst.Data[i*dst.Cols:(i+1)*dst.Cols], av, bk)
-		}
-	}
-}
-
-// MatMulABT computes dst = a × bᵀ without materializing the transpose.
-// Shapes: a is m×n, b is p×n, dst is m×p.
-func MatMulABT(dst, a, b *Mat) {
-	if a.Cols != b.Cols || dst.Rows != a.Rows || dst.Cols != b.Rows {
-		panic("tensor: MatMulABT shape mismatch")
-	}
-	body := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ai := a.Row(i)
-			di := dst.Row(i)
-			for j := 0; j < b.Rows; j++ {
-				di[j] = float32(Dot(ai, b.Row(j)))
-			}
-		}
-	}
-	if a.Rows*a.Cols*b.Rows >= grainSize*8 {
-		ParallelFor(a.Rows, body)
-	} else {
-		body(0, a.Rows)
-	}
-}
-
 // AddRowVec adds v to every row of m (broadcast bias add).
 func AddRowVec(m *Mat, v Vec) {
 	if len(v) != m.Cols {

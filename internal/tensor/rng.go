@@ -6,6 +6,31 @@
 // friendly; they are the CPU stand-in for the GPU tensor runtime (PyTorch)
 // used by the paper. All heavy operations have both a serial and a parallel
 // path and are covered by reference-comparison tests.
+//
+// # Matrix products
+//
+// Every product is one strided Gemm (gemm.go): operands are Views — a row
+// stride and a column stride over float32 storage, so a transpose or a
+// sub-matrix is a pair of numbers, not a code path — and MatMul, MatMulATB
+// and MatMulABT are three one-line wrappers over it. Its arithmetic is a
+// specification, not an implementation detail, because training results are
+// compared bit for bit across builds and across PRs:
+//
+//	Every output element is one accumulator that starts at +0 and takes the
+//	terms a(i,p)·b(p,j) for p ascending, each a separately rounded multiply
+//	and add — in float32 (Single: a×b, aᵀ×b), or in float64 over the exact
+//	float64 products and rounded to float32 once (Wide: a×bᵀ, what Dot
+//	computes); GemmAdd then adds the finished sum to dst with one float32
+//	add. No fused multiply-add, no partial sums, no skipped terms.
+//
+// A change that fuses the multiply, accumulates a×bᵀ in float32, or splits a
+// sum across vector lanes changes that paragraph, the golden digests in
+// internal/models and the oracle in gemm_test.go together, with its own
+// accuracy evidence. Everything else — the 4×8/4×16 register tile, packing,
+// the SSE2 and AVX micro-kernels (gemm_amd64.s), the portable kernels used
+// under the purego tag and on other architectures, row-parallelism for very
+// large products — only reschedules those operations and is tested to give
+// identical bits.
 package tensor
 
 import "math"
@@ -143,7 +168,8 @@ type Zipf struct {
 	rng *RNG
 }
 
-// NewZipf builds a sampler over n items with exponent s.
+// NewZipf builds a sampler over n items with exponent s. rng feeds Next and
+// may be nil for a sampler used through Draw only.
 func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	if n <= 0 {
 		panic("tensor: NewZipf with non-positive n")
@@ -160,9 +186,14 @@ func NewZipf(rng *RNG, n int, s float64) *Zipf {
 	return &Zipf{cdf: cdf, rng: rng}
 }
 
-// Next draws one sample via binary search over the CDF.
-func (z *Zipf) Next() int {
-	u := z.rng.Float64()
+// Next draws one sample from the sampler's own RNG.
+func (z *Zipf) Next() int { return z.Draw(z.rng) }
+
+// Draw draws one sample using rng — one Float64 — via binary search over the
+// CDF. The table is read-only after NewZipf, so one sampler serves any
+// number of streams.
+func (z *Zipf) Draw(rng *RNG) int {
+	u := rng.Float64()
 	lo, hi := 0, len(z.cdf)-1
 	for lo < hi {
 		mid := (lo + hi) / 2
