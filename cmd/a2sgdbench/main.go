@@ -7,10 +7,10 @@
 //	a2sgdbench -experiment fig3 -workers 2,4,8,16 -epochs 10
 //	a2sgdbench -experiment fig4 -scale 1       # paper-scale gradients
 //	a2sgdbench -experiment table2
-//	a2sgdbench -experiment buckets -buckets 0,2048,8192
-//	a2sgdbench -experiment hierarchy -workers 8 -topology 1,2,4
-//	a2sgdbench -experiment mixed -mixbuckets 4096,16384 \
-//	    -policies "uniform(a2sgd);mixed(big=a2sgd, small=dense, threshold=8KiB)"
+//	a2sgdbench -experiment sweep -buckets 0,2048,8192
+//	a2sgdbench -experiment sweep -workers 8 -topology 1,2,4 -buckets 0,8192
+//	a2sgdbench -experiment sweep -buckets 4096,16384 \
+//	    -algos "a2sgd,mixed(big=a2sgd, small=dense, threshold=8KiB)"
 //	a2sgdbench -experiment auto -scale 10      # cost-model planner vs hand-tuned
 //	a2sgdbench -experiment auto -json results.json
 //	a2sgdbench -experiment straggler -backup-workers 1
@@ -49,23 +49,48 @@ func parseInts(s string) ([]int, error) {
 	return out, nil
 }
 
+// splitSpecs cuts a comma-separated list of specs at parenthesis depth 0, so
+// the commas of a spec's own argument list stay inside it. Entries are
+// trimmed and empty ones (a trailing comma) dropped; unbalanced parentheses
+// are left for the grammar to report.
+func splitSpecs(s string) []string {
+	var out []string
+	depth, start := 0, 0
+	emit := func(end int) {
+		if e := strings.TrimSpace(s[start:end]); e != "" {
+			out = append(out, e)
+		}
+		start = end + 1
+	}
+	for i, c := range s {
+		switch c {
+		case '(':
+			depth++
+		case ')':
+			depth--
+		case ',':
+			if depth <= 0 {
+				emit(i)
+			}
+		}
+	}
+	emit(len(s))
+	return out
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|table2|ablation|buckets|hierarchy|mixed|auto|hotpath|chaos|elastic|straggler|all")
+	exp := flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|table2|ablation|sweep|auto|hotpath|chaos|elastic|straggler|all")
 	maxN := flag.Int("maxn", 25_000_000, "largest parameter count for fig2")
 	scale := flag.Int("scale", 10, "divide paper parameter counts by this for fig4/fig5/table2/auto (1 = full)")
 	workersFlag := flag.String("workers", "2,4,8,16", "worker counts for fig3/fig4/fig5")
 	epochs := flag.Int("epochs", 8, "epochs for fig1/fig3")
 	steps := flag.Int("steps", 12, "steps per epoch for fig3")
 	fabricName := flag.String("fabric", "ib100", "network model: ib100|tcp10g")
-	bucketsFlag := flag.String("buckets", "0,2048,8192,32768", "bucket byte budgets for the bucket sweep (0 = whole model)")
-	topologyFlag := flag.String("topology", "1,2,4", "ranks-per-node widths for the hierarchy sweep (1 = flat)")
-	hierBucketsFlag := flag.String("hierbuckets", "0,8192", "bucket byte budgets for the hierarchy sweep")
+	bucketsFlag := flag.String("buckets", "0,2048,8192,32768", "bucket byte budgets for the sweep (0 = whole model)")
+	topologyFlag := flag.String("topology", "1,2,4", "ranks-per-node widths for the sweep (1 = flat)")
 	algosFlag := flag.String("algos", "",
-		"algorithm specs for the buckets/hierarchy/auto sweeps, comma separated (default: the paper's five-method set) — registered: "+
-			strings.Join(compress.Usage(), ", "))
-	mixBucketsFlag := flag.String("mixbuckets", "4096,16384", "bucket byte budgets for the mixed-policy sweep")
-	policiesFlag := flag.String("policies", "",
-		"per-bucket policies for the mixed sweep, semicolon separated — "+strings.Join(compress.PolicyUsage(), "; "))
+		"algorithm specs for the sweep and auto experiments, comma separated outside parentheses (default: the paper's five-method set) — registered: "+
+			strings.Join(compress.Usage(), ", ")+"; the sweep also takes per-bucket policies: "+strings.Join(compress.PolicyUsage(), "; "))
 	chaosSeed := flag.Uint64("chaosseed", 11, "scenario + training seed for the chaos matrix")
 	chaosTCP := flag.Bool("chaostcp", false, "run the chaos matrix over loopback TCP instead of the in-process fabric")
 	backupWorkers := flag.Int("backup-workers", 1, "spare-worker slots for the straggler matrix's recovery case")
@@ -75,14 +100,7 @@ func main() {
 	compareTol := flag.Float64("comparetol", 10, "regression tolerance for -compare, percent on ns/op (allocs/op must not grow at all)")
 	flag.Parse()
 
-	var algos []string
-	if *algosFlag != "" {
-		for _, a := range strings.Split(*algosFlag, ",") {
-			if a = strings.TrimSpace(a); a != "" {
-				algos = append(algos, a)
-			}
-		}
-	}
+	algos := splitSpecs(*algosFlag)
 
 	workers, err := parseInts(*workersFlag)
 	if err != nil {
@@ -168,59 +186,22 @@ func main() {
 		}
 		return bench.Ablation(w, wk, *epochs)
 	})
-	run("buckets", func() (any, error) {
+	run("sweep", func() (any, error) {
 		bucketBytes, err := parseInts(*bucketsFlag)
 		if err != nil {
 			return nil, fmt.Errorf("bad -buckets: %w", err)
 		}
-		wk := 4
-		if len(workers) > 0 {
-			wk = workers[0]
-		}
-		return bench.BucketSweep(w, bench.BucketSweepConfig{
-			Workers: wk, Epochs: *epochs, Steps: *steps,
-			BucketBytes: bucketBytes, Fabric: fabric, Algorithms: algos,
-		})
-	})
-	run("hierarchy", func() (any, error) {
 		rpns, err := parseInts(*topologyFlag)
 		if err != nil {
 			return nil, fmt.Errorf("bad -topology: %w", err)
 		}
-		bucketBytes, err := parseInts(*hierBucketsFlag)
-		if err != nil {
-			return nil, fmt.Errorf("bad -hierbuckets: %w", err)
-		}
-		wk := 8
-		if len(workers) > 0 {
-			wk = workers[0]
-		}
-		return bench.HierarchySweep(w, bench.HierarchySweepConfig{
-			Workers: wk, Epochs: *epochs, Steps: *steps,
-			RanksPerNode: rpns, BucketBytes: bucketBytes,
-			Inter: fabric, Algorithms: algos,
-		})
-	})
-	run("mixed", func() (any, error) {
-		mixBuckets, err := parseInts(*mixBucketsFlag)
-		if err != nil {
-			return nil, fmt.Errorf("bad -mixbuckets: %w", err)
-		}
-		var policies []string
-		if *policiesFlag != "" {
-			for _, p := range strings.Split(*policiesFlag, ";") {
-				if p = strings.TrimSpace(p); p != "" {
-					policies = append(policies, p)
-				}
-			}
-		}
 		wk := 4
 		if len(workers) > 0 {
 			wk = workers[0]
 		}
-		return bench.MixedSweep(w, bench.MixedSweepConfig{
+		return bench.Sweep(w, bench.SweepConfig{
 			Workers: wk, Epochs: *epochs, Steps: *steps,
-			BucketBytes: mixBuckets, Policies: policies, Fabric: fabric,
+			Policies: algos, BucketBytes: bucketBytes, RanksPerNode: rpns, Inter: fabric,
 		})
 	})
 	run("auto", func() (any, error) {

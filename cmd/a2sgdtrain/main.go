@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"a2sgd"
+	"a2sgd/internal/elastic"
 	"a2sgd/internal/models"
 )
 
@@ -45,6 +46,21 @@ func pricerByName(name string, width int) (a2sgd.Pricer, error) {
 	return nil, fmt.Errorf("unknown fabric %q (have ib100, tcp10g, nvlink+ib100, nvlink+tcp10g)", name)
 }
 
+// planWorkers is the world size an -auto plan is priced and stamped for: a
+// -resume snapshot's world wins over -workers inside a2sgd.Train, so it must
+// win here too, or Train refuses the schedule as planned for the wrong
+// worker count.
+func planWorkers(workers int, resumePath string) (int, error) {
+	if resumePath == "" {
+		return workers, nil
+	}
+	rs, err := elastic.ReadSnapshotFile(resumePath)
+	if err != nil {
+		return 0, err
+	}
+	return rs.World, nil
+}
+
 func main() {
 	family := flag.String("family", "fnn3", "model family: fnn3|vgg16|resnet20|lstm")
 	algo := flag.String("algo", "a2sgd",
@@ -59,7 +75,7 @@ func main() {
 	momentum := flag.Float64("momentum", 0.9, "SGD momentum")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	faults := flag.String("faults", "",
-		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: delay|bw|loss|dup|reorder|straggler|crash|stall|flap|partition, plus seed()/deadline()/retry()")
+		"fault-injection scenario, e.g. 'delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)' — rules: delay|bw|loss|dup|reorder|straggler|degrade|crash|stall|preempt|flap|partition, plus seed()/deadline()/retry()")
 	bucketBytes := flag.Int("bucket-bytes", 0, "gradient bucket budget in bytes (0 = whole model)")
 	overlap := flag.Bool("overlap", false, "pipeline per-bucket sync behind encode")
 	concurrency := flag.Int("concurrency", 0, "concurrent bucket exchanges via comm tag-space contexts (0/1 = deterministic; requires -overlap)")
@@ -91,7 +107,12 @@ func main() {
 			fmt.Fprintln(os.Stderr, "plan:", err)
 			os.Exit(2)
 		}
-		opts := a2sgd.PlanOptions{Workers: *workers, Pricer: pricer}
+		world, err := planWorkers(*workers, *resumePath)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "plan:", err)
+			os.Exit(1)
+		}
+		opts := a2sgd.PlanOptions{Workers: world, Pricer: pricer}
 		if *topology > 1 {
 			opts.RanksPerNode = []int{*topology} // pin the width instead of sweeping
 		}

@@ -6,6 +6,8 @@ import (
 	"strings"
 	"testing"
 
+	"a2sgd/internal/cluster"
+	"a2sgd/internal/compress"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
 )
@@ -178,7 +180,7 @@ func TestTable2ScalingEfficiency(t *testing.T) {
 }
 
 func TestMixedSweepComparesPolicies(t *testing.T) {
-	cfg := MixedSweepConfig{
+	cfg := SweepConfig{
 		Workers: 2, Epochs: 1, Steps: 4,
 		BucketBytes: []int{8192},
 		Policies: []string{
@@ -187,7 +189,7 @@ func TestMixedSweepComparesPolicies(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	points, err := MixedSweep(&buf, cfg)
+	points, err := Sweep(&buf, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -217,7 +219,7 @@ func TestMixedSweepComparesPolicies(t *testing.T) {
 		t.Error("missing table header")
 	}
 	// Deterministic per seed: a second sweep reproduces the metrics.
-	again, err := MixedSweep(io.Discard, cfg)
+	again, err := Sweep(io.Discard, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,10 +285,10 @@ func TestAblationRunner(t *testing.T) {
 }
 
 func TestBucketSweepQuick(t *testing.T) {
-	points, err := BucketSweep(io.Discard, BucketSweepConfig{
+	points, err := Sweep(io.Discard, SweepConfig{
 		Workers: 2, Epochs: 1, Steps: 4,
 		BucketBytes: []int{0, 8192},
-		Algorithms:  []string{"dense", "a2sgd"},
+		Policies:    []string{"dense", "a2sgd"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -296,26 +298,26 @@ func TestBucketSweepQuick(t *testing.T) {
 	}
 	for _, p := range points {
 		if p.BucketBytes == 0 && p.Buckets != 1 {
-			t.Errorf("%s: whole-model run has %d buckets", p.Algorithm, p.Buckets)
+			t.Errorf("%s: whole-model run has %d buckets", p.Policy, p.Buckets)
 		}
 		if p.BucketBytes == 8192 && p.Buckets < 4 {
-			t.Errorf("%s: 8KiB budget gave %d buckets, want >=4", p.Algorithm, p.Buckets)
+			t.Errorf("%s: 8KiB budget gave %d buckets, want >=4", p.Policy, p.Buckets)
 		}
 		if p.ModelOverlapSec > p.ModelSerialSec {
 			t.Errorf("%s/%dB: overlap price %.3e exceeds serial %.3e",
-				p.Algorithm, p.BucketBytes, p.ModelOverlapSec, p.ModelSerialSec)
+				p.Policy, p.BucketBytes, p.ModelOverlapSec, p.ModelSerialSec)
 		}
 		if p.HiddenSyncSec < 0 {
-			t.Errorf("%s/%dB: negative hidden sync %.3e", p.Algorithm, p.BucketBytes, p.HiddenSyncSec)
+			t.Errorf("%s/%dB: negative hidden sync %.3e", p.Policy, p.BucketBytes, p.HiddenSyncSec)
 		}
 		if p.StepSecSync <= 0 || p.StepSecOverlap <= 0 {
-			t.Errorf("%s/%dB: non-positive step times %+v", p.Algorithm, p.BucketBytes, p)
+			t.Errorf("%s/%dB: non-positive step times %+v", p.Policy, p.BucketBytes, p)
 		}
 	}
 	// The paper's algorithm must hide sync behind encode for some budget.
 	hidden := false
 	for _, p := range points {
-		if p.Algorithm == "a2sgd" && p.Buckets > 1 && p.HiddenSyncSec > 0 {
+		if p.Policy == "uniform(a2sgd)" && p.Buckets > 1 && p.HiddenSyncSec > 0 {
 			hidden = true
 		}
 	}
@@ -325,11 +327,11 @@ func TestBucketSweepQuick(t *testing.T) {
 }
 
 func TestHierarchySweepQuick(t *testing.T) {
-	points, err := HierarchySweep(io.Discard, HierarchySweepConfig{
+	points, err := Sweep(io.Discard, SweepConfig{
 		Workers: 4, Epochs: 1, Steps: 4,
 		RanksPerNode: []int{1, 2},
 		BucketBytes:  []int{0},
-		Algorithms:   []string{"dense", "a2sgd"},
+		Policies:     []string{"dense", "a2sgd"},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -337,15 +339,15 @@ func TestHierarchySweepQuick(t *testing.T) {
 	if len(points) != 4 {
 		t.Fatalf("points %d, want 4", len(points))
 	}
-	byAlgo := map[string]map[int]HierarchyPoint{}
+	byAlgo := map[string]map[int]SweepPoint{}
 	for _, p := range points {
 		if p.SyncFlatSec <= 0 || p.SyncHierSec <= 0 {
-			t.Errorf("%s rpn=%d: non-positive sync prices %+v", p.Algorithm, p.RanksPerNode, p)
+			t.Errorf("%s rpn=%d: non-positive sync prices %+v", p.Policy, p.RanksPerNode, p)
 		}
-		if byAlgo[p.Algorithm] == nil {
-			byAlgo[p.Algorithm] = map[int]HierarchyPoint{}
+		if byAlgo[p.Policy] == nil {
+			byAlgo[p.Policy] = map[int]SweepPoint{}
 		}
-		byAlgo[p.Algorithm][p.RanksPerNode] = p
+		byAlgo[p.Policy][p.RanksPerNode] = p
 	}
 	for algo, byRPN := range byAlgo {
 		flat, hier := byRPN[1], byRPN[2]
@@ -363,6 +365,42 @@ func TestHierarchySweepQuick(t *testing.T) {
 		if d := flat.FinalMetric - hier.FinalMetric; d > 0.05 || d < -0.05 {
 			t.Errorf("%s: flat metric %v vs hierarchical %v", algo, flat.FinalMetric, hier.FinalMetric)
 		}
+	}
+}
+
+// TestSweepPricesEachBucketUnderItsOwnKind: where a mixed policy meets the
+// topology axis, bucket b's collective is priced under bucket b's exchange
+// kind (top-k buckets allgather-v, dense buckets allreduce) — not under the
+// run's aggregate kind, which is only bucket 0's.
+func TestSweepPricesEachBucketUnderItsOwnKind(t *testing.T) {
+	const policy = "mixed(big=topk, small=dense, threshold=8KiB)"
+	points, err := Sweep(io.Discard, SweepConfig{
+		Workers: 4, Epochs: 1, Steps: 2,
+		RanksPerNode: []int{2}, BucketBytes: []int{8192}, Policies: []string{policy},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched, err := cluster.Lower("fnn3", policy, 8192, 2, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	two, kinds := netsim.TwoTierIB100(2), map[netsim.ExchangeKind]bool{}
+	var want float64
+	for b, spec := range sched.Specs {
+		n := sched.Bounds[b+1] - sched.Bounds[b]
+		a, err := compress.Build(spec, compress.DefaultOptions(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds[a.ExchangeKind()] = true
+		want += two.SyncTime(a.ExchangeKind(), a.PayloadBytes(n), 4)
+	}
+	if len(kinds) < 2 {
+		t.Fatalf("policy assigned one exchange kind (%s): nothing to tell apart", points[0].Composition)
+	}
+	if got := points[0].SyncHierSec; got != want {
+		t.Errorf("sync-hier %.6e, want the per-bucket-kind sum %.6e", got, want)
 	}
 }
 

@@ -57,11 +57,11 @@ type bucketOp struct {
 	bk *compress.Bucketed
 	b  int
 	p  compress.Payload
-	g  []float32
+	v  *tensor.VecView
 }
 
 func (o *bucketOp) RunOp(c *comm.Communicator) error {
-	return o.bk.ExchangeBucket(o.b, o.p, o.g, c)
+	return o.bk.ExchangeBucketView(o.b, o.p, o.v, c)
 }
 
 // vggConvShapes are the reduced vgg16's six convolutions as (output
@@ -310,7 +310,7 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 				bounds[i] = i * hotPathN / buckets
 			}
 			algs := make([]*compress.Bucketed, workers)
-			grads := make([][]float32, workers)
+			views := make([][]tensor.VecView, workers) // one-segment view per bucket: the flat code path
 			ops := make([][]bucketOp, workers)
 			reqBufs := make([][]comm.Request, workers)
 			for r := 0; r < workers; r++ {
@@ -324,8 +324,11 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 					}
 					return a
 				})
-				grads[r] = make([]float32, hotPathN)
-				copy(grads[r], g)
+				grad := append([]float32(nil), g...)
+				views[r] = make([]tensor.VecView, buckets)
+				for i := range views[r] {
+					views[r][i].Reset1(grad[bounds[i]:bounds[i+1]])
+				}
 				ops[r] = make([]bucketOp, buckets)
 				reqBufs[r] = make([]comm.Request, 0, buckets)
 				if concurrency > 1 {
@@ -339,14 +342,13 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 				switch mode {
 				case "encode":
 					for i := 0; i < buckets; i++ {
-						bk.EncodeBucket(i, bk.BucketSlice(i, grads[r]))
+						bk.EncodeBucketView(i, &views[r][i])
 					}
 					return nil
 				case "serial":
 					for i := 0; i < buckets; i++ {
-						gb := bk.BucketSlice(i, grads[r])
-						p := bk.EncodeBucket(i, gb)
-						if err := bk.ExchangeBucket(i, p, gb, cs[r]); err != nil {
+						v := &views[r][i]
+						if err := bk.ExchangeBucketView(i, bk.EncodeBucketView(i, v), v, cs[r]); err != nil {
 							return err
 						}
 					}
@@ -354,8 +356,8 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 				default: // overlap: typed pooled posts, then one WaitAll
 					reqs := reqBufs[r][:0]
 					for i := 0; i < buckets; i++ {
-						gb := bk.BucketSlice(i, grads[r])
-						ops[r][i] = bucketOp{bk: bk, b: i, p: bk.EncodeBucket(i, gb), g: gb}
+						v := &views[r][i]
+						ops[r][i] = bucketOp{bk: bk, b: i, p: bk.EncodeBucketView(i, v), v: v}
 						reqs = append(reqs, cs[r].Post(&ops[r][i]))
 					}
 					reqBufs[r] = reqs

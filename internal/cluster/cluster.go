@@ -312,7 +312,7 @@ func (r *Result) bucketKinds() []netsim.ExchangeKind {
 // degenerates to ModeledIterSec.
 func (r *Result) ModeledIterSecOverlap(f netsim.Pricer) float64 {
 	enc, bytes := r.bucketCosts()
-	return r.AvgComputeSec + f.PipelinedSyncTimeKinds(r.bucketKinds(), enc, bytes, r.Workers)
+	return r.AvgComputeSec + netsim.PriceSchedule(f, r.bucketKinds(), enc, bytes, r.Workers).Pipelined
 }
 
 // ModeledIterSecSerial prices the same bucketed step without overlap: every
@@ -322,7 +322,7 @@ func (r *Result) ModeledIterSecOverlap(f netsim.Pricer) float64 {
 // bucketing pays and fusion avoids.
 func (r *Result) ModeledIterSecSerial(f netsim.Pricer) float64 {
 	enc, bytes := r.bucketCosts()
-	return r.AvgComputeSec + f.SerialSyncTimeKinds(r.bucketKinds(), enc, bytes, r.Workers)
+	return r.AvgComputeSec + netsim.PriceSchedule(f, r.bucketKinds(), enc, bytes, r.Workers).Serial
 }
 
 // Throughput returns modelled samples/second at the run's worker count.

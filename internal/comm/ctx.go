@@ -124,11 +124,6 @@ func (c *Communicator) Concurrency() int {
 	return len(c.ctxComms)
 }
 
-// Deterministic reports whether nonblocking operations execute strictly in
-// posting order (concurrency 1), preserving the serial path's bitwise
-// reduction order.
-func (c *Communicator) Deterministic() bool { return c.Concurrency() == 1 }
-
 // ctxComm returns the communicator of context k.
 func (c *Communicator) ctxComm(k int) *Communicator {
 	if k == 0 {

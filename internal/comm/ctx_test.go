@@ -17,14 +17,14 @@ func TestSetConcurrencyValidation(t *testing.T) {
 	if err := c.SetConcurrency(MaxConcurrency + 1); err == nil {
 		t.Errorf("SetConcurrency(%d) must fail", MaxConcurrency+1)
 	}
-	if c.Concurrency() != 1 || !c.Deterministic() {
+	if c.Concurrency() != 1 {
 		t.Errorf("failed SetConcurrency mutated the mode: %d", c.Concurrency())
 	}
 	if err := c.SetConcurrency(4); err != nil {
 		t.Fatal(err)
 	}
-	if c.Concurrency() != 4 || c.Deterministic() {
-		t.Errorf("Concurrency() = %d, want 4 (non-deterministic)", c.Concurrency())
+	if c.Concurrency() != 4 {
+		t.Errorf("Concurrency() = %d, want 4", c.Concurrency())
 	}
 }
 

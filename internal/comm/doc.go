@@ -3,7 +3,7 @@
 // transports and the classic collective algorithms built on top of them —
 // ring and recursive-doubling allreduce, ring allgather (including the
 // variable-size allgatherv that sparse gradient exchange needs), binomial
-// broadcast and reduce, reduce-scatter, gather/scatter, all-to-all, and a
+// broadcast and reduce, the rooted gather of the two-level schedules, and a
 // barrier.
 //
 // # Transports

@@ -120,9 +120,6 @@ func (c *Communicator) SetRetry(p RetryPolicy) {
 	}
 }
 
-// Retry returns the installed retry policy.
-func (c *Communicator) Retry() RetryPolicy { return c.retry }
-
 // Stepper is the optional capability of transports that track the training
 // step counter for step-scoped fault scenarios (faultnet's crash/stall
 // rules). The training loop calls Communicator.AdvanceStep once at the top

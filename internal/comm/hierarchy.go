@@ -34,8 +34,12 @@ type hierarchy struct {
 	inter        *Communicator // node leaders; nil on non-leader ranks
 }
 
-// tagHier tags the root→leader forwarding hop of hierarchical broadcast.
-const tagHier = 13 << 16
+const (
+	// tagGatherR tags the rooted intra-node gather of hierAllgather.
+	tagGatherR = 11 << 16
+	// tagHier tags the root→leader forwarding hop of hierarchical broadcast.
+	tagHier = 13 << 16
+)
 
 // SetTopology configures (or, with ranksPerNode <= 1, clears) the two-level
 // topology. It is a collective call: every rank must pass the same
@@ -98,6 +102,33 @@ func (c *Communicator) hierAllreduceSum(v []float32, algo AllreduceAlgorithm) er
 		}
 	}
 	return h.intra.Broadcast(v, 0)
+}
+
+// Gather collects every rank's equal-length contribution at root: root's
+// out (length len(in)·P) receives rank i's block at offset i·len(in).
+// Non-root ranks may pass nil out. Flat algorithm: P−1 point-to-point
+// messages into the root.
+func (c *Communicator) Gather(in []float32, out []float32, root int) error {
+	p, r := c.Size(), c.Rank()
+	if root < 0 || root >= p {
+		return ErrLengthMismatch
+	}
+	if r == root {
+		if len(out) != len(in)*p {
+			return ErrLengthMismatch
+		}
+		copy(out[r*len(in):(r+1)*len(in)], in)
+		for src := 0; src < p; src++ {
+			if src == root {
+				continue
+			}
+			if err := c.recv(src, tagGatherR+src, out[src*len(in):(src+1)*len(in)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return c.send(root, tagGatherR+r, in)
 }
 
 // hierAllgather gathers each node's blocks at its leader (directly into the

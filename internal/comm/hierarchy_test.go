@@ -1,6 +1,7 @@
 package comm
 
 import (
+	"fmt"
 	"math"
 	"testing"
 )
@@ -317,6 +318,61 @@ func TestSetTopologyClampAndClear(t *testing.T) {
 		}
 		if got := c.Topology(); got != 0 {
 			t.Errorf("topology after clear: %d, want 0", got)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestGatherScatter pins the rooted gather under hierAllgather: every rank's
+// block lands at offset rank·blk of the root's buffer, for first and last
+// roots. (Its Scatter round-trip half went with Scatter.)
+func TestGatherScatter(t *testing.T) {
+	for _, p := range groupSizes {
+		for root := 0; root < p; root += max(1, p-1) {
+			blk := 5
+			err := RunGroup(p, func(c *Communicator) error {
+				r := c.Rank()
+				in := make([]float32, blk)
+				for i := range in {
+					in[i] = float32(r*100 + i)
+				}
+				var out []float32
+				if r == root {
+					out = make([]float32, blk*p)
+				}
+				if err := c.Gather(in, out, root); err != nil {
+					return err
+				}
+				if r == root {
+					for src := 0; src < p; src++ {
+						for i := 0; i < blk; i++ {
+							if out[src*blk+i] != float32(src*100+i) {
+								return fmt.Errorf("gather[%d][%d] = %v", src, i, out[src*blk+i])
+							}
+						}
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatalf("p=%d root=%d: %v", p, root, err)
+			}
+		}
+	}
+}
+
+func TestGatherScatterValidation(t *testing.T) {
+	err := RunGroup(2, func(c *Communicator) error {
+		if c.Rank() == 0 {
+			if e := c.Gather(make([]float32, 2), make([]float32, 3), 0); e != ErrLengthMismatch {
+				return fmt.Errorf("gather: %v", e)
+			}
+			if e := c.Gather(nil, nil, 9); e != ErrLengthMismatch {
+				return fmt.Errorf("bad root: %v", e)
+			}
 		}
 		return nil
 	})

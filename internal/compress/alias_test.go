@@ -3,6 +3,8 @@ package compress
 import (
 	"math"
 	"testing"
+
+	"a2sgd/internal/tensor"
 )
 
 // wordsEqual compares payload words by bit pattern: the float32 stream
@@ -108,8 +110,9 @@ func TestBucketedBucketsDontAliasScratch(t *testing.T) {
 		g := randGrad(55, n)
 		payloads := make([]Payload, buckets)
 		snaps := make([][]float32, buckets)
+		var bv tensor.VecView
 		for b := 0; b < buckets; b++ {
-			payloads[b] = bk.EncodeBucket(b, bk.BucketSlice(b, g))
+			payloads[b] = bk.EncodeBucketView(b, bv.Reset1(g[bounds[b]:bounds[b+1]]))
 			snaps[b] = append([]float32(nil), payloads[b].Data...)
 		}
 		// After all buckets encoded, every earlier live payload must still

@@ -17,14 +17,13 @@ import (
 // training runtime launches bucket i's exchange while bucket i+1 is still
 // being gathered and encoded.
 //
-// Bucketed also implements Algorithm itself (encode/exchange every bucket in
-// order), so it drops into any code path that expects a whole-vector
-// algorithm; traffic and compute accounting are aggregated across buckets.
+// Bucketed is a per-bucket runner, not an Algorithm: callers drive bucket b
+// through EncodeBucketView / ExchangeBucketView on a view of that bucket's
+// live gradient storage, in whatever order their pipeline wants; Name,
+// PayloadBytes and the exchange kinds aggregate across buckets.
 type Bucketed struct {
-	algs     []Algorithm
-	bounds   []int            // len(algs)+1 cumulative offsets; bounds[len] = n
-	payloads []Payload        // per-bucket payloads of the last whole-vector Encode
-	views    []tensor.VecView // per-bucket sub-view scratch of the whole-vector view calls
+	algs   []Algorithm
+	bounds []int // len(algs)+1 cumulative offsets; bounds[len] = n
 }
 
 // NewBucketed builds one algorithm instance per bucket. bounds holds the
@@ -43,7 +42,7 @@ func NewBucketed(bounds []int, build func(bucket, n int) Algorithm) *Bucketed {
 		}
 		algs[b] = build(b, bounds[b+1]-bounds[b])
 	}
-	return &Bucketed{algs: algs, bounds: bounds, payloads: make([]Payload, k), views: make([]tensor.VecView, k)}
+	return &Bucketed{algs: algs, bounds: bounds}
 }
 
 // NumBuckets returns the bucket count.
@@ -51,23 +50,6 @@ func (bk *Bucketed) NumBuckets() int { return len(bk.algs) }
 
 // Bounds returns the cumulative bucket offsets (not to be mutated).
 func (bk *Bucketed) Bounds() []int { return bk.bounds }
-
-// BucketSlice returns bucket b's view of the full flattened vector g.
-func (bk *Bucketed) BucketSlice(b int, g []float32) []float32 {
-	return g[bk.bounds[b]:bk.bounds[b+1]]
-}
-
-// EncodeBucket runs bucket b's local compression on its slice gb (which must
-// be BucketSlice(b, g)).
-func (bk *Bucketed) EncodeBucket(b int, gb []float32) Payload {
-	return bk.algs[b].Encode(gb)
-}
-
-// ExchangeBucket runs bucket b's collective synchronization, writing the
-// synchronized gradient into gb.
-func (bk *Bucketed) ExchangeBucket(b int, p Payload, gb []float32, c *comm.Communicator) error {
-	return bk.algs[b].Exchange(p, gb, c)
-}
 
 // EncodeBucketView runs bucket b's local compression directly from a strided
 // view of the bucket's live gradient storage (the training runtime's
@@ -92,7 +74,7 @@ func (bk *Bucketed) PayloadBytesPerBucket() []int64 {
 	return out
 }
 
-// Name implements Algorithm: the inner name, suffixed with the bucket count
+// Name returns the inner name, suffixed with the bucket count
 // when the partition is non-trivial. Under a mixing policy the buckets run
 // different algorithms; the distinct inner names are joined in first-use
 // order ("a2sgd|dense+bucketed[5]").
@@ -112,7 +94,7 @@ func (bk *Bucketed) Name() string {
 }
 
 // ExchangeKinds returns each bucket's dominant collective — the per-bucket
-// input to the mixed-policy price laws (netsim *SyncTimeKinds). Uniform
+// input to the price laws (netsim.PriceSchedule). Uniform
 // runs repeat one kind; mixed policies interleave allreduce- and
 // allgather-style buckets.
 func (bk *Bucketed) ExchangeKinds() []netsim.ExchangeKind {
@@ -123,69 +105,13 @@ func (bk *Bucketed) ExchangeKinds() []netsim.ExchangeKind {
 	return kinds
 }
 
-// Encode implements Algorithm: every bucket is encoded in order. The
-// returned payload aggregates the analytic bits across buckets; the packed
-// per-bucket payloads stay internal and are consumed by the next Exchange
-// (pair Encode/Exchange as the Algorithm contract requires).
-func (bk *Bucketed) Encode(g []float32) Payload {
-	if len(g) != bk.bounds[len(bk.bounds)-1] {
-		panic(fmt.Sprintf("compress: Bucketed.Encode length %d, plan covers %d",
-			len(g), bk.bounds[len(bk.bounds)-1]))
-	}
-	var bits int64
-	for b := range bk.algs {
-		bk.payloads[b] = bk.algs[b].Encode(bk.BucketSlice(b, g))
-		bits += bk.payloads[b].Bits
-	}
-	return Payload{Bits: bits}
-}
-
-// Exchange implements Algorithm: every bucket's collective runs in order,
-// using the payloads of the immediately preceding Encode.
-func (bk *Bucketed) Exchange(_ Payload, g []float32, c *comm.Communicator) error {
-	for b := range bk.algs {
-		if err := bk.algs[b].Exchange(bk.payloads[b], bk.BucketSlice(b, g), c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// EncodeView implements Algorithm: every bucket encodes in order from its
-// sub-view of v (the per-bucket sub-view structs are instance scratch).
-func (bk *Bucketed) EncodeView(v *tensor.VecView) Payload {
-	if v.Len() != bk.bounds[len(bk.bounds)-1] {
-		panic(fmt.Sprintf("compress: Bucketed.EncodeView length %d, plan covers %d",
-			v.Len(), bk.bounds[len(bk.bounds)-1]))
-	}
-	var bits int64
-	for b := range bk.algs {
-		bv := v.SliceView(bk.bounds[b], bk.bounds[b+1], &bk.views[b])
-		bk.payloads[b] = bk.algs[b].EncodeView(bv)
-		bits += bk.payloads[b].Bits
-	}
-	return Payload{Bits: bits}
-}
-
-// ExchangeView implements Algorithm, pairing with the immediately preceding
-// EncodeView (the per-bucket sub-views are rebuilt; their segment structure
-// is identical as long as v is).
-func (bk *Bucketed) ExchangeView(_ Payload, v *tensor.VecView, c *comm.Communicator) error {
-	for b := range bk.algs {
-		bv := v.SliceView(bk.bounds[b], bk.bounds[b+1], &bk.views[b])
-		if err := bk.algs[b].ExchangeView(bk.payloads[b], bv, c); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ExchangeKind implements Algorithm (all buckets share the inner kind).
+// ExchangeKind returns the first bucket's collective — the run's aggregate
+// kind under a uniform policy (ExchangeKinds has the per-bucket record).
 func (bk *Bucketed) ExchangeKind() netsim.ExchangeKind { return bk.algs[0].ExchangeKind() }
 
-// PayloadBytes implements Algorithm: the sum of per-bucket payloads. The
-// bucket plan fixes the partition, so n is ignored — unlike the inner
-// algorithms, a Bucketed instance cannot price hypothetical model sizes.
+// PayloadBytes returns the sum of per-bucket payloads. The bucket plan fixes
+// the partition, so n is ignored — unlike the inner algorithms, a Bucketed
+// instance cannot price hypothetical model sizes.
 func (bk *Bucketed) PayloadBytes(n int) int64 {
 	var total int64
 	for _, b := range bk.PayloadBytesPerBucket() {
@@ -194,11 +120,9 @@ func (bk *Bucketed) PayloadBytes(n int) int64 {
 	return total
 }
 
-// Reset implements Algorithm.
+// Reset resets every bucket's instance.
 func (bk *Bucketed) Reset() {
 	for _, a := range bk.algs {
 		a.Reset()
 	}
 }
-
-var _ Algorithm = (*Bucketed)(nil)

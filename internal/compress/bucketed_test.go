@@ -4,7 +4,28 @@ import (
 	"testing"
 
 	"a2sgd/internal/comm"
+	"a2sgd/internal/tensor"
 )
+
+// syncBuckets drives a Bucketed the way its callers do: bucket b's sub-view
+// of v (any segmentation of the full gradient; a one-segment view is the flat
+// code path) through EncodeBucketView for every bucket in order, then every
+// ExchangeBucketView in order, reconstructing into v. It returns the live
+// per-bucket payloads.
+func syncBuckets(bk *Bucketed, v *tensor.VecView, c *comm.Communicator) ([]Payload, error) {
+	bounds := bk.Bounds()
+	views := make([]tensor.VecView, bk.NumBuckets())
+	payloads := make([]Payload, bk.NumBuckets())
+	for b := range views {
+		payloads[b] = bk.EncodeBucketView(b, v.SliceView(bounds[b], bounds[b+1], &views[b]))
+	}
+	for b := range views {
+		if err := bk.ExchangeBucketView(b, payloads[b], &views[b], c); err != nil {
+			return nil, err
+		}
+	}
+	return payloads, nil
+}
 
 // TestBucketedDenseMatchesWholeVector: per-bucket dense allreduce with
 // recursive doubling is bitwise identical to the whole-vector allreduce
@@ -41,8 +62,7 @@ func TestBucketedDenseMatchesWholeVector(t *testing.T) {
 		bk := NewBucketed(bounds, func(b, bn int) Algorithm {
 			return NewDense(Options{N: bn, Allreduce: comm.AlgoRecursiveDoubling})
 		})
-		pl := bk.Encode(g)
-		if err := bk.Exchange(pl, g, c); err != nil {
+		if _, err := syncBuckets(bk, tensor.NewVecView(g), c); err != nil {
 			return err
 		}
 		for i := range g {
@@ -78,13 +98,17 @@ func TestBucketedAccountingAggregates(t *testing.T) {
 	for i := range g {
 		g[i] = float32(i%7) - 3
 	}
-	pl := bk.Encode(g)
-	var bits int64
+	// Each bucket is a full instance sized to its span: its payload is what
+	// a standalone instance built the same way emits for that slice.
+	var bv tensor.VecView
 	for b := 0; b < 3; b++ {
-		bits += bk.EncodeBucket(b, bk.BucketSlice(b, g)).Bits
-	}
-	if pl.Bits != bits {
-		t.Fatalf("aggregate bits %d != per-bucket sum %d", pl.Bits, bits)
+		gb := g[bounds[b]:bounds[b+1]]
+		want := NewQSGD(Options{N: len(gb), QuantLevels: 4, Seed: uint64(b + 1)}).Encode(gb)
+		got := bk.EncodeBucketView(b, bv.Reset1(gb))
+		if got.Bits != want.Bits || len(got.Data) != len(want.Data) {
+			t.Fatalf("bucket %d: %d bits / %d words, standalone %d / %d",
+				b, got.Bits, len(got.Data), want.Bits, len(want.Data))
+		}
 	}
 	if name := bk.Name(); name != "qsgd+bucketed[3]" {
 		t.Fatalf("name %q", name)
@@ -114,8 +138,7 @@ func TestBucketedSparsifierRoundTrip(t *testing.T) {
 		bk := NewBucketed(bounds, func(b, bn int) Algorithm {
 			return NewTopK(Options{N: bn, Density: 0.05})
 		})
-		pl := bk.Encode(g)
-		if err := bk.Exchange(pl, g, c); err != nil {
+		if _, err := syncBuckets(bk, tensor.NewVecView(g), c); err != nil {
 			return err
 		}
 		results[c.Rank()] = g

@@ -106,7 +106,9 @@
 // the gradient (the unit of the training runtime's overlapped pipeline) —
 // under a mixing policy its buckets run different algorithms, and
 // ExchangeKinds reports each bucket's collective for the netsim price
-// laws. Periodic wraps any algorithm with round reduction (synchronize
-// every k-th step). Both implement Algorithm themselves, so compositions
-// nest.
+// laws. It is a per-bucket runner, not an Algorithm: the runtime drives
+// bucket b through EncodeBucketView / ExchangeBucketView on a view of that
+// bucket's gradient storage. Periodic wraps any algorithm with round
+// reduction (synchronize every k-th step) and implements Algorithm itself,
+// so it nests inside any spec or bucket.
 package compress

@@ -100,3 +100,61 @@ func FuzzEliasGammaStream(f *testing.F) {
 		}
 	})
 }
+
+// specNodes counts the Spec and Arg nodes of a parse tree.
+func specNodes(s *Spec) int {
+	n := 1 + len(s.Args)
+	for _, a := range s.Args {
+		if a.Value.Spec != nil {
+			n += specNodes(a.Value.Spec)
+		}
+	}
+	return n
+}
+
+// FuzzParseRoundTrip: the spec grammar takes strings from flags, job files
+// and configuration, so on arbitrary input Parse must return or fail without
+// panicking; whatever it accepts prints canonically (Parse(s.String())
+// succeeds and prints the same string), and neither the tree nor its printed
+// form outgrows the input — every node consumed at least one byte, and
+// canonical form adds at most a space per comma.
+func FuzzParseRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		// README, the examples and the CI file: every spec and policy.
+		"a2sgd", "dense", "topk", "terngrad", "a2sgd-noef", "a2sgd-onemean", "auto",
+		"topk(density=0.01)", "gaussiank(density=0.001)", "qsgd(levels=8)",
+		"dgc(density=0.05)", "randk(density=0.05)",
+		"periodic(qsgd(levels=8), interval=4)",
+		"uniform(dense)", "uniform(a2sgd)",
+		"mixed(big=a2sgd, small=dense, threshold=64KiB)",
+		"mixed(big=a2sgd, small=dense, threshold=16KiB)",
+		"mixed(big=a2sgd, small=dense, threshold=8KiB)",
+		"bylayer(.b=dense, default=a2sgd)",
+		"auto(a2sgd, dense)",
+		// Shapes the grammar must reject or normalize.
+		"", "a()", "a(", "a)", "a(b,,c)", "a(k=1, k=2)", "a(=1)", " a ( b = c ( d ) ) ",
+		"a(b(c(d(e(f)))))", "é(x)", "a(b) c",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		s, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := s.String()
+		if n := specNodes(s); n > len(src) {
+			t.Fatalf("Parse(%q): %d nodes from %d bytes", src, n, len(src))
+		}
+		if len(canon) > 2*len(src) {
+			t.Fatalf("Parse(%q) prints %d bytes: %q", src, len(canon), canon)
+		}
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its canonical form %q does not parse: %v", src, canon, err)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("Parse(%q) prints %q, which re-prints as %q", src, canon, got)
+		}
+	})
+}

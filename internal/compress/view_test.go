@@ -169,40 +169,67 @@ func TestPeriodicViewStepPhase(t *testing.T) {
 	}
 }
 
-// TestBucketedViewMatchesFlat: the whole-vector view surface of Bucketed
-// produces the same per-bucket payload bits and synchronized gradient as the
-// flat surface.
+// TestBucketedViewMatchesFlat: driving the buckets through sub-views of a
+// multi-segment view produces the same per-bucket payload bits and
+// synchronized gradient as driving them over the contiguous vector (the
+// one-segment view every flat Encode/Exchange wraps).
 func TestBucketedViewMatchesFlat(t *testing.T) {
 	const p, n = 2, 3000
 	bounds := []int{0, 700, 1800, n}
-	grads := make([][]float32, p)
-	for r := range grads {
-		grads[r] = randGrad(uint64(60+r), n)
-	}
-	build := func(rank int) Algorithm {
-		o := DefaultOptions(n)
-		o.Seed = uint64(rank + 1)
+	build := func(rank int) *Bucketed {
 		return NewBucketed(bounds, func(b, bn int) Algorithm {
-			bo := o
-			bo.N = bn
-			bo.Seed = o.Seed + uint64(b)
+			bo := DefaultOptions(bn)
+			bo.Seed = uint64(rank + 1 + b)
+			name := "topk"
 			if b == 1 {
-				q, err := Build(&Spec{Name: "qsgd"}, bo)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return q
+				name = "qsgd"
 			}
-			tk, err := Build(&Spec{Name: "topk"}, bo)
+			a, err := Build(&Spec{Name: name}, bo)
 			if err != nil {
 				t.Fatal(err)
 			}
-			return tk
+			return a
 		})
 	}
-	flat := runSync(t, p, build, grads)
-	viewed := runSyncView(t, p, build, grads)
+	// run returns every rank's reconstructed gradient and retained copies
+	// of its per-bucket payloads.
+	run := func(segment bool) (out [][]float32, words [][][]float32) {
+		out, words = make([][]float32, p), make([][][]float32, p)
+		var mu sync.Mutex
+		err := comm.RunGroup(p, func(c *comm.Communicator) error {
+			g := randGrad(uint64(60+c.Rank()), n)
+			v := tensor.NewVecView(g)
+			if segment {
+				v = tensor.NewVecView(splitSegs(uint64(31+c.Rank()), g)...)
+			}
+			payloads, err := syncBuckets(build(c.Rank()), v, c)
+			if err != nil {
+				return err
+			}
+			mu.Lock()
+			defer mu.Unlock()
+			out[c.Rank()] = g
+			for _, pl := range payloads {
+				words[c.Rank()] = append(words[c.Rank()], append([]float32(nil), pl.Data...))
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out, words
+	}
+	flat, flatWords := run(false)
+	viewed, viewWords := run(true)
 	for r := 0; r < p; r++ {
+		for b := range flatWords[r] {
+			if len(flatWords[r][b]) != len(viewWords[r][b]) {
+				t.Fatalf("rank %d bucket %d: payload words %d != %d", r, b, len(viewWords[r][b]), len(flatWords[r][b]))
+			}
+			if i, ok := wordsEqual(viewWords[r][b], flatWords[r][b]); !ok {
+				t.Fatalf("rank %d bucket %d: payload word %d differs", r, b, i)
+			}
+		}
 		for i := range flat[r] {
 			if math.Float32bits(flat[r][i]) != math.Float32bits(viewed[r][i]) {
 				t.Fatalf("rank %d [%d]: view %v != flat %v", r, i, viewed[r][i], flat[r][i])

@@ -18,15 +18,17 @@
 //   - Flat collectives (Fabric): ring and recursive-doubling allreduce,
 //     ring allgather, binomial broadcast, and SyncTime selecting by
 //     ExchangeKind.
-//   - Pipeline laws (PipelinedSyncTime / SerialSyncTime): the makespan of
-//     the bucketed encode→collective pipeline, pricing how much
-//     synchronization the training runtime's overlap hides behind local
-//     compute.
 //   - Two-tier laws (TwoTier): hierarchical clusters with fast intra-node
 //     links and a slow inter-node network, pricing the two-level schedules
 //     of comm.SetTopology (intra-node reduce/gather, leader exchange,
 //     intra-node broadcast).
+//   - The pipeline law (PriceSchedule): the pipelined and serial makespans
+//     of the bucketed encode→collective pipeline, each bucket under its own
+//     exchange kind, pricing how much synchronization the training runtime's
+//     overlap hides behind local compute.
 //
-// Fabric and TwoTier both implement Pricer, so every modelled-iteration
-// helper (cluster.Result.ModeledIterSec*) accepts either interchangeably.
+// Fabric and TwoTier both implement Pricer — Label, SyncTime, BroadcastTime:
+// what a network is — and PriceSchedule is written once against it, so the
+// planner and every modelled-iteration helper
+// (cluster.Result.ModeledIterSec*) accept either interchangeably.
 package netsim

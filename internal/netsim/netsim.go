@@ -154,87 +154,3 @@ func (f Fabric) SyncTime(kind ExchangeKind, bytesPerWorker int64, p int) float64
 		return f.Allreduce(bytesPerWorker, p)
 	}
 }
-
-// PipelinedSyncTime models the bucketed overlap pipeline: bucket b's encode
-// runs on the CPU strictly after bucket b-1's encode, and its collective
-// starts once both its encode and the previous bucket's collective have
-// finished (collectives execute one at a time, in order, like the
-// communicator's progress worker). The returned makespan covers first
-// encode start → last collective end:
-//
-//	encDone_b  = encDone_{b-1} + enc_b
-//	syncDone_b = max(encDone_b, syncDone_{b-1}) + sync_b
-//
-// Bucket b's sync is therefore hidden behind the encode of buckets b+1…;
-// with a single bucket the law degenerates to enc + sync (the serial
-// model). encSec and bucketBytes must be parallel slices, one per bucket.
-func (f Fabric) PipelinedSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return f.PipelinedSyncTimeKinds(uniformKinds(kind), encSec, bucketBytes, p)
-}
-
-// SerialSyncTime is the non-overlapped counterpart of PipelinedSyncTime:
-// every encode and every collective runs back to back.
-func (f Fabric) SerialSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return f.SerialSyncTimeKinds(uniformKinds(kind), encSec, bucketBytes, p)
-}
-
-// PipelinedSyncTimeKinds is PipelinedSyncTime with a per-bucket exchange
-// kind — the price law for mixed per-bucket policies, where allreduce-style
-// buckets (dense, QSGD, A2SGD) and allgather-style buckets (Top-K,
-// Gaussian-K) share one pipeline. kinds[b] prices bucket b; a short slice
-// repeats its last element.
-func (f Fabric) PipelinedSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return pipelinedSyncTime(func(b int, bytes int64) float64 {
-		return f.SyncTime(kindAt(kinds, b), bytes, p)
-	}, encSec, bucketBytes)
-}
-
-// SerialSyncTimeKinds is SerialSyncTime with a per-bucket exchange kind.
-func (f Fabric) SerialSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return serialSyncTime(func(b int, bytes int64) float64 {
-		return f.SyncTime(kindAt(kinds, b), bytes, p)
-	}, encSec, bucketBytes)
-}
-
-// uniformKinds adapts the single-kind price laws to the per-bucket helpers.
-func uniformKinds(kind ExchangeKind) []ExchangeKind { return []ExchangeKind{kind} }
-
-// kindAt returns kinds[b], repeating the last element past the end (so a
-// one-element slice prices every bucket uniformly).
-func kindAt(kinds []ExchangeKind, b int) ExchangeKind {
-	if b < len(kinds) {
-		return kinds[b]
-	}
-	if len(kinds) > 0 {
-		return kinds[len(kinds)-1]
-	}
-	return ExchangeAllreduce
-}
-
-// pipelinedSyncTime evaluates the overlap recurrence for any per-bucket
-// collective price law (flat or hierarchical).
-func pipelinedSyncTime(sync func(b int, bytes int64) float64, encSec []float64, bucketBytes []int64) float64 {
-	var encDone, syncDone float64
-	for b, bytes := range bucketBytes {
-		if b < len(encSec) {
-			encDone += encSec[b]
-		}
-		if syncDone < encDone {
-			syncDone = encDone
-		}
-		syncDone += sync(b, bytes)
-	}
-	return syncDone
-}
-
-// serialSyncTime sums encodes and collectives back to back.
-func serialSyncTime(sync func(b int, bytes int64) float64, encSec []float64, bucketBytes []int64) float64 {
-	var t float64
-	for _, e := range encSec {
-		t += e
-	}
-	for b, bytes := range bucketBytes {
-		t += sync(b, bytes)
-	}
-	return t
-}

@@ -158,8 +158,9 @@ func TestPipelinedSyncTime(t *testing.T) {
 	f := IB100()
 	enc := []float64{1e-5, 1e-5, 1e-5, 1e-5}
 	bytes := []int64{4096, 4096, 4096, 4096}
-	over := f.PipelinedSyncTime(ExchangeAllreduce, enc, bytes, 8)
-	serial := f.SerialSyncTime(ExchangeAllreduce, enc, bytes, 8)
+	uniform := []ExchangeKind{ExchangeAllreduce} // one element prices every bucket
+	price := PriceSchedule(f, uniform, enc, bytes, 8)
+	over, serial := price.Pipelined, price.Serial
 	if over >= serial {
 		t.Errorf("pipelined %.3e must undercut serial %.3e", over, serial)
 	}
@@ -173,12 +174,12 @@ func TestPipelinedSyncTime(t *testing.T) {
 		t.Errorf("pipelined %.3e below encode %.3e / sync %.3e floors", over, encSum, syncSum)
 	}
 	// Single bucket: pipelined degenerates to enc + sync (the serial law).
-	one := f.PipelinedSyncTime(ExchangeAllreduce, enc[:1], bytes[:1], 8)
+	one := PriceSchedule(f, uniform, enc[:1], bytes[:1], 8).Pipelined
 	if want := enc[0] + f.SyncTime(ExchangeAllreduce, bytes[0], 8); one != want {
 		t.Errorf("single bucket %.3e, want %.3e", one, want)
 	}
 	// No buckets: zero.
-	if z := f.PipelinedSyncTime(ExchangeAllreduce, nil, nil, 8); z != 0 {
+	if z := PriceSchedule(f, uniform, nil, nil, 8).Pipelined; z != 0 {
 		t.Errorf("empty pipeline %v", z)
 	}
 }

@@ -1,11 +1,10 @@
 package netsim
 
-// Planning query API. The planner (a2sgd/internal/plan) asks two questions of
-// a network model: "what does this bucket schedule cost?" (PriceSchedule) and
-// "which of these fabrics/topologies runs it cheapest?" (CheapestPlan). Both
-// are thin, deterministic wrappers over the per-bucket price laws, factored
-// out so sweeps and tests price candidate schedules without re-deriving the
-// recurrences.
+// Planning query API. The planner (a2sgd/internal/plan) and the modelled
+// iteration times (cluster.Result.ModeledIterSec*) ask one question of a
+// network model: "what does this bucket schedule cost?" PriceSchedule answers
+// it for any Pricer, so the pipeline recurrences live here once rather than
+// on every fabric type.
 
 // SchedulePrice bundles the two modelled execution times of one bucket
 // schedule: the overlap pipeline makespan and the back-to-back serial sum.
@@ -19,29 +18,51 @@ type SchedulePrice struct {
 
 // PriceSchedule prices one bucket schedule on a pricer: kinds[b], encSec[b]
 // and bucketBytes[b] describe bucket b's collective, local compression time
-// and per-worker payload (short kinds/encSec slices repeat their last
-// element, as in the *SyncTimeKinds laws).
+// and per-worker payload (a short kinds slice repeats its last element, so a
+// one-element slice prices every bucket uniformly; mixed per-bucket policies
+// interleave allreduce- and allgather-style buckets in one pipeline).
+//
+// Pipelined models the bucketed overlap pipeline: bucket b's encode runs on
+// the CPU strictly after bucket b-1's encode, and its collective starts once
+// both its encode and the previous bucket's collective have finished
+// (collectives execute one at a time, in order, like the communicator's
+// progress worker). The makespan covers first encode start → last collective
+// end:
+//
+//	encDone_b  = encDone_{b-1} + enc_b
+//	syncDone_b = max(encDone_b, syncDone_{b-1}) + sync_b
+//
+// Bucket b's sync is therefore hidden behind the encode of buckets b+1…;
+// with a single bucket the law degenerates to enc + sync, which is what
+// Serial charges for every bucket.
 func PriceSchedule(pr Pricer, kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) SchedulePrice {
-	return SchedulePrice{
-		Pipelined: pr.PipelinedSyncTimeKinds(kinds, encSec, bucketBytes, p),
-		Serial:    pr.SerialSyncTimeKinds(kinds, encSec, bucketBytes, p),
+	var encDone, syncDone, serial float64
+	for _, e := range encSec {
+		serial += e
 	}
+	for b, bytes := range bucketBytes {
+		sync := pr.SyncTime(kindAt(kinds, b), bytes, p)
+		if b < len(encSec) {
+			encDone += encSec[b]
+		}
+		if syncDone < encDone {
+			syncDone = encDone
+		}
+		syncDone += sync
+		serial += sync
+	}
+	return SchedulePrice{Pipelined: syncDone, Serial: serial}
 }
 
-// CheapestPlan returns the index of the candidate pricer that runs the given
-// bucket schedule with the smallest pipelined makespan, along with its
-// price. Ties keep the earliest candidate (deterministic for a fixed
-// candidate order); an empty candidate list returns -1.
-func CheapestPlan(candidates []Pricer, kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) (int, SchedulePrice) {
-	best := -1
-	var bestPrice SchedulePrice
-	for i, pr := range candidates {
-		price := PriceSchedule(pr, kinds, encSec, bucketBytes, p)
-		if best < 0 || price.Pipelined < bestPrice.Pipelined {
-			best, bestPrice = i, price
-		}
+// kindAt returns kinds[b], repeating the last element past the end.
+func kindAt(kinds []ExchangeKind, b int) ExchangeKind {
+	if b < len(kinds) {
+		return kinds[b]
 	}
-	return best, bestPrice
+	if len(kinds) > 0 {
+		return kinds[len(kinds)-1]
+	}
+	return ExchangeAllreduce
 }
 
 // BucketSizer is implemented by pricers that can suggest how large a bucket

@@ -2,51 +2,28 @@ package netsim
 
 import "testing"
 
+// TestPriceScheduleMatchesLaws pins PriceSchedule to the two recurrences
+// written out by hand for a mixed-kind schedule: the allreduce bucket and the
+// allgather bucket are each priced by their own collective.
 func TestPriceScheduleMatchesLaws(t *testing.T) {
 	f := IB100()
 	kinds := []ExchangeKind{ExchangeAllreduce, ExchangeAllgather}
 	enc := []float64{1e-5, 2e-5}
 	bytes := []int64{4096, 128}
 	p := PriceSchedule(f, kinds, enc, bytes, 8)
-	if want := f.PipelinedSyncTimeKinds(kinds, enc, bytes, 8); p.Pipelined != want {
+	s0, s1 := f.Allreduce(bytes[0], 8), f.Allgather(bytes[1], 8)
+	syncDone := enc[0] + s0
+	if e := enc[0] + enc[1]; syncDone < e {
+		syncDone = e
+	}
+	if want := syncDone + s1; p.Pipelined != want {
 		t.Errorf("pipelined %v, want %v", p.Pipelined, want)
 	}
-	if want := f.SerialSyncTimeKinds(kinds, enc, bytes, 8); p.Serial != want {
+	if want := enc[0] + enc[1] + s0 + s1; p.Serial != want {
 		t.Errorf("serial %v, want %v", p.Serial, want)
 	}
 	if p.Pipelined > p.Serial {
 		t.Errorf("pipelined %v exceeds serial %v", p.Pipelined, p.Serial)
-	}
-}
-
-func TestCheapestPlanPicksMinimum(t *testing.T) {
-	kinds := []ExchangeKind{ExchangeAllreduce}
-	enc := []float64{0}
-	bytes := []int64{1 << 20}
-	cands := []Pricer{TCP10G(), IB100(), TwoTierTCP10G(4)}
-	best, price := CheapestPlan(cands, kinds, enc, bytes, 8)
-	if best < 0 {
-		t.Fatal("no candidate chosen")
-	}
-	for i, pr := range cands {
-		if got := PriceSchedule(pr, kinds, enc, bytes, 8); got.Pipelined < price.Pipelined {
-			t.Errorf("candidate %d (%s) cheaper than chosen %d", i, pr.Label(), best)
-		}
-	}
-	// A megabyte allreduce must be cheapest on the fast flat fabric.
-	if cands[best].Label() != IB100().Label() {
-		t.Errorf("chose %s, want ib100", cands[best].Label())
-	}
-	if best, _ := CheapestPlan(nil, kinds, enc, bytes, 8); best != -1 {
-		t.Errorf("empty candidates returned %d", best)
-	}
-}
-
-func TestCheapestPlanTieKeepsFirst(t *testing.T) {
-	f := IB100()
-	best, _ := CheapestPlan([]Pricer{f, f}, []ExchangeKind{ExchangeAllreduce}, []float64{0}, []int64{4096}, 4)
-	if best != 0 {
-		t.Errorf("tie chose %d, want 0", best)
 	}
 }
 

@@ -19,16 +19,6 @@ type Pricer interface {
 	// BroadcastTime prices a root-to-all broadcast of nBytes — the setup
 	// epilogue every run pays once (rank 0's weights), not a per-step cost.
 	BroadcastTime(nBytes int64, p int) float64
-	// PipelinedSyncTime prices the bucketed overlap pipeline (see
-	// Fabric.PipelinedSyncTime for the recurrence).
-	PipelinedSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64
-	// SerialSyncTime prices the same buckets without overlap.
-	SerialSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64
-	// PipelinedSyncTimeKinds and SerialSyncTimeKinds are the per-bucket
-	// exchange-kind variants, pricing mixed per-bucket policies where
-	// allreduce- and allgather-style buckets share one pipeline.
-	PipelinedSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64
-	SerialSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64
 }
 
 // Label implements Pricer for the flat fabric.
@@ -163,29 +153,4 @@ func (t TwoTier) SyncTime(kind ExchangeKind, bytesPerWorker int64, p int) float6
 	default:
 		return t.HierAllreduce(bytesPerWorker, p)
 	}
-}
-
-// PipelinedSyncTime implements Pricer (same recurrence as the flat fabric,
-// with hierarchical per-bucket collective prices).
-func (t TwoTier) PipelinedSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return t.PipelinedSyncTimeKinds(uniformKinds(kind), encSec, bucketBytes, p)
-}
-
-// SerialSyncTime implements Pricer.
-func (t TwoTier) SerialSyncTime(kind ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return t.SerialSyncTimeKinds(uniformKinds(kind), encSec, bucketBytes, p)
-}
-
-// PipelinedSyncTimeKinds implements Pricer with per-bucket exchange kinds.
-func (t TwoTier) PipelinedSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return pipelinedSyncTime(func(b int, bytes int64) float64 {
-		return t.SyncTime(kindAt(kinds, b), bytes, p)
-	}, encSec, bucketBytes)
-}
-
-// SerialSyncTimeKinds implements Pricer with per-bucket exchange kinds.
-func (t TwoTier) SerialSyncTimeKinds(kinds []ExchangeKind, encSec []float64, bucketBytes []int64, p int) float64 {
-	return serialSyncTime(func(b int, bytes int64) float64 {
-		return t.SyncTime(kindAt(kinds, b), bytes, p)
-	}, encSec, bucketBytes)
 }

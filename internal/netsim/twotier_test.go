@@ -50,8 +50,8 @@ func TestTwoTierPipelinedAtMostSerial(t *testing.T) {
 	two := TwoTierIB100(4)
 	enc := []float64{1e-5, 2e-5, 1e-5}
 	bytes := []int64{100_000, 50_000, 200_000}
-	pip := two.PipelinedSyncTime(ExchangeAllreduce, enc, bytes, 8)
-	ser := two.SerialSyncTime(ExchangeAllreduce, enc, bytes, 8)
+	price := PriceSchedule(two, []ExchangeKind{ExchangeAllreduce}, enc, bytes, 8)
+	pip, ser := price.Pipelined, price.Serial
 	if pip > ser {
 		t.Errorf("pipelined %g > serial %g", pip, ser)
 	}

@@ -217,22 +217,3 @@ func (s *SGD) ScatterVelocity(params []nn.Param, src []float32) {
 		off += len(p.W)
 	}
 }
-
-// ClipGradNorm rescales all gradients so their global l2 norm does not
-// exceed maxNorm, returning the pre-clip norm. The standard recurrent-
-// network stabilizer (and one of Deep Gradient Compression's ingredients).
-func ClipGradNorm(params []nn.Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		n := tensor.Norm2(p.G)
-		sq += n * n
-	}
-	total := math.Sqrt(sq)
-	if maxNorm > 0 && total > maxNorm {
-		scale := float32(maxNorm / (total + 1e-12))
-		for _, p := range params {
-			tensor.Scale(p.G, scale)
-		}
-	}
-	return total
-}

@@ -176,29 +176,3 @@ func TestSGDLARSDefaultTrust(t *testing.T) {
 		t.Errorf("step %v want 0.001", 1-w[0])
 	}
 }
-
-func TestClipGradNorm(t *testing.T) {
-	g1 := []float32{3, 0}
-	g2 := []float32{0, 4}
-	params := []nn.Param{{Name: "a", W: make([]float32, 2), G: g1},
-		{Name: "b", W: make([]float32, 2), G: g2}}
-	// Global norm = 5; clip to 2.5 → all gradients halved.
-	pre := ClipGradNorm(params, 2.5)
-	if math.Abs(pre-5) > 1e-9 {
-		t.Fatalf("pre-clip norm %v", pre)
-	}
-	if math.Abs(float64(g1[0])-1.5) > 1e-5 || math.Abs(float64(g2[1])-2) > 1e-5 {
-		t.Fatalf("clipped grads %v %v", g1, g2)
-	}
-	// Under the limit: untouched.
-	pre = ClipGradNorm(params, 100)
-	if math.Abs(float64(g1[0])-1.5) > 1e-5 {
-		t.Fatal("clip below limit must not rescale")
-	}
-	_ = pre
-	// maxNorm <= 0 disables clipping.
-	ClipGradNorm(params, 0)
-	if math.Abs(float64(g1[0])-1.5) > 1e-5 {
-		t.Fatal("maxNorm=0 must disable clipping")
-	}
-}

@@ -47,15 +47,6 @@ type Schedule struct {
 // NumBuckets returns the bucket count.
 func (s *Schedule) NumBuckets() int { return len(s.Bounds) - 1 }
 
-// SpecStrings renders the per-bucket specs canonically.
-func (s *Schedule) SpecStrings() []string {
-	out := make([]string, len(s.Specs))
-	for i, sp := range s.Specs {
-		out[i] = sp.String()
-	}
-	return out
-}
-
 // Composition summarizes the spec assignment: distinct spec strings in
 // first-use order, each with its bucket count ("a2sgd×6 | dense×2").
 func (s *Schedule) Composition() string {

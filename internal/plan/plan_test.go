@@ -115,9 +115,9 @@ func TestBuildPinnedBudgetAndCandidates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, s := range sched.SpecStrings() {
-		if s != "a2sgd" {
-			t.Errorf("pinned candidate ignored: %v", sched.SpecStrings())
+	for _, sp := range sched.Specs {
+		if sp.String() != "a2sgd" {
+			t.Errorf("pinned candidate ignored: %v", sched.Composition())
 		}
 	}
 	// fnn3's 9178 params at 8 KiB = 2048-elem buckets: more than one bucket

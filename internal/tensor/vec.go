@@ -236,44 +236,13 @@ func checkLen(a, b int) {
 
 // ---- parallel helpers ----
 
-// maxProcs bounds the fan-out of the parallel helpers. It is read per call
-// (not captured at package init) so later runtime.GOMAXPROCS changes — and
-// tests that restrict parallelism — are honored.
+// maxProcs bounds the fan-out of ParSignedMeans. It is read per call (not
+// captured at package init) so later runtime.GOMAXPROCS changes — and tests
+// that restrict parallelism — are honored.
 func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
 // grainSize is the minimum number of elements worth a goroutine.
 const grainSize = 1 << 14
-
-// ParallelFor splits [0, n) into contiguous chunks and runs body(lo, hi) on
-// each, using up to GOMAXPROCS goroutines. Small ranges run inline. body
-// must be safe to run concurrently on disjoint ranges.
-func ParallelFor(n int, body func(lo, hi int)) {
-	if n <= 0 {
-		return
-	}
-	workers := maxProcs()
-	if w := (n + grainSize - 1) / grainSize; w < workers {
-		workers = w
-	}
-	if workers <= 1 {
-		body(0, n)
-		return
-	}
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for lo := 0; lo < n; lo += chunk {
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			body(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
 
 // signedMeansPart is one worker's partial reduction for ParSignedMeans.
 type signedMeansPart struct {

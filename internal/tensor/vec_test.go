@@ -3,10 +3,8 @@ package tensor
 import (
 	"math"
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"testing/quick"
-	"time"
 )
 
 func almostEq(a, b, tol float64) bool {
@@ -265,24 +263,6 @@ func TestHasNaNOrInf(t *testing.T) {
 	}
 }
 
-func TestParallelForCoversRange(t *testing.T) {
-	n := 100001
-	marks := make([]int32, n)
-	ParallelFor(n, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			marks[i]++
-		}
-	})
-	for i, m := range marks {
-		if m != 1 {
-			t.Fatalf("index %d visited %d times", i, m)
-		}
-	}
-	// Zero and negative lengths are no-ops.
-	ParallelFor(0, func(lo, hi int) { t.Error("body called for n=0") })
-	ParallelFor(-5, func(lo, hi int) { t.Error("body called for n<0") })
-}
-
 func TestCloneIndependent(t *testing.T) {
 	v := Vec{1, 2, 3}
 	c := Clone(v)
@@ -336,25 +316,24 @@ func TestUniformVecRange(t *testing.T) {
 	}
 }
 
-// TestParallelForHonorsRuntimeGOMAXPROCS: the worker bound must be read per
-// call, so restricting GOMAXPROCS after package init restricts the fan-out
-// (previously it was captured once at init and later changes were ignored).
-func TestParallelForHonorsRuntimeGOMAXPROCS(t *testing.T) {
+// TestParSignedMeansHonorsRuntimeGOMAXPROCS: the worker bound must be read
+// per call, so restricting GOMAXPROCS after package init restricts the
+// fan-out — a vector long enough to fan out takes the inline path instead,
+// which is bitwise SignedMeans and allocates nothing (the fan-out costs one
+// partials slice per call).
+func TestParSignedMeansHonorsRuntimeGOMAXPROCS(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	var cur, peak atomic.Int32
-	ParallelFor(4*grainSize, func(lo, hi int) {
-		c := cur.Add(1)
-		for {
-			p := peak.Load()
-			if c <= p || peak.CompareAndSwap(p, c) {
-				break
-			}
-		}
-		time.Sleep(time.Millisecond)
-		cur.Add(-1)
-	})
-	if got := peak.Load(); got > 1 {
-		t.Errorf("GOMAXPROCS(1) but %d bodies ran concurrently", got)
+	v := make(Vec, 8*grainSize)
+	NewRNG(5).NormVec(v, 0, 1)
+	wp, wn, wnp := SignedMeans(v)
+	if mp, mn, np := ParSignedMeans(v); mp != wp || mn != wn || np != wnp {
+		t.Errorf("GOMAXPROCS(1): (%v, %v, %d), inline path gives (%v, %v, %d)", mp, mn, np, wp, wn, wnp)
+	}
+	if raceEnabled {
+		return
+	}
+	if a := testing.AllocsPerRun(10, func() { ParSignedMeans(v) }); a != 0 {
+		t.Errorf("GOMAXPROCS(1) but ParSignedMeans fanned out: %v allocs/op", a)
 	}
 }
