@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -75,6 +76,66 @@ func TestResumeAtFinalBoundaryReportsZeroAverages(t *testing.T) {
 	}
 	if len(res.Epochs) != 1 {
 		t.Errorf("resumed run reports %d epochs, want the snapshot's 1", len(res.Epochs))
+	}
+}
+
+// TestResumeRefusesStateItCannotPlace: batch-norm statistics or momentum that
+// are present in a snapshot but of the wrong length mean a truncated or
+// foreign snapshot; the resume fails naming the rank, the field and both
+// lengths instead of training on with fresh statistics and other results.
+// An absent field keeps its meaning: none was captured.
+func TestResumeRefusesStateItCannotPlace(t *testing.T) {
+	var snap *RunState
+	cfg := quickCfg("vgg16", "a2sgd", 2)
+	cfg.Epochs, cfg.StepsPerEpoch, cfg.BatchPerWorker = 1, 4, 2
+	cfg.CheckpointEvery = 2
+	cfg.SnapshotSink = func(rs *RunState) error {
+		if rs.Step == 2 {
+			snap = rs
+		}
+		return nil
+	}
+	if _, err := Train(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if snap == nil {
+		t.Fatal("no snapshot at step 2")
+	}
+	stateLen, n := len(snap.Workers[1].ModelState), snap.NumParams
+	cfg.CheckpointEvery, cfg.SnapshotSink = 0, nil
+	for _, tc := range []struct {
+		name   string
+		tamper func(ws *WorkerState)
+		want   []string // fragments of the error; none = the resume succeeds
+	}{
+		{"short ModelState", func(ws *WorkerState) { ws.ModelState = ws.ModelState[:stateLen-1] },
+			[]string{"worker 1", "ModelState", fmt.Sprint(stateLen - 1), fmt.Sprint(stateLen)}},
+		{"long Velocity", func(ws *WorkerState) { ws.Velocity = append(ws.Velocity, 0) },
+			[]string{"worker 1", "Velocity", fmt.Sprint(n + 1), fmt.Sprint(n)}},
+		{"absent", func(ws *WorkerState) { ws.ModelState, ws.Velocity = nil, nil }, nil},
+	} {
+		rs := *snap
+		rs.Workers = append([]*WorkerState(nil), snap.Workers...)
+		ws := *snap.Workers[1]
+		tc.tamper(&ws)
+		rs.Workers[1] = &ws
+		cfg.Resume = &rs
+		_, err := Train(cfg)
+		if len(tc.want) == 0 {
+			if err != nil {
+				t.Errorf("%s: %v", tc.name, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("%s: the resume went ahead", tc.name)
+			continue
+		}
+		for _, frag := range tc.want {
+			if !strings.Contains(err.Error(), frag) {
+				t.Errorf("%s: error %q does not mention %q", tc.name, err, frag)
+			}
+		}
 	}
 }
 

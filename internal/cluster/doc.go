@@ -29,6 +29,15 @@
 // the layers' live gradient storage, the pooled exchange operations and the
 // encode and sync clocks.
 //
+// Params() order is the layout; position is identity; views move everything.
+// At setup the worker lays four tensor.VecViews over model.Params() order —
+// the layers' weights and gradients, the model's non-learnable state and the
+// optimizer's momentum. The pipeline's bucket views are SliceViews of the
+// gradient view; the setup broadcast, the Figure 1 capture, snapshot capture
+// and restore and the final dense synchronization are CopyTo / CopyFrom on
+// those views, through one contiguous scratch buffer where a collective
+// needs one.
+//
 // Each step flows backward → launch → wait → apply. The flattened gradient is
 // cut at the schedule's layer-granular bounds and every bucket owns a full
 // algorithm instance (compress.Bucketed — per-bucket error feedback, seeds

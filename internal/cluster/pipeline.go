@@ -7,7 +7,6 @@ import (
 
 	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
-	"a2sgd/internal/models"
 	"a2sgd/internal/tensor"
 )
 
@@ -81,7 +80,7 @@ type pipeline struct {
 	encodeSec, syncSec float64
 }
 
-func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, model models.Model, overlap, interleave bool) *pipeline {
+func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, grads *tensor.VecView, overlap, interleave bool) *pipeline {
 	nb := bk.NumBuckets()
 	p := &pipeline{
 		cm: cm, bk: bk, overlap: overlap,
@@ -91,7 +90,7 @@ func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, model models.Mode
 	}
 	bounds := bk.Bounds()
 	for b := range p.views {
-		model.GradView(bounds[b], bounds[b+1], &p.views[b])
+		grads.SliceView(bounds[b], bounds[b+1], &p.views[b])
 	}
 	// The prefetch pool is sized by this process's share of the CPUs:
 	// in-process experiments run every rank in one process, so each rank

@@ -57,8 +57,16 @@ type worker struct {
 	lrScale   float64
 	sampleRNG *tensor.RNG
 	pipe      *pipeline
-	// scratch holds n floats: the Figure 1 capture's flat gradient and the
-	// final dense synchronization's weights.
+
+	// The rank's tensors as flattened vectors, in model.Params() order: the
+	// layers' live weights, gradients and non-learnable state, and the
+	// optimizer's momentum. Everything that crosses the rank's boundary — a
+	// collective, a snapshot, the Figure 1 capture — is a copy through one of
+	// these.
+	weights, grads, state, velocity tensor.VecView
+	// scratch holds n floats, the contiguous buffer a collective needs: the
+	// setup broadcast's and the final dense synchronization's weights, and
+	// the Figure 1 capture's gradient.
 	scratch []float32
 
 	batch     models.Batch // the step's samples, refilled in place every step
@@ -108,6 +116,9 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 	}
 	w.model, w.n = model, model.NumParams()
 	w.scratch = make([]float32, w.n)
+	nn.WeightViewOf(model.Params(), &w.weights)
+	nn.GradViewOf(model.Params(), &w.grads)
+	w.state.Reset(model.State())
 
 	// Cut the flattened gradient at the scheduled (layer-granular) bounds
 	// and build one algorithm instance per bucket — per-bucket error
@@ -132,11 +143,11 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 	if cfg.Resume == nil {
 		// Broadcast rank 0's weights so replicas start identical even if
 		// a model family ever gains non-deterministic init.
-		model.GatherParams(w.scratch)
+		w.weights.CopyTo(w.scratch)
 		if err := cm.Broadcast(w.scratch, 0); err != nil {
 			return nil, err
 		}
-		model.ScatterParams(w.scratch)
+		w.weights.CopyFrom(w.scratch)
 	} else if cfg.Resume.NumParams != w.n {
 		return nil, fmt.Errorf("cluster: snapshot has %d params, model %s has %d", cfg.Resume.NumParams, cfg.Family, w.n)
 	}
@@ -157,6 +168,7 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 	}
 	w.opt = optim.NewSGD(momentum, cfg.WeightDecay)
 	w.lrSched, w.opt.LARS = optim.PolicyFor(cfg.Family, cfg.Workers)
+	w.velocity.Reset(w.opt.Velocity(model.Params()))
 	w.sampleRNG = tensor.NewRNG(cfg.Seed*1000 + uint64(w.rank) + 1)
 
 	if w.rank == 0 {
@@ -171,12 +183,22 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 		if ws == nil || len(ws.Params) != w.n {
 			return nil, fmt.Errorf("cluster: snapshot worker %d does not hold %d params", w.rank, w.n)
 		}
-		model.ScatterParams(ws.Params)
-		if sl := model.StateLen(); sl > 0 && len(ws.ModelState) == sl {
-			model.ScatterState(ws.ModelState)
-		}
-		if len(ws.Velocity) == w.n {
-			w.opt.ScatterVelocity(model.Params(), ws.Velocity)
+		w.weights.CopyFrom(ws.Params)
+		// An absent field means fresh batch-norm statistics / zero momentum;
+		// one of the wrong length is a truncated or foreign snapshot.
+		for _, f := range []struct {
+			name string
+			src  []float32
+			dst  *tensor.VecView
+		}{{"ModelState", ws.ModelState, &w.state}, {"Velocity", ws.Velocity, &w.velocity}} {
+			if len(f.src) == 0 {
+				continue
+			}
+			if len(f.src) != f.dst.Len() {
+				return nil, fmt.Errorf("cluster: snapshot worker %d holds %d %s values, model %s has %d",
+					w.rank, len(f.src), f.name, cfg.Family, f.dst.Len())
+			}
+			f.dst.CopyFrom(f.src)
 		}
 		w.sampleRNG.SetState(ws.SampleRNG)
 		if len(rs.Bounds) >= 2 {
@@ -188,7 +210,7 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 		}
 	}
 	// Last, so a failed setup leaves no prefetch pool behind.
-	w.pipe = newPipeline(cm, bucketed, model, sched.Overlap, cfg.Interleave)
+	w.pipe = newPipeline(cm, bucketed, &w.grads, sched.Overlap, cfg.Interleave)
 	return w, nil
 }
 
@@ -300,7 +322,7 @@ func (w *worker) step(g int) error {
 		w.lossSum += w.model.Step(batch)
 		w.computeSec += time.Since(t0).Seconds()
 		if histStep && w.rank == 0 {
-			w.model.GatherGrads(w.scratch)
+			w.grads.CopyTo(w.scratch)
 			h := stats.NewHistogram(-0.25, 0.25, 101)
 			h.AddSlice(w.scratch)
 			w.hists = append(w.hists, h)
@@ -329,13 +351,13 @@ func (w *worker) step(g int) error {
 func (w *worker) captureState() *WorkerState {
 	ws := &WorkerState{Rank: w.rank, SampleRNG: w.sampleRNG.State(), LossSum: w.lossSum}
 	ws.Params = make([]float32, w.n)
-	w.model.GatherParams(ws.Params)
-	if sl := w.model.StateLen(); sl > 0 {
+	w.weights.CopyTo(ws.Params)
+	if sl := w.state.Len(); sl > 0 {
 		ws.ModelState = make([]float32, sl)
-		w.model.GatherState(ws.ModelState)
+		w.state.CopyTo(ws.ModelState)
 	}
 	ws.Velocity = make([]float32, w.n)
-	w.opt.GatherVelocity(w.model.Params(), ws.Velocity)
+	w.velocity.CopyTo(ws.Velocity)
 	ws.Buckets = w.pipe.bk.SaveStates()
 	return ws
 }
@@ -379,11 +401,11 @@ func (w *worker) finish() error {
 
 	// Algorithm 1, lines 9–10: one final dense synchronization so all
 	// replicas end identical (A2SGD replicas drift by design).
-	w.model.GatherParams(w.scratch)
+	w.weights.CopyTo(w.scratch)
 	if err := w.cm.AllreduceMean(w.scratch, comm.AlgoAuto); err != nil {
 		return fmt.Errorf("cluster: final dense synchronization: %w", err)
 	}
-	w.model.ScatterParams(w.scratch)
+	w.weights.CopyFrom(w.scratch)
 	if w.rank != 0 {
 		return nil
 	}

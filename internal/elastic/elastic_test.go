@@ -159,6 +159,9 @@ func TestRestoreBitwise(t *testing.T) {
 		{"periodic-interval", "fnn3", "periodic(topk(density=0.05), interval=2)"},
 		{"qsgd-rng", "fnn3", "qsgd(levels=4)"},
 		{"vgg16-batchnorm", "vgg16", "a2sgd"},
+		// Names shared three ways; state nested through Residual and its
+		// projection.
+		{"resnet20-residual", "resnet20", "a2sgd"},
 		{"lstm", "lstm", "a2sgd"},
 	}
 	for _, tc := range cases {

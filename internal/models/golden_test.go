@@ -11,6 +11,7 @@ import (
 
 	"a2sgd/internal/data"
 	"a2sgd/internal/models"
+	"a2sgd/internal/nn"
 	"a2sgd/internal/optim"
 	"a2sgd/internal/tensor"
 )
@@ -20,7 +21,11 @@ import (
 // of a fixed script. They were recorded from the row-AXPY / scalar-Dot matmuls
 // and the allocate-per-call layers this repository had before the strided
 // GEMM and the layer workspaces, and any kernel, build tag or buffer-reuse
-// change must reproduce them exactly on amd64.
+// change must reproduce them exactly on amd64. The one re-recording since:
+// vgg16 and resnet20 from step1 on, when the optimizer stopped handing
+// same-named tensors one shared momentum buffer — the script's updates run
+// momentum 0.9, so every phase after the first update reads other weights
+// (fnn3, lstm and every step0 did not move: no shared names, no update yet).
 //
 // The script is longer than one step on purpose. A freshly allocated matrix
 // is zero, and the old layers leaned on that (im2col padding, ReLU output,
@@ -38,14 +43,14 @@ var goldenDigests = map[string][]string{
 		"train16b:4933131fc4d9699a", "train8:27c7f314bd89475d", "state:8be262b600e8f111",
 	},
 	"vgg16": {
-		"step0:b040acc1194078c8", "step1:ac20975251f26c13", "step2:33ec67a8aba8cc2d",
-		"interleaved:d719666983863d66", "train16:263e1eb5c047ef4f", "eval64:ec9dc8196f991594",
-		"train16b:283181b51396e412", "train8:0fbc632dfd375c81", "state:5e6067803f1efe37",
+		"step0:b040acc1194078c8", "step1:0b5e980d5c17e99e", "step2:90f9b45abb114b41",
+		"interleaved:b946dad90a997944", "train16:5050e7d7a3ba7bc5", "eval64:40684cceb65b09c1",
+		"train16b:fadc3d5cc017aad8", "train8:e48a61c05af34a6e", "state:771c549ca6efb6d6",
 	},
 	"resnet20": {
-		"step0:96d9741d45e2faa2", "step1:3719490c51b19bdc", "step2:7f8f0e2166b0045f",
-		"interleaved:f689f2072ea9f4cf", "train16:5680edd460e4f778", "eval64:0a7a7cbbe2f7e70c",
-		"train16b:4af67b2e9dfc68f8", "train8:9470cbf1a373acf3", "state:1d236c925416de40",
+		"step0:96d9741d45e2faa2", "step1:1131d3bc6cdfd7c5", "step2:279984816d85c4f7",
+		"interleaved:f6bb89e48f3226df", "train16:79dffc3d8aef9d52", "eval64:3420069115b38f46",
+		"train16b:a71fdc601cbd85df", "train8:87b3bd1dbadf951e", "state:2d622570d51e143b",
 	},
 	"lstm": {
 		"step0:e133d9f7453d88a1", "step1:2def6d85a25024e1", "step2:d66e4f44dea8d4a4",
@@ -93,6 +98,10 @@ func goldenScript(t *testing.T, fam string) []string {
 		return txt.Sample(rng, n, 12)
 	}
 	opt := optim.NewSGD(0.9, 0)
+	var weightView, gradView, stateView tensor.VecView
+	nn.WeightViewOf(m.Params(), &weightView)
+	nn.GradViewOf(m.Params(), &gradView)
+	stateView.Reset(m.State())
 	grads := make([]float32, m.NumParams())
 	var out []string
 	record := func(phase string, vals ...float64) {
@@ -100,7 +109,7 @@ func goldenScript(t *testing.T, fam string) []string {
 		for _, v := range vals {
 			d.f64(v)
 		}
-		m.GatherGrads(grads)
+		gradView.CopyTo(grads)
 		d.vec(grads)
 		out = append(out, fmt.Sprintf("%s:%016x", phase, d.h.Sum64()))
 	}
@@ -129,10 +138,10 @@ func goldenScript(t *testing.T, fam string) []string {
 
 	d := newDigest()
 	params := make([]float32, m.NumParams())
-	m.GatherParams(params)
+	weightView.CopyTo(params)
 	d.vec(params)
-	state := make([]float32, m.StateLen())
-	m.GatherState(state)
+	state := make([]float32, stateView.Len())
+	stateView.CopyTo(state)
 	d.vec(state)
 	out = append(out, fmt.Sprintf("state:%016x", d.h.Sum64()))
 	return out
@@ -216,11 +225,13 @@ func TestGradientsAccumulateAcrossSteps(t *testing.T) {
 	for _, fam := range models.Families() {
 		m, step, _ := stepper(t, fam)
 		once, twice := make([]float32, m.NumParams()), make([]float32, m.NumParams())
+		var gradView tensor.VecView
+		nn.GradViewOf(m.Params(), &gradView)
 		m.ZeroGrads()
 		step()
-		m.GatherGrads(once)
+		gradView.CopyTo(once)
 		step()
-		m.GatherGrads(twice)
+		gradView.CopyTo(twice)
 		off := 0
 		for _, p := range m.Params() {
 			var scale, worst float64

@@ -14,6 +14,13 @@
 //     ResNet identity-shortcut residual stacks; single-layer LSTM LM) used
 //     by the convergence experiments (Figures 3, 6–8). The substitution is
 //     recorded in DESIGN.md §5.
+//
+// Params() order is the layout; position is identity; views move everything.
+// A Model exposes its learnable tensors (Params) and its non-learnable ones
+// (State); whoever needs the flattened weights, gradients or state lays a
+// tensor.VecView over them (nn.WeightViewOf, nn.GradViewOf) and copies or
+// slices through it. A tensor's position in Params() is what identifies it —
+// names repeat wherever two layers share a shape.
 package models
 
 import (
@@ -70,28 +77,16 @@ type Model interface {
 	Metric() Metric
 	// ZeroGrads clears the gradient accumulators.
 	ZeroGrads()
-	// GatherGrads copies the flattened gradient vector into dst.
-	GatherGrads(dst []float32)
-	// GradView writes into dst a view of the live gradient storage backing
-	// the flattened elements [lo, hi), spanning parameter tensors as needed,
-	// and returns dst. Every bucket is encoded from and reconstructed into
-	// such a view in place — no gather or scatter copy, regardless of where
-	// its boundaries fall.
-	GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView
-	// ParamSegments reports the per-tensor boundaries of the flattened
-	// vector, in GatherGrads order, for layer-granular bucket planning.
-	ParamSegments() []nn.Segment
-	// GatherParams/ScatterParams move the flattened weights.
-	GatherParams(dst []float32)
-	ScatterParams(src []float32)
-	// StateLen reports the flattened non-learnable state length (batch-norm
-	// running statistics); GatherState/ScatterState move it. Models without
-	// such state report 0 and the gather/scatter are no-ops on empty slices.
-	StateLen() int
-	GatherState(dst []float32)
-	ScatterState(src []float32)
-	// Params exposes the learnable tensors for the optimizer.
+	// Params exposes the learnable tensors. Their order is the layout of the
+	// flattened weight and gradient vectors.
 	Params() []nn.Param
+	// ParamSegments reports the per-tensor boundaries of the flattened
+	// vector, in Params() order, for layer-granular bucket planning.
+	ParamSegments() []nn.Segment
+	// State exposes the live non-learnable tensors (batch-norm running
+	// statistics) a snapshot must carry; their order is the layout of the
+	// flattened model state. Models without such state return none.
+	State() [][]float32
 }
 
 // classifier adapts an nn.Network to the Model interface.
@@ -127,16 +122,8 @@ func (c *classifier) Eval(b Batch) (float64, float64) {
 	return loss, nn.Accuracy(logits, b.Labels)
 }
 
-func (c *classifier) GatherGrads(dst []float32) { c.net.GatherGrads(dst) }
-func (c *classifier) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {
-	return c.net.GradView(lo, hi, dst)
-}
 func (c *classifier) ParamSegments() []nn.Segment { return c.net.ParamSegments() }
-func (c *classifier) GatherParams(dst []float32)  { c.net.GatherParams(dst) }
-func (c *classifier) ScatterParams(src []float32) { c.net.ScatterParams(src) }
-func (c *classifier) StateLen() int               { return c.net.StateLen() }
-func (c *classifier) GatherState(dst []float32)   { c.net.GatherState(dst) }
-func (c *classifier) ScatterState(src []float32)  { c.net.ScatterState(src) }
+func (c *classifier) State() [][]float32          { return c.net.State() }
 
 // Config selects a model family and scale.
 type Config struct {
@@ -335,12 +322,9 @@ func newResNet20(rng *tensor.RNG, cfg Config) Model {
 	return &classifier{name: "resnet20", net: nn.NewNetwork(layers...)}
 }
 
-// lstmModel adapts nn.LSTMLM to the Model interface. The parameter list and
-// the full gradient view are cached on first use (satellite of the hot-path
-// work: the per-step accessors must not rebuild them).
+// lstmModel adapts nn.LSTMLM to the Model interface.
 type lstmModel struct {
-	lm       *nn.LSTMLM
-	gradView tensor.VecView
+	lm *nn.LSTMLM
 }
 
 func (l *lstmModel) Name() string   { return "lstm" }
@@ -376,44 +360,11 @@ func (l *lstmModel) ZeroGrads() {
 	}
 }
 
-func (l *lstmModel) GatherGrads(dst []float32) {
-	off := 0
-	for _, p := range l.lm.Params() {
-		copy(dst[off:off+len(p.G)], p.G)
-		off += len(p.G)
-	}
-}
-
-func (l *lstmModel) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {
-	if l.gradView.Len() == 0 {
-		nn.GradViewOf(l.lm.Params(), &l.gradView)
-	}
-	return l.gradView.SliceView(lo, hi, dst)
-}
-
 func (l *lstmModel) ParamSegments() []nn.Segment { return nn.SegmentsOf(l.lm.Params()) }
 
-func (l *lstmModel) GatherParams(dst []float32) {
-	off := 0
-	for _, p := range l.lm.Params() {
-		copy(dst[off:off+len(p.W)], p.W)
-		off += len(p.W)
-	}
-}
-
-func (l *lstmModel) ScatterParams(src []float32) {
-	off := 0
-	for _, p := range l.lm.Params() {
-		copy(p.W, src[off:off+len(p.W)])
-		off += len(p.W)
-	}
-}
-
-// StateLen implements Model: the LSTM carries no cross-batch state (hidden
+// State implements Model: the LSTM carries no cross-batch state (hidden
 // state is reset per truncated-BPTT window), so there is nothing to capture.
-func (l *lstmModel) StateLen() int          { return 0 }
-func (l *lstmModel) GatherState([]float32)  {}
-func (l *lstmModel) ScatterState([]float32) {}
+func (l *lstmModel) State() [][]float32 { return nil }
 
 // newLSTM builds the LSTM-PTB pattern. Paper scale: vocab 10,000, embedding
 // and hidden 1500, two stacked layers (the Zaremba "large" PTB

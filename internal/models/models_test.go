@@ -1,6 +1,7 @@
 package models
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -61,16 +62,19 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	for _, fam := range Families() {
 		m := buildReduced(t, fam)
 		n := m.NumParams()
+		var wv, gv tensor.VecView
+		nn.WeightViewOf(m.Params(), &wv)
+		nn.GradViewOf(m.Params(), &gv)
 		w := make([]float32, n)
-		m.GatherParams(w)
-		// Perturb and scatter back.
+		wv.CopyTo(w)
+		// Perturb and copy back.
 		w2 := append([]float32(nil), w...)
 		for i := range w2 {
 			w2[i] += 1
 		}
-		m.ScatterParams(w2)
+		wv.CopyFrom(w2)
 		w3 := make([]float32, n)
-		m.GatherParams(w3)
+		wv.CopyTo(w3)
 		for i := range w3 {
 			if w3[i] != w[i]+1 {
 				t.Fatalf("%s: param round trip failed at %d", fam, i)
@@ -81,17 +85,16 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 		for i := range g {
 			g[i] = float32(i%7) - 3
 		}
-		var gv tensor.VecView
-		m.GradView(0, n, &gv).CopyFrom(g)
+		gv.CopyFrom(g)
 		g2 := make([]float32, n)
-		m.GatherGrads(g2)
+		gv.CopyTo(g2)
 		for i := range g2 {
 			if g2[i] != g[i] {
 				t.Fatalf("%s: grad round trip failed at %d", fam, i)
 			}
 		}
 		m.ZeroGrads()
-		m.GatherGrads(g2)
+		gv.CopyTo(g2)
 		for i := range g2 {
 			if g2[i] != 0 {
 				t.Fatalf("%s: ZeroGrads left %v at %d", fam, g2[i], i)
@@ -100,16 +103,143 @@ func TestGatherScatterRoundTrip(t *testing.T) {
 	}
 }
 
+// stateTensors is the state layout's oracle, written against the layer
+// types: batch-norm's running mean then variance, a residual block's inner
+// stack then its projection, layers in order.
+func stateTensors(layers []nn.Layer) [][]float32 {
+	var st [][]float32
+	for _, l := range layers {
+		switch l := l.(type) {
+		case *nn.BatchNorm2D:
+			st = append(st, l.RunMean, l.RunVar)
+		case *nn.Residual:
+			st = append(st, stateTensors(l.Inner)...)
+			st = append(st, stateTensors(l.Proj)...)
+		}
+	}
+	return st
+}
+
+// TestViewsFollowParamsOrder: for every family the weight, gradient and state
+// views are the concatenation of p.W, p.G and the state tensors in Params()
+// order; any SliceView is that range of it; copying out and back in changes
+// nothing, and copying in lands in the tensors.
+func TestViewsFollowParamsOrder(t *testing.T) {
+	for _, fam := range Families() {
+		m := buildReduced(t, fam)
+		var ws, gs, st [][]float32
+		for _, p := range m.Params() {
+			ws, gs = append(ws, p.W), append(gs, p.G)
+		}
+		if c, ok := m.(*classifier); ok {
+			st = stateTensors(c.net.Layers)
+		}
+		var weights, grads, state tensor.VecView
+		nn.WeightViewOf(m.Params(), &weights)
+		nn.GradViewOf(m.Params(), &grads)
+		state.Reset(m.State())
+		if fam == "vgg16" || fam == "resnet20" {
+			if state.Len() == 0 {
+				t.Fatalf("%s: no batch-norm state", fam)
+			}
+		} else if state.Len() != 0 {
+			t.Fatalf("%s: %d state values", fam, state.Len())
+		}
+		rng := tensor.NewRNG(7)
+		for _, c := range []struct {
+			what    string
+			view    *tensor.VecView
+			tensors [][]float32
+		}{{"weights", &weights, ws}, {"grads", &grads, gs}, {"state", &state, st}} {
+			// Distinct values everywhere, written through the tensors.
+			for _, x := range c.tensors {
+				rng.NormVec(x, 0, 1)
+			}
+			concat := func() []float32 {
+				var flat []float32
+				for _, x := range c.tensors {
+					flat = append(flat, x...)
+				}
+				return flat
+			}
+			want := concat()
+			n := len(want)
+			if c.view.Len() != n {
+				t.Fatalf("%s %s: view holds %d values, tensors %d", fam, c.what, c.view.Len(), n)
+			}
+			var sub tensor.VecView
+			for i := 0; i <= 50 && n > 0; i++ {
+				lo, hi := rng.Intn(n), rng.Intn(n+1)
+				if i == 0 {
+					lo, hi = 0, n
+				}
+				if lo > hi {
+					lo, hi = hi, lo
+				}
+				got := make([]float32, hi-lo)
+				c.view.SliceView(lo, hi, &sub).CopyTo(got)
+				for j := range got {
+					if got[j] != want[lo+j] {
+						t.Fatalf("%s %s: SliceView(%d,%d)[%d] = %v, want %v", fam, c.what, lo, hi, j, got[j], want[lo+j])
+					}
+				}
+			}
+			x := make([]float32, n)
+			c.view.CopyTo(x)
+			c.view.CopyFrom(x)
+			for i, v := range concat() {
+				if v != want[i] {
+					t.Fatalf("%s %s: copy out and back in changed element %d", fam, c.what, i)
+				}
+			}
+			for i := range x {
+				x[i] = float32(i)
+			}
+			c.view.CopyFrom(x)
+			for i, v := range concat() {
+				if v != float32(i) {
+					t.Fatalf("%s %s: CopyFrom left %v at %d", fam, c.what, v, i)
+				}
+			}
+		}
+	}
+}
+
+// TestCheckpointRoundTripEveryFamily: a checkpoint saved from one model loads
+// every tensor into another — including the tensors that share a name with an
+// earlier one (vgg16's and resnet20's same-shaped layers).
+func TestCheckpointRoundTripEveryFamily(t *testing.T) {
+	for _, fam := range Families() {
+		src := buildReduced(t, fam)
+		dst, err := New(Config{Family: fam, Seed: 2, Reduced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := nn.SaveParams(&buf, src.Params()); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := nn.LoadParams(&buf, dst.Params()); err != nil {
+			t.Fatalf("%s: %v", fam, err)
+		}
+		for i, p := range src.Params() {
+			for j, v := range p.W {
+				if dst.Params()[i].W[j] != v {
+					t.Fatalf("%s: tensor %d %s differs at %d after load", fam, i, p.Name, j)
+				}
+			}
+		}
+	}
+}
+
 func TestSeedDeterminism(t *testing.T) {
 	a := buildReduced(t, "resnet20")
 	b := buildReduced(t, "resnet20")
-	wa := make([]float32, a.NumParams())
-	wb := make([]float32, b.NumParams())
-	a.GatherParams(wa)
-	b.GatherParams(wb)
-	for i := range wa {
-		if wa[i] != wb[i] {
-			t.Fatal("same seed must give identical weights")
+	for i, p := range a.Params() {
+		for j, v := range p.W {
+			if b.Params()[i].W[j] != v {
+				t.Fatal("same seed must give identical weights")
+			}
 		}
 	}
 }

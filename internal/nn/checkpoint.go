@@ -14,9 +14,11 @@ import (
 //	per tensor: name length u32, name bytes, element count u32, f32 data |
 //	crc32 (IEEE) of everything before it
 //
-// The format stores tensors by name so a checkpoint survives refactors that
-// keep layer names stable, and the CRC turns truncated or corrupted files
-// into clean errors instead of silently wrong weights.
+// Tensors are stored in Params() order and loaded by position — names are
+// labels, not keys (two layers of one shape share a name), so the stored name
+// and element count only check that the file fits the model. The CRC turns
+// truncated or corrupted files into clean errors instead of silently wrong
+// weights.
 
 const ckMagic = "A2CK"
 const ckVersion = 1
@@ -57,10 +59,10 @@ func SaveParams(w io.Writer, params []Param) error {
 	return err
 }
 
-// LoadParams reads a checkpoint and copies each stored tensor into the
-// parameter with the matching name. Every stored tensor must find a match
-// with an identical element count; parameters absent from the checkpoint
-// are left untouched and reported.
+// LoadParams reads a checkpoint and copies the i-th stored tensor into
+// params[i], which must carry the stored name and element count. It returns
+// the names loaded, in order; parameters past the checkpoint's last tensor
+// are left untouched.
 func LoadParams(r io.Reader, params []Param) (loaded []string, err error) {
 	cr := &crcReader{r: r}
 	head := make([]byte, 4)
@@ -81,10 +83,6 @@ func LoadParams(r io.Reader, params []Param) (loaded []string, err error) {
 	if err != nil {
 		return nil, err
 	}
-	byName := map[string]Param{}
-	for _, p := range params {
-		byName[p.Name] = p
-	}
 	for i := uint32(0); i < count; i++ {
 		nameLen, err := readU32(cr)
 		if err != nil {
@@ -104,10 +102,10 @@ func LoadParams(r io.Reader, params []Param) (loaded []string, err error) {
 		}
 		// Validate against the model BEFORE allocating: a corrupted header
 		// could otherwise demand a multi-gigabyte buffer.
-		p, ok := byName[name]
-		if !ok {
-			return nil, fmt.Errorf("nn: checkpoint tensor %q has no matching parameter", name)
+		if uint64(i) >= uint64(len(params)) || params[i].Name != name {
+			return nil, fmt.Errorf("nn: checkpoint tensor %d %q has no matching parameter", i, name)
 		}
+		p := params[i]
 		if len(p.W) != int(elems) {
 			return nil, fmt.Errorf("nn: tensor %q has %d elements, model expects %d", name, elems, len(p.W))
 		}

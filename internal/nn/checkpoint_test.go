@@ -13,27 +13,34 @@ func ckNet(seed uint64) *Network {
 	return NewNetwork(NewLinear(rng, 4, 3), NewReLU(), NewLinear(rng, 3, 2))
 }
 
+// sameNameNet has two layers of one shape, so two tensors carry each name:
+// only a tensor's position tells them apart.
+func sameNameNet(seed uint64) *Network {
+	rng := tensor.NewRNG(seed)
+	return NewNetwork(NewLinear(rng, 3, 3), NewReLU(), NewLinear(rng, 3, 3))
+}
+
 func TestCheckpointRoundTrip(t *testing.T) {
-	src := ckNet(1)
-	var buf bytes.Buffer
-	if err := SaveParams(&buf, src.Params()); err != nil {
-		t.Fatal(err)
-	}
-	dst := ckNet(99) // different init
-	loaded, err := LoadParams(&buf, dst.Params())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(loaded) != len(src.Params()) {
-		t.Fatalf("loaded %d tensors, want %d", len(loaded), len(src.Params()))
-	}
-	ws := make([]float32, src.NumParams())
-	wd := make([]float32, dst.NumParams())
-	src.GatherParams(ws)
-	dst.GatherParams(wd)
-	for i := range ws {
-		if ws[i] != wd[i] {
-			t.Fatalf("weights differ at %d after load", i)
+	for name, build := range map[string]func(uint64) *Network{"distinct names": ckNet, "shared names": sameNameNet} {
+		src := build(1)
+		var buf bytes.Buffer
+		if err := SaveParams(&buf, src.Params()); err != nil {
+			t.Fatal(err)
+		}
+		dst := build(99) // different init
+		loaded, err := LoadParams(&buf, dst.Params())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(loaded) != len(src.Params()) {
+			t.Fatalf("%s: loaded %d tensors, want %d", name, len(loaded), len(src.Params()))
+		}
+		for i, p := range src.Params() {
+			for j, v := range p.W {
+				if dst.Params()[i].W[j] != v {
+					t.Fatalf("%s: tensor %d %s differs at %d after load", name, i, p.Name, j)
+				}
+			}
 		}
 	}
 }
@@ -97,8 +104,14 @@ func TestCheckpointShapeMismatch(t *testing.T) {
 	// produce different names, so the mismatch is "no matching parameter".
 	rng := tensor.NewRNG(8)
 	other := NewNetwork(NewLinear(rng, 4, 5), NewReLU(), NewLinear(rng, 5, 2))
-	if _, err := LoadParams(&buf, other.Params()); err == nil {
+	if _, err := LoadParams(bytes.NewReader(buf.Bytes()), other.Params()); err == nil {
 		t.Fatal("shape/name mismatch not detected")
+	}
+	// The same tensors in another order: every name is present, no position
+	// matches.
+	swapped := NewNetwork(NewLinear(rng, 3, 2), NewLinear(rng, 4, 3))
+	if _, err := LoadParams(bytes.NewReader(buf.Bytes()), swapped.Params()); err == nil {
+		t.Fatal("tensors stored in another order were loaded by name")
 	}
 }
 

@@ -417,20 +417,8 @@ func (b *BatchNorm2D) Params() []Param {
 	}
 }
 
-// StateLen implements Stateful: the running mean and variance per channel.
-func (b *BatchNorm2D) StateLen() int { return 2 * b.In.C }
-
-// GatherState implements Stateful.
-func (b *BatchNorm2D) GatherState(dst []float32) {
-	copy(dst[:b.In.C], b.RunMean)
-	copy(dst[b.In.C:], b.RunVar)
-}
-
-// ScatterState implements Stateful.
-func (b *BatchNorm2D) ScatterState(src []float32) {
-	copy(b.RunMean, src[:b.In.C])
-	copy(b.RunVar, src[b.In.C:])
-}
+// State implements Stateful: the running mean, then the running variance.
+func (b *BatchNorm2D) State() [][]float32 { return [][]float32{b.RunMean, b.RunVar} }
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {

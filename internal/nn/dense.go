@@ -104,94 +104,6 @@ func (r *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
 	return dx
 }
 
-// Tanh is the hyperbolic tangent activation.
-type Tanh struct {
-	out, dx buf
-}
-
-// NewTanh builds a Tanh layer.
-func NewTanh() *Tanh { return &Tanh{} }
-
-// Name implements Layer.
-func (t *Tanh) Name() string { return "Tanh" }
-
-// Params implements Layer.
-func (t *Tanh) Params() []Param { return nil }
-
-// Forward implements Layer.
-func (t *Tanh) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	out := t.out.get(x.Rows, x.Cols)
-	for i, v := range x.Data {
-		out.Data[i] = float32(math.Tanh(float64(v)))
-	}
-	return out
-}
-
-// Backward implements Layer: dx = dout · (1 − tanh²), from the layer's own
-// output.
-func (t *Tanh) Backward(dout *tensor.Mat) *tensor.Mat {
-	dx := t.dx.get(dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		y := t.out.m.Data[i]
-		dx.Data[i] = v * (1 - y*y)
-	}
-	return dx
-}
-
-// Dropout zeroes activations with probability P during training and scales
-// the survivors by 1/(1−P) (inverted dropout).
-type Dropout struct {
-	P             float32
-	rng           *tensor.RNG
-	mask, out, dx buf
-}
-
-// NewDropout builds a dropout layer; p must be in [0, 1).
-func NewDropout(rng *tensor.RNG, p float32) *Dropout {
-	if p < 0 || p >= 1 {
-		panic("nn: dropout p must be in [0,1)")
-	}
-	return &Dropout{P: p, rng: rng}
-}
-
-// Name implements Layer.
-func (d *Dropout) Name() string { return fmt.Sprintf("Dropout(%.2f)", d.P) }
-
-// Params implements Layer.
-func (d *Dropout) Params() []Param { return nil }
-
-// Forward implements Layer.
-func (d *Dropout) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	if !train || d.P == 0 {
-		return x
-	}
-	out := d.out.get(x.Rows, x.Cols)
-	mask := d.mask.get(x.Rows, x.Cols).Data
-	scale := 1 / (1 - d.P)
-	for i, v := range x.Data {
-		if d.rng.Float32() >= d.P {
-			mask[i] = scale
-			out.Data[i] = v * scale
-		} else {
-			mask[i] = 0
-			out.Data[i] = 0
-		}
-	}
-	return out
-}
-
-// Backward implements Layer.
-func (d *Dropout) Backward(dout *tensor.Mat) *tensor.Mat {
-	if d.P == 0 {
-		return dout
-	}
-	dx := d.dx.get(dout.Rows, dout.Cols)
-	for i, v := range dout.Data {
-		dx.Data[i] = v * d.mask.m.Data[i]
-	}
-	return dx
-}
-
 // Residual wraps an inner stack and adds its (possibly transformed) input
 // to its output — the shortcut connection of ResNet. With a nil projection
 // the shortcut is the identity and input/output shapes must match; with a
@@ -231,39 +143,9 @@ func (r *Residual) Params() []Param {
 	return ps
 }
 
-// StateLen implements Stateful: the nested batch-norm layers' state, inner
+// State implements Stateful: the nested batch-norm layers' state, inner
 // stack first, then the projection (matching Params order).
-func (r *Residual) StateLen() int {
-	total := 0
-	for _, l := range append(append([]Layer(nil), r.Inner...), r.Proj...) {
-		if s, ok := l.(Stateful); ok {
-			total += s.StateLen()
-		}
-	}
-	return total
-}
-
-// GatherState implements Stateful.
-func (r *Residual) GatherState(dst []float32) {
-	off := 0
-	for _, l := range append(append([]Layer(nil), r.Inner...), r.Proj...) {
-		if s, ok := l.(Stateful); ok {
-			s.GatherState(dst[off : off+s.StateLen()])
-			off += s.StateLen()
-		}
-	}
-}
-
-// ScatterState implements Stateful.
-func (r *Residual) ScatterState(src []float32) {
-	off := 0
-	for _, l := range append(append([]Layer(nil), r.Inner...), r.Proj...) {
-		if s, ok := l.(Stateful); ok {
-			s.ScatterState(src[off : off+s.StateLen()])
-			off += s.StateLen()
-		}
-	}
-}
+func (r *Residual) State() [][]float32 { return stateOf(r.Inner, r.Proj) }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Mat, train bool) *tensor.Mat {

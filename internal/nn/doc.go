@@ -1,6 +1,6 @@
 // Package nn is a from-scratch neural-network framework with reverse-mode
 // backpropagation: fully connected, convolutional, batch-norm, pooling,
-// dropout, embedding and LSTM layers plus a softmax cross-entropy loss.
+// residual, embedding and LSTM layers plus a softmax cross-entropy loss.
 // It plays the role PyTorch plays in the paper — producing real gradients
 // from real training so that the distributed synchronization experiments
 // operate on genuine gradient distributions (Figure 1), not synthetic noise.
@@ -30,8 +30,8 @@
 //     reference to its input — both must still hold what Forward left).
 //   - A workspace is not cleared between uses. The freshly allocated matrices
 //     they replace were zero, and several loops relied on it (im2col padding,
-//     ReLU and dropout outputs, the input gradients of the pools and of
-//     col2im); each of those now writes or clears every element itself.
+//     ReLU outputs, the input gradients of the pools and of col2im); each
+//     of those now writes or clears every element itself.
 //   - The backward record lives in the same workspaces evaluation uses, so a
 //     Forward(train=false) between a training Forward and its Backward
 //     destroys it: ReLU would mask by the evaluation batch's signs, Conv2D
@@ -56,15 +56,23 @@
 // batch-norm keep the order of their sums. Every family's gradients and losses
 // are pinned to the last bit by golden digests (internal/models).
 //
-// # Parameter segments and bucket planning
+// # One flattened layout
 //
-// A model's learnable tensors flatten into one contiguous parameter/gradient
-// vector. ParamSegments exposes the per-layer extents of that vector, and
+// Params() order is the layout; position is identity; views move everything.
+// A model's learnable tensors are, in Params() order, the flattened vector of
+// Algorithm 1; a tensor is identified by its position in that order and its
+// name is a label for people and for layer-matching patterns — two layers of
+// one shape share a name. Nothing copies tensors into a flat buffer by hand:
+// GradViewOf and WeightViewOf lay a tensor.VecView over the layers' live
+// gradient and weight storage, Stateful.State lists the non-learnable tensors
+// (batch-norm running statistics) a view lays over the same way, and
+// CopyTo / CopyFrom / SliceView on those views are the only movers.
+// ParamSegments exposes the per-tensor extents of the layout, and
 // PlanBuckets partitions it — at layer granularity, never splitting a tensor
 // — into buckets of a byte budget. The bucket plan is the scheduling unit of
 // the distributed runtime's overlapped gradient pipeline (and of its
 // two-level hierarchical collectives): see a2sgd/internal/cluster.
 //
-// Checkpointing (SaveParams/LoadParams) round-trips the flattened parameter
-// vector in a self-describing binary format.
+// Checkpointing (SaveParams/LoadParams) round-trips the parameter tensors,
+// by position, in a self-describing binary format.
 package nn

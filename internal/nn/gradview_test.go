@@ -26,19 +26,30 @@ func gradViewNet() *Network {
 	return net
 }
 
+// flatGrads is the layout's oracle: every gradient tensor appended in
+// Params() order.
+func flatGrads(ps []Param) []float32 {
+	var flat []float32
+	for _, p := range ps {
+		flat = append(flat, p.G...)
+	}
+	return flat
+}
+
 // TestGradViewMatchesGatherGrads: a view over any flattened range reads (and
-// writes) exactly the elements GatherGrads addresses, including
-// ranges that span parameter-tensor boundaries.
+// writes) exactly the elements the concatenation of the gradient tensors in
+// Params() order holds there, including ranges that span parameter-tensor
+// boundaries.
 func TestGradViewMatchesGatherGrads(t *testing.T) {
 	net := gradViewNet()
 	n := net.NumParams()
-	flat := make([]float32, n)
-	net.GatherGrads(flat)
-	off := net.ParamOffsets()
+	flat := flatGrads(net.Params())
+	off := ParamOffsets(net.Params())
 	if off[len(off)-1] != n {
 		t.Fatalf("ParamOffsets total %d != NumParams %d", off[len(off)-1], n)
 	}
-	var dst tensor.VecView
+	var grads, dst tensor.VecView
+	GradViewOf(net.Params(), &grads)
 	ranges := [][2]int{{0, n}, {0, 1}, {n - 1, n}, {3, n - 3}}
 	// Every boundary-straddling window.
 	for _, o := range off[1 : len(off)-1] {
@@ -46,23 +57,22 @@ func TestGradViewMatchesGatherGrads(t *testing.T) {
 	}
 	for _, r := range ranges {
 		lo, hi := r[0], r[1]
-		v := net.GradView(lo, hi, &dst)
+		v := grads.SliceView(lo, hi, &dst)
 		if v.Len() != hi-lo {
-			t.Fatalf("GradView(%d,%d).Len() = %d", lo, hi, v.Len())
+			t.Fatalf("SliceView(%d,%d).Len() = %d", lo, hi, v.Len())
 		}
 		got := make([]float32, v.Len())
 		v.CopyTo(got)
 		for i, x := range got {
 			if x != flat[lo+i] {
-				t.Fatalf("GradView(%d,%d)[%d] = %v, want %v", lo, hi, i, x, flat[lo+i])
+				t.Fatalf("SliceView(%d,%d)[%d] = %v, want %v", lo, hi, i, x, flat[lo+i])
 			}
 		}
 	}
 	// Writes through the view land in live storage.
-	v := net.GradView(2, n-2, &dst)
+	v := grads.SliceView(2, n-2, &dst)
 	v.Zero()
-	net.GatherGrads(flat)
-	for i, x := range flat {
+	for i, x := range flatGrads(net.Params()) {
 		want := float32(0)
 		if i < 2 || i >= n-2 {
 			want = float32(i)

@@ -1,7 +1,6 @@
 package nn
 
 import (
-	"fmt"
 	"math"
 
 	"a2sgd/internal/tensor"
@@ -28,8 +27,8 @@ type Param struct {
 // returned, and the layer does not write to its input.
 //
 // A training Forward also records what its Backward needs — a reference to
-// the input, the layer's own output (ReLU, Tanh and Sigmoid differentiate
-// through it), the lowered im2col tape, batch statistics, pooling arg-maxes.
+// the input, the layer's own output (ReLU differentiates through it), the
+// lowered im2col tape, batch statistics, pooling arg-maxes.
 // The same workspaces serve evaluation, so a Forward(train=false) between a
 // training Forward and its Backward overwrites that record and the Backward
 // that follows differentiates the wrong batch: finish the step before
@@ -37,7 +36,7 @@ type Param struct {
 // large evaluation batch does not evict anything a training batch needs.
 type Layer interface {
 	// Forward computes the layer output for a batch (rows = samples).
-	// train toggles training-time behaviour (dropout, batch-norm stats).
+	// train toggles training-time behaviour (batch-norm stats).
 	// The layer may retain a reference to x for Backward; callers must not
 	// mutate x until Backward completes.
 	Forward(x *tensor.Mat, train bool) *tensor.Mat
@@ -79,32 +78,41 @@ func grow[T any](s []T, n int) []T {
 
 // Stateful is implemented by layers that carry non-learnable state a
 // checkpoint must capture to resume a run bitwise — batch-norm running
-// statistics being the canonical case. The state is exposed as a flat
-// float32 vector so it composes with the positional parameter serialization
-// (layer names are not unique, so name-keyed capture would collide).
+// statistics being the canonical case. Like parameters, state tensors are
+// identified by position: a tensor.VecView over them, in this order, is the
+// flattened model state.
 type Stateful interface {
-	// StateLen returns the flattened state element count.
-	StateLen() int
-	// GatherState copies the state into dst (len == StateLen()).
-	GatherState(dst []float32)
-	// ScatterState restores state captured by GatherState.
-	ScatterState(src []float32)
+	// State returns the layer's live state tensors.
+	State() [][]float32
 }
 
-// Network is a sequential container of layers with the flattened-vector
-// views the distributed runtime needs.
+// stateOf lists the state tensors of the Stateful layers among the given
+// stacks, in order.
+func stateOf(stacks ...[]Layer) [][]float32 {
+	var st [][]float32
+	for _, layers := range stacks {
+		for _, l := range layers {
+			if s, ok := l.(Stateful); ok {
+				st = append(st, s.State()...)
+			}
+		}
+	}
+	return st
+}
+
+// Network is a sequential container of layers. The order of its Params() is
+// the flattened layout the distributed runtime works on (package comment,
+// "One flattened layout").
 type Network struct {
 	Layers []Layer
 
-	// Flattened views, built on first use and cached — the training step
-	// calls Params every iteration, and rebuilding the slice each time is an
-	// avoidable steady-state allocation. Layers must not be mutated after
-	// the first flattened-view call.
+	// The flattened parameter list, built on first use and cached — the
+	// training step calls Params every iteration, and rebuilding the slice
+	// each time is an avoidable steady-state allocation. Layers must not be
+	// mutated after the first call that needs it.
 	params   []Param
 	layerOff []int // flattened start offset of each layer's params
-	paramOff []int // flattened start offset of each param (+1 total entry)
 	nParams  int
-	gradView tensor.VecView // all gradient tensors, in flattened order
 
 	// Evaluation runs in chunks of the training batch (see Forward).
 	trainRows int        // rows of the last training Forward
@@ -129,9 +137,7 @@ func (n *Network) buildCache() {
 		}
 	}
 	n.params = ps
-	n.paramOff = ParamOffsets(ps)
 	n.nParams = off
-	GradViewOf(ps, &n.gradView)
 }
 
 // ParamOffsets returns the flattened start offset of each parameter in ps,
@@ -146,13 +152,26 @@ func ParamOffsets(ps []Param) []int {
 	return off
 }
 
-// GradViewOf resets dst to a strided view over every gradient tensor of ps
-// in flattened order and returns dst. Sub-range views are then cheap
-// SliceView calls on the result.
+// GradViewOf resets dst to a view over every gradient tensor of ps in
+// flattened order and returns dst. Sub-range views — a bucket, whatever
+// tensors its range spans — are then cheap SliceView calls on the result, and
+// algorithms encode from and reconstruct into the layers' live storage
+// through them.
 func GradViewOf(ps []Param, dst *tensor.VecView) *tensor.VecView {
 	segs := make([][]float32, len(ps))
 	for i, p := range ps {
 		segs[i] = p.G
+	}
+	return dst.Reset(segs)
+}
+
+// WeightViewOf is GradViewOf over the weight tensors: CopyTo and CopyFrom on
+// the result move the flattened weights (setup broadcast, snapshots, the
+// final dense synchronization).
+func WeightViewOf(ps []Param, dst *tensor.VecView) *tensor.VecView {
+	segs := make([][]float32, len(ps))
+	for i, p := range ps {
+		segs[i] = p.W
 	}
 	return dst.Reset(segs)
 }
@@ -194,10 +213,7 @@ func (n *Network) forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward runs all layers in reverse.
 func (n *Network) Backward(dout *tensor.Mat) *tensor.Mat {
-	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
-	}
-	return dout
+	return n.BackwardInterleaved(dout, nil)
 }
 
 // Params returns every learnable tensor in layer order. The slice is cached;
@@ -224,19 +240,6 @@ func (n *Network) ZeroGrads() {
 	}
 }
 
-// GatherGrads copies all gradients into dst (len == NumParams()) in layer
-// order — the flattened gradient vector of the paper's Algorithm 1.
-func (n *Network) GatherGrads(dst []float32) {
-	off := 0
-	for _, p := range n.Params() {
-		copy(dst[off:off+len(p.G)], p.G)
-		off += len(p.G)
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: GatherGrads length %d != %d", len(dst), off))
-	}
-}
-
 // BackwardInterleaved is Backward with gradient-readiness reporting: after
 // layer i's backward completes, the flattened gradient elements
 // [off_i, NumParams()) are final — no earlier layer's backward touches them —
@@ -245,7 +248,7 @@ func (n *Network) GatherGrads(dst []float32) {
 // a final onReady(0) is guaranteed, so a caller that launches the bucket
 // exchange for each newly final range sees every gradient element become
 // ready exactly once, deepest layers first, while shallower layers are still
-// back-propagating.
+// back-propagating. A nil onReady skips the reporting (plain Backward).
 func (n *Network) BackwardInterleaved(dout *tensor.Mat, onReady func(lo int)) *tensor.Mat {
 	if n.params == nil {
 		n.buildCache()
@@ -253,112 +256,19 @@ func (n *Network) BackwardInterleaved(dout *tensor.Mat, onReady func(lo int)) *t
 	last := n.nParams
 	for i := len(n.Layers) - 1; i >= 0; i-- {
 		dout = n.Layers[i].Backward(dout)
-		if off := n.layerOff[i]; off < last {
+		if off := n.layerOff[i]; onReady != nil && off < last {
 			last = off
 			onReady(off)
 		}
 	}
-	if last != 0 {
+	if onReady != nil && last != 0 {
 		onReady(0)
 	}
 	return dout
 }
 
-// GradView writes into dst a view of the live gradient storage backing the
-// flattened elements [lo, hi) — spanning as many parameter tensors as the
-// range covers, sub-slicing the boundary tensors — and returns dst. The
-// bucketed pipeline encodes from and reconstructs into these views directly,
-// so no bucket pays a gather copy before encode or a scatter copy after
-// decode, regardless of where its boundaries fall.
-func (n *Network) GradView(lo, hi int, dst *tensor.VecView) *tensor.VecView {
-	if n.params == nil {
-		n.buildCache()
-	}
-	return n.gradView.SliceView(lo, hi, dst)
-}
-
-// ParamOffsets returns the cached prefix-offset table of the flattened
-// parameter vector (len(Params())+1 entries; the last equals NumParams()).
-// Callers must not modify it.
-func (n *Network) ParamOffsets() []int {
-	if n.params == nil {
-		n.buildCache()
-	}
-	return n.paramOff
-}
-
-// GatherParams copies all weights into dst.
-func (n *Network) GatherParams(dst []float32) {
-	off := 0
-	for _, p := range n.Params() {
-		copy(dst[off:off+len(p.W)], p.W)
-		off += len(p.W)
-	}
-}
-
-// ScatterParams writes flattened weights back (initial model broadcast).
-func (n *Network) ScatterParams(src []float32) {
-	off := 0
-	for _, p := range n.Params() {
-		copy(p.W, src[off:off+len(p.W)])
-		off += len(p.W)
-	}
-}
-
-// StateLen returns the total flattened non-learnable state length across all
-// Stateful layers, in layer order.
-func (n *Network) StateLen() int {
-	total := 0
-	for _, l := range n.Layers {
-		if s, ok := l.(Stateful); ok {
-			total += s.StateLen()
-		}
-	}
-	return total
-}
-
-// GatherState copies every Stateful layer's state into dst (len ==
-// StateLen()) in layer order.
-func (n *Network) GatherState(dst []float32) {
-	off := 0
-	for _, l := range n.Layers {
-		if s, ok := l.(Stateful); ok {
-			s.GatherState(dst[off : off+s.StateLen()])
-			off += s.StateLen()
-		}
-	}
-	if off != len(dst) {
-		panic(fmt.Sprintf("nn: GatherState length %d != %d", len(dst), off))
-	}
-}
-
-// ScatterState restores layer state captured by GatherState.
-func (n *Network) ScatterState(src []float32) {
-	off := 0
-	for _, l := range n.Layers {
-		if s, ok := l.(Stateful); ok {
-			s.ScatterState(src[off : off+s.StateLen()])
-			off += s.StateLen()
-		}
-	}
-	if off != len(src) {
-		panic(fmt.Sprintf("nn: ScatterState length %d != %d", len(src), off))
-	}
-}
-
-// Summary returns a one-line-per-layer description.
-func (n *Network) Summary() string {
-	s := ""
-	for _, l := range n.Layers {
-		np := 0
-		for _, p := range l.Params() {
-			np += len(p.W)
-		}
-		s += fmt.Sprintf("%-24s %10d params\n", l.Name(), np)
-	}
-	s += fmt.Sprintf("%-24s %10d params\n", "TOTAL", n.NumParams())
-	return s
-}
+// State returns every Stateful layer's state tensors, in layer order.
+func (n *Network) State() [][]float32 { return stateOf(n.Layers) }
 
 // ---- initializers ----
 

@@ -4,8 +4,8 @@ import "fmt"
 
 // Segment locates one learnable tensor inside the flattened parameter
 // vector: the half-open range [Off, Off+Len). Segments are reported in
-// layer order, matching the GatherGrads layout exactly, so a
-// bucketing scheme can partition the flattened vector at layer granularity.
+// Params() order — the layout — so a bucketing scheme can partition the
+// flattened vector at layer granularity.
 type Segment struct {
 	// Name is the owning tensor's name (layer + tensor role).
 	Name string
@@ -16,7 +16,7 @@ type Segment struct {
 }
 
 // SegmentsOf computes the flattened-vector segment boundaries of a parameter
-// list — the inverse index of the GatherGrads layout.
+// list.
 func SegmentsOf(ps []Param) []Segment {
 	segs := make([]Segment, 0, len(ps))
 	off := 0

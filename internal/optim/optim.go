@@ -3,6 +3,13 @@
 // LARS layer-wise adaptive scaling used for the large-batch VGG-16 runs, and
 // the LR policies — Linear Scaling (LS), Gradual Warmup (GW) and Polynomial
 // Decay (PD).
+//
+// Params() order is the layout; position is identity; views move everything.
+// The optimizer's state follows that rule: momentum is one buffer per tensor,
+// parallel to the parameter list handed to Step and keyed by position —
+// parameter names are labels and repeat wherever two layers share a shape.
+// Velocity exposes the buffers so a tensor.VecView can snapshot and restore
+// them.
 package optim
 
 import (
@@ -120,7 +127,7 @@ type SGD struct {
 	// Trust is the LARS trust coefficient (default 0.001 when zero).
 	Trust float64
 
-	vel map[string][]float32
+	vel [][]float32 // momentum buffers, parallel to the parameter list
 }
 
 // NewSGD builds a plain SGD optimizer.
@@ -130,7 +137,11 @@ func NewSGD(momentum, weightDecay float32) *SGD {
 
 // Step applies one update with learning rate lr to all parameters.
 func (s *SGD) Step(params []nn.Param, lr float64) {
-	for _, p := range params {
+	var vel [][]float32
+	if s.Momentum > 0 {
+		vel = s.Velocity(params)
+	}
+	for k, p := range params {
 		step := lr
 		if s.LARS {
 			trust := s.Trust
@@ -152,14 +163,7 @@ func (s *SGD) Step(params []nn.Param, lr float64) {
 			}
 		}
 		if s.Momentum > 0 {
-			if s.vel == nil {
-				s.vel = make(map[string][]float32)
-			}
-			v, ok := s.vel[p.Name]
-			if !ok || len(v) != len(p.W) {
-				v = make([]float32, len(p.W))
-				s.vel[p.Name] = v
-			}
+			v := vel[k]
 			for i := range p.W {
 				g := p.G[i] + s.WeightDecay*p.W[i]
 				v[i] = s.Momentum*v[i] + g
@@ -177,43 +181,18 @@ func (s *SGD) Step(params []nn.Param, lr float64) {
 // Reset clears momentum state (between convergence runs).
 func (s *SGD) Reset() { s.vel = nil }
 
-// GatherVelocity copies the momentum buffers into dst, flattened positionally
-// in params order (dst length = total parameter count). Parameters without a
-// buffer yet contribute zeros. Positional layout sidesteps the fact that
-// layer-derived parameter names are not unique: parameters that share a name
-// also share one velocity buffer in Step, and the flattened copy reproduces
-// exactly the values Step would read at each position.
-func (s *SGD) GatherVelocity(params []nn.Param, dst []float32) {
-	off := 0
-	for _, p := range params {
-		seg := dst[off : off+len(p.W)]
-		if v, ok := s.vel[p.Name]; ok && len(v) == len(seg) {
-			copy(seg, v)
-		} else {
-			for i := range seg {
-				seg[i] = 0
-			}
+// Velocity returns the momentum buffers, one per tensor of params in params
+// order, allocating (zeroed) those that do not exist yet — so an optimizer
+// restored by copying into them is indistinguishable from one that has
+// stepped. The buffers are live: Step advances them in place.
+func (s *SGD) Velocity(params []nn.Param) [][]float32 {
+	if len(s.vel) != len(params) {
+		s.vel = make([][]float32, len(params))
+	}
+	for i, p := range params {
+		if len(s.vel[i]) != len(p.W) {
+			s.vel[i] = make([]float32, len(p.W))
 		}
-		off += len(p.W)
 	}
-}
-
-// ScatterVelocity restores momentum buffers captured by GatherVelocity. It
-// allocates buffers even where the flattened segment is zero, so a restored
-// optimizer is indistinguishable from one that has already stepped.
-func (s *SGD) ScatterVelocity(params []nn.Param, src []float32) {
-	if s.vel == nil {
-		s.vel = make(map[string][]float32)
-	}
-	off := 0
-	for _, p := range params {
-		seg := src[off : off+len(p.W)]
-		v, ok := s.vel[p.Name]
-		if !ok || len(v) != len(seg) {
-			v = make([]float32, len(seg))
-			s.vel[p.Name] = v
-		}
-		copy(v, seg)
-		off += len(p.W)
-	}
+	return s.vel
 }

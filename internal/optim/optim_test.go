@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"a2sgd/internal/models"
 	"a2sgd/internal/nn"
 )
 
@@ -132,6 +133,80 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	s.Step([]nn.Param{makeParam(w, g)}, 1) // v=1 again
 	if math.Abs(float64(w[0])+3.9) > 1e-6 {
 		t.Errorf("after reset w = %v, want -3.9", w[0])
+	}
+}
+
+// TestSGDMomentumIsPerTensor: Step equals a naive reference that keeps one
+// private velocity slice per tensor, bit for bit, on a parameter list in which
+// two tensors carry the same name and length — position, not name, is a
+// tensor's identity.
+func TestSGDMomentumIsPerTensor(t *testing.T) {
+	build := func() []nn.Param {
+		return []nn.Param{
+			{Name: "Conv2D.W", W: []float32{1, -2, 3}, G: make([]float32, 3)},
+			{Name: "Conv2D.W", W: []float32{0.5, 0.25, -1}, G: make([]float32, 3)},
+			{Name: "Linear.b", W: []float32{2}, G: make([]float32, 1)},
+		}
+	}
+	momentum, decay, lr := float32(0.9), float32(0.01), float32(0.1)
+	got, want := build(), build()
+	s := NewSGD(momentum, decay)
+	ref := make([][]float32, len(want))
+	for k, p := range want {
+		ref[k] = make([]float32, len(p.W))
+	}
+	for step := 1; step <= 3; step++ {
+		for k := range want {
+			for i := range want[k].G {
+				g := float32(step*(k+1)) - 0.75*float32(i)
+				got[k].G[i], want[k].G[i] = g, g
+			}
+		}
+		s.Step(got, float64(lr))
+		for k, p := range want {
+			for i := range p.W {
+				g := p.G[i] + decay*p.W[i]
+				ref[k][i] = momentum*ref[k][i] + g
+				p.W[i] -= lr * ref[k][i]
+			}
+		}
+		for k := range want {
+			for i := range want[k].W {
+				if math.Float32bits(got[k].W[i]) != math.Float32bits(want[k].W[i]) {
+					t.Fatalf("step %d tensor %d[%d]: %v, per-tensor reference %v", step, k, i, got[k].W[i], want[k].W[i])
+				}
+			}
+		}
+	}
+}
+
+// TestVelocityBuffersNeverAlias: after one momentum step on each family,
+// every tensor has velocity storage of its own size that no other tensor's
+// overlaps.
+func TestVelocityBuffersNeverAlias(t *testing.T) {
+	for _, fam := range models.Families() {
+		m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := NewSGD(0.9, 0)
+		s.Step(m.Params(), 0.1)
+		vel := s.Velocity(m.Params())
+		if len(vel) != len(m.Params()) {
+			t.Fatalf("%s: %d velocity buffers for %d tensors", fam, len(vel), len(m.Params()))
+		}
+		owner := map[*float32]int{}
+		for k, v := range vel {
+			if len(v) != len(m.Params()[k].W) {
+				t.Fatalf("%s: tensor %d has %d weights, %d velocity values", fam, k, len(m.Params()[k].W), len(v))
+			}
+			for i := range v {
+				if prev, ok := owner[&v[i]]; ok {
+					t.Fatalf("%s: tensors %d and %d (%s) share velocity storage", fam, prev, k, m.Params()[k].Name)
+				}
+				owner[&v[i]] = k
+			}
+		}
 	}
 }
 
