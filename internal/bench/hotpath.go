@@ -27,6 +27,11 @@ type HotPathPoint struct {
 	AllocsPerOp int64   `json:"allocs_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	MBPerSec    float64 `json:"mb_per_sec,omitempty"`
+	// StreamShare is MBPerSec over the stream/copy row's of the same run, on
+	// the rows whose MBPerSec counts bytes touched (kernel/*): how close the
+	// kernel runs to what this box streams at that moment. At or above ~0.6 a
+	// wider kernel has nothing left to win.
+	StreamShare float64 `json:"stream_share,omitempty"`
 }
 
 // HotPathReport aggregates one run of the hot-path suite — the payload of
@@ -147,7 +152,8 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 }
 
 // HotPath measures the steady-state hot path: warmed-instance Encode/Decode
-// for the paper's compression set, the inproc allreduce, the tcpnet framed
+// for the paper's compression set, A2SGD's two kernels beside a copy of the
+// same footprint, the inproc allreduce, the tcpnet framed
 // send/receive of a 4 MiB bucket, and one full bucketed synchronization step.
 // Every measurement excludes the warm-up call that grows instance scratch, so
 // allocs/op reports the steady state the training loop lives in.
@@ -181,6 +187,37 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 				alg.Encode(g)
 			}
 		}))
+	}
+
+	// Encode rung: A2SGD's two passes alone — the signed means (one read of
+	// the bucket) and the signed shift (one read-modify-write) — and, as the
+	// normalizer that makes entries from different sessions comparable, a
+	// copy of the same 4 MiB footprint. MB/s counts bytes touched.
+	{
+		v := append([]float32(nil), g...)
+		dst := make([]float32, hotPathN)
+		mp, mn, _ := tensor.SignedMeans(v)
+		copyRate := 0.0
+		for _, k := range []struct {
+			name    string
+			touched int64
+			f       func()
+		}{
+			{"stream/copy", 8 * hotPathN, func() { copy(dst, v) }},
+			{"kernel/signed-means", 4 * hotPathN, func() { tensor.SignedMeans(v) }},
+			{"kernel/signed-shift", 8 * hotPathN, func() { tensor.SignedShift(v, mp, mn, mp, mn) }},
+		} {
+			add(k.name, hotPathN, k.touched, testing.Benchmark(func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					k.f()
+				}
+			}))
+			if p := &rep.Points[len(rep.Points)-1]; copyRate == 0 {
+				copyRate = p.MBPerSec
+			} else {
+				p.StreamShare = p.MBPerSec / copyRate
+			}
+		}
 	}
 
 	// QSGD decode of one packed stream into a warm destination.
@@ -427,16 +464,19 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 		hotPathN, rep.GOMAXPROCS, rep.ZeroCopyNet)
 	rows := make([][]string, 0, len(rep.Points))
 	for _, p := range rep.Points {
-		mb := ""
+		mb, share := "", ""
 		if p.MBPerSec > 0 {
 			mb = fmt.Sprintf("%.0f", p.MBPerSec)
 		}
+		if p.StreamShare > 0 {
+			share = fmt.Sprintf("%.0f%%", 100*p.StreamShare)
+		}
 		rows = append(rows, []string{
 			p.Name, fmt.Sprintf("%.0f", p.NsPerOp), fmt.Sprintf("%d", p.AllocsPerOp),
-			fmt.Sprintf("%d", p.BytesPerOp), mb,
+			fmt.Sprintf("%d", p.BytesPerOp), mb, share,
 		})
 	}
-	table(w, []string{"op", "ns/op", "allocs/op", "B/op", "MB/s"}, rows)
+	table(w, []string{"op", "ns/op", "allocs/op", "B/op", "MB/s", "of stream/copy"}, rows)
 	if rep.OverlapEfficiency != 0 {
 		fmt.Fprintf(w, "overlap efficiency: %.2f (share of hideable exchange time the overlapped step hides)\n",
 			rep.OverlapEfficiency)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math"
 	"testing"
 
@@ -8,31 +10,90 @@ import (
 	"a2sgd/internal/tensor"
 )
 
-// refSync is Algorithm 1 lines 4–6 exactly as the paper writes them, kept
-// here as the oracle for the bufferless path: the error vector is
-// materialized (line 4), the two means are allreduce-averaged (line 5), and
-// a second pass adds the global means back onto the stored error (line 6).
-// Scalar branches, one allocation per call, no kernels. The local means
-// (line 3) are passed in so both sides start from the same two float32
-// values; the reduction that produces them has its own tests.
-func refSync(g []float32, s Stats, c *comm.Communicator) error {
-	eps := make([]float32, len(g))
-	for i, x := range g {
-		if x >= 0 {
-			eps[i] = x - s.MuPos
-		} else {
-			eps[i] = x + s.MuNeg
+// refMeans is Algorithm 1 line 3 in the order internal/tensor's reduction
+// specification writes down, from its text as plain loops (no kernel, no
+// tensor call): per segment, blocks of 65 536; per block, element i of each
+// full group of 8 into float64 lane i mod 8 of its class, the lanes folded by
+// the halving tree, the tail added ascending; blocks, then segments, folded
+// ascending.
+func refMeans(segs [][]float32) (muPos, muNeg float32) {
+	const lanes, block = 8, 1 << 16
+	var sp, sn float64
+	nPos, nNeg := 0, 0
+	for _, seg := range segs {
+		var segP, segN float64
+		for lo := 0; lo < len(seg); lo += block {
+			blk := seg[lo:min(lo+block, len(seg))]
+			var lp, ln [lanes]float64
+			full := len(blk) / lanes * lanes
+			for i, x := range blk[:full] {
+				if x >= 0 {
+					lp[i%lanes] += float64(x)
+				} else {
+					ln[i%lanes] -= float64(x)
+				}
+			}
+			for h := lanes / 2; h >= 1; h /= 2 {
+				for j := 0; j < h; j++ {
+					lp[j], ln[j] = lp[j]+lp[j+h], ln[j]+ln[j+h]
+				}
+			}
+			for _, x := range blk[full:] {
+				if x >= 0 {
+					lp[0] += float64(x)
+				} else {
+					ln[0] -= float64(x)
+				}
+			}
+			segP += lp[0]
+			segN += ln[0]
+		}
+		sp += segP
+		sn += segN
+		for _, x := range seg {
+			if x >= 0 {
+				nPos++
+			} else {
+				nNeg++
+			}
 		}
 	}
-	mu := []float32{s.MuPos, s.MuNeg}
+	if nPos > 0 {
+		muPos = float32(sp / float64(nPos))
+	}
+	if nNeg > 0 {
+		muNeg = float32(sn / float64(nNeg))
+	}
+	return muPos, muNeg
+}
+
+// refSync is Algorithm 1 lines 3–6 exactly as the paper writes them, kept
+// here as the oracle for the bufferless path: the two local means (line 3,
+// refMeans), the error vector materialized (line 4), the means
+// allreduce-averaged (line 5), and a second pass that adds the global means
+// back onto the stored error (line 6). Scalar branches, one allocation per
+// segment, no kernels.
+func refSync(segs [][]float32, c *comm.Communicator) error {
+	muPos, muNeg := refMeans(segs)
+	mu := []float32{muPos, muNeg}
 	if err := c.AllreduceMean(mu, comm.AlgoRecursiveDoubling); err != nil {
 		return err
 	}
-	for i, x := range g {
-		if x >= 0 {
-			g[i] = eps[i] + mu[0]
-		} else {
-			g[i] = eps[i] - mu[1]
+	for _, g := range segs {
+		eps := make([]float32, len(g))
+		for i, x := range g {
+			if x >= 0 {
+				eps[i] = x - muPos
+			} else {
+				eps[i] = x + muNeg
+			}
+		}
+		for i, x := range g {
+			if x >= 0 {
+				g[i] = eps[i] + mu[0]
+			} else {
+				g[i] = eps[i] - mu[1]
+			}
 		}
 	}
 	return nil
@@ -58,7 +119,7 @@ func diffAgainstOracle(t *testing.T, label string, grads [][]float32, segs func(
 		if err := a.ExchangeView(a.EncodeView(v), v, c); err != nil {
 			return err
 		}
-		if err := refSync(want, a.Stats(), c); err != nil {
+		if err := refSync(segs(c.Rank(), want), c); err != nil {
 			return err
 		}
 		for i := range got {
@@ -164,5 +225,43 @@ func TestBufferlessMatchesAlgorithm1Specials(t *testing.T) {
 		// A second worker with an ordinary gradient, so the global means
 		// differ from the local ones and the shift is not a no-op.
 		diffAgainstOracle(t, name+"/2", [][]float32{g, randGrad(77, len(g))}, oneSeg)
+	}
+}
+
+// TestOracleDigestAcrossBuilds pins the bits of one synchronized gradient —
+// two ranks, 70 001 elements over three segments, so blocks, groups, tails and
+// the segment fold are all in it — as FNV-1a digests that must hold on every
+// build: amd64 with its vector kernels and -tags purego alike. The gradient
+// comes straight from integer draws (random sign, mantissa and one of 40
+// exponents), so it is the same on every target and its sums round.
+func TestOracleDigestAcrossBuilds(t *testing.T) {
+	const n = 70001
+	var digests [2]uint64
+	err := comm.RunGroup(len(digests), func(c *comm.Communicator) error {
+		rng := tensor.NewRNG(uint64(31 + c.Rank()))
+		g := make([]float32, n)
+		for i := range g {
+			r := rng.Uint64()
+			g[i] = math.Float32frombits(uint32(r>>63)<<31 | uint32(87+(r>>32)%41)<<23 | uint32(r)&(1<<23-1))
+		}
+		v := tensor.NewVecView(g[:30000], g[30000:30007], g[30007:])
+		a := New(n)
+		if err := a.ExchangeView(a.EncodeView(v), v, c); err != nil {
+			return err
+		}
+		h := fnv.New64a()
+		var b [4]byte
+		for _, x := range g {
+			binary.LittleEndian.PutUint32(b[:], math.Float32bits(x))
+			h.Write(b[:])
+		}
+		digests[c.Rank()] = h.Sum64()
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := [2]uint64{0xcfedcd1f5b4a7142, 0xb6e8e08c283b0e1b}; digests != want {
+		t.Fatalf("digests %#x, pinned %#x", digests, want)
 	}
 }

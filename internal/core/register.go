@@ -9,10 +9,11 @@ import (
 // registry, so any binary that links this package can spell them in specs
 // ("a2sgd", "periodic(a2sgd, interval=4)", "mixed(big=a2sgd, ...)"). Every
 // variant also registers its cost model: the whole local cost — the means
-// pass plus the in-place reconstruction pass — measured at ~1 ns/element on
-// one CPU core (0.6 + 0.3 at a 4 MiB bucket; 1.2 with two ranks streaming
-// 16 MiB each from memory in benchmark/ sync-a2sgd), and the paper's O(1)
-// payload — the two signed means, 8 bytes regardless of length.
+// pass plus the in-place reconstruction pass — measured at ~0.6 ns/element on
+// one CPU core with the 256-bit kernels (0.30 + 0.25 at a 4 MiB bucket, the
+// hotpath kernel/* rows; 0.38 + 0.30 with two ranks streaming 16 MiB each
+// from memory in benchmark/ sync-a2sgd), and the paper's O(1) payload — the
+// two signed means, 8 bytes regardless of length.
 func init() {
 	register := func(name, summary string, kind netsim.ExchangeKind, opts ...Option) {
 		compress.Register(name, compress.Builder{
@@ -21,7 +22,7 @@ func init() {
 				return New(o.N, append([]Option{WithAllreduce(o.Allreduce)}, opts...)...), nil
 			},
 			Cost: func(compress.Options, compress.BuildArgs, []compress.CostModel) compress.CostModel {
-				return compress.CostModel{EncSecPerElem: 1e-9, FixedBytes: 8, Kind: kind}
+				return compress.CostModel{EncSecPerElem: 0.6e-9, FixedBytes: 8, Kind: kind}
 			},
 		})
 	}

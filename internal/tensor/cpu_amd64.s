@@ -1,0 +1,33 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// func cpuFeatures() (avx, avx2 bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+	MOVB $0, avx+0(FP)
+	MOVB $0, avx2+1(FP)
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX // OSXSAVE | AVX
+	CMPL CX, $0x18000000
+	JNE  done
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX // XCR0: XMM and YMM state enabled
+	CMPL AX, $6
+	JNE  done
+	MOVB $1, avx+0(FP)
+	XORL AX, AX
+	CPUID
+	CMPL AX, $7 // highest basic leaf
+	JLT  done
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX // AVX2
+	JCC  done
+	MOVB $1, avx2+1(FP)
+
+done:
+	RET

@@ -20,15 +20,11 @@ var (
 // narrowest first.
 func gemmVariants() []gemmVariant {
 	vs := []gemmVariant{gemmPortable, gemmSSE2}
-	if cpuHasAVX() {
+	if cpuAVX {
 		vs = append(vs, gemmAVX)
 	}
 	return vs
 }
-
-// cpuHasAVX reports CPUID.1:ECX.AVX and OSXSAVE, and XCR0 bits 1-2 (the OS
-// preserves XMM and YMM state).
-func cpuHasAVX() bool
 
 // gemmKernel32SSE computes the 4×8 tile at c (row stride ldc): Σ over k
 // steps of A(i,p)·B(p,j) with A(i,p) at a + i·ars + p·aps and B(p,0..7) the

@@ -213,26 +213,6 @@ g64set:
 	MOVUPS X6, (DX)
 	RET
 
-// func cpuHasAVX() bool
-TEXT ·cpuHasAVX(SB), NOSPLIT, $0-1
-	MOVL $1, AX
-	XORL CX, CX
-	CPUID
-	ANDL $0x18000000, CX // OSXSAVE | AVX
-	CMPL CX, $0x18000000
-	JNE  noavx
-	XORL CX, CX
-	XGETBV
-	ANDL $6, AX // XCR0: XMM and YMM state enabled
-	CMPL AX, $6
-	JNE  noavx
-	MOVB $1, ret+0(FP)
-	RET
-
-noavx:
-	MOVB $0, ret+0(FP)
-	RET
-
 // func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //
 // gemmKernel32SSE at twice the width: Y0..Y7 accumulate a 4×16 tile, row r in

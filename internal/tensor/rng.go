@@ -31,6 +31,40 @@
 // under the purego tag and on other architectures, row-parallelism for very
 // large products — only reschedules those operations and is tested to give
 // identical bits.
+//
+// # Reduction specification
+//
+// The signed means of A2SGD (SignedMeans, ParSignedMeans and the VecView
+// methods of those names) are the package's one float reduction whose order
+// is not a single running sum, so that order is written here and every build
+// computes exactly it:
+//
+//	The unit is a contiguous segment: a vector, or one segment of a view.
+//	Its triple (Σ⁺, Σ⁻, n⁻) classifies each element by Go's x >= 0 (−0.0 is
+//	non-negative, NaN negative — SignedShift's rule): Σ⁺ sums the x of the
+//	non-negative class, Σ⁻ the −x of the negative one, n⁻ counts the
+//	latter, all sums in float64 of the exactly converted float32. The
+//	segment is cut into blocks of B = 65 536 elements (the last may be
+//	shorter). Inside a block, element i of each full group of L = 8 adds
+//	into lane i mod L of its class, every lane starting at +0; the L lanes
+//	fold by the halving tree — l[j] + l[j+4] for j < 4, then l[j] + l[j+2]
+//	for j < 2, then l[0] + l[1] — and the fewer than L elements after the
+//	last full group are then added to that scalar in ascending order.
+//	Blocks fold ascending into the segment's triple, segments ascending into
+//	the view's, each fold a running sum from +0. The means are
+//	float32(Σ⁺ / n⁺) and float32(Σ⁻ / n⁻), 0 for an empty class.
+//
+// L, B and the length past which ParSignedMeans hands blocks to several
+// goroutines are constants (meansLanes, meansBlock, meansParMin in vec.go),
+// never derived from the length, the CPU or GOMAXPROCS; a block's triple does
+// not depend on who reduces it and the caller folds the triples in order, so
+// the portable code, the SSE2 and AVX2 kernels (CPUID-selected), the parallel
+// and the serial entry points give the same bits, and a one-segment view
+// gives the bits of the flat vector. A different segmentation of the same
+// elements is a different sum. A wider lane count, a fused or float32
+// accumulation, a compensated or binned sum changes that paragraph, the
+// oracle and the pinned triples in means_test.go and the digest in
+// internal/core together, with its own accuracy evidence.
 package tensor
 
 import "math"

@@ -4,20 +4,24 @@ package tensor
 
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale, AbsMax) and for the stochastic level-quantization inner loop
-// shared by QSGD and TernGrad. SSE2 is part of the amd64 baseline (GOAMD64=v1)
-// so no runtime feature detection is needed; the purego tag or any other
-// GOARCH selects the portable fallbacks in simd_generic.go.
+// AXPY, Scale, AbsMax), for the stochastic level-quantization inner loop
+// shared by QSGD and TernGrad, and for A2SGD's two passes (signed means and
+// signed shift), which also have 256-bit variants. SSE2 is part of the amd64
+// baseline (GOAMD64=v1); the 256-bit kernels are selected from CPUID alone
+// (cpu_amd64.go). The purego tag or any other GOARCH selects the portable
+// fallbacks in simd_generic.go.
 //
-// Every kernel is bitwise-identical to its scalar counterpart: only
-// elementwise and order-independent operations are vectorized (per-lane
-// add/mul, max, truncation), never float reductions whose association order
-// would change the rounded result. The quantization kernel reproduces the
-// scalar float64 arithmetic operation-for-operation (convert, abs, divide by
-// norm, multiply by s, truncate, stochastic promote, clamp). Kernels assume
-// finite inputs; gradient health checks (HasNaNOrInf) run upstream. The
-// exception is signedShiftKernel, which classifies −0.0, NaN and ±Inf lane
-// for lane as the scalar x >= 0 does.
+// Every kernel is bitwise-identical to its scalar counterpart. Elementwise
+// and order-independent operations (per-lane add/mul, max, truncation) are
+// vectorized freely; the one float reduction, the signed means, has its
+// association order written down — the reduction specification in the package
+// comment — and every variant here, like the portable one, computes exactly
+// it. The quantization kernel reproduces the scalar float64 arithmetic
+// operation-for-operation (convert, abs, divide by norm, multiply by s,
+// truncate, stochastic promote, clamp). Kernels assume finite inputs;
+// gradient health checks (HasNaNOrInf) run upstream. The exceptions are the
+// signed-means and signed-shift kernels, which classify −0.0, NaN and ±Inf
+// lane for lane as the scalar x >= 0 does.
 
 // simdMinLen is the shortest vector worth the call overhead of an assembly
 // kernel; shorter vectors take the scalar path.
@@ -42,24 +46,30 @@ func absMaxKernel(v *float32, n int) float32
 //go:noescape
 func qsgdFieldsKernel(fields *uint32, src *float32, rnd *float64, n int, norm float64, s float64)
 
-// signedMeansKernel reduces n elements (a multiple of 4) into the signed
-// partial sums of SignedMeans: sp = Σ x_i for x_i >= 0, sn = Σ -x_i for
-// x_i < 0, nNeg = |{x_i < 0}|. The two double-precision accumulator lanes
-// split the input by parity and are folded lane0+lane1 at the end, so the
-// association order differs from the sequential scalar sum — a deliberate,
-// build-consistent exception to the bitwise rule above (the parallel
-// reduction in ParSignedMeans already varies the order with GOMAXPROCS).
+// signedMeansKernelSSE is the lane kernel of the reduction specification
+// (package comment) over n > 0 elements, n a multiple of meansLanes: the
+// lane-ordered signed sums sp = Σ x_i over 0 <= x_i and sn = Σ −x_i over the
+// rest, folded by the halving tree, and the size of the rest. Four XMM
+// registers hold a sum's eight lanes; signedMeansKernelAVX2 holds them in two
+// YMM registers.
 //
 //go:noescape
-func signedMeansKernel(v *float32, n int) (sp, sn float64, nNeg int64)
+func signedMeansKernelSSE(v *float32, n int) (sp, sn float64, nNeg int64)
 
-// signedShiftKernel is SignedShift over n elements: the sign class of each
+//go:noescape
+func signedMeansKernelAVX2(v *float32, n int) (sp, sn float64, nNeg int64)
+
+// signedShiftKernelSSE is SignedShift over n elements: the sign class of each
 // lane is the ordered compare 0 <= x (true for −0.0, false for NaN — Go's
 // x >= 0), and the mask blends the per-class constants, so there is no
-// branch to mispredict.
+// branch to mispredict. signedShiftKernelAVX is the same at 256 bits, for n a
+// multiple of 8.
 //
 //go:noescape
-func signedShiftKernel(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
+func signedShiftKernelSSE(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
+
+//go:noescape
+func signedShiftKernelAVX(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
 
 //go:noescape
 func absKernel(dst, src *float32, n int)
@@ -109,19 +119,41 @@ func vecAbsMax(v Vec) float32 {
 	return absMaxScalar(v)
 }
 
-// signedMeansArch reduces the longest multiple-of-4 prefix of v with the
-// vector kernel, returning the partial sums, the non-negative count over the
-// prefix, and the prefix length consumed (0 when v is too short to benefit);
-// the caller folds in the tail sequentially.
-func signedMeansArch(v []float32) (sp, sn float64, np, done int) {
-	if len(v) < simdMinLen {
-		return 0, 0, 0, 0
+// signedVariants lists every variant of the two A2SGD passes this binary can
+// run on this CPU, narrowest first. The 256-bit one needs AVX2 for the means
+// (its shift uses AVX only).
+func signedVariants() []signedVariant {
+	vs := []signedVariant{signedPortable, {name: "sse2", lanes: signedLanesSSE, shift: signedShiftSSE}}
+	if cpuAVX2 {
+		vs = append(vs, signedVariant{name: "avx2", lanes: signedLanesAVX2, shift: signedShiftAVX})
 	}
-	done = len(v) &^ 3
-	var nneg int64
-	sp, sn, nneg = signedMeansKernel(&v[0], done)
-	np = done - int(nneg)
-	return sp, sn, np, done
+	return vs
+}
+
+func signedLanesSSE(v []float32) (sp, sn float64, nNeg int) {
+	sp, sn, c := signedMeansKernelSSE(&v[0], len(v))
+	return sp, sn, int(c)
+}
+
+func signedLanesAVX2(v []float32) (sp, sn float64, nNeg int) {
+	sp, sn, c := signedMeansKernelAVX2(&v[0], len(v))
+	return sp, sn, int(c)
+}
+
+func signedShiftSSE(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	if len(v) > 0 {
+		signedShiftKernelSSE(&v[0], len(v), subPos, subNeg, addPos, addNeg)
+	}
+}
+
+// signedShiftAVX hands the kernel the whole groups of eight and the scalar
+// loop the rest: elementwise, so the split changes no bit.
+func signedShiftAVX(v Vec, subPos, subNeg, addPos, addNeg float32) {
+	full := len(v) &^ 7
+	if full > 0 {
+		signedShiftKernelAVX(&v[0], full, subPos, subNeg, addPos, addNeg)
+	}
+	signedShiftScalar(v[full:], subPos, subNeg, addPos, addNeg)
 }
 
 // quantFieldsArch runs the vector quantization kernel over the longest even
@@ -134,14 +166,6 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 	}
 	qsgdFieldsKernel(&fields[0], &g[0], &rnd[0], n, float64(norm), float64(levels))
 	return n
-}
-
-func vecSignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
-	if len(v) >= simdMinLen {
-		signedShiftKernel(&v[0], len(v), subPos, subNeg, addPos, addNeg)
-		return
-	}
-	signedShiftScalar(v, subPos, subNeg, addPos, addNeg)
 }
 
 func vecAbsInto(dst, src Vec) {

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// SSE2 kernels for the float32 hot loops. See simd_amd64.go for the
-// bitwise-identity contract with the scalar fallbacks.
+// SSE2 kernels for the float32 hot loops, and the 256-bit variants of the two
+// A2SGD passes. See simd_amd64.go for the bitwise-identity contract with the
+// scalar fallbacks.
 
 // func addKernel(dst, src *float32, n int)
 // dst[i] += src[i]
@@ -436,66 +437,130 @@ epNoSign:
 	MOVQ BX, ret+32(FP)
 	RET
 
-// func signedMeansKernel(v *float32, n int) (sp, sn float64, nNeg int64)
+// SM_PAIR reduces the float32 pair at off(SI) into the Σ⁺ lanes SP and the Σ⁻
+// lanes SN: the class mask is the ordered compare 0 <= x (true for −0.0,
+// false for NaN — Go's x >= 0), each element is added to its own class and
+// +0.0 to the other, which changes no bit of a sum that is never −0. X8
+// counts the non-negative elements (mask qword = −1), X9 holds 0.0.
+#define SM_PAIR(off, SP, SN) \
+	CVTPS2PD off(SI), X10; \
+	MOVAPS   X9, X11;      \
+	CMPPD    X10, X11, $2; \
+	PSUBQ    X11, X8;      \
+	MOVAPS   X11, X12;     \
+	ANDPD    X10, X11;     \
+	ANDNPD   X10, X12;     \
+	ADDPD    X11, SP;      \
+	SUBPD    X12, SN
+
+// func signedMeansKernelSSE(v *float32, n int) (sp, sn float64, nNeg int64)
 //
-// Two double-precision accumulator lanes per sum, split by element parity,
-// folded lane0+lane1 at the end. Sign classification is the exact scalar
-// predicate x >= 0 expressed as NOT(x < 0): -0.0 counts as non-negative,
-// matching the scalar loop.
-TEXT ·signedMeansKernel(SB), NOSPLIT, $0-40
+// The lane kernel of the reduction specification (package comment) for n > 0
+// elements, n a multiple of 8: element i of each group of eight adds into
+// float64 lane i of its class — X0..X3 hold Σ⁺ lanes 0-7, X4..X7 Σ⁻ lanes
+// 0-7 — and the lanes fold by the halving tree l[j] + l[j+4], l[j] + l[j+2],
+// l[0] + l[1].
+TEXT ·signedMeansKernelSSE(SB), NOSPLIT, $0-40
 	MOVQ v+0(FP), SI
 	MOVQ n+8(FP), CX
-	PXOR X2, X2 // sp accumulator (2 × float64)
-	PXOR X3, X3 // sn accumulator (2 × float64)
-	PXOR X4, X4 // negative-count accumulator (2 × int64)
-	PXOR X7, X7 // 0.0 pair for the sign compare
+	MOVQ CX, DX
+	PXOR X0, X0
+	PXOR X1, X1
+	PXOR X2, X2
+	PXOR X3, X3
+	PXOR X4, X4
+	PXOR X5, X5
+	PXOR X6, X6
+	PXOR X7, X7
+	PXOR X8, X8
+	PXOR X9, X9
 
-sm4:
-	CMPQ CX, $4
-	JL   smFold
-	MOVUPS (SI), X0
+sm8:
+	SM_PAIR(0, X0, X4)
+	SM_PAIR(8, X1, X5)
+	SM_PAIR(16, X2, X6)
+	SM_PAIR(24, X3, X7)
+	ADDQ $32, SI
+	SUBQ $8, CX
+	JNZ  sm8
 
-	// low float pair -> doubles
-	CVTPS2PD X0, X1
-	MOVO     X1, X5
-	CMPPD    X7, X5, $1 // X5 = (x < 0) ? ~0 : 0
-	MOVO     X5, X6
-	ANDNPD   X1, X6     // x where x >= 0, +0.0 elsewhere
-	ADDPD    X6, X2
-	MOVO     X5, X6
-	ANDPD    X1, X6     // x where x < 0, +0.0 elsewhere
-	SUBPD    X6, X3     // sn -= x  (accumulates |x|)
-	PSUBQ    X5, X4     // count += 1 per negative lane (mask qword = -1)
+	ADDPD  X2, X0 // l[j] + l[j+4]
+	ADDPD  X3, X1
+	ADDPD  X1, X0 // l[j] + l[j+2]
+	PSHUFD $0x4E, X0, X1
+	ADDSD  X1, X0 // l[0] + l[1]
+	MOVSD  X0, sp+16(FP)
+	ADDPD  X6, X4
+	ADDPD  X7, X5
+	ADDPD  X5, X4
+	PSHUFD $0x4E, X4, X5
+	ADDSD  X5, X4
+	MOVSD  X4, sn+24(FP)
+	PSHUFD $0x4E, X8, X1
+	PADDQ  X1, X8
+	MOVQ   X8, AX
+	SUBQ   AX, DX // n − n⁺
+	MOVQ   DX, nNeg+32(FP)
+	RET
 
-	// high float pair -> doubles
-	MOVAPS   X0, X1
-	SHUFPS   $0xEE, X1, X1
-	CVTPS2PD X1, X1
-	MOVO     X1, X5
-	CMPPD    X7, X5, $1
-	MOVO     X5, X6
-	ANDNPD   X1, X6
-	ADDPD    X6, X2
-	MOVO     X5, X6
-	ANDPD    X1, X6
-	SUBPD    X6, X3
-	PSUBQ    X5, X4
+// func signedMeansKernelAVX2(v *float32, n int) (sp, sn float64, nNeg int64)
+//
+// signedMeansKernelSSE with the eight lanes of a sum in two registers — Y0,
+// Y1 hold Σ⁺ lanes 0-3 and 4-7, Y2, Y3 the Σ⁻ lanes — so a group of eight is
+// two converts from memory and four independent adds. AVX2 only for the
+// 256-bit integer subtract that counts.
+TEXT ·signedMeansKernelAVX2(SB), NOSPLIT, $0-40
+	MOVQ   v+0(FP), SI
+	MOVQ   n+8(FP), CX
+	MOVQ   CX, DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4 // non-negative count, 4 × int64
+	VXORPD Y5, Y5, Y5
+	VXORPD Y15, Y15, Y15
 
-	ADDQ $16, SI
-	SUBQ $4, CX
-	JMP  sm4
+sma8:
+	VCVTPS2PD (SI), Y6
+	VCVTPS2PD 16(SI), Y7
+	VCMPPD    $2, Y6, Y15, Y8 // 0 <= x
+	VCMPPD    $2, Y7, Y15, Y9
+	VANDPD    Y6, Y8, Y10     // x where 0 <= x, +0.0 elsewhere
+	VANDPD    Y7, Y9, Y11
+	VANDNPD   Y6, Y8, Y12     // x elsewhere
+	VANDNPD   Y7, Y9, Y13
+	VADDPD    Y10, Y0, Y0
+	VADDPD    Y11, Y1, Y1
+	VSUBPD    Y12, Y2, Y2
+	VSUBPD    Y13, Y3, Y3
+	VPSUBQ    Y8, Y4, Y4
+	VPSUBQ    Y9, Y5, Y5
+	ADDQ      $32, SI
+	SUBQ      $8, CX
+	JNZ       sma8
 
-smFold:
-	PSHUFD $0x4E, X2, X1
-	ADDSD  X1, X2
-	MOVSD  X2, sp+16(FP)
-	PSHUFD $0x4E, X3, X1
-	ADDSD  X1, X3
-	MOVSD  X3, sn+24(FP)
-	PSHUFD $0x4E, X4, X1
-	PADDQ  X1, X4
-	MOVQ   X4, AX
-	MOVQ   AX, nNeg+32(FP)
+	VADDPD       Y1, Y0, Y0 // l[j] + l[j+4]
+	VEXTRACTF128 $1, Y0, X1
+	VADDPD       X1, X0, X0 // l[j] + l[j+2]
+	VPERMILPD    $1, X0, X1
+	VADDSD       X1, X0, X0 // l[0] + l[1]
+	VMOVSD       X0, sp+16(FP)
+	VADDPD       Y3, Y2, Y2
+	VEXTRACTF128 $1, Y2, X3
+	VADDPD       X3, X2, X2
+	VPERMILPD    $1, X2, X3
+	VADDSD       X3, X2, X2
+	VMOVSD       X2, sn+24(FP)
+	VPADDQ       Y5, Y4, Y4
+	VEXTRACTI128 $1, Y4, X5
+	VPADDQ       X5, X4, X4
+	VPSHUFD      $0x4E, X4, X5
+	VPADDQ       X5, X4, X4
+	VMOVQ        X4, AX
+	SUBQ         AX, DX // n − n⁺
+	MOVQ         DX, nNeg+32(FP)
+	VZEROUPPER
 	RET
 
 DATA signMask32<>+0(SB)/4, $0x80000000
@@ -504,14 +569,14 @@ DATA signMask32<>+8(SB)/4, $0x80000000
 DATA signMask32<>+12(SB)/4, $0x80000000
 GLOBL signMask32<>(SB), RODATA|NOPTR, $16
 
-// func signedShiftKernel(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
+// func signedShiftKernelSSE(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
 //
 // v[i] = (v[i] - s) + a with (s, a) = (subPos, addPos) where 0 <= v[i] and
 // (-subNeg, -addNeg) elsewhere; x - (-s) is x + s exactly, so the negative
 // class keeps the scalar rule's two roundings. The ordered compare is false
 // for NaN (negative class) and true for -0.0. The blend is
 // neg ^ (mask & (pos ^ neg)): X8/X10 hold pos^neg, X9/X11 hold neg.
-TEXT ·signedShiftKernel(SB), NOSPLIT, $0-32
+TEXT ·signedShiftKernelSSE(SB), NOSPLIT, $0-32
 	MOVQ   v+0(FP), DI
 	MOVQ   n+8(FP), CX
 	MOVUPS signMask32<>(SB), X6
@@ -595,4 +660,64 @@ ss1:
 	JMP   ss1
 
 ssDone:
+	RET
+
+// func signedShiftKernelAVX(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
+//
+// signedShiftKernelSSE at twice the width, for n a multiple of 8: the same
+// compare, blend, subtract and add per lane, so the same bits. AVX only.
+TEXT ·signedShiftKernelAVX(SB), NOSPLIT, $0-32
+	MOVQ         v+0(FP), DI
+	MOVQ         n+8(FP), CX
+	VXORPS       Y7, Y7, Y7
+	VBROADCASTSS signMask32<>(SB), Y6
+	VBROADCASTSS subPos+16(FP), Y8
+	VBROADCASTSS subNeg+20(FP), Y9
+	VBROADCASTSS addPos+24(FP), Y10
+	VBROADCASTSS addNeg+28(FP), Y11
+	VXORPS       Y6, Y9, Y9    // -subNeg
+	VXORPS       Y6, Y11, Y11  // -addNeg
+	VXORPS       Y9, Y8, Y8    // subPos ^ -subNeg
+	VXORPS       Y11, Y10, Y10 // addPos ^ -addNeg
+
+ssa16:
+	CMPQ    CX, $16
+	JLT     ssa8
+	VMOVUPS (DI), Y0
+	VMOVUPS 32(DI), Y3
+	VCMPPS  $2, Y0, Y7, Y1 // 0 <= x
+	VCMPPS  $2, Y3, Y7, Y4
+	VANDPS  Y10, Y1, Y2
+	VANDPS  Y10, Y4, Y5
+	VANDPS  Y8, Y1, Y1
+	VANDPS  Y8, Y4, Y4
+	VXORPS  Y9, Y1, Y1     // s
+	VXORPS  Y9, Y4, Y4
+	VXORPS  Y11, Y2, Y2    // a
+	VXORPS  Y11, Y5, Y5
+	VSUBPS  Y1, Y0, Y0
+	VSUBPS  Y4, Y3, Y3
+	VADDPS  Y2, Y0, Y0
+	VADDPS  Y5, Y3, Y3
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y3, 32(DI)
+	ADDQ    $64, DI
+	SUBQ    $16, CX
+	JMP     ssa16
+
+ssa8:
+	CMPQ    CX, $8
+	JLT     ssaDone
+	VMOVUPS (DI), Y0
+	VCMPPS  $2, Y0, Y7, Y1
+	VANDPS  Y10, Y1, Y2
+	VANDPS  Y8, Y1, Y1
+	VXORPS  Y9, Y1, Y1
+	VXORPS  Y11, Y2, Y2
+	VSUBPS  Y1, Y0, Y0
+	VADDPS  Y2, Y0, Y0
+	VMOVUPS Y0, (DI)
+
+ssaDone:
+	VZEROUPPER
 	RET

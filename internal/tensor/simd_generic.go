@@ -17,17 +17,11 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 	return 0
 }
 
-// signedMeansArch handles no elements on portable builds; the caller's
-// sequential loop does all the work.
-func signedMeansArch(v []float32) (sp, sn float64, np, done int) {
-	return 0, 0, 0, 0
-}
+// signedVariants lists every variant of the two A2SGD passes this binary can
+// run: without assembly, the portable one.
+func signedVariants() []signedVariant { return []signedVariant{signedPortable} }
 
 func vecAbsInto(dst, src Vec) { absIntoScalar(dst, src) }
-
-func vecSignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
-	signedShiftScalar(v, subPos, subNeg, addPos, addNeg)
-}
 
 // gaussTailArch handles no elements on portable builds; the caller's scalar
 // predicate does all the work.

@@ -199,50 +199,37 @@ func TestFloat64VecMatchesSequence(t *testing.T) {
 	}
 }
 
-// SignedMeans is the one kernel allowed to differ from the scalar path in
-// association order (documented in simd_amd64.go), so it is checked with a
-// tight relative tolerance instead of bitwise; the count must match exactly.
+// Every variant's means are the reduction specification's (means_test.go),
+// bit for bit; the count must match the scalar rule exactly.
 func TestSignedMeansKernelMatchesScalar(t *testing.T) {
 	rng := NewRNG(77)
 	for _, n := range simdLens {
-		v := randVec(rng, n)
+		v := make([]float32, n)
+		wideVec(rng, v)
 		if n > 4 {
 			v[1] = float32(math.Copysign(0, -1)) // -0.0 counts as non-negative
 			v[3] = 0
 		}
-		var sp, sn float64
 		np := 0
 		for _, x := range v {
 			if x >= 0 {
-				sp += float64(x)
 				np++
-			} else {
-				sn -= float64(x)
 			}
 		}
-		wantP, wantN := float32(0), float32(0)
-		if np > 0 {
-			wantP = float32(sp / float64(np))
+		wantP, wantN, wantNP := specView([][]float32{v})
+		if wantNP != np {
+			t.Fatalf("n=%d: the specification counts %d non-negative, the scalar rule %d", n, wantNP, np)
 		}
-		if nn := n - np; nn > 0 {
-			wantN = float32(sn / float64(nn))
-		}
-		mp, mn, gotNP := SignedMeans(v)
-		if gotNP != np {
-			t.Fatalf("n=%d: nPos = %d, want %d", n, gotNP, np)
-		}
-		if relErr(float64(mp), float64(wantP)) > 1e-6 || relErr(float64(mn), float64(wantN)) > 1e-6 {
-			t.Fatalf("n=%d: means (%v,%v), want (%v,%v)", n, mp, mn, wantP, wantN)
-		}
+		eachSignedVariant(t, func(name string) {
+			mp, mn, gotNP := SignedMeans(v)
+			if gotNP != np {
+				t.Fatalf("%s n=%d: nPos = %d, want %d", name, n, gotNP, np)
+			}
+			if math.Float32bits(mp) != math.Float32bits(wantP) || math.Float32bits(mn) != math.Float32bits(wantN) {
+				t.Fatalf("%s n=%d: means (%v,%v), want (%v,%v)", name, n, mp, mn, wantP, wantN)
+			}
+		})
 	}
-}
-
-func relErr(a, b float64) float64 {
-	d := math.Abs(a - b)
-	if m := math.Max(math.Abs(a), math.Abs(b)); m > 1 {
-		return d / m
-	}
-	return d
 }
 
 // refSignedShift is the rule SignedShift documents, written the slow way:
@@ -273,31 +260,38 @@ var f32Specials = []float32{
 	math.MaxFloat32, -math.MaxFloat32, 1, -1,
 }
 
+// checkSignedShift shifts v in place (so a caller's misalignment is the
+// kernel's) with every variant and compares each with the reference.
 func checkSignedShift(t *testing.T, v []float32, c [4]float32) {
 	t.Helper()
+	orig := Clone(v)
 	want := Clone(v)
 	refSignedShift(want, c[0], c[1], c[2], c[3])
-	got := Clone(v)
-	SignedShift(got, c[0], c[1], c[2], c[3])
-	for i := range got {
-		if !sameF32(got[i], want[i]) {
-			t.Fatalf("n=%d consts=%v: [%d] x=%v (%#x): got %#x, reference %#x",
-				len(v), c, i, v[i], math.Float32bits(v[i]), math.Float32bits(got[i]), math.Float32bits(want[i]))
+	eachSignedVariant(t, func(name string) {
+		copy(v, orig)
+		SignedShift(v, c[0], c[1], c[2], c[3])
+		for i := range v {
+			if !sameF32(v[i], want[i]) {
+				t.Fatalf("%s n=%d consts=%v: [%d] x=%v (%#x): got %#x, reference %#x",
+					name, len(v), c, i, orig[i], math.Float32bits(orig[i]), math.Float32bits(v[i]), math.Float32bits(want[i]))
+			}
 		}
-	}
+	})
 }
 
-// Every length through the kernel's 8/4/1 blocks, at every 16-byte
-// misalignment, with specials salted into random lanes.
+// Every length through the kernels' 16/8/4/1 blocks, at every 4-byte
+// misalignment of a 32-byte line, with specials salted into random lanes, on
+// every variant.
 func TestSignedShiftMatchesReference(t *testing.T) {
 	rng := NewRNG(31)
 	lens := append([]int(nil), simdLens...)
-	for n := 0; n <= 67; n++ {
+	for n := 0; n <= 131; n++ {
 		lens = append(lens, n)
 	}
 	for _, n := range lens {
-		for off := 0; off < 4; off++ {
-			v := randVec(rng, n+off)[off:]
+		for off := 0; off < 8; off++ {
+			v := lineOffset(n, off)
+			copy(v, randVec(rng, n))
 			for k := 0; k < n/5; k++ {
 				v[rng.Intn(n)] = f32Specials[rng.Intn(len(f32Specials))]
 			}
@@ -321,8 +315,8 @@ func TestSignedShiftSpecials(t *testing.T) {
 	}
 	for _, c := range consts {
 		for _, sp := range f32Specials {
-			for lane := 0; lane < 23; lane++ {
-				v := make([]float32, 23) // 8+8+4+1+1+1: every kernel block
+			for lane := 0; lane < 47; lane++ {
+				v := make([]float32, 47) // 16+16+8+4+1+1+1: every block of either kernel
 				for i := range v {
 					v[i] = float32(i%5) - 2
 				}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Vec is a dense float32 vector. Gradients, weights and activations are all
@@ -154,36 +155,120 @@ func MaxIdx(v Vec) int {
 	return bi
 }
 
-// SignedMeans computes the paper's two-level statistics in one pass:
-// muPos = mean(v_i | v_i >= 0) and muNeg = mean(|v_i| | v_i < 0).
-// When a side is empty its mean is 0 (the natural neutral element for the
-// enc operator). nPos reports how many entries were non-negative.
-func SignedMeans(v Vec) (muPos, muNeg float32, nPos int) {
-	sp, sn, np := signedMeansAccum(v)
-	if np > 0 {
-		muPos = float32(sp / float64(np))
-	}
-	if nn := len(v) - np; nn > 0 {
-		muNeg = float32(sn / float64(nn))
-	}
-	return muPos, muNeg, np
+// The constants of the reduction specification (package comment). None of
+// them is derived from the length, the CPU or GOMAXPROCS.
+const (
+	// meansLanes is L: element i of a full group adds into lane i mod L.
+	meansLanes = 8
+	// meansBlock is B, the elements of one block; a multiple of meansLanes.
+	meansBlock = 1 << 16
+	// meansParMin is the least a worker of the parallel fold must receive:
+	// about 1 ms of the lane kernel. It decides only who reduces a block.
+	meansParMin = 1 << 22
+)
+
+// signedVariant is one implementation of the inner loops of A2SGD's two
+// passes. Every variant computes the same bits; they differ in how many
+// elements an instruction handles.
+type signedVariant struct {
+	name string
+	// lanes reduces full groups of meansLanes elements, at most one block:
+	// the lane sums of the reduction specification folded to one scalar per
+	// class, and the number of elements in the negative class.
+	lanes func(v []float32) (sp, sn float64, nNeg int)
+	// shift is SignedShift.
+	shift func(v Vec, subPos, subNeg, addPos, addNeg float32)
 }
 
-// signedMeansAccum is the shared reduction body of SignedMeans and the
-// ParSignedMeans chunk workers: the vector kernel (where compiled in) covers
-// the aligned prefix and the sequential loop folds in the tail.
-func signedMeansAccum(v Vec) (sp, sn float64, np int) {
-	var done int
-	sp, sn, np, done = signedMeansArch(v)
-	for _, x := range v[done:] {
+var (
+	signedPortable = signedVariant{name: "portable", lanes: signedLanesGo, shift: signedShiftScalar}
+	// signedActive is the variant in use: the widest this binary can run on
+	// this CPU, the last of signedVariants (see the architecture files).
+	// Only tests assign it, to run every one of them.
+	signedActive = signedVariants()[len(signedVariants())-1]
+)
+
+// SignedMeans computes the paper's two-level statistics in one pass:
+// muPos = mean(v_i | v_i >= 0) and muNeg = mean(|v_i| | v_i < 0), the sums
+// taken in the order of the reduction specification (package comment) with v
+// as one segment. When a side is empty its mean is 0 (the natural neutral
+// element for the enc operator). nPos reports how many entries were
+// non-negative.
+func SignedMeans(v Vec) (muPos, muNeg float32, nPos int) {
+	sp, sn, nNeg := signedSegment(v)
+	return signedMeansOf(sp, sn, len(v), nNeg)
+}
+
+// signedMeansOf turns the signed sums of n elements into the two means.
+func signedMeansOf(sp, sn float64, n, nNeg int) (muPos, muNeg float32, nPos int) {
+	nPos = n - nNeg
+	if nPos > 0 {
+		muPos = float32(sp / float64(nPos))
+	}
+	if nNeg > 0 {
+		muNeg = float32(sn / float64(nNeg))
+	}
+	return muPos, muNeg, nPos
+}
+
+// signedSegment reduces one segment to its triple (Σ⁺, Σ⁻, n⁻): its blocks
+// fold ascending.
+func signedSegment(v []float32) (sp, sn float64, nNeg int) {
+	for len(v) > 0 {
+		b := v[:min(len(v), meansBlock)]
+		bp, bn, bc := signedBlock(b)
+		sp += bp
+		sn += bn
+		nNeg += bc
+		v = v[len(b):]
+	}
+	return sp, sn, nNeg
+}
+
+// signedBlock reduces one block: the lane kernel over its full groups, then
+// the fewer than meansLanes elements left over, ascending.
+func signedBlock(v []float32) (sp, sn float64, nNeg int) {
+	full := len(v) &^ (meansLanes - 1)
+	if full > 0 {
+		sp, sn, nNeg = signedActive.lanes(v[:full])
+	}
+	for _, x := range v[full:] {
 		if x >= 0 {
 			sp += float64(x)
-			np++
 		} else {
 			sn -= float64(x)
+			nNeg++
 		}
 	}
-	return sp, sn, np
+	return sp, sn, nNeg
+}
+
+// signedLanesGo is the portable lane kernel: acc[c][i] is lane i of class c
+// (0 where x >= 0), and subtracting x is adding −x exactly. Indexing by the
+// class keeps the loop free of a branch that a zero-centred gradient would
+// mispredict every other element.
+func signedLanesGo(v []float32) (sp, sn float64, nNeg int) {
+	var acc [2][meansLanes]float64
+	sign := [2]float64{1, -1}
+	for ; len(v) >= meansLanes; v = v[meansLanes:] {
+		for i, x := range (*[meansLanes]float32)(v) {
+			c := 1
+			if x >= 0 {
+				c = 0
+			}
+			acc[c][i] += sign[c] * float64(x)
+			nNeg += c
+		}
+	}
+	for c := range acc {
+		l := &acc[c]
+		for h := meansLanes / 2; h > 0; h /= 2 {
+			for j := 0; j < h; j++ {
+				l[j] += l[j+h]
+			}
+		}
+	}
+	return acc[0][0], acc[1][0], nNeg
 }
 
 // SignedShift rewrites v in place by the sign class of each element:
@@ -197,7 +282,7 @@ func signedMeansAccum(v Vec) (sp, sn float64, np int) {
 // reconstruction — subtract the local signed mean, add the global one — as a
 // single read-modify-write pass, branch-free on every build.
 func SignedShift(v Vec, subPos, subNeg, addPos, addNeg float32) {
-	vecSignedShift(v, subPos, subNeg, addPos, addNeg)
+	signedActive.shift(v, subPos, subNeg, addPos, addNeg)
 }
 
 // signedShiftScalar selects the constants by index instead of branching: on
@@ -236,67 +321,87 @@ func checkLen(a, b int) {
 
 // ---- parallel helpers ----
 
-// maxProcs bounds the fan-out of ParSignedMeans. It is read per call (not
-// captured at package init) so later runtime.GOMAXPROCS changes — and tests
-// that restrict parallelism — are honored.
+// maxProcs bounds the fan-out of Gemm and ParSignedMeans. It is read per call
+// (not captured at package init) so later runtime.GOMAXPROCS changes — and
+// tests that restrict parallelism — are honored.
 func maxProcs() int { return runtime.GOMAXPROCS(0) }
 
-// grainSize is the minimum number of elements worth a goroutine.
-const grainSize = 1 << 14
-
-// signedMeansPart is one worker's partial reduction for ParSignedMeans.
-type signedMeansPart struct {
+// signedPart is one block's triple.
+type signedPart struct {
 	sp, sn float64
-	np     int
+	nNeg   int
 }
 
-// signedMeansWorker reduces one chunk into *out. It is a named function (not
-// a closure) so the goroutine fan-out copies its arguments instead of
-// heap-allocating a capture — part of the hot path's allocation discipline.
-func signedMeansWorker(v Vec, out *signedMeansPart, wg *sync.WaitGroup) {
-	defer wg.Done()
-	sp, sn, np := signedMeansAccum(v)
-	*out = signedMeansPart{sp, sn, np}
+// parMeans is the state of one fanned-out segment reduction. Workers claim
+// the blocks of a batch one at a time from next and write each block's triple
+// to its own slot of part; the caller folds the slots ascending, so who
+// reduced which block cannot reach the result. It is recycled through
+// parMeansPool, and run is bound once per value — a go statement on a func
+// value without arguments allocates no closure — so a steady-state fan-out
+// allocates nothing.
+type parMeans struct {
+	v    []float32 // the blocks of the batch in flight
+	next atomic.Int64
+	part [256]signedPart
+	wg   sync.WaitGroup
+	run  func()
 }
 
-// ParSignedMeans is SignedMeans with a parallel reduction; used on the
-// paper-scale vectors (up to 100 M elements) in Figure 2 and Table 2.
-// With one worker (GOMAXPROCS=1 or a short vector) it is allocation-free;
-// the parallel fan-out costs one partials slice per call.
+var parMeansPool = sync.Pool{New: func() any {
+	p := new(parMeans)
+	p.run = p.work
+	return p
+}}
+
+func (p *parMeans) work() {
+	defer p.wg.Done()
+	for {
+		lo := int(p.next.Add(1)-1) * meansBlock
+		if lo >= len(p.v) {
+			return
+		}
+		b := p.v[lo:min(lo+meansBlock, len(p.v))]
+		q := &p.part[lo/meansBlock]
+		q.sp, q.sn, q.nNeg = signedBlock(b)
+	}
+}
+
+// signedSegmentPar is signedSegment with the blocks reduced by up to
+// GOMAXPROCS goroutines, each worth at least meansParMin elements: the same
+// block triples folded in the same order, hence the same bits at any
+// GOMAXPROCS.
+func signedSegmentPar(v []float32) (sp, sn float64, nNeg int) {
+	workers := min(maxProcs(), len(v)/meansParMin)
+	if workers <= 1 {
+		return signedSegment(v)
+	}
+	p := parMeansPool.Get().(*parMeans)
+	for len(v) > 0 {
+		p.v = v[:min(len(v), len(p.part)*meansBlock)]
+		p.next.Store(0)
+		p.wg.Add(workers)
+		for w := 1; w < workers; w++ {
+			go p.run()
+		}
+		p.work()
+		p.wg.Wait()
+		for _, q := range p.part[:(len(p.v)+meansBlock-1)/meansBlock] {
+			sp += q.sp
+			sn += q.sn
+			nNeg += q.nNeg
+		}
+		v = v[len(p.v):]
+	}
+	p.v = nil
+	parMeansPool.Put(p)
+	return sp, sn, nNeg
+}
+
+// ParSignedMeans is SignedMeans, bit for bit, with the blocks of a long
+// vector reduced in parallel; used on the paper-scale vectors (up to 100 M
+// elements) in Figure 2 and Table 2. It allocates nothing in the steady
+// state, fanned out or not.
 func ParSignedMeans(v Vec) (muPos, muNeg float32, nPos int) {
-	n := len(v)
-	workers := maxProcs()
-	if n < 4*grainSize || workers <= 1 {
-		return SignedMeans(v)
-	}
-	parts := make([]signedMeansPart, workers)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= n {
-			break
-		}
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		wg.Add(1)
-		go signedMeansWorker(v[lo:hi], &parts[w], &wg)
-	}
-	wg.Wait()
-	var sp, sn float64
-	np := 0
-	for _, p := range parts {
-		sp += p.sp
-		sn += p.sn
-		np += p.np
-	}
-	if np > 0 {
-		muPos = float32(sp / float64(np))
-	}
-	if nn := n - np; nn > 0 {
-		muNeg = float32(sn / float64(nn))
-	}
-	return muPos, muNeg, np
+	sp, sn, nNeg := signedSegmentPar(v)
+	return signedMeansOf(sp, sn, len(v), nNeg)
 }

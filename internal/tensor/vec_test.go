@@ -187,7 +187,8 @@ func TestSignedMeansEdge(t *testing.T) {
 	}
 }
 
-// Property: ParSignedMeans agrees with the serial single-pass version.
+// Property: ParSignedMeans is the serial single-pass version, bit for bit,
+// whatever -cpu the test runs under.
 func TestParSignedMeansMatchesSerial(t *testing.T) {
 	r := NewRNG(3)
 	v := make(Vec, 300000)
@@ -197,7 +198,7 @@ func TestParSignedMeansMatchesSerial(t *testing.T) {
 	if np1 != np2 {
 		t.Fatalf("nPos mismatch: %d vs %d", np1, np2)
 	}
-	if !almostEq(float64(mp1), float64(mp2), 1e-5) || !almostEq(float64(mn1), float64(mn2), 1e-5) {
+	if math.Float32bits(mp1) != math.Float32bits(mp2) || math.Float32bits(mn1) != math.Float32bits(mn2) {
 		t.Fatalf("means mismatch: (%v,%v) vs (%v,%v)", mp1, mn1, mp2, mn2)
 	}
 }
@@ -316,24 +317,49 @@ func TestUniformVecRange(t *testing.T) {
 	}
 }
 
-// TestParSignedMeansHonorsRuntimeGOMAXPROCS: the worker bound must be read
-// per call, so restricting GOMAXPROCS after package init restricts the
-// fan-out — a vector long enough to fan out takes the inline path instead,
-// which is bitwise SignedMeans and allocates nothing (the fan-out costs one
-// partials slice per call).
+// steadyMallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1): the
+// mallocs of the whole process per call of f at the GOMAXPROCS in force, over
+// ten calls, rounded down. A window that is not clean is retried, because
+// until the scheduler's free lists are warm on every P a go statement
+// allocates the goroutine itself — the steady state is what is asserted.
+func steadyMallocsPerRun(f func()) (perRun uint64) {
+	const runs = 10
+	for window := 0; window < 40; window++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			f()
+		}
+		runtime.ReadMemStats(&after)
+		if perRun = (after.Mallocs - before.Mallocs) / runs; perRun == 0 {
+			break
+		}
+	}
+	return perRun
+}
+
+// TestParSignedMeansHonorsRuntimeGOMAXPROCS: GOMAXPROCS, read per call,
+// decides only how many goroutines reduce the blocks of a long vector — the
+// result is bitwise SignedMeans and the call allocates nothing, fanned out
+// (above 2·meansParMin with more than one CPU) or not.
 func TestParSignedMeansHonorsRuntimeGOMAXPROCS(t *testing.T) {
-	old := runtime.GOMAXPROCS(1)
-	defer runtime.GOMAXPROCS(old)
-	v := make(Vec, 8*grainSize)
-	NewRNG(5).NormVec(v, 0, 1)
-	wp, wn, wnp := SignedMeans(v)
-	if mp, mn, np := ParSignedMeans(v); mp != wp || mn != wn || np != wnp {
-		t.Errorf("GOMAXPROCS(1): (%v, %v, %d), inline path gives (%v, %v, %d)", mp, mn, np, wp, wn, wnp)
-	}
-	if raceEnabled {
-		return
-	}
-	if a := testing.AllocsPerRun(10, func() { ParSignedMeans(v) }); a != 0 {
-		t.Errorf("GOMAXPROCS(1) but ParSignedMeans fanned out: %v allocs/op", a)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	long := make(Vec, 2*meansParMin+meansBlock+meansLanes+3)
+	NewRNG(5).NormVec(long, 0, 1)
+	for _, v := range []Vec{long[:8<<14], long[:2*meansParMin-1], long} {
+		wp, wn, wnp := SignedMeans(v)
+		for _, procs := range []int{1, 2, 4} {
+			runtime.GOMAXPROCS(procs)
+			mp, mn, np := ParSignedMeans(v)
+			if math.Float32bits(mp) != math.Float32bits(wp) || math.Float32bits(mn) != math.Float32bits(wn) || np != wnp {
+				t.Errorf("n=%d GOMAXPROCS(%d): (%v, %v, %d), SignedMeans gives (%v, %v, %d)", len(v), procs, mp, mn, np, wp, wn, wnp)
+			}
+			if raceEnabled {
+				continue
+			}
+			if a := steadyMallocsPerRun(func() { ParSignedMeans(v) }); a != 0 {
+				t.Errorf("n=%d GOMAXPROCS(%d): ParSignedMeans makes %d allocs/op", len(v), procs, a)
+			}
+		}
 	}
 }

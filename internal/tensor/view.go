@@ -12,11 +12,11 @@ import "math"
 //
 // A view holds references to the segments, never copies of them; segment
 // contents may change between operations (they are live gradients), but the
-// segment *structure* is fixed between Reset calls. All reductions thread a
-// single scalar accumulator through the segments in order, so a
+// segment *structure* is fixed between Reset calls. Sum, Norm2 and AbsMax
+// thread a single scalar accumulator through the segments in order, so a
 // multi-segment view reduces bitwise-identically to the flat vector it
-// represents — with the one documented exception of SignedMeans, whose
-// vector kernel already folds in a build-consistent association order.
+// represents; SignedMeans follows the package's reduction specification, of
+// which the segment is the unit.
 type VecView struct {
 	segs [][]float32
 	off  []int // off[i] = flattened start offset of segs[i]
@@ -221,37 +221,33 @@ func (v *VecView) AbsMax() float32 {
 	return m
 }
 
-// SignedMeans computes the paper's two-level statistics over the view: the
-// per-segment partial sums (vector kernel + sequential tail, exactly
-// SignedMeans' reduction body) are folded in segment order. A single-segment
-// view is bitwise identical to SignedMeans on the flat vector; multi-segment
-// folding is a build-consistent association exception like the kernel's
-// parity lanes.
+// SignedMeans computes the paper's two-level statistics over the view in the
+// order of the reduction specification (package comment): each segment
+// reduces as SignedMeans reduces a vector, and the per-segment triples fold
+// ascending. A single-segment view is therefore bitwise identical to
+// SignedMeans on the flat vector; a multi-segment view is identical on every
+// build and at every GOMAXPROCS, though not to a different segmentation of
+// the same elements.
 func (v *VecView) SignedMeans() (muPos, muNeg float32, nPos int) {
-	var sp, sn float64
-	for _, s := range v.segs {
-		ssp, ssn, snp := signedMeansAccum(s)
-		sp += ssp
-		sn += ssn
-		nPos += snp
-	}
-	if nPos > 0 {
-		muPos = float32(sp / float64(nPos))
-	}
-	if nn := v.n - nPos; nn > 0 {
-		muNeg = float32(sn / float64(nn))
-	}
-	return muPos, muNeg, nPos
+	return v.signedMeans(signedSegment)
 }
 
-// ParSignedMeans is SignedMeans with the parallel reduction on a contiguous
-// view (paper-scale whole-model vectors); strided views use the sequential
-// per-segment fold, which is already kernel-accelerated per segment.
+// ParSignedMeans is SignedMeans, bit for bit, with the blocks of long
+// segments (paper-scale whole-model vectors) reduced in parallel.
 func (v *VecView) ParSignedMeans() (muPos, muNeg float32, nPos int) {
-	if s := v.Contiguous(); s != nil || v.n == 0 {
-		return ParSignedMeans(s)
+	return v.signedMeans(signedSegmentPar)
+}
+
+func (v *VecView) signedMeans(segment func([]float32) (sp, sn float64, nNeg int)) (muPos, muNeg float32, nPos int) {
+	var sp, sn float64
+	nNeg := 0
+	for _, s := range v.segs {
+		ssp, ssn, snn := segment(s)
+		sp += ssp
+		sn += ssn
+		nNeg += snn
 	}
-	return v.SignedMeans()
+	return signedMeansOf(sp, sn, v.n, nNeg)
 }
 
 // SignedShift applies SignedShift to every segment — per-lane, so the

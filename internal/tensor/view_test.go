@@ -47,9 +47,11 @@ func TestVecViewReductionsMatchFlat(t *testing.T) {
 			if v.HasNaNOrInf() {
 				t.Fatalf("n=%d: HasNaNOrInf on finite input", n)
 			}
-			// SignedMeans: bitwise-flat only for a single segment (the kernel
-			// fold is a documented association exception); check tolerance on
-			// multi-segment views and exactness when contiguous.
+			// SignedMeans: the segment is the unit of the reduction
+			// specification, so only a single-segment view is the flat vector
+			// bit for bit (TestVecViewSignedMeansMatchesSpecification holds a
+			// multi-segment one to the specification's fold); here it must
+			// stay within rounding of it.
 			mp, mn, np := v.SignedMeans()
 			fmp, fmn, fnp := SignedMeans(flat)
 			if np != fnp {
