@@ -194,8 +194,9 @@ type TrainConfig struct {
 	// with a single whole-model bucket every policy degenerates to the one
 	// spec it picks for bucket 0. Mutually exclusive with Spec.
 	//
-	// "auto" (or "auto(spec, spec, ...)" with an explicit candidate list)
-	// hands the whole configuration to the cost-model planner instead:
+	// "auto" (or "auto(spec, spec, ...)" with an explicit candidate list) is
+	// not a per-bucket policy: it hands the whole configuration to the
+	// cost-model planner instead (BuildSchedule):
 	// bucket boundaries, per-bucket specs and — when Topology is unset —
 	// the hierarchy width are derived from the netsim price of the run
 	// (plan.Build), and the run uses the overlapped pipeline. BucketBytes
@@ -316,14 +317,10 @@ func (tc TrainConfig) schedule(world int) (*Schedule, error) {
 	if src == "" {
 		src = "a2sgd"
 	}
-	pol, err := compress.ParsePolicy(src)
-	if err != nil {
-		return nil, err
-	}
-	// The auto policy is the planner's front door: derive the full schedule
-	// from the netsim price instead of lowering the knobs.
-	if ap, isAuto := pol.(*compress.AutoPolicy); isAuto {
-		return autoSchedule(tc, ap, world)
+	// "auto" is the planner's front door: derive the full schedule from the
+	// netsim price instead of lowering the knobs.
+	if s, err := compress.Parse(src); err == nil && s.Name == "auto" {
+		return autoSchedule(tc, s, world)
 	}
 	return cluster.Lower(tc.Family, src, tc.BucketBytes, tc.Topology, tc.Overlap)
 }
@@ -370,12 +367,13 @@ func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 	return cfg, nil
 }
 
-// autoSchedule plans the schedule the "auto" policy stands for: the run's
-// world size, the auto candidates, and the default IB100 price law —
-// switching to the hierarchical TwoTierIB100 pair when Topology pins a
-// width. BucketBytes, when set, pins the bucket-budget axis. Auto runs
-// always use the overlapped pipeline (that is the makespan being minimized).
-func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy, world int) (*Schedule, error) {
+// autoSchedule plans the schedule "auto(spec, spec, ...)" stands for: the
+// run's world size, the positional candidates (none: the paper's evaluated
+// five), and the default IB100 price law — switching to the hierarchical
+// TwoTierIB100 pair when Topology pins a width. BucketBytes, when set, pins
+// the bucket-budget axis. Auto runs always use the overlapped pipeline (that
+// is the makespan being minimized).
+func autoSchedule(tc TrainConfig, auto *Spec, world int) (*Schedule, error) {
 	if world <= 0 {
 		world = 1
 	}
@@ -387,8 +385,15 @@ func autoSchedule(tc TrainConfig, ap *compress.AutoPolicy, world int) (*Schedule
 	if tc.BucketBytes > 0 {
 		o.BucketBudgets = []int{tc.BucketBytes}
 	}
-	for _, s := range ap.Candidates() {
-		o.Candidates = append(o.Candidates, s.String())
+	for _, arg := range auto.Args {
+		if arg.Key != "" {
+			return nil, fmt.Errorf("a2sgd: auto takes candidate specs only — want auto(spec, spec, ...), got %s=…", arg.Key)
+		}
+		c, err := arg.Value.AsSpec()
+		if err != nil {
+			return nil, fmt.Errorf("a2sgd: auto: %w", err)
+		}
+		o.Candidates = append(o.Candidates, c.String())
 	}
 	return BuildSchedule(tc.Family, o)
 }

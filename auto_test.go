@@ -168,6 +168,18 @@ func TestAutoPolicyPinsRespected(t *testing.T) {
 	}
 }
 
+// TestAutoPolicyRejectsBadCandidates: "auto" takes candidate specs only, and
+// each must be a buildable spec — the planner refuses the run before any
+// worker starts.
+func TestAutoPolicyRejectsBadCandidates(t *testing.T) {
+	for _, policy := range []string{"auto(nope)", "auto(big=dense)", "auto(topk(density=7))", "auto(dense, 0.5)"} {
+		_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: policy, Epochs: 1, StepsPerEpoch: 1})
+		if err == nil {
+			t.Errorf("Policy %q: expected a bad-candidate error", policy)
+		}
+	}
+}
+
 // TestAutoPolicyResumesAtSnapshotWorld: the snapshot's world size wins over
 // Workers on every configuration path — "auto" must price and stamp its
 // schedule at the resumed world, exactly as a Spec run resumes there.

@@ -105,6 +105,16 @@ type jobOutcome struct {
 	err    error
 }
 
+// useTCP reads -transport: tcp runs the worker groups over loopback TCP,
+// inproc over the in-process fabric, and anything else is a usage error
+// rather than a silent in-process run.
+func useTCP(transport string) (bool, error) {
+	if transport != "inproc" && transport != "tcp" {
+		return false, fmt.Errorf("bad -transport: unknown transport %q (have inproc, tcp)", transport)
+	}
+	return transport == "tcp", nil
+}
+
 // buildJob assembles the elastic supervisor for one job spec.
 func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool, drain <-chan struct{}) (*elastic.Job, error) {
 	sched, err := cluster.Lower(js.Family, js.Spec, js.BucketBytes, 0, false)
@@ -130,19 +140,14 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 			return nil, fmt.Errorf("job %s: replan derives the bucket plan — leave bucket_bytes unset", js.Name)
 		}
 		// The planner owns bucket boundaries and per-bucket specs: the
-		// supervisor swaps in its schedule for every membership epoch's world.
-		job.Replan = func(world int) (*plan.Schedule, error) {
-			return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: a2sgd.IB100()})
+		// supervisor swaps in its schedule for every membership epoch's world,
+		// priced on IB100 — or, after a drift event, on the fabric the health
+		// monitor measured.
+		job.Replan = func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+			return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: fabric})
 		}
-		if js.DriftReplan {
-			// After a drift event the planner prices on the fabric the
-			// health monitor measured instead of the static model.
-			job.DriftReplan = true
-			job.DriftModel = a2sgd.IB100()
-			job.ReplanMeasured = func(world int, measured netsim.Fabric) (*plan.Schedule, error) {
-				return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: measured})
-			}
-		}
+		job.DriftReplan = js.DriftReplan
+		job.DriftModel = a2sgd.IB100()
 	}
 	if js.DriftReplan && !js.Replan {
 		return nil, fmt.Errorf("job %s: drift_replan requires replan (the planner owns the schedule it re-prices)", js.Name)
@@ -190,6 +195,11 @@ func main() {
 	resume := flag.Bool("resume", false, "resume every job whose snapshot file exists")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	flag.Parse()
+	tcp, err := useTCP(*transport)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	var specs []jobSpec
 	if *jobsPath != "" {
@@ -245,7 +255,7 @@ func main() {
 	var wg sync.WaitGroup
 	for i, js := range specs {
 		snapPath := filepath.Join(*dir, js.Name+".snap")
-		job, err := buildJob(js, snapPath, *resume, *transport == "tcp", pool, drain)
+		job, err := buildJob(js, snapPath, *resume, tcp, pool, drain)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)

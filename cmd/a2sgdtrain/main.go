@@ -46,6 +46,16 @@ func pricerByName(name string, width int) (a2sgd.Pricer, error) {
 	return nil, fmt.Errorf("unknown fabric %q (have ib100, tcp10g, nvlink+ib100, nvlink+tcp10g)", name)
 }
 
+// useTCP reads -transport: tcp runs the worker group over loopback TCP,
+// inproc over the in-process fabric, and anything else is a usage error
+// rather than a silent in-process run.
+func useTCP(transport string) (bool, error) {
+	if transport != "inproc" && transport != "tcp" {
+		return false, fmt.Errorf("bad -transport: unknown transport %q (have inproc, tcp)", transport)
+	}
+	return transport == "tcp", nil
+}
+
 // planWorkers is the world size an -auto plan is priced and stamped for: a
 // -resume snapshot's world wins over -workers inside a2sgd.Train, so it must
 // win here too, or Train refuses the schedule as planned for the wrong
@@ -87,12 +97,17 @@ func main() {
 	resumePath := flag.String("resume", "", "resume from an A2SV snapshot file (its world size wins over -workers)")
 	fabricName := flag.String("fabric", "ib100", "network model the -auto planner prices: ib100|tcp10g|nvlink+ib100|nvlink+tcp10g")
 	flag.Parse()
+	tcp, err := useTCP(*transport)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	tc := a2sgd.TrainConfig{
 		Family: *family, Workers: *workers,
 		Epochs: *epochs, StepsPerEpoch: *steps, BatchPerWorker: *batch,
 		Seed: *seed, Momentum: float32(*momentum),
-		TCP: *transport == "tcp", Faults: *faults,
+		TCP: tcp, Faults: *faults,
 	}
 	if *auto {
 		fabric := *fabricName

@@ -17,6 +17,8 @@ package bench
 import (
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -97,6 +99,13 @@ func applyDensity(s *compress.Spec, density string) {
 			a.Value = compress.Value{Spec: inner}
 		}
 	}
+}
+
+// sameBits reports whether two runs' final weights (cluster.Result's
+// FinalParams) are equal bit for bit — the matrices' fingerprint of "nothing
+// moved".
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // table renders rows as an aligned text table.

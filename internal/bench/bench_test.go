@@ -439,3 +439,36 @@ func TestElasticChaosMatrix(t *testing.T) {
 		}
 	}
 }
+
+// TestDriftReplannerRecordsFirstNonModelSchedule: the drift leg prices the
+// schedule Replan first builds on a fabric other than the model — the
+// measured-fabric replan — not the pre-drift schedules built on the model,
+// and not a later re-replan.
+func TestDriftReplannerRecordsFirstNonModelSchedule(t *testing.T) {
+	segs, _, err := familySegments("fnn3", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	model := netsim.IB100()
+	measured := netsim.Measured("measured", 50e-6, 1e-9)
+	dr := &driftReplanner{segs: segs, model: model}
+	if _, err := dr.replan(4, model); err != nil {
+		t.Fatal(err)
+	}
+	if dr.replanned != nil {
+		t.Fatalf("a schedule built on the model was recorded as the replan (on %s)", dr.fabric.Name)
+	}
+	first, err := dr.replan(4, measured)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dr.replan(3, netsim.TCP10G()); err != nil {
+		t.Fatal(err)
+	}
+	if dr.replanned != first || dr.fabric != measured {
+		t.Errorf("recorded the schedule built on %s, want the first one off the model (%s)", dr.fabric.Name, measured.Name)
+	}
+	if dr.replanned.PricedOn != measured.Label() {
+		t.Errorf("recorded schedule priced on %q, want %q", dr.replanned.PricedOn, measured.Label())
+	}
+}

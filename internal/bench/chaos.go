@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -30,13 +29,13 @@ type ChaosConfig struct {
 type ChaosCase struct {
 	Name     string `json:"name"`
 	Scenario string `json:"scenario"`
-	// Recoverable scenarios must complete with the exact checkpoint of the
-	// fault-free run; unrecoverable ones must fail within the deadline.
+	// Recoverable scenarios must complete with the exact final weights of
+	// the fault-free run; unrecoverable ones must fail within the deadline.
 	Recoverable bool    `json:"recoverable"`
 	Err         string  `json:"err,omitempty"`
 	WallSec     float64 `json:"wall_sec"`
-	// BitwiseEqual reports whether the final checkpoint matched the
-	// fault-free baseline byte for byte (recoverable scenarios only).
+	// BitwiseEqual reports whether the final weights matched the fault-free
+	// baseline bit for bit (recoverable scenarios only).
 	BitwiseEqual bool `json:"bitwise_equal,omitempty"`
 	// PredictedSlowdownSec / MeasuredSlowdownSec compare the run's extra
 	// wall time under injected α–β delay against the netsim price law for
@@ -79,28 +78,26 @@ func (c *ChaosConfig) defaults() ChaosConfig {
 
 // chaosRun trains the harness's representative configuration — the a2sgd
 // algorithm on the bucketed overlap pipeline — under one fault scenario
-// ("" = fault-free) and returns the checkpoint bytes and the wall time.
-func chaosRun(cfg ChaosConfig, scenario string, topology int, overlap bool) (*cluster.Result, []byte, time.Duration, error) {
-	var ckpt bytes.Buffer
+// ("" = fault-free) and returns the result and the wall time.
+func chaosRun(cfg ChaosConfig, scenario string, topology int, overlap bool) (*cluster.Result, time.Duration, error) {
 	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, topology, overlap)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, 0, err
 	}
 	cc := cluster.Config{
 		Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
-		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
-		Seed: cfg.Seed, Checkpoint: &ckpt,
+		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: cfg.Seed,
 	}
 	if scenario != "" {
 		sc, err := faultnet.Parse(scenario)
 		if err != nil {
-			return nil, nil, 0, fmt.Errorf("bench: chaos scenario %q: %w", scenario, err)
+			return nil, 0, fmt.Errorf("bench: chaos scenario %q: %w", scenario, err)
 		}
 		cc.GroupRunner = faultnet.GroupRunner(sc, cfg.TCP)
 	}
 	start := time.Now()
 	res, err := cluster.Train(cc)
-	return res, ckpt.Bytes(), time.Since(start), err
+	return res, time.Since(start), err
 }
 
 // chaosScenario is one row of the seeded scenario matrix.
@@ -173,7 +170,7 @@ func chaosMatrix(cfg ChaosConfig) []chaosScenario {
 }
 
 // Chaos runs the seeded chaos matrix: every recoverable scenario must train
-// to a checkpoint bitwise identical to the fault-free baseline (fault
+// to final weights bitwise identical to the fault-free baseline (fault
 // injection perturbs timing, never arithmetic), every unrecoverable scenario
 // must surface a step-scoped error within its deadline instead of hanging,
 // and the α–β delay scenarios report measured against netsim-predicted
@@ -186,36 +183,35 @@ func Chaos(w io.Writer, c ChaosConfig) (*ChaosReport, error) {
 
 	// Fault-free baselines: one per topology the matrix uses. The overlap
 	// pipeline is deterministic, so a single baseline run per topology pins
-	// the reference checkpoint.
+	// the reference weights.
 	type baseline struct {
 		res  *cluster.Result
-		ckpt []byte
 		wall time.Duration
 	}
 	baselines := map[int]baseline{}
 	for _, topo := range []int{0, 2} {
-		res, ckpt, wall, err := chaosRun(cfg, "", topo, true)
+		res, wall, err := chaosRun(cfg, "", topo, true)
 		if err != nil {
 			return nil, fmt.Errorf("bench: chaos baseline (topology=%d): %w", topo, err)
 		}
-		if len(ckpt) == 0 {
-			return nil, fmt.Errorf("bench: chaos baseline produced an empty checkpoint")
+		if len(res.FinalParams) == 0 {
+			return nil, fmt.Errorf("bench: chaos baseline produced no final weights")
 		}
-		baselines[topo] = baseline{res: res, ckpt: ckpt, wall: wall}
+		baselines[topo] = baseline{res: res, wall: wall}
 	}
 	rep.BaselineWallSec = baselines[0].wall.Seconds()
 
 	for _, s := range chaosMatrix(cfg) {
 		sc := faultnet.MustParse(fmt.Sprintf("seed(%d) %s", cfg.Seed, s.scenario))
 		cse := ChaosCase{Name: s.name, Scenario: sc.String(), Recoverable: sc.Recoverable()}
-		_, ckpt, wall, err := chaosRun(cfg, cse.Scenario, s.topology, true)
+		res, wall, err := chaosRun(cfg, cse.Scenario, s.topology, true)
 		cse.WallSec = wall.Seconds()
 		base := baselines[s.topology]
 		if err != nil {
 			cse.Err = err.Error()
 		}
 		if cse.Recoverable {
-			cse.BitwiseEqual = err == nil && bytes.Equal(ckpt, base.ckpt)
+			cse.BitwiseEqual = err == nil && sameBits(res.FinalParams, base.res.FinalParams)
 			cse.Pass = cse.BitwiseEqual
 			if s.predict != nil {
 				cse.PredictedSlowdownSec = s.predict(base.res, cfg.Epochs*cfg.Steps, cfg.Workers)

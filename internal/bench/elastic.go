@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -38,9 +37,9 @@ type ElasticCase struct {
 	// FinalWorld is the world size of the last membership epoch.
 	FinalWorld int     `json:"final_world"`
 	WallSec    float64 `json:"wall_sec"`
-	// BitwiseEqual reports whether the elastic run's final checkpoint
-	// matched its reference run — an uninterrupted fixed-world resume from
-	// the same resharded snapshot — byte for byte.
+	// BitwiseEqual reports whether the elastic run's final weights matched
+	// its reference run — an uninterrupted fixed-world resume from the same
+	// resharded snapshot — bit for bit.
 	BitwiseEqual bool   `json:"bitwise_equal"`
 	Err          string `json:"err,omitempty"`
 	Pass         bool   `json:"pass"`
@@ -79,28 +78,25 @@ func (c *ElasticConfig) defaults() ElasticConfig {
 
 // elasticBase builds the training configuration the harness supervises
 // around a schedule — representatively the a2sgd algorithm on the bucketed
-// overlap pipeline — with periodic checkpointing and the final model
-// checkpointed into ckpt.
-func elasticBase(cfg ElasticConfig, sched *plan.Schedule, ckpt *bytes.Buffer) cluster.Config {
+// overlap pipeline — with periodic checkpointing.
+func elasticBase(cfg ElasticConfig, sched *plan.Schedule) cluster.Config {
 	return cluster.Config{
 		Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
 		Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: cfg.Seed,
 		CheckpointEvery: cfg.CheckpointEvery,
-		Checkpoint:      ckpt,
 	}
 }
 
 // runElastic supervises one elastic run under the given scenario ("" =
 // fault-free), collecting every boundary snapshot by global step.
-func runElastic(cfg ElasticConfig, scenario string, drain <-chan struct{}) (*elastic.RunResult, []byte, map[int]*cluster.RunState, time.Duration, error) {
+func runElastic(cfg ElasticConfig, scenario string, drain <-chan struct{}) (*elastic.RunResult, map[int]*cluster.RunState, time.Duration, error) {
 	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, 0, true)
 	if err != nil {
-		return nil, nil, nil, 0, err
+		return nil, nil, 0, err
 	}
-	var ckpt bytes.Buffer
 	snaps := map[int]*cluster.RunState{}
 	job := &elastic.Job{
-		Config: elasticBase(cfg, sched, &ckpt),
+		Config: elasticBase(cfg, sched),
 		TCP:    cfg.TCP,
 		Drain:  drain,
 		SnapshotSink: func(rs *cluster.RunState) error {
@@ -113,25 +109,25 @@ func runElastic(cfg ElasticConfig, scenario string, drain <-chan struct{}) (*ela
 	}
 	start := time.Now()
 	rr, err := job.Run()
-	return rr, ckpt.Bytes(), snaps, time.Since(start), err
+	return rr, snaps, time.Since(start), err
 }
 
 // refResume replays the rest of the run from rs at rs.World workers with no
-// faults and returns the final checkpoint: the fixed-world reference an
+// faults and returns the final weights: the fixed-world reference an
 // elastic recovery must match bitwise.
-func refResume(cfg ElasticConfig, rs *cluster.RunState) ([]byte, error) {
+func refResume(cfg ElasticConfig, rs *cluster.RunState) ([]float32, error) {
 	sched, err := cluster.Lower(cfg.Family, "a2sgd", 8192, 0, true)
 	if err != nil {
 		return nil, err
 	}
-	var ckpt bytes.Buffer
-	cc := elasticBase(cfg, sched, &ckpt)
+	cc := elasticBase(cfg, sched)
 	cc.Workers = rs.World
 	cc.Resume = rs
-	if _, err := cluster.Train(cc); err != nil {
+	res, err := cluster.Train(cc)
+	if err != nil {
 		return nil, err
 	}
-	return ckpt.Bytes(), nil
+	return res.FinalParams, nil
 }
 
 func eventStrings(rr *elastic.RunResult) (out []string) {
@@ -154,15 +150,16 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 	rep := &ElasticReport{Workers: cfg.Workers, CheckpointEvery: cfg.CheckpointEvery}
 	ck := cfg.CheckpointEvery
 
-	// Fault-free baseline pins the uninterrupted checkpoint for the drain
-	// case (the crash/preempt references resume at a different world size,
-	// so they are recomputed per case from the captured snapshots).
-	_, baseCkpt, _, _, err := runElastic(cfg, "", nil)
+	// Fault-free baseline pins the uninterrupted weights for the drain case
+	// (the crash/preempt references resume at a different world size, so
+	// they are recomputed per case from the captured snapshots).
+	baseRR, _, _, err := runElastic(cfg, "", nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: elastic baseline: %w", err)
 	}
-	if len(baseCkpt) == 0 {
-		return nil, fmt.Errorf("bench: elastic baseline produced an empty checkpoint")
+	baseW := baseRR.Result.FinalParams
+	if len(baseW) == 0 {
+		return nil, fmt.Errorf("bench: elastic baseline produced no final weights")
 	}
 
 	finish := func(cse ElasticCase) {
@@ -183,7 +180,7 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 	{
 		scenario := fmt.Sprintf("seed(%d) deadline(5s) crash(rank=%d, step=%d)", cfg.Seed, cfg.Workers-1, ck+1)
 		cse := ElasticCase{Name: "crash-shrink", Scenario: scenario}
-		rr, ckpt, snaps, wall, err := runElastic(cfg, scenario, nil)
+		rr, snaps, wall, err := runElastic(cfg, scenario, nil)
 		cse.WallSec = wall.Seconds()
 		if err != nil {
 			cse.Err = err.Error()
@@ -195,7 +192,7 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 				shrunk, rerr := elastic.Reshard(snap, cfg.Workers-1)
 				if rerr == nil {
 					if ref, rerr := refResume(cfg, shrunk); rerr == nil {
-						cse.BitwiseEqual = bytes.Equal(ckpt, ref)
+						cse.BitwiseEqual = sameBits(rr.Result.FinalParams, ref)
 					}
 				}
 			}
@@ -210,7 +207,7 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 	{
 		scenario := fmt.Sprintf("seed(%d) deadline(5s) preempt(rank=1, step=%d)", cfg.Seed, ck-2)
 		cse := ElasticCase{Name: "preempt-rejoin", Scenario: scenario}
-		rr, ckpt, snaps, wall, err := runElastic(cfg, scenario, nil)
+		rr, snaps, wall, err := runElastic(cfg, scenario, nil)
 		cse.WallSec = wall.Seconds()
 		if err != nil {
 			cse.Err = err.Error()
@@ -224,7 +221,7 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 				grown, rerr := elastic.Reshard(snap, cfg.Workers)
 				if rerr == nil {
 					if ref, rerr := refResume(cfg, grown); rerr == nil {
-						cse.BitwiseEqual = bytes.Equal(ckpt, ref)
+						cse.BitwiseEqual = sameBits(rr.Result.FinalParams, ref)
 					}
 				}
 			}
@@ -235,13 +232,13 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 
 	// drain-resume: a pre-closed drain pauses the run at the first boundary
 	// with a snapshot; resuming it fault-free must land on the exact
-	// uninterrupted checkpoint.
+	// uninterrupted weights.
 	{
 		cse := ElasticCase{Name: "drain-resume"}
 		drain := make(chan struct{})
 		close(drain)
 		start := time.Now()
-		rr, _, _, _, err := runElastic(cfg, "", drain)
+		rr, _, _, err := runElastic(cfg, "", drain)
 		if err != nil {
 			cse.Err = err.Error()
 		} else {
@@ -249,7 +246,7 @@ func ElasticChaos(w io.Writer, c ElasticConfig) (*ElasticReport, error) {
 			cse.FinalWorld = finalWorld(rr)
 			if rr.Paused && rr.Snapshot != nil {
 				if ref, rerr := refResume(cfg, rr.Snapshot); rerr == nil {
-					cse.BitwiseEqual = bytes.Equal(ref, baseCkpt)
+					cse.BitwiseEqual = sameBits(ref, baseW)
 				}
 				cse.Pass = cse.BitwiseEqual
 			}

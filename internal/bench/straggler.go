@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"io"
 	"strings"
@@ -11,6 +10,7 @@ import (
 	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/elastic"
 	"a2sgd/internal/netsim"
+	"a2sgd/internal/nn"
 	"a2sgd/internal/plan"
 )
 
@@ -47,8 +47,8 @@ type StragglerCase struct {
 	Events  []string `json:"events"`
 	Backups int      `json:"backups,omitempty"`
 	WallSec float64  `json:"wall_sec"`
-	// BitwiseEqual reports whether the run's final checkpoint matched the
-	// fault-free baseline byte for byte (slowdowns must never change math).
+	// BitwiseEqual reports whether the run's final weights matched the
+	// fault-free baseline bit for bit (slowdowns must never change math).
 	BitwiseEqual bool `json:"bitwise_equal"`
 	// Speedup is the unmitigated-straggler wall clock over this run's
 	// (backup case only).
@@ -107,21 +107,20 @@ func (c *StragglerConfig) defaults() StragglerConfig {
 }
 
 // runStraggler supervises one run of the harness configuration on the given
-// schedule under the given job shape, returning the supervisor result, the
-// final checkpoint and the wall clock.
-func runStraggler(cfg StragglerConfig, sched *plan.Schedule, mutate func(*elastic.Job)) (*elastic.RunResult, []byte, time.Duration, error) {
-	var ckpt bytes.Buffer
+// schedule under the given job shape, returning the supervisor result and
+// the wall clock.
+func runStraggler(cfg StragglerConfig, sched *plan.Schedule, mutate func(*elastic.Job)) (*elastic.RunResult, time.Duration, error) {
 	ecfg := ElasticConfig{
 		Family: cfg.Family, Workers: cfg.Workers, Epochs: cfg.Epochs,
 		Steps: cfg.Steps, Seed: cfg.Seed, CheckpointEvery: cfg.CheckpointEvery,
 	}
-	job := &elastic.Job{Config: elasticBase(ecfg, sched, &ckpt), TCP: cfg.TCP}
+	job := &elastic.Job{Config: elasticBase(ecfg, sched), TCP: cfg.TCP}
 	if mutate != nil {
 		mutate(job)
 	}
 	start := time.Now()
 	rr, err := job.Run()
-	return rr, ckpt.Bytes(), time.Since(start), err
+	return rr, time.Since(start), err
 }
 
 // Straggler runs the straggler-tolerance matrix: an unmitigated straggler
@@ -154,12 +153,13 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 
 	// fault-free: the bitwise reference and the wall-clock floor.
 	base := StragglerCase{Name: "fault-free"}
-	_, baseCkpt, baseWall, err := runStraggler(cfg, sched, nil)
+	baseRR, baseWall, err := runStraggler(cfg, sched, nil)
 	if err != nil {
 		return nil, fmt.Errorf("bench: straggler baseline: %w", err)
 	}
-	if len(baseCkpt) == 0 {
-		return nil, fmt.Errorf("bench: straggler baseline produced an empty checkpoint")
+	baseW := baseRR.Result.FinalParams
+	if len(baseW) == 0 {
+		return nil, fmt.Errorf("bench: straggler baseline produced no final weights")
 	}
 	base.WallSec = baseWall.Seconds()
 	base.BitwiseEqual, base.Pass = true, true
@@ -167,14 +167,14 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 
 	// straggler-unmitigated: the full slowdown, bit-for-bit the same model.
 	slow := StragglerCase{Name: "straggler-unmitigated", Scenario: scenario}
-	_, slowCkpt, slowWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
+	slowRR, slowWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 	})
 	if err != nil {
 		slow.Err = err.Error()
 	} else {
 		slow.WallSec = slowWall.Seconds()
-		slow.BitwiseEqual = bytes.Equal(slowCkpt, baseCkpt)
+		slow.BitwiseEqual = sameBits(slowRR.Result.FinalParams, baseW)
 		slow.Pass = slow.BitwiseEqual && slowWall > baseWall
 	}
 	finish(slow)
@@ -183,7 +183,7 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 	// evict), mask the slow links, and recover ≥ MinSpeedup of the wall
 	// clock with an identical final model.
 	bk := StragglerCase{Name: "straggler-backup", Scenario: scenario}
-	rr, bkCkpt, bkWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
+	rr, bkWall, err := runStraggler(cfg, sched, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 		j.BackupSlots = cfg.BackupSlots
 	})
@@ -193,7 +193,7 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 		bk.Events = eventStrings(rr)
 		bk.Backups = rr.Backups
 		bk.WallSec = bkWall.Seconds()
-		bk.BitwiseEqual = bytes.Equal(bkCkpt, baseCkpt)
+		bk.BitwiseEqual = sameBits(rr.Result.FinalParams, baseW)
 		if bkWall > 0 {
 			bk.Speedup = slowWall.Seconds() / bkWall.Seconds()
 		}
@@ -270,6 +270,25 @@ func Straggler(w io.Writer, c StragglerConfig) (*StragglerReport, error) {
 	return rep, nil
 }
 
+// driftReplanner is the drift leg's Replan hook: plan.Build on whichever
+// fabric the supervisor hands it — the model until the drift event, the
+// measured fabric after it — remembering the first schedule built on a fabric
+// other than the model: the measured-fabric replan the leg prices.
+type driftReplanner struct {
+	segs      []nn.Segment
+	model     netsim.Fabric
+	replanned *plan.Schedule
+	fabric    netsim.Fabric // the one replanned was built on
+}
+
+func (d *driftReplanner) replan(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+	sched, err := plan.Build(d.segs, plan.Options{Workers: world, Pricer: fabric})
+	if err == nil && d.replanned == nil && fabric != d.model {
+		d.replanned, d.fabric = sched, fabric
+	}
+	return sched, err
+}
+
 // stragglerDrift runs the drift leg of the matrix on planned schedules, which
 // a replan swaps mid-run; BackupSlots keeps the degraded rank in the world so
 // the stale and fresh schedules price at the same worker count.
@@ -285,7 +304,7 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 	if err != nil {
 		return cse, err
 	}
-	probe, _, _, err := runStraggler(cfg, modelSched, func(j *elastic.Job) { j.Health = true })
+	probe, _, err := runStraggler(cfg, modelSched, func(j *elastic.Job) { j.Health = true })
 	if err != nil {
 		return cse, fmt.Errorf("probe run: %w", err)
 	}
@@ -294,7 +313,8 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 	}
 	model := *probe.Measured
 
-	// Stale schedule: planned on the healthy measurement.
+	// Stale schedule: planned on the healthy measurement — what Replan builds
+	// on the model, so the segments before the drift run exactly it.
 	stale, err := plan.Build(segs, plan.Options{Workers: cfg.Workers, Pricer: model})
 	if err != nil {
 		return cse, err
@@ -303,23 +323,13 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 	scenario := fmt.Sprintf("seed(%d) deadline(10s) degrade(rank=%d, after=0, factor=%d, ramp=0)",
 		cfg.Seed, cfg.Rank, cfg.Factor)
 	cse.Scenario = scenario
-	var replanned *plan.Schedule
-	var replanFabric netsim.Fabric
-	rr, _, wall, err := runStraggler(cfg, stale, func(j *elastic.Job) {
+	dr := &driftReplanner{segs: segs, model: model}
+	rr, wall, err := runStraggler(cfg, stale, func(j *elastic.Job) {
 		j.Scenario = faultnet.MustParse(scenario)
 		j.BackupSlots = cfg.BackupSlots
 		j.DriftReplan = true
 		j.DriftModel = model
-		j.ReplanMeasured = func(world int, measured netsim.Fabric) (*plan.Schedule, error) {
-			sched, err := plan.Build(segs, plan.Options{Workers: world, Pricer: measured})
-			if err != nil {
-				return nil, err
-			}
-			if replanned == nil {
-				replanned, replanFabric = sched, measured
-			}
-			return sched, nil
-		}
+		j.Replan = dr.replan
 	})
 	if err != nil {
 		return cse, err
@@ -333,14 +343,14 @@ func stragglerDrift(cfg StragglerConfig, _ string) (StragglerCase, error) {
 			replanEvent = true
 		}
 	}
-	if !replanEvent || replanned == nil {
+	if !replanEvent || dr.replanned == nil {
 		return cse, fmt.Errorf("degraded fabric never triggered a replan (events %v)", cse.Events)
 	}
-	stalePrice, err := plan.Reprice(stale, segs, replanFabric)
+	stalePrice, err := plan.Reprice(stale, segs, dr.fabric)
 	if err != nil {
 		return cse, err
 	}
-	newPrice, err := plan.Reprice(replanned, segs, replanFabric)
+	newPrice, err := plan.Reprice(dr.replanned, segs, dr.fabric)
 	if err != nil {
 		return cse, err
 	}

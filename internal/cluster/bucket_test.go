@@ -7,6 +7,7 @@ import (
 	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
+	"a2sgd/internal/tensor"
 )
 
 // fnn3 at reduced scale has 9,178 parameters in 8 tensors; an 8 KiB bucket
@@ -26,8 +27,7 @@ func init() {
 	compress.Register("dense-recdouble", compress.Builder{
 		Summary: "test: dense with recursive-doubling allreduce",
 		Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
-			o.Allreduce = comm.AlgoRecursiveDoubling
-			return compress.NewDense(o), nil
+			return recDoublingDense{compress.NewDense(o)}, nil
 		},
 	})
 	compress.Register("qsgd-seedprobe", compress.Builder{
@@ -37,6 +37,20 @@ func init() {
 			return compress.NewQSGD(o), nil
 		},
 	})
+}
+
+// recDoublingDense is dense with its allreduce pinned to recursive doubling:
+// Dense's payload is the bucket's gradient or its contiguous staging, so
+// reducing the payload and copying it back into the view is Dense's own
+// exchange on the other collective.
+type recDoublingDense struct{ *compress.Dense }
+
+func (d recDoublingDense) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Communicator) error {
+	if err := c.AllreduceMean(p.Data, comm.AlgoRecursiveDoubling); err != nil {
+		return err
+	}
+	v.CopyFrom(p.Data)
+	return nil
 }
 
 // seedProbe collects the Options.Seed of every qsgd-seedprobe instance.

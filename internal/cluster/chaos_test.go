@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"strings"
@@ -30,7 +29,7 @@ var chaosScenarios = []string{
 // fixed RNG draws configurations across every axis the runtime exposes —
 // algorithm spec, two-level topology, tag-space concurrency, backprop
 // interleaving — pairs each with a recoverable fault scenario, and asserts
-// the faulted run's final checkpoint is bitwise identical to the serial,
+// the faulted run's final weights are bitwise identical to the serial,
 // synchronous, fault-free run of the same algorithm and topology. Fault
 // injection may reshape wire timing arbitrarily; it must never change a bit
 // of the training result.
@@ -45,19 +44,19 @@ func TestChaosPropertySweep(t *testing.T) {
 	// Serial fault-free baselines, keyed by algorithm and topology (the two
 	// axes that change the arithmetic; overlap/concurrency/interleave and
 	// faults must not).
-	baselines := map[string][]byte{}
-	baseline := func(algo string, topo int) []byte {
+	baselines := map[string][]float32{}
+	baseline := func(algo string, topo int) []float32 {
 		key := fmt.Sprintf("%s/t%d", algo, topo)
 		if b, ok := baselines[key]; ok {
 			return b
 		}
 		cfg := lowered(quickCfg("fnn3", algo, 4), algo, fourBucketBytes, topo, false)
-		_, ckpt := trainWithCheckpoint(t, cfg)
-		if len(ckpt) == 0 {
-			t.Fatalf("%s: baseline produced an empty checkpoint", key)
+		_, w := trainFinal(t, cfg)
+		if len(w) == 0 {
+			t.Fatalf("%s: baseline produced no final weights", key)
 		}
-		baselines[key] = ckpt
-		return ckpt
+		baselines[key] = w
+		return w
 	}
 
 	rng := tensor.NewRNG(20260807)
@@ -77,8 +76,8 @@ func TestChaosPropertySweep(t *testing.T) {
 		sc := faultnet.MustParse(fmt.Sprintf("seed(%d) %s", 100+uint64(i), scenario))
 		cfg.GroupRunner = faultnet.GroupRunner(sc, false)
 
-		res, ckpt := trainWithCheckpoint(t, cfg)
-		if !bytes.Equal(ckpt, baseline(algo, topo)) {
+		res, w := trainFinal(t, cfg)
+		if !sameBits(w, baseline(algo, topo)) {
 			t.Errorf("%s: final weights differ from the serial fault-free run", label)
 		}
 		if res.Buckets < 2 {
@@ -148,13 +147,13 @@ func TestChaosFaultsOverTCP(t *testing.T) {
 		t.Skip("tcp integration")
 	}
 	base := bucketCfg("a2sgd", 3, fourBucketBytes, false)
-	_, want := trainWithCheckpoint(t, base)
+	_, want := trainFinal(t, base)
 
 	cfg := bucketCfg("a2sgd", 3, fourBucketBytes, true)
 	sc := faultnet.MustParse("seed(9) dup(link=*, p=0.25) reorder(link=*, p=0.25) delay(link=*, alpha=10us)")
 	cfg.GroupRunner = faultnet.GroupRunner(sc, true)
-	_, ckpt := trainWithCheckpoint(t, cfg)
-	if !bytes.Equal(ckpt, want) {
+	_, w := trainFinal(t, cfg)
+	if !sameBits(w, want) {
 		t.Error("faulted TCP run diverged from the fault-free in-process run")
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"io"
 	"sync/atomic"
 
 	"a2sgd/internal/comm"
@@ -14,19 +13,6 @@ import (
 	"a2sgd/internal/plan"
 	"a2sgd/internal/stats"
 )
-
-// Membership is a dynamic view of the worker group, maintained by an elastic
-// supervisor across rescale events. Train samples it once at entry — the
-// world size is fixed for the duration of one Train call (one membership
-// epoch); growing or shrinking means checkpointing, resharding and calling
-// Train again at the new size.
-type Membership interface {
-	// WorldSize returns the current live worker count.
-	WorldSize() int
-	// Epoch returns the membership epoch — incremented every time the live
-	// set changes. Recorded in Result for provenance.
-	Epoch() int
-}
 
 // ErrPaused is returned (by every rank) when a run stops at a checkpoint
 // boundary before completing — because StopStep was reached or the Drain
@@ -88,12 +74,9 @@ type WorkerState struct {
 
 // Config describes one distributed training run.
 type Config struct {
-	// Workers is the data-parallel width P. When Membership is non-nil it is
-	// overridden by the membership's current world size.
+	// Workers is the data-parallel width P, fixed for the duration of one
+	// Train call; an elastic supervisor changes it between calls.
 	Workers int
-	// Membership, when non-nil, supplies the worker count dynamically (one
-	// sample per Train call) and tags the Result with the membership epoch.
-	Membership Membership
 	// Family selects the model family ("fnn3", "vgg16", "resnet20", "lstm").
 	Family string
 	// Concurrency is the number of comm tag-space contexts the overlap path
@@ -143,9 +126,6 @@ type Config struct {
 	// channel fabric (comm.RunGroup); tests substitute a TCP-backed runner
 	// to exercise training over a real network stack.
 	GroupRunner func(size int, body func(*comm.Communicator) error) error
-	// Checkpoint, when non-nil, receives the final synchronized model
-	// weights (rank 0, nn checkpoint format) after training completes.
-	Checkpoint io.Writer
 	// SnapshotSink, when non-nil, receives full-state snapshots (rank 0,
 	// after a group-wide barrier): one at the run's start (fresh runs only),
 	// one every CheckpointEvery steps, and one at a StopStep/Drain pause.
@@ -173,10 +153,9 @@ type Config struct {
 	// drain decision is broadcast from rank 0, so all ranks agree without
 	// changing any training arithmetic.
 	Drain <-chan struct{}
-	// Health, when non-nil, receives per-rank timing beacons: per-step
-	// encode/sync/step wall times plus per-send and per-operation timings
-	// observed by the comm layer. The monitor's world must equal Workers.
-	// Recorders write into preallocated rings, so beacons keep the
+	// Health, when non-nil, receives every rank's per-send timings as the
+	// comm layer observes them. The monitor's world must equal Workers.
+	// Recorders write into preallocated rings, so the beacons keep the
 	// steady-state step allocation-free.
 	Health *health.Monitor
 }
@@ -199,16 +178,18 @@ type Result struct {
 	Metric    models.Metric
 	Epochs    []EpochStats
 	// MembershipEpoch is the elastic membership epoch the run executed under
-	// (0 for static runs).
+	// (0 for static runs; the elastic supervisor stamps it).
 	MembershipEpoch int
+	// FinalParams is rank 0's flattened weights, in Params() order, after
+	// Algorithm 1's final dense synchronization — the trained model every
+	// replica holds, and the bitwise fingerprint of a run.
+	FinalParams []float32
 
 	// Cost components, averaged per training step (rank 0).
 	AvgComputeSec float64 // forward + backward
 	// AvgEncodeSec is the compression compute per step (Figure 2's
-	// quantity), summed across buckets. It is aggregate encode CPU time:
-	// when the overlap path encodes buckets on the parallel worker pool,
-	// the per-bucket durations overlap in wall time, so this can exceed
-	// the wall-clock encode window (and includes contention).
+	// quantity), summed across buckets. Buckets encode one after another on
+	// the rank's goroutine, so it is also the step's wall-clock encode time.
 	AvgEncodeSec float64
 	// AvgSyncSec is the wall time the step spent blocked on the collective:
 	// the full collective time on the synchronous path, only the *exposed*
@@ -336,9 +317,6 @@ func (r *Result) Throughput(f netsim.Pricer, batchPerWorker int) float64 {
 
 func (c *Config) defaults() Config {
 	cfg := *c
-	if cfg.Membership != nil {
-		cfg.Workers = cfg.Membership.WorldSize()
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 1
 	}
@@ -456,9 +434,6 @@ func Train(c Config) (*Result, error) {
 		res:        &Result{Family: cfg.Family, Workers: cfg.Workers, HistIters: cfg.HistIters},
 		snapSlots:  make([]atomic.Pointer[WorkerState], cfg.Workers),
 	}
-	if cfg.Membership != nil {
-		j.res.MembershipEpoch = cfg.Membership.Epoch()
-	}
 	if cfg.Resume != nil {
 		j.startStep = cfg.Resume.Step
 	}
@@ -471,7 +446,6 @@ func Train(c Config) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		defer w.pipe.close()
 		return w.run()
 	})
 	if err != nil {

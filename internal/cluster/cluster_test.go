@@ -1,16 +1,17 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	_ "a2sgd/internal/core" // registers a2sgd and its ablation variants
+	"a2sgd/internal/data"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/nn"
+	"a2sgd/internal/tensor"
 )
 
 // lowered returns cfg running algo (any spec or policy string) on the
@@ -323,41 +324,49 @@ func TestLSTMClusterRun(t *testing.T) {
 
 func TestDivergenceDetection(t *testing.T) {
 	// Failure injection: an absurd learning-rate scale must surface as an
-	// error ("non-finite gradient"), not as silent Inf metrics.
-	cfg := quickCfg("fnn3", "dense", 2)
-	cfg.LRScale = 1e9
-	cfg.Epochs = 30
-	_, err := Train(cfg)
-	if err == nil {
-		t.Fatal("expected divergence to be detected")
+	// error ("non-finite gradient"), not as silent Inf metrics — on the
+	// synchronous whole-model path and on the overlapped bucket pipeline.
+	for _, cfg := range []Config{quickCfg("fnn3", "dense", 2), bucketCfg("a2sgd", 2, fourBucketBytes, true)} {
+		cfg.LRScale = 1e12
+		cfg.Epochs = 30
+		_, err := Train(cfg)
+		if err == nil {
+			t.Fatalf("overlap=%v: expected divergence to be detected", cfg.Schedule.Overlap)
+		}
+		if !strings.Contains(err.Error(), "non-finite gradient") {
+			t.Errorf("overlap=%v: divergence surfaced as %v", cfg.Schedule.Overlap, err)
+		}
 	}
 }
 
+// TestCheckpointWrittenAndRestorable: the run's final weights come back in
+// Result.FinalParams, and restored into a fresh model they evaluate to the
+// run's last held-out metric. Dense replicas never drift, so the final
+// dense synchronization averages identical weights and changes no bit of
+// the model rank 0 evaluated.
 func TestCheckpointWrittenAndRestorable(t *testing.T) {
-	var buf bytes.Buffer
-	cfg := quickCfg("fnn3", "a2sgd", 2)
+	cfg := quickCfg("fnn3", "dense", 2)
 	cfg.Epochs = 2
 	cfg.StepsPerEpoch = 3
-	cfg.Checkpoint = &buf
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if buf.Len() == 0 {
-		t.Fatal("no checkpoint written")
+	if len(res.FinalParams) != res.NumParams {
+		t.Fatalf("FinalParams holds %d values, model has %d", len(res.FinalParams), res.NumParams)
 	}
-	// Restore into a fresh model and verify it evaluates identically to a
-	// rerun of the same configuration.
 	m, err := models.New(models.Config{Family: "fnn3", Seed: cfg.Seed, Reduced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := nn.LoadParams(&buf, m.Params())
+	var weights tensor.VecView
+	nn.WeightViewOf(m.Params(), &weights)
+	weights.CopyFrom(res.FinalParams)
+	img, _, err := data.ForFamily("fnn3", cfg.Seed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded) == 0 {
-		t.Fatal("no tensors restored")
+	if _, metric := m.Eval(img.EvalSet(cfg.EvalBatch, cfg.Seed)); metric != res.FinalMetric() {
+		t.Errorf("restored model scores %v, the run ended at %v", metric, res.FinalMetric())
 	}
-	_ = res
 }

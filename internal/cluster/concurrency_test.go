@@ -1,7 +1,8 @@
 package cluster
 
 import (
-	"bytes"
+	"math"
+	"slices"
 	"testing"
 )
 
@@ -13,17 +14,21 @@ func concCfg(algo string, workers int, concurrency int, interleave bool) Config 
 	return cfg
 }
 
-// trainWithCheckpoint runs Train capturing the final synchronized weights,
-// so equality checks cover every parameter bit, not just the epoch stats.
-func trainWithCheckpoint(t *testing.T, cfg Config) (*Result, []byte) {
+// trainFinal runs Train and returns the final synchronized weights beside the
+// result, so equality checks cover every parameter bit, not just the epoch
+// stats.
+func trainFinal(t *testing.T, cfg Config) (*Result, []float32) {
 	t.Helper()
-	var buf bytes.Buffer
-	cfg.Checkpoint = &buf
 	res, err := Train(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, buf.Bytes()
+	return res, res.FinalParams
+}
+
+// sameBits reports whether two weight vectors are equal bit for bit.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // TestConcurrencyMatrixBitwise is the mode-equivalence matrix: for a fixed
@@ -35,7 +40,7 @@ func trainWithCheckpoint(t *testing.T, cfg Config) (*Result, []byte) {
 // result. The serial synchronous run anchors the matrix.
 func TestConcurrencyMatrixBitwise(t *testing.T) {
 	for _, algo := range []string{"dense", "a2sgd", "qsgd"} {
-		base, wantCkpt := trainWithCheckpoint(t, bucketCfg(algo, 4, fourBucketBytes, false))
+		base, wantW := trainFinal(t, bucketCfg(algo, 4, fourBucketBytes, false))
 		if base.Buckets < 2 {
 			t.Fatalf("%s: plan produced %d buckets, want >= 2", algo, base.Buckets)
 		}
@@ -49,9 +54,9 @@ func TestConcurrencyMatrixBitwise(t *testing.T) {
 			{"interleave-concurrent-4", concCfg(algo, 4, 4, true)},
 		}
 		for _, v := range variants {
-			res, ckpt := trainWithCheckpoint(t, v.cfg)
+			res, w := trainFinal(t, v.cfg)
 			assertRunsIdentical(t, algo+" "+v.label, base, res)
-			if !bytes.Equal(ckpt, wantCkpt) {
+			if !sameBits(w, wantW) {
 				t.Errorf("%s %s: final weights differ from the serial run", algo, v.label)
 			}
 		}
@@ -71,7 +76,7 @@ func TestLSTMInterleaveBitwise(t *testing.T) {
 		cfg.Interleave = interleave
 		return cfg
 	}
-	base, wantCkpt := trainWithCheckpoint(t, lstmCfg(0, 0, false, false))
+	base, wantW := trainFinal(t, lstmCfg(0, 0, false, false))
 	if base.Buckets < 2 {
 		t.Fatalf("lstm plan produced %d buckets, want >= 2", base.Buckets)
 	}
@@ -84,18 +89,18 @@ func TestLSTMInterleaveBitwise(t *testing.T) {
 		{"interleave-concurrent-4", lstmCfg(4, 0, true, true)},
 	}
 	for _, v := range variants {
-		res, ckpt := trainWithCheckpoint(t, v.cfg)
+		res, w := trainFinal(t, v.cfg)
 		assertRunsIdentical(t, "lstm "+v.label, base, res)
-		if !bytes.Equal(ckpt, wantCkpt) {
+		if !sameBits(w, wantW) {
 			t.Errorf("lstm %s: final weights differ from the serial run", v.label)
 		}
 	}
 	// Hierarchical: the two-level reduction order differs from flat, so the
 	// comparison is interleaved-vs-deterministic under the same topology.
-	rd, hckpt := trainWithCheckpoint(t, lstmCfg(0, 2, true, false))
-	ri, ickpt := trainWithCheckpoint(t, lstmCfg(4, 2, true, true))
+	rd, hw := trainFinal(t, lstmCfg(0, 2, true, false))
+	ri, iw := trainFinal(t, lstmCfg(4, 2, true, true))
 	assertRunsIdentical(t, "lstm hierarchical interleave-vs-det", rd, ri)
-	if !bytes.Equal(hckpt, ickpt) {
+	if !sameBits(hw, iw) {
 		t.Error("lstm hierarchical: final weights differ between interleaved and deterministic runs")
 	}
 }
@@ -108,12 +113,12 @@ func TestLSTMInterleaveOverTCP(t *testing.T) {
 	}
 	cfg := lowered(quickCfg("lstm", "a2sgd", 3), "a2sgd", fourBucketBytes, 0, true)
 	cfg.Interleave = true
-	inproc, wantCkpt := trainWithCheckpoint(t, cfg)
+	inproc, wantW := trainFinal(t, cfg)
 	tcp := cfg
 	tcp.GroupRunner = tcpRunner
-	rt, ckpt := trainWithCheckpoint(t, tcp)
+	rt, w := trainFinal(t, tcp)
 	assertRunsIdentical(t, "lstm interleave tcp-vs-inproc", inproc, rt)
-	if !bytes.Equal(ckpt, wantCkpt) {
+	if !sameBits(w, wantW) {
 		t.Error("lstm: final weights differ between tcp and inproc")
 	}
 }
@@ -126,12 +131,12 @@ func TestConcurrentInterleaveOverTCP(t *testing.T) {
 	if testing.Short() {
 		t.Skip("tcp integration")
 	}
-	inproc, wantCkpt := trainWithCheckpoint(t, concCfg("a2sgd", 3, 4, true))
+	inproc, wantW := trainFinal(t, concCfg("a2sgd", 3, 4, true))
 	tcp := concCfg("a2sgd", 3, 4, true)
 	tcp.GroupRunner = tcpRunner
-	rt, ckpt := trainWithCheckpoint(t, tcp)
+	rt, w := trainFinal(t, tcp)
 	assertRunsIdentical(t, "a2sgd concurrent+interleave tcp-vs-inproc", inproc, rt)
-	if !bytes.Equal(ckpt, wantCkpt) {
+	if !sameBits(w, wantW) {
 		t.Error("final weights differ between tcp and inproc")
 	}
 }
@@ -178,11 +183,11 @@ func TestConcurrencyValidation(t *testing.T) {
 // concurrent run must match the hierarchical deterministic run bitwise.
 func TestConcurrentHierarchical(t *testing.T) {
 	det := lowered(concCfg("a2sgd", 4, 0, false), "a2sgd", fourBucketBytes, 2, true)
-	rd, wantCkpt := trainWithCheckpoint(t, det)
+	rd, wantW := trainFinal(t, det)
 	conc := lowered(concCfg("a2sgd", 4, 4, true), "a2sgd", fourBucketBytes, 2, true)
-	rc, ckpt := trainWithCheckpoint(t, conc)
+	rc, w := trainFinal(t, conc)
 	assertRunsIdentical(t, "a2sgd hierarchical concurrent-vs-det", rd, rc)
-	if !bytes.Equal(ckpt, wantCkpt) {
+	if !sameBits(w, wantW) {
 		t.Error("final weights differ between hierarchical concurrent and deterministic runs")
 	}
 }

@@ -24,8 +24,9 @@
 // ranks' traffic. A worker (worker.go) is the rank's life: setup or restore,
 // then for every global step g a boundary (pause, drain poll, snapshot,
 // learning rate) and a step (Algorithm 1's loop body), then finish (final
-// dense synchronization, checkpoint, Result). The step drives one pipeline
-// (pipeline.go), which owns the compress.Bucketed, the per-bucket views of
+// dense synchronization and Result, whose FinalParams are the synchronized
+// weights — the run's model and its bitwise fingerprint). The step drives
+// one pipeline (pipeline.go), which owns the compress.Bucketed, the per-bucket views of
 // the layers' live gradient storage, the pooled exchange operations and the
 // encode and sync clocks.
 //
@@ -42,7 +43,8 @@
 // cut at the schedule's layer-granular bounds and every bucket owns a full
 // algorithm instance (compress.Bucketed — per-bucket error feedback, seeds
 // and A2SGD means). pipeline.launch(b) is the only place a bucket is
-// finite-checked, encoded from its view and handed to an executor: posted to
+// finite-checked, encoded from its view (inline, on the rank's goroutine)
+// and handed to an executor: posted to
 // the communicator's progress workers under Schedule.Overlap, so bucket i's
 // collective runs while bucket i+1 is still being encoded, or the same
 // operation run inline. pipeline.wait joins the step's exchanges, each of

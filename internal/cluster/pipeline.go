@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"runtime"
 	"time"
 
 	"a2sgd/internal/comm"
@@ -34,14 +33,6 @@ func (o *bucketExchangeOp) RunOp(c *comm.Communicator) error {
 	return nil
 }
 
-// encoded is one bucket's encode outcome: the payload (valid until the
-// bucket's next encode) and the encode duration, or why there is none.
-type encoded struct {
-	p   compress.Payload
-	sec float64
-	err error
-}
-
 // pipeline is one rank's bucket pipeline: launch(b) takes bucket b from the
 // layers' live gradient storage to an executor, wait joins the step's
 // exchanges. The step only chooses the order in which it launches buckets;
@@ -60,27 +51,18 @@ type pipeline struct {
 	ops   []bucketExchangeOp
 	reqs  []comm.Request
 
-	// Encode prefetch (nil when off): prefetch fans a step's encodes out
-	// across a worker pool and launch(b) takes bucket b's outcome from
-	// encDone[b] instead of encoding inline. Every bucket owns its algorithm
-	// instance, scratch and RNG stream, so the payloads are bitwise identical
-	// to inline encoding, and the exchanges still launch in the step's order
-	// with the same operands (the bitwise-determinism tests cover both).
-	encWork chan int
-	encDone []chan encoded
-
 	// err is the step's first launch failure; it turns the step's remaining
 	// launches into no-ops and is reported by wait. A failed step ends the
 	// run, so it is never cleared.
 	err error
 
-	// Accumulated over the run: encode CPU time summed across buckets, and
+	// Accumulated over the run: encode time summed across buckets, and
 	// the wall time the step spent blocked on exchanges (inline: all of it;
 	// overlapped: only what wait still had to sit out).
 	encodeSec, syncSec float64
 }
 
-func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, grads *tensor.VecView, overlap, interleave bool) *pipeline {
+func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, grads *tensor.VecView, overlap bool) *pipeline {
 	nb := bk.NumBuckets()
 	p := &pipeline{
 		cm: cm, bk: bk, overlap: overlap,
@@ -92,85 +74,35 @@ func newPipeline(cm *comm.Communicator, bk *compress.Bucketed, grads *tensor.Vec
 	for b := range p.views {
 		grads.SliceView(bounds[b], bounds[b+1], &p.views[b])
 	}
-	// The prefetch pool is sized by this process's share of the CPUs:
-	// in-process experiments run every rank in one process, so each rank
-	// claiming GOMAXPROCS workers would only oversubscribe. An interleaved
-	// step encodes inside the backward pass, where there is nothing to
-	// prefetch.
-	if workers := min(runtime.GOMAXPROCS(0)/cm.Size(), nb); overlap && !interleave && workers > 1 {
-		p.encWork = make(chan int, nb)
-		p.encDone = make([]chan encoded, nb)
-		for b := range p.encDone {
-			p.encDone[b] = make(chan encoded, 1)
-		}
-		for w := 0; w < workers; w++ {
-			go func() {
-				for b := range p.encWork {
-					p.encDone[b] <- p.encode(b)
-				}
-			}()
-		}
-	}
 	return p
 }
 
-// close stops the prefetch pool.
-func (p *pipeline) close() {
-	if p.encWork != nil {
-		close(p.encWork)
-	}
-}
-
-// encode checks bucket b's live gradient view is finite and encodes it in
-// place.
-func (p *pipeline) encode(b int) encoded {
-	v := &p.views[b]
-	if v.HasNaNOrInf() {
-		return encoded{err: fmt.Errorf("worker %d produced a non-finite gradient (diverged — lower the learning rate)", p.cm.Rank())}
-	}
-	t := time.Now()
-	payload := p.bk.EncodeBucketView(b, v)
-	return encoded{p: payload, sec: time.Since(t).Seconds()}
-}
-
-// prefetch starts encoding every bucket on the pool, for a step about to
-// launch them all. A no-op without the pool.
-func (p *pipeline) prefetch() {
-	if p.encWork != nil {
-		for b := range p.views {
-			p.encWork <- b
-		}
-	}
-}
-
-// launch encodes bucket b — or collects its prefetched encode — and hands its
-// exchange to the executor: posted to the communicator's progress workers
-// under overlap, so it proceeds while the step encodes the next bucket, or
-// the same operation run inline. A step launches every bucket exactly once,
-// in an order identical on every rank (tag-space contexts are assigned by
-// posting sequence). After a failure the step's remaining launches only
-// collect their prefetch, so no pool worker is left holding a bucket.
+// launch checks bucket b's live gradient view is finite, encodes it in place
+// and hands its exchange to the executor: posted to the communicator's
+// progress workers under overlap, so it proceeds while the step encodes the
+// next bucket, or the same operation run inline. A step launches every bucket
+// exactly once, in an order identical on every rank (tag-space contexts are
+// assigned by posting sequence). After a failure the step's remaining
+// launches are no-ops.
 func (p *pipeline) launch(b int) {
-	var enc encoded
-	if p.encDone != nil {
-		enc = <-p.encDone[b]
-	} else if p.err == nil {
-		enc = p.encode(b)
-	}
-	if p.err == nil {
-		p.err = enc.err
-	}
 	if p.err != nil {
 		return
 	}
-	p.encodeSec += enc.sec
+	v := &p.views[b]
+	if v.HasNaNOrInf() {
+		p.err = fmt.Errorf("worker %d produced a non-finite gradient (diverged — lower the learning rate)", p.cm.Rank())
+		return
+	}
+	t := time.Now()
+	payload := p.bk.EncodeBucketView(b, v)
+	p.encodeSec += time.Since(t).Seconds()
 	op := &p.ops[b]
-	*op = bucketExchangeOp{bk: p.bk, b: b, p: enc.p, v: &p.views[b]}
+	*op = bucketExchangeOp{bk: p.bk, b: b, p: payload, v: v}
 	if p.overlap {
 		p.reqs = append(p.reqs, p.cm.Post(op))
 		return
 	}
-	t := time.Now()
+	t = time.Now()
 	p.err = op.RunOp(p.cm)
 	p.syncSec += time.Since(t).Seconds()
 }

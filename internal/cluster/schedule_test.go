@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"strings"
 	"testing"
 
 	"a2sgd/internal/compress"
@@ -130,5 +131,17 @@ func TestScheduleConfigValidation(t *testing.T) {
 	}
 	if _, err := Train(cfg); err == nil {
 		t.Error("expected unknown-spec error")
+	}
+}
+
+// TestLowerRejectsAuto: "auto" asks the planner for a whole schedule, so the
+// lowering path — one spec per bucket at a hand-picked budget — refuses it in
+// every form and names the front door that plans it.
+func TestLowerRejectsAuto(t *testing.T) {
+	for _, src := range []string{"auto", "auto(dense, a2sgd)", "auto(nope)"} {
+		_, err := Lower("fnn3", src, fourBucketBytes, 0, true)
+		if err == nil || !strings.Contains(err.Error(), "a2sgd.BuildSchedule") {
+			t.Errorf("Lower(%q): %v, want an error naming a2sgd.BuildSchedule", src, err)
+		}
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/data"
-	"a2sgd/internal/health"
 	"a2sgd/internal/models"
 	"a2sgd/internal/nn"
 	"a2sgd/internal/optim"
@@ -48,7 +47,6 @@ type worker struct {
 	*job
 	cm   *comm.Communicator
 	rank int
-	rec  *health.Recorder // timing beacons; nil without Config.Health
 
 	model     models.Model
 	n         int // flattened parameter count
@@ -66,7 +64,8 @@ type worker struct {
 	weights, grads, state, velocity tensor.VecView
 	// scratch holds n floats, the contiguous buffer a collective needs: the
 	// setup broadcast's and the final dense synchronization's weights, and
-	// the Figure 1 capture's gradient.
+	// the Figure 1 capture's gradient. Rank 0's ends the run as
+	// Result.FinalParams.
 	scratch []float32
 
 	batch     models.Batch // the step's samples, refilled in place every step
@@ -102,13 +101,11 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 			return nil, err
 		}
 	}
-	// Timing beacons: install after topology/concurrency so every derived
-	// communicator inherits the observers. Method values are built once
-	// here — the hot path calls them without allocating.
+	// Send beacons: install after topology/concurrency so every derived
+	// communicator inherits the observer. The method value is built once
+	// here — the hot path calls it without allocating.
 	if cfg.Health != nil {
-		w.rec = cfg.Health.Recorder(w.rank)
-		cm.SetSendObserver(w.rec.ObserveSend)
-		cm.SetOpObserver(w.rec.ObserveOp)
+		cm.SetSendObserver(cfg.Health.Recorder(w.rank).ObserveSend)
 	}
 	model, err := models.New(models.Config{Family: cfg.Family, Seed: cfg.Seed, Reduced: true})
 	if err != nil {
@@ -209,8 +206,7 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 			w.epochs = append(w.epochs, rs.History...)
 		}
 	}
-	// Last, so a failed setup leaves no prefetch pool behind.
-	w.pipe = newPipeline(cm, bucketed, &w.grads, sched.Overlap, cfg.Interleave)
+	w.pipe = newPipeline(cm, bucketed, &w.grads, sched.Overlap)
 	return w, nil
 }
 
@@ -284,7 +280,7 @@ func (w *worker) boundary(g int) error {
 // the optimizer update. All it decides about the pipeline is the launch order.
 func (w *worker) step(g int) error {
 	cfg, p := &w.cfg, w.pipe
-	encMark, syncMark := p.encodeSec, p.syncSec
+	encMark := p.encodeSec
 	if w.img != nil {
 		w.img.SampleInto(w.sampleRNG, cfg.BatchPerWorker, &w.batch)
 	} else {
@@ -327,7 +323,6 @@ func (w *worker) step(g int) error {
 			h.AddSlice(w.scratch)
 			w.hists = append(w.hists, h)
 		}
-		p.prefetch()
 		for b := 0; b < nb; b++ {
 			p.launch(b)
 		}
@@ -338,11 +333,7 @@ func (w *worker) step(g int) error {
 	// Every exchange reconstructed in place through its bucket view — there
 	// is nothing to scatter back.
 	w.opt.Step(w.model.Params(), w.lr)
-	dt := time.Since(t0).Seconds()
-	w.stepSec += dt
-	if w.rec != nil {
-		w.rec.RecordStep(p.encodeSec-encMark, p.syncSec-syncMark, dt)
-	}
+	w.stepSec += time.Since(t0).Seconds()
 	return nil
 }
 
@@ -392,8 +383,8 @@ func (w *worker) deliverSnapshot(step int) error {
 	return nil
 }
 
-// finish ends a completed run: the final dense synchronization, rank 0's
-// checkpoint and rank 0's Result.
+// finish ends a completed run: the final dense synchronization and rank 0's
+// Result, which carries the synchronized weights.
 func (w *worker) finish() error {
 	// Snapshot traffic before the final dense synchronization so the
 	// per-step accounting reflects the algorithm, not the epilogue.
@@ -409,12 +400,9 @@ func (w *worker) finish() error {
 	if w.rank != 0 {
 		return nil
 	}
-	if w.cfg.Checkpoint != nil {
-		if err := nn.SaveParams(w.cfg.Checkpoint, w.model.Params()); err != nil {
-			return fmt.Errorf("cluster: checkpoint: %w", err)
-		}
-	}
 	res, bk := w.res, w.pipe.bk
+	// The rank is done with scratch: it becomes the result's weights.
+	res.FinalParams = w.scratch
 	res.Algorithm = bk.Name()
 	res.NumParams = w.n
 	res.Metric = w.model.Metric()

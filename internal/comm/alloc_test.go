@@ -147,9 +147,9 @@ func TestOverlapStepZeroAllocSteadyState(t *testing.T) {
 }
 
 // TestOverlapStepZeroAllocWithObservers pins the health-beacon half of the
-// contract: installing send and op observers (real health.Recorder method
-// values, as cluster.Train does) must not add a single allocation to the
-// steady-state overlap step — the recorders write into preallocated rings
+// contract: installing the send observer (a real health.Recorder method
+// value, as cluster.Train does) must not add a single allocation to the
+// steady-state overlap step — the recorder writes into preallocated rings
 // and the send path's time stamps live on the stack.
 func TestOverlapStepZeroAllocWithObservers(t *testing.T) {
 	if raceEnabled {
@@ -157,9 +157,7 @@ func TestOverlapStepZeroAllocWithObservers(t *testing.T) {
 	}
 	mon := health.NewMonitor(2, health.Options{})
 	setup := func(c *Communicator, rank int) {
-		rec := mon.Recorder(rank)
-		c.SetSendObserver(rec.ObserveSend)
-		c.SetOpObserver(rec.ObserveOp)
+		c.SetSendObserver(mon.Recorder(rank).ObserveSend)
 	}
 	for _, tc := range []struct {
 		name        string

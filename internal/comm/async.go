@@ -1,9 +1,6 @@
 package comm
 
-import (
-	"errors"
-	"time"
-)
+import "errors"
 
 // Nonblocking collectives. Every Communicator owns a set of progress workers
 // (lazily started, one goroutine per tag-space context, mirroring MPI
@@ -164,15 +161,8 @@ func (c *Communicator) ctxLoop(k int) {
 		r := q.buf[q.head]
 		q.buf[q.head] = nil
 		q.head++
-		obs := c.opObs
 		c.asyncMu.Unlock()
-		if obs != nil {
-			t0 := time.Now()
-			r.err = r.op.RunOp(cc)
-			obs(time.Since(t0).Seconds())
-		} else {
-			r.err = r.op.RunOp(cc)
-		}
+		r.err = r.op.RunOp(cc)
 		r.done <- struct{}{}
 	}
 }

@@ -96,10 +96,8 @@ type Communicator struct {
 
 	// sendObs, when non-nil, receives per-send timing beacons (observe.go);
 	// rankMap translates a derived communicator's local peer labels back to
-	// global ranks for those beacons. opObs times each posted nonblocking
-	// operation on the progress workers.
+	// global ranks for those beacons.
 	sendObs func(to, nBytes int, sec float64)
-	opObs   func(sec float64)
 	rankMap RankMapper
 
 	// children are the group communicators created by Split; their traffic

@@ -392,3 +392,83 @@ func (t *flakyTransport) Send(to, tag int, data []float32) error {
 	}
 	return t.Transport.Send(to, tag, data)
 }
+
+// TestBetaKeepsItsValue: a per-byte time is a number with a unit, not a
+// whole-nanosecond duration — sub-nanosecond βs (any link faster than
+// 8 Gbit/s) parse, fractional ones keep their fraction, and a bw rate prints
+// as the decimal that parses back to the same β.
+func TestBetaKeepsItsValue(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		beta  float64
+		canon string
+	}{
+		{"delay(link=*, beta=0.25ns/B)", 0.25e-9, "delay(link=*, beta=0.25ns/B)"},
+		{"delay(link=*, beta=1.5ns/B)", 1.5e-9, "delay(link=*, beta=1.5ns/B)"},
+		{"delay(link=0-1, alpha=200us, beta=1ns/B)", 1e-9, "delay(link=0-1, alpha=200µs, beta=1ns/B)"},
+		{"delay(link=*, beta=2us/B)", 2e-6, "delay(link=*, beta=2000ns/B)"},
+		{"bw(link=*, gbps=100)", 1e-11, "bw(link=*, mbps=100000)"},
+	} {
+		sc, err := Parse(c.src)
+		if err != nil {
+			t.Errorf("Parse(%q): %v", c.src, err)
+			continue
+		}
+		if got := sc.Rules[0].Beta; got != c.beta {
+			t.Errorf("Parse(%q): beta %v, want %v", c.src, got, c.beta)
+		}
+		if got := sc.String(); got != c.canon {
+			t.Errorf("Parse(%q).String() = %q, want %q", c.src, got, c.canon)
+		}
+	}
+}
+
+// FuzzScenarioRoundTrip: whatever Parse accepts, its canonical form parses
+// back to the same scenario — rules, seed, deadline and retry — and prints
+// the same text again.
+func FuzzScenarioRoundTrip(f *testing.F) {
+	for _, seed := range []string{
+		// README and the CI file.
+		"delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)",
+		"delay(link=0-1, alpha=200us, beta=1ns/B, jitter=50us) bw(link=*, mbps=400)",
+		"deadline(2s) preempt(rank=3, step=3)",
+		"degrade(rank=2, after=0, factor=8, ramp=0) stall(rank=3, step=5)",
+		"seed(11) delay(link=*, alpha=50us, jitter=50us) straggler(rank=2, x2)",
+		// bench.Chaos's scenario table.
+		"delay(link=*, alpha=300us, beta=4ns/B)",
+		"delay(link=*, alpha=50us, jitter=100us)",
+		"bw(link=*, mbps=250)",
+		"dup(link=*, p=0.3) reorder(link=*, p=0.3)",
+		"loss(link=*, p=0.1, resend=500us)",
+		"straggler(rank=1, x2) flap(rank=1, period=30ms, duty=0.7)",
+		"partition(groups=0-1|2-3, after=10ms, dur=15ms)",
+		"delay(link=0-2, alpha=200us, beta=2ns/B)",
+		"deadline(500ms) crash(rank=3, step=2)",
+		"deadline(400ms) stall(rank=2, step=2)",
+		"retry(attempts=6, backoff=2ms, max=20ms)",
+		// Sub-nanosecond, fractional and rate-derived βs.
+		"delay(link=*, beta=0.25ns/B)",
+		"delay(link=*, beta=1.5ns/B)",
+		"bw(link=*, gbps=100)",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		sc, err := Parse(src)
+		if err != nil {
+			return
+		}
+		canon := sc.String()
+		again, err := Parse(canon)
+		if err != nil {
+			t.Fatalf("Parse(%q) accepted, but its canonical form %q does not parse: %v", src, canon, err)
+		}
+		if !reflect.DeepEqual(sc.Rules, again.Rules) || sc.Seed != again.Seed ||
+			sc.Deadline != again.Deadline || sc.Retry != again.Retry {
+			t.Fatalf("Parse(%q) = %+v, but its canonical form %q parses to %+v", src, sc, canon, again)
+		}
+		if got := again.String(); got != canon {
+			t.Fatalf("Parse(%q) prints %q, which re-prints as %q", src, canon, got)
+		}
+	})
+}

@@ -2,9 +2,11 @@ package faultnet
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
 
 	"a2sgd/internal/comm"
 )
@@ -27,9 +29,11 @@ import (
 //	seed(42) deadline(500ms) retry(attempts=10, backoff=1ms, max=50ms)
 //
 // Links are undirected rank pairs: `0-1`, `2-*` (any link touching rank 2)
-// or `*` (every link). Durations use Go syntax (200us, 1.5ms); beta is a
-// per-byte duration written `1ns/B`. String() renders the canonical form and
-// Parse round-trips it.
+// or `*` (every link). Durations use Go syntax (200us, 1.5ms) and are never
+// negative; beta is a per-byte time written as a decimal number and one unit
+// (`1ns/B`, `0.25ns/B`, `1.5us/B`). String() renders the canonical form and
+// Parse round-trips it exactly: rates and per-byte times print as the
+// shortest decimal that parses back to the same float64.
 
 // RuleKind discriminates scenario rules.
 type RuleKind int
@@ -246,7 +250,8 @@ func parseLink(s string) (Link, error) {
 		if e == "*" {
 			return -1, nil
 		}
-		return strconv.Atoi(e)
+		r, err := strconv.ParseUint(e, 10, 31)
+		return int(r), err
 	}
 	la, err := end(a)
 	if err != nil {
@@ -259,18 +264,42 @@ func parseLink(s string) (Link, error) {
 	return Link{A: la, B: lb}, nil
 }
 
-// parseBeta parses a per-byte duration like "1ns/B" or "0.25ns/B" into
-// seconds per byte.
+// parseBeta parses a per-byte time — a decimal number and one Go duration
+// unit, like "1ns/B" or "0.25ns/B" — into seconds per byte.
 func parseBeta(s string) (float64, error) {
 	v, ok := strings.CutSuffix(s, "/B")
-	if !ok {
-		return 0, fmt.Errorf("faultnet: beta %q must be a per-byte duration like 1ns/B", s)
+	num := strings.TrimRightFunc(v, unicode.IsLetter)
+	unit, uerr := time.ParseDuration("1" + v[len(num):])
+	x, err := strconv.ParseFloat(num, 64)
+	beta := x * float64(unit) / 1e9
+	if !ok || uerr != nil || err != nil || !(beta >= 0) || math.IsInf(beta*1e9, 0) {
+		return 0, fmt.Errorf("faultnet: beta %q must be a finite, non-negative number and time unit per byte, like 0.25ns/B", s)
 	}
-	d, err := time.ParseDuration(v)
-	if err != nil {
-		return 0, fmt.Errorf("faultnet: beta %q: %w", s, err)
+	return beta, nil
+}
+
+// bwBeta is the per-byte time of a bw rule's rate in MB/s.
+func bwBeta(mbps float64) float64 { return 1 / (mbps * 1e6) }
+
+// shortest returns the shortest decimal x, in strconv 'g' form, with
+// back(x) == want, searching roundings of the doubles within a few ulps of
+// approx — where inverting back on want lands, give or take the roundings of
+// the inversion — and approx itself should none qualify.
+func shortest(approx float64, back func(float64) float64, want float64) string {
+	cands := []float64{approx}
+	for i, lo, hi := 0, approx, approx; i < 8; i++ {
+		lo, hi = math.Nextafter(lo, math.Inf(-1)), math.Nextafter(hi, math.Inf(1))
+		cands = append(cands, lo, hi)
 	}
-	return d.Seconds(), nil
+	for prec := 1; prec <= 17; prec++ {
+		for _, c := range cands {
+			x, _ := strconv.ParseFloat(strconv.FormatFloat(c, 'g', prec, 64), 64)
+			if back(x) == want {
+				return strconv.FormatFloat(x, 'g', -1, 64)
+			}
+		}
+	}
+	return strconv.FormatFloat(approx, 'g', -1, 64)
 }
 
 // parseGroups parses partition sides "0-1|2-3" (ranks joined by -, sides by |).
@@ -312,7 +341,7 @@ func (a *argParser) dur(key string, def time.Duration) time.Duration {
 	if !ok || a.err != nil {
 		return def
 	}
-	d, err := time.ParseDuration(v)
+	d, err := parseDur(v)
 	if err != nil {
 		a.err = fmt.Errorf("faultnet: %s=%q: %w", key, v, err)
 	}
@@ -324,11 +353,29 @@ func (a *argParser) float(key string, def float64) float64 {
 	if !ok || a.err != nil {
 		return def
 	}
-	f, err := strconv.ParseFloat(v, 64)
+	f, err := parseFinite(v)
 	if err != nil {
 		a.err = fmt.Errorf("faultnet: %s=%q: %w", key, v, err)
 	}
 	return f
+}
+
+// parseDur is time.ParseDuration for a grammar with no negative durations.
+func parseDur(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = fmt.Errorf("negative duration")
+	}
+	return d, err
+}
+
+// parseFinite is strconv.ParseFloat for a grammar with no NaN or infinity.
+func parseFinite(s string) (float64, error) {
+	f, err := strconv.ParseFloat(s, 64)
+	if err == nil && (math.IsNaN(f) || math.IsInf(f, 0)) {
+		err = fmt.Errorf("not a finite number")
+	}
+	return f, err
 }
 
 func (a *argParser) int(key string, def int) int {
@@ -391,7 +438,7 @@ func (s *Scenario) parseRule(name, args string) error {
 		if len(bare) != 1 {
 			return fmt.Errorf("faultnet: deadline takes one bare duration, e.g. deadline(500ms)")
 		}
-		d, err := time.ParseDuration(bare[0])
+		d, err := parseDur(bare[0])
 		if err != nil {
 			return fmt.Errorf("faultnet: deadline(%s): %w", bare[0], err)
 		}
@@ -402,6 +449,9 @@ func (s *Scenario) parseRule(name, args string) error {
 			Attempts:   a.int("attempts", comm.DefaultRetry().Attempts),
 			Backoff:    a.dur("backoff", comm.DefaultRetry().Backoff),
 			MaxBackoff: a.dur("max", comm.DefaultRetry().MaxBackoff),
+		}
+		if a.err == nil && s.Retry.Attempts < 1 {
+			a.err = fmt.Errorf("faultnet: retry needs attempts >= 1")
 		}
 		return a.finish(name)
 	case "delay":
@@ -425,7 +475,10 @@ func (s *Scenario) parseRule(name, args string) error {
 		if a.err == nil && mbps <= 0 {
 			a.err = fmt.Errorf("faultnet: bw requires mbps=N or gbps=N")
 		}
-		r.Beta = 1 / (mbps * 1e6)
+		r.Beta = bwBeta(mbps)
+		if a.err == nil && (r.Beta <= 0 || math.IsInf(r.Beta*1e6, 0)) {
+			a.err = fmt.Errorf("faultnet: bw rate %v MB/s out of range", mbps)
+		}
 	case "loss":
 		r.Kind = RuleLoss
 		link()
@@ -445,7 +498,7 @@ func (s *Scenario) parseRule(name, args string) error {
 		r.Factor = a.float("x", 0)
 		for _, b := range bare { // bare x3 form
 			if f, ok := strings.CutPrefix(b, "x"); ok && a.err == nil {
-				r.Factor, a.err = strconv.ParseFloat(f, 64)
+				r.Factor, a.err = parseFinite(f)
 			}
 		}
 		if a.err == nil && r.Factor <= 1 {
@@ -535,14 +588,14 @@ func (r Rule) String() string {
 			add("alpha=%s", r.Alpha)
 		}
 		if r.Beta > 0 {
-			add("beta=%s/B", time.Duration(r.Beta*1e9*float64(time.Nanosecond)))
+			add("beta=%sns/B", shortest(r.Beta*1e9, func(x float64) float64 { return x / 1e9 }, r.Beta))
 		}
 		if r.Jitter > 0 {
 			add("jitter=%s", r.Jitter)
 		}
 	case RuleBandwidth:
 		add("link=%s", r.Link)
-		add("mbps=%g", 1/(r.Beta*1e6))
+		add("mbps=%s", shortest(1/(r.Beta*1e6), bwBeta, r.Beta))
 	case RuleLoss:
 		add("link=%s", r.Link)
 		add("p=%g", r.P)

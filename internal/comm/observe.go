@@ -29,16 +29,3 @@ func (c *Communicator) SetSendObserver(f func(to, nBytes int, sec float64)) {
 		ch.SetSendObserver(f)
 	}
 }
-
-// SetOpObserver installs a per-operation timing beacon: f receives the wall
-// seconds each posted operation (Post) spent executing on its progress
-// worker. Same contract as SetSendObserver: install at setup time; f must be
-// concurrency-safe, non-blocking and allocation-free.
-func (c *Communicator) SetOpObserver(f func(sec float64)) {
-	c.asyncMu.Lock()
-	c.opObs = f
-	c.asyncMu.Unlock()
-	for _, ch := range c.children {
-		ch.SetOpObserver(f)
-	}
-}

@@ -27,6 +27,25 @@ func syncBuckets(bk *Bucketed, v *tensor.VecView, c *comm.Communicator) ([]Paylo
 	return payloads, nil
 }
 
+// recDoublingDense is dense pinned to recursive-doubling allreduce, whose
+// per-element reduction order does not depend on the vector length (ring's
+// does — it cuts the vector into P segments). Dense's payload is the
+// gradient itself or its contiguous staging, so reducing the payload and
+// copying it back is Dense's own exchange on the other collective.
+type recDoublingDense struct{ *Dense }
+
+func (d recDoublingDense) Exchange(_ Payload, g []float32, c *comm.Communicator) error {
+	return c.AllreduceMean(g, comm.AlgoRecursiveDoubling)
+}
+
+func (d recDoublingDense) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator) error {
+	if err := c.AllreduceMean(p.Data, comm.AlgoRecursiveDoubling); err != nil {
+		return err
+	}
+	v.CopyFrom(p.Data)
+	return nil
+}
+
 // TestBucketedDenseMatchesWholeVector: per-bucket dense allreduce with
 // recursive doubling is bitwise identical to the whole-vector allreduce
 // (every element sees the same partner-addition order regardless of vector
@@ -44,7 +63,7 @@ func TestBucketedDenseMatchesWholeVector(t *testing.T) {
 	want := make([]float32, n)
 	err := comm.RunGroup(p, func(c *comm.Communicator) error {
 		g := mk(c.Rank())
-		d := NewDense(Options{N: n, Allreduce: comm.AlgoRecursiveDoubling})
+		d := recDoublingDense{NewDense(Options{N: n})}
 		pl := d.Encode(g)
 		if err := d.Exchange(pl, g, c); err != nil {
 			return err
@@ -60,7 +79,7 @@ func TestBucketedDenseMatchesWholeVector(t *testing.T) {
 	err = comm.RunGroup(p, func(c *comm.Communicator) error {
 		g := mk(c.Rank())
 		bk := NewBucketed(bounds, func(b, bn int) Algorithm {
-			return NewDense(Options{N: bn, Allreduce: comm.AlgoRecursiveDoubling})
+			return recDoublingDense{NewDense(Options{N: bn})}
 		})
 		if _, err := syncBuckets(bk, tensor.NewVecView(g), c); err != nil {
 			return err

@@ -87,14 +87,12 @@ type Options struct {
 	QuantLevels int
 	// Seed seeds per-worker stochastic compression (QSGD, Rand-K, TernGrad).
 	Seed uint64
-	// Allreduce selects the dense/scalar allreduce algorithm.
-	Allreduce comm.AllreduceAlgorithm
 }
 
 // DefaultOptions mirrors the paper's experimental appendix for an
 // n-parameter model: density 0.001, QSGD quantization level 4.
 func DefaultOptions(n int) Options {
-	return Options{N: n, Density: 0.001, QuantLevels: 4, Seed: 1, Allreduce: comm.AlgoAuto}
+	return Options{N: n, Density: 0.001, QuantLevels: 4, Seed: 1}
 }
 
 // K returns the sparsifier selection count implied by the options, ≥ 1.
@@ -119,18 +117,16 @@ func (o Options) validate() {
 
 // Dense is the default distributed SGD synchronization: every worker
 // allreduce-averages the full 32n-bit gradient. Its local computation is
-// O(1) — there is nothing to compress (Table 2, row 1).
+// O(1) — there is nothing to compress (Table 2, row 1). The allreduce is
+// comm.AlgoAuto: recursive doubling below its length cutover, ring above.
 type Dense struct {
-	algo comm.AllreduceAlgorithm
-
-	fv    tensor.VecView // flat-call adapter view
-	stage []float32      // contiguous staging for strided views (allreduce needs one buffer)
+	stage []float32 // contiguous staging for strided views (allreduce needs one buffer)
 }
 
 // NewDense builds the dense baseline.
 func NewDense(o Options) *Dense {
 	o.validate()
-	return &Dense{algo: o.Allreduce}
+	return &Dense{}
 }
 
 // Name implements Algorithm.
@@ -155,7 +151,7 @@ func (d *Dense) EncodeView(v *tensor.VecView) Payload {
 
 // Exchange allreduce-averages the gradient in place.
 func (d *Dense) Exchange(p Payload, g []float32, c *comm.Communicator) error {
-	return c.AllreduceMean(g, d.algo)
+	return c.AllreduceMean(g, comm.AlgoAuto)
 }
 
 // ExchangeView implements Algorithm: in place for a contiguous view;
@@ -165,7 +161,7 @@ func (d *Dense) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator)
 	if g := v.Contiguous(); g != nil || v.Len() == 0 {
 		return d.Exchange(p, g, c)
 	}
-	if err := c.AllreduceMean(p.Data, d.algo); err != nil {
+	if err := c.AllreduceMean(p.Data, comm.AlgoAuto); err != nil {
 		return err
 	}
 	v.CopyFrom(p.Data)

@@ -126,42 +126,3 @@ func mustParse(t *testing.T, src string) *Spec {
 	}
 	return s
 }
-
-func TestAutoPolicyParseAndChoice(t *testing.T) {
-	pol, err := ParsePolicy("auto(dense, topk(density=0.01))")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ap, ok := pol.(*AutoPolicy)
-	if !ok {
-		t.Fatalf("ParsePolicy(auto) returned %T", pol)
-	}
-	if got := ap.Name(); got != "auto(dense, topk(density=0.01))" {
-		t.Errorf("canonical name %q", got)
-	}
-	if len(ap.Specs()) != 2 {
-		t.Fatalf("Specs() = %v", ap.Specs())
-	}
-	// Deterministic: same bucket, same answer.
-	b := BucketInfo{Index: 0, Params: 4096, Bytes: 4 * 4096}
-	if a, bb := ap.SpecFor(b), ap.SpecFor(b); a != bb {
-		t.Error("SpecFor not deterministic")
-	}
-	// On the fast default context a small dense bucket beats sparsification
-	// (encode costs more than the wire saves).
-	if got := ap.SpecFor(BucketInfo{Index: 0, Params: 256, Bytes: 1024}); got.Name != "dense" {
-		t.Errorf("small fast-fabric bucket chose %s", got)
-	}
-}
-
-func TestAutoPolicyRejectsBadCandidates(t *testing.T) {
-	if _, err := ParsePolicy("auto(nope)"); err == nil {
-		t.Fatal("expected unknown-candidate error")
-	}
-	if _, err := ParsePolicy("auto(big=dense)"); err == nil {
-		t.Fatal("expected keyed-argument error")
-	}
-	if _, err := ParsePolicy("auto(topk(density=7))"); err == nil {
-		t.Fatal("expected out-of-range candidate error")
-	}
-}

@@ -84,17 +84,16 @@
 //	uniform(a2sgd)
 //	mixed(big=a2sgd, small=dense, threshold=64KiB)
 //	bylayer(.b=dense, default=a2sgd)
-//	auto(dense, topk(density=0.01), a2sgd)
 //
 // uniform applies one spec everywhere; mixed splits on a raw-byte-size
 // threshold (big buckets get the compressed spec, the tiny tail stays
 // dense); bylayer tries its pattern rules in declaration order against the
 // bucket's layer names (substring match) and falls back to the required
-// default; auto picks the candidate with the cheapest modelled
-// encode+collective cost per bucket (every registered algorithm carries a
-// CostModel next to its Builder; the training façade routes auto through
-// the full a2sgd/internal/plan planner, which also derives bucket
-// boundaries and topology from the same price). A bare algorithm spec is
+// default. "auto(dense, topk(density=0.01), a2sgd)" is not a policy:
+// choosing specs by modelled encode+collective cost also chooses bucket
+// boundaries and topology, which is a2sgd/internal/plan's job (every
+// registered algorithm carries a CostModel next to its Builder for it), so
+// BuildPolicy rejects it and points at a2sgd.BuildSchedule. A bare algorithm spec is
 // accepted wherever a policy is expected and means uniform(spec). Policies
 // are pure functions of BucketInfo and validate every referenced spec at
 // construction, so policy-driven runs are deterministic per seed and

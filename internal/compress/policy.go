@@ -102,8 +102,13 @@ func PolicyUsage() []string {
 
 // BuildPolicy constructs a policy from a parsed spec. A name registered as
 // a policy builds that policy; a name registered as an algorithm builds
-// uniform(spec) — so a plain algorithm spec is a valid policy.
+// uniform(spec) — so a plain algorithm spec is a valid policy. "auto" is not
+// a policy: it asks the planner for a whole schedule (bucket bounds, specs,
+// topology), which no per-bucket choice can stand for.
 func BuildPolicy(s *Spec) (Policy, error) {
+	if s.Name == "auto" {
+		return nil, fmt.Errorf("compress: %q plans a whole schedule, it is not a per-bucket policy — plan it with a2sgd.BuildSchedule (plan.Build), or pass it as a2sgd.TrainConfig.Policy", s)
+	}
 	policyRegistry.RLock()
 	e, ok := policyRegistry.m[s.Name]
 	policyRegistry.RUnlock()

@@ -79,7 +79,6 @@ func Enc(dst, g []float32, s Stats) {
 // compress.Algorithm so the distributed runtime treats it uniformly with
 // the baselines. One instance per worker.
 type A2SGD struct {
-	algo      comm.AllreduceAlgorithm
 	ef        bool // error feedback on (the paper's algorithm) or off (ablation)
 	oneMean   bool // ablation: collapse to a single signed mean
 	allgather bool // §4.4 future work: allgather-based mean exchange
@@ -98,11 +97,6 @@ type A2SGD struct {
 
 // Option configures an A2SGD instance.
 type Option func(*A2SGD)
-
-// WithAllreduce selects the scalar allreduce algorithm.
-func WithAllreduce(alg comm.AllreduceAlgorithm) Option {
-	return func(a *A2SGD) { a.algo = alg }
-}
 
 // WithoutErrorFeedback drops the local error term (ablation §6 of
 // DESIGN.md): the update becomes enc-only, g' = pos·µ̄+ − neg·µ̄−. The paper
@@ -126,7 +120,7 @@ func New(n int, opts ...Option) *A2SGD {
 	if n <= 0 {
 		panic("core: non-positive parameter count")
 	}
-	a := &A2SGD{algo: comm.AlgoRecursiveDoubling, ef: true}
+	a := &A2SGD{ef: true}
 	for _, o := range opts {
 		o(a)
 	}
@@ -211,7 +205,7 @@ func (a *A2SGD) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Comm
 		}
 		mu[0] = float32(sp / float64(c.Size()))
 		mu[1] = float32(sn / float64(c.Size()))
-	} else if err := c.AllreduceMean(mu, a.algo); err != nil {
+	} else if err := c.AllreduceMean(mu, comm.AlgoRecursiveDoubling); err != nil {
 		return err
 	}
 	gPos, gNeg := mu[0], mu[1]

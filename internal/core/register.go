@@ -19,7 +19,7 @@ func init() {
 		compress.Register(name, compress.Builder{
 			Summary: summary,
 			Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
-				return New(o.N, append([]Option{WithAllreduce(o.Allreduce)}, opts...)...), nil
+				return New(o.N, opts...), nil
 			},
 			Cost: func(compress.Options, compress.BuildArgs, []compress.CostModel) compress.CostModel {
 				return compress.CostModel{EncSecPerElem: 0.6e-9, FixedBytes: 8, Kind: kind}

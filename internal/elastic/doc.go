@@ -6,8 +6,9 @@
 // # Membership epochs
 //
 // The live worker set is versioned by a membership epoch. Each epoch runs as
-// one cluster.Train call at a fixed world size (cluster.Membership pins the
-// view); any change to the live set ends the epoch and starts the next one:
+// one cluster.Train call at a fixed world size (Config.Workers), and the
+// supervisor stamps the finishing epoch into Result.MembershipEpoch; any
+// change to the live set ends the epoch and starts the next one:
 //
 //	start ──► epoch 0 (world N)
 //	   │ crash/preempt detected (peer error mid-segment)
@@ -36,7 +37,9 @@
 // model state (batch-norm statistics), optimizer momentum, per-rank sampling
 // RNG streams, the step counter, epoch history, and each bucket's compression
 // algorithm state (error feedback, DGC momentum, quantizer RNGs).
-// WriteSnapshot/ReadSnapshot serialize it (format "A2SV" v1); Reshard maps it
+// WriteSnapshot/ReadSnapshot serialize it (format "A2SV" v1, the repo's one
+// persistence format; the reader grows every slice as its bytes arrive, so a
+// corrupt length field costs nothing it does not hold); Reshard maps it
 // deterministically onto a different world size — survivors keep their state,
 // dropped ranks fold their element-aligned error vectors into survivors so no
 // accumulated gradient mass is lost, and joiners clone a peer's weights with
@@ -50,9 +53,11 @@
 //
 // # Re-planning
 //
-// Job.Replan, when set, is called at every epoch transition with the new
-// world size and supplies the synchronization schedule (typically plan.Build,
-// which is pure: unchanged membership yields a bitwise-identical plan).
+// Job.Replan, when set, is called for every segment with its world size and
+// the fabric to price on — DriftModel until the health monitor's measured
+// fabric drifts from it, the measured fabric after — and supplies the
+// synchronization schedule (typically plan.Build, which is pure: unchanged
+// membership and fabric yield a bitwise-identical plan).
 //
 // # The job gateway
 //

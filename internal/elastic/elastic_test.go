@@ -3,7 +3,9 @@ package elastic
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"a2sgd/internal/cluster"
@@ -29,12 +31,10 @@ func testConfig(family, spec string, workers int) cluster.Config {
 }
 
 // captureRun trains cfg while recording every delivered snapshot by step and
-// the final checkpoint bytes.
-func captureRun(t *testing.T, cfg cluster.Config) (*cluster.Result, []byte, map[int]*cluster.RunState) {
+// the final synchronized weights.
+func captureRun(t *testing.T, cfg cluster.Config) (*cluster.Result, []float32, map[int]*cluster.RunState) {
 	t.Helper()
-	var ckpt bytes.Buffer
 	snaps := map[int]*cluster.RunState{}
-	cfg.Checkpoint = &ckpt
 	cfg.SnapshotSink = func(rs *cluster.RunState) error {
 		snaps[rs.Step] = rs
 		return nil
@@ -43,20 +43,23 @@ func captureRun(t *testing.T, cfg cluster.Config) (*cluster.Result, []byte, map[
 	if err != nil {
 		t.Fatalf("Train: %v", err)
 	}
-	return res, ckpt.Bytes(), snaps
+	return res, res.FinalParams, snaps
 }
 
-// resumeRun trains cfg from a snapshot and returns the final checkpoint.
-func resumeRun(t *testing.T, cfg cluster.Config, rs *cluster.RunState) (*cluster.Result, []byte) {
+// resumeRun trains cfg from a snapshot and returns the final weights.
+func resumeRun(t *testing.T, cfg cluster.Config, rs *cluster.RunState) (*cluster.Result, []float32) {
 	t.Helper()
-	var ckpt bytes.Buffer
-	cfg.Checkpoint = &ckpt
 	cfg.Resume = rs
 	res, err := cluster.Train(cfg)
 	if err != nil {
 		t.Fatalf("resume Train: %v", err)
 	}
-	return res, ckpt.Bytes()
+	return res, res.FinalParams
+}
+
+// sameBits reports whether two weight vectors are equal bit for bit.
+func sameBits(a, b []float32) bool {
+	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
 // encodeDecode round-trips a snapshot through the A2SV serialization.
@@ -145,7 +148,7 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 }
 
 // TestRestoreBitwise resumes mid-run from a serialized snapshot and requires
-// the final checkpoint to match the uninterrupted run byte for byte — per
+// the final weights to match the uninterrupted run bit for bit — per
 // model family and per stateful compressor (error feedback, DGC momentum,
 // RandK's RNG stream, periodic's interval counter, A2SGD itself).
 func TestRestoreBitwise(t *testing.T) {
@@ -182,8 +185,8 @@ func TestRestoreBitwise(t *testing.T) {
 			// Resume through the serialized form, so the test also proves the
 			// A2SV encoding preserves full fidelity.
 			_, resumed := resumeRun(t, cfg, encodeDecode(t, snap))
-			if !bytes.Equal(baseline, resumed) {
-				t.Fatalf("resumed checkpoint differs from uninterrupted run (%d vs %d bytes)",
+			if len(baseline) == 0 || !sameBits(baseline, resumed) {
+				t.Fatalf("resumed weights differ from the uninterrupted run (%d vs %d values)",
 					len(resumed), len(baseline))
 			}
 		})
@@ -300,9 +303,9 @@ func TestReshardedResumeDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		cfg2 := testConfig("fnn3", "topk(density=0.05)", world)
-		resA, ckptA := resumeRun(t, cfg2, rs)
-		resB, ckptB := resumeRun(t, cfg2, rs)
-		if !bytes.Equal(ckptA, ckptB) {
+		resA, wA := resumeRun(t, cfg2, rs)
+		resB, wB := resumeRun(t, cfg2, rs)
+		if !sameBits(wA, wB) {
 			t.Fatalf("world %d: resharded resume is not deterministic", world)
 		}
 		if !reflect.DeepEqual(resA.Epochs, resB.Epochs) {
@@ -313,8 +316,9 @@ func TestReshardedResumeDeterministic(t *testing.T) {
 
 // TestElasticCrashMatchesReshardedRun is the acceptance scenario: a seeded
 // crash(rank=3, step=5) under the elastic supervisor must resume from the
-// last snapshot, re-plan at N−1 ranks, and produce exactly the checkpoint of
-// an uninterrupted (N−1)-rank run launched from the same resharded snapshot.
+// last snapshot, re-plan at N−1 ranks, and produce exactly the final weights
+// of an uninterrupted (N−1)-rank run launched from the same resharded
+// snapshot.
 //
 // The checkpoint boundary (step 4) is kept strictly before the crash step:
 // when they coincide, the crashing rank can exit the snapshot barrier and
@@ -325,8 +329,6 @@ func TestReshardedResumeDeterministic(t *testing.T) {
 func TestElasticCrashMatchesReshardedRun(t *testing.T) {
 	cfg := testConfig("fnn3", "dgc(density=0.05)", 4)
 	cfg.CheckpointEvery = 4
-	var elasticCkpt bytes.Buffer
-	cfg.Checkpoint = &elasticCkpt
 
 	snaps := map[string]*cluster.RunState{}
 	job := &Job{
@@ -365,9 +367,9 @@ func TestElasticCrashMatchesReshardedRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	ref := testConfig("fnn3", "dgc(density=0.05)", 3)
-	refRes, refCkpt := resumeRun(t, ref, rs3)
+	refRes, refW := resumeRun(t, ref, rs3)
 
-	if !bytes.Equal(elasticCkpt.Bytes(), refCkpt) {
+	if !sameBits(rr.Result.FinalParams, refW) {
 		t.Fatal("elastic continuation does not match the uninterrupted 3-rank run from the same snapshot")
 	}
 	if !reflect.DeepEqual(rr.Result.Epochs, refRes.Epochs) {
@@ -508,15 +510,16 @@ func TestSnapshotFileRoundTrip(t *testing.T) {
 // TestReplanPerEpoch drives the Replan hook through both of its contracts:
 // with membership unchanged the replanned run is bitwise identical to a run
 // on the statically built schedule (plan.Build is pure), and a crash re-plans
-// exactly once more, at the shrunk world.
+// exactly once more, at the shrunk world — both times on DriftModel, since
+// nothing drifted.
 func TestReplanPerEpoch(t *testing.T) {
 	m, err := models.New(models.Config{Family: "fnn3", Seed: 7, Reduced: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	segs := m.ParamSegments()
-	build := func(world int) (*plan.Schedule, error) {
-		return plan.Build(segs, plan.Options{Workers: world, Pricer: netsim.IB100()})
+	build := func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+		return plan.Build(segs, plan.Options{Workers: world, Pricer: fabric})
 	}
 
 	// A schedule-driven config: the supervisor's Replan supplies every
@@ -530,27 +533,27 @@ func TestReplanPerEpoch(t *testing.T) {
 	}
 
 	// Reference: a plain fixed-schedule run at world 4.
-	static, err := build(4)
+	static, err := build(4, netsim.IB100())
 	if err != nil {
 		t.Fatalf("plan.Build: %v", err)
 	}
 	ref := schedConfig(4)
 	ref.Schedule = static
-	_, refCkpt, _ := captureRun(t, ref)
+	_, refW, _ := captureRun(t, ref)
 
-	// Elastic fault-free run replanning per epoch: one epoch, same bytes.
+	// Elastic fault-free run replanning per epoch: one epoch, same bits.
 	var worlds []int
-	replan := func(world int) (*plan.Schedule, error) {
-		s, err := build(world)
+	replan := func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+		if fabric != netsim.IB100() {
+			t.Errorf("replan at world %d priced on %+v, want the default DriftModel IB100", world, fabric)
+		}
+		s, err := build(world, fabric)
 		if err == nil {
 			worlds = append(worlds, world)
 		}
 		return s, err
 	}
-	var ckpt bytes.Buffer
-	cfg := schedConfig(4)
-	cfg.Checkpoint = &ckpt
-	job := &Job{Config: cfg, Replan: replan}
+	job := &Job{Config: schedConfig(4), Replan: replan}
 	rr, err := job.Run()
 	if err != nil {
 		t.Fatalf("fault-free replan run: %v", err)
@@ -558,7 +561,7 @@ func TestReplanPerEpoch(t *testing.T) {
 	if len(rr.Events) != 1 || !reflect.DeepEqual(worlds, []int{4}) {
 		t.Fatalf("fault-free run: events %+v, replanned worlds %v", rr.Events, worlds)
 	}
-	if !bytes.Equal(ckpt.Bytes(), refCkpt) {
+	if !sameBits(rr.Result.FinalParams, refW) {
 		t.Fatal("replanned run diverged from the statically scheduled run with membership unchanged")
 	}
 
@@ -566,9 +569,7 @@ func TestReplanPerEpoch(t *testing.T) {
 	// the snapshot barrier against the kill): the second epoch replans at
 	// world 3.
 	worlds = nil
-	var ckpt2 bytes.Buffer
 	cfg2 := schedConfig(4)
-	cfg2.Checkpoint = &ckpt2
 	cfg2.CheckpointEvery = 5
 	job2 := &Job{
 		Config:   cfg2,
@@ -582,7 +583,7 @@ func TestReplanPerEpoch(t *testing.T) {
 	if rr2.Restarts != 1 || !reflect.DeepEqual(worlds, []int{4, 3}) {
 		t.Fatalf("crash run: restarts %d, replanned worlds %v", rr2.Restarts, worlds)
 	}
-	if len(ckpt2.Bytes()) == 0 {
-		t.Fatal("crash run produced no final checkpoint")
+	if len(rr2.Result.FinalParams) == 0 {
+		t.Fatal("crash run produced no final weights")
 	}
 }

@@ -14,12 +14,6 @@ import (
 	"a2sgd/internal/plan"
 )
 
-// membership pins one epoch's world view for a cluster.Train segment.
-type membership struct{ world, epoch int }
-
-func (m membership) WorldSize() int { return m.world }
-func (m membership) Epoch() int     { return m.epoch }
-
 // Event records one membership-epoch transition of an elastic run.
 type Event struct {
 	// Epoch is the membership epoch the transition started.
@@ -90,11 +84,13 @@ type Job struct {
 	// fabric.
 	TCP bool
 	// Replan, when non-nil, supplies the synchronization schedule for every
-	// membership epoch at its world size (typically plan.Build, which is pure:
-	// unchanged membership replans to a bitwise-identical schedule). Nil keeps
-	// Config.Schedule across rescales — it must then not be bound to a worker
-	// count (cluster.Lower's schedules are not).
-	Replan func(world int) (*plan.Schedule, error)
+	// segment (each membership epoch, and each health-paced stretch of one):
+	// it receives the segment's world size and the fabric to price on —
+	// DriftModel until a drift event, the measured fabric after it. Typically plan.Build, which is pure: unchanged membership and fabric
+	// replan to a bitwise-identical schedule. Nil keeps Config.Schedule across
+	// rescales — it must then not be bound to a worker count (cluster.Lower's
+	// schedules are not).
+	Replan func(world int, fabric netsim.Fabric) (*plan.Schedule, error)
 	// MaxRestarts bounds recovery attempts (default 8); a run that keeps
 	// failing past the bound surfaces its last error.
 	MaxRestarts int
@@ -123,26 +119,21 @@ type Job struct {
 	// monitor between them; pause/resume is bitwise, so pacing never changes
 	// the trained state.
 	Health bool
-	// HealthOptions tunes the monitor; the zero value uses health defaults.
-	HealthOptions health.Options
 	// BackupSlots bounds the number of concurrently backed-up ranks (0
 	// disables the backup stage: persistent stragglers go straight from
 	// soft-degrade to eviction).
 	BackupSlots int
-	// DriftReplan re-plans the schedule on the measured fabric when the
-	// monitor's α–β estimates drift from DriftModel past DriftThreshold.
+	// DriftReplan hands Replan the measured fabric, from the next segment
+	// on, once the monitor's α–β estimates drift from DriftModel past
+	// DriftThreshold.
 	DriftReplan bool
-	// DriftModel is the fabric the planner priced the original schedule on
-	// (zero value: netsim.IB100()).
+	// DriftModel is the fabric the planner priced the original schedule on,
+	// and the one Replan receives until a drift event (zero value:
+	// netsim.IB100()).
 	DriftModel netsim.Fabric
 	// DriftThreshold is the worst-direction health.Drift ratio that triggers
 	// a replan (default 2).
 	DriftThreshold float64
-	// ReplanMeasured, when non-nil, supplies the schedule after a drift
-	// trigger, receiving the measured fabric (typically plan.Build with
-	// Options.Pricer set to it). Nil leaves Replan (or Config.Schedule) in
-	// charge even after a drift event.
-	ReplanMeasured func(world int, measured netsim.Fabric) (*plan.Schedule, error)
 }
 
 // RunResult is the outcome of an elastic run.
@@ -249,8 +240,9 @@ func drained(ch <-chan struct{}) bool {
 // Run drives the job to completion (or to a drain pause): it runs one
 // cluster.Train segment per membership epoch, snapshots at boundaries,
 // shrinks the world when a rank fails, schedules a rejoin boundary for
-// preempted ranks, reshards the latest snapshot across every transition and
-// re-plans the schedule when Replan is set.
+// preempted ranks, reshards the latest snapshot across every transition,
+// re-plans the schedule when Replan is set and stamps the final Result with
+// its membership epoch.
 //
 // With the health monitor on (Health, BackupSlots or DriftReplan), every
 // checkpoint boundary additionally evaluates the escalation ladder: a rank
@@ -307,7 +299,6 @@ func (j *Job) Run() (*RunResult, error) {
 	ladder := make([]LadderStage, world)
 	var backups []int
 	deadlineScale := 1.0
-	var measured *netsim.Fabric
 	drifted := false
 	// budgetUsed is the spent share of the restart budget; cleanSince counts
 	// consecutive snapshot deliveries with no failure in between, the
@@ -325,7 +316,6 @@ func (j *Job) Run() (*RunResult, error) {
 		}
 		seg := base
 		seg.Workers = world
-		seg.Membership = membership{world: world, epoch: epoch}
 		seg.Resume = latest
 		seg.Drain = j.Drain
 		seg.StopStep = 0
@@ -350,7 +340,7 @@ func (j *Job) Run() (*RunResult, error) {
 		}
 		var mon *health.Monitor
 		if healthOn {
-			mon = health.NewMonitor(world, j.HealthOptions)
+			mon = health.NewMonitor(world, health.Options{})
 			seg.Health = mon
 			// Pace the segment to the next boundary so the ladder and drift
 			// checks get a look between segments. The final stretch (no
@@ -370,16 +360,14 @@ func (j *Job) Run() (*RunResult, error) {
 				}
 			}
 		}
-		if drifted && j.ReplanMeasured != nil && measured != nil {
-			sched, err := j.ReplanMeasured(world, *measured)
-			if err != nil {
-				return rr, fmt.Errorf("elastic: measured replan at world %d: %w", world, err)
+		if j.Replan != nil {
+			fabric := driftModel
+			if drifted {
+				fabric = *rr.Measured
 			}
-			seg.Schedule = sched
-		} else if j.Replan != nil {
-			sched, err := j.Replan(world)
+			sched, err := j.Replan(world, fabric)
 			if err != nil {
-				return rr, fmt.Errorf("elastic: replan at world %d: %w", world, err)
+				return rr, fmt.Errorf("elastic: replan at world %d on %s: %w", world, fabric.Name, err)
 			}
 			seg.Schedule = sched
 		}
@@ -398,6 +386,7 @@ func (j *Job) Run() (*RunResult, error) {
 		mu.Unlock()
 
 		if err == nil {
+			res.MembershipEpoch = epoch
 			rr.Result = res
 			rr.Snapshot = snap
 			return rr, nil
@@ -425,7 +414,7 @@ func (j *Job) Run() (*RunResult, error) {
 			}
 			if mon != nil && seg.StopStep > 0 {
 				if world, latest, err = j.evaluateHealth(mon, snap, rr, rules, consumed, world, &epoch,
-					ladder, &backups, &deadlineScale, &measured, &drifted, driftModel, driftThreshold); err != nil {
+					ladder, &backups, &deadlineScale, &drifted, driftModel, driftThreshold); err != nil {
 					return rr, err
 				}
 				if len(ladder) != world {
@@ -481,7 +470,7 @@ func (j *Job) Run() (*RunResult, error) {
 func (j *Job) evaluateHealth(mon *health.Monitor, snap *cluster.RunState, rr *RunResult,
 	rules []faultnet.Rule, consumed []bool, world int, epoch *int,
 	ladder []LadderStage, backups *[]int, deadlineScale *float64,
-	measured **netsim.Fabric, drifted *bool, driftModel netsim.Fabric, driftThreshold float64,
+	drifted *bool, driftModel netsim.Fabric, driftThreshold float64,
 ) (int, *cluster.RunState, error) {
 	latest := snap
 	evict := func(rank int) error {
@@ -550,11 +539,10 @@ func (j *Job) evaluateHealth(mon *health.Monitor, snap *cluster.RunState, rr *Ru
 		}
 	}
 	if f, ok := mon.MeasuredFabric("measured"); ok {
-		*measured = &f
 		rr.Measured = &f
 	}
-	if j.DriftReplan && !*drifted && *measured != nil {
-		if d := health.Drift(**measured, driftModel); d > driftThreshold {
+	if j.DriftReplan && !*drifted && rr.Measured != nil {
+		if d := health.Drift(*rr.Measured, driftModel); d > driftThreshold {
 			*drifted = true
 			rr.Events = append(rr.Events, Event{Epoch: *epoch, Step: snap.Step, World: world, Reason: fmt.Sprintf("replan(drift=%.1fx)", d)})
 		}

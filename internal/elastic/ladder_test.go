@@ -2,6 +2,7 @@ package elastic
 
 import (
 	"bytes"
+	"strings"
 	"testing"
 
 	"a2sgd/internal/cluster"
@@ -31,7 +32,7 @@ func indexOf(xs []string, want string) int {
 
 // runLadderBackup runs a 4-rank straggler job with one backup slot and
 // asserts the ladder engaged (degrade → backup, no evict) and the final
-// checkpoint is bitwise-identical to the fault-free reference.
+// weights are bitwise-identical to the fault-free reference.
 func runLadderBackup(t *testing.T, mutate func(*cluster.Config), tcp bool) {
 	t.Helper()
 	ref := testConfig("fnn3", "a2sgd", 4)
@@ -39,9 +40,8 @@ func runLadderBackup(t *testing.T, mutate func(*cluster.Config), tcp bool) {
 	if mutate != nil {
 		mutate(&ref)
 	}
-	var refCkpt bytes.Buffer
-	ref.Checkpoint = &refCkpt
-	if _, err := cluster.Train(ref); err != nil {
+	refRes, err := cluster.Train(ref)
+	if err != nil {
 		t.Fatalf("fault-free reference: %v", err)
 	}
 
@@ -50,8 +50,6 @@ func runLadderBackup(t *testing.T, mutate func(*cluster.Config), tcp bool) {
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	var ckpt bytes.Buffer
-	cfg.Checkpoint = &ckpt
 	job := &Job{
 		Config:      cfg,
 		Scenario:    faultnet.MustParse("straggler(rank=2, x8)"),
@@ -76,7 +74,7 @@ func runLadderBackup(t *testing.T, mutate func(*cluster.Config), tcp bool) {
 	if rr.Backups != 1 {
 		t.Fatalf("Backups = %d, want 1", rr.Backups)
 	}
-	if !bytes.Equal(ckpt.Bytes(), refCkpt.Bytes()) {
+	if !sameBits(rr.Result.FinalParams, refRes.FinalParams) {
 		t.Fatal("backup-recovered run is not bitwise-identical to the fault-free reference")
 	}
 }
@@ -130,7 +128,8 @@ func TestDegradedRankSoftDegradesBeforeEviction(t *testing.T) {
 
 // TestDriftReplanNoOpWhenCalibrated: with the drift model set to the fabric
 // the monitor itself measures on a fault-free run, a second run must not
-// trigger a replan — same estimator, same machine, drift ≈ 1.
+// trigger a replan — same estimator, same machine, drift ≈ 1 — so Replan
+// only ever prices on the drift model.
 func TestDriftReplanNoOpWhenCalibrated(t *testing.T) {
 	probeCfg := testConfig("fnn3", "a2sgd", 4)
 	probeCfg.CheckpointEvery = 2
@@ -151,9 +150,11 @@ func TestDriftReplanNoOpWhenCalibrated(t *testing.T) {
 		DriftReplan:    true,
 		DriftModel:     *prr.Measured,
 		DriftThreshold: 3,
-		ReplanMeasured: func(world int, measured netsim.Fabric) (*plan.Schedule, error) {
-			replans++
-			return nil, nil
+		Replan: func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+			if fabric != *prr.Measured {
+				replans++
+			}
+			return cfg.Schedule, nil
 		},
 	}
 	rr, err := job.Run()
@@ -164,11 +165,55 @@ func TestDriftReplanNoOpWhenCalibrated(t *testing.T) {
 		t.Fatal("calibrated run did not complete")
 	}
 	if replans != 0 {
-		t.Fatalf("ReplanMeasured called %d times on a calibrated fabric", replans)
+		t.Fatalf("Replan priced on a measured fabric %d times on a calibrated fabric", replans)
 	}
 	for _, r := range reasons(rr) {
 		if len(r) >= 6 && r[:6] == "replan" {
 			t.Fatalf("drift replan fired without drift: events %v", reasons(rr))
+		}
+	}
+}
+
+// TestReplanFabricFollowsDrift: Replan prices on DriftModel until the
+// monitor's measurements drift from it, and on the measured fabric from the
+// next segment on. A model a million times slower than the in-process fabric
+// drifts at the first boundary the monitor sees.
+func TestReplanFabricFollowsDrift(t *testing.T) {
+	cfg := testConfig("fnn3", "a2sgd", 4)
+	cfg.CheckpointEvery = 2
+	model := netsim.Fabric{Name: "model", Alpha: 1, Beta: 1e-3}
+	var fabrics []netsim.Fabric
+	job := &Job{
+		Config:      cfg,
+		DriftReplan: true,
+		DriftModel:  model,
+		Replan: func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
+			fabrics = append(fabrics, fabric)
+			return cfg.Schedule, nil
+		},
+	}
+	rr, err := job.Run()
+	if err != nil {
+		t.Fatalf("drifting run: %v", err)
+	}
+	drift := -1
+	for i, r := range reasons(rr) {
+		if strings.HasPrefix(r, "replan(drift=") {
+			drift = i
+		}
+	}
+	if drift < 0 || rr.Measured == nil {
+		t.Fatalf("no drift event: events %v", reasons(rr))
+	}
+	// One Replan per segment: the first on the model, and — the drift event
+	// having fired at the first boundary — every later one on a fabric the
+	// monitor measured.
+	if len(fabrics) < 2 || fabrics[0] != model {
+		t.Fatalf("Replan fabrics %+v, want the drift model first", fabrics)
+	}
+	for i, f := range fabrics[1:] {
+		if f == model || f.Name != "measured" {
+			t.Errorf("segment %d after the drift priced on %+v, want the measured fabric", i+1, f)
 		}
 	}
 }

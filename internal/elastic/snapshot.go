@@ -8,6 +8,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"sort"
 
 	"a2sgd/internal/cluster"
@@ -39,12 +40,16 @@ const (
 	snapVersion uint32 = 1
 )
 
-// Sanity bounds applied while reading, so a corrupt length field fails with
-// a typed error instead of an enormous allocation.
+// Sanity bounds applied while reading. A length field is only ever a bound:
+// every slice, string and map grows as the bytes behind it arrive, from a
+// preallocation of at most snapPrealloc entries, so a corrupt or hostile
+// length fails as a truncated snapshot after costing about what the input
+// itself holds — never the allocation the field claims.
 const (
 	maxSnapStr   = 1 << 16
 	maxSnapCount = 1 << 24
 	maxSnapElems = 1 << 30
+	snapPrealloc = 1 << 10
 )
 
 var snapTable = crc32.MakeTable(crc32.IEEE)
@@ -100,10 +105,11 @@ func (sw *snapWriter) f32s(v []float32) {
 
 // snapReader mirrors snapWriter, accumulating the CRC of everything read.
 type snapReader struct {
-	r   *bufio.Reader
-	crc uint32
-	err error
-	buf [8]byte
+	r     *bufio.Reader
+	crc   uint32
+	err   error
+	buf   [8]byte
+	chunk [4096]byte // readVec's window
 }
 
 func (sr *snapReader) fail(format string, args ...any) {
@@ -117,7 +123,11 @@ func (sr *snapReader) bytes(p []byte) {
 		return
 	}
 	if _, err := io.ReadFull(sr.r, p); err != nil {
-		sr.fail("truncated snapshot: %v", err)
+		// Any end of input inside the stream is unexpected.
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		sr.fail("truncated snapshot: %w", err)
 		return
 	}
 	sr.crc = crc32.Update(sr.crc, snapTable, p)
@@ -154,38 +164,46 @@ func (sr *snapReader) count(max int, what string) int {
 	return n
 }
 
-func (sr *snapReader) str() string {
-	n := sr.count(maxSnapStr, "string")
-	if sr.err != nil || n == 0 {
-		return ""
-	}
-	b := make([]byte, n)
-	sr.bytes(b)
-	return string(b)
-}
-
-func (sr *snapReader) f32s() []float32 {
-	n := sr.count(maxSnapElems, "vector")
+// readVec reads a u32 count (at most max) and that many size-byte items,
+// decoded by dec. It reads through the chunk buffer and grows the result as
+// the items arrive, so a count the input does not back costs nothing.
+func readVec[T any](sr *snapReader, max int, what string, size int, dec func([]byte) T) []T {
+	n := sr.count(max, what)
 	if sr.err != nil || n == 0 {
 		return nil
 	}
-	v := make([]float32, n)
-	var chunk [4096]byte
-	for i := 0; i < n; {
-		m := n - i
-		if m > len(chunk)/4 {
-			m = len(chunk) / 4
+	v := make([]T, 0, min(n, snapPrealloc))
+	for len(v) < n && sr.err == nil {
+		p := sr.chunk[:size*min(n-len(v), len(sr.chunk)/size)]
+		sr.bytes(p)
+		for i := 0; sr.err == nil && i < len(p); i += size {
+			v = append(v, dec(p[i:]))
 		}
-		sr.bytes(chunk[:4*m])
-		if sr.err != nil {
-			return nil
-		}
-		for j := 0; j < m; j++ {
-			v[i+j] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*j:]))
-		}
-		i += m
 	}
-	return v
+	if sr.err != nil {
+		return nil
+	}
+	return slices.Clip(v)
+}
+
+func (sr *snapReader) str() string {
+	return string(readVec(sr, maxSnapStr, "string", 1, func(p []byte) byte { return p[0] }))
+}
+
+func (sr *snapReader) f32s() []float32 {
+	return readVec(sr, maxSnapElems, "vector", 4, func(p []byte) float32 {
+		return math.Float32frombits(binary.LittleEndian.Uint32(p))
+	})
+}
+
+// key reads a map key, which the writer emits in strictly increasing order:
+// an out-of-order or repeated key is not a snapshot this package wrote.
+func (sr *snapReader) key(prev string, first bool) string {
+	k := sr.str()
+	if sr.err == nil && !first && k <= prev {
+		sr.fail("snapshot state key %q after %q: keys must be strictly increasing", k, prev)
+	}
+	return k
 }
 
 func sortedKeys[V any](m map[string]V) []string {
@@ -219,25 +237,17 @@ func readState(sr *snapReader) compress.State {
 	var s compress.State
 	s.Alg = sr.str()
 	if nv := sr.count(maxSnapCount, "state vec"); nv > 0 {
-		s.Vecs = make(map[string][]float32, nv)
-		for i := 0; i < nv && sr.err == nil; i++ {
-			k := sr.str()
+		s.Vecs = make(map[string][]float32, min(nv, snapPrealloc))
+		for i, k := 0, ""; i < nv && sr.err == nil; i++ {
+			k = sr.key(k, i == 0)
 			s.Vecs[k] = sr.f32s()
 		}
 	}
 	if nw := sr.count(maxSnapCount, "state word"); nw > 0 {
-		s.Words = make(map[string][]uint64, nw)
-		for i := 0; i < nw && sr.err == nil; i++ {
-			k := sr.str()
-			n := sr.count(maxSnapElems, "state word blob")
-			var w []uint64
-			if n > 0 {
-				w = make([]uint64, n)
-			}
-			for j := 0; j < n && sr.err == nil; j++ {
-				w[j] = sr.u64()
-			}
-			s.Words[k] = w
+		s.Words = make(map[string][]uint64, min(nw, snapPrealloc))
+		for i, k := 0, ""; i < nw && sr.err == nil; i++ {
+			k = sr.key(k, i == 0)
+			s.Words[k] = readVec(sr, maxSnapElems, "state word blob", 8, binary.LittleEndian.Uint64)
 		}
 	}
 	return s
@@ -304,7 +314,8 @@ func WriteSnapshot(w io.Writer, rs *cluster.RunState) error {
 }
 
 // ReadSnapshot parses an A2SV snapshot, validating the magic, version and
-// trailing CRC.
+// trailing CRC. The stream must end at the CRC: anything after it is not
+// part of a snapshot this package wrote.
 func ReadSnapshot(r io.Reader) (*cluster.RunState, error) {
 	sr := &snapReader{r: bufio.NewReader(r)}
 	if m := sr.u32(); sr.err == nil && m != snapMagic {
@@ -321,23 +332,13 @@ func ReadSnapshot(r io.Reader) (*cluster.RunState, error) {
 	rs.Step = int(sr.u32())
 	rs.World = int(sr.u32())
 	rs.NumParams = int(sr.u32())
-	if nb := sr.count(maxSnapCount, "bounds"); nb > 0 {
-		rs.Bounds = make([]int, nb)
-		for i := range rs.Bounds {
-			rs.Bounds[i] = int(sr.u32())
-		}
-	}
-	if nh := sr.count(maxSnapCount, "history"); nh > 0 {
-		rs.History = make([]cluster.EpochStats, nh)
-		for i := range rs.History {
-			rs.History[i] = cluster.EpochStats{
-				Epoch: int(sr.u32()), Loss: sr.f64(),
-				EvalLoss: sr.f64(), Metric: sr.f64(), LR: sr.f64(),
-			}
-		}
-	}
+	rs.Bounds = readVec(sr, maxSnapCount, "bounds", 4, func(p []byte) int { return int(binary.LittleEndian.Uint32(p)) })
+	rs.History = readVec(sr, maxSnapCount, "history", 36, func(p []byte) cluster.EpochStats {
+		f := func(i int) float64 { return math.Float64frombits(binary.LittleEndian.Uint64(p[i:])) }
+		return cluster.EpochStats{Epoch: int(binary.LittleEndian.Uint32(p)), Loss: f(4), EvalLoss: f(12), Metric: f(20), LR: f(28)}
+	})
 	nw := sr.count(maxSnapCount, "worker")
-	rs.Workers = make([]*cluster.WorkerState, 0, nw)
+	rs.Workers = make([]*cluster.WorkerState, 0, min(nw, snapPrealloc))
 	for i := 0; i < nw && sr.err == nil; i++ {
 		ws := &cluster.WorkerState{}
 		ws.Rank = int(sr.u32())
@@ -349,9 +350,9 @@ func ReadSnapshot(r io.Reader) (*cluster.RunState, error) {
 		}
 		ws.LossSum = sr.f64()
 		if nbk := sr.count(maxSnapCount, "bucket"); nbk > 0 {
-			ws.Buckets = make([]compress.State, nbk)
+			ws.Buckets = make([]compress.State, 0, min(nbk, snapPrealloc))
 			for b := 0; b < nbk && sr.err == nil; b++ {
-				ws.Buckets[b] = readState(sr)
+				ws.Buckets = append(ws.Buckets, readState(sr))
 			}
 		}
 		rs.Workers = append(rs.Workers, ws)
@@ -363,10 +364,18 @@ func ReadSnapshot(r io.Reader) (*cluster.RunState, error) {
 	want := sr.crc
 	var buf [4]byte
 	if _, err := io.ReadFull(sr.r, buf[:]); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, fmt.Errorf("elastic: truncated snapshot: missing CRC trailer: %w", err)
 	}
 	if got := binary.LittleEndian.Uint32(buf[:]); got != want {
 		return nil, fmt.Errorf("elastic: snapshot CRC mismatch: stored %#x, computed %#x", got, want)
+	}
+	if _, err := sr.r.ReadByte(); err == nil {
+		return nil, fmt.Errorf("elastic: trailing data after the snapshot CRC")
+	} else if err != io.EOF {
+		return nil, fmt.Errorf("elastic: read snapshot: %w", err)
 	}
 	if rs.World != len(rs.Workers) {
 		return nil, fmt.Errorf("elastic: snapshot world %d != %d worker entries", rs.World, len(rs.Workers))

@@ -1,18 +1,12 @@
-// Package health turns the timing the runtime already produces into rank
-// health classifications and measured network fabrics.
+// Package health turns the send timing the runtime already produces into
+// rank health classifications and measured network fabrics.
 //
-// A Monitor holds preallocated per-rank and per-directed-link sample rings.
-// Each rank's Recorder writes three kinds of beacons, all piggybacked on
-// work the runtime does anyway, all allocation-free:
-//
-//   - RecordStep(enc, sync, step): per-training-step encode, post-to-WaitAll
-//     sync, and total wall seconds (cluster worker loop).
-//   - ObserveOp(sec): wall time of one posted nonblocking collective
-//     (comm progress workers, via Communicator.SetOpObserver).
-//   - ObserveSend(to, bytes, sec): sender-side wall time of one
-//     point-to-point payload (comm send path, via
-//     Communicator.SetSendObserver; group/context communicators translate
-//     their local peer labels to global ranks first).
+// A Monitor holds one preallocated sample ring per directed link. Each
+// rank's Recorder writes one kind of sample, piggybacked on work the runtime
+// does anyway and allocation-free: ObserveSend(to, bytes, sec), the
+// sender-side wall time of one point-to-point payload (comm send path, via
+// Communicator.SetSendObserver; group/context communicators translate their
+// local peer labels to global ranks first).
 //
 // Classify fits each directed link with a robust Theil–Sen α–β estimate
 // (median pairwise slopes, median residual) and flags links whose α is an
@@ -21,8 +15,10 @@
 // safe baseline). Because a slow host slows every
 // link touching it while synchronous collectives smear the stall across all
 // ranks' step clocks, the straggler is localized as the unique common
-// endpoint of the slow-link set — not by per-rank wall time. Ranks that stop
-// producing step beacons while the group progresses are Dead.
+// endpoint of the slow-link set — not by per-rank wall time. A rank that
+// stops altogether is not the monitor's to report: the elastic supervisor
+// classifies only after a segment paused at a boundary every rank reached,
+// and a dead peer surfaces as a *comm.PeerError instead.
 //
 // MeasuredFabric condenses the link fits into a netsim.Fabric (worst-link α
 // and β, matching the slowest-link bound of synchronous collectives) that

@@ -8,56 +8,37 @@ import (
 	"a2sgd/internal/netsim"
 )
 
-// Options tunes the monitor's windows and classification gates. The zero
-// value selects the defaults.
+// Options sizes the monitor's sample rings. The zero value selects the
+// default.
 type Options struct {
-	// StepWindow is the per-rank ring size for step beacons (default 32).
-	StepWindow int
 	// LinkWindow is the per-directed-link ring size for send samples
 	// (default 32).
 	LinkWindow int
-	// DegradeFactor is the ratio gate: a link is slow only if its α exceeds
-	// the global median α by this factor (default 1.6).
-	DegradeFactor float64
-	// MADGate is the robust outlier gate: a slow link's α must also exceed
-	// the global median by this many median absolute deviations (default 4).
-	MADGate float64
-	// MinGap is an absolute floor on the α excess of a slow link, so
-	// sub-microsecond scheduler noise on a fast fabric can never trip the
-	// ratio gates (default 5µs).
-	MinGap time.Duration
-	// MinLinkSamples is the sample count a link needs before its estimate
-	// participates in classification (default 4).
-	MinLinkSamples int
-	// MinSteps is the step-beacon count the fastest rank must reach before a
-	// silent rank can be declared dead (default 2).
-	MinSteps int
 }
 
 func (o Options) withDefaults() Options {
-	if o.StepWindow <= 0 {
-		o.StepWindow = 32
-	}
 	if o.LinkWindow <= 0 {
 		o.LinkWindow = 32
 	}
-	if o.DegradeFactor <= 1 {
-		o.DegradeFactor = 1.6
-	}
-	if o.MADGate <= 0 {
-		o.MADGate = 4
-	}
-	if o.MinGap <= 0 {
-		o.MinGap = 5 * time.Microsecond
-	}
-	if o.MinLinkSamples <= 0 {
-		o.MinLinkSamples = 4
-	}
-	if o.MinSteps <= 0 {
-		o.MinSteps = 2
-	}
 	return o
 }
+
+// Classification gates.
+const (
+	// degradeFactor is the ratio gate: a link is slow only if its α exceeds
+	// the baseline α by this factor.
+	degradeFactor = 1.6
+	// madGate is the robust outlier gate: a slow link's α must also exceed
+	// the baseline by this many median absolute deviations.
+	madGate = 4
+	// minGap is an absolute floor on the α excess of a slow link, so
+	// sub-microsecond scheduler noise on a fast fabric can never trip the
+	// ratio gates.
+	minGap = 5 * time.Microsecond
+	// minLinkSamples is the sample count a link needs before its estimate
+	// participates in classification.
+	minLinkSamples = 4
+)
 
 // State classifies one rank's health.
 type State int
@@ -69,27 +50,13 @@ const (
 	// Degraded ranks are alive but slow: the rank is the unique common
 	// endpoint of the group's slow links.
 	Degraded
-	// Dead ranks stopped reporting step beacons while the group progressed.
-	Dead
 )
 
 func (s State) String() string {
-	switch s {
-	case Degraded:
+	if s == Degraded {
 		return "degraded"
-	case Dead:
-		return "dead"
 	}
 	return "healthy"
-}
-
-// rankWindow is one rank's step-beacon rings.
-type rankWindow struct {
-	mu             sync.Mutex
-	enc, syn, step []float64
-	n              int
-	op             []float64
-	opN            int
 }
 
 // linkWindow is one directed link's send-sample rings (payload bytes and
@@ -101,15 +68,13 @@ type linkWindow struct {
 	n     int
 }
 
-// Monitor collects one worker group's timing beacons and classifies its
-// ranks. All state is preallocated at construction: the recorders write into
-// fixed rings under per-window mutexes, so the instrumented training step
+// Monitor collects one worker group's per-link send samples and classifies
+// its ranks. All state is preallocated at construction: the recorders write
+// into fixed rings under per-link mutexes, so the instrumented training step
 // stays allocation-free. One Monitor serves exactly one fixed-world training
 // segment; elastic supervisors build a fresh one per membership epoch.
 type Monitor struct {
 	world int
-	opts  Options
-	ranks []rankWindow
 	links []linkWindow // [src*world+dst], sender-side samples
 	recs  []Recorder
 }
@@ -122,17 +87,10 @@ func NewMonitor(world int, opts Options) *Monitor {
 	o := opts.withDefaults()
 	m := &Monitor{
 		world: world,
-		opts:  o,
-		ranks: make([]rankWindow, world),
 		links: make([]linkWindow, world*world),
 		recs:  make([]Recorder, world),
 	}
-	for r := range m.ranks {
-		w := &m.ranks[r]
-		w.enc = make([]float64, o.StepWindow)
-		w.syn = make([]float64, o.StepWindow)
-		w.step = make([]float64, o.StepWindow)
-		w.op = make([]float64, o.StepWindow)
+	for r := range m.recs {
 		m.recs[r] = Recorder{m: m, rank: r}
 	}
 	for i := range m.links {
@@ -146,7 +104,7 @@ func NewMonitor(world int, opts Options) *Monitor {
 // World returns the rank count the monitor was built for.
 func (m *Monitor) World() int { return m.world }
 
-// Recorder returns rank's preallocated beacon recorder. The returned pointer
+// Recorder returns rank's preallocated send recorder. The returned pointer
 // is stable, so method values built from it once at setup never allocate
 // again.
 func (m *Monitor) Recorder(rank int) *Recorder {
@@ -162,28 +120,6 @@ func (m *Monitor) Recorder(rank int) *Recorder {
 type Recorder struct {
 	m    *Monitor
 	rank int
-}
-
-// RecordStep records one training step's encode, post-to-WaitAll sync and
-// total wall seconds.
-func (r *Recorder) RecordStep(encSec, syncSec, stepSec float64) {
-	w := &r.m.ranks[r.rank]
-	w.mu.Lock()
-	i := w.n % len(w.step)
-	w.enc[i], w.syn[i], w.step[i] = encSec, syncSec, stepSec
-	w.n++
-	w.mu.Unlock()
-}
-
-// ObserveOp records the wall seconds of one posted nonblocking operation
-// (a per-bucket exchange on the comm progress workers).
-func (r *Recorder) ObserveOp(sec float64) {
-	w := &r.m.ranks[r.rank]
-	w.mu.Lock()
-	i := w.opN % len(w.op)
-	w.op[i] = sec
-	w.opN++
-	w.mu.Unlock()
 }
 
 // ObserveSend records one point-to-point send: nBytes of payload to global
@@ -207,12 +143,6 @@ func (r *Recorder) ObserveSend(to, nBytes int, sec float64) {
 type Class struct {
 	Rank  int
 	State State
-	// Steps is the number of step beacons the rank recorded.
-	Steps int
-	// StepMedianSec and OpMedianSec are the rank's median step and
-	// per-operation wall times over the window.
-	StepMedianSec float64
-	OpMedianSec   float64
 	// SlowLinks counts the slow links touching this rank; Ratio is the worst
 	// slow link's α over the group median α (0 when none).
 	SlowLinks int
@@ -269,7 +199,7 @@ func fitAlphaBeta(bytes, sec []float64) (alpha, beta float64) {
 	return alpha, beta
 }
 
-// linkEstimates fits every directed link with at least MinLinkSamples
+// linkEstimates fits every directed link with at least minLinkSamples
 // samples. Called off the hot path; it snapshots each ring under its mutex.
 func (m *Monitor) linkEstimates() []linkEstimate {
 	out := make([]linkEstimate, 0, m.world*(m.world-1))
@@ -284,7 +214,7 @@ func (m *Monitor) linkEstimates() []linkEstimate {
 			if n > len(lw.bytes) {
 				n = len(lw.bytes)
 			}
-			if n < m.opts.MinLinkSamples {
+			if n < minLinkSamples {
 				lw.mu.Unlock()
 				continue
 			}
@@ -306,32 +236,11 @@ func (m *Monitor) linkEstimates() []linkEstimate {
 // outliers can. A rank is Degraded when it is the unique common endpoint of
 // the slow-link set: at least two slow links touch it and strictly more than
 // touch any other rank (a two-rank world cannot be localized this way — both
-// endpoints tie). A rank is Dead when it recorded no step beacons while the
-// fastest rank recorded at least MinSteps.
+// endpoints tie).
 func (m *Monitor) Classify() []Class {
-	o := m.opts
 	out := make([]Class, m.world)
-	steps := make([]int, m.world)
-	maxSteps := 0
-	for r := 0; r < m.world; r++ {
-		w := &m.ranks[r]
-		w.mu.Lock()
-		n := w.n
-		if n > len(w.step) {
-			n = len(w.step)
-		}
-		st := append([]float64(nil), w.step[:n]...)
-		opN := w.opN
-		if opN > len(w.op) {
-			opN = len(w.op)
-		}
-		ops := append([]float64(nil), w.op[:opN]...)
-		steps[r] = w.n
-		w.mu.Unlock()
-		out[r] = Class{Rank: r, Steps: steps[r], StepMedianSec: median(st), OpMedianSec: median(ops)}
-		if steps[r] > maxSteps {
-			maxSteps = steps[r]
-		}
+	for r := range out {
+		out[r].Rank = r
 	}
 
 	ests := m.linkEstimates()
@@ -362,7 +271,7 @@ func (m *Monitor) Classify() []Class {
 		mad = median(devs)
 	}
 	slow := func(a float64) bool {
-		return a > o.DegradeFactor*gm && a-gm > o.MADGate*mad && a-gm > o.MinGap.Seconds()
+		return a > degradeFactor*gm && a-gm > madGate*mad && a-gm > minGap.Seconds()
 	}
 	for _, e := range ests {
 		if !slow(e.alpha) {
@@ -396,11 +305,6 @@ func (m *Monitor) Classify() []Class {
 	}
 	if best >= 0 && out[best].SlowLinks >= 2 && out[best].SlowLinks > second {
 		out[best].State = Degraded
-	}
-	for r := range out {
-		if maxSteps >= o.MinSteps && steps[r] == 0 {
-			out[r].State = Dead
-		}
 	}
 	return out
 }

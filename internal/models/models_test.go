@@ -1,7 +1,6 @@
 package models
 
 import (
-	"bytes"
 	"math"
 	"testing"
 
@@ -205,8 +204,9 @@ func TestViewsFollowParamsOrder(t *testing.T) {
 	}
 }
 
-// TestCheckpointRoundTripEveryFamily: a checkpoint saved from one model loads
-// every tensor into another — including the tensors that share a name with an
+// TestCheckpointRoundTripEveryFamily: the flattened weights a snapshot
+// carries, copied out of one model through its weight view, load every tensor
+// into another by position — including the tensors that share a name with an
 // earlier one (vgg16's and resnet20's same-shaped layers).
 func TestCheckpointRoundTripEveryFamily(t *testing.T) {
 	for _, fam := range Families() {
@@ -215,13 +215,12 @@ func TestCheckpointRoundTripEveryFamily(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var buf bytes.Buffer
-		if err := nn.SaveParams(&buf, src.Params()); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := nn.LoadParams(&buf, dst.Params()); err != nil {
-			t.Fatalf("%s: %v", fam, err)
-		}
+		var sv, dv tensor.VecView
+		nn.WeightViewOf(src.Params(), &sv)
+		nn.WeightViewOf(dst.Params(), &dv)
+		flat := make([]float32, src.NumParams())
+		sv.CopyTo(flat)
+		dv.CopyFrom(flat)
 		for i, p := range src.Params() {
 			for j, v := range p.W {
 				if dst.Params()[i].W[j] != v {

@@ -72,7 +72,4 @@
 // — into buckets of a byte budget. The bucket plan is the scheduling unit of
 // the distributed runtime's overlapped gradient pipeline (and of its
 // two-level hierarchical collectives): see a2sgd/internal/cluster.
-//
-// Checkpointing (SaveParams/LoadParams) round-trips the parameter tensors,
-// by position, in a self-describing binary format.
 package nn

@@ -5,8 +5,9 @@
 // per-spec cost models, and emits a complete Schedule — bucket boundaries
 // sized so the priced tier's per-collective latency is amortized, a
 // per-bucket algorithm spec chosen by minimizing the modelled pipelined
-// makespan (the auto policy), and, for a two-tier fabric pair, the cheapest
-// ranks-per-node width.
+// makespan, and, for a two-tier fabric pair, the cheapest ranks-per-node
+// width. It is what the façade's "auto(spec, ...)" request runs: the
+// positional specs become Options.Candidates.
 //
 // The search is deterministic and exhaustive over a bounded candidate set:
 // every candidate topology × bucket-budget ladder × spec assignment
