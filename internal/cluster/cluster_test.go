@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -322,21 +323,37 @@ func TestLSTMClusterRun(t *testing.T) {
 	}
 }
 
-func TestDivergenceDetection(t *testing.T) {
-	// Failure injection: an absurd learning-rate scale must surface as an
-	// error ("non-finite gradient"), not as silent Inf metrics — on the
-	// synchronous whole-model path and on the overlapped bucket pipeline.
-	for _, cfg := range []Config{quickCfg("fnn3", "dense", 2), bucketCfg("a2sgd", 2, fourBucketBytes, true)} {
-		cfg.LRScale = 1e12
-		cfg.Epochs = 30
-		_, err := Train(cfg)
-		if err == nil {
-			t.Fatalf("overlap=%v: expected divergence to be detected", cfg.Schedule.Overlap)
-		}
-		if !strings.Contains(err.Error(), "non-finite gradient") {
-			t.Errorf("overlap=%v: divergence surfaced as %v", cfg.Schedule.Overlap, err)
-		}
+// assertDiverges runs cfg under an absurd learning-rate scale and requires
+// the blow-up to surface as a "non-finite gradient" error, not as silent Inf
+// metrics.
+func assertDiverges(t *testing.T, cfg Config) {
+	t.Helper()
+	cfg.LRScale = 1e12
+	cfg.Epochs = 30
+	_, err := Train(cfg)
+	if err == nil {
+		t.Fatal("expected divergence to be detected")
 	}
+	if !strings.Contains(err.Error(), "non-finite gradient") {
+		t.Errorf("divergence surfaced as %v", err)
+	}
+}
+
+// TestDivergenceDetection: failure injection on the synchronous
+// whole-model path.
+func TestDivergenceDetection(t *testing.T) {
+	assertDiverges(t, quickCfg("fnn3", "dense", 2))
+}
+
+// TestParallelEncodeSurfacesNonFiniteGradient: the overlapped bucket
+// pipeline encodes the next bucket while earlier exchanges run on the
+// progress workers; a bucket that diverges mid-step must still fail cleanly
+// (no hang, no panic) with those exchanges in flight.
+func TestParallelEncodeSurfacesNonFiniteGradient(t *testing.T) {
+	old := runtime.GOMAXPROCS(0)
+	defer runtime.GOMAXPROCS(old)
+	runtime.GOMAXPROCS(8) // let the posted exchanges run beside the encodes
+	assertDiverges(t, bucketCfg("a2sgd", 2, fourBucketBytes, true))
 }
 
 // TestCheckpointWrittenAndRestorable: the run's final weights come back in
