@@ -13,7 +13,7 @@
 //	    -algos "a2sgd,mixed(big=a2sgd, small=dense, threshold=8KiB)"
 //	a2sgdbench -experiment auto -scale 10      # cost-model planner vs hand-tuned
 //	a2sgdbench -experiment auto -json results.json
-//	a2sgdbench -experiment straggler -backup-workers 1
+//	a2sgdbench -experiment chaos -chaostcp     # the fault matrix over loopback TCP
 //
 // -json writes every executed experiment's structured results (including the
 // auto sweep's modelled-vs-chosen plan prices) to a file, so the perf
@@ -79,7 +79,7 @@ func splitSpecs(s string) []string {
 }
 
 func main() {
-	exp := flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|table2|ablation|sweep|auto|hotpath|chaos|elastic|straggler|all")
+	exp := flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|table2|ablation|sweep|auto|hotpath|chaos|all")
 	maxN := flag.Int("maxn", 25_000_000, "largest parameter count for fig2")
 	scale := flag.Int("scale", 10, "divide paper parameter counts by this for fig4/fig5/table2/auto (1 = full)")
 	workersFlag := flag.String("workers", "2,4,8,16", "worker counts for fig3/fig4/fig5")
@@ -92,8 +92,7 @@ func main() {
 		"algorithm specs for the sweep and auto experiments, comma separated outside parentheses (default: the paper's five-method set) — registered: "+
 			strings.Join(compress.Usage(), ", ")+"; the sweep also takes per-bucket policies: "+strings.Join(compress.PolicyUsage(), "; "))
 	chaosSeed := flag.Uint64("chaosseed", 11, "scenario + training seed for the chaos matrix")
-	chaosTCP := flag.Bool("chaostcp", false, "run the chaos matrix over loopback TCP instead of the in-process fabric")
-	backupWorkers := flag.Int("backup-workers", 1, "spare-worker slots for the straggler matrix's recovery case")
+	chaosTCP := flag.Bool("chaostcp", false, "run the chaos matrix, references included, over loopback TCP instead of the in-process fabric")
 	jsonPath := flag.String("json", "", "write executed experiments' structured results as JSON to this file (\"-\" = stdout)")
 	comparePath := flag.String("compare", "",
 		"compare the hotpath run against the newest entry of this BENCH_hotpath.json trajectory file; exit nonzero on regression")
@@ -224,29 +223,11 @@ func main() {
 	})
 
 	run("chaos", func() (any, error) {
-		// Seeded fault-injection matrix: recoverable scenarios must train to
-		// a checkpoint bitwise identical to the fault-free baseline,
-		// crash/stall scenarios must fail within their deadline, and the α–β
-		// delay scenarios report measured vs netsim-predicted slowdown.
+		// Seeded fault matrix: fault injection, elastic recovery and
+		// straggler tolerance. Recoverable rows must train bitwise to their
+		// reference, crash/stall must fail within their deadline, and the
+		// α–β delay rows report measured vs netsim-predicted slowdown.
 		return bench.Chaos(w, bench.ChaosConfig{Seed: *chaosSeed, TCP: *chaosTCP})
-	})
-
-	run("elastic", func() (any, error) {
-		// Elastic-recovery matrix: crash, preempt+rejoin and drain+resume
-		// through the membership-epoch supervisor, each checked bitwise
-		// against an uninterrupted fixed-world run resumed from the same
-		// resharded snapshot.
-		return bench.ElasticChaos(w, bench.ElasticConfig{Seed: *chaosSeed, TCP: *chaosTCP})
-	})
-
-	run("straggler", func() (any, error) {
-		// Straggler-tolerance matrix: an unmitigated slow rank must not
-		// change a bit of the result, a promoted backup worker must win back
-		// the lost wall clock bitwise, and a degraded fabric must drift the
-		// measured α–β estimates into a measured-fabric replan.
-		return bench.Straggler(w, bench.StragglerConfig{
-			Seed: *chaosSeed, TCP: *chaosTCP, BackupSlots: *backupWorkers,
-		})
 	})
 
 	var hotRep *bench.HotPathReport

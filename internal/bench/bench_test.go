@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"a2sgd/internal/cluster"
+	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
@@ -423,18 +424,52 @@ func TestSpecWithDensityLowersThroughWrappers(t *testing.T) {
 	}
 }
 
+// TestChaosRowsNamedOnce: the fault matrix is one table, and every row of
+// the chaos, elastic and straggler matrices it replaced appears in it exactly
+// once, with a scenario the grammar accepts.
+func TestChaosRowsNamedOnce(t *testing.T) {
+	want := []string{
+		"delay-ab", "jitter", "bandwidth", "dup", "reorder", "loss", "straggler",
+		"flap-retry", "partition-retry", "hier-inter-delay", "crash", "stall",
+		"crash-shrink", "preempt-rejoin", "drain-resume",
+		"fault-free", "straggler-unmitigated", "straggler-backup", "degrade-replan",
+	}
+	rows := chaosRows()
+	seen := map[string]int{}
+	for _, r := range rows {
+		seen[r.name]++
+		if _, err := faultnet.Parse(r.scenario); err != nil {
+			t.Errorf("%s: scenario %q: %v", r.name, r.scenario, err)
+		}
+	}
+	for _, name := range want {
+		if seen[name] != 1 {
+			t.Errorf("row %s appears %d times, want once", name, seen[name])
+		}
+	}
+	if len(rows) != len(want) {
+		t.Errorf("%d rows, want %d", len(rows), len(want))
+	}
+}
+
 func TestElasticChaosMatrix(t *testing.T) {
+	var rows []chaosRow
+	for _, r := range chaosRows() {
+		if r.shape == elasticShape {
+			rows = append(rows, r)
+		}
+	}
 	var buf bytes.Buffer
-	rep, err := ElasticChaos(&buf, ElasticConfig{Seed: 11})
+	rep, err := runChaos(&buf, ChaosConfig{Seed: 11}, rows)
 	if err != nil {
-		t.Fatalf("ElasticChaos: %v\n%s", err, buf.String())
+		t.Fatalf("elastic rows: %v\n%s", err, buf.String())
 	}
 	if len(rep.Cases) != 3 || rep.Failures != 0 {
 		t.Fatalf("expected 3 passing cases, got %d with %d failures\n%s",
 			len(rep.Cases), rep.Failures, buf.String())
 	}
 	for _, cse := range rep.Cases {
-		if !cse.BitwiseEqual {
+		if !cse.Bitwise {
 			t.Errorf("%s: elastic trajectory diverged from its fixed-world reference", cse.Name)
 		}
 	}

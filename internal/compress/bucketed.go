@@ -119,10 +119,3 @@ func (bk *Bucketed) PayloadBytes(n int) int64 {
 	}
 	return total
 }
-
-// Reset resets every bucket's instance.
-func (bk *Bucketed) Reset() {
-	for _, a := range bk.algs {
-		a.Reset()
-	}
-}

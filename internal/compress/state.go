@@ -113,9 +113,6 @@ func (bk *Bucketed) LoadStates(states []State) {
 	}
 }
 
-// Algorithm returns bucket b's algorithm instance.
-func (bk *Bucketed) Algorithm(b int) Algorithm { return bk.algs[b] }
-
 // RemapStates re-buckets per-bucket states from one bucket plan to another
 // over the same flattened parameter space. Element-aligned Vecs are scattered
 // into model-length vectors at the old offsets and re-sliced at the new

@@ -178,9 +178,6 @@ func (s *SGD) Step(params []nn.Param, lr float64) {
 	}
 }
 
-// Reset clears momentum state (between convergence runs).
-func (s *SGD) Reset() { s.vel = nil }
-
 // Velocity returns the momentum buffers, one per tensor of params in params
 // order, allocating (zeroed) those that do not exist yet — so an optimizer
 // restored by copying into them is indistinguishable from one that has

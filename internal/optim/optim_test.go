@@ -129,11 +129,6 @@ func TestSGDMomentumAccumulates(t *testing.T) {
 	if math.Abs(float64(w[0])+2.9) > 1e-6 {
 		t.Errorf("w = %v, want -2.9", w[0])
 	}
-	s.Reset()
-	s.Step([]nn.Param{makeParam(w, g)}, 1) // v=1 again
-	if math.Abs(float64(w[0])+3.9) > 1e-6 {
-		t.Errorf("after reset w = %v, want -3.9", w[0])
-	}
 }
 
 // TestSGDMomentumIsPerTensor: Step equals a naive reference that keeps one
