@@ -40,7 +40,6 @@ import (
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
-	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
 	_ "a2sgd/internal/core" // registers a2sgd and its ablation variants
 	"a2sgd/internal/elastic"
@@ -355,15 +354,12 @@ func clusterConfig(tc TrainConfig) (cluster.Config, error) {
 		cfg.Resume = rs
 		cfg.Workers = rs.World
 	}
-	if tc.Faults != "" {
-		sc, err := faultnet.Parse(tc.Faults)
-		if err != nil {
-			return cluster.Config{}, fmt.Errorf("a2sgd: Faults: %w", err)
-		}
-		cfg.GroupRunner = faultnet.GroupRunner(sc, tc.TCP)
-	} else if tc.TCP {
-		cfg.GroupRunner = tcpnet.RunGroup
+	// An empty Faults parses to an inactive scenario: the bare fabric.
+	sc, err := faultnet.Parse(tc.Faults)
+	if err != nil {
+		return cluster.Config{}, fmt.Errorf("a2sgd: Faults: %w", err)
 	}
+	cfg.GroupRunner = faultnet.GroupRunner(sc, tc.TCP)
 	return cfg, nil
 }
 

@@ -256,3 +256,44 @@ func TestOverlapModeledCheaperThanSerial(t *testing.T) {
 		t.Errorf("single bucket: overlap %.3e != serial %.3e", over, serial)
 	}
 }
+
+// TestModeledIterSecPricesEachExchangeKind: under a mixing policy the
+// buckets use different collectives, so the serial law pays one fused
+// collective per kind over that kind's buckets — not the whole payload under
+// bucket 0's kind. A single-kind run still pays one collective of
+// PayloadBytes, to the bit.
+func TestModeledIterSecPricesEachExchangeKind(t *testing.T) {
+	res, err := Train(bucketCfg("mixed(big=topk(density=0.01), small=dense, threshold=4KiB)", 2, fourBucketBytes, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	perKind := map[netsim.ExchangeKind]int64{}
+	for b, k := range res.BucketExchangeKinds {
+		perKind[k] += res.BucketPayloadBytes[b]
+	}
+	if len(perKind) != 2 || perKind[netsim.ExchangeAllreduce] == 0 || perKind[netsim.ExchangeAllgatherV] == 0 {
+		t.Fatalf("mixed run's bucket kinds %v (bytes %v): want allreduce and allgather-V buckets",
+			res.BucketExchangeKinds, res.BucketPayloadBytes)
+	}
+	base := res.AvgComputeSec + res.AvgEncodeSec
+	for _, f := range []netsim.Fabric{netsim.IB100(), netsim.TCP10G()} {
+		want := base + f.SyncTime(netsim.ExchangeAllreduce, perKind[netsim.ExchangeAllreduce], res.Workers) +
+			f.SyncTime(netsim.ExchangeAllgatherV, perKind[netsim.ExchangeAllgatherV], res.Workers)
+		got := res.ModeledIterSec(f)
+		if diff := got - want; diff > 1e-12 || diff < -1e-12 {
+			t.Errorf("%s: mixed run priced %.6e, want %.6e (one collective per kind)", f.Name, got, want)
+		}
+		if fused := base + f.SyncTime(res.ExchangeKind, res.PayloadBytes, res.Workers); got == fused {
+			t.Errorf("%s: mixed run priced as one collective of bucket 0's kind", f.Name)
+		}
+	}
+
+	single, err := Train(bucketCfg("topk(density=0.01)", 2, fourBucketBytes, false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := netsim.IB100()
+	if got, want := single.ModeledIterSec(f), single.AvgComputeSec+single.AvgEncodeSec+f.SyncTime(single.ExchangeKind, single.PayloadBytes, single.Workers); got != want {
+		t.Errorf("single-kind run priced %v, want %v", got, want)
+	}
+}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"a2sgd/internal/comm"
@@ -252,9 +253,30 @@ func (r *Result) FinalMetric() float64 {
 // ModeledIterSec prices one training iteration on the given network model
 // (a flat netsim.Fabric or a hierarchical netsim.TwoTier) with the serial
 // (non-overlapped) cost law: measured compute + measured compression
-// + modelled synchronization of the full per-worker payload.
+// + modelled synchronization of the full per-worker payload as one fused
+// collective per exchange kind. A run whose buckets all use one kind pays
+// one collective of PayloadBytes; under a mixing policy each kind carries
+// the payload of its own buckets.
 func (r *Result) ModeledIterSec(f netsim.Pricer) float64 {
-	return r.AvgComputeSec + r.AvgEncodeSec + f.SyncTime(r.ExchangeKind, r.PayloadBytes, r.Workers)
+	sync := f.SyncTime(r.ExchangeKind, r.PayloadBytes, r.Workers)
+	kinds := r.BucketExchangeKinds
+	mixed := func(k netsim.ExchangeKind) bool { return k != r.ExchangeKind }
+	if len(kinds) == len(r.BucketPayloadBytes) && slices.ContainsFunc(kinds, mixed) {
+		sync = 0
+		for i, k := range kinds {
+			if slices.Index(kinds, k) < i {
+				continue // this kind's collective is already priced
+			}
+			var bytes int64
+			for b, kb := range kinds {
+				if kb == k {
+					bytes += r.BucketPayloadBytes[b]
+				}
+			}
+			sync += f.SyncTime(k, bytes, r.Workers)
+		}
+	}
+	return r.AvgComputeSec + r.AvgEncodeSec + sync
 }
 
 // bucketCosts apportions the measured encode time across buckets by element

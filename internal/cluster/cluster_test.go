@@ -345,11 +345,11 @@ func TestDivergenceDetection(t *testing.T) {
 	assertDiverges(t, quickCfg("fnn3", "dense", 2))
 }
 
-// TestParallelEncodeSurfacesNonFiniteGradient: the overlapped bucket
+// TestOverlappedPipelineSurfacesNonFiniteGradient: the overlapped bucket
 // pipeline encodes the next bucket while earlier exchanges run on the
 // progress workers; a bucket that diverges mid-step must still fail cleanly
 // (no hang, no panic) with those exchanges in flight.
-func TestParallelEncodeSurfacesNonFiniteGradient(t *testing.T) {
+func TestOverlappedPipelineSurfacesNonFiniteGradient(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	runtime.GOMAXPROCS(8) // let the posted exchanges run beside the encodes

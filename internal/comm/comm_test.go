@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"a2sgd/internal/tensor"
 )
@@ -161,7 +160,7 @@ func TestAllgatherLengthMismatch(t *testing.T) {
 	err := RunGroup(2, func(c *Communicator) error {
 		return c.Allgather(make([]float32, 3), make([]float32, 5))
 	})
-	if err != ErrLengthMismatch {
+	if !errors.Is(err, ErrLengthMismatch) {
 		t.Fatalf("got %v, want ErrLengthMismatch", err)
 	}
 }
@@ -447,36 +446,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// TestGroupStopSkipsFailFastTeardown pins the cooperative-stop contract: a
-// rank returning an error that wraps ErrGroupStop must NOT fail-fast tear the
-// fabric down, because its peers may still be draining the last collective.
-// Rank 1 contributes to a reduce (buffered send) and stops immediately; rank
-// 0 collects the contribution well after rank 1 has returned — with a
-// fail-fast teardown the queued message would be destroyed and the recv would
-// fail with ErrFabricClosed.
-func TestGroupStopSkipsFailFastTeardown(t *testing.T) {
-	var rank0Err error
-	err := RunGroup(2, func(c *Communicator) error {
-		v := []float32{1}
-		if c.Rank() == 1 {
-			if err := c.Reduce(v, 0); err != nil {
-				return err
-			}
-			return fmt.Errorf("pausing: %w", ErrGroupStop)
-		}
-		time.Sleep(50 * time.Millisecond)
-		if err := c.Reduce(v, 0); err != nil {
-			rank0Err = fmt.Errorf("reduce after peer stopped: %w", err)
-			return rank0Err
-		}
-		return nil
-	})
-	if rank0Err != nil {
-		t.Fatal(rank0Err)
-	}
-	if !errors.Is(err, ErrGroupStop) {
-		t.Fatalf("group error = %v, want ErrGroupStop", err)
-	}
 }

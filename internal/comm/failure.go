@@ -3,6 +3,7 @@ package comm
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"time"
 )
 
@@ -28,11 +29,44 @@ var ErrPeerDead = errors.New("comm: peer dead")
 
 // ErrGroupStop marks a cooperative, group-wide stop: every rank returns an
 // error wrapping it from the same synchronization point (e.g. a training
-// pause at a checkpoint boundary). Group runners must join the remaining
-// ranks instead of fail-fast tearing the fabric down — the first rank out of
-// the final collective would otherwise close the fabric under its peers'
+// pause at a checkpoint boundary). Launch joins the remaining ranks instead
+// of fail-fast tearing the fabric down — the first rank out of the final
+// collective would otherwise close the fabric under its peers'
 // still-draining barrier messages.
 var ErrGroupStop = errors.New("comm: cooperative group stop")
+
+// Launch is every group runner's launch loop: it runs body on one goroutine
+// per communicator and waits for all of them. The first failure that does
+// not wrap ErrGroupStop calls teardown, once, so no peer can hang on a rank
+// that is gone. The result joins every rank's error, labelled "rank N: ", in
+// the order the ranks failed, so the root cause comes first; it is nil when
+// every rank returned nil.
+func Launch(cs []*Communicator, teardown func(), body func(*Communicator) error) error {
+	var (
+		mu   sync.Mutex
+		errs []error
+		once sync.Once
+		wg   sync.WaitGroup
+	)
+	for _, c := range cs {
+		wg.Add(1)
+		go func(c *Communicator) {
+			defer wg.Done()
+			err := body(c)
+			if err == nil {
+				return
+			}
+			mu.Lock()
+			errs = append(errs, fmt.Errorf("rank %d: %w", c.Rank(), err))
+			mu.Unlock()
+			if !errors.Is(err, ErrGroupStop) {
+				once.Do(teardown)
+			}
+		}(c)
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
 
 // PeerError is a failure scoped to one peer link operation.
 type PeerError struct {

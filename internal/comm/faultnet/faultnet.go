@@ -35,8 +35,8 @@
 //     drops the rank's sends, which only the peers' I/O deadlines can
 //     detect.
 //
-// With no rules and no deadline the wrapper is never installed — the runners
-// hand out the base transports untouched, so the zero-allocation steady
+// With no rules and no deadline the wrapper is never installed — GroupRunner
+// hands out the base transports untouched, so the zero-allocation steady
 // state of the fault-free path is unaffected.
 package faultnet
 
@@ -447,97 +447,67 @@ func (t *transport) Recv(from, tag int, data []float32) error {
 	return nil
 }
 
-// Active reports whether the scenario actually changes anything — false for
-// an empty rule set with no deadline, in which case the runners skip the
-// wrapper entirely and the fault-free hot path keeps its zero-allocation
-// steady state.
-func (s *Scenario) Active() bool {
+// active reports whether the scenario actually changes anything — false for
+// a nil scenario or an empty rule set with no deadline, in which case
+// GroupRunner skips the wrapper entirely and the fault-free hot path keeps
+// its zero-allocation steady state.
+func (s *Scenario) active() bool {
 	return s != nil && (len(s.Rules) > 0 || s.Deadline > 0)
 }
 
 // GroupRunner returns a cluster.Config.GroupRunner that runs the body under
-// this scenario over the inproc fabric (tcp=false) or a loopback TCP mesh
-// (tcp=true): transports are wrapped with the mesh's fault rules, the
-// scenario's deadline and retry policy are installed, per-rank failures are
-// joined into one error, and the first failure tears the fabric down so no
-// rank can hang on a dead peer.
+// scenario sc (nil: no faults) over the inproc fabric (tcp=false) or a
+// loopback TCP mesh (tcp=true). It builds the fabric with the scenario's
+// deadline as the I/O timeout; when the scenario is active it wraps every
+// transport in the mesh's fault rules and installs the scenario's retry
+// policy. comm.Launch runs the ranks, so the first failure tears the fabric
+// down and per-rank errors come back joined and rank-labelled. A crash rule
+// kills the rank on the inproc fabric and closes its transport over TCP, so
+// peers observe real connection failures.
 func GroupRunner(sc *Scenario, tcp bool) func(size int, body func(*comm.Communicator) error) error {
 	return func(size int, body func(*comm.Communicator) error) error {
-		if tcp {
-			return RunGroupTCP(sc, size, body)
+		var deadline time.Duration
+		if sc != nil {
+			deadline = sc.Deadline
 		}
-		return RunGroup(sc, size, body)
-	}
-}
-
-// RunGroup runs body on one goroutine per rank over a fault-injected inproc
-// fabric. Per-rank errors come back joined and rank-labelled.
-func RunGroup(sc *Scenario, size int, body func(c *comm.Communicator) error) error {
-	if !sc.Active() {
-		return comm.RunGroup(size, body)
-	}
-	f := comm.NewInprocFabric(size)
-	defer f.Shutdown()
-	if sc.Deadline > 0 {
-		f.SetIOTimeout(sc.Deadline)
-	}
-	m := NewMesh(sc, size, f.Kill)
-	defer m.Stop()
-	ts := make([]comm.Transport, size)
-	for r := range ts {
-		ts[r] = m.Transport(r, f.Transport(r))
-	}
-	return runBody(sc, ts, f.Shutdown, body)
-}
-
-// RunGroupTCP is RunGroup over a loopback TCP mesh with the scenario's
-// deadline as the socket I/O timeout. A crash rule closes the crashed rank's
-// transport, so peers observe real connection failures.
-func RunGroupTCP(sc *Scenario, size int, body func(c *comm.Communicator) error) error {
-	if !sc.Active() {
-		return tcpnet.RunGroup(size, body)
-	}
-	ts, shutdown, err := tcpnet.NewLocalMeshConfig(size, tcpnet.Config{IOTimeout: sc.Deadline})
-	if err != nil {
-		return err
-	}
-	defer shutdown()
-	m := NewMesh(sc, size, func(rank int) { _ = ts[rank].Close() })
-	defer m.Stop()
-	wrapped := make([]comm.Transport, size)
-	for r := range wrapped {
-		wrapped[r] = m.Transport(r, ts[r])
-	}
-	return runBody(sc, wrapped, shutdown, body)
-}
-
-// runBody launches body per rank over the wrapped transports, installs the
-// scenario retry policy, joins rank-labelled errors and fail-fasts the whole
-// group on the first failure via teardown.
-func runBody(sc *Scenario, ts []comm.Transport, teardown func(), body func(c *comm.Communicator) error) error {
-	errs := make([]error, len(ts))
-	var once sync.Once
-	var wg sync.WaitGroup
-	for r := range ts {
-		wg.Add(1)
-		go func(r int) {
-			defer wg.Done()
-			c := comm.NewCommunicator(ts[r])
-			c.SetRetry(sc.Retry)
-			if err := body(c); err != nil {
-				errs[r] = fmt.Errorf("rank %d: %w", r, err)
-				// Unblock the peers: without this, survivors of a crashed or
-				// diverged rank would sit in Recv until their deadline (or
-				// forever with none configured). A cooperative stop
-				// (comm.ErrGroupStop) is the exception — every rank is about
-				// to return from the same boundary, and tearing down here
-				// would race the stragglers' pause barrier.
-				if !errors.Is(err, comm.ErrGroupStop) {
-					once.Do(teardown)
-				}
+		ts := make([]comm.Transport, size)
+		var teardown func()
+		var kill func(rank int)
+		if tcp {
+			mesh, shutdown, err := tcpnet.NewLocalMeshConfig(size, tcpnet.Config{IOTimeout: deadline})
+			if err != nil {
+				return err
 			}
-		}(r)
+			for r, t := range mesh {
+				ts[r] = t
+			}
+			teardown, kill = shutdown, func(rank int) { _ = mesh[rank].Close() }
+		} else {
+			f := comm.NewInprocFabric(size)
+			if deadline > 0 {
+				f.SetIOTimeout(deadline)
+			}
+			for r := range ts {
+				ts[r] = f.Transport(r)
+			}
+			teardown, kill = f.Shutdown, f.Kill
+		}
+		defer teardown()
+		var m *Mesh
+		if sc.active() {
+			m = NewMesh(sc, size, kill)
+			defer m.Stop()
+		}
+		cs := make([]*comm.Communicator, size)
+		for r, t := range ts {
+			if m != nil {
+				t = m.Transport(r, t)
+			}
+			cs[r] = comm.NewCommunicator(t)
+			if m != nil {
+				cs[r].SetRetry(sc.Retry)
+			}
+		}
+		return comm.Launch(cs, teardown, body)
 	}
-	wg.Wait()
-	return errors.Join(errs...)
 }

@@ -184,7 +184,7 @@ func TestRecoverableFaultsPreserveCollectives(t *testing.T) {
 			if !sc.Recoverable() {
 				t.Fatalf("scenario %q should be recoverable", src)
 			}
-			if err := RunGroup(sc, 4, ringBody(6, 512)); err != nil {
+			if err := GroupRunner(sc, false)(4, ringBody(6, 512)); err != nil {
 				t.Fatalf("scenario %q: %v", src, err)
 			}
 		})
@@ -193,7 +193,7 @@ func TestRecoverableFaultsPreserveCollectives(t *testing.T) {
 
 func TestRecoverableFaultsOverTCP(t *testing.T) {
 	sc := MustParse("dup(link=*, p=0.3) reorder(link=*, p=0.3) delay(link=*, alpha=10µs)")
-	if err := RunGroupTCP(sc, 3, ringBody(4, 256)); err != nil {
+	if err := GroupRunner(sc, true)(3, ringBody(4, 256)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -281,7 +281,7 @@ func stepBody(steps, n int) func(c *comm.Communicator) error {
 func TestCrashFailsFastWithPeerError(t *testing.T) {
 	sc := MustParse("deadline(1s) crash(rank=1, step=2)")
 	start := time.Now()
-	err := RunGroup(sc, 3, stepBody(8, 64))
+	err := GroupRunner(sc, false)(3, stepBody(8, 64))
 	if err == nil {
 		t.Fatal("crash scenario completed without error")
 	}
@@ -300,7 +300,7 @@ func TestCrashFailsFastWithPeerError(t *testing.T) {
 func TestCrashOverTCPFailsFast(t *testing.T) {
 	sc := MustParse("deadline(1s) crash(rank=1, step=1)")
 	start := time.Now()
-	err := RunGroupTCP(sc, 3, stepBody(6, 64))
+	err := GroupRunner(sc, true)(3, stepBody(6, 64))
 	if err == nil {
 		t.Fatal("TCP crash scenario completed without error")
 	}
@@ -312,7 +312,7 @@ func TestCrashOverTCPFailsFast(t *testing.T) {
 func TestStallFailsWithinDeadline(t *testing.T) {
 	sc := MustParse("deadline(300ms) stall(rank=2, step=1)")
 	start := time.Now()
-	err := RunGroup(sc, 3, stepBody(6, 64))
+	err := GroupRunner(sc, false)(3, stepBody(6, 64))
 	if err == nil {
 		t.Fatal("stall scenario completed without error")
 	}
@@ -329,11 +329,15 @@ func TestStallFailsWithinDeadline(t *testing.T) {
 
 func TestInactiveScenarioUsesBareFabric(t *testing.T) {
 	sc := MustParse("")
-	if sc.Active() {
-		t.Fatal("empty scenario must be inactive")
+	if sc.active() || (*Scenario)(nil).active() {
+		t.Fatal("empty and nil scenarios must be inactive")
 	}
-	if err := RunGroup(sc, 2, ringBody(2, 128)); err != nil {
-		t.Fatal(err)
+	for _, s := range []*Scenario{sc, nil} {
+		for _, tcp := range []bool{false, true} {
+			if err := GroupRunner(s, tcp)(2, ringBody(2, 128)); err != nil {
+				t.Fatalf("scenario %v tcp=%v: %v", s, tcp, err)
+			}
+		}
 	}
 }
 

@@ -313,35 +313,12 @@ var errRecvNoMessage = errors.New("comm: no message within deadline")
 
 func (t *inprocTransport) Close() error { return nil }
 
-// RunGroup is a convenience harness: it spawns one goroutine per rank over a
-// fresh in-process fabric, runs body(rank's communicator), and returns the
-// first error. The experiments and many tests use it as their "mpirun".
+// RunGroup is the in-process "mpirun": it builds a fresh inproc fabric of
+// the given size and hands its communicators to Launch, with the fabric's
+// shutdown as the fail-fast teardown. The experiments and many tests run
+// their groups through it.
 func RunGroup(size int, body func(c *Communicator) error) error {
 	f := NewInprocFabric(size)
 	defer f.Shutdown()
-	cs := f.Communicators()
-	errs := make(chan error, size)
-	var wg sync.WaitGroup
-	for _, c := range cs {
-		wg.Add(1)
-		go func(c *Communicator) {
-			defer wg.Done()
-			if err := body(c); err != nil {
-				errs <- err
-				// Unblock peers so the group can't hang — except on a
-				// cooperative stop, where every rank is about to return on
-				// its own and tearing down would race their last collective.
-				if !errors.Is(err, ErrGroupStop) {
-					f.Shutdown()
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
+	return Launch(f.Communicators(), f.Shutdown, body)
 }

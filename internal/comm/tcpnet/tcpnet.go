@@ -104,19 +104,14 @@ func (t *Transport) Rank() int { return t.rank }
 // Size returns the group size.
 func (t *Transport) Size() int { return t.size }
 
-// Addr returns the listen address of this endpoint.
-func (t *Transport) Addr() string { return t.listener.Addr().String() }
+// addr returns the listen address of this endpoint.
+func (t *Transport) addr() string { return t.listener.Addr().String() }
 
 // NewLocalGroup builds a fully connected TCP group of the given size on the
 // loopback interface and returns one Communicator per rank plus a shutdown
 // function. It is the single-process analogue of an mpirun over TCP.
 func NewLocalGroup(size int) ([]*comm.Communicator, func(), error) {
-	return NewLocalGroupConfig(size, Config{})
-}
-
-// NewLocalGroupConfig is NewLocalGroup with transport configuration.
-func NewLocalGroupConfig(size int, cfg Config) ([]*comm.Communicator, func(), error) {
-	ts, shutdown, err := NewLocalMeshConfig(size, cfg)
+	ts, shutdown, err := NewLocalMesh(size)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,7 +152,7 @@ func NewLocalMeshConfig(size int, cfg Config) ([]*Transport, func(), error) {
 	}
 	addrs := make([]string, size)
 	for r, t := range ts {
-		addrs[r] = t.Addr()
+		addrs[r] = t.addr()
 	}
 
 	// Handshake protocol: rank j's accept goroutine expects exactly j inbound
@@ -518,42 +513,15 @@ func readFull(r reader, buf []byte) (int, error) {
 }
 
 // RunGroup is the TCP analogue of comm.RunGroup: it builds a loopback mesh
-// of the given size, runs body on one goroutine per rank, and tears the
-// sockets down afterwards. The training runtime accepts it as a GroupRunner
-// to run whole experiments over a real network stack.
+// of the given size with NewLocalGroup and hands its communicators to
+// comm.Launch, with the mesh's shutdown as the fail-fast teardown. The
+// training runtime accepts it as a GroupRunner to run whole experiments over
+// a real network stack.
 func RunGroup(size int, body func(c *comm.Communicator) error) error {
-	return RunGroupConfig(size, Config{}, body)
-}
-
-// RunGroupConfig is RunGroup with transport configuration (I/O deadlines).
-func RunGroupConfig(size int, cfg Config, body func(c *comm.Communicator) error) error {
-	cs, shutdown, err := NewLocalGroupConfig(size, cfg)
+	cs, shutdown, err := NewLocalGroup(size)
 	if err != nil {
 		return err
 	}
 	defer shutdown()
-	errs := make(chan error, size)
-	var wg sync.WaitGroup
-	for _, c := range cs {
-		wg.Add(1)
-		go func(c *comm.Communicator) {
-			defer wg.Done()
-			if err := body(c); err != nil {
-				errs <- err
-				// Unblock peers — except on a cooperative stop, where every
-				// rank returns on its own and teardown would race their
-				// last collective.
-				if !errors.Is(err, comm.ErrGroupStop) {
-					shutdown()
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	select {
-	case err := <-errs:
-		return err
-	default:
-		return nil
-	}
+	return comm.Launch(cs, shutdown, body)
 }

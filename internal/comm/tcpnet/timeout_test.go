@@ -108,7 +108,7 @@ func TestZeroTimeoutPreservesBlockingBehavior(t *testing.T) {
 // communicator layer — a rank that never joins a collective makes its peers'
 // collective fail with a typed timeout instead of deadlocking the group.
 func TestGroupTimeoutSurfacesFromCollective(t *testing.T) {
-	cs, shutdown, err := NewLocalGroupConfig(2, Config{IOTimeout: 150 * time.Millisecond})
+	ts, shutdown, err := NewLocalMeshConfig(2, Config{IOTimeout: 150 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestGroupTimeoutSurfacesFromCollective(t *testing.T) {
 
 	// Rank 1 never participates; rank 0's allreduce must expire.
 	start := time.Now()
-	err = cs[0].AllreduceSum(make([]float32, 64), comm.AlgoRing)
+	err = comm.NewCommunicator(ts[0]).AllreduceSum(make([]float32, 64), comm.AlgoRing)
 	if err == nil {
 		t.Fatal("collective with an absent peer returned nil")
 	}

@@ -60,21 +60,6 @@ func Measure(g []float32) Stats {
 	return Stats{MuPos: mp, MuNeg: mn, NPos: np}
 }
 
-// Enc applies the paper's enc operator (Eq. 2) in place of dst:
-// dst[i] = µ+ where g[i] ≥ 0, −µ− where g[i] < 0. g and dst may alias.
-func Enc(dst, g []float32, s Stats) {
-	if len(dst) != len(g) {
-		panic("core: Enc length mismatch")
-	}
-	for i, x := range g {
-		if x >= 0 {
-			dst[i] = s.MuPos
-		} else {
-			dst[i] = -s.MuNeg
-		}
-	}
-}
-
 // A2SGD is the two-level gradient averaging algorithm. It implements
 // compress.Algorithm so the distributed runtime treats it uniformly with
 // the baselines. One instance per worker.

@@ -10,6 +10,22 @@ import (
 	"a2sgd/internal/tensor"
 )
 
+// Enc is the reference enc operator (Eq. 2) the tests compare against,
+// applied in place of dst: dst[i] = µ+ where g[i] ≥ 0, −µ− where g[i] < 0.
+// g and dst may alias.
+func Enc(dst, g []float32, s Stats) {
+	if len(dst) != len(g) {
+		panic("core: Enc length mismatch")
+	}
+	for i, x := range g {
+		if x >= 0 {
+			dst[i] = s.MuPos
+		} else {
+			dst[i] = -s.MuNeg
+		}
+	}
+}
+
 // refMeans is Algorithm 1 line 3 in the order internal/tensor's reduction
 // specification writes down, from its text as plain loops (no kernel, no
 // tensor call): per segment, blocks of 65 536; per block, element i of each
