@@ -36,6 +36,7 @@
 package a2sgd
 
 import (
+	"cmp"
 	"fmt"
 
 	"a2sgd/internal/cluster"
@@ -193,13 +194,13 @@ type TrainConfig struct {
 	// with a single whole-model bucket every policy degenerates to the one
 	// spec it picks for bucket 0. Mutually exclusive with Spec.
 	//
-	// "auto" (or "auto(spec, spec, ...)" with an explicit candidate list) is
-	// not a per-bucket policy: it hands the whole configuration to the
-	// cost-model planner instead (BuildSchedule):
-	// bucket boundaries, per-bucket specs and — when Topology is unset —
-	// the hierarchy width are derived from the netsim price of the run
-	// (plan.Build), and the run uses the overlapped pipeline. BucketBytes
-	// and Topology, when set alongside "auto", pin those axes of the search.
+	// "auto(spec, ..., fabric=name)" (every part optional) is not a
+	// per-bucket policy: it hands the whole configuration to the cost-model
+	// planner, which derives bucket boundaries, per-bucket specs and, when
+	// Topology is unset, the hierarchy width from the run's price on the
+	// fabric (ib100 | tcp10g | nvlink+ib100 | nvlink+tcp10g; default ib100);
+	// the run uses the overlapped pipeline. BucketBytes and Topology, when
+	// set, pin those axes. Spec accepts "auto(…)" too.
 	Policy string
 	// Workers is the data-parallel width (default 1).
 	Workers int
@@ -281,115 +282,151 @@ type TrainConfig struct {
 // Train runs data-parallel training with the configured algorithm spec,
 // per-bucket policy or pre-planned schedule and returns rank 0's view of
 // the run. Every configuration becomes one Schedule first — the given one,
-// the planner's for Policy "auto", or the one the knobs lower to — and
+// the planner's for "auto(…)", or the one the knobs lower to — and
 // cluster.Train runs that.
 func Train(tc TrainConfig) (*Result, error) {
-	if tc.Seed == 0 {
-		tc.Seed = 1
-	}
-	cfg, err := clusterConfig(tc)
+	cfg, sc, _, err := lower(tc)
 	if err != nil {
 		return nil, err
 	}
-	if cfg.Schedule, err = tc.schedule(cfg.Workers); err != nil {
-		return nil, err
-	}
+	cfg.GroupRunner = faultnet.GroupRunner(sc, tc.TCP)
 	return cluster.Train(cfg)
 }
 
-// schedule resolves the TrainConfig algorithm fields into the run's
-// schedule at the given world size (the snapshot's, on a resume).
-func (tc TrainConfig) schedule(world int) (*Schedule, error) {
-	if tc.Schedule != nil {
-		if tc.Spec != "" || tc.Policy != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
-			return nil, fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/BucketBytes/Overlap/Topology unset")
+// Job is an elastic training job (see a2sgd/internal/elastic).
+type Job = elastic.Job
+
+// NewJob lowers tc exactly as Train does into an elastic job; with no
+// faults, its Run trains bitwise what Train trains. An "auto(…)" job
+// re-plans at every membership epoch's world size, priced on the auto
+// fabric's flat tier (DriftModel) until a drift event hands it the measured
+// fabric. The caller adds Pool, Drain, BackupSlots and DriftReplan.
+func NewJob(tc TrainConfig) (*Job, error) {
+	cfg, sc, auto, err := lower(tc)
+	if err != nil {
+		return nil, err
+	}
+	job := &Job{Config: cfg, Scenario: sc, TCP: tc.TCP, SnapshotSink: cfg.SnapshotSink}
+	job.Config.SnapshotSink = nil // the supervisor forwards every snapshot to job.SnapshotSink
+	if auto != nil {
+		job.Replan = func(world int, fabric netsim.Fabric) (*Schedule, error) {
+			return autoSchedule(tc, auto, world, fabric)
 		}
-		return tc.Schedule, nil
+		job.DriftModel = auto.flat
 	}
-	if tc.Spec != "" && tc.Policy != "" {
-		return nil, fmt.Errorf("a2sgd: set at most one of Spec and Policy (got Spec=%q Policy=%q)", tc.Spec, tc.Policy)
-	}
-	src := tc.Policy
-	if src == "" {
-		src = tc.Spec
-	}
-	if src == "" {
-		src = "a2sgd"
-	}
-	// "auto" is the planner's front door: derive the full schedule from the
-	// netsim price instead of lowering the knobs.
-	if s, err := compress.Parse(src); err == nil && s.Name == "auto" {
-		return autoSchedule(tc, s, world)
-	}
-	return cluster.Lower(tc.Family, src, tc.BucketBytes, tc.Topology, tc.Overlap)
+	return job, nil
 }
 
-// clusterConfig copies the schedule-independent TrainConfig fields and
-// resolves the world size: a ResumePath snapshot's wins over Workers.
-func clusterConfig(tc TrainConfig) (cluster.Config, error) {
-	cfg := cluster.Config{
-		Workers:        tc.Workers,
-		Family:         tc.Family,
-		Epochs:         tc.Epochs,
-		StepsPerEpoch:  tc.StepsPerEpoch,
-		BatchPerWorker: tc.BatchPerWorker,
-		Seed:           tc.Seed,
-		Momentum:       tc.Momentum,
-		HistIters:      tc.HistIters,
-		LRScale:        tc.LRScale,
-		Concurrency:    tc.Concurrency,
-		Interleave:     tc.Interleave,
+// lower is the one lowering of a TrainConfig, shared by Train and NewJob:
+// the cluster configuration with its schedule resolved at the run's world
+// (a ResumePath snapshot's wins over Workers), the Faults scenario, and the
+// parsed auto spec when the config asks for the planner.
+func lower(tc TrainConfig) (cfg cluster.Config, sc *faultnet.Scenario, auto *autoSpec, err error) {
+	cfg = cluster.Config{
+		Workers:         tc.Workers,
+		Family:          tc.Family,
+		Epochs:          tc.Epochs,
+		StepsPerEpoch:   tc.StepsPerEpoch,
+		BatchPerWorker:  tc.BatchPerWorker,
+		Seed:            cmp.Or(tc.Seed, 1),
+		Momentum:        tc.Momentum,
+		HistIters:       tc.HistIters,
+		LRScale:         tc.LRScale,
+		Concurrency:     tc.Concurrency,
+		Interleave:      tc.Interleave,
+		CheckpointEvery: tc.CheckpointEvery,
 	}
-	cfg.CheckpointEvery = tc.CheckpointEvery
 	if path := tc.SnapshotPath; path != "" {
 		cfg.SnapshotSink = func(rs *cluster.RunState) error {
 			return elastic.WriteSnapshotFile(path, rs)
 		}
 	}
 	if tc.ResumePath != "" {
-		rs, err := elastic.ReadSnapshotFile(tc.ResumePath)
-		if err != nil {
-			return cluster.Config{}, fmt.Errorf("a2sgd: ResumePath: %w", err)
+		if cfg.Resume, err = elastic.ReadSnapshotFile(tc.ResumePath); err != nil {
+			return cfg, nil, nil, fmt.Errorf("a2sgd: ResumePath: %w", err)
 		}
-		cfg.Resume = rs
-		cfg.Workers = rs.World
+		cfg.Workers = cfg.Resume.World
 	}
 	// An empty Faults parses to an inactive scenario: the bare fabric.
-	sc, err := faultnet.Parse(tc.Faults)
-	if err != nil {
-		return cluster.Config{}, fmt.Errorf("a2sgd: Faults: %w", err)
+	if sc, err = faultnet.Parse(tc.Faults); err != nil {
+		return cfg, nil, nil, fmt.Errorf("a2sgd: Faults: %w", err)
 	}
-	cfg.GroupRunner = faultnet.GroupRunner(sc, tc.TCP)
-	return cfg, nil
+	switch {
+	case tc.Schedule != nil:
+		if tc.Spec != "" || tc.Policy != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
+			err = fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/BucketBytes/Overlap/Topology unset")
+		}
+		cfg.Schedule = tc.Schedule
+		return cfg, sc, nil, err
+	case tc.Spec != "" && tc.Policy != "":
+		return cfg, sc, nil, fmt.Errorf("a2sgd: set at most one of Spec and Policy (got Spec=%q Policy=%q)", tc.Spec, tc.Policy)
+	}
+	src := cmp.Or(tc.Policy, tc.Spec, "a2sgd")
+	// "auto" is the planner's front door: derive the full schedule from the
+	// netsim price instead of lowering the knobs.
+	if s, perr := compress.Parse(src); perr == nil && s.Name == "auto" {
+		if auto, err = parseAuto(s); err == nil {
+			cfg.Schedule, err = autoSchedule(tc, auto, cfg.Workers, auto.flat)
+		}
+		return cfg, sc, auto, err
+	}
+	cfg.Schedule, err = cluster.Lower(tc.Family, src, tc.BucketBytes, tc.Topology, tc.Overlap)
+	return cfg, sc, nil, err
 }
 
-// autoSchedule plans the schedule "auto(spec, spec, ...)" stands for: the
-// run's world size, the positional candidates (none: the paper's evaluated
-// five), and the default IB100 price law — switching to the hierarchical
-// TwoTierIB100 pair when Topology pins a width. BucketBytes, when set, pins
-// the bucket-budget axis. Auto runs always use the overlapped pipeline (that
-// is the makespan being minimized).
-func autoSchedule(tc TrainConfig, auto *Spec, world int) (*Schedule, error) {
-	if world <= 0 {
-		world = 1
-	}
-	o := plan.Options{Workers: world, Pricer: netsim.IB100()}
-	if tc.Topology > 1 {
-		o.Pricer = netsim.TwoTierIB100(tc.Topology)
-		o.RanksPerNode = []int{tc.Topology}
-	}
-	if tc.BucketBytes > 0 {
-		o.BucketBudgets = []int{tc.BucketBytes}
-	}
-	for _, arg := range auto.Args {
-		if arg.Key != "" {
-			return nil, fmt.Errorf("a2sgd: auto takes candidate specs only — want auto(spec, spec, ...), got %s=…", arg.Key)
+// autoSpec is a parsed "auto(spec, ..., fabric=name)": the planner's
+// candidates (none: the paper's evaluated five) and the fabric's flat tier,
+// plus whether the name asks for the NVLink two-tier pair.
+type autoSpec struct {
+	candidates []string
+	flat       netsim.Fabric
+	twoTier    bool
+}
+
+// parseAuto reads auto's arguments: positional candidate specs and one
+// optional fabric= key naming a netsim fabric (default ib100).
+func parseAuto(s *Spec) (*autoSpec, error) {
+	a := &autoSpec{flat: netsim.IB100()}
+	for _, arg := range s.Args {
+		var err error
+		switch arg.Key {
+		case "":
+			var c *Spec
+			if c, err = arg.Value.AsSpec(); err == nil {
+				a.candidates = append(a.candidates, c.String())
+			}
+		case "fabric":
+			a.flat, a.twoTier, err = netsim.ParseFabric(arg.Value.String())
+		default:
+			err = fmt.Errorf("want auto(spec, ..., fabric=name), got %s=…", arg.Key)
 		}
-		c, err := arg.Value.AsSpec()
 		if err != nil {
 			return nil, fmt.Errorf("a2sgd: auto: %w", err)
 		}
-		o.Candidates = append(o.Candidates, c.String())
+	}
+	return a, nil
+}
+
+// autoSchedule plans an auto spec at the given world size, priced on flat:
+// the auto fabric's flat tier, or a re-planning job's measured fabric. A
+// Topology > 1 pins the width and implies the two-tier pair at it, even for
+// a flat fabric name; an "nvlink+" fabric with no pinned width lets the
+// planner sweep up to 4-slot nodes. BucketBytes pins the bucket budget. Auto
+// runs always use the overlapped pipeline (the makespan being minimized).
+func autoSchedule(tc TrainConfig, a *autoSpec, world int, flat netsim.Fabric) (*Schedule, error) {
+	if world <= 0 {
+		world = 1
+	}
+	o := plan.Options{Workers: world, Pricer: flat, Candidates: a.candidates}
+	switch {
+	case tc.Topology > 1:
+		o.Pricer = netsim.OnNodes(flat, tc.Topology)
+		o.RanksPerNode = []int{tc.Topology}
+	case a.twoTier:
+		o.Pricer = netsim.OnNodes(flat, 4)
+	}
+	if tc.BucketBytes > 0 {
+		o.BucketBudgets = []int{tc.BucketBytes}
 	}
 	return BuildSchedule(tc.Family, o)
 }

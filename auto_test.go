@@ -1,9 +1,13 @@
 package a2sgd
 
 import (
+	"math"
+	"slices"
+	"strings"
 	"testing"
 
 	"a2sgd/internal/models"
+	"a2sgd/internal/netsim"
 	"a2sgd/internal/plan"
 )
 
@@ -182,7 +186,9 @@ func TestAutoPolicyRejectsBadCandidates(t *testing.T) {
 
 // TestAutoPolicyResumesAtSnapshotWorld: the snapshot's world size wins over
 // Workers on every configuration path — "auto" must price and stamp its
-// schedule at the resumed world, exactly as a Spec run resumes there.
+// schedule at the resumed world (planned at Workers, Train refuses it as
+// planned for the wrong worker count), the resumed run must be at that
+// world, and it must finish the uninterrupted run's curve.
 func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
 	for _, algo := range []TrainConfig{{Policy: "auto"}, {Spec: "a2sgd"}} {
 		path := t.TempDir() + "/run.snap"
@@ -195,6 +201,15 @@ func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
 			t.Fatalf("%+v: %v", algo, err)
 		}
 		cfg.SnapshotPath, cfg.ResumePath, cfg.Workers = "", path, 4
+		if algo.Policy != "" {
+			lowered, _, _, err := lower(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if w := lowered.Schedule.Workers; w != 2 {
+				t.Errorf("resumed plan stamped for %d workers, want the snapshot's 2", w)
+			}
+		}
 		resumed, err := Train(cfg)
 		if err != nil {
 			t.Fatalf("%+v resumed with Workers 4: %v", algo, err)
@@ -203,11 +218,175 @@ func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
 			t.Errorf("%+v: resumed at world %d, want the snapshot's 2", algo, resumed.Workers)
 		}
 		assertFacadeRunsIdentical(t, "resumed-vs-uninterrupted", full, resumed)
+		if got, want := resumed.Epochs[len(resumed.Epochs)-1], full.Epochs[len(full.Epochs)-1]; got != want {
+			t.Errorf("%+v: resumed final epoch %+v, uninterrupted %+v", algo, got, want)
+		}
 	}
 }
 
 func TestBuildScheduleUnknownFamily(t *testing.T) {
 	if _, err := BuildSchedule("nope", PlanOptions{Workers: 2, Pricer: IB100()}); err == nil {
 		t.Fatal("expected unknown-family error")
+	}
+}
+
+// TestAutoFabricMatchesHandPlanning pins auto(fabric=X) to the schedule the
+// trainer CLI's former -auto -fabric X path planned by hand, over every
+// fabric, pinned width and world size: a flat fabric with Topology > 1 is
+// promoted to its nvlink+ pair at that width, a pair with no pinned width is
+// swept up to 4-slot nodes.
+func TestAutoFabricMatchesHandPlanning(t *testing.T) {
+	for _, fabric := range []string{"ib100", "tcp10g", "nvlink+ib100", "nvlink+tcp10g"} {
+		for _, topology := range []int{0, 2} {
+			for _, world := range []int{2, 8} {
+				name := fabric
+				if topology > 1 && (name == "ib100" || name == "tcp10g") {
+					name = "nvlink+" + name
+				}
+				width := topology
+				if width <= 1 {
+					width = 4
+				}
+				var pricer Pricer
+				switch name {
+				case "ib100":
+					pricer = IB100()
+				case "tcp10g":
+					pricer = TCP10G()
+				case "nvlink+ib100":
+					pricer = TwoTierIB100(width)
+				case "nvlink+tcp10g":
+					pricer = TwoTierTCP10G(width)
+				}
+				o := PlanOptions{Workers: world, Pricer: pricer}
+				if topology > 1 {
+					o.RanksPerNode = []int{topology}
+				}
+				want := fnn3Schedule(t, o)
+
+				cfg, _, _, err := lower(TrainConfig{
+					Family: "fnn3", Workers: world, Topology: topology,
+					Policy: "auto(fabric=" + fabric + ")",
+				})
+				if err != nil {
+					t.Fatalf("%s topology=%d world=%d: %v", fabric, topology, world, err)
+				}
+				got := cfg.Schedule
+				if !slices.Equal(got.Bounds, want.Bounds) || got.Composition() != want.Composition() ||
+					got.Topology != want.Topology || got.PricedOn != want.PricedOn {
+					t.Errorf("%s topology=%d world=%d: planned %v %s topo=%d on %s, hand-planned %v %s topo=%d on %s",
+						fabric, topology, world, got.Bounds, got.Composition(), got.Topology, got.PricedOn,
+						want.Bounds, want.Composition(), want.Topology, want.PricedOn)
+				}
+				if !slices.EqualFunc(got.Specs, want.Specs, func(a, b *Spec) bool { return a.String() == b.String() }) {
+					t.Errorf("%s topology=%d world=%d: specs %v, want %v", fabric, topology, world, got.Specs, want.Specs)
+				}
+			}
+		}
+	}
+}
+
+// TestAutoRejectsUnknownFabricAndKeys: fabric= names one of netsim's
+// fabrics (the error lists them), and it is auto's only key.
+func TestAutoRejectsUnknownFabricAndKeys(t *testing.T) {
+	_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: "auto(fabric=nope)"})
+	if err == nil {
+		t.Fatal("auto(fabric=nope): expected an unknown-fabric error")
+	}
+	for _, name := range netsim.FabricNames() {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("unknown-fabric error %q does not list %s", err, name)
+		}
+	}
+	for _, policy := range []string{"auto(width=4)", "auto(a2sgd, fabric=ib100, budget=8KiB)", "auto(fabric=ib100(x=1))"} {
+		if _, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: policy}); err == nil {
+			t.Errorf("Policy %q: expected an error", policy)
+		}
+	}
+}
+
+// assertSameWeights compares two runs' final weights bit for bit.
+func assertSameWeights(t *testing.T, label string, a, b []float32) {
+	t.Helper()
+	if len(a) != len(b) {
+		t.Fatalf("%s: %d vs %d weights", label, len(a), len(b))
+	}
+	for i := range a {
+		if math.Float32bits(a[i]) != math.Float32bits(b[i]) {
+			t.Fatalf("%s: weight %d differs: %g vs %g", label, i, a[i], b[i])
+		}
+	}
+}
+
+// TestNewJobMatchesTrain: with no faults, the elastic job NewJob lowers
+// trains bitwise what Train trains — for a knob-lowered spec and for a
+// re-planning auto job — and persists the same snapshots.
+func TestNewJobMatchesTrain(t *testing.T) {
+	for _, algo := range []TrainConfig{
+		{Spec: "a2sgd", BucketBytes: 8192},
+		{Policy: "auto(a2sgd, dense, fabric=tcp10g)"},
+	} {
+		tc := algo
+		tc.Family, tc.Workers, tc.Seed, tc.Momentum = "fnn3", 3, 4, 0.9
+		tc.Epochs, tc.StepsPerEpoch, tc.BatchPerWorker = 2, 4, 4
+		tc.CheckpointEvery, tc.SnapshotPath = 4, t.TempDir()+"/job.snap"
+		want, err := Train(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job, err := NewJob(tc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if (job.Replan != nil) != (algo.Policy != "") {
+			t.Errorf("%+v: Replan set = %v", algo, job.Replan != nil)
+		}
+		rr, err := job.Run()
+		if err != nil {
+			t.Fatalf("%+v: job: %v", algo, err)
+		}
+		assertFacadeRunsIdentical(t, "job-vs-train", want, rr.Result)
+		assertSameWeights(t, "job-vs-train", want.FinalParams, rr.Result.FinalParams)
+		if rr.Snapshot == nil || rr.Snapshot.Step != 4 {
+			t.Errorf("%+v: job delivered snapshot %+v, want the step-4 boundary", algo, rr.Snapshot)
+		}
+	}
+}
+
+// TestAutoJobReplansAfterCrash: an auto job that loses rank 3 re-plans at
+// the shrunk world, priced on the auto fabric.
+func TestAutoJobReplansAfterCrash(t *testing.T) {
+	job, err := NewJob(TrainConfig{
+		Family: "fnn3", Workers: 4, Policy: "auto(fabric=tcp10g)", Seed: 2,
+		Epochs: 1, StepsPerEpoch: 8, BatchPerWorker: 4, CheckpointEvery: 4,
+		Faults: "deadline(5s) crash(rank=3, step=5)",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if job.DriftModel != TCP10G() {
+		t.Errorf("DriftModel = %+v, want the auto fabric's flat tier", job.DriftModel)
+	}
+	// Run calls Replan on the calling goroutine, once per segment.
+	var worlds []int
+	var fabrics []string
+	replan := job.Replan
+	job.Replan = func(world int, fabric Fabric) (*Schedule, error) {
+		worlds, fabrics = append(worlds, world), append(fabrics, fabric.Name)
+		sched, err := replan(world, fabric)
+		if err == nil && (sched.Workers != world || sched.PricedOn != "tcp10g") {
+			t.Errorf("replan at world %d: schedule for %d workers on %s", world, sched.Workers, sched.PricedOn)
+		}
+		return sched, err
+	}
+	rr, err := job.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(worlds, []int{4, 3}) || !slices.Equal(fabrics, []string{"tcp10g", "tcp10g"}) {
+		t.Errorf("replanned at worlds %v on %v, want [4 3] on tcp10g", worlds, fabrics)
+	}
+	if rr.Result.Workers != 3 || rr.Restarts != 1 {
+		t.Errorf("finished at world %d after %d restarts, want 3 after 1", rr.Result.Workers, rr.Restarts)
 	}
 }

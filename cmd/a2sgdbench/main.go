@@ -85,7 +85,7 @@ func main() {
 	workersFlag := flag.String("workers", "2,4,8,16", "worker counts for fig3/fig4/fig5")
 	epochs := flag.Int("epochs", 8, "epochs for fig1/fig3")
 	steps := flag.Int("steps", 12, "steps per epoch for fig3")
-	fabricName := flag.String("fabric", "ib100", "network model: ib100|tcp10g")
+	fabricName := flag.String("fabric", "ib100", "flat network model the iteration model prices: "+strings.Join(netsim.FlatFabricNames(), "|"))
 	bucketsFlag := flag.String("buckets", "0,2048,8192,32768", "bucket byte budgets for the sweep (0 = whole model)")
 	topologyFlag := flag.String("topology", "1,2,4", "ranks-per-node widths for the sweep (1 = flat)")
 	algosFlag := flag.String("algos", "",
@@ -106,9 +106,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "bad -workers:", err)
 		os.Exit(2)
 	}
-	fabric, ok := map[string]netsim.Fabric{"ib100": netsim.IB100(), "tcp10g": netsim.TCP10G()}[*fabricName]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "bad -fabric: unknown fabric %q (have ib100, tcp10g)\n", *fabricName)
+	// The iteration model prices a flat fabric: the nvlink+ pairs are out.
+	fabric, twoTier, err := netsim.ParseFabric(*fabricName)
+	if err != nil || twoTier {
+		fmt.Fprintf(os.Stderr, "bad -fabric: unknown flat fabric %q (have %s)\n", *fabricName, strings.Join(netsim.FlatFabricNames(), ", "))
 		os.Exit(2)
 	}
 

@@ -11,13 +11,19 @@
 //	a2sgdserve -jobs jobs.json -pool 8 -dir /tmp/ckpt
 //	a2sgdserve -jobs jobs.json -dir /tmp/ckpt -resume     # after a SIGTERM
 //	a2sgdserve -workers 4 -faults "preempt(rank=3, step=5)" -checkpoint-every 5
+//	a2sgdserve -workers 4 -spec auto -drift-replan -backup-workers 1
 //
-// jobs.json is an array of job objects:
+// jobs.json is an array of job objects; an unknown key is an error (exit 2):
 //
 //	[{"name": "mlp", "family": "fnn3", "spec": "a2sgd", "workers": 4,
 //	  "epochs": 2, "steps": 10, "checkpoint_every": 5},
-//	 {"name": "cnn", "family": "vgg16", "spec": "topk(density=0.01)",
-//	  "workers": 2, "replan": true}]
+//	 {"name": "cnn", "family": "vgg16", "spec": "auto(fabric=tcp10g)",
+//	  "workers": 2, "drift_replan": true}]
+//
+// Every job lowers through the library façade (a2sgd.NewJob), so a job's
+// "spec" is whatever a2sgd.TrainConfig.Spec accepts: an algorithm spec, or
+// "auto(spec, ..., fabric=name)" for a job whose schedule the cost-model
+// planner re-plans at every membership epoch's world size.
 //
 // Each job persists its newest snapshot to -dir/<name>.snap (atomic rewrite
 // in the versioned A2SV format); -resume restores any job whose snapshot
@@ -28,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -36,11 +43,7 @@ import (
 	"syscall"
 
 	"a2sgd"
-	"a2sgd/internal/cluster"
-	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/elastic"
-	"a2sgd/internal/netsim"
-	"a2sgd/internal/plan"
 )
 
 // jobSpec is one job of the gateway's run set (one JSON object in -jobs).
@@ -57,14 +60,11 @@ type jobSpec struct {
 	BucketBytes     int     `json:"bucket_bytes"`
 	CheckpointEvery int     `json:"checkpoint_every"`
 	Faults          string  `json:"faults"`
-	// Replan hands bucket boundaries and per-bucket specs to the cost-model
-	// planner, re-run at every membership epoch's world size.
-	Replan bool `json:"replan"`
 	// BackupWorkers is the spare-slot budget the escalation ladder can
 	// promote a warm clone from when a rank's links degrade.
 	BackupWorkers int `json:"backup_workers"`
 	// DriftReplan re-plans on the measured fabric when the health monitor's
-	// α–β estimates drift from the planning model. Requires Replan.
+	// α–β estimates drift from the planning model. Requires an auto spec.
 	DriftReplan bool `json:"drift_replan"`
 }
 
@@ -115,69 +115,57 @@ func useTCP(transport string) (bool, error) {
 	return transport == "tcp", nil
 }
 
-// buildJob assembles the elastic supervisor for one job spec.
-func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool, drain <-chan struct{}) (*elastic.Job, error) {
-	sched, err := cluster.Lower(js.Family, js.Spec, js.BucketBytes, 0, false)
-	if err != nil {
-		return nil, fmt.Errorf("job %s: %w", js.Name, err)
+// readJobs decodes a -jobs file. Unknown keys are an error: a typo such as
+// "bucketbytes" would otherwise run a different job than the one written.
+func readJobs(r io.Reader) ([]jobSpec, error) {
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	var specs []jobSpec
+	if err := dec.Decode(&specs); err != nil {
+		return nil, err
 	}
-	cc := cluster.Config{
-		Workers: js.Workers, Family: js.Family, Schedule: sched,
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("empty job list")
+	}
+	return specs, nil
+}
+
+// buildJob lowers one job spec through the façade (a2sgd.NewJob), resuming
+// from snapPath when asked and the file exists, and adds the gateway's own
+// fields: the shared pool, the drain signal and the escalation ladder.
+func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool, drain <-chan struct{}) (*a2sgd.Job, error) {
+	tc := a2sgd.TrainConfig{
+		Family: js.Family, Spec: js.Spec, Workers: js.Workers,
 		Epochs: js.Epochs, StepsPerEpoch: js.Steps, BatchPerWorker: js.Batch,
-		Seed: js.Seed, Momentum: float32(js.Momentum),
-		CheckpointEvery: js.CheckpointEvery,
-	}
-	job := &elastic.Job{
-		TCP:   tcp,
-		Pool:  pool,
-		Drain: drain,
-		SnapshotSink: func(rs *cluster.RunState) error {
-			return elastic.WriteSnapshotFile(snapPath, rs)
-		},
-	}
-	if js.Replan {
-		if js.BucketBytes != 0 {
-			return nil, fmt.Errorf("job %s: replan derives the bucket plan — leave bucket_bytes unset", js.Name)
-		}
-		// The planner owns bucket boundaries and per-bucket specs: the
-		// supervisor swaps in its schedule for every membership epoch's world,
-		// priced on IB100 — or, after a drift event, on the fabric the health
-		// monitor measured.
-		job.Replan = func(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
-			return a2sgd.BuildSchedule(js.Family, a2sgd.PlanOptions{Workers: world, Pricer: fabric})
-		}
-		job.DriftReplan = js.DriftReplan
-		job.DriftModel = a2sgd.IB100()
-	}
-	if js.DriftReplan && !js.Replan {
-		return nil, fmt.Errorf("job %s: drift_replan requires replan (the planner owns the schedule it re-prices)", js.Name)
-	}
-	job.BackupSlots = js.BackupWorkers
-	if js.Faults != "" {
-		sc, err := faultnet.Parse(js.Faults)
-		if err != nil {
-			return nil, fmt.Errorf("job %s: faults: %w", js.Name, err)
-		}
-		job.Scenario = sc
+		Seed: js.Seed, Momentum: float32(js.Momentum), BucketBytes: js.BucketBytes,
+		CheckpointEvery: js.CheckpointEvery, Faults: js.Faults, TCP: tcp,
+		SnapshotPath: snapPath,
 	}
 	if resume {
 		if _, err := os.Stat(snapPath); err == nil {
-			rs, err := elastic.ReadSnapshotFile(snapPath)
-			if err != nil {
-				return nil, fmt.Errorf("job %s: resume: %w", js.Name, err)
-			}
-			cc.Resume = rs
-			fmt.Printf("[%s] resuming from %s (step %d, world %d)\n", js.Name, snapPath, rs.Step, rs.World)
+			tc.ResumePath = snapPath
 		}
 	}
-	job.Config = cc
+	job, err := a2sgd.NewJob(tc)
+	if err != nil {
+		return nil, fmt.Errorf("job %s: %w", js.Name, err)
+	}
+	if js.DriftReplan && job.Replan == nil {
+		return nil, fmt.Errorf("job %s: drift_replan requires an auto spec (the planner owns the schedule it re-prices)", js.Name)
+	}
+	if rs := job.Config.Resume; rs != nil {
+		fmt.Printf("[%s] resuming from %s (step %d, world %d)\n", js.Name, snapPath, rs.Step, rs.World)
+	}
+	job.Pool, job.Drain = pool, drain
+	job.BackupSlots, job.DriftReplan = js.BackupWorkers, js.DriftReplan
 	return job, nil
 }
 
 func main() {
 	jobsPath := flag.String("jobs", "", "JSON file with an array of job specs (overrides the single-job flags)")
 	family := flag.String("family", "fnn3", "single job: model family")
-	spec := flag.String("spec", "a2sgd", "single job: algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", "))
+	spec := flag.String("spec", "a2sgd", "single job: algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", ")+
+		"; or auto(spec, ..., fabric=name) to re-plan the schedule at every membership epoch's world size")
 	workers := flag.Int("workers", 4, "single job: data-parallel worker count")
 	epochs := flag.Int("epochs", 1, "single job: epochs")
 	steps := flag.Int("steps", 10, "single job: steps per epoch")
@@ -187,9 +175,8 @@ func main() {
 	bucketBytes := flag.Int("bucket-bytes", 0, "single job: gradient bucket budget (0 = whole model)")
 	checkpointEvery := flag.Int("checkpoint-every", 5, "single job: snapshot every k global steps")
 	faults := flag.String("faults", "", "single job: fault scenario, e.g. 'deadline(2s) preempt(rank=3, step=5)'")
-	replan := flag.Bool("replan", false, "single job: re-plan the schedule at every membership epoch's world size")
 	backupWorkers := flag.Int("backup-workers", 0, "single job: spare-slot budget for backup-worker promotion of degraded ranks")
-	driftReplan := flag.Bool("drift-replan", false, "single job: re-plan on the measured fabric when it drifts from the model (requires -replan)")
+	driftReplan := flag.Bool("drift-replan", false, "single job: re-plan on the measured fabric when it drifts from the model (requires -spec auto)")
 	poolN := flag.Int("pool", 8, "shared worker-slot pool across all jobs")
 	dir := flag.String("dir", ".", "snapshot directory (-dir/<name>.snap per job)")
 	resume := flag.Bool("resume", false, "resume every job whose snapshot file exists")
@@ -203,17 +190,13 @@ func main() {
 
 	var specs []jobSpec
 	if *jobsPath != "" {
-		blob, err := os.ReadFile(*jobsPath)
+		f, err := os.Open(*jobsPath)
+		if err == nil {
+			specs, err = readJobs(f)
+			f.Close()
+		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "jobs:", err)
-			os.Exit(2)
-		}
-		if err := json.Unmarshal(blob, &specs); err != nil {
-			fmt.Fprintln(os.Stderr, "jobs:", err)
-			os.Exit(2)
-		}
-		if len(specs) == 0 {
-			fmt.Fprintln(os.Stderr, "jobs: empty job list")
 			os.Exit(2)
 		}
 	} else {
@@ -221,7 +204,7 @@ func main() {
 			Family: *family, Spec: *spec, Workers: *workers,
 			Epochs: *epochs, Steps: *steps, Batch: *batch,
 			Seed: *seed, Momentum: *momentum, BucketBytes: *bucketBytes,
-			CheckpointEvery: *checkpointEvery, Faults: *faults, Replan: *replan,
+			CheckpointEvery: *checkpointEvery, Faults: *faults,
 			BackupWorkers: *backupWorkers, DriftReplan: *driftReplan,
 		}}
 	}

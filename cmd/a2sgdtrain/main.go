@@ -3,9 +3,10 @@
 //
 // -algo accepts any registered algorithm spec, including parameters and
 // wrappers; -policy switches to a per-bucket policy (pair it with
-// -bucket-bytes so there is more than one bucket to mix over); -auto hands
-// the whole configuration — bucket boundaries, per-bucket specs, topology —
-// to the cost-model planner, priced on the -fabric network model.
+// -bucket-bytes so there is more than one bucket to mix over), or, spelled
+// "auto(spec, ..., fabric=name)", hands the whole configuration — bucket
+// boundaries, per-bucket specs, topology — to the cost-model planner, priced
+// on the named network model (-bucket-bytes and -topology pin those axes).
 //
 // Usage:
 //
@@ -13,7 +14,7 @@
 //	a2sgdtrain -family lstm -algo "topk(density=0.01)" -workers 4
 //	a2sgdtrain -algo "periodic(qsgd(levels=8), interval=4)"
 //	a2sgdtrain -policy "mixed(big=a2sgd, small=dense, threshold=16KiB)" -bucket-bytes 8192
-//	a2sgdtrain -auto -fabric nvlink+tcp10g -workers 8
+//	a2sgdtrain -policy "auto(fabric=nvlink+tcp10g)" -workers 8
 package main
 
 import (
@@ -23,28 +24,9 @@ import (
 	"strings"
 
 	"a2sgd"
-	"a2sgd/internal/elastic"
 	"a2sgd/internal/models"
+	"a2sgd/internal/netsim"
 )
-
-// pricerByName maps the -fabric flag to a network model. width configures
-// the node width of the two-tier pairs (0 = the default 4-slot nodes).
-func pricerByName(name string, width int) (a2sgd.Pricer, error) {
-	if width <= 1 {
-		width = 4
-	}
-	switch name {
-	case "ib100":
-		return a2sgd.IB100(), nil
-	case "tcp10g":
-		return a2sgd.TCP10G(), nil
-	case "nvlink+ib100":
-		return a2sgd.TwoTierIB100(width), nil
-	case "nvlink+tcp10g":
-		return a2sgd.TwoTierTCP10G(width), nil
-	}
-	return nil, fmt.Errorf("unknown fabric %q (have ib100, tcp10g, nvlink+ib100, nvlink+tcp10g)", name)
-}
 
 // useTCP reads -transport: tcp runs the worker group over loopback TCP,
 // inproc over the in-process fabric, and anything else is a usage error
@@ -56,27 +38,13 @@ func useTCP(transport string) (bool, error) {
 	return transport == "tcp", nil
 }
 
-// planWorkers is the world size an -auto plan is priced and stamped for: a
-// -resume snapshot's world wins over -workers inside a2sgd.Train, so it must
-// win here too, or Train refuses the schedule as planned for the wrong
-// worker count.
-func planWorkers(workers int, resumePath string) (int, error) {
-	if resumePath == "" {
-		return workers, nil
-	}
-	rs, err := elastic.ReadSnapshotFile(resumePath)
-	if err != nil {
-		return 0, err
-	}
-	return rs.World, nil
-}
-
 func main() {
 	family := flag.String("family", "fnn3", "model family: fnn3|vgg16|resnet20|lstm")
 	algo := flag.String("algo", "a2sgd",
 		"algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", "))
 	policy := flag.String("policy", "",
-		"per-bucket policy spec (overrides -algo) — "+strings.Join(a2sgd.PolicyUsage(), ", "))
+		"per-bucket policy spec (overrides -algo) — "+strings.Join(a2sgd.PolicyUsage(), ", ")+
+			"; or auto(spec, ..., fabric="+strings.Join(netsim.FabricNames(), "|")+") to plan the schedule from the cost model")
 	workers := flag.Int("workers", 4, "data-parallel worker count")
 	epochs := flag.Int("epochs", 10, "training epochs")
 	steps := flag.Int("steps", 16, "steps per epoch")
@@ -91,11 +59,9 @@ func main() {
 	concurrency := flag.Int("concurrency", 0, "concurrent bucket exchanges via comm tag-space contexts (0/1 = deterministic; requires -overlap)")
 	interleave := flag.Bool("interleave", false, "launch bucket exchanges from inside the backward pass (requires -overlap)")
 	topology := flag.Int("topology", 0, "two-level hierarchy width in ranks per node (0/1 = flat)")
-	auto := flag.Bool("auto", false, "plan buckets, per-bucket specs and topology from the cost model instead of the knobs above")
 	checkpointEvery := flag.Int("checkpoint-every", 0, "snapshot full training state every k global steps (0 = off)")
 	snapshotPath := flag.String("snapshot", "", "persist every snapshot to this A2SV file (atomic rewrite)")
 	resumePath := flag.String("resume", "", "resume from an A2SV snapshot file (its world size wins over -workers)")
-	fabricName := flag.String("fabric", "ib100", "network model the -auto planner prices: ib100|tcp10g|nvlink+ib100|nvlink+tcp10g")
 	flag.Parse()
 	tcp, err := useTCP(*transport)
 	if err != nil {
@@ -108,57 +74,15 @@ func main() {
 		Epochs: *epochs, StepsPerEpoch: *steps, BatchPerWorker: *batch,
 		Seed: *seed, Momentum: float32(*momentum),
 		TCP: tcp, Faults: *faults,
+		BucketBytes: *bucketBytes, Overlap: *overlap, Topology: *topology,
+		Concurrency: *concurrency, Interleave: *interleave,
+		CheckpointEvery: *checkpointEvery, SnapshotPath: *snapshotPath, ResumePath: *resumePath,
 	}
-	if *auto {
-		fabric := *fabricName
-		if *topology > 1 && (fabric == "ib100" || fabric == "tcp10g") {
-			// A pinned hierarchy width implies a two-tier pair (mirrors the
-			// façade's Policy:"auto" behavior): flat fabrics have no
-			// ranks-per-node axis to pin.
-			fabric = "nvlink+" + fabric
-		}
-		pricer, err := pricerByName(fabric, *topology)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plan:", err)
-			os.Exit(2)
-		}
-		world, err := planWorkers(*workers, *resumePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plan:", err)
-			os.Exit(1)
-		}
-		opts := a2sgd.PlanOptions{Workers: world, Pricer: pricer}
-		if *topology > 1 {
-			opts.RanksPerNode = []int{*topology} // pin the width instead of sweeping
-		}
-		sched, err := a2sgd.BuildSchedule(*family, opts)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "plan:", err)
-			os.Exit(1)
-		}
-		fmt.Printf("planned on %s: %d bucket(s), ranks/node=%d, %s\n",
-			sched.PricedOn, sched.NumBuckets(), sched.Topology, sched.Composition())
-		fmt.Printf("modelled sync: %.3f ms pipelined, %.3f ms serial\n",
-			sched.PipelinedSyncSec*1000, sched.SerialSyncSec*1000)
-		tc.Schedule = sched
+	if *policy != "" {
+		tc.Policy = *policy
 	} else {
-		tc.BucketBytes = *bucketBytes
-		tc.Overlap = *overlap
-		tc.Topology = *topology
-		if *policy != "" {
-			tc.Policy = *policy
-		} else {
-			tc.Spec = *algo
-		}
+		tc.Spec = *algo
 	}
-
-	// Runtime-execution knobs: valid with both the manual knobs and a
-	// planned schedule.
-	tc.Concurrency = *concurrency
-	tc.Interleave = *interleave
-	tc.CheckpointEvery = *checkpointEvery
-	tc.SnapshotPath = *snapshotPath
-	tc.ResumePath = *resumePath
 
 	res, err := a2sgd.Train(tc)
 	if err != nil {

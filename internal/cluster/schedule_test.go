@@ -140,8 +140,8 @@ func TestScheduleConfigValidation(t *testing.T) {
 func TestLowerRejectsAuto(t *testing.T) {
 	for _, src := range []string{"auto", "auto(dense, a2sgd)", "auto(nope)"} {
 		_, err := Lower("fnn3", src, fourBucketBytes, 0, true)
-		if err == nil || !strings.Contains(err.Error(), "a2sgd.BuildSchedule") {
-			t.Errorf("Lower(%q): %v, want an error naming a2sgd.BuildSchedule", src, err)
+		if err == nil || !strings.Contains(err.Error(), "a2sgd.TrainConfig") {
+			t.Errorf("Lower(%q): %v, want an error naming a2sgd.TrainConfig", src, err)
 		}
 	}
 }

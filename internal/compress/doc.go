@@ -93,7 +93,7 @@
 // choosing specs by modelled encode+collective cost also chooses bucket
 // boundaries and topology, which is a2sgd/internal/plan's job (every
 // registered algorithm carries a CostModel next to its Builder for it), so
-// BuildPolicy rejects it and points at a2sgd.BuildSchedule. A bare algorithm spec is
+// BuildPolicy rejects it and points at a2sgd.TrainConfig. A bare algorithm spec is
 // accepted wherever a policy is expected and means uniform(spec). Policies
 // are pure functions of BucketInfo and validate every referenced spec at
 // construction, so policy-driven runs are deterministic per seed and

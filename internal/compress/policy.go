@@ -107,7 +107,7 @@ func PolicyUsage() []string {
 // topology), which no per-bucket choice can stand for.
 func BuildPolicy(s *Spec) (Policy, error) {
 	if s.Name == "auto" {
-		return nil, fmt.Errorf("compress: %q plans a whole schedule, it is not a per-bucket policy — plan it with a2sgd.BuildSchedule (plan.Build), or pass it as a2sgd.TrainConfig.Policy", s)
+		return nil, fmt.Errorf("compress: %q plans a whole schedule, it is not a per-bucket policy — pass it as a2sgd.TrainConfig.Spec or Policy (a2sgdtrain -policy, a2sgdserve -spec)", s)
 	}
 	policyRegistry.RLock()
 	e, ok := policyRegistry.m[s.Name]

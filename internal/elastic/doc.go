@@ -56,8 +56,8 @@
 // Job.Replan, when set, is called for every segment with its world size and
 // the fabric to price on — DriftModel until the health monitor's measured
 // fabric drifts from it, the measured fabric after — and supplies the
-// synchronization schedule (typically plan.Build, which is pure: unchanged
-// membership and fabric yield a bitwise-identical plan).
+// synchronization schedule (a2sgd.NewJob's auto planner, which is pure:
+// unchanged membership and fabric yield a bitwise-identical plan).
 //
 // # The job gateway
 //

@@ -86,7 +86,7 @@ type Job struct {
 	// Replan, when non-nil, supplies the synchronization schedule for every
 	// segment (each membership epoch, and each health-paced stretch of one):
 	// it receives the segment's world size and the fabric to price on —
-	// DriftModel until a drift event, the measured fabric after it. Typically plan.Build, which is pure: unchanged membership and fabric
+	// DriftModel until a drift event, the measured fabric after it. a2sgd.NewJob's auto planner is pure: unchanged membership and fabric
 	// replan to a bitwise-identical schedule. Nil keeps Config.Schedule across
 	// rescales — it must then not be bound to a worker count (cluster.Lower's
 	// schedules are not).

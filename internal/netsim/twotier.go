@@ -1,5 +1,12 @@
 package netsim
 
+import (
+	"fmt"
+	"maps"
+	"slices"
+	"strings"
+)
+
 // Two-tier price law. A flat Fabric prices every rank pair identically; real
 // clusters are hierarchical — several workers per node on a fast local
 // interconnect (shared memory, NVLink, PCIe), nodes joined by a slower
@@ -55,14 +62,44 @@ func NVLinkLocal() Fabric {
 // TwoTierIB100 is the default hierarchical profile: NVLink-class links
 // inside each node of the given width, the paper's 100 Gbps InfiniBand
 // between nodes.
-func TwoTierIB100(ranksPerNode int) TwoTier {
-	return TwoTier{Name: "nvlink+ib100", Intra: NVLinkLocal(), Inter: IB100(), RanksPerNode: ranksPerNode}
-}
+func TwoTierIB100(ranksPerNode int) TwoTier { return OnNodes(IB100(), ranksPerNode) }
 
 // TwoTierTCP10G swaps the inter-node tier for commodity 10 GbE, widening
 // the intra/inter gap the hierarchical schedules exploit.
-func TwoTierTCP10G(ranksPerNode int) TwoTier {
-	return TwoTier{Name: "nvlink+tcp10g", Intra: NVLinkLocal(), Inter: TCP10G(), RanksPerNode: ranksPerNode}
+func TwoTierTCP10G(ranksPerNode int) TwoTier { return OnNodes(TCP10G(), ranksPerNode) }
+
+// OnNodes is the two-tier pair "nvlink+<flat>": NVLink-class links inside
+// nodes of the given width, the flat fabric between them.
+func OnNodes(flat Fabric, ranksPerNode int) TwoTier {
+	return TwoTier{Name: "nvlink+" + flat.Name, Intra: NVLinkLocal(), Inter: flat, RanksPerNode: ranksPerNode}
+}
+
+// flatFabrics is the one table of fabric names. Each flat name also names
+// its two-tier pair with an "nvlink+" prefix (OnNodes).
+var flatFabrics = map[string]func() Fabric{"ib100": IB100, "tcp10g": TCP10G}
+
+// FlatFabricNames lists the flat fabric names, sorted.
+func FlatFabricNames() []string { return slices.Sorted(maps.Keys(flatFabrics)) }
+
+// FabricNames lists every name ParseFabric accepts: the flat fabrics, then
+// their "nvlink+" pairs.
+func FabricNames() []string {
+	names := FlatFabricNames()
+	for _, n := range FlatFabricNames() {
+		names = append(names, "nvlink+"+n)
+	}
+	return names
+}
+
+// ParseFabric reads a fabric name into its flat (inter-node) tier and
+// whether the name asks for the "nvlink+" two-tier pair.
+func ParseFabric(name string) (flat Fabric, twoTier bool, err error) {
+	base, twoTier := strings.CutPrefix(name, "nvlink+")
+	mk, ok := flatFabrics[base]
+	if !ok {
+		return Fabric{}, false, fmt.Errorf("unknown fabric %q (have %s)", name, strings.Join(FabricNames(), ", "))
+	}
+	return mk(), twoTier, nil
 }
 
 // Label implements Pricer.

@@ -1,6 +1,9 @@
 package netsim
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestTwoTierDegeneratesToFlatInter(t *testing.T) {
 	two := TwoTierIB100(1) // every rank its own node
@@ -68,5 +71,37 @@ func TestTwoTierShapeClamps(t *testing.T) {
 	}
 	if got := two.HierAllreduce(1000, 1); got != 0 {
 		t.Errorf("single rank allreduce priced %g, want 0", got)
+	}
+}
+
+// TestParseFabric: every listed name parses to its flat tier, the
+// "nvlink+" names to the pair the named constructors build, and an unknown
+// name's error lists the table.
+func TestParseFabric(t *testing.T) {
+	want := map[string]Pricer{
+		"ib100": IB100(), "tcp10g": TCP10G(),
+		"nvlink+ib100": TwoTierIB100(4), "nvlink+tcp10g": TwoTierTCP10G(4),
+	}
+	names := FabricNames()
+	if len(names) != len(want) {
+		t.Fatalf("FabricNames() = %q", names)
+	}
+	for _, name := range names {
+		flat, twoTier, err := ParseFabric(name)
+		if err != nil {
+			t.Fatalf("ParseFabric(%q): %v", name, err)
+		}
+		var got Pricer = flat
+		if twoTier {
+			got = OnNodes(flat, 4)
+		}
+		if got != want[name] {
+			t.Errorf("ParseFabric(%q) = %+v, want %+v", name, got, want[name])
+		}
+	}
+	for _, name := range []string{"nope", "nvlink+", "nvlink+nvlink+ib100", "IB100"} {
+		if _, _, err := ParseFabric(name); err == nil || !strings.Contains(err.Error(), "nvlink+tcp10g") {
+			t.Errorf("ParseFabric(%q) = %v; want an error listing the names", name, err)
+		}
 	}
 }
