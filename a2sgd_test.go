@@ -1,6 +1,7 @@
 package a2sgd
 
 import (
+	"strings"
 	"testing"
 
 	"a2sgd/internal/models"
@@ -12,8 +13,7 @@ func TestRegistryCompleteness(t *testing.T) {
 		"a2sgd": true, "a2sgd-noef": true, "a2sgd-onemean": true,
 		"a2sgd-allgather": true,
 		"dense":           true, "topk": true, "gaussiank": true, "qsgd": true,
-		"qsgd-elias": true, "randk": true, "terngrad": true, "dgc": true,
-		"periodic": true,
+		"qsgd-elias": true, "periodic": true,
 	}
 	if len(names) != len(want) {
 		t.Fatalf("registry has %d entries, want %d: %v", len(names), len(want), names)
@@ -106,6 +106,14 @@ func TestTrainFacadeSmoke(t *testing.T) {
 func TestTrainFacadeDefaultsAndErrors(t *testing.T) {
 	if _, err := Train(TrainConfig{Family: "fnn3", Spec: "nope"}); err == nil {
 		t.Error("unknown algorithm must error")
+	}
+	// Only the paper's comparator set is registered: a job file, CLI flag
+	// or resume that names a spec outside it fails loudly, naming it.
+	for _, spec := range []string{"dgc", "randk", "terngrad"} {
+		_, err := Train(TrainConfig{Family: "fnn3", Spec: spec, Epochs: 1, StepsPerEpoch: 1, BatchPerWorker: 2})
+		if err == nil || !strings.Contains(err.Error(), spec) {
+			t.Errorf("spec %q: err = %v, want an error naming it", spec, err)
+		}
 	}
 	// Defaults: algorithm a2sgd, 1 worker.
 	res, err := Train(TrainConfig{Family: "fnn3", Epochs: 1, StepsPerEpoch: 2, BatchPerWorker: 2})

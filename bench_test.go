@@ -1,7 +1,8 @@
 package a2sgd
 
 // Benchmarks regenerating each of the paper's tables and figures, plus the
-// ablation benches called out in DESIGN.md §6. Run all of them with
+// ablation benches (PAPER.md, the ablations under Algorithm 1). Run all of
+// them with
 //
 //	go test -bench=. -benchmem
 //
@@ -291,7 +292,7 @@ func BenchmarkTable1(b *testing.B) {
 	}
 }
 
-// ---- Ablations (DESIGN.md §6) ----
+// ---- Ablations (PAPER.md, Algorithm 1) ----
 
 // Allreduce vs Allgather exchange for a sparse payload (§4.4 of the paper).
 func BenchmarkAblationExchangeAllgather(b *testing.B) {

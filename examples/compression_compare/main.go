@@ -1,7 +1,7 @@
-// Compression comparison: run every registered algorithm — including the
-// Rand-K / TernGrad extensions and the A2SGD ablations — on one model and
-// one gradient vector, showing compute cost, payload size and convergence
-// side by side.
+// Compression comparison: run every registered algorithm — the paper's
+// comparator set (dense, Top-K, Gaussian-K, QSGD) and the A2SGD ablations —
+// on one model and one gradient vector, showing compute cost, payload size
+// and convergence side by side.
 package main
 
 import (
@@ -43,7 +43,7 @@ func main() {
 	// multi-million-parameter models and would select single-digit k on
 	// this reduced one.
 	fmt.Println("\n== convergence on FNN-3, 4 workers, 6 epochs ==")
-	for _, spec := range []string{"dense", "a2sgd", "a2sgd-noef", "a2sgd-onemean", "dgc(density=0.05)", "randk(density=0.05)", "terngrad"} {
+	for _, spec := range []string{"dense", "a2sgd", "a2sgd-noef", "a2sgd-onemean", "topk(density=0.05)", "gaussiank(density=0.05)", "qsgd"} {
 		res, err := a2sgd.Train(a2sgd.TrainConfig{
 			Family: "fnn3", Spec: spec, Workers: 4,
 			Epochs: 6, StepsPerEpoch: 12, BatchPerWorker: 8,
@@ -52,6 +52,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("%s: %v", spec, err)
 		}
-		fmt.Printf("%-19s final top-1 accuracy %.3f\n", spec, res.FinalMetric())
+		fmt.Printf("%-23s final top-1 accuracy %.3f\n", spec, res.FinalMetric())
 	}
 }

@@ -37,13 +37,13 @@ func AblationSpecs() []string {
 	return append(specs, "periodic(a2sgd, interval=4)")
 }
 
-// Ablation runs the design-choice comparisons DESIGN.md §6 calls out as a
-// single convergence experiment on FNN-3: dense SGD as the reference, every
-// registered algorithm variant (A2SGD and its error-feedback-off, one-mean
-// and allgather-exchange ablations, the related-work extensions), and the
-// Periodic composition. Sparsifiers run at density 0.05 so their selections
-// stay visible at the reduced fnn3 scale (the spec-level override the
-// registry schema gates).
+// Ablation runs the design-choice comparisons PAPER.md lists under
+// Algorithm 1 as a single convergence experiment on FNN-3: dense SGD as the
+// reference, every registered algorithm variant (the paper's comparators,
+// A2SGD and its error-feedback-off, one-mean and allgather-exchange
+// ablations), and the Periodic composition. Sparsifiers run at density 0.05
+// so their selections stay visible at the reduced fnn3 scale (the
+// spec-level override the registry schema gates).
 func Ablation(w io.Writer, workers, epochs int) ([]AblationResult, error) {
 	if workers <= 0 {
 		workers = 4
@@ -84,7 +84,7 @@ func Ablation(w io.Writer, workers, epochs int) ([]AblationResult, error) {
 			fmt.Sprintf("%.0f", r.BytesPerStep),
 		})
 	}
-	fmt.Fprintf(w, "\nAblations (FNN-3, %d workers, %d epochs): every registered variant (DESIGN.md §6)\n", workers, epochs)
+	fmt.Fprintf(w, "\nAblations (FNN-3, %d workers, %d epochs): every registered variant (PAPER.md, Algorithm 1)\n", workers, epochs)
 	table(w, []string{"variant", "final top-1 acc", "payload B/worker", "measured B/step"}, rows)
 	return out, nil
 }

@@ -11,7 +11,7 @@
 //	Table 2   — synchronization complexities and scaling efficiency
 //
 // Runners return structured results for tests and render aligned-text
-// tables (plus CSV) for humans. EXPERIMENTS.md records paper-vs-measured.
+// tables (plus CSV) for humans.
 package bench
 
 import (

@@ -29,8 +29,7 @@ type IterModel struct {
 	// default of 50 maps one to the other. The factor is identical for all
 	// algorithms, so every algorithm-vs-algorithm ordering is measured, not
 	// assumed; only the compute↔network balance is calibrated. Set to 1 to
-	// price iterations on this machine's raw CPU speed instead
-	// (EXPERIMENTS.md shows both).
+	// price iterations on this machine's raw CPU speed instead.
 	EncodeSpeedup float64
 
 	// ComputeBase is the synthetic fwd/bwd seconds per family.

@@ -68,8 +68,8 @@ type WorkerState struct {
 	// LossSum is the rank's running loss accumulator within the current
 	// epoch (feeds rank 0's EpochStats when resuming mid-epoch).
 	LossSum float64
-	// Buckets is the per-bucket algorithm state (error feedback, DGC
-	// accumulators, RNG streams), parallel to RunState.Bounds.
+	// Buckets is the per-bucket algorithm state (error feedback, RNG
+	// streams, periodic step counters), parallel to RunState.Bounds.
 	Buckets []compress.State
 }
 

@@ -28,7 +28,7 @@ func wordsEqual(a, b []float32) (int, bool) {
 // bits into a later payload).
 
 // aliasAlgos is every builtin leaf algorithm with a non-trivial payload.
-var aliasAlgos = []string{"topk", "gaussiank", "randk", "dgc", "qsgd", "qsgd-elias", "terngrad"}
+var aliasAlgos = []string{"topk", "gaussiank", "qsgd", "qsgd-elias"}
 
 func buildNamed(t *testing.T, name string, n int, seed uint64) Algorithm {
 	t.Helper()

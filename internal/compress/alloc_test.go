@@ -45,9 +45,6 @@ func TestEncodeZeroAllocSteadyState(t *testing.T) {
 		{"gaussiank", 5},
 		{"qsgd", 1},
 		{"qsgd-elias", 1},
-		{"randk", 1},
-		{"dgc", 1},
-		{"terngrad", 1},
 	} {
 		// a2sgd self-registers from internal/core (not linked into this
 		// test binary); its Encode allocation test lives in that package.

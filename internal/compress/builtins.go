@@ -14,9 +14,9 @@ import (
 // Every registration carries a CostModel hook so the planner and the auto
 // policy can price the spec without building it. The EncSecPerElem constants
 // are CPU estimates in the nanosecond-per-element range, ordered by the
-// Figure-2 measurements (rand-k's O(k) pick is cheapest, the heap-selection
-// and entropy-coding methods dearest); payload accounting mirrors each
-// algorithm's PayloadBytes exactly.
+// Figure-2 measurements (the packed quantizer and Gaussian-K's one-pass
+// threshold are cheapest, the heap-selection and entropy-coding methods
+// dearest); payload accounting mirrors each algorithm's PayloadBytes exactly.
 
 // densityParam is the shared schema of the sparsifiers' selection fraction.
 var densityParam = ParamSpec{
@@ -116,10 +116,6 @@ func init() {
 		func(o Options) Algorithm { return NewTopK(o) }))
 	Register("gaussiank", sparsifier("Gaussian-threshold sparsification with error feedback", 5e-9,
 		func(o Options) Algorithm { return NewGaussianK(o) }))
-	Register("randk", sparsifier("uniform random-k sparsification with error feedback", 3e-9,
-		func(o Options) Algorithm { return NewRandK(o) }))
-	Register("dgc", sparsifier("deep gradient compression (top-k + momentum correction)", 8e-9,
-		func(o Options) Algorithm { return NewDGC(o) }))
 	Register("qsgd", quantizer("QSGD stochastic quantization, packed words", 4e-9,
 		func(levels int) float64 { return float64(qsgdBitsPerElem(levels)) / 8 },
 		netsim.ExchangeAllreduce,
@@ -130,18 +126,6 @@ func init() {
 		func(int) float64 { return 2.8 / 8 },
 		netsim.ExchangeAllgather,
 		func(o Options) Algorithm { return NewQSGDElias(o) }))
-	Register("terngrad", Builder{
-		Summary: "ternary {-1,0,+1} stochastic quantization",
-		Build:   func(o Options, _ BuildArgs) (Algorithm, error) { return NewTernGrad(o), nil },
-		Cost: func(Options, BuildArgs, []CostModel) CostModel {
-			return CostModel{
-				EncSecPerElem: 3e-9,
-				BytesPerElem:  2.0 / 8, // 2 bits per element
-				FixedBytes:    4,       // the leading max-magnitude word
-				Kind:          netsim.ExchangeAllreduce,
-			}
-		},
-	})
 	Register("periodic", Builder{
 		Summary: "round reduction wrapper: synchronize every interval-th step",
 		Wraps:   1,

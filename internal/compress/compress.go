@@ -85,7 +85,7 @@ type Options struct {
 	Density float64
 	// QuantLevels is QSGD's s parameter; the paper's appendix uses 4.
 	QuantLevels int
-	// Seed seeds per-worker stochastic compression (QSGD, Rand-K, TernGrad).
+	// Seed seeds per-worker stochastic compression (QSGD).
 	Seed uint64
 }
 

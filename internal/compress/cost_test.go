@@ -13,8 +13,8 @@ import (
 // prices speak the same accounting.
 func TestSpecCostMatchesAlgorithms(t *testing.T) {
 	for _, src := range []string{
-		"dense", "topk", "topk(density=0.05)", "gaussiank", "randk", "dgc",
-		"qsgd", "qsgd(levels=8)", "qsgd-elias", "terngrad",
+		"dense", "topk", "topk(density=0.05)", "gaussiank",
+		"qsgd", "qsgd(levels=8)", "qsgd-elias",
 	} {
 		for _, n := range []int{1000, 4096, 100_000} {
 			s, err := Parse(src)

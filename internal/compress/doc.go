@@ -1,10 +1,9 @@
 // Package compress defines the gradient-synchronization algorithm interface
 // shared by every method the paper evaluates, implements the baselines —
 // dense SGD, Top-K and Gaussian-K sparsification (with error feedback and
-// allgather exchange), QSGD quantization (with real bit-packing), plus the
-// Rand-K, DGC and TernGrad extensions discussed in the paper's related
-// work — and hosts the algorithm registry, the spec grammar and the
-// per-bucket policy layer that the public façade exposes.
+// allgather exchange) and QSGD quantization (with real bit-packing) — and
+// hosts the algorithm registry, the spec grammar and the per-bucket policy
+// layer that the public façade exposes.
 //
 // The paper's own contribution, two-level gradient averaging (A2SGD), lives
 // in package a2sgd/internal/core, implements the same interface and

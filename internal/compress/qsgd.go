@@ -17,7 +17,7 @@ import (
 // payload the collectives move is the genuinely compressed representation.
 // With the paper's s = 4 that is 4n + 32 bits, close to the 2.8n + 32 the
 // paper quotes for QSGD's Elias-coded stream (the small constant-factor gap
-// is documented in EXPERIMENTS.md). The paper's measured QSGD baseline used
+// is recorded in PAPER.md, Table 2). The paper's measured QSGD baseline used
 // a numpy implementation with O(n²) behaviour; this implementation is O(n),
 // so our Figure 2 shows QSGD expensive but not quadratic — the ordering of
 // the four algorithms is preserved.
@@ -271,128 +271,5 @@ func (q *QSGD) SaveState() State {
 func (q *QSGD) LoadState(s State) {
 	if w := s.words("rng"); len(w) == 4 {
 		q.rng.SetState([4]uint64{w[0], w[1], w[2], w[3]})
-	}
-}
-
-// ---- TernGrad ----
-
-// TernGrad (Wen et al., the paper's reference [20]) quantizes each entry to
-// {-1, 0, +1} scaled by max|g| with stochastic rounding — the 3-level corner
-// of the quantization family. Included as an extension algorithm.
-type TernGrad struct {
-	rng *tensor.RNG
-	// Reusable scratch: packed words + bit-cast payload of the current
-	// Encode (the payload aliases the words — valid until the next
-	// Encode), the allgathered streams and the decoded chunk of Exchange,
-	// and per-block kernel buffers.
-	words     []uint32
-	data      []float32
-	gatherBuf []float32
-	buf       []float32
-	fields    []uint32
-	rnd       []float64
-	fv        tensor.VecView // flat-call adapter view
-}
-
-// NewTernGrad builds a TernGrad quantizer.
-func NewTernGrad(o Options) *TernGrad {
-	o.validate()
-	return &TernGrad{rng: tensor.NewRNG(o.Seed)}
-}
-
-// Name implements Algorithm.
-func (t *TernGrad) Name() string { return "terngrad" }
-
-// Encode packs each entry into 2 bits: [sign:1][nonzero:1], preceded by the
-// 32-bit scale max|g|. The returned payload aliases instance scratch (valid
-// until the next Encode).
-func (t *TernGrad) Encode(g []float32) Payload {
-	return t.EncodeView(t.fv.Reset1(g))
-}
-
-// EncodeView implements Algorithm over a strided view (same bitwise-flat
-// blocked structure as QSGD's).
-func (t *TernGrad) EncodeView(v *tensor.VecView) Payload {
-	n := v.Len()
-	scale := v.AbsMax()
-	words := growU32(&t.words, 1+(n*2+31)/32)
-	clear(words)
-	words[0] = math.Float32bits(scale)
-	if scale > 0 {
-		// TernGrad is the levels=1 corner of the stochastic level
-		// quantization family: level ∈ {0,1} with P(1) = |x|/scale, so it
-		// shares the QSGD kernel (SIMD on amd64) and block structure.
-		bitPos := uint64(0)
-		si := 0
-		for lo := 0; lo < n; lo += quantBlock {
-			m := min(quantBlock, n-lo)
-			rnd := growF64(&t.rnd, m)
-			t.rng.Float64Vec(rnd)
-			fields := growU32(&t.fields, m)
-			quantizeViewBlock(fields, v, &si, lo, rnd, scale, 1)
-			bitPos = tensor.PackFields(words[1:], fields, 2, bitPos)
-		}
-	}
-	return Payload{Bits: int64(2*n) + 32, Data: wordsPayload(words, &t.data)}
-}
-
-// Exchange allgathers and averages the ternary streams.
-func (t *TernGrad) Exchange(p Payload, g []float32, c *comm.Communicator) error {
-	return t.ExchangeView(p, t.fv.Reset1(g), c)
-}
-
-// ExchangeView implements Algorithm (decode into scratch, per-lane AXPY
-// into the view's segments).
-func (t *TernGrad) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator) error {
-	n := v.Len()
-	all := growF32(&t.gatherBuf, len(p.Data)*c.Size())
-	if err := c.Allgather(p.Data, all); err != nil {
-		return err
-	}
-	buf := growF32(&t.buf, n)
-	v.Zero()
-	inv := 1 / float32(c.Size())
-	for r := 0; r < c.Size(); r++ {
-		chunk := all[r*len(p.Data) : (r+1)*len(p.Data)]
-		scale := math.Float32frombits(math.Float32bits(chunk[0]))
-		for i := 0; i < n; i++ {
-			w := math.Float32bits(chunk[1+2*i/32])
-			field := (w >> (uint(2*i) % 32)) & 3
-			if field&2 != 0 {
-				v := scale
-				if field&1 != 0 {
-					v = -v
-				}
-				buf[i] = v
-			} else {
-				buf[i] = 0
-			}
-		}
-		v.AXPY(inv, buf)
-	}
-	return nil
-}
-
-// ExchangeKind implements Algorithm.
-func (t *TernGrad) ExchangeKind() netsim.ExchangeKind { return netsim.ExchangeAllreduce }
-
-// PayloadBytes implements Algorithm: (2n + 32)/8.
-func (t *TernGrad) PayloadBytes(n int) int64 { return (int64(2*n) + 32 + 7) / 8 }
-
-// Reset implements Algorithm.
-func (t *TernGrad) Reset() {}
-
-// SaveState implements StateSaver: the stochastic-rounding RNG position.
-func (t *TernGrad) SaveState() State {
-	var s State
-	st := t.rng.State()
-	s.setWords("rng", st[:])
-	return s
-}
-
-// LoadState implements StateLoader.
-func (t *TernGrad) LoadState(s State) {
-	if w := s.words("rng"); len(w) == 4 {
-		t.rng.SetState([4]uint64{w[0], w[1], w[2], w[3]})
 	}
 }

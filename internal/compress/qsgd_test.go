@@ -2,11 +2,9 @@ package compress
 
 import (
 	"math"
-	"sync"
 	"testing"
 	"testing/quick"
 
-	"a2sgd/internal/comm"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/tensor"
 )
@@ -177,82 +175,6 @@ func TestQSGDSyncApproximatesAverage(t *testing.T) {
 			if out[r][i] != out[0][i] {
 				t.Fatalf("ranks disagree at %d", i)
 			}
-		}
-	}
-}
-
-// ---- TernGrad ----
-
-func TestTernGradRoundTripLevels(t *testing.T) {
-	n := 500
-	o := DefaultOptions(n)
-	o.Seed = 77
-	tg := NewTernGrad(o)
-	g := randGrad(31, n)
-	scale := tensor.AbsMax(g)
-	p := tg.Encode(g)
-	if p.Bits != int64(2*n+32) {
-		t.Errorf("bits = %d", p.Bits)
-	}
-	// Decode through Exchange with a single worker (identity averaging).
-	out := append([]float32(nil), g...)
-	var got []float32
-	var mu sync.Mutex
-	err := comm.RunGroup(1, func(c *comm.Communicator) error {
-		if err := tg.Exchange(p, out, c); err != nil {
-			return err
-		}
-		mu.Lock()
-		got = append([]float32(nil), out...)
-		mu.Unlock()
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, v := range got {
-		av := math.Abs(float64(v))
-		if av != 0 && math.Abs(av-float64(scale)) > 1e-5 {
-			t.Fatalf("elem %d: %v is not in {0, ±%v}", i, v, scale)
-		}
-		if v != 0 && (v > 0) != (g[i] >= 0) {
-			t.Fatalf("elem %d: sign flipped", i)
-		}
-	}
-	if tg.Name() != "terngrad" {
-		t.Error("name")
-	}
-	if tg.PayloadBytes(100) != int64((200+32+7)/8) {
-		t.Error("payload bytes")
-	}
-	tg.Reset()
-}
-
-func TestTernGradUnbiased(t *testing.T) {
-	n := 32
-	g := randGrad(41, n)
-	mean := make([]float64, n)
-	const trials = 4000
-	for tr := 0; tr < trials; tr++ {
-		o := DefaultOptions(n)
-		o.Seed = uint64(tr + 1)
-		tg := NewTernGrad(o)
-		p := tg.Encode(g)
-		out := append([]float32(nil), g...)
-		if err := comm.RunGroup(1, func(c *comm.Communicator) error {
-			return tg.Exchange(p, out, c)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		for i := range mean {
-			mean[i] += float64(out[i]) / trials
-		}
-	}
-	scale := float64(tensor.AbsMax(g))
-	for i := range g {
-		tol := 4 * scale / math.Sqrt(trials)
-		if math.Abs(mean[i]-float64(g[i])) > tol+1e-4 {
-			t.Fatalf("elem %d: E[tern] = %v, want %v", i, mean[i], g[i])
 		}
 	}
 }

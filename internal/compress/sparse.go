@@ -32,8 +32,8 @@ func selectionSlack(k int) int { return k + k/4 + 16 }
 
 // newSparseScratch pre-sizes the selection buffers with slack above k so
 // even the first Encode on an instance allocates only if the selection far
-// outgrows k (Top-K and Rand-K never grow; Gaussian-K fluctuates within the
-// slack in practice).
+// outgrows k (Top-K never grows; Gaussian-K fluctuates within the slack in
+// practice).
 func newSparseScratch(n, k int) sparseScratch {
 	s := selectionSlack(k)
 	return sparseScratch{
@@ -48,8 +48,8 @@ func newSparseScratch(n, k int) sparseScratch {
 // payload packs the current selection (s.idx, s.val) as interleaved float32
 // words: [idx0 val0 idx1 val1 ...] with indices bit-cast. Actual wire size is
 // 64k bits; the paper's Table 2 accounts only the 32k value bits, which
-// PayloadBytes mirrors (documented in EXPERIMENTS.md). The returned Data
-// aliases s.data — valid until the next Encode on the owning instance.
+// PayloadBytes mirrors. The returned Data aliases s.data — valid until the
+// next Encode on the owning instance.
 func (s *sparseScratch) payload() Payload {
 	d := growF32(&s.data, 2*len(s.idx))
 	for i, ix := range s.idx {
@@ -128,15 +128,6 @@ func (s *sparseScratch) topK(v []float32, k int) {
 		siftDown(0, hi)
 	}
 	s.idx = out
-}
-
-// topKIndices is the standalone form of sparseScratch.topK: it returns the
-// indices of the k largest |v| entries in a fresh slice. Tests and one-shot
-// callers use it; the steady-state hot path goes through the scratch.
-func topKIndices(v []float32, k int) []int32 {
-	var sc sparseScratch
-	sc.topK(v, k)
-	return sc.idx
 }
 
 // sparseExchange allgathers every worker's (index, value) pairs and
@@ -404,94 +395,3 @@ func (gk *GaussianK) SaveState() State {
 
 // LoadState implements StateLoader.
 func (gk *GaussianK) LoadState(s State) { s.vec("ef", gk.ef.residual) }
-
-// ---- Rand-K ----
-
-// RandK transmits k uniformly random coordinates with error feedback
-// (Stich et al., the paper's reference [27]). It is the cheapest sparsifier
-// computationally — O(k) selection — but converges slower for a fixed k.
-type RandK struct {
-	k    int
-	n    int
-	ef   errorFeedback
-	sc   sparseScratch
-	seen map[int32]struct{}
-	rng  *tensor.RNG
-}
-
-// NewRandK builds a Rand-K sparsifier from the options.
-func NewRandK(o Options) *RandK {
-	o.validate()
-	return &RandK{
-		k: o.K(), n: o.N, ef: newErrorFeedback(o.N),
-		sc:   newSparseScratch(0, o.K()),
-		seen: make(map[int32]struct{}, o.K()),
-		rng:  tensor.NewRNG(o.Seed),
-	}
-}
-
-// Name implements Algorithm.
-func (r *RandK) Name() string { return "randk" }
-
-// Encode samples k distinct coordinates (Floyd's algorithm). The returned
-// payload aliases instance scratch (valid until the next Encode).
-func (r *RandK) Encode(g []float32) Payload {
-	return r.EncodeView(r.sc.fv.Reset1(g))
-}
-
-// EncodeView implements Algorithm: accumulation reads the view's segments;
-// sampling is over flattened coordinates and unchanged.
-func (r *RandK) EncodeView(v *tensor.VecView) Payload {
-	acc := r.ef.accumulateView(v)
-	clear(r.seen)
-	idx := r.sc.idx[:0]
-	for j := r.n - r.k; j < r.n; j++ {
-		t := int32(r.rng.Intn(j + 1))
-		if _, dup := r.seen[t]; dup {
-			t = int32(j)
-		}
-		r.seen[t] = struct{}{}
-		idx = append(idx, t)
-	}
-	r.sc.idx = idx
-	r.sc.valuesAt(acc)
-	r.ef.retain(acc, idx)
-	return r.sc.payload()
-}
-
-// Exchange implements Algorithm via the sparse allgather.
-func (r *RandK) Exchange(p Payload, g []float32, c *comm.Communicator) error {
-	return sparseExchange(p, g, c, &r.sc.agv)
-}
-
-// ExchangeView implements Algorithm, scatter-adding into the view.
-func (r *RandK) ExchangeView(p Payload, v *tensor.VecView, c *comm.Communicator) error {
-	return sparseExchangeView(p, v, c, &r.sc.agv)
-}
-
-// ExchangeKind implements Algorithm.
-func (r *RandK) ExchangeKind() netsim.ExchangeKind { return netsim.ExchangeAllgatherV }
-
-// PayloadBytes implements Algorithm.
-func (r *RandK) PayloadBytes(n int) int64 { return int64(4 * r.k) }
-
-// Reset implements Algorithm.
-func (r *RandK) Reset() { r.ef.reset() }
-
-// SaveState implements StateSaver: the residual plus the coordinate-sampling
-// RNG position.
-func (r *RandK) SaveState() State {
-	var s State
-	s.setVec("ef", r.ef.residual)
-	st := r.rng.State()
-	s.setWords("rng", st[:])
-	return s
-}
-
-// LoadState implements StateLoader.
-func (r *RandK) LoadState(s State) {
-	s.vec("ef", r.ef.residual)
-	if w := s.words("rng"); len(w) == 4 {
-		r.rng.SetState([4]uint64{w[0], w[1], w[2], w[3]})
-	}
-}

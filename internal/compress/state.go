@@ -1,11 +1,11 @@
 package compress
 
 // Algorithm state capture. Several builtins carry cross-step state — error
-// feedback residuals (Top-K, Gaussian-K, Rand-K), DGC's momentum/velocity
-// accumulators, Periodic's step counter, and the RNG streams of the
-// stochastic quantizers. A checkpoint that omits any of it cannot resume a
-// run bitwise, so stateful algorithms implement StateSaver/StateLoader and
-// the elastic runtime snapshots every per-bucket instance through them.
+// feedback residuals (Top-K, Gaussian-K), Periodic's step counter, and the
+// RNG streams of the stochastic quantizers. A checkpoint that omits any of
+// it cannot resume a run bitwise, so stateful algorithms implement
+// StateSaver/StateLoader and the elastic runtime snapshots every per-bucket
+// instance through them.
 //
 // A State's vectors come in two flavors:
 //
@@ -27,7 +27,7 @@ type State struct {
 	// Alg is the saving instance's Name(), so a restore can refuse state
 	// saved by a different algorithm.
 	Alg string
-	// Vecs holds element-aligned vectors keyed by role ("ef", "dgc.u", ...).
+	// Vecs holds element-aligned vectors keyed by role ("ef").
 	Vecs map[string][]float32
 	// Words holds opaque word blobs keyed by role ("rng", "periodic.step").
 	Words map[string][]uint64

@@ -83,8 +83,8 @@ type A2SGD struct {
 // Option configures an A2SGD instance.
 type Option func(*A2SGD)
 
-// WithoutErrorFeedback drops the local error term (ablation §6 of
-// DESIGN.md): the update becomes enc-only, g' = pos·µ̄+ − neg·µ̄−. The paper
+// WithoutErrorFeedback drops the local error term (the a2sgd-noef ablation,
+// PAPER.md under Algorithm 1): the update becomes enc-only, g' = pos·µ̄+ − neg·µ̄−. The paper
 // predicts this distorts gradients and slows convergence.
 func WithoutErrorFeedback() Option { return func(a *A2SGD) { a.ef = false } }
 

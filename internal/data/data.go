@@ -9,7 +9,7 @@
 // on them exhibit the gradient dynamics the paper's experiments depend on —
 // gradients concentrate around zero as training progresses (Figure 1) and
 // accuracy/perplexity improves with epochs (Figure 3). The substitution is
-// recorded in DESIGN.md §5.
+// recorded in PAPER.md, Table 1.
 package data
 
 import (

@@ -36,7 +36,7 @@
 // everything a run needs to continue exactly: model parameters, non-learnable
 // model state (batch-norm statistics), optimizer momentum, per-rank sampling
 // RNG streams, the step counter, epoch history, and each bucket's compression
-// algorithm state (error feedback, DGC momentum, quantizer RNGs).
+// algorithm state (error feedback, quantizer RNGs, periodic step counters).
 // WriteSnapshot/ReadSnapshot serialize it (format "A2SV" v1, the repo's one
 // persistence format; the reader grows every slice as its bytes arrive, so a
 // corrupt length field costs nothing it does not hold); Reshard maps it

@@ -87,14 +87,14 @@ func TestSnapshotSerializationRoundTrip(t *testing.T) {
 				Velocity: []float32{0, -1, 2, -3, 4}, SampleRNG: [4]uint64{1, 2, 3, 4}, LossSum: 2.5,
 				Buckets: []compress.State{
 					{Alg: "topk", Vecs: map[string][]float32{"ef": {0.1, 0.2, 0.3}}},
-					{Alg: "randk", Vecs: map[string][]float32{"ef": {0.4, 0.5}},
-						Words: map[string][]uint64{"rng": {9, 8, 7, 6}}},
+					{Alg: "periodic", Vecs: map[string][]float32{"ef": {0.4, 0.5}},
+						Words: map[string][]uint64{"periodic.step": {9}}},
 				},
 			},
 			{
 				Rank: 1, Params: []float32{5, 4, 3, 2, 1},
 				SampleRNG: [4]uint64{5, 6, 7, 8},
-				Buckets:   []compress.State{{}, {Alg: "randk"}},
+				Buckets:   []compress.State{{}, {Alg: "periodic"}},
 			},
 		},
 	}
@@ -149,16 +149,14 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 
 // TestRestoreBitwise resumes mid-run from a serialized snapshot and requires
 // the final weights to match the uninterrupted run bit for bit — per
-// model family and per stateful compressor (error feedback, DGC momentum,
-// RandK's RNG stream, periodic's interval counter, A2SGD itself).
+// model family and per stateful compressor (error feedback, QSGD's RNG
+// stream, periodic's interval counter, A2SGD itself).
 func TestRestoreBitwise(t *testing.T) {
 	cases := []struct {
 		name, family, spec string
 	}{
 		{"a2sgd-fnn3", "fnn3", "a2sgd"},
 		{"topk-ef", "fnn3", "topk(density=0.05)"},
-		{"randk-rng", "fnn3", "randk(density=0.05)"},
-		{"dgc-momentum", "fnn3", "dgc(density=0.05)"},
 		{"periodic-interval", "fnn3", "periodic(topk(density=0.05), interval=2)"},
 		{"qsgd-rng", "fnn3", "qsgd(levels=4)"},
 		{"vgg16-batchnorm", "vgg16", "a2sgd"},
@@ -202,7 +200,7 @@ func stepsOf(snaps map[int]*cluster.RunState) []int {
 }
 
 func TestReshardIdentityAndDeterminism(t *testing.T) {
-	cfg := testConfig("fnn3", "dgc(density=0.05)", 4)
+	cfg := testConfig("fnn3", "topk(density=0.05)", 4)
 	cfg.CheckpointEvery = 5
 	_, _, snaps := captureRun(t, cfg)
 	snap := snaps[5]
@@ -327,7 +325,7 @@ func TestReshardedResumeDeterministic(t *testing.T) {
 // boundary and crash, the crashing rank's step-4 collectives cannot complete
 // until every rank has left the barrier, so the snapshot is deterministic.
 func TestElasticCrashMatchesReshardedRun(t *testing.T) {
-	cfg := testConfig("fnn3", "dgc(density=0.05)", 4)
+	cfg := testConfig("fnn3", "topk(density=0.05)", 4)
 	cfg.CheckpointEvery = 4
 
 	snaps := map[string]*cluster.RunState{}
@@ -366,7 +364,7 @@ func TestElasticCrashMatchesReshardedRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := testConfig("fnn3", "dgc(density=0.05)", 3)
+	ref := testConfig("fnn3", "topk(density=0.05)", 3)
 	refRes, refW := resumeRun(t, ref, rs3)
 
 	if !sameBits(rr.Result.FinalParams, refW) {

@@ -254,7 +254,7 @@ func TestRestartBudgetResetsAfterCleanBoundaries(t *testing.T) {
 
 // TestEvictTargetedReshard pins Evict's label shifting and state folding.
 func TestEvictTargetedReshard(t *testing.T) {
-	cfg := testConfig("fnn3", "dgc(density=0.05)", 4)
+	cfg := testConfig("fnn3", "topk(density=0.05)", 4)
 	cfg.CheckpointEvery = 4
 	_, _, snaps := captureRun(t, cfg)
 	snap := snaps[4]

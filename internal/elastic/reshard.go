@@ -18,10 +18,10 @@ import (
 //
 // Shrinking drops the highest ranks. A dropped rank's weights are redundant
 // (replicas hold the same parameters up to A2SGD's bounded drift), but its
-// per-bucket algorithm state carries accumulated gradient mass — error
-// feedback residuals, DGC momentum — that would otherwise be lost, so every
-// element-aligned state vector of dropped rank r folds (elementwise add) into
-// survivor r mod world. Opaque word blobs (quantizer RNG streams, periodic
+// per-bucket algorithm state carries accumulated gradient mass (error
+// feedback residuals) that would otherwise be lost, so every element-aligned
+// state vector of dropped rank r folds (elementwise add) into survivor
+// r mod world. Opaque word blobs (quantizer RNG streams, periodic
 // step counters) stay with their survivors untouched.
 //
 // Growing admits joiners: rank r clones the weights, model state, optimizer

@@ -68,7 +68,8 @@ func TestReadSnapshotHostileLengths(t *testing.T) {
 // writes — every accepted input re-serializes to the same bytes.
 func FuzzReadSnapshot(f *testing.F) {
 	for _, c := range []struct{ family, spec string }{
-		{"fnn3", "randk(density=0.05)"}, // error feedback vectors and RNG words
+		{"fnn3", "topk(density=0.05)"}, // error feedback vectors
+		{"fnn3", "qsgd"},               // RNG words
 		{"lstm", "a2sgd"},
 	} {
 		cfg := testConfig(c.family, c.spec, 1)

@@ -13,7 +13,7 @@
 //     layer patterns: three hidden FC layers; VGG conv-conv-pool stacks;
 //     ResNet identity-shortcut residual stacks; single-layer LSTM LM) used
 //     by the convergence experiments (Figures 3, 6–8). The substitution is
-//     recorded in DESIGN.md §5.
+//     recorded in PAPER.md, Table 1.
 //
 // Params() order is the layout; position is identity; views move everything.
 // A Model exposes its learnable tensors (Params) and its non-learnable ones

@@ -19,7 +19,7 @@ func IB100() Fabric {
 }
 
 // TCP10G approximates a commodity 10 Gbps Ethernet cluster (for the
-// "slower network" sensitivity analysis in EXPERIMENTS.md).
+// "slower network" sensitivity analysis).
 func TCP10G() Fabric {
 	return Fabric{Name: "tcp10g", Alpha: 2.0e-5, Beta: 8.0e-10} // 1.25 GB/s
 }
@@ -137,8 +137,8 @@ const (
 	// streams, priced at their expected length).
 	ExchangeAllgather
 	// ExchangeAllgatherV: variable-length gather exchange with a leading
-	// length round — the sparse value/index algorithms (Top-K, Gaussian-K,
-	// Rand-K, DGC), whose payload size is data dependent.
+	// length round — the sparse value/index algorithms (Top-K, Gaussian-K),
+	// whose payload size is data dependent.
 	ExchangeAllgatherV
 )
 

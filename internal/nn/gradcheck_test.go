@@ -7,6 +7,16 @@ import (
 	"a2sgd/internal/tensor"
 )
 
+// dot returns the inner product <a, b> accumulated in float64, so the
+// finite-difference losses below stay well above float32 rounding noise.
+func dot(a, b []float32) float64 {
+	var s float64
+	for i, x := range a {
+		s += float64(x) * float64(b[i])
+	}
+	return s
+}
+
 // fdCheckLayer verifies a layer's analytic gradients against central finite
 // differences. The scalar loss is L = Σ out·R for a fixed random readout R,
 // so dL/dout = R exactly. Checks both parameter gradients and dL/dx.
@@ -26,7 +36,7 @@ func fdCheckLayer(t *testing.T, build func() Layer, rows, cols int, seed uint64,
 
 	loss := func(lay Layer, in *tensor.Mat) float64 {
 		o := lay.Forward(in, false)
-		return tensor.Dot(o.Data, r.Data)
+		return dot(o.Data, r.Data)
 	}
 
 	const eps = 1e-2
@@ -121,9 +131,9 @@ func TestMaxPoolGradients(t *testing.T) {
 	for i := range x.Data {
 		old := x.Data[i]
 		x.Data[i] = old + eps
-		lp := tensor.Dot(NewMaxPool2D(in, 2).Forward(x, false).Data, r.Data)
+		lp := dot(NewMaxPool2D(in, 2).Forward(x, false).Data, r.Data)
 		x.Data[i] = old - eps
-		lm := tensor.Dot(NewMaxPool2D(in, 2).Forward(x, false).Data, r.Data)
+		lm := dot(NewMaxPool2D(in, 2).Forward(x, false).Data, r.Data)
 		x.Data[i] = old
 		numeric := (lp - lm) / (2 * eps)
 		if !gradClose(numeric, float64(dx.Data[i]), 2e-2) {
@@ -166,7 +176,7 @@ func TestBatchNormGradients(t *testing.T) {
 
 	lossTrain := func(bb *BatchNorm2D, in *tensor.Mat) float64 {
 		o := bb.Forward(in, true)
-		return tensor.Dot(o.Data, r.Data)
+		return dot(o.Data, r.Data)
 	}
 	const eps = 1e-2
 	// Gamma/beta grads.

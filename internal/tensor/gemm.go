@@ -106,8 +106,9 @@ func MatMul(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.View(), Single) }
 // the transpose. Shapes: a is m×n, b is m×p, dst is n×p.
 func MatMulATB(dst, a, b *Mat) { Gemm(dst.View(), a.T(), b.View(), Single) }
 
-// MatMulABT computes dst = a × bᵀ in Wide precision (each element is
-// float32(Dot(a row, b row))) without materializing the transpose.
+// MatMulABT computes dst = a × bᵀ in Wide precision (each element is the
+// float64-accumulated inner product of an a row and a b row, rounded once to
+// float32) without materializing the transpose.
 // Shapes: a is m×n, b is p×n, dst is m×p.
 func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T(), Wide) }
 

@@ -5,11 +5,10 @@ import (
 	"math/bits"
 )
 
-// Stochastic level quantization and bit packing — the shared inner loops of
-// the QSGD and TernGrad encoders. Split out of the compress package so the
-// amd64 build can dispatch the quantization loop to the SSE2 kernel in
-// simd_amd64.s (with the scalar loop below as the portable fallback and
-// odd-tail cleanup). TernGrad is the levels=1 corner of the same family.
+// Stochastic level quantization and bit packing — the inner loops of the
+// QSGD encoder. Split out of the compress package so the amd64 build can
+// dispatch the quantization loop to the SSE2 kernel in simd_amd64.s (with
+// the scalar loop below as the portable fallback and odd-tail cleanup).
 
 // QuantizeFields computes, for every element of g, the packed field
 //
@@ -51,9 +50,9 @@ func quantFieldsScalar(fields []uint32, g []float32, rnd []float64, norm float32
 // PackFields ORs bitsPer-wide fields into words LSB-first starting at bit
 // offset bitPos, and returns the advanced offset. words must be zeroed (or
 // already partially packed below bitPos) by the caller. When bitsPer divides
-// 32 — the common case: 4-bit QSGD fields at the paper's s=4, 2-bit TernGrad
-// fields — fields never straddle a word boundary and the spill branch is
-// dropped from the inner loop.
+// 32 — the common case: 4-bit QSGD fields at the paper's s=4, 2-bit fields
+// at qsgd(levels=1) — fields never straddle a word boundary and the spill
+// branch is dropped from the inner loop.
 func PackFields(words []uint32, fields []uint32, bitsPer uint, bitPos uint64) uint64 {
 	w := int(bitPos / 32)
 	off := uint(bitPos % 32)

@@ -4,8 +4,8 @@ package tensor
 
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale, AbsMax), for the stochastic level-quantization inner loop
-// shared by QSGD and TernGrad, and for A2SGD's two passes (signed means and
+// AXPY, Scale, AbsMax), for QSGD's stochastic level-quantization inner
+// loop, and for A2SGD's two passes (signed means and
 // signed shift), which also have 256-bit variants. SSE2 is part of the amd64
 // baseline (GOAMD64=v1); the 256-bit kernels are selected from CPUID alone
 // (cpu_amd64.go). The purego tag or any other GOARCH selects the portable

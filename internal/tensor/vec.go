@@ -91,16 +91,6 @@ func axpyScalar(dst Vec, a float32, src Vec) {
 	}
 }
 
-// Dot returns the inner product <a, b> accumulated in float64 for stability.
-func Dot(a, b Vec) float64 {
-	checkLen(len(a), len(b))
-	var s float64
-	for i, x := range a {
-		s += float64(x) * float64(b[i])
-	}
-	return s
-}
-
 // Sum returns the float64-accumulated sum of v.
 func Sum(v Vec) float64 {
 	var s float64

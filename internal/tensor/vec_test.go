@@ -137,10 +137,6 @@ func TestVecLenMismatchPanics(t *testing.T) {
 
 func TestDotSumNorm(t *testing.T) {
 	a := Vec{1, 2, 3}
-	b := Vec{4, 5, 6}
-	if got := Dot(a, b); got != 32 {
-		t.Errorf("Dot = %v, want 32", got)
-	}
 	if got := Sum(a); got != 6 {
 		t.Errorf("Sum = %v, want 6", got)
 	}
