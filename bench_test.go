@@ -1,4 +1,4 @@
-package a2sgd
+package a2sgd_test
 
 // Benchmarks regenerating each of the paper's tables and figures, plus the
 // ablation benches (PAPER.md, the ablations under Algorithm 1). Run all of
@@ -15,6 +15,7 @@ import (
 	"sync"
 	"testing"
 
+	"a2sgd"
 	"a2sgd/internal/bench"
 	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/tcpnet"
@@ -55,7 +56,7 @@ func BenchmarkFigure1TrainingCapture(b *testing.B) {
 // ---- Figure 2: compression compute time per algorithm ----
 
 func benchEncode(b *testing.B, name string, n int) {
-	alg, err := NewAlgorithm(name, DefaultOptions(n))
+	alg, err := a2sgd.NewAlgorithm(name, a2sgd.DefaultOptions(n))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -89,7 +90,7 @@ func BenchmarkFigure2A2SGD10M(b *testing.B)    { benchEncode(b, "a2sgd", 10_000_
 const hotN = 1 << 20
 
 func benchHotEncode(b *testing.B, name string) {
-	alg, err := NewAlgorithm(name, DefaultOptions(hotN))
+	alg, err := a2sgd.NewAlgorithm(name, a2sgd.DefaultOptions(hotN))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func BenchmarkHotPathEncodeQSGD(b *testing.B)      { benchHotEncode(b, "qsgd") }
 func BenchmarkHotPathEncodeA2SGD(b *testing.B)     { benchHotEncode(b, "a2sgd") }
 
 func BenchmarkHotPathDecodeQSGD(b *testing.B) {
-	o := DefaultOptions(hotN)
+	o := a2sgd.DefaultOptions(hotN)
 	q := compress.NewQSGD(o)
 	g := randGrad(hotN)
 	p := q.Encode(g)
@@ -202,7 +203,7 @@ func BenchmarkHotPathTCPSendRecv4MiB(b *testing.B) {
 func benchTrainStep(b *testing.B, algo string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_, err := Train(TrainConfig{
+		_, err := a2sgd.Train(a2sgd.TrainConfig{
 			Family: "fnn3", Spec: algo, Workers: 4,
 			Epochs: 1, StepsPerEpoch: 4, BatchPerWorker: 8, Momentum: 0.9,
 		})
@@ -235,9 +236,9 @@ func benchSync(b *testing.B, algo string, n, workers int) {
 			wg.Add(1)
 			go func(r int) {
 				defer wg.Done()
-				o := DefaultOptions(n)
+				o := a2sgd.DefaultOptions(n)
 				o.Seed = uint64(r + 1)
-				alg, err := NewAlgorithm(algo, o)
+				alg, err := a2sgd.NewAlgorithm(algo, o)
 				if err != nil {
 					b.Error(err)
 					return

@@ -25,6 +25,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -78,8 +79,15 @@ func splitSpecs(s string) []string {
 	return out
 }
 
+// experiments names every experiment main runs, in run order; "all" runs
+// them all.
+var experiments = []string{
+	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "table2",
+	"ablation", "sweep", "auto", "chaos", "hotpath", "all",
+}
+
 func main() {
-	exp := flag.String("experiment", "all", "fig1|fig2|fig3|fig4|fig5|table1|table2|ablation|sweep|auto|hotpath|chaos|all")
+	exp := flag.String("experiment", "all", strings.Join(experiments, "|"))
 	maxN := flag.Int("maxn", 25_000_000, "largest parameter count for fig2")
 	scale := flag.Int("scale", 10, "divide paper parameter counts by this for fig4/fig5/table2/auto (1 = full)")
 	workersFlag := flag.String("workers", "2,4,8,16", "worker counts for fig3/fig4/fig5")
@@ -98,6 +106,10 @@ func main() {
 		"compare the hotpath run against the newest entry of this BENCH_hotpath.json trajectory file; exit nonzero on regression")
 	compareTol := flag.Float64("comparetol", 10, "regression tolerance for -compare, percent on ns/op (allocs/op must not grow at all)")
 	flag.Parse()
+	if !slices.Contains(experiments, *exp) {
+		fmt.Fprintf(os.Stderr, "bad -experiment: unknown experiment %q (have %s)\n", *exp, strings.Join(experiments, ", "))
+		os.Exit(2)
+	}
 
 	algos := splitSpecs(*algosFlag)
 

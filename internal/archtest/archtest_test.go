@@ -1,0 +1,148 @@
+package archtest
+
+import (
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path"
+	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// rule confines references to sym ("import/path.Name"; literal: only
+// composite literals of that type) within the files under the in prefix
+// ("" = the whole module) to the allow list; why names the one path.
+type rule struct {
+	sym     string
+	literal bool
+	in      string
+	allow   []string
+	why     string
+}
+
+var rules = []rule{
+	{sym: "a2sgd/internal/cluster.Config", literal: true, allow: []string{"a2sgd.go"},
+		why: "only a2sgd.lower writes one: every run is a TrainConfig"},
+	{sym: "a2sgd/internal/cluster.Lower", allow: []string{"a2sgd.go"},
+		why: "only a2sgd.lower lowers a spec or policy string"},
+	{sym: "a2sgd/internal/cluster.Train", allow: []string{"a2sgd.go", "internal/elastic/job.go"},
+		why: "only a2sgd.Train and the elastic supervisor start a run"},
+	{sym: "a2sgd/internal/comm/faultnet.Parse", in: "cmd/",
+		why: "no CLI parses faults: they go to TrainConfig.Faults"},
+	{sym: "a2sgd/internal/elastic.ReadSnapshotFile", in: "cmd/",
+		why: "no CLI reads a snapshot: runs resume through TrainConfig.ResumePath"},
+	{sym: "a2sgd.BuildSchedule", in: "cmd/",
+		why: "no CLI plans: auto(…) goes in TrainConfig.Spec or Policy"},
+	{sym: "a2sgd/internal/plan.Build", allow: []string{"a2sgd.go", "internal/bench/auto.go"},
+		why: "only a2sgd.BuildSchedule plans, and the auto study prices paper-scale segments"},
+}
+
+// violations lists every reference in f (at rel, slash-separated from the
+// module root) that breaks a rule, as "file:line: …".
+func violations(fset *token.FileSet, rel string, f *ast.File) []string {
+	imports := map[string]string{} // local name → import path
+	for _, imp := range f.Imports {
+		p, _ := strconv.Unquote(imp.Path.Value)
+		name := path.Base(p)
+		if imp.Name != nil {
+			name = imp.Name.Name
+		}
+		imports[name] = p
+	}
+	symbol := func(e ast.Expr) string {
+		if sel, ok := e.(*ast.SelectorExpr); ok {
+			if x, ok := sel.X.(*ast.Ident); ok && imports[x.Name] != "" {
+				return imports[x.Name] + "." + sel.Sel.Name
+			}
+		}
+		return ""
+	}
+	var out []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		e, _ := n.(ast.Expr)
+		lit, literal := n.(*ast.CompositeLit)
+		if literal {
+			e = lit.Type
+		}
+		sym := symbol(e)
+		for _, r := range rules {
+			if sym == r.sym && literal == r.literal && strings.HasPrefix(rel, r.in) && !slices.Contains(r.allow, rel) {
+				out = append(out, fmt.Sprintf("%s:%d: %s: %s", rel, fset.Position(n.Pos()).Line, sym, r.why))
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// TestSinglePaths checks every non-test Go file of module a2sgd — nested
+// modules such as benchmark/ excluded — against the rules.
+func TestSinglePaths(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if mod, err := os.ReadFile(filepath.Join(root, "go.mod")); err != nil || !strings.HasPrefix(string(mod), "module a2sgd\n") {
+		t.Fatalf("module a2sgd's go.mod not at %s: %v", root, err)
+	}
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(root, func(p string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if _, mod := os.Stat(filepath.Join(p, "go.mod")); d.IsDir() && p != root && (mod == nil || d.Name()[0] == '.') {
+			return filepath.SkipDir // a nested module, or .git and the like
+		}
+		if d.IsDir() || !strings.HasSuffix(p, ".go") || strings.HasSuffix(p, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, p, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		rel, _ := filepath.Rel(root, p)
+		for _, v := range violations(fset, filepath.ToSlash(rel), f) {
+			t.Error(v)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRulesCatchViolations: the checker flags forbidden calls, an aliased
+// import and a literal, and leaves the allowed file alone.
+func TestRulesCatchViolations(t *testing.T) {
+	src := `package main
+
+import (
+	"a2sgd/internal/cluster"
+	fn "a2sgd/internal/comm/faultnet"
+)
+
+func main() {
+	sched, _ := cluster.Lower("fnn3", "a2sgd", 0, 0, false)
+	_, _ = fn.Parse("")
+	_, _ = cluster.Train(cluster.Config{Schedule: sched})
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "main.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(violations(fset, "cmd/x/main.go", f), "\n")
+	for _, want := range []string{":9: a2sgd/internal/cluster.Lower", ":10: a2sgd/internal/comm/faultnet.Parse",
+		":11: a2sgd/internal/cluster.Train", ":11: a2sgd/internal/cluster.Config"} {
+		if !strings.Contains(got, "cmd/x/main.go"+want) {
+			t.Errorf("missing cmd/x/main.go%s in:\n%s", want, got)
+		}
+	}
+	if v := violations(fset, "a2sgd.go", f); len(v) != 0 {
+		t.Errorf("a2sgd.go may lower, parse faults, train and build the config; got %q", v)
+	}
+}

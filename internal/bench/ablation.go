@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"a2sgd/internal/cluster"
+	"a2sgd"
 	"a2sgd/internal/compress"
 )
 
@@ -54,12 +54,8 @@ func Ablation(w io.Writer, workers, epochs int) ([]AblationResult, error) {
 	var out []AblationResult
 	var rows [][]string
 	for _, variant := range AblationSpecs() {
-		sched, err := cluster.Lower("fnn3", specWithDensity(variant, 0.05), 0, 0, false)
-		if err != nil {
-			return nil, fmt.Errorf("ablation %s: %w", variant, err)
-		}
-		res, err := cluster.Train(cluster.Config{
-			Workers: workers, Family: "fnn3", Schedule: sched,
+		res, err := a2sgd.Train(a2sgd.TrainConfig{
+			Workers: workers, Family: "fnn3", Spec: specWithDensity(variant, 0.05),
 			Epochs:         epochs,
 			StepsPerEpoch:  12,
 			BatchPerWorker: 8,

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"a2sgd/internal/cluster"
+	"a2sgd"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/nn"
@@ -188,17 +188,14 @@ func AutoSweep(w io.Writer, c AutoSweepConfig) (*AutoReport, error) {
 
 	if cfg.TrainFamily != "" && cfg.Epochs > 0 {
 		for _, pr := range cfg.Pricers {
-			segs, _, err := familySegments(cfg.TrainFamily, 0) // train at reduced scale
-			if err != nil {
-				return nil, err
-			}
-			sched, err := plan.Build(segs, plan.Options{
+			// Planned and trained at reduced scale, as a2sgd.Train's auto runs.
+			sched, err := a2sgd.BuildSchedule(cfg.TrainFamily, a2sgd.PlanOptions{
 				Workers: cfg.Workers, Pricer: pr, Candidates: cfg.Specs,
 			})
 			if err != nil {
 				return nil, err
 			}
-			res, err := cluster.Train(cluster.Config{
+			res, err := a2sgd.Train(a2sgd.TrainConfig{
 				Workers: cfg.Workers, Family: cfg.TrainFamily,
 				Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
 				Seed: cfg.Seed, Schedule: sched,

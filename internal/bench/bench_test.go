@@ -231,6 +231,23 @@ func TestMixedSweepComparesPolicies(t *testing.T) {
 	}
 }
 
+// TestSweepRejectsAuto: the sweep's cells are per-bucket policy runs, so
+// "auto" — which plans its own schedule — is refused with the registry's
+// error, and before any cell trains: the unknown family the valid first
+// policy would have hit first never surfaces.
+func TestSweepRejectsAuto(t *testing.T) {
+	points, err := Sweep(io.Discard, SweepConfig{
+		Family: "no-such-family", Workers: 2, Epochs: 1, Steps: 1,
+		Policies: []string{"a2sgd", "auto"},
+	})
+	if err == nil || !strings.Contains(err.Error(), `"auto" plans a whole schedule, it is not a per-bucket policy`) {
+		t.Fatalf("Sweep(auto) error = %v, want the per-bucket policy rejection", err)
+	}
+	if points != nil {
+		t.Errorf("Sweep(auto) returned %d points", len(points))
+	}
+}
+
 func TestNewAlgoUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -486,7 +503,7 @@ func TestDriftReplannerRecordsFirstNonModelSchedule(t *testing.T) {
 	}
 	model := netsim.IB100()
 	measured := netsim.Measured("measured", 50e-6, 1e-9)
-	dr := &driftReplanner{segs: segs, model: model}
+	dr := &driftReplanner{family: "fnn3", segs: segs, model: model}
 	if _, err := dr.replan(4, model); err != nil {
 		t.Fatal(err)
 	}

@@ -3,9 +3,12 @@ package bench
 import (
 	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"time"
 
+	"a2sgd"
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
 	"a2sgd/internal/elastic"
@@ -98,12 +101,12 @@ const (
 
 // chaosRun is one run's outcome: what a row's run hands its check.
 type chaosRun struct {
-	sc    *faultnet.Scenario        // the scenario it ran under (nil = fault-free)
-	res   *cluster.Result           // the final rank-0 view (nil on failure or pause)
-	sup   *elastic.RunResult        // the supervisor's record (supervised runs only)
-	snaps map[int]*cluster.RunState // boundary snapshots by global step (supervised runs only)
-	wall  time.Duration
-	err   error
+	faults string                    // the seeded scenario it ran under ("" = fault-free)
+	res    *cluster.Result           // the final rank-0 view (nil on failure or pause)
+	sup    *elastic.RunResult        // the supervisor's record (supervised runs only)
+	snaps  map[int]*cluster.RunState // boundary snapshots by global step (supervised runs only)
+	wall   time.Duration
+	err    error
 }
 
 // chaosRow is one row of the fault matrix: a fault scenario ("" =
@@ -114,7 +117,7 @@ type chaosRow struct {
 	name     string
 	scenario string
 	shape    chaosShape
-	run      func(h *chaosHarness, s chaosShape, sc *faultnet.Scenario) chaosRun
+	run      func(h *chaosHarness, s chaosShape, faults string) chaosRun
 	check    func(h *chaosHarness, s chaosShape, out chaosRun, cse *ChaosCase) bool
 }
 
@@ -123,41 +126,37 @@ type chaosRow struct {
 type chaosHarness struct {
 	seed uint64
 	tcp  bool
+	dir  string                  // where resumed writes its reference snapshots
 	refs map[chaosShape]chaosRun // the fault-free run of every shape in the table
 	slow map[chaosShape]chaosRun // the unmitigated straggler run of every shape that has one
 }
 
-// config is shape s's training configuration.
-func (h *chaosHarness) config(s chaosShape) (cluster.Config, error) {
-	sched, err := cluster.Lower(s.family, "a2sgd", s.bucketBytes, s.topology, true)
-	return cluster.Config{
-		Workers: s.workers, Family: s.family, Schedule: sched,
+// config is shape s's run under faults on the harness fabric.
+func (h *chaosHarness) config(s chaosShape, faults string) a2sgd.TrainConfig {
+	return a2sgd.TrainConfig{
+		Family: s.family, Spec: "a2sgd", Workers: s.workers,
 		Epochs: s.epochs, StepsPerEpoch: s.steps, Seed: h.seed,
-		CheckpointEvery: s.checkpointEvery,
-	}, err
+		BucketBytes: s.bucketBytes, Topology: s.topology, Overlap: true,
+		CheckpointEvery: s.checkpointEvery, Faults: faults, TCP: h.tcp,
+	}
 }
 
-// train runs shape s unsupervised under sc (nil = fault-free) on the
-// harness fabric, from resume when non-nil (at the snapshot's world).
-func (h *chaosHarness) train(s chaosShape, sc *faultnet.Scenario, resume *cluster.RunState) chaosRun {
-	cc, err := h.config(s)
-	if err != nil {
-		return chaosRun{sc: sc, err: err}
-	}
-	if resume != nil {
-		cc.Workers, cc.Resume = resume.World, resume
-	}
-	cc.GroupRunner = faultnet.GroupRunner(sc, h.tcp)
+// train runs tc unsupervised.
+func (h *chaosHarness) train(tc a2sgd.TrainConfig) chaosRun {
 	start := time.Now()
-	res, err := cluster.Train(cc)
-	return chaosRun{sc: sc, res: res, wall: time.Since(start), err: err}
+	res, err := a2sgd.Train(tc)
+	return chaosRun{faults: tc.Faults, res: res, wall: time.Since(start), err: err}
 }
 
-// supervise runs job on cc under sc through the elastic supervisor on the
-// harness fabric, collecting every boundary snapshot.
-func (h *chaosHarness) supervise(cc cluster.Config, sc *faultnet.Scenario, job elastic.Job) chaosRun {
-	out := chaosRun{sc: sc, snaps: map[int]*cluster.RunState{}}
-	job.Config, job.Scenario, job.TCP = cc, sc, h.tcp
+// supervise runs tc lowered by a2sgd.NewJob through the elastic supervisor
+// with job's supervision knobs, collecting every boundary snapshot.
+func (h *chaosHarness) supervise(tc a2sgd.TrainConfig, job elastic.Job) chaosRun {
+	lowered, err := a2sgd.NewJob(tc)
+	if err != nil {
+		return chaosRun{faults: tc.Faults, err: err}
+	}
+	out := chaosRun{faults: tc.Faults, snaps: map[int]*cluster.RunState{}}
+	job.Config, job.Scenario, job.TCP = lowered.Config, lowered.Scenario, lowered.TCP
 	job.SnapshotSink = func(rs *cluster.RunState) error {
 		out.snaps[rs.Step] = rs
 		return nil
@@ -176,34 +175,37 @@ func (h *chaosHarness) supervise(cc cluster.Config, sc *faultnet.Scenario, job e
 // wall clocks read against it compare like with like.
 func (h *chaosHarness) baseline(s chaosShape) chaosRun {
 	if s.checkpointEvery == 0 {
-		return h.train(s, nil, nil)
+		return trained(h, s, "")
 	}
-	return supervised(elastic.Job{})(h, s, nil)
+	return supervised(elastic.Job{})(h, s, "")
 }
 
 // unmitigated is shape s under the straggler scenario sc through the
 // supervisor with no backup slot, run once whichever row asks first: it is the
 // straggler-unmitigated row and the wall clock straggler-backup must win back.
-func (h *chaosHarness) unmitigated(s chaosShape, sc *faultnet.Scenario) chaosRun {
+func (h *chaosHarness) unmitigated(s chaosShape, faults string) chaosRun {
 	out, ok := h.slow[s]
 	if !ok {
-		out = supervised(elastic.Job{})(h, s, sc)
+		out = supervised(elastic.Job{})(h, s, faults)
 		h.slow[s] = out
 	}
 	return out
 }
 
-// resumed replays the rest of shape s fault-free from rs resharded across
-// world ranks: the fixed-world reference an elastic transition must match
-// bit for bit.
+// resumed replays the rest of shape s fault-free, unsupervised, from rs
+// resharded across world ranks and persisted as an A2SV snapshot file: the
+// fixed-world reference an elastic transition must match bit for bit.
 func (h *chaosHarness) resumed(s chaosShape, rs *cluster.RunState, world int) ([]float32, error) {
-	if world != rs.World {
-		var err error
-		if rs, err = elastic.Reshard(rs, world); err != nil {
-			return nil, err
-		}
+	rs, err := elastic.Reshard(rs, world)
+	if err != nil {
+		return nil, err
 	}
-	out := h.train(s, nil, rs)
+	tc := h.config(s, "")
+	tc.ResumePath = filepath.Join(h.dir, "reference.snap")
+	if err := elastic.WriteSnapshotFile(tc.ResumePath, rs); err != nil {
+		return nil, err
+	}
+	out := h.train(tc)
 	if out.err != nil {
 		return nil, fmt.Errorf("reference resume: %w", out.err)
 	}
@@ -211,25 +213,21 @@ func (h *chaosHarness) resumed(s chaosShape, rs *cluster.RunState, world int) ([
 }
 
 // trained is the unsupervised row run.
-func trained(h *chaosHarness, s chaosShape, sc *faultnet.Scenario) chaosRun {
-	return h.train(s, sc, nil)
+func trained(h *chaosHarness, s chaosShape, faults string) chaosRun {
+	return h.train(h.config(s, faults))
 }
 
 // supervised returns the row run that drives a job shaped like job through
 // the elastic supervisor.
-func supervised(job elastic.Job) func(*chaosHarness, chaosShape, *faultnet.Scenario) chaosRun {
-	return func(h *chaosHarness, s chaosShape, sc *faultnet.Scenario) chaosRun {
-		cc, err := h.config(s)
-		if err != nil {
-			return chaosRun{sc: sc, err: err}
-		}
-		return h.supervise(cc, sc, job)
+func supervised(job elastic.Job) func(*chaosHarness, chaosShape, string) chaosRun {
+	return func(h *chaosHarness, s chaosShape, faults string) chaosRun {
+		return h.supervise(h.config(s, faults), job)
 	}
 }
 
 // reference is the fault-free row: the shape's reference run itself, the
 // wall-clock floor the straggler rows are read against.
-func reference(h *chaosHarness, s chaosShape, _ *faultnet.Scenario) chaosRun { return h.refs[s] }
+func reference(h *chaosHarness, s chaosShape, _ string) chaosRun { return h.refs[s] }
 
 // bitwise: the run completed with its shape's fault-free weights — fault
 // injection perturbs timing, never arithmetic.
@@ -279,7 +277,7 @@ func predictSlowdown(pr netsim.Pricer, base *cluster.Result, steps, p int) float
 // one deadline per in-flight collective phase plus teardown past the
 // fault-free wall clock.
 func failFast(h *chaosHarness, s chaosShape, out chaosRun, cse *ChaosCase) bool {
-	limit := h.refs[s].wall + 5*out.sc.Deadline + 2*time.Second
+	limit := h.refs[s].wall + 5*faultnet.MustParse(out.faults).Deadline + 2*time.Second
 	switch {
 	case out.err == nil:
 		cse.Detail = "no error!"
@@ -358,7 +356,7 @@ func backedUp(h *chaosHarness, s chaosShape, out chaosRun, cse *ChaosCase) bool 
 	if out.err != nil {
 		return false
 	}
-	slow := h.unmitigated(s, out.sc)
+	slow := h.unmitigated(s, out.faults)
 	if slow.err != nil {
 		cse.Err = fmt.Sprintf("unmitigated run: %v", slow.err)
 		return false
@@ -380,12 +378,13 @@ func backedUp(h *chaosHarness, s chaosShape, out chaosRun, cse *ChaosCase) bool 
 	return same && degraded && backed && !evicted && out.sup.Backups == backupSlots && speedup >= minBackupSpeedup
 }
 
-// driftReplanner is the degrade-replan row. Its Replan hook runs plan.Build
-// on whichever fabric the supervisor hands it — the model until the drift
-// event, the measured fabric after it — remembering the first schedule built
-// on a fabric other than the model: the measured-fabric replan the row
-// prices against the stale schedule.
+// driftReplanner is the degrade-replan row. Its Replan hook plans the
+// family on whichever fabric the supervisor hands it — the model until the
+// drift event, the measured fabric after it — remembering the first schedule
+// built on a fabric other than the model: the measured-fabric replan the row
+// prices, on the family's segments, against the stale schedule.
 type driftReplanner struct {
+	family    string
 	segs      []nn.Segment
 	model     netsim.Fabric
 	stale     *plan.Schedule
@@ -394,7 +393,7 @@ type driftReplanner struct {
 }
 
 func (d *driftReplanner) replan(world int, fabric netsim.Fabric) (*plan.Schedule, error) {
-	sched, err := plan.Build(d.segs, plan.Options{Workers: world, Pricer: fabric})
+	sched, err := a2sgd.BuildSchedule(d.family, a2sgd.PlanOptions{Workers: world, Pricer: fabric})
 	if err == nil && d.replanned == nil && fabric != d.model {
 		d.replanned, d.fabric = sched, fabric
 	}
@@ -405,20 +404,22 @@ func (d *driftReplanner) replan(world int, fabric netsim.Fabric) (*plan.Schedule
 // degrade scenario on that stale plan with drift replanning on. The backup
 // slot keeps the degraded rank in the world, so the stale and fresh
 // schedules price at the same worker count.
-func (d *driftReplanner) run(h *chaosHarness, s chaosShape, sc *faultnet.Scenario) chaosRun {
-	fail := func(err error) chaosRun { return chaosRun{sc: sc, err: err} }
+func (d *driftReplanner) run(h *chaosHarness, s chaosShape, faults string) chaosRun {
+	fail := func(err error) chaosRun { return chaosRun{faults: faults, err: err} }
 	segs, _, err := familySegments(s.family, 0)
 	if err != nil {
 		return fail(err)
 	}
-	cc, err := h.config(s)
+	// The probe's IB100 plan is the model's, not a replan.
+	d.family, d.model = s.family, netsim.IB100()
+	sched, err := d.replan(s.workers, d.model)
 	if err != nil {
 		return fail(err)
 	}
-	if cc.Schedule, err = plan.Build(segs, plan.Options{Workers: s.workers, Pricer: netsim.IB100()}); err != nil {
-		return fail(err)
-	}
-	probe := h.supervise(cc, nil, elastic.Job{Health: true})
+	// The schedule carries the spec, bucket and overlap knobs config lowers.
+	tc := h.config(s, "")
+	tc.Spec, tc.BucketBytes, tc.Topology, tc.Overlap, tc.Schedule = "", 0, 0, false, sched
+	probe := h.supervise(tc, elastic.Job{Health: true})
 	if probe.err != nil {
 		return fail(fmt.Errorf("probe run: %w", probe.err))
 	}
@@ -428,11 +429,11 @@ func (d *driftReplanner) run(h *chaosHarness, s chaosShape, sc *faultnet.Scenari
 	d.segs, d.model = segs, *probe.sup.Measured
 	// The stale schedule is what Replan builds on the model, so the segments
 	// before the drift run exactly it.
-	if cc.Schedule, err = plan.Build(segs, plan.Options{Workers: s.workers, Pricer: d.model}); err != nil {
+	if d.stale, err = d.replan(s.workers, d.model); err != nil {
 		return fail(err)
 	}
-	d.stale = cc.Schedule
-	return h.supervise(cc, sc, elastic.Job{
+	tc.Faults, tc.Schedule = faults, d.stale
+	return h.supervise(tc, elastic.Job{
 		BackupSlots: backupSlots, DriftReplan: true, DriftModel: d.model, Replan: d.replan,
 	})
 }
@@ -523,7 +524,12 @@ func Chaos(w io.Writer, c ChaosConfig) (*ChaosReport, error) {
 }
 
 func runChaos(w io.Writer, c ChaosConfig, rows []chaosRow) (*ChaosReport, error) {
-	h := &chaosHarness{seed: c.Seed, tcp: c.TCP, refs: map[chaosShape]chaosRun{}, slow: map[chaosShape]chaosRun{}}
+	dir, err := os.MkdirTemp("", "a2sgd-chaos-")
+	if err != nil {
+		return nil, fmt.Errorf("bench: chaos: %w", err)
+	}
+	defer os.RemoveAll(dir)
+	h := &chaosHarness{seed: c.Seed, tcp: c.TCP, dir: dir, refs: map[chaosShape]chaosRun{}, slow: map[chaosShape]chaosRun{}}
 	if h.seed == 0 {
 		h.seed = 11
 	}
@@ -558,15 +564,16 @@ func runChaos(w io.Writer, c ChaosConfig, rows []chaosRow) (*ChaosReport, error)
 	var failed []string
 	for _, r := range rows {
 		cse := ChaosCase{Name: r.name}
-		var sc *faultnet.Scenario
+		var faults string
 		if r.scenario != "" {
-			var err error
-			if sc, err = faultnet.Parse(fmt.Sprintf("seed(%d) %s", h.seed, r.scenario)); err != nil {
+			faults = fmt.Sprintf("seed(%d) %s", h.seed, r.scenario)
+			sc, err := faultnet.Parse(faults)
+			if err != nil {
 				return nil, fmt.Errorf("bench: chaos row %s: %w", r.name, err)
 			}
 			cse.Scenario = sc.String()
 		}
-		out := r.run(h, r.shape, sc)
+		out := r.run(h, r.shape, faults)
 		cse.WallMs = out.wall.Seconds() * 1000
 		if out.err != nil {
 			cse.Err = out.err.Error()

@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"a2sgd/internal/cluster"
+	"a2sgd"
 	"a2sgd/internal/stats"
 )
 
@@ -33,12 +33,8 @@ func Figure1(w io.Writer, epochs, stepsPerEpoch int, render bool) ([]Figure1Resu
 
 	var out []Figure1Result
 	for _, fam := range []string{"fnn3", "resnet20"} {
-		sched, err := cluster.Lower(fam, "dense", 0, 0, false)
-		if err != nil {
-			return nil, err
-		}
-		res, err := cluster.Train(cluster.Config{
-			Workers: 1, Family: fam, Schedule: sched,
+		res, err := a2sgd.Train(a2sgd.TrainConfig{
+			Workers: 1, Family: fam, Spec: "dense",
 			Epochs: epochs, StepsPerEpoch: stepsPerEpoch,
 			BatchPerWorker: 32, Seed: 11, Momentum: 0.9,
 			HistIters: iters,

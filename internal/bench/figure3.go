@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"io"
 
-	"a2sgd/internal/cluster"
+	"a2sgd"
 	"a2sgd/internal/models"
 )
 
@@ -84,12 +84,8 @@ func Figure3(w io.Writer, cfg Figure3Config) ([]Figure3Series, error) {
 			for _, algo := range cfg.Algos {
 				// The density override lowers onto the spec itself (the
 				// registry's schema decides whether the root accepts it).
-				sched, err := cluster.Lower(fam, specWithDensity(algo, cfg.Density), 0, 0, false)
-				if err != nil {
-					return nil, fmt.Errorf("figure3 %s/%s: %w", fam, algo, err)
-				}
-				res, err := cluster.Train(cluster.Config{
-					Workers: p, Family: fam, Schedule: sched,
+				res, err := a2sgd.Train(a2sgd.TrainConfig{
+					Workers: p, Family: fam, Spec: specWithDensity(algo, cfg.Density),
 					Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps,
 					BatchPerWorker: cfg.Batch, Seed: cfg.Seed, Momentum: 0.9,
 					LRScale: cfg.LRScale,

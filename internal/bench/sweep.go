@@ -5,7 +5,8 @@ import (
 	"io"
 	"slices"
 
-	"a2sgd/internal/cluster"
+	"a2sgd"
+	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
 
@@ -104,6 +105,13 @@ func (c *SweepConfig) defaults() SweepConfig {
 // buckets two scalars).
 func Sweep(w io.Writer, c SweepConfig) ([]SweepPoint, error) {
 	cfg := c.defaults()
+	// Every cell is a per-bucket policy run: refuse "auto" and any other
+	// non-policy before the first cell trains.
+	for _, policy := range cfg.Policies {
+		if _, err := compress.ParsePolicy(policy); err != nil {
+			return nil, fmt.Errorf("bench: sweep: %w", err)
+		}
+	}
 	var points []SweepPoint
 	// Widths beyond the worker count clamp to one node; skip the duplicates so
 	// every reported row names a topology that actually ran.
@@ -122,13 +130,10 @@ func Sweep(w io.Writer, c SweepConfig) ([]SweepPoint, error) {
 	for _, policy := range cfg.Policies {
 		for _, eff := range widths {
 			for _, bb := range cfg.BucketBytes {
-				run := func(overlap bool) (*cluster.Result, error) {
-					sched, err := cluster.Lower(cfg.Family, policy, bb, eff, overlap)
-					if err != nil {
-						return nil, err
-					}
-					return cluster.Train(cluster.Config{
-						Workers: cfg.Workers, Family: cfg.Family, Schedule: sched,
+				run := func(overlap bool) (*a2sgd.Result, error) {
+					return a2sgd.Train(a2sgd.TrainConfig{
+						Workers: cfg.Workers, Family: cfg.Family,
+						Policy: policy, BucketBytes: bb, Topology: eff, Overlap: overlap,
 						Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: 11,
 					})
 				}

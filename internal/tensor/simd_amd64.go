@@ -4,7 +4,7 @@ package tensor
 
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale, AbsMax), for QSGD's stochastic level-quantization inner
+// AXPY, Scale), for QSGD's stochastic level-quantization inner
 // loop, and for A2SGD's two passes (signed means and
 // signed shift), which also have 256-bit variants. SSE2 is part of the amd64
 // baseline (GOAMD64=v1); the 256-bit kernels are selected from CPUID alone
@@ -35,9 +35,6 @@ func axpyKernel(dst *float32, a float32, src *float32, n int)
 
 //go:noescape
 func scaleKernel(v *float32, c float32, n int)
-
-//go:noescape
-func absMaxKernel(v *float32, n int) float32
 
 // qsgdFieldsKernel handles an even number of elements; the Go wrapper peels
 // the odd tail. norm and s are passed as float64 so the kernel performs the
@@ -110,13 +107,6 @@ func vecScale(v Vec, c float32) {
 		return
 	}
 	scaleScalar(v, c)
-}
-
-func vecAbsMax(v Vec) float32 {
-	if len(v) >= simdMinLen {
-		return absMaxKernel(&v[0], len(v))
-	}
-	return absMaxScalar(v)
 }
 
 // signedVariants lists every variant of the two A2SGD passes this binary can

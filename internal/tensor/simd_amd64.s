@@ -171,45 +171,6 @@ DATA absMask32<>+8(SB)/4, $0x7fffffff
 DATA absMask32<>+12(SB)/4, $0x7fffffff
 GLOBL absMask32<>(SB), RODATA|NOPTR, $16
 
-// func absMaxKernel(v *float32, n int) float32
-// max_i |v[i]| — max is associative and exact, so lane-parallel reduction
-// returns the same bits as the scalar scan for finite inputs.
-TEXT ·absMaxKernel(SB), NOSPLIT, $0-20
-	MOVQ   v+0(FP), SI
-	MOVQ   n+8(FP), CX
-	PXOR   X0, X0
-	MOVUPS absMask32<>(SB), X7
-
-amax4:
-	CMPQ CX, $4
-	JLT  amax1
-	MOVUPS (SI), X1
-	ANDPS  X7, X1
-	MAXPS  X1, X0
-	ADDQ   $16, SI
-	SUBQ   $4, CX
-	JMP    amax4
-
-amax1:
-	CMPQ CX, $0
-	JLE  amaxFold
-	MOVSS (SI), X1
-	ANDPS X7, X1
-	MAXSS X1, X0
-	ADDQ  $4, SI
-	DECQ  CX
-	JMP   amax1
-
-amaxFold:
-	MOVAPS X0, X1
-	SHUFPS $0x4E, X0, X1
-	MAXPS  X1, X0
-	MOVAPS X0, X1
-	SHUFPS $0xB1, X0, X1
-	MAXPS  X1, X0
-	MOVSS  X0, ret+16(FP)
-	RET
-
 DATA absMask64<>+0(SB)/8, $0x7fffffffffffffff
 DATA absMask64<>+8(SB)/8, $0x7fffffffffffffff
 GLOBL absMask64<>(SB), RODATA|NOPTR, $16

@@ -9,7 +9,6 @@ package tensor
 func vecAdd(dst, src Vec)                 { addScalar(dst, src) }
 func vecAXPY(dst Vec, a float32, src Vec) { axpyScalar(dst, a, src) }
 func vecScale(v Vec, c float32)           { scaleScalar(v, c) }
-func vecAbsMax(v Vec) float32             { return absMaxScalar(v) }
 
 // quantFieldsArch handles no elements on portable builds; the caller's scalar
 // loop does all the work.

@@ -75,17 +75,6 @@ func TestScaleMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestAbsMaxMatchesScalar(t *testing.T) {
-	rng := NewRNG(14)
-	for _, n := range simdLens {
-		v := randVec(rng, n)
-		got, want := AbsMax(v), absMaxScalar(v)
-		if math.Float32bits(got) != math.Float32bits(want) {
-			t.Fatalf("n=%d: AbsMax = %x, scalar %x", n, got, want)
-		}
-	}
-}
-
 func TestQuantizeFieldsMatchesScalar(t *testing.T) {
 	rng := NewRNG(15)
 	for _, levels := range []int{1, 4, 15} {

@@ -109,27 +109,6 @@ func Norm2(v Vec) float64 {
 	return math.Sqrt(s)
 }
 
-// AbsMax returns max_i |v[i]|, or 0 for an empty vector. max is exact, so
-// the lane-parallel SIMD reduction returns the same bits as this scan for
-// finite inputs.
-func AbsMax(v Vec) float32 {
-	return vecAbsMax(v)
-}
-
-func absMaxScalar(v Vec) float32 {
-	var m float32
-	for _, x := range v {
-		a := x
-		if a < 0 {
-			a = -a
-		}
-		if a > m {
-			m = a
-		}
-	}
-	return m
-}
-
 // MaxIdx returns the index of the maximum element (first on ties) or -1 for
 // an empty vector. Used for top-1 classification accuracy.
 func MaxIdx(v Vec) int {

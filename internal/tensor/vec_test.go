@@ -143,9 +143,6 @@ func TestDotSumNorm(t *testing.T) {
 	if got := Norm2(Vec{3, 4}); got != 5 {
 		t.Errorf("Norm2 = %v, want 5", got)
 	}
-	if got := AbsMax(Vec{-7, 2, 6}); got != 7 {
-		t.Errorf("AbsMax = %v, want 7", got)
-	}
 	if got := MaxIdx(Vec{1, 9, 3}); got != 1 {
 		t.Errorf("MaxIdx = %v, want 1", got)
 	}

@@ -12,7 +12,7 @@ import "math"
 //
 // A view holds references to the segments, never copies of them; segment
 // contents may change between operations (they are live gradients), but the
-// segment *structure* is fixed between Reset calls. Sum, Norm2 and AbsMax
+// segment *structure* is fixed between Reset calls. Sum and Norm2
 // thread a single scalar accumulator through the segments in order, so a
 // multi-segment view reduces bitwise-identically to the flat vector it
 // represents; SignedMeans follows the package's reduction specification, of
@@ -207,18 +207,6 @@ func (v *VecView) Norm2() float64 {
 		}
 	}
 	return math.Sqrt(acc)
-}
-
-// AbsMax returns max_i |v[i]|. max is exact, so folding the per-segment
-// SIMD maxima returns the same bits as the flat scan for finite inputs.
-func (v *VecView) AbsMax() float32 {
-	var m float32
-	for _, s := range v.segs {
-		if sm := AbsMax(s); sm > m {
-			m = sm
-		}
-	}
-	return m
 }
 
 // SignedMeans computes the paper's two-level statistics over the view in the
