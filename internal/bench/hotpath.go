@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"testing"
+	"time"
 
 	"a2sgd/internal/comm"
 	"a2sgd/internal/comm/tcpnet"
@@ -49,6 +51,70 @@ type HotPathReport struct {
 	// 1.0 = the exchange is completely hidden behind posting; 0 = overlap
 	// bought nothing.
 	OverlapEfficiency float64 `json:"overlap_efficiency,omitempty"`
+}
+
+// tcpRingN is the bucket of the tcpnet allreduce row: 2 Mi float32 = 8 MiB.
+const tcpRingN = 2 << 20
+
+// meanOp is the posted AllreduceMean of the tcpnet allreduce row.
+type meanOp struct{ v []float32 }
+
+func (o *meanOp) RunOp(c *comm.Communicator) error { return c.AllreduceMean(o.v, comm.AlgoRing) }
+
+// tcpRingRow measures the allreduce/tcp-ring-2 row: 2 ranks over tcpnet,
+// 2 tag-space contexts, two posted tcpRingN-float AllreduceMeans per op
+// whose frames interleave on each link, so frames for the other context are
+// stashed in pooled transit buffers. It times a fixed run by hand instead
+// of through testing.Benchmark, whose collection before every round empties
+// that pool and the runtime's caches: with the collector off from the
+// warm-up on, allocs/op counts the exchange's own allocations (sendRecv's
+// send goroutines), not how often a cache was refilled.
+func tcpRingRow() (testing.BenchmarkResult, error) {
+	const ranks, posts, warm, ops = 2, 2, 64, 64
+	cs, shutdown, err := tcpnet.NewLocalGroup(ranks)
+	if err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	defer shutdown()
+	vs := make([][posts]meanOp, ranks)
+	for r, c := range cs {
+		if err := c.SetConcurrency(posts); err != nil {
+			return testing.BenchmarkResult{}, err
+		}
+		for i := range vs[r] {
+			vs[r][i].v = make([]float32, tcpRingN)
+		}
+	}
+	run := func(iters int) error {
+		return comm.Launch(cs, shutdown, func(c *comm.Communicator) error {
+			o := &vs[c.Rank()]
+			reqs := make([]comm.Request, posts)
+			for i := 0; i < iters; i++ {
+				for j := range o {
+					reqs[j] = c.Post(&o[j])
+				}
+				if err := comm.WaitAll(reqs); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if err := run(warm); err != nil {
+		return testing.BenchmarkResult{}, err
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	start := time.Now()
+	err = run(ops)
+	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
+	return testing.BenchmarkResult{
+		N: ops, T: elapsed,
+		MemAllocs: after.Mallocs - before.Mallocs,
+		MemBytes:  after.TotalAlloc - before.TotalAlloc,
+	}, err
 }
 
 // hotPathN is the vgg16-scale bucket the suite measures: 1 M float32
@@ -153,8 +219,9 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 
 // HotPath measures the steady-state hot path: warmed-instance Encode/Decode
 // for the paper's compression set, A2SGD's two kernels beside a copy of the
-// same footprint, the inproc allreduce, the tcpnet framed
-// send/receive of a 4 MiB bucket, and one full bucketed synchronization step.
+// same footprint, the inproc allreduce, the tcpnet framed send/receive of
+// a 4 MiB bucket, the tcpnet allreduce of two posted buckets, and one full
+// bucketed synchronization step.
 // Every measurement excludes the warm-up call that grows instance scratch, so
 // allocs/op reports the steady state the training loop lives in.
 func HotPath(w io.Writer) (*HotPathReport, error) {
@@ -319,6 +386,13 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 			b.Skip(err)
 		}
 	}))
+
+	// Tcpnet ring allreduce in sync-dense's shape at half its bucket count.
+	if r, err := tcpRingRow(); err != nil {
+		meshErr = err
+	} else {
+		add("allreduce/tcp-ring-2", 2*tcpRingN, 4*2*tcpRingN, r)
+	}
 	if meshErr != nil {
 		return nil, fmt.Errorf("bench: hotpath tcpnet: %w", meshErr)
 	}

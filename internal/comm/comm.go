@@ -296,40 +296,60 @@ const autoCutover = 4096
 // On a communicator with a two-level topology (SetTopology) the sum runs the
 // hierarchical schedule; algo then selects the inter-node leader allreduce.
 func (c *Communicator) AllreduceSum(v []float32, algo AllreduceAlgorithm) error {
-	p := c.Size()
-	if p == 1 {
-		return nil
-	}
-	if c.hier != nil {
-		return c.hierAllreduceSum(v, algo)
-	}
-	switch algo {
-	case AlgoRing:
-		return c.ringAllreduce(v)
-	case AlgoRecursiveDoubling:
-		return c.recDoublingAllreduce(v)
-	default:
-		if len(v) < autoCutover {
-			return c.recDoublingAllreduce(v)
-		}
-		return c.ringAllreduce(v)
-	}
+	return c.allreduce(v, algo, 1)
 }
 
 // AllreduceMean is AllreduceSum followed by division by the group size —
-// exactly the Allreduce(·, average) of the paper's Algorithm 1, line 5.
+// exactly the Allreduce(·, average) of the paper's Algorithm 1, line 5. The
+// result is bitwise AllreduceSum's followed by tensor.Scale(v, 1/P).
 func (c *Communicator) AllreduceMean(v []float32, algo AllreduceAlgorithm) error {
-	if err := c.AllreduceSum(v, algo); err != nil {
-		return err
+	return c.allreduce(v, algo, 1/float32(c.Size()))
+}
+
+// allreduce is the one dispatch behind AllreduceSum (scale 1) and
+// AllreduceMean (scale 1/P): the result is the sum times scale. The flat
+// ring folds the scale into its last reduce-scatter add; recursive doubling
+// and the hierarchical schedule sum first and scale the whole vector after.
+func (c *Communicator) allreduce(v []float32, algo AllreduceAlgorithm, scale float32) error {
+	if c.Size() == 1 {
+		return nil
 	}
-	tensor.Scale(v, 1/float32(c.Size()))
-	return nil
+	if c.hier == nil && (algo == AlgoRing || algo == AlgoAuto && len(v) >= autoCutover) {
+		return c.ringAllreduce(v, scale)
+	}
+	var err error
+	if c.hier != nil {
+		err = c.hierAllreduceSum(v, algo)
+	} else {
+		err = c.recDoublingAllreduce(v)
+	}
+	if err == nil && scale != 1 {
+		tensor.Scale(v, scale)
+	}
+	return err
+}
+
+// scaleBlock is the element count reduceScale adds and then scales per
+// pass: 16 KiB, so the scale rereads the block from L1.
+const scaleBlock = 4096
+
+// reduceScale is dst = (dst + src)·s, block by block. Each element still
+// takes one float32 add and one float32 multiply, so the bits are those of
+// addInto followed by tensor.Scale over the whole slice.
+func reduceScale(dst, src []float32, s float32) {
+	for lo := 0; lo < len(dst); lo += scaleBlock {
+		hi := min(lo+scaleBlock, len(dst))
+		addInto(dst[lo:hi], src[lo:hi])
+		tensor.Scale(dst[lo:hi], s)
+	}
 }
 
 // ringAllreduce is the classic bandwidth-optimal two-phase algorithm:
 // a reduce-scatter of P-1 steps followed by an allgather of P-1 steps, each
-// moving n/P elements. Total traffic per rank: 2n(P-1)/P elements.
-func (c *Communicator) ringAllreduce(v []float32) error {
+// moving n/P elements. Total traffic per rank: 2n(P-1)/P elements. The last
+// reduce-scatter step completes the segment this rank owns; it is scaled
+// there (unless scale is 1), so the allgather ships final values.
+func (c *Communicator) ringAllreduce(v []float32, scale float32) error {
 	p, r := c.Size(), c.Rank()
 	n := len(v)
 	next := (r + 1) % p
@@ -337,7 +357,8 @@ func (c *Communicator) ringAllreduce(v []float32) error {
 	buf := c.getScratch((n+p-1)/p + 1)
 
 	// Phase 1: reduce-scatter. After step s, rank r holds the partial sum
-	// of segment (r-s) mod p.
+	// of segment (r-s-1) mod p; after step p-2, the full sum of segment
+	// (r+1) mod p, the one it owns.
 	for s := 0; s < p-1; s++ {
 		sendSeg := (r - s + p) % p
 		recvSeg := (r - s - 1 + p) % p
@@ -347,7 +368,11 @@ func (c *Communicator) ringAllreduce(v []float32) error {
 		if err := c.sendRecv(next, tagRingRS+s, v[slo:shi], prev, tagRingRS+s, rb); err != nil {
 			return err
 		}
-		addInto(v[rlo:rhi], rb)
+		if s == p-2 && scale != 1 {
+			reduceScale(v[rlo:rhi], rb, scale)
+		} else {
+			addInto(v[rlo:rhi], rb)
+		}
 	}
 	// Phase 2: allgather. Rank r owns the fully reduced segment (r+1) mod p.
 	for s := 0; s < p-1; s++ {

@@ -72,8 +72,28 @@
 // transports that implement BufferedTransport, and the inproc fabric
 // recycles transit buffers through a pool — Send clones into a pooled
 // buffer, Recv copies into the caller-provided destination and returns the
-// buffer. AllocsPerRun tests pin a warm AllreduceMean at zero allocations;
-// see ARCHITECTURE.md "Memory discipline & hot path".
+// buffer. AllreduceMean's 1/P costs no pass of its own on the flat ring: the
+// rank that owns a segment scales it inside its last reduce-scatter add,
+// block by block while the block is in cache, so the allgather ships final
+// values (recursive doubling and the hierarchical schedule, whose vectors
+// are short or whose tiers differ, sum first and scale after). AllocsPerRun
+// tests pin a warm AllreduceMean at zero allocations; see ARCHITECTURE.md
+// "Memory discipline & hot path".
+//
+// # Ring reduction order
+//
+// The flat ring allreduce (AlgoRing, and AlgoAuto at 4096 elements or more,
+// on a communicator without a topology) computes every element in one
+// written order, on every fabric and at any concurrency. Segment j of an
+// n-element vector is elements j·n/P up to (j+1)·n/P. Its sum starts as
+// rank j's values and takes rank (j+k) mod P's for k = 1…P−1, each as one
+// float32 add acc = x + acc. Rank (j−1) mod P completes it — for
+// AllreduceMean it then multiplies by float32(1/P), one more float32
+// rounding — and the allgather copies that rank's bits to every other rank.
+// The mean's bits are therefore those of AllreduceSum followed by
+// tensor.Scale(v, 1/P): the same product rounds the same on any rank.
+// ring_oracle_test.go holds both collectives to a naive reference of this
+// order, bit for bit.
 //
 // # Failure contract: deadlines, retry, typed errors
 //

@@ -351,6 +351,42 @@ func (t *Transport) readPayload(r *bufio.Reader, ps *peerState, dst []float32) e
 	return nil
 }
 
+// lengthErr is the error a receiver gets for a frame of its tag whose
+// length is not its buffer's. It is not sticky: the frame's payload has
+// been consumed, so the stream stays in step.
+func lengthErr(from, tag, got, want int) error {
+	return fmt.Errorf("tcpnet: length mismatch from %d tag %d: got %d want %d", from, tag, got, want)
+}
+
+// payloadErr types a failure while reading a frame's payload. The stream
+// position is lost, so the caller latches it as the peer's sticky error.
+func payloadErr(from int, err error) error {
+	err = fmt.Errorf("tcpnet: recv payload from %d: %w", from, err)
+	if isTimeout(err) {
+		err = &comm.PeerError{Rank: from, Op: "recv", Timeout: true, Err: err}
+	}
+	return err
+}
+
+// endPull ends the caller's turn at the stream (under rmu) and wakes every
+// waiting receiver. A non-nil sticky error is latched: the stream position
+// is lost, so every later Recv on this peer fails with it.
+func (ps *peerState) endPull(sticky error) {
+	ps.pulling = false
+	if sticky != nil {
+		ps.rerr = sticky
+	}
+	ps.rcond.Broadcast()
+}
+
+// leave is endPull for a puller that returns err to its caller.
+func (ps *peerState) leave(err, sticky error) error {
+	ps.rmu.Lock()
+	ps.endPull(sticky)
+	ps.rmu.Unlock()
+	return err
+}
+
 // Recv implements comm.Transport. Frames arriving for the expected tag are
 // read from the socket straight into the destination buffer's memory on
 // zero-copy builds (staged through a per-peer receive buffer otherwise);
@@ -370,13 +406,14 @@ func (t *Transport) Recv(from, tag int, data []float32) error {
 				m := ps.pend[i]
 				ps.pend = append(ps.pend[:i], ps.pend[i+1:]...)
 				ps.rmu.Unlock()
-				defer t.rpool.Put(m.buf)
+				var err error
 				if len(m.data) != len(data) {
-					return fmt.Errorf("tcpnet: length mismatch from %d tag %d: got %d want %d",
-						from, tag, len(m.data), len(data))
+					err = lengthErr(from, tag, len(m.data), len(data))
+				} else {
+					copy(data, m.data)
 				}
-				copy(data, m.data)
-				return nil
+				t.rpool.Put(m.buf)
+				return err
 			}
 		}
 		if ps.rerr != nil {
@@ -397,56 +434,42 @@ func (t *Transport) Recv(from, tag int, data []float32) error {
 			_ = conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
 		}
 		if n0, err := readFull(r, ps.rhdr[:]); err != nil {
+			var sticky error
 			if n0 == 0 && isTimeout(err) {
 				// Deadline expired before any header byte arrived: the
 				// stream is intact, so the error names the slow peer but is
 				// NOT sticky — a later Recv (or a retried one) still works.
-				perr := &comm.PeerError{Rank: from, Op: "recv", Timeout: true, Err: err}
-				ps.rmu.Lock()
-				ps.pulling = false
-				ps.rcond.Broadcast()
-				ps.rmu.Unlock()
-				return perr
-			}
-			// A dead stream fails every receiver on this peer, now and later.
-			err = fmt.Errorf("tcpnet: recv from %d: %w", from, err)
-			if isTimeout(err) {
 				err = &comm.PeerError{Rank: from, Op: "recv", Timeout: true, Err: err}
-			}
-			ps.rmu.Lock()
-			ps.pulling = false
-			ps.rerr = err
-			ps.rcond.Broadcast()
-			ps.rmu.Unlock()
-			return err
-		}
-		gotTag := int(binary.LittleEndian.Uint32(ps.rhdr[0:]))
-		n := int(binary.LittleEndian.Uint32(ps.rhdr[4:]))
-		if gotTag == tag {
-			if n != len(data) {
-				ps.rmu.Lock()
-				ps.pulling = false
-				ps.rcond.Broadcast()
-				ps.rmu.Unlock()
-				return fmt.Errorf("tcpnet: length mismatch from %d tag %d: got %d want %d", from, tag, n, len(data))
-			}
-			if t.ioTimeout > 0 {
-				_ = conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
-			}
-			err := t.readPayload(r, ps, data)
-			ps.rmu.Lock()
-			ps.pulling = false
-			if err != nil {
-				// Mid-frame failure: the stream position is lost, sticky.
-				err = fmt.Errorf("tcpnet: recv payload from %d: %w", from, err)
+			} else {
+				// A dead stream fails every receiver on this peer, now and
+				// later.
+				err = fmt.Errorf("tcpnet: recv from %d: %w", from, err)
 				if isTimeout(err) {
 					err = &comm.PeerError{Rank: from, Op: "recv", Timeout: true, Err: err}
 				}
-				ps.rerr = err
+				sticky = err
 			}
-			ps.rcond.Broadcast()
-			ps.rmu.Unlock()
-			return err
+			return ps.leave(err, sticky)
+		}
+		gotTag := int(binary.LittleEndian.Uint32(ps.rhdr[0:]))
+		n := int(binary.LittleEndian.Uint32(ps.rhdr[4:]))
+		if t.ioTimeout > 0 {
+			_ = conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
+		}
+		if gotTag == tag {
+			if n != len(data) {
+				// Consume the payload so the next header is read in step.
+				if _, err := r.Discard(4 * n); err != nil {
+					err = payloadErr(from, err)
+					return ps.leave(err, err)
+				}
+				return ps.leave(lengthErr(from, tag, n, len(data)), nil)
+			}
+			if err := t.readPayload(r, ps, data); err != nil {
+				err = payloadErr(from, err)
+				return ps.leave(err, err)
+			}
+			return ps.leave(nil, nil)
 		}
 		// Out-of-tag frame: stash it in a pooled transit buffer.
 		bp := t.rpool.Get().(*[]float32)
@@ -454,26 +477,14 @@ func (t *Transport) Recv(from, tag int, data []float32) error {
 			*bp = make([]float32, n)
 		}
 		stash := (*bp)[:n]
-		if t.ioTimeout > 0 {
-			_ = conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
-		}
 		if err := t.readPayload(r, ps, stash); err != nil {
 			t.rpool.Put(bp)
-			err = fmt.Errorf("tcpnet: recv payload from %d: %w", from, err)
-			if isTimeout(err) {
-				err = &comm.PeerError{Rank: from, Op: "recv", Timeout: true, Err: err}
-			}
-			ps.rmu.Lock()
-			ps.pulling = false
-			ps.rerr = err
-			ps.rcond.Broadcast()
-			ps.rmu.Unlock()
-			return err
+			err = payloadErr(from, err)
+			return ps.leave(err, err)
 		}
 		ps.rmu.Lock()
-		ps.pulling = false
 		ps.pend = append(ps.pend, pendFrame{tag: gotTag, data: stash, buf: bp})
-		ps.rcond.Broadcast()
+		ps.endPull(nil)
 		// Loop: re-scan the stash or become the puller again.
 	}
 }
