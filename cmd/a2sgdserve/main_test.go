@@ -1,6 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"encoding/json"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -46,6 +50,43 @@ func TestReadJobsRejectsUnknownKeys(t *testing.T) {
 	if _, err := readJobs(strings.NewReader(`[]`)); err == nil {
 		t.Error("empty job list must be an error")
 	}
+}
+
+// FuzzReadJobs: readJobs takes a file from outside. Whatever the bytes, it
+// returns, does not panic, and allocates in proportion to the input. The
+// bound allows for a 3-byte "{}," that decodes to a 152-byte jobSpec, in a
+// slice whose growth allocates up to about six times its final length
+// (`[{},{},…]` reads ≈ 240 bytes per input byte). A list it accepts encodes
+// back to one it reads the same.
+func FuzzReadJobs(f *testing.F) {
+	for _, seed := range []string{
+		`[{"name": "a", "spec": "auto", "bucket_bytes": 8192, "drift_replan": true}, {"family": "lstm", "workers": 3, "faults": "deadline(5s)"}]`,
+		`[{"name": "a", "bucketbytes": 8192}]`,
+		`[]`,
+		`[{"name": "a", "spec": "a2s`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		specs, err := readJobs(bytes.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, 64<<10+512*uint64(len(data)); n > limit {
+			t.Fatalf("%d-byte input allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+		if err != nil {
+			return
+		}
+		out, err := json.Marshal(specs)
+		if err != nil {
+			t.Fatalf("accepted jobs do not encode: %v", err)
+		}
+		again, err := readJobs(bytes.NewReader(out))
+		if err != nil || !reflect.DeepEqual(again, specs) {
+			t.Fatalf("accepted jobs %+v read back as %+v, %v", specs, again, err)
+		}
+	})
 }
 
 // TestBuildJobReplansOnlyAutoSpecs: "spec": "auto" is the replanning job

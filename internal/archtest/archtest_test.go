@@ -41,6 +41,8 @@ var rules = []rule{
 		why: "no CLI plans: auto(…) goes in TrainConfig.Spec or Policy"},
 	{sym: "a2sgd/internal/plan.Build", allow: []string{"a2sgd.go", "internal/bench/auto.go"},
 		why: "only a2sgd.BuildSchedule plans, and the auto study prices paper-scale segments"},
+	{sym: "a2sgd/internal/comm.ErrGroupStop", allow: []string{"internal/cluster/cluster.go"},
+		why: "only cluster's pausedError stops a group cooperatively; comm.Launch alone tests for it"},
 }
 
 // violations lists every reference in f (at rel, slash-separated from the
@@ -115,7 +117,7 @@ func TestSinglePaths(t *testing.T) {
 }
 
 // TestRulesCatchViolations: the checker flags forbidden calls, an aliased
-// import and a literal, and leaves the allowed file alone.
+// import, a literal and a variable, and leaves the allowed files alone.
 func TestRulesCatchViolations(t *testing.T) {
 	src := `package main
 
@@ -144,5 +146,26 @@ func main() {
 	}
 	if v := violations(fset, "a2sgd.go", f); len(v) != 0 {
 		t.Errorf("a2sgd.go may lower, parse faults, train and build the config; got %q", v)
+	}
+
+	stop := `package x
+
+import (
+	"errors"
+
+	"a2sgd/internal/comm"
+)
+
+func stopped(err error) bool { return errors.Is(err, comm.ErrGroupStop) }
+`
+	if f, err = parser.ParseFile(fset, "stop.go", stop, parser.SkipObjectResolution); err != nil {
+		t.Fatal(err)
+	}
+	want := "internal/comm/tcpnet/stop.go:9: a2sgd/internal/comm.ErrGroupStop"
+	if v := violations(fset, "internal/comm/tcpnet/stop.go", f); len(v) != 1 || !strings.HasPrefix(v[0], want) {
+		t.Errorf("got %q, want one violation %s", v, want)
+	}
+	if v := violations(fset, "internal/cluster/cluster.go", f); len(v) != 0 {
+		t.Errorf("internal/cluster/cluster.go may wrap comm.ErrGroupStop; got %q", v)
 	}
 }

@@ -55,7 +55,7 @@ func TestFigure1GradientConcentration(t *testing.T) {
 
 func TestFigure2OrderingAtScale(t *testing.T) {
 	var buf bytes.Buffer
-	pts, err := Figure2(&buf, []int{2_000_000}, 1)
+	pts, err := Figure2(&buf, []int{2_000_000}, 5)
 	if err != nil {
 		t.Fatal(err)
 	}

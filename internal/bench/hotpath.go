@@ -141,14 +141,30 @@ var vggConvShapes = [][3]int{{8, 27, 256}, {16, 72, 64}, {24, 144, 16}, {24, 216
 
 // computeRung adds the compute rung's points — the bottom of the ladder the
 // repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
-// 256³ multiply, the matrix products one reduced-vgg16 step issues at batch
+// LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, the 256³
+// multiply, the matrix products one reduced-vgg16 step issues at batch
 // 16 (per convolution: the forward a×b and the column gradient aᵀ×b over the
 // whole batch, the weight gradient a×bᵀ once per sample), and a warm
-// ZeroGrads+Step of the two benchmark models. Their n is multiply-adds per
-// operation (gemm/*) or parameters (nn/*); allocs/op is part of the contract
-// for all four.
+// ZeroGrads+Step of the two benchmark models. Their n is elements
+// (tensor/*), multiply-adds per operation (gemm/*) or parameters (nn/*);
+// allocs/op is part of the contract for all six.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
+	{
+		const n = 4096
+		src, dst := make([]float32, n), make([]float32, n)
+		rng.NormVec(src, 0, 2)
+		for _, k := range []struct {
+			name string
+			f    func(dst, src tensor.Vec)
+		}{{"tensor/sigmoid-4k", tensor.Sigmoid}, {"tensor/tanh-4k", tensor.Tanh}} {
+			add(k.name, n, 0, testing.Benchmark(func(bm *testing.B) {
+				for i := 0; i < bm.N; i++ {
+					k.f(dst, src)
+				}
+			}))
+		}
+	}
 	mat := func(rows, cols int) *tensor.Mat {
 		m := tensor.NewMat(rows, cols)
 		rng.NormVec(m.Data, 0, 1)
@@ -546,11 +562,11 @@ func HotPath(w io.Writer) (*HotPathReport, error) {
 			share = fmt.Sprintf("%.0f%%", 100*p.StreamShare)
 		}
 		rows = append(rows, []string{
-			p.Name, fmt.Sprintf("%.0f", p.NsPerOp), fmt.Sprintf("%d", p.AllocsPerOp),
-			fmt.Sprintf("%d", p.BytesPerOp), mb, share,
+			p.Name, fmt.Sprintf("%.0f", p.NsPerOp), fmt.Sprintf("%.3g", p.NsPerOp/float64(p.N)),
+			fmt.Sprintf("%d", p.AllocsPerOp), fmt.Sprintf("%d", p.BytesPerOp), mb, share,
 		})
 	}
-	table(w, []string{"op", "ns/op", "allocs/op", "B/op", "MB/s", "of stream/copy"}, rows)
+	table(w, []string{"op", "ns/op", "ns/elem", "allocs/op", "B/op", "MB/s", "of stream/copy"}, rows)
 	if rep.OverlapEfficiency != 0 {
 		fmt.Fprintf(w, "overlap efficiency: %.2f (share of hideable exchange time the overlapped step hides)\n",
 			rep.OverlapEfficiency)

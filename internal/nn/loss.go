@@ -48,10 +48,10 @@ func (l *SoftmaxLoss) into(d, logits *tensor.Mat, labels []int) (loss float64) {
 		}
 		// Each exponential is needed twice, for the normaliser and for its
 		// own probability; it is computed once.
+		tensor.ExpShift(exps, row, m)
 		var sum float64
-		for c, v := range row {
-			exps[c] = math.Exp(float64(v - m))
-			sum += exps[c]
+		for _, e := range exps {
+			sum += e
 		}
 		logSum := math.Log(sum)
 		lbl := labels[s]

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"a2sgd/internal/tensor"
 )
@@ -164,10 +163,6 @@ func (m *LSTMLM) NumParams() int {
 	return off[len(off)-1]
 }
 
-func sigmoid(x float32) float32 {
-	return float32(1 / (1 + math.Exp(-float64(x))))
-}
-
 // layerIn returns layer l's input width.
 func (m *LSTMLM) layerIn(l int) int {
 	if l == 0 {
@@ -201,15 +196,16 @@ func (m *LSTMLM) cellForward(l, t int) {
 		zr := z.Row(b)
 		cPrev := c.Row(b)
 		hr, cr, tr := newH.Row(b), newC.Row(b), tc.Row(b)
-		for j := 0; j < H; j++ {
-			ig := sigmoid(zr[j])
-			fg := sigmoid(zr[H+j])
-			gg := float32(math.Tanh(float64(zr[2*H+j])))
-			og := sigmoid(zr[3*H+j])
-			zr[j], zr[H+j], zr[2*H+j], zr[3*H+j] = ig, fg, gg, og
-			cr[j] = fg*cPrev[j] + ig*gg
-			tr[j] = float32(math.Tanh(float64(cr[j])))
-			hr[j] = og * tr[j]
+		ig, fg, gg, og := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:]
+		tensor.Sigmoid(zr[:2*H], zr[:2*H])
+		tensor.Tanh(gg, gg)
+		tensor.Sigmoid(og, og)
+		for j, cp := range cPrev {
+			cr[j] = fg[j]*cp + ig[j]*gg[j]
+		}
+		tensor.Tanh(tr, cr)
+		for j, o := range og {
+			hr[j] = o * tr[j]
 		}
 	}
 }

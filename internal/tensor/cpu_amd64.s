@@ -2,13 +2,15 @@
 
 #include "textflag.h"
 
-// func cpuFeatures() (avx, avx2 bool)
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
+// func cpuFeatures() (avx, avx2, fma bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
 	MOVB $0, avx+0(FP)
 	MOVB $0, avx2+1(FP)
+	MOVB $0, fma+2(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
+	MOVL CX, SI
 	ANDL $0x18000000, CX // OSXSAVE | AVX
 	CMPL CX, $0x18000000
 	JNE  done
@@ -18,6 +20,11 @@ TEXT ·cpuFeatures(SB), NOSPLIT, $0-2
 	CMPL AX, $6
 	JNE  done
 	MOVB $1, avx+0(FP)
+	BTL  $12, SI // FMA
+	JCC  leaf7
+	MOVB $1, fma+2(FP)
+
+leaf7:
 	XORL AX, AX
 	CPUID
 	CMPL AX, $7 // highest basic leaf

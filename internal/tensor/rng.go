@@ -65,6 +65,39 @@
 // accumulation, a compensated or binned sum changes that paragraph, the
 // oracle and the pinned triples in means_test.go and the digest in
 // internal/core together, with its own accuracy evidence.
+//
+// # Transcendentals
+//
+// Sigmoid, Tanh and ExpShift (trans.go) are specified by the scalar
+// expressions their doc comments name — float32(1/(1+math.Exp(−x))),
+// float32(math.Tanh(x)) and math.Exp(float64(x−m)), each over the exactly
+// converted float64 of its float32 argument — and give those bits on every
+// build, NaN for NaN. On amd64 with AVX2 and FMA (CPUID, read once) a
+// kernel computes four float64 lanes at a time with the operations Go's
+// math package runs for one argument:
+//
+//	exp: k = round-to-nearest-even(x·log2e) as an int32; x − k·LN2U and
+//	then − k·LN2L, each one fused multiply-add; ×1/16; the Taylor
+//	polynomial c8…c3, 1/2, 1 by Horner, seven fused multiply-adds; x·p;
+//	x ← x·(x+2) three times; x·(x+2)+1 fused; ×2^k, built as
+//	(k + 0x3FF) ≪ 52. That is math.Exp's amd64 FMA path, which Go takes
+//	when CPUID reports AVX and FMA, so wherever the kernel runs the
+//	scalar call would take it too.
+//	tanh: with z = |x|, the first of z > MAXLOG/2 → ±1 (the sign of x);
+//	z ≥ 0.625 → ±(1 − 2/(exp(2z)+1)); x == 0 → x; otherwise
+//	x + x·s·P(s)/Q(s), s = x·x, the Cephes rational as math.tanh writes
+//	it, unfused. Every lane computes every branch, exp at
+//	2·min(z, MAXLOG/2), and the predicates blend them; NaN fails each
+//	compare and takes the rational, as it does in math.tanh.
+//
+// A block of four whose exp argument holds a NaN or a lane beyond ±700 —
+// where math.Exp's overflow, denormal and non-finite cases live — goes
+// through the scalar expression, as do the tail and every block on any
+// other CPU, under the purego tag and on other architectures. The scalar
+// loops call math, whose portable bodies differ from amd64's assembly in
+// the last bit, so these results are pinned per architecture, not across
+// architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
+// four-argument probe at start-up sees that and leaves the kernels off.
 package tensor
 
 import "math"

@@ -31,3 +31,7 @@ func gaussTailArch(dst []int32, src []float32, base int32, mu, tau float64) (nse
 func eliasPackArch(words []uint32, fields []uint32, bitPos uint64) uint64 {
 	return eliasPackScalar(words, fields, bitPos)
 }
+
+func vecSigmoid(dst, src Vec)                       { sigmoidScalar(dst, src) }
+func vecTanh(dst, src Vec)                          { tanhScalar(dst, src) }
+func vecExpShift(dst []float64, src Vec, m float32) { expShiftScalar(dst, src, m) }

@@ -1,0 +1,164 @@
+package tensor
+
+import (
+	"math"
+	"os"
+	"os/exec"
+	"testing"
+)
+
+// The oracle for Sigmoid, Tanh and ExpShift: each kernel is held bitwise to
+// the scalar expression its doc comment names, written out again here. A NaN
+// matches any NaN.
+
+func sigmoidRef(x float32) float32     { return float32(1 / (1 + math.Exp(-float64(x)))) }
+func tanhRef(x float32) float32        { return float32(math.Tanh(float64(x))) }
+func expShiftRef(x, m float32) float64 { return math.Exp(float64(x - m)) }
+
+func same32(a, b float32) bool {
+	return math.Float32bits(a) == math.Float32bits(b) || a != a && b != b
+}
+
+func same64(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || a != a && b != b
+}
+
+// transShifts are the m that ExpShift's oracle takes: none, a softmax row's
+// maximum, shifts that move arguments across exp's ±700 fallback line, and
+// non-finite ones.
+var transShifts = []float32{0, 3.25, -1.5, 650, -650, float32(math.Inf(1)), float32(math.NaN())}
+
+// TestTransMatchesScalarSweep runs the kernels over a strided walk through
+// all 2³² float32 bit patterns, in chunks whose lengths are multiples of the
+// kernels' block, so every block goes through a kernel or its fallback.
+// ExpShift takes the shifts in turn, one per chunk.
+func TestTransMatchesScalarSweep(t *testing.T) {
+	stride := uint64(211)
+	if raceEnabled {
+		stride = 100_003
+	}
+	const chunk = 4096
+	src := make(Vec, chunk)
+	d32 := make(Vec, chunk)
+	d64 := make([]float64, chunk)
+	for c, start := 0, uint64(0); start < 1<<32; c, start = c+1, start+stride*chunk {
+		n := 0
+		for ; n < chunk && start+uint64(n)*stride < 1<<32; n++ {
+			src[n] = math.Float32frombits(uint32(start + uint64(n)*stride))
+		}
+		x := src[:n]
+		Sigmoid(d32[:n], x)
+		for i, v := range x {
+			if !same32(d32[i], sigmoidRef(v)) {
+				t.Fatalf("Sigmoid(%g [%#08x]) = %g, scalar %g", v, math.Float32bits(v), d32[i], sigmoidRef(v))
+			}
+		}
+		Tanh(d32[:n], x)
+		for i, v := range x {
+			if !same32(d32[i], tanhRef(v)) {
+				t.Fatalf("Tanh(%g [%#08x]) = %g, scalar %g", v, math.Float32bits(v), d32[i], tanhRef(v))
+			}
+		}
+		m := transShifts[c%len(transShifts)]
+		ExpShift(d64[:n], x, m)
+		for i, v := range x {
+			if !same64(d64[i], expShiftRef(v, m)) {
+				t.Fatalf("ExpShift(%g [%#08x], m=%g) = %g, scalar %g", v, math.Float32bits(v), m, d64[i], expShiftRef(v, m))
+			}
+		}
+	}
+}
+
+// TestTransTails covers every length from 0 to 17 at four alignments, with
+// inputs that make blocks decline the kernel (NaN, ±Inf, beyond ±700) mixed
+// among ordinary ones and tanh's branch points, out of place and in place;
+// no element outside the range may be written.
+func TestTransTails(t *testing.T) {
+	nan, inf := float32(math.NaN()), float32(math.Inf(1))
+	specials := []float32{nan, inf, -inf, 701, -701, 700, -700, 0, float32(math.Copysign(0, -1)),
+		0.625, -0.625, 44.014847, -44.014847, 88.72, -103.9, 1e-30, 1e-45, -3e38}
+	const sentinel = 12345.5
+	rng := NewRNG(36)
+	src := make(Vec, 24)
+	d32 := make(Vec, 24)
+	d64 := make([]float64, 24)
+	for off := 0; off < 4; off++ {
+		for n := 0; n <= 17; n++ {
+			for trial := 0; trial < 16; trial++ {
+				for i := range src {
+					if rng.Intn(4) == 0 {
+						src[i] = specials[rng.Intn(len(specials))]
+					} else {
+						src[i] = (rng.Float32() - 0.5) * 40
+					}
+					d32[i], d64[i] = sentinel, sentinel
+				}
+				x, y, z := src[off:off+n], d32[off:off+n], d64[off:off+n]
+				m := transShifts[rng.Intn(len(transShifts))]
+				check := func(op string, in, got Vec, ref func(float32) float32) {
+					t.Helper()
+					for i, v := range in {
+						if !same32(got[i], ref(v)) {
+							t.Fatalf("%s off=%d n=%d: [%d] of %g = %g, scalar %g", op, off, n, i, v, got[i], ref(v))
+						}
+					}
+				}
+				Sigmoid(y, x)
+				check("Sigmoid", x, y, sigmoidRef)
+				Tanh(y, x)
+				check("Tanh", x, y, tanhRef)
+				ExpShift(z, x, m)
+				for i, v := range x {
+					if !same64(z[i], expShiftRef(v, m)) {
+						t.Fatalf("ExpShift off=%d n=%d m=%g: [%d] of %g = %g, scalar %g", off, n, m, i, v, z[i], expShiftRef(v, m))
+					}
+				}
+				for i := range d32 {
+					if (i < off || i >= off+n) && (d32[i] != sentinel || d64[i] != sentinel) {
+						t.Fatalf("off=%d n=%d: element %d outside the range was written", off, n, i)
+					}
+				}
+				in := append(Vec(nil), x...)
+				Tanh(x, x)
+				check("Tanh in place", in, x, tanhRef)
+				copy(x, in)
+				Sigmoid(x, x)
+				check("Sigmoid in place", in, x, sigmoidRef)
+			}
+		}
+	}
+}
+
+// TestTransZeroAlloc: the block walk's closures stay on the stack, declined
+// blocks included.
+func TestTransZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	src := make(Vec, 64)
+	NewRNG(1).NormVec(src, 0, 2)
+	src[5] = 701
+	d32 := make(Vec, len(src))
+	d64 := make([]float64, len(src))
+	if n := testing.AllocsPerRun(10, func() {
+		Sigmoid(d32, src)
+		Tanh(d32, src)
+		ExpShift(d64, src, 1)
+	}); n != 0 {
+		t.Errorf("Sigmoid+Tanh+ExpShift make %v allocs/op", n)
+	}
+}
+
+// TestTransWithoutFMA reruns the tails in a process whose math.Exp is off
+// its FMA path (GODEBUG=cpu.fma=off): the start-up probe must see that and
+// leave the kernels off, or about one exp in ten differs in its last bit.
+func TestTransWithoutFMA(t *testing.T) {
+	if os.Getenv("GODEBUG") == "cpu.fma=off" {
+		t.Skip("already the child")
+	}
+	cmd := exec.Command(os.Args[0], "-test.run=^TestTransTails$", "-test.count=1")
+	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
+	if out, err := cmd.CombinedOutput(); err != nil {
+		t.Fatalf("TestTransTails under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	}
+}
