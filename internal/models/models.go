@@ -340,9 +340,8 @@ func (l *lstmModel) Step(b Batch) float64 {
 }
 
 // StepInterleaved reports per-tensor readiness from inside truncated BPTT:
-// the last timestep of the backward finalizes the output projection first,
-// then each LSTM layer top-down, then the embedding — see
-// nn.LSTMLM.BackwardInterleaved.
+// the backward finalizes the output projection first, then each LSTM layer
+// top-down, then the embedding — see nn.LSTMLM.BackwardInterleaved.
 func (l *lstmModel) StepInterleaved(b Batch, onReady func(lo int)) float64 {
 	ce := l.lm.Forward(b.Tokens, true)
 	l.lm.BackwardInterleaved(onReady)

@@ -30,7 +30,8 @@ func (l *SoftmaxLoss) Loss(logits *tensor.Mat, labels []int) (loss float64, dlog
 	return l.into(d, logits, labels), d
 }
 
-// into writes dL/dlogits over every element of d and returns the loss.
+// into writes dL/dlogits over every element of d and returns the loss. d may
+// be logits itself: each row is read in full before it is written.
 func (l *SoftmaxLoss) into(d, logits *tensor.Mat, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic("nn: SoftmaxCE label count mismatch")

@@ -16,6 +16,18 @@ import (
 // Because the recurrent weights are shared across timesteps, the model
 // manages its own backpropagation-through-time rather than implementing the
 // feed-forward Layer interface.
+//
+// The unrolled network runs layer by layer, not timestep by timestep, so
+// that a product which does not depend on the previous step runs once per
+// sequence over all T·B rows instead of T times over B: each layer's input
+// product x·Wxᵀ, the logits h·Wyᵀ, and in the backward dlogits·Wy and each
+// layer's dz·Wx. Only the recurrent products h·Whᵀ and dz·Wh — and the
+// weight-gradient products, see BackwardInterleaved — stay inside the time
+// loop. A product's rows are independent accumulators (the tensor package's
+// Gemm specification), so a row computes the same bits in a T·B-row product
+// as in a B-row one, and every batched result is added back per step with
+// the single float32 add the per-step product made: no loss, gradient or
+// digest depends on the schedule.
 type LSTMLM struct {
 	Vocab, Embed, Hidden, Layers int
 
@@ -35,24 +47,31 @@ type LSTMLM struct {
 	params   []Param
 	paramOff []int
 
+	// whT holds each layer's Whᵀ as Wide panels, packed at the top of every
+	// Forward (the weights may have changed since the last one) and read by
+	// all T recurrent products of that call.
+	whT []tensor.WidePanels
+
 	// BPTT tapes, written by every Forward and read by the Backward that
 	// follows a training one. Each is one grow-only slab carved into equally
 	// shaped matrices, so a steady-state step allocates nothing; like a
 	// Layer's workspaces they serve evaluation too, so an evaluation Forward
 	// between a training Forward and its Backward overwrites the record.
+	// Consecutive steps of one layer are adjacent in a slab, so span hands a
+	// layer's whole sequence to one product.
 	tokens  [][]int
 	steps   int     // T of the last Forward
 	emb     matTape // [t]: embedded inputs (B, Embed) — layer 0's input
 	hs, cs  matTape // [l·(T+1) + t]: states after step t−1 (index 0 is zeros)
 	gates   matTape // [l·T + t]: post-activation gate values (B, 4H)
 	tanhC   matTape // [l·T + t]: tanh(c_t)
-	dlogits matTape // [t]
-	logits  buf
+	dlogits matTape // [t]: the logits, turned in place into their gradient
 	labels  []int
 	ce      SoftmaxLoss
 	// Backward scratch.
-	dh, dc  matTape // [l]: state gradients carried from step t+1
-	dz, dx0 buf     // gate pre-activation gradient; layer 0's input gradient
+	dz     matTape // [t]: one layer's gate pre-activation gradients
+	dh, dc buf     // one layer's state gradients carried from step t+1
+	dx     buf     // (T·B, H or Embed): the gradient flowing down between layers
 }
 
 // matTape is a grow-only sequence of equally shaped matrices carved from one
@@ -73,6 +92,13 @@ func (t *matTape) shape(count, rows, cols int) {
 }
 
 func (t *matTape) at(i int) *tensor.Mat { return &t.mats[i] }
+
+// span returns matrices [i, j) as one (j−i)·rows × cols matrix over the slab.
+func (t *matTape) span(i, j int) tensor.Mat {
+	m := t.mats[i]
+	n := len(m.Data)
+	return tensor.Mat{Rows: (j - i) * m.Rows, Cols: m.Cols, Data: t.slab[i*n : j*n]}
+}
 
 // NewLSTMLM builds a single-layer model with Xavier initialization.
 func NewLSTMLM(rng *tensor.RNG, vocab, embed, hidden int) *LSTMLM {
@@ -180,19 +206,38 @@ func (m *LSTMLM) layerInput(l, t int) *tensor.Mat {
 	return m.hs.at((l-1)*(m.steps+1) + t + 1)
 }
 
-// cellForward runs one LSTM layer for one timestep, reading the layer input
-// and the previous states from the tapes and writing the post-activation
-// [i f g o] gate values, the new states and tanh(c) to them.
+// layerInputs returns layer l's inputs at every step, as T·B rows.
+func (m *LSTMLM) layerInputs(l int) tensor.Mat {
+	if l == 0 {
+		return m.emb.span(0, m.steps)
+	}
+	return m.hs.span((l-1)*(m.steps+1)+1, l*(m.steps+1))
+}
+
+// layerForward runs layer l over the whole sequence. The input product of
+// every step is one Gemm straight into the gates tape; the time loop adds
+// the recurrent product, the bias and the activations.
+func (m *LSTMLM) layerForward(l int) {
+	H, T := m.Hidden, m.steps
+	z := m.gates.span(l*T, (l+1)*T)
+	x := m.layerInputs(l)
+	tensor.Gemm(z.View(), x.View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T(), tensor.Wide)
+	for t := 0; t < T; t++ {
+		m.cellForward(l, t)
+	}
+}
+
+// cellForward finishes one LSTM layer for one timestep: to the input product
+// already in the gates tape it adds h·Whᵀ and the bias, then writes the
+// post-activation [i f g o] gate values, the new states and tanh(c).
 func (m *LSTMLM) cellForward(l, t int) {
 	H, T := m.Hidden, m.steps
-	x := m.layerInput(l, t)
 	h, c := m.hs.at(l*(T+1)+t), m.cs.at(l*(T+1)+t)
 	newH, newC := m.hs.at(l*(T+1)+t+1), m.cs.at(l*(T+1)+t+1)
 	z, tc := m.gates.at(l*T+t), m.tanhC.at(l*T+t)
-	tensor.Gemm(z.View(), x.View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T(), tensor.Wide)
-	tensor.GemmAdd(z.View(), h.View(), tensor.ViewOf(4*H, H, m.Wh[l]).T(), tensor.Wide)
+	tensor.GemmAddPacked(z.View(), h.View(), &m.whT[l])
 	tensor.AddRowVec(z, m.B[l])
-	for b := 0; b < x.Rows; b++ {
+	for b := 0; b < z.Rows; b++ {
 		zr := z.Row(b)
 		cPrev := c.Row(b)
 		hr, cr, tr := newH.Row(b), newC.Row(b), tc.Row(b)
@@ -210,8 +255,26 @@ func (m *LSTMLM) cellForward(l, t int) {
 	}
 }
 
+// checkTokens panics unless every row of tokens holds T+1 tokens and every
+// token is in the vocabulary. Forward calls it before it writes any tape.
+func (m *LSTMLM) checkTokens(tokens [][]int) {
+	n := len(tokens[0])
+	for b, row := range tokens {
+		if len(row) != n {
+			panic(fmt.Sprintf("nn: LSTMLM token row %d has length %d, row 0 has %d", b, len(row), n))
+		}
+		for t, tok := range row {
+			if tok < 0 || tok >= m.Vocab {
+				panic(fmt.Sprintf("nn: LSTMLM token row %d, position %d: token %d out of vocab %d", b, t, tok, m.Vocab))
+			}
+		}
+	}
+}
+
 // Forward runs the model over tokens[b][t], predicting tokens[b][t+1] for
-// t < T−1, and returns the mean cross-entropy per predicted token. The
+// t < T−1, and returns the mean cross-entropy per predicted token. Every row
+// must have the same length T+1 ≥ 2 and every token must be in the
+// vocabulary; Forward checks both before it touches the tapes. The
 // activations go to the BPTT tapes either way; train marks them as belonging
 // to a training batch, which Backward requires. tokens is retained until
 // that Backward.
@@ -224,6 +287,7 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	if T < 1 {
 		panic("nn: LSTMLM needs sequences of length ≥ 2")
 	}
+	m.checkTokens(tokens)
 	H, L := m.Hidden, m.Layers
 	m.tokens, m.steps = nil, T
 	if train {
@@ -235,35 +299,35 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	m.gates.shape(L*T, B, 4*H)
 	m.tanhC.shape(L*T, B, H)
 	m.dlogits.shape(T, B, m.Vocab)
+	m.whT = grow(m.whT, L)
 	for l := 0; l < L; l++ {
+		tensor.PackWide(&m.whT[l], tensor.ViewOf(4*H, H, m.Wh[l]).T())
 		tensor.Zero(m.hs.at(l * (T + 1)).Data)
 		tensor.Zero(m.cs.at(l * (T + 1)).Data)
 	}
-	m.labels = grow(m.labels, B)
-	logits := m.logits.get(B, m.Vocab)
-	wy := tensor.ViewOf(m.Vocab, H, m.Wy)
-
-	var totalCE float64
 	for t := 0; t < T; t++ {
-		// Embed tokens at position t.
 		x := m.emb.at(t)
 		for b := 0; b < B; b++ {
 			tok := tokens[b][t]
-			if tok < 0 || tok >= m.Vocab {
-				panic(fmt.Sprintf("nn: token %d out of vocab %d", tok, m.Vocab))
-			}
 			copy(x.Row(b), m.E[tok*m.Embed:(tok+1)*m.Embed])
 		}
-		for l := 0; l < L; l++ {
-			m.cellForward(l, t)
-		}
-		// Output logits and loss against the next token.
-		tensor.Gemm(logits.View(), m.layerInput(L, t).View(), wy.T(), tensor.Wide)
-		tensor.AddRowVec(logits, m.By)
+	}
+	for l := 0; l < L; l++ {
+		m.layerForward(l)
+	}
+	// Every step's logits in one product, then each step's loss against the
+	// next token, which also turns its logits into their gradient.
+	logits, top := m.dlogits.span(0, T), m.layerInputs(L)
+	tensor.Gemm(logits.View(), top.View(), tensor.ViewOf(m.Vocab, H, m.Wy).T(), tensor.Wide)
+	tensor.AddRowVec(&logits, m.By)
+	m.labels = grow(m.labels, B)
+	var totalCE float64
+	for t := 0; t < T; t++ {
 		for b := 0; b < B; b++ {
 			m.labels[b] = tokens[b][t+1]
 		}
-		totalCE += m.ce.into(m.dlogits.at(t), logits, m.labels)
+		d := m.dlogits.at(t)
+		totalCE += m.ce.into(d, d, m.labels)
 	}
 	return totalCE / float64(T)
 }
@@ -272,20 +336,27 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 // parameter gradients. The loss is the mean CE per token, matching Forward.
 func (m *LSTMLM) Backward() { m.BackwardInterleaved(nil) }
 
-// BackwardInterleaved is Backward with gradient-readiness reporting. BPTT
-// accumulates every parameter's gradient across all timesteps, so nothing is
-// final until the loop reaches t = 0 — but *within* that last timestep the
-// stack unwinds top-down, finalizing tensors in reverse flattened order:
-// the output projection (Wy, By) right after its t = 0 accumulation, then
-// each layer's (Wx, Wh, b) from the top layer down, and the embedding last
-// (its gradient is written by layer 0's input backprop). onReady is invoked
-// with strictly decreasing offsets lo such that the flattened gradient
-// elements [lo, NumParams()) are final, ending with a guaranteed
-// onReady(0). nil onReady skips the reporting (plain Backward).
+// BackwardInterleaved is Backward with gradient-readiness reporting. It
+// unwinds the network in reverse flattened order — the output projection,
+// then each layer from the top down over the whole sequence, the embedding
+// last (its gradient is layer 0's input gradient) — and a tensor's gradient
+// is final once its part is done. onReady is invoked with strictly
+// decreasing offsets lo such that the flattened gradient elements
+// [lo, NumParams()) are final: the projection's offset, then one per layer
+// from the top down, ending with a guaranteed onReady(0). nil onReady skips
+// the reporting (plain Backward).
 //
-// Every weight gradient takes one product per timestep, added in descending
-// t — tensor.GemmAdd forms the product's sums on their own before the add,
-// so this is the scratch-then-Add the tapes replaced, without the scratch.
+// Per sequence, one product each: dlogits·Wy (the top layer's output
+// gradient at every step) and, after each layer's time loop, dz·Wx (the
+// layer below's output gradient, or the embedding gradient). Per timestep:
+// the recurrent dz·Wh, which needs the step after it, and every weight
+// gradient — one product per timestep, added in descending t. A weight
+// gradient sums over the batch; batching its timesteps into one product
+// would merge T sums into one and re-associate it, so they stay apart.
+// tensor.GemmAdd forms each product's sums on their own before the add, and
+// each batched product's rows are added back per step with one float32 add,
+// so the bits are those of a time-major loop of per-step products
+// (lstm_ref_test.go keeps one as the reference).
 func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 	if m.params == nil {
 		m.buildCache()
@@ -294,82 +365,86 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 		panic("nn: LSTMLM Backward without a training Forward")
 	}
 	B, T, H, L := len(m.tokens), m.steps, m.Hidden, m.Layers
-	wy := tensor.ViewOf(m.Vocab, H, m.Wy)
 	gwy := tensor.ViewOf(m.Vocab, H, m.GWy)
 
-	// Per-layer carried state gradients.
-	m.dh.shape(L, B, H)
-	m.dc.shape(L, B, H)
-	tensor.Zero(m.dh.slab)
-	tensor.Zero(m.dc.slab)
-	dz := m.dz.get(B, 4*H)
-	invT := float32(1.0 / float64(T))
-
+	// Scale: Forward averaged CE over T steps.
+	dlogits := m.dlogits.span(0, T)
+	tensor.Scale(dlogits.Data, float32(1.0/float64(T)))
 	for t := T - 1; t >= 0; t-- {
 		dlog := m.dlogits.at(t)
-		// Scale: Forward averaged CE over T steps.
-		tensor.Scale(dlog.Data, invT)
-		top := L - 1
 		tensor.GemmAdd(gwy, dlog.T(), m.layerInput(L, t).View(), tensor.Single)
 		tensor.ColSums(m.GBy, dlog)
-		tensor.GemmAdd(m.dh.at(top).View(), dlog.View(), wy, tensor.Single)
-		if t == 0 && onReady != nil {
-			// No later write touches GWy/GBy: the projection span is final.
-			onReady(m.paramOff[1+3*L])
+	}
+	if onReady != nil {
+		onReady(m.paramOff[1+3*L])
+	}
+	// dx is the gradient flowing down: into the top layer's outputs first,
+	// then out of each layer's inputs, the last of them the embedding's.
+	dx := m.dx.get(T*B, H)
+	tensor.Gemm(dx.View(), dlogits.View(), tensor.ViewOf(m.Vocab, H, m.Wy), tensor.Single)
+	m.dz.shape(T, B, 4*H)
+	dz := m.dz.span(0, T)
+	for l := L - 1; l >= 0; l-- {
+		m.layerBackward(l, dx)
+		if l > 0 && onReady != nil {
+			onReady(m.paramOff[1+3*l])
 		}
-
-		// Backward through the stack, top to bottom; dx of layer l feeds
-		// dh of layer l−1 (same timestep).
-		for l := top; l >= 0; l-- {
-			in := m.layerIn(l)
-			wx := tensor.ViewOf(4*H, in, m.Wx[l])
-			wh := tensor.ViewOf(4*H, H, m.Wh[l])
-			gates, tanhC, cPrevM := m.gates.at(l*T+t), m.tanhC.at(l*T+t), m.cs.at(l*(T+1)+t)
-			dh, dc := m.dh.at(l), m.dc.at(l)
-			for b := 0; b < B; b++ {
-				zr := gates.Row(b) // [i f g o] post-activation
-				tr := tanhC.Row(b)
-				cPrev := cPrevM.Row(b)
-				dhr, dcr := dh.Row(b), dc.Row(b)
-				dzr := dz.Row(b)
-				for j := 0; j < H; j++ {
-					ig, fg, gg, og := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
-					dcTot := dcr[j] + dhr[j]*og*(1-tr[j]*tr[j])
-					dzr[3*H+j] = dhr[j] * tr[j] * og * (1 - og) // do
-					dzr[j] = dcTot * gg * ig * (1 - ig)         // di
-					dzr[H+j] = dcTot * cPrev[j] * fg * (1 - fg) // df
-					dzr[2*H+j] = dcTot * ig * (1 - gg*gg)       // dg
-					dcr[j] = dcTot * fg                         // dc_{t-1}, in place
-				}
-			}
-			// Parameter grads.
-			tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View(), tensor.Single)
-			tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View(), tensor.Single)
-			tensor.ColSums(m.GB[l], dz)
-			// dx: to the embedding (l=0) or to the layer below's dh.
-			if l == 0 {
-				dx := m.dx0.get(B, in)
-				tensor.Gemm(dx.View(), dz.View(), wx, tensor.Single)
-				for b := 0; b < B; b++ {
-					tok := m.tokens[b][t]
-					tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], dx.Row(b))
-				}
-			} else {
-				tensor.GemmAdd(m.dh.at(l-1).View(), dz.View(), wx, tensor.Single)
-			}
-			// dh_{t-1} for this layer; dz is complete, so dh can be
-			// overwritten in place.
-			tensor.Gemm(dh.View(), dz.View(), wh, tensor.Single)
-			if t == 0 && onReady != nil {
-				if l == 0 {
-					// Layer 0's input backprop wrote the last embedding
-					// gradients, so the whole vector is final.
-					onReady(0)
-				} else {
-					onReady(m.paramOff[1+3*l])
-				}
-			}
+		in := m.layerIn(l)
+		dx = m.dx.get(T*B, in)
+		tensor.Gemm(dx.View(), dz.View(), tensor.ViewOf(4*H, in, m.Wx[l]), tensor.Single)
+	}
+	for t := T - 1; t >= 0; t-- {
+		for b := 0; b < B; b++ {
+			tok := m.tokens[b][t]
+			tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], dx.Row(t*B+b))
 		}
 	}
+	if onReady != nil {
+		onReady(0)
+	}
 	m.tokens = nil // the tapes are spent
+}
+
+// layerBackward runs BPTT through layer l, descending t. dhIn holds the
+// gradient of the layer's outputs at every step from above (T·B rows); the
+// dz tape receives the gate pre-activation gradients the caller turns into
+// the layer's input gradient.
+func (m *LSTMLM) layerBackward(l int, dhIn *tensor.Mat) {
+	B, T, H := len(m.tokens), m.steps, m.Hidden
+	in := m.layerIn(l)
+	wh := tensor.ViewOf(4*H, H, m.Wh[l])
+	dh, dc := m.dh.get(B, H), m.dc.get(B, H)
+	tensor.Zero(dh.Data)
+	tensor.Zero(dc.Data)
+	for t := T - 1; t >= 0; t-- {
+		// dh holds what step t+1 passed back; add what the layer above
+		// (or the projection) sends at step t.
+		tensor.Add(dh.Data, dhIn.Data[t*B*H:(t+1)*B*H])
+		gates, tanhC, cPrevM := m.gates.at(l*T+t), m.tanhC.at(l*T+t), m.cs.at(l*(T+1)+t)
+		dz := m.dz.at(t)
+		for b := 0; b < B; b++ {
+			zr := gates.Row(b) // [i f g o] post-activation
+			tr := tanhC.Row(b)
+			cPrev := cPrevM.Row(b)
+			dhr, dcr := dh.Row(b), dc.Row(b)
+			dzr := dz.Row(b)
+			for j := 0; j < H; j++ {
+				ig, fg, gg, og := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
+				dcTot := dcr[j] + dhr[j]*og*(1-tr[j]*tr[j])
+				dzr[3*H+j] = dhr[j] * tr[j] * og * (1 - og) // do
+				dzr[j] = dcTot * gg * ig * (1 - ig)         // di
+				dzr[H+j] = dcTot * cPrev[j] * fg * (1 - fg) // df
+				dzr[2*H+j] = dcTot * ig * (1 - gg*gg)       // dg
+				dcr[j] = dcTot * fg                         // dc_{t-1}, in place
+			}
+		}
+		tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View(), tensor.Single)
+		tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View(), tensor.Single)
+		tensor.ColSums(m.GB[l], dz)
+		// dh_{t-1}; dz is complete, so dh can be overwritten in place. No
+		// step reads it after t = 0.
+		if t > 0 {
+			tensor.Gemm(dh.View(), dz.View(), wh, tensor.Single)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"a2sgd/internal/tensor"
@@ -223,6 +224,43 @@ func TestLSTMLMValidation(t *testing.T) {
 	}()
 	if m.Forward(nil, false) != 0 {
 		t.Error("empty batch loss should be 0")
+	}
+}
+
+// A ragged batch is refused before Forward writes anything: a later row
+// shorter or longer than row 0, or a bad token anywhere (the last position
+// is only ever a label), panics with the row named, and the tapes of the
+// training Forward before it are still there for its Backward.
+func TestLSTMLMRaggedTokensPanicBeforeTapes(t *testing.T) {
+	build := func() *LSTMLM { return NewDeepLSTMLM(tensor.NewRNG(2), 8, 4, 4, 2) }
+	good := [][]int{{1, 2, 3, 4}, {5, 6, 7, 0}, {2, 2, 2, 2}}
+	want := build()
+	want.Forward(good, true)
+	want.Backward()
+
+	m := build()
+	m.Forward(good, true)
+	for name, tc := range map[string]struct {
+		tokens [][]int
+		msg    string
+	}{
+		"shorter row":    {[][]int{{1, 2, 3, 4}, {5, 6, 7, 0}, {2, 2}}, "row 2 has length 2"},
+		"longer row":     {[][]int{{1, 2, 3, 4}, {5, 6, 7, 0, 1}, {2, 2, 2, 2}}, "row 1 has length 5"},
+		"bad last label": {[][]int{{1, 2, 3, 4}, {5, 6, 7, 8}, {2, 2, 2, 2}}, "row 1, position 3: token 8"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if msg, _ := r.(string); !strings.Contains(msg, tc.msg) {
+					t.Errorf("%s: panic %v, want one containing %q", name, r, tc.msg)
+				}
+			}()
+			m.Forward(tc.tokens, true)
+		}()
+	}
+	m.Backward()
+	for i, p := range m.Params() {
+		bitsEqual(t, p.Name, p.G, want.Params()[i].G)
 	}
 }
 

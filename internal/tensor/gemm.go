@@ -71,7 +71,7 @@ const (
 )
 
 // Gemm computes dst = a·b. See GemmAdd for the contract.
-func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, p, false) }
+func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, nil, p, false) }
 
 // GemmAdd computes dst += a·b.
 //
@@ -96,7 +96,48 @@ func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, p, false) }
 //
 // dst must be row-major (ColStride 1) and must not overlap a or b. Large
 // products are split over output rows across GOMAXPROCS goroutines.
-func GemmAdd(dst, a, b View, p Precision) { gemm(dst, a, b, p, true) }
+func GemmAdd(dst, a, b View, p Precision) { gemm(dst, a, b, nil, p, true) }
+
+// WidePanels is the B operand of a Wide product converted and packed ahead
+// of time: the float64 panels the Wide driver would otherwise build from b
+// on every call. A caller that multiplies many A operands by the same b —
+// the LSTM's recurrent weights, once per timestep — packs once and pays the
+// conversion once. Packing copies every element exactly and reorders no
+// term, so GemmAddPacked over the panels of b gives the bits of
+// GemmAdd(…, b, Wide); the same driver runs both and only skips its own B
+// packing. Panels belong to the kernel variant that packed them (the tile
+// width sets their layout) and are reused by the next PackWide, so a
+// steady-state pack allocates nothing.
+type WidePanels struct {
+	k, n int
+	v    gemmVariant
+	data []float64
+}
+
+// PackWide packs b (k×n, any strides) into p, replacing what p held.
+func PackWide(p *WidePanels, b View) {
+	b.check()
+	v := gemmActive
+	k, n := b.Rows, b.Cols
+	p.k, p.n, p.v = k, n, v
+	data := grow(&p.data, (n+v.nrWide-1)/v.nrWide*v.nrWide*k)
+	if k == 0 {
+		return
+	}
+	for j := 0; j < n; j += v.nrWide {
+		pack64(data[j*k:], v.nrWide, 1, b.Data[j*b.ColStride:], min(v.nrWide, n-j), k, b.ColStride, b.RowStride)
+	}
+}
+
+// GemmAddPacked computes dst += a·b in Wide precision, b given as the panels
+// PackWide made of it — GemmAdd(dst, a, b, Wide) bit for bit. It panics on
+// panels packed under another kernel variant, or never packed.
+func GemmAddPacked(dst, a View, b *WidePanels) {
+	if b.v != gemmActive {
+		panic("tensor: WidePanels not packed for the active Gemm kernels")
+	}
+	gemm(dst, a, View{Rows: b.k, Cols: b.n}, b.data, Wide, true)
+}
 
 // MatMul computes dst = a × b in Single precision. dst must be pre-allocated
 // with shape a.Rows × b.Cols and must not alias a or b.
@@ -179,7 +220,9 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-func gemm(dst, a, b View, p Precision, add bool) {
+// gemm runs dst (+)= a·b. packed, when not nil, holds b as Wide panels and b
+// carries only the shape.
+func gemm(dst, a, b View, packed []float64, p Precision, add bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: Gemm shape mismatch")
 	}
@@ -188,7 +231,9 @@ func gemm(dst, a, b View, p Precision, add bool) {
 	}
 	dst.check()
 	a.check()
-	b.check()
+	if packed == nil {
+		b.check()
+	}
 	m, n, k := dst.Rows, dst.Cols, a.Cols
 	if m == 0 || n == 0 {
 		return
@@ -210,7 +255,7 @@ func gemm(dst, a, b View, p Precision, add bool) {
 	workers := int64(maxProcs())
 	workers = min(workers, int64(m)*int64(n)*int64(k)/gemmParMACs, int64(m/gemmMR))
 	if workers <= 1 {
-		gemmRows(dst, a, b, p, add, 0, m)
+		gemmRows(dst, a, b, packed, p, add, 0, m)
 		return
 	}
 	// Row ranges are multiples of the register tile so every worker but the
@@ -221,18 +266,18 @@ func gemm(dst, a, b View, p Precision, add bool) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			gemmRows(dst, a, b, p, add, lo, hi)
+			gemmRows(dst, a, b, packed, p, add, lo, hi)
 		}(lo, min(lo+chunk, m))
 	}
 	wg.Wait()
 }
 
 // gemmRows computes output rows [lo, hi) on the calling goroutine.
-func gemmRows(dst, a, b View, p Precision, add bool, lo, hi int) {
+func gemmRows(dst, a, b View, packed []float64, p Precision, add bool, lo, hi int) {
 	s := gemmPool.Get().(*gemmScratch)
 	ad, cd := a.Data[lo*a.RowStride:], dst.Data[lo*dst.RowStride:]
 	if p == Wide {
-		s.wide(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, cd, dst.RowStride, add)
+		s.wide(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, packed, cd, dst.RowStride, add)
 	} else {
 		s.single(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, cd, dst.RowStride, add)
 	}
@@ -276,11 +321,15 @@ func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32
 
 // wide is the float64-accumulate driver. Both operands are packed — the
 // conversion to float64 is exact and is paid once per element instead of
-// once per use — A a block of rows at a time, B one panel at a time.
-func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
+// once per use — A a block of rows at a time, B one panel at a time, or not
+// at all when the caller hands in PackWide's panels (packed, nil otherwise).
+func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, packed []float64, c []float32, ldc int, add bool) {
 	v := gemmActive
 	mc := max(gemmWideBlock/k&^(gemmMR-1), gemmMR)
-	bp := grow(&s.b64, k*v.nrWide)
+	var bp []float64
+	if packed == nil {
+		bp = grow(&s.b64, k*v.nrWide)
+	}
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
 		panels := (mb + gemmMR - 1) / gemmMR
@@ -290,7 +339,11 @@ func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, 
 		}
 		for j := 0; j < n; j += v.nrWide {
 			nr := min(v.nrWide, n-j)
-			pack64(bp, v.nrWide, 1, b[j*bcs:], nr, k, bcs, brs)
+			if packed != nil {
+				bp = packed[j*k:]
+			} else {
+				pack64(bp, v.nrWide, 1, b[j*bcs:], nr, k, bcs, brs)
+			}
 			for i := 0; i < mb; i += gemmMR {
 				mr := min(gemmMR, mb-i)
 				ct := c[(i0+i)*ldc+j:]

@@ -266,6 +266,110 @@ func TestGemmBlockedAndParallel(t *testing.T) {
 	}
 }
 
+// harshen overwrites about one element in eight of v with a value gemmVec
+// never draws: NaN, +Inf, −Inf or −0.
+func harshen(rng *RNG, v []float32) {
+	special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
+	for i := range v {
+		if rng.Intn(8) == 0 {
+			v[i] = special[rng.Intn(len(special))]
+		}
+	}
+}
+
+// A product over PackWide's panels is GemmAdd(…, Wide) over the operand they
+// were packed from, bit for bit, under every kernel variant: ragged column
+// counts (a partial last panel), k = 1, A and B transposed or read through a
+// leading dimension wider than their columns, NaN, ±Inf and −0 operands, a
+// product taller than one packed A block (every block reads the same
+// panels) and one above the row-parallel threshold (every worker does). One
+// WidePanels is repacked for every case, as a caller reuses it.
+func TestGemmAddPackedMatchesWide(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
+	rng := NewRNG(61)
+	shapes := [][3]int{
+		{1, 1, 1}, {4, 4, 1}, {5, 9, 1}, {3, 13, 7}, {8, 3, 5}, {17, 33, 16},
+		{16, 128, 32}, {16, 127, 32}, {176, 128, 16}, {176, 64, 32}, // the lstm's, and one ragged
+	}
+	for it := 0; it < 16; it++ {
+		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(60)})
+	}
+	small := len(shapes)
+	shapes = append(shapes, [3]int{2*gemmWideBlock/600 + 7, 9, 600}, [3]int{424, 400, 400})
+	if m, n, k := 424, 400, 400; m*n*k < 2*gemmParMACs {
+		t.Fatalf("shape below the parallel threshold")
+	}
+	var p WidePanels
+	for i, s := range shapes {
+		m, n, k := s[0], s[1], s[2]
+		harsh := i < small && i%3 == 0
+		a, b, c0 := gemmVec(rng, m*k, harsh), gemmVec(rng, k*n, harsh), gemmVec(rng, m*n, harsh)
+		if harsh {
+			harshen(rng, a)
+			harshen(rng, b)
+			harshen(rng, c0)
+		}
+		forms := 8 // transA, transB, pad
+		if i >= small {
+			forms = 1
+		}
+		for f := 0; f < forms; f++ {
+			transA, transB, pad := f&1 == 1, f&2 == 0, f>>2*3
+			av, bv := embed(a, m, k, transA, pad), embed(b, k, n, transB, pad)
+			for _, v := range gemmVariants() {
+				gemmActive = v
+				want, got := embed(c0, m, n, false, pad), embed(c0, m, n, false, pad)
+				GemmAdd(want, av, bv, Wide)
+				PackWide(&p, bv)
+				GemmAddPacked(got, av, &p)
+				for e, w := range want.Data {
+					if !sameBits(got.Data[e], w) {
+						t.Fatalf("%dx%dx%d transA=%v transB=%v pad=%d %s: element %d = %x, GemmAdd %x",
+							m, n, k, transA, transB, pad, v.name, e, math.Float32bits(got.Data[e]), math.Float32bits(w))
+					}
+				}
+			}
+		}
+	}
+}
+
+// Panels are laid out for the variant that packed them, so any other
+// variant, unpacked panels and a mismatched shape are refused.
+func TestGemmAddPackedValidation(t *testing.T) {
+	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
+	rng := NewRNG(67)
+	a, b, dst := randMat(rng, 5, 8).View(), randMat(rng, 12, 8).T(), NewMat(5, 12).View()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: expected panic", name)
+			}
+		}()
+		f()
+	}
+	var p WidePanels
+	mustPanic("never packed", func() { GemmAddPacked(dst, a, &p) })
+	vs := gemmVariants()
+	for _, packer := range vs {
+		for _, user := range vs {
+			gemmActive = packer
+			PackWide(&p, b)
+			gemmActive = user
+			if packer == user {
+				GemmAddPacked(dst, a, &p)
+				continue
+			}
+			mustPanic(packer.name+" panels under "+user.name, func() { GemmAddPacked(dst, a, &p) })
+		}
+	}
+	PackWide(&p, b)
+	mustPanic("inner", func() { GemmAddPacked(dst, randMat(rng, 5, 7).View(), &p) })
+	mustPanic("cols", func() { GemmAddPacked(NewMat(5, 11).View(), a, &p) })
+}
+
 // skipZeroMul is the row-AXPY MatMul this package used to have, zero skip
 // included.
 func skipZeroMul(a, b []float32, m, n, k int) []float32 {
@@ -379,10 +483,13 @@ func TestGemmSteadyStateAllocatesNothing(t *testing.T) {
 	rng := NewRNG(59)
 	a, b, w := randMat(rng, 16, 27), randMat(rng, 27, 64), randMat(rng, 33, 27)
 	dst, dstW := NewMat(16, 64), NewMat(16, 33)
+	var p WidePanels
 	f := func() {
 		MatMul(dst, a, b)
 		MatMulABT(dstW, a, w)
 		GemmAdd(dst.View(), a.View(), b.View(), Single)
+		PackWide(&p, w.T())
+		GemmAddPacked(dstW.View(), a.View(), &p)
 	}
 	f()
 	if n := testing.AllocsPerRun(20, f); n != 0 {

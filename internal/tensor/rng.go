@@ -30,7 +30,11 @@
 // the SSE2 and AVX micro-kernels (gemm_amd64.s), the portable kernels used
 // under the purego tag and on other architectures, row-parallelism for very
 // large products — only reschedules those operations and is tested to give
-// identical bits.
+// identical bits. A pre-packed operand is packing under that same
+// specification, done ahead of time: PackWide converts a Wide B operand to
+// the float64 panels the driver would build itself, and GemmAddPacked over
+// them gives GemmAdd's bits, so a caller that reuses one operand for many
+// products (the LSTM's recurrent weights) converts it once.
 //
 // # Reduction specification
 //
@@ -185,10 +189,12 @@ func (r *RNG) Float64Vec(dst []float64) {
 	}
 }
 
-// Norm returns a standard normal variate (Box–Muller, cached pair).
+// Norm returns a standard normal variate by Marsaglia's polar method: it
+// draws pairs (u, v) uniform on [−1, 1)² until one falls strictly inside the
+// unit circle (≈ 1.27 pairs expected) and returns one variate from that
+// pair. The second variate is discarded, not cached, so the struct stays
+// small and every call consumes only its own draws.
 func (r *RNG) Norm() float32 {
-	// Marsaglia polar method without caching keeps the struct small; the
-	// expected number of iterations is ~1.27.
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
