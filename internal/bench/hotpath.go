@@ -141,13 +141,14 @@ var vggConvShapes = [][3]int{{8, 27, 256}, {16, 72, 64}, {24, 144, 16}, {24, 216
 
 // computeRung adds the compute rung's points — the bottom of the ladder the
 // repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
-// LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, the 256³
-// multiply, the matrix products one reduced-vgg16 step issues at batch
-// 16 (per convolution: the forward a×b and the column gradient aᵀ×b over the
-// whole batch, the weight gradient a×bᵀ once per sample), and a warm
-// ZeroGrads+Step of the two benchmark models. Their n is elements
-// (tensor/*), multiply-adds per operation (gemm/*) or parameters (nn/*);
-// allocs/op is part of the contract for all six.
+// LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, a draw of
+// 4096 standard normals, the 256³ multiply, the matrix products one
+// reduced-vgg16 step issues at batch 16 (per convolution: the forward a×b
+// and the column gradient aᵀ×b over the whole batch, the weight gradient
+// a×bᵀ once per sample), the vgg16 step's batch draw of 16 images, and a
+// warm ZeroGrads+Step of the two benchmark models. Their n is elements
+// (tensor/*), multiply-adds per operation (gemm/*), pixels drawn (data/*) or
+// parameters (nn/*); allocs/op is part of the contract for all eight.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
 	{
@@ -164,6 +165,11 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 				}
 			}))
 		}
+		add("tensor/normvec-4k", n, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				rng.NormVec(dst, 0, 1)
+			}
+		}))
 	}
 	mat := func(rows, cols int) *tensor.Mat {
 		m := tensor.NewMat(rows, cols)
@@ -218,6 +224,14 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 		var batch models.Batch
 		if img != nil {
 			batch = img.Sample(rng, 16)
+			draw := tensor.NewRNG(17)
+			var b models.Batch
+			img.SampleInto(draw, 16, &b) // warm-up: sizes the batch once
+			add("data/sample-"+fam+"-16", b.X.Rows*b.X.Cols, 0, testing.Benchmark(func(bm *testing.B) {
+				for i := 0; i < bm.N; i++ {
+					img.SampleInto(draw, 16, &b)
+				}
+			}))
 		} else {
 			batch = txt.Sample(rng, 16, 12)
 		}

@@ -197,7 +197,7 @@ type Result struct {
 	// (non-hidden) time when Overlap pipelines sync behind encode.
 	AvgSyncSec float64
 	// AvgStepSec is the measured end-to-end wall time of one training step
-	// (compute + encode + sync + optimizer).
+	// (draw + compute + encode + sync + optimizer).
 	AvgStepSec float64
 
 	// Buckets is the gradient-pipeline bucket count (1 = whole model), and

@@ -275,12 +275,15 @@ func (w *worker) boundary(g int) error {
 	return nil
 }
 
-// step is Algorithm 1's loop body for global step g: backprop, then every
-// bucket through the pipeline — encode, exchange, reconstruct in place — and
-// the optimizer update. All it decides about the pipeline is the launch order.
+// step is Algorithm 1's loop body for global step g: the batch draw,
+// backprop, then every bucket through the pipeline — encode, exchange,
+// reconstruct in place — and the optimizer update. All it decides about the
+// pipeline is the launch order. The step clock starts before the draw;
+// compute has its own mark after it.
 func (w *worker) step(g int) error {
 	cfg, p := &w.cfg, w.pipe
 	encMark := p.encodeSec
+	tStep := time.Now()
 	if w.img != nil {
 		w.img.SampleInto(w.sampleRNG, cfg.BatchPerWorker, &w.batch)
 	} else {
@@ -333,7 +336,7 @@ func (w *worker) step(g int) error {
 	// Every exchange reconstructed in place through its bucket view — there
 	// is nothing to scatter back.
 	w.opt.Step(w.model.Params(), w.lr)
-	w.stepSec += time.Since(t0).Seconds()
+	w.stepSec += time.Since(tStep).Seconds()
 	return nil
 }
 

@@ -2,7 +2,9 @@
 // are unavailable in this offline environment:
 //
 //   - MNIST   → Gaussian class clusters around per-class prototype images
-//   - CIFAR10 → oriented sinusoidal textures per class plus noise
+//   - CIFAR10 → oriented sinusoidal textures per class plus noise; each
+//     class's texture is rendered once, when the generator is built, so a
+//     sample costs one NormVec draw and one add per pixel
 //   - PTB     → a Zipf-weighted Markov token stream
 //
 // Each generator produces genuinely learnable structure, so models trained
@@ -41,8 +43,9 @@ type Images struct {
 	// Noise is the per-pixel noise std (higher = harder task).
 	Noise float32
 
-	protos [][]float32  // per-class prototypes (MNISTLike)
-	freqs  [][3]float32 // per-class texture params (CIFARLike): fx, fy, phase
+	// protos holds each class's base image: its prototype (MNISTLike) or
+	// its texture, rendered once (CIFARLike).
+	protos [][]float32
 }
 
 // NewImages builds a generator. The prototypes/textures are derived from
@@ -52,23 +55,37 @@ func NewImages(kind ImageKind, shape nn.Shape, classes int, noise float32, seed 
 		panic("data: need at least 2 classes")
 	}
 	d := &Images{Kind: kind, Shape: shape, Classes: classes, Noise: noise}
+	d.protos = make([][]float32, classes)
 	rng := tensor.NewRNG(seed)
 	switch kind {
 	case MNISTLike:
-		d.protos = make([][]float32, classes)
 		for c := range d.protos {
 			p := make([]float32, shape.Size())
 			rng.NormVec(p, 0, 1)
 			d.protos[c] = p
 		}
 	case CIFARLike:
-		d.freqs = make([][3]float32, classes)
-		for c := range d.freqs {
-			d.freqs[c] = [3]float32{
+		// Per class: an x and a y frequency and a phase.
+		freqs := make([][3]float32, classes)
+		for c := range freqs {
+			freqs[c] = [3]float32{
 				0.5 + 3*rng.Float32(),
 				0.5 + 3*rng.Float32(),
 				6.28 * rng.Float32(),
 			}
+		}
+		for c, f := range freqs {
+			p := make([]float32, shape.Size())
+			for ch := 0; ch < shape.C; ch++ {
+				chF := 1 + 0.3*float32(ch)
+				for y := 0; y < shape.H; y++ {
+					for x := 0; x < shape.W; x++ {
+						arg := f[0]*chF*float32(x) + f[1]*float32(y) + f[2]
+						p[(ch*shape.H+y)*shape.W+x] = sin32(arg)
+					}
+				}
+			}
+			d.protos[c] = p
 		}
 	default:
 		panic(fmt.Sprintf("data: unknown image kind %d", kind))
@@ -76,27 +93,14 @@ func NewImages(kind ImageKind, shape nn.Shape, classes int, noise float32, seed 
 	return d
 }
 
-// fillSample renders one sample of class c into dst.
+// fillSample draws one sample of class c into dst: the class's base image
+// plus N(0, Noise²) pixel noise, one variate per pixel in pixel order, the
+// noise and the sum each rounded to float32. NormVec's mean 0 adds nothing
+// (Noise·z is never −0), so dst[i] holds proto[i] + Noise·z's bits.
 func (d *Images) fillSample(rng *tensor.RNG, c int, dst []float32) {
-	switch d.Kind {
-	case MNISTLike:
-		proto := d.protos[c]
-		for i := range dst {
-			dst[i] = proto[i] + d.Noise*rng.Norm()
-		}
-	case CIFARLike:
-		f := d.freqs[c]
-		hw := d.Shape.H * d.Shape.W
-		for ch := 0; ch < d.Shape.C; ch++ {
-			chF := 1 + 0.3*float32(ch)
-			for y := 0; y < d.Shape.H; y++ {
-				for x := 0; x < d.Shape.W; x++ {
-					arg := f[0]*chF*float32(x) + f[1]*float32(y) + f[2]
-					v := sin32(arg)
-					dst[ch*hw+y*d.Shape.W+x] = v + d.Noise*rng.Norm()
-				}
-			}
-		}
+	rng.NormVec(dst, 0, d.Noise)
+	for i, p := range d.protos[c] {
+		dst[i] = p + dst[i]
 	}
 }
 

@@ -102,9 +102,41 @@
 // the last bit, so these results are pinned per architecture, not across
 // architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
 // four-argument probe at start-up sees that and leaves the kernels off.
+//
+// # Random variates
+//
+// RNG is xoshiro256**, and every variate is a function of its draws. Norm is
+// Marsaglia and Bray's polar method, written out because training results
+// are compared bit for bit:
+//
+//	Draw u = 2·F − 1, then v = 2·F − 1, with F = float64(x≫11)·2⁻⁵³ for the
+//	next 64-bit output x (F is Float64); s = u·u + v·v, each product and
+//	the sum rounded to float64. Accept the pair when 0 < s < 1, the open
+//	disc; otherwise draw the next pair. The variate is
+//	float32(u·√(−2·ln s / s)), ln being math.Log, each operation rounded to
+//	float64. v is discarded.
+//
+// NormVec(dst, mean, std) sets dst[i] = mean + float32(std·z) for the i-th z
+// of the loop of Norm calls, the product and the sum each rounded to
+// float32, and leaves the generator in that loop's final state. It draws
+// with the state in locals and keeps the u and s of each pair, which the
+// next pair overwrites unless it was accepted, so the draw does not branch
+// on acceptance; then it transforms the accepted pairs, a chunk at a time.
+// On amd64 with AVX2 (CPUID, read once) a kernel transforms four float64
+// lanes at a time: its logarithm is the operation sequence of Go's amd64
+// math.Log (archLog: frexp by bit masks, one divide, the two Horner
+// polynomials in s⁴, no fused multiply-add, no table), followed by the
+// multiply by −2, the divide by s, the square root, the multiply by u, the
+// conversion to float32 and the float32 multiply by std and add of mean.
+// The tail and every other build run the scalar expression. Since s ≥ 2⁻¹⁰⁴
+// is never subnormal, zero or beyond 1, none of archLog's special cases
+// arises.
 package tensor
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // RNG is a small, fast, deterministic pseudo-random generator
 // (splitmix64-seeded xoshiro256**). Each worker in the distributed runtime
@@ -144,19 +176,17 @@ func (r *RNG) State() [4]uint64 { return r.s }
 // SetState restores a state previously captured with State.
 func (r *RNG) SetState(s [4]uint64) { r.s = s }
 
-func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
-
 // Uint64 returns the next 64 random bits.
 func (r *RNG) Uint64() uint64 {
 	s := &r.s
-	result := rotl(s[1]*5, 7) * 9
+	result := bits.RotateLeft64(s[1]*5, 7) * 9
 	t := s[1] << 17
 	s[2] ^= s[0]
 	s[3] ^= s[1]
 	s[1] ^= s[2]
 	s[0] ^= s[3]
 	s[2] ^= t
-	s[3] = rotl(s[3], 45)
+	s[3] = bits.RotateLeft64(s[3], 45)
 	return result
 }
 
@@ -193,22 +223,83 @@ func (r *RNG) Float64Vec(dst []float64) {
 // draws pairs (u, v) uniform on [−1, 1)² until one falls strictly inside the
 // unit circle (≈ 1.27 pairs expected) and returns one variate from that
 // pair. The second variate is discarded, not cached, so the struct stays
-// small and every call consumes only its own draws.
+// small and every call consumes only its own draws. The package comment
+// ("Random variates") writes out the arithmetic.
 func (r *RNG) Norm() float32 {
 	for {
 		u := 2*r.Float64() - 1
 		v := 2*r.Float64() - 1
-		s := u*u + v*v
+		s := float64(u*u) + float64(v*v)
 		if s > 0 && s < 1 {
-			return float32(u * math.Sqrt(-2*math.Log(s)/s))
+			return polar(u, s)
 		}
 	}
 }
 
-// NormVec fills dst with iid N(mean, std²) samples.
+// polar is the polar method's transform of an accepted pair.
+func polar(u, s float64) float32 { return float32(u * math.Sqrt(-2*math.Log(s)/s)) }
+
+// normChunk is how many accepted pairs NormVec draws before it transforms
+// them.
+const normChunk = 256
+
+// NormVec fills dst with iid N(mean, std²) samples: element i is
+// mean + float32(std*z) with z the i-th Norm() a loop over dst would return,
+// and the generator ends in that loop's state. It draws the pairs with the
+// state in locals and transforms them a chunk at a time (package comment,
+// "Random variates").
 func (r *RNG) NormVec(dst []float32, mean, std float32) {
+	var us, ss [normChunk]float64
+	for len(dst) > 0 {
+		n := min(len(dst), normChunk)
+		r.polarPairs(us[:n], ss[:n])
+		normVec(dst[:n], us[:n], ss[:n], mean, std)
+		dst = dst[n:]
+	}
+}
+
+// polarPairs fills us and ss with the u and s = u² + v² of the next
+// len(us) pairs Norm would accept, drawing exactly the pairs Norm draws. A
+// pair is stored whether or not it is accepted, and the next one overwrites
+// it unless it was, so the loop does not branch on acceptance.
+func (r *RNG) polarPairs(us, ss []float64) {
+	s0, s1, s2, s3 := r.s[0], r.s[1], r.s[2], r.s[3]
+	ss = ss[:len(us)]
+	for j := 0; j < len(us); {
+		x := bits.RotateLeft64(s1*5, 7) * 9
+		t := s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		y := bits.RotateLeft64(s1*5, 7) * 9
+		t = s1 << 17
+		s2 ^= s0
+		s3 ^= s1
+		s1 ^= s2
+		s0 ^= s3
+		s2 ^= t
+		s3 = bits.RotateLeft64(s3, 45)
+		// Norm's 2·F − 1, which is exactly (x≫11 − 2⁵²)·2⁻⁵²: flipping the
+		// top bit and shifting arithmetically subtracts the 2⁵².
+		u := float64(int64(x^(1<<63))>>11) * 0x1p-52
+		v := float64(int64(y^(1<<63))>>11) * 0x1p-52
+		s := float64(u*u) + float64(v*v)
+		us[j], ss[j] = u, s
+		// 0 < s < 1 on the bits of s ≥ 0: a = bits − 1 is below those of
+		// 1.0 − 1 exactly then, and wraps to a set top bit when s is +0.
+		a := math.Float64bits(s) - 1
+		j += int(((a - (0x3FF0000000000000 - 1)) &^ a) >> 63)
+	}
+	r.s = [4]uint64{s0, s1, s2, s3}
+}
+
+// normScalar sets dst[i] = mean + float32(std*polar(us[i], ss[i])).
+func normScalar(dst []float32, us, ss []float64, mean, std float32) {
 	for i := range dst {
-		dst[i] = mean + std*r.Norm()
+		dst[i] = mean + float32(std*polar(us[i], ss[i]))
 	}
 }
 

@@ -35,3 +35,5 @@ func eliasPackArch(words []uint32, fields []uint32, bitPos uint64) uint64 {
 func vecSigmoid(dst, src Vec)                       { sigmoidScalar(dst, src) }
 func vecTanh(dst, src Vec)                          { tanhScalar(dst, src) }
 func vecExpShift(dst []float64, src Vec, m float32) { expShiftScalar(dst, src, m) }
+
+func normVec(dst []float32, us, ss []float64, mean, std float32) { normScalar(dst, us, ss, mean, std) }
