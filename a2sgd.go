@@ -15,19 +15,21 @@
 //		Epochs:  10,
 //	})
 //
-// # Algorithm specs and policies
+// # Specs
 //
-// Every synchronization algorithm is constructed from a spec string with
-// typed, validated parameters — "a2sgd", "topk(density=0.01)",
-// "qsgd(levels=8)" — and wrappers compose: "periodic(a2sgd, interval=4)"
-// synchronizes only every 4th step. Algorithms() lists the registered
-// names, AlgorithmUsage() their full signatures, and Register extends the
-// registry with third-party compressors.
+// One string, TrainConfig.Spec, says what synchronizes the gradient. Every
+// synchronization algorithm is constructed from a spec with typed, validated
+// parameters — "a2sgd", "topk(density=0.01)", "qsgd(levels=8)" — and
+// wrappers compose: "periodic(a2sgd, interval=4)" synchronizes only every
+// 4th step. Algorithms() lists the registered names, AlgorithmUsage() their
+// full signatures, and Register extends the registry with third-party
+// compressors.
 //
-// A per-bucket Policy chooses a spec per gradient bucket when BucketBytes
+// The same string can choose a spec per gradient bucket when BucketBytes
 // partitions the model: "mixed(big=a2sgd, small=dense, threshold=64KiB)"
-// compresses the big buckets and leaves the small ones dense;
-// "bylayer(conv=qsgd(levels=8), default=a2sgd)" keys on layer names.
+// compresses the big buckets and leaves the small ones dense, and
+// "uniform(spec)" is the plain spec's canonical name (PolicyUsage lists
+// both). "auto(…)" hands the whole schedule to the cost-model planner.
 //
 // The returned Result carries per-epoch accuracy/perplexity, the measured
 // compression compute time, the exact per-worker traffic, and helpers that
@@ -67,15 +69,6 @@ type ParamSpec = compress.ParamSpec
 
 // BuildArgs carries validated spec arguments into a Builder.
 type BuildArgs = compress.BuildArgs
-
-// Policy maps each gradient bucket to the spec that synchronizes it.
-type Policy = compress.Policy
-
-// PolicyBuilder constructs a policy from its spec arguments.
-type PolicyBuilder = compress.PolicyBuilder
-
-// BucketInfo is the bucket metadata a Policy keys its choice on.
-type BucketInfo = compress.BucketInfo
 
 // Fabric is an α–β network model used to price synchronization time.
 type Fabric = netsim.Fabric
@@ -120,26 +113,14 @@ func TwoTierTCP10G(ranksPerNode int) TwoTier { return netsim.TwoTierTCP10G(ranks
 
 // Register adds an algorithm to the spec registry under the given name —
 // the extension point for third-party compressors. Registered names are
-// immediately usable in Spec/Policy strings, the CLIs and the bench sweeps.
+// immediately usable in Spec strings, the CLIs and the bench sweeps.
 // It panics on duplicate or invalid names (registration is init-time
 // wiring).
 func Register(name string, b Builder) { compress.Register(name, b) }
 
-// RegisterPolicy adds a per-bucket policy to the policy registry. usage is
-// the signature unknown-policy errors and CLI flag help print (e.g.
-// "mixed(big=spec, small=spec, threshold=bytes)").
-func RegisterPolicy(name, usage string, b PolicyBuilder) {
-	compress.RegisterPolicy(name, usage, b)
-}
-
 // Parse parses an algorithm spec string ("topk(density=0.01)",
 // "periodic(qsgd(levels=8), interval=4)") without building it.
 func Parse(src string) (*Spec, error) { return compress.Parse(src) }
-
-// ParsePolicy parses and builds a per-bucket policy spec ("uniform(a2sgd)",
-// "mixed(big=a2sgd, small=dense, threshold=64KiB)", "bylayer(...)"). A
-// plain algorithm spec is accepted as shorthand for uniform(spec).
-func ParsePolicy(src string) (Policy, error) { return compress.ParsePolicy(src) }
 
 // Algorithms lists the registered algorithm names, sorted.
 func Algorithms() []string { return compress.Registered() }
@@ -148,10 +129,8 @@ func Algorithms() []string { return compress.Registered() }
 // ("topk(density=float)"), sorted by name.
 func AlgorithmUsage() []string { return compress.Usage() }
 
-// Policies lists the registered policy names, sorted.
-func Policies() []string { return compress.Policies() }
-
-// PolicyUsage lists the built-in policy signatures.
+// PolicyUsage lists the per-bucket policy signatures: mixed(…) and
+// uniform(spec).
 func PolicyUsage() []string { return compress.PolicyUsage() }
 
 // Lookup returns the registered builder for an algorithm name.
@@ -171,37 +150,30 @@ func NewAlgorithm(spec string, o Options) (Algorithm, error) {
 // sparsifiers, QSGD level 4) for an n-parameter model.
 func DefaultOptions(n int) Options { return compress.DefaultOptions(n) }
 
-// Periodic wraps any algorithm with round reduction: workers synchronize
-// only every interval-th step (local-SGD style in between) — the
-// communication-reduction composition the paper's conclusion suggests.
-// The spec grammar spells it "periodic(inner, interval=k)".
-func Periodic(inner Algorithm, interval int) Algorithm {
-	return compress.NewPeriodic(inner, interval)
-}
-
 // TrainConfig configures a distributed training run through the façade.
 type TrainConfig struct {
 	// Family selects the model: "fnn3", "vgg16", "resnet20", "lstm".
 	Family string
-	// Spec selects gradient synchronization as an algorithm spec string:
-	// "a2sgd", "topk(density=0.01)", "periodic(qsgd(levels=8), interval=4)".
-	// See Algorithms() / AlgorithmUsage(). Empty defaults to "a2sgd" unless
-	// Policy or Schedule is set.
-	Spec string
-	// Policy selects gradient synchronization per bucket: "uniform(spec)",
-	// "mixed(big=a2sgd, small=dense, threshold=64KiB)" or
-	// "bylayer(pattern=spec, ..., default=spec)". Pair it with BucketBytes —
-	// with a single whole-model bucket every policy degenerates to the one
-	// spec it picks for bucket 0. Mutually exclusive with Spec.
+	// Spec selects gradient synchronization. It takes one of three forms:
 	//
-	// "auto(spec, ..., fabric=name)" (every part optional) is not a
-	// per-bucket policy: it hands the whole configuration to the cost-model
-	// planner, which derives bucket boundaries, per-bucket specs and, when
-	// Topology is unset, the hierarchy width from the run's price on the
-	// fabric (ib100 | tcp10g | nvlink+ib100 | nvlink+tcp10g; default ib100);
-	// the run uses the overlapped pipeline. BucketBytes and Topology, when
-	// set, pin those axes. Spec accepts "auto(…)" too.
-	Policy string
+	//   - an algorithm spec, used for every bucket: "a2sgd",
+	//     "topk(density=0.01)", "periodic(qsgd(levels=8), interval=4)" (see
+	//     Algorithms / AlgorithmUsage);
+	//   - a per-bucket policy: "uniform(spec)", the same as the bare spec, or
+	//     "mixed(big=a2sgd, small=dense, threshold=64KiB)", which sends
+	//     buckets of at least threshold raw bytes to big and the rest to
+	//     small. Pair it with BucketBytes: with one whole-model bucket a
+	//     policy degenerates to the spec it picks for bucket 0;
+	//   - "auto(spec, ..., fabric=name)" (every part optional), which hands
+	//     the whole configuration to the cost-model planner: it derives
+	//     bucket boundaries, per-bucket specs and, when Topology is unset,
+	//     the hierarchy width from the run's price on the fabric (ib100 |
+	//     tcp10g | nvlink+ib100 | nvlink+tcp10g; default ib100), and the run
+	//     uses the overlapped pipeline. BucketBytes and Topology, when set,
+	//     pin those axes.
+	//
+	// Empty defaults to "a2sgd" unless Schedule is set.
+	Spec string
 	// Workers is the data-parallel width (default 1).
 	Workers int
 	// Epochs, StepsPerEpoch, BatchPerWorker bound the run (defaults 1/10/16).
@@ -273,17 +245,17 @@ type TrainConfig struct {
 	ResumePath string
 	// Schedule runs a pre-planned synchronization schedule (BuildSchedule's
 	// output) as is: bucket boundaries, per-bucket specs, topology and
-	// overlap all come from the schedule, so Spec, Policy, BucketBytes,
-	// Overlap and Topology — which are sugar for the schedule Train would
-	// otherwise lower them to — must stay unset.
+	// overlap all come from the schedule, so Spec, BucketBytes, Overlap and
+	// Topology — which are sugar for the schedule Train would otherwise
+	// lower them to — must stay unset.
 	Schedule *Schedule
 }
 
-// Train runs data-parallel training with the configured algorithm spec,
-// per-bucket policy or pre-planned schedule and returns rank 0's view of
-// the run. Every configuration becomes one Schedule first — the given one,
-// the planner's for "auto(…)", or the one the knobs lower to — and
-// cluster.Train runs that.
+// Train runs data-parallel training with the configured spec or
+// pre-planned schedule and returns rank 0's view of the run. Every
+// configuration becomes one Schedule first — the given one, the planner's
+// for "auto(…)", or the one the knobs lower to — and cluster.Train runs
+// that.
 func Train(tc TrainConfig) (*Result, error) {
 	cfg, sc, _, err := lower(tc)
 	if err != nil {
@@ -351,17 +323,14 @@ func lower(tc TrainConfig) (cfg cluster.Config, sc *faultnet.Scenario, auto *aut
 	if sc, err = faultnet.Parse(tc.Faults); err != nil {
 		return cfg, nil, nil, fmt.Errorf("a2sgd: Faults: %w", err)
 	}
-	switch {
-	case tc.Schedule != nil:
-		if tc.Spec != "" || tc.Policy != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
-			err = fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/Policy/BucketBytes/Overlap/Topology unset")
+	if tc.Schedule != nil {
+		if tc.Spec != "" || tc.BucketBytes != 0 || tc.Overlap || tc.Topology != 0 {
+			err = fmt.Errorf("a2sgd: Schedule carries the algorithm, bucket, overlap and topology knobs — leave Spec/BucketBytes/Overlap/Topology unset")
 		}
 		cfg.Schedule = tc.Schedule
 		return cfg, sc, nil, err
-	case tc.Spec != "" && tc.Policy != "":
-		return cfg, sc, nil, fmt.Errorf("a2sgd: set at most one of Spec and Policy (got Spec=%q Policy=%q)", tc.Spec, tc.Policy)
 	}
-	src := cmp.Or(tc.Policy, tc.Spec, "a2sgd")
+	src := cmp.Or(tc.Spec, "a2sgd")
 	// "auto" is the planner's front door: derive the full schedule from the
 	// netsim price instead of lowering the knobs.
 	if s, perr := compress.Parse(src); perr == nil && s.Name == "auto" {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"a2sgd/internal/compress"
 	"a2sgd/internal/models"
 	"a2sgd/internal/netsim"
 	"a2sgd/internal/plan"
@@ -33,7 +34,7 @@ func assertFacadeRunsIdentical(t *testing.T, label string, a, b *Result) {
 }
 
 // TestTrainLegacyKnobsMatchLoweredSchedule pins the façade acceptance
-// criterion: a legacy TrainConfig{BucketBytes, Policy, Topology} run is
+// criterion: a legacy TrainConfig{BucketBytes, Spec, Topology} run is
 // bitwise-identical to the same run driven by its lowered Schedule.
 func TestTrainLegacyKnobsMatchLoweredSchedule(t *testing.T) {
 	base := TrainConfig{
@@ -50,7 +51,7 @@ func TestTrainLegacyKnobsMatchLoweredSchedule(t *testing.T) {
 		{"mixed two-level", "mixed(big=a2sgd, small=dense, threshold=8KiB)", 8192, 2, false},
 	} {
 		legacy := base
-		legacy.Policy = tc.policy
+		legacy.Spec = tc.policy
 		legacy.BucketBytes = tc.bucket
 		legacy.Topology = tc.topology
 		legacy.Overlap = tc.overlap
@@ -59,7 +60,7 @@ func TestTrainLegacyKnobsMatchLoweredSchedule(t *testing.T) {
 			t.Fatalf("%s legacy: %v", tc.name, err)
 		}
 
-		pol, err := ParsePolicy(tc.policy)
+		pol, err := compress.ParsePolicy(tc.policy)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,7 +87,7 @@ func TestTrainLegacyKnobsMatchLoweredSchedule(t *testing.T) {
 // produce a converging, schedule-conformant run.
 func TestTrainAutoPolicyPlans(t *testing.T) {
 	res, err := Train(TrainConfig{
-		Family: "fnn3", Workers: 4, Policy: "auto",
+		Family: "fnn3", Workers: 4, Spec: "auto",
 		Epochs: 3, StepsPerEpoch: 8, BatchPerWorker: 8, Seed: 7, Momentum: 0.9,
 	})
 	if err != nil {
@@ -110,7 +111,7 @@ func TestTrainAutoOverTCP(t *testing.T) {
 		t.Skip("tcp integration")
 	}
 	cfg := TrainConfig{
-		Family: "fnn3", Workers: 3, Policy: "auto(dense, a2sgd)",
+		Family: "fnn3", Workers: 3, Spec: "auto(dense, a2sgd)",
 		Epochs: 2, StepsPerEpoch: 4, BatchPerWorker: 4, Seed: 9, Momentum: 0.9,
 	}
 	inproc, err := Train(cfg)
@@ -133,7 +134,7 @@ func TestTrainScheduleConflicts(t *testing.T) {
 	}
 	for _, mutate := range []func(*TrainConfig){
 		func(tc *TrainConfig) { tc.Spec = "a2sgd" },
-		func(tc *TrainConfig) { tc.Policy = "uniform(dense)" },
+		func(tc *TrainConfig) { tc.Spec = "uniform(dense)" },
 		func(tc *TrainConfig) { tc.BucketBytes = 4096 },
 		func(tc *TrainConfig) { tc.Overlap = true },
 		func(tc *TrainConfig) { tc.Topology = 2 },
@@ -154,7 +155,7 @@ func TestTrainScheduleConflicts(t *testing.T) {
 // pin those axes of the planner's search.
 func TestAutoPolicyPinsRespected(t *testing.T) {
 	res, err := Train(TrainConfig{
-		Family: "fnn3", Workers: 4, Policy: "auto(a2sgd)",
+		Family: "fnn3", Workers: 4, Spec: "auto(a2sgd)",
 		BucketBytes: 8192, Topology: 2,
 		Epochs: 1, StepsPerEpoch: 2, BatchPerWorker: 4, Seed: 3,
 	})
@@ -177,9 +178,9 @@ func TestAutoPolicyPinsRespected(t *testing.T) {
 // worker starts.
 func TestAutoPolicyRejectsBadCandidates(t *testing.T) {
 	for _, policy := range []string{"auto(nope)", "auto(big=dense)", "auto(topk(density=7))", "auto(dense, 0.5)"} {
-		_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: policy, Epochs: 1, StepsPerEpoch: 1})
+		_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Spec: policy, Epochs: 1, StepsPerEpoch: 1})
 		if err == nil {
-			t.Errorf("Policy %q: expected a bad-candidate error", policy)
+			t.Errorf("Spec %q: expected a bad-candidate error", policy)
 		}
 	}
 }
@@ -190,7 +191,7 @@ func TestAutoPolicyRejectsBadCandidates(t *testing.T) {
 // planned for the wrong worker count), the resumed run must be at that
 // world, and it must finish the uninterrupted run's curve.
 func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
-	for _, algo := range []TrainConfig{{Policy: "auto"}, {Spec: "a2sgd"}} {
+	for _, algo := range []TrainConfig{{Spec: "auto"}, {Spec: "a2sgd"}} {
 		path := t.TempDir() + "/run.snap"
 		cfg := algo
 		cfg.Family, cfg.Workers, cfg.Seed = "fnn3", 2, 3
@@ -201,7 +202,7 @@ func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
 			t.Fatalf("%+v: %v", algo, err)
 		}
 		cfg.SnapshotPath, cfg.ResumePath, cfg.Workers = "", path, 4
-		if algo.Policy != "" {
+		if algo.Spec == "auto" {
 			lowered, _, _, err := lower(cfg)
 			if err != nil {
 				t.Fatal(err)
@@ -266,7 +267,7 @@ func TestAutoFabricMatchesHandPlanning(t *testing.T) {
 
 				cfg, _, _, err := lower(TrainConfig{
 					Family: "fnn3", Workers: world, Topology: topology,
-					Policy: "auto(fabric=" + fabric + ")",
+					Spec: "auto(fabric=" + fabric + ")",
 				})
 				if err != nil {
 					t.Fatalf("%s topology=%d world=%d: %v", fabric, topology, world, err)
@@ -289,7 +290,7 @@ func TestAutoFabricMatchesHandPlanning(t *testing.T) {
 // TestAutoRejectsUnknownFabricAndKeys: fabric= names one of netsim's
 // fabrics (the error lists them), and it is auto's only key.
 func TestAutoRejectsUnknownFabricAndKeys(t *testing.T) {
-	_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: "auto(fabric=nope)"})
+	_, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Spec: "auto(fabric=nope)"})
 	if err == nil {
 		t.Fatal("auto(fabric=nope): expected an unknown-fabric error")
 	}
@@ -299,8 +300,8 @@ func TestAutoRejectsUnknownFabricAndKeys(t *testing.T) {
 		}
 	}
 	for _, policy := range []string{"auto(width=4)", "auto(a2sgd, fabric=ib100, budget=8KiB)", "auto(fabric=ib100(x=1))"} {
-		if _, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Policy: policy}); err == nil {
-			t.Errorf("Policy %q: expected an error", policy)
+		if _, err := Train(TrainConfig{Family: "fnn3", Workers: 2, Spec: policy}); err == nil {
+			t.Errorf("Spec %q: expected an error", policy)
 		}
 	}
 }
@@ -324,7 +325,7 @@ func assertSameWeights(t *testing.T, label string, a, b []float32) {
 func TestNewJobMatchesTrain(t *testing.T) {
 	for _, algo := range []TrainConfig{
 		{Spec: "a2sgd", BucketBytes: 8192},
-		{Policy: "auto(a2sgd, dense, fabric=tcp10g)"},
+		{Spec: "auto(a2sgd, dense, fabric=tcp10g)"},
 	} {
 		tc := algo
 		tc.Family, tc.Workers, tc.Seed, tc.Momentum = "fnn3", 3, 4, 0.9
@@ -338,7 +339,7 @@ func TestNewJobMatchesTrain(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if (job.Replan != nil) != (algo.Policy != "") {
+		if (job.Replan != nil) != strings.HasPrefix(algo.Spec, "auto") {
 			t.Errorf("%+v: Replan set = %v", algo, job.Replan != nil)
 		}
 		rr, err := job.Run()
@@ -357,7 +358,7 @@ func TestNewJobMatchesTrain(t *testing.T) {
 // the shrunk world, priced on the auto fabric.
 func TestAutoJobReplansAfterCrash(t *testing.T) {
 	job, err := NewJob(TrainConfig{
-		Family: "fnn3", Workers: 4, Policy: "auto(fabric=tcp10g)", Seed: 2,
+		Family: "fnn3", Workers: 4, Spec: "auto(fabric=tcp10g)", Seed: 2,
 		Epochs: 1, StepsPerEpoch: 8, BatchPerWorker: 4, CheckpointEvery: 4,
 		Faults: "deadline(5s) crash(rank=3, step=5)",
 	})

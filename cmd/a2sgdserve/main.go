@@ -21,9 +21,11 @@
 //	  "workers": 2, "drift_replan": true}]
 //
 // Every job lowers through the library façade (a2sgd.NewJob), so a job's
-// "spec" is whatever a2sgd.TrainConfig.Spec accepts: an algorithm spec, or
-// "auto(spec, ..., fabric=name)" for a job whose schedule the cost-model
-// planner re-plans at every membership epoch's world size.
+// "spec" is whatever a2sgd.TrainConfig.Spec accepts: an algorithm spec, a
+// per-bucket policy such as "mixed(big=a2sgd, small=dense, threshold=8KiB)"
+// (with "bucket_bytes"), or "auto(spec, ..., fabric=name)" for a job whose
+// schedule the cost-model planner re-plans at every membership epoch's
+// world size.
 //
 // Each job persists its newest snapshot to -dir/<name>.snap (atomic rewrite
 // in the versioned A2SV format); -resume restores any job whose snapshot
@@ -165,6 +167,7 @@ func main() {
 	jobsPath := flag.String("jobs", "", "JSON file with an array of job specs (overrides the single-job flags)")
 	family := flag.String("family", "fnn3", "single job: model family")
 	spec := flag.String("spec", "a2sgd", "single job: algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", ")+
+		"; or a per-bucket policy — "+strings.Join(a2sgd.PolicyUsage(), ", ")+
 		"; or auto(spec, ..., fabric=name) to re-plan the schedule at every membership epoch's world size")
 	workers := flag.Int("workers", 4, "single job: data-parallel worker count")
 	epochs := flag.Int("epochs", 1, "single job: epochs")

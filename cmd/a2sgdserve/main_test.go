@@ -111,3 +111,31 @@ func TestBuildJobReplansOnlyAutoSpecs(t *testing.T) {
 		t.Error("drift_replan without an auto spec must be an error")
 	}
 }
+
+// TestBuildJobMixedPolicy: a jobs.json "spec" may be a per-bucket policy.
+// fnn3 at bucket_bytes 8192 buckets into raw sizes [16384, 256, 12288,
+// 7784]B, so threshold=8KiB sends buckets 0 and 2 to big and 1 and 3 to
+// small.
+func TestBuildJobMixedPolicy(t *testing.T) {
+	const mixed = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
+	specs, err := readJobs(strings.NewReader(`[{"name": "mix", "spec": "` + mixed + `", "bucket_bytes": 8192}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[0].defaults(0)
+	job, err := buildJob(specs[0], t.TempDir()+"/mix.snap", false, false, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := job.Config.Schedule
+	var got []string
+	for _, sp := range sched.Specs {
+		got = append(got, sp.String())
+	}
+	if want := []string{"a2sgd", "dense", "a2sgd", "dense"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("bucket specs %q, want %q", got, want)
+	}
+	if sched.Policy != mixed || job.Replan != nil {
+		t.Errorf("schedule policy %q, replan set %v; want %q and no replan", sched.Policy, job.Replan != nil, mixed)
+	}
+}

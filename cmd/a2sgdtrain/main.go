@@ -1,20 +1,21 @@
 // Command a2sgdtrain runs one distributed training configuration and prints
 // the per-epoch metric curve plus the synchronization cost breakdown.
 //
-// -algo accepts any registered algorithm spec, including parameters and
-// wrappers; -policy switches to a per-bucket policy (pair it with
-// -bucket-bytes so there is more than one bucket to mix over), or, spelled
-// "auto(spec, ..., fabric=name)", hands the whole configuration — bucket
-// boundaries, per-bucket specs, topology — to the cost-model planner, priced
-// on the named network model (-bucket-bytes and -topology pin those axes).
+// -spec fills a2sgd.TrainConfig.Spec: any registered algorithm spec,
+// including parameters and wrappers; a per-bucket policy, uniform(spec) or
+// mixed(…) (pair it with -bucket-bytes so there is more than one bucket to
+// mix over); or "auto(spec, ..., fabric=name)", which hands the whole
+// configuration — bucket boundaries, per-bucket specs, topology — to the
+// cost-model planner, priced on the named network model (-bucket-bytes and
+// -topology pin those axes).
 //
 // Usage:
 //
-//	a2sgdtrain -family fnn3 -algo a2sgd -workers 8 -epochs 10
-//	a2sgdtrain -family lstm -algo "topk(density=0.01)" -workers 4
-//	a2sgdtrain -algo "periodic(qsgd(levels=8), interval=4)"
-//	a2sgdtrain -policy "mixed(big=a2sgd, small=dense, threshold=16KiB)" -bucket-bytes 8192
-//	a2sgdtrain -policy "auto(fabric=nvlink+tcp10g)" -workers 8
+//	a2sgdtrain -family fnn3 -spec a2sgd -workers 8 -epochs 10
+//	a2sgdtrain -family lstm -spec "topk(density=0.01)" -workers 4
+//	a2sgdtrain -spec "periodic(qsgd(levels=8), interval=4)"
+//	a2sgdtrain -spec "mixed(big=a2sgd, small=dense, threshold=16KiB)" -bucket-bytes 8192
+//	a2sgdtrain -spec "auto(fabric=nvlink+tcp10g)" -workers 8
 package main
 
 import (
@@ -40,10 +41,9 @@ func useTCP(transport string) (bool, error) {
 
 func main() {
 	family := flag.String("family", "fnn3", "model family: fnn3|vgg16|resnet20|lstm")
-	algo := flag.String("algo", "a2sgd",
-		"algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", "))
-	policy := flag.String("policy", "",
-		"per-bucket policy spec (overrides -algo) — "+strings.Join(a2sgd.PolicyUsage(), ", ")+
+	spec := flag.String("spec", "a2sgd",
+		"algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", ")+
+			"; or a per-bucket policy — "+strings.Join(a2sgd.PolicyUsage(), ", ")+
 			"; or auto(spec, ..., fabric="+strings.Join(netsim.FabricNames(), "|")+") to plan the schedule from the cost model")
 	workers := flag.Int("workers", 4, "data-parallel worker count")
 	epochs := flag.Int("epochs", 10, "training epochs")
@@ -70,18 +70,13 @@ func main() {
 	}
 
 	tc := a2sgd.TrainConfig{
-		Family: *family, Workers: *workers,
+		Family: *family, Spec: *spec, Workers: *workers,
 		Epochs: *epochs, StepsPerEpoch: *steps, BatchPerWorker: *batch,
 		Seed: *seed, Momentum: float32(*momentum),
 		TCP: tcp, Faults: *faults,
 		BucketBytes: *bucketBytes, Overlap: *overlap, Topology: *topology,
 		Concurrency: *concurrency, Interleave: *interleave,
 		CheckpointEvery: *checkpointEvery, SnapshotPath: *snapshotPath, ResumePath: *resumePath,
-	}
-	if *policy != "" {
-		tc.Policy = *policy
-	} else {
-		tc.Spec = *algo
 	}
 
 	res, err := a2sgd.Train(tc)

@@ -20,14 +20,13 @@ func main() {
 		"uniform(dense)",
 		"uniform(a2sgd)",
 		"mixed(big=a2sgd, small=dense, threshold=8KiB)",
-		"bylayer(.b=dense, default=a2sgd)", // bias tensors stay dense, weights compress
 	}
 
 	fmt.Printf("== FNN-3, 4 workers, buckets of %d bytes ==\n", bucketBytes)
 	fmt.Printf("%-48s %-26s %10s %8s\n", "policy", "composition", "payload(B)", "top-1")
 	for _, policy := range policies {
 		res, err := a2sgd.Train(a2sgd.TrainConfig{
-			Family: "fnn3", Policy: policy, Workers: 4,
+			Family: "fnn3", Spec: policy, Workers: 4,
 			Epochs: 6, StepsPerEpoch: 12, BatchPerWorker: 8,
 			Momentum: 0.9, Seed: 9,
 			BucketBytes: bucketBytes, Overlap: true,

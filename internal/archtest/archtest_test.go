@@ -6,13 +6,17 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"os"
 	"path"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"a2sgd"
 )
 
 // rule confines references to sym ("import/path.Name"; literal: only
@@ -30,7 +34,7 @@ var rules = []rule{
 	{sym: "a2sgd/internal/cluster.Config", literal: true, allow: []string{"a2sgd.go"},
 		why: "only a2sgd.lower writes one: every run is a TrainConfig"},
 	{sym: "a2sgd/internal/cluster.Lower", allow: []string{"a2sgd.go"},
-		why: "only a2sgd.lower lowers a spec or policy string"},
+		why: "only a2sgd.lower lowers a spec string"},
 	{sym: "a2sgd/internal/cluster.Train", allow: []string{"a2sgd.go", "internal/elastic/job.go"},
 		why: "only a2sgd.Train and the elastic supervisor start a run"},
 	{sym: "a2sgd/internal/comm/faultnet.Parse", in: "cmd/",
@@ -38,7 +42,7 @@ var rules = []rule{
 	{sym: "a2sgd/internal/elastic.ReadSnapshotFile", in: "cmd/",
 		why: "no CLI reads a snapshot: runs resume through TrainConfig.ResumePath"},
 	{sym: "a2sgd.BuildSchedule", in: "cmd/",
-		why: "no CLI plans: auto(…) goes in TrainConfig.Spec or Policy"},
+		why: "no CLI plans: auto(…) goes in TrainConfig.Spec"},
 	{sym: "a2sgd/internal/plan.Build", allow: []string{"a2sgd.go", "internal/bench/auto.go"},
 		why: "only a2sgd.BuildSchedule plans, and the auto study prices paper-scale segments"},
 	{sym: "a2sgd/internal/comm.ErrGroupStop", allow: []string{"internal/cluster/cluster.go"},
@@ -167,5 +171,122 @@ func stopped(err error) bool { return errors.Is(err, comm.ErrGroupStop) }
 	}
 	if v := violations(fset, "internal/cluster/cluster.go", f); len(v) != 0 {
 		t.Errorf("internal/cluster/cluster.go may wrap comm.ErrGroupStop; got %q", v)
+	}
+}
+
+// settable is the budget of values a user can set: every entry is one more
+// thing to document, test and keep working, so adding one means editing this
+// list. Fields and flags are in source order, names sorted.
+var settable = map[string][]string{
+	"a2sgd.TrainConfig fields": {"Family", "Spec", "Workers", "Epochs", "StepsPerEpoch", "BatchPerWorker",
+		"Seed", "Momentum", "HistIters", "TCP", "Faults", "LRScale", "BucketBytes", "Overlap", "Concurrency",
+		"Interleave", "Topology", "CheckpointEvery", "SnapshotPath", "ResumePath", "Schedule"},
+	"cmd/a2sgdbench flags": {"experiment", "maxn", "scale", "workers", "epochs", "steps", "fabric", "buckets",
+		"topology", "algos", "chaosseed", "chaostcp", "json", "compare", "comparetol"},
+	"cmd/a2sgdserve flags": {"jobs", "family", "spec", "workers", "epochs", "steps", "batch", "seed", "momentum",
+		"bucket-bytes", "checkpoint-every", "faults", "backup-workers", "drift-replan", "pool", "dir", "resume",
+		"transport"},
+	"cmd/a2sgdtrain flags": {"family", "spec", "workers", "epochs", "steps", "batch", "seed", "momentum",
+		"transport", "faults", "bucket-bytes", "overlap", "concurrency", "interleave", "topology",
+		"checkpoint-every", "snapshot", "resume"},
+	"jobs.json keys": {"name", "family", "spec", "workers", "epochs", "steps", "batch", "seed", "momentum",
+		"bucket_bytes", "checkpoint_every", "faults", "backup_workers", "drift_replan"},
+	"spec names": {"a2sgd", "a2sgd-allgather", "a2sgd-noef", "a2sgd-onemean", "dense", "gaussiank",
+		"periodic", "qsgd", "qsgd-elias", "topk"},
+	"policy names": {"mixed", "uniform"},
+}
+
+// flagDefiners are package flag's definers that take the name first (...Var ones take it second).
+var flagDefiners = []string{"Bool", "BoolFunc", "Duration", "Float64", "Func", "Int", "Int64", "String", "Uint", "Uint64"}
+
+// inspect walks one source file, named from the module root.
+func inspect(t *testing.T, file string, visit func(ast.Node)) {
+	f, err := parser.ParseFile(token.NewFileSet(), filepath.Join("..", "..", file), nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ast.Inspect(f, func(n ast.Node) bool { visit(n); return true })
+}
+
+// fieldsOf lists the fields of struct type typ in file, or with tag set,
+// their names under that struct tag key.
+func fieldsOf(t *testing.T, file, typ, tag string) (out []string) {
+	inspect(t, file, func(n ast.Node) {
+		ts, _ := n.(*ast.TypeSpec)
+		if ts == nil || ts.Name.Name != typ {
+			return
+		}
+		for _, fd := range ts.Type.(*ast.StructType).Fields.List {
+			if tag == "" {
+				for _, id := range fd.Names {
+					out = append(out, id.Name)
+				}
+			} else if fd.Tag != nil {
+				v, _ := strconv.Unquote(fd.Tag.Value)
+				name, _, _ := strings.Cut(reflect.StructTag(v).Get(tag), ",")
+				out = append(out, name)
+			}
+		}
+	})
+	return out
+}
+
+// flagsOf lists the flags file defines through package flag.
+func flagsOf(t *testing.T, file string) (out []string) {
+	inspect(t, file, func(n ast.Node) {
+		call, _ := n.(*ast.CallExpr)
+		if call == nil {
+			return
+		}
+		sel, _ := call.Fun.(*ast.SelectorExpr)
+		if sel == nil {
+			return
+		}
+		arg, define := 0, slices.Contains(flagDefiners, sel.Sel.Name)
+		if strings.HasSuffix(sel.Sel.Name, "Var") {
+			arg, define = 1, true
+		}
+		if pkg, _ := sel.X.(*ast.Ident); pkg == nil || pkg.Name != "flag" || !define || len(call.Args) <= arg {
+			return
+		}
+		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
+			name, _ := strconv.Unquote(lit.Value)
+			out = append(out, name)
+		}
+	})
+	return out
+}
+
+// TestSettableValuesBudget compares the module's settable values against
+// the settable list.
+func TestSettableValuesBudget(t *testing.T) {
+	got := map[string][]string{
+		"a2sgd.TrainConfig fields": fieldsOf(t, "a2sgd.go", "TrainConfig", ""),
+		"jobs.json keys":           fieldsOf(t, "cmd/a2sgdserve/main.go", "jobSpec", "json"),
+		"spec names":               a2sgd.Algorithms(),
+	}
+	for _, u := range a2sgd.PolicyUsage() {
+		name, _, _ := strings.Cut(u, "(")
+		got["policy names"] = append(got["policy names"], name)
+	}
+	slices.Sort(got["policy names"])
+	cmds, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cmds {
+		if !strings.HasSuffix(p, "_test.go") {
+			dir, file := filepath.Base(filepath.Dir(p)), filepath.Base(p)
+			key := "cmd/" + dir + " flags"
+			got[key] = append(got[key], flagsOf(t, "cmd/"+dir+"/"+file)...)
+		}
+	}
+	keys := slices.Concat(slices.Collect(maps.Keys(got)), slices.Collect(maps.Keys(settable)))
+	slices.Sort(keys)
+	for _, k := range slices.Compact(keys) {
+		if !slices.Equal(got[k], settable[k]) {
+			t.Errorf("%s: %d settable, want %d — a settable value is added or removed by editing the settable list\n got %q\nwant %q",
+				k, len(got[k]), len(settable[k]), got[k], settable[k])
+		}
 	}
 }

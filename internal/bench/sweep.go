@@ -133,7 +133,7 @@ func Sweep(w io.Writer, c SweepConfig) ([]SweepPoint, error) {
 				run := func(overlap bool) (*a2sgd.Result, error) {
 					return a2sgd.Train(a2sgd.TrainConfig{
 						Workers: cfg.Workers, Family: cfg.Family,
-						Policy: policy, BucketBytes: bb, Topology: eff, Overlap: overlap,
+						Spec: policy, BucketBytes: bb, Topology: eff, Overlap: overlap,
 						Epochs: cfg.Epochs, StepsPerEpoch: cfg.Steps, Seed: 11,
 					})
 				}

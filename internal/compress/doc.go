@@ -47,7 +47,7 @@
 //
 // Names and scalars are runs of letters, digits and the characters
 // ._+- ; whitespace is insignificant. Keyed arguments are typed parameters
-// validated against the registered schema (int, float, byte size, string);
+// validated against the registered schema (int, finite float, string);
 // positional arguments are inner algorithm specs for wrappers. Examples:
 //
 //	dense
@@ -55,8 +55,9 @@
 //	qsgd(levels=8)
 //	periodic(qsgd(levels=8), interval=4)
 //
-// Byte sizes accept B / KiB / MiB / GiB (binary) and KB / MB / GB
-// (decimal) suffixes: "64KiB" is 65536.
+// Byte sizes (mixed's threshold) accept B / KiB / MiB / GiB (binary) and
+// KB / MB / GB (decimal) suffixes: "64KiB" is 65536. A size must be finite
+// and fit in an int64.
 //
 // Parse turns a string into a Spec; Spec.String renders the canonical form
 // (a round trip is the identity); CheckSpec validates a tree against the
@@ -77,26 +78,26 @@
 // # Policies
 //
 // A Policy chooses a spec per gradient bucket from the bucket's metadata
-// (BucketInfo: index, element count, raw bytes, covered layer names).
-// Policies use the same grammar with algorithm specs as argument values:
+// (BucketInfo: index, element count, raw bytes). There are two, written in
+// the same grammar with algorithm specs as argument values:
 //
 //	uniform(a2sgd)
 //	mixed(big=a2sgd, small=dense, threshold=64KiB)
-//	bylayer(.b=dense, default=a2sgd)
 //
 // uniform applies one spec everywhere; mixed splits on a raw-byte-size
 // threshold (big buckets get the compressed spec, the tiny tail stays
-// dense); bylayer tries its pattern rules in declaration order against the
-// bucket's layer names (substring match) and falls back to the required
-// default. "auto(dense, topk(density=0.01), a2sgd)" is not a policy:
-// choosing specs by modelled encode+collective cost also chooses bucket
-// boundaries and topology, which is a2sgd/internal/plan's job (every
-// registered algorithm carries a CostModel next to its Builder for it), so
-// BuildPolicy rejects it and points at a2sgd.TrainConfig. A bare algorithm spec is
-// accepted wherever a policy is expected and means uniform(spec). Policies
-// are pure functions of BucketInfo and validate every referenced spec at
-// construction, so policy-driven runs are deterministic per seed and
-// cannot fail mid-training.
+// dense). The set is closed: BuildPolicy switches over the two names, and
+// PolicyUsage lists their signatures. A bare algorithm spec is accepted
+// wherever a policy is expected and means uniform(spec).
+//
+// "auto(dense, topk(density=0.01), a2sgd)" is not a policy: choosing specs
+// by modelled encode+collective cost also chooses bucket boundaries and
+// topology, which is a2sgd/internal/plan's job (every registered algorithm
+// carries a CostModel next to its Builder for it), so BuildPolicy rejects
+// it and points at a2sgd.TrainConfig.Spec. Policies are pure functions of
+// BucketInfo and validate every referenced spec at construction, so
+// policy-driven runs are deterministic per seed and cannot fail
+// mid-training.
 //
 // # Composition
 //

@@ -1,6 +1,7 @@
 package compress
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -117,7 +118,9 @@ func specNodes(s *Spec) int {
 // panicking; whatever it accepts prints canonically (Parse(s.String())
 // succeeds and prints the same string), and neither the tree nor its printed
 // form outgrows the input — every node consumed at least one byte, and
-// canonical form adds at most a space per comma.
+// canonical form adds at most a space per comma. Whatever ParsePolicy
+// accepts rebuilds from its Name() to the same Name() and Specs(), since
+// that name is what results, schedules and sweep JSON record.
 func FuzzParseRoundTrip(f *testing.F) {
 	for _, seed := range []string{
 		// README, the examples and the CI file: every spec and policy.
@@ -129,7 +132,11 @@ func FuzzParseRoundTrip(f *testing.F) {
 		"mixed(big=a2sgd, small=dense, threshold=64KiB)",
 		"mixed(big=a2sgd, small=dense, threshold=16KiB)",
 		"mixed(big=a2sgd, small=dense, threshold=8KiB)",
-		"bylayer(.b=dense, default=a2sgd)",
+		"uniform(topk(density=0.01))", "uniform(qsgd)",
+		"mixed(big=topk(density=0.01), small=dense, threshold=1KiB)",
+		"mixed(big=qsgd(levels=8), small=dense)",
+		// Used to build with a negative threshold whose name did not parse.
+		"mixed(big=topk(density=0.01), small=dense, threshold=1e30)",
 		"auto(a2sgd, dense)",
 		// Shapes the grammar must reject or normalize.
 		"", "a()", "a(", "a)", "a(b,,c)", "a(k=1, k=2)", "a(=1)", " a ( b = c ( d ) ) ",
@@ -155,6 +162,21 @@ func FuzzParseRoundTrip(f *testing.F) {
 		}
 		if got := again.String(); got != canon {
 			t.Fatalf("Parse(%q) prints %q, which re-prints as %q", src, canon, got)
+		}
+		pol, err := ParsePolicy(src)
+		if err != nil {
+			return
+		}
+		name := pol.Name()
+		back, err := ParsePolicy(name)
+		if err != nil {
+			t.Fatalf("ParsePolicy(%q) accepted, but its name %q does not build: %v", src, name, err)
+		}
+		if got := back.Name(); got != name {
+			t.Fatalf("ParsePolicy(%q) is named %q, which rebuilds as %q", src, name, got)
+		}
+		if a, b := fmt.Sprint(pol.Specs()), fmt.Sprint(back.Specs()); a != b {
+			t.Fatalf("ParsePolicy(%q) picks from %s, its name %q from %s", src, a, name, b)
 		}
 	})
 }

@@ -1,12 +1,13 @@
 package compress
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
 
-func bucket(idx, params int, layers ...string) BucketInfo {
-	return BucketInfo{Index: idx, Params: params, Bytes: int64(4 * params), Layers: layers}
+func bucket(idx, params int) BucketInfo {
+	return BucketInfo{Index: idx, Params: params, Bytes: int64(4 * params)}
 }
 
 func TestUniformPolicy(t *testing.T) {
@@ -69,6 +70,12 @@ func TestMixedPolicyErrors(t *testing.T) {
 		{"mixed(foo=dense)", `unknown parameter "foo"`},
 		{"mixed(dense)", "keyed arguments only"},
 		{"mixed(threshold=abc)", "byte size"},
+		// Past MaxInt64 or non-finite: used to wrap to a negative threshold
+		// that sent every bucket to big.
+		{"mixed(big=topk(density=0.01), small=dense, threshold=1e30)", "byte size"},
+		{"mixed(big=dense, small=dense, threshold=NaN)", "byte size"},
+		{"mixed(big=dense, small=dense, threshold=Inf)", "byte size"},
+		{"mixed(big=topk(density=NaN))", "finite"},
 		{"mixed(big=topk(density=9), small=dense)", "out of range"},
 	}
 	for _, c := range cases {
@@ -87,34 +94,6 @@ func TestMixedPolicySpecValidation(t *testing.T) {
 	}
 }
 
-func TestByLayerPolicy(t *testing.T) {
-	p, err := ParsePolicy("bylayer(conv=qsgd(levels=8), fc=topk(density=0.05), default=dense)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cases := []struct {
-		b    BucketInfo
-		want string
-	}{
-		{bucket(0, 100, "conv1.W", "conv1.b"), "qsgd"},
-		{bucket(1, 100, "fc2.W"), "topk"},
-		{bucket(2, 100, "embed.W"), "dense"},
-		// First matching rule wins, in declaration order.
-		{bucket(3, 100, "fc1.W", "conv9.W"), "qsgd"},
-	}
-	for _, c := range cases {
-		if got := p.SpecFor(c.b).Name; got != c.want {
-			t.Errorf("SpecFor(%v) = %q, want %q", c.b.Layers, got, c.want)
-		}
-	}
-	if len(p.Specs()) != 3 {
-		t.Errorf("Specs() = %v", p.Specs())
-	}
-	if _, err := ParsePolicy("bylayer(conv=dense)"); err == nil || !strings.Contains(err.Error(), "default") {
-		t.Errorf("bylayer without default must error, got %v", err)
-	}
-}
-
 func TestUnknownPolicyErrorListsBoth(t *testing.T) {
 	_, err := ParsePolicy("zigzag(a=1)")
 	if err == nil {
@@ -127,44 +106,12 @@ func TestUnknownPolicyErrorListsBoth(t *testing.T) {
 	}
 }
 
+// TestPoliciesRegistered: the policy set is closed — uniform and mixed,
+// listed by name.
 func TestPoliciesRegistered(t *testing.T) {
-	got := Policies()
-	// Sorted, and containing at least the three built-ins (other tests may
-	// register extras in the same binary).
-	for i := 1; i < len(got); i++ {
-		if got[i-1] >= got[i] {
-			t.Fatalf("Policies() not sorted: %v", got)
-		}
-	}
-	for _, want := range []string{"bylayer", "mixed", "uniform"} {
-		found := false
-		for _, n := range got {
-			found = found || n == want
-		}
-		if !found {
-			t.Fatalf("Policies() = %v, missing %q", got, want)
-		}
-	}
-}
-
-// TestPolicyUsageDerivesFromRegistry: a registered third-party policy shows
-// up in PolicyUsage and in the unknown-policy error, like algorithms do.
-func TestPolicyUsageDerivesFromRegistry(t *testing.T) {
-	RegisterPolicy("zz-test-policy", "zz-test-policy(spec)", func(args []Arg) (Policy, error) {
-		return &uniform{spec: &Spec{Name: "dense"}}, nil
-	})
-	found := false
-	for _, u := range PolicyUsage() {
-		if u == "zz-test-policy(spec)" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("PolicyUsage() missing registered policy: %v", PolicyUsage())
-	}
-	_, err := ParsePolicy("definitely-unknown")
-	if err == nil || !strings.Contains(err.Error(), "zz-test-policy(spec)") {
-		t.Errorf("unknown-policy error missing registered usage:\n%v", err)
+	want := []string{"mixed(big=spec, small=spec, threshold=bytes)", "uniform(spec)"}
+	if got := PolicyUsage(); !slices.Equal(got, want) {
+		t.Errorf("PolicyUsage() = %q, want %q", got, want)
 	}
 }
 
@@ -176,7 +123,7 @@ func TestPolicyDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	plan := []BucketInfo{bucket(0, 100), bucket(1, 600, "fc1.W"), bucket(2, 300), bucket(3, 4000)}
+	plan := []BucketInfo{bucket(0, 100), bucket(1, 600), bucket(2, 300), bucket(3, 4000)}
 	var first []string
 	for trial := 0; trial < 3; trial++ {
 		var got []string

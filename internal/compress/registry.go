@@ -2,6 +2,7 @@ package compress
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -16,10 +17,8 @@ type ParamKind int
 const (
 	// ParamInt is a base-10 integer ("4").
 	ParamInt ParamKind = iota
-	// ParamFloat is a decimal number ("0.01").
+	// ParamFloat is a finite decimal number ("0.01").
 	ParamFloat
-	// ParamBytes is a byte size ("65536", "64KiB", "1.5MiB").
-	ParamBytes
 	// ParamString is free text (one grammar atom).
 	ParamString
 )
@@ -31,8 +30,6 @@ func (k ParamKind) String() string {
 		return "int"
 	case ParamFloat:
 		return "float"
-	case ParamBytes:
-		return "bytes"
 	default:
 		return "string"
 	}
@@ -70,14 +67,6 @@ func (a BuildArgs) Int(name string, def int) int {
 func (a BuildArgs) Float(name string, def float64) float64 {
 	if v, ok := a.values[name]; ok {
 		return v.(float64)
-	}
-	return def
-}
-
-// Bytes returns the named byte-size parameter, or def when omitted.
-func (a BuildArgs) Bytes(name string, def int64) int64 {
-	if v, ok := a.values[name]; ok {
-		return v.(int64)
 	}
 	return def
 }
@@ -247,14 +236,8 @@ func checkArgs(s *Spec, b Builder) (inner []*Spec, values map[string]any, err er
 			values[a.Key] = v
 		case ParamFloat:
 			v, err := strconv.ParseFloat(a.Value.Text, 64)
-			if err != nil {
-				return nil, nil, fmt.Errorf("compress: %s: parameter %s=%q is not a float", s.Name, a.Key, a.Value.Text)
-			}
-			values[a.Key] = v
-		case ParamBytes:
-			v, err := ParseByteSize(a.Value.Text)
-			if err != nil {
-				return nil, nil, fmt.Errorf("compress: %s: parameter %s=%q is not a byte size", s.Name, a.Key, a.Value.Text)
+			if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
+				return nil, nil, fmt.Errorf("compress: %s: parameter %s=%q is not a float (want a finite decimal)", s.Name, a.Key, a.Value.Text)
 			}
 			values[a.Key] = v
 		default:

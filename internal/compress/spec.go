@@ -30,8 +30,8 @@ import (
 type Spec struct {
 	// Name is the registered algorithm or policy name.
 	Name string
-	// Args are the arguments in source order (order matters for policies
-	// like bylayer, whose rules are tried first to last).
+	// Args are the arguments in source order (order matters for positional
+	// arguments: a wrapper's inner specs, auto's candidates).
 	Args []Arg
 }
 
@@ -301,10 +301,12 @@ func ParseByteSize(s string) (int64, error) {
 		t = t[:len(t)-1]
 	}
 	v, err := strconv.ParseFloat(strings.TrimSpace(t), 64)
-	if err != nil || v < 0 {
+	n := v * mult
+	// Written so that NaN fails too; 1<<63 itself is one past MaxInt64.
+	if err != nil || !(n >= 0 && n < 1<<63) {
 		return 0, fmt.Errorf("compress: bad byte size %q (want e.g. 4096, 64KiB, 1.5MiB)", s)
 	}
-	return int64(v * mult), nil
+	return int64(n), nil
 }
 
 // FormatByteSize renders n in the most compact exact binary unit

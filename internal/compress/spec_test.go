@@ -17,7 +17,7 @@ func TestParseFormatRoundTrip(t *testing.T) {
 		{"periodic(dense, interval=4)", "periodic(dense, interval=4)"},
 		{"periodic(qsgd(levels=8), interval=4)", "periodic(qsgd(levels=8), interval=4)"},
 		{"mixed(big=a2sgd, small=dense, threshold=64KiB)", "mixed(big=a2sgd, small=dense, threshold=64KiB)"},
-		{"bylayer(fc1=topk(density=0.05), default=dense)", "bylayer(fc1=topk(density=0.05), default=dense)"},
+		{"uniform( topk(density=0.05) )", "uniform(topk(density=0.05))"},
 		{"dense()", "dense"},
 	}
 	for _, c := range cases {
@@ -82,6 +82,11 @@ func TestBadParametersRejected(t *testing.T) {
 		{"topk(density=2)", "out of range"},
 		{"topk(density=0)", "out of range"},
 		{"topk(density=abc)", "not a float"},
+		// NaN fails every range comparison, so it must fail parsing instead.
+		{"topk(density=NaN)", "finite"},
+		{"gaussiank(density=nan)", "finite"},
+		{"topk(density=Inf)", "finite"},
+		{"topk(density=-inf)", "finite"},
 		{"topk(foo=1)", `unknown parameter "foo"`},
 		{"topk(foo=1)", "topk(density=float)"}, // error names the accepted params
 		{"dense(x=1)", "unknown parameter"},
@@ -202,7 +207,9 @@ func TestParseByteSize(t *testing.T) {
 			t.Errorf("ParseByteSize(%q) = %d, %v; want %d", src, got, err, want)
 		}
 	}
-	for _, bad := range []string{"", "abc", "-1", "12XiB"} {
+	// Non-finite values and sizes past MaxInt64 used to convert to
+	// MinInt64 without an error.
+	for _, bad := range []string{"", "abc", "-1", "12XiB", "NaN", "nanKiB", "Inf", "+inf", "1e30", "9223372036854775808", "8589934592GiB"} {
 		if _, err := ParseByteSize(bad); err == nil {
 			t.Errorf("ParseByteSize(%q): expected error", bad)
 		}

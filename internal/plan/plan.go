@@ -460,13 +460,7 @@ func Lower(segs []nn.Segment, pol compress.Policy, bucketBytes, topology int, ov
 	p := nn.PlanBuckets(segs, bucketBytes)
 	specs := make([]*compress.Spec, len(p.Buckets))
 	for b, bk := range p.Buckets {
-		layers := make([]string, len(bk.Segments))
-		for i, sg := range bk.Segments {
-			layers[i] = sg.Name
-		}
-		specs[b] = pol.SpecFor(compress.BucketInfo{
-			Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len), Layers: layers,
-		})
+		specs[b] = pol.SpecFor(compress.BucketInfo{Index: b, Params: bk.Len, Bytes: int64(4 * bk.Len)})
 	}
 	return &Schedule{
 		Workers:  workers,

@@ -28,9 +28,9 @@ func epochsEqual(t *testing.T, label string, a, b *Result) {
 	}
 }
 
-// TestSpecBackCompatBitwise: the spellings of one configuration — a Spec,
-// the uniform Policy over it, and (for a2sgd) the empty default — lower to
-// the same schedule and must produce bitwise-identical runs.
+// TestSpecBackCompatBitwise: the spellings of one configuration — a bare
+// Spec, uniform(spec), and (for a2sgd) the empty default — lower to the same
+// schedule and must produce bitwise-identical runs.
 func TestSpecBackCompatBitwise(t *testing.T) {
 	for _, spec := range []string{"a2sgd", "topk(density=0.01)", "qsgd(levels=8)", "dense"} {
 		specCfg := smallRun()
@@ -40,7 +40,7 @@ func TestSpecBackCompatBitwise(t *testing.T) {
 			t.Fatalf("%s spec: %v", spec, err)
 		}
 		polCfg := smallRun()
-		polCfg.Policy = "uniform(" + spec + ")"
+		polCfg.Spec = "uniform(" + spec + ")"
 		polRes, err := Train(polCfg)
 		if err != nil {
 			t.Fatalf("%s policy: %v", spec, err)
@@ -66,7 +66,7 @@ func TestMixedPolicyEndToEnd(t *testing.T) {
 	// fnn3 at an 8 KiB budget buckets into raw sizes [16384, 256, 12288,
 	// 7784]B, so threshold=8KiB sends buckets 0 and 2 to the big branch.
 	cfg := smallRun()
-	cfg.Policy = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
+	cfg.Spec = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
 	cfg.BucketBytes = 8192
 
 	res, err := Train(cfg)
@@ -120,10 +120,10 @@ func TestMixedPolicyEndToEnd(t *testing.T) {
 // mixed run is bitwise-identical to the uniform run on the same plan.
 func TestMixedReproducesUniform(t *testing.T) {
 	mixCfg := smallRun()
-	mixCfg.Policy = "mixed(big=a2sgd, small=a2sgd, threshold=8KiB)"
+	mixCfg.Spec = "mixed(big=a2sgd, small=a2sgd, threshold=8KiB)"
 	mixCfg.BucketBytes = 8192
 	uniCfg := smallRun()
-	uniCfg.Policy = "uniform(a2sgd)"
+	uniCfg.Spec = "uniform(a2sgd)"
 	uniCfg.BucketBytes = 8192
 	mix, err := Train(mixCfg)
 	if err != nil {
@@ -136,22 +136,6 @@ func TestMixedReproducesUniform(t *testing.T) {
 	epochsEqual(t, "mixed-vs-uniform", mix, uni)
 	if mix.PayloadBytes != uni.PayloadBytes {
 		t.Errorf("payloads differ: %d vs %d", mix.PayloadBytes, uni.PayloadBytes)
-	}
-}
-
-// TestByLayerPolicyTrains: the bylayer policy keys on real layer names —
-// fnn3's tensors are "Linear(64→64).W" / ".b", so the ".b" pattern routes
-// every bucket containing a bias tensor to the dense branch.
-func TestByLayerPolicyTrains(t *testing.T) {
-	cfg := smallRun()
-	cfg.Policy = "bylayer(.b=dense, default=a2sgd)"
-	cfg.BucketBytes = 8192
-	res, err := Train(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Algorithm, "dense") || !strings.Contains(res.Algorithm, "a2sgd") {
-		t.Errorf("composition %q does not show the bylayer mix", res.Algorithm)
 	}
 }
 
@@ -176,9 +160,8 @@ func TestTrainFieldConflicts(t *testing.T) {
 		mutate  func(*TrainConfig)
 		wantSub string
 	}{
-		{func(tc *TrainConfig) { tc.Spec = "a2sgd"; tc.Policy = "uniform(dense)" }, "at most one"},
 		{func(tc *TrainConfig) { tc.Spec = "topk(density=2)" }, "out of range"},
-		{func(tc *TrainConfig) { tc.Policy = "zigzag(a=1)" }, "unknown policy"},
+		{func(tc *TrainConfig) { tc.Spec = "zigzag(a=1)" }, "unknown policy"},
 		{func(tc *TrainConfig) { tc.Spec = "periodic(interval=2)" }, "takes 1 inner"},
 	}
 	for i, c := range cases {
