@@ -194,12 +194,15 @@ type TrainConfig struct {
 	//	"delay(link=0-1, alpha=200us, beta=1ns/B) straggler(rank=2, x3) crash(rank=3, step=5)"
 	//
 	// (see a2sgd/internal/comm/faultnet for the full grammar: delay, bw,
-	// loss, dup, reorder, straggler, crash, stall, flap, partition, plus the
-	// seed/deadline/retry pseudo-rules). Composes with TCP: faults wrap
-	// whichever transport the run uses. Recoverable scenarios perturb timing
-	// only — results stay bitwise identical to the fault-free run — while
-	// crash/stall scenarios make Train return a step-scoped error within the
-	// scenario deadline instead of hanging. Empty disables injection.
+	// loss, dup, reorder, straggler, degrade, crash, stall, preempt, flap,
+	// partition, plus the seed/deadline/retry pseudo-rules). A rule naming a
+	// rank outside the Workers-rank world is an error, except on a resumed
+	// run, whose rules name the ranks of the world it started with. Composes
+	// with TCP: faults wrap whichever transport the run uses. Recoverable
+	// scenarios perturb timing only — results stay bitwise identical to the
+	// fault-free run — while crash/stall scenarios make Train return a
+	// step-scoped error within the scenario deadline instead of hanging.
+	// Empty disables injection.
 	Faults string
 	// LRScale multiplies the Table-1 learning-rate schedule (reduced-scale
 	// calibration; 0 = default).
@@ -320,7 +323,10 @@ func lower(tc TrainConfig) (cfg cluster.Config, sc *faultnet.Scenario, auto *aut
 		cfg.Workers = cfg.Resume.World
 	}
 	// An empty Faults parses to an inactive scenario: the bare fabric.
-	if sc, err = faultnet.Parse(tc.Faults); err != nil {
+	if sc, err = faultnet.Parse(tc.Faults); err == nil && tc.ResumePath == "" {
+		err = sc.CheckWorld(max(tc.Workers, 1))
+	}
+	if err != nil {
 		return cfg, nil, nil, fmt.Errorf("a2sgd: Faults: %w", err)
 	}
 	if tc.Schedule != nil {

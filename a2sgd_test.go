@@ -125,6 +125,32 @@ func TestTrainFacadeDefaultsAndErrors(t *testing.T) {
 	}
 }
 
+// TestFaultRulesThatCannotFireAreRejected: a fault rule naming a rank
+// outside the run's world, or with no chance of firing, is an error from
+// Train and NewJob alike, naming the rule — never a run that silently
+// trains without the fault.
+func TestFaultRulesThatCannotFireAreRejected(t *testing.T) {
+	for _, c := range []struct {
+		workers      int
+		faults, want string
+	}{
+		{2, "crash(rank=5, step=1)", "crash(rank=5, step=1) names rank 5"},
+		{2, "delay(link=0-2, alpha=1ms)", "delay(link=0-2, alpha=1ms) names rank 2"},
+		{4, "partition(groups=0-1|2-4)", "names rank 4"},
+		{0, "straggler(rank=1, x2)", "straggler(rank=1, x=2) names rank 1"},
+		{2, "loss(link=*)", "loss requires p"},
+		{2, "partition(groups=0-1|1)", "rank 1 twice"},
+	} {
+		tc := TrainConfig{Family: "fnn3", Workers: c.workers, Epochs: 1, StepsPerEpoch: 1, BatchPerWorker: 2, Faults: c.faults}
+		if _, err := Train(tc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Train(Workers %d, Faults %q) = %v, want an error containing %q", c.workers, c.faults, err, c.want)
+		}
+		if _, err := NewJob(tc); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("NewJob(Workers %d, Faults %q) = %v, want an error containing %q", c.workers, c.faults, err, c.want)
+		}
+	}
+}
+
 func TestTrainDensityOverride(t *testing.T) {
 	res, err := Train(TrainConfig{
 		Family: "fnn3", Spec: "topk(density=0.01)", Workers: 2,

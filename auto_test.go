@@ -211,6 +211,13 @@ func TestAutoPolicyResumesAtSnapshotWorld(t *testing.T) {
 				t.Errorf("resumed plan stamped for %d workers, want the snapshot's 2", w)
 			}
 		}
+		// A resumed run's fault rules name the ranks of the world it
+		// started with, so Workers does not bound them.
+		rc := cfg
+		rc.Workers, rc.Faults = 0, "straggler(rank=1, x2)"
+		if _, _, _, err := lower(rc); err != nil {
+			t.Errorf("%+v resumed with Workers 0 and a rank-1 rule: %v", algo, err)
+		}
 		resumed, err := Train(cfg)
 		if err != nil {
 			t.Fatalf("%+v resumed with Workers 4: %v", algo, err)

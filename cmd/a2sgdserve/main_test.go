@@ -139,3 +139,19 @@ func TestBuildJobMixedPolicy(t *testing.T) {
 		t.Errorf("schedule policy %q, replan set %v; want %q and no replan", sched.Policy, job.Replan != nil, mixed)
 	}
 }
+
+// TestBuildJobRejectsFaultsOutsideTheWorld: a jobs.json job whose fault rule
+// names a rank the job does not have fails to build (the gateway exits 2)
+// with an error naming the job and the rule, instead of training with a
+// fault that never fires.
+func TestBuildJobRejectsFaultsOutsideTheWorld(t *testing.T) {
+	specs, err := readJobs(strings.NewReader(`[{"name": "j", "workers": 2, "faults": "deadline(2s) crash(rank=5, step=1)"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	specs[0].defaults(0)
+	_, err = buildJob(specs[0], t.TempDir()+"/j.snap", false, false, nil, nil)
+	if err == nil || !strings.Contains(err.Error(), "job j") || !strings.Contains(err.Error(), "crash(rank=5, step=1)") {
+		t.Errorf("buildJob = %v, want an error naming job j and crash(rank=5, step=1)", err)
+	}
+}

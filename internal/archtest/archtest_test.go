@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"io/fs"
 	"maps"
 	"os"
@@ -176,7 +177,7 @@ func stopped(err error) bool { return errors.Is(err, comm.ErrGroupStop) }
 
 // settable is the budget of values a user can set: every entry is one more
 // thing to document, test and keep working, so adding one means editing this
-// list. Fields and flags are in source order, names sorted.
+// list. Fields, flags and rule names are in source order, other names sorted.
 var settable = map[string][]string{
 	"a2sgd.TrainConfig fields": {"Family", "Spec", "Workers", "Epochs", "StepsPerEpoch", "BatchPerWorker",
 		"Seed", "Momentum", "HistIters", "TCP", "Faults", "LRScale", "BucketBytes", "Overlap", "Concurrency",
@@ -194,6 +195,8 @@ var settable = map[string][]string{
 	"spec names": {"a2sgd", "a2sgd-allgather", "a2sgd-noef", "a2sgd-onemean", "dense", "gaussiank",
 		"periodic", "qsgd", "qsgd-elias", "topk"},
 	"policy names": {"mixed", "uniform"},
+	"faultnet rule names": {"seed", "deadline", "retry", "delay", "bw", "loss", "dup", "reorder", "straggler",
+		"degrade", "crash", "stall", "preempt", "flap", "partition"},
 }
 
 // flagDefiners are package flag's definers that take the name first (...Var ones take it second).
@@ -238,15 +241,12 @@ func flagsOf(t *testing.T, file string) (out []string) {
 		if call == nil {
 			return
 		}
-		sel, _ := call.Fun.(*ast.SelectorExpr)
-		if sel == nil {
-			return
-		}
-		arg, define := 0, slices.Contains(flagDefiners, sel.Sel.Name)
-		if strings.HasSuffix(sel.Sel.Name, "Var") {
+		fn, pkgFlag := strings.CutPrefix(types.ExprString(call.Fun), "flag.")
+		arg, define := 0, slices.Contains(flagDefiners, fn)
+		if strings.HasSuffix(fn, "Var") {
 			arg, define = 1, true
 		}
-		if pkg, _ := sel.X.(*ast.Ident); pkg == nil || pkg.Name != "flag" || !define || len(call.Args) <= arg {
+		if !pkgFlag || strings.Contains(fn, ".") || !define || len(call.Args) <= arg {
 			return
 		}
 		if lit, ok := call.Args[arg].(*ast.BasicLit); ok && lit.Kind == token.STRING {
@@ -270,20 +270,27 @@ func TestSettableValuesBudget(t *testing.T) {
 		got["policy names"] = append(got["policy names"], name)
 	}
 	slices.Sort(got["policy names"])
+	inspect(t, "internal/comm/faultnet/scenario.go", func(n ast.Node) { // parseRule's switch on the rule name
+		if sw, _ := n.(*ast.SwitchStmt); sw != nil && types.ExprString(sw.Tag) == "name" {
+			for _, cc := range sw.Body.List {
+				for _, e := range cc.(*ast.CaseClause).List {
+					got["faultnet rule names"] = append(got["faultnet rule names"], strings.Trim(types.ExprString(e), `"`))
+				}
+			}
+		}
+	})
 	cmds, err := filepath.Glob(filepath.Join("..", "..", "cmd", "*", "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range cmds {
-		if !strings.HasSuffix(p, "_test.go") {
-			dir, file := filepath.Base(filepath.Dir(p)), filepath.Base(p)
-			key := "cmd/" + dir + " flags"
-			got[key] = append(got[key], flagsOf(t, "cmd/"+dir+"/"+file)...)
+		if key := "cmd/" + filepath.Base(filepath.Dir(p)) + " flags"; !strings.HasSuffix(p, "_test.go") {
+			got[key] = append(got[key], flagsOf(t, strings.TrimPrefix(filepath.ToSlash(p), "../../"))...)
 		}
 	}
-	keys := slices.Concat(slices.Collect(maps.Keys(got)), slices.Collect(maps.Keys(settable)))
-	slices.Sort(keys)
-	for _, k := range slices.Compact(keys) {
+	keys := maps.Clone(got)
+	maps.Copy(keys, settable)
+	for _, k := range slices.Sorted(maps.Keys(keys)) {
 		if !slices.Equal(got[k], settable[k]) {
 			t.Errorf("%s: %d settable, want %d — a settable value is added or removed by editing the settable list\n got %q\nwant %q",
 				k, len(got[k]), len(settable[k]), got[k], settable[k])

@@ -78,9 +78,42 @@ func TestParseErrors(t *testing.T) {
 		"flap(rank=0, duty=1.5)",              // duty out of range
 		"delay(link=*, alpha=1ms, alpha=2ms)", // duplicate key
 		"delay(link=*, alpha=1ms, bogus=2)",   // unknown key
+		"loss(link=*)",                        // p defaults to 0: never fires
+		"dup(link=*, p=0)",                    // never fires
+		"reorder(link=0-1)",                   // never fires
+		"partition(groups=0-1|1-2)",           // rank 1 on two sides
+		"partition(groups=0-0|1)",             // rank 0 listed twice
 	} {
 		if _, err := Parse(src); err == nil {
 			t.Errorf("Parse(%q): expected error", src)
+		}
+	}
+}
+
+// TestCheckWorld: a rule naming a rank outside the world — its rank, a
+// link endpoint or a partition member — is reported, naming the rule;
+// wildcards and in-world ranks are not.
+func TestCheckWorld(t *testing.T) {
+	for _, c := range []struct {
+		src   string
+		world int
+		want  string // "" = accepted
+	}{
+		{"crash(rank=5, step=1)", 2, "crash(rank=5, step=1) names rank 5, outside a 2-rank world"},
+		{"crash(rank=1, step=1)", 2, ""},
+		{"straggler(rank=1, x2)", 1, "straggler(rank=1, x=2) names rank 1"},
+		{"degrade(rank=3, factor=2)", 3, "degrade(rank=3,"},
+		{"flap(rank=2)", 2, "flap(rank=2,"},
+		{"delay(link=0-3, alpha=1ms)", 3, "delay(link=0-3, alpha=1ms) names rank 3"},
+		{"bw(link=2-*, mbps=10)", 2, "bw(link=2-*, mbps=10) names rank 2"},
+		{"loss(link=*, p=0.1) dup(link=0-*, p=0.5)", 1, ""},
+		{"partition(groups=0-1|2-3)", 3, "partition(groups=0-1|2-3, after=0s, dur=20ms) names rank 3"},
+		{"partition(groups=0-1|2-3)", 4, ""},
+		{"deadline(2s) seed(3) retry(attempts=2)", 1, ""},
+	} {
+		err := MustParse(c.src).CheckWorld(c.world)
+		if (err == nil) != (c.want == "") || err != nil && !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%q at world %d: %v, want %q", c.src, c.world, err, c.want)
 		}
 	}
 }
@@ -454,6 +487,8 @@ func FuzzScenarioRoundTrip(f *testing.F) {
 		"delay(link=*, beta=0.25ns/B)",
 		"delay(link=*, beta=1.5ns/B)",
 		"bw(link=*, gbps=100)",
+		// Rejected: a rank on both sides of a partition.
+		"partition(groups=0-1|1-2, after=10ms, dur=15ms)",
 	} {
 		f.Add(seed)
 	}

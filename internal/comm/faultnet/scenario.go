@@ -29,11 +29,14 @@ import (
 //	seed(42) deadline(500ms) retry(attempts=10, backoff=1ms, max=50ms)
 //
 // Links are undirected rank pairs: `0-1`, `2-*` (any link touching rank 2)
-// or `*` (every link). Durations use Go syntax (200us, 1.5ms) and are never
-// negative; beta is a per-byte time written as a decimal number and one unit
-// (`1ns/B`, `0.25ns/B`, `1.5us/B`). String() renders the canonical form and
-// Parse round-trips it exactly: rates and per-byte times print as the
-// shortest decimal that parses back to the same float64.
+// or `*` (every link). A partition lists each rank on one side only, and a
+// loss/dup/reorder probability p lies in (0, 1]; CheckWorld rejects a rule
+// naming a rank outside the run's world. Durations use Go syntax (200us,
+// 1.5ms) and are never negative; beta is a per-byte time written as a
+// decimal number and one unit (`1ns/B`, `0.25ns/B`, `1.5us/B`). String()
+// renders the canonical form and Parse round-trips it exactly: rates and
+// per-byte times print as the shortest decimal that parses back to the same
+// float64.
 
 // RuleKind discriminates scenario rules.
 type RuleKind int
@@ -104,8 +107,10 @@ func (l Link) String() string {
 type Rule struct {
 	Kind RuleKind
 	Link Link // delay/bw/loss/dup/reorder
-	Rank int  // straggler/crash/stall/flap
-	Step int  // crash/stall: 0-based global step the fault fires at
+	Rank int  // straggler/degrade/crash/stall/preempt/flap
+	// Step is the 0-based global step a crash/stall/preempt fires at, and
+	// the step a degrade's ramp starts at (its after= key).
+	Step int
 
 	Alpha  time.Duration // delay: per-message latency
 	Beta   float64       // delay/bw: seconds per payload byte
@@ -206,6 +211,24 @@ func Parse(src string) (*Scenario, error) {
 	return sc, nil
 }
 
+// CheckWorld reports the first rule that names a rank outside a world of
+// the given size — a rank, a link endpoint or a partition member. Such a
+// rule could never fire.
+func (s *Scenario) CheckWorld(world int) error {
+	for _, r := range s.Rules {
+		ranks := []int{r.Rank, r.Link.A, r.Link.B}
+		for _, g := range r.Groups {
+			ranks = append(ranks, g...)
+		}
+		for _, rk := range ranks {
+			if rk >= world {
+				return fmt.Errorf("faultnet: %s names rank %d, outside a %d-rank world", r, rk, world)
+			}
+		}
+	}
+	return nil
+}
+
 // MustParse is Parse for tests and fixed literals; it panics on error.
 func MustParse(src string) *Scenario {
 	sc, err := Parse(src)
@@ -302,19 +325,25 @@ func shortest(approx float64, back func(float64) float64, want float64) string {
 	return strconv.FormatFloat(approx, 'g', -1, 64)
 }
 
-// parseGroups parses partition sides "0-1|2-3" (ranks joined by -, sides by |).
+// parseGroups parses partition sides "0-1|2-3" (ranks joined by -, sides by
+// |). A rank belongs to one side, listed once.
 func parseGroups(s string) ([][]int, error) {
 	sides := strings.Split(s, "|")
 	if len(sides) < 2 {
 		return nil, fmt.Errorf("faultnet: partition groups %q need at least two |-separated sides", s)
 	}
 	out := make([][]int, len(sides))
+	seen := map[int]bool{}
 	for i, side := range sides {
 		for _, rs := range strings.Split(side, "-") {
 			r, err := strconv.Atoi(strings.TrimSpace(rs))
 			if err != nil {
 				return nil, fmt.Errorf("faultnet: partition groups %q: %w", s, err)
 			}
+			if seen[r] {
+				return nil, fmt.Errorf("faultnet: partition groups %q list rank %d twice", s, r)
+			}
+			seen[r] = true
 			out[i] = append(out[i], r)
 		}
 		if len(out[i]) == 0 {
@@ -422,6 +451,13 @@ func (s *Scenario) parseRule(name, args string) error {
 			a.err = fmt.Errorf("faultnet: %s requires rank=N", name)
 		}
 	}
+	// A probability of 0 would make the rule a no-op.
+	needP := func() {
+		r.P = a.float("p", 0)
+		if a.err == nil && !(r.P > 0 && r.P <= 1) {
+			a.err = fmt.Errorf("faultnet: %s requires p in (0, 1], got p=%v", name, r.P)
+		}
+	}
 
 	switch name {
 	case "seed":
@@ -482,16 +518,16 @@ func (s *Scenario) parseRule(name, args string) error {
 	case "loss":
 		r.Kind = RuleLoss
 		link()
-		r.P = a.float("p", 0)
+		needP()
 		r.Resend = a.dur("resend", time.Millisecond)
 	case "dup":
 		r.Kind = RuleDup
 		link()
-		r.P = a.float("p", 0)
+		needP()
 	case "reorder":
 		r.Kind = RuleReorder
 		link()
-		r.P = a.float("p", 0)
+		needP()
 	case "straggler":
 		r.Kind = RuleStraggler
 		needRank()
@@ -517,13 +553,7 @@ func (s *Scenario) parseRule(name, args string) error {
 			a.err = fmt.Errorf("faultnet: degrade needs after >= 0 and ramp >= 0")
 		}
 	case "crash", "stall", "preempt":
-		r.Kind = RuleCrash
-		switch name {
-		case "stall":
-			r.Kind = RuleStall
-		case "preempt":
-			r.Kind = RulePreempt
-		}
+		r.Kind = map[string]RuleKind{"crash": RuleCrash, "stall": RuleStall, "preempt": RulePreempt}[name]
 		needRank()
 		r.Step = a.int("step", -1)
 		if a.err == nil && r.Step < 0 {
@@ -551,9 +581,6 @@ func (s *Scenario) parseRule(name, args string) error {
 	}
 	if err := a.finish(name); err != nil {
 		return err
-	}
-	if p := r.P; p < 0 || p > 1 {
-		return fmt.Errorf("faultnet: %s p=%v out of [0,1]", name, p)
 	}
 	s.Rules = append(s.Rules, r)
 	return nil

@@ -1,8 +1,12 @@
 package tcpnet
 
 import (
+	"encoding/binary"
 	"math"
+	"net"
+	"runtime"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -209,4 +213,55 @@ func TestConcurrentTCPAllreduceZeroAlloc(t *testing.T) {
 		t.Errorf("%.0f allocs per steady-state step of two posted AllreduceMeans beyond the %d send-goroutine spawns, want 0",
 			extra, sendRecvSpawns)
 	}
+}
+
+// FuzzRecvFrames: a peer's byte stream is input from outside. Whatever the
+// bytes, a receiver's Recvs return — a frame, a length mismatch or the
+// stream's end — without a panic, reach the end of the stream, and allocate
+// in proportion to the bytes that arrived, whatever lengths the frame
+// headers claim. Every frame not on the receiver's tag is stashed.
+func FuzzRecvFrames(f *testing.F) {
+	frame := func(tag, n uint32, payload ...float32) []byte {
+		b := binary.LittleEndian.AppendUint32(nil, tag)
+		b = binary.LittleEndian.AppendUint32(b, n)
+		for _, x := range payload {
+			b = binary.LittleEndian.AppendUint32(b, math.Float32bits(x))
+		}
+		return b
+	}
+	f.Add(slices.Concat(frame(2, 2, 1, 2), frame(1, 4, 3, 4, 5, 6), frame(3, 0))) // stashed, wanted, stashed
+	f.Add(frame(1, 3, 1, 2, 3))                                                   // a length mismatch on the wanted tag
+	f.Add(frame(2, 1<<24, 1, 2))                                                  // 64 MiB claimed, 8 bytes sent
+	f.Add(frame(2, math.MaxUint32))                                               // the largest claim, stashed
+	f.Add(frame(1, math.MaxUint32))                                               // the largest claim, wanted
+	f.Add([]byte{1, 0, 0})                                                        // a torn header
+	f.Fuzz(func(t *testing.T, data []byte) {
+		local, remote := net.Pipe()
+		tr := newTransport(1, 2, nil, Config{})
+		tr.setConn(0, local)
+		defer tr.Close()
+		sent := make(chan struct{})
+		go func() {
+			defer close(sent)
+			_, _ = remote.Write(data)
+			remote.Close()
+		}()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		// Every Recv takes at least one 8-byte header off the stream, or
+		// ends with the stream's error.
+		ps, buf := &tr.peers[0], make([]float32, 4)
+		for i := 0; i <= len(data)/8 && ps.rerr == nil; i++ {
+			_ = tr.Recv(0, 1, buf)
+		}
+		runtime.ReadMemStats(&after)
+		tr.Close()
+		<-sent
+		if ps.rerr == nil {
+			t.Fatalf("%d-byte stream not at its end after %d Recvs", len(data), len(data)/8+1)
+		}
+		if n, limit := after.TotalAlloc-before.TotalAlloc, 256<<10+64*uint64(len(data)); n > limit {
+			t.Fatalf("%d-byte stream allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+	})
 }

@@ -24,6 +24,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"os"
 	"sync"
@@ -137,18 +138,7 @@ func NewLocalMeshConfig(size int, cfg Config) ([]*Transport, func(), error) {
 		if err != nil {
 			return nil, nil, fmt.Errorf("tcpnet: listen rank %d: %w", r, err)
 		}
-		ts[r] = &Transport{
-			rank: r, size: size, listener: ln,
-			ioTimeout: cfg.IOTimeout,
-			conns:     make([]net.Conn, size),
-			peers:     make([]peerState, size),
-			rbuf:      make([]*bufio.Reader, size),
-		}
-		ts[r].rpool.New = func() any { return new([]float32) }
-		for p := range ts[r].peers {
-			ps := &ts[r].peers[p]
-			ps.rcond.L = &ps.rmu
-		}
+		ts[r] = newTransport(r, size, ln, cfg)
 	}
 	addrs := make([]string, size)
 	for r, t := range ts {
@@ -244,6 +234,24 @@ func NewLocalMeshConfig(size int, cfg Config) ([]*Transport, func(), error) {
 		}
 	}
 	return ts, shutdown, nil
+}
+
+// newTransport is rank's endpoint of a size-rank mesh, with no peer
+// connected yet.
+func newTransport(rank, size int, ln net.Listener, cfg Config) *Transport {
+	t := &Transport{
+		rank: rank, size: size, listener: ln,
+		ioTimeout: cfg.IOTimeout,
+		conns:     make([]net.Conn, size),
+		peers:     make([]peerState, size),
+		rbuf:      make([]*bufio.Reader, size),
+	}
+	t.rpool.New = func() any { return new([]float32) }
+	for p := range t.peers {
+		ps := &t.peers[p]
+		ps.rcond.L = &ps.rmu
+	}
+	return t
 }
 
 func (t *Transport) setConn(peer int, conn net.Conn) {
@@ -351,6 +359,37 @@ func (t *Transport) readPayload(r *bufio.Reader, ps *peerState, dst []float32) e
 	return nil
 }
 
+// stashChunk is the first growth step, in elements, of a stash that does not
+// fit its transit buffer.
+const stashChunk = 1 << 14
+
+// readStash reads an n-element payload into the transit buffer *bp and
+// returns it. A buffer that already holds n elements takes the payload in
+// one read. A smaller one grows as the payload arrives, each step reading
+// into the new room before the next: it never holds more than stashChunk
+// elements or twice what has been read, whichever is larger. A corrupt or
+// hostile header's length thus costs memory in proportion to the bytes that
+// really follow it. Caller must be the puller.
+func (t *Transport) readStash(r *bufio.Reader, ps *peerState, bp *[]float32, n int) ([]float32, error) {
+	if cap(*bp) >= n {
+		stash := (*bp)[:n]
+		return stash, t.readPayload(r, ps, stash)
+	}
+	stash := (*bp)[:0]
+	for len(stash) < n {
+		m := min(n-len(stash), max(len(stash), stashChunk))
+		if cap(stash) < len(stash)+m {
+			stash = append(make([]float32, 0, len(stash)+m), stash...)
+		}
+		if err := t.readPayload(r, ps, stash[len(stash):len(stash)+m]); err != nil {
+			return nil, err
+		}
+		stash = stash[:len(stash)+m]
+	}
+	*bp = stash
+	return stash, nil
+}
+
 // lengthErr is the error a receiver gets for a frame of its tag whose
 // length is not its buffer's. It is not sticky: the frame's payload has
 // been consumed, so the stream stays in step.
@@ -452,7 +491,14 @@ func (t *Transport) Recv(from, tag int, data []float32) error {
 			return ps.leave(err, sticky)
 		}
 		gotTag := int(binary.LittleEndian.Uint32(ps.rhdr[0:]))
-		n := int(binary.LittleEndian.Uint32(ps.rhdr[4:]))
+		claim := uint64(binary.LittleEndian.Uint32(ps.rhdr[4:]))
+		if 4*claim > math.MaxInt {
+			// Only a 32-bit int cannot count the payload's bytes; the
+			// stream cannot be kept in step past such a frame.
+			err := fmt.Errorf("tcpnet: recv from %d: frame of %d elements", from, claim)
+			return ps.leave(err, err)
+		}
+		n := int(claim)
 		if t.ioTimeout > 0 {
 			_ = conn.SetReadDeadline(time.Now().Add(t.ioTimeout))
 		}
@@ -473,11 +519,8 @@ func (t *Transport) Recv(from, tag int, data []float32) error {
 		}
 		// Out-of-tag frame: stash it in a pooled transit buffer.
 		bp := t.rpool.Get().(*[]float32)
-		if cap(*bp) < n {
-			*bp = make([]float32, n)
-		}
-		stash := (*bp)[:n]
-		if err := t.readPayload(r, ps, stash); err != nil {
+		stash, err := t.readStash(r, ps, bp, n)
+		if err != nil {
 			t.rpool.Put(bp)
 			err = payloadErr(from, err)
 			return ps.leave(err, err)

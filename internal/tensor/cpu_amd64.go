@@ -4,8 +4,10 @@ package tensor
 
 // cpuAVX, cpuAVX2 and cpuFMA are read from CPUID once, when the package
 // initializes, and are the only thing the choice between kernel variants
-// depends on (gemmVariants, signedVariants, transKernels): SSE2 is the amd64
-// baseline, the 256-bit kernels need one of these.
+// depends on (gemmVariants, signedVariants, transKernels): the 256-bit
+// kernels need one of these, and without it the operation runs its portable
+// kernel. The SSE2 kernels of the elementwise loops need nothing: SSE2 is the
+// amd64 baseline.
 var cpuAVX, cpuAVX2, cpuFMA = cpuFeatures()
 
 // cpuFeatures reports avx when CPUID.1:ECX has AVX and OSXSAVE and XCR0 bits

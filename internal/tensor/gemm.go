@@ -155,8 +155,8 @@ func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T(), Wide) }
 
 // Register tile: a micro-kernel produces gemmMR rows by nr columns per call
 // from eight accumulator registers, two per row. nr depends on the kernel
-// variant (gemmVariant): 8 float32 or 4 float64 columns for the 128-bit and
-// the portable kernels, twice that for the 256-bit ones.
+// variant (gemmVariant): 8 float32 or 4 float64 columns for the portable
+// kernels, twice that for the 256-bit ones.
 const (
 	gemmMR    = 4
 	gemmMaxNR = 16
@@ -395,8 +395,8 @@ func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepS
 
 // pack64 is pack32 for the Wide kernels: the panel holds the operands
 // already converted to float64, each value rep times in a row. B panels use
-// rep 1; A panels use rep 2, so a 128-bit load of an A value is already the
-// broadcast a vector kernel needs.
+// rep 1; A panels use rep 2, the paired layout every Wide kernel reads (the
+// AVX kernel broadcasts the first of each pair).
 func pack64(dst []float64, width, rep int, src []float32, lanes, k, laneStride, stepStride int) {
 	if lanes < width {
 		clear(dst[:k*width*rep]) // the padding lanes

@@ -27,14 +27,15 @@
 // sum across vector lanes changes that paragraph, the golden digests in
 // internal/models and the oracle in gemm_test.go together, with its own
 // accuracy evidence. Everything else — the 4×8/4×16 register tile, packing,
-// the SSE2 and AVX micro-kernels (gemm_amd64.s), the portable kernels used
-// under the purego tag and on other architectures, row-parallelism for very
-// large products — only reschedules those operations and is tested to give
-// identical bits. A pre-packed operand is packing under that same
-// specification, done ahead of time: PackWide converts a Wide B operand to
-// the float64 panels the driver would build itself, and GemmAddPacked over
-// them gives GemmAdd's bits, so a caller that reuses one operand for many
-// products (the LSTM's recurrent weights) converts it once.
+// the AVX micro-kernels (gemm_amd64.s), the portable kernels used under the
+// purego tag, on other architectures and on amd64 CPUs without AVX,
+// row-parallelism for very large products — only reschedules those
+// operations and is tested to give identical bits. A pre-packed operand is
+// packing under that same specification, done ahead of time: PackWide
+// converts a Wide B operand to the float64 panels the driver would build
+// itself, and GemmAddPacked over them gives GemmAdd's bits, so a caller that
+// reuses one operand for many products (the LSTM's recurrent weights)
+// converts it once.
 //
 // # Reduction specification
 //
@@ -62,8 +63,8 @@
 // goroutines are constants (meansLanes, meansBlock, meansParMin in vec.go),
 // never derived from the length, the CPU or GOMAXPROCS; a block's triple does
 // not depend on who reduces it and the caller folds the triples in order, so
-// the portable code, the SSE2 and AVX2 kernels (CPUID-selected), the parallel
-// and the serial entry points give the same bits, and a one-segment view
+// the portable code, the AVX2 kernel (CPUID-selected), the parallel and the
+// serial entry points give the same bits, and a one-segment view
 // gives the bits of the flat vector. A different segmentation of the same
 // elements is a different sum. A wider lane count, a fused or float32
 // accumulation, a compensated or binned sum changes that paragraph, the

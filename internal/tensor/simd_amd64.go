@@ -4,12 +4,12 @@ package tensor
 
 // This file extends the bits.go build-tag pattern from byte views to compute
 // kernels: hand-written SSE2 assembly for the elementwise hot loops (Add,
-// AXPY, Scale), for QSGD's stochastic level-quantization inner
-// loop, and for A2SGD's two passes (signed means and
-// signed shift), which also have 256-bit variants. SSE2 is part of the amd64
-// baseline (GOAMD64=v1); the 256-bit kernels are selected from CPUID alone
-// (cpu_amd64.go). The purego tag or any other GOARCH selects the portable
-// fallbacks in simd_generic.go.
+// AXPY, Scale) and for QSGD's stochastic level-quantization inner loop — SSE2
+// is part of the amd64 baseline (GOAMD64=v1) — and 256-bit AVX2 assembly for
+// A2SGD's two passes (signed means and signed shift), selected from CPUID
+// alone (cpu_amd64.go). A CPU without AVX2 runs those two passes on the
+// portable kernels, as do the purego tag and every other GOARCH
+// (simd_generic.go).
 //
 // Every kernel is bitwise-identical to its scalar counterpart. Elementwise
 // and order-independent operations (per-lane add/mul, max, truncation) are
@@ -43,28 +43,20 @@ func scaleKernel(v *float32, c float32, n int)
 //go:noescape
 func qsgdFieldsKernel(fields *uint32, src *float32, rnd *float64, n int, norm float64, s float64)
 
-// signedMeansKernelSSE is the lane kernel of the reduction specification
+// signedMeansKernelAVX2 is the lane kernel of the reduction specification
 // (package comment) over n > 0 elements, n a multiple of meansLanes: the
 // lane-ordered signed sums sp = Σ x_i over 0 <= x_i and sn = Σ −x_i over the
-// rest, folded by the halving tree, and the size of the rest. Four XMM
-// registers hold a sum's eight lanes; signedMeansKernelAVX2 holds them in two
-// YMM registers.
+// rest, folded by the halving tree, and the size of the rest. Two YMM
+// registers hold a sum's eight lanes.
 //
-//go:noescape
-func signedMeansKernelSSE(v *float32, n int) (sp, sn float64, nNeg int64)
-
 //go:noescape
 func signedMeansKernelAVX2(v *float32, n int) (sp, sn float64, nNeg int64)
 
-// signedShiftKernelSSE is SignedShift over n elements: the sign class of each
-// lane is the ordered compare 0 <= x (true for −0.0, false for NaN — Go's
-// x >= 0), and the mask blends the per-class constants, so there is no
-// branch to mispredict. signedShiftKernelAVX is the same at 256 bits, for n a
-// multiple of 8.
+// signedShiftKernelAVX is SignedShift over n elements, n a multiple of 8: the
+// sign class of each lane is the ordered compare 0 <= x (true for −0.0, false
+// for NaN — Go's x >= 0), and the mask blends the per-class constants, so
+// there is no branch to mispredict.
 //
-//go:noescape
-func signedShiftKernelSSE(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
-
 //go:noescape
 func signedShiftKernelAVX(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
 
@@ -113,27 +105,15 @@ func vecScale(v Vec, c float32) {
 // run on this CPU, narrowest first. The 256-bit one needs AVX2 for the means
 // (its shift uses AVX only).
 func signedVariants() []signedVariant {
-	vs := []signedVariant{signedPortable, {name: "sse2", lanes: signedLanesSSE, shift: signedShiftSSE}}
 	if cpuAVX2 {
-		vs = append(vs, signedVariant{name: "avx2", lanes: signedLanesAVX2, shift: signedShiftAVX})
+		return []signedVariant{signedPortable, {name: "avx2", lanes: signedLanesAVX2, shift: signedShiftAVX}}
 	}
-	return vs
-}
-
-func signedLanesSSE(v []float32) (sp, sn float64, nNeg int) {
-	sp, sn, c := signedMeansKernelSSE(&v[0], len(v))
-	return sp, sn, int(c)
+	return []signedVariant{signedPortable}
 }
 
 func signedLanesAVX2(v []float32) (sp, sn float64, nNeg int) {
 	sp, sn, c := signedMeansKernelAVX2(&v[0], len(v))
 	return sp, sn, int(c)
-}
-
-func signedShiftSSE(v Vec, subPos, subNeg, addPos, addNeg float32) {
-	if len(v) > 0 {
-		signedShiftKernelSSE(&v[0], len(v), subPos, subNeg, addPos, addNeg)
-	}
 }
 
 // signedShiftAVX hands the kernel the whole groups of eight and the scalar

@@ -2,7 +2,7 @@
 
 #include "textflag.h"
 
-// SSE2 kernels for the float32 hot loops, and the 256-bit variants of the two
+// SSE2 kernels for the float32 hot loops, and the AVX/AVX2 kernels of the two
 // A2SGD passes. See simd_amd64.go for the bitwise-identity contract with the
 // scalar fallbacks.
 
@@ -398,78 +398,19 @@ epNoSign:
 	MOVQ BX, ret+32(FP)
 	RET
 
-// SM_PAIR reduces the float32 pair at off(SI) into the Σ⁺ lanes SP and the Σ⁻
-// lanes SN: the class mask is the ordered compare 0 <= x (true for −0.0,
-// false for NaN — Go's x >= 0), each element is added to its own class and
-// +0.0 to the other, which changes no bit of a sum that is never −0. X8
-// counts the non-negative elements (mask qword = −1), X9 holds 0.0.
-#define SM_PAIR(off, SP, SN) \
-	CVTPS2PD off(SI), X10; \
-	MOVAPS   X9, X11;      \
-	CMPPD    X10, X11, $2; \
-	PSUBQ    X11, X8;      \
-	MOVAPS   X11, X12;     \
-	ANDPD    X10, X11;     \
-	ANDNPD   X10, X12;     \
-	ADDPD    X11, SP;      \
-	SUBPD    X12, SN
-
-// func signedMeansKernelSSE(v *float32, n int) (sp, sn float64, nNeg int64)
+// func signedMeansKernelAVX2(v *float32, n int) (sp, sn float64, nNeg int64)
 //
 // The lane kernel of the reduction specification (package comment) for n > 0
 // elements, n a multiple of 8: element i of each group of eight adds into
-// float64 lane i of its class — X0..X3 hold Σ⁺ lanes 0-7, X4..X7 Σ⁻ lanes
-// 0-7 — and the lanes fold by the halving tree l[j] + l[j+4], l[j] + l[j+2],
-// l[0] + l[1].
-TEXT ·signedMeansKernelSSE(SB), NOSPLIT, $0-40
-	MOVQ v+0(FP), SI
-	MOVQ n+8(FP), CX
-	MOVQ CX, DX
-	PXOR X0, X0
-	PXOR X1, X1
-	PXOR X2, X2
-	PXOR X3, X3
-	PXOR X4, X4
-	PXOR X5, X5
-	PXOR X6, X6
-	PXOR X7, X7
-	PXOR X8, X8
-	PXOR X9, X9
-
-sm8:
-	SM_PAIR(0, X0, X4)
-	SM_PAIR(8, X1, X5)
-	SM_PAIR(16, X2, X6)
-	SM_PAIR(24, X3, X7)
-	ADDQ $32, SI
-	SUBQ $8, CX
-	JNZ  sm8
-
-	ADDPD  X2, X0 // l[j] + l[j+4]
-	ADDPD  X3, X1
-	ADDPD  X1, X0 // l[j] + l[j+2]
-	PSHUFD $0x4E, X0, X1
-	ADDSD  X1, X0 // l[0] + l[1]
-	MOVSD  X0, sp+16(FP)
-	ADDPD  X6, X4
-	ADDPD  X7, X5
-	ADDPD  X5, X4
-	PSHUFD $0x4E, X4, X5
-	ADDSD  X5, X4
-	MOVSD  X4, sn+24(FP)
-	PSHUFD $0x4E, X8, X1
-	PADDQ  X1, X8
-	MOVQ   X8, AX
-	SUBQ   AX, DX // n − n⁺
-	MOVQ   DX, nNeg+32(FP)
-	RET
-
-// func signedMeansKernelAVX2(v *float32, n int) (sp, sn float64, nNeg int64)
-//
-// signedMeansKernelSSE with the eight lanes of a sum in two registers — Y0,
-// Y1 hold Σ⁺ lanes 0-3 and 4-7, Y2, Y3 the Σ⁻ lanes — so a group of eight is
-// two converts from memory and four independent adds. AVX2 only for the
-// 256-bit integer subtract that counts.
+// float64 lane i of its class, and a sum's eight lanes sit in two registers —
+// Y0, Y1 hold Σ⁺ lanes 0-3 and 4-7, Y2, Y3 the Σ⁻ lanes — so a group is two
+// converts from memory and four independent adds. The class mask is the
+// ordered compare 0 <= x (true for −0.0, false for NaN — Go's x >= 0); each
+// element goes into its own class's sum and +0.0 into the other's, which
+// changes no bit of a sum that is never −0. Y4, Y5 count the non-negative
+// elements (mask qword = −1, subtracted). The lanes fold by the halving tree
+// l[j] + l[j+4], l[j] + l[j+2], l[0] + l[1]. AVX2 only for the 256-bit
+// integer subtract that counts.
 TEXT ·signedMeansKernelAVX2(SB), NOSPLIT, $0-40
 	MOVQ   v+0(FP), SI
 	MOVQ   n+8(FP), CX
@@ -524,109 +465,19 @@ sma8:
 	VZEROUPPER
 	RET
 
+// signMask32 is the float32 sign bit, broadcast to every lane.
 DATA signMask32<>+0(SB)/4, $0x80000000
-DATA signMask32<>+4(SB)/4, $0x80000000
-DATA signMask32<>+8(SB)/4, $0x80000000
-DATA signMask32<>+12(SB)/4, $0x80000000
-GLOBL signMask32<>(SB), RODATA|NOPTR, $16
-
-// func signedShiftKernelSSE(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
-//
-// v[i] = (v[i] - s) + a with (s, a) = (subPos, addPos) where 0 <= v[i] and
-// (-subNeg, -addNeg) elsewhere; x - (-s) is x + s exactly, so the negative
-// class keeps the scalar rule's two roundings. The ordered compare is false
-// for NaN (negative class) and true for -0.0. The blend is
-// neg ^ (mask & (pos ^ neg)): X8/X10 hold pos^neg, X9/X11 hold neg.
-TEXT ·signedShiftKernelSSE(SB), NOSPLIT, $0-32
-	MOVQ   v+0(FP), DI
-	MOVQ   n+8(FP), CX
-	MOVUPS signMask32<>(SB), X6
-	PXOR   X7, X7
-	MOVSS  subPos+16(FP), X8
-	MOVSS  subNeg+20(FP), X9
-	MOVSS  addPos+24(FP), X10
-	MOVSS  addNeg+28(FP), X11
-	SHUFPS $0x00, X8, X8
-	SHUFPS $0x00, X9, X9
-	SHUFPS $0x00, X10, X10
-	SHUFPS $0x00, X11, X11
-	XORPS  X6, X9   // -subNeg
-	XORPS  X6, X11  // -addNeg
-	XORPS  X9, X8   // subPos ^ -subNeg
-	XORPS  X11, X10 // addPos ^ -addNeg
-
-ss8:
-	CMPQ CX, $8
-	JLT  ss4
-	MOVUPS (DI), X0
-	MOVUPS 16(DI), X3
-	MOVAPS X7, X1
-	MOVAPS X7, X4
-	CMPPS  X0, X1, $2 // X1 = (0 <= x) ? ~0 : 0
-	CMPPS  X3, X4, $2
-	MOVAPS X1, X2
-	MOVAPS X4, X5
-	ANDPS  X8, X1
-	ANDPS  X8, X4
-	ANDPS  X10, X2
-	ANDPS  X10, X5
-	XORPS  X9, X1     // s
-	XORPS  X9, X4
-	XORPS  X11, X2    // a
-	XORPS  X11, X5
-	SUBPS  X1, X0
-	SUBPS  X4, X3
-	ADDPS  X2, X0
-	ADDPS  X5, X3
-	MOVUPS X0, (DI)
-	MOVUPS X3, 16(DI)
-	ADDQ   $32, DI
-	SUBQ   $8, CX
-	JMP    ss8
-
-ss4:
-	CMPQ CX, $4
-	JLT  ss1
-	MOVUPS (DI), X0
-	MOVAPS X7, X1
-	CMPPS  X0, X1, $2
-	MOVAPS X1, X2
-	ANDPS  X8, X1
-	ANDPS  X10, X2
-	XORPS  X9, X1
-	XORPS  X11, X2
-	SUBPS  X1, X0
-	ADDPS  X2, X0
-	MOVUPS X0, (DI)
-	ADDQ   $16, DI
-	SUBQ   $4, CX
-	JMP    ss4
-
-ss1:
-	CMPQ CX, $0
-	JLE  ssDone
-	MOVSS (DI), X0
-	MOVAPS X7, X1
-	CMPSS X0, X1, $2
-	MOVAPS X1, X2
-	ANDPS X8, X1
-	ANDPS X10, X2
-	XORPS X9, X1
-	XORPS X11, X2
-	SUBSS X1, X0
-	ADDSS X2, X0
-	MOVSS X0, (DI)
-	ADDQ  $4, DI
-	DECQ  CX
-	JMP   ss1
-
-ssDone:
-	RET
+GLOBL signMask32<>(SB), RODATA|NOPTR, $4
 
 // func signedShiftKernelAVX(v *float32, n int, subPos, subNeg, addPos, addNeg float32)
 //
-// signedShiftKernelSSE at twice the width, for n a multiple of 8: the same
-// compare, blend, subtract and add per lane, so the same bits. AVX only.
+// v[i] = (v[i] - s) + a for n a multiple of 8, with (s, a) = (subPos, addPos)
+// where 0 <= v[i] and (-subNeg, -addNeg) elsewhere; x - (-s) is x + s
+// exactly, so the negative class keeps the scalar rule's two roundings. The
+// class mask is the ordered compare 0 <= x: false for NaN (negative class)
+// and true for -0.0, Go's x >= 0. The blend is neg ^ (mask & (pos ^ neg)),
+// with no branch to mispredict: Y8/Y10 hold pos^neg, Y9/Y11 hold neg. Sixteen
+// lanes a step, then one group of eight. AVX only.
 TEXT ·signedShiftKernelAVX(SB), NOSPLIT, $0-32
 	MOVQ         v+0(FP), DI
 	MOVQ         n+8(FP), CX
