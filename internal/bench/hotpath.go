@@ -14,6 +14,7 @@ import (
 	"a2sgd/internal/compress"
 	"a2sgd/internal/data"
 	"a2sgd/internal/models"
+	"a2sgd/internal/nn"
 	"a2sgd/internal/tensor"
 )
 
@@ -139,16 +140,22 @@ func (o *bucketOp) RunOp(c *comm.Communicator) error {
 // channels, im2col depth C·3·3, output pixels).
 var vggConvShapes = [][3]int{{8, 27, 256}, {16, 72, 64}, {24, 144, 16}, {24, 216, 16}, {32, 216, 4}, {32, 288, 4}}
 
+// vggConvIn are the input volumes of the same six convolutions (3×3, stride
+// 1, pad 1).
+var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 4, W: 4}, {C: 24, H: 4, W: 4}, {C: 24, H: 2, W: 2}, {C: 32, H: 2, W: 2}}
+
 // computeRung adds the compute rung's points — the bottom of the ladder the
 // repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
 // LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, a draw of
 // 4096 standard normals, the 256³ multiply, the matrix products one
 // reduced-vgg16 step issues at batch 16 (per convolution: the forward a×b
 // and the column gradient aᵀ×b over the whole batch, the weight gradient
-// a×bᵀ once per sample), the vgg16 step's batch draw of 16 images, and a
-// warm ZeroGrads+Step of the two benchmark models. Their n is elements
-// (tensor/*), multiply-adds per operation (gemm/*), pixels drawn (data/*) or
-// parameters (nn/*); allocs/op is part of the contract for all eight.
+// a×bᵀ once per sample), the float64 panels those weight gradients pack
+// their tape into, the six convolutions' backward passes at batch 16, the
+// vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the two
+// benchmark models. Their n is elements (tensor/*), multiply-adds per
+// operation (gemm/*), pixels drawn (data/*) or parameters (nn/*); allocs/op
+// is part of the contract for all ten.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
 	{
@@ -209,6 +216,54 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 						p.f(p.dst, p.a, p.b)
 					}
 				}
+			}
+		}))
+	}
+	{
+		// The weight gradient's B operand of every sample: its oh·ow columns
+		// of the tape, transposed, packed as PackWide packs them.
+		const batch = 16
+		var tapes []*tensor.Mat
+		n := 0
+		for _, s := range vggConvShapes {
+			tapes = append(tapes, mat(s[1], batch*s[2]))
+			n += s[1] * batch * s[2]
+		}
+		var p tensor.WidePanels
+		add("tensor/pack-wide-vgg16", n, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				for j, t := range tapes {
+					ohw := vggConvShapes[j][2]
+					for s := 0; s < batch; s++ {
+						tensor.PackWide(&p, t.View().ColRange(s*ohw, (s+1)*ohw).T())
+					}
+				}
+			}
+		}))
+	}
+	{
+		// Conv2D.Backward after one training Forward, all six layers: the
+		// bias and weight gradients, the tape gradient and its scatter.
+		const batch = 16
+		var convs []*nn.Conv2D
+		var douts []*tensor.Mat
+		params := 0
+		for i, in := range vggConvIn {
+			c := nn.NewConv2D(rng, in, vggConvShapes[i][0], 3, 1, 1)
+			c.Forward(mat(batch, in.Size()), true)
+			convs = append(convs, c)
+			douts = append(douts, mat(batch, c.OutShape().Size()))
+			params += len(c.W) + len(c.B)
+		}
+		backward := func() {
+			for i, c := range convs {
+				c.Backward(douts[i])
+			}
+		}
+		backward() // warm-up: grows the tape-gradient and input-gradient workspaces
+		add("nn/conv-backward-vgg16", params, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				backward()
 			}
 		}))
 	}

@@ -105,7 +105,7 @@ func (c *classifier) Params() []nn.Param { return c.net.Params() }
 func (c *classifier) Step(b Batch) float64 {
 	logits := c.net.Forward(b.X, true)
 	loss, dlogits := c.ce.Loss(logits, b.Labels)
-	c.net.Backward(dlogits)
+	c.net.BackwardInterleaved(dlogits, nil)
 	return loss
 }
 

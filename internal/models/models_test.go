@@ -396,3 +396,48 @@ func TestPaperScaleParamCounts(t *testing.T) {
 		}
 	}
 }
+
+// The training step does not take the network's input gradient, so the
+// bottom layer (a Conv2D on vgg16 and resnet20, a Linear on fnn3) forms only
+// its parameter gradients. Every parameter gradient of Step and of
+// StepInterleaved must still be Network.Backward's, bit for bit: skipping any
+// input gradient above the bottom one would starve the layers below it.
+func TestStepSkipsBottomInputGradientBitwise(t *testing.T) {
+	for _, fam := range []string{"fnn3", "vgg16", "resnet20"} {
+		build := func() *classifier { return buildReduced(t, fam).(*classifier) }
+		ref := build()
+		in := ref.net.Layers[0]
+		var shape nn.Shape
+		switch l := in.(type) {
+		case *nn.Conv2D:
+			shape = l.In
+		case *nn.Linear:
+			shape = nn.Shape{C: 1, H: 1, W: l.InF}
+		default:
+			t.Fatalf("%s: bottom layer %s", fam, in.Name())
+		}
+		b := classificationBatch(shape, 10, 16, 41)
+		ref.ZeroGrads()
+		logits := ref.net.Forward(b.X, true)
+		_, dlogits := ref.ce.Loss(logits, b.Labels)
+		if dx := ref.net.Backward(dlogits); dx.Rows != 16 || dx.Cols != shape.Size() {
+			t.Fatalf("%s: Network.Backward returned a %dx%d input gradient", fam, dx.Rows, dx.Cols)
+		}
+		for name, step := range map[string]func(m Model){
+			"Step":            func(m Model) { m.Step(b) },
+			"StepInterleaved": func(m Model) { m.StepInterleaved(b, func(int) {}) },
+		} {
+			m := build()
+			m.ZeroGrads()
+			step(m)
+			for i, p := range m.Params() {
+				want := ref.Params()[i].G
+				for j := range want {
+					if math.Float32bits(p.G[j]) != math.Float32bits(want[j]) {
+						t.Fatalf("%s %s: %s[%d] = %v, Network.Backward gives %v", fam, name, p.Name, j, p.G[j], want[j])
+					}
+				}
+			}
+		}
+	}
+}

@@ -37,12 +37,14 @@ type Conv2D struct {
 	W, B   []float32 // W is (OutC, In.C·KH·KW) row-major
 	GW, GB []float32
 
-	runs  [][]convRun // per kernel position, see kernelRuns
-	tape  buf         // lowered input: (In.C·KH·KW) × (samples·oh·ow)
-	cmaj  buf         // OutC × (samples·oh·ow): the forward product, then dout, channel-major
-	dcols buf         // gradient of the tape
-	res   buf
-	dx    buf
+	blocks []convBlock // per kernel position, see kernelBlock
+	tape   buf         // lowered input: (In.C·KH·KW) × (samples·oh·ow)
+	cmaj   buf         // OutC × (samples·oh·ow): the forward product, then dout, channel-major
+	planes buf         // In.C × (samples·h·w): the input, then its gradient, channel-major (shifted lowering)
+	dcols  buf         // gradient of the tape
+	res    buf
+	dx     buf
+	rec    record
 }
 
 // NewConv2D builds a convolution layer with He initialization.
@@ -74,69 +76,114 @@ func (c *Conv2D) Params() []Param {
 	return []Param{{Name: c.Name() + ".W", W: c.W, G: c.GW}, {Name: c.Name() + ".b", W: c.B, G: c.GB}}
 }
 
-// convRun is a stretch of n consecutive output pixels of one channel whose
-// input pixels — Stride apart, from in on — all lie inside the image.
-type convRun struct{ out, in, n int }
+// convBlock is what kernel position (ky, kx) reads of one channel plane: the
+// output pixels [oy0, oy1) × [ox0, ox1) whose input pixel — Stride apart
+// along both axes — lies inside the image; the others (its pads) read
+// padding. The input pixel of (oy0, ox0) sits at in.
+type convBlock struct {
+	oy0, oy1, ox0, ox1 int
+	in                 int
+}
 
-// convRunMin is the run length from which a stride-1 run moves as one copy
-// or vector add; shorter runs (the late VGG stages are 4 and 2 pixels wide)
-// are cheaper element by element than call by call.
-const convRunMin = 8
+// empty reports a block with no pixel inside the image.
+func (b *convBlock) empty() bool { return b.oy0 == b.oy1 || b.ox0 == b.ox1 }
 
-// kernelRuns returns, for kernel position (ky, kx), the runs that pair every
-// output pixel with its input pixel when that lies inside the image — one
-// run per output row at most; output pixels in no run read padding. The
-// geometry is fixed at construction, so the table is built once.
-func (c *Conv2D) kernelRuns(ky, kx int) []convRun {
-	if c.runs == nil {
+// convRowMin is the length from which a copy or a clear runs as one call
+// (memmove, memclr); shorter ones — the late stages' planes and rows are a
+// few pixels — are cheaper element by element than call by call.
+const convRowMin = 8
+
+// kernelBlock returns the block of kernel position (ky, kx). The geometry is
+// fixed at construction, so the table is built once.
+func (c *Conv2D) kernelBlock(ky, kx int) *convBlock {
+	if c.blocks == nil {
 		out := c.OutShape()
-		c.runs = make([][]convRun, c.KH*c.KW)
+		// o·Stride + k − Pad ∈ [0, n) ⇔ o ∈ [lo, hi).
+		span := func(k, n, outN int) (lo, hi int) {
+			lo = max(0, (c.Pad-k+c.Stride-1)/c.Stride)
+			if last := n - 1 + c.Pad - k; last >= 0 {
+				hi = min(outN, last/c.Stride+1)
+			}
+			return lo, max(lo, hi)
+		}
+		c.blocks = make([]convBlock, c.KH*c.KW)
 		for ky := 0; ky < c.KH; ky++ {
 			for kx := 0; kx < c.KW; kx++ {
-				// ox·Stride + kx − Pad ∈ [0, In.W) ⇔ ox ∈ [lo, hi).
-				lo, hi := max(0, (c.Pad-kx+c.Stride-1)/c.Stride), 0
-				if last := c.In.W - 1 + c.Pad - kx; last >= 0 {
-					hi = min(out.W, last/c.Stride+1)
+				b := &c.blocks[ky*c.KW+kx]
+				b.oy0, b.oy1 = span(ky, c.In.H, out.H)
+				b.ox0, b.ox1 = span(kx, c.In.W, out.W)
+				if b.empty() {
+					*b = convBlock{} // no row to move
+					continue
 				}
-				for oy := 0; oy < out.H && lo < hi; oy++ {
-					if iy := oy*c.Stride + ky - c.Pad; iy >= 0 && iy < c.In.H {
-						c.runs[ky*c.KW+kx] = append(c.runs[ky*c.KW+kx],
-							convRun{out: oy*out.W + lo, in: iy*c.In.W + lo*c.Stride + kx - c.Pad, n: hi - lo})
-					}
-				}
+				b.in = (b.oy0*c.Stride+ky-c.Pad)*c.In.W + b.ox0*c.Stride + kx - c.Pad
 			}
 		}
 	}
-	return c.runs[ky*c.KW+kx]
+	return &c.blocks[ky*c.KW+kx]
+}
+
+// shifted reports the common geometry — stride 1 and an output as large as
+// the input (a k×k kernel with pad (k−1)/2) — in which a kernel position's
+// block is the input shifted by a constant: output pixel d reads input pixel
+// d + in − (oy0·ow + ox0). Over the channel-major planes, where each
+// channel's samples lie end to end, that holds across rows and samples
+// alike, so one copy (im2col) or one vector add (col2im) of the whole batch
+// moves a kernel position of a channel; the pixels it moves that lie outside
+// the block (its pads, in every sample) are then the only ones to fix up.
+func (c *Conv2D) shifted() bool {
+	out := c.OutShape()
+	return c.Stride == 1 && out.H == c.In.H && out.W == c.In.W
 }
 
 // im2col lowers x into the tape, one column block of oh·ow per sample,
-// writing every element: padding positions are stored as
-// zeros, not left to a freshly allocated matrix. The tape is filled row by
-// row — all samples of one (channel, ky, kx) before the next — so the stores
-// walk memory forwards.
+// writing every element: padding positions are stored as zeros, not left to
+// a freshly allocated matrix. The tape is filled row by row — all samples of
+// one (channel, ky, kx) before the next — so the stores walk memory
+// forwards. Geometries other than the shifted one (strided layers) move
+// element by element, block row by block row.
 func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 	out := c.OutShape()
 	ohw, ihw := out.H*out.W, c.In.H*c.In.W
+	if c.shifted() {
+		n := x.Rows * ihw
+		planes := c.planes.get(c.In.C, n)
+		for s := 0; s < x.Rows; s++ {
+			for ch := 0; ch < c.In.C; ch++ {
+				move(planes.Data[ch*n+s*ihw:][:ihw], x.Row(s)[ch*ihw:(ch+1)*ihw])
+			}
+		}
+		for ch := 0; ch < c.In.C; ch++ {
+			src := planes.Row(ch)
+			for k := range c.KH * c.KW {
+				row := tape.Row(ch*c.KH*c.KW + k)
+				b := c.kernelBlock(k/c.KW, k%c.KW)
+				if b.empty() {
+					clear(row)
+					continue
+				}
+				lo, hi := b.oy0*out.W+b.ox0, n-ohw+(b.oy1-1)*out.W+b.ox1
+				copy(row[lo:hi], src[b.in:b.in+hi-lo])
+				b.clearPads(row, out.W, ohw)
+			}
+		}
+		return
+	}
 	for ch := 0; ch < c.In.C; ch++ {
 		for ky := 0; ky < c.KH; ky++ {
 			for kx := 0; kx < c.KW; kx++ {
 				row := tape.Row((ch*c.KH+ky)*c.KW + kx)
-				runs := c.kernelRuns(ky, kx)
-				if len(runs) < out.H || runs[0].n < out.W {
+				b := c.kernelBlock(ky, kx)
+				if b.oy1-b.oy0 < out.H || b.ox1-b.ox0 < out.W {
 					clear(row) // some pixel of every sample reads padding
 				}
+				n := b.ox1 - b.ox0
 				for s := 0; s < x.Rows; s++ {
-					src := x.Row(s)[ch*ihw : (ch+1)*ihw]
-					dst := row[s*ohw : (s+1)*ohw]
-					for _, r := range runs {
-						d, in := dst[r.out:r.out+r.n], src[r.in:]
-						if c.Stride == 1 && r.n >= convRunMin {
-							copy(d, in)
-							continue
-						}
-						for j := range d {
-							d[j] = in[j*c.Stride]
+					dst, src := row[s*ohw:(s+1)*ohw], x.Row(s)[ch*ihw:(ch+1)*ihw]
+					for oy, in := b.oy0, b.in; oy < b.oy1; oy, in = oy+1, in+c.Stride*c.In.W {
+						d := dst[oy*out.W+b.ox0 : oy*out.W+b.ox1]
+						for j, i := 0, in; j < n; j, i = j+1, i+c.Stride {
+							d[j] = src[i]
 						}
 					}
 				}
@@ -145,34 +192,109 @@ func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 	}
 }
 
-// col2im scatters the tape gradient back onto the (cleared) input gradient,
-// one column block of oh·ow per sample. Each input pixel receives its
-// contributions in ascending (ky, kx) order, at most one per kernel position
-// — the order the sums have always had.
+// clearPads zeroes, in every sample's oh·ow block of a tape (or
+// tape-gradient) row, the output pixels outside the block. A column outside
+// [ox0, ox1) is every ow-th position of the whole row, samples included,
+// since oh·ow is a multiple of ow; the rows outside [oy0, oy1) form one run
+// from a block's last row to the next sample's first.
+func (b *convBlock) clearPads(row []float32, ow, ohw int) {
+	for c := range ow {
+		if c < b.ox0 || c >= b.ox1 {
+			for o := c; o < len(row); o += ow {
+				row[o] = 0
+			}
+		}
+	}
+	if rows := ohw - (b.oy1-b.oy0)*ow; rows > 0 {
+		clear(row[:b.oy0*ow])
+		for o := b.oy1 * ow; o < len(row); o += ohw {
+			zero(row[o:min(o+rows, len(row))])
+		}
+	}
+}
+
+// zero is clear(d) as one memclr from convRowMin elements on and as a loop
+// below, where the call would cost more than the stores.
+func zero(d []float32) {
+	if len(d) >= convRowMin {
+		clear(d)
+		return
+	}
+	for j := 0; j < len(d); j++ { // a range loop here would compile to the memclr call
+		d[j] = 0
+	}
+}
+
+// col2im scatters the tape gradient back onto the input gradient, one column
+// block of oh·ow per sample. Each input pixel receives its contributions in
+// ascending (ky, kx) order, at most one per kernel position, into a sum
+// that starts at +0 — the order the sums have always had.
+//
+// The shifted form accumulates into the channel-major planes and moves them
+// to dx at the end. Its one add per kernel position and channel also adds
+// the pads' entries of dcols, so those are first set to +0 (they hold the
+// gradient of padding, which nothing reads). Adding +0 leaves every value
+// but −0 unchanged, and no input-gradient element is ever −0: it starts at
+// +0, and in round-to-nearest a sum is −0 only when both addends are. So the
+// extra terms change no bit.
 func (c *Conv2D) col2im(dcols, dx *tensor.Mat) {
 	out := c.OutShape()
 	ohw, ihw := out.H*out.W, c.In.H*c.In.W
+	if c.shifted() {
+		n := dx.Rows * ihw
+		planes := c.planes.get(c.In.C, n)
+		tensor.Zero(planes.Data)
+		for ch := 0; ch < c.In.C; ch++ {
+			dst := planes.Row(ch)
+			for k := range c.KH * c.KW {
+				row := dcols.Row(ch*c.KH*c.KW + k)
+				b := c.kernelBlock(k/c.KW, k%c.KW)
+				if b.empty() {
+					continue
+				}
+				b.clearPads(row, out.W, ohw)
+				lo, hi := b.oy0*out.W+b.ox0, n-ohw+(b.oy1-1)*out.W+b.ox1
+				tensor.Add(dst[b.in:b.in+hi-lo], row[lo:hi])
+			}
+		}
+		for s := 0; s < dx.Rows; s++ {
+			for ch := 0; ch < c.In.C; ch++ {
+				move(dx.Row(s)[ch*ihw:(ch+1)*ihw], planes.Data[ch*n+s*ihw:][:ihw])
+			}
+		}
+		return
+	}
+	tensor.Zero(dx.Data)
 	for ch := 0; ch < c.In.C; ch++ {
 		for ky := 0; ky < c.KH; ky++ {
 			for kx := 0; kx < c.KW; kx++ {
 				row := dcols.Row((ch*c.KH+ky)*c.KW + kx)
-				runs := c.kernelRuns(ky, kx)
+				b := c.kernelBlock(ky, kx)
+				n := b.ox1 - b.ox0
 				for s := 0; s < dx.Rows; s++ {
-					dst := dx.Row(s)[ch*ihw : (ch+1)*ihw]
-					src := row[s*ohw : (s+1)*ohw]
-					for _, r := range runs {
-						d, in := src[r.out:r.out+r.n], dst[r.in:]
-						if c.Stride == 1 && r.n >= convRunMin {
-							tensor.Add(in[:r.n], d)
-							continue
-						}
-						for j, v := range d {
-							in[j*c.Stride] += v
+					src, dst := row[s*ohw:(s+1)*ohw], dx.Row(s)[ch*ihw:(ch+1)*ihw]
+					for oy, in := b.oy0, b.in; oy < b.oy1; oy, in = oy+1, in+c.Stride*c.In.W {
+						d := src[oy*out.W+b.ox0 : oy*out.W+b.ox1]
+						for j, i := 0, in; j < n; j, i = j+1, i+c.Stride {
+							dst[i] += d[j]
 						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// move is copy(dst, src) as one memmove from convRowMin elements on and as
+// a loop below, where the call would cost more than the copy.
+func move(dst, src []float32) {
+	if len(dst) >= convRowMin {
+		copy(dst, src)
+		return
+	}
+	src = src[:len(dst)]
+	for j := range dst {
+		dst[j] = src[j]
 	}
 }
 
@@ -181,6 +303,7 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.Cols != c.In.Size() {
 		panic(fmt.Sprintf("nn: %s got %d features, want %d", c.Name(), x.Cols, c.In.Size()))
 	}
+	c.rec.forward(train)
 	out := c.OutShape()
 	ohw, k := out.H*out.W, c.In.C*c.KH*c.KW
 	n := x.Rows * ohw
@@ -206,7 +329,13 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 }
 
 // Backward implements Layer.
-func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
+func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat { return c.backward(dout, true) }
+
+// backwardParams implements paramsBackward.
+func (c *Conv2D) backwardParams(dout *tensor.Mat) { c.backward(dout, false) }
+
+func (c *Conv2D) backward(dout *tensor.Mat, needDx bool) *tensor.Mat {
+	c.rec.check(c)
 	out := c.OutShape()
 	ohw, k := out.H*out.W, c.In.C*c.KH*c.KW
 	n := dout.Rows * ohw
@@ -222,7 +351,9 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 		for oc := 0; oc < c.OutC; oc++ {
 			src := do[oc*ohw : (oc+1)*ohw]
 			c.GB[oc] += float32(tensor.Sum(src))
-			copy(doT.Data[oc*n+s*ohw:], src)
+			if needDx {
+				copy(doT.Data[oc*n+s*ohw:], src)
+			}
 		}
 	}
 	// dW += do × colsᵀ, one product per sample in sample order.
@@ -230,11 +361,13 @@ func (c *Conv2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	for s := 0; s < dout.Rows; s++ {
 		tensor.GemmAdd(gw, tensor.ViewOf(c.OutC, ohw, dout.Row(s)), tape.View().ColRange(s*ohw, (s+1)*ohw).T(), tensor.Wide)
 	}
+	if !needDx {
+		return nil
+	}
 	// dcols = Wᵀ × do over the whole batch, then scatter.
 	dcols := c.dcols.get(k, n)
 	tensor.Gemm(dcols.View(), tensor.ViewOf(c.OutC, k, c.W).T(), doT.View(), tensor.Single)
 	dx := c.dx.get(dout.Rows, c.In.Size())
-	tensor.Zero(dx.Data)
 	c.col2im(dcols, dx)
 	return dx
 }
@@ -245,6 +378,7 @@ type MaxPool2D struct {
 	K       int
 	argm    []int32
 	res, dx buf
+	rec     record
 }
 
 // NewMaxPool2D builds the pooling layer; In.H and In.W must be divisible by k.
@@ -268,6 +402,7 @@ func (m *MaxPool2D) Params() []Param { return nil }
 
 // Forward implements Layer.
 func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	m.rec.forward(train)
 	out := m.OutShape()
 	res := m.res.get(x.Rows, out.Size())
 	if train {
@@ -313,6 +448,7 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements Layer.
 func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
+	m.rec.check(m)
 	out := m.OutShape()
 	dx := m.dx.get(dout.Rows, m.In.Size())
 	tensor.Zero(dx.Data)
@@ -331,6 +467,7 @@ func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 type GlobalAvgPool struct {
 	In      Shape
 	res, dx buf
+	rec     record
 }
 
 // NewGlobalAvgPool builds the layer.
@@ -344,6 +481,7 @@ func (g *GlobalAvgPool) Params() []Param { return nil }
 
 // Forward implements Layer.
 func (g *GlobalAvgPool) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	g.rec.forward(train)
 	hw := g.In.H * g.In.W
 	res := g.res.get(x.Rows, g.In.C)
 	for s := 0; s < x.Rows; s++ {
@@ -357,6 +495,7 @@ func (g *GlobalAvgPool) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements Layer.
 func (g *GlobalAvgPool) Backward(dout *tensor.Mat) *tensor.Mat {
+	g.rec.check(g)
 	hw := g.In.H * g.In.W
 	dx := g.dx.get(dout.Rows, g.In.Size())
 	inv := 1 / float32(hw)
@@ -389,6 +528,7 @@ type BatchNorm2D struct {
 	invStd  []float32
 	rows    int
 	res, dx buf
+	rec     record
 }
 
 // NewBatchNorm2D builds a batch-norm layer over C channels.
@@ -422,6 +562,7 @@ func (b *BatchNorm2D) State() [][]float32 { return [][]float32{b.RunMean, b.RunV
 
 // Forward implements Layer.
 func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	b.rec.forward(train)
 	hw := b.In.H * b.In.W
 	res := b.res.get(x.Rows, x.Cols)
 	if !train {
@@ -478,6 +619,7 @@ func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements Layer (standard batch-norm backward per channel).
 func (b *BatchNorm2D) Backward(dout *tensor.Mat) *tensor.Mat {
+	b.rec.check(b)
 	hw := b.In.H * b.In.W
 	n := float32(b.rows * hw)
 	dx := b.dx.get(dout.Rows, dout.Cols)

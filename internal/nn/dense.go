@@ -15,6 +15,7 @@ type Linear struct {
 	GW, GB    []float32
 	x         *tensor.Mat // cached input for backward
 	out, dx   buf
+	rec       record
 }
 
 // NewLinear builds a Linear layer with He initialization.
@@ -41,6 +42,7 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	if x.Cols != l.InF {
 		panic(fmt.Sprintf("nn: %s got %d features", l.Name(), x.Cols))
 	}
+	l.rec.forward(train)
 	if train {
 		l.x = x
 	}
@@ -52,11 +54,17 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements Layer: dW += doutᵀ·x, db += Σ dout, dx = dout·W.
 func (l *Linear) Backward(dout *tensor.Mat) *tensor.Mat {
-	tensor.GemmAdd(tensor.ViewOf(l.OutF, l.InF, l.GW), dout.T(), l.x.View(), tensor.Single)
-	tensor.ColSums(l.GB, dout)
+	l.backwardParams(dout)
 	dx := l.dx.get(dout.Rows, l.InF)
 	tensor.Gemm(dx.View(), dout.View(), tensor.ViewOf(l.OutF, l.InF, l.W), tensor.Single)
 	return dx
+}
+
+// backwardParams implements paramsBackward: dW and db alone.
+func (l *Linear) backwardParams(dout *tensor.Mat) {
+	l.rec.check(l)
+	tensor.GemmAdd(tensor.ViewOf(l.OutF, l.InF, l.GW), dout.T(), l.x.View(), tensor.Single)
+	tensor.ColSums(l.GB, dout)
 }
 
 // ReLU is the rectified linear activation. Both directions are branch-free:
@@ -64,6 +72,7 @@ func (l *Linear) Backward(dout *tensor.Mat) *tensor.Mat {
 // element.
 type ReLU struct {
 	out, dx buf
+	rec     record
 }
 
 // NewReLU builds a ReLU layer.
@@ -82,6 +91,7 @@ func (r *ReLU) Params() []Param { return nil }
 // word, is the keep mask.
 func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	const posInf = 0x7f800000
+	r.rec.forward(train)
 	out := r.out.get(x.Rows, x.Cols)
 	od := out.Data[:len(x.Data)]
 	for i, v := range x.Data {
@@ -95,6 +105,7 @@ func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 // Backward implements Layer. The mask is the layer's own output: it is
 // nonzero exactly where the input was positive.
 func (r *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
+	r.rec.check(r)
 	dx := r.dx.get(dout.Rows, dout.Cols)
 	od, dd := r.out.m.Data[:len(dout.Data)], dx.Data[:len(dout.Data)]
 	for i, v := range dout.Data {
@@ -115,6 +126,7 @@ type Residual struct {
 	Proj    []Layer // nil = identity shortcut
 	label   string
 	out, dx buf
+	rec     record
 }
 
 // NewResidual builds an identity-shortcut residual block.
@@ -149,6 +161,7 @@ func (r *Residual) State() [][]float32 { return stateOf(r.Inner, r.Proj) }
 
 // Forward implements Layer.
 func (r *Residual) Forward(x *tensor.Mat, train bool) *tensor.Mat {
+	r.rec.forward(train)
 	y := x
 	for _, l := range r.Inner {
 		y = l.Forward(y, train)
@@ -170,6 +183,7 @@ func (r *Residual) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 
 // Backward implements Layer: gradient flows through both paths and sums.
 func (r *Residual) Backward(dout *tensor.Mat) *tensor.Mat {
+	r.rec.check(r)
 	d := dout
 	for i := len(r.Inner) - 1; i >= 0; i-- {
 		d = r.Inner[i].Backward(d)

@@ -35,10 +35,18 @@
 //   - The backward record lives in the same workspaces evaluation uses, so a
 //     Forward(train=false) between a training Forward and its Backward
 //     destroys it: ReLU would mask by the evaluation batch's signs, Conv2D
-//     would multiply by its tape, and so on, silently. Finish the step, then
-//     evaluate. Conv2D panics when the shapes give the mistake away and
-//     LSTMLM whenever the last Forward was not a training one; the rest
-//     cannot tell.
+//     would multiply by its tape, and so on. Finish the step, then evaluate.
+//     Every layer stamps its record — a training Forward sets the stamp, an
+//     evaluation Forward clears it — and Backward panics, naming the layer,
+//     on a cleared one (LSTMLM checks that its last Forward was a training
+//     one), so the mistake cannot pass silently.
+//   - A Network's training step does not take the input gradient of its
+//     bottom layer, and does not form it: BackwardInterleaved, which returns
+//     none, runs a bottom Conv2D or Linear through its parameter gradients
+//     only, skipping the tape-gradient product and col2im (Conv2D) or the
+//     dx product (Linear). Network.Backward, which returns the input
+//     gradient, still computes it. The parameter gradients are the same bits
+//     either way.
 //   - Workspaces only grow, and Network.Forward runs an evaluation batch in
 //     chunks of the last training batch's size, so evaluating on a large
 //     held-out set between steps neither evicts anything a training step
@@ -53,7 +61,10 @@
 // sum is unchanged. Conv2D lowers a whole batch into one tape and multiplies
 // once for the forward pass and once for the tape gradient, but still forms
 // the weight gradient one sample at a time, added in sample order; col2im and
-// batch-norm keep the order of their sums. Every family's gradients and losses
+// batch-norm keep the order of their sums. In the common geometry (stride 1,
+// output as large as the input) the lowering moves each kernel position of a
+// channel as one shifted block over the whole batch, through a
+// channel-major copy of the input (or of its gradient); see Conv2D.shifted. Every family's gradients and losses
 // are pinned to the last bit by golden digests (internal/models).
 //
 // # One flattened layout

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 
 	"a2sgd/internal/tensor"
@@ -30,8 +31,9 @@ type Param struct {
 // the input, the layer's own output (ReLU differentiates through it), the
 // lowered im2col tape, batch statistics, pooling arg-maxes.
 // The same workspaces serve evaluation, so a Forward(train=false) between a
-// training Forward and its Backward overwrites that record and the Backward
-// that follows differentiates the wrong batch: finish the step before
+// training Forward and its Backward overwrites that record: every layer
+// stamps it (record) and Backward then panics, naming the layer, rather
+// than differentiate the evaluation batch. Finish the step before
 // evaluating. Evaluation between steps is free — workspaces only grow, so a
 // large evaluation batch does not evict anything a training batch needs.
 type Layer interface {
@@ -42,12 +44,36 @@ type Layer interface {
 	Forward(x *tensor.Mat, train bool) *tensor.Mat
 	// Backward takes dL/dout and returns dL/dx, accumulating dL/dW into
 	// the layer's gradient slices (+=, so two steps without ZeroGrads sum).
-	// Must follow a Forward with train=true on the same batch.
+	// Must follow a Forward with train=true on the same batch, with no
+	// Forward(train=false) since; it panics otherwise.
 	Backward(dout *tensor.Mat) *tensor.Mat
 	// Params returns the learnable tensors (possibly none).
 	Params() []Param
 	// Name identifies the layer in summaries.
 	Name() string
+}
+
+// paramsBackward is implemented by the layers that can accumulate their
+// parameter gradients without forming the input gradient — Conv2D and
+// Linear, the bottom layers of the classifiers. A Network whose caller does
+// not take the input gradient (BackwardInterleaved) runs its bottom layer
+// this way: the same parameter-gradient bits, without the products and the
+// scatter nobody would read.
+type paramsBackward interface {
+	backwardParams(dout *tensor.Mat)
+}
+
+// record is a layer's training-record stamp. A training Forward sets it, an
+// evaluation Forward — which reuses the workspaces the record lives in —
+// clears it, and Backward checks it.
+type record bool
+
+func (r *record) forward(train bool) { *r = record(train) }
+
+func (r record) check(l Layer) {
+	if !r {
+		panic(fmt.Sprintf("nn: %s Backward without a training Forward since the last evaluation Forward", l.Name()))
+	}
 }
 
 // buf is a grow-only matrix workspace. get reshapes it — reallocating only
@@ -211,9 +237,9 @@ func (n *Network) forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return x
 }
 
-// Backward runs all layers in reverse.
+// Backward runs all layers in reverse and returns the input gradient.
 func (n *Network) Backward(dout *tensor.Mat) *tensor.Mat {
-	return n.BackwardInterleaved(dout, nil)
+	return n.backward(dout, nil, true)
 }
 
 // Params returns every learnable tensor in layer order. The slice is cached;
@@ -248,14 +274,27 @@ func (n *Network) ZeroGrads() {
 // a final onReady(0) is guaranteed, so a caller that launches the bucket
 // exchange for each newly final range sees every gradient element become
 // ready exactly once, deepest layers first, while shallower layers are still
-// back-propagating. A nil onReady skips the reporting (plain Backward).
-func (n *Network) BackwardInterleaved(dout *tensor.Mat, onReady func(lo int)) *tensor.Mat {
+// back-propagating. A nil onReady skips the reporting.
+//
+// It returns no input gradient, so the bottom layer, when it can
+// (paramsBackward), computes only its parameter gradients: the training
+// step's call. Every parameter gradient has Backward's bits.
+func (n *Network) BackwardInterleaved(dout *tensor.Mat, onReady func(lo int)) {
+	n.backward(dout, onReady, false)
+}
+
+func (n *Network) backward(dout *tensor.Mat, onReady func(lo int), needDx bool) *tensor.Mat {
 	if n.params == nil {
 		n.buildCache()
 	}
 	last := n.nParams
 	for i := len(n.Layers) - 1; i >= 0; i-- {
-		dout = n.Layers[i].Backward(dout)
+		if pb, ok := n.Layers[i].(paramsBackward); ok && i == 0 && !needDx {
+			pb.backwardParams(dout)
+			dout = nil
+		} else {
+			dout = n.Layers[i].Backward(dout)
+		}
 		if off := n.layerOff[i]; onReady != nil && off < last {
 			last = off
 			onReady(off)

@@ -2,6 +2,7 @@ package nn
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"a2sgd/internal/tensor"
@@ -289,6 +290,21 @@ func TestConv2DMatchesDirectConvolution(t *testing.T) {
 		{Shape{C: 3, H: 6, W: 6}, 4, 1, 2, 0},
 		{Shape{C: 1, H: 5, W: 9}, 2, 2, 1, 0}, // even kernel, no padding
 		{Shape{C: 1, H: 12, W: 12}, 2, 5, 1, 2},
+		// Shifted blocks (stride 1, as many output as input columns) with
+		// gaps of 0, 1 and 2 pixels, and the stride-2 and wide-padding forms
+		// that move row by row, on 1×1, 2×2 and 16×16 images.
+		{Shape{C: 2, H: 16, W: 16}, 3, 1, 1, 0},
+		{Shape{C: 2, H: 16, W: 16}, 2, 5, 1, 2},
+		{Shape{C: 2, H: 16, W: 16}, 2, 3, 1, 2},
+		{Shape{C: 2, H: 16, W: 16}, 3, 3, 2, 0},
+		{Shape{C: 2, H: 16, W: 16}, 3, 3, 2, 1},
+		{Shape{C: 2, H: 16, W: 16}, 3, 3, 2, 2},
+		{Shape{C: 3, H: 2, W: 2}, 2, 3, 2, 0},
+		{Shape{C: 3, H: 2, W: 2}, 2, 3, 2, 1},
+		{Shape{C: 3, H: 2, W: 2}, 2, 3, 2, 2},
+		{Shape{C: 3, H: 2, W: 2}, 2, 1, 1, 0},
+		{Shape{C: 3, H: 1, W: 1}, 2, 1, 1, 0},
+		{Shape{C: 3, H: 1, W: 1}, 2, 3, 2, 2},
 	}
 	rng := tensor.NewRNG(17)
 	for _, g := range geoms {
@@ -357,5 +373,76 @@ func TestSoftmaxLossMatchesSoftmaxCE(t *testing.T) {
 			t.Fatalf("loss %v vs %v", gotLoss, wantLoss)
 		}
 		bitsEqual(t, "dlogits", gotD.Data, wantD.Data)
+	}
+}
+
+// A Network whose caller does not take the input gradient runs its bottom
+// layer without one: the same parameter gradients as Backward, and the
+// layer's input-gradient workspace never touched.
+func TestBackwardInterleavedSkipsBottomInputGradient(t *testing.T) {
+	in := Shape{C: 2, H: 6, W: 6}
+	for name, bottom := range map[string]func(rng *tensor.RNG) Layer{
+		"conv":   func(rng *tensor.RNG) Layer { return NewConv2D(rng, in, 3, 3, 1, 1) },
+		"linear": func(rng *tensor.RNG) Layer { return NewLinear(rng, in.Size(), 3*in.H*in.W) },
+	} {
+		build := func() (*Network, *buf) {
+			rng := tensor.NewRNG(31)
+			l := bottom(rng)
+			net := NewNetwork(l, NewReLU(), NewLinear(rng, 3*in.H*in.W, 4))
+			if c, ok := l.(*Conv2D); ok {
+				return net, &c.dx
+			}
+			return net, &l.(*Linear).dx
+		}
+		rng := tensor.NewRNG(37)
+		x, dout := reuseInput(rng, 5, in.Size()), reuseInput(rng, 5, 4)
+		ref, _ := build()
+		ref.Forward(x, true)
+		ref.Backward(dout)
+		net, dx := build()
+		net.Forward(x, true)
+		net.BackwardInterleaved(dout, nil)
+		if dx.m.Data != nil {
+			t.Errorf("%s: the bottom layer formed an input gradient nobody takes", name)
+		}
+		for i, p := range net.Params() {
+			bitsEqual(t, name+" "+p.Name, p.G, ref.Params()[i].G)
+		}
+	}
+}
+
+// An evaluation Forward between a training Forward and its Backward reuses
+// the workspaces the training record lives in, so Backward must refuse to
+// run — naming the layer — instead of differentiating the evaluation batch.
+// A training Forward makes the record valid again.
+func TestBackwardAfterEvalForwardPanics(t *testing.T) {
+	in := Shape{C: 2, H: 4, W: 4}
+	layers := map[string]func() Layer{
+		"Conv2D":        func() Layer { return NewConv2D(tensor.NewRNG(1), in, 3, 3, 1, 1) },
+		"Linear":        func() Layer { return NewLinear(tensor.NewRNG(2), in.Size(), 5) },
+		"ReLU":          func() Layer { return NewReLU() },
+		"BatchNorm2D":   func() Layer { return NewBatchNorm2D(in) },
+		"MaxPool2D":     func() Layer { return NewMaxPool2D(in, 2) },
+		"GlobalAvgPool": func() Layer { return NewGlobalAvgPool(in) },
+		"Residual":      func() Layer { return NewResidual("t", NewBatchNorm2D(in)) },
+	}
+	for name, build := range layers {
+		rng := tensor.NewRNG(3)
+		l := build()
+		x := reuseInput(rng, 3, in.Size())
+		out := l.Forward(x, true)
+		dout := reuseInput(rng, out.Rows, out.Cols)
+		l.Forward(reuseInput(rng, 3, in.Size()), false)
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, name) {
+					t.Errorf("%s: Backward after an evaluation Forward: panic %q, want one naming the layer", name, msg)
+				}
+			}()
+			l.Backward(dout)
+		}()
+		l.Forward(x, true)
+		l.Backward(dout)
 	}
 }

@@ -125,7 +125,7 @@ func PackWide(p *WidePanels, b View) {
 		return
 	}
 	for j := 0; j < n; j += v.nrWide {
-		pack64(data[j*k:], v.nrWide, 1, b.Data[j*b.ColStride:], min(v.nrWide, n-j), k, b.ColStride, b.RowStride)
+		packPanel64(v.id, data[j*k:], v.nrWide, b.Data[j*b.ColStride:], min(v.nrWide, n-j), k, b.ColStride, b.RowStride)
 	}
 }
 
@@ -323,6 +323,15 @@ func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32
 // conversion to float64 is exact and is paid once per element instead of
 // once per use — A a block of rows at a time, B one panel at a time, or not
 // at all when the caller hands in PackWide's panels (packed, nil otherwise).
+//
+// Panel layout: a panel of width w holds w lanes (rows of A, columns of B)
+// for every step p of the reduction, step-major — lane l of step p at
+// [p*w + l], converted to float64 — and zeros in the lanes past the
+// operand's edge. A panels are gemmMR lanes wide, B panels the variant's
+// nrWide. Which code fills a panel (packPanel64: the variant's vector
+// packer or the portable pack64) and when (here, or ahead of time in
+// PackWide) only moves exact copies, so it never changes a bit of the
+// product.
 func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, packed []float64, c []float32, ldc int, add bool) {
 	v := gemmActive
 	mc := max(gemmWideBlock/k&^(gemmMR-1), gemmMR)
@@ -333,24 +342,24 @@ func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, 
 	for i0 := 0; i0 < m; i0 += mc {
 		mb := min(mc, m-i0)
 		panels := (mb + gemmMR - 1) / gemmMR
-		ap := grow(&s.a64, panels*k*2*gemmMR)
+		ap := grow(&s.a64, panels*k*gemmMR)
 		for i := 0; i < mb; i += gemmMR {
-			pack64(ap[2*i*k:], gemmMR, 2, a[(i0+i)*ars:], min(gemmMR, mb-i), k, ars, acs)
+			packPanel64(v.id, ap[i*k:], gemmMR, a[(i0+i)*ars:], min(gemmMR, mb-i), k, ars, acs)
 		}
 		for j := 0; j < n; j += v.nrWide {
 			nr := min(v.nrWide, n-j)
 			if packed != nil {
 				bp = packed[j*k:]
 			} else {
-				pack64(bp, v.nrWide, 1, b[j*bcs:], nr, k, bcs, brs)
+				packPanel64(v.id, bp, v.nrWide, b[j*bcs:], nr, k, bcs, brs)
 			}
 			for i := 0; i < mb; i += gemmMR {
 				mr := min(gemmMR, mb-i)
 				ct := c[(i0+i)*ldc+j:]
 				if mr == gemmMR && nr == v.nrWide {
-					gemmKernel64(v.id, k, ap[2*i*k:], bp, ct, ldc, add)
+					gemmKernel64(v.id, k, ap[i*k:], bp, ct, ldc, add)
 				} else {
-					gemmKernel64(v.id, k, ap[2*i*k:], bp, s.tile[:], v.nrWide, false)
+					gemmKernel64(v.id, k, ap[i*k:], bp, s.tile[:], v.nrWide, false)
 					s.storeTile(v.nrWide, ct, ldc, mr, nr, add)
 				}
 			}
@@ -393,13 +402,13 @@ func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepS
 	}
 }
 
-// pack64 is pack32 for the Wide kernels: the panel holds the operands
-// already converted to float64, each value rep times in a row. B panels use
-// rep 1; A panels use rep 2, the paired layout every Wide kernel reads (the
-// AVX kernel broadcasts the first of each pair).
-func pack64(dst []float64, width, rep int, src []float32, lanes, k, laneStride, stepStride int) {
+// pack64 is pack32 for the Wide kernels, the portable panel packer: the
+// panel holds the operands already converted to float64 (the layout on
+// wide). It is the reference every vector packer is held to and the one
+// packPanel64 falls back to.
+func pack64(dst []float64, width int, src []float32, lanes, k, laneStride, stepStride int) {
 	if lanes < width {
-		clear(dst[:k*width*rep]) // the padding lanes
+		clear(dst[:k*width]) // the padding lanes
 	}
 	l := 0
 	if stepStride == 1 {
@@ -407,14 +416,6 @@ func pack64(dst []float64, width, rep int, src []float32, lanes, k, laneStride, 
 		// at a time.
 		for ; l+4 <= lanes; l += 4 {
 			s0, s1, s2, s3 := src[l*laneStride:][:k], src[(l+1)*laneStride:][:k], src[(l+2)*laneStride:][:k], src[(l+3)*laneStride:][:k]
-			if rep == 2 {
-				for p := range s0 {
-					d := dst[(p*width+l)*2:][:8:8]
-					x0, x1, x2, x3 := float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
-					d[0], d[1], d[2], d[3], d[4], d[5], d[6], d[7] = x0, x0, x1, x1, x2, x2, x3, x3
-				}
-				continue
-			}
 			for p := range s0 {
 				d := dst[p*width+l:][:4:4]
 				d[0], d[1], d[2], d[3] = float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
@@ -423,10 +424,7 @@ func pack64(dst []float64, width, rep int, src []float32, lanes, k, laneStride, 
 	}
 	for ; l < lanes; l++ {
 		for p := 0; p < k; p++ {
-			d := dst[(p*width+l)*rep:][:rep]
-			for r := range d {
-				d[r] = float64(src[l*laneStride+p*stepStride])
-			}
+			dst[p*width+l] = float64(src[l*laneStride+p*stepStride])
 		}
 	}
 }
@@ -474,14 +472,13 @@ func gemmKernel32Go(k int, a []float32, ars, aps int, b []float32, bps int, c []
 }
 
 // gemmKernel64Go is the portable Wide micro-kernel over packed float64
-// panels a[p*8+2i] (each value stored twice, see pack64), b[p*4+j]:
-// C[4×4] (+)= float32(Σ_p a·b), two 2×4 blocks.
+// panels a[p*4+i], b[p*4+j]: C[4×4] (+)= float32(Σ_p a·b), two 2×4 blocks.
 func gemmKernel64Go(k int, a, b []float64, c []float32, ldc int, add bool) {
 	for i := 0; i < gemmMR; i += 2 {
 		var c00, c01, c02, c03, c10, c11, c12, c13 float64
 		for p := 0; p < k; p++ {
 			bp := b[p*4 : p*4+4 : p*4+4]
-			x0, x1 := a[p*8+2*i], a[p*8+2*i+2]
+			x0, x1 := a[p*4+i], a[p*4+i+1]
 			c00 += float64(x0 * bp[0])
 			c01 += float64(x0 * bp[1])
 			c02 += float64(x0 * bp[2])

@@ -6,10 +6,11 @@ package tensor
 // accumulators as the portable kernels in gemm.go — eight (Single) or four
 // (Wide) output elements per 256-bit register — and issue a separate
 // multiply and add per term, never a fused one, so the bits are those of the
-// portable kernels and of the specification on GemmAdd. They use AVX only
-// (VBROADCASTSS/SD, VMULPx, VADDPx — no AVX2, no FMA) and are selected when
-// CPUID reports AVX and the OS saves the YMM state; any other amd64 CPU runs
-// the portable kernels.
+// portable kernels and of the specification on GemmAdd. The variant's Wide
+// panel packer only moves exact copies, so it is pack64 bit for bit. They
+// use AVX only (VBROADCASTSS/SD, VMULPx, VADDPx, VUNPCKxPx, VCVTPS2PD — no
+// AVX2, no FMA) and are selected when CPUID reports AVX and the OS saves the
+// YMM state; any other amd64 CPU runs the portable kernels.
 
 var gemmAVX = gemmVariant{name: "avx", id: 1, nr: 16, nrWide: 8}
 
@@ -31,11 +32,66 @@ func gemmVariants() []gemmVariant {
 func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 
 // gemmKernel64AVX computes the 4×8 tile at c from packed float64 panels
-// a[p*8+2i] (the pairs pack64 writes; the kernel reads the first of each)
-// and b[p*8+j], rounding each finished sum to float32 once.
+// a[p*4+i] and b[p*8+j], rounding each finished sum to float32 once.
 //
 //go:noescape
 func gemmKernel64AVX(k int, a, b *float64, c *float32, ldc uintptr, add bool)
+
+// pack64x4AVX packs four lanes of a panel whose rows run contiguous along
+// the reduction: for each of k4 blocks of four steps it loads four floats
+// from each of r0..r3, transposes the 4×4 block, clears the lanes whose mask
+// word is 0 (AND with +0's pattern, so they read +0) and converts each step's
+// four lanes to float64 (VCVTPS2PD, exact) at dst + p·ld. ld is in bytes.
+//
+//go:noescape
+func pack64x4AVX(dst *float64, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
+
+// packMasks[n] keeps the first n of four lanes.
+var packMasks = [5][4]uint32{
+	{0, 0, 0, 0},
+	{^uint32(0), 0, 0, 0},
+	{^uint32(0), ^uint32(0), 0, 0},
+	{^uint32(0), ^uint32(0), ^uint32(0), 0},
+	{^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)},
+}
+
+// pack64AVX is pack64 for rows contiguous along k (stepStride 1), the
+// layout of both Wide operands in every caller: four lanes at a time
+// through pack64x4AVX, the steps past the last multiple of four in Go. A
+// group of four that runs past the operand's edge reads its last lane again
+// in place of the missing ones and masks them to zero, so a ragged panel
+// (conv1's weight gradient has 27 = 3·8 + 3 lanes) takes the same path as a
+// full one.
+func pack64AVX(dst []float64, width int, src []float32, lanes, k, laneStride int) {
+	_, _ = dst[k*width-1], src[(lanes-1)*laneStride+k-1] // the kernel does not check bounds
+	k4 := k &^ 3
+	for l0 := 0; l0 < width; l0 += 4 {
+		n := min(max(lanes-l0, 0), 4)
+		row := func(i int) int { return min(l0+i, lanes-1) * laneStride }
+		if k4 > 0 {
+			pack64x4AVX(&dst[l0], uintptr(width)*8, &src[row(0)], &src[row(1)], &src[row(2)], &src[row(3)], &packMasks[n], k4/4)
+		}
+		for p := k4; p < k; p++ {
+			d := dst[p*width+l0:][:4:4]
+			for i := range d {
+				d[i] = 0
+				if i < n {
+					d[i] = float64(src[row(i)+p])
+				}
+			}
+		}
+	}
+}
+
+// packPanel64 fills one Wide panel (the layout on gemmScratch.wide) with the
+// packer of variant id.
+func packPanel64(id int, dst []float64, width int, src []float32, lanes, k, laneStride, stepStride int) {
+	if id == gemmAVX.id && stepStride == 1 && k > 0 {
+		pack64AVX(dst, width, src, lanes, k, laneStride)
+		return
+	}
+	pack64(dst, width, src, lanes, k, laneStride, stepStride)
+}
 
 func gemmKernel32(id, k int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
 	if id == gemmAVX.id {

@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX micro-kernels for Gemm. See gemm_amd64.go for the contract: one
-// accumulator per output element, separate VMULPS/VADDPS (VMULPD/VADDPD)
-// per term in ascending k, lanes never hold partial sums. AVX only: no AVX2
+// AVX micro-kernels for Gemm and the packer of its Wide panels. See
+// gemm_amd64.go for the contract: one accumulator per output element,
+// separate VMULPS/VADDPS (VMULPD/VADDPD) per term in ascending k, lanes never
+// hold partial sums; the packer only moves exact copies. AVX only: no AVX2
 // instruction, no FMA.
 
 // func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
@@ -115,10 +116,9 @@ a32set:
 //
 // The same shape in float64: row r of the 4×8 tile accumulates in Y(2r)
 // (columns 0-3) and Y(2r+1) (columns 4-7). Per step the B panel holds eight
-// doubles and the A panel each of its four values twice (pack64's pairs, 16
-// bytes apart); VBROADCASTSD reads the first of each pair. The finished sums
-// are rounded once (VCVTPD2PS), joined into one float32 row (VINSERTF128),
-// and stored or added as float32.
+// doubles and the A panel four, one per row, 8 bytes apart; VBROADCASTSD
+// reads each A value. The finished sums are rounded once (VCVTPD2PS), joined
+// into one float32 row (VINSERTF128), and stored or added as float32.
 TEXT ·gemmKernel64AVX(SB), NOSPLIT, $0-41
 	MOVQ   k+0(FP), CX
 	MOVQ   a+8(FP), SI
@@ -144,22 +144,22 @@ a64loop:
 	VMULPD       Y9, Y10, Y12
 	VADDPD       Y11, Y0, Y0
 	VADDPD       Y12, Y1, Y1
-	VBROADCASTSD 16(SI), Y10
+	VBROADCASTSD 8(SI), Y10
 	VMULPD       Y8, Y10, Y11
 	VMULPD       Y9, Y10, Y12
 	VADDPD       Y11, Y2, Y2
 	VADDPD       Y12, Y3, Y3
-	VBROADCASTSD 32(SI), Y10
+	VBROADCASTSD 16(SI), Y10
 	VMULPD       Y8, Y10, Y11
 	VMULPD       Y9, Y10, Y12
 	VADDPD       Y11, Y4, Y4
 	VADDPD       Y12, Y5, Y5
-	VBROADCASTSD 48(SI), Y10
+	VBROADCASTSD 24(SI), Y10
 	VMULPD       Y8, Y10, Y11
 	VMULPD       Y9, Y10, Y12
 	VADDPD       Y11, Y6, Y6
 	VADDPD       Y12, Y7, Y7
-	ADDQ $64, SI
+	ADDQ $32, SI
 	ADDQ $64, DI
 	DECQ CX
 	JNZ  a64loop
@@ -206,5 +206,56 @@ a64set:
 	VMOVUPS Y4, (DX)
 	ADDQ    R12, DX
 	VMOVUPS Y6, (DX)
+	VZEROUPPER
+	RET
+
+// func pack64x4AVX(dst *float64, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
+//
+// Per block of four steps: X0..X3 load four floats of lanes 0..3, the two
+// unpack stages transpose them so that X0..X3 hold steps 0..3 of the four
+// lanes, X8 (the mask) clears the padding lanes, and each step converts to
+// four doubles stored at dst + p·ld.
+TEXT ·pack64x4AVX(SB), NOSPLIT, $0-64
+	MOVQ    dst+0(FP), DI
+	MOVQ    ld+8(FP), R8
+	MOVQ    r0+16(FP), AX
+	MOVQ    r1+24(FP), BX
+	MOVQ    r2+32(FP), CX
+	MOVQ    r3+40(FP), DX
+	MOVQ    mask+48(FP), R9
+	MOVQ    k4+56(FP), R10
+	LEAQ    (R8)(R8*2), R11
+	VMOVUPS (R9), X8
+	XORQ    SI, SI
+
+packloop:
+	VMOVUPS   (AX)(SI*1), X0
+	VMOVUPS   (BX)(SI*1), X1
+	VMOVUPS   (CX)(SI*1), X2
+	VMOVUPS   (DX)(SI*1), X3
+	VUNPCKLPS X1, X0, X4
+	VUNPCKHPS X1, X0, X5
+	VUNPCKLPS X3, X2, X6
+	VUNPCKHPS X3, X2, X7
+	VUNPCKLPD X6, X4, X0
+	VUNPCKHPD X6, X4, X1
+	VUNPCKLPD X7, X5, X2
+	VUNPCKHPD X7, X5, X3
+	VANDPS    X8, X0, X0
+	VANDPS    X8, X1, X1
+	VANDPS    X8, X2, X2
+	VANDPS    X8, X3, X3
+	VCVTPS2PD X0, Y0
+	VCVTPS2PD X1, Y1
+	VCVTPS2PD X2, Y2
+	VCVTPS2PD X3, Y3
+	VMOVUPD   Y0, (DI)
+	VMOVUPD   Y1, (DI)(R8*1)
+	VMOVUPD   Y2, (DI)(R8*2)
+	VMOVUPD   Y3, (DI)(R11*1)
+	LEAQ      (DI)(R8*4), DI
+	ADDQ      $16, SI
+	DECQ      R10
+	JNZ       packloop
 	VZEROUPPER
 	RET

@@ -541,3 +541,65 @@ func BenchmarkMatMul(b *testing.B) {
 		})
 	}
 }
+
+// Every variant's Wide panel packer writes pack64's panels bit for bit — an
+// exact float64 copy of each operand element, +0 in the padding lanes — and
+// nothing outside them: A and B panel widths, every lane count from 1 to 17
+// (a whole operand, panel by panel, as the driver and PackWide pack it),
+// reductions of 1, 3, 4, 5 and 256 steps (the vector packer moves four steps
+// at a time), lanes contiguous along the reduction (the transposed operand
+// of every a·bᵀ product) and strided sources, with NaN payloads, a
+// signalling NaN, ±Inf, −0 and subnormal elements.
+func TestPackPanelMatchesPortable(t *testing.T) {
+	special := []uint32{
+		0x7fc00000, 0xffc12345, 0x7f800001, // NaNs: quiet, with payload, signalling
+		0x7f800000, 0xff800000, 0x80000000, 0, // ±Inf, −0, +0
+		0x00000001, 0x807fffff, 0x7f7fffff, // subnormals, the largest finite
+	}
+	const guard = 9
+	sentinel := math.Float64frombits(0x7ff4dead0000beef)
+	rng := NewRNG(71)
+	for _, v := range gemmVariants() {
+		for _, width := range []int{gemmMR, v.nrWide} {
+			for n := 1; n <= 17; n++ {
+				for _, k := range []int{1, 3, 4, 5, 256} {
+					layouts := []struct {
+						name   string
+						ls, ss int
+					}{
+						{"lanes contiguous", k + 3, 1},
+						{"steps contiguous", 1, n + 3},
+						{"both strided", 2*k + 1, 2},
+					}
+					for _, lay := range layouts {
+						src := make([]float32, (n-1)*lay.ls+(k-1)*lay.ss+1)
+						for i := range src {
+							if rng.Intn(3) == 0 {
+								src[i] = math.Float32frombits(special[rng.Intn(len(special))])
+							} else {
+								src[i] = rng.Norm()
+							}
+						}
+						panels := (n + width - 1) / width
+						want, got := make([]float64, panels*k*width+2*guard), make([]float64, panels*k*width+2*guard)
+						for i := range want {
+							want[i], got[i] = sentinel, sentinel
+						}
+						for j := 0; j < n; j += width {
+							off := guard + j*k
+							lanes := min(width, n-j)
+							pack64(want[off:off+k*width], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
+							packPanel64(v.id, got[off:], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
+						}
+						for i := range want {
+							if w, g := math.Float64bits(want[i]), math.Float64bits(got[i]); w != g {
+								t.Fatalf("%s width %d, %d lanes, k %d, %s: element %d = %#x, pack64 %#x",
+									v.name, width, n, k, lay.name, i, g, w)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}

@@ -30,9 +30,16 @@
 // the AVX micro-kernels (gemm_amd64.s), the portable kernels used under the
 // purego tag, on other architectures and on amd64 CPUs without AVX,
 // row-parallelism for very large products — only reschedules those
-// operations and is tested to give identical bits. A pre-packed operand is
-// packing under that same specification, done ahead of time: PackWide
-// converts a Wide B operand to the float64 panels the driver would build
+// operations and is tested to give identical bits.
+//
+// Wide packs both operands into float64 panels: lane l (a row of A, a column
+// of B) of reduction step p at [p·width + l], A panels 4 lanes wide, B panels
+// the kernel variant's 4 or 8, padding lanes +0. Packing is an exact copy,
+// whoever does it and whenever: the AVX variant packs operands whose lanes
+// run contiguous along the reduction with a vector packer (four lanes by
+// four steps, transposed in registers) that is held to the portable pack64
+// bit for bit, and a pre-packed operand is packing done ahead of time:
+// PackWide converts a Wide B operand to the panels the driver would build
 // itself, and GemmAddPacked over them gives GemmAdd's bits, so a caller that
 // reuses one operand for many products (the LSTM's recurrent weights)
 // converts it once.
