@@ -7,25 +7,42 @@
 //
 // Usage:
 //
-//	a2sgdserve -family fnn3 -spec a2sgd -workers 4 -epochs 2 -dir /tmp/ckpt
-//	a2sgdserve -jobs jobs.json -pool 8 -dir /tmp/ckpt
-//	a2sgdserve -jobs jobs.json -dir /tmp/ckpt -resume     # after a SIGTERM
-//	a2sgdserve -workers 4 -faults "preempt(rank=3, step=5)" -checkpoint-every 5
-//	a2sgdserve -workers 4 -spec auto -drift-replan -backup-workers 1
+//	a2sgdserve -jobs jobs.json [-pool 8] [-dir .] [-resume] [-transport inproc|tcp]
+//	a2sgdserve -jobs - -dir /tmp/ckpt <<'EOF'
+//	[{"workers": 4, "faults": "deadline(5s) preempt(rank=3, step=3)"}]
+//	EOF
 //
-// jobs.json is an array of job objects; an unknown key is an error (exit 2):
+// A jobs file is the only way to describe a job: -jobs names it, or - reads
+// it from stdin, and a run without -jobs is a usage error (exit 2). It holds
+// a JSON array of job objects. Each object is decoded on top of one default
+// job, so a key it omits takes the default and a key it writes, 0 included,
+// is what runs:
 //
-//	[{"name": "mlp", "family": "fnn3", "spec": "a2sgd", "workers": 4,
-//	  "epochs": 2, "steps": 10, "checkpoint_every": 5},
-//	 {"name": "cnn", "family": "vgg16", "spec": "auto(fabric=tcp10g)",
-//	  "workers": 2, "drift_replan": true}]
+//	key               default   meaning
+//	name              job<i>    snapshot file -dir/<name>.snap; i is the job's index
+//	family            fnn3      model family
+//	spec              a2sgd     what synchronizes the gradient (see below)
+//	workers           2         data-parallel worker count
+//	epochs            1         epochs
+//	steps             10        steps per epoch
+//	batch             8         batch per worker
+//	seed              1         experiment seed
+//	momentum          0.9       SGD momentum (lstm always trains without)
+//	bucket_bytes      0         gradient bucket budget (0 = whole model)
+//	checkpoint_every  5         snapshot every k global steps
+//	faults            ""        fault scenario, e.g. "deadline(2s) preempt(rank=3, step=3)"
+//	backup_workers    0         spare slots a degraded rank's warm clone is promoted from
+//	drift_replan      false     re-plan on the measured fabric when it drifts from the model
+//
+// An unknown key, an empty or repeated name, or workers, epochs, steps, batch
+// or checkpoint_every below 1 is an error naming the job (exit 2).
 //
 // Every job lowers through the library façade (a2sgd.NewJob), so a job's
 // "spec" is whatever a2sgd.TrainConfig.Spec accepts: an algorithm spec, a
 // per-bucket policy such as "mixed(big=a2sgd, small=dense, threshold=8KiB)"
 // (with "bucket_bytes"), or "auto(spec, ..., fabric=name)" for a job whose
 // schedule the cost-model planner re-plans at every membership epoch's
-// world size.
+// world size ("drift_replan" requires it).
 //
 // Each job persists its newest snapshot to -dir/<name>.snap (atomic rewrite
 // in the versioned A2SV format); -resume restores any job whose snapshot
@@ -40,7 +57,6 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strings"
 	"sync"
 	"syscall"
 
@@ -62,42 +78,15 @@ type jobSpec struct {
 	BucketBytes     int     `json:"bucket_bytes"`
 	CheckpointEvery int     `json:"checkpoint_every"`
 	Faults          string  `json:"faults"`
-	// BackupWorkers is the spare-slot budget the escalation ladder can
-	// promote a warm clone from when a rank's links degrade.
-	BackupWorkers int `json:"backup_workers"`
-	// DriftReplan re-plans on the measured fabric when the health monitor's
-	// α–β estimates drift from the planning model. Requires an auto spec.
-	DriftReplan bool `json:"drift_replan"`
+	BackupWorkers   int     `json:"backup_workers"`
+	DriftReplan     bool    `json:"drift_replan"`
 }
 
-func (js *jobSpec) defaults(i int) {
-	if js.Name == "" {
-		js.Name = fmt.Sprintf("job%d", i)
-	}
-	if js.Family == "" {
-		js.Family = "fnn3"
-	}
-	if js.Spec == "" {
-		js.Spec = "a2sgd"
-	}
-	if js.Workers <= 0 {
-		js.Workers = 2
-	}
-	if js.Epochs <= 0 {
-		js.Epochs = 1
-	}
-	if js.Steps <= 0 {
-		js.Steps = 10
-	}
-	if js.Batch <= 0 {
-		js.Batch = 8
-	}
-	if js.Seed == 0 {
-		js.Seed = 1
-	}
-	if js.CheckpointEvery <= 0 {
-		js.CheckpointEvery = 5
-	}
+// defaultJob is the job each jobs-file object is decoded on top of (the
+// defaults table in the package comment); readJobs names it job<i>.
+var defaultJob = jobSpec{
+	Family: "fnn3", Spec: "a2sgd", Workers: 2, Epochs: 1, Steps: 10,
+	Batch: 8, Seed: 1, Momentum: 0.9, CheckpointEvery: 5,
 }
 
 // jobOutcome is one job's terminal state, for the summary table.
@@ -117,13 +106,43 @@ func useTCP(transport string) (bool, error) {
 	return transport == "tcp", nil
 }
 
-// readJobs decodes a -jobs file. Unknown keys are an error: a typo such as
-// "bucketbytes" would otherwise run a different job than the one written.
+// readJobs decodes a jobs file: a JSON array whose objects are each decoded
+// on top of defaultJob. It owns the whole file contract, because a job it
+// accepted is the job that runs: an unknown key (a typo such as
+// "bucketbytes"), a count below 1 or a repeated name is an error, never a
+// silently different job.
 func readJobs(r io.Reader) ([]jobSpec, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
+	if tok, err := dec.Token(); err != nil {
+		return nil, err
+	} else if tok != json.Delim('[') {
+		return nil, fmt.Errorf("want an array of jobs, got %v", tok)
+	}
 	var specs []jobSpec
-	if err := dec.Decode(&specs); err != nil {
+	names := map[string]bool{}
+	for dec.More() {
+		js := defaultJob
+		js.Name = fmt.Sprintf("job%d", len(specs))
+		if err := dec.Decode(&js); err != nil {
+			return nil, fmt.Errorf("job %d: %w", len(specs), err)
+		}
+		if js.Name == "" {
+			return nil, fmt.Errorf("job %d: empty name", len(specs))
+		}
+		counts := []string{"workers", "epochs", "steps", "batch", "checkpoint_every"}
+		for i, v := range []int{js.Workers, js.Epochs, js.Steps, js.Batch, js.CheckpointEvery} {
+			if v < 1 {
+				return nil, fmt.Errorf("job %s: %q is %d, want at least 1", js.Name, counts[i], v)
+			}
+		}
+		if names[js.Name] {
+			return nil, fmt.Errorf("duplicate job name %q", js.Name)
+		}
+		names[js.Name] = true
+		specs = append(specs, js)
+	}
+	if _, err := dec.Token(); err != nil {
 		return nil, err
 	}
 	if len(specs) == 0 {
@@ -164,61 +183,35 @@ func buildJob(js jobSpec, snapPath string, resume, tcp bool, pool *elastic.Pool,
 }
 
 func main() {
-	jobsPath := flag.String("jobs", "", "JSON file with an array of job specs (overrides the single-job flags)")
-	family := flag.String("family", "fnn3", "single job: model family")
-	spec := flag.String("spec", "a2sgd", "single job: algorithm spec — registered: "+strings.Join(a2sgd.AlgorithmUsage(), ", ")+
-		"; or a per-bucket policy — "+strings.Join(a2sgd.PolicyUsage(), ", ")+
-		"; or auto(spec, ..., fabric=name) to re-plan the schedule at every membership epoch's world size")
-	workers := flag.Int("workers", 4, "single job: data-parallel worker count")
-	epochs := flag.Int("epochs", 1, "single job: epochs")
-	steps := flag.Int("steps", 10, "single job: steps per epoch")
-	batch := flag.Int("batch", 8, "single job: batch per worker")
-	seed := flag.Uint64("seed", 1, "single job: experiment seed")
-	momentum := flag.Float64("momentum", 0.9, "single job: SGD momentum")
-	bucketBytes := flag.Int("bucket-bytes", 0, "single job: gradient bucket budget (0 = whole model)")
-	checkpointEvery := flag.Int("checkpoint-every", 5, "single job: snapshot every k global steps")
-	faults := flag.String("faults", "", "single job: fault scenario, e.g. 'deadline(2s) preempt(rank=3, step=5)'")
-	backupWorkers := flag.Int("backup-workers", 0, "single job: spare-slot budget for backup-worker promotion of degraded ranks")
-	driftReplan := flag.Bool("drift-replan", false, "single job: re-plan on the measured fabric when it drifts from the model (requires -spec auto)")
+	jobsPath := flag.String("jobs", "", "jobs file: a JSON array of job objects, or - for stdin (required)")
 	poolN := flag.Int("pool", 8, "shared worker-slot pool across all jobs")
 	dir := flag.String("dir", ".", "snapshot directory (-dir/<name>.snap per job)")
 	resume := flag.Bool("resume", false, "resume every job whose snapshot file exists")
 	transport := flag.String("transport", "inproc", "worker fabric: inproc|tcp")
 	flag.Parse()
+	if *jobsPath == "" {
+		fmt.Fprintln(os.Stderr, "a2sgdserve: -jobs is required (a jobs file, or - for stdin)")
+		flag.Usage()
+		os.Exit(2)
+	}
 	tcp, err := useTCP(*transport)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	var specs []jobSpec
-	if *jobsPath != "" {
-		f, err := os.Open(*jobsPath)
-		if err == nil {
-			specs, err = readJobs(f)
-			f.Close()
-		}
-		if err != nil {
+	in := os.Stdin
+	if *jobsPath != "-" {
+		if in, err = os.Open(*jobsPath); err != nil {
 			fmt.Fprintln(os.Stderr, "jobs:", err)
 			os.Exit(2)
 		}
-	} else {
-		specs = []jobSpec{{
-			Family: *family, Spec: *spec, Workers: *workers,
-			Epochs: *epochs, Steps: *steps, Batch: *batch,
-			Seed: *seed, Momentum: *momentum, BucketBytes: *bucketBytes,
-			CheckpointEvery: *checkpointEvery, Faults: *faults,
-			BackupWorkers: *backupWorkers, DriftReplan: *driftReplan,
-		}}
 	}
-	names := map[string]bool{}
-	for i := range specs {
-		specs[i].defaults(i)
-		if names[specs[i].Name] {
-			fmt.Fprintf(os.Stderr, "jobs: duplicate job name %q\n", specs[i].Name)
-			os.Exit(2)
-		}
-		names[specs[i].Name] = true
+	specs, err := readJobs(in)
+	in.Close()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "jobs:", err)
+		os.Exit(2)
 	}
 	if err := os.MkdirAll(*dir, 0o755); err != nil {
 		fmt.Fprintln(os.Stderr, "dir:", err)

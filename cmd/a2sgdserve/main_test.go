@@ -31,16 +31,46 @@ func TestUseTCP(t *testing.T) {
 	}
 }
 
-// TestReadJobsRejectsUnknownKeys: a misspelled or retired key in jobs.json
-// is an error naming the key, never a silently different job.
+// TestReadJobsDefaults: an object that writes only a name runs the default
+// job, and a key written out — 0 included — is what runs.
+func TestReadJobsDefaults(t *testing.T) {
+	specs, err := readJobs(strings.NewReader(`[{"name": "a"}, {"momentum": 0, "seed": 0, "spec": "dense"}]`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []jobSpec{{
+		Name: "a", Family: "fnn3", Spec: "a2sgd", Workers: 2, Epochs: 1, Steps: 10,
+		Batch: 8, Seed: 1, Momentum: 0.9, CheckpointEvery: 5,
+	}, {
+		Name: "job1", Family: "fnn3", Spec: "dense", Workers: 2, Epochs: 1, Steps: 10,
+		Batch: 8, CheckpointEvery: 5,
+	}}
+	if !reflect.DeepEqual(specs, want) {
+		t.Errorf("readJobs = %+v\nwant %+v", specs, want)
+	}
+}
+
+// TestReadJobsRejectsUnknownKeys: a misspelled or retired key, a count below
+// 1, an empty or repeated name, or a file that is not an array is an error
+// naming the job and the key, never a silently different job.
 func TestReadJobsRejectsUnknownKeys(t *testing.T) {
-	for _, c := range []struct{ blob, key string }{
-		{`[{"name": "a", "bucketbytes": 8192}]`, "bucketbytes"},
-		{`[{"name": "a", "spec": "a2sgd", "replan": true}]`, "replan"},
+	for _, c := range []struct{ blob, job, key string }{
+		{`[{"name": "a", "bucketbytes": 8192}]`, "job 0", "bucketbytes"},
+		{`[{"name": "a", "spec": "a2sgd", "replan": true}]`, "job 0", "replan"},
+		{`[{"name": "a", "workers": -3}]`, "job a", `"workers" is -3`},
+		{`[{"name": "a", "epochs": 0}]`, "job a", `"epochs" is 0`},
+		{`[{"name": "a", "steps": 0}]`, "job a", `"steps" is 0`},
+		{`[{"name": "a", "batch": -1}]`, "job a", `"batch" is -1`},
+		{`[{"name": "a", "checkpoint_every": 0}]`, "job a", `"checkpoint_every" is 0`},
+		{`[{"workers": 0}]`, "job job0", `"workers" is 0`},
+		{`[{"name": ""}]`, "job 0", "empty name"},
+		{`[{"name": "a"}, {"name": "a"}]`, "job name", `"a"`},
+		{`[{}, {"name": "job0"}]`, "job name", `"job0"`},
+		{`{"name": "a"}`, "array", "{"},
 	} {
 		_, err := readJobs(strings.NewReader(c.blob))
-		if err == nil || !strings.Contains(err.Error(), c.key) {
-			t.Errorf("readJobs(%s) = %v; want an error naming %q", c.blob, err, c.key)
+		if err == nil || !strings.Contains(err.Error(), c.job) || !strings.Contains(err.Error(), c.key) {
+			t.Errorf("readJobs(%s) = %v; want an error naming %q and %q", c.blob, err, c.job, c.key)
 		}
 	}
 	specs, err := readJobs(strings.NewReader(`[{"name": "a", "spec": "auto", "bucket_bytes": 8192, "drift_replan": true}]`))
@@ -55,15 +85,20 @@ func TestReadJobsRejectsUnknownKeys(t *testing.T) {
 // FuzzReadJobs: readJobs takes a file from outside. Whatever the bytes, it
 // returns, does not panic, and allocates in proportion to the input. The
 // bound allows for a 3-byte "{}," that decodes to a 152-byte jobSpec, in a
-// slice whose growth allocates up to about six times its final length
-// (`[{},{},…]` reads ≈ 240 bytes per input byte). A list it accepts encodes
-// back to one it reads the same.
+// slice whose growth allocates up to about six times its final length, plus
+// its default name and that name's entry in the duplicate check
+// (`[{},{},…]` reads ≈ 310 bytes per input byte at 50 000 jobs). A list it
+// accepts encodes back to one it reads the same.
 func FuzzReadJobs(f *testing.F) {
 	for _, seed := range []string{
 		`[{"name": "a", "spec": "auto", "bucket_bytes": 8192, "drift_replan": true}, {"family": "lstm", "workers": 3, "faults": "deadline(5s)"}]`,
 		`[{"name": "a", "bucketbytes": 8192}]`,
 		`[]`,
 		`[{"name": "a", "spec": "a2s`,
+		`[{"name": "a", "workers": -3}]`,
+		`[{"name": "a", "checkpoint_every": 0}]`,
+		`[{"name": "a"}, {"name": "a"}]`,
+		`[{"momentum": 0}, {"name": ""}]`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -93,21 +128,22 @@ func FuzzReadJobs(f *testing.F) {
 // (and may pin bucket_bytes), and drift_replan without it is an error.
 func TestBuildJobReplansOnlyAutoSpecs(t *testing.T) {
 	snap := t.TempDir() + "/j.snap"
-	build := func(js jobSpec) (*a2sgd.Job, error) {
-		js.defaults(0)
+	build := func(spec string, bucketBytes int, driftReplan bool) (*a2sgd.Job, error) {
+		js := defaultJob
+		js.Name, js.Spec, js.BucketBytes, js.DriftReplan = "j", spec, bucketBytes, driftReplan
 		return buildJob(js, snap, false, false, nil, nil)
 	}
-	job, err := build(jobSpec{Spec: "auto", BucketBytes: 8192, DriftReplan: true})
+	job, err := build("auto", 8192, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if job.Replan == nil || !job.DriftReplan {
 		t.Errorf("auto job: Replan set %v, DriftReplan %v", job.Replan != nil, job.DriftReplan)
 	}
-	if job, err := build(jobSpec{Spec: "a2sgd"}); err != nil || job.Replan != nil {
+	if job, err := build("a2sgd", 0, false); err != nil || job.Replan != nil {
 		t.Errorf("a2sgd job: replan set %v, err %v", job != nil && job.Replan != nil, err)
 	}
-	if _, err := build(jobSpec{Spec: "a2sgd", DriftReplan: true}); err == nil {
+	if _, err := build("a2sgd", 0, true); err == nil {
 		t.Error("drift_replan without an auto spec must be an error")
 	}
 }
@@ -122,7 +158,6 @@ func TestBuildJobMixedPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs[0].defaults(0)
 	job, err := buildJob(specs[0], t.TempDir()+"/mix.snap", false, false, nil, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -149,7 +184,6 @@ func TestBuildJobRejectsFaultsOutsideTheWorld(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	specs[0].defaults(0)
 	_, err = buildJob(specs[0], t.TempDir()+"/j.snap", false, false, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "job j") || !strings.Contains(err.Error(), "crash(rank=5, step=1)") {
 		t.Errorf("buildJob = %v, want an error naming job j and crash(rank=5, step=1)", err)

@@ -184,9 +184,7 @@ var settable = map[string][]string{
 		"Interleave", "Topology", "CheckpointEvery", "SnapshotPath", "ResumePath", "Schedule"},
 	"cmd/a2sgdbench flags": {"experiment", "maxn", "scale", "workers", "epochs", "steps", "fabric", "buckets",
 		"topology", "algos", "chaosseed", "chaostcp", "json", "compare", "comparetol"},
-	"cmd/a2sgdserve flags": {"jobs", "family", "spec", "workers", "epochs", "steps", "batch", "seed", "momentum",
-		"bucket-bytes", "checkpoint-every", "faults", "backup-workers", "drift-replan", "pool", "dir", "resume",
-		"transport"},
+	"cmd/a2sgdserve flags": {"jobs", "pool", "dir", "resume", "transport"},
 	"cmd/a2sgdtrain flags": {"family", "spec", "workers", "epochs", "steps", "batch", "seed", "momentum",
 		"transport", "faults", "bucket-bytes", "overlap", "concurrency", "interleave", "topology",
 		"checkpoint-every", "snapshot", "resume"},

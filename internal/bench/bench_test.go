@@ -248,6 +248,23 @@ func TestSweepRejectsAuto(t *testing.T) {
 	}
 }
 
+// TestAutoSweepPlansNonUniform pins a cell where the planner's per-bucket
+// greedy assignment beats every uniform plan: CI's own smoke setting
+// (`a2sgdbench -experiment auto -workers 8 -scale 10`) plans vgg16 on IB100
+// as dense×2 | a2sgd×1, cheaper than the best uniform configuration.
+func TestAutoSweepPlansNonUniform(t *testing.T) {
+	rep, err := AutoSweep(nil, AutoSweepConfig{
+		Families: []string{"vgg16"}, Workers: 8, ParamScale: 10, Pricers: []netsim.Pricer{netsim.IB100()},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := rep.Points[0]; p.Composition != "dense×2 | a2sgd×1" || !(p.AutoSec < p.BestSec) {
+		t.Errorf("vgg16 on %s: auto %s at %.2fµs, best uniform %s at %.2fµs; want dense×2 | a2sgd×1 strictly cheaper",
+			p.Fabric, p.Composition, p.AutoSec*1e6, p.BestSpec, p.BestSec*1e6)
+	}
+}
+
 func TestNewAlgoUnknownPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

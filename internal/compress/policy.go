@@ -48,7 +48,7 @@ func PolicyUsage() []string { return []string{mixedUsage, uniformUsage} }
 func BuildPolicy(s *Spec) (Policy, error) {
 	switch s.Name {
 	case "auto":
-		return nil, fmt.Errorf("compress: %q plans a whole schedule, it is not a per-bucket policy — pass it as a2sgd.TrainConfig.Spec (a2sgdtrain -spec, a2sgdserve -spec)", s)
+		return nil, fmt.Errorf("compress: %q plans a whole schedule, it is not a per-bucket policy — pass it as a2sgd.TrainConfig.Spec (a2sgdtrain -spec, the \"spec\" of an a2sgdserve job)", s)
 	case "uniform":
 		return buildUniform(s.Args)
 	case "mixed":
