@@ -4,10 +4,8 @@ import (
 	"sync"
 	"testing"
 
-	"a2sgd/internal/comm"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
-	"a2sgd/internal/tensor"
 )
 
 // fnn3 at reduced scale has 9,178 parameters in 8 tensors; an 8 KiB bucket
@@ -18,18 +16,9 @@ func bucketCfg(algo string, workers, bucketBytes int, overlap bool) Config {
 	return lowered(quickCfg("fnn3", algo, workers), algo, bucketBytes, 0, overlap)
 }
 
-// Test-only specs, registered the way any third-party compressor is:
-// "dense-recdouble" is dense pinned to recursive-doubling allreduce, whose
-// per-element reduction order is independent of vector length — the property
-// that makes bucketed dense bitwise-equal to whole-vector dense — and
-// "qsgd-seedprobe" is qsgd that reports the seed each instance was built with.
+// "qsgd-seedprobe" is a test-only spec, registered the way any third-party
+// compressor is: qsgd that reports the seed each instance was built with.
 func init() {
-	compress.Register("dense-recdouble", compress.Builder{
-		Summary: "test: dense with recursive-doubling allreduce",
-		Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
-			return recDoublingDense{compress.NewDense(o)}, nil
-		},
-	})
 	compress.Register("qsgd-seedprobe", compress.Builder{
 		Summary: "test: qsgd recording its construction seed",
 		Build: func(o compress.Options, _ compress.BuildArgs) (compress.Algorithm, error) {
@@ -39,116 +28,20 @@ func init() {
 	})
 }
 
-// recDoublingDense is dense with its allreduce pinned to recursive doubling:
-// Dense's payload is the bucket's gradient or its contiguous staging, so
-// reducing the payload and copying it back into the view is Dense's own
-// exchange on the other collective.
-type recDoublingDense struct{ *compress.Dense }
-
-func (d recDoublingDense) ExchangeView(p compress.Payload, v *tensor.VecView, c *comm.Communicator) error {
-	if err := c.AllreduceMean(p.Data, comm.AlgoRecursiveDoubling); err != nil {
-		return err
-	}
-	v.CopyFrom(p.Data)
-	return nil
-}
-
 // seedProbe collects the Options.Seed of every qsgd-seedprobe instance.
 var seedProbe sync.Map
-
-func assertRunsIdentical(t *testing.T, label string, a, b *Result) {
-	t.Helper()
-	if a.FinalMetric() != b.FinalMetric() {
-		t.Errorf("%s: final metric %v != %v", label, a.FinalMetric(), b.FinalMetric())
-	}
-	if len(a.Epochs) != len(b.Epochs) {
-		t.Fatalf("%s: epoch counts %d != %d", label, len(a.Epochs), len(b.Epochs))
-	}
-	for i := range a.Epochs {
-		if a.Epochs[i].Loss != b.Epochs[i].Loss || a.Epochs[i].Metric != b.Epochs[i].Metric {
-			t.Errorf("%s: epoch %d diverged: %+v vs %+v", label, i, a.Epochs[i], b.Epochs[i])
-		}
-	}
-}
-
-// TestOverlapMatchesSynchronousBuckets pins the pipeline's core invariant:
-// for a fixed seed and bucket plan, launching bucket exchanges on the
-// progress worker (overlap) is bitwise identical to running them inline —
-// the collectives execute in the same order with the same operands.
-func TestOverlapMatchesSynchronousBuckets(t *testing.T) {
-	for _, algo := range []string{"dense", "a2sgd"} {
-		sync, err := Train(bucketCfg(algo, 4, fourBucketBytes, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		over, err := Train(bucketCfg(algo, 4, fourBucketBytes, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sync.Buckets < 4 {
-			t.Fatalf("%s: plan produced %d buckets, want >= 4", algo, sync.Buckets)
-		}
-		if !over.Overlap || over.Buckets != sync.Buckets {
-			t.Fatalf("%s: overlap run metadata %+v", algo, over)
-		}
-		assertRunsIdentical(t, algo+" overlap-vs-sync", sync, over)
-	}
-}
-
-// TestBucketedDenseMatchesSingleBucket: with recursive-doubling allreduce,
-// the 4-bucket overlapped dense run reproduces the single-bucket result
-// exactly — bucketing only re-slices the vector, and rec-doubling's
-// per-element reduction order does not depend on the vector length.
-func TestBucketedDenseMatchesSingleBucket(t *testing.T) {
-	rs, err := Train(bucketCfg("dense-recdouble", 4, 0, false))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rs.Buckets != 1 {
-		t.Fatalf("single-bucket run has %d buckets", rs.Buckets)
-	}
-	rb, err := Train(bucketCfg("dense-recdouble", 4, fourBucketBytes, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rb.Buckets != 4 {
-		t.Fatalf("bucketed run has %d buckets, want 4", rb.Buckets)
-	}
-	assertRunsIdentical(t, "dense 4-bucket vs single", rs, rb)
-}
-
-// TestSingleBucketOverlapMatchesLegacy: the default configuration (one
-// whole-model bucket) must stay numerically identical with overlap enabled,
-// so the existing convergence tests remain the oracle for the new loop.
-func TestSingleBucketOverlapMatchesLegacy(t *testing.T) {
-	for _, algo := range []string{"dense", "a2sgd", "topk", "qsgd"} {
-		legacy, err := Train(bucketCfg(algo, 2, 0, false))
-		if err != nil {
-			t.Fatal(err)
-		}
-		over, err := Train(bucketCfg(algo, 2, 0, true))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if legacy.Buckets != 1 || over.Buckets != 1 {
-			t.Fatalf("%s: bucket counts %d/%d", algo, legacy.Buckets, over.Buckets)
-		}
-		assertRunsIdentical(t, algo+" single-bucket overlap", legacy, over)
-	}
-}
 
 // TestBucketedA2SGDConverges: per-bucket two-level means carry strictly more
 // information than one global pair (2 scalars per bucket), so bucketed A2SGD
 // must still track dense convergence on fnn3.
 //
 // Note an intentional limit: bucketed A2SGD is a *different estimator* from
-// whole-model A2SGD (per-bucket µ± instead of one global pair), so — unlike
-// dense, pinned bitwise in TestBucketedDenseMatchesSingleBucket — its
+// whole-model A2SGD (per-bucket µ± instead of one global pair), so its
 // trajectory cannot match the single-bucket run exactly for any float
-// implementation. The exact cross-plan invariant for A2SGD is
-// overlap-vs-sync at a fixed plan (TestOverlapMatchesSynchronousBuckets);
-// a global-mean-preserving bucketed variant (ship per-bucket (Σ, count)
-// sums, combine after WaitAll) is recorded as a ROADMAP follow-up.
+// implementation. What holds it exactly is internal/core's Algorithm 1
+// reference with lines 3–6 applied per bucket (TestTrainMatchesAlgorithm1),
+// which also pins that it differs from the whole-model means; a
+// global-mean-preserving bucketed variant is ROADMAP item 1.
 func TestBucketedA2SGDConverges(t *testing.T) {
 	dense, err := Train(bucketCfg("dense", 4, 0, false))
 	if err != nil {
@@ -206,25 +99,6 @@ func TestPerBucketSeedsDiffer(t *testing.T) {
 	if len(seeds) != 2*res.Buckets {
 		t.Errorf("%d distinct seeds over %d (rank, bucket) instances", len(seeds), 2*res.Buckets)
 	}
-}
-
-// TestOverlapOverTCP runs the overlapped bucket pipeline over real loopback
-// sockets and checks it matches the in-process fabric bitwise.
-func TestOverlapOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp integration")
-	}
-	inproc, err := Train(bucketCfg("a2sgd", 3, fourBucketBytes, true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	tcp := bucketCfg("a2sgd", 3, fourBucketBytes, true)
-	tcp.GroupRunner = tcpRunner
-	rt, err := Train(tcp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertRunsIdentical(t, "a2sgd overlap tcp-vs-inproc", inproc, rt)
 }
 
 // TestOverlapModeledCheaperThanSerial: the overlap-aware iteration price

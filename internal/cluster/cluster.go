@@ -328,15 +328,6 @@ func (r *Result) ModeledIterSecSerial(f netsim.Pricer) float64 {
 	return r.AvgComputeSec + netsim.PriceSchedule(f, r.bucketKinds(), enc, bytes, r.Workers).Serial
 }
 
-// Throughput returns modelled samples/second at the run's worker count.
-func (r *Result) Throughput(f netsim.Pricer, batchPerWorker int) float64 {
-	it := r.ModeledIterSec(f)
-	if it <= 0 {
-		return 0
-	}
-	return float64(batchPerWorker*r.Workers) / it
-}
-
 func (c *Config) defaults() Config {
 	cfg := *c
 	if cfg.Workers <= 0 {

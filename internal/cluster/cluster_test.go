@@ -263,9 +263,6 @@ func TestModeledIterationTimeOrdering(t *testing.T) {
 	if res.ModeledIterSec(f) >= dense.ModeledIterSec(f) {
 		t.Error("A2SGD modelled iteration must beat dense for the LSTM-sized model")
 	}
-	if th := res.Throughput(f, 16); th <= 0 {
-		t.Errorf("throughput %v", th)
-	}
 }
 
 func TestHistogramCapture(t *testing.T) {
@@ -281,23 +278,6 @@ func TestHistogramCapture(t *testing.T) {
 	for i, h := range res.Histograms {
 		if h.Total() != int64(res.NumParams) {
 			t.Errorf("hist %d covers %d values, want %d", i, h.Total(), res.NumParams)
-		}
-	}
-}
-
-func TestDeterministicReplay(t *testing.T) {
-	// Same seed → bit-identical epoch losses (dense path is deterministic).
-	r1, err := Train(quickCfg("fnn3", "dense", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := Train(quickCfg("fnn3", "dense", 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range r1.Epochs {
-		if r1.Epochs[i].Loss != r2.Epochs[i].Loss {
-			t.Fatalf("epoch %d: %v vs %v", i, r1.Epochs[i].Loss, r2.Epochs[i].Loss)
 		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"slices"
 	"testing"
+
+	"a2sgd/internal/compress"
+	"a2sgd/internal/plan"
 )
 
 // concCfg is bucketCfg plus the concurrent-execution knobs.
@@ -31,113 +34,59 @@ func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
-// TestConcurrencyMatrixBitwise is the mode-equivalence matrix: for a fixed
-// seed and bucket plan, the deterministic overlap path (concurrency 1), the
-// concurrent-collectives path (4 tag-space contexts) and the
-// backprop-interleaved launch all produce bitwise-identical training — each
-// bucket's exchange arithmetic is independent of the others, so neither the
-// launch point nor the wire interleaving can change a single bit of the
-// result. The serial synchronous run anchors the matrix.
+// TestConcurrencyMatrixBitwise is the mode-equivalence matrix for what
+// internal/core's Algorithm 1 reference (TestTrainMatchesAlgorithm1) does not
+// model: qsgd's stochastic rounding, topk's sparse exchange, the mixed policy,
+// and plan.Lower's schedule beside the one Lower writes down for the same
+// knobs. Each row trains a serial (or, for plan.Lower, the row's overlap) base
+// and a variant — overlapped; concurrent (overlap, interleave, 4 contexts); or
+// on plan.Lower's schedule — and requires the same epochs and final weights bit
+// for bit, both runs to report the base schedule's buckets, topology and
+// policy, and each its own schedule's overlap.
 func TestConcurrencyMatrixBitwise(t *testing.T) {
-	for _, algo := range []string{"dense", "a2sgd", "qsgd"} {
-		base, wantW := trainFinal(t, bucketCfg(algo, 4, fourBucketBytes, false))
-		if base.Buckets < 2 {
-			t.Fatalf("%s: plan produced %d buckets, want >= 2", algo, base.Buckets)
+	const mixed = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
+	for _, tc := range []struct {
+		policy                string
+		workers, bucket, topo int
+		overlap               bool
+		variant               string
+	}{
+		{"qsgd", 2, 0, 0, false, "overlap"},
+		{"topk", 2, 0, 0, false, "overlap"},
+		{"qsgd", 4, fourBucketBytes, 0, false, "concurrent"},
+		{mixed, 4, fourBucketBytes, 2, false, "concurrent"},
+		{"uniform(a2sgd)", 4, 0, 0, false, "plan.Lower"},
+		{"uniform(qsgd)", 4, fourBucketBytes, 0, true, "plan.Lower"},
+		{mixed, 4, fourBucketBytes, 2, true, "plan.Lower"},
+	} {
+		base := lowered(quickCfg("fnn3", "dense", tc.workers), tc.policy, tc.bucket, tc.topo, tc.overlap)
+		v := lowered(base, tc.policy, tc.bucket, tc.topo, true)
+		switch tc.variant {
+		case "concurrent":
+			v.Concurrency, v.Interleave = 4, true
+		case "plan.Lower":
+			pol, err := compress.ParsePolicy(tc.policy)
+			if err != nil {
+				t.Fatal(err)
+			}
+			v.Schedule = plan.Lower(fnn3Segments(t), pol, tc.bucket, tc.topo, tc.overlap, tc.workers)
 		}
-		variants := []struct {
-			label string
-			cfg   Config
-		}{
-			{"overlap-det", concCfg(algo, 4, 0, false)},
-			{"concurrent-4", concCfg(algo, 4, 4, false)},
-			{"interleave-det", concCfg(algo, 4, 0, true)},
-			{"interleave-concurrent-4", concCfg(algo, 4, 4, true)},
+		label := tc.policy + " " + tc.variant
+		rb, wb := trainFinal(t, base)
+		rv, wv := trainFinal(t, v)
+		if !slices.Equal(rb.Epochs, rv.Epochs) || !sameBits(wb, wv) {
+			t.Errorf("%s: the runs differ: epochs %+v vs %+v", label, rb.Epochs, rv.Epochs)
 		}
-		for _, v := range variants {
-			res, w := trainFinal(t, v.cfg)
-			assertRunsIdentical(t, algo+" "+v.label, base, res)
-			if !sameBits(w, wantW) {
-				t.Errorf("%s %s: final weights differ from the serial run", algo, v.label)
+		s := base.Schedule
+		for _, res := range []*Result{rb, rv} {
+			if res.Buckets != s.NumBuckets() || res.Topology != s.Topology || res.Policy != s.Policy {
+				t.Errorf("%s: run reports %d/%d/%q, schedule says %d/%d/%q", label,
+					res.Buckets, res.Topology, res.Policy, s.NumBuckets(), s.Topology, s.Policy)
 			}
 		}
-	}
-}
-
-// TestLSTMInterleaveBitwise extends the mode-equivalence matrix to the LSTM:
-// truncated BPTT now reports per-tensor readiness from inside its last
-// timestep (output projection first, then each layer top-down, embedding
-// last), so the interleaved launch genuinely overlaps exchanges with the
-// remaining backward — and must still be bitwise identical to the serial
-// synchronous run.
-func TestLSTMInterleaveBitwise(t *testing.T) {
-	lstmCfg := func(concurrency, topology int, overlap, interleave bool) Config {
-		cfg := lowered(quickCfg("lstm", "a2sgd", 3), "a2sgd", fourBucketBytes, topology, overlap)
-		cfg.Concurrency = concurrency
-		cfg.Interleave = interleave
-		return cfg
-	}
-	base, wantW := trainFinal(t, lstmCfg(0, 0, false, false))
-	if base.Buckets < 2 {
-		t.Fatalf("lstm plan produced %d buckets, want >= 2", base.Buckets)
-	}
-	variants := []struct {
-		label string
-		cfg   Config
-	}{
-		{"overlap-det", lstmCfg(0, 0, true, false)},
-		{"interleave-det", lstmCfg(0, 0, true, true)},
-		{"interleave-concurrent-4", lstmCfg(4, 0, true, true)},
-	}
-	for _, v := range variants {
-		res, w := trainFinal(t, v.cfg)
-		assertRunsIdentical(t, "lstm "+v.label, base, res)
-		if !sameBits(w, wantW) {
-			t.Errorf("lstm %s: final weights differ from the serial run", v.label)
+		if rb.Overlap != s.Overlap || rv.Overlap != v.Schedule.Overlap {
+			t.Errorf("%s: overlap %v/%v, schedules say %v/%v", label, rb.Overlap, rv.Overlap, s.Overlap, v.Schedule.Overlap)
 		}
-	}
-	// Hierarchical: the two-level reduction order differs from flat, so the
-	// comparison is interleaved-vs-deterministic under the same topology.
-	rd, hw := trainFinal(t, lstmCfg(0, 2, true, false))
-	ri, iw := trainFinal(t, lstmCfg(4, 2, true, true))
-	assertRunsIdentical(t, "lstm hierarchical interleave-vs-det", rd, ri)
-	if !sameBits(hw, iw) {
-		t.Error("lstm hierarchical: final weights differ between interleaved and deterministic runs")
-	}
-}
-
-// TestLSTMInterleaveOverTCP: the LSTM interleaved launch over real loopback
-// sockets matches the in-process fabric bitwise.
-func TestLSTMInterleaveOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp integration")
-	}
-	cfg := lowered(quickCfg("lstm", "a2sgd", 3), "a2sgd", fourBucketBytes, 0, true)
-	cfg.Interleave = true
-	inproc, wantW := trainFinal(t, cfg)
-	tcp := cfg
-	tcp.GroupRunner = tcpRunner
-	rt, w := trainFinal(t, tcp)
-	assertRunsIdentical(t, "lstm interleave tcp-vs-inproc", inproc, rt)
-	if !sameBits(w, wantW) {
-		t.Error("lstm: final weights differ between tcp and inproc")
-	}
-}
-
-// TestConcurrentInterleaveOverTCP runs the most aggressive mode — concurrent
-// contexts plus backprop-interleaved launch — over real loopback sockets and
-// checks it matches the in-process fabric bitwise. This exercises the TCP
-// transport's tag matcher under genuinely interleaved wire traffic.
-func TestConcurrentInterleaveOverTCP(t *testing.T) {
-	if testing.Short() {
-		t.Skip("tcp integration")
-	}
-	inproc, wantW := trainFinal(t, concCfg("a2sgd", 3, 4, true))
-	tcp := concCfg("a2sgd", 3, 4, true)
-	tcp.GroupRunner = tcpRunner
-	rt, w := trainFinal(t, tcp)
-	assertRunsIdentical(t, "a2sgd concurrent+interleave tcp-vs-inproc", inproc, rt)
-	if !sameBits(w, wantW) {
-		t.Error("final weights differ between tcp and inproc")
 	}
 }
 
@@ -175,19 +124,5 @@ func TestConcurrencyValidation(t *testing.T) {
 	cfg.Concurrency = 99
 	if _, err := Train(cfg); err == nil {
 		t.Error("Concurrency beyond comm.MaxConcurrency must fail")
-	}
-}
-
-// TestConcurrentHierarchical: tag-space contexts compose with the two-level
-// topology (each shadow context replays the splits); the hierarchical
-// concurrent run must match the hierarchical deterministic run bitwise.
-func TestConcurrentHierarchical(t *testing.T) {
-	det := lowered(concCfg("a2sgd", 4, 0, false), "a2sgd", fourBucketBytes, 2, true)
-	rd, wantW := trainFinal(t, det)
-	conc := lowered(concCfg("a2sgd", 4, 4, true), "a2sgd", fourBucketBytes, 2, true)
-	rc, w := trainFinal(t, conc)
-	assertRunsIdentical(t, "a2sgd hierarchical concurrent-vs-det", rd, rc)
-	if !sameBits(w, wantW) {
-		t.Error("final weights differ between hierarchical concurrent and deterministic runs")
 	}
 }

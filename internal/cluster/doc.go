@@ -50,9 +50,14 @@
 // operation run inline. pipeline.wait joins the step's exchanges, each of
 // which has reconstructed into its bucket's view. The step chooses only the
 // launch order: ascending after the backward pass, descending from inside it
-// under Config.Interleave. Overlapped runs are bitwise identical to
-// synchronous ones for a fixed seed and bucket plan, because the progress
-// worker executes the same collectives in the same order.
+// under Config.Interleave. Overlapped, interleaved and concurrent runs are
+// bitwise identical to synchronous ones for a fixed seed and bucket plan,
+// because every bucket's exchange runs the same collectives on the same
+// operands whenever it is launched. The proof is one reference, not a
+// comparison of modes: internal/core's TestTrainMatchesAlgorithm1 trains P
+// replicas with one plain loop per row of PAPER.md's Algorithm 1 and holds
+// Train's FinalParams and epoch record to it bit for bit, in every mode, on
+// both fabrics and every family.
 //
 // A whole-model combine (ROADMAP item 1: the paper's exact µ± from per-bucket
 // partial sums, one message per step) would sit in the pipeline, after the
@@ -67,7 +72,8 @@
 // node leaders, intra-node broadcast; consecutive ranks share a node.
 // Hierarchical runs are convergence-equivalent to flat runs (float
 // tolerance — the reduction order differs) and deterministic for a fixed
-// seed and topology. netsim.TwoTier prices the matching two-tier fabric;
+// seed and topology: the same Algorithm 1 reference, summing in comm's
+// written two-level order, holds them bit for bit. netsim.TwoTier prices the matching two-tier fabric;
 // every Result.ModeledIterSec* helper accepts it.
 //
 // # Cost accounting

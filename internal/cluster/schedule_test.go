@@ -20,52 +20,6 @@ func fnn3Segments(t *testing.T) []nn.Segment {
 	return m.ParamSegments()
 }
 
-// TestScheduleLoweringBitwiseIdentical is the schedule-conformance pin: for
-// every (policy, bucket, topology) configuration, the schedule plan.Lower
-// writes down over the family's segments at the run's worker count and the
-// worker-agnostic one the Lower helper returns train bitwise-identically
-// (per-epoch losses and metrics), and the run obeys the schedule — bucket
-// count, overlap, topology and policy all come from it.
-func TestScheduleLoweringBitwiseIdentical(t *testing.T) {
-	segs := fnn3Segments(t)
-	cases := []struct {
-		name             string
-		policy           string
-		bucket, topology int
-		overlap          bool
-	}{
-		{"whole-model a2sgd", "uniform(a2sgd)", 0, 0, false},
-		{"bucketed qsgd overlap", "uniform(qsgd)", fourBucketBytes, 0, true},
-		{"mixed hierarchical", "mixed(big=a2sgd, small=dense, threshold=8KiB)", fourBucketBytes, 2, true},
-	}
-	for _, tc := range cases {
-		pol, err := compress.ParsePolicy(tc.policy)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cfg := quickCfg("fnn3", "dense", 4)
-		cfg.Schedule = plan.Lower(segs, pol, tc.bucket, tc.topology, tc.overlap, cfg.Workers)
-		explicit, err := Train(cfg)
-		if err != nil {
-			t.Fatalf("%s plan.Lower: %v", tc.name, err)
-		}
-		helper, err := Train(lowered(cfg, tc.policy, tc.bucket, tc.topology, tc.overlap))
-		if err != nil {
-			t.Fatalf("%s Lower: %v", tc.name, err)
-		}
-		assertRunsIdentical(t, tc.name+" plan.Lower-vs-Lower", explicit, helper)
-		for _, res := range []*Result{explicit, helper} {
-			if res.Buckets != cfg.Schedule.NumBuckets() || res.Overlap != tc.overlap || res.Topology != tc.topology {
-				t.Errorf("%s: run metadata %d/%v/%d, schedule says %d/%v/%d", tc.name,
-					res.Buckets, res.Overlap, res.Topology, cfg.Schedule.NumBuckets(), tc.overlap, tc.topology)
-			}
-			if res.Policy != pol.Name() {
-				t.Errorf("%s: result policy %q, want %q", tc.name, res.Policy, pol.Name())
-			}
-		}
-	}
-}
-
 // TestAutoPlannedRunEndToEnd trains with a planner-built schedule on the
 // in-process fabric and checks the run obeys the schedule.
 func TestAutoPlannedRunEndToEnd(t *testing.T) {

@@ -238,6 +238,15 @@ func (w *worker) run() error {
 func (w *worker) boundary(g int) error {
 	cfg := &w.cfg
 	pause := cfg.StopStep > 0 && g == cfg.StopStep
+	if !pause {
+		// Tell step-aware transports (faultnet) that step g begins, so its
+		// step-scoped faults (crash/preempt/stall at step g) fire here, before
+		// this boundary's drain poll and snapshot: a rule at a checkpoint step
+		// stops the rank before that checkpoint exists, on every run. A
+		// StopStep pause runs no step g and advances nothing. A no-op on plain
+		// transports.
+		w.cm.AdvanceStep()
+	}
 	if cfg.Drain != nil && !pause && g > w.startStep &&
 		(cfg.CheckpointEvery <= 0 || g%cfg.CheckpointEvery == 0) {
 		w.drainFlag[0] = 0
@@ -290,10 +299,6 @@ func (w *worker) step(g int) error {
 		w.txt.SampleInto(w.sampleRNG, cfg.BatchPerWorker, cfg.SeqLen, &w.batch)
 	}
 	batch := w.batch
-	// Tell step-aware transports (faultnet) a new training step begins, so
-	// step-scoped faults (crash/stall at step k) fire on the step boundary.
-	// A no-op on plain transports.
-	w.cm.AdvanceStep()
 	w.model.ZeroGrads()
 	bounds := p.bk.Bounds()
 	nb := len(bounds) - 1

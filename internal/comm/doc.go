@@ -95,6 +95,35 @@
 // ring_oracle_test.go holds both collectives to a naive reference of this
 // order, bit for bit.
 //
+// # Recursive-doubling order
+//
+// Recursive doubling (AlgoRecursiveDoubling, and AlgoAuto below 4096
+// elements, on a communicator without a topology) also has one written order.
+// Let pow2 be the largest power of two ≤ P and rem = P − pow2. The fold: for
+// i < rem, rank 2i+1 sends its vector to rank 2i, which takes v = v + partner,
+// one float32 add per element, and continues as new rank i; rank q ≥ 2·rem
+// continues as new rank q − rem. The mask rounds: for mask = 1, 2, …, pow2/2,
+// new rank n exchanges with new rank n XOR mask and takes v = v + partner.
+// Float32 addition commutes, so both partners of a round hold the same bits
+// and every active rank ends with new rank 0's vector. The unfold: rank 2i
+// sends it to rank 2i+1. AllreduceMean then multiplies every element by
+// float32(1/P), one more rounding. ring_oracle_test.go holds both collectives
+// to a naive reference of this order, bit for bit.
+//
+// # Two-level order
+//
+// Under SetTopology(k), node j is ranks jk up to (j+1)k, and its first rank is
+// the leader. AllreduceSum and AllreduceMean then run four phases. First, a
+// binomial reduce into the leader: for mask = 1, 2, 4, …, a node rank with the
+// mask bit set sends its vector to node rank − mask and stops, and the others
+// take v = v + partner from node rank + mask where it exists. Second, the
+// leaders, in node order, run AllreduceSum among themselves in the order the
+// caller's algorithm picks for a flat group of that size (AlgoAuto by length).
+// Third, each leader broadcasts the bits to its node. Fourth, AllreduceMean
+// multiplies by float32(1/P), P the whole group, once. internal/core's
+// Algorithm 1 reference (algorithm1_test.go) follows this order, and the
+// training runtime is held to it bit for bit.
+//
 // # Failure contract: deadlines, retry, typed errors
 //
 // Transport failures surface as *PeerError values carrying the peer rank, the

@@ -157,7 +157,7 @@ func (c *Communicator) SetRetry(p RetryPolicy) {
 // Stepper is the optional capability of transports that track the training
 // step counter for step-scoped fault scenarios (faultnet's crash/stall
 // rules). The training loop calls Communicator.AdvanceStep once at the top
-// of every step.
+// of every step, before that step's boundary (drain poll, snapshot).
 type Stepper interface {
 	AdvanceStep()
 }

@@ -29,8 +29,8 @@
 //     or a wall-clock window) — injected before the base send, so the
 //     communicator's retry policy can reissue them safely.
 //   - crash/stall rules fire when the rank's step counter (advanced by
-//     cluster.Train via comm.Communicator.AdvanceStep) reaches the rule's
-//     step: a crash invokes the mesh's kill hook (inproc Kill / tcpnet
+//     cluster.Train via comm.Communicator.AdvanceStep at the top of each
+//     step's boundary, before its snapshot) reaches the rule's step: a crash invokes the mesh's kill hook (inproc Kill / tcpnet
 //     Close) so every rank observes a peer-scoped failure; a stall silently
 //     drops the rank's sends, which only the peers' I/O deadlines can
 //     detect.

@@ -28,6 +28,13 @@ import (
 //	partition(groups=0-1|2-3, after=30ms, dur=25ms)
 //	seed(42) deadline(500ms) retry(attempts=10, backoff=1ms, max=50ms)
 //
+// crash, stall and preempt fire when the rank starts step K: at the top of
+// the training loop's boundary K, before that boundary's drain poll and
+// snapshot. A rule whose step is a checkpoint boundary therefore stops the
+// rank before that checkpoint is taken, and an elastic job resumes from the
+// previous one. A segment that pauses at StopStep K runs no step K, so a rule
+// at K fires in the segment that resumes there.
+//
 // Links are undirected rank pairs: `0-1`, `2-*` (any link touching rank 2)
 // or `*` (every link). A partition lists each rank on one side only, and a
 // loss/dup/reorder probability p lies in (0, 1]; CheckWorld rejects a rule

@@ -318,12 +318,12 @@ func TestReshardedResumeDeterministic(t *testing.T) {
 // of an uninterrupted (N−1)-rank run launched from the same resharded
 // snapshot.
 //
-// The checkpoint boundary (step 4) is kept strictly before the crash step:
-// when they coincide, the crashing rank can exit the snapshot barrier and
-// kill the fabric while other ranks are still inside it, so whether the
-// boundary snapshot lands is a scheduling race. With one full step between
-// boundary and crash, the crashing rank's step-4 collectives cannot complete
-// until every rank has left the barrier, so the snapshot is deterministic.
+// The checkpoint boundary (step 4) is kept strictly before the crash step: a
+// rule at a checkpoint step fires before that boundary's snapshot
+// (TestElasticFaultAtCheckpointDeterministic), which would leave step 0 as the
+// last snapshot. With one full step between boundary and crash, the crashing
+// rank's step-4 collectives cannot complete until every rank has left the
+// barrier, so the step-4 snapshot is deterministic.
 func TestElasticCrashMatchesReshardedRun(t *testing.T) {
 	cfg := testConfig("fnn3", "topk(density=0.05)", 4)
 	cfg.CheckpointEvery = 4
@@ -381,6 +381,32 @@ func keysOf(m map[string]*cluster.RunState) []string {
 		ks = append(ks, k)
 	}
 	return ks
+}
+
+// TestElasticFaultAtCheckpointDeterministic: a step-scoped rule at a
+// checkpoint step fires at the top of that boundary, before its snapshot, so
+// the job has one outcome: the boundary-5 snapshot never exists, the job
+// resumes from step 0 at world 3 and the preempted rank rejoins at 5. Ten runs
+// must end with the same events and the same weights, bit for bit.
+func TestElasticFaultAtCheckpointDeterministic(t *testing.T) {
+	cfg := testConfig("fnn3", "a2sgd", 4)
+	cfg.Epochs, cfg.StepsPerEpoch, cfg.BatchPerWorker, cfg.Seed, cfg.CheckpointEvery = 1, 10, 8, 1, 5
+	var want []float32
+	for run := 0; run < 10; run++ {
+		job := &Job{Config: cfg, Scenario: faultnet.MustParse("deadline(2s) preempt(rank=3, step=5)")}
+		rr, err := job.Run()
+		if err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+		if got := fmt.Sprint(rr.Events); got != "[{0 0 4 start} {1 0 3 preempt(rank=3)} {2 5 4 rejoin}]" {
+			t.Fatalf("run %d: events %s", run, got)
+		}
+		if run == 0 {
+			want = rr.Result.FinalParams
+		} else if !sameBits(rr.Result.FinalParams, want) {
+			t.Fatalf("run %d: final weights differ from run 0's", run)
+		}
+	}
 }
 
 // TestElasticPreemptRejoins shrinks on the preemption, pauses at the next
