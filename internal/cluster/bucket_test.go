@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 
+	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/netsim"
 )
@@ -99,6 +100,14 @@ func TestPerBucketSeedsDiffer(t *testing.T) {
 	if len(seeds) != 2*res.Buckets {
 		t.Errorf("%d distinct seeds over %d (rank, bucket) instances", len(seeds), 2*res.Buckets)
 	}
+}
+
+// TestOverlapOverTCP runs the overlapped bucket pipeline over real loopback
+// sockets and checks it matches the in-process fabric bitwise.
+func TestOverlapOverTCP(t *testing.T) {
+	tcp := bucketCfg("a2sgd", 3, fourBucketBytes, true)
+	tcp.GroupRunner = tcpnet.RunGroup
+	trainPair(t, "a2sgd overlap tcp-vs-inproc", bucketCfg("a2sgd", 3, fourBucketBytes, true), tcp)
 }
 
 // TestOverlapModeledCheaperThanSerial: the overlap-aware iteration price

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"a2sgd/internal/comm/tcpnet"
 	_ "a2sgd/internal/core" // registers a2sgd and its ablation variants
 	"a2sgd/internal/data"
 	"a2sgd/internal/models"
@@ -279,6 +280,25 @@ func TestHistogramCapture(t *testing.T) {
 		if h.Total() != int64(res.NumParams) {
 			t.Errorf("hist %d covers %d values, want %d", i, h.Total(), res.NumParams)
 		}
+	}
+}
+
+// TestDeterministicReplay: the same seed gives bit-identical epochs and final
+// weights (the dense path is deterministic).
+func TestDeterministicReplay(t *testing.T) {
+	trainPair(t, "dense replay", quickCfg("fnn3", "dense", 2), quickCfg("fnn3", "dense", 2))
+}
+
+// TestTrainingOverTCPDense: dense training over real loopback sockets matches
+// the in-process fabric bit for bit.
+func TestTrainingOverTCPDense(t *testing.T) {
+	cfg := quickCfg("fnn3", "dense", 2)
+	cfg.Epochs, cfg.StepsPerEpoch, cfg.BatchPerWorker = 2, 3, 4
+	tcp := cfg
+	tcp.GroupRunner = tcpnet.RunGroup
+	ri, rt := trainPair(t, "dense tcp-vs-inproc", cfg, tcp)
+	if len(ri.Epochs) != 2 || len(rt.Epochs) != 2 {
+		t.Fatalf("epochs %d/%d, want 2", len(ri.Epochs), len(rt.Epochs))
 	}
 }
 

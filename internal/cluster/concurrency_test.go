@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 
+	"a2sgd/internal/comm/tcpnet"
 	"a2sgd/internal/compress"
 	"a2sgd/internal/plan"
 )
@@ -34,31 +35,35 @@ func sameBits(a, b []float32) bool {
 	return slices.EqualFunc(a, b, func(x, y float32) bool { return math.Float32bits(x) == math.Float32bits(y) })
 }
 
-// TestConcurrencyMatrixBitwise is the mode-equivalence matrix for what
-// internal/core's Algorithm 1 reference (TestTrainMatchesAlgorithm1) does not
-// model: qsgd's stochastic rounding, topk's sparse exchange, the mixed policy,
-// and plan.Lower's schedule beside the one Lower writes down for the same
-// knobs. Each row trains a serial (or, for plan.Lower, the row's overlap) base
-// and a variant — overlapped; concurrent (overlap, interleave, 4 contexts); or
-// on plan.Lower's schedule — and requires the same epochs and final weights bit
-// for bit, both runs to report the base schedule's buckets, topology and
-// policy, and each its own schedule's overlap.
-func TestConcurrencyMatrixBitwise(t *testing.T) {
-	const mixed = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
-	for _, tc := range []struct {
-		policy                string
-		workers, bucket, topo int
-		overlap               bool
-		variant               string
-	}{
-		{"qsgd", 2, 0, 0, false, "overlap"},
-		{"topk", 2, 0, 0, false, "overlap"},
-		{"qsgd", 4, fourBucketBytes, 0, false, "concurrent"},
-		{mixed, 4, fourBucketBytes, 2, false, "concurrent"},
-		{"uniform(a2sgd)", 4, 0, 0, false, "plan.Lower"},
-		{"uniform(qsgd)", 4, fourBucketBytes, 0, true, "plan.Lower"},
-		{mixed, 4, fourBucketBytes, 2, true, "plan.Lower"},
-	} {
+// trainPair trains a and b and requires the same epochs and final weights bit
+// for bit; it returns both results for further checks.
+func trainPair(t *testing.T, label string, a, b Config) (*Result, *Result) {
+	t.Helper()
+	ra, wa := trainFinal(t, a)
+	rb, wb := trainFinal(t, b)
+	if !slices.Equal(ra.Epochs, rb.Epochs) || !sameBits(wa, wb) {
+		t.Errorf("%s: the runs differ: epochs %+v vs %+v", label, ra.Epochs, rb.Epochs)
+	}
+	return ra, rb
+}
+
+// pairRow is one row of a pairwise table: fnn3 on the schedule Lower writes
+// for policy and the knobs, and a variant of it.
+type pairRow struct {
+	policy                string
+	workers, bucket, topo int
+	overlap               bool
+	variant               string
+}
+
+// holdPairs trains each row's serial (or, for plan.Lower, the row's overlap)
+// base and its variant — overlapped; concurrent (overlap, interleave, 4
+// contexts); or on plan.Lower's schedule — and requires the same epochs and
+// final weights bit for bit, both runs to report the base schedule's buckets,
+// topology and policy, and each its own schedule's overlap.
+func holdPairs(t *testing.T, rows []pairRow) {
+	t.Helper()
+	for _, tc := range rows {
 		base := lowered(quickCfg("fnn3", "dense", tc.workers), tc.policy, tc.bucket, tc.topo, tc.overlap)
 		v := lowered(base, tc.policy, tc.bucket, tc.topo, true)
 		switch tc.variant {
@@ -72,11 +77,7 @@ func TestConcurrencyMatrixBitwise(t *testing.T) {
 			v.Schedule = plan.Lower(fnn3Segments(t), pol, tc.bucket, tc.topo, tc.overlap, tc.workers)
 		}
 		label := tc.policy + " " + tc.variant
-		rb, wb := trainFinal(t, base)
-		rv, wv := trainFinal(t, v)
-		if !slices.Equal(rb.Epochs, rv.Epochs) || !sameBits(wb, wv) {
-			t.Errorf("%s: the runs differ: epochs %+v vs %+v", label, rb.Epochs, rv.Epochs)
-		}
+		rb, rv := trainPair(t, label, base, v)
 		s := base.Schedule
 		for _, res := range []*Result{rb, rv} {
 			if res.Buckets != s.NumBuckets() || res.Topology != s.Topology || res.Policy != s.Policy {
@@ -88,6 +89,32 @@ func TestConcurrencyMatrixBitwise(t *testing.T) {
 			t.Errorf("%s: overlap %v/%v, schedules say %v/%v", label, rb.Overlap, rv.Overlap, s.Overlap, v.Schedule.Overlap)
 		}
 	}
+}
+
+// mixedPolicy is a per-bucket policy the Algorithm 1 reference does not model.
+const mixedPolicy = "mixed(big=a2sgd, small=dense, threshold=8KiB)"
+
+// TestConcurrencyMatrixBitwise is the mode-equivalence matrix for what
+// internal/core's Algorithm 1 reference (TestTrainMatchesAlgorithm1) does not
+// model: qsgd's stochastic rounding, topk's sparse exchange and the mixed
+// policy, each serial against overlapped or concurrent.
+func TestConcurrencyMatrixBitwise(t *testing.T) {
+	holdPairs(t, []pairRow{
+		{"qsgd", 2, 0, 0, false, "overlap"},
+		{"topk", 2, 0, 0, false, "overlap"},
+		{"qsgd", 4, fourBucketBytes, 0, false, "concurrent"},
+		{mixedPolicy, 4, fourBucketBytes, 2, false, "concurrent"},
+	})
+}
+
+// TestConcurrentInterleaveOverTCP runs the most aggressive mode — concurrent
+// contexts plus backprop-interleaved launch — over real loopback sockets and
+// checks it matches the in-process fabric bitwise. This exercises the TCP
+// transport's tag matcher under genuinely interleaved wire traffic.
+func TestConcurrentInterleaveOverTCP(t *testing.T) {
+	tcp := concCfg("a2sgd", 3, 4, true)
+	tcp.GroupRunner = tcpnet.RunGroup
+	trainPair(t, "a2sgd concurrent+interleave tcp-vs-inproc", concCfg("a2sgd", 3, 4, true), tcp)
 }
 
 // TestHistogramCaptureUnderInterleave: capture steps fall back to the

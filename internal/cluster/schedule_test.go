@@ -20,6 +20,19 @@ func fnn3Segments(t *testing.T) []nn.Segment {
 	return m.ParamSegments()
 }
 
+// TestScheduleLoweringBitwiseIdentical is the schedule-conformance pin: the
+// schedule plan.Lower writes down over the family's segments at the run's
+// worker count and the worker-agnostic one Lower returns train bitwise
+// identically, and the run obeys the schedule — bucket count, overlap,
+// topology and policy all come from it.
+func TestScheduleLoweringBitwiseIdentical(t *testing.T) {
+	holdPairs(t, []pairRow{
+		{"uniform(a2sgd)", 4, 0, 0, false, "plan.Lower"},
+		{"uniform(qsgd)", 4, fourBucketBytes, 0, true, "plan.Lower"},
+		{mixedPolicy, 4, fourBucketBytes, 2, true, "plan.Lower"},
+	})
+}
+
 // TestAutoPlannedRunEndToEnd trains with a planner-built schedule on the
 // in-process fabric and checks the run obeys the schedule.
 func TestAutoPlannedRunEndToEnd(t *testing.T) {
