@@ -182,8 +182,6 @@ type TrainConfig struct {
 	Seed uint64
 	// Momentum for the SGD optimizer (Table 1 runs use 0.9).
 	Momentum float32
-	// HistIters captures Figure-1 gradient histograms at these steps.
-	HistIters []int
 	// TCP runs the worker group over real loopback TCP sockets instead of
 	// the in-process channel fabric. Results are identical (the collectives
 	// are transport agnostic); this exercises the network stack end to end.
@@ -305,7 +303,6 @@ func lower(tc TrainConfig) (cfg cluster.Config, sc *faultnet.Scenario, auto *aut
 		BatchPerWorker:  tc.BatchPerWorker,
 		Seed:            cmp.Or(tc.Seed, 1),
 		Momentum:        tc.Momentum,
-		HistIters:       tc.HistIters,
 		LRScale:         tc.LRScale,
 		Concurrency:     tc.Concurrency,
 		Interleave:      tc.Interleave,

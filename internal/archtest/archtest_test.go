@@ -180,7 +180,7 @@ func stopped(err error) bool { return errors.Is(err, comm.ErrGroupStop) }
 // list. Fields, flags and rule names are in source order, other names sorted.
 var settable = map[string][]string{
 	"a2sgd.TrainConfig fields": {"Family", "Spec", "Workers", "Epochs", "StepsPerEpoch", "BatchPerWorker",
-		"Seed", "Momentum", "HistIters", "TCP", "Faults", "LRScale", "BucketBytes", "Overlap", "Concurrency",
+		"Seed", "Momentum", "TCP", "Faults", "LRScale", "BucketBytes", "Overlap", "Concurrency",
 		"Interleave", "Topology", "CheckpointEvery", "SnapshotPath", "ResumePath", "Schedule"},
 	"cmd/a2sgdbench flags": {"experiment", "maxn", "scale", "workers", "epochs", "steps", "fabric", "buckets",
 		"topology", "algos", "chaosseed", "chaostcp", "json", "compare", "comparetol"},

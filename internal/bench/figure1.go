@@ -33,15 +33,23 @@ func Figure1(w io.Writer, epochs, stepsPerEpoch int, render bool) ([]Figure1Resu
 
 	var out []Figure1Result
 	for _, fam := range []string{"fnn3", "resnet20"} {
-		res, err := a2sgd.Train(a2sgd.TrainConfig{
+		// The captures are a harness concern, not a training setting: the
+		// job's lowered cluster.Config takes them, and a fault-free job trains
+		// what a2sgd.Train trains.
+		job, err := a2sgd.NewJob(a2sgd.TrainConfig{
 			Workers: 1, Family: fam, Spec: "dense",
 			Epochs: epochs, StepsPerEpoch: stepsPerEpoch,
 			BatchPerWorker: 32, Seed: 11, Momentum: 0.9,
-			HistIters: iters,
 		})
 		if err != nil {
 			return nil, err
 		}
+		job.Config.HistIters = iters
+		rr, err := job.Run()
+		if err != nil {
+			return nil, err
+		}
+		res := rr.Result
 		r := Figure1Result{Family: fam, Iters: iters, Histograms: res.Histograms}
 		for _, h := range res.Histograms {
 			r.PeakFracs = append(r.PeakFracs, h.PeakFrac())

@@ -152,10 +152,12 @@ var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 
 // and the column gradient aᵀ×b over the whole batch, the weight gradient
 // a×bᵀ once per sample), the float64 panels those weight gradients pack
 // their tape into, the six convolutions' backward passes at batch 16, the
-// vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the two
-// benchmark models. Their n is elements (tensor/*), multiply-adds per
-// operation (gemm/*), pixels drawn (data/*) or parameters (nn/*); allocs/op
-// is part of the contract for all ten.
+// forward + backward passes of its batch norms, pools and ReLUs at batch 16,
+// the vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the
+// two benchmark models. Their n is elements (tensor/*, and the input
+// elements of the nn/batchnorm, maxpool and relu rows), multiply-adds per
+// operation (gemm/*), pixels drawn (data/*) or parameters (the other nn/*
+// rows); allocs/op is part of the contract for all thirteen.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
 	{
@@ -266,6 +268,45 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 				backward()
 			}
 		}))
+	}
+	{
+		// Forward + backward of the reduced vgg16's six batch norms and six
+		// ReLUs (one after each convolution) and of its four 2×2 pools, at
+		// batch 16; n is the layers' input elements.
+		const batch = 16
+		layerRow := func(name string, shapes []nn.Shape, layer func(nn.Shape) nn.Layer) {
+			var ls []nn.Layer
+			var xs, douts []*tensor.Mat
+			n := 0
+			for _, s := range shapes {
+				l := layer(s)
+				x := mat(batch, s.Size())
+				y := l.Forward(x, true)
+				ls, xs = append(ls, l), append(xs, x)
+				douts = append(douts, mat(batch, y.Cols))
+				n += batch * s.Size()
+			}
+			pass := func() {
+				for i, l := range ls {
+					l.Forward(xs[i], true)
+					l.Backward(douts[i])
+				}
+			}
+			pass() // warm-up: grows the layers' workspaces
+			add(name, n, 0, testing.Benchmark(func(bm *testing.B) {
+				for i := 0; i < bm.N; i++ {
+					pass()
+				}
+			}))
+		}
+		var convOut []nn.Shape
+		for i, in := range vggConvIn {
+			convOut = append(convOut, nn.Shape{C: vggConvShapes[i][0], H: in.H, W: in.W})
+		}
+		pooled := []nn.Shape{convOut[0], convOut[1], convOut[3], convOut[5]}
+		layerRow("nn/batchnorm-vgg16", convOut, func(s nn.Shape) nn.Layer { return nn.NewBatchNorm2D(s) })
+		layerRow("nn/maxpool-vgg16", pooled, func(s nn.Shape) nn.Layer { return nn.NewMaxPool2D(s, 2) })
+		layerRow("nn/relu-vgg16", convOut, func(nn.Shape) nn.Layer { return nn.NewReLU() })
 	}
 	for _, fam := range []string{"vgg16", "lstm"} {
 		m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})

@@ -400,7 +400,10 @@ func (m *MaxPool2D) Name() string { return fmt.Sprintf("MaxPool2D(k%d)", m.K) }
 // Params implements Layer.
 func (m *MaxPool2D) Params() []Param { return nil }
 
-// Forward implements Layer.
+// Forward implements Layer. Each sample's C planes of H rows pool as one
+// image of C·H rows (tensor.MaxPool): the first maximal element of a window
+// wins, NaN never does, and a window with nothing above −Inf gives −Inf and
+// routes its gradient to its first element.
 func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	m.rec.forward(train)
 	out := m.OutShape()
@@ -409,39 +412,11 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		m.argm = grow(m.argm, x.Rows*out.Size())
 	}
 	for s := 0; s < x.Rows; s++ {
-		in := x.Row(s)
-		dst := res.Row(s)
-		for ch := 0; ch < m.In.C; ch++ {
-			chIn := ch * m.In.H * m.In.W
-			chOut := ch * out.H * out.W
-			for oy := 0; oy < out.H; oy++ {
-				for ox := 0; ox < out.W; ox++ {
-					// The arg-max starts at the window's first element, so a
-					// window with no element above −Inf (all −Inf, all NaN)
-					// still routes its gradient into the window. The running
-					// maximum is carried as its bit pattern: with both updates
-					// on integers the compiler emits conditional moves, where
-					// a float assignment would branch — and mispredict.
-					best := math.Float32bits(float32(math.Inf(-1)))
-					bi := chIn + oy*m.K*m.In.W + ox*m.K
-					for ky := 0; ky < m.K; ky++ {
-						base := chIn + (oy*m.K+ky)*m.In.W + ox*m.K
-						for kx, v := range in[base : base+m.K] {
-							vb, idx := math.Float32bits(v), base+kx
-							if v > math.Float32frombits(best) {
-								best = vb
-								bi = idx
-							}
-						}
-					}
-					o := chOut + oy*out.W + ox
-					dst[o] = math.Float32frombits(best)
-					if train {
-						m.argm[s*out.Size()+o] = int32(bi)
-					}
-				}
-			}
+		var arg []int32
+		if train {
+			arg = m.argm[s*out.Size() : (s+1)*out.Size()]
 		}
+		tensor.MaxPool(res.Row(s), arg, x.Row(s), m.In.W, m.K)
 	}
 	return res
 }
@@ -523,12 +498,14 @@ type BatchNorm2D struct {
 	GGamma, GBeta   []float32
 	RunMean, RunVar []float32
 
-	// backward caches
-	xhat    buf
-	invStd  []float32
-	rows    int
-	res, dx buf
-	rec     record
+	// backward caches: x̂, the per-channel 1/σ and float32 mean, and the
+	// per-channel sums of the pass in flight (Σ, then Σ of products)
+	xhat         buf
+	invStd, mean []float32
+	sums         []float64
+	rows         int
+	res, dx      buf
+	rec          record
 }
 
 // NewBatchNorm2D builds a batch-norm layer over C channels.
@@ -560,7 +537,9 @@ func (b *BatchNorm2D) Params() []Param {
 // State implements Stateful: the running mean, then the running variance.
 func (b *BatchNorm2D) State() [][]float32 { return [][]float32{b.RunMean, b.RunVar} }
 
-// Forward implements Layer.
+// Forward implements Layer. Training statistics are per channel: Σx and
+// Σx² as float64 running sums in (sample, pixel) order (tensor.ChannelSums),
+// then the elementwise pass in float32 (tensor.Normalize).
 func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	b.rec.forward(train)
 	hw := b.In.H * b.In.W
@@ -581,72 +560,42 @@ func (b *BatchNorm2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	n := float64(x.Rows * hw)
 	b.rows = x.Rows
 	xhat := b.xhat.get(x.Rows, x.Cols).Data
-	if len(b.invStd) != b.In.C {
-		b.invStd = make([]float32, b.In.C)
-	}
-	for ch := 0; ch < b.In.C; ch++ {
-		var sum, sq float64
-		for s := 0; s < x.Rows; s++ {
-			in := x.Row(s)
-			for i := ch * hw; i < (ch+1)*hw; i++ {
-				v := float64(in[i])
-				sum += v
-				sq += v * v
-			}
-		}
-		mean := sum / n
-		variance := sq/n - mean*mean
+	c := b.In.C
+	b.invStd = grow(b.invStd, c)
+	b.mean = grow(b.mean, c)
+	b.sums = grow(b.sums, 2*c)
+	sum, sq := b.sums[:c], b.sums[c:]
+	tensor.ChannelSums(sum, sq, x.Data, x.Data, x.Rows, hw)
+	for ch := 0; ch < c; ch++ {
+		mean := sum[ch] / n
+		variance := sq[ch]/n - mean*mean
 		if variance < 0 {
 			variance = 0
 		}
-		inv := float32(1 / math.Sqrt(variance+float64(b.Eps)))
-		b.invStd[ch] = inv
+		b.invStd[ch] = float32(1 / math.Sqrt(variance+float64(b.Eps)))
+		b.mean[ch] = float32(mean)
 		b.RunMean[ch] = b.Momentum*b.RunMean[ch] + (1-b.Momentum)*float32(mean)
 		b.RunVar[ch] = b.Momentum*b.RunVar[ch] + (1-b.Momentum)*float32(variance)
-		g, be := b.Gamma[ch], b.Beta[ch]
-		for s := 0; s < x.Rows; s++ {
-			in, out := x.Row(s), res.Row(s)
-			base := s * x.Cols
-			for i := ch * hw; i < (ch+1)*hw; i++ {
-				xh := (in[i] - float32(mean)) * inv
-				xhat[base+i] = xh
-				out[i] = g*xh + be
-			}
-		}
 	}
+	tensor.Normalize(res.Data, xhat, x.Data, x.Rows, hw, b.mean, b.invStd, b.Gamma, b.Beta)
 	return res
 }
 
-// Backward implements Layer (standard batch-norm backward per channel).
+// Backward implements Layer (standard batch-norm backward per channel):
+// Σdy and Σdy·x̂ as float64 running sums in (sample, pixel) order, then
+// dx = γ·inv/n·(n·dy − Σdy − x̂·Σdy·x̂) in float32 (tensor.NormalizeGrad).
 func (b *BatchNorm2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	b.rec.check(b)
 	hw := b.In.H * b.In.W
-	n := float32(b.rows * hw)
+	c := b.In.C
 	dx := b.dx.get(dout.Rows, dout.Cols)
 	xhat := b.xhat.m.Data
-	for ch := 0; ch < b.In.C; ch++ {
-		var sumDy, sumDyXhat float64
-		for s := 0; s < dout.Rows; s++ {
-			do := dout.Row(s)
-			base := s * dout.Cols
-			for i := ch * hw; i < (ch+1)*hw; i++ {
-				dy := float64(do[i])
-				sumDy += dy
-				sumDyXhat += dy * float64(xhat[base+i])
-			}
-		}
-		b.GBeta[ch] += float32(sumDy)
-		b.GGamma[ch] += float32(sumDyXhat)
-		g := b.Gamma[ch]
-		inv := b.invStd[ch]
-		for s := 0; s < dout.Rows; s++ {
-			do, dxr := dout.Row(s), dx.Row(s)
-			base := s * dout.Cols
-			for i := ch * hw; i < (ch+1)*hw; i++ {
-				xh := xhat[base+i]
-				dxr[i] = g * inv / n * (n*do[i] - float32(sumDy) - xh*float32(sumDyXhat))
-			}
-		}
+	sumDy, sumDyXhat := b.sums[:c], b.sums[c:]
+	tensor.ChannelSums(sumDy, sumDyXhat, dout.Data, xhat, b.rows, hw)
+	for ch := 0; ch < c; ch++ {
+		b.GBeta[ch] += float32(sumDy[ch])
+		b.GGamma[ch] += float32(sumDyXhat[ch])
 	}
+	tensor.NormalizeGrad(dx.Data, dout.Data, xhat, b.rows, hw, b.Gamma, b.invStd, sumDy, sumDyXhat)
 	return dx
 }

@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 
 	"a2sgd/internal/tensor"
 )
@@ -85,33 +84,20 @@ func (r *ReLU) Name() string { return "ReLU" }
 func (r *ReLU) Params() []Param { return nil }
 
 // Forward implements Layer: out = x where x > 0, +0 elsewhere (−0 and NaN
-// included), computed on the bit patterns. x > 0 holds exactly when the
-// pattern lies in [1, +Inf's], i.e. when pattern−1 is below +Inf's pattern
-// as an unsigned number; the borrow of that comparison, smeared over the
-// word, is the keep mask.
+// included), on the bit patterns (tensor.ReLU).
 func (r *ReLU) Forward(x *tensor.Mat, train bool) *tensor.Mat {
-	const posInf = 0x7f800000
 	r.rec.forward(train)
 	out := r.out.get(x.Rows, x.Cols)
-	od := out.Data[:len(x.Data)]
-	for i, v := range x.Data {
-		b := math.Float32bits(v)
-		keep := uint32((uint64(b-1) - posInf) >> 32)
-		od[i] = math.Float32frombits(b & keep)
-	}
+	tensor.ReLU(out.Data[:len(x.Data)], x.Data)
 	return out
 }
 
 // Backward implements Layer. The mask is the layer's own output: it is
-// nonzero exactly where the input was positive.
+// nonzero exactly where the input was positive (tensor.ReLUGrad).
 func (r *ReLU) Backward(dout *tensor.Mat) *tensor.Mat {
 	r.rec.check(r)
 	dx := r.dx.get(dout.Rows, dout.Cols)
-	od, dd := r.out.m.Data[:len(dout.Data)], dx.Data[:len(dout.Data)]
-	for i, v := range dout.Data {
-		keep := uint32(-int64(math.Float32bits(od[i])) >> 63)
-		dd[i] = math.Float32frombits(math.Float32bits(v) & keep)
-	}
+	tensor.ReLUGrad(dx.Data[:len(dout.Data)], dout.Data, r.out.m.Data[:len(dout.Data)])
 	return dx
 }
 

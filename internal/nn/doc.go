@@ -67,6 +67,28 @@
 // channel-major copy of the input (or of its gradient); see Conv2D.shifted. Every family's gradients and losses
 // are pinned to the last bit by golden digests (internal/models).
 //
+// The other layers' orders are written down too, because the vector kernels
+// that run them on amd64 (tensor package comment, "Layer kernels") must
+// reproduce them:
+//
+//   - BatchNorm2D's statistics are per channel, each a float64 running sum
+//     from +0 over the channel's elements in (sample, pixel) order of the
+//     exactly converted values: Σx and Σx² forward, Σdy and Σdy·x̂ backward,
+//     each product exact in float64 (tensor.ChannelSums). The mean, the
+//     variance and 1/σ follow per channel in float64, then the elementwise
+//     passes in float32 with every operation rounded: x̂ = (x − µ)·inv,
+//     y = γ·x̂ + β (tensor.Normalize), and dx = k·((n·dy − Σdy) − x̂·Σdy·x̂)
+//     with k = γ·inv/n computed once per channel, left to right
+//     (tensor.NormalizeGrad).
+//   - MaxPool2D takes each window's elements in row-major order against a
+//     running best that starts at −Inf, replacing it on a strict >: the
+//     first maximal element wins a tie and receives the gradient, NaN never
+//     wins, and a window with nothing above −Inf (all −Inf, all NaN)
+//     outputs −Inf and routes its gradient to its first element
+//     (tensor.MaxPool).
+//   - ReLU outputs x where x > 0 and +0 elsewhere (−0 and NaN included),
+//     and passes dy where its output is nonzero (tensor.ReLU, ReLUGrad).
+//
 // # One flattened layout
 //
 // Params() order is the layout; position is identity; views move everything.

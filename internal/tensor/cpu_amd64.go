@@ -4,9 +4,9 @@ package tensor
 
 // cpuAVX, cpuAVX2 and cpuFMA are read from CPUID once, when the package
 // initializes, and are the only thing the choice between kernel variants
-// depends on (gemmVariants, signedVariants, transKernels): the 256-bit
-// kernels need one of these, and without it the operation runs its portable
-// kernel. The SSE2 kernels of the elementwise loops need nothing: SSE2 is the
+// depends on (gemmVariants, signedVariants, layerVariants, transKernels):
+// the 256-bit kernels need some of these, and without them the operation
+// runs its portable kernel. The SSE2 kernels of the elementwise loops need nothing: SSE2 is the
 // amd64 baseline.
 var cpuAVX, cpuAVX2, cpuFMA = cpuFeatures()
 

@@ -4,20 +4,25 @@ package tensor
 
 // Vector micro-kernels for Gemm (gemm_amd64.s). They hold the same eight
 // accumulators as the portable kernels in gemm.go — eight (Single) or four
-// (Wide) output elements per 256-bit register — and issue a separate
-// multiply and add per term, never a fused one, so the bits are those of the
-// portable kernels and of the specification on GemmAdd. The variant's Wide
-// panel packer only moves exact copies, so it is pack64 bit for bit. They
-// use AVX only (VBROADCASTSS/SD, VMULPx, VADDPx, VUNPCKxPx, VCVTPS2PD — no
-// AVX2, no FMA) and are selected when CPUID reports AVX and the OS saves the
-// YMM state; any other amd64 CPU runs the portable kernels.
+// (Wide) output elements per 256-bit register — and take the terms in the
+// same order, so the bits are those of the portable kernels and of the
+// specification on GemmAdd. Single issues a separate multiply and add per
+// term. Wide fuses them (VFMADD231PD), which is exact: each term is the
+// product of two float32 values converted to float64, 24 × 24 significant
+// bits in at most 48, with an exponent float64 holds without underflow or
+// overflow, so the product is exact and the fused add rounds the sum the
+// separate add rounds. The variant's Wide panel packer only moves exact
+// copies, so it is pack64 bit for bit. They use AVX (VBROADCASTSS/SD,
+// VMULPS, VADDPx, VUNPCKxPx, VCVTPS2PD) and FMA, no AVX2, and are selected
+// when CPUID reports AVX and FMA and the OS saves the YMM state; any other
+// amd64 CPU runs the portable kernels.
 
 var gemmAVX = gemmVariant{name: "avx", id: 1, nr: 16, nrWide: 8}
 
 // gemmVariants lists every kernel variant this binary can run on this CPU,
 // narrowest first.
 func gemmVariants() []gemmVariant {
-	if cpuAVX {
+	if cpuAVX && cpuFMA {
 		return []gemmVariant{gemmPortable, gemmAVX}
 	}
 	return []gemmVariant{gemmPortable}

@@ -3,10 +3,13 @@
 #include "textflag.h"
 
 // AVX micro-kernels for Gemm and the packer of its Wide panels. See
-// gemm_amd64.go for the contract: one accumulator per output element,
-// separate VMULPS/VADDPS (VMULPD/VADDPD) per term in ascending k, lanes never
-// hold partial sums; the packer only moves exact copies. AVX only: no AVX2
-// instruction, no FMA.
+// gemm_amd64.go for the contract: one accumulator per output element, terms
+// in ascending k, lanes never hold partial sums; the packer only moves exact
+// copies. Single issues a separate VMULPS and VADDPS per term. Wide issues
+// one VFMADD231PD per term: its operands are float32 values converted to
+// float64, whose product is exact in float64 (48 significant bits, exponent
+// in range), so the fused add rounds the same sum the separate multiply and
+// add round. AVX and FMA, no AVX2 instruction.
 
 // func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //
@@ -117,7 +120,8 @@ a32set:
 // The same shape in float64: row r of the 4×8 tile accumulates in Y(2r)
 // (columns 0-3) and Y(2r+1) (columns 4-7). Per step the B panel holds eight
 // doubles and the A panel four, one per row, 8 bytes apart; VBROADCASTSD
-// reads each A value. The finished sums are rounded once (VCVTPD2PS), joined
+// reads each A value and one VFMADD231PD per half-row adds its exact
+// products. The finished sums are rounded once (VCVTPD2PS), joined
 // into one float32 row (VINSERTF128), and stored or added as float32.
 TEXT ·gemmKernel64AVX(SB), NOSPLIT, $0-41
 	MOVQ   k+0(FP), CX
@@ -137,28 +141,20 @@ TEXT ·gemmKernel64AVX(SB), NOSPLIT, $0-41
 	JZ     a64store
 
 a64loop:
-	VMOVUPS (DI), Y8
-	VMOVUPS 32(DI), Y9
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
 	VBROADCASTSD (SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y11, Y0, Y0
-	VADDPD       Y12, Y1, Y1
+	VFMADD231PD  Y8, Y10, Y0
+	VFMADD231PD  Y9, Y10, Y1
 	VBROADCASTSD 8(SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y11, Y2, Y2
-	VADDPD       Y12, Y3, Y3
+	VFMADD231PD  Y8, Y10, Y2
+	VFMADD231PD  Y9, Y10, Y3
 	VBROADCASTSD 16(SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y11, Y4, Y4
-	VADDPD       Y12, Y5, Y5
+	VFMADD231PD  Y8, Y10, Y4
+	VFMADD231PD  Y9, Y10, Y5
 	VBROADCASTSD 24(SI), Y10
-	VMULPD       Y8, Y10, Y11
-	VMULPD       Y9, Y10, Y12
-	VADDPD       Y11, Y6, Y6
-	VADDPD       Y12, Y7, Y7
+	VFMADD231PD  Y8, Y10, Y6
+	VFMADD231PD  Y9, Y10, Y7
 	ADDQ $32, SI
 	ADDQ $64, DI
 	DECQ CX

@@ -246,6 +246,40 @@ func TestGemmMatchesOracleLargeShapes(t *testing.T) {
 	}
 }
 
+// Operands at both ends of float32's range: subnormals, whose products
+// underflow float32 but not float64, and magnitudes near the largest
+// finite float32, whose products and sums overflow float32 but not
+// float64. A Wide term is the exact float64 product either way, so the
+// AVX variant's fused multiply-add must give the oracle's bits here too.
+func TestGemmMatchesOracleExtremeOperands(t *testing.T) {
+	rng := NewRNG(47)
+	extreme := func(n int) []float32 {
+		v := make([]float32, n)
+		for i := range v {
+			sign := uint32(rng.Intn(2)) << 31
+			switch rng.Intn(3) {
+			case 0:
+				v[i] = math.Float32frombits(sign | uint32(1+rng.Intn(0x7fffff))) // subnormal
+			case 1:
+				v[i] = math.Float32frombits(sign | uint32(0x7f000000+rng.Intn(0x7fffff))) // ≥ 1.7e38
+			default:
+				v[i] = rng.Float32() - 0.5
+			}
+		}
+		return v
+	}
+	for _, s := range [][3]int{{4, 8, 27}, {5, 9, 33}, {8, 16, 72}, {1, 24, 144}, {13, 11, 7}} {
+		m, n, k := s[0], s[1], s[2]
+		g := &gemmCase{m: m, n: n, k: k, a: extreme(m * k), b: extreme(k * n), c0: extreme(m * n)}
+		for _, f := range legacyForms {
+			for _, prec := range []Precision{Single, Wide} {
+				g.transA, g.transB, g.prec, g.add = f.transA, f.transB, prec, prec == Wide
+				g.run(t)
+			}
+		}
+	}
+}
+
 // A Wide product taller than one packed block and a product above the
 // row-parallel threshold: the block and worker seams must not show.
 func TestGemmBlockedAndParallel(t *testing.T) {

@@ -1,0 +1,228 @@
+package tensor
+
+import "math"
+
+// Layer kernels: the per-element loops of batch normalization, the k×k max
+// pool and the rectifier, on the layouts nn gives them — a batch of rows,
+// each row C channel planes of hw elements (hw = H·W), plane c of row s at
+// [s·C·hw + c·hw, s·C·hw + (c+1)·hw). Every operation is specified by the
+// scalar loop of its portable kernel below ("Layer kernels" in the package
+// comment); the vector kernels (layer_amd64.s) give its bits.
+
+// layerVariant is one implementation of the layer kernels. Every variant
+// computes the same bits; they differ in how many elements an instruction
+// handles.
+type layerVariant struct {
+	name string
+	// channelSums is ChannelSums over the first len(sum) channels of a
+	// layout whose row holds stride elements.
+	channelSums func(sum, dot []float64, a, b []float32, rows, hw, stride int)
+	// normalize and normalizeGrad are Normalize and NormalizeGrad over one
+	// channel: rows runs of hw elements, stride apart, with that channel's
+	// constants.
+	normalize     func(y, xhat, x []float32, rows, hw, stride int, mean, inv, gamma, beta float32)
+	normalizeGrad func(dx, dy, xhat []float32, rows, hw, stride int, k, n, sdy, sdyx float32)
+	// maxPool2 is MaxPool with k = 2.
+	maxPool2 func(dst []float32, arg []int32, src []float32, w int)
+	// relu and reluGrad are ReLU and ReLUGrad.
+	relu     func(dst, src Vec)
+	reluGrad func(dst, dy, out Vec)
+}
+
+var (
+	layerPortable = layerVariant{
+		name: "portable", channelSums: channelSumsScalar,
+		normalize: normalizeScalar, normalizeGrad: normalizeGradScalar,
+		maxPool2: func(dst []float32, arg []int32, src []float32, w int) { maxPoolScalar(dst, arg, src, w, 2, 0) },
+		relu:     reluScalar, reluGrad: reluGradScalar,
+	}
+	// layerActive is the variant in use: the widest this binary can run on
+	// this CPU, the last of layerVariants (see the architecture files). Only
+	// tests assign it, to run every one of them.
+	layerActive = layerVariants()[len(layerVariants())-1]
+)
+
+// checkPlanes panics unless data holds rows rows of channels planes of hw
+// elements.
+func checkPlanes(data []float32, rows, channels, hw int) {
+	if rows < 0 || hw < 0 || len(data) != rows*channels*hw {
+		panic("tensor: layer operand does not hold rows × channels × hw elements")
+	}
+}
+
+// ChannelSums sets, for each channel c < len(sum), sum[c] = Σ a and
+// dot[c] = Σ a·b over the channel's elements of a and b (rows × len(sum)
+// planes of hw, the same layout), each a float64 running sum from +0 in
+// (row, element) order of the exactly converted float32 values and of
+// their exact float64 products. With b = a it is the batch-norm forward's
+// Σx and Σx², with a = dy and b = x̂ its backward's Σdy and Σdy·x̂.
+func ChannelSums(sum, dot []float64, a, b []float32, rows, hw int) {
+	c := len(sum)
+	checkLen(len(dot), c)
+	checkPlanes(a, rows, c, hw)
+	checkPlanes(b, rows, c, hw)
+	layerActive.channelSums(sum, dot, a, b, rows, hw, c*hw)
+}
+
+func channelSumsScalar(sum, dot []float64, a, b []float32, rows, hw, stride int) {
+	for ch := range sum {
+		var s, d float64
+		for r := 0; r < rows; r++ {
+			base := r*stride + ch*hw
+			for i := base; i < base+hw; i++ {
+				s += float64(a[i])
+				d += float64(a[i]) * float64(b[i])
+			}
+		}
+		sum[ch], dot[ch] = s, d
+	}
+}
+
+// Normalize is batch normalization's forward elementwise pass: for each
+// element x of channel c (rows × len(mean) planes of hw), in float32 with
+// every operation rounded,
+//
+//	xhat = (x − mean[c])·inv[c],  y = gamma[c]·xhat + beta[c].
+func Normalize(y, xhat, x []float32, rows, hw int, mean, inv, gamma, beta []float32) {
+	c := len(mean)
+	checkLen(len(inv), c)
+	checkLen(len(gamma), c)
+	checkLen(len(beta), c)
+	checkPlanes(x, rows, c, hw)
+	checkPlanes(y, rows, c, hw)
+	checkPlanes(xhat, rows, c, hw)
+	for ch := range mean {
+		o := ch * hw
+		layerActive.normalize(y[o:], xhat[o:], x[o:], rows, hw, c*hw, mean[ch], inv[ch], gamma[ch], beta[ch])
+	}
+}
+
+func normalizeScalar(y, xhat, x []float32, rows, hw, stride int, mean, inv, gamma, beta float32) {
+	for r := 0; r < rows; r++ {
+		for i := r * stride; i < r*stride+hw; i++ {
+			xh := (x[i] - mean) * inv
+			xhat[i] = xh
+			y[i] = gamma*xh + beta
+		}
+	}
+}
+
+// NormalizeGrad is batch normalization's backward elementwise pass over
+// n = rows·hw elements per channel, given the channel sums sum[c] = Σdy and
+// dot[c] = Σdy·x̂ (ChannelSums): for each element of channel c, in float32
+// with every operation rounded,
+//
+//	dx = k·((n·dy − float32(sum[c])) − x̂·float32(dot[c])),  k = gamma[c]·inv[c]/n,
+//
+// k computed once per channel, left to right.
+func NormalizeGrad(dx, dy, xhat []float32, rows, hw int, gamma, inv []float32, sum, dot []float64) {
+	c := len(gamma)
+	checkLen(len(inv), c)
+	checkLen(len(sum), c)
+	checkLen(len(dot), c)
+	checkPlanes(dx, rows, c, hw)
+	checkPlanes(dy, rows, c, hw)
+	checkPlanes(xhat, rows, c, hw)
+	n := float32(rows * hw)
+	for ch := range gamma {
+		o := ch * hw
+		k := gamma[ch] * inv[ch] / n
+		layerActive.normalizeGrad(dx[o:], dy[o:], xhat[o:], rows, hw, c*hw, k, n, float32(sum[ch]), float32(dot[ch]))
+	}
+}
+
+func normalizeGradScalar(dx, dy, xhat []float32, rows, hw, stride int, k, n, sdy, sdyx float32) {
+	for r := 0; r < rows; r++ {
+		for i := r * stride; i < r*stride+hw; i++ {
+			dx[i] = k * (n*dy[i] - sdy - xhat[i]*sdyx)
+		}
+	}
+}
+
+// MaxPool sets dst to the k×k max pool with stride k of src, an image of
+// len(src)/w rows of w elements (k divides both; nn's C planes of H rows
+// are C·H such rows, and no window crosses a plane). Output element o of
+// output row r takes the window's elements in row-major order against a
+// running best that starts at −Inf, replacing it on a strict x > best: the
+// first maximal element wins a tie, NaN never wins, and a window with
+// nothing above −Inf (all −Inf, all NaN) gives −Inf at its first element.
+// When arg is not nil, arg[o] receives the index in src of the element
+// that won (of the window's first one when none did).
+func MaxPool(dst []float32, arg []int32, src []float32, w, k int) {
+	if k < 1 || w%k != 0 || len(src)%(w*k) != 0 {
+		panic("tensor: MaxPool window does not tile the image")
+	}
+	checkLen(len(dst), len(src)/(k*k))
+	if arg != nil {
+		checkLen(len(arg), len(dst))
+	}
+	if k == 2 {
+		layerActive.maxPool2(dst, arg, src, w)
+		return
+	}
+	maxPoolScalar(dst, arg, src, w, k, 0)
+}
+
+// maxPoolScalar is MaxPool from output element from on. The running best
+// is carried as its bit pattern: with both updates on integers the
+// compiler emits conditional moves, where a float assignment would branch —
+// and mispredict.
+func maxPoolScalar(dst []float32, arg []int32, src []float32, w, k, from int) {
+	ow := w / k
+	negInf := math.Float32bits(float32(math.Inf(-1)))
+	for o := from; o < len(dst); {
+		r, ox := o/ow, o%ow
+		for ; ox < ow; ox, o = ox+1, o+1 {
+			best, bi := negInf, r*k*w+ox*k
+			for ky := 0; ky < k; ky++ {
+				base := (r*k+ky)*w + ox*k
+				for kx, v := range src[base : base+k] {
+					vb, idx := math.Float32bits(v), base+kx
+					if v > math.Float32frombits(best) {
+						best = vb
+						bi = idx
+					}
+				}
+			}
+			dst[o] = math.Float32frombits(best)
+			if arg != nil {
+				arg[o] = int32(bi)
+			}
+		}
+	}
+}
+
+// ReLU sets dst[i] = src[i] where src[i] > 0 and +0 elsewhere (−0 and NaN
+// included), computed on the bit patterns: x > 0 holds exactly when the
+// pattern lies in [1, +Inf's], i.e. when pattern−1 is below +Inf's pattern
+// as an unsigned number; the borrow of that comparison, smeared over the
+// word, is the keep mask.
+func ReLU(dst, src Vec) {
+	checkLen(len(dst), len(src))
+	layerActive.relu(dst, src)
+}
+
+func reluScalar(dst, src Vec) {
+	const posInf = 0x7f800000
+	for i, v := range src {
+		b := math.Float32bits(v)
+		keep := uint32((uint64(b-1) - posInf) >> 32)
+		dst[i] = math.Float32frombits(b & keep)
+	}
+}
+
+// ReLUGrad sets dst[i] = dy[i] where out[i], ReLU's output, is nonzero —
+// exactly where its input was positive — and +0 elsewhere, on the bit
+// patterns (dy's NaN payloads pass unchanged).
+func ReLUGrad(dst, dy, out Vec) {
+	checkLen(len(dst), len(dy))
+	checkLen(len(out), len(dy))
+	layerActive.reluGrad(dst, dy, out)
+}
+
+func reluGradScalar(dst, dy, out Vec) {
+	for i, v := range dy {
+		keep := uint32(-int64(math.Float32bits(out[i])) >> 63)
+		dst[i] = math.Float32frombits(math.Float32bits(v) & keep)
+	}
+}

@@ -1,0 +1,131 @@
+//go:build amd64 && !purego
+
+package tensor
+
+// The layer kernels (layer_amd64.s) need AVX2 (integer lanes, VPBROADCASTD,
+// VINSERTI128) and FMA (the channel sums' exact products); a CPU without
+// either runs the portable loops. Each gives the bits of its portable loop
+// (layer.go): the channel sums keep every channel's running sums in one
+// float64 lane, four channels to a register; the elementwise passes issue
+// the scalar loop's operations, in its order, eight lanes at a time.
+
+// layerVariants lists every variant of the layer kernels this binary can
+// run on this CPU, narrowest first.
+func layerVariants() []layerVariant {
+	if cpuAVX2 && cpuFMA {
+		return []layerVariant{layerPortable, {
+			name: "avx2", channelSums: channelSumsAVX2,
+			normalize: normalizeAVX2, normalizeGrad: normalizeGradAVX2,
+			maxPool2: maxPool2AVX2, relu: reluAVX2, reluGrad: reluGradAVX2,
+		}}
+	}
+	return []layerVariant{layerPortable}
+}
+
+// channelSumsKernel computes the sums of four channels whose planes start
+// hw elements apart at a and b, over rows rows stride elements apart: sum[j]
+// = Σ a and dot[j] = Σ a·b of channel j, in (row, element) order. Each
+// block of four elements of the four planes is transposed so that one
+// register holds one element of every channel, then converted to float64
+// (exact) and added — the products by a fused multiply-add, which rounds
+// once, as the exact product's add does. hw's last hw mod 4 elements are
+// gathered one at a time.
+//
+//go:noescape
+func channelSumsKernel(sum, dot *float64, a, b *float32, rows, hw, stride int)
+
+// normalizeKernel and normalizeGradKernel run Normalize's and
+// NormalizeGrad's expressions over rows runs of hw elements, stride apart,
+// eight at a time with separate multiplies and adds; a run's last hw mod 8
+// elements go through the same operations under a load/store mask.
+//
+//go:noescape
+func normalizeKernel(y, xhat, x *float32, rows, hw, stride int, mean, inv, gamma, beta float32)
+
+//go:noescape
+func normalizeGradKernel(dx, dy, xhat *float32, rows, hw, stride int, k, n, sdy, sdyx float32)
+
+// maxPool2Kernel pools groups·8 outputs of a 2×2 pool over an image of
+// rows w elements wide, w a multiple of 4, from output 0. Each lane is one
+// output: four quarters of two outputs (four elements of a top row and the
+// four below them, each inside one output row) load, split into even and
+// odd columns, and take the scalar loop's four strict compares (VCMPPS
+// GT_OQ, false on NaN) against a best that starts at −Inf, blending the
+// value and the window offset of each win. arg, when not nil, gets the
+// index of each winner.
+//
+//go:noescape
+func maxPool2Kernel(dst *float32, arg *int32, src *float32, groups, w int)
+
+// reluKernel and reluGradKernel are ReLU and ReLUGrad over n elements, n a
+// multiple of 8, on the bit patterns as the scalar loops compute them.
+//
+//go:noescape
+func reluKernel(dst, src *float32, n int)
+
+//go:noescape
+func reluGradKernel(dst, dy, out *float32, n int)
+
+// channelSumsAVX2 hands the kernel the channels four at a time and the
+// portable loop the one to three left over: each channel's sums are its
+// own, so the split changes no bit.
+func channelSumsAVX2(sum, dot []float64, a, b []float32, rows, hw, stride int) {
+	quads := 0
+	if rows > 0 && hw > 0 {
+		quads = len(sum) &^ 3
+	}
+	for c := 0; c < quads; c += 4 {
+		channelSumsKernel(&sum[c], &dot[c], &a[c*hw], &b[c*hw], rows, hw, stride)
+	}
+	o := quads * hw
+	channelSumsScalar(sum[quads:], dot[quads:], a[o:], b[o:], rows, hw, stride)
+}
+
+func normalizeAVX2(y, xhat, x []float32, rows, hw, stride int, mean, inv, gamma, beta float32) {
+	if rows > 0 && hw > 0 {
+		_, _, _ = y[(rows-1)*stride+hw-1], xhat[(rows-1)*stride+hw-1], x[(rows-1)*stride+hw-1] // the kernel does not check bounds
+		normalizeKernel(&y[0], &xhat[0], &x[0], rows, hw, stride, mean, inv, gamma, beta)
+	}
+}
+
+func normalizeGradAVX2(dx, dy, xhat []float32, rows, hw, stride int, k, n, sdy, sdyx float32) {
+	if rows > 0 && hw > 0 {
+		_, _, _ = dx[(rows-1)*stride+hw-1], dy[(rows-1)*stride+hw-1], xhat[(rows-1)*stride+hw-1] // the kernel does not check bounds
+		normalizeGradKernel(&dx[0], &dy[0], &xhat[0], rows, hw, stride, k, n, sdy, sdyx)
+	}
+}
+
+// maxPool2AVX2 runs the kernel over the whole groups of eight outputs of an
+// image whose output rows hold an even number (w a multiple of 4), and the
+// portable loop over the rest: each output is its own, so the split changes
+// no bit.
+func maxPool2AVX2(dst []float32, arg []int32, src []float32, w int) {
+	done := 0
+	if w%4 == 0 {
+		done = len(dst) &^ 7
+	}
+	if done > 0 {
+		var ap *int32
+		if arg != nil {
+			ap = &arg[0]
+		}
+		maxPool2Kernel(&dst[0], ap, &src[0], done/8, w)
+	}
+	maxPoolScalar(dst, arg, src, w, 2, done)
+}
+
+func reluAVX2(dst, src Vec) {
+	full := len(src) &^ 7
+	if full > 0 {
+		reluKernel(&dst[0], &src[0], full)
+	}
+	reluScalar(dst[full:], src[full:])
+}
+
+func reluGradAVX2(dst, dy, out Vec) {
+	full := len(dy) &^ 7
+	if full > 0 {
+		reluGradKernel(&dst[0], &dy[0], &out[0], full)
+	}
+	reluGradScalar(dst[full:], dy[full:], out[full:])
+}

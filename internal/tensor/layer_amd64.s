@@ -1,0 +1,432 @@
+//go:build amd64 && !purego
+
+#include "textflag.h"
+
+// AVX2 + FMA kernels for the layer loops of layer.go. See layer_amd64.go for
+// the contract: each computes its portable loop's bits.
+
+// tailMask<>: eight all-ones lanes, then eight zero lanes. The eight lanes
+// at tailMask<>+32−4r keep the first r.
+DATA tailMask<>+0(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+8(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+16(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+24(SB)/8, $0xffffffffffffffff
+DATA tailMask<>+32(SB)/8, $0
+DATA tailMask<>+40(SB)/8, $0
+DATA tailMask<>+48(SB)/8, $0
+DATA tailMask<>+56(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $64
+
+// poolCols<>: the column of each lane's window relative to its quarter's
+// first element.
+DATA poolCols<>+0(SB)/8, $0x0000000200000000
+DATA poolCols<>+8(SB)/8, $0x0000000200000000
+DATA poolCols<>+16(SB)/8, $0x0000000200000000
+DATA poolCols<>+24(SB)/8, $0x0000000200000000
+GLOBL poolCols<>(SB), RODATA|NOPTR, $32
+
+// SUMS4 loads four elements of each of the four planes at p, p+hw, p+2hw,
+// p+3hw (R9 = hw, R10 = 3·hw, in bytes), transposes them so that y0..y3
+// hold elements 0..3 of the four channels, and converts them to float64.
+#define SUMS4(p, y0, y1, y2, y3, x0, x1, x2, x3, t0, t1, t2, t3) \
+	VMOVUPS   (p), x0; \
+	VMOVUPS   (p)(R9*1), x1; \
+	VMOVUPS   (p)(R9*2), x2; \
+	VMOVUPS   (p)(R10*1), x3; \
+	VUNPCKLPS x1, x0, t0; \
+	VUNPCKHPS x1, x0, t1; \
+	VUNPCKLPS x3, x2, t2; \
+	VUNPCKHPS x3, x2, t3; \
+	VUNPCKLPD t2, t0, x0; \
+	VUNPCKHPD t2, t0, x1; \
+	VUNPCKLPD t3, t1, x2; \
+	VUNPCKHPD t3, t1, x3; \
+	VCVTPS2PD x0, y0; \
+	VCVTPS2PD x1, y1; \
+	VCVTPS2PD x2, y2; \
+	VCVTPS2PD x3, y3
+
+// SUMS1 gathers one element of each of the four planes at p and converts
+// the four to float64.
+#define SUMS1(p, y, x) \
+	VMOVSS    (p), x; \
+	VINSERTPS $0x10, (p)(R9*1), x, x; \
+	VINSERTPS $0x20, (p)(R9*2), x, x; \
+	VINSERTPS $0x30, (p)(R10*1), x, x; \
+	VCVTPS2PD x, y
+
+// func channelSumsKernel(sum, dot *float64, a, b *float32, rows, hw, stride int)
+//
+// Y0 holds the four running sums of a, Y1 those of a·b, lane j channel j.
+// Per row: the blocks of four elements, then the tail one at a time, each
+// element an add and a fused multiply-add into its channel's lane. When a
+// and b are the same planes (the forward pass's Σx²) the rows load once.
+TEXT ·channelSumsKernel(SB), NOSPLIT, $0-56
+	MOVQ   a+16(FP), AX
+	MOVQ   b+24(FP), BX
+	MOVQ   rows+32(FP), CX
+	MOVQ   hw+40(FP), R8
+	MOVQ   stride+48(FP), R11
+	SHLQ   $2, R11
+	LEAQ   (R8*4), R9
+	LEAQ   (R9)(R9*2), R10
+	MOVQ   R8, DX
+	SHRQ   $2, DX
+	ANDQ   $3, R8
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	CMPQ   AX, BX
+	JEQ    sqrow
+
+row:
+	MOVQ  AX, R12
+	MOVQ  BX, R13
+	MOVQ  DX, SI
+	TESTQ SI, SI
+	JZ    tail
+
+block:
+	SUMS4(R12, Y2, Y3, Y4, Y5, X2, X3, X4, X5, X10, X11, X12, X13)
+	SUMS4(R13, Y6, Y7, Y8, Y9, X6, X7, X8, X9, X10, X11, X12, X13)
+	VADDPD      Y2, Y0, Y0
+	VFMADD231PD Y6, Y2, Y1
+	VADDPD      Y3, Y0, Y0
+	VFMADD231PD Y7, Y3, Y1
+	VADDPD      Y4, Y0, Y0
+	VFMADD231PD Y8, Y4, Y1
+	VADDPD      Y5, Y0, Y0
+	VFMADD231PD Y9, Y5, Y1
+	ADDQ        $16, R12
+	ADDQ        $16, R13
+	DECQ        SI
+	JNZ         block
+
+tail:
+	MOVQ  R8, SI
+	TESTQ SI, SI
+	JZ    next
+
+tailloop:
+	SUMS1(R12, Y2, X2)
+	SUMS1(R13, Y6, X6)
+	VADDPD      Y2, Y0, Y0
+	VFMADD231PD Y6, Y2, Y1
+	ADDQ        $4, R12
+	ADDQ        $4, R13
+	DECQ        SI
+	JNZ         tailloop
+
+next:
+	ADDQ R11, AX
+	ADDQ R11, BX
+	DECQ CX
+	JNZ  row
+	JMP  sumsdone
+
+sqrow:
+	MOVQ  AX, R12
+	MOVQ  DX, SI
+	TESTQ SI, SI
+	JZ    sqtail
+
+sqblock:
+	SUMS4(R12, Y2, Y3, Y4, Y5, X2, X3, X4, X5, X10, X11, X12, X13)
+	VADDPD      Y2, Y0, Y0
+	VFMADD231PD Y2, Y2, Y1
+	VADDPD      Y3, Y0, Y0
+	VFMADD231PD Y3, Y3, Y1
+	VADDPD      Y4, Y0, Y0
+	VFMADD231PD Y4, Y4, Y1
+	VADDPD      Y5, Y0, Y0
+	VFMADD231PD Y5, Y5, Y1
+	ADDQ        $16, R12
+	DECQ        SI
+	JNZ         sqblock
+
+sqtail:
+	MOVQ  R8, SI
+	TESTQ SI, SI
+	JZ    sqnext
+
+sqtailloop:
+	SUMS1(R12, Y2, X2)
+	VADDPD      Y2, Y0, Y0
+	VFMADD231PD Y2, Y2, Y1
+	ADDQ        $4, R12
+	DECQ        SI
+	JNZ         sqtailloop
+
+sqnext:
+	ADDQ R11, AX
+	DECQ CX
+	JNZ  sqrow
+
+sumsdone:
+	MOVQ    sum+0(FP), DI
+	MOVQ    dot+8(FP), SI
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, (SI)
+	VZEROUPPER
+	RET
+
+// func normalizeKernel(y, xhat, x *float32, rows, hw, stride int, mean, inv, gamma, beta float32)
+//
+// Per element: x̂ = (x − mean)·inv, stored, then y = gamma·x̂ + beta; Y12
+// masks a run's tail.
+TEXT ·normalizeKernel(SB), NOSPLIT, $0-64
+	MOVQ         y+0(FP), DI
+	MOVQ         xhat+8(FP), SI
+	MOVQ         x+16(FP), AX
+	MOVQ         rows+24(FP), CX
+	MOVQ         hw+32(FP), R8
+	MOVQ         stride+40(FP), R11
+	SHLQ         $2, R11
+	VBROADCASTSS mean+48(FP), Y8
+	VBROADCASTSS inv+52(FP), Y9
+	VBROADCASTSS gamma+56(FP), Y10
+	VBROADCASTSS beta+60(FP), Y11
+	MOVQ         R8, DX
+	SHRQ         $3, DX
+	ANDQ         $7, R8
+	SHLQ         $2, R8
+	LEAQ         tailMask<>+32(SB), R9
+	SUBQ         R8, R9
+	VMOVDQU      (R9), Y12
+
+nrow:
+	MOVQ  DX, BX
+	XORQ  R10, R10
+	TESTQ BX, BX
+	JZ    ntail
+
+ngroup:
+	VMOVUPS (AX)(R10*1), Y0
+	VSUBPS  Y8, Y0, Y0
+	VMULPS  Y9, Y0, Y0
+	VMOVUPS Y0, (SI)(R10*1)
+	VMULPS  Y0, Y10, Y1
+	VADDPS  Y11, Y1, Y1
+	VMOVUPS Y1, (DI)(R10*1)
+	ADDQ    $32, R10
+	DECQ    BX
+	JNZ     ngroup
+
+ntail:
+	TESTQ      R8, R8
+	JZ         nnext
+	VMASKMOVPS (AX)(R10*1), Y12, Y0
+	VSUBPS     Y8, Y0, Y0
+	VMULPS     Y9, Y0, Y0
+	VMASKMOVPS Y0, Y12, (SI)(R10*1)
+	VMULPS     Y0, Y10, Y1
+	VADDPS     Y11, Y1, Y1
+	VMASKMOVPS Y1, Y12, (DI)(R10*1)
+
+nnext:
+	ADDQ R11, AX
+	ADDQ R11, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  nrow
+	VZEROUPPER
+	RET
+
+// func normalizeGradKernel(dx, dy, xhat *float32, rows, hw, stride int, k, n, sdy, sdyx float32)
+//
+// Per element: dx = k·((n·dy − sdy) − x̂·sdyx); Y12 masks a run's tail.
+TEXT ·normalizeGradKernel(SB), NOSPLIT, $0-64
+	MOVQ         dx+0(FP), DI
+	MOVQ         dy+8(FP), AX
+	MOVQ         xhat+16(FP), SI
+	MOVQ         rows+24(FP), CX
+	MOVQ         hw+32(FP), R8
+	MOVQ         stride+40(FP), R11
+	SHLQ         $2, R11
+	VBROADCASTSS k+48(FP), Y8
+	VBROADCASTSS n+52(FP), Y9
+	VBROADCASTSS sdy+56(FP), Y10
+	VBROADCASTSS sdyx+60(FP), Y11
+	MOVQ         R8, DX
+	SHRQ         $3, DX
+	ANDQ         $7, R8
+	SHLQ         $2, R8
+	LEAQ         tailMask<>+32(SB), R9
+	SUBQ         R8, R9
+	VMOVDQU      (R9), Y12
+
+grow:
+	MOVQ  DX, BX
+	XORQ  R10, R10
+	TESTQ BX, BX
+	JZ    gtail
+
+ggroup:
+	VMOVUPS (AX)(R10*1), Y0
+	VMULPS  Y0, Y9, Y0
+	VSUBPS  Y10, Y0, Y0
+	VMOVUPS (SI)(R10*1), Y1
+	VMULPS  Y11, Y1, Y1
+	VSUBPS  Y1, Y0, Y0
+	VMULPS  Y0, Y8, Y0
+	VMOVUPS Y0, (DI)(R10*1)
+	ADDQ    $32, R10
+	DECQ    BX
+	JNZ     ggroup
+
+gtail:
+	TESTQ      R8, R8
+	JZ         gnext
+	VMASKMOVPS (AX)(R10*1), Y12, Y0
+	VMULPS     Y0, Y9, Y0
+	VSUBPS     Y10, Y0, Y0
+	VMASKMOVPS (SI)(R10*1), Y12, Y1
+	VMULPS     Y11, Y1, Y1
+	VSUBPS     Y1, Y0, Y0
+	VMULPS     Y0, Y8, Y0
+	VMASKMOVPS Y0, Y12, (DI)(R10*1)
+
+gnext:
+	ADDQ R11, AX
+	ADDQ R11, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  grow
+	VZEROUPPER
+	RET
+
+// NEXTQUARTER moves BX, the byte offset of the next quarter's first
+// top-row element, to r and on to the quarter after it: four elements on,
+// and past the bottom row when the output row (R11 quarters) is done.
+#define NEXTQUARTER(r) \
+	MOVQ BX, r; \
+	ADDQ $16, BX; \
+	DECQ R10; \
+	JNZ  3(PC); \
+	ADDQ R9, BX; \
+	MOVQ R11, R10
+
+// func maxPool2Kernel(dst *float32, arg *int32, src *float32, groups, w int)
+//
+// A group is four quarters of two outputs, each quarter four elements of a
+// top row (at src + R12, R13, DX, BX) and the four below them (+ w). Y2/Y3
+// (top row) and Y4/Y5 (bottom row) hold each lane's window, even and odd
+// column; Y7 is the running best, Y8 the window offset of the winner (0,
+// 1, w or w+1), Y14 = −Inf, Y13 = 1, Y12 = w, Y11 = w+1, Y10 = poolCols.
+TEXT ·maxPool2Kernel(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         arg+8(FP), SI
+	MOVQ         src+16(FP), AX
+	MOVQ         groups+24(FP), CX
+	MOVQ         w+32(FP), R8
+	LEAQ         (R8*4), R9
+	MOVQ         R8, R11
+	SHRQ         $2, R11
+	MOVQ         R11, R10
+	XORQ         BX, BX
+	VPCMPEQD     Y0, Y0, Y0
+	VPSLLD       $23, Y0, Y14
+	VPSRLD       $31, Y0, Y13
+	VMOVD        R8, X12
+	VPBROADCASTD X12, Y12
+	VPADDD       Y13, Y12, Y11
+	VMOVDQU      poolCols<>(SB), Y10
+
+pgroup:
+	NEXTQUARTER(R12)
+	NEXTQUARTER(R13)
+	NEXTQUARTER(DX)
+	VMOVUPS     (AX)(R12*1), X0
+	VINSERTF128 $1, (AX)(DX*1), Y0, Y0
+	VMOVUPS     (AX)(R13*1), X1
+	VINSERTF128 $1, (AX)(BX*1), Y1, Y1
+	VSHUFPS     $0x88, Y1, Y0, Y2
+	VSHUFPS     $0xDD, Y1, Y0, Y3
+	LEAQ        (AX)(R9*1), R8
+	VMOVUPS     (R8)(R12*1), X0
+	VINSERTF128 $1, (R8)(DX*1), Y0, Y0
+	VMOVUPS     (R8)(R13*1), X1
+	VINSERTF128 $1, (R8)(BX*1), Y1, Y1
+	VSHUFPS     $0x88, Y1, Y0, Y4
+	VSHUFPS     $0xDD, Y1, Y0, Y5
+	VCMPPS      $0x1e, Y14, Y2, Y6 // GT_OQ: top even > −Inf
+	VBLENDVPS   Y6, Y2, Y14, Y7
+	VCMPPS      $0x1e, Y7, Y3, Y6  // top odd > best
+	VBLENDVPS   Y6, Y3, Y7, Y7
+	VANDPS      Y13, Y6, Y8
+	VCMPPS      $0x1e, Y7, Y4, Y6  // bottom even > best
+	VBLENDVPS   Y6, Y4, Y7, Y7
+	VBLENDVPS   Y6, Y12, Y8, Y8
+	VCMPPS      $0x1e, Y7, Y5, Y6  // bottom odd > best
+	VBLENDVPS   Y6, Y5, Y7, Y7
+	VBLENDVPS   Y6, Y11, Y8, Y8
+	VMOVUPS     Y7, (DI)
+	ADDQ        $32, DI
+	TESTQ       SI, SI
+	JZ          pnext
+	VMOVQ       R12, X9
+	VPINSRQ     $1, R13, X9, X9
+	VMOVQ       DX, X0
+	VPINSRQ     $1, BX, X0, X0
+	VINSERTI128 $1, X0, Y9, Y9
+	VPSRLQ      $2, Y9, Y9
+	VPSHUFD     $0xa0, Y9, Y9
+	VPADDD      Y10, Y9, Y9
+	VPADDD      Y8, Y9, Y9
+	VMOVDQU     Y9, (SI)
+	ADDQ        $32, SI
+
+pnext:
+	NEXTQUARTER(R12)
+	DECQ CX
+	JNZ  pgroup
+	VZEROUPPER
+	RET
+
+// func reluKernel(dst, src *float32, n int)
+//
+// keep = int32(pattern + 0x7fffffff) < int32(0xff800000): pattern − 1 below
+// +Inf's pattern as unsigned numbers, compared signed with both sign bits
+// flipped.
+TEXT ·reluKernel(SB), NOSPLIT, $0-24
+	MOVQ     dst+0(FP), DI
+	MOVQ     src+8(FP), SI
+	MOVQ     n+16(FP), CX
+	VPCMPEQD Y0, Y0, Y0
+	VPSRLD   $1, Y0, Y1
+	VPSLLD   $23, Y0, Y2
+
+reluloop:
+	VMOVDQU  (SI), Y3
+	VPADDD   Y1, Y3, Y4
+	VPCMPGTD Y4, Y2, Y4
+	VPAND    Y3, Y4, Y4
+	VMOVDQU  Y4, (DI)
+	ADDQ     $32, SI
+	ADDQ     $32, DI
+	SUBQ     $8, CX
+	JNZ      reluloop
+	VZEROUPPER
+	RET
+
+// func reluGradKernel(dst, dy, out *float32, n int)
+//
+// keep = out's pattern is not 0.
+TEXT ·reluGradKernel(SB), NOSPLIT, $0-32
+	MOVQ  dst+0(FP), DI
+	MOVQ  dy+8(FP), SI
+	MOVQ  out+16(FP), AX
+	MOVQ  n+24(FP), CX
+	VPXOR Y0, Y0, Y0
+
+relugloop:
+	VMOVDQU  (AX), Y1
+	VPCMPEQD Y0, Y1, Y1
+	VPANDN   (SI), Y1, Y1
+	VMOVDQU  Y1, (DI)
+	ADDQ     $32, SI
+	ADDQ     $32, DI
+	ADDQ     $32, AX
+	SUBQ     $8, CX
+	JNZ      relugloop
+	VZEROUPPER
+	RET

@@ -1,0 +1,404 @@
+package tensor
+
+import (
+	"fmt"
+	"math"
+	"testing"
+)
+
+// The loops the layer kernels replaced survive here as oracles, written as
+// nn wrote them: the per-channel sums in (sample, pixel) order, the
+// normalization with its constants per element, the pool by channel, row
+// and column. Every variant compiled into the test binary must reproduce
+// them — float32 bits, arg-max indices and, for the sums, float64 bits.
+// Batch-norm results are compared with NaN payloads left out, as Gemm's
+// are: with a NaN in both operands of a commutative operation, which one
+// survives is the compiler's choice of operand order.
+
+func eachLayerVariant(t *testing.T, f func(name string)) {
+	t.Helper()
+	defer func(v layerVariant) { layerActive = v }(layerActive)
+	for _, v := range layerVariants() {
+		layerActive = v
+		f(v.name)
+	}
+}
+
+// bnShapes are (channels, hw) of every batch-norm layer of vgg16 and
+// resnet20 at both scales, then hw ∈ {1, 3, 4, 9, 17} with channel counts
+// that leave one to three channels after the last group of four.
+var bnShapes = func() [][2]int {
+	s := [][2]int{
+		{8, 256}, {16, 64}, {24, 16}, {32, 4}, // reduced vgg16
+		{8, 64}, {12, 16}, {16, 4}, // reduced resnet20
+		{64, 1024}, {128, 256}, {256, 64}, {512, 16}, {512, 4}, // vgg16
+		{16, 1024}, {32, 256}, {64, 64}, // resnet20
+	}
+	for _, hw := range []int{1, 3, 4, 9, 17} {
+		for _, c := range []int{1, 2, 3, 5, 6, 7, 9} {
+			s = append(s, [2]int{c, hw})
+		}
+	}
+	return s
+}()
+
+// Special float32 values: quiet, payload-carrying and signalling NaNs of
+// both signs, infinities, signed zeros, subnormals.
+var layerSpecials = []float32{
+	float32(math.NaN()),
+	math.Float32frombits(0x7fc01234), // quiet NaN with a payload
+	math.Float32frombits(0xffc00001),
+	math.Float32frombits(0x7f800001), // signalling
+	math.Float32frombits(0xffa00005),
+	float32(math.Inf(1)), float32(math.Inf(-1)),
+	0, float32(math.Copysign(0, -1)),
+	math.Float32frombits(1), math.Float32frombits(0x80000001), // smallest subnormals
+	math.Float32frombits(0x007fffff), 1e-40, -3e-39,
+}
+
+// layerValue draws one element of a class: 0 ordinary values, 1 ordinary
+// values salted with zeros and subnormals, 2 values salted with any
+// special, 3 subnormals only, 4 magnitudes near float32's top.
+func layerValue(rng *RNG, class int) float32 {
+	switch class {
+	case 1:
+		if rng.Intn(3) == 0 {
+			return layerSpecials[7+rng.Intn(7)]
+		}
+	case 2:
+		if rng.Intn(4) == 0 {
+			return layerSpecials[rng.Intn(len(layerSpecials))]
+		}
+	case 3:
+		return math.Float32frombits(uint32(1+rng.Intn(0x7fffff)) | uint32(rng.Intn(2))<<31)
+	case 4:
+		return (rng.Float32()*2 - 1) * 3.3e38
+	}
+	return (rng.Float32() - 0.5) * 4
+}
+
+// planes draws rows × c planes of hw, channel ch of class ch%classes.
+func planes(rng *RNG, rows, c, hw, classes int) []float32 {
+	v := make([]float32, rows*c*hw)
+	for r := 0; r < rows; r++ {
+		for ch := 0; ch < c; ch++ {
+			for i := 0; i < hw; i++ {
+				v[(r*c+ch)*hw+i] = layerValue(rng, ch%classes)
+			}
+		}
+	}
+	return v
+}
+
+func sameBits64(x, y float64) bool {
+	if x != x && y != y {
+		return true
+	}
+	return math.Float64bits(x) == math.Float64bits(y)
+}
+
+// channelSumsOracle is the batch-norm loop's pair of running sums.
+func channelSumsOracle(a, b []float32, rows, c, hw int) (sum, dot []float64) {
+	sum, dot = make([]float64, c), make([]float64, c)
+	for ch := 0; ch < c; ch++ {
+		var s, d float64
+		for r := 0; r < rows; r++ {
+			row := r * c * hw
+			for i := ch * hw; i < (ch+1)*hw; i++ {
+				v := float64(a[row+i])
+				s += v
+				d += v * float64(b[row+i])
+			}
+		}
+		sum[ch], dot[ch] = s, d
+	}
+	return sum, dot
+}
+
+// Mutation-checked: a kernel whose transpose swaps two channel lanes fails
+// it on every shape with four channels or more.
+func TestChannelSumsMatchesPortable(t *testing.T) {
+	rng := NewRNG(61)
+	for _, s := range bnShapes {
+		c, hw := s[0], s[1]
+		for _, rows := range []int{1, 3, 16} {
+			if c*hw*rows > 1<<17 {
+				rows = 2
+			}
+			x := planes(rng, rows, c, hw, 5)
+			dy := planes(rng, rows, c, hw, 3)
+			for _, pair := range []struct {
+				name string
+				a, b []float32
+			}{{"x,x", x, x}, {"dy,x", dy, x}} {
+				wantS, wantD := channelSumsOracle(pair.a, pair.b, rows, c, hw)
+				eachLayerVariant(t, func(name string) {
+					sum, dot := make([]float64, c), make([]float64, c)
+					ChannelSums(sum, dot, pair.a, pair.b, rows, hw)
+					for ch := range sum {
+						if !sameBits64(sum[ch], wantS[ch]) || !sameBits64(dot[ch], wantD[ch]) {
+							t.Fatalf("%s c=%d hw=%d rows=%d %s: channel %d sums (%v, %v), want (%v, %v)",
+								name, c, hw, rows, pair.name, ch, sum[ch], dot[ch], wantS[ch], wantD[ch])
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+// bnConstants draws per-channel constants the way a batch-norm layer
+// holds them: a float32 mean, an inverse deviation, gamma and beta.
+func bnConstants(rng *RNG, c int) (mean, inv, gamma, beta []float32) {
+	mean, inv, gamma, beta = make([]float32, c), make([]float32, c), make([]float32, c), make([]float32, c)
+	for ch := 0; ch < c; ch++ {
+		mean[ch] = rng.Float32() - 0.5
+		inv[ch] = float32(1 / math.Sqrt(rng.Float64()*3+1e-5))
+		gamma[ch] = 1 + (rng.Float32()-0.5)/4
+		beta[ch] = (rng.Float32() - 0.5) / 4
+	}
+	return mean, inv, gamma, beta
+}
+
+func sameLayerBits(t *testing.T, what string, got, want []float32, nanPayload bool) {
+	t.Helper()
+	for i := range want {
+		ok := math.Float32bits(got[i]) == math.Float32bits(want[i])
+		if !nanPayload && got[i] != got[i] && want[i] != want[i] {
+			ok = true
+		}
+		if !ok {
+			t.Fatalf("%s: element %d = %#08x (%v), want %#08x (%v)", what, i,
+				math.Float32bits(got[i]), got[i], math.Float32bits(want[i]), want[i])
+		}
+	}
+}
+
+func TestNormalizeMatchesPortable(t *testing.T) {
+	rng := NewRNG(62)
+	for _, s := range bnShapes {
+		c, hw := s[0], s[1]
+		for _, rows := range []int{1, 5, 16} {
+			if c*hw*rows > 1<<17 {
+				rows = 2
+			}
+			x := planes(rng, rows, c, hw, 5)
+			mean, inv, gamma, beta := bnConstants(rng, c)
+			wantY, wantXh := make([]float32, len(x)), make([]float32, len(x))
+			for r := 0; r < rows; r++ {
+				for ch := 0; ch < c; ch++ {
+					for i := (r*c + ch) * hw; i < (r*c+ch+1)*hw; i++ {
+						xh := (x[i] - mean[ch]) * inv[ch]
+						wantXh[i] = xh
+						wantY[i] = gamma[ch]*xh + beta[ch]
+					}
+				}
+			}
+			eachLayerVariant(t, func(name string) {
+				y, xh := make([]float32, len(x)), make([]float32, len(x))
+				Normalize(y, xh, x, rows, hw, mean, inv, gamma, beta)
+				what := fmt.Sprintf("%s c=%d hw=%d rows=%d", name, c, hw, rows)
+				sameLayerBits(t, what+" x̂", xh, wantXh, false)
+				sameLayerBits(t, what+" y", y, wantY, false)
+			})
+		}
+	}
+}
+
+// Mutation-checked: computing the hoisted k as gamma·(inv/n) fails it.
+func TestNormalizeGradMatchesPortable(t *testing.T) {
+	rng := NewRNG(63)
+	for _, s := range bnShapes {
+		c, hw := s[0], s[1]
+		for _, rows := range []int{1, 5, 16} {
+			if c*hw*rows > 1<<17 {
+				rows = 2
+			}
+			dy := planes(rng, rows, c, hw, 5)
+			xhat := planes(rng, rows, c, hw, 2)
+			_, inv, gamma, _ := bnConstants(rng, c)
+			sum, dot := channelSumsOracle(dy, xhat, rows, c, hw)
+			n := float32(rows * hw)
+			want := make([]float32, len(dy))
+			for ch := 0; ch < c; ch++ {
+				g := gamma[ch]
+				for r := 0; r < rows; r++ {
+					for i := (r*c + ch) * hw; i < (r*c+ch+1)*hw; i++ {
+						want[i] = g * inv[ch] / n * (n*dy[i] - float32(sum[ch]) - xhat[i]*float32(dot[ch]))
+					}
+				}
+			}
+			eachLayerVariant(t, func(name string) {
+				dx := make([]float32, len(dy))
+				NormalizeGrad(dx, dy, xhat, rows, hw, gamma, inv, sum, dot)
+				sameLayerBits(t, fmt.Sprintf("%s c=%d hw=%d rows=%d dx", name, c, hw, rows), dx, want, false)
+			})
+		}
+	}
+}
+
+// poolOracle is nn's pool loop over one sample of c planes of h×w.
+func poolOracle(in []float32, c, h, w, k int) ([]float32, []int32) {
+	oh, ow := h/k, w/k
+	dst, arg := make([]float32, c*oh*ow), make([]int32, c*oh*ow)
+	for ch := 0; ch < c; ch++ {
+		chIn, chOut := ch*h*w, ch*oh*ow
+		for oy := 0; oy < oh; oy++ {
+			for ox := 0; ox < ow; ox++ {
+				best := float32(math.Inf(-1))
+				bi := chIn + oy*k*w + ox*k
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						idx := chIn + (oy*k+ky)*w + ox*k + kx
+						if in[idx] > best {
+							best, bi = in[idx], idx
+						}
+					}
+				}
+				dst[chOut+oy*ow+ox], arg[chOut+oy*ow+ox] = best, int32(bi)
+			}
+		}
+	}
+	return dst, arg
+}
+
+// poolImage draws c planes of h×w from a palette rich in ties (±0, ±1, 2)
+// and specials, then makes some windows all NaN, all −Inf, or NaN and −Inf
+// mixed.
+func poolImage(rng *RNG, c, h, w, k int) []float32 {
+	tie := []float32{-1, 0, float32(math.Copysign(0, -1)), 1, 2}
+	in := make([]float32, c*h*w)
+	for i := range in {
+		switch rng.Intn(4) {
+		case 0:
+			in[i] = layerSpecials[rng.Intn(len(layerSpecials))]
+		case 1:
+			in[i] = rng.Float32() - 0.5
+		default:
+			in[i] = tie[rng.Intn(len(tie))]
+		}
+	}
+	for ch := 0; ch < c; ch++ {
+		for oy := 0; oy < h/k; oy++ {
+			for ox := 0; ox < w/k; ox++ {
+				kind := rng.Intn(6)
+				if kind > 2 {
+					continue
+				}
+				for ky := 0; ky < k; ky++ {
+					for kx := 0; kx < k; kx++ {
+						v := layerSpecials[rng.Intn(5)] // a NaN
+						if kind == 1 || kind == 2 && rng.Intn(2) == 0 {
+							v = float32(math.Inf(-1))
+						}
+						in[ch*h*w+(oy*k+ky)*w+ox*k+kx] = v
+					}
+				}
+			}
+		}
+	}
+	return in
+}
+
+// Mutation-checked: the kernel with GE_OQ in place of GT_OQ fails it (a
+// tie goes to the later element), and so does an unordered predicate
+// (NLE_UQ: a NaN wins).
+func TestMaxPoolMatchesPortable(t *testing.T) {
+	rng := NewRNG(64)
+	type shape struct{ c, h, w, k int }
+	shapes := []shape{
+		{8, 16, 16, 2}, {16, 8, 8, 2}, {24, 4, 4, 2}, {32, 2, 2, 2}, // reduced vgg16
+		{64, 32, 32, 2}, {128, 16, 16, 2}, {256, 8, 8, 2}, {512, 4, 4, 2}, {512, 2, 2, 2}, // vgg16
+		{1, 2, 8, 2}, {3, 2, 8, 2}, {1, 6, 8, 2}, {5, 2, 24, 2}, {2, 4, 40, 2}, // outputs past the last group of eight
+		{2, 10, 12, 2}, {3, 6, 20, 2}, // output rows of an odd number of quarters
+		{3, 6, 6, 2}, {1, 2, 2, 2}, {7, 2, 14, 2}, // widths the kernel declines
+		{4, 6, 6, 3}, {2, 4, 8, 4}, {3, 5, 5, 1}, // other k
+	}
+	for _, s := range shapes {
+		for rep := 0; rep < 3; rep++ {
+			in := poolImage(rng, s.c, s.h, s.w, s.k)
+			want, wantArg := poolOracle(in, s.c, s.h, s.w, s.k)
+			eachLayerVariant(t, func(name string) {
+				what := fmt.Sprintf("%s %d×%d×%d k=%d", name, s.c, s.h, s.w, s.k)
+				dst, arg := make([]float32, len(want)), make([]int32, len(want))
+				MaxPool(dst, arg, in, s.w, s.k)
+				sameLayerBits(t, what, dst, want, true)
+				for o := range arg {
+					if arg[o] != wantArg[o] {
+						t.Fatalf("%s: arg-max of output %d = %d, want %d (window value %v)", what, o, arg[o], wantArg[o], want[o])
+					}
+				}
+				clear(dst)
+				MaxPool(dst, nil, in, s.w, s.k)
+				sameLayerBits(t, what+" without arg", dst, want, true)
+			})
+		}
+	}
+}
+
+// reluInput draws n values, a third of them special.
+func reluInput(rng *RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = layerValue(rng, 2)
+		if rng.Intn(3) == 0 {
+			v[i] = layerSpecials[rng.Intn(len(layerSpecials))]
+		}
+	}
+	return v
+}
+
+func TestReLUMatchesPortable(t *testing.T) {
+	rng := NewRNG(65)
+	lens := []int{0, 1, 7, 8, 9, 15, 16, 17, 63, 100}
+	for _, s := range bnShapes[:7] {
+		lens = append(lens, 16*s[0]*s[1])
+	}
+	for _, n := range lens {
+		x, dy := reluInput(rng, n), reluInput(rng, n)
+		want, wantDx := make([]float32, n), make([]float32, n)
+		for i, v := range x {
+			if v > 0 {
+				want[i] = v
+			}
+		}
+		for i, o := range want {
+			if math.Float32bits(o) != 0 {
+				wantDx[i] = dy[i]
+			}
+		}
+		eachLayerVariant(t, func(name string) {
+			out, dx := make([]float32, n), make([]float32, n)
+			ReLU(out, x)
+			sameLayerBits(t, fmt.Sprintf("%s n=%d forward", name, n), out, want, true)
+			ReLUGrad(dx, dy, out)
+			sameLayerBits(t, fmt.Sprintf("%s n=%d backward", name, n), dx, wantDx, true)
+		})
+	}
+}
+
+func TestLayerKernelsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	rng := NewRNG(66)
+	const rows, c, hw = 16, 24, 16
+	x := planes(rng, rows, c, hw, 1)
+	y, xh, dx := make([]float32, len(x)), make([]float32, len(x)), make([]float32, len(x))
+	sum, dot := make([]float64, c), make([]float64, c)
+	mean, inv, gamma, beta := bnConstants(rng, c)
+	pooled, arg := make([]float32, len(x)/4), make([]int32, len(x)/4)
+	eachLayerVariant(t, func(name string) {
+		allocs := testing.AllocsPerRun(10, func() {
+			ChannelSums(sum, dot, x, x, rows, hw)
+			Normalize(y, xh, x, rows, hw, mean, inv, gamma, beta)
+			NormalizeGrad(dx, y, xh, rows, hw, gamma, inv, sum, dot)
+			MaxPool(pooled, arg, x, 16, 2)
+			ReLU(y, x)
+			ReLUGrad(dx, x, y)
+		})
+		if allocs != 0 {
+			t.Fatalf("%s: %v allocations per run", name, allocs)
+		}
+	})
+}

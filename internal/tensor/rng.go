@@ -17,20 +17,25 @@
 // compared bit for bit across builds and across PRs:
 //
 //	Every output element is one accumulator that starts at +0 and takes the
-//	terms a(i,p)·b(p,j) for p ascending, each a separately rounded multiply
-//	and add — in float32 (Single: a×b, aᵀ×b), or in float64 over the exact
-//	float64 products and rounded to float32 once (Wide: a×bᵀ, what Dot
-//	computes); GemmAdd then adds the finished sum to dst with one float32
-//	add. No fused multiply-add, no partial sums, no skipped terms.
+//	terms a(i,p)·b(p,j) for p ascending — in float32, each a separately
+//	rounded multiply and add (Single: a×b, aᵀ×b), or in float64, each add
+//	of the exact float64 product rounded, the sum rounded to float32 once
+//	(Wide: a×bᵀ, what Dot computes); GemmAdd then adds the finished sum to
+//	dst with one float32 add. No fused float32 multiply-add, no partial
+//	sums, no skipped terms.
 //
-// A change that fuses the multiply, accumulates a×bᵀ in float32, or splits a
-// sum across vector lanes changes that paragraph, the golden digests in
-// internal/models and the oracle in gemm_test.go together, with its own
-// accuracy evidence. Everything else — the 4×8/4×16 register tile, packing,
-// the AVX micro-kernels (gemm_amd64.s), the portable kernels used under the
-// purego tag, on other architectures and on amd64 CPUs without AVX,
-// row-parallelism for very large products — only reschedules those
-// operations and is tested to give identical bits.
+// A Wide term is the product of two float32 values in float64: at most 48
+// significant bits, with an exponent float64 holds, so it is exact, and a
+// fused multiply-add of it rounds the same sum as the separate multiply and
+// add. The AVX kernel fuses it (VFMADD231PD); the bits do not change. A
+// change that fuses Single's multiply, accumulates a×bᵀ in float32, or
+// splits a sum across vector lanes changes that paragraph, the golden
+// digests in internal/models and the oracle in gemm_test.go together, with
+// its own accuracy evidence. Everything else — the 4×8/4×16 register tile,
+// packing, the AVX+FMA micro-kernels (gemm_amd64.s), the portable kernels
+// used under the purego tag, on other architectures and on amd64 CPUs
+// without AVX or FMA, row-parallelism for very large products — only
+// reschedules those operations and is tested to give identical bits.
 //
 // Wide packs both operands into float64 panels: lane l (a row of A, a column
 // of B) of reduction step p at [p·width + l], A panels 4 lanes wide, B panels
@@ -110,6 +115,39 @@
 // the last bit, so these results are pinned per architecture, not across
 // architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
 // four-argument probe at start-up sees that and leaves the kernels off.
+//
+// # Layer kernels
+//
+// ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU and ReLUGrad
+// (layer.go) are nn's batch-norm, pooling and rectifier loops, each
+// specified by its doc comment and its portable loop: a channel's sums are
+// float64 running sums from +0 in (row, element) order of the exactly
+// converted values and exact products; the batch-norm elementwise passes are
+// float32 with every operation rounded, in the order written, NormalizeGrad's
+// k = γ·inv/n once per channel; the pool takes a window's elements in
+// row-major order against a best from −Inf with a strict >, so the first
+// maximal element wins, NaN never does, and a window with nothing above −Inf
+// gives −Inf at its first element; ReLU and its gradient work on bit
+// patterns. On amd64 with AVX2 and FMA (CPUID, read once) kernels
+// (layer_amd64.s) give those bits:
+//
+//	sums: four channels in the four float64 lanes of a register, four
+//	elements of each transposed into place, so each channel's chain keeps
+//	its order; Σa by add, Σa·b by fused multiply-add of the exact product.
+//	Channels past the last multiple of four run the portable loop.
+//	Normalize, NormalizeGrad: eight float32 lanes, the scalar loop's
+//	multiplies and adds, separate, in its order; a run's tail under a mask.
+//	2×2 pool: eight outputs to a register, each lane the scalar loop's four
+//	compares (VCMPPS GT_OQ: false on NaN) and blends of the value and the
+//	index. Other k, images whose width is not a multiple of 8 and the last
+//	four outputs of a group run the portable loop.
+//	ReLU: pattern + 0x7fffffff < 0xff800000 as signed integers, the
+//	unsigned compare of pattern − 1 with +Inf's; ReLUGrad: output ≠ 0.
+//
+// Under the purego tag, on other architectures and on CPUs without AVX2 or
+// FMA the portable loops run. As for Gemm, which of two NaN operands a
+// batch-norm result carries is not specified; everything else, arg-max
+// indices included, is bit for bit.
 //
 // # Random variates
 //

@@ -22,6 +22,16 @@ package tensor
 // gradient health checks (HasNaNOrInf) run upstream. The exceptions are the
 // signed-means and signed-shift kernels, which classify −0.0, NaN and ±Inf
 // lane for lane as the scalar x >= 0 does.
+//
+// The other 256-bit kernels live beside the operations they serve, each
+// selected from the CPUID bits it needs (cpu_amd64.go): Gemm's micro-kernels
+// and Wide packer (gemm_amd64.s) on AVX and FMA; the transcendentals
+// (trans_amd64.s) on AVX2 and FMA; the normal-variate transform
+// (rng_amd64.s) on AVX2; and the layer kernels (layer_amd64.s) on AVX2 and
+// FMA — the batch-norm channel sums (four channels to a register), its
+// forward and backward elementwise passes, the 2×2 max pool, and ReLU and
+// its gradient. The layer kernels take specials as their scalar loops do:
+// the pool compares ordered (NaN never wins), ReLU works on bit patterns.
 
 // simdMinLen is the shortest vector worth the call overhead of an assembly
 // kernel; shorter vectors take the scalar path.
