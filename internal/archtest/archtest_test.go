@@ -179,6 +179,8 @@ func stopped(err error) bool { return errors.Is(err, comm.ErrGroupStop) }
 // thing to document, test and keep working, so adding one means editing this
 // list. Fields, flags and rule names are in source order, other names sorted.
 var settable = map[string][]string{
+	"a2sgd.Job fields": {"Config", "Scenario", "TCP", "Replan", "MaxRestarts", "ResetBudgetAfter", "Pool", "Drain",
+		"SnapshotSink", "Health", "BackupSlots", "DriftReplan", "DriftModel", "DriftThreshold"},
 	"a2sgd.TrainConfig fields": {"Family", "Spec", "Workers", "Epochs", "StepsPerEpoch", "BatchPerWorker",
 		"Seed", "Momentum", "TCP", "Faults", "LRScale", "BucketBytes", "Overlap", "Concurrency",
 		"Interleave", "Topology", "CheckpointEvery", "SnapshotPath", "ResumePath", "Schedule"},
@@ -260,6 +262,7 @@ func flagsOf(t *testing.T, file string) (out []string) {
 func TestSettableValuesBudget(t *testing.T) {
 	got := map[string][]string{
 		"a2sgd.TrainConfig fields": fieldsOf(t, "a2sgd.go", "TrainConfig", ""),
+		"a2sgd.Job fields":         fieldsOf(t, "internal/elastic/job.go", "Job", ""), // a2sgd.Job aliases it
 		"jobs.json keys":           fieldsOf(t, "cmd/a2sgdserve/main.go", "jobSpec", "json"),
 		"spec names":               a2sgd.Algorithms(),
 	}

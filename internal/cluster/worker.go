@@ -95,7 +95,7 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 		}
 	}
 	// Tag-space contexts for concurrent bucket exchanges. After the
-	// topology call so the shadow contexts replay the same splits.
+	// topology call so the contexts replay the same splits.
 	if cfg.Concurrency > 1 {
 		if err := cm.SetConcurrency(cfg.Concurrency); err != nil {
 			return nil, err

@@ -8,8 +8,8 @@ import "errors"
 // Deterministic mode — concurrency 1 — a single worker runs operations
 // strictly in posting order, so the execution order and the floating-point
 // reduction order are identical to issuing the same operations
-// synchronously. SetConcurrency(n) adds n-1 shadow communicators in disjoint
-// tag-space contexts (see ctx.go): posted operations are assigned to
+// synchronously. SetConcurrency(n) adds n-1 derived communicators in
+// disjoint tag-space contexts (see ctx.go): posted operations are assigned to
 // contexts round-robin by posting sequence number, operations within a
 // context still run in posting order, and operations in different contexts
 // run concurrently — several bucket rings in flight at once. Because the

@@ -94,14 +94,11 @@ type Communicator struct {
 	// (failure.go); the zero value fails fast on the first error.
 	retry RetryPolicy
 
-	// sendObs, when non-nil, receives per-send timing beacons (observe.go);
-	// rankMap translates a derived communicator's local peer labels back to
-	// global ranks for those beacons.
+	// sendObs, when non-nil, receives per-send timing beacons (observe.go).
 	sendObs func(to, nBytes int, sec float64)
-	rankMap RankMapper
 
-	// children are the group communicators created by Split; their traffic
-	// is folded into this communicator's Traffic.
+	// children are the derived communicators (Split groups, concurrency
+	// contexts); their traffic is folded into this communicator's Traffic.
 	children []*Communicator
 	// hier, when non-nil, switches the core collectives to the two-level
 	// (intra-node + inter-node) schedules of hierarchy.go.
@@ -113,9 +110,6 @@ func NewCommunicator(t Transport) *Communicator {
 	c := &Communicator{t: t, sendErr: make(chan error, 1)}
 	if bt, ok := t.(BufferedTransport); ok {
 		c.buffered = bt.SendIsBuffered()
-	}
-	if rm, ok := t.(RankMapper); ok {
-		c.rankMap = rm
 	}
 	return c
 }
@@ -140,8 +134,8 @@ func (c *Communicator) Size() int { return c.t.Size() }
 func (c *Communicator) Close() error { return c.t.Close() }
 
 // Traffic returns a snapshot of the accumulated counters, including the
-// traffic of every group communicator created by Split (the hierarchical
-// collectives run entirely on those groups).
+// traffic of every derived communicator (Split groups — the hierarchical
+// collectives run entirely on those — and concurrency contexts).
 func (c *Communicator) Traffic() Traffic {
 	t := Traffic{
 		BytesSent: c.bytesSent.Load(),
@@ -160,7 +154,7 @@ func (c *Communicator) Traffic() Traffic {
 }
 
 // ResetTraffic zeroes the counters (between experiment phases), including
-// those of group communicators.
+// those of derived communicators.
 func (c *Communicator) ResetTraffic() {
 	c.bytesSent.Store(0)
 	c.bytesRecv.Store(0)
@@ -188,9 +182,11 @@ func (c *Communicator) send(to, tag int, data []float32) error {
 		return err
 	}
 	if obs != nil {
+		// A derived communicator's peer labels are local; beacons name
+		// global ranks.
 		gto := to
-		if c.rankMap != nil {
-			gto = c.rankMap.GlobalRank(to)
+		if g, ok := c.t.(*groupTransport); ok {
+			gto = g.GlobalRank(to)
 		}
 		obs(gto, 4*len(data), time.Since(t0).Seconds())
 	}

@@ -4,8 +4,9 @@ import "fmt"
 
 // Tag-space contexts: the machinery that lets several collectives run
 // concurrently on one communicator without crossing wires. Each context k>0
-// is a shadow Communicator over the same transport whose every tag is
-// lifted by k*ctxTagShift, extending the flat tag-base scheme of comm.go
+// is a duplicate of the communicator, MPI_Comm_dup-style: a derived group
+// (group.go) with the identity rank map whose every tag is lifted by
+// k*ctxTagShift, extending the flat tag-base scheme of comm.go
 // (tagRingRS = 1<<16 …) and the per-group shift of group.go (1<<21 per
 // Split color) by one more level. The tag budget, low to high:
 //
@@ -25,44 +26,6 @@ const ctxTagShift = 1 << 28
 // above the per-color group space.
 const MaxConcurrency = 8
 
-// ctxTransport lifts every tag by a context offset. It forwards the
-// BufferedTransport capability: a context send is exactly a parent send on a
-// shifted tag.
-type ctxTransport struct {
-	t   Transport
-	off int
-}
-
-func (x *ctxTransport) Rank() int { return x.t.Rank() }
-func (x *ctxTransport) Size() int { return x.t.Size() }
-
-func (x *ctxTransport) Send(to, tag int, data []float32) error {
-	return x.t.Send(to, tag+x.off, data)
-}
-
-func (x *ctxTransport) Recv(from, tag int, data []float32) error {
-	return x.t.Recv(from, tag+x.off, data)
-}
-
-// Close is a no-op: the parent owns the underlying transport.
-func (x *ctxTransport) Close() error { return nil }
-
-func (x *ctxTransport) SendIsBuffered() bool {
-	if bt, ok := x.t.(BufferedTransport); ok {
-		return bt.SendIsBuffered()
-	}
-	return false
-}
-
-// GlobalRank forwards to the parent transport: a context relabels tags, not
-// ranks.
-func (x *ctxTransport) GlobalRank(local int) int {
-	if m, ok := x.t.(RankMapper); ok {
-		return m.GlobalRank(local)
-	}
-	return local
-}
-
 // SetConcurrency sets the number of tag-space contexts available to the
 // nonblocking operations: 1 (the default) is the Deterministic mode — a
 // single progress worker executing posted operations strictly in posting
@@ -72,10 +35,9 @@ func (x *ctxTransport) GlobalRank(local int) int {
 // All ranks must call SetConcurrency with the same n at the same point in
 // their posting sequence, with no nonblocking operations outstanding. On a
 // flat communicator the call is purely local; on one with a two-level
-// topology (SetTopology) it is a collective, because each shadow context
-// replays the topology splits in its own tag space. Shadow communicators
-// are registered as children, so Traffic/ResetTraffic keep aggregating all
-// contexts.
+// topology (SetTopology) it is a collective, because each context replays
+// the topology splits in its own tag space. Contexts are registered as
+// children, so Traffic/ResetTraffic keep aggregating all of them.
 func (c *Communicator) SetConcurrency(n int) error {
 	if n < 1 || n > MaxConcurrency {
 		return fmt.Errorf("comm: concurrency %d out of range [1,%d]", n, MaxConcurrency)
@@ -90,18 +52,19 @@ func (c *Communicator) SetConcurrency(n int) error {
 	}
 	c.asyncMu.Unlock()
 
+	identity := make([]int, c.Size())
+	for r := range identity {
+		identity[r] = r
+	}
 	ctxComms := make([]*Communicator, n)
 	ctxComms[0] = c
 	for k := 1; k < n; k++ {
-		sc := NewCommunicator(&ctxTransport{t: c.t, off: k * ctxTagShift})
-		sc.retry = c.retry
-		sc.sendObs = c.sendObs
+		sc := c.derive(identity, c.Rank(), k*ctxTagShift)
 		if c.hier != nil {
 			if err := sc.SetTopology(c.hier.ranksPerNode); err != nil {
 				return fmt.Errorf("comm: context %d topology: %w", k, err)
 			}
 		}
-		c.children = append(c.children, sc)
 		ctxComms[k] = sc
 	}
 

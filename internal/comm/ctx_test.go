@@ -2,8 +2,10 @@ package comm
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestSetConcurrencyValidation pins the range checks.
@@ -194,6 +196,119 @@ func TestSetConcurrencyResetsAcrossPhases(t *testing.T) {
 			if v[0] != 3 {
 				return fmt.Errorf("conc %d: sum %v want 3", conc, v[0])
 			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
+// sendLog is a recording send observer: the destination of every send.
+type sendLog struct {
+	mu sync.Mutex
+	to []int
+}
+
+func (l *sendLog) observe(to, _ int, _ float64) {
+	l.mu.Lock()
+	l.to = append(l.to, to)
+	l.mu.Unlock()
+}
+
+// take returns the recorded destinations, sorted, and clears the log.
+func (l *sendLog) take() []int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	out := l.to
+	l.to = nil
+	slices.Sort(out)
+	return out
+}
+
+// TestDerivedCommunicatorsInherit: a retry policy and a send observer,
+// installed before derivation and again after it, reach every Split group,
+// every concurrency context (a split group's too) and each context's
+// hierarchy tiers, and the observer names global ranks on all of them — the
+// health ladder attributes a slow link to a worker through these labels.
+func TestDerivedCommunicatorsInherit(t *testing.T) {
+	const p = 4
+	early := RetryPolicy{Attempts: 3, Backoff: time.Millisecond}
+	late := RetryPolicy{Attempts: 5, Backoff: 2 * time.Millisecond}
+	err := RunGroup(p, func(c *Communicator) error {
+		var before, after sendLog
+		c.SetRetry(early)
+		c.SetSendObserver(before.observe)
+		// Reversed keys, so split-group labels differ from global ranks.
+		g, err := c.Split(c.Rank()%2, p-c.Rank())
+		if err != nil {
+			return err
+		}
+		if err := c.SetTopology(2); err != nil {
+			return err
+		}
+		if err := c.SetConcurrency(2); err != nil {
+			return err
+		}
+		// A split group's context maps its labels through the group's.
+		if err := g.SetConcurrency(2); err != nil {
+			return err
+		}
+		ctx := c.ctxComm(1)
+		if ctx.hier == nil {
+			return fmt.Errorf("rank %d: context did not replay the topology", c.Rank())
+		}
+		// Every rank lists the communicators it belongs to in one order; the
+		// leader tiers exist on leaders only, who all list them last.
+		derived := []*Communicator{g, g.ctxComm(1), c.hier.intra, ctx, ctx.hier.intra}
+		if c.hier.inter != nil {
+			derived = append(derived, c.hier.inter, ctx.hier.inter)
+		}
+		check := func(phase string, log *sendLog, retry RetryPolicy) error {
+			for i, d := range derived {
+				if d.retry != retry {
+					return fmt.Errorf("%s: rank %d derived %d: retry %+v, want %+v", phase, c.Rank(), i, d.retry, retry)
+				}
+				// The members' global ranks, by local label, from the data.
+				globals := make([]float32, d.Size())
+				if err := d.flatAllgather([]float32{float32(c.Rank())}, globals); err != nil {
+					return err
+				}
+				log.take()
+				var want []int
+				buf := []float32{0}
+				for j := 0; j < d.Size(); j++ {
+					if j != d.Rank() {
+						if err := d.send(j, tagBar+1<<15, buf); err != nil {
+							return err
+						}
+						want = append(want, int(globals[j]))
+					}
+				}
+				for j := 0; j < d.Size(); j++ {
+					if j != d.Rank() {
+						if err := d.recv(j, tagBar+1<<15, buf); err != nil {
+							return err
+						}
+					}
+				}
+				slices.Sort(want)
+				if got := log.take(); !slices.Equal(got, want) {
+					return fmt.Errorf("%s: rank %d derived %d: observed sends to %v, want global ranks %v", phase, c.Rank(), i, got, want)
+				}
+			}
+			return nil
+		}
+		if err := check("installed before derivation", &before, early); err != nil {
+			return err
+		}
+		c.SetRetry(late)
+		c.SetSendObserver(after.observe)
+		if err := check("installed after derivation", &after, late); err != nil {
+			return err
+		}
+		if stale := before.take(); len(stale) > 0 {
+			return fmt.Errorf("rank %d: replaced observer still saw sends to %v", c.Rank(), stale)
 		}
 		return nil
 	})

@@ -28,8 +28,9 @@
 // result — is identical to issuing the same operations synchronously; the
 // training runtime exploits this to overlap bucket i's collective with
 // bucket i+1's gather+encode while staying bitwise deterministic.
-// SetConcurrency(n>1) adds n-1 shadow communicators in disjoint tag-space
-// contexts (the top four tag bits): posted operations are distributed to
+// SetConcurrency(n>1) adds n-1 duplicates of the communicator — derived
+// groups with the identity rank map — in disjoint tag-space contexts (the
+// top four tag bits): posted operations are distributed to
 // contexts round-robin by posting sequence — deterministically, so every
 // rank routes the k-th post to the same tag block — and operations in
 // different contexts proceed concurrently on the wire. Each collective's

@@ -20,8 +20,9 @@ const groupTagShift = 1 << 21
 
 // groupTransport adapts a parent communicator's transport to a subset of its
 // ranks: group rank i maps to parent rank ranks[i], and every tag is lifted
-// into a per-color tag space so group traffic can never be mistaken for
-// parent traffic on a shared (src, dst) pair.
+// into a private tag block (a Split color's, or a concurrency context's) so
+// derived traffic can never be mistaken for parent traffic on a shared
+// (src, dst) pair.
 type groupTransport struct {
 	parent Transport
 	ranks  []int // group rank -> parent rank
@@ -49,16 +50,6 @@ func (t *groupTransport) Recv(from, tag int, data []float32) error {
 // Close is a no-op: the parent owns the underlying transport.
 func (t *groupTransport) Close() error { return nil }
 
-// SendIsBuffered forwards the parent transport's capability: a group send is
-// exactly a parent send on a remapped (rank, tag), so it buffers iff the
-// parent does.
-func (t *groupTransport) SendIsBuffered() bool {
-	if bt, ok := t.parent.(BufferedTransport); ok {
-		return bt.SendIsBuffered()
-	}
-	return false
-}
-
 // GlobalRank maps a group rank to the parent's label and keeps translating
 // up the chain, so a hierarchy tier's beacons name physical workers.
 func (t *groupTransport) GlobalRank(local int) int {
@@ -66,10 +57,25 @@ func (t *groupTransport) GlobalRank(local int) int {
 		return local
 	}
 	r := t.ranks[local]
-	if m, ok := t.parent.(RankMapper); ok {
-		return m.GlobalRank(r)
+	if g, ok := t.parent.(*groupTransport); ok {
+		return g.GlobalRank(r)
 	}
 	return r
+}
+
+// derive builds a child communicator over this one's fabric — a Split group
+// or a concurrency context — with the given rank map and tag block. The child
+// inherits the retry policy, the send observer and the buffered-send
+// capability (a derived send is exactly a parent send on a remapped rank and
+// tag), and is registered as a child, so traffic and later
+// SetRetry/SetSendObserver calls reach it.
+func (c *Communicator) derive(ranks []int, rank, tagOff int) *Communicator {
+	g := NewCommunicator(&groupTransport{parent: c.t, ranks: ranks, rank: rank, tagOff: tagOff})
+	g.buffered = c.buffered
+	g.retry = c.retry
+	g.sendObs = c.sendObs
+	c.children = append(c.children, g)
+	return g
 }
 
 // ColorUndefined excludes the calling rank from every group, like
@@ -125,14 +131,5 @@ func (c *Communicator) Split(color, key int) (*Communicator, error) {
 			myRank = i
 		}
 	}
-	g := NewCommunicator(&groupTransport{
-		parent: c.t,
-		ranks:  ranks,
-		rank:   myRank,
-		tagOff: (color + 1) * groupTagShift,
-	})
-	g.retry = c.retry
-	g.sendObs = c.sendObs
-	c.children = append(c.children, g)
-	return g, nil
+	return c.derive(ranks, myRank, (color+1)*groupTagShift), nil
 }

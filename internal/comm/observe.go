@@ -1,14 +1,5 @@
 package comm
 
-// RankMapper is the optional capability of transports whose rank labels are
-// local to a derived group (Split groups, tag-space contexts). GlobalRank
-// translates a local peer label back to the root communicator's rank so
-// timing beacons attribute traffic to the right physical worker. Transports
-// without the capability are assumed to use global ranks already.
-type RankMapper interface {
-	GlobalRank(local int) int
-}
-
 // SetSendObserver installs a per-send timing beacon: after every successful
 // point-to-point send, f receives the destination's global rank, the payload
 // size in bytes and the wall seconds the send took (including transient-error
@@ -19,12 +10,6 @@ type RankMapper interface {
 // — it runs on the hot send path.
 func (c *Communicator) SetSendObserver(f func(to, nBytes int, sec float64)) {
 	c.sendObs = f
-	c.asyncMu.Lock()
-	ctxs := append([]*Communicator(nil), c.ctxComms...)
-	c.asyncMu.Unlock()
-	for _, sc := range ctxs {
-		sc.sendObs = f
-	}
 	for _, ch := range c.children {
 		ch.SetSendObserver(f)
 	}

@@ -69,8 +69,9 @@ type Algorithm interface {
 	Reset()
 }
 
-// Sync is the one-call convenience the training loop uses:
-// Encode followed by Exchange.
+// Sync is Encode followed by Exchange over one flat gradient: the one-call
+// form the theory checks (core) and the benchmarks use. The training loop
+// does not call it; it drives per-bucket views through Bucketed.
 func Sync(a Algorithm, g []float32, c *comm.Communicator) (Payload, error) {
 	p := a.Encode(g)
 	return p, a.Exchange(p, g, c)

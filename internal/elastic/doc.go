@@ -30,6 +30,17 @@
 // restored width. Joiners are only ever admitted at step boundaries, so every
 // epoch transition happens on a bitwise-defined state.
 //
+// Every membership change — crash, preempt, rejoin, eviction — takes one
+// step: the epoch bumps, the boundary snapshot is resharded (or the evicted
+// rank removed from it) and the escalation ladder restarts.
+//
+// # Escalation ladder
+//
+// With the health monitor on, a rank classified Degraded at a checkpoint
+// boundary climbs one stage per boundary it stays degraded: soft-degrade, a
+// one-boundary grace that only names it; a warm backup clone on a spare Pool
+// slot; eviction.
+//
 // # Snapshots
 //
 // A snapshot (cluster.RunState) is a versioned, CRC-checked capture of

@@ -3,8 +3,8 @@ package elastic
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
-	"time"
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm"
@@ -40,31 +40,18 @@ const (
 	// StageHealthy: no action. Transient transport errors are already
 	// retried below this ladder by comm.SetRetry.
 	StageHealthy LadderStage = iota
-	// StageSoft: soft-degrade — the group's effective concurrency shrinks to
-	// the deterministic single context (bitwise-identical arithmetic, less
-	// outstanding load on the slow rank's links) and the scenario deadline is
-	// extended once.
+	// StageSoft: soft-degrade — a one-boundary grace. The rank is named (a
+	// degrade(rank=N) event) and nothing else changes: a rank still degraded
+	// at the next boundary climbs to backup or eviction, so one noisy
+	// classification never costs a clone or a reshard.
 	StageSoft
 	// StageBackup: a spare Pool slot duplicates the rank's shard; the first
 	// finisher wins with a deterministic rank-ordered tie-break, so the
-	// recovered run stays bitwise-identical to the fault-free reference.
+	// recovered run stays bitwise-identical to the fault-free reference. A
+	// rank still degraded one boundary later is evicted: a targeted
+	// membership-epoch reshard (Evict) shrinks the world by one.
 	StageBackup
-	// StageEvicted: the rank is removed by a targeted membership-epoch
-	// reshard (Evict) and the world shrinks by one.
-	StageEvicted
 )
-
-func (s LadderStage) String() string {
-	switch s {
-	case StageSoft:
-		return "soft-degrade"
-	case StageBackup:
-		return "backup"
-	case StageEvicted:
-		return "evicted"
-	}
-	return "healthy"
-}
 
 // Job supervises one elastic training run: a sequence of fixed-world
 // cluster.Train segments connected through snapshots, with the world size
@@ -157,41 +144,6 @@ type RunResult struct {
 	Measured *netsim.Fabric
 }
 
-// segmentScenario derives the fault scenario for a segment starting at global
-// step segStart: consumed rules are dropped, step-scoped rules are rebased to
-// the segment's mesh (each cluster.Train call counts steps from its own
-// start, while rule steps are written in global steps), the active backup
-// ranks are installed, and the deadline is stretched by deadlineScale when a
-// soft-degraded rank earned its one extension. Degrade rules rebase even when
-// their ramp began before the segment (a negative After keeps the ramp's
-// phase), unlike one-shot step rules, which are dropped once passed.
-func (j *Job) segmentScenario(rules []faultnet.Rule, segStart int, consumed []bool, backups []int, deadlineScale float64) *faultnet.Scenario {
-	sc := faultnet.Scenario{Seed: 1}
-	if j.Scenario != nil {
-		sc = *j.Scenario
-	}
-	sc.Rules = nil
-	for i, r := range rules {
-		if consumed[i] {
-			continue
-		}
-		if r.Kind == faultnet.RuleDegrade {
-			r.Step -= segStart
-		} else if r.Step >= 0 {
-			if r.Step < segStart {
-				continue
-			}
-			r.Step -= segStart
-		}
-		sc.Rules = append(sc.Rules, r)
-	}
-	sc.Backup = append([]int(nil), backups...)
-	if deadlineScale > 1 && sc.Deadline > 0 {
-		sc.Deadline = time.Duration(float64(sc.Deadline) * deadlineScale)
-	}
-	return &sc
-}
-
 // nextFault returns the index of the earliest unconsumed rank-failure rule
 // (crash, stall or preempt) that can have fired in a segment starting at
 // segStart, or -1.
@@ -237,6 +189,73 @@ func drained(ch <-chan struct{}) bool {
 	}
 }
 
+// supervisor is one Run's state: the live world and its membership epoch,
+// the fault rules (copied, so an eviction can renumber the surviving ranks'
+// rules without mutating the caller's scenario), the escalation ladder and
+// the restart budget.
+type supervisor struct {
+	j                           *Job
+	base                        cluster.Config
+	totalSteps, maxRestarts     int
+	driftModel                  netsim.Fabric
+	driftThreshold              float64
+	rules                       []faultnet.Rule
+	consumed                    []bool
+	rr                          *RunResult
+	world, epoch, pendingRejoin int
+	ladder                      []LadderStage
+	backups                     []int
+	drifted                     bool
+	budgetUsed                  int
+
+	// latest is written by rank 0's sink goroutine during a segment and read
+	// by the supervisor after the segment joins; mu makes the handoff
+	// race-free under external sinks that outlive the group join. cleanSince
+	// counts consecutive snapshot deliveries with no failure in between, the
+	// ResetBudgetAfter refill signal.
+	mu         sync.Mutex
+	latest     *cluster.RunState
+	cleanSince int
+}
+
+func newSupervisor(j *Job) *supervisor {
+	s := &supervisor{j: j, base: j.Config, maxRestarts: j.MaxRestarts, driftModel: j.DriftModel, driftThreshold: j.DriftThreshold}
+	if s.base.Workers <= 0 {
+		s.base.Workers = 1
+	}
+	epochsN, stepsN := s.base.Epochs, s.base.StepsPerEpoch
+	if epochsN <= 0 {
+		epochsN = 1
+	}
+	if stepsN <= 0 {
+		stepsN = 10
+	}
+	s.totalSteps = epochsN * stepsN
+	if s.maxRestarts <= 0 {
+		s.maxRestarts = 8
+	}
+	if s.driftModel == (netsim.Fabric{}) {
+		s.driftModel = netsim.IB100()
+	}
+	if s.driftThreshold <= 1 {
+		s.driftThreshold = 2
+	}
+	if j.Scenario != nil {
+		s.rules = append([]faultnet.Rule(nil), j.Scenario.Rules...)
+	}
+	s.consumed = make([]bool, len(s.rules))
+	s.latest = s.base.Resume
+	s.world = s.base.Workers
+	startStep := 0
+	if s.latest != nil {
+		s.world = s.latest.World
+		startStep = s.latest.Step
+	}
+	s.rr = &RunResult{Events: []Event{{Epoch: 0, Step: startStep, World: s.world, Reason: "start"}}}
+	s.ladder = make([]LadderStage, s.world)
+	return s
+}
+
 // Run drives the job to completion (or to a drain pause): it runs one
 // cluster.Train segment per membership epoch, snapshots at boundaries,
 // shrinks the world when a rank fails, schedules a rejoin boundary for
@@ -248,145 +267,31 @@ func drained(ch <-chan struct{}) bool {
 // checkpoint boundary additionally evaluates the escalation ladder: a rank
 // the monitor classifies Degraded climbs healthy → soft-degrade → backup →
 // evicted, one stage per boundary it stays degraded — so a degraded-but-alive
-// rank always passes through soft-degrade before any eviction — and the
-// measured fabric is compared against DriftModel to trigger a measured-fabric
-// replan.
+// rank always gets one boundary of grace before any backup or eviction — and
+// the measured fabric is compared against DriftModel to trigger a
+// measured-fabric replan.
 func (j *Job) Run() (*RunResult, error) {
-	base := j.Config
-	if base.Workers <= 0 {
-		base.Workers = 1
-	}
-	epochsN, stepsN := base.Epochs, base.StepsPerEpoch
-	if epochsN <= 0 {
-		epochsN = 1
-	}
-	if stepsN <= 0 {
-		stepsN = 10
-	}
-	totalSteps := epochsN * stepsN
-	maxRestarts := j.MaxRestarts
-	if maxRestarts <= 0 {
-		maxRestarts = 8
-	}
-	driftModel := j.DriftModel
-	if driftModel == (netsim.Fabric{}) {
-		driftModel = netsim.IB100()
-	}
-	driftThreshold := j.DriftThreshold
-	if driftThreshold <= 1 {
-		driftThreshold = 2
-	}
-	// Rules are copied so a targeted eviction can renumber the surviving
-	// ranks' rules without mutating the caller's scenario.
-	var rules []faultnet.Rule
-	if j.Scenario != nil {
-		rules = append([]faultnet.Rule(nil), j.Scenario.Rules...)
-	}
-	consumed := make([]bool, len(rules))
-
-	latest := base.Resume
-	world := base.Workers
-	startStep := 0
-	if latest != nil {
-		world = latest.World
-		startStep = latest.Step
-	}
-	epoch := 0
-	pendingRejoin := 0
-	rr := &RunResult{Events: []Event{{Epoch: 0, Step: startStep, World: world, Reason: "start"}}}
-
-	healthOn := j.Health || j.BackupSlots > 0 || j.DriftReplan
-	ladder := make([]LadderStage, world)
-	var backups []int
-	deadlineScale := 1.0
-	drifted := false
-	// budgetUsed is the spent share of the restart budget; cleanSince counts
-	// consecutive snapshot deliveries with no failure in between, the
-	// ResetBudgetAfter refill signal.
-	budgetUsed, cleanSince := 0, 0
-
-	// latest is written by rank 0's sink goroutine during a segment and read
-	// by the supervisor after the segment joins; the mutex makes the handoff
-	// race-free under external sinks that outlive the group join.
-	var mu sync.Mutex
+	s := newSupervisor(j)
+	rr := s.rr
 	for {
-		segStart := 0
-		if latest != nil {
-			segStart = latest.Step
+		seg, mon, err := s.segment()
+		if err != nil {
+			return rr, err
 		}
-		seg := base
-		seg.Workers = world
-		seg.Resume = latest
-		seg.Drain = j.Drain
-		seg.StopStep = 0
-		seg.SnapshotSink = func(rs *cluster.RunState) error {
-			mu.Lock()
-			latest = rs
-			cleanSince++
-			mu.Unlock()
-			if j.SnapshotSink != nil {
-				return j.SnapshotSink(rs)
-			}
-			return nil
-		}
-		if pendingRejoin > 0 {
-			if stop := nextBoundary(segStart, seg.CheckpointEvery, totalSteps); stop > 0 {
-				seg.StopStep = stop
-			} else {
-				// No boundary left before the run ends: the preempted ranks
-				// cannot rejoin, the shrunk world finishes the run.
-				pendingRejoin = 0
-			}
-		}
-		var mon *health.Monitor
-		if healthOn {
-			mon = health.NewMonitor(world, health.Options{})
-			seg.Health = mon
-			// Pace the segment to the next boundary so the ladder and drift
-			// checks get a look between segments. The final stretch (no
-			// boundary left) runs to completion.
-			if seg.StopStep == 0 {
-				if stop := nextBoundary(segStart, seg.CheckpointEvery, totalSteps); stop > 0 {
-					seg.StopStep = stop
-				}
-			}
-			for _, st := range ladder {
-				if st == StageSoft && seg.Concurrency > 1 {
-					// Soft-degrade: drop to the deterministic single context.
-					// Concurrency never changes the arithmetic, so the run
-					// stays bitwise — it only sheds concurrent load from the
-					// straggler's links.
-					seg.Concurrency = 1
-				}
-			}
-		}
-		if j.Replan != nil {
-			fabric := driftModel
-			if drifted {
-				fabric = *rr.Measured
-			}
-			sched, err := j.Replan(world, fabric)
-			if err != nil {
-				return rr, fmt.Errorf("elastic: replan at world %d on %s: %w", world, fabric.Name, err)
-			}
-			seg.Schedule = sched
-		}
-		seg.GroupRunner = faultnet.GroupRunner(j.segmentScenario(rules, segStart, consumed, backups, deadlineScale), j.TCP)
-
 		var slots int
 		if j.Pool != nil {
-			slots = j.Pool.Acquire(world + len(backups))
+			slots = j.Pool.Acquire(s.world + len(s.backups))
 		}
 		res, err := cluster.Train(seg)
 		if j.Pool != nil {
 			j.Pool.Release(slots)
 		}
-		mu.Lock()
-		snap := latest
-		mu.Unlock()
+		s.mu.Lock()
+		snap := s.latest
+		s.mu.Unlock()
 
 		if err == nil {
-			res.MembershipEpoch = epoch
+			res.MembershipEpoch = s.epoch
 			rr.Result = res
 			rr.Snapshot = snap
 			return rr, nil
@@ -395,157 +300,245 @@ func (j *Job) Run() (*RunResult, error) {
 			if drained(j.Drain) {
 				rr.Paused = true
 				rr.Snapshot = snap
-				rr.Events = append(rr.Events, Event{Epoch: epoch, Step: snap.Step, World: world, Reason: "drain"})
+				rr.Events = append(rr.Events, Event{Epoch: s.epoch, Step: snap.Step, World: s.world, Reason: "drain"})
 				return rr, nil
 			}
-			if pendingRejoin > 0 {
-				world += pendingRejoin
-				pendingRejoin = 0
-				epoch++
-				latest, err = Reshard(snap, world)
-				if err != nil {
+			if s.pendingRejoin > 0 {
+				world := s.world + s.pendingRejoin
+				s.pendingRejoin = 0
+				if err := s.reshape(snap, world, -1, "rejoin"); err != nil {
 					return rr, err
 				}
-				rr.Events = append(rr.Events, Event{Epoch: epoch, Step: snap.Step, World: world, Reason: "rejoin"})
-				// The world changed: every ladder label is stale.
-				ladder = make([]LadderStage, world)
-				backups = backups[:0]
 				continue
 			}
 			if mon != nil && seg.StopStep > 0 {
-				if world, latest, err = j.evaluateHealth(mon, snap, rr, rules, consumed, world, &epoch,
-					ladder, &backups, &deadlineScale, &drifted, driftModel, driftThreshold); err != nil {
+				if err := s.evaluateHealth(mon, snap); err != nil {
 					return rr, err
-				}
-				if len(ladder) != world {
-					ladder = make([]LadderStage, world)
 				}
 				continue
 			}
 			return rr, err // paused with no pending transition: surface it
 		}
-		// Mid-segment failure. Only peer-scoped transport failures are
-		// membership events; anything else (divergence, a planning bug) is not
-		// recoverable by rescaling.
-		var pe *comm.PeerError
-		ri := nextFault(rules, segStart, consumed)
-		mu.Lock()
-		clean := cleanSince
-		cleanSince = 0
-		mu.Unlock()
-		if j.ResetBudgetAfter > 0 && clean >= j.ResetBudgetAfter {
-			budgetUsed = 0
-		}
-		if !errors.As(err, &pe) || ri < 0 || budgetUsed >= maxRestarts || snap == nil {
+		if err := s.handleFailure(err, seg.Resume, snap); err != nil {
 			return rr, err
 		}
-		rr.Restarts++
-		budgetUsed++
-		consumed[ri] = true
-		r := rules[ri]
-		if world-1 < 1 {
-			return rr, fmt.Errorf("elastic: rank %d failed with no survivors left: %w", r.Rank, err)
-		}
-		world--
-		epoch++
-		reason := fmt.Sprintf("crash(rank=%d)", r.Rank)
-		if r.Kind == faultnet.RulePreempt {
-			pendingRejoin++
-			reason = fmt.Sprintf("preempt(rank=%d)", r.Rank)
-		}
-		latest, err = Reshard(snap, world)
-		if err != nil {
-			return rr, err
-		}
-		rr.Events = append(rr.Events, Event{Epoch: epoch, Step: snap.Step, World: world, Reason: reason})
-		ladder = make([]LadderStage, world)
-		backups = backups[:0]
 	}
+}
+
+// segment builds the next cluster.Train call: the current world resumed from
+// the latest snapshot, paced to the next boundary when a rejoin is pending or
+// the health monitor is on, re-planned when Replan is set, and launched under
+// the segment's fault scenario. mon is the segment's health monitor, or nil.
+func (s *supervisor) segment() (seg cluster.Config, mon *health.Monitor, err error) {
+	j := s.j
+	segStart := 0
+	if s.latest != nil {
+		segStart = s.latest.Step
+	}
+	seg = s.base
+	seg.Workers = s.world
+	seg.Resume = s.latest
+	seg.Drain = j.Drain
+	seg.StopStep = 0
+	seg.SnapshotSink = func(rs *cluster.RunState) error {
+		s.mu.Lock()
+		s.latest = rs
+		s.cleanSince++
+		s.mu.Unlock()
+		if j.SnapshotSink != nil {
+			return j.SnapshotSink(rs)
+		}
+		return nil
+	}
+	stop := nextBoundary(segStart, seg.CheckpointEvery, s.totalSteps)
+	if stop == 0 {
+		// No boundary left before the run ends: preempted ranks cannot
+		// rejoin, the shrunk world finishes the run, and so does the final
+		// stretch of a health-paced one.
+		s.pendingRejoin = 0
+	}
+	healthOn := j.Health || j.BackupSlots > 0 || j.DriftReplan
+	if healthOn {
+		mon = health.NewMonitor(s.world, health.Options{})
+		seg.Health = mon
+	}
+	if s.pendingRejoin > 0 || healthOn {
+		// Pause at the boundary: the rejoin, the ladder and the drift check
+		// happen between segments.
+		seg.StopStep = stop
+	}
+	if j.Replan != nil {
+		fabric := s.driftModel
+		if s.drifted {
+			fabric = *s.rr.Measured
+		}
+		sched, err := j.Replan(s.world, fabric)
+		if err != nil {
+			return seg, nil, fmt.Errorf("elastic: replan at world %d on %s: %w", s.world, fabric.Name, err)
+		}
+		seg.Schedule = sched
+	}
+	seg.GroupRunner = faultnet.GroupRunner(s.scenario(segStart), j.TCP)
+	return seg, mon, nil
+}
+
+// scenario derives the fault scenario for a segment starting at global step
+// segStart: consumed rules are dropped, step-scoped rules are rebased to the
+// segment's mesh (each cluster.Train call counts steps from its own start,
+// while rule steps are written in global steps) and the active backup ranks
+// are installed. Degrade rules rebase even when their ramp began before the
+// segment (a negative After keeps the ramp's phase), unlike one-shot step
+// rules, which are dropped once passed.
+func (s *supervisor) scenario(segStart int) *faultnet.Scenario {
+	sc := faultnet.Scenario{Seed: 1}
+	if s.j.Scenario != nil {
+		sc = *s.j.Scenario
+	}
+	sc.Rules = nil
+	for i, r := range s.rules {
+		if s.consumed[i] {
+			continue
+		}
+		if r.Kind == faultnet.RuleDegrade {
+			r.Step -= segStart
+		} else if r.Step >= 0 {
+			if r.Step < segStart {
+				continue
+			}
+			r.Step -= segStart
+		}
+		sc.Rules = append(sc.Rules, r)
+	}
+	sc.Backup = append([]int(nil), s.backups...)
+	return &sc
+}
+
+// handleFailure handles a mid-segment failure. Only peer-scoped transport
+// failures are membership events — attributed to the earliest unconsumed
+// crash, stall or preempt rule of a segment that resumed from `from`, within
+// the restart budget. Anything else (divergence, a planning bug) is not
+// recoverable by rescaling: it is returned.
+func (s *supervisor) handleFailure(err error, from, snap *cluster.RunState) error {
+	segStart := 0
+	if from != nil {
+		segStart = from.Step
+	}
+	var pe *comm.PeerError
+	ri := nextFault(s.rules, segStart, s.consumed)
+	s.mu.Lock()
+	clean := s.cleanSince
+	s.cleanSince = 0
+	s.mu.Unlock()
+	if s.j.ResetBudgetAfter > 0 && clean >= s.j.ResetBudgetAfter {
+		s.budgetUsed = 0
+	}
+	if !errors.As(err, &pe) || ri < 0 || s.budgetUsed >= s.maxRestarts || snap == nil {
+		return err
+	}
+	s.rr.Restarts++
+	s.budgetUsed++
+	s.consumed[ri] = true
+	r := s.rules[ri]
+	if s.world-1 < 1 {
+		return fmt.Errorf("elastic: rank %d failed with no survivors left: %w", r.Rank, err)
+	}
+	reason := fmt.Sprintf("crash(rank=%d)", r.Rank)
+	if r.Kind == faultnet.RulePreempt {
+		s.pendingRejoin++
+		reason = fmt.Sprintf("preempt(rank=%d)", r.Rank)
+	}
+	return s.reshape(snap, s.world-1, -1, reason)
+}
+
+// reshape is the one membership change: it starts the next epoch at world
+// ranks from snap's boundary — snap resharded onto world, or, with evicted
+// >= 0, snap with that rank removed — records the event and resets the
+// ladder, whose rank labels are all stale. Crash, preempt and rejoin clear
+// the backups; an eviction keeps the others, relabelled past the gap.
+func (s *supervisor) reshape(snap *cluster.RunState, world, evicted int, reason string) error {
+	var next *cluster.RunState
+	var err error
+	if evicted >= 0 {
+		next, err = Evict(snap, evicted)
+	} else {
+		next, err = Reshard(snap, world)
+	}
+	if err != nil {
+		return err
+	}
+	if evicted >= 0 {
+		s.backups = slices.DeleteFunc(s.backups, func(b int) bool { return b == evicted })
+		for i, b := range s.backups {
+			if b > evicted {
+				s.backups[i]--
+			}
+		}
+	} else {
+		s.backups = s.backups[:0]
+	}
+	s.latest, s.world = next, world
+	s.epoch++
+	s.rr.Events = append(s.rr.Events, Event{Epoch: s.epoch, Step: snap.Step, World: world, Reason: reason})
+	s.ladder = make([]LadderStage, world)
+	return nil
 }
 
 // evaluateHealth runs one boundary's ladder and drift pass: Degraded ranks
 // climb a stage (soft-degrade → backup → evict), the measured fabric is
-// refreshed and compared against the model. Returns the possibly-shrunk
-// world and the snapshot to resume from.
-func (j *Job) evaluateHealth(mon *health.Monitor, snap *cluster.RunState, rr *RunResult,
-	rules []faultnet.Rule, consumed []bool, world int, epoch *int,
-	ladder []LadderStage, backups *[]int, deadlineScale *float64,
-	drifted *bool, driftModel netsim.Fabric, driftThreshold float64,
-) (int, *cluster.RunState, error) {
-	latest := snap
-	evict := func(rank int) error {
-		if world-1 < 1 {
-			return fmt.Errorf("elastic: cannot evict rank %d with no survivors left", rank)
-		}
-		// The rank's slowdown leaves with it; renumber surviving ranks' rules
-		// past the gap so they keep targeting the same physical workers.
-		for i := range rules {
-			if consumed[i] || rules[i].Rank < 0 {
-				continue
-			}
-			if rules[i].Rank == rank {
-				consumed[i] = true
-			} else if rules[i].Rank > rank {
-				rules[i].Rank--
-			}
-		}
-		var err error
-		latest, err = Evict(latest, rank)
-		if err != nil {
-			return err
-		}
-		world--
-		*epoch++
-		// Backup labels shift with the eviction too.
-		kept := (*backups)[:0]
-		for _, b := range *backups {
-			if b == rank {
-				continue
-			}
-			if b > rank {
-				b--
-			}
-			kept = append(kept, b)
-		}
-		*backups = kept
-		ladder[rank] = StageEvicted
-		rr.Events = append(rr.Events, Event{Epoch: *epoch, Step: snap.Step, World: world, Reason: fmt.Sprintf("evict(rank=%d)", rank)})
-		return nil
-	}
+// refreshed and compared against the model.
+func (s *supervisor) evaluateHealth(mon *health.Monitor, snap *cluster.RunState) error {
+	rr := s.rr
 	for _, cl := range mon.Classify() {
-		if cl.State != health.Degraded || cl.Rank >= len(ladder) || ladder[cl.Rank] == StageEvicted {
+		if cl.State != health.Degraded || cl.Rank >= len(s.ladder) {
 			continue
 		}
-		switch ladder[cl.Rank] {
-		case StageHealthy:
-			ladder[cl.Rank] = StageSoft
-			if *deadlineScale == 1 {
-				*deadlineScale = 2 // the one deadline extension
-			}
-			rr.Events = append(rr.Events, Event{Epoch: *epoch, Step: snap.Step, World: world, Reason: fmt.Sprintf("degrade(rank=%d)", cl.Rank)})
-		case StageSoft:
-			if len(*backups) < j.BackupSlots {
-				ladder[cl.Rank] = StageBackup
-				*backups = append(*backups, cl.Rank)
-				rr.Backups++
-				rr.Events = append(rr.Events, Event{Epoch: *epoch, Step: snap.Step, World: world, Reason: fmt.Sprintf("backup(rank=%d)", cl.Rank)})
-			} else if err := evict(cl.Rank); err != nil {
-				return world, latest, err
-			}
-		case StageBackup:
-			if err := evict(cl.Rank); err != nil {
-				return world, latest, err
+		event := func(stage string) {
+			rr.Events = append(rr.Events, Event{Epoch: s.epoch, Step: snap.Step, World: s.world, Reason: fmt.Sprintf("%s(rank=%d)", stage, cl.Rank)})
+		}
+		switch {
+		case s.ladder[cl.Rank] == StageHealthy:
+			s.ladder[cl.Rank] = StageSoft
+			event("degrade")
+		case s.ladder[cl.Rank] == StageSoft && len(s.backups) < s.j.BackupSlots:
+			s.ladder[cl.Rank] = StageBackup
+			s.backups = append(s.backups, cl.Rank)
+			rr.Backups++
+			event("backup")
+		default:
+			if err := s.evict(snap, cl.Rank); err != nil {
+				return err
 			}
 		}
 	}
 	if f, ok := mon.MeasuredFabric("measured"); ok {
 		rr.Measured = &f
 	}
-	if j.DriftReplan && !*drifted && rr.Measured != nil {
-		if d := health.Drift(*rr.Measured, driftModel); d > driftThreshold {
-			*drifted = true
-			rr.Events = append(rr.Events, Event{Epoch: *epoch, Step: snap.Step, World: world, Reason: fmt.Sprintf("replan(drift=%.1fx)", d)})
+	if s.j.DriftReplan && !s.drifted && rr.Measured != nil {
+		if d := health.Drift(*rr.Measured, s.driftModel); d > s.driftThreshold {
+			s.drifted = true
+			rr.Events = append(rr.Events, Event{Epoch: s.epoch, Step: snap.Step, World: s.world, Reason: fmt.Sprintf("replan(drift=%.1fx)", d)})
 		}
 	}
-	return world, latest, nil
+	return nil
+}
+
+// evict removes a rank that stayed degraded past its grace (and its backup,
+// when it had one). Its slowdown leaves with it: the surviving ranks' rules
+// are renumbered past the gap so they keep targeting the same physical
+// workers.
+func (s *supervisor) evict(snap *cluster.RunState, rank int) error {
+	if s.world-1 < 1 {
+		return fmt.Errorf("elastic: cannot evict rank %d with no survivors left", rank)
+	}
+	for i := range s.rules {
+		if s.consumed[i] || s.rules[i].Rank < 0 {
+			continue
+		}
+		if s.rules[i].Rank == rank {
+			s.consumed[i] = true
+		} else if s.rules[i].Rank > rank {
+			s.rules[i].Rank--
+		}
+	}
+	return s.reshape(snap, s.world-1, rank, fmt.Sprintf("evict(rank=%d)", rank))
 }

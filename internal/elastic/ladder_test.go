@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
 	"a2sgd/internal/cluster"
 	"a2sgd/internal/comm/faultnet"
@@ -123,6 +124,56 @@ func TestDegradedRankSoftDegradesBeforeEviction(t *testing.T) {
 		if rr.Result.Workers != 3 {
 			t.Fatalf("post-eviction run finished at %d workers, want 3", rr.Result.Workers)
 		}
+	}
+}
+
+// TestSoftDegradeOnlyWaits: soft-degrade is a one-boundary grace and nothing
+// more. After a boundary that names a degraded rank, the next segment the
+// supervisor builds keeps the job's concurrency and its scenario deadline.
+func TestSoftDegradeOnlyWaits(t *testing.T) {
+	cfg := testConfig("fnn3", "a2sgd", 4)
+	sched, err := cluster.Lower("fnn3", "a2sgd", 4096, 0, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Schedule, cfg.Concurrency, cfg.CheckpointEvery = sched, 2, 2
+	s := newSupervisor(&Job{
+		Config:   cfg,
+		Scenario: faultnet.MustParse("deadline(5s) straggler(rank=2, x8)"),
+		Health:   true,
+	})
+	_, mon, err := s.segment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every link touching rank 2 reads 200× slower than the rest.
+	for src := 0; src < 4; src++ {
+		for dst := 0; dst < 4; dst++ {
+			alpha := 2e-6
+			if src == 2 || dst == 2 {
+				alpha = 400e-6
+			}
+			for _, n := range []int{1000, 2000, 4000, 8000} {
+				mon.Recorder(src).ObserveSend(dst, n, alpha+1e-9*float64(n))
+			}
+		}
+	}
+	s.latest = &cluster.RunState{Step: 2, World: 4}
+	if err := s.evaluateHealth(mon, s.latest); err != nil {
+		t.Fatal(err)
+	}
+	if rs := reasons(s.rr); indexOf(rs, "degrade(rank=2)") < 0 {
+		t.Fatalf("no soft-degrade event: %v", rs)
+	}
+	seg, _, err := s.segment()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if seg.Concurrency != 2 || seg.Workers != 4 {
+		t.Errorf("segment after soft-degrade: concurrency %d, world %d; want the job's 2 and 4", seg.Concurrency, seg.Workers)
+	}
+	if d := s.scenario(s.latest.Step).Deadline; d != 5*time.Second {
+		t.Errorf("segment after soft-degrade: deadline %v, want the scenario's 5s", d)
 	}
 }
 
