@@ -150,8 +150,9 @@ var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 
 // 4096 standard normals, the 256³ multiply, the matrix products one
 // reduced-vgg16 step issues at batch 16 (per convolution: the forward a×b
 // and the column gradient aᵀ×b over the whole batch, the weight gradient
-// a×bᵀ once per sample), the float64 panels those weight gradients pack
-// their tape into, the six convolutions' backward passes at batch 16, the
+// a×bᵀ once per sample), those 96 weight-gradient products alone as
+// Conv2D.Backward issues them (each sample's columns of the batch's tape,
+// transposed and packed), the six convolutions' backward passes at batch 16, the
 // forward + backward passes of its batch norms, pools and ReLUs at batch 16,
 // the vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the
 // two benchmark models. Their n is elements (tensor/*, and the input
@@ -222,22 +223,25 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 		}))
 	}
 	{
-		// The weight gradient's B operand of every sample: its oh·ow columns
-		// of the tape, transposed, packed as PackWide packs them.
+		// The weight gradient of every sample and convolution as Conv2D
+		// issues it: dW += do × colsᵀ, do the sample's OutC × oh·ow output
+		// gradient, cols its column range of the batch's tape, read
+		// transposed — the B operand the driver packs.
 		const batch = 16
-		var tapes []*tensor.Mat
-		n := 0
+		type wgrad struct{ gw, tape, dout *tensor.Mat }
+		var ws []wgrad
+		macs := 0
 		for _, s := range vggConvShapes {
-			tapes = append(tapes, mat(s[1], batch*s[2]))
-			n += s[1] * batch * s[2]
+			outC, k, ohw := s[0], s[1], s[2]
+			ws = append(ws, wgrad{tensor.NewMat(outC, k), mat(k, batch*ohw), mat(batch, outC*ohw)})
+			macs += outC * k * batch * ohw
 		}
-		var p tensor.WidePanels
-		add("tensor/pack-wide-vgg16", n, 0, testing.Benchmark(func(bm *testing.B) {
+		add("gemm/wgrad-vgg16", macs, 0, testing.Benchmark(func(bm *testing.B) {
 			for i := 0; i < bm.N; i++ {
-				for j, t := range tapes {
-					ohw := vggConvShapes[j][2]
+				for j, w := range ws {
+					outC, ohw := vggConvShapes[j][0], vggConvShapes[j][2]
 					for s := 0; s < batch; s++ {
-						tensor.PackWide(&p, t.View().ColRange(s*ohw, (s+1)*ohw).T())
+						tensor.GemmAdd(w.gw.View(), tensor.ViewOf(outC, ohw, w.dout.Row(s)), w.tape.View().ColRange(s*ohw, (s+1)*ohw).T())
 					}
 				}
 			}

@@ -101,9 +101,10 @@ func newWorker(j *job, cm *comm.Communicator) (*worker, error) {
 			return nil, err
 		}
 	}
-	// Send beacons: install after topology/concurrency so every derived
-	// communicator inherits the observer. The method value is built once
-	// here — the hot path calls it without allocating.
+	// Send beacons: SetSendObserver reaches the communicators derived so
+	// far and derive hands the observer to later ones, so the order
+	// against topology/concurrency does not matter. The method value is
+	// built once here — the hot path calls it without allocating.
 	if cfg.Health != nil {
 		cm.SetSendObserver(cfg.Health.Recorder(w.rank).ObserveSend)
 	}

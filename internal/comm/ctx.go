@@ -1,6 +1,9 @@
 package comm
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Tag-space contexts: the machinery that lets several collectives run
 // concurrently on one communicator without crossing wires. Each context k>0
@@ -37,7 +40,10 @@ const MaxConcurrency = 8
 // flat communicator the call is purely local; on one with a two-level
 // topology (SetTopology) it is a collective, because each context replays
 // the topology splits in its own tag space. Contexts are registered as
-// children, so Traffic/ResetTraffic keep aggregating all of them.
+// children, so Traffic/ResetTraffic, SetRetry and SetSendObserver reach
+// them; a later call replaces them as children, after folding their traffic
+// into this communicator's own counters, so Traffic's totals carry over and
+// nothing reaches a context that is no longer in use.
 func (c *Communicator) SetConcurrency(n int) error {
 	if n < 1 || n > MaxConcurrency {
 		return fmt.Errorf("comm: concurrency %d out of range [1,%d]", n, MaxConcurrency)
@@ -50,6 +56,7 @@ func (c *Communicator) SetConcurrency(n int) error {
 			return fmt.Errorf("comm: SetConcurrency with operations outstanding in context %d", k)
 		}
 	}
+	old := c.ctxComms
 	c.asyncMu.Unlock()
 
 	identity := make([]int, c.Size())
@@ -67,6 +74,9 @@ func (c *Communicator) SetConcurrency(n int) error {
 		}
 		ctxComms[k] = sc
 	}
+	if len(old) > 1 {
+		c.dropChildren(old[1:])
+	}
 
 	c.asyncMu.Lock()
 	c.ctxComms = ctxComms
@@ -74,6 +84,19 @@ func (c *Communicator) SetConcurrency(n int) error {
 	c.postSeq = 0
 	c.asyncMu.Unlock()
 	return nil
+}
+
+// dropChildren removes gone from the children, adding their traffic to this
+// communicator's own counters first.
+func (c *Communicator) dropChildren(gone []*Communicator) {
+	for _, g := range gone {
+		t := g.Traffic()
+		c.bytesSent.Add(t.BytesSent)
+		c.bytesRecv.Add(t.BytesRecv)
+		c.msgsSent.Add(t.MsgsSent)
+		c.msgsRecv.Add(t.MsgsRecv)
+	}
+	c.children = slices.DeleteFunc(c.children, func(ch *Communicator) bool { return slices.Contains(gone, ch) })
 }
 
 // Concurrency returns the number of tag-space contexts (1 = Deterministic

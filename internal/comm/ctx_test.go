@@ -204,6 +204,57 @@ func TestSetConcurrencyResetsAcrossPhases(t *testing.T) {
 	}
 }
 
+// Each SetConcurrency replaces the previous call's contexts: after 4, 1, 2,
+// 4 the children are exactly the live contexts, so Traffic, SetRetry and
+// SetSendObserver reach those and no dropped one, and the traffic the
+// dropped contexts carried stays in Traffic's totals.
+func TestSetConcurrencyReplacesContexts(t *testing.T) {
+	f := NewInprocFabric(1)
+	defer f.Shutdown()
+	c := f.Communicators()[0]
+	var dropped []*Communicator
+	var carried int64
+	for i, n := range []int{4, 1, 2, 4} {
+		if err := c.SetConcurrency(n); err != nil {
+			t.Fatal(err)
+		}
+		live := c.ctxComms[1:]
+		if !slices.Equal(c.children, live) {
+			t.Fatalf("call %d (n=%d): %d children, want the %d live contexts", i, n, len(c.children), len(live))
+		}
+		for _, d := range dropped {
+			if slices.Contains(live, d) {
+				t.Fatalf("call %d: a dropped context is live again", i)
+			}
+		}
+		if got := c.Traffic().BytesSent; got != carried {
+			t.Fatalf("call %d: Traffic %d bytes sent, want the %d carried over", i, got, carried)
+		}
+		// Each live context sends one byte's worth of counter; the next call
+		// drops them and must keep these bytes in the totals.
+		for _, ctx := range live {
+			ctx.bytesSent.Add(1)
+		}
+		carried += int64(len(live))
+		dropped = append(dropped, live...)
+	}
+	policy := RetryPolicy{Attempts: 7}
+	var log sendLog
+	c.SetRetry(policy)
+	c.SetSendObserver(log.observe)
+	c.ResetTraffic()
+	for _, ctx := range c.ctxComms[1:] {
+		if ctx.retry != policy || ctx.sendObs == nil || ctx.bytesSent.Load() != 0 {
+			t.Errorf("a live context missed SetRetry, SetSendObserver or ResetTraffic")
+		}
+	}
+	for _, d := range dropped[:len(dropped)-3] {
+		if d.retry == policy || d.sendObs != nil || d.bytesSent.Load() == 0 {
+			t.Errorf("a dropped context was reached by SetRetry, SetSendObserver or ResetTraffic")
+		}
+	}
+}
+
 // sendLog is a recording send observer: the destination of every send.
 type sendLog struct {
 	mu sync.Mutex

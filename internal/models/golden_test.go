@@ -21,11 +21,19 @@ import (
 // of a fixed script. They were recorded from the row-AXPY / scalar-Dot matmuls
 // and the allocate-per-call layers this repository had before the strided
 // GEMM and the layer workspaces, and any kernel, build tag or buffer-reuse
-// change must reproduce them exactly on amd64. The one re-recording since:
+// change must reproduce them exactly on amd64. Two re-recordings since:
 // vgg16 and resnet20 from step1 on, when the optimizer stopped handing
 // same-named tensors one shared momentum buffer — the script's updates run
 // momentum 0.9, so every phase after the first update reads other weights
-// (fnn3, lstm and every step0 did not move: no shared names, no update yet).
+// (fnn3, lstm and every step0 did not move: no shared names, no update yet);
+// then every phase of every family, when the products that accumulated in
+// float64 (the dense and LSTM forwards, the conv weight gradient) moved to
+// Gemm's one float32 order. The digests before that move, in script order:
+//
+//	fnn3      1e1d5b7843a5f042 bae644cb096c5eb7 2f6959287d570bee 4b77881f279823ab 75dd85da52517fe8 b48fbfc5baca4429 4933131fc4d9699a 27c7f314bd89475d 8be262b600e8f111
+//	vgg16     b040acc1194078c8 0b5e980d5c17e99e 90f9b45abb114b41 b946dad90a997944 5050e7d7a3ba7bc5 40684cceb65b09c1 fadc3d5cc017aad8 e48a61c05af34a6e 771c549ca6efb6d6
+//	resnet20  96d9741d45e2faa2 1131d3bc6cdfd7c5 279984816d85c4f7 f6bb89e48f3226df 79dffc3d8aef9d52 3420069115b38f46 a71fdc601cbd85df 87b3bd1dbadf951e 2d622570d51e143b
+//	lstm      e133d9f7453d88a1 2def6d85a25024e1 d66e4f44dea8d4a4 94dc1f56a7934b76 a3a4acaae244ec7c e55d898ebc42b832 39ac99ed7cba13e3 45a6a9fd7a1d2ac4 ed120881878c3188
 //
 // The script is longer than one step on purpose. A freshly allocated matrix
 // is zero, and the old layers leaned on that (im2col padding, ReLU output,
@@ -38,24 +46,24 @@ import (
 // both pass through every workspace.
 var goldenDigests = map[string][]string{
 	"fnn3": {
-		"step0:1e1d5b7843a5f042", "step1:bae644cb096c5eb7", "step2:2f6959287d570bee",
-		"interleaved:4b77881f279823ab", "train16:75dd85da52517fe8", "eval64:b48fbfc5baca4429",
-		"train16b:4933131fc4d9699a", "train8:27c7f314bd89475d", "state:8be262b600e8f111",
+		"step0:9fcd0a80d14efffe", "step1:3de3bcced9b4461f", "step2:4f22100e4ca6ccc1",
+		"interleaved:00572c54aed83275", "train16:ba803a0a551cdfc1", "eval64:9ee6fbe0e8d49d9e",
+		"train16b:d4c6bbd4eb7bd19f", "train8:bccc75e79bca19b0", "state:1513fc9d3cb97fbb",
 	},
 	"vgg16": {
-		"step0:b040acc1194078c8", "step1:0b5e980d5c17e99e", "step2:90f9b45abb114b41",
-		"interleaved:b946dad90a997944", "train16:5050e7d7a3ba7bc5", "eval64:40684cceb65b09c1",
-		"train16b:fadc3d5cc017aad8", "train8:e48a61c05af34a6e", "state:771c549ca6efb6d6",
+		"step0:b47bdc01e0d353ff", "step1:be6c06a04069610f", "step2:979d3c21f56b8051",
+		"interleaved:5e5b41abebf1d34d", "train16:ee2f4504e38a832d", "eval64:66e4a31229229811",
+		"train16b:9fda99567f3a4efa", "train8:c3fe9b67b1d98a7f", "state:9b38e000717a4e11",
 	},
 	"resnet20": {
-		"step0:96d9741d45e2faa2", "step1:1131d3bc6cdfd7c5", "step2:279984816d85c4f7",
-		"interleaved:f6bb89e48f3226df", "train16:79dffc3d8aef9d52", "eval64:3420069115b38f46",
-		"train16b:a71fdc601cbd85df", "train8:87b3bd1dbadf951e", "state:2d622570d51e143b",
+		"step0:1ac7f177371eedcb", "step1:8330baaf916c7816", "step2:bfdb66bb552c0d42",
+		"interleaved:ea65ebf41bb6947e", "train16:64dd50934d3d2453", "eval64:3f5b011e61cae5ae",
+		"train16b:ba13b681bf457abd", "train8:af83ade4eace7b9a", "state:f857abbf93d16b22",
 	},
 	"lstm": {
-		"step0:e133d9f7453d88a1", "step1:2def6d85a25024e1", "step2:d66e4f44dea8d4a4",
-		"interleaved:94dc1f56a7934b76", "train16:a3a4acaae244ec7c", "eval64:e55d898ebc42b832",
-		"train16b:39ac99ed7cba13e3", "train8:45a6a9fd7a1d2ac4", "state:ed120881878c3188",
+		"step0:f81c4e03021938bc", "step1:484af7ea961f695e", "step2:871dbbded3b6d664",
+		"interleaved:af58f9d4e4f87397", "train16:5011e44d135be7ac", "eval64:696f6d32c0cd57d1",
+		"train16b:7aef49fb25f596c1", "train8:24212a27ff5b60f8", "state:b573c98c520cfa08",
 	},
 }
 

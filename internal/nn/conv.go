@@ -44,6 +44,7 @@ type Conv2D struct {
 	dcols  buf         // gradient of the tape
 	res    buf
 	dx     buf
+	sums   []float64 // one sample's per-channel Σdout, then Σdout² (unused)
 	rec    record
 }
 
@@ -311,7 +312,7 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	tape := c.tape.get(k, n)
 	c.im2col(x, tape)
 	prod := c.cmaj.get(c.OutC, n)
-	tensor.Gemm(prod.View(), tensor.ViewOf(c.OutC, k, c.W), tape.View(), tensor.Single)
+	tensor.Gemm(prod.View(), tensor.ViewOf(c.OutC, k, c.W), tape.View())
 	// Transpose the product into the sample-major output, adding the bias on
 	// the way.
 	for s := 0; s < x.Rows; s++ {
@@ -343,30 +344,33 @@ func (c *Conv2D) backward(dout *tensor.Mat, needDx bool) *tensor.Mat {
 	if tape.Rows != k || tape.Cols != n {
 		panic(fmt.Sprintf("nn: %s Backward on %d samples without a training Forward of that batch", c.Name(), dout.Rows))
 	}
-	// db += row sums of dout, sample by sample; and dout transposed to
-	// channel-major, the layout of the tape's columns.
+	// db += each channel's sum of dout, sample by sample (a float64 running
+	// sum over the sample's oh·ow pixels, then one float32 add); and dout
+	// transposed to channel-major, the layout of the tape's columns.
 	doT := c.cmaj.get(c.OutC, n)
+	c.sums = grow(c.sums, 2*c.OutC)
+	sum, sq := c.sums[:c.OutC], c.sums[c.OutC:]
 	for s := 0; s < dout.Rows; s++ {
 		do := dout.Row(s)
-		for oc := 0; oc < c.OutC; oc++ {
-			src := do[oc*ohw : (oc+1)*ohw]
-			c.GB[oc] += float32(tensor.Sum(src))
+		tensor.ChannelSums(sum, sq, do, do, 1, ohw)
+		for oc, v := range sum {
+			c.GB[oc] += float32(v)
 			if needDx {
-				copy(doT.Data[oc*n+s*ohw:], src)
+				copy(doT.Data[oc*n+s*ohw:], do[oc*ohw:(oc+1)*ohw])
 			}
 		}
 	}
 	// dW += do × colsᵀ, one product per sample in sample order.
 	gw := tensor.ViewOf(c.OutC, k, c.GW)
 	for s := 0; s < dout.Rows; s++ {
-		tensor.GemmAdd(gw, tensor.ViewOf(c.OutC, ohw, dout.Row(s)), tape.View().ColRange(s*ohw, (s+1)*ohw).T(), tensor.Wide)
+		tensor.GemmAdd(gw, tensor.ViewOf(c.OutC, ohw, dout.Row(s)), tape.View().ColRange(s*ohw, (s+1)*ohw).T())
 	}
 	if !needDx {
 		return nil
 	}
 	// dcols = Wᵀ × do over the whole batch, then scatter.
 	dcols := c.dcols.get(k, n)
-	tensor.Gemm(dcols.View(), tensor.ViewOf(c.OutC, k, c.W).T(), doT.View(), tensor.Single)
+	tensor.Gemm(dcols.View(), tensor.ViewOf(c.OutC, k, c.W).T(), doT.View())
 	dx := c.dx.get(dout.Rows, c.In.Size())
 	c.col2im(dcols, dx)
 	return dx
@@ -421,17 +425,26 @@ func (m *MaxPool2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	return res
 }
 
-// Backward implements Layer.
+// Backward implements Layer. The windows tile the input, so each is written
+// once: +0 everywhere, then 0 + v at its arg-max — the bits of clearing the
+// input gradient and adding each output's gradient into it (a −0 gradient
+// lands as +0).
 func (m *MaxPool2D) Backward(dout *tensor.Mat) *tensor.Mat {
 	m.rec.check(m)
 	out := m.OutShape()
 	dx := m.dx.get(dout.Rows, m.In.Size())
-	tensor.Zero(dx.Data)
+	w, k := m.In.W, m.K
 	for s := 0; s < dout.Rows; s++ {
-		src := dout.Row(s)
-		dst := dx.Row(s)
-		for o, v := range src {
-			dst[m.argm[s*out.Size()+o]] += v
+		src, dst := dout.Row(s), dx.Row(s)
+		arg := m.argm[s*out.Size() : (s+1)*out.Size()]
+		for o := 0; o < len(src); o += out.W {
+			top := o / out.W * k * w // the windows' first input row
+			for y := top; y < top+k*w; y += w {
+				clear(dst[y : y+w])
+			}
+			for i, v := range src[o : o+out.W] {
+				dst[arg[o+i]] = 0 + v
+			}
 		}
 	}
 	return dx

@@ -46,7 +46,7 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 		l.x = x
 	}
 	out := l.out.get(x.Rows, l.OutF)
-	tensor.Gemm(out.View(), x.View(), tensor.ViewOf(l.OutF, l.InF, l.W).T(), tensor.Wide)
+	tensor.Gemm(out.View(), x.View(), tensor.ViewOf(l.OutF, l.InF, l.W).T())
 	tensor.AddRowVec(out, l.B)
 	return out
 }
@@ -55,14 +55,14 @@ func (l *Linear) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 func (l *Linear) Backward(dout *tensor.Mat) *tensor.Mat {
 	l.backwardParams(dout)
 	dx := l.dx.get(dout.Rows, l.InF)
-	tensor.Gemm(dx.View(), dout.View(), tensor.ViewOf(l.OutF, l.InF, l.W), tensor.Single)
+	tensor.Gemm(dx.View(), dout.View(), tensor.ViewOf(l.OutF, l.InF, l.W))
 	return dx
 }
 
 // backwardParams implements paramsBackward: dW and db alone.
 func (l *Linear) backwardParams(dout *tensor.Mat) {
 	l.rec.check(l)
-	tensor.GemmAdd(tensor.ViewOf(l.OutF, l.InF, l.GW), dout.T(), l.x.View(), tensor.Single)
+	tensor.GemmAdd(tensor.ViewOf(l.OutF, l.InF, l.GW), dout.T(), l.x.View())
 	tensor.ColSums(l.GB, dout)
 }
 

@@ -55,16 +55,20 @@
 // # Arithmetic
 //
 // All matrix products go through tensor.Gemm, whose specification (one
-// accumulator per output element, k ascending, separate multiply and add,
-// float64 accumulation for a·bᵀ) is the arithmetic the per-row loops it
-// replaced had; the layers batch products only where each output element's
-// sum is unchanged. Conv2D lowers a whole batch into one tape and multiplies
-// once for the forward pass and once for the tape gradient, but still forms
-// the weight gradient one sample at a time, added in sample order; col2im and
-// batch-norm keep the order of their sums. In the common geometry (stride 1,
-// output as large as the input) the lowering moves each kernel position of a
-// channel as one shifted block over the whole batch, through a
-// channel-major copy of the input (or of its gradient); see Conv2D.shifted. Every family's gradients and losses
+// float32 accumulator per output element, k ascending, separate multiply
+// and add, the same for every product) is written in the tensor package
+// comment; the layers batch products only where each output element's sum
+// is unchanged. LSTMLM copies each layer's Whᵀ to row-major once per
+// Forward, so the T recurrent products read it in place. Conv2D lowers a
+// whole batch into one tape and multiplies once for the forward pass and
+// once for the tape gradient, but still forms the weight gradient one
+// sample at a time, added in sample order, and the bias gradient per sample
+// as a float64 running sum over each channel's pixels (tensor.ChannelSums),
+// added in sample order; col2im and batch-norm keep the order of their
+// sums. In the common geometry (stride 1, output as large as the input)
+// the lowering moves each kernel position of a channel as one shifted block
+// over the whole batch, through a channel-major copy of the input (or of
+// its gradient); see Conv2D.shifted. Every family's gradients and losses
 // are pinned to the last bit by golden digests (internal/models).
 //
 // The other layers' orders are written down too, because the vector kernels
@@ -85,7 +89,8 @@
 //     first maximal element wins a tie and receives the gradient, NaN never
 //     wins, and a window with nothing above −Inf (all −Inf, all NaN)
 //     outputs −Inf and routes its gradient to its first element
-//     (tensor.MaxPool).
+//     (tensor.MaxPool). Its backward writes each window once: +0, and
+//     0 + dy at the arg-max, so a −0 gradient lands as +0.
 //   - ReLU outputs x where x > 0 and +0 elsewhere (−0 and NaN included),
 //     and passes dy where its output is nonzero (tensor.ReLU, ReLUGrad).
 //

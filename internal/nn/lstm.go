@@ -47,10 +47,11 @@ type LSTMLM struct {
 	params   []Param
 	paramOff []int
 
-	// whT holds each layer's Whᵀ as Wide panels, packed at the top of every
-	// Forward (the weights may have changed since the last one) and read by
-	// all T recurrent products of that call.
-	whT []tensor.WidePanels
+	// whT holds each layer's Whᵀ (H × 4H) as a row-major copy, made at the
+	// top of every Forward (the weights may have changed since the last one)
+	// and read in place by all T recurrent products of that call, which
+	// would otherwise pack the transposed view on every step.
+	whT matTape
 
 	// BPTT tapes, written by every Forward and read by the Backward that
 	// follows a training one. Each is one grow-only slab carved into equally
@@ -221,7 +222,7 @@ func (m *LSTMLM) layerForward(l int) {
 	H, T := m.Hidden, m.steps
 	z := m.gates.span(l*T, (l+1)*T)
 	x := m.layerInputs(l)
-	tensor.Gemm(z.View(), x.View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T(), tensor.Wide)
+	tensor.Gemm(z.View(), x.View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T())
 	for t := 0; t < T; t++ {
 		m.cellForward(l, t)
 	}
@@ -235,7 +236,7 @@ func (m *LSTMLM) cellForward(l, t int) {
 	h, c := m.hs.at(l*(T+1)+t), m.cs.at(l*(T+1)+t)
 	newH, newC := m.hs.at(l*(T+1)+t+1), m.cs.at(l*(T+1)+t+1)
 	z, tc := m.gates.at(l*T+t), m.tanhC.at(l*T+t)
-	tensor.GemmAddPacked(z.View(), h.View(), &m.whT[l])
+	tensor.GemmAdd(z.View(), h.View(), m.whT.at(l).View())
 	tensor.AddRowVec(z, m.B[l])
 	for b := 0; b < z.Rows; b++ {
 		zr := z.Row(b)
@@ -299,9 +300,9 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	m.gates.shape(L*T, B, 4*H)
 	m.tanhC.shape(L*T, B, H)
 	m.dlogits.shape(T, B, m.Vocab)
-	m.whT = grow(m.whT, L)
+	m.whT.shape(L, H, 4*H)
 	for l := 0; l < L; l++ {
-		tensor.PackWide(&m.whT[l], tensor.ViewOf(4*H, H, m.Wh[l]).T())
+		transpose(m.whT.at(l).Data, m.Wh[l], 4*H, H)
 		tensor.Zero(m.hs.at(l * (T + 1)).Data)
 		tensor.Zero(m.cs.at(l * (T + 1)).Data)
 	}
@@ -318,7 +319,7 @@ func (m *LSTMLM) Forward(tokens [][]int, train bool) float64 {
 	// Every step's logits in one product, then each step's loss against the
 	// next token, which also turns its logits into their gradient.
 	logits, top := m.dlogits.span(0, T), m.layerInputs(L)
-	tensor.Gemm(logits.View(), top.View(), tensor.ViewOf(m.Vocab, H, m.Wy).T(), tensor.Wide)
+	tensor.Gemm(logits.View(), top.View(), tensor.ViewOf(m.Vocab, H, m.Wy).T())
 	tensor.AddRowVec(&logits, m.By)
 	m.labels = grow(m.labels, B)
 	var totalCE float64
@@ -372,7 +373,7 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 	tensor.Scale(dlogits.Data, float32(1.0/float64(T)))
 	for t := T - 1; t >= 0; t-- {
 		dlog := m.dlogits.at(t)
-		tensor.GemmAdd(gwy, dlog.T(), m.layerInput(L, t).View(), tensor.Single)
+		tensor.GemmAdd(gwy, dlog.T(), m.layerInput(L, t).View())
 		tensor.ColSums(m.GBy, dlog)
 	}
 	if onReady != nil {
@@ -381,7 +382,7 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 	// dx is the gradient flowing down: into the top layer's outputs first,
 	// then out of each layer's inputs, the last of them the embedding's.
 	dx := m.dx.get(T*B, H)
-	tensor.Gemm(dx.View(), dlogits.View(), tensor.ViewOf(m.Vocab, H, m.Wy), tensor.Single)
+	tensor.Gemm(dx.View(), dlogits.View(), tensor.ViewOf(m.Vocab, H, m.Wy))
 	m.dz.shape(T, B, 4*H)
 	dz := m.dz.span(0, T)
 	for l := L - 1; l >= 0; l-- {
@@ -391,7 +392,7 @@ func (m *LSTMLM) BackwardInterleaved(onReady func(lo int)) {
 		}
 		in := m.layerIn(l)
 		dx = m.dx.get(T*B, in)
-		tensor.Gemm(dx.View(), dz.View(), tensor.ViewOf(4*H, in, m.Wx[l]), tensor.Single)
+		tensor.Gemm(dx.View(), dz.View(), tensor.ViewOf(4*H, in, m.Wx[l]))
 	}
 	for t := T - 1; t >= 0; t-- {
 		for b := 0; b < B; b++ {
@@ -438,13 +439,13 @@ func (m *LSTMLM) layerBackward(l int, dhIn *tensor.Mat) {
 				dcr[j] = dcTot * fg                         // dc_{t-1}, in place
 			}
 		}
-		tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View(), tensor.Single)
-		tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View(), tensor.Single)
+		tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View())
+		tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View())
 		tensor.ColSums(m.GB[l], dz)
 		// dh_{t-1}; dz is complete, so dh can be overwritten in place. No
 		// step reads it after t = 0.
 		if t > 0 {
-			tensor.Gemm(dh.View(), dz.View(), wh, tensor.Single)
+			tensor.Gemm(dh.View(), dz.View(), wh)
 		}
 	}
 }

@@ -54,8 +54,8 @@ func (r *lstmReference) forward(tokens [][]int) float64 {
 			z, tc := tensor.NewMat(B, 4*H), tensor.NewMat(B, H)
 			newH, newC := tensor.NewMat(B, H), tensor.NewMat(B, H)
 			h, c := r.hs[l][t], r.cs[l][t]
-			tensor.Gemm(z.View(), r.input(l, t).View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T(), tensor.Wide)
-			tensor.GemmAdd(z.View(), h.View(), tensor.ViewOf(4*H, H, m.Wh[l]).T(), tensor.Wide)
+			tensor.Gemm(z.View(), r.input(l, t).View(), tensor.ViewOf(4*H, m.layerIn(l), m.Wx[l]).T())
+			tensor.GemmAdd(z.View(), h.View(), tensor.ViewOf(4*H, H, m.Wh[l]).T())
 			tensor.AddRowVec(z, m.B[l])
 			for b := 0; b < B; b++ {
 				zr := z.Row(b)
@@ -76,7 +76,7 @@ func (r *lstmReference) forward(tokens [][]int) float64 {
 			r.hs[l], r.cs[l] = append(r.hs[l], newH), append(r.cs[l], newC)
 		}
 		logits := tensor.NewMat(B, m.Vocab)
-		tensor.Gemm(logits.View(), r.input(L, t).View(), tensor.ViewOf(m.Vocab, H, m.Wy).T(), tensor.Wide)
+		tensor.Gemm(logits.View(), r.input(L, t).View(), tensor.ViewOf(m.Vocab, H, m.Wy).T())
 		tensor.AddRowVec(logits, m.By)
 		for b := 0; b < B; b++ {
 			labels[b] = tokens[b][t+1]
@@ -99,9 +99,9 @@ func (r *lstmReference) backward(onReady func(lo int)) {
 	for t := T - 1; t >= 0; t-- {
 		dlog := r.dlogits[t]
 		tensor.Scale(dlog.Data, float32(1.0/float64(T)))
-		tensor.GemmAdd(tensor.ViewOf(m.Vocab, H, m.GWy), dlog.T(), r.input(L, t).View(), tensor.Single)
+		tensor.GemmAdd(tensor.ViewOf(m.Vocab, H, m.GWy), dlog.T(), r.input(L, t).View())
 		tensor.ColSums(m.GBy, dlog)
-		tensor.GemmAdd(dh[L-1].View(), dlog.View(), tensor.ViewOf(m.Vocab, H, m.Wy), tensor.Single)
+		tensor.GemmAdd(dh[L-1].View(), dlog.View(), tensor.ViewOf(m.Vocab, H, m.Wy))
 		if t == 0 {
 			onReady(off[1+3*L])
 		}
@@ -122,20 +122,20 @@ func (r *lstmReference) backward(onReady func(lo int)) {
 				}
 			}
 			wx := tensor.ViewOf(4*H, in, m.Wx[l])
-			tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), r.input(l, t).View(), tensor.Single)
-			tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), r.hs[l][t].View(), tensor.Single)
+			tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), r.input(l, t).View())
+			tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), r.hs[l][t].View())
 			tensor.ColSums(m.GB[l], dz)
 			if l == 0 {
 				dx := tensor.NewMat(B, in)
-				tensor.Gemm(dx.View(), dz.View(), wx, tensor.Single)
+				tensor.Gemm(dx.View(), dz.View(), wx)
 				for b := 0; b < B; b++ {
 					tok := r.tokens[b][t]
 					tensor.Add(m.GE[tok*m.Embed:(tok+1)*m.Embed], dx.Row(b))
 				}
 			} else {
-				tensor.GemmAdd(dh[l-1].View(), dz.View(), wx, tensor.Single)
+				tensor.GemmAdd(dh[l-1].View(), dz.View(), wx)
 			}
-			tensor.Gemm(dh[l].View(), dz.View(), tensor.ViewOf(4*H, H, m.Wh[l]), tensor.Single)
+			tensor.Gemm(dh[l].View(), dz.View(), tensor.ViewOf(4*H, H, m.Wh[l]))
 			if t == 0 {
 				if l == 0 {
 					onReady(0)

@@ -92,6 +92,17 @@ func (b *buf) get(rows, cols int) *tensor.Mat {
 	return &b.m
 }
 
+// transpose writes srcᵀ to dst: src is rows×cols, dst cols×rows, both
+// row-major.
+func transpose(dst, src []float32, rows, cols int) {
+	dst, src = dst[:rows*cols], src[:rows*cols]
+	for i := 0; i < rows; i++ {
+		for j, v := range src[i*cols : (i+1)*cols] {
+			dst[j*rows+i] = v
+		}
+	}
+}
+
 // grow is buf.get for a side table that is not a matrix: s resized to n
 // elements, reallocated only when n exceeds its capacity, contents
 // unspecified.

@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -166,6 +167,36 @@ func TestReLUMatchesBranchingDefinition(t *testing.T) {
 	}
 }
 
+// The pool's backward writes each window once and gives the bits of
+// clearing the input gradient and adding every output's gradient at its
+// arg-max: a −0 gradient lands as +0, NaN and ±Inf pass through, and the
+// other positions of a window are +0 — also over a workspace that held
+// other values, at 2×2 and 3×3.
+func TestMaxPoolBackwardMatchesZeroScatter(t *testing.T) {
+	rng := tensor.NewRNG(31)
+	specials := []float32{float32(math.Copysign(0, -1)), float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), 0}
+	for _, k := range []int{2, 3} {
+		in := Shape{C: 3, H: 2 * k, W: 4 * k}
+		m := NewMaxPool2D(in, k)
+		for round := 0; round < 2; round++ {
+			x := reuseInput(rng, 3, in.Size())
+			m.Forward(x, true)
+			dout := reuseInput(rng, 3, m.OutShape().Size())
+			for i := range dout.Data {
+				if i%3 == 0 {
+					dout.Data[i] = specials[i/3%len(specials)]
+				}
+			}
+			want := make([]float32, 3*in.Size())
+			for o, v := range dout.Data {
+				s := o / m.OutShape().Size()
+				want[s*in.Size()+int(m.argm[o])] += v
+			}
+			bitsEqual(t, fmt.Sprintf("k%d round %d dx", k, round), m.Backward(dout).Data, want)
+		}
+	}
+}
+
 // A window with nothing above −Inf still owns its gradient: the arg-max
 // starts at the window's first element, not at element 0 of the sample.
 func TestMaxPoolAllNegInfWindowKeepsGradientInWindow(t *testing.T) {
@@ -197,7 +228,7 @@ func TestMaxPoolAllNegInfWindowKeepsGradientInWindow(t *testing.T) {
 
 // naiveConv is the direct definition of the convolution, its loops in the
 // order the lowering promises for every sum: forward over (c, ky, kx)
-// ascending in float32; dW per sample over pixels in float64, samples added
+// ascending in float32; dW per sample over pixels in float32, samples added
 // in order; dx per pixel over (ky, kx) ascending, each term a float32 sum
 // over output channels ascending.
 func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []float32) {
@@ -234,14 +265,14 @@ func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []fl
 			for ch := 0; ch < c.In.C; ch++ {
 				for ky := 0; ky < c.KH; ky++ {
 					for kx := 0; kx < c.KW; kx++ {
-						var acc float64
+						var acc float32
 						for oy := 0; oy < out.H; oy++ {
 							for ox := 0; ox < out.W; ox++ {
 								d := dout.Row(s)[(oc*out.H+oy)*out.W+ox]
-								acc += float64(d) * float64(at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad))
+								acc += float32(d * at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad))
 							}
 						}
-						gw[oc*k+(ch*c.KH+ky)*c.KW+kx] += float32(acc)
+						gw[oc*k+(ch*c.KH+ky)*c.KW+kx] += acc
 					}
 				}
 			}

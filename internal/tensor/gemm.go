@@ -57,35 +57,23 @@ func (v View) check() {
 	}
 }
 
-// Precision selects the accumulator of a Gemm.
-type Precision uint8
-
-const (
-	// Single keeps each output element in one float32 accumulator:
-	// acc = float32(acc + float32(a·b)), two roundings per term, no FMA.
-	Single Precision = iota
-	// Wide keeps it in one float64 accumulator of the (exact) float64
-	// products, acc += float64(a)·float64(b), rounded to float32 once at the
-	// end — what Dot computes.
-	Wide
-)
-
 // Gemm computes dst = a·b. See GemmAdd for the contract.
-func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, nil, p, false) }
+func Gemm(dst, a, b View) { gemm(dst, a, b, false) }
 
 // GemmAdd computes dst += a·b.
 //
 // Arithmetic specification (shared with Gemm and the MatMul wrappers; the
-// sentence a fused-multiply-add or a float32-dot change would have to
-// rewrite): every output element is ONE accumulator that starts at +0 and
-// takes the terms a(i,p)·b(p,j) for p = 0, 1, …, k−1 in that order, in the
-// arithmetic its Precision names; the finished sum is rounded to float32
-// (Wide) and then stored (Gemm) or added to dst(i,j) with one float32 add
-// (GemmAdd). Register blocking, packing, vector width and row-parallelism
-// only choose which elements are in flight together — a vector lane always
-// holds a different output element, never a partial sum — so the vector
-// kernels of either width, the portable kernels and the naive triple loop in
-// the tests give the same bits on every build.
+// sentence a fused-multiply-add or a wider-accumulator change would have to
+// rewrite): every output element is ONE float32 accumulator that starts at
+// +0 and takes the terms a(i,p)·b(p,j) for p = 0, 1, …, k−1 in that order,
+// each a separately rounded float32 multiply and add —
+// acc = float32(acc + float32(a·b)), no FMA; the finished sum is stored
+// (Gemm) or added to dst(i,j) with one float32 add (GemmAdd). Register
+// blocking, packing, vector width and row-parallelism only choose which
+// elements are in flight together — a vector lane always holds a different
+// output element, never a partial sum — so the vector kernels, the portable
+// kernels and the naive triple loop in the tests give the same bits on
+// every build.
 //
 // No term is skipped: a zero in a still multiplies, so 0 × ±Inf and 0 × NaN
 // contribute NaN where the row-AXPY loops this replaced skipped them. On
@@ -96,67 +84,24 @@ func Gemm(dst, a, b View, p Precision) { gemm(dst, a, b, nil, p, false) }
 //
 // dst must be row-major (ColStride 1) and must not overlap a or b. Large
 // products are split over output rows across GOMAXPROCS goroutines.
-func GemmAdd(dst, a, b View, p Precision) { gemm(dst, a, b, nil, p, true) }
+func GemmAdd(dst, a, b View) { gemm(dst, a, b, true) }
 
-// WidePanels is the B operand of a Wide product converted and packed ahead
-// of time: the float64 panels the Wide driver would otherwise build from b
-// on every call. A caller that multiplies many A operands by the same b —
-// the LSTM's recurrent weights, once per timestep — packs once and pays the
-// conversion once. Packing copies every element exactly and reorders no
-// term, so GemmAddPacked over the panels of b gives the bits of
-// GemmAdd(…, b, Wide); the same driver runs both and only skips its own B
-// packing. Panels belong to the kernel variant that packed them (the tile
-// width sets their layout) and are reused by the next PackWide, so a
-// steady-state pack allocates nothing.
-type WidePanels struct {
-	k, n int
-	v    gemmVariant
-	data []float64
-}
+// MatMul computes dst = a × b. dst must be pre-allocated with shape
+// a.Rows × b.Cols and must not alias a or b.
+func MatMul(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.View()) }
 
-// PackWide packs b (k×n, any strides) into p, replacing what p held.
-func PackWide(p *WidePanels, b View) {
-	b.check()
-	v := gemmActive
-	k, n := b.Rows, b.Cols
-	p.k, p.n, p.v = k, n, v
-	data := grow(&p.data, (n+v.nrWide-1)/v.nrWide*v.nrWide*k)
-	if k == 0 {
-		return
-	}
-	for j := 0; j < n; j += v.nrWide {
-		packPanel64(v.id, data[j*k:], v.nrWide, b.Data[j*b.ColStride:], min(v.nrWide, n-j), k, b.ColStride, b.RowStride)
-	}
-}
+// MatMulATB computes dst = aᵀ × b without materializing the transpose.
+// Shapes: a is m×n, b is m×p, dst is n×p.
+func MatMulATB(dst, a, b *Mat) { Gemm(dst.View(), a.T(), b.View()) }
 
-// GemmAddPacked computes dst += a·b in Wide precision, b given as the panels
-// PackWide made of it — GemmAdd(dst, a, b, Wide) bit for bit. It panics on
-// panels packed under another kernel variant, or never packed.
-func GemmAddPacked(dst, a View, b *WidePanels) {
-	if b.v != gemmActive {
-		panic("tensor: WidePanels not packed for the active Gemm kernels")
-	}
-	gemm(dst, a, View{Rows: b.k, Cols: b.n}, b.data, Wide, true)
-}
-
-// MatMul computes dst = a × b in Single precision. dst must be pre-allocated
-// with shape a.Rows × b.Cols and must not alias a or b.
-func MatMul(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.View(), Single) }
-
-// MatMulATB computes dst = aᵀ × b in Single precision without materializing
-// the transpose. Shapes: a is m×n, b is m×p, dst is n×p.
-func MatMulATB(dst, a, b *Mat) { Gemm(dst.View(), a.T(), b.View(), Single) }
-
-// MatMulABT computes dst = a × bᵀ in Wide precision (each element is the
-// float64-accumulated inner product of an a row and a b row, rounded once to
-// float32) without materializing the transpose.
+// MatMulABT computes dst = a × bᵀ without materializing the transpose.
 // Shapes: a is m×n, b is p×n, dst is m×p.
-func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T(), Wide) }
+func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T()) }
 
 // Register tile: a micro-kernel produces gemmMR rows by nr columns per call
 // from eight accumulator registers, two per row. nr depends on the kernel
-// variant (gemmVariant): 8 float32 or 4 float64 columns for the portable
-// kernels, twice that for the 256-bit ones.
+// variant (gemmVariant): 8 columns for the portable kernel, 16 for the
+// 256-bit one.
 const (
 	gemmMR    = 4
 	gemmMaxNR = 16
@@ -165,13 +110,13 @@ const (
 // gemmVariant is one set of micro-kernels. Every variant computes the same
 // bits; they differ in how many output elements a call produces.
 type gemmVariant struct {
-	name       string
-	id         int // selects the kernels in gemmKernel32 / gemmKernel64
-	nr, nrWide int // tile columns of the Single / Wide kernel
+	name string
+	id   int // selects the kernel in gemmKernel32
+	nr   int // tile columns
 }
 
 var (
-	gemmPortable = gemmVariant{name: "portable", id: 0, nr: 8, nrWide: 4}
+	gemmPortable = gemmVariant{name: "portable", id: 0, nr: 8}
 	// gemmActive is the variant in use: the widest this binary can run on
 	// this CPU, the last of gemmVariants (see the architecture files). Only
 	// tests assign it, to run every one of them.
@@ -184,7 +129,7 @@ var (
 // inside its own step — its sibling ranks already own the other CPUs.
 const gemmParMACs = 1 << 25
 
-// gemmPackRows and gemmPackSpan decide when Single copies each B panel into
+// gemmPackRows and gemmPackSpan decide when the driver copies each B panel into
 // contiguous scratch before use: when at least gemmPackRows output rows
 // reuse it AND its k rows, read in place, span at least gemmPackSpan
 // elements of b — so far apart that every reuse misses the TLB and the few
@@ -196,15 +141,10 @@ const (
 	gemmPackSpan = 1 << 17
 )
 
-// gemmWideBlock bounds (in elements) the packed float64 A block a Wide
-// product holds at once, so scratch stays cache-sized for tall operands.
-const gemmWideBlock = 1 << 15
-
 // gemmScratch is one goroutine's packing space, recycled through gemmPool so
 // a steady-state product allocates nothing.
 type gemmScratch struct {
 	a32, b32 []float32
-	a64, b64 []float64
 	tile     [gemmMR * gemmMaxNR]float32
 }
 
@@ -220,9 +160,8 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// gemm runs dst (+)= a·b. packed, when not nil, holds b as Wide panels and b
-// carries only the shape.
-func gemm(dst, a, b View, packed []float64, p Precision, add bool) {
+// gemm runs dst (+)= a·b.
+func gemm(dst, a, b View, add bool) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: Gemm shape mismatch")
 	}
@@ -231,9 +170,7 @@ func gemm(dst, a, b View, packed []float64, p Precision, add bool) {
 	}
 	dst.check()
 	a.check()
-	if packed == nil {
-		b.check()
-	}
+	b.check()
 	m, n, k := dst.Rows, dst.Cols, a.Cols
 	if m == 0 || n == 0 {
 		return
@@ -255,7 +192,7 @@ func gemm(dst, a, b View, packed []float64, p Precision, add bool) {
 	workers := int64(maxProcs())
 	workers = min(workers, int64(m)*int64(n)*int64(k)/gemmParMACs, int64(m/gemmMR))
 	if workers <= 1 {
-		gemmRows(dst, a, b, packed, p, add, 0, m)
+		gemmRows(dst, a, b, add, 0, m)
 		return
 	}
 	// Row ranges are multiples of the register tile so every worker but the
@@ -266,35 +203,38 @@ func gemm(dst, a, b View, packed []float64, p Precision, add bool) {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
-			gemmRows(dst, a, b, packed, p, add, lo, hi)
+			gemmRows(dst, a, b, add, lo, hi)
 		}(lo, min(lo+chunk, m))
 	}
 	wg.Wait()
 }
 
 // gemmRows computes output rows [lo, hi) on the calling goroutine.
-func gemmRows(dst, a, b View, packed []float64, p Precision, add bool, lo, hi int) {
+func gemmRows(dst, a, b View, add bool, lo, hi int) {
 	s := gemmPool.Get().(*gemmScratch)
-	ad, cd := a.Data[lo*a.RowStride:], dst.Data[lo*dst.RowStride:]
-	if p == Wide {
-		s.wide(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, packed, cd, dst.RowStride, add)
-	} else {
-		s.single(hi-lo, dst.Cols, a.Cols, ad, a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, cd, dst.RowStride, add)
-	}
+	s.rows(hi-lo, dst.Cols, a.Cols, a.Data[lo*a.RowStride:], a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, dst.Data[lo*dst.RowStride:], dst.RowStride, add)
 	gemmPool.Put(s)
 }
 
-// single is the float32 driver. Full tiles read a in place (the kernel takes
-// both strides of A, so a transpose costs nothing) and b either in place or
-// from a packed panel; ragged edges go through zero-padded packed panels and
-// a scratch tile, so the same kernel computes them.
-func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
+// rows is the driver. Full tiles read a in place (the kernel takes both
+// strides of A, so a transpose costs nothing) and b either in place or from
+// a packed panel; ragged edges go through zero-padded packed panels and a
+// scratch tile, so the same kernel computes them.
+//
+// Panel layout: a panel of width w holds w lanes (rows of A, columns of B)
+// for every step p of the reduction, step-major — lane l of step p at
+// [p·w + l] — and +0 in the lanes past the operand's edge. The ragged A
+// edge is one panel gemmMR lanes wide, a B panel is the variant's nr. A
+// panel is an exact copy, so packing never changes a bit of the product.
+// A B operand whose columns are not contiguous (ColStride ≠ 1) is always
+// packed, one column tile at a time, and each panel serves every row tile.
+func (s *gemmScratch) rows(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
 	v := gemmActive
 	mFull := m &^ (gemmMR - 1)
 	var aEdge []float32
 	if mFull < m {
 		aEdge = grow(&s.a32, k*gemmMR)
-		pack32(aEdge, gemmMR, a[mFull*ars:], m-mFull, k, ars, acs)
+		packPanel(v.id, aEdge, gemmMR, a[mFull*ars:], m-mFull, k, ars, acs)
 	}
 	packB := bcs != 1 || (m >= gemmPackRows && k*brs >= gemmPackSpan)
 	for j := 0; j < n; j += v.nr {
@@ -302,7 +242,7 @@ func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32
 		bp, bps := b[j*bcs:], brs
 		if packB || nr < v.nr {
 			bp, bps = grow(&s.b32, k*v.nr), v.nr
-			pack32(bp, v.nr, b[j*bcs:], nr, k, bcs, brs)
+			packPanel(v.id, bp, v.nr, b[j*bcs:], nr, k, bcs, brs)
 		}
 		for i := 0; i < mFull; i += gemmMR {
 			if nr == v.nr {
@@ -315,54 +255,6 @@ func (s *gemmScratch) single(m, n, k int, a []float32, ars, acs int, b []float32
 		if mFull < m {
 			gemmKernel32(v.id, k, aEdge, 1, gemmMR, bp, bps, s.tile[:], v.nr, false)
 			s.storeTile(v.nr, c[mFull*ldc+j:], ldc, m-mFull, nr, add)
-		}
-	}
-}
-
-// wide is the float64-accumulate driver. Both operands are packed — the
-// conversion to float64 is exact and is paid once per element instead of
-// once per use — A a block of rows at a time, B one panel at a time, or not
-// at all when the caller hands in PackWide's panels (packed, nil otherwise).
-//
-// Panel layout: a panel of width w holds w lanes (rows of A, columns of B)
-// for every step p of the reduction, step-major — lane l of step p at
-// [p*w + l], converted to float64 — and zeros in the lanes past the
-// operand's edge. A panels are gemmMR lanes wide, B panels the variant's
-// nrWide. Which code fills a panel (packPanel64: the variant's vector
-// packer or the portable pack64) and when (here, or ahead of time in
-// PackWide) only moves exact copies, so it never changes a bit of the
-// product.
-func (s *gemmScratch) wide(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, packed []float64, c []float32, ldc int, add bool) {
-	v := gemmActive
-	mc := max(gemmWideBlock/k&^(gemmMR-1), gemmMR)
-	var bp []float64
-	if packed == nil {
-		bp = grow(&s.b64, k*v.nrWide)
-	}
-	for i0 := 0; i0 < m; i0 += mc {
-		mb := min(mc, m-i0)
-		panels := (mb + gemmMR - 1) / gemmMR
-		ap := grow(&s.a64, panels*k*gemmMR)
-		for i := 0; i < mb; i += gemmMR {
-			packPanel64(v.id, ap[i*k:], gemmMR, a[(i0+i)*ars:], min(gemmMR, mb-i), k, ars, acs)
-		}
-		for j := 0; j < n; j += v.nrWide {
-			nr := min(v.nrWide, n-j)
-			if packed != nil {
-				bp = packed[j*k:]
-			} else {
-				packPanel64(v.id, bp, v.nrWide, b[j*bcs:], nr, k, bcs, brs)
-			}
-			for i := 0; i < mb; i += gemmMR {
-				mr := min(gemmMR, mb-i)
-				ct := c[(i0+i)*ldc+j:]
-				if mr == gemmMR && nr == v.nrWide {
-					gemmKernel64(v.id, k, ap[i*k:], bp, ct, ldc, add)
-				} else {
-					gemmKernel64(v.id, k, ap[i*k:], bp, s.tile[:], v.nrWide, false)
-					s.storeTile(v.nrWide, ct, ldc, mr, nr, add)
-				}
-			}
 		}
 	}
 }
@@ -382,7 +274,9 @@ func (s *gemmScratch) storeTile(ld int, c []float32, ldc, mr, nr int, add bool) 
 }
 
 // pack32 writes the panel dst[p*width+l] = src[l*laneStride + p*stepStride]
-// for l < lanes, p < k, zero in the lanes from lanes up to width.
+// for l < lanes, p < k, zero in the lanes from lanes up to width. It is the
+// portable panel packer, the reference every vector packer is held to and
+// the one packPanel falls back to.
 func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepStride int) {
 	if lanes == width && laneStride == 1 {
 		for p := 0; p < k; p++ {
@@ -402,34 +296,7 @@ func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepS
 	}
 }
 
-// pack64 is pack32 for the Wide kernels, the portable panel packer: the
-// panel holds the operands already converted to float64 (the layout on
-// wide). It is the reference every vector packer is held to and the one
-// packPanel64 falls back to.
-func pack64(dst []float64, width int, src []float32, lanes, k, laneStride, stepStride int) {
-	if lanes < width {
-		clear(dst[:k*width]) // the padding lanes
-	}
-	l := 0
-	if stepStride == 1 {
-		// Rows contiguous along k — the a·bᵀ layout of both operands — four
-		// at a time.
-		for ; l+4 <= lanes; l += 4 {
-			s0, s1, s2, s3 := src[l*laneStride:][:k], src[(l+1)*laneStride:][:k], src[(l+2)*laneStride:][:k], src[(l+3)*laneStride:][:k]
-			for p := range s0 {
-				d := dst[p*width+l:][:4:4]
-				d[0], d[1], d[2], d[3] = float64(s0[p]), float64(s1[p]), float64(s2[p]), float64(s3[p])
-			}
-		}
-	}
-	for ; l < lanes; l++ {
-		for p := 0; p < k; p++ {
-			dst[p*width+l] = float64(src[l*laneStride+p*stepStride])
-		}
-	}
-}
-
-// gemmKernel32Go is the portable Single micro-kernel: C[4×8] (+)= A·B with
+// gemmKernel32Go is the portable micro-kernel: C[4×8] (+)= A·B with
 // A(i,p) = a[i*ars+p*aps] and B(p,j) = b[p*bps+j], as four 2×4 blocks whose
 // eight accumulators the compiler keeps in registers. The explicit float32
 // conversion of each product forbids the compiler from fusing it into the
@@ -467,41 +334,6 @@ func gemmKernel32Go(k int, a []float32, ars, aps int, b []float32, bps int, c []
 				r0[0], r0[1], r0[2], r0[3] = c00, c01, c02, c03
 				r1[0], r1[1], r1[2], r1[3] = c10, c11, c12, c13
 			}
-		}
-	}
-}
-
-// gemmKernel64Go is the portable Wide micro-kernel over packed float64
-// panels a[p*4+i], b[p*4+j]: C[4×4] (+)= float32(Σ_p a·b), two 2×4 blocks.
-func gemmKernel64Go(k int, a, b []float64, c []float32, ldc int, add bool) {
-	for i := 0; i < gemmMR; i += 2 {
-		var c00, c01, c02, c03, c10, c11, c12, c13 float64
-		for p := 0; p < k; p++ {
-			bp := b[p*4 : p*4+4 : p*4+4]
-			x0, x1 := a[p*4+i], a[p*4+i+1]
-			c00 += float64(x0 * bp[0])
-			c01 += float64(x0 * bp[1])
-			c02 += float64(x0 * bp[2])
-			c03 += float64(x0 * bp[3])
-			c10 += float64(x1 * bp[0])
-			c11 += float64(x1 * bp[1])
-			c12 += float64(x1 * bp[2])
-			c13 += float64(x1 * bp[3])
-		}
-		r0 := c[i*ldc : i*ldc+4 : i*ldc+4]
-		r1 := c[(i+1)*ldc : (i+1)*ldc+4 : (i+1)*ldc+4]
-		if add {
-			r0[0] += float32(c00)
-			r0[1] += float32(c01)
-			r0[2] += float32(c02)
-			r0[3] += float32(c03)
-			r1[0] += float32(c10)
-			r1[1] += float32(c11)
-			r1[2] += float32(c12)
-			r1[3] += float32(c13)
-		} else {
-			r0[0], r0[1], r0[2], r0[3] = float32(c00), float32(c01), float32(c02), float32(c03)
-			r1[0], r1[1], r1[2], r1[3] = float32(c10), float32(c11), float32(c12), float32(c13)
 		}
 	}
 }

@@ -2,27 +2,22 @@
 
 package tensor
 
-// Vector micro-kernels for Gemm (gemm_amd64.s). They hold the same eight
-// accumulators as the portable kernels in gemm.go — eight (Single) or four
-// (Wide) output elements per 256-bit register — and take the terms in the
-// same order, so the bits are those of the portable kernels and of the
-// specification on GemmAdd. Single issues a separate multiply and add per
-// term. Wide fuses them (VFMADD231PD), which is exact: each term is the
-// product of two float32 values converted to float64, 24 × 24 significant
-// bits in at most 48, with an exponent float64 holds without underflow or
-// overflow, so the product is exact and the fused add rounds the sum the
-// separate add rounds. The variant's Wide panel packer only moves exact
-// copies, so it is pack64 bit for bit. They use AVX (VBROADCASTSS/SD,
-// VMULPS, VADDPx, VUNPCKxPx, VCVTPS2PD) and FMA, no AVX2, and are selected
-// when CPUID reports AVX and FMA and the OS saves the YMM state; any other
-// amd64 CPU runs the portable kernels.
+// Vector micro-kernel and panel packer for Gemm (gemm_amd64.s). The kernel
+// holds the same eight accumulators as the portable kernel in gemm.go —
+// eight output elements per 256-bit register — and takes the terms in the
+// same order, with a separate multiply and add per term, so the bits are
+// those of the portable kernel and of the specification on GemmAdd. The
+// packer only moves bits, so it is pack32 bit for bit. They use AVX
+// (VBROADCASTSS, VMULPS, VADDPS, VUNPCKxPx), no FMA and no AVX2, and are
+// selected when CPUID reports AVX and the OS saves the YMM state; any other
+// amd64 CPU runs the portable kernel and packer.
 
-var gemmAVX = gemmVariant{name: "avx", id: 1, nr: 16, nrWide: 8}
+var gemmAVX = gemmVariant{name: "avx", id: 1, nr: 16}
 
 // gemmVariants lists every kernel variant this binary can run on this CPU,
 // narrowest first.
 func gemmVariants() []gemmVariant {
-	if cpuAVX && cpuFMA {
+	if cpuAVX {
 		return []gemmVariant{gemmPortable, gemmAVX}
 	}
 	return []gemmVariant{gemmPortable}
@@ -36,20 +31,14 @@ func gemmVariants() []gemmVariant {
 //go:noescape
 func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 
-// gemmKernel64AVX computes the 4×8 tile at c from packed float64 panels
-// a[p*4+i] and b[p*8+j], rounding each finished sum to float32 once.
-//
-//go:noescape
-func gemmKernel64AVX(k int, a, b *float64, c *float32, ldc uintptr, add bool)
-
-// pack64x4AVX packs four lanes of a panel whose rows run contiguous along
+// pack32x4AVX packs four lanes of a panel whose lanes run contiguous along
 // the reduction: for each of k4 blocks of four steps it loads four floats
 // from each of r0..r3, transposes the 4×4 block, clears the lanes whose mask
-// word is 0 (AND with +0's pattern, so they read +0) and converts each step's
-// four lanes to float64 (VCVTPS2PD, exact) at dst + p·ld. ld is in bytes.
+// word is 0 (AND with +0's pattern, so they read +0) and stores each step's
+// four lanes at dst + p·ld. ld is in bytes.
 //
 //go:noescape
-func pack64x4AVX(dst *float64, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
+func pack32x4AVX(dst *float32, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
 
 // packMasks[n] keeps the first n of four lanes.
 var packMasks = [5][4]uint32{
@@ -60,42 +49,41 @@ var packMasks = [5][4]uint32{
 	{^uint32(0), ^uint32(0), ^uint32(0), ^uint32(0)},
 }
 
-// pack64AVX is pack64 for rows contiguous along k (stepStride 1), the
-// layout of both Wide operands in every caller: four lanes at a time
-// through pack64x4AVX, the steps past the last multiple of four in Go. A
-// group of four that runs past the operand's edge reads its last lane again
-// in place of the missing ones and masks them to zero, so a ragged panel
-// (conv1's weight gradient has 27 = 3·8 + 3 lanes) takes the same path as a
-// full one.
-func pack64AVX(dst []float64, width int, src []float32, lanes, k, laneStride int) {
+// pack32AVX is pack32 for lanes contiguous along k (stepStride 1) — the
+// transposed operand of every a·bᵀ product — four lanes at a time through
+// pack32x4AVX, the steps past the last multiple of four in Go. A group of
+// four that runs past the operand's edge reads its last lane again in place
+// of the missing ones and masks them to zero, so a ragged panel (conv1's
+// weight gradient has 27 = 16 + 11 lanes) takes the same path as a full one.
+func pack32AVX(dst []float32, width int, src []float32, lanes, k, laneStride int) {
 	_, _ = dst[k*width-1], src[(lanes-1)*laneStride+k-1] // the kernel does not check bounds
 	k4 := k &^ 3
 	for l0 := 0; l0 < width; l0 += 4 {
 		n := min(max(lanes-l0, 0), 4)
 		row := func(i int) int { return min(l0+i, lanes-1) * laneStride }
 		if k4 > 0 {
-			pack64x4AVX(&dst[l0], uintptr(width)*8, &src[row(0)], &src[row(1)], &src[row(2)], &src[row(3)], &packMasks[n], k4/4)
+			pack32x4AVX(&dst[l0], uintptr(width)*4, &src[row(0)], &src[row(1)], &src[row(2)], &src[row(3)], &packMasks[n], k4/4)
 		}
 		for p := k4; p < k; p++ {
 			d := dst[p*width+l0:][:4:4]
 			for i := range d {
 				d[i] = 0
 				if i < n {
-					d[i] = float64(src[row(i)+p])
+					d[i] = src[row(i)+p]
 				}
 			}
 		}
 	}
 }
 
-// packPanel64 fills one Wide panel (the layout on gemmScratch.wide) with the
+// packPanel fills one panel (the layout on gemmScratch.rows) with the
 // packer of variant id.
-func packPanel64(id int, dst []float64, width int, src []float32, lanes, k, laneStride, stepStride int) {
-	if id == gemmAVX.id && stepStride == 1 && k > 0 {
-		pack64AVX(dst, width, src, lanes, k, laneStride)
+func packPanel(id int, dst []float32, width int, src []float32, lanes, k, laneStride, stepStride int) {
+	if id == gemmAVX.id && stepStride == 1 && laneStride != 1 && k > 0 {
+		pack32AVX(dst, width, src, lanes, k, laneStride)
 		return
 	}
-	pack64(dst, width, src, lanes, k, laneStride, stepStride)
+	pack32(dst, width, src, lanes, k, laneStride, stepStride)
 }
 
 func gemmKernel32(id, k int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
@@ -104,12 +92,4 @@ func gemmKernel32(id, k int, a []float32, ars, aps int, b []float32, bps int, c 
 		return
 	}
 	gemmKernel32Go(k, a, ars, aps, b, bps, c, ldc, add)
-}
-
-func gemmKernel64(id, k int, a, b []float64, c []float32, ldc int, add bool) {
-	if id == gemmAVX.id {
-		gemmKernel64AVX(k, &a[0], &b[0], &c[0], uintptr(ldc)*4, add)
-		return
-	}
-	gemmKernel64Go(k, a, b, c, ldc, add)
 }

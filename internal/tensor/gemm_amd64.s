@@ -2,14 +2,9 @@
 
 #include "textflag.h"
 
-// AVX micro-kernels for Gemm and the packer of its Wide panels. See
-// gemm_amd64.go for the contract: one accumulator per output element, terms
-// in ascending k, lanes never hold partial sums; the packer only moves exact
-// copies. Single issues a separate VMULPS and VADDPS per term. Wide issues
-// one VFMADD231PD per term: its operands are float32 values converted to
-// float64, whose product is exact in float64 (48 significant bits, exponent
-// in range), so the fused add rounds the same sum the separate multiply and
-// add round. AVX and FMA, no AVX2 instruction.
+// AVX micro-kernel for Gemm. See gemm_amd64.go for the contract: one
+// float32 accumulator per output element, terms in ascending k, a separate
+// VMULPS and VADDPS per term, lanes never hold partial sums. AVX only.
 
 // func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //
@@ -115,103 +110,13 @@ a32set:
 	VZEROUPPER
 	RET
 
-// func gemmKernel64AVX(k int, a, b *float64, c *float32, ldc uintptr, add bool)
-//
-// The same shape in float64: row r of the 4×8 tile accumulates in Y(2r)
-// (columns 0-3) and Y(2r+1) (columns 4-7). Per step the B panel holds eight
-// doubles and the A panel four, one per row, 8 bytes apart; VBROADCASTSD
-// reads each A value and one VFMADD231PD per half-row adds its exact
-// products. The finished sums are rounded once (VCVTPD2PS), joined
-// into one float32 row (VINSERTF128), and stored or added as float32.
-TEXT ·gemmKernel64AVX(SB), NOSPLIT, $0-41
-	MOVQ   k+0(FP), CX
-	MOVQ   a+8(FP), SI
-	MOVQ   b+16(FP), DI
-	MOVQ   c+24(FP), DX
-	MOVQ   ldc+32(FP), R12
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	VXORPS Y4, Y4, Y4
-	VXORPS Y5, Y5, Y5
-	VXORPS Y6, Y6, Y6
-	VXORPS Y7, Y7, Y7
-	TESTQ  CX, CX
-	JZ     a64store
-
-a64loop:
-	VMOVUPS      (DI), Y8
-	VMOVUPS      32(DI), Y9
-	VBROADCASTSD (SI), Y10
-	VFMADD231PD  Y8, Y10, Y0
-	VFMADD231PD  Y9, Y10, Y1
-	VBROADCASTSD 8(SI), Y10
-	VFMADD231PD  Y8, Y10, Y2
-	VFMADD231PD  Y9, Y10, Y3
-	VBROADCASTSD 16(SI), Y10
-	VFMADD231PD  Y8, Y10, Y4
-	VFMADD231PD  Y9, Y10, Y5
-	VBROADCASTSD 24(SI), Y10
-	VFMADD231PD  Y8, Y10, Y6
-	VFMADD231PD  Y9, Y10, Y7
-	ADDQ $32, SI
-	ADDQ $64, DI
-	DECQ CX
-	JNZ  a64loop
-
-a64store:
-	MOVBLZX add+40(FP), AX
-	VCVTPD2PSY  Y0, X0
-	VCVTPD2PSY  Y1, X1
-	VINSERTF128 $1, X1, Y0, Y0
-	VCVTPD2PSY  Y2, X2
-	VCVTPD2PSY  Y3, X3
-	VINSERTF128 $1, X3, Y2, Y2
-	VCVTPD2PSY  Y4, X4
-	VCVTPD2PSY  Y5, X5
-	VINSERTF128 $1, X5, Y4, Y4
-	VCVTPD2PSY  Y6, X6
-	VCVTPD2PSY  Y7, X7
-	VINSERTF128 $1, X7, Y6, Y6
-	TESTQ AX, AX
-	JZ    a64set
-	VMOVUPS (DX), Y8
-	VADDPS  Y0, Y8, Y8
-	VMOVUPS Y8, (DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VADDPS  Y2, Y8, Y8
-	VMOVUPS Y8, (DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VADDPS  Y4, Y8, Y8
-	VMOVUPS Y8, (DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VADDPS  Y6, Y8, Y8
-	VMOVUPS Y8, (DX)
-	VZEROUPPER
-	RET
-
-a64set:
-	VMOVUPS Y0, (DX)
-	ADDQ    R12, DX
-	VMOVUPS Y2, (DX)
-	ADDQ    R12, DX
-	VMOVUPS Y4, (DX)
-	ADDQ    R12, DX
-	VMOVUPS Y6, (DX)
-	VZEROUPPER
-	RET
-
-// func pack64x4AVX(dst *float64, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
+// func pack32x4AVX(dst *float32, ld uintptr, r0, r1, r2, r3 *float32, mask *[4]uint32, k4 int)
 //
 // Per block of four steps: X0..X3 load four floats of lanes 0..3, the two
 // unpack stages transpose them so that X0..X3 hold steps 0..3 of the four
-// lanes, X8 (the mask) clears the padding lanes, and each step converts to
-// four doubles stored at dst + p·ld.
-TEXT ·pack64x4AVX(SB), NOSPLIT, $0-64
+// lanes, X8 (the mask) clears the padding lanes, and each step's four lanes
+// are stored at dst + p·ld. 128-bit VEX only: no upper state to clear.
+TEXT ·pack32x4AVX(SB), NOSPLIT, $0-64
 	MOVQ    dst+0(FP), DI
 	MOVQ    ld+8(FP), R8
 	MOVQ    r0+16(FP), AX
@@ -241,17 +146,12 @@ packloop:
 	VANDPS    X8, X1, X1
 	VANDPS    X8, X2, X2
 	VANDPS    X8, X3, X3
-	VCVTPS2PD X0, Y0
-	VCVTPS2PD X1, Y1
-	VCVTPS2PD X2, Y2
-	VCVTPS2PD X3, Y3
-	VMOVUPD   Y0, (DI)
-	VMOVUPD   Y1, (DI)(R8*1)
-	VMOVUPD   Y2, (DI)(R8*2)
-	VMOVUPD   Y3, (DI)(R11*1)
+	VMOVUPS   X0, (DI)
+	VMOVUPS   X1, (DI)(R8*1)
+	VMOVUPS   X2, (DI)(R8*2)
+	VMOVUPS   X3, (DI)(R11*1)
 	LEAQ      (DI)(R8*4), DI
 	ADDQ      $16, SI
 	DECQ      R10
 	JNZ       packloop
-	VZEROUPPER
 	RET

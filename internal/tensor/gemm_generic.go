@@ -10,10 +10,6 @@ func gemmKernel32(id, k int, a []float32, ars, aps int, b []float32, bps int, c 
 	gemmKernel32Go(k, a, ars, aps, b, bps, c, ldc, add)
 }
 
-func gemmKernel64(id, k int, a, b []float64, c []float32, ldc int, add bool) {
-	gemmKernel64Go(k, a, b, c, ldc, add)
-}
-
-func packPanel64(id int, dst []float64, width int, src []float32, lanes, k, laneStride, stepStride int) {
-	pack64(dst, width, src, lanes, k, laneStride, stepStride)
+func packPanel(id int, dst []float32, width int, src []float32, lanes, k, laneStride, stepStride int) {
+	pack32(dst, width, src, lanes, k, laneStride, stepStride)
 }

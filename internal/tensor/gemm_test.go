@@ -8,9 +8,9 @@ import (
 )
 
 // The loops Gemm replaced survive here as the oracle: a triple loop, one
-// accumulator per output element, k ascending, a separate multiply and add
-// per term — float32 for Single, float64 rounded once for Wide. Every kernel
-// variant compiled into the test binary must reproduce it bit for bit.
+// float32 accumulator per output element, k ascending, a separate multiply
+// and add per term. Every kernel variant compiled into the test binary must
+// reproduce it bit for bit.
 
 // gemmCase is one product described on dense logical operands; the views
 // handed to Gemm are built from them by embed.
@@ -19,20 +19,18 @@ type gemmCase struct {
 	a, b, c0       []float32 // logical A (m×k), B (k×n), initial C (m×n), row-major
 	transA, transB bool      // store A as k×m / B as n×k and pass the transposed view
 	pad            int       // extra storage columns per row: leading dimension > cols
-	prec           Precision
 	add            bool
-	sums           [2][]float32 // oracle sums per Precision, filled on first use
+	sums           []float32 // oracle sums, filled on first use
 }
 
 func (g *gemmCase) String() string {
-	return fmt.Sprintf("%dx%dx%d transA=%v transB=%v pad=%d prec=%d add=%v", g.m, g.n, g.k, g.transA, g.transB, g.pad, g.prec, g.add)
+	return fmt.Sprintf("%dx%dx%d transA=%v transB=%v pad=%d add=%v", g.m, g.n, g.k, g.transA, g.transB, g.pad, g.add)
 }
 
 // oracle computes the specified result from the logical operands. The sums
-// depend on the precision only, so they are computed once per precision and
-// shared by every transpose and padding of the case.
+// are computed once and shared by every transpose and padding of the case.
 func (g *gemmCase) oracle() []float32 {
-	if g.sums[g.prec] == nil {
+	if g.sums == nil {
 		bt := make([]float32, g.n*g.k) // B transposed, so the inner loop is contiguous
 		for p := 0; p < g.k; p++ {
 			for j := 0; j < g.n; j++ {
@@ -44,28 +42,20 @@ func (g *gemmCase) oracle() []float32 {
 			ar := g.a[i*g.k : (i+1)*g.k]
 			for j := 0; j < g.n; j++ {
 				br := bt[j*g.k : (j+1)*g.k]
-				if g.prec == Wide {
-					var acc float64
-					for p, x := range ar {
-						acc += float64(x) * float64(br[p])
-					}
-					sums[i*g.n+j] = float32(acc)
-				} else {
-					var acc float32
-					for p, x := range ar {
-						acc += float32(x * br[p])
-					}
-					sums[i*g.n+j] = acc
+				var acc float32
+				for p, x := range ar {
+					acc += float32(x * br[p])
 				}
+				sums[i*g.n+j] = acc
 			}
 		}
-		g.sums[g.prec] = sums
+		g.sums = sums
 	}
 	if !g.add {
-		return g.sums[g.prec]
+		return g.sums
 	}
 	out := make([]float32, g.m*g.n)
-	for i, s := range g.sums[g.prec] {
+	for i, s := range g.sums {
 		out[i] = g.c0[i] + s
 	}
 	return out
@@ -125,9 +115,9 @@ func (g *gemmCase) run(t *testing.T) {
 		gemmActive = v
 		c := embed(g.c0, g.m, g.n, false, g.pad)
 		if g.add {
-			GemmAdd(c, a, b, g.prec)
+			GemmAdd(c, a, b)
 		} else {
-			Gemm(c, a, b, g.prec)
+			Gemm(c, a, b)
 		}
 		for i := 0; i < g.m; i++ {
 			for j := 0; j < c.RowStride; j++ {
@@ -183,13 +173,10 @@ func newGemmCase(rng *RNG, m, n, k int) *gemmCase {
 }
 
 // legacyForms are the three products the MatMul wrappers issue.
-var legacyForms = []struct {
-	transA, transB bool
-	prec           Precision
-}{
-	{false, false, Single}, // MatMul
-	{true, false, Single},  // MatMulATB
-	{false, true, Wide},    // MatMulABT
+var legacyForms = []struct{ transA, transB bool }{
+	{false, false}, // MatMul
+	{true, false},  // MatMulATB
+	{false, true},  // MatMulABT
 }
 
 func TestGemmMatchesOracleSmallShapes(t *testing.T) {
@@ -205,17 +192,16 @@ func TestGemmMatchesOracleSmallShapes(t *testing.T) {
 				g := newGemmCase(rng, m, n, k)
 				for _, f := range legacyForms {
 					cnt++
-					g.transA, g.transB, g.prec = f.transA, f.transB, f.prec
+					g.transA, g.transB = f.transA, f.transB
 					g.add = cnt&1 == 1
 					g.pad = cnt / 2 % 3
 					g.run(t)
 				}
-				// The general entry point takes any transpose with either
-				// precision; rotate through the remaining combinations.
+				// The general entry point takes any transpose; rotate
+				// through the remaining combination.
 				cnt++
 				g.transA, g.transB = cnt&1 == 1, cnt&2 == 2
-				g.prec = Precision(cnt >> 2 & 1)
-				g.add = cnt>>3&1 == 1
+				g.add = cnt>>2&1 == 1
 				g.pad = cnt % 3
 				g.run(t)
 			}
@@ -237,7 +223,7 @@ func TestGemmMatchesOracleLargeShapes(t *testing.T) {
 	for i, s := range shapes {
 		g := newGemmCase(rng, s[0], s[1], s[2])
 		for _, f := range legacyForms {
-			g.transA, g.transB, g.prec = f.transA, f.transB, f.prec
+			g.transA, g.transB = f.transA, f.transB
 			for _, add := range []bool{false, true} {
 				g.add, g.pad = add, i%2*5
 				g.run(t)
@@ -247,10 +233,10 @@ func TestGemmMatchesOracleLargeShapes(t *testing.T) {
 }
 
 // Operands at both ends of float32's range: subnormals, whose products
-// underflow float32 but not float64, and magnitudes near the largest
-// finite float32, whose products and sums overflow float32 but not
-// float64. A Wide term is the exact float64 product either way, so the
-// AVX variant's fused multiply-add must give the oracle's bits here too.
+// underflow, and magnitudes near the largest finite float32, whose products
+// and sums overflow. A fused multiply-add would keep the product's low bits
+// and miss the float32 overflow, so every variant must round each product
+// on its own to give the oracle's bits here.
 func TestGemmMatchesOracleExtremeOperands(t *testing.T) {
 	rng := NewRNG(47)
 	extreme := func(n int) []float32 {
@@ -271,23 +257,23 @@ func TestGemmMatchesOracleExtremeOperands(t *testing.T) {
 	for _, s := range [][3]int{{4, 8, 27}, {5, 9, 33}, {8, 16, 72}, {1, 24, 144}, {13, 11, 7}} {
 		m, n, k := s[0], s[1], s[2]
 		g := &gemmCase{m: m, n: n, k: k, a: extreme(m * k), b: extreme(k * n), c0: extreme(m * n)}
-		for _, f := range legacyForms {
-			for _, prec := range []Precision{Single, Wide} {
-				g.transA, g.transB, g.prec, g.add = f.transA, f.transB, prec, prec == Wide
-				g.run(t)
-			}
+		for i, f := range legacyForms {
+			g.transA, g.transB, g.add = f.transA, f.transB, i%2 == 1
+			g.run(t)
+			g.add = !g.add
+			g.run(t)
 		}
 	}
 }
 
-// A Wide product taller than one packed block and a product above the
-// row-parallel threshold: the block and worker seams must not show.
+// A product whose B panels are packed for reuse (gemmPackRows rows, a span
+// past gemmPackSpan) and a product above the row-parallel threshold: the
+// packing and the worker seams must not show.
 func TestGemmBlockedAndParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
 	rng := NewRNG(47)
-	tall := newGemmCase(rng, 2*gemmWideBlock/600+7, 9, 600)
-	tall.transB, tall.prec = true, Wide
+	tall := newGemmCase(rng, gemmPackRows+3, 25, gemmPackSpan/25+5)
 	tall.run(t)
 	m, n, k := 424, 400, 400
 	if m*n*k < 2*gemmParMACs {
@@ -295,113 +281,9 @@ func TestGemmBlockedAndParallel(t *testing.T) {
 	}
 	g := newGemmCase(rng, m, n, k)
 	for _, f := range legacyForms {
-		g.transA, g.transB, g.prec, g.add = f.transA, f.transB, f.prec, true
+		g.transA, g.transB, g.add = f.transA, f.transB, true
 		g.run(t)
 	}
-}
-
-// harshen overwrites about one element in eight of v with a value gemmVec
-// never draws: NaN, +Inf, −Inf or −0.
-func harshen(rng *RNG, v []float32) {
-	special := []float32{float32(math.NaN()), float32(math.Inf(1)), float32(math.Inf(-1)), float32(math.Copysign(0, -1))}
-	for i := range v {
-		if rng.Intn(8) == 0 {
-			v[i] = special[rng.Intn(len(special))]
-		}
-	}
-}
-
-// A product over PackWide's panels is GemmAdd(…, Wide) over the operand they
-// were packed from, bit for bit, under every kernel variant: ragged column
-// counts (a partial last panel), k = 1, A and B transposed or read through a
-// leading dimension wider than their columns, NaN, ±Inf and −0 operands, a
-// product taller than one packed A block (every block reads the same
-// panels) and one above the row-parallel threshold (every worker does). One
-// WidePanels is repacked for every case, as a caller reuses it.
-func TestGemmAddPackedMatchesWide(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
-	rng := NewRNG(61)
-	shapes := [][3]int{
-		{1, 1, 1}, {4, 4, 1}, {5, 9, 1}, {3, 13, 7}, {8, 3, 5}, {17, 33, 16},
-		{16, 128, 32}, {16, 127, 32}, {176, 128, 16}, {176, 64, 32}, // the lstm's, and one ragged
-	}
-	for it := 0; it < 16; it++ {
-		shapes = append(shapes, [3]int{1 + rng.Intn(40), 1 + rng.Intn(40), 1 + rng.Intn(60)})
-	}
-	small := len(shapes)
-	shapes = append(shapes, [3]int{2*gemmWideBlock/600 + 7, 9, 600}, [3]int{424, 400, 400})
-	if m, n, k := 424, 400, 400; m*n*k < 2*gemmParMACs {
-		t.Fatalf("shape below the parallel threshold")
-	}
-	var p WidePanels
-	for i, s := range shapes {
-		m, n, k := s[0], s[1], s[2]
-		harsh := i < small && i%3 == 0
-		a, b, c0 := gemmVec(rng, m*k, harsh), gemmVec(rng, k*n, harsh), gemmVec(rng, m*n, harsh)
-		if harsh {
-			harshen(rng, a)
-			harshen(rng, b)
-			harshen(rng, c0)
-		}
-		forms := 8 // transA, transB, pad
-		if i >= small {
-			forms = 1
-		}
-		for f := 0; f < forms; f++ {
-			transA, transB, pad := f&1 == 1, f&2 == 0, f>>2*3
-			av, bv := embed(a, m, k, transA, pad), embed(b, k, n, transB, pad)
-			for _, v := range gemmVariants() {
-				gemmActive = v
-				want, got := embed(c0, m, n, false, pad), embed(c0, m, n, false, pad)
-				GemmAdd(want, av, bv, Wide)
-				PackWide(&p, bv)
-				GemmAddPacked(got, av, &p)
-				for e, w := range want.Data {
-					if !sameBits(got.Data[e], w) {
-						t.Fatalf("%dx%dx%d transA=%v transB=%v pad=%d %s: element %d = %x, GemmAdd %x",
-							m, n, k, transA, transB, pad, v.name, e, math.Float32bits(got.Data[e]), math.Float32bits(w))
-					}
-				}
-			}
-		}
-	}
-}
-
-// Panels are laid out for the variant that packed them, so any other
-// variant, unpacked panels and a mismatched shape are refused.
-func TestGemmAddPackedValidation(t *testing.T) {
-	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
-	rng := NewRNG(67)
-	a, b, dst := randMat(rng, 5, 8).View(), randMat(rng, 12, 8).T(), NewMat(5, 12).View()
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: expected panic", name)
-			}
-		}()
-		f()
-	}
-	var p WidePanels
-	mustPanic("never packed", func() { GemmAddPacked(dst, a, &p) })
-	vs := gemmVariants()
-	for _, packer := range vs {
-		for _, user := range vs {
-			gemmActive = packer
-			PackWide(&p, b)
-			gemmActive = user
-			if packer == user {
-				GemmAddPacked(dst, a, &p)
-				continue
-			}
-			mustPanic(packer.name+" panels under "+user.name, func() { GemmAddPacked(dst, a, &p) })
-		}
-	}
-	PackWide(&p, b)
-	mustPanic("inner", func() { GemmAddPacked(dst, randMat(rng, 5, 7).View(), &p) })
-	mustPanic("cols", func() { GemmAddPacked(NewMat(5, 11).View(), a, &p) })
 }
 
 // skipZeroMul is the row-AXPY MatMul this package used to have, zero skip
@@ -461,11 +343,11 @@ func TestGemmValidation(t *testing.T) {
 	short.Data = short.Data[:3]
 	colMajor := mat(2, 2).T()
 	cases := map[string]func(){
-		"inner":       func() { Gemm(mat(2, 2), mat(2, 3), mat(4, 2), Single) },
-		"rows":        func() { Gemm(mat(3, 2), mat(2, 3), mat(3, 2), Single) },
-		"cols":        func() { Gemm(mat(2, 3), mat(2, 3), mat(3, 2), Wide) },
-		"storage":     func() { Gemm(mat(2, 2), short, mat(2, 2), Single) },
-		"dst strides": func() { Gemm(colMajor, mat(2, 2), mat(2, 2), Single) },
+		"inner":       func() { Gemm(mat(2, 2), mat(2, 3), mat(4, 2)) },
+		"rows":        func() { Gemm(mat(3, 2), mat(2, 3), mat(3, 2)) },
+		"cols":        func() { Gemm(mat(2, 3), mat(2, 3), mat(3, 2)) },
+		"storage":     func() { Gemm(mat(2, 2), short, mat(2, 2)) },
+		"dst strides": func() { Gemm(colMajor, mat(2, 2), mat(2, 2)) },
 		"col range":   func() { mat(2, 2).ColRange(1, 3) },
 	}
 	for name, f := range cases {
@@ -481,18 +363,18 @@ func TestGemmValidation(t *testing.T) {
 	// Degenerate shapes are not errors.
 	dst := mat(2, 3)
 	Fill(dst.Data, 7)
-	Gemm(dst, mat(2, 0), mat(0, 3), Single)
+	Gemm(dst, mat(2, 0), mat(0, 3))
 	for _, v := range dst.Data {
 		if v != 0 {
 			t.Fatalf("k=0 Gemm must clear dst, left %v", v)
 		}
 	}
 	Fill(dst.Data, 7)
-	GemmAdd(dst, mat(2, 0), mat(0, 3), Wide)
+	GemmAdd(dst, mat(2, 0), mat(0, 3))
 	if dst.Data[0] != 7 {
 		t.Error("k=0 GemmAdd must leave dst alone")
 	}
-	Gemm(mat(0, 3), mat(0, 2), mat(2, 3), Single)
+	Gemm(mat(0, 3), mat(0, 2), mat(2, 3))
 }
 
 func TestViewColRangeAndTranspose(t *testing.T) {
@@ -517,13 +399,10 @@ func TestGemmSteadyStateAllocatesNothing(t *testing.T) {
 	rng := NewRNG(59)
 	a, b, w := randMat(rng, 16, 27), randMat(rng, 27, 64), randMat(rng, 33, 27)
 	dst, dstW := NewMat(16, 64), NewMat(16, 33)
-	var p WidePanels
 	f := func() {
 		MatMul(dst, a, b)
 		MatMulABT(dstW, a, w)
-		GemmAdd(dst.View(), a.View(), b.View(), Single)
-		PackWide(&p, w.T())
-		GemmAddPacked(dstW.View(), a.View(), &p)
+		GemmAdd(dst.View(), a.View(), b.View())
 	}
 	f()
 	if n := testing.AllocsPerRun(20, f); n != 0 {
@@ -576,14 +455,14 @@ func BenchmarkMatMul(b *testing.B) {
 	}
 }
 
-// Every variant's Wide panel packer writes pack64's panels bit for bit — an
-// exact float64 copy of each operand element, +0 in the padding lanes — and
-// nothing outside them: A and B panel widths, every lane count from 1 to 17
-// (a whole operand, panel by panel, as the driver and PackWide pack it),
-// reductions of 1, 3, 4, 5 and 256 steps (the vector packer moves four steps
-// at a time), lanes contiguous along the reduction (the transposed operand
-// of every a·bᵀ product) and strided sources, with NaN payloads, a
-// signalling NaN, ±Inf, −0 and subnormal elements.
+// Every variant's panel packer writes pack32's panels bit for bit — a copy
+// of each operand element, +0 in the padding lanes — and nothing outside
+// them: A and B panel widths, every lane count from 1 to 17 (a whole
+// operand, panel by panel, as the driver packs it), reductions of 1, 3, 4,
+// 5 and 256 steps (the vector packer moves four steps at a time), lanes
+// contiguous along the reduction (the transposed operand of every a·bᵀ
+// product) and strided sources, with NaN payloads, a signalling NaN, ±Inf,
+// −0 and subnormal elements.
 func TestPackPanelMatchesPortable(t *testing.T) {
 	special := []uint32{
 		0x7fc00000, 0xffc12345, 0x7f800001, // NaNs: quiet, with payload, signalling
@@ -591,10 +470,10 @@ func TestPackPanelMatchesPortable(t *testing.T) {
 		0x00000001, 0x807fffff, 0x7f7fffff, // subnormals, the largest finite
 	}
 	const guard = 9
-	sentinel := math.Float64frombits(0x7ff4dead0000beef)
+	const sentinel = 0x7fbadbad // a signalling NaN no packer writes
 	rng := NewRNG(71)
 	for _, v := range gemmVariants() {
-		for _, width := range []int{gemmMR, v.nrWide} {
+		for _, width := range []int{gemmMR, v.nr} {
 			for n := 1; n <= 17; n++ {
 				for _, k := range []int{1, 3, 4, 5, 256} {
 					layouts := []struct {
@@ -615,19 +494,19 @@ func TestPackPanelMatchesPortable(t *testing.T) {
 							}
 						}
 						panels := (n + width - 1) / width
-						want, got := make([]float64, panels*k*width+2*guard), make([]float64, panels*k*width+2*guard)
+						want, got := make([]float32, panels*k*width+2*guard), make([]float32, panels*k*width+2*guard)
 						for i := range want {
-							want[i], got[i] = sentinel, sentinel
+							want[i], got[i] = math.Float32frombits(sentinel), math.Float32frombits(sentinel)
 						}
 						for j := 0; j < n; j += width {
 							off := guard + j*k
 							lanes := min(width, n-j)
-							pack64(want[off:off+k*width], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
-							packPanel64(v.id, got[off:], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
+							pack32(want[off:off+k*width], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
+							packPanel(v.id, got[off:], width, src[j*lay.ls:], lanes, k, lay.ls, lay.ss)
 						}
 						for i := range want {
-							if w, g := math.Float64bits(want[i]), math.Float64bits(got[i]); w != g {
-								t.Fatalf("%s width %d, %d lanes, k %d, %s: element %d = %#x, pack64 %#x",
+							if w, g := math.Float32bits(want[i]), math.Float32bits(got[i]); w != g {
+								t.Fatalf("%s width %d, %d lanes, k %d, %s: element %d = %#x, pack32 %#x",
 									v.name, width, n, k, lay.name, i, g, w)
 							}
 						}

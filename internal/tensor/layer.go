@@ -97,12 +97,16 @@ func Normalize(y, xhat, x []float32, rows, hw int, mean, inv, gamma, beta []floa
 	}
 }
 
+// The float32 conversions in normalizeScalar and normalizeGradScalar round
+// each product on its own, as the specification says. Without them Go may
+// fuse a product into the add or subtract that follows it (arm64 does),
+// which is a different arithmetic; on amd64 they change no instruction.
 func normalizeScalar(y, xhat, x []float32, rows, hw, stride int, mean, inv, gamma, beta float32) {
 	for r := 0; r < rows; r++ {
 		for i := r * stride; i < r*stride+hw; i++ {
 			xh := (x[i] - mean) * inv
 			xhat[i] = xh
-			y[i] = gamma*xh + beta
+			y[i] = float32(gamma*xh) + beta
 		}
 	}
 }
@@ -134,7 +138,7 @@ func NormalizeGrad(dx, dy, xhat []float32, rows, hw int, gamma, inv []float32, s
 func normalizeGradScalar(dx, dy, xhat []float32, rows, hw, stride int, k, n, sdy, sdyx float32) {
 	for r := 0; r < rows; r++ {
 		for i := r * stride; i < r*stride+hw; i++ {
-			dx[i] = k * (n*dy[i] - sdy - xhat[i]*sdyx)
+			dx[i] = k * (float32(n*dy[i]) - sdy - float32(xhat[i]*sdyx))
 		}
 	}
 }

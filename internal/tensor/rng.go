@@ -16,38 +16,34 @@
 // specification, not an implementation detail, because training results are
 // compared bit for bit across builds and across PRs:
 //
-//	Every output element is one accumulator that starts at +0 and takes the
-//	terms a(i,p)·b(p,j) for p ascending — in float32, each a separately
-//	rounded multiply and add (Single: a×b, aᵀ×b), or in float64, each add
-//	of the exact float64 product rounded, the sum rounded to float32 once
-//	(Wide: a×bᵀ, what Dot computes); GemmAdd then adds the finished sum to
-//	dst with one float32 add. No fused float32 multiply-add, no partial
-//	sums, no skipped terms.
+//	Every output element is one float32 accumulator that starts at +0 and
+//	takes the terms a(i,p)·b(p,j) for p ascending, each a separately
+//	rounded float32 multiply and add; GemmAdd then adds the finished sum
+//	to dst with one float32 add. No fused multiply-add, no wider
+//	accumulator, no partial sums, no skipped terms.
 //
-// A Wide term is the product of two float32 values in float64: at most 48
-// significant bits, with an exponent float64 holds, so it is exact, and a
-// fused multiply-add of it rounds the same sum as the separate multiply and
-// add. The AVX kernel fuses it (VFMADD231PD); the bits do not change. A
-// change that fuses Single's multiply, accumulates a×bᵀ in float32, or
-// splits a sum across vector lanes changes that paragraph, the golden
-// digests in internal/models and the oracle in gemm_test.go together, with
-// its own accuracy evidence. Everything else — the 4×8/4×16 register tile,
-// packing, the AVX+FMA micro-kernels (gemm_amd64.s), the portable kernels
-// used under the purego tag, on other architectures and on amd64 CPUs
-// without AVX or FMA, row-parallelism for very large products — only
+// There is one precision for every product; a term's two factors commute,
+// so the sums do not depend on which operand is A. A change that fuses the
+// multiply, widens the accumulator or splits a sum across vector lanes
+// changes that paragraph, the golden digests in internal/models and the
+// oracle in gemm_test.go together, with its own accuracy evidence (the
+// figures gate in internal/bench). Everything else — the 4×8/4×16 register
+// tile, packing, the AVX micro-kernel and packer (gemm_amd64.s), the
+// portable kernel used under the purego tag, on other architectures and on
+// amd64 CPUs without AVX, row-parallelism for very large products — only
 // reschedules those operations and is tested to give identical bits.
 //
-// Wide packs both operands into float64 panels: lane l (a row of A, a column
-// of B) of reduction step p at [p·width + l], A panels 4 lanes wide, B panels
-// the kernel variant's 4 or 8, padding lanes +0. Packing is an exact copy,
-// whoever does it and whenever: the AVX variant packs operands whose lanes
-// run contiguous along the reduction with a vector packer (four lanes by
-// four steps, transposed in registers) that is held to the portable pack64
-// bit for bit, and a pre-packed operand is packing done ahead of time:
-// PackWide converts a Wide B operand to the panels the driver would build
-// itself, and GemmAddPacked over them gives GemmAdd's bits, so a caller that
-// reuses one operand for many products (the LSTM's recurrent weights)
-// converts it once.
+// The kernel reads A in place through both of its strides and B a row of
+// tile columns at a time. A B operand whose columns are not contiguous — the
+// transposed operand of every a·bᵀ product — is packed into panels first:
+// lane l (a column of B) of reduction step p at [p·width + l], width the
+// variant's 8 or 16, +0 in the lanes past the operand's edge; a ragged A
+// edge is packed the same way, 4 lanes wide. Packing is an exact copy: the
+// AVX variant packs lanes that run contiguous along the reduction with a
+// vector packer (four lanes by four steps, transposed in registers) held to
+// the portable pack32 bit for bit. A caller that multiplies by one
+// transposed operand many times (the LSTM's recurrent weights) copies it to
+// row-major once instead.
 //
 // # Reduction specification
 //

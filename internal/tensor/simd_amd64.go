@@ -24,8 +24,8 @@ package tensor
 // lane for lane as the scalar x >= 0 does.
 //
 // The other 256-bit kernels live beside the operations they serve, each
-// selected from the CPUID bits it needs (cpu_amd64.go): Gemm's micro-kernels
-// and Wide packer (gemm_amd64.s) on AVX and FMA; the transcendentals
+// selected from the CPUID bits it needs (cpu_amd64.go): Gemm's micro-kernel
+// and panel packer (gemm_amd64.s) on AVX; the transcendentals
 // (trans_amd64.s) on AVX2 and FMA; the normal-variate transform
 // (rng_amd64.s) on AVX2; and the layer kernels (layer_amd64.s) on AVX2 and
 // FMA — the batch-norm channel sums (four channels to a register), its
