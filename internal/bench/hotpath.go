@@ -147,18 +147,19 @@ var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 
 // computeRung adds the compute rung's points — the bottom of the ladder the
 // repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
 // LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, a draw of
-// 4096 standard normals, the 256³ multiply, the matrix products one
-// reduced-vgg16 step issues at batch 16 (per convolution: the forward a×b
-// and the column gradient aᵀ×b over the whole batch, the weight gradient
-// a×bᵀ once per sample), those 96 weight-gradient products alone as
-// Conv2D.Backward issues them (each sample's columns of the batch's tape,
-// transposed and packed), the six convolutions' backward passes at batch 16, the
-// forward + backward passes of its batch norms, pools and ReLUs at batch 16,
-// the vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the
+// 4096 standard normals, the 256³ multiply, the matrix products of a
+// reduced-vgg16 step at batch 16 (per convolution: the forward a×b and the
+// column gradient aᵀ×b over the whole batch, and the weight gradient a×bᵀ
+// once per sample — the per-sample form, kept so the row compares across
+// entries), the six weight gradients alone as Conv2D.Backward
+// issues them (one segmented product per layer over the batch's tape,
+// transposed and packed), the six convolutions' forward and backward passes
+// at batch 16, the forward + backward passes of its batch norms, pools and
+// ReLUs at batch 16, the vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the
 // two benchmark models. Their n is elements (tensor/*, and the input
 // elements of the nn/batchnorm, maxpool and relu rows), multiply-adds per
 // operation (gemm/*), pixels drawn (data/*) or parameters (the other nn/*
-// rows); allocs/op is part of the contract for all thirteen.
+// rows); allocs/op is part of the contract for all fourteen.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
 	{
@@ -223,26 +224,46 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 		}))
 	}
 	{
-		// The weight gradient of every sample and convolution as Conv2D
-		// issues it: dW += do × colsᵀ, do the sample's OutC × oh·ow output
-		// gradient, cols its column range of the batch's tape, read
-		// transposed — the B operand the driver packs.
+		// The weight gradient of every convolution as Conv2D issues it: one
+		// segmented product per layer, dW += do × tapeᵀ with do the batch's
+		// OutC × batch·oh·ow output gradient, channel-major, and the tape
+		// read transposed — the B operand Gemm packs — one segment of
+		// oh·ow steps per sample.
 		const batch = 16
-		type wgrad struct{ gw, tape, dout *tensor.Mat }
+		type wgrad struct{ gw, tape, doT *tensor.Mat }
 		var ws []wgrad
 		macs := 0
 		for _, s := range vggConvShapes {
 			outC, k, ohw := s[0], s[1], s[2]
-			ws = append(ws, wgrad{tensor.NewMat(outC, k), mat(k, batch*ohw), mat(batch, outC*ohw)})
+			ws = append(ws, wgrad{tensor.NewMat(outC, k), mat(k, batch*ohw), mat(outC, batch*ohw)})
 			macs += outC * k * batch * ohw
 		}
 		add("gemm/wgrad-vgg16", macs, 0, testing.Benchmark(func(bm *testing.B) {
 			for i := 0; i < bm.N; i++ {
 				for j, w := range ws {
-					outC, ohw := vggConvShapes[j][0], vggConvShapes[j][2]
-					for s := 0; s < batch; s++ {
-						tensor.GemmAdd(w.gw.View(), tensor.ViewOf(outC, ohw, w.dout.Row(s)), w.tape.View().ColRange(s*ohw, (s+1)*ohw).T())
-					}
+					tensor.GemmAddSegmented(w.gw.View(), w.doT.View(), w.tape.T(), vggConvShapes[j][2])
+				}
+			}
+		}))
+	}
+	{
+		// Conv2D.Forward in training mode, all six layers at batch 16: the
+		// lowering, the product and the bias add as it transposes.
+		const batch = 16
+		var convs []*nn.Conv2D
+		var xs []*tensor.Mat
+		params := 0
+		for i, in := range vggConvIn {
+			c := nn.NewConv2D(rng, in, vggConvShapes[i][0], 3, 1, 1)
+			x := mat(batch, in.Size())
+			c.Forward(x, true) // warm-up: grows the tape and output workspaces
+			convs, xs = append(convs, c), append(xs, x)
+			params += len(c.W) + len(c.B)
+		}
+		add("nn/conv-forward-vgg16", params, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				for j, c := range convs {
+					c.Forward(xs[j], true)
 				}
 			}
 		}))

@@ -190,18 +190,21 @@ func stepper(t *testing.T, fam string) (m models.Model, step, eval func()) {
 		t.Fatal(err)
 	}
 	rng := tensor.NewRNG(2)
-	var tb, eb models.Batch
+	var tb, eb, ob models.Batch
 	if img != nil {
-		tb, eb = img.Sample(rng, 16), img.Sample(rng, 64)
+		tb, eb, ob = img.Sample(rng, 16), img.Sample(rng, 64), img.Sample(rng, 37)
 	} else {
-		tb, eb = txt.Sample(rng, 16, 12), txt.Sample(rng, 64, 12)
+		tb, eb, ob = txt.Sample(rng, 16, 12), txt.Sample(rng, 64, 12), txt.Sample(rng, 37, 12)
 	}
-	return m, func() { m.Step(tb) }, func() { m.Eval(eb) }
+	return m, func() { m.Step(tb) }, func() { m.Eval(eb); m.Eval(ob) }
 }
 
 // A warm training step allocates nothing, and neither does alternating it
-// with a larger evaluation batch: workspaces only grow, so the evaluation
-// batch sizes them once and the training batch keeps fitting.
+// with evaluation batches, one larger than the training batch and one that
+// is not a multiple of it (its last chunk is 5 samples): workspaces only
+// grow, so the evaluation batches size them once and the training batch
+// keeps fitting, and nothing — a convolution's pad masks included — is sized
+// by the batch.
 func TestStepSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector empties sync.Pool at random; run without -race")

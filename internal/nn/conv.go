@@ -21,13 +21,15 @@ func (s Shape) Size() int { return s.C * s.H * s.W }
 // the VGG/ResNet builders use 3×3, stride 1, pad 1.
 //
 // The lowering is batched: the tape holds one row per (channel, ky, kx) and
-// one column per (sample, output pixel), so the forward product and the
-// column gradient are each ONE matrix multiply per pass whatever the spatial
-// extent — late VGG stages have 2×2 outputs, and a per-sample multiply over
-// rows of four floats cannot fill a vector. Every output element is still
-// the same sum over the same terms in the same order; only the weight
-// gradient, whose terms a batched product would sum across samples in a
-// different association, stays one product per sample added in sample order.
+// one column per (sample, output pixel), so the forward product, the weight
+// gradient and the column gradient are each ONE matrix multiply per pass
+// whatever the spatial extent — late VGG stages have 2×2 outputs, and a
+// per-sample multiply over rows of four floats cannot fill a vector. Every
+// output element is still the same sum over the same terms in the same
+// order. The weight gradient keeps the per-sample association: it is one
+// segmented product (tensor.GemmAddSegmented) whose segments are the
+// samples, each sample's sum over its pixels from +0 added to dW in sample
+// order — the bits of one product per sample.
 type Conv2D struct {
 	In          Shape
 	OutC        int
@@ -40,7 +42,7 @@ type Conv2D struct {
 	blocks []convBlock // per kernel position, see kernelBlock
 	tape   buf         // lowered input: (In.C·KH·KW) × (samples·oh·ow)
 	cmaj   buf         // OutC × (samples·oh·ow): the forward product, then dout, channel-major
-	planes buf         // In.C × (samples·h·w): the input, then its gradient, channel-major (shifted lowering)
+	planes buf         // In.C × (samples·h·w) between two margins: the input, then its gradient, channel-major (shifted lowering)
 	dcols  buf         // gradient of the tape
 	res    buf
 	dx     buf
@@ -80,22 +82,28 @@ func (c *Conv2D) Params() []Param {
 // convBlock is what kernel position (ky, kx) reads of one channel plane: the
 // output pixels [oy0, oy1) × [ox0, ox1) whose input pixel — Stride apart
 // along both axes — lies inside the image; the others (its pads) read
-// padding. The input pixel of (oy0, ox0) sits at in.
+// padding. The input pixel of (oy0, ox0) sits at in. In the shifted
+// geometry, mask marks the block over one sample's oh·ow output pixels —
+// all-ones words inside it, 0 at its pads — repeated to a whole number of
+// 8-lane vectors (the 2×2 late stages have 4 pixels), and shift is the
+// constant input-minus-output offset of the block's pixels.
 type convBlock struct {
 	oy0, oy1, ox0, ox1 int
 	in                 int
+	shift              int
+	mask               []uint32
 }
 
 // empty reports a block with no pixel inside the image.
 func (b *convBlock) empty() bool { return b.oy0 == b.oy1 || b.ox0 == b.ox1 }
 
-// convRowMin is the length from which a copy or a clear runs as one call
-// (memmove, memclr); shorter ones — the late stages' planes and rows are a
-// few pixels — are cheaper element by element than call by call.
+// convRowMin is the length from which a copy runs as one call (memmove);
+// shorter ones — the late stages' planes are a few pixels — are cheaper
+// element by element than call by call.
 const convRowMin = 8
 
 // kernelBlock returns the block of kernel position (ky, kx). The geometry is
-// fixed at construction, so the table is built once.
+// fixed at construction, so the table — the masks included — is built once.
 func (c *Conv2D) kernelBlock(ky, kx int) *convBlock {
 	if c.blocks == nil {
 		out := c.OutShape()
@@ -106,6 +114,15 @@ func (c *Conv2D) kernelBlock(ky, kx int) *convBlock {
 				hi = min(outN, last/c.Stride+1)
 			}
 			return lo, max(lo, hi)
+		}
+		ohw := out.H * out.W
+		period := ohw
+		for period%8 != 0 {
+			period += ohw
+		}
+		var masks []uint32
+		if c.shifted() {
+			masks = make([]uint32, c.KH*c.KW*period)
 		}
 		c.blocks = make([]convBlock, c.KH*c.KW)
 		for ky := 0; ky < c.KH; ky++ {
@@ -118,6 +135,17 @@ func (c *Conv2D) kernelBlock(ky, kx int) *convBlock {
 					continue
 				}
 				b.in = (b.oy0*c.Stride+ky-c.Pad)*c.In.W + b.ox0*c.Stride + kx - c.Pad
+				if masks == nil {
+					continue
+				}
+				b.shift = b.in - (b.oy0*out.W + b.ox0)
+				b.mask = masks[(ky*c.KW+kx)*period:][:period]
+				for d := range b.mask {
+					oy, ox := d%ohw/out.W, d%out.W
+					if oy >= b.oy0 && oy < b.oy1 && ox >= b.ox0 && ox < b.ox1 {
+						b.mask[d] = ^uint32(0)
+					}
+				}
 			}
 		}
 	}
@@ -127,35 +155,43 @@ func (c *Conv2D) kernelBlock(ky, kx int) *convBlock {
 // shifted reports the common geometry — stride 1 and an output as large as
 // the input (a k×k kernel with pad (k−1)/2) — in which a kernel position's
 // block is the input shifted by a constant: output pixel d reads input pixel
-// d + in − (oy0·ow + ox0). Over the channel-major planes, where each
-// channel's samples lie end to end, that holds across rows and samples
-// alike, so one copy (im2col) or one vector add (col2im) of the whole batch
-// moves a kernel position of a channel; the pixels it moves that lie outside
-// the block (its pads, in every sample) are then the only ones to fix up.
+// d + shift. Over the channel-major planes, where each channel's samples lie
+// end to end, that holds across rows and samples alike, so one masked copy
+// (im2col) or one masked add (col2im) of the whole batch moves a kernel
+// position of a channel: the block's mask turns the pixels it moves that lie
+// outside the block (its pads, in every sample) into +0.
 func (c *Conv2D) shifted() bool {
 	out := c.OutShape()
 	return c.Stride == 1 && out.H == c.In.H && out.W == c.In.W
 }
 
+// planeMargin is the number of elements the shifted lowering keeps before
+// and after the planes: a block's shift reaches at most Pad rows and Pad
+// columns, so a kernel position's whole row of output pixels reads and
+// writes inside the planes and their margins, and the pixels that land in
+// a margin or a neighbouring channel are pads.
+func (c *Conv2D) planeMargin() int { return c.Pad * (c.In.W + 1) }
+
 // im2col lowers x into the tape, one column block of oh·ow per sample,
 // writing every element: padding positions are stored as zeros, not left to
 // a freshly allocated matrix. The tape is filled row by row — all samples of
 // one (channel, ky, kx) before the next — so the stores walk memory
-// forwards. Geometries other than the shifted one (strided layers) move
-// element by element, block row by block row.
+// forwards. In the shifted geometry each row is one tensor.MaskCopy of the
+// channel's plane through the block's mask; other geometries (strided
+// layers) move element by element, block row by block row.
 func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 	out := c.OutShape()
 	ohw, ihw := out.H*out.W, c.In.H*c.In.W
 	if c.shifted() {
 		n := x.Rows * ihw
-		planes := c.planes.get(c.In.C, n)
+		planes := c.shiftedPlanes(n)
 		for s := 0; s < x.Rows; s++ {
 			for ch := 0; ch < c.In.C; ch++ {
-				move(planes.Data[ch*n+s*ihw:][:ihw], x.Row(s)[ch*ihw:(ch+1)*ihw])
+				move(planes[c.planeMargin()+ch*n+s*ihw:][:ihw], x.Row(s)[ch*ihw:(ch+1)*ihw])
 			}
 		}
 		for ch := 0; ch < c.In.C; ch++ {
-			src := planes.Row(ch)
+			base := c.planeMargin() + ch*n
 			for k := range c.KH * c.KW {
 				row := tape.Row(ch*c.KH*c.KW + k)
 				b := c.kernelBlock(k/c.KW, k%c.KW)
@@ -163,9 +199,7 @@ func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 					clear(row)
 					continue
 				}
-				lo, hi := b.oy0*out.W+b.ox0, n-ohw+(b.oy1-1)*out.W+b.ox1
-				copy(row[lo:hi], src[b.in:b.in+hi-lo])
-				b.clearPads(row, out.W, ohw)
+				tensor.MaskCopy(row, planes[base+b.shift:][:n], b.mask)
 			}
 		}
 		return
@@ -193,37 +227,10 @@ func (c *Conv2D) im2col(x, tape *tensor.Mat) {
 	}
 }
 
-// clearPads zeroes, in every sample's oh·ow block of a tape (or
-// tape-gradient) row, the output pixels outside the block. A column outside
-// [ox0, ox1) is every ow-th position of the whole row, samples included,
-// since oh·ow is a multiple of ow; the rows outside [oy0, oy1) form one run
-// from a block's last row to the next sample's first.
-func (b *convBlock) clearPads(row []float32, ow, ohw int) {
-	for c := range ow {
-		if c < b.ox0 || c >= b.ox1 {
-			for o := c; o < len(row); o += ow {
-				row[o] = 0
-			}
-		}
-	}
-	if rows := ohw - (b.oy1-b.oy0)*ow; rows > 0 {
-		clear(row[:b.oy0*ow])
-		for o := b.oy1 * ow; o < len(row); o += ohw {
-			zero(row[o:min(o+rows, len(row))])
-		}
-	}
-}
-
-// zero is clear(d) as one memclr from convRowMin elements on and as a loop
-// below, where the call would cost more than the stores.
-func zero(d []float32) {
-	if len(d) >= convRowMin {
-		clear(d)
-		return
-	}
-	for j := 0; j < len(d); j++ { // a range loop here would compile to the memclr call
-		d[j] = 0
-	}
+// shiftedPlanes returns the channel-major planes of n elements per channel,
+// with planeMargin elements before and after them.
+func (c *Conv2D) shiftedPlanes(n int) []float32 {
+	return c.planes.get(1, c.In.C*n+2*c.planeMargin()).Data
 }
 
 // col2im scatters the tape gradient back onto the input gradient, one column
@@ -232,35 +239,32 @@ func zero(d []float32) {
 // that starts at +0 — the order the sums have always had.
 //
 // The shifted form accumulates into the channel-major planes and moves them
-// to dx at the end. Its one add per kernel position and channel also adds
-// the pads' entries of dcols, so those are first set to +0 (they hold the
-// gradient of padding, which nothing reads). Adding +0 leaves every value
-// but −0 unchanged, and no input-gradient element is ever −0: it starts at
-// +0, and in round-to-nearest a sum is −0 only when both addends are. So the
-// extra terms change no bit.
+// to dx at the end. Its one tensor.MaskAdd per kernel position and channel
+// also adds, through the block's mask, +0 for every pad of dcols, into
+// pixels of the plane, of its neighbours or of the margins. Adding +0 leaves
+// every value but −0 unchanged, and no input-gradient element is ever −0:
+// it starts at +0, and in round-to-nearest a sum is −0 only when both
+// addends are. So the extra terms change no bit.
 func (c *Conv2D) col2im(dcols, dx *tensor.Mat) {
 	out := c.OutShape()
 	ohw, ihw := out.H*out.W, c.In.H*c.In.W
 	if c.shifted() {
 		n := dx.Rows * ihw
-		planes := c.planes.get(c.In.C, n)
-		tensor.Zero(planes.Data)
+		planes := c.shiftedPlanes(n)
+		tensor.Zero(planes)
 		for ch := 0; ch < c.In.C; ch++ {
-			dst := planes.Row(ch)
+			base := c.planeMargin() + ch*n
 			for k := range c.KH * c.KW {
-				row := dcols.Row(ch*c.KH*c.KW + k)
 				b := c.kernelBlock(k/c.KW, k%c.KW)
 				if b.empty() {
 					continue
 				}
-				b.clearPads(row, out.W, ohw)
-				lo, hi := b.oy0*out.W+b.ox0, n-ohw+(b.oy1-1)*out.W+b.ox1
-				tensor.Add(dst[b.in:b.in+hi-lo], row[lo:hi])
+				tensor.MaskAdd(planes[base+b.shift:][:n], dcols.Row(ch*c.KH*c.KW+k), b.mask)
 			}
 		}
 		for s := 0; s < dx.Rows; s++ {
 			for ch := 0; ch < c.In.C; ch++ {
-				move(dx.Row(s)[ch*ihw:(ch+1)*ihw], planes.Data[ch*n+s*ihw:][:ihw])
+				move(dx.Row(s)[ch*ihw:(ch+1)*ihw], planes[c.planeMargin()+ch*n+s*ihw:][:ihw])
 			}
 		}
 		return
@@ -315,16 +319,8 @@ func (c *Conv2D) Forward(x *tensor.Mat, train bool) *tensor.Mat {
 	tensor.Gemm(prod.View(), tensor.ViewOf(c.OutC, k, c.W), tape.View())
 	// Transpose the product into the sample-major output, adding the bias on
 	// the way.
-	for s := 0; s < x.Rows; s++ {
-		dst := res.Row(s)
-		for oc := 0; oc < c.OutC; oc++ {
-			b := c.B[oc]
-			src := prod.Data[oc*n+s*ohw : oc*n+(s+1)*ohw]
-			d := dst[oc*ohw : (oc+1)*ohw]
-			for i, v := range src {
-				d[i] = v + b
-			}
-		}
+	for oc := 0; oc < c.OutC; oc++ {
+		tensor.AddBias(res.Data[oc*ohw:], prod.Row(oc), x.Rows, ohw, out.Size(), c.B[oc])
 	}
 	return res
 }
@@ -355,16 +351,11 @@ func (c *Conv2D) backward(dout *tensor.Mat, needDx bool) *tensor.Mat {
 		tensor.ChannelSums(sum, sq, do, do, 1, ohw)
 		for oc, v := range sum {
 			c.GB[oc] += float32(v)
-			if needDx {
-				copy(doT.Data[oc*n+s*ohw:], do[oc*ohw:(oc+1)*ohw])
-			}
+			move(doT.Data[oc*n+s*ohw:][:ohw], do[oc*ohw:(oc+1)*ohw])
 		}
 	}
-	// dW += do × colsᵀ, one product per sample in sample order.
-	gw := tensor.ViewOf(c.OutC, k, c.GW)
-	for s := 0; s < dout.Rows; s++ {
-		tensor.GemmAdd(gw, tensor.ViewOf(c.OutC, ohw, dout.Row(s)), tape.View().ColRange(s*ohw, (s+1)*ohw).T())
-	}
+	// dW += do × colsᵀ, one segment per sample, in sample order.
+	tensor.GemmAddSegmented(tensor.ViewOf(c.OutC, k, c.GW), doT.View(), tape.View().T(), ohw)
 	if !needDx {
 		return nil
 	}

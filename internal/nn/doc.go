@@ -60,16 +60,21 @@
 // comment; the layers batch products only where each output element's sum
 // is unchanged. LSTMLM copies each layer's Whᵀ to row-major once per
 // Forward, so the T recurrent products read it in place. Conv2D lowers a
-// whole batch into one tape and multiplies once for the forward pass and
-// once for the tape gradient, but still forms the weight gradient one
-// sample at a time, added in sample order, and the bias gradient per sample
-// as a float64 running sum over each channel's pixels (tensor.ChannelSums),
-// added in sample order; col2im and batch-norm keep the order of their
-// sums. In the common geometry (stride 1, output as large as the input)
-// the lowering moves each kernel position of a channel as one shifted block
-// over the whole batch, through a channel-major copy of the input (or of
-// its gradient); see Conv2D.shifted. Every family's gradients and losses
-// are pinned to the last bit by golden digests (internal/models).
+// whole batch into one tape and multiplies once for the forward pass, once
+// for the weight gradient and once for the tape gradient. The weight
+// gradient keeps its per-sample association: it is one segmented product
+// (tensor.GemmAddSegmented) whose segments are the samples, each sample's
+// sum from +0 added in sample order. The bias gradient is per sample, a
+// float64 running sum over each channel's pixels (tensor.ChannelSums),
+// added in sample order, and the bias itself is added as the product is
+// transposed to sample-major rows (tensor.AddBias); col2im and batch-norm
+// keep the order of their sums. In the common geometry (stride 1, output as
+// large as the input) the lowering moves each kernel position of a channel
+// as one shifted block over the whole batch, through a channel-major copy
+// of the input (or of its gradient), with one masked copy or add
+// (tensor.MaskCopy, MaskAdd) that stores, or adds, +0 at the block's pads;
+// see Conv2D.shifted. Every family's gradients and losses are pinned to the
+// last bit by golden digests (internal/models).
 //
 // The other layers' orders are written down too, because the vector kernels
 // that run them on amd64 (tensor package comment, "Layer kernels") must

@@ -58,18 +58,22 @@ func (v View) check() {
 }
 
 // Gemm computes dst = a·b. See GemmAdd for the contract.
-func Gemm(dst, a, b View) { gemm(dst, a, b, false) }
+func Gemm(dst, a, b View) { gemm(dst, a, b, false, 0) }
 
 // GemmAdd computes dst += a·b.
 //
-// Arithmetic specification (shared with Gemm and the MatMul wrappers; the
-// sentence a fused-multiply-add or a wider-accumulator change would have to
-// rewrite): every output element is ONE float32 accumulator that starts at
-// +0 and takes the terms a(i,p)·b(p,j) for p = 0, 1, …, k−1 in that order,
-// each a separately rounded float32 multiply and add —
-// acc = float32(acc + float32(a·b)), no FMA; the finished sum is stored
-// (Gemm) or added to dst(i,j) with one float32 add (GemmAdd). Register
-// blocking, packing, vector width and row-parallelism only choose which
+// Arithmetic specification (shared with Gemm, GemmAddSegmented and the
+// MatMul wrappers; the sentence a fused-multiply-add or a wider-accumulator
+// change would have to rewrite): every output element is ONE float32
+// accumulator that starts at +0 and takes the terms a(i,p)·b(p,j) for
+// p = 0, 1, …, k−1 in that order, each a separately rounded float32
+// multiply and add — acc = float32(acc + float32(a·b)), no FMA; the
+// finished sum is stored (Gemm) or added to dst(i,j) with one float32 add
+// (GemmAdd). GemmAddSegmented applies this to each segment of the
+// reduction in turn: per segment one accumulator from +0 over its steps,
+// then one float32 add to dst. Register blocking (a 4×16 tile, or 4×8 at a
+// last panel of 8 to 15 columns), packing, chunking a packed panel at
+// segment boundaries, vector width and row-parallelism only choose which
 // elements are in flight together — a vector lane always holds a different
 // output element, never a partial sum — so the vector kernels, the portable
 // kernels and the naive triple loop in the tests give the same bits on
@@ -84,7 +88,25 @@ func Gemm(dst, a, b View) { gemm(dst, a, b, false) }
 //
 // dst must be row-major (ColStride 1) and must not overlap a or b. Large
 // products are split over output rows across GOMAXPROCS goroutines.
-func GemmAdd(dst, a, b View) { gemm(dst, a, b, true) }
+func GemmAdd(dst, a, b View) { gemm(dst, a, b, true, 0) }
+
+// GemmAddSegmented computes dst += a·b with the reduction cut into segments
+// of seg steps, which must divide a.Cols. It is, bit for bit, the loop
+//
+//	for s := 0; s < a.Cols/seg; s++ {
+//		GemmAdd(dst, a.ColRange(s·seg, (s+1)·seg), b's rows [s·seg, (s+1)·seg))
+//	}
+//
+// each segment one float32 sum from +0 in GemmAdd's order, added to dst
+// with one float32 add, segments in ascending order — Conv2D's weight
+// gradient, one segment per sample, as one call per layer. With a.Cols = 0
+// there are no segments and dst is left alone.
+func GemmAddSegmented(dst, a, b View, seg int) {
+	if seg < 1 || a.Cols%seg != 0 {
+		panic("tensor: GemmAddSegmented segment does not divide the reduction")
+	}
+	gemm(dst, a, b, true, seg)
+}
 
 // MatMul computes dst = a × b. dst must be pre-allocated with shape
 // a.Rows × b.Cols and must not alias a or b.
@@ -141,6 +163,13 @@ const (
 	gemmPackSpan = 1 << 17
 )
 
+// gemmChunkSteps is about how many reduction steps of a packed B panel
+// rows packs and consumes at a time when a product has several segments
+// (GemmAddSegmented): whole segments of about this many steps, a 16 KB
+// panel of 16 lanes that stays in L1 while every row tile reads it. A
+// one-segment product packs its whole panel at once.
+const gemmChunkSteps = 256
+
 // gemmScratch is one goroutine's packing space, recycled through gemmPool so
 // a steady-state product allocates nothing.
 type gemmScratch struct {
@@ -160,8 +189,9 @@ func grow[T any](buf *[]T, n int) []T {
 	return *buf
 }
 
-// gemm runs dst (+)= a·b.
-func gemm(dst, a, b View, add bool) {
+// gemm runs dst (+)= a·b over segments of seg reduction steps, or over one
+// segment of all of them when seg is 0 (Gemm, GemmAdd).
+func gemm(dst, a, b View, add bool, seg int) {
 	if a.Cols != b.Rows || dst.Rows != a.Rows || dst.Cols != b.Cols {
 		panic("tensor: Gemm shape mismatch")
 	}
@@ -172,7 +202,7 @@ func gemm(dst, a, b View, add bool) {
 	a.check()
 	b.check()
 	m, n, k := dst.Rows, dst.Cols, a.Cols
-	if m == 0 || n == 0 {
+	if m == 0 || n == 0 || k == 0 && seg > 0 {
 		return
 	}
 	if k == 0 {
@@ -189,10 +219,13 @@ func gemm(dst, a, b View, add bool) {
 		}
 		return
 	}
+	if seg == 0 {
+		seg = k
+	}
 	workers := int64(maxProcs())
 	workers = min(workers, int64(m)*int64(n)*int64(k)/gemmParMACs, int64(m/gemmMR))
 	if workers <= 1 {
-		gemmRows(dst, a, b, add, 0, m)
+		gemmRows(dst, a, b, add, seg, 0, m)
 		return
 	}
 	// Row ranges are multiples of the register tile so every worker but the
@@ -201,25 +234,26 @@ func gemm(dst, a, b View, add bool) {
 	var wg sync.WaitGroup
 	for lo := 0; lo < m; lo += chunk {
 		wg.Add(1)
-		go func(lo, hi int) {
+		go func(seg, lo, hi int) {
 			defer wg.Done()
-			gemmRows(dst, a, b, add, lo, hi)
-		}(lo, min(lo+chunk, m))
+			gemmRows(dst, a, b, add, seg, lo, hi)
+		}(seg, lo, min(lo+chunk, m))
 	}
 	wg.Wait()
 }
 
 // gemmRows computes output rows [lo, hi) on the calling goroutine.
-func gemmRows(dst, a, b View, add bool, lo, hi int) {
+func gemmRows(dst, a, b View, add bool, seg, lo, hi int) {
 	s := gemmPool.Get().(*gemmScratch)
-	s.rows(hi-lo, dst.Cols, a.Cols, a.Data[lo*a.RowStride:], a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, dst.Data[lo*dst.RowStride:], dst.RowStride, add)
+	s.rows(hi-lo, dst.Cols, a.Cols, seg, a.Data[lo*a.RowStride:], a.RowStride, a.ColStride, b.Data, b.RowStride, b.ColStride, dst.Data[lo*dst.RowStride:], dst.RowStride, add)
 	gemmPool.Put(s)
 }
 
 // rows is the driver. Full tiles read a in place (the kernel takes both
 // strides of A, so a transpose costs nothing) and b either in place or from
-// a packed panel; ragged edges go through zero-padded packed panels and a
-// scratch tile, so the same kernel computes them.
+// a packed panel; ragged edges go through zero-padded packed panels, and
+// the rows and columns past the edge through a scratch tile, so the same
+// kernels compute them.
 //
 // Panel layout: a panel of width w holds w lanes (rows of A, columns of B)
 // for every step p of the reduction, step-major — lane l of step p at
@@ -228,48 +262,88 @@ func gemmRows(dst, a, b View, add bool, lo, hi int) {
 // panel is an exact copy, so packing never changes a bit of the product.
 // A B operand whose columns are not contiguous (ColStride ≠ 1) is always
 // packed, one column tile at a time, and each panel serves every row tile.
-func (s *gemmScratch) rows(m, n, k int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
+// A packed product of several segments is packed and consumed in chunks of
+// whole segments (gemmChunkSteps); each chunk adds its segments to c in
+// order before the next chunk's, so the chunks change no sum.
+func (s *gemmScratch) rows(m, n, k, seg int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
 	v := gemmActive
 	mFull := m &^ (gemmMR - 1)
-	var aEdge []float32
-	if mFull < m {
-		aEdge = grow(&s.a32, k*gemmMR)
-		packPanel(v.id, aEdge, gemmMR, a[mFull*ars:], m-mFull, k, ars, acs)
-	}
 	packB := bcs != 1 || (m >= gemmPackRows && k*brs >= gemmPackSpan)
-	for j := 0; j < n; j += v.nr {
-		nr := min(v.nr, n-j)
-		bp, bps := b[j*bcs:], brs
-		if packB || nr < v.nr {
-			bp, bps = grow(&s.b32, k*v.nr), v.nr
-			packPanel(v.id, bp, v.nr, b[j*bcs:], nr, k, bcs, brs)
-		}
-		for i := 0; i < mFull; i += gemmMR {
-			if nr == v.nr {
-				gemmKernel32(v.id, k, a[i*ars:], ars, acs, bp, bps, c[i*ldc+j:], ldc, add)
-			} else {
-				gemmKernel32(v.id, k, a[i*ars:], ars, acs, bp, bps, s.tile[:], v.nr, false)
-				s.storeTile(v.nr, c[i*ldc+j:], ldc, gemmMR, nr, add)
-			}
-		}
+	chunk := k
+	if packB {
+		chunk = min(k, max(1, gemmChunkSteps/seg)*seg)
+	}
+	for p0 := 0; p0 < k; p0 += chunk {
+		kc := min(chunk, k-p0)
+		segs := kc / seg
+		ap, bc := a[p0*acs:], b[p0*brs:]
+		var aEdge []float32
 		if mFull < m {
-			gemmKernel32(v.id, k, aEdge, 1, gemmMR, bp, bps, s.tile[:], v.nr, false)
-			s.storeTile(v.nr, c[mFull*ldc+j:], ldc, m-mFull, nr, add)
+			aEdge = grow(&s.a32, kc*gemmMR)
+			packPanel(v.id, aEdge, gemmMR, ap[mFull*ars:], m-mFull, kc, ars, acs)
+		}
+		for j := 0; j < n; j += v.nr {
+			nr := min(v.nr, n-j)
+			bp, bps := bc[j*bcs:], brs
+			if packB || nr < v.nr {
+				bp, bps = grow(&s.b32, kc*v.nr), v.nr
+				packPanel(v.id, bp, v.nr, bc[j*bcs:], nr, kc, bcs, brs)
+			}
+			if mFull > 0 {
+				s.tiles(v, mFull, segs, seg, ap, ars, acs, bp, bps, c[j:], ldc, nr, add)
+			}
+			if mFull < m {
+				s.scratch(v, segs, seg, aEdge, 1, gemmMR, bp, bps, c[mFull*ldc+j:], ldc, m-mFull, nr, add)
+			}
 		}
 	}
 }
 
-// storeTile moves the mr×nr corner of the scratch tile (row length ld) to c.
-func (s *gemmScratch) storeTile(ld int, c []float32, ldc, mr, nr int, add bool) {
-	for i := 0; i < mr; i++ {
-		row, t := c[i*ldc:i*ldc+nr], s.tile[i*ld:]
-		for j := range row {
-			if add {
-				row[j] += t[j]
-			} else {
-				row[j] = t[j]
-			}
+// tiles computes rows [0, mr) × columns [0, nr) of c, mr a multiple of
+// gemmMR and nr ≤ the variant's nr, over segs segments of seg steps. A full
+// panel is one kernel call over all mr/gemmMR row tiles. A variant wider
+// than 8 lanes runs its 8-lane kernel on c for the first 8 columns of a last
+// panel of 8 to nr−1 (the conv weight gradients' 72 = 64 + 8 and
+// 216 = 208 + 8 columns); fewer than 8 columns left go through the scratch
+// tile, one row tile at a time.
+func (s *gemmScratch) tiles(v gemmVariant, mr, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc, nr int, add bool) {
+	if nr == v.nr {
+		gemmKernel32(v.id, v.nr, mr/gemmMR, segs, seg, a, ars, aps, b, bps, c, ldc, add)
+		return
+	}
+	if v.nr > 8 && nr >= 8 {
+		gemmKernel32(v.id, 8, mr/gemmMR, segs, seg, a, ars, aps, b, bps, c, ldc, add)
+		if nr == 8 {
+			return
 		}
+		b, c, nr = b[8:], c[8:], nr-8
+	}
+	for i := 0; i < mr; i += gemmMR {
+		s.scratch(v, segs, seg, a[i*ars:], ars, aps, b, bps, c[i*ldc:], ldc, gemmMR, nr, add)
+	}
+}
+
+// scratch computes the mr×nr corner of one register tile at c (mr ≤
+// gemmMR) through the scratch tile, with the narrowest kernel that spans
+// nr columns: the tile is loaded from c first when it adds (an exact round
+// trip), and the corner is copied back.
+func (s *gemmScratch) scratch(v gemmVariant, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc, mr, nr int, add bool) {
+	w := v.nr
+	if nr <= 8 {
+		w = 8
+	}
+	if add {
+		copyTile(s.tile[:], w, c, ldc, mr, nr)
+	}
+	gemmKernel32(v.id, w, 1, segs, seg, a, ars, aps, b, bps, s.tile[:], w, add)
+	copyTile(c, ldc, s.tile[:], w, mr, nr)
+}
+
+// copyTile copies the mr×nr corner of src (row stride lds) to dst (row
+// stride ldd).
+func copyTile(dst []float32, ldd int, src []float32, lds, mr, nr int) {
+	for i := 0; i < mr; i++ {
+		copy(dst[i*ldd:i*ldd+nr], src[i*lds:i*lds+nr])
 	}
 }
 
@@ -292,6 +366,20 @@ func pack32(dst []float32, width int, src []float32, lanes, k, laneStride, stepS
 			} else {
 				d[l] = 0
 			}
+		}
+	}
+}
+
+// gemmSegmentsGo is the portable kernel over tiles row tiles, tile t's A
+// gemmMR rows of a on from row t·gemmMR and its C the same rows of c, each
+// over segs segments of seg steps: gemmKernel32Go once per segment, A and B
+// advanced by seg steps each time. add false (store) is for a single
+// segment.
+func gemmSegmentsGo(tiles, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
+	for t := 0; t < tiles; t++ {
+		at, ct := a[t*gemmMR*ars:], c[t*gemmMR*ldc:]
+		for s := 0; s < segs; s++ {
+			gemmKernel32Go(seg, at[s*seg*aps:], ars, aps, b[s*seg*bps:], bps, ct, ldc, add)
 		}
 	}
 }

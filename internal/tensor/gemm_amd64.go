@@ -2,11 +2,13 @@
 
 package tensor
 
-// Vector micro-kernel and panel packer for Gemm (gemm_amd64.s). The kernel
-// holds the same eight accumulators as the portable kernel in gemm.go —
-// eight output elements per 256-bit register — and takes the terms in the
-// same order, with a separate multiply and add per term, so the bits are
-// those of the portable kernel and of the specification on GemmAdd. The
+// Vector micro-kernels and panel packer for Gemm (gemm_amd64.s). The 4×16
+// kernel holds the same eight accumulators as the portable kernel in
+// gemm.go — eight output elements per 256-bit register — and the 4×8 edge
+// kernel four of them; both take the terms in the same order, with a
+// separate multiply and add per term, and start and end each segment as
+// gemmSegmentsGo does, so the bits are those of the portable kernel and of
+// the specification on GemmAdd. The
 // packer only moves bits, so it is pack32 bit for bit. They use AVX
 // (VBROADCASTSS, VMULPS, VADDPS, VUNPCKxPx), no FMA and no AVX2, and are
 // selected when CPUID reports AVX and the OS saves the YMM state; any other
@@ -23,13 +25,23 @@ func gemmVariants() []gemmVariant {
 	return []gemmVariant{gemmPortable}
 }
 
-// gemmKernel32AVX computes the 4×16 tile at c (row stride ldc): Σ over k
-// steps of A(i,p)·B(p,j) with A(i,p) at a + i·ars + p·aps and B(p,0..15) the
-// sixteen contiguous floats at b + p·bps. Strides are in bytes. add selects
-// c += tile over c = tile.
+// gemmKernel32AVX computes tiles 4×16 tiles, tile t at c + t·4·ldc (row
+// stride ldc) from the four rows of A at a + t·4·ars, over segs segments of
+// seg ≥ 1 steps: per segment, Σ over its steps of A(i,p)·B(p,j) from +0,
+// with A(i,p) at a + i·ars + p·aps and B(p,0..15) the sixteen contiguous
+// floats at b + p·bps, then c += tile — or c = tile when add is false,
+// which is for a single segment. Every tile reads the same B. Strides are
+// in bytes.
 //
 //go:noescape
-func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
+func gemmKernel32AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
+
+// gemmKernel32x8AVX is gemmKernel32AVX for 4×8 tiles: B(p,0..7) are the
+// first eight floats at b + p·bps. It is the edge tile of a last column
+// panel of 8 to 15 lanes, which it writes in place.
+//
+//go:noescape
+func gemmKernel32x8AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 
 // pack32x4AVX packs four lanes of a panel whose lanes run contiguous along
 // the reduction: for each of k4 blocks of four steps it loads four floats
@@ -86,10 +98,17 @@ func packPanel(id int, dst []float32, width int, src []float32, lanes, k, laneSt
 	pack32(dst, width, src, lanes, k, laneStride, stepStride)
 }
 
-func gemmKernel32(id, k int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
-	if id == gemmAVX.id {
-		gemmKernel32AVX(k, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
+// gemmKernel32 runs variant id's kernel of the given tile width (16 or 8
+// for AVX, 8 for the portable one) over tiles row tiles and segs segments
+// of seg steps.
+func gemmKernel32(id, width, tiles, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
+	if id != gemmAVX.id {
+		gemmSegmentsGo(tiles, segs, seg, a, ars, aps, b, bps, c, ldc, add)
 		return
 	}
-	gemmKernel32Go(k, a, ars, aps, b, bps, c, ldc, add)
+	if width == 8 {
+		gemmKernel32x8AVX(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
+		return
+	}
+	gemmKernel32AVX(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
 }

@@ -6,22 +6,32 @@
 // float32 accumulator per output element, terms in ascending k, a separate
 // VMULPS and VADDPS per term, lanes never hold partial sums. AVX only.
 
-// func gemmKernel32AVX(k int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
+// func gemmKernel32AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //
-// Y0..Y7 accumulate the 4×16 tile, row r in Y(2r) (columns 0-7) and Y(2r+1)
-// (columns 8-15). Per step: the sixteen B values load once into Y8/Y9, and
-// each row broadcasts its A value (VBROADCASTSS), multiplies it by both
-// halves and adds. The tile is stored, or added to c, row by row.
-TEXT ·gemmKernel32AVX(SB), NOSPLIT, $0-65
-	MOVQ   k+0(FP), CX
-	MOVQ   a+8(FP), SI
-	MOVQ   ars+16(FP), R8
-	MOVQ   aps+24(FP), R10
-	MOVQ   b+32(FP), DI
-	MOVQ   bps+40(FP), R11
-	MOVQ   c+48(FP), DX
-	MOVQ   ldc+56(FP), R12
-	LEAQ   (R8)(R8*2), R9
+// Y0..Y7 accumulate a 4×16 tile, row r in Y(2r) (columns 0-7) and Y(2r+1)
+// (columns 8-15). Per segment they start at +0; per step the sixteen B
+// values load once into Y8/Y9, and each row broadcasts its A value
+// (VBROADCASTSS), multiplies it by both halves and adds. At the segment's
+// end the tile is added to c (or stored, when add is false) and the next
+// segment starts where this one's steps ended. The next tile starts over at
+// b, four rows of A and C further on: a, kept in its argument slot, and
+// DX advance by 4·ars and 4·ldc.
+TEXT ·gemmKernel32AVX(SB), NOSPLIT, $0-81
+	MOVQ seg+16(FP), R13
+	MOVQ a+24(FP), SI
+	MOVQ ars+32(FP), R8
+	MOVQ aps+40(FP), R10
+	MOVQ bps+56(FP), R11
+	MOVQ c+64(FP), DX
+	MOVQ ldc+72(FP), R12
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R12)(R12*2), AX
+
+a32tile:
+	MOVQ segs+8(FP), BX
+	MOVQ b+48(FP), DI
+
+a32seg:
 	VXORPS Y0, Y0, Y0
 	VXORPS Y1, Y1, Y1
 	VXORPS Y2, Y2, Y2
@@ -30,8 +40,7 @@ TEXT ·gemmKernel32AVX(SB), NOSPLIT, $0-65
 	VXORPS Y5, Y5, Y5
 	VXORPS Y6, Y6, Y6
 	VXORPS Y7, Y7, Y7
-	TESTQ  CX, CX
-	JZ     a32store
+	MOVQ   R13, CX
 
 a32loop:
 	VMOVUPS (DI), Y8
@@ -61,52 +70,120 @@ a32loop:
 	DECQ CX
 	JNZ  a32loop
 
-a32store:
-	MOVBLZX add+64(FP), AX
-	TESTQ   AX, AX
-	JZ      a32set
-	VMOVUPS (DX), Y8
-	VMOVUPS 32(DX), Y9
-	VADDPS  Y0, Y8, Y8
-	VADDPS  Y1, Y9, Y9
-	VMOVUPS Y8, (DX)
-	VMOVUPS Y9, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VMOVUPS 32(DX), Y9
-	VADDPS  Y2, Y8, Y8
-	VADDPS  Y3, Y9, Y9
-	VMOVUPS Y8, (DX)
-	VMOVUPS Y9, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VMOVUPS 32(DX), Y9
-	VADDPS  Y4, Y8, Y8
-	VADDPS  Y5, Y9, Y9
-	VMOVUPS Y8, (DX)
-	VMOVUPS Y9, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS (DX), Y8
-	VMOVUPS 32(DX), Y9
-	VADDPS  Y6, Y8, Y8
-	VADDPS  Y7, Y9, Y9
-	VMOVUPS Y8, (DX)
-	VMOVUPS Y9, 32(DX)
-	VZEROUPPER
-	RET
+	CMPB    add+80(FP), $0
+	JEQ     a32set
+	VADDPS  (DX), Y0, Y0
+	VADDPS  32(DX), Y1, Y1
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, 32(DX)
+	VADDPS  (DX)(R12*1), Y2, Y2
+	VADDPS  32(DX)(R12*1), Y3, Y3
+	VMOVUPS Y2, (DX)(R12*1)
+	VMOVUPS Y3, 32(DX)(R12*1)
+	VADDPS  (DX)(R12*2), Y4, Y4
+	VADDPS  32(DX)(R12*2), Y5, Y5
+	VMOVUPS Y4, (DX)(R12*2)
+	VMOVUPS Y5, 32(DX)(R12*2)
+	VADDPS  (DX)(AX*1), Y6, Y6
+	VADDPS  32(DX)(AX*1), Y7, Y7
+	VMOVUPS Y6, (DX)(AX*1)
+	VMOVUPS Y7, 32(DX)(AX*1)
+	DECQ    BX
+	JNZ     a32seg
+	JMP     a32next
 
 a32set:
 	VMOVUPS Y0, (DX)
 	VMOVUPS Y1, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS Y2, (DX)
-	VMOVUPS Y3, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS Y4, (DX)
-	VMOVUPS Y5, 32(DX)
-	ADDQ    R12, DX
-	VMOVUPS Y6, (DX)
-	VMOVUPS Y7, 32(DX)
+	VMOVUPS Y2, (DX)(R12*1)
+	VMOVUPS Y3, 32(DX)(R12*1)
+	VMOVUPS Y4, (DX)(R12*2)
+	VMOVUPS Y5, 32(DX)(R12*2)
+	VMOVUPS Y6, (DX)(AX*1)
+	VMOVUPS Y7, 32(DX)(AX*1)
+
+a32next:
+	MOVQ a+24(FP), SI
+	LEAQ (SI)(R8*4), SI
+	MOVQ SI, a+24(FP)
+	LEAQ (DX)(R12*4), DX
+	DECQ tiles+0(FP)
+	JNZ  a32tile
+	VZEROUPPER
+	RET
+
+// func gemmKernel32x8AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
+//
+// gemmKernel32AVX on eight columns: Y0..Y3 accumulate rows 0..3, the eight
+// B values of a step load into Y8.
+TEXT ·gemmKernel32x8AVX(SB), NOSPLIT, $0-81
+	MOVQ seg+16(FP), R13
+	MOVQ a+24(FP), SI
+	MOVQ ars+32(FP), R8
+	MOVQ aps+40(FP), R10
+	MOVQ bps+56(FP), R11
+	MOVQ c+64(FP), DX
+	MOVQ ldc+72(FP), R12
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R12)(R12*2), AX
+
+a8tile:
+	MOVQ segs+8(FP), BX
+	MOVQ b+48(FP), DI
+
+a8seg:
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ   R13, CX
+
+a8loop:
+	VMOVUPS      (DI), Y8
+	VBROADCASTSS (SI), Y10
+	VBROADCASTSS (SI)(R8*1), Y11
+	VBROADCASTSS (SI)(R8*2), Y12
+	VBROADCASTSS (SI)(R9*1), Y13
+	VMULPS       Y8, Y10, Y4
+	VMULPS       Y8, Y11, Y5
+	VMULPS       Y8, Y12, Y6
+	VMULPS       Y8, Y13, Y7
+	VADDPS       Y4, Y0, Y0
+	VADDPS       Y5, Y1, Y1
+	VADDPS       Y6, Y2, Y2
+	VADDPS       Y7, Y3, Y3
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  a8loop
+
+	CMPB    add+80(FP), $0
+	JEQ     a8set
+	VADDPS  (DX), Y0, Y0
+	VADDPS  (DX)(R12*1), Y1, Y1
+	VADDPS  (DX)(R12*2), Y2, Y2
+	VADDPS  (DX)(AX*1), Y3, Y3
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, (DX)(R12*1)
+	VMOVUPS Y2, (DX)(R12*2)
+	VMOVUPS Y3, (DX)(AX*1)
+	DECQ    BX
+	JNZ     a8seg
+	JMP     a8next
+
+a8set:
+	VMOVUPS Y0, (DX)
+	VMOVUPS Y1, (DX)(R12*1)
+	VMOVUPS Y2, (DX)(R12*2)
+	VMOVUPS Y3, (DX)(AX*1)
+
+a8next:
+	MOVQ a+24(FP), SI
+	LEAQ (SI)(R8*4), SI
+	MOVQ SI, a+24(FP)
+	LEAQ (DX)(R12*4), DX
+	DECQ tiles+0(FP)
+	JNZ  a8tile
 	VZEROUPPER
 	RET
 

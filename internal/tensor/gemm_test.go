@@ -267,8 +267,8 @@ func TestGemmMatchesOracleExtremeOperands(t *testing.T) {
 }
 
 // A product whose B panels are packed for reuse (gemmPackRows rows, a span
-// past gemmPackSpan) and a product above the row-parallel threshold: the
-// packing and the worker seams must not show.
+// past gemmPackSpan) and a product above the row-parallel threshold, plain
+// and segmented: the packing and the worker seams must not show.
 func TestGemmBlockedAndParallel(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -283,6 +283,23 @@ func TestGemmBlockedAndParallel(t *testing.T) {
 	for _, f := range legacyForms {
 		g.transA, g.transB, g.add = f.transA, f.transB, true
 		g.run(t)
+	}
+	// The segmented product splits over rows the same way.
+	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
+	a, b := embed(g.a, m, k, false, 0), embed(g.b, k, n, true, 0)
+	gemmActive = gemmPortable
+	want := embed(g.c0, m, n, false, 0)
+	gemmAddLoop(want, a, b, 16)
+	for _, v := range gemmVariants() {
+		gemmActive = v
+		got := embed(g.c0, m, n, false, 0)
+		GemmAddSegmented(got, a, b, 16)
+		for i := range got.Data {
+			if !sameBits(got.Data[i], want.Data[i]) {
+				t.Fatalf("%s: segmented %dx%dx%d element %d = %#x, GemmAdd loop %#x", v.name, m, n, k, i,
+					math.Float32bits(got.Data[i]), math.Float32bits(want.Data[i]))
+			}
+		}
 	}
 }
 
@@ -334,6 +351,150 @@ func TestGemmZeroSkipUnobservableOnFiniteOperands(t *testing.T) {
 	g.run(t)
 	if got := skipZeroMul(g.a, g.b, 1, 1, 2)[0]; got != 2 {
 		t.Errorf("zero-skipping loop gave %v, want 2", got)
+	}
+}
+
+// The 8-lane edge tile: every column count from 1 to 40 — a last panel of
+// 8 to 15 lanes runs the 4×8 kernel in place, fewer than 8 leftover lanes
+// the scratch tile — on full and ragged row tiles, held to the oracle on
+// every variant, with B read in place and packed.
+func TestGemmEdgeTileMatchesOracle(t *testing.T) {
+	rng := NewRNG(79)
+	cnt := 0
+	for _, m := range []int{4, 8, 9} {
+		for n := 1; n <= 40; n++ {
+			for _, k := range []int{1, 5, 64} {
+				g := newGemmCase(rng, m, n, k)
+				for _, f := range legacyForms {
+					cnt++
+					g.transA, g.transB, g.add, g.pad = f.transA, f.transB, cnt&1 == 1, cnt%3
+					g.run(t)
+				}
+			}
+		}
+	}
+}
+
+// segVec draws ordinary values salted with zeros of both signs, subnormals
+// and magnitudes whose products and sums overflow, and puts one +Inf, one
+// −Inf and one NaN at random positions — few enough that most sums stay
+// finite.
+func segVec(rng *RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		switch c := rng.Intn(256); {
+		case c < 8:
+			v[i] = math.Float32frombits(uint32(1+rng.Intn(0x7fffff)) | uint32(rng.Intn(2))<<31)
+		case c < 9:
+			v[i] = (rng.Float32()*2 - 1) * 3.3e38
+		case c < 33:
+			v[i] = float32(math.Copysign(0, float64(rng.Intn(2))-0.5))
+		default:
+			v[i] = rng.Float32() - 0.5
+		}
+	}
+	if n > 0 {
+		v[rng.Intn(n)] = float32(math.Inf(1))
+		v[rng.Intn(n)] = float32(math.Inf(-1))
+		v[rng.Intn(n)] = math.Float32frombits(0x7fc00000 | uint32(rng.Intn(1<<22)))
+	}
+	return v
+}
+
+// gemmAddLoop is GemmAddSegmented's specification: one GemmAdd per
+// segment, in order.
+func gemmAddLoop(dst, a, b View, seg int) {
+	for s := 0; s < a.Cols/seg; s++ {
+		GemmAdd(dst, a.ColRange(s*seg, (s+1)*seg), b.T().ColRange(s*seg, (s+1)*seg).T())
+	}
+}
+
+// GemmAddSegmented gives the bits of the GemmAdd loop it replaces on every
+// variant: every row count that leaves a ragged A edge and the conv weight
+// gradients' 27 and 32, every column count to 33 and the 216 and 288 of the
+// late convolutions, segments of 1, 3, 4, 16, 256 and 300 steps, B read
+// transposed (the tape) and strided in place. Reductions long enough to
+// span several packed chunks of about gemmChunkSteps steps — 3 and 300 do
+// not divide 256 — check that a chunk ends between segments.
+func TestGemmAddSegmentedMatchesGemmAddLoop(t *testing.T) {
+	type tcase struct{ m, n, seg, nseg int }
+	segs := []int{1, 3, 4, 16, 256, 300}
+	ms := []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 27, 32}
+	var ns []int
+	for n := 1; n <= 33; n++ {
+		ns = append(ns, n)
+	}
+	ns = append(ns, 216, 288)
+	var cases []tcase
+	cnt := 0
+	for _, m := range ms {
+		for _, n := range ns {
+			seg := segs[cnt%len(segs)]
+			nseg := 1 + cnt/len(segs)%3
+			if seg >= 256 && m*n > 256 {
+				nseg = 1
+			}
+			cases = append(cases, tcase{m, n, seg, nseg})
+			cnt++
+		}
+	}
+	for _, seg := range segs {
+		for _, mn := range [][2]int{{5, 27}, {8, 72}, {32, 216}} {
+			cases = append(cases, tcase{mn[0], mn[1], seg, 2*gemmChunkSteps/seg + 1})
+		}
+	}
+	if testing.Short() || raceEnabled {
+		var some []tcase
+		for i := 0; i < len(cases); i += 5 {
+			some = append(some, cases[i])
+		}
+		cases = some
+	}
+	rng := NewRNG(83)
+	defer func(v gemmVariant) { gemmActive = v }(gemmActive)
+	for i, c := range cases {
+		k := c.seg * c.nseg
+		av, bv, c0 := segVec(rng, c.m*k), segVec(rng, k*c.n), segVec(rng, c.m*c.n)
+		pad := i % 3
+		a := embed(av, c.m, k, false, pad)
+		for _, transB := range []bool{true, false} {
+			b := embed(bv, k, c.n, transB, pad+1)
+			gemmActive = gemmPortable
+			want := embed(c0, c.m, c.n, false, pad)
+			gemmAddLoop(want, a, b, c.seg)
+			for _, v := range gemmVariants() {
+				gemmActive = v
+				got := embed(c0, c.m, c.n, false, pad)
+				GemmAddSegmented(got, a, b, c.seg)
+				for j := range got.Data {
+					if !sameBits(got.Data[j], want.Data[j]) {
+						t.Fatalf("%dx%d, %d segments of %d, transB=%v, %s: storage element %d = %#x, GemmAdd loop %#x",
+							c.m, c.n, c.nseg, c.seg, transB, v.name, j, math.Float32bits(got.Data[j]), math.Float32bits(want.Data[j]))
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestGemmAddSegmentedValidation(t *testing.T) {
+	mat := func(r, c int) View { return NewMat(r, c).View() }
+	for _, seg := range []int{0, -1, 4} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("segment %d of a 6-step reduction: expected panic", seg)
+				}
+			}()
+			GemmAddSegmented(mat(2, 2), mat(2, 6), mat(6, 2), seg)
+		}()
+	}
+	// No steps, no segments: dst keeps its bits, −0 included.
+	dst := mat(1, 2)
+	dst.Data[0] = float32(math.Copysign(0, -1))
+	GemmAddSegmented(dst, mat(1, 0), mat(0, 2), 3)
+	if math.Float32bits(dst.Data[0]) != 0x80000000 {
+		t.Errorf("an empty segmented product changed dst to %v", dst.Data[0])
 	}
 }
 
@@ -403,6 +564,7 @@ func TestGemmSteadyStateAllocatesNothing(t *testing.T) {
 		MatMul(dst, a, b)
 		MatMulABT(dstW, a, w)
 		GemmAdd(dst.View(), a.View(), b.View())
+		GemmAddSegmented(dstW.View(), a.View(), w.T(), 9)
 	}
 	f()
 	if n := testing.AllocsPerRun(20, f); n != 0 {

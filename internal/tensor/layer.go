@@ -27,6 +27,10 @@ type layerVariant struct {
 	// relu and reluGrad are ReLU and ReLUGrad.
 	relu     func(dst, src Vec)
 	reluGrad func(dst, dy, out Vec)
+	// maskCopy, maskAdd and addBias are MaskCopy, MaskAdd and AddBias.
+	maskCopy func(dst, src []float32, mask []uint32)
+	maskAdd  func(dst, src []float32, mask []uint32)
+	addBias  func(dst, src []float32, rows, hw, stride int, b float32)
 }
 
 var (
@@ -35,6 +39,7 @@ var (
 		normalize: normalizeScalar, normalizeGrad: normalizeGradScalar,
 		maxPool2: func(dst []float32, arg []int32, src []float32, w int) { maxPoolScalar(dst, arg, src, w, 2, 0) },
 		relu:     reluScalar, reluGrad: reluGradScalar,
+		maskCopy: maskCopyScalar, maskAdd: maskAddScalar, addBias: addBiasScalar,
 	}
 	// layerActive is the variant in use: the widest this binary can run on
 	// this CPU, the last of layerVariants (see the architecture files). Only
@@ -228,5 +233,71 @@ func reluGradScalar(dst, dy, out Vec) {
 	for i, v := range dy {
 		keep := uint32(-int64(math.Float32bits(out[i])) >> 63)
 		dst[i] = math.Float32frombits(math.Float32bits(v) & keep)
+	}
+}
+
+// MaskCopy sets dst[i] = src[i] AND mask[i mod len(mask)] on the bit
+// patterns: src[i] itself, NaN payload and sign included, where its mask
+// word is all ones, and +0 where it is 0. nn's lowering copies a kernel
+// position's shifted input through the mask of its pads, which stores the
+// +0 a separate clear of the pads would.
+func MaskCopy(dst, src []float32, mask []uint32) {
+	checkMask(dst, src, mask)
+	layerActive.maskCopy(dst, src, mask)
+}
+
+func maskCopyScalar(dst, src []float32, mask []uint32) {
+	p := 0
+	for i, v := range src {
+		dst[i] = math.Float32frombits(math.Float32bits(v) & mask[p])
+		if p++; p == len(mask) {
+			p = 0
+		}
+	}
+}
+
+// MaskAdd sets dst[i] += src[i] AND mask[i mod len(mask)] (MaskCopy's
+// value), one float32 add per element: where the mask word is 0 it adds +0,
+// which leaves every dst value but −0 unchanged.
+func MaskAdd(dst, src []float32, mask []uint32) {
+	checkMask(dst, src, mask)
+	layerActive.maskAdd(dst, src, mask)
+}
+
+func maskAddScalar(dst, src []float32, mask []uint32) {
+	p := 0
+	for i, v := range src {
+		dst[i] += math.Float32frombits(math.Float32bits(v) & mask[p])
+		if p++; p == len(mask) {
+			p = 0
+		}
+	}
+}
+
+func checkMask(dst, src []float32, mask []uint32) {
+	checkLen(len(dst), len(src))
+	if len(src) > 0 && len(mask) == 0 {
+		panic("tensor: empty mask")
+	}
+}
+
+// AddBias sets dst[r·stride + i] = src[r·hw + i] + b for r < rows and
+// i < hw, each one float32 add: the contiguous src laid out as rows runs of
+// hw, stride apart — Conv2D's bias add as it transposes one output
+// channel's product into the sample-major rows.
+func AddBias(dst, src []float32, rows, hw, stride int, b float32) {
+	checkLen(len(src), rows*hw)
+	if rows > 0 && hw > 0 && (stride < hw || len(dst) < (rows-1)*stride+hw) {
+		panic("tensor: AddBias runs exceed the destination")
+	}
+	layerActive.addBias(dst, src, rows, hw, stride, b)
+}
+
+func addBiasScalar(dst, src []float32, rows, hw, stride int, b float32) {
+	for r := 0; r < rows; r++ {
+		d := dst[r*stride : r*stride+hw]
+		for i, v := range src[r*hw : (r+1)*hw] {
+			d[i] = v + b
+		}
 	}
 }

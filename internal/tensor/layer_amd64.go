@@ -17,6 +17,7 @@ func layerVariants() []layerVariant {
 			name: "avx2", channelSums: channelSumsAVX2,
 			normalize: normalizeAVX2, normalizeGrad: normalizeGradAVX2,
 			maxPool2: maxPool2AVX2, relu: reluAVX2, reluGrad: reluGradAVX2,
+			maskCopy: maskCopyAVX, maskAdd: maskAddAVX, addBias: addBiasAVX,
 		}}
 	}
 	return []layerVariant{layerPortable}
@@ -65,6 +66,59 @@ func reluKernel(dst, src *float32, n int)
 
 //go:noescape
 func reluGradKernel(dst, dy, out *float32, n int)
+
+// maskCopyKernel and maskAddKernel are MaskCopy and MaskAdd over n
+// elements, n a multiple of 8, with a mask of period words, period a
+// multiple of 8: eight elements AND eight mask words (VANDPS), then the
+// store or the add, the mask offset wrapping to 0 at period.
+//
+//go:noescape
+func maskCopyKernel(dst, src *float32, mask *uint32, period, n int)
+
+//go:noescape
+func maskAddKernel(dst, src *float32, mask *uint32, period, n int)
+
+// addBiasKernel is AddBias: each run of hw eight elements at a time, its
+// last hw mod 8 under a load/store mask.
+//
+//go:noescape
+func addBiasKernel(dst, src *float32, rows, hw, stride int, b float32)
+
+// maskCopyAVX and maskAddAVX run the kernel over the whole groups of eight
+// when the mask's period is a multiple of 8, and the portable loop over the
+// rest, whose mask offset (full mod period, a multiple of 8 below the
+// period) leaves room for its fewer than eight elements.
+func maskCopyAVX(dst, src []float32, mask []uint32) {
+	full := maskedFull(len(src), len(mask))
+	if full > 0 {
+		_ = dst[full-1] // the kernel does not check bounds
+		maskCopyKernel(&dst[0], &src[0], &mask[0], len(mask), full)
+	}
+	maskCopyScalar(dst[full:], src[full:], mask[full%max(len(mask), 1):])
+}
+
+func maskAddAVX(dst, src []float32, mask []uint32) {
+	full := maskedFull(len(src), len(mask))
+	if full > 0 {
+		_ = dst[full-1] // the kernel does not check bounds
+		maskAddKernel(&dst[0], &src[0], &mask[0], len(mask), full)
+	}
+	maskAddScalar(dst[full:], src[full:], mask[full%max(len(mask), 1):])
+}
+
+// maskedFull is the number of leading elements the mask kernels take.
+func maskedFull(n, period int) int {
+	if period%8 != 0 {
+		return 0
+	}
+	return n &^ 7
+}
+
+func addBiasAVX(dst, src []float32, rows, hw, stride int, b float32) {
+	if rows > 0 && hw > 0 {
+		addBiasKernel(&dst[0], &src[0], rows, hw, stride, b)
+	}
+}
 
 // channelSumsAVX2 hands the kernel the channels four at a time and the
 // portable loop the one to three left over: each channel's sums are its

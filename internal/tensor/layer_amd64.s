@@ -430,3 +430,107 @@ relugloop:
 	JNZ      relugloop
 	VZEROUPPER
 	RET
+
+// func maskCopyKernel(dst, src *float32, mask *uint32, period, n int)
+//
+// DX is the mask offset in bytes, R9 the period in bytes; CMOV wraps DX to
+// 0 at the period.
+TEXT ·maskCopyKernel(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), R8
+	MOVQ period+24(FP), R9
+	MOVQ n+32(FP), CX
+	SHLQ $2, R9
+	XORQ DX, DX
+	XORQ R10, R10
+
+mcloop:
+	VMOVUPS  (SI), Y0
+	VANDPS   (R8)(DX*1), Y0, Y0
+	VMOVUPS  Y0, (DI)
+	ADDQ     $32, SI
+	ADDQ     $32, DI
+	ADDQ     $32, DX
+	CMPQ     DX, R9
+	CMOVQEQ  R10, DX
+	SUBQ     $8, CX
+	JNZ      mcloop
+	VZEROUPPER
+	RET
+
+// func maskAddKernel(dst, src *float32, mask *uint32, period, n int)
+TEXT ·maskAddKernel(SB), NOSPLIT, $0-40
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ mask+16(FP), R8
+	MOVQ period+24(FP), R9
+	MOVQ n+32(FP), CX
+	SHLQ $2, R9
+	XORQ DX, DX
+	XORQ R10, R10
+
+maloop:
+	VMOVUPS  (SI), Y0
+	VANDPS   (R8)(DX*1), Y0, Y0
+	VADDPS   (DI), Y0, Y0
+	VMOVUPS  Y0, (DI)
+	ADDQ     $32, SI
+	ADDQ     $32, DI
+	ADDQ     $32, DX
+	CMPQ     DX, R9
+	CMOVQEQ  R10, DX
+	SUBQ     $8, CX
+	JNZ      maloop
+	VZEROUPPER
+	RET
+
+// func addBiasKernel(dst, src *float32, rows, hw, stride int, b float32)
+//
+// Per element: v + b; Y12 masks a run's tail. src runs end to end, dst runs
+// stride elements apart.
+TEXT ·addBiasKernel(SB), NOSPLIT, $0-44
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         rows+16(FP), CX
+	MOVQ         hw+24(FP), R8
+	MOVQ         stride+32(FP), R11
+	SHLQ         $2, R11
+	VBROADCASTSS b+40(FP), Y8
+	MOVQ         R8, DX
+	SHRQ         $3, DX
+	ANDQ         $7, R8
+	SHLQ         $2, R8
+	LEAQ         tailMask<>+32(SB), R9
+	SUBQ         R8, R9
+	VMOVDQU      (R9), Y12
+
+brow:
+	MOVQ  DX, BX
+	XORQ  R10, R10
+	TESTQ BX, BX
+	JZ    btail
+
+bgroup:
+	VMOVUPS (SI)(R10*1), Y0
+	VADDPS  Y8, Y0, Y0
+	VMOVUPS Y0, (DI)(R10*1)
+	ADDQ    $32, R10
+	DECQ    BX
+	JNZ     bgroup
+
+btail:
+	TESTQ      R8, R8
+	JZ         bnext
+	VMASKMOVPS (SI)(R10*1), Y12, Y0
+	VADDPS     Y8, Y0, Y0
+	VMASKMOVPS Y0, Y12, (DI)(R10*1)
+	ADDQ       R8, R10
+
+bnext:
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  brow
+	VZEROUPPER
+	RET

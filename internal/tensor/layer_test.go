@@ -377,6 +377,126 @@ func TestReLUMatchesPortable(t *testing.T) {
 	}
 }
 
+// padMask draws a mask of period words in runs of all-ones and zero words,
+// as a convolution's pad mask has, salted with arbitrary words (the
+// operation is an AND of bit patterns, whatever the mask holds).
+func padMask(rng *RNG, period int) []uint32 {
+	m := make([]uint32, period)
+	for i := range m {
+		switch rng.Intn(8) {
+		case 0:
+			m[i] = uint32(rng.Uint64())
+		case 1, 2, 3:
+		default:
+			m[i] = ^uint32(0)
+		}
+	}
+	return m
+}
+
+// maskInput draws values whose zeros of both signs, NaN payloads and
+// subnormals fall at all-ones positions and at pads alike.
+func maskInput(rng *RNG, n int) []float32 {
+	v := make([]float32, n)
+	for i := range v {
+		v[i] = layerValue(rng, 2)
+		if rng.Intn(4) == 0 {
+			v[i] = float32(math.Copysign(0, -1))
+		}
+	}
+	return v
+}
+
+// maskCases are (period, length) pairs: the periods of every shifted
+// convolution's pad masks (lcm(oh·ow, 8): 8 for 2×2 images, 16, 64, 256),
+// periods that are not a multiple of 8 (the portable loop), and lengths
+// from 0 to 40 and past several periods, so a vector crosses the wrap.
+var maskCases = func() [][2]int {
+	var s [][2]int
+	for _, p := range []int{8, 16, 24, 64, 256, 1, 4, 5, 9} {
+		for _, n := range []int{0, 1, 3, 7, 8, 9, 15, 16, 17, 23, 24, 31, 33, 40, 100, 8*p + 5, 16 * 256} {
+			s = append(s, [2]int{p, n})
+		}
+	}
+	return s
+}()
+
+// MaskCopy is an AND of bit patterns, so its result is compared with every
+// NaN payload; MaskAdd's add is compared as batch norm's are.
+func TestMaskCopyMatchesPortable(t *testing.T) {
+	rng := NewRNG(67)
+	for _, c := range maskCases {
+		period, n := c[0], c[1]
+		mask, src := padMask(rng, period), maskInput(rng, n)
+		want := make([]float32, n)
+		for i, v := range src {
+			want[i] = math.Float32frombits(math.Float32bits(v) & mask[i%period])
+		}
+		eachLayerVariant(t, func(name string) {
+			dst := maskInput(rng, n+1)
+			guard := dst[n]
+			MaskCopy(dst[:n], src, mask)
+			sameLayerBits(t, fmt.Sprintf("%s period %d n=%d", name, period, n), dst[:n], want, true)
+			if math.Float32bits(dst[n]) != math.Float32bits(guard) {
+				t.Fatalf("%s period %d n=%d: wrote past the end", name, period, n)
+			}
+		})
+	}
+}
+
+func TestMaskAddMatchesPortable(t *testing.T) {
+	rng := NewRNG(68)
+	for _, c := range maskCases {
+		period, n := c[0], c[1]
+		mask, src, dst0 := padMask(rng, period), maskInput(rng, n), maskInput(rng, n+1)
+		want := make([]float32, n)
+		for i, v := range src {
+			want[i] = dst0[i] + math.Float32frombits(math.Float32bits(v)&mask[i%period])
+		}
+		eachLayerVariant(t, func(name string) {
+			dst := append([]float32(nil), dst0...)
+			MaskAdd(dst[:n], src, mask)
+			sameLayerBits(t, fmt.Sprintf("%s period %d n=%d", name, period, n), dst[:n], want, false)
+			if math.Float32bits(dst[n]) != math.Float32bits(dst0[n]) {
+				t.Fatalf("%s period %d n=%d: wrote past the end", name, period, n)
+			}
+		})
+	}
+}
+
+// AddBias writes each run and nothing between the runs: the conv output
+// layouts (every vgg16 and resnet20 oh·ow, OutC channels to a row) and run
+// lengths 1 to 17 at gaps of 0, 1 and 9.
+func TestAddBiasMatchesPortable(t *testing.T) {
+	rng := NewRNG(69)
+	type shape struct{ rows, hw, stride int }
+	var shapes []shape
+	for _, s := range bnShapes[:15] {
+		shapes = append(shapes, shape{16, s[1], s[0] * s[1]}, shape{3, s[1], s[0] * s[1]})
+	}
+	for hw := 1; hw <= 17; hw++ {
+		for _, gap := range []int{0, 1, 9} {
+			shapes = append(shapes, shape{5, hw, hw + gap})
+		}
+	}
+	for _, sh := range shapes {
+		src := maskInput(rng, sh.rows*sh.hw)
+		b := layerValue(rng, 2)
+		dst0 := maskInput(rng, (sh.rows-1)*sh.stride+sh.hw+3)
+		want := append([]float32(nil), dst0...)
+		for r := 0; r < sh.rows; r++ {
+			for i := 0; i < sh.hw; i++ {
+				want[r*sh.stride+i] = src[r*sh.hw+i] + b
+			}
+		}
+		eachLayerVariant(t, func(name string) {
+			dst := append([]float32(nil), dst0...)
+			AddBias(dst, src, sh.rows, sh.hw, sh.stride, b)
+			sameLayerBits(t, fmt.Sprintf("%s %+v b=%v", name, sh, b), dst, want, false)
+		})
+	}
+}
+
 func TestLayerKernelsAllocateNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector's instrumentation allocates")
@@ -388,6 +508,7 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 	sum, dot := make([]float64, c), make([]float64, c)
 	mean, inv, gamma, beta := bnConstants(rng, c)
 	pooled, arg := make([]float32, len(x)/4), make([]int32, len(x)/4)
+	mask := padMask(rng, 8)
 	eachLayerVariant(t, func(name string) {
 		allocs := testing.AllocsPerRun(10, func() {
 			ChannelSums(sum, dot, x, x, rows, hw)
@@ -396,6 +517,9 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 			MaxPool(pooled, arg, x, 16, 2)
 			ReLU(y, x)
 			ReLUGrad(dx, x, y)
+			MaskCopy(y, x, mask)
+			MaskAdd(dx, x, mask)
+			AddBias(y, x[:rows*hw], rows, hw, c*hw, 1)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: %v allocations per run", name, allocs)

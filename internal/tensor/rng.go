@@ -22,16 +22,27 @@
 //	to dst with one float32 add. No fused multiply-add, no wider
 //	accumulator, no partial sums, no skipped terms.
 //
+// GemmAddSegmented cuts the reduction into segments of a fixed length and
+// gives the bits of one GemmAdd per segment, in order: each segment's sum
+// from +0, added to dst with one float32 add. It is the per-sample
+// association of a convolution's weight gradient as one call per layer.
+//
 // There is one precision for every product; a term's two factors commute,
 // so the sums do not depend on which operand is A. A change that fuses the
 // multiply, widens the accumulator or splits a sum across vector lanes
 // changes that paragraph, the golden digests in internal/models and the
 // oracle in gemm_test.go together, with its own accuracy evidence (the
 // figures gate in internal/bench). Everything else — the 4×8/4×16 register
-// tile, packing, the AVX micro-kernel and packer (gemm_amd64.s), the
+// tile, packing, the AVX micro-kernels and packer (gemm_amd64.s), the
 // portable kernel used under the purego tag, on other architectures and on
 // amd64 CPUs without AVX, row-parallelism for very large products — only
-// reschedules those operations and is tested to give identical bits.
+// reschedules those operations and is tested to give identical bits. One
+// micro-kernel call runs every full row tile of a column panel, each over
+// a list of segments, clearing its accumulators at a segment's start and
+// adding them to C at its end; Gemm and GemmAdd are the one-segment case. A last column panel of 8 to 15
+// lanes runs the AVX variant's 4×8 kernel on C in place; fewer than 8
+// leftover lanes, and the rows of a ragged A edge, run through a scratch
+// tile, loaded from C first when the product adds.
 //
 // The kernel reads A in place through both of its strides and B a row of
 // tile columns at a time. A B operand whose columns are not contiguous — the
@@ -43,7 +54,9 @@
 // vector packer (four lanes by four steps, transposed in registers) held to
 // the portable pack32 bit for bit. A caller that multiplies by one
 // transposed operand many times (the LSTM's recurrent weights) copies it to
-// row-major once instead.
+// row-major once instead. A packed product of several segments packs its B
+// panel a chunk of whole segments at a time, about 256 steps (16 KB at 16
+// lanes), so the panel stays in L1 while every row tile reads it.
 //
 // # Reduction specification
 //
@@ -114,18 +127,20 @@
 //
 // # Layer kernels
 //
-// ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU and ReLUGrad
-// (layer.go) are nn's batch-norm, pooling and rectifier loops, each
-// specified by its doc comment and its portable loop: a channel's sums are
+// ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU, ReLUGrad, MaskCopy,
+// MaskAdd and AddBias (layer.go) are nn's batch-norm, pooling, rectifier
+// and convolution-lowering loops, each specified by its doc comment and its
+// portable loop: a channel's sums are
 // float64 running sums from +0 in (row, element) order of the exactly
 // converted values and exact products; the batch-norm elementwise passes are
 // float32 with every operation rounded, in the order written, NormalizeGrad's
 // k = γ·inv/n once per channel; the pool takes a window's elements in
 // row-major order against a best from −Inf with a strict >, so the first
 // maximal element wins, NaN never does, and a window with nothing above −Inf
-// gives −Inf at its first element; ReLU and its gradient work on bit
-// patterns. On amd64 with AVX2 and FMA (CPUID, read once) kernels
-// (layer_amd64.s) give those bits:
+// gives −Inf at its first element; ReLU and its gradient and the pad
+// masks' AND work on bit patterns; the masked add and the bias add are one
+// float32 add per element. On amd64 with AVX2 and FMA (CPUID, read once)
+// kernels (layer_amd64.s) give those bits:
 //
 //	sums: four channels in the four float64 lanes of a register, four
 //	elements of each transposed into place, so each channel's chain keeps
@@ -139,6 +154,11 @@
 //	four outputs of a group run the portable loop.
 //	ReLU: pattern + 0x7fffffff < 0xff800000 as signed integers, the
 //	unsigned compare of pattern − 1 with +Inf's; ReLUGrad: output ≠ 0.
+//	MaskCopy, MaskAdd: eight elements AND eight words of a periodic mask
+//	(VANDPS), stored or added with one float32 add; the mask offset wraps
+//	at its period, which must be a multiple of 8 (otherwise, and for the
+//	last n mod 8 elements, the portable loop runs).
+//	AddBias: v + b eight lanes at a time; a run's tail under a mask.
 //
 // Under the purego tag, on other architectures and on CPUs without AVX2 or
 // FMA the portable loops run. As for Gemm, which of two NaN operands a
