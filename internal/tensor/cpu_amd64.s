@@ -2,11 +2,12 @@
 
 #include "textflag.h"
 
-// func cpuFeatures() (avx, avx2, fma bool)
-TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
+// func cpuFeatures() (avx, avx2, fma, avx512 bool)
+TEXT ·cpuFeatures(SB), NOSPLIT, $0-4
 	MOVB $0, avx+0(FP)
 	MOVB $0, avx2+1(FP)
 	MOVB $0, fma+2(FP)
+	MOVB $0, avx512+3(FP)
 	MOVL $1, AX
 	XORL CX, CX
 	CPUID
@@ -16,6 +17,7 @@ TEXT ·cpuFeatures(SB), NOSPLIT, $0-3
 	JNE  done
 	XORL CX, CX
 	XGETBV
+	MOVL AX, DI // XCR0, low half
 	ANDL $6, AX // XCR0: XMM and YMM state enabled
 	CMPL AX, $6
 	JNE  done
@@ -33,8 +35,16 @@ leaf7:
 	XORL CX, CX
 	CPUID
 	BTL  $5, BX // AVX2
-	JCC  done
+	JCC  avx512
 	MOVB $1, avx2+1(FP)
+
+avx512:
+	BTL  $16, BX // AVX512F
+	JCC  done
+	ANDL $0xe6, DI // XCR0: XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM state enabled
+	CMPL DI, $0xe6
+	JNE  done
+	MOVB $1, avx512+3(FP)
 
 done:
 	RET

@@ -71,13 +71,14 @@ func Gemm(dst, a, b View) { gemm(dst, a, b, false, 0) }
 // finished sum is stored (Gemm) or added to dst(i,j) with one float32 add
 // (GemmAdd). GemmAddSegmented applies this to each segment of the
 // reduction in turn: per segment one accumulator from +0 over its steps,
-// then one float32 add to dst. Register blocking (a 4×16 tile, or 4×8 at a
-// last panel of 8 to 15 columns), packing, chunking a packed panel at
-// segment boundaries, vector width and row-parallelism only choose which
-// elements are in flight together — a vector lane always holds a different
-// output element, never a partial sum — so the vector kernels, the portable
-// kernels and the naive triple loop in the tests give the same bits on
-// every build.
+// then one float32 add to dst. Register blocking (a 4×32 or 4×16 tile, and
+// at a ragged last panel the narrower 4×16 and 4×8 tiles on dst and b in
+// place, the last fewer than 8 columns through a scratch tile), packing,
+// chunking a packed panel at segment boundaries, vector width and
+// row-parallelism only choose which elements are in flight together — a
+// vector lane always holds a different output element, never a partial
+// sum — so the vector kernels, the portable kernels and the naive triple
+// loop in the tests give the same bits on every build.
 //
 // No term is skipped: a zero in a still multiplies, so 0 × ±Inf and 0 × NaN
 // contribute NaN where the row-AXPY loops this replaced skipped them. On
@@ -123,10 +124,10 @@ func MatMulABT(dst, a, b *Mat) { Gemm(dst.View(), a.View(), b.T()) }
 // Register tile: a micro-kernel produces gemmMR rows by nr columns per call
 // from eight accumulator registers, two per row. nr depends on the kernel
 // variant (gemmVariant): 8 columns for the portable kernel, 16 for the
-// 256-bit one.
+// 256-bit one, 32 for the 512-bit one.
 const (
 	gemmMR    = 4
-	gemmMaxNR = 16
+	gemmMaxNR = 32
 )
 
 // gemmVariant is one set of micro-kernels. Every variant computes the same
@@ -166,8 +167,8 @@ const (
 // gemmChunkSteps is about how many reduction steps of a packed B panel
 // rows packs and consumes at a time when a product has several segments
 // (GemmAddSegmented): whole segments of about this many steps, a 16 KB
-// panel of 16 lanes that stays in L1 while every row tile reads it. A
-// one-segment product packs its whole panel at once.
+// panel of 16 lanes (32 KB of 32) that stays in L1 while every row tile
+// reads it. A one-segment product packs its whole panel at once.
 const gemmChunkSteps = 256
 
 // gemmScratch is one goroutine's packing space, recycled through gemmPool so
@@ -251,23 +252,22 @@ func gemmRows(dst, a, b View, add bool, seg, lo, hi int) {
 
 // rows is the driver. Full tiles read a in place (the kernel takes both
 // strides of A, so a transpose costs nothing) and b either in place or from
-// a packed panel; ragged edges go through zero-padded packed panels, and
-// the rows and columns past the edge through a scratch tile, so the same
+// a packed panel; the ragged A edge goes through a zero-padded packed panel,
+// and the rows and columns past the edge through a scratch tile, so the same
 // kernels compute them.
 //
 // Panel layout: a panel of width w holds w lanes (rows of A, columns of B)
 // for every step p of the reduction, step-major — lane l of step p at
 // [p·w + l] — and +0 in the lanes past the operand's edge. The ragged A
-// edge is one panel gemmMR lanes wide, a B panel is the variant's nr. A
-// panel is an exact copy, so packing never changes a bit of the product.
-// A B operand whose columns are not contiguous (ColStride ≠ 1) is always
-// packed, one column tile at a time, and each panel serves every row tile.
-// A packed product of several segments is packed and consumed in chunks of
-// whole segments (gemmChunkSteps); each chunk adds its segments to c in
-// order before the next chunk's, so the chunks change no sum.
+// edge is one panel gemmMR lanes wide, a packed B panel is the variant's
+// nr. A panel is an exact copy, so packing never changes a bit of the
+// product. A B operand whose columns are not contiguous (ColStride ≠ 1) is
+// always packed, one column tile at a time, and each panel serves every row
+// tile. A packed product of several segments is packed and consumed in
+// chunks of whole segments (gemmChunkSteps); each chunk adds its segments
+// to c in order before the next chunk's, so the chunks change no sum.
 func (s *gemmScratch) rows(m, n, k, seg int, a []float32, ars, acs int, b []float32, brs, bcs int, c []float32, ldc int, add bool) {
 	v := gemmActive
-	mFull := m &^ (gemmMR - 1)
 	packB := bcs != 1 || (m >= gemmPackRows && k*brs >= gemmPackSpan)
 	chunk := k
 	if packB {
@@ -275,67 +275,78 @@ func (s *gemmScratch) rows(m, n, k, seg int, a []float32, ars, acs int, b []floa
 	}
 	for p0 := 0; p0 < k; p0 += chunk {
 		kc := min(chunk, k-p0)
-		segs := kc / seg
 		ap, bc := a[p0*acs:], b[p0*brs:]
 		var aEdge []float32
-		if mFull < m {
+		if mFull := m &^ (gemmMR - 1); mFull < m {
 			aEdge = grow(&s.a32, kc*gemmMR)
 			packPanel(v.id, aEdge, gemmMR, ap[mFull*ars:], m-mFull, kc, ars, acs)
 		}
 		for j := 0; j < n; j += v.nr {
 			nr := min(v.nr, n-j)
 			bp, bps := bc[j*bcs:], brs
-			if packB || nr < v.nr {
+			if packB {
 				bp, bps = grow(&s.b32, kc*v.nr), v.nr
 				packPanel(v.id, bp, v.nr, bc[j*bcs:], nr, kc, bcs, brs)
 			}
-			if mFull > 0 {
-				s.tiles(v, mFull, segs, seg, ap, ars, acs, bp, bps, c[j:], ldc, nr, add)
-			}
-			if mFull < m {
-				s.scratch(v, segs, seg, aEdge, 1, gemmMR, bp, bps, c[mFull*ldc+j:], ldc, m-mFull, nr, add)
-			}
+			s.panel(v, m, kc/seg, seg, ap, ars, acs, aEdge, bp, bps, packB, c[j:], ldc, nr, add)
 		}
 	}
 }
 
-// tiles computes rows [0, mr) × columns [0, nr) of c, mr a multiple of
-// gemmMR and nr ≤ the variant's nr, over segs segments of seg steps. A full
-// panel is one kernel call over all mr/gemmMR row tiles. A variant wider
-// than 8 lanes runs its 8-lane kernel on c for the first 8 columns of a last
-// panel of 8 to nr−1 (the conv weight gradients' 72 = 64 + 8 and
-// 216 = 208 + 8 columns); fewer than 8 columns left go through the scratch
-// tile, one row tile at a time.
-func (s *gemmScratch) tiles(v gemmVariant, mr, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc, nr int, add bool) {
-	if nr == v.nr {
-		gemmKernel32(v.id, v.nr, mr/gemmMR, segs, seg, a, ars, aps, b, bps, c, ldc, add)
+// panel computes the m rows × nr columns (nr ≤ the variant's nr) of c that
+// one column panel of B produces, over segs segments of seg steps. The
+// columns go to the variant's kernels widest first — a full panel is one
+// call of its nr-lane kernel over every row tile; a ragged last one runs
+// the narrower kernels of powers of two down to 8 lanes (a 32-lane variant
+// covers 27 columns as 16 + 8 + 3), each on c and on b where they lie, so a
+// panel whose width is a multiple of 8 needs neither packing nor the
+// scratch tile. Only fewer than 8 leftover columns, and the ragged rows
+// past the last full row tile (read from the packed aEdge), go through the
+// scratch tile. b's leftover columns are read from the zero-padded packed
+// panel (packed), or, when b is read in place, packed into an 8-lane one
+// first.
+func (s *gemmScratch) panel(v gemmVariant, m, segs, seg int, a []float32, ars, aps int, aEdge, b []float32, bps int, packed bool, c []float32, ldc, nr int, add bool) {
+	mFull := m &^ (gemmMR - 1)
+	o := 0
+	for w := v.nr; w >= 8; w /= 2 {
+		if nr-o < w {
+			continue
+		}
+		if mFull > 0 {
+			gemmKernel32(v.id, w, mFull/gemmMR, segs, seg, a, ars, aps, b[o:], bps, c[o:], ldc, add)
+		}
+		if mFull < m {
+			s.scratch(v.id, w, segs, seg, aEdge, 1, gemmMR, b[o:], bps, c[mFull*ldc+o:], ldc, m-mFull, w, add)
+		}
+		o += w
+	}
+	if o == nr {
 		return
 	}
-	if v.nr > 8 && nr >= 8 {
-		gemmKernel32(v.id, 8, mr/gemmMR, segs, seg, a, ars, aps, b, bps, c, ldc, add)
-		if nr == 8 {
-			return
-		}
-		b, c, nr = b[8:], c[8:], nr-8
+	left := nr - o
+	b = b[o:]
+	if !packed {
+		bl := grow(&s.b32, segs*seg*8)
+		packPanel(v.id, bl, 8, b, left, segs*seg, 1, bps)
+		b, bps = bl, 8
 	}
-	for i := 0; i < mr; i += gemmMR {
-		s.scratch(v, segs, seg, a[i*ars:], ars, aps, b, bps, c[i*ldc:], ldc, gemmMR, nr, add)
+	for i := 0; i < mFull; i += gemmMR {
+		s.scratch(v.id, 8, segs, seg, a[i*ars:], ars, aps, b, bps, c[i*ldc+o:], ldc, gemmMR, left, add)
+	}
+	if mFull < m {
+		s.scratch(v.id, 8, segs, seg, aEdge, 1, gemmMR, b, bps, c[mFull*ldc+o:], ldc, m-mFull, left, add)
 	}
 }
 
-// scratch computes the mr×nr corner of one register tile at c (mr ≤
-// gemmMR) through the scratch tile, with the narrowest kernel that spans
-// nr columns: the tile is loaded from c first when it adds (an exact round
-// trip), and the corner is copied back.
-func (s *gemmScratch) scratch(v gemmVariant, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc, mr, nr int, add bool) {
-	w := v.nr
-	if nr <= 8 {
-		w = 8
-	}
+// scratch computes the mr×nr corner (mr ≤ gemmMR, nr ≤ w) of one register
+// tile at c through the scratch tile with variant id's w-lane kernel: the
+// tile is loaded from c first when it adds (an exact round trip), and the
+// corner is copied back.
+func (s *gemmScratch) scratch(id, w, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc, mr, nr int, add bool) {
 	if add {
 		copyTile(s.tile[:], w, c, ldc, mr, nr)
 	}
-	gemmKernel32(v.id, w, 1, segs, seg, a, ars, aps, b, bps, s.tile[:], w, add)
+	gemmKernel32(id, w, 1, segs, seg, a, ars, aps, b, bps, s.tile[:], w, add)
 	copyTile(c, ldc, s.tile[:], w, mr, nr)
 }
 

@@ -4,26 +4,42 @@ package tensor
 
 // Vector micro-kernels and panel packer for Gemm (gemm_amd64.s). The 4×16
 // kernel holds the same eight accumulators as the portable kernel in
-// gemm.go — eight output elements per 256-bit register — and the 4×8 edge
-// kernel four of them; both take the terms in the same order, with a
-// separate multiply and add per term, and start and end each segment as
+// gemm.go — eight output elements per 256-bit register — the 4×8 edge
+// kernel four of them, and the 4×32 kernel eight of sixteen elements per
+// 512-bit register; all take the terms in the same order, with a separate
+// multiply and add per term, and start and end each segment as
 // gemmSegmentsGo does, so the bits are those of the portable kernel and of
-// the specification on GemmAdd. The
-// packer only moves bits, so it is pack32 bit for bit. They use AVX
-// (VBROADCASTSS, VMULPS, VADDPS, VUNPCKxPx), no FMA and no AVX2, and are
-// selected when CPUID reports AVX and the OS saves the YMM state; any other
+// the specification on GemmAdd. The packer only moves bits, so it is pack32
+// bit for bit. The 256-bit kernels and the packer use AVX (VBROADCASTSS,
+// VMULPS, VADDPS, VUNPCKxPx), no FMA and no AVX2, and are selected when
+// CPUID reports AVX and the OS saves the YMM state; the 4×32 kernel needs
+// AVX512F and the OS saving the ZMM and opmask state as well, and its
+// variant runs the 4×16 and 4×8 kernels on a ragged last panel. Any other
 // amd64 CPU runs the portable kernel and packer.
 
-var gemmAVX = gemmVariant{name: "avx", id: 1, nr: 16}
+var (
+	gemmAVX    = gemmVariant{name: "avx", id: 1, nr: 16}
+	gemmAVX512 = gemmVariant{name: "avx512", id: 2, nr: 32}
+)
 
 // gemmVariants lists every kernel variant this binary can run on this CPU,
 // narrowest first.
 func gemmVariants() []gemmVariant {
+	vs := []gemmVariant{gemmPortable}
 	if cpuAVX {
-		return []gemmVariant{gemmPortable, gemmAVX}
+		vs = append(vs, gemmAVX)
 	}
-	return []gemmVariant{gemmPortable}
+	if cpuAVX512 {
+		vs = append(vs, gemmAVX512)
+	}
+	return vs
 }
+
+// gemmKernel32x32AVX512 is gemmKernel32AVX for 4×32 tiles: B(p,0..31) are
+// the 32 contiguous floats at b + p·bps.
+//
+//go:noescape
+func gemmKernel32x32AVX512(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 
 // gemmKernel32AVX computes tiles 4×16 tiles, tile t at c + t·4·ldc (row
 // stride ldc) from the four rows of A at a + t·4·ars, over segs segments of
@@ -38,7 +54,7 @@ func gemmKernel32AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *floa
 
 // gemmKernel32x8AVX is gemmKernel32AVX for 4×8 tiles: B(p,0..7) are the
 // first eight floats at b + p·bps. It is the edge tile of a last column
-// panel of 8 to 15 lanes, which it writes in place.
+// panel, which it reads and writes in place, and the scratch tile's kernel.
 //
 //go:noescape
 func gemmKernel32x8AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
@@ -91,24 +107,27 @@ func pack32AVX(dst []float32, width int, src []float32, lanes, k, laneStride int
 // packPanel fills one panel (the layout on gemmScratch.rows) with the
 // packer of variant id.
 func packPanel(id int, dst []float32, width int, src []float32, lanes, k, laneStride, stepStride int) {
-	if id == gemmAVX.id && stepStride == 1 && laneStride != 1 && k > 0 {
+	if id != gemmPortable.id && stepStride == 1 && laneStride != 1 && k > 0 {
 		pack32AVX(dst, width, src, lanes, k, laneStride)
 		return
 	}
 	pack32(dst, width, src, lanes, k, laneStride, stepStride)
 }
 
-// gemmKernel32 runs variant id's kernel of the given tile width (16 or 8
-// for AVX, 8 for the portable one) over tiles row tiles and segs segments
-// of seg steps.
+// gemmKernel32 runs variant id's kernel of the given tile width (32, 16 or
+// 8 for AVX-512, 16 or 8 for AVX, 8 for the portable one) over tiles row
+// tiles and segs segments of seg steps.
 func gemmKernel32(id, width, tiles, segs, seg int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
-	if id != gemmAVX.id {
+	if id == gemmPortable.id {
 		gemmSegmentsGo(tiles, segs, seg, a, ars, aps, b, bps, c, ldc, add)
 		return
 	}
-	if width == 8 {
+	switch width {
+	case 32:
+		gemmKernel32x32AVX512(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
+	case 16:
+		gemmKernel32AVX(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
+	default:
 		gemmKernel32x8AVX(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
-		return
 	}
-	gemmKernel32AVX(tiles, segs, seg, &a[0], uintptr(ars)*4, uintptr(aps)*4, &b[0], uintptr(bps)*4, &c[0], uintptr(ldc)*4, add)
 }

@@ -2,9 +2,112 @@
 
 #include "textflag.h"
 
-// AVX micro-kernel for Gemm. See gemm_amd64.go for the contract: one
-// float32 accumulator per output element, terms in ascending k, a separate
-// VMULPS and VADDPS per term, lanes never hold partial sums. AVX only.
+// AVX and AVX-512 micro-kernels for Gemm. See gemm_amd64.go for the
+// contract: one float32 accumulator per output element, terms in ascending
+// k, a separate VMULPS and VADDPS per term, lanes never hold partial sums.
+// The 256-bit kernels need AVX only, the 512-bit one AVX512F.
+
+// func gemmKernel32x32AVX512(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
+//
+// gemmKernel32AVX on 32 columns: Z0..Z7 accumulate a 4×32 tile, row r in
+// Z(2r) (columns 0-15) and Z(2r+1) (columns 16-31); per step the 32 B
+// values load once into Z8/Z9 and each row's A value is broadcast into
+// Z10. Only Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state.
+TEXT ·gemmKernel32x32AVX512(SB), NOSPLIT, $0-81
+	MOVQ seg+16(FP), R13
+	MOVQ a+24(FP), SI
+	MOVQ ars+32(FP), R8
+	MOVQ aps+40(FP), R10
+	MOVQ bps+56(FP), R11
+	MOVQ c+64(FP), DX
+	MOVQ ldc+72(FP), R12
+	LEAQ (R8)(R8*2), R9
+	LEAQ (R12)(R12*2), AX
+
+z32tile:
+	MOVQ segs+8(FP), BX
+	MOVQ b+48(FP), DI
+
+z32seg:
+	VPXORD Z0, Z0, Z0
+	VPXORD Z1, Z1, Z1
+	VPXORD Z2, Z2, Z2
+	VPXORD Z3, Z3, Z3
+	VPXORD Z4, Z4, Z4
+	VPXORD Z5, Z5, Z5
+	VPXORD Z6, Z6, Z6
+	VPXORD Z7, Z7, Z7
+	MOVQ   R13, CX
+
+z32loop:
+	VMOVUPS      (DI), Z8
+	VMOVUPS      64(DI), Z9
+	VBROADCASTSS (SI), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z0, Z0
+	VADDPS       Z12, Z1, Z1
+	VBROADCASTSS (SI)(R8*1), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z2, Z2
+	VADDPS       Z12, Z3, Z3
+	VBROADCASTSS (SI)(R8*2), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z4, Z4
+	VADDPS       Z12, Z5, Z5
+	VBROADCASTSS (SI)(R9*1), Z10
+	VMULPS       Z8, Z10, Z11
+	VMULPS       Z9, Z10, Z12
+	VADDPS       Z11, Z6, Z6
+	VADDPS       Z12, Z7, Z7
+	ADDQ R10, SI
+	ADDQ R11, DI
+	DECQ CX
+	JNZ  z32loop
+
+	CMPB    add+80(FP), $0
+	JEQ     z32set
+	VADDPS  (DX), Z0, Z0
+	VADDPS  64(DX), Z1, Z1
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VADDPS  (DX)(R12*1), Z2, Z2
+	VADDPS  64(DX)(R12*1), Z3, Z3
+	VMOVUPS Z2, (DX)(R12*1)
+	VMOVUPS Z3, 64(DX)(R12*1)
+	VADDPS  (DX)(R12*2), Z4, Z4
+	VADDPS  64(DX)(R12*2), Z5, Z5
+	VMOVUPS Z4, (DX)(R12*2)
+	VMOVUPS Z5, 64(DX)(R12*2)
+	VADDPS  (DX)(AX*1), Z6, Z6
+	VADDPS  64(DX)(AX*1), Z7, Z7
+	VMOVUPS Z6, (DX)(AX*1)
+	VMOVUPS Z7, 64(DX)(AX*1)
+	DECQ    BX
+	JNZ     z32seg
+	JMP     z32next
+
+z32set:
+	VMOVUPS Z0, (DX)
+	VMOVUPS Z1, 64(DX)
+	VMOVUPS Z2, (DX)(R12*1)
+	VMOVUPS Z3, 64(DX)(R12*1)
+	VMOVUPS Z4, (DX)(R12*2)
+	VMOVUPS Z5, 64(DX)(R12*2)
+	VMOVUPS Z6, (DX)(AX*1)
+	VMOVUPS Z7, 64(DX)(AX*1)
+
+z32next:
+	MOVQ a+24(FP), SI
+	LEAQ (SI)(R8*4), SI
+	MOVQ SI, a+24(FP)
+	LEAQ (DX)(R12*4), DX
+	DECQ tiles+0(FP)
+	JNZ  z32tile
+	VZEROUPPER
+	RET
 
 // func gemmKernel32AVX(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //

@@ -354,15 +354,16 @@ func TestGemmZeroSkipUnobservableOnFiniteOperands(t *testing.T) {
 	}
 }
 
-// The 8-lane edge tile: every column count from 1 to 40 — a last panel of
-// 8 to 15 lanes runs the 4×8 kernel in place, fewer than 8 leftover lanes
-// the scratch tile — on full and ragged row tiles, held to the oracle on
-// every variant, with B read in place and packed.
+// The edge tiles: every column count from 1 to 72 — a ragged last panel
+// runs the variant's narrower kernels in place (a 32-lane variant's 27
+// columns as 16 + 8 + 3), fewer than 8 leftover lanes the scratch tile —
+// on full and ragged row tiles, held to the oracle on every variant, with
+// B read in place and packed.
 func TestGemmEdgeTileMatchesOracle(t *testing.T) {
 	rng := NewRNG(79)
 	cnt := 0
 	for _, m := range []int{4, 8, 9} {
-		for n := 1; n <= 40; n++ {
+		for n := 1; n <= 72; n++ {
 			for _, k := range []int{1, 5, 64} {
 				g := newGemmCase(rng, m, n, k)
 				for _, f := range legacyForms {

@@ -32,31 +32,35 @@
 // multiply, widens the accumulator or splits a sum across vector lanes
 // changes that paragraph, the golden digests in internal/models and the
 // oracle in gemm_test.go together, with its own accuracy evidence (the
-// figures gate in internal/bench). Everything else — the 4×8/4×16 register
-// tile, packing, the AVX micro-kernels and packer (gemm_amd64.s), the
-// portable kernel used under the purego tag, on other architectures and on
-// amd64 CPUs without AVX, row-parallelism for very large products — only
-// reschedules those operations and is tested to give identical bits. One
-// micro-kernel call runs every full row tile of a column panel, each over
-// a list of segments, clearing its accumulators at a segment's start and
-// adding them to C at its end; Gemm and GemmAdd are the one-segment case. A last column panel of 8 to 15
-// lanes runs the AVX variant's 4×8 kernel on C in place; fewer than 8
-// leftover lanes, and the rows of a ragged A edge, run through a scratch
-// tile, loaded from C first when the product adds.
+// figures gate in internal/bench). Everything else — the 4×8/4×16/4×32
+// register tile, packing, the AVX and AVX-512 micro-kernels and the AVX
+// packer (gemm_amd64.s), the portable kernel used under the purego tag, on
+// other architectures and on amd64 CPUs without AVX, row-parallelism for
+// very large products — only reschedules those operations and is tested to
+// give identical bits. One micro-kernel call runs every full row tile of a
+// column panel, each over a list of segments, clearing its accumulators at
+// a segment's start and adding them to C at its end; Gemm and GemmAdd are
+// the one-segment case. A ragged last column panel runs the variant's
+// narrower kernels, widest first, on C and B in place (a 4×32 variant
+// covers 27 columns as 16 + 8 + 3); fewer than 8 leftover lanes, and the
+// rows of a ragged A edge, run through a scratch tile, loaded from C first
+// when the product adds.
 //
 // The kernel reads A in place through both of its strides and B a row of
 // tile columns at a time. A B operand whose columns are not contiguous — the
 // transposed operand of every a·bᵀ product — is packed into panels first:
 // lane l (a column of B) of reduction step p at [p·width + l], width the
-// variant's 8 or 16, +0 in the lanes past the operand's edge; a ragged A
-// edge is packed the same way, 4 lanes wide. Packing is an exact copy: the
-// AVX variant packs lanes that run contiguous along the reduction with a
+// variant's 8, 16 or 32, +0 in the lanes past the operand's edge; a ragged
+// A edge is packed the same way, 4 lanes wide, and the leftover lanes of an
+// in-place B 8 wide. Packing is an exact copy: the vector variants pack
+// lanes that run contiguous along the reduction with a
 // vector packer (four lanes by four steps, transposed in registers) held to
 // the portable pack32 bit for bit. A caller that multiplies by one
 // transposed operand many times (the LSTM's recurrent weights) copies it to
 // row-major once instead. A packed product of several segments packs its B
 // panel a chunk of whole segments at a time, about 256 steps (16 KB at 16
-// lanes), so the panel stays in L1 while every row tile reads it.
+// lanes, 32 KB at 32), so the panel stays in L1 while every row tile reads
+// it.
 //
 // # Reduction specification
 //
@@ -99,8 +103,9 @@
 // float32(math.Tanh(x)) and math.Exp(float64(x−m)), each over the exactly
 // converted float64 of its float32 argument — and give those bits on every
 // build, NaN for NaN. On amd64 with AVX2 and FMA (CPUID, read once) a
-// kernel computes four float64 lanes at a time with the operations Go's
-// math package runs for one argument:
+// kernel computes four float64 lanes at a time — eight, in ZMM registers,
+// when the CPU has AVX512F as well — with the operations Go's math package
+// runs for one argument:
 //
 //	exp: k = round-to-nearest-even(x·log2e) as an int32; x − k·LN2U and
 //	then − k·LN2L, each one fused multiply-add; ×1/16; the Taylor
@@ -116,14 +121,15 @@
 //	2·min(z, MAXLOG/2), and the predicates blend them; NaN fails each
 //	compare and takes the rational, as it does in math.tanh.
 //
-// A block of four whose exp argument holds a NaN or a lane beyond ±700 —
-// where math.Exp's overflow, denormal and non-finite cases live — goes
-// through the scalar expression, as do the tail and every block on any
-// other CPU, under the purego tag and on other architectures. The scalar
-// loops call math, whose portable bodies differ from amd64's assembly in
-// the last bit, so these results are pinned per architecture, not across
-// architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
-// four-argument probe at start-up sees that and leaves the kernels off.
+// A block of four (or eight) whose exp argument holds a NaN or a lane
+// beyond ±700 — where math.Exp's overflow, denormal and non-finite cases
+// live — goes through the scalar expression, as do the tail and every block
+// on any other CPU, under the purego tag and on other architectures. The
+// scalar loops call math, whose portable bodies differ from amd64's
+// assembly in the last bit, so these results are pinned per architecture,
+// not across architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
+// four-argument probe of each kernel at start-up sees that and leaves the
+// kernels off.
 //
 // # Layer kernels
 //

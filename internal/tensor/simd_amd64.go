@@ -26,12 +26,16 @@ package tensor
 // The other 256-bit kernels live beside the operations they serve, each
 // selected from the CPUID bits it needs (cpu_amd64.go): Gemm's micro-kernel
 // and panel packer (gemm_amd64.s) on AVX; the transcendentals
-// (trans_amd64.s) on AVX2 and FMA; the normal-variate transform
+// (trans_amd64.s) on AVX2 and FMA; HasNaNOrInf's exponent test (here) on
+// AVX2; the normal-variate transform
 // (rng_amd64.s) on AVX2; and the layer kernels (layer_amd64.s) on AVX2 and
 // FMA — the batch-norm channel sums (four channels to a register), its
 // forward and backward elementwise passes, the 2×2 max pool, and ReLU and
 // its gradient. The layer kernels take specials as their scalar loops do:
 // the pool compares ordered (NaN never wins), ReLU works on bit patterns.
+// Three of them have a 512-bit variant, chosen when the CPU has AVX512F and
+// the OS saves the ZMM and opmask state: Gemm's 4×32 tile, the
+// transcendentals on eight float64 lanes, and the exponent test on sixteen.
 
 // simdMinLen is the shortest vector worth the call overhead of an assembly
 // kernel; shorter vectors take the scalar path.
@@ -120,6 +124,40 @@ func signedVariants() []signedVariant {
 	}
 	return []signedVariant{signedPortable}
 }
+
+// finiteVariants lists every variant of HasNaNOrInf this binary can run on
+// this CPU, narrowest first: the exponent test on eight lanes needs AVX2
+// (256-bit integer AND and compare), on sixteen AVX512F.
+func finiteVariants() []finiteVariant {
+	vs := []finiteVariant{finitePortable}
+	if cpuAVX2 {
+		vs = append(vs, finiteVariant{name: "avx2", hasNaNOrInf: func(v Vec) bool { return nonFiniteBlocks(v, 8, nonFiniteKernelAVX2) }})
+	}
+	if cpuAVX512 {
+		vs = append(vs, finiteVariant{name: "avx512", hasNaNOrInf: func(v Vec) bool { return nonFiniteBlocks(v, 16, nonFiniteKernelAVX512) }})
+	}
+	return vs
+}
+
+// nonFiniteBlocks hands kernel the whole blocks of lanes elements and the
+// scalar loop the rest.
+func nonFiniteBlocks(v Vec, lanes int, kernel func(v *float32, n int) bool) bool {
+	full := len(v) &^ (lanes - 1)
+	if full > 0 && kernel(&v[0], full) {
+		return true
+	}
+	return hasNaNOrInfScalar(v[full:])
+}
+
+// nonFiniteKernelAVX2 and nonFiniteKernelAVX512 report whether any of n
+// elements, n > 0 a multiple of 8 (16), has an all-ones exponent field — is
+// NaN or ±Inf — stopping at the first block that has one.
+//
+//go:noescape
+func nonFiniteKernelAVX2(v *float32, n int) bool
+
+//go:noescape
+func nonFiniteKernelAVX512(v *float32, n int) bool
 
 func signedLanesAVX2(v []float32) (sp, sn float64, nNeg int) {
 	sp, sn, c := signedMeansKernelAVX2(&v[0], len(v))

@@ -533,3 +533,61 @@ ssa8:
 ssaDone:
 	VZEROUPPER
 	RET
+
+// func nonFiniteKernelAVX2(v *float32, n int) bool
+//
+// Per block of eight: AND with the exponent mask, compare each lane's
+// result with the mask (all ones where the exponent is all ones), and stop
+// at the first block whose compare is not all zeros.
+TEXT ·nonFiniteKernelAVX2(SB), NOSPLIT, $0-17
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7f800000, AX
+	MOVQ         AX, X1
+	VPBROADCASTD X1, Y1
+	XORQ         AX, AX
+
+nf8Loop:
+	VPAND    (SI)(AX*4), Y1, Y0
+	VPCMPEQD Y1, Y0, Y0
+	VPTEST   Y0, Y0
+	JNZ      nf8Found
+	ADDQ     $8, AX
+	CMPQ     AX, CX
+	JLT      nf8Loop
+	MOVB     $0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+nf8Found:
+	MOVB $1, ret+16(FP)
+	VZEROUPPER
+	RET
+
+// func nonFiniteKernelAVX512(v *float32, n int) bool
+//
+// nonFiniteKernelAVX2 on sixteen lanes: the compare writes K1, and
+// KORTESTW tests it.
+TEXT ·nonFiniteKernelAVX512(SB), NOSPLIT, $0-17
+	MOVQ         v+0(FP), SI
+	MOVQ         n+8(FP), CX
+	MOVL         $0x7f800000, AX
+	VPBROADCASTD AX, Z1
+	XORQ         AX, AX
+
+nf16Loop:
+	VPANDD   (SI)(AX*4), Z1, Z0
+	VPCMPEQD Z1, Z0, K1
+	KORTESTW K1, K1
+	JNZ      nf16Found
+	ADDQ     $16, AX
+	CMPQ     AX, CX
+	JLT      nf16Loop
+	MOVB     $0, ret+16(FP)
+	VZEROUPPER
+	RET
+
+nf16Found:
+	MOVB $1, ret+16(FP)
+	VZEROUPPER
+	RET

@@ -20,6 +20,10 @@ func quantFieldsArch(fields []uint32, g []float32, rnd []float64, norm float32, 
 // run: without assembly, the portable one.
 func signedVariants() []signedVariant { return []signedVariant{signedPortable} }
 
+// finiteVariants lists every variant of HasNaNOrInf this binary can run:
+// without assembly, the scalar loop.
+func finiteVariants() []finiteVariant { return []finiteVariant{finitePortable} }
+
 func vecAbsInto(dst, src Vec) { absIntoScalar(dst, src) }
 
 // gaussTailArch handles no elements on portable builds; the caller's scalar
@@ -32,8 +36,8 @@ func eliasPackArch(words []uint32, fields []uint32, bitPos uint64) uint64 {
 	return eliasPackScalar(words, fields, bitPos)
 }
 
-func vecSigmoid(dst, src Vec)                       { sigmoidScalar(dst, src) }
-func vecTanh(dst, src Vec)                          { tanhScalar(dst, src) }
-func vecExpShift(dst []float64, src Vec, m float32) { expShiftScalar(dst, src, m) }
+// transVariants lists every variant of the transcendentals this binary can
+// run: without assembly, the scalar loops.
+func transVariants() []transVariant { return []transVariant{transPortable} }
 
 func normVec(dst []float32, us, ss []float64, mean, std float32) { normScalar(dst, us, ss, mean, std) }

@@ -4,24 +4,58 @@ package tensor
 
 import "math"
 
-// The transcendental kernels (trans_amd64.s) run, four float64 lanes to a
-// YMM register, the float64 operations of Go's amd64 math.Exp on its FMA path
-// and of math.Tanh's portable body, so each lane's result is bitwise the
-// scalar expression's (package comment, "Transcendentals"). math.Exp takes
-// that path when CPUID reports AVX and FMA; the kernels need AVX2 and FMA,
-// so wherever they run the scalar loop they replace takes it too.
+// The transcendental kernels (trans_amd64.s) run the float64 operations of
+// Go's amd64 math.Exp on its FMA path and of math.Tanh's portable body, four
+// lanes to a YMM register (AVX2 and FMA) or eight to a ZMM register
+// (AVX512F as well), so each lane's result is bitwise the scalar
+// expression's (package comment, "Transcendentals"). math.Exp takes that
+// path when CPUID reports AVX and FMA; every kernel needs AVX2 and FMA, so
+// wherever one runs the scalar loop it replaces takes it too.
 
-// transKernels selects the kernels over the scalar loops.
-var transKernels = cpuAVX2 && cpuFMA && expAgrees()
+var (
+	transAVX2 = transVariant{
+		name: "avx2", lanes: 4,
+		sigmoid:  func(dst, src Vec) int { return sigmoidKernel(&dst[0], &src[0], len(src)) },
+		tanh:     func(dst, src Vec) int { return tanhKernel(&dst[0], &src[0], len(src)) },
+		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel(&dst[0], &src[0], len(src), m) },
+	}
+	transAVX512 = transVariant{
+		name: "avx512", lanes: 8,
+		sigmoid:  func(dst, src Vec) int { return sigmoidKernel512(&dst[0], &src[0], len(src)) },
+		tanh:     func(dst, src Vec) int { return tanhKernel512(&dst[0], &src[0], len(src)) },
+		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel512(&dst[0], &src[0], len(src), m) },
+	}
+)
+
+// transVariants lists every variant of the transcendental kernels this
+// binary can run on this CPU, narrowest first: the scalar loops, then each
+// kernel whose CPUID bits are present and whose start-up probe agrees with
+// math.Exp.
+func transVariants() []transVariant {
+	vs := []transVariant{transPortable}
+	if cpuAVX2 && cpuFMA && expAgrees(transAVX2) {
+		vs = append(vs, transAVX2)
+	}
+	if cpuAVX2 && cpuFMA && cpuAVX512 && expAgrees(transAVX512) {
+		vs = append(vs, transAVX512)
+	}
+	return vs
+}
 
 // expAgrees checks that math.Exp is on its FMA path after all: it is not
 // when GODEBUG=cpu.fma=off or cpu.avx=off hides the feature from the math
-// package, and then it differs from the kernel in the last bit of each of
-// these four arguments.
-func expAgrees() bool {
-	src := [transLanes]float32{-2.4751883, -0.47141004, -9.086903, 3.1554375}
-	var got [transLanes]float64
-	expShiftKernel(&got[0], &src[0], transLanes, 0)
+// package, and then it differs from v's kernel in the last bit of each of
+// these four arguments (every lane of a wider block takes one of them).
+func expAgrees(v transVariant) bool {
+	probe := [4]float32{-2.4751883, -0.47141004, -9.086903, 3.1554375}
+	src := make(Vec, v.lanes)
+	got := make([]float64, v.lanes)
+	for i := range src {
+		src[i] = probe[i%len(probe)]
+	}
+	if v.expShift(got, src, 0) != v.lanes {
+		return false
+	}
 	for i, x := range src {
 		if got[i] != math.Exp(float64(x)) {
 			return false
@@ -30,15 +64,13 @@ func expAgrees() bool {
 	return true
 }
 
-// transLanes is the block the kernels take and decline whole.
-const transLanes = 4
-
-// sigmoidKernel and expShiftKernel run over n elements, n a multiple of
-// transLanes, and stop before the first block that holds an argument of exp
-// beyond ±700 or a NaN, returning how many elements they finished. That
-// block is math.Exp's overflow, denormal or non-finite case, which the
-// caller hands to the scalar loop. tanhKernel declines no block: it clamps
-// exp's argument and blends math.tanh's branches, so it returns n.
+// sigmoidKernel and expShiftKernel run over n elements, n a multiple of 4,
+// and stop before the first block of 4 that holds an argument of exp beyond
+// ±700 or a NaN, returning how many elements they finished. That block is
+// math.Exp's overflow, denormal or non-finite case, which the caller hands
+// to the scalar loop. tanhKernel declines no block: it clamps exp's
+// argument and blends math.tanh's branches, so it returns n. The 512-bit
+// kernels are the same over blocks of 8.
 //
 //go:noescape
 func sigmoidKernel(dst, src *float32, n int) int
@@ -49,39 +81,11 @@ func tanhKernel(dst, src *float32, n int) int
 //go:noescape
 func expShiftKernel(dst *float64, src *float32, n int, m float32) int
 
-func vecSigmoid(dst, src Vec) {
-	transBlocks(len(src),
-		func(i, n int) int { return sigmoidKernel(&dst[i], &src[i], n) },
-		func(lo, hi int) { sigmoidScalar(dst[lo:hi], src[lo:hi]) })
-}
+//go:noescape
+func sigmoidKernel512(dst, src *float32, n int) int
 
-func vecTanh(dst, src Vec) {
-	transBlocks(len(src),
-		func(i, n int) int { return tanhKernel(&dst[i], &src[i], n) },
-		func(lo, hi int) { tanhScalar(dst[lo:hi], src[lo:hi]) })
-}
+//go:noescape
+func tanhKernel512(dst, src *float32, n int) int
 
-func vecExpShift(dst []float64, src Vec, m float32) {
-	transBlocks(len(src),
-		func(i, n int) int { return expShiftKernel(&dst[i], &src[i], n, m) },
-		func(lo, hi int) { expShiftScalar(dst[lo:hi], src[lo:hi], m) })
-}
-
-// transBlocks covers [0, n): kernel(i, k) takes the k elements from i, k a
-// multiple of transLanes, and returns how many it finished; scalar(lo, hi)
-// takes each block the kernel declines, the tail, and everything when the
-// kernels do not run. Elementwise, so the split changes no bit.
-func transBlocks(n int, kernel func(i, k int) int, scalar func(lo, hi int)) {
-	i := 0
-	if transKernels {
-		full := n &^ (transLanes - 1)
-		for i < full {
-			i += kernel(i, full-i)
-			if i < full {
-				scalar(i, i+transLanes)
-				i += transLanes
-			}
-		}
-	}
-	scalar(i, n)
-}
+//go:noescape
+func expShiftKernel512(dst *float64, src *float32, n int, m float32) int

@@ -2,8 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2+FMA transcendental kernels. See trans_amd64.go for the contract and
-// the package comment ("Transcendentals") for the operation sequence.
+// AVX2+FMA and AVX-512 transcendental kernels. See trans_amd64.go for the
+// contract and the package comment ("Transcendentals") for the operation
+// sequence.
 
 // CONST4 defines sym as four float64 (or int64) copies of v, one YMM operand.
 #define CONST4(sym, v) \
@@ -207,6 +208,165 @@ tanhLoop:
 	JMP       tanhLoop
 
 tanhDone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// The 512-bit kernels: the same operations, in the same order, on eight
+// float64 lanes per ZMM register. Each constant is the first float64 of its
+// CONST4 symbol, broadcast from memory (.BCST) or by VBROADCASTSD; the
+// logical operations are VPANDQ/VPXORQ/VPORQ (AVX512F), which move the same
+// bits as VANDPD/VXORPD/VORPD. A compare writes an opmask register, and
+// tanh's blends are merge-masked moves. Only Z0-Z15 are used, so VZEROUPPER
+// leaves no dirty upper state.
+
+// EXPCORE512 is EXPCORE on the eight lanes of x; k (ky is its YMM half) and
+// p are clobbered.
+#define EXPCORE512(x, k, ky, p) \
+	VMULPD.BCST       expLog2e<>(SB), x, p; \
+	VCVTPD2DQ         p, ky; \
+	VCVTDQ2PD         ky, p; \
+	VFNMADD231PD.BCST expLn2U<>(SB), p, x; \
+	VFNMADD231PD.BCST expLn2L<>(SB), p, x; \
+	VMULPD.BCST       expSixteenth<>(SB), x, x; \
+	VBROADCASTSD      expC8<>(SB), p; \
+	VFMADD213PD.BCST  expC7<>(SB), x, p; \
+	VFMADD213PD.BCST  expC6<>(SB), x, p; \
+	VFMADD213PD.BCST  expC5<>(SB), x, p; \
+	VFMADD213PD.BCST  expC4<>(SB), x, p; \
+	VFMADD213PD.BCST  expC3<>(SB), x, p; \
+	VFMADD213PD.BCST  expHalf<>(SB), x, p; \
+	VFMADD213PD.BCST  transOne<>(SB), x, p; \
+	VMULPD            p, x, x; \
+	VADDPD.BCST       transTwo<>(SB), x, p; \
+	VMULPD            p, x, x; \
+	VADDPD.BCST       transTwo<>(SB), x, p; \
+	VMULPD            p, x, x; \
+	VADDPD.BCST       transTwo<>(SB), x, p; \
+	VMULPD            p, x, x; \
+	VADDPD.BCST       transTwo<>(SB), x, p; \
+	VFMADD213PD.BCST  transOne<>(SB), p, x; \
+	VPMOVSXDQ         ky, k; \
+	VPADDQ.BCST       expBias<>(SB), k, k; \
+	VPSLLQ            $52, k, k; \
+	VMULPD            k, x, x
+
+// OUTOFRANGE512 jumps to done when a lane of x is NaN or beyond ±700: the
+// compare sets K1's bit of each such lane. t is clobbered.
+#define OUTOFRANGE512(x, t, done) \
+	VPANDQ.BCST transAbs<>(SB), x, t; \
+	VCMPPD.BCST $0x16, transMaxArg<>(SB), t, K1; \
+	KORTESTW    K1, K1; \
+	JNZ         done
+
+// func sigmoidKernel512(dst, src *float32, n int) int
+TEXT ·sigmoidKernel512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSD transOne<>(SB), Z15
+
+sig8Loop:
+	CMPQ        AX, CX
+	JGE         sig8Done
+	VCVTPS2PD   (SI)(AX*4), Z0
+	VPXORQ.BCST transSign<>(SB), Z0, Z0 // −x
+	OUTOFRANGE512(Z0, Z1, sig8Done)
+	EXPCORE512(Z0, Z1, Y1, Z2)
+	VADDPD      Z15, Z0, Z0             // 1 + e
+	VDIVPD      Z0, Z15, Z0             // 1 / (1 + e)
+	VCVTPD2PS   Z0, Y0
+	VMOVUPS     Y0, (DI)(AX*4)
+	ADDQ        $8, AX
+	JMP         sig8Loop
+
+sig8Done:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func expShiftKernel512(dst *float64, src *float32, n int, m float32) int
+TEXT ·expShiftKernel512(SB), NOSPLIT, $0-40
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSS m+24(FP), Y15
+	XORQ         AX, AX
+
+exp8Loop:
+	CMPQ      AX, CX
+	JGE       exp8Done
+	VMOVUPS   (SI)(AX*4), Y0
+	VSUBPS    Y15, Y0, Y0 // x − m, in float32
+	VCVTPS2PD Y0, Z0
+	OUTOFRANGE512(Z0, Z1, exp8Done)
+	EXPCORE512(Z0, Z1, Y1, Z2)
+	VMOVUPD   Z0, (DI)(AX*8)
+	ADDQ      $8, AX
+	JMP       exp8Loop
+
+exp8Done:
+	MOVQ AX, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func tanhKernel512(dst, src *float32, n int) int
+//
+// tanhKernel on eight lanes; the three blends are merge-masked VMOVAPDs
+// under each compare's opmask, in the same order.
+TEXT ·tanhKernel512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSD transOne<>(SB), Z15
+	VBROADCASTSD transTwo<>(SB), Z14
+	VPXORQ       Z13, Z13, Z13
+
+tanh8Loop:
+	CMPQ        AX, CX
+	JGE         tanh8Done
+	VCVTPS2PD   (SI)(AX*4), Z0
+	VPANDQ.BCST transAbs<>(SB), Z0, Z1        // z
+	VPANDQ.BCST transSign<>(SB), Z0, Z5       // sign of x
+	VMINPD.BCST tanhHalfMaxLog<>(SB), Z1, Z2
+	VADDPD      Z2, Z2, Z2                    // 2z
+	EXPCORE512(Z2, Z3, Y3, Z4)
+	VADDPD      Z15, Z2, Z2                   // s + 1
+	VDIVPD      Z2, Z14, Z2                   // 2 / (s + 1)
+	VSUBPD      Z2, Z15, Z2                   // 1 − 2/(s + 1)
+	VPXORQ      Z5, Z2, Z2
+
+	VMULPD      Z0, Z0, Z6                    // s = x·x
+	VMULPD.BCST tanhP0<>(SB), Z6, Z7
+	VADDPD.BCST tanhP1<>(SB), Z7, Z7
+	VMULPD      Z6, Z7, Z7
+	VADDPD.BCST tanhP2<>(SB), Z7, Z7          // P(s)
+	VADDPD.BCST tanhQ0<>(SB), Z6, Z8
+	VMULPD      Z6, Z8, Z8
+	VADDPD.BCST tanhQ1<>(SB), Z8, Z8
+	VMULPD      Z6, Z8, Z8
+	VADDPD.BCST tanhQ2<>(SB), Z8, Z8          // Q(s)
+	VMULPD      Z6, Z0, Z9                    // x·s
+	VMULPD      Z7, Z9, Z9                    // x·s·P
+	VDIVPD      Z8, Z9, Z9                    // x·s·P / Q
+	VADDPD      Z9, Z0, Z9                    // x + x·s·P/Q
+
+	VCMPPD      $0x00, Z13, Z0, K1            // x == 0
+	VMOVAPD     Z0, K1, Z9
+	VCMPPD.BCST $0x1D, tanhSplit<>(SB), Z1, K1 // z >= 0.625
+	VMOVAPD     Z2, K1, Z9
+	VCMPPD.BCST $0x1E, tanhHalfMaxLog<>(SB), Z1, K1 // z > MAXLOG/2
+	VPORQ       Z15, Z5, Z11                  // ±1
+	VMOVAPD     Z11, K1, Z9
+
+	VCVTPD2PS Z9, Y9
+	VMOVUPS   Y9, (DI)(AX*4)
+	ADDQ      $8, AX
+	JMP       tanh8Loop
+
+tanh8Done:
 	MOVQ AX, ret+24(FP)
 	VZEROUPPER
 	RET

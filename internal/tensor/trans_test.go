@@ -28,11 +28,26 @@ func same64(a, b float64) bool {
 // non-finite ones.
 var transShifts = []float32{0, 3.25, -1.5, 650, -650, float32(math.Inf(1)), float32(math.NaN())}
 
-// TestTransMatchesScalarSweep runs the kernels over a strided walk through
-// all 2³² float32 bit patterns, in chunks whose lengths are multiples of the
-// kernels' block, so every block goes through a kernel or its fallback.
-// ExpShift takes the shifts in turn, one per chunk.
+// forTransVariants runs f once per variant of the transcendentals this
+// binary can run on this CPU, with that variant active.
+func forTransVariants(f func(v transVariant)) {
+	defer func(v transVariant) { transActive = v }(transActive)
+	for _, v := range transVariants() {
+		transActive = v
+		f(v)
+	}
+}
+
+// TestTransMatchesScalarSweep runs every variant's kernels over a strided
+// walk through all 2³² float32 bit patterns, in chunks whose lengths are
+// multiples of every kernel's block, so every block goes through a kernel or
+// its fallback. ExpShift takes the shifts in turn, one per chunk.
 func TestTransMatchesScalarSweep(t *testing.T) {
+	forTransVariants(func(v transVariant) { transSweep(t, v) })
+}
+
+func transSweep(t *testing.T, v transVariant) {
+	t.Helper()
 	stride := uint64(211)
 	if raceEnabled {
 		stride = 100_003
@@ -46,44 +61,49 @@ func TestTransMatchesScalarSweep(t *testing.T) {
 		for ; n < chunk && start+uint64(n)*stride < 1<<32; n++ {
 			src[n] = math.Float32frombits(uint32(start + uint64(n)*stride))
 		}
-		x := src[:n]
-		Sigmoid(d32[:n], x)
-		for i, v := range x {
-			if !same32(d32[i], sigmoidRef(v)) {
-				t.Fatalf("Sigmoid(%g [%#08x]) = %g, scalar %g", v, math.Float32bits(v), d32[i], sigmoidRef(v))
+		xs := src[:n]
+		Sigmoid(d32[:n], xs)
+		for i, x := range xs {
+			if !same32(d32[i], sigmoidRef(x)) {
+				t.Fatalf("%s: Sigmoid(%g [%#08x]) = %g, scalar %g", v.name, x, math.Float32bits(x), d32[i], sigmoidRef(x))
 			}
 		}
-		Tanh(d32[:n], x)
-		for i, v := range x {
-			if !same32(d32[i], tanhRef(v)) {
-				t.Fatalf("Tanh(%g [%#08x]) = %g, scalar %g", v, math.Float32bits(v), d32[i], tanhRef(v))
+		Tanh(d32[:n], xs)
+		for i, x := range xs {
+			if !same32(d32[i], tanhRef(x)) {
+				t.Fatalf("%s: Tanh(%g [%#08x]) = %g, scalar %g", v.name, x, math.Float32bits(x), d32[i], tanhRef(x))
 			}
 		}
 		m := transShifts[c%len(transShifts)]
-		ExpShift(d64[:n], x, m)
-		for i, v := range x {
-			if !same64(d64[i], expShiftRef(v, m)) {
-				t.Fatalf("ExpShift(%g [%#08x], m=%g) = %g, scalar %g", v, math.Float32bits(v), m, d64[i], expShiftRef(v, m))
+		ExpShift(d64[:n], xs, m)
+		for i, x := range xs {
+			if !same64(d64[i], expShiftRef(x, m)) {
+				t.Fatalf("%s: ExpShift(%g [%#08x], m=%g) = %g, scalar %g", v.name, x, math.Float32bits(x), m, d64[i], expShiftRef(x, m))
 			}
 		}
 	}
 }
 
-// TestTransTails covers every length from 0 to 17 at four alignments, with
-// inputs that make blocks decline the kernel (NaN, ±Inf, beyond ±700) mixed
-// among ordinary ones and tanh's branch points, out of place and in place;
-// no element outside the range may be written.
+// TestTransTails covers, on every variant, every length from 0 to 35 at
+// four alignments, with inputs that make blocks decline the kernel (NaN,
+// ±Inf, beyond ±700) mixed among ordinary ones and tanh's branch points, out
+// of place and in place; no element outside the range may be written.
 func TestTransTails(t *testing.T) {
+	forTransVariants(func(v transVariant) { transTails(t, v) })
+}
+
+func transTails(t *testing.T, v transVariant) {
+	t.Helper()
 	nan, inf := float32(math.NaN()), float32(math.Inf(1))
 	specials := []float32{nan, inf, -inf, 701, -701, 700, -700, 0, float32(math.Copysign(0, -1)),
 		0.625, -0.625, 44.014847, -44.014847, 88.72, -103.9, 1e-30, 1e-45, -3e38}
 	const sentinel = 12345.5
 	rng := NewRNG(36)
-	src := make(Vec, 24)
-	d32 := make(Vec, 24)
-	d64 := make([]float64, 24)
+	src := make(Vec, 40)
+	d32 := make(Vec, len(src))
+	d64 := make([]float64, len(src))
 	for off := 0; off < 4; off++ {
-		for n := 0; n <= 17; n++ {
+		for n := 0; n <= 35; n++ {
 			for trial := 0; trial < 16; trial++ {
 				for i := range src {
 					if rng.Intn(4) == 0 {
@@ -97,9 +117,9 @@ func TestTransTails(t *testing.T) {
 				m := transShifts[rng.Intn(len(transShifts))]
 				check := func(op string, in, got Vec, ref func(float32) float32) {
 					t.Helper()
-					for i, v := range in {
-						if !same32(got[i], ref(v)) {
-							t.Fatalf("%s off=%d n=%d: [%d] of %g = %g, scalar %g", op, off, n, i, v, got[i], ref(v))
+					for i, e := range in {
+						if !same32(got[i], ref(e)) {
+							t.Fatalf("%s: %s off=%d n=%d: [%d] of %g = %g, scalar %g", v.name, op, off, n, i, e, got[i], ref(e))
 						}
 					}
 				}
@@ -108,14 +128,14 @@ func TestTransTails(t *testing.T) {
 				Tanh(y, x)
 				check("Tanh", x, y, tanhRef)
 				ExpShift(z, x, m)
-				for i, v := range x {
-					if !same64(z[i], expShiftRef(v, m)) {
-						t.Fatalf("ExpShift off=%d n=%d m=%g: [%d] of %g = %g, scalar %g", off, n, m, i, v, z[i], expShiftRef(v, m))
+				for i, e := range x {
+					if !same64(z[i], expShiftRef(e, m)) {
+						t.Fatalf("%s: ExpShift off=%d n=%d m=%g: [%d] of %g = %g, scalar %g", v.name, off, n, m, i, e, z[i], expShiftRef(e, m))
 					}
 				}
 				for i := range d32 {
 					if (i < off || i >= off+n) && (d32[i] != sentinel || d64[i] != sentinel) {
-						t.Fatalf("off=%d n=%d: element %d outside the range was written", off, n, i)
+						t.Fatalf("%s: off=%d n=%d: element %d outside the range was written", v.name, off, n, i)
 					}
 				}
 				in := append(Vec(nil), x...)
@@ -129,8 +149,8 @@ func TestTransTails(t *testing.T) {
 	}
 }
 
-// TestTransZeroAlloc: the block walk's closures stay on the stack, declined
-// blocks included.
+// TestTransZeroAlloc: on every variant, the block walk's closures stay on
+// the stack, declined blocks included.
 func TestTransZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates")
@@ -140,13 +160,15 @@ func TestTransZeroAlloc(t *testing.T) {
 	src[5] = 701
 	d32 := make(Vec, len(src))
 	d64 := make([]float64, len(src))
-	if n := testing.AllocsPerRun(10, func() {
-		Sigmoid(d32, src)
-		Tanh(d32, src)
-		ExpShift(d64, src, 1)
-	}); n != 0 {
-		t.Errorf("Sigmoid+Tanh+ExpShift make %v allocs/op", n)
-	}
+	forTransVariants(func(v transVariant) {
+		if n := testing.AllocsPerRun(10, func() {
+			Sigmoid(d32, src)
+			Tanh(d32, src)
+			ExpShift(d64, src, 1)
+		}); n != 0 {
+			t.Errorf("%s: Sigmoid+Tanh+ExpShift make %v allocs/op", v.name, n)
+		}
+	})
 }
 
 // TestTransWithoutFMA reruns the tails in a process whose math.Exp is off

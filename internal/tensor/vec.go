@@ -272,7 +272,25 @@ func signedShiftScalar(v Vec, subPos, subNeg, addPos, addNeg float32) {
 
 // HasNaNOrInf reports whether any element is NaN or ±Inf. The training
 // runtime uses it for failure injection tests and gradient health checks.
-func HasNaNOrInf(v Vec) bool {
+func HasNaNOrInf(v Vec) bool { return finiteActive.hasNaNOrInf(v) }
+
+// finiteVariant is one implementation of HasNaNOrInf. The vector ones test
+// the exponent field, bits & 0x7f800000 == 0x7f800000, which holds exactly
+// for NaN and ±Inf; the scalar loop is their reference.
+type finiteVariant struct {
+	name        string
+	hasNaNOrInf func(v Vec) bool
+}
+
+var (
+	finitePortable = finiteVariant{name: "portable", hasNaNOrInf: hasNaNOrInfScalar}
+	// finiteActive is the variant in use: the widest this binary can run on
+	// this CPU, the last of finiteVariants (see the architecture files).
+	// Only tests assign it, to run every one of them.
+	finiteActive = finiteVariants()[len(finiteVariants())-1]
+)
+
+func hasNaNOrInfScalar(v Vec) bool {
 	for _, x := range v {
 		f := float64(x)
 		if math.IsNaN(f) || math.IsInf(f, 0) {
