@@ -333,6 +333,38 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 		layerRow("nn/maxpool-vgg16", pooled, func(s nn.Shape) nn.Layer { return nn.NewMaxPool2D(s, 2) })
 		layerRow("nn/relu-vgg16", convOut, func(nn.Shape) nn.Layer { return nn.NewReLU() })
 	}
+	{
+		// The reduced lstm's BPTT gate gradient over one sequence, 11 steps
+		// of 16 rows at H = 32 in descending time, and its softmax loss over
+		// the sequence's 176 rows of 64 logits; n is the gradient elements
+		// each writes. The gates and tanh(c) are activations, so the carried
+		// cell gradient stays bounded.
+		const steps, rows, h, vocab = 11, 16, 32, 64
+		gates, tanhC := mat(steps*rows, 4*h), mat(steps*rows, h)
+		tensor.Sigmoid(gates.Data, gates.Data)
+		tensor.Tanh(tanhC.Data, tanhC.Data)
+		cPrev, dh, dz, dc := mat(steps*rows, h), mat(steps*rows, h), mat(steps*rows, 4*h), mat(rows, h)
+		add("nn/lstm-gategrad", steps*rows*4*h, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				for t := steps - 1; t >= 0; t-- {
+					lo, hi := t*rows*h, (t+1)*rows*h
+					tensor.LSTMGateGrad(dz.Data[4*lo:4*hi], dc.Data, gates.Data[4*lo:4*hi],
+						tanhC.Data[lo:hi], cPrev.Data[lo:hi], dh.Data[lo:hi], h)
+				}
+			}
+		}))
+		logits, labels := mat(steps*rows, vocab), make([]int, steps*rows)
+		for i := range labels {
+			labels[i] = 7 * i % vocab
+		}
+		var ce nn.SoftmaxLoss
+		ce.Loss(logits, labels) // warm-up: grows the gradient and exponential workspaces
+		add("nn/softmax-lstm", steps*rows*vocab, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				ce.Loss(logits, labels)
+			}
+		}))
+	}
 	for _, fam := range []string{"vgg16", "lstm"} {
 		m, err := models.New(models.Config{Family: fam, Seed: 1, Reduced: true})
 		if err != nil {

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -429,6 +430,30 @@ func (cfg *Config) validate() error {
 	return nil
 }
 
+// divergedFirst puts the lowest diverged rank's error first in a group
+// error that holds one. When several ranks diverge in one step, whose
+// finite check fails first is a race; the lowest rank is not. Any other
+// group error is returned as it is, root cause first.
+func divergedFirst(err error) error {
+	joined, ok := err.(interface{ Unwrap() []error })
+	if !ok {
+		return err
+	}
+	errs := joined.Unwrap()
+	first, rank := -1, 0
+	for i, e := range errs {
+		var de *DivergenceError
+		if errors.As(e, &de) && (first < 0 || de.Rank < rank) {
+			first, rank = i, de.Rank
+		}
+	}
+	if first <= 0 {
+		return err
+	}
+	out := append([]error{errs[first]}, errs[:first]...)
+	return errors.Join(append(out, errs[first+1:]...)...)
+}
+
 // Train runs the distributed training loop and returns rank 0's view: it
 // validates the configuration, runs one worker per rank over the group's
 // communicators and averages the ranks' traffic into the result.
@@ -462,7 +487,7 @@ func Train(c Config) (*Result, error) {
 		return w.run()
 	})
 	if err != nil {
-		return nil, err
+		return nil, divergedFirst(err)
 	}
 	if steps := j.totalSteps - j.startStep; steps > 0 {
 		j.res.BytesPerWorkerPerStep = float64(j.sent.Load()) / float64(cfg.Workers) / float64(steps)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -324,36 +325,41 @@ func TestLSTMClusterRun(t *testing.T) {
 }
 
 // assertDiverges runs cfg under an absurd learning-rate scale and requires
-// the blow-up to surface as a "non-finite gradient" error, not as silent Inf
-// metrics.
-func assertDiverges(t *testing.T, cfg Config) {
+// the blow-up to surface as a *DivergenceError naming the lowest diverged
+// rank and its step, first in the group error, not as silent Inf metrics.
+func assertDiverges(t *testing.T, cfg Config, rank, step int) {
 	t.Helper()
 	cfg.LRScale = 1e12
 	cfg.Epochs = 30
 	_, err := Train(cfg)
-	if err == nil {
-		t.Fatal("expected divergence to be detected")
+	var de *DivergenceError
+	if !errors.As(err, &de) {
+		t.Fatalf("divergence surfaced as %v", err)
 	}
-	if !strings.Contains(err.Error(), "non-finite gradient") {
-		t.Errorf("divergence surfaced as %v", err)
+	if de.Rank != rank || de.Step != step {
+		t.Fatalf("divergence named rank %d at step %d, want rank %d at step %d: %v", de.Rank, de.Step, rank, step, err)
+	}
+	if want := fmt.Sprintf("rank %d: cluster: step %d: %v", rank, step, de); !strings.HasPrefix(err.Error(), want) {
+		t.Fatalf("group error does not open with %q: %v", want, err)
 	}
 }
 
 // TestDivergenceDetection: failure injection on the synchronous
-// whole-model path.
+// whole-model path. Both ranks diverge at step 1.
 func TestDivergenceDetection(t *testing.T) {
-	assertDiverges(t, quickCfg("fnn3", "dense", 2))
+	assertDiverges(t, quickCfg("fnn3", "dense", 2), 0, 1)
 }
 
 // TestOverlappedPipelineSurfacesNonFiniteGradient: the overlapped bucket
 // pipeline encodes the next bucket while earlier exchanges run on the
 // progress workers; a bucket that diverges mid-step must still fail cleanly
-// (no hang, no panic) with those exchanges in flight.
+// (no hang, no panic) with those exchanges in flight. Both ranks diverge
+// at step 1 here too.
 func TestOverlappedPipelineSurfacesNonFiniteGradient(t *testing.T) {
 	old := runtime.GOMAXPROCS(0)
 	defer runtime.GOMAXPROCS(old)
 	runtime.GOMAXPROCS(8) // let the posted exchanges run beside the encodes
-	assertDiverges(t, bucketCfg("a2sgd", 2, fourBucketBytes, true))
+	assertDiverges(t, bucketCfg("a2sgd", 2, fourBucketBytes, true), 0, 1)
 }
 
 // TestCheckpointWrittenAndRestorable: the run's final weights come back in

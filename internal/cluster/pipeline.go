@@ -33,6 +33,18 @@ func (o *bucketExchangeOp) RunOp(c *comm.Communicator) error {
 	return nil
 }
 
+// DivergenceError is a rank's failed finite check: its gradient held a NaN
+// or an infinity at global step Step (the step's wrapping error names it
+// too). When several ranks fail it in one step, Train's error names the
+// lowest of them first.
+type DivergenceError struct {
+	Rank, Step int
+}
+
+func (e *DivergenceError) Error() string {
+	return fmt.Sprintf("worker %d produced a non-finite gradient (diverged — lower the learning rate)", e.Rank)
+}
+
 // pipeline is one rank's bucket pipeline: launch(b) takes bucket b from the
 // layers' live gradient storage to an executor, wait joins the step's
 // exchanges. The step only chooses the order in which it launches buckets;
@@ -51,6 +63,9 @@ type pipeline struct {
 	ops   []bucketExchangeOp
 	reqs  []comm.Request
 
+	// step is the global step whose buckets are being launched, for a
+	// divergence report.
+	step int
 	// err is the step's first launch failure; it turns the step's remaining
 	// launches into no-ops and is reported by wait. A failed step ends the
 	// run, so it is never cleared.
@@ -90,7 +105,7 @@ func (p *pipeline) launch(b int) {
 	}
 	v := &p.views[b]
 	if v.HasNaNOrInf() {
-		p.err = fmt.Errorf("worker %d produced a non-finite gradient (diverged — lower the learning rate)", p.cm.Rank())
+		p.err = &DivergenceError{Rank: p.cm.Rank(), Step: p.step}
 		return
 	}
 	t := time.Now()

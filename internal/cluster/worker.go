@@ -292,6 +292,7 @@ func (w *worker) boundary(g int) error {
 // compute has its own mark after it.
 func (w *worker) step(g int) error {
 	cfg, p := &w.cfg, w.pipe
+	p.step = g
 	encMark := p.encodeSec
 	tStep := time.Now()
 	if w.img != nil {

@@ -98,6 +98,16 @@
 //     0 + dy at the arg-max, so a −0 gradient lands as +0.
 //   - ReLU outputs x where x > 0 and +0 elsewhere (−0 and NaN included),
 //     and passes dy where its output is nonzero (tensor.ReLU, ReLUGrad).
+//   - LSTMLM's cell update is c = f·c₋₁ + i·g, each product rounded on its
+//     own. Its backward takes each time step's rows in one call
+//     (tensor.LSTMGateGrad): per element, in float32 with every operation
+//     rounded, dc_tot = dc + (dh·o)·(1 − tanh(c)²), the four gate
+//     gradients in the order written there, and dc₋₁ = dc_tot·f in place.
+//   - SoftmaxLoss takes each row's maximum by a strict > from its first
+//     element, the shifted exponentials in float64 (tensor.ExpShift), their
+//     sum from +0 in ascending column order, and one math.Log; each
+//     probability is rounded to float32, less 1 at the label, times 1/B
+//     (tensor.SoftmaxRows). The LSTM's loss and every classifier head use it.
 //
 // # One flattened layout
 //

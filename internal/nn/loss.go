@@ -36,40 +36,11 @@ func (l *SoftmaxLoss) into(d, logits *tensor.Mat, labels []int) (loss float64) {
 	if len(labels) != logits.Rows {
 		panic("nn: SoftmaxCE label count mismatch")
 	}
-	l.exps = grow(l.exps, logits.Cols)
-	exps := l.exps
+	// Each exponential is needed twice, for the normaliser and for its own
+	// probability; tensor.SoftmaxRows computes it once, into l.exps.
+	l.exps = grow(l.exps, tensor.SoftmaxBlock*logits.Cols)
 	invB := 1 / float32(logits.Rows)
-	for s := 0; s < logits.Rows; s++ {
-		row := logits.Row(s)
-		m := row[0]
-		for _, v := range row {
-			if v > m {
-				m = v
-			}
-		}
-		// Each exponential is needed twice, for the normaliser and for its
-		// own probability; it is computed once.
-		tensor.ExpShift(exps, row, m)
-		var sum float64
-		for _, e := range exps {
-			sum += e
-		}
-		logSum := math.Log(sum)
-		lbl := labels[s]
-		if lbl < 0 || lbl >= logits.Cols {
-			panic("nn: SoftmaxCE label out of range")
-		}
-		loss += -(float64(row[lbl]-m) - logSum)
-		dst := d.Row(s)
-		for c, e := range exps {
-			p := float32(e / sum)
-			if c == lbl {
-				p -= 1
-			}
-			dst[c] = p * invB
-		}
-	}
-	return loss / float64(logits.Rows)
+	return tensor.SoftmaxRows(d.Data, logits.Data, logits.Cols, labels, l.exps, invB) / float64(logits.Rows)
 }
 
 // Accuracy returns the top-1 accuracy of logits against labels.

@@ -247,7 +247,9 @@ func (m *LSTMLM) cellForward(l, t int) {
 		tensor.Tanh(gg, gg)
 		tensor.Sigmoid(og, og)
 		for j, cp := range cPrev {
-			cr[j] = fg[j]*cp + ig[j]*gg[j]
+			// Each product rounded on its own, on every target (no fused
+			// multiply-add).
+			cr[j] = float32(fg[j]*cp) + float32(ig[j]*gg[j])
 		}
 		tensor.Tanh(tr, cr)
 		for j, o := range og {
@@ -421,24 +423,10 @@ func (m *LSTMLM) layerBackward(l int, dhIn *tensor.Mat) {
 		// dh holds what step t+1 passed back; add what the layer above
 		// (or the projection) sends at step t.
 		tensor.Add(dh.Data, dhIn.Data[t*B*H:(t+1)*B*H])
-		gates, tanhC, cPrevM := m.gates.at(l*T+t), m.tanhC.at(l*T+t), m.cs.at(l*(T+1)+t)
+		// The step's gate gradients into dz; dc becomes dc_{t−1} in place.
 		dz := m.dz.at(t)
-		for b := 0; b < B; b++ {
-			zr := gates.Row(b) // [i f g o] post-activation
-			tr := tanhC.Row(b)
-			cPrev := cPrevM.Row(b)
-			dhr, dcr := dh.Row(b), dc.Row(b)
-			dzr := dz.Row(b)
-			for j := 0; j < H; j++ {
-				ig, fg, gg, og := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
-				dcTot := dcr[j] + dhr[j]*og*(1-tr[j]*tr[j])
-				dzr[3*H+j] = dhr[j] * tr[j] * og * (1 - og) // do
-				dzr[j] = dcTot * gg * ig * (1 - ig)         // di
-				dzr[H+j] = dcTot * cPrev[j] * fg * (1 - fg) // df
-				dzr[2*H+j] = dcTot * ig * (1 - gg*gg)       // dg
-				dcr[j] = dcTot * fg                         // dc_{t-1}, in place
-			}
-		}
+		tensor.LSTMGateGrad(dz.Data, dc.Data, m.gates.at(l*T+t).Data, m.tanhC.at(l*T+t).Data,
+			m.cs.at(l*(T+1)+t).Data, dh.Data, H)
 		tensor.GemmAdd(tensor.ViewOf(4*H, in, m.GWx[l]), dz.T(), m.layerInput(l, t).View())
 		tensor.GemmAdd(tensor.ViewOf(4*H, H, m.GWh[l]), dz.T(), m.hs.at(l*(T+1)+t).View())
 		tensor.ColSums(m.GB[l], dz)

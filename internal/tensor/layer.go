@@ -5,9 +5,10 @@ import "math"
 // Layer kernels: the per-element loops of batch normalization, the k×k max
 // pool and the rectifier, on the layouts nn gives them — a batch of rows,
 // each row C channel planes of hw elements (hw = H·W), plane c of row s at
-// [s·C·hw + c·hw, s·C·hw + (c+1)·hw). Every operation is specified by the
-// scalar loop of its portable kernel below ("Layer kernels" in the package
-// comment); the vector kernels (layer_amd64.s) give its bits.
+// [s·C·hw + c·hw, s·C·hw + (c+1)·hw) — and the LSTM's gate gradient and the
+// softmax loss over rows. Every operation is specified by the scalar loop
+// of its portable kernel below ("Layer kernels" in the package comment);
+// the vector kernels (layer_amd64.s) give its bits.
 
 // layerVariant is one implementation of the layer kernels. Every variant
 // computes the same bits; they differ in how many elements an instruction
@@ -31,6 +32,12 @@ type layerVariant struct {
 	maskCopy func(dst, src []float32, mask []uint32)
 	maskAdd  func(dst, src []float32, mask []uint32)
 	addBias  func(dst, src []float32, rows, hw, stride int, b float32)
+	// lstmGateGrad is LSTMGateGrad over rows rows of h.
+	lstmGateGrad func(dz, dc, gates, tanhC, cPrev, dh []float32, rows, h int)
+	// rowMax and softmaxGrad are SoftmaxRows' maximum of a row and its
+	// gradient row, given the row's exponentials and their sum.
+	rowMax      func(row []float32) float32
+	softmaxGrad func(dst []float32, exps []float64, sum float64, lbl int, scale float32)
 }
 
 var (
@@ -40,6 +47,10 @@ var (
 		maxPool2: func(dst []float32, arg []int32, src []float32, w int) { maxPoolScalar(dst, arg, src, w, 2, 0) },
 		relu:     reluScalar, reluGrad: reluGradScalar,
 		maskCopy: maskCopyScalar, maskAdd: maskAddScalar, addBias: addBiasScalar,
+		lstmGateGrad: lstmGateGradScalar, rowMax: rowMaxScalar,
+		softmaxGrad: func(dst []float32, exps []float64, sum float64, lbl int, scale float32) {
+			softmaxGradScalar(dst, exps, sum, lbl, scale, 0)
+		},
 	}
 	// layerActive is the variant in use: the widest this binary can run on
 	// this CPU, the last of layerVariants (see the architecture files). Only
@@ -299,5 +310,151 @@ func addBiasScalar(dst, src []float32, rows, hw, stride int, b float32) {
 		for i, v := range src[r*hw : (r+1)*hw] {
 			d[i] = v + b
 		}
+	}
+}
+
+// LSTMGateGrad is one time step of an LSTM layer's backward pass over the
+// step's rows: gates holds each row's post-activation gates [i f g o] and
+// dz its gate pre-activation gradients, 4h elements a row, in the same
+// sections; tanhC (tanh of the new cell state), cPrev (the previous cell
+// state), dh (the gradient of the row's output) and dc (the cell-state
+// gradient carried from the next step) hold h a row. For each row and
+// j < h, with i, f, g, o the gates and t = tanhC[j], in float32 with every
+// operation rounded, in this order,
+//
+//	c  = dc[j] + (dh[j]·o)·(1 − t·t)
+//	dz[3h+j] = ((dh[j]·t)·o)·(1 − o)
+//	dz[j]    = ((c·g)·i)·(1 − i)
+//	dz[h+j]  = ((c·cPrev[j])·f)·(1 − f)
+//	dz[2h+j] = (c·i)·(1 − g·g)
+//	dc[j]    = c·f
+//
+// dc is overwritten with the gradient carried to the step before.
+func LSTMGateGrad(dz, dc, gates, tanhC, cPrev, dh []float32, h int) {
+	if h < 1 || len(dh)%h != 0 {
+		panic("tensor: LSTMGateGrad rows are not h wide")
+	}
+	rows := len(dh) / h
+	checkLen(len(dc), rows*h)
+	checkLen(len(tanhC), rows*h)
+	checkLen(len(cPrev), rows*h)
+	checkLen(len(gates), 4*rows*h)
+	checkLen(len(dz), 4*rows*h)
+	layerActive.lstmGateGrad(dz, dc, gates, tanhC, cPrev, dh, rows, h)
+}
+
+// The float32 conversions round each product on its own, as the
+// specification says; without them an arm64 compiler fuses the products
+// into the adds and subtracts that follow them.
+func lstmGateGradScalar(dz, dc, gates, tanhC, cPrev, dh []float32, rows, h int) {
+	for r := 0; r < rows; r++ {
+		z, d := gates[4*r*h:4*(r+1)*h], dz[4*r*h:4*(r+1)*h]
+		tr, cp := tanhC[r*h:(r+1)*h], cPrev[r*h:(r+1)*h]
+		dhr, dcr := dh[r*h:(r+1)*h], dc[r*h:(r+1)*h]
+		for j, t := range tr {
+			ig, fg, gg, og := z[j], z[h+j], z[2*h+j], z[3*h+j]
+			c := dcr[j] + float32(float32(dhr[j]*og)*(1-float32(t*t)))
+			d[3*h+j] = dhr[j] * t * og * (1 - og)
+			d[j] = c * gg * ig * (1 - ig)
+			d[h+j] = c * cp[j] * fg * (1 - fg)
+			d[2*h+j] = c * ig * (1 - float32(gg*gg))
+			dcr[j] = c * fg
+		}
+	}
+}
+
+// SoftmaxRows is the softmax cross-entropy of len(labels) rows of cols
+// logits and its gradient. For each row, with lbl its label:
+//
+//	m: the row's maximum as the loop m = row[0], then m = v for each
+//	   v > m in column order finds it (a NaN at column 0 stays; NaN
+//	   elsewhere never wins; of −0 and +0 the first one stays);
+//	exps: ExpShift(exps, row, m);
+//	sum: the float64 sum of exps from +0 in ascending column order;
+//	loss term: −(float64(row[lbl] − m) − math.Log(sum));
+//	d's row: float32(exps[c]/sum), minus 1 at c = lbl, times scale, each
+//	   a float32 operation.
+//
+// It returns the float64 sum of the loss terms in row order. d may be
+// logits: a row is read in full before it is written. exps holds
+// SoftmaxBlock·cols elements, the exponentials of a block of rows; its
+// contents are left undefined. A label outside [0, cols) panics.
+func SoftmaxRows(d, logits []float32, cols int, labels []int, exps []float64, scale float32) (loss float64) {
+	checkLen(len(logits), len(labels)*cols)
+	checkLen(len(d), len(logits))
+	checkLen(len(exps), SoftmaxBlock*cols)
+	for _, lbl := range labels {
+		if lbl < 0 || lbl >= cols {
+			panic("tensor: SoftmaxRows label out of range")
+		}
+	}
+	var ms [SoftmaxBlock]float32
+	var sums [SoftmaxBlock]float64
+	for lo := 0; lo < len(labels); lo += SoftmaxBlock {
+		n := min(SoftmaxBlock, len(labels)-lo)
+		for r := 0; r < n; r++ {
+			row := logits[(lo+r)*cols : (lo+r+1)*cols]
+			ms[r] = layerActive.rowMax(row)
+			ExpShift(exps[r*cols:(r+1)*cols], row, ms[r])
+		}
+		expSums(sums[:n], exps, cols)
+		for r, lbl := range labels[lo : lo+n] {
+			s := (lo + r) * cols
+			loss += -(float64(logits[s+lbl]-ms[r]) - math.Log(sums[r]))
+			layerActive.softmaxGrad(d[s:s+cols], exps[r*cols:(r+1)*cols], sums[r], lbl, scale)
+		}
+	}
+	return loss
+}
+
+// SoftmaxBlock is the number of rows SoftmaxRows takes at a time: their
+// sums run as separate chains in one loop, so the latency of one add hides
+// behind the others.
+const SoftmaxBlock = 4
+
+// expSums sets sums[r] to the sum of exps' row r of cols, each from +0 in
+// ascending column order.
+func expSums(sums, exps []float64, cols int) {
+	if len(sums) == SoftmaxBlock {
+		e0, e1, e2, e3 := exps[:cols], exps[cols:2*cols], exps[2*cols:3*cols], exps[3*cols:4*cols]
+		var s0, s1, s2, s3 float64
+		for c, e := range e0 {
+			s0 += e
+			s1 += e1[c]
+			s2 += e2[c]
+			s3 += e3[c]
+		}
+		sums[0], sums[1], sums[2], sums[3] = s0, s1, s2, s3
+		return
+	}
+	for r := range sums {
+		var s float64
+		for _, e := range exps[r*cols : (r+1)*cols] {
+			s += e
+		}
+		sums[r] = s
+	}
+}
+
+// rowMaxScalar is SoftmaxRows' maximum loop.
+func rowMaxScalar(row []float32) float32 {
+	m := row[0]
+	for _, v := range row {
+		if v > m {
+			m = v
+		}
+	}
+	return m
+}
+
+// softmaxGradScalar sets dst[c] to SoftmaxRows' gradient for from ≤ c <
+// len(exps).
+func softmaxGradScalar(dst []float32, exps []float64, sum float64, lbl int, scale float32, from int) {
+	for c := from; c < len(exps); c++ {
+		p := float32(exps[c] / sum)
+		if c == lbl {
+			p -= 1
+		}
+		dst[c] = p * scale
 	}
 }

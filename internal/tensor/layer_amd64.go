@@ -18,6 +18,7 @@ func layerVariants() []layerVariant {
 			normalize: normalizeAVX2, normalizeGrad: normalizeGradAVX2,
 			maxPool2: maxPool2AVX2, relu: reluAVX2, reluGrad: reluGradAVX2,
 			maskCopy: maskCopyAVX, maskAdd: maskAddAVX, addBias: addBiasAVX,
+			lstmGateGrad: lstmGateGradAVX2, rowMax: rowMaxAVX2, softmaxGrad: softmaxGradAVX2,
 		}}
 	}
 	return []layerVariant{layerPortable}
@@ -83,6 +84,30 @@ func maskAddKernel(dst, src *float32, mask *uint32, period, n int)
 //
 //go:noescape
 func addBiasKernel(dst, src *float32, rows, hw, stride int, b float32)
+
+// lstmGateGradKernel is LSTMGateGrad over rows rows of h, h ≥ 1: each row
+// eight elements at a time, each lane the scalar loop's multiplies, adds and
+// subtracts, separate, in its order; a row's last h mod 8 elements go
+// through the same operations under a load/store mask.
+//
+//go:noescape
+func lstmGateGradKernel(dz, dc, gates, tanhC, cPrev, dh *float32, rows, h int)
+
+// rowMaxKernel returns the VMAXPS maximum of a row of n ≥ 8 elements and
+// whether any of them is NaN. Without a NaN and with a nonzero maximum,
+// every element equal to it has its bits, so it is the scalar loop's
+// result; a NaN or a ±0 maximum (where VMAXPS and the loop's strict
+// compare disagree on which one stays) leaves the row to the loop.
+//
+//go:noescape
+func rowMaxKernel(row *float32, n int) (m float32, nan bool)
+
+// softmaxScaleKernel sets dst[c] = float32(exps[c]/sum)·scale for c < n,
+// n a multiple of 8: a float64 vector division, rounded to float32 by
+// VCVTPD2PS as the scalar conversion rounds, then a float32 multiply.
+//
+//go:noescape
+func softmaxScaleKernel(dst *float32, exps *float64, n int, sum float64, scale float32)
 
 // maskCopyAVX and maskAddAVX run the kernel over the whole groups of eight
 // when the mask's period is a multiple of 8, and the portable loop over the
@@ -182,4 +207,33 @@ func reluGradAVX2(dst, dy, out Vec) {
 		reluGradKernel(&dst[0], &dy[0], &out[0], full)
 	}
 	reluGradScalar(dst[full:], dy[full:], out[full:])
+}
+
+func lstmGateGradAVX2(dz, dc, gates, tanhC, cPrev, dh []float32, rows, h int) {
+	if rows > 0 {
+		lstmGateGradKernel(&dz[0], &dc[0], &gates[0], &tanhC[0], &cPrev[0], &dh[0], rows, h)
+	}
+}
+
+func rowMaxAVX2(row []float32) float32 {
+	if len(row) >= 8 {
+		if m, nan := rowMaxKernel(&row[0], len(row)); !nan && m != 0 {
+			return m
+		}
+	}
+	return rowMaxScalar(row)
+}
+
+// softmaxGradAVX2 runs the kernel over the whole groups of eight columns
+// and then rewrites the label's column with the scalar expression; the
+// last len(dst) mod 8 columns run the portable loop.
+func softmaxGradAVX2(dst []float32, exps []float64, sum float64, lbl int, scale float32) {
+	full := len(exps) &^ 7
+	if full > 0 {
+		softmaxScaleKernel(&dst[0], &exps[0], full, sum, scale)
+		if lbl < full {
+			softmaxGradScalar(dst[:lbl+1], exps[:lbl+1], sum, lbl, scale, lbl)
+		}
+	}
+	softmaxGradScalar(dst, exps, sum, lbl, scale, full)
 }

@@ -534,3 +534,212 @@ bnext:
 	JNZ  brow
 	VZEROUPPER
 	RET
+
+// func lstmGateGradKernel(dz, dc, gates, tanhC, cPrev, dh *float32, rows, h int)
+//
+// Per element, in LSTMGateGrad's order, each operation its own instruction:
+// Y0 = t, Y1 = dh, Y2 = o, Y6 = i, Y7 = g, Y9 = f, Y4 = c and then the
+// carried dc; Y15 = 1, Y14 masks a row's tail. AX and DI walk a row's i
+// section of gates and dz, the other sections R10 = h and 2·R10 bytes on
+// and R11 = 3h bytes on, which is also the step from the end of one row's
+// i section to the start of the next row; SI, BX, R12 and DX walk dc,
+// tanhC, cPrev and dh.
+TEXT ·lstmGateGradKernel(SB), NOSPLIT, $0-64
+	MOVQ         dz+0(FP), DI
+	MOVQ         dc+8(FP), SI
+	MOVQ         gates+16(FP), AX
+	MOVQ         tanhC+24(FP), BX
+	MOVQ         cPrev+32(FP), R12
+	MOVQ         dh+40(FP), DX
+	MOVQ         rows+48(FP), R8
+	MOVQ         h+56(FP), R9
+	LEAQ         (R9*4), R10
+	LEAQ         (R10)(R10*2), R11
+	MOVQ         R9, R13
+	SHRQ         $3, R9
+	ANDQ         $7, R13
+	SHLQ         $2, R13
+	LEAQ         tailMask<>+32(SB), CX
+	SUBQ         R13, CX
+	VMOVDQU      (CX), Y14
+	MOVL         $0x3f800000, CX
+	VMOVD        CX, X15
+	VBROADCASTSS X15, Y15
+
+lrow:
+	MOVQ  R9, CX
+	TESTQ CX, CX
+	JZ    ltail
+
+lgroup:
+	VMOVUPS (BX), Y0
+	VMOVUPS (DX), Y1
+	VMOVUPS (AX)(R11*1), Y2
+	VMULPS  Y0, Y0, Y3       // t·t
+	VSUBPS  Y3, Y15, Y3      // 1 − t·t
+	VMULPS  Y2, Y1, Y4       // dh·o
+	VMULPS  Y3, Y4, Y4
+	VADDPS  (SI), Y4, Y4     // c
+	VMULPS  Y0, Y1, Y5       // dh·t
+	VMULPS  Y2, Y5, Y5
+	VSUBPS  Y2, Y15, Y3      // 1 − o
+	VMULPS  Y3, Y5, Y5
+	VMOVUPS Y5, (DI)(R11*1)
+	VMOVUPS (AX), Y6
+	VMOVUPS (AX)(R10*2), Y7
+	VMULPS  Y7, Y4, Y8       // c·g
+	VMULPS  Y6, Y8, Y8
+	VSUBPS  Y6, Y15, Y3      // 1 − i
+	VMULPS  Y3, Y8, Y8
+	VMOVUPS Y8, (DI)
+	VMOVUPS (AX)(R10*1), Y9
+	VMULPS  (R12), Y4, Y10   // c·cPrev
+	VMULPS  Y9, Y10, Y10
+	VSUBPS  Y9, Y15, Y3      // 1 − f
+	VMULPS  Y3, Y10, Y10
+	VMOVUPS Y10, (DI)(R10*1)
+	VMULPS  Y6, Y4, Y11      // c·i
+	VMULPS  Y7, Y7, Y12      // g·g
+	VSUBPS  Y12, Y15, Y12    // 1 − g·g
+	VMULPS  Y12, Y11, Y11
+	VMOVUPS Y11, (DI)(R10*2)
+	VMULPS  Y9, Y4, Y4       // c·f
+	VMOVUPS Y4, (SI)
+	ADDQ    $32, AX
+	ADDQ    $32, DI
+	ADDQ    $32, SI
+	ADDQ    $32, BX
+	ADDQ    $32, R12
+	ADDQ    $32, DX
+	DECQ    CX
+	JNZ     lgroup
+
+ltail:
+	TESTQ      R13, R13
+	JZ         lnext
+	VMASKMOVPS (BX), Y14, Y0
+	VMASKMOVPS (DX), Y14, Y1
+	VMASKMOVPS (AX)(R11*1), Y14, Y2
+	VMULPS     Y0, Y0, Y3
+	VSUBPS     Y3, Y15, Y3
+	VMULPS     Y2, Y1, Y4
+	VMULPS     Y3, Y4, Y4
+	VMASKMOVPS (SI), Y14, Y13
+	VADDPS     Y13, Y4, Y4
+	VMULPS     Y0, Y1, Y5
+	VMULPS     Y2, Y5, Y5
+	VSUBPS     Y2, Y15, Y3
+	VMULPS     Y3, Y5, Y5
+	VMASKMOVPS Y5, Y14, (DI)(R11*1)
+	VMASKMOVPS (AX), Y14, Y6
+	VMASKMOVPS (AX)(R10*2), Y14, Y7
+	VMULPS     Y7, Y4, Y8
+	VMULPS     Y6, Y8, Y8
+	VSUBPS     Y6, Y15, Y3
+	VMULPS     Y3, Y8, Y8
+	VMASKMOVPS Y8, Y14, (DI)
+	VMASKMOVPS (AX)(R10*1), Y14, Y9
+	VMASKMOVPS (R12), Y14, Y13
+	VMULPS     Y13, Y4, Y10
+	VMULPS     Y9, Y10, Y10
+	VSUBPS     Y9, Y15, Y3
+	VMULPS     Y3, Y10, Y10
+	VMASKMOVPS Y10, Y14, (DI)(R10*1)
+	VMULPS     Y6, Y4, Y11
+	VMULPS     Y7, Y7, Y12
+	VSUBPS     Y12, Y15, Y12
+	VMULPS     Y12, Y11, Y11
+	VMASKMOVPS Y11, Y14, (DI)(R10*2)
+	VMULPS     Y9, Y4, Y4
+	VMASKMOVPS Y4, Y14, (SI)
+	ADDQ       R13, AX
+	ADDQ       R13, DI
+	ADDQ       R13, SI
+	ADDQ       R13, BX
+	ADDQ       R13, R12
+	ADDQ       R13, DX
+
+lnext:
+	ADDQ R11, AX
+	ADDQ R11, DI
+	DECQ R8
+	JNZ  lrow
+	VZEROUPPER
+	RET
+
+// func rowMaxKernel(row *float32, n int) (m float32, nan bool)
+//
+// Y0 is the running VMAXPS of the row's groups of eight, the last group
+// overlapping the one before it when n is not a multiple of 8 (a maximum
+// does not mind seeing an element twice); Y1 collects each group's
+// unordered compare with itself. n ≥ 8.
+TEXT ·rowMaxKernel(SB), NOSPLIT, $0-21
+	MOVQ    row+0(FP), SI
+	MOVQ    n+8(FP), CX
+	LEAQ    -32(SI)(CX*4), DX
+	VMOVUPS (SI), Y0
+	VCMPPS  $3, Y0, Y0, Y1
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JZ      mreduce
+	SUBQ    $8, CX
+	JL      mlast
+
+mgroup:
+	VMOVUPS (SI), Y2
+	VCMPPS  $3, Y2, Y2, Y3
+	VORPS   Y3, Y1, Y1
+	VMAXPS  Y2, Y0, Y0
+	ADDQ    $32, SI
+	SUBQ    $8, CX
+	JGE     mgroup
+
+mlast:
+	ADDQ    $8, CX
+	JZ      mreduce
+	VMOVUPS (DX), Y2
+	VCMPPS  $3, Y2, Y2, Y3
+	VORPS   Y3, Y1, Y1
+	VMAXPS  Y2, Y0, Y0
+
+mreduce:
+	VEXTRACTF128 $1, Y0, X2
+	VMAXPS       X2, X0, X0
+	VMOVHLPS     X0, X2, X2
+	VMAXPS       X2, X0, X0
+	VSHUFPS      $1, X0, X0, X2
+	VMAXPS       X2, X0, X0
+	VMOVSS       X0, m+16(FP)
+	VMOVMSKPS    Y1, AX
+	TESTL        AX, AX
+	SETNE        nan+20(FP)
+	VZEROUPPER
+	RET
+
+// func softmaxScaleKernel(dst *float32, exps *float64, n int, sum float64, scale float32)
+//
+// Per element: float32(e / sum)·scale, a VDIVPD, a VCVTPD2PS and a VMULPS;
+// n a multiple of 8.
+TEXT ·softmaxScaleKernel(SB), NOSPLIT, $0-36
+	MOVQ         dst+0(FP), DI
+	MOVQ         exps+8(FP), SI
+	MOVQ         n+16(FP), CX
+	VBROADCASTSD sum+24(FP), Y8
+	VBROADCASTSS scale+32(FP), Y9
+
+sloop:
+	VMOVUPD     (SI), Y0
+	VDIVPD      Y8, Y0, Y0
+	VMOVUPD     32(SI), Y1
+	VDIVPD      Y8, Y1, Y1
+	VCVTPD2PSY  Y0, X0
+	VCVTPD2PSY  Y1, X1
+	VINSERTF128 $1, X1, Y0, Y0
+	VMULPS      Y9, Y0, Y0
+	VMOVUPS     Y0, (DI)
+	ADDQ        $64, SI
+	ADDQ        $32, DI
+	SUBQ        $8, CX
+	JNZ         sloop
+	VZEROUPPER
+	RET

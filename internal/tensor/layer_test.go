@@ -509,6 +509,9 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 	mean, inv, gamma, beta := bnConstants(rng, c)
 	pooled, arg := make([]float32, len(x)/4), make([]int32, len(x)/4)
 	mask := padMask(rng, 8)
+	const h, cols = 32, 64
+	gates, dz, dc := make([]float32, 4*rows*h), make([]float32, 4*rows*h), make([]float32, rows*h)
+	logits, exps, labels := make([]float32, rows*cols), make([]float64, SoftmaxBlock*cols), make([]int, rows)
 	eachLayerVariant(t, func(name string) {
 		allocs := testing.AllocsPerRun(10, func() {
 			ChannelSums(sum, dot, x, x, rows, hw)
@@ -520,9 +523,207 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 			MaskCopy(y, x, mask)
 			MaskAdd(dx, x, mask)
 			AddBias(y, x[:rows*hw], rows, hw, c*hw, 1)
+			LSTMGateGrad(dz, dc, gates, y[:rows*h], xh[:rows*h], x[:rows*h], h)
+			SoftmaxRows(logits, logits, cols, labels, exps, 1.0/rows)
 		})
 		if allocs != 0 {
 			t.Fatalf("%s: %v allocations per run", name, allocs)
 		}
 	})
+}
+
+// gateValue draws a post-activation gate: uniform in [0, 1), salted with
+// gates at exactly 0 and 1 and with every special value.
+func gateValue(rng *RNG) float32 {
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return 1
+	case 2:
+		return layerSpecials[rng.Intn(len(layerSpecials))]
+	}
+	return rng.Float32()
+}
+
+// lstmGateOracle is nn's BPTT gate loop as it was written there, row by row
+// and gate by gate, its products rounded as float32 operations.
+func lstmGateOracle(dz, dc, gates, tanhC, cPrev, dh []float32, B, H int) {
+	for b := 0; b < B; b++ {
+		zr, dzr := gates[b*4*H:(b+1)*4*H], dz[b*4*H:(b+1)*4*H]
+		tr, cp := tanhC[b*H:(b+1)*H], cPrev[b*H:(b+1)*H]
+		dhr, dcr := dh[b*H:(b+1)*H], dc[b*H:(b+1)*H]
+		for j := 0; j < H; j++ {
+			ig, fg, gg, og := zr[j], zr[H+j], zr[2*H+j], zr[3*H+j]
+			dcTot := dcr[j] + float32(float32(dhr[j]*og)*(1-float32(tr[j]*tr[j])))
+			dzr[3*H+j] = dhr[j] * tr[j] * og * (1 - og)
+			dzr[j] = dcTot * gg * ig * (1 - ig)
+			dzr[H+j] = dcTot * cp[j] * fg * (1 - fg)
+			dzr[2*H+j] = dcTot * ig * (1 - float32(gg*gg))
+			dcr[j] = dcTot * fg
+		}
+	}
+}
+
+// Every H from 1 to 35 (whole groups of eight and every tail) at every B
+// from 1 to 17, the state values ordinary, salted with zeros and
+// subnormals, or salted with every special. Mutation-checked: a reordered
+// product and a dropped (1 − o) each fail it.
+func TestLSTMGateGradMatchesPortable(t *testing.T) {
+	rng := NewRNG(70)
+	for H := 1; H <= 35; H++ {
+		for B := 1; B <= 17; B++ {
+			class := (H + B) % 3
+			gates := make([]float32, 4*B*H)
+			for i := range gates {
+				gates[i] = gateValue(rng)
+			}
+			state := func() []float32 {
+				v := make([]float32, B*H)
+				for i := range v {
+					v[i] = layerValue(rng, class)
+				}
+				return v
+			}
+			tanhC, cPrev, dh, dc0 := state(), state(), state(), state()
+			dz0 := maskInput(rng, 4*B*H)
+			wantZ, wantC := append([]float32(nil), dz0...), append([]float32(nil), dc0...)
+			lstmGateOracle(wantZ, wantC, gates, tanhC, cPrev, dh, B, H)
+			eachLayerVariant(t, func(name string) {
+				dz, dc := append([]float32(nil), dz0...), append([]float32(nil), dc0...)
+				LSTMGateGrad(dz, dc, gates, tanhC, cPrev, dh, H)
+				what := fmt.Sprintf("%s H=%d B=%d", name, H, B)
+				sameLayerBits(t, what+" dz", dz, wantZ, false)
+				sameLayerBits(t, what+" dc", dc, wantC, false)
+			})
+		}
+	}
+}
+
+// softmaxOracle is nn's softmax loss loop as it was written there: the
+// maximum, math.Exp of each shifted logit, the ascending float64 sum, and
+// each probability rounded, less 1 at the label, times scale.
+func softmaxOracle(d, logits []float32, cols int, labels []int, scale float32) (loss float64, maxes []float32) {
+	exps := make([]float64, cols)
+	for s, lbl := range labels {
+		row, dst := logits[s*cols:(s+1)*cols], d[s*cols:(s+1)*cols]
+		m := row[0]
+		for _, v := range row {
+			if v > m {
+				m = v
+			}
+		}
+		maxes = append(maxes, m)
+		var sum float64
+		for c, v := range row {
+			exps[c] = math.Exp(float64(v - m))
+			sum += exps[c]
+		}
+		loss += -(float64(row[lbl]-m) - math.Log(sum))
+		for c, e := range exps {
+			p := float32(e / sum)
+			if c == lbl {
+				p -= 1
+			}
+			dst[c] = p * scale
+		}
+	}
+	return loss, maxes
+}
+
+// softmaxCases returns rows of cols logits with their labels: ordinary
+// rows, a NaN at column 0 and at another column, all-equal rows, rows whose
+// maximum is +0 or −0 with the other zero before or after it, rows with −Inf
+// entries, all −Inf, +Inf, and magnitudes near float32's top. The label
+// sits at the first column, the last and one between.
+func softmaxCases(rng *RNG, cols int) (logits []float32, labels []int) {
+	nan := math.Float32frombits(0x7fc01234)
+	negZero, negInf := float32(math.Copysign(0, -1)), float32(math.Inf(-1))
+	for kind := 0; kind < 12; kind++ {
+		row := make([]float32, cols)
+		for c := range row {
+			row[c] = (rng.Float32() - 0.5) * 8
+		}
+		at := rng.Intn(cols)
+		switch kind {
+		case 1:
+			row[0] = nan
+		case 2:
+			row[at] = nan
+		case 3:
+			for c := range row {
+				row[c] = 0.75
+			}
+		case 4, 5, 6, 7: // a zero maximum, the other zero 1 or 8 columns on
+			for c := range row {
+				row[c] = -rng.Float32() - 0.5
+			}
+			zeros := [2]float32{0, negZero}
+			if kind%2 == 1 {
+				zeros[0], zeros[1] = zeros[1], zeros[0]
+			}
+			row[at], row[(at+1+7*(kind/6))%cols] = zeros[0], zeros[1]
+		case 8:
+			for c := range row {
+				if rng.Intn(3) == 0 {
+					row[c] = negInf
+				}
+			}
+		case 9:
+			for c := range row {
+				row[c] = negInf
+			}
+		case 10:
+			row[at] = float32(math.Inf(1))
+		case 11:
+			for c := range row {
+				row[c] = layerValue(rng, 4)
+			}
+		}
+		logits = append(logits, row...)
+		labels = append(labels, []int{0, cols - 1, at}[kind%3])
+	}
+	return logits, labels
+}
+
+// Widths 1 to 35 (vgg16's head is 10 wide) and the lstm's 64; one run of
+// each width writes the gradient over the logits. Each row's maximum is
+// also compared on its own: the one of −0 and +0 the loop keeps changes no
+// loss or gradient bit. Mutation-checked: a wrong label column and a
+// vector maximum that keeps the last of equal maxima each fail it.
+func TestSoftmaxRowsMatchesPortable(t *testing.T) {
+	rng := NewRNG(71)
+	widths := []int{64}
+	for w := 1; w <= 35; w++ {
+		widths = append(widths, w)
+	}
+	for _, cols := range widths {
+		logits, labels := softmaxCases(rng, cols)
+		rows := len(labels)
+		scale := 1 / float32(rows)
+		want := make([]float32, len(logits))
+		wantLoss, maxes := softmaxOracle(want, logits, cols, labels, scale)
+		eachLayerVariant(t, func(name string) {
+			what := fmt.Sprintf("%s cols=%d", name, cols)
+			for s, m := range maxes {
+				if got := layerActive.rowMax(logits[s*cols : (s+1)*cols]); math.Float32bits(got) != math.Float32bits(m) {
+					t.Fatalf("%s row %d: maximum %#08x (%v), want %#08x (%v)", what, s,
+						math.Float32bits(got), got, math.Float32bits(m), m)
+				}
+			}
+			exps := make([]float64, SoftmaxBlock*cols)
+			d := maskInput(rng, len(logits))
+			loss := SoftmaxRows(d, logits, cols, labels, exps, scale)
+			if !sameBits64(loss, wantLoss) {
+				t.Fatalf("%s: loss %v, want %v", what, loss, wantLoss)
+			}
+			sameLayerBits(t, what+" d", d, want, false)
+			inPlace := append([]float32(nil), logits...)
+			loss = SoftmaxRows(inPlace, inPlace, cols, labels, exps, scale)
+			if !sameBits64(loss, wantLoss) {
+				t.Fatalf("%s in place: loss %v, want %v", what, loss, wantLoss)
+			}
+			sameLayerBits(t, what+" in place", inPlace, want, false)
+		})
+	}
 }

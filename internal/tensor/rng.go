@@ -134,9 +134,10 @@
 // # Layer kernels
 //
 // ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU, ReLUGrad, MaskCopy,
-// MaskAdd and AddBias (layer.go) are nn's batch-norm, pooling, rectifier
-// and convolution-lowering loops, each specified by its doc comment and its
-// portable loop: a channel's sums are
+// MaskAdd, AddBias, LSTMGateGrad and SoftmaxRows (layer.go) are nn's
+// batch-norm, pooling, rectifier, convolution-lowering, LSTM-backward and
+// softmax-loss loops, each specified by its doc comment and its portable
+// loop: a channel's sums are
 // float64 running sums from +0 in (row, element) order of the exactly
 // converted values and exact products; the batch-norm elementwise passes are
 // float32 with every operation rounded, in the order written, NormalizeGrad's
@@ -145,8 +146,15 @@
 // maximal element wins, NaN never does, and a window with nothing above −Inf
 // gives −Inf at its first element; ReLU and its gradient and the pad
 // masks' AND work on bit patterns; the masked add and the bias add are one
-// float32 add per element. On amd64 with AVX2 and FMA (CPUID, read once)
-// kernels (layer_amd64.s) give those bits:
+// float32 add per element; the LSTM gate gradient is float32 with every
+// operation rounded, in the order written; the softmax takes a row's
+// maximum by a strict > from its first element, sums its float64
+// exponentials (ExpShift) from +0 in ascending column order, takes one
+// math.Log, and rounds each quotient e/sum to float32 before the label's
+// −1 and the scale. SoftmaxRows takes rows four at a time (SoftmaxBlock) so
+// that four rows' sums run as separate chains in one loop; each row's sum
+// keeps its order. On amd64 with AVX2 and FMA (CPUID, read once) kernels
+// (layer_amd64.s) give those bits:
 //
 //	sums: four channels in the four float64 lanes of a register, four
 //	elements of each transposed into place, so each channel's chain keeps
@@ -165,11 +173,22 @@
 //	at its period, which must be a multiple of 8 (otherwise, and for the
 //	last n mod 8 elements, the portable loop runs).
 //	AddBias: v + b eight lanes at a time; a run's tail under a mask.
+//	LSTMGateGrad: one call per time step over its rows, eight elements of
+//	a row to a register, the scalar loop's multiplies, adds and subtracts,
+//	separate, in its order; a row's tail under a mask.
+//	SoftmaxRows: the row maximum by VMAXPS over groups of eight (the last
+//	group overlapping the one before it), taken only when the row holds no
+//	NaN and the maximum is not ±0, where every element equal to it has its
+//	bits; otherwise, and for rows under 8 wide, the portable loop. The
+//	gradient of each group of eight columns is a VDIVPD of the float64
+//	exponentials by the sum, rounded to float32 by VCVTPD2PS and multiplied
+//	by the scale; the label's column is then rewritten by the scalar
+//	expression, and the last cols mod 8 columns run the portable loop.
 //
 // Under the purego tag, on other architectures and on CPUs without AVX2 or
 // FMA the portable loops run. As for Gemm, which of two NaN operands a
-// batch-norm result carries is not specified; everything else, arg-max
-// indices included, is bit for bit.
+// batch-norm or LSTM gate-gradient result carries is not specified;
+// everything else, arg-max indices included, is bit for bit.
 //
 // # Random variates
 //
