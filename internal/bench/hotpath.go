@@ -146,8 +146,9 @@ var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 
 
 // computeRung adds the compute rung's points — the bottom of the ladder the
 // repository benchmark reports as tensor.matmul_gflops and nn.step_ms.*: the
-// LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations, a draw of
-// 4096 standard normals, the 256³ multiply, the matrix products of a
+// LSTM gates' sigmoid and tanh over 4096 N(0, 2²) pre-activations and over
+// 32 of them (one gate section of a reduced-lstm row), a draw of 4096
+// standard normals, the 256³ multiply, the matrix products of a
 // reduced-vgg16 step at batch 16 (per convolution: the forward a×b and the
 // column gradient aᵀ×b over the whole batch, and the weight gradient a×bᵀ
 // once per sample — the per-sample form, kept so the row compares across
@@ -155,11 +156,13 @@ var vggConvIn = []nn.Shape{{C: 3, H: 16, W: 16}, {C: 8, H: 8, W: 8}, {C: 16, H: 
 // issues them (one segmented product per layer over the batch's tape,
 // transposed and packed), the six convolutions' forward and backward passes
 // at batch 16, the forward + backward passes of its batch norms, pools and
-// ReLUs at batch 16, the vgg16 step's batch draw of 16 images, and a warm ZeroGrads+Step of the
-// two benchmark models. Their n is elements (tensor/*, and the input
-// elements of the nn/batchnorm, maxpool and relu rows), multiply-adds per
-// operation (gemm/*), pixels drawn (data/*) or parameters (the other nn/*
-// rows); allocs/op is part of the contract for all fourteen.
+// ReLUs at batch 16, the reduced lstm's forward cell, BPTT gate gradient
+// and softmax loss over one sequence, the vgg16 step's batch draw of 16
+// images, and a warm ZeroGrads+Step of the two benchmark models. Their n is
+// elements (tensor/*, the input elements of the nn/batchnorm, maxpool and
+// relu rows, the elements written by the nn/lstm and softmax rows),
+// multiply-adds per operation (gemm/*), pixels drawn (data/*) or parameters
+// (nn/step-*); allocs/op is part of the contract for every row.
 func computeRung(add func(name string, n int, bytesMoved int64, r testing.BenchmarkResult)) error {
 	rng := tensor.NewRNG(13)
 	{
@@ -173,6 +176,16 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 			add(k.name, n, 0, testing.Benchmark(func(bm *testing.B) {
 				for i := 0; i < bm.N; i++ {
 					k.f(dst, src)
+				}
+			}))
+		}
+		for _, k := range []struct {
+			name string
+			f    func(dst, src tensor.Vec)
+		}{{"tensor/sigmoid-32", tensor.Sigmoid}, {"tensor/tanh-32", tensor.Tanh}} {
+			add(k.name, 32, 0, testing.Benchmark(func(bm *testing.B) {
+				for i := 0; i < bm.N; i++ {
+					k.f(dst[:32], src[:32])
 				}
 			}))
 		}
@@ -332,6 +345,25 @@ func computeRung(add func(name string, n int, bytesMoved int64, r testing.Benchm
 		layerRow("nn/batchnorm-vgg16", convOut, func(s nn.Shape) nn.Layer { return nn.NewBatchNorm2D(s) })
 		layerRow("nn/maxpool-vgg16", pooled, func(s nn.Shape) nn.Layer { return nn.NewMaxPool2D(s, 2) })
 		layerRow("nn/relu-vgg16", convOut, func(nn.Shape) nn.Layer { return nn.NewReLU() })
+	}
+	{
+		// The reduced lstm's forward cell over one sequence, 12 steps of 16
+		// rows at H = 32, each step one LSTMCell call (bias add, activations,
+		// cell update, tanh(c)); n is the gate elements. The cell writes the
+		// gates in place, so each pass runs on the previous pass's
+		// activations.
+		const steps, rows, h = 12, 16, 32
+		gates, bias := mat(steps*rows, 4*h), mat(1, 4*h)
+		cs, tanhC, hs := mat((steps+1)*rows, h), mat(steps*rows, h), mat(steps*rows, h)
+		add("nn/lstm-cell", steps*rows*4*h, 0, testing.Benchmark(func(bm *testing.B) {
+			for i := 0; i < bm.N; i++ {
+				for t := 0; t < steps; t++ {
+					lo, hi := t*rows*h, (t+1)*rows*h
+					tensor.LSTMCell(gates.Data[4*lo:4*hi], cs.Data[hi:hi+rows*h], tanhC.Data[lo:hi],
+						hs.Data[lo:hi], cs.Data[lo:hi], bias.Data, h)
+				}
+			}
+		}))
 	}
 	{
 		// The reduced lstm's BPTT gate gradient over one sequence, 11 steps

@@ -98,8 +98,12 @@
 //     0 + dy at the arg-max, so a −0 gradient lands as +0.
 //   - ReLU outputs x where x > 0 and +0 elsewhere (−0 and NaN included),
 //     and passes dy where its output is nonzero (tensor.ReLU, ReLUGrad).
-//   - LSTMLM's cell update is c = f·c₋₁ + i·g, each product rounded on its
-//     own. Its backward takes each time step's rows in one call
+//   - LSTMLM's forward takes each time step's rows in one call after the
+//     recurrent product (tensor.LSTMCell): per element, the bias added to
+//     each gate pre-activation in float32, σ of i, f and o and tanh of g
+//     (tensor.Sigmoid's and Tanh's expressions), the cell update
+//     c = f·c₋₁ + i·g with each product rounded on its own, tanh(c), and
+//     h = o·tanh(c). Its backward takes each time step's rows in one call
 //     (tensor.LSTMGateGrad): per element, in float32 with every operation
 //     rounded, dc_tot = dc + (dh·o)·(1 − tanh(c)²), the four gate
 //     gradients in the order written there, and dc₋₁ = dc_tot·f in place.

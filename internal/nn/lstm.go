@@ -217,7 +217,7 @@ func (m *LSTMLM) layerInputs(l int) tensor.Mat {
 
 // layerForward runs layer l over the whole sequence. The input product of
 // every step is one Gemm straight into the gates tape; the time loop adds
-// the recurrent product, the bias and the activations.
+// the recurrent product and runs the cell.
 func (m *LSTMLM) layerForward(l int) {
 	H, T := m.Hidden, m.steps
 	z := m.gates.span(l*T, (l+1)*T)
@@ -229,33 +229,16 @@ func (m *LSTMLM) layerForward(l int) {
 }
 
 // cellForward finishes one LSTM layer for one timestep: to the input product
-// already in the gates tape it adds h·Whᵀ and the bias, then writes the
-// post-activation [i f g o] gate values, the new states and tanh(c).
+// already in the gates tape it adds h·Whᵀ, then one tensor.LSTMCell call over
+// the step's rows adds the bias and writes the post-activation [i f g o]
+// gate values, the new states and tanh(c).
 func (m *LSTMLM) cellForward(l, t int) {
-	H, T := m.Hidden, m.steps
+	T := m.steps
 	h, c := m.hs.at(l*(T+1)+t), m.cs.at(l*(T+1)+t)
 	newH, newC := m.hs.at(l*(T+1)+t+1), m.cs.at(l*(T+1)+t+1)
 	z, tc := m.gates.at(l*T+t), m.tanhC.at(l*T+t)
 	tensor.GemmAdd(z.View(), h.View(), m.whT.at(l).View())
-	tensor.AddRowVec(z, m.B[l])
-	for b := 0; b < z.Rows; b++ {
-		zr := z.Row(b)
-		cPrev := c.Row(b)
-		hr, cr, tr := newH.Row(b), newC.Row(b), tc.Row(b)
-		ig, fg, gg, og := zr[:H], zr[H:2*H], zr[2*H:3*H], zr[3*H:]
-		tensor.Sigmoid(zr[:2*H], zr[:2*H])
-		tensor.Tanh(gg, gg)
-		tensor.Sigmoid(og, og)
-		for j, cp := range cPrev {
-			// Each product rounded on its own, on every target (no fused
-			// multiply-add).
-			cr[j] = float32(fg[j]*cp) + float32(ig[j]*gg[j])
-		}
-		tensor.Tanh(tr, cr)
-		for j, o := range og {
-			hr[j] = o * tr[j]
-		}
-	}
+	tensor.LSTMCell(z.Data, newC.Data, tc.Data, newH.Data, c.Data, m.B[l], m.Hidden)
 }
 
 // checkTokens panics unless every row of tokens holds T+1 tokens and every

@@ -523,6 +523,7 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 			MaskCopy(y, x, mask)
 			MaskAdd(dx, x, mask)
 			AddBias(y, x[:rows*hw], rows, hw, c*hw, 1)
+			LSTMCell(gates, dc, y[:rows*h], dx[:rows*h], xh[:rows*h], x[:4*h], h)
 			LSTMGateGrad(dz, dc, gates, y[:rows*h], xh[:rows*h], x[:rows*h], h)
 			SoftmaxRows(logits, logits, cols, labels, exps, 1.0/rows)
 		})
@@ -530,6 +531,119 @@ func TestLayerKernelsAllocateNothing(t *testing.T) {
 			t.Fatalf("%s: %v allocations per run", name, allocs)
 		}
 	})
+}
+
+// cellExtremes are pre-activations and cell states where the activations
+// leave the kernels' clamps or float32's normal range: σ below 2⁻¹²⁶ under
+// −87.3, tanh at ±1 beyond ±9.1, and the clamps at −40, 88 and ±20.
+var cellExtremes = []float32{-87.5, -88, -88.8, -90, -103.9, -1e4, -3e38, 87, 88.8, 1e4, 3e38,
+	20, -20, 20.5, -20.5, 30, -45, 9.5, -9.5, 40, -40, 41}
+
+// cellValue draws a gate pre-activation or a cell state: ordinary values
+// over the range the activations bend in, cellExtremes, layerValue's class
+// (zeros, subnormals, every special) and, where midpoint is set, the
+// arguments of transMidpoints for the activation, σ or tanh, the value
+// goes to.
+func cellValue(rng *RNG, class int, midpoint, tanh bool) float32 {
+	switch rng.Intn(8) {
+	case 0:
+		return cellExtremes[rng.Intn(len(cellExtremes))]
+	case 1:
+		if midpoint {
+			for {
+				if m := transMidpoints[rng.Intn(len(transMidpoints))]; m.tanh == tanh {
+					return math.Float32frombits(m.bits)
+				}
+			}
+		}
+	case 2:
+		return layerValue(rng, class)
+	}
+	return (rng.Float32() - 0.5) * 24
+}
+
+// lstmCellOracle is nn's forward cell loop as it was written there: the
+// bias added to the whole gates row, σ over the i and f sections, tanh over
+// g, σ over o, then per element the cell update with each product rounded,
+// tanh(c) and h = o·tanh(c).
+func lstmCellOracle(gates, c, tanhC, out, cPrev, bias []float32, B, H int) {
+	for b := 0; b < B; b++ {
+		z := gates[b*4*H : (b+1)*4*H]
+		for j := range z {
+			z[j] += bias[j]
+		}
+		for j := range z {
+			if j/H == 2 {
+				z[j] = tanhRef(z[j])
+			} else {
+				z[j] = sigmoidRef(z[j])
+			}
+		}
+		for j := 0; j < H; j++ {
+			k := b*H + j
+			cj := float32(z[H+j]*cPrev[k]) + float32(z[j]*z[2*H+j])
+			c[k] = cj
+			tanhC[k] = tanhRef(cj)
+			out[k] = z[3*H+j] * tanhC[k]
+		}
+	}
+}
+
+// Every H from 1 to 35 (whole blocks of four and eight and every tail) at
+// every B from 1 to 17; the pre-activations, the biases and the previous
+// cell state ordinary, salted with zeros and subnormals, or salted with
+// every special, and all three with cellExtremes. A third of the columns
+// have a +0 bias, and their pre-activations are salted with
+// transMidpoints, so the kernels' midpoint fallback runs inside the cell.
+// The last shape runs with c in place of cPrev. Mutation-checked: a
+// skipped bias, a reordered cell update and a dropped Newton step each fail
+// it (a dropped midpoint test fails TestTransMidpoints).
+func TestLSTMCellMatchesPortable(t *testing.T) {
+	rng := NewRNG(71)
+	for H := 1; H <= 35; H++ {
+		for B := 1; B <= 17; B++ {
+			class := (H + B) % 3
+			bias := make([]float32, 4*H)
+			for j := range bias {
+				if j%3 != 0 {
+					bias[j] = cellValue(rng, class, false, false)
+				}
+			}
+			gates0 := make([]float32, 4*B*H)
+			for i := range gates0 {
+				j := i % (4 * H)
+				gates0[i] = cellValue(rng, class, j%3 == 0, j/H == 2)
+			}
+			cPrev := make([]float32, B*H)
+			for i := range cPrev {
+				cPrev[i] = cellValue(rng, class, false, false)
+			}
+			inPlace := H == 35 && B == 17
+			run := func(cell func(gates, c, tanhC, out, cPrev []float32)) (gates, c, tanhC, out []float32) {
+				gates, c = append([]float32(nil), gates0...), append([]float32(nil), cPrev...)
+				tanhC, out = make([]float32, B*H), make([]float32, B*H)
+				if inPlace {
+					cell(gates, c, tanhC, out, c)
+				} else {
+					cell(gates, c, tanhC, out, cPrev)
+				}
+				return gates, c, tanhC, out
+			}
+			wantZ, wantC, wantT, wantH := run(func(gates, c, tanhC, out, cPrev []float32) {
+				lstmCellOracle(gates, c, tanhC, out, cPrev, bias, B, H)
+			})
+			eachLayerVariant(t, func(name string) {
+				z, c, tc, h := run(func(gates, c, tanhC, out, cPrev []float32) {
+					LSTMCell(gates, c, tanhC, out, cPrev, bias, H)
+				})
+				what := fmt.Sprintf("%s H=%d B=%d in place %v", name, H, B, inPlace)
+				sameLayerBits(t, what+" gates", z, wantZ, false)
+				sameLayerBits(t, what+" c", c, wantC, false)
+				sameLayerBits(t, what+" tanhC", tc, wantT, false)
+				sameLayerBits(t, what+" h", h, wantH, false)
+			})
+		}
+	}
 }
 
 // gateValue draws a post-activation gate: uniform in [0, 1), salted with

@@ -102,42 +102,70 @@
 // expressions their doc comments name — float32(1/(1+math.Exp(−x))),
 // float32(math.Tanh(x)) and math.Exp(float64(x−m)), each over the exactly
 // converted float64 of its float32 argument — and give those bits on every
-// build, NaN for NaN. On amd64 with AVX2 and FMA (CPUID, read once) a
-// kernel computes four float64 lanes at a time — eight, in ZMM registers,
-// when the CPU has AVX512F as well — with the operations Go's math package
-// runs for one argument:
+// build, NaN for NaN. On amd64 with AVX2 and FMA (CPUID, read once) kernels
+// compute four float64 lanes to a YMM register, two registers to a block
+// of 8 elements — eight lanes to a ZMM register and blocks of 16 when the
+// CPU has AVX512F as well.
 //
-//	exp: k = round-to-nearest-even(x·log2e) as an int32; x − k·LN2U and
+// Sigmoid and Tanh: a rounding test. Both map a float32 to a float32, so a
+// float64 value close enough to the reference's rounds to the same float32
+// unless it lies near a rounding midpoint (Ziv's rounding test). Each lane
+// computes a division-free approximation F (trans_amd64.s): exp by the
+// reduction k = round(a·log2e), r = a − k·LN2U − k·LN2L, and expm1(r) as
+// the degree-13 Taylor polynomial (even and odd halves by Horner in r²),
+// scaled by 2^k; sigmoid as 1/(1 + e^−x) with −x clamped to [−40, 88];
+// tanh as −em/(2 + em), em = expm1(−2z), z = min(|x|, 20), with the sign
+// of x; each reciprocal a hardware estimate refined by Newton steps. The
+// clamps change nothing that reaches float32: σ is 1 in float64 above 40
+// and below 2⁻¹²⁶ under −87.4, tanh is ±1 in float64 beyond 19.1. Written
+// out, F's relative error is below ε_fast = 16·2⁻⁵³ (truncation 0.13, the
+// reduction 1.2, the polynomial's roundings 3, the assembly of d 2 and the
+// reciprocal 1.2 units of 2⁻⁵³ on the way to tanh's quotient, the larger
+// of the two), and the reference's own, with math.Exp below 1 ulp and
+// three roundings after it, below ε_ref = 8·2⁻⁵³; measured, F is within 4
+// float64 ulps of the reference on every argument. So F and the
+// reference's float64 value lie within 24 ulps of each other, and a lane
+// whose F is more than a margin of 512 ulps from a midpoint — the 29 low
+// bits of its pattern, which float32 rounding drops, more than 512 from
+// 2²⁸ — rounds as the reference does. The margin is a bound on the
+// distance, not on which math.Exp computed the reference, so it covers
+// both of math.Exp's amd64 paths (FMA, and the one GODEBUG=cpu.fma=off
+// selects): Sigmoid and Tanh need no probe. A lane falls back when its F is
+// within the margin, when its result is below 2⁻¹²⁶ (float32's subnormals
+// round on a coarser grid), or when its argument is NaN; a block holding
+// such a lane goes through the scalar expression. Of the 2³² arguments,
+// 2 236 have a Sigmoid reference and 516 a Tanh reference within the
+// margin. TestTransExhaustive (build tag exhaustive,
+// a CI step) is the proof: every variant against the scalar expressions on
+// all 2³² float32 arguments, with and without GODEBUG=cpu.fma=off.
+//
+// ExpShift: the operations Go's math package runs for one argument,
+//
+//	k = round-to-nearest-even(x·log2e) as an int32; x − k·LN2U and
 //	then − k·LN2L, each one fused multiply-add; ×1/16; the Taylor
 //	polynomial c8…c3, 1/2, 1 by Horner, seven fused multiply-adds; x·p;
 //	x ← x·(x+2) three times; x·(x+2)+1 fused; ×2^k, built as
-//	(k + 0x3FF) ≪ 52. That is math.Exp's amd64 FMA path, which Go takes
-//	when CPUID reports AVX and FMA, so wherever the kernel runs the
-//	scalar call would take it too.
-//	tanh: with z = |x|, the first of z > MAXLOG/2 → ±1 (the sign of x);
-//	z ≥ 0.625 → ±(1 − 2/(exp(2z)+1)); x == 0 → x; otherwise
-//	x + x·s·P(s)/Q(s), s = x·x, the Cephes rational as math.tanh writes
-//	it, unfused. Every lane computes every branch, exp at
-//	2·min(z, MAXLOG/2), and the predicates blend them; NaN fails each
-//	compare and takes the rational, as it does in math.tanh.
+//	(k + 0x3FF) ≪ 52.
 //
-// A block of four (or eight) whose exp argument holds a NaN or a lane
+// That is math.Exp's amd64 FMA path, which Go takes when CPUID reports AVX
+// and FMA. GODEBUG=cpu.fma=off (or cpu.avx=off) moves math.Exp off it; a
+// four-argument probe of each kernel at start-up sees that and leaves
+// ExpShift's kernels off. A block whose exp argument holds a NaN or a lane
 // beyond ±700 — where math.Exp's overflow, denormal and non-finite cases
-// live — goes through the scalar expression, as do the tail and every block
-// on any other CPU, under the purego tag and on other architectures. The
-// scalar loops call math, whose portable bodies differ from amd64's
-// assembly in the last bit, so these results are pinned per architecture,
-// not across architectures. GODEBUG=cpu.fma=off moves math.Exp off its FMA path; a
-// four-argument probe of each kernel at start-up sees that and leaves the
-// kernels off.
+// live — goes through the scalar expression.
+//
+// The tail, and every block on any other CPU, under the purego tag and on
+// other architectures, runs the scalar expressions. They call math, whose
+// portable bodies differ from amd64's assembly in the last bit, so these
+// results are pinned per architecture, not across architectures.
 //
 // # Layer kernels
 //
 // ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU, ReLUGrad, MaskCopy,
-// MaskAdd, AddBias, LSTMGateGrad and SoftmaxRows (layer.go) are nn's
-// batch-norm, pooling, rectifier, convolution-lowering, LSTM-backward and
-// softmax-loss loops, each specified by its doc comment and its portable
-// loop: a channel's sums are
+// MaskAdd, AddBias, LSTMCell, LSTMGateGrad and SoftmaxRows (layer.go) are
+// nn's batch-norm, pooling, rectifier, convolution-lowering, LSTM-forward,
+// LSTM-backward and softmax-loss loops, each specified by its doc comment
+// and its portable loop: a channel's sums are
 // float64 running sums from +0 in (row, element) order of the exactly
 // converted values and exact products; the batch-norm elementwise passes are
 // float32 with every operation rounded, in the order written, NormalizeGrad's
@@ -173,6 +201,11 @@
 //	at its period, which must be a multiple of 8 (otherwise, and for the
 //	last n mod 8 elements, the portable loop runs).
 //	AddBias: v + b eight lanes at a time; a run's tail under a mask.
+//	LSTMCell: one call per time step over its rows, a row's elements in
+//	blocks of 8 (16 with AVX512F): the bias adds, Sigmoid's and Tanh's
+//	fast path on the pre-activations and on c, the cell update's float32
+//	products and sum between them; a block any of whose results fails
+//	the rounding test, and a row's tail, run the portable loop.
 //	LSTMGateGrad: one call per time step over its rows, eight elements of
 //	a row to a register, the scalar loop's multiplies, adds and subtracts,
 //	separate, in its order; a row's tail under a mask.

@@ -4,23 +4,28 @@ package tensor
 
 import "math"
 
-// The transcendental kernels (trans_amd64.s) run the float64 operations of
-// Go's amd64 math.Exp on its FMA path and of math.Tanh's portable body, four
-// lanes to a YMM register (AVX2 and FMA) or eight to a ZMM register
-// (AVX512F as well), so each lane's result is bitwise the scalar
-// expression's (package comment, "Transcendentals"). math.Exp takes that
-// path when CPUID reports AVX and FMA; every kernel needs AVX2 and FMA, so
-// wherever one runs the scalar loop it replaces takes it too.
+// The transcendental kernels (trans_amd64.s) compute four float64 lanes to
+// a YMM register (AVX2 and FMA) or eight to a ZMM register (AVX512F as
+// well), two registers to a block: 8 or 16 elements. Sigmoid's and Tanh's
+// compute a division-free approximation whose
+// float32 rounding is the scalar expression's wherever the rounding test
+// passes, and decline every block that holds a lane where it does not
+// (package comment, "Transcendentals"); that holds for both of math.Exp's
+// amd64 paths, so they need no probe. ExpShift's kernels run the float64
+// operations of Go's amd64 math.Exp on its FMA path, so each lane's result
+// is bitwise the scalar expression's when math.Exp takes that path, which
+// it does when CPUID reports AVX and FMA; a start-up probe turns them off
+// when GODEBUG hides either from the math package.
 
 var (
 	transAVX2 = transVariant{
-		name: "avx2", lanes: 4,
+		name: "avx2", lanes: 8,
 		sigmoid:  func(dst, src Vec) int { return sigmoidKernel(&dst[0], &src[0], len(src)) },
 		tanh:     func(dst, src Vec) int { return tanhKernel(&dst[0], &src[0], len(src)) },
 		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel(&dst[0], &src[0], len(src), m) },
 	}
 	transAVX512 = transVariant{
-		name: "avx512", lanes: 8,
+		name: "avx512", lanes: 16,
 		sigmoid:  func(dst, src Vec) int { return sigmoidKernel512(&dst[0], &src[0], len(src)) },
 		tanh:     func(dst, src Vec) int { return tanhKernel512(&dst[0], &src[0], len(src)) },
 		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel512(&dst[0], &src[0], len(src), m) },
@@ -29,17 +34,25 @@ var (
 
 // transVariants lists every variant of the transcendental kernels this
 // binary can run on this CPU, narrowest first: the scalar loops, then each
-// kernel whose CPUID bits are present and whose start-up probe agrees with
-// math.Exp.
+// kernel whose CPUID bits are present, with its ExpShift kernel only where
+// its start-up probe agrees with math.Exp.
 func transVariants() []transVariant {
 	vs := []transVariant{transPortable}
-	if cpuAVX2 && cpuFMA && expAgrees(transAVX2) {
-		vs = append(vs, transAVX2)
+	if cpuAVX2 && cpuFMA {
+		vs = append(vs, probedExp(transAVX2))
 	}
-	if cpuAVX2 && cpuFMA && cpuAVX512 && expAgrees(transAVX512) {
-		vs = append(vs, transAVX512)
+	if cpuAVX2 && cpuFMA && cpuAVX512 {
+		vs = append(vs, probedExp(transAVX512))
 	}
 	return vs
+}
+
+// probedExp returns v without its ExpShift kernel unless expAgrees(v).
+func probedExp(v transVariant) transVariant {
+	if !expAgrees(v) {
+		v.expShift = nil
+	}
+	return v
 }
 
 // expAgrees checks that math.Exp is on its FMA path after all: it is not
@@ -64,13 +77,15 @@ func expAgrees(v transVariant) bool {
 	return true
 }
 
-// sigmoidKernel and expShiftKernel run over n elements, n a multiple of 4,
-// and stop before the first block of 4 that holds an argument of exp beyond
-// ±700 or a NaN, returning how many elements they finished. That block is
-// math.Exp's overflow, denormal or non-finite case, which the caller hands
-// to the scalar loop. tanhKernel declines no block: it clamps exp's
-// argument and blends math.tanh's branches, so it returns n. The 512-bit
-// kernels are the same over blocks of 8.
+// sigmoidKernel and tanhKernel run over n elements, n a multiple of 8, and
+// stop before the first block of 8 that holds a lane failing the rounding
+// test (a NaN argument, a result below 2⁻¹²⁶, a float64 value within the
+// margin of a float32 rounding midpoint), returning how many elements they
+// finished; the caller hands that block to the scalar loop. expShiftKernel
+// runs over n elements, n a multiple of 4, and stops before the first block
+// of 4 that holds an argument of exp beyond ±700 or a NaN: math.Exp's
+// overflow, denormal or non-finite case. The 512-bit kernels are the same
+// over blocks of 16 and 8.
 //
 //go:noescape
 func sigmoidKernel(dst, src *float32, n int) int

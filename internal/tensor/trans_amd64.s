@@ -2,9 +2,10 @@
 
 #include "textflag.h"
 
-// AVX2+FMA and AVX-512 transcendental kernels. See trans_amd64.go for the
-// contract and the package comment ("Transcendentals") for the operation
-// sequence.
+// AVX2+FMA and AVX-512 transcendental kernels and the LSTM cell kernels
+// built on them. See trans_amd64.go and layer_amd64.go for the contracts and
+// the package comment ("Transcendentals") for the operation sequences and
+// the rounding test.
 
 // CONST4 defines sym as four float64 (or int64) copies of v, one YMM operand.
 #define CONST4(sym, v) \
@@ -14,7 +15,9 @@
 	DATA sym<>+24(SB)/8, v; \
 	GLOBL sym<>(SB), RODATA|NOPTR, $32
 
-// The constants of math.Exp on amd64 (exp_amd64.s), as written there.
+// The constants of math.Exp on amd64 (exp_amd64.s), as written there;
+// ExpShift's kernels use all of them, Sigmoid's and Tanh's the reduction
+// (expLog2e, expLn2U, expLn2L).
 CONST4(expLog2e, $1.4426950408889634073599246810018920)
 CONST4(expLn2U, $0.69314718055966295651160180568695068359375)
 CONST4(expLn2L, $0.28235290563031577122588448175013436025525412068e-12)
@@ -28,22 +31,36 @@ CONST4(expC3, $1.6666666666666666667e-1)
 CONST4(expHalf, $0.5)
 CONST4(expBias, $0x3FF)
 
-// The constants of math.tanh (tanh.go): MAXLOG/2, the branch point and the
-// Cephes rational's coefficients.
-CONST4(tanhHalfMaxLog, $44.014845965556527147994)
-CONST4(tanhSplit, $0.625)
-CONST4(tanhP0, $-9.64399179425052238628e-1)
-CONST4(tanhP1, $-9.92877231001918586564e1)
-CONST4(tanhP2, $-1.61468768441708447952e3)
-CONST4(tanhQ0, $1.12811678491632931402e2)
-CONST4(tanhQ1, $2.23548839060100448583e3)
-CONST4(tanhQ2, $4.84406305325125486048e3)
-
 CONST4(transOne, $1.0)
 CONST4(transTwo, $2.0)
 CONST4(transMaxArg, $700.0)
 CONST4(transSign, $0x8000000000000000)
 CONST4(transAbs, $0x7fffffffffffffff)
+
+// The constants of Sigmoid's and Tanh's fast path and its rounding test,
+// described before SIGMOID2Y. em1Cn is 1/n! rounded to float64, and
+// transBias52 is 0x3FF ≪ 52.
+CONST4(em1C13, $1.6059043836821613e-10)
+CONST4(em1C12, $2.08767569878681e-09)
+CONST4(em1C11, $2.505210838544172e-08)
+CONST4(em1C10, $2.755731922398589e-07)
+CONST4(em1C9, $2.7557319223985893e-06)
+CONST4(em1C8, $2.48015873015873e-05)
+CONST4(em1C7, $0.0001984126984126984)
+CONST4(em1C6, $0.001388888888888889)
+CONST4(em1C5, $0.008333333333333333)
+CONST4(em1C4, $0.041666666666666664)
+CONST4(em1C3, $0.16666666666666666)
+CONST4(sigLo, $-40.0)
+CONST4(sigHi, $88.0)
+CONST4(tanhHi, $20.0)
+CONST4(transMinusTwo, $-2.0)
+CONST4(transMagic, $6755399441055744.0)
+CONST4(transBias52, $0x3ff0000000000000)
+CONST4(transTiny, $0x3810000000000000)
+CONST4(transMidOff, $268434943)
+CONST4(transMid29, $0x1fffffff)
+CONST4(transMidThr, $536869886)
 
 // EXPCORE sets the four lanes of x to exp(x) for |x| ≤ 700, with the
 // operations of math.Exp's FMA path in its order: k = round(x·log2e), the
@@ -90,30 +107,409 @@ CONST4(transAbs, $0x7fffffffffffffff)
 	TESTL     BX, BX; \
 	JNZ       done
 
+// The fast path of Sigmoid and Tanh, per float64 lane (package comment,
+// "Transcendentals"). With a the argument of exp,
+//
+//	k = round-to-nearest-even(a·log2e); s = 2^k
+//	r = a − k·LN2U − k·LN2L, each one fused multiply-add (k·LN2U is exact)
+//	expm1(r) = r·(E(r²) + r·O(r²)), E and O the even and odd halves of
+//	  1 + r/2! + … + r¹²/13!, each by Horner in r², fused
+//	1/d: an estimate, then Newton steps y += y·e, e = 1 − d·y
+//
+// sigmoid: a = −x clamped to [−40, 88]; d = 1 + e^a = s·expm1(r) + (s + 1),
+// one fused multiply-add; the result is 1/d.
+// tanh: a = −2z, z = min(|x|, 20); em = expm1(a) = s·expm1(r) + (s − 1),
+// one fused multiply-add; d = 2 + em; tanh z = −em/d = |em·(1/d)|, given
+// the sign of x.
+//
+// A lane fails the rounding test when x is NaN, when the result's magnitude
+// is below 2⁻¹²⁶ (float32's smallest normal), or when the 29 low bits of
+// its float64 pattern — the bits float32 rounding drops — are within 512
+// of 2²⁸, the rounding midpoint: (bits + transMidOff) & transMid29 maps
+// 2²⁸ − 512 … 2²⁸ + 512 to the 1025 values below 2²⁹ and above
+// transMidThr. F collects the failing lanes.
+//
+// Each macro runs two independent blocks (suffixes 1 and 2) with their
+// instructions interleaved, so that the long dependency chain of one block
+// overlaps the other's. The 256-bit forms build s from the integer k,
+// found by adding transMagic (1.5·2⁵², which rounds a float64 below 2⁵¹ to
+// an integer held in its low bits) in one fused multiply-add, and take the
+// estimate from VRCPPS (relative error below 1.5·2⁻¹², flushed to zero for
+// d beyond 2¹²⁶, which then stays zero and fails the test) followed by a
+// Newton step and a third-order step y += y·(e + e²). The 512-bit forms
+// round k by VRNDSCALEPD, scale by VSCALEFPD (Z15 = 1) and start from
+// VRCP14PD (below 2⁻¹⁴) with two Newton steps, setting failing lanes in an
+// opmask register (through a temporary opmask per block).
+
+#define SIGMOID2Y(x1, k1, kx1, s1, h1, o1, F1, x2, k2, kx2, s2, h2, o2, F2) \
+	VCMPPD            $3, x1, x1, o1; \
+	VCMPPD            $3, x2, x2, o2; \
+	VORPD             o1, F1, F1; \
+	VORPD             o2, F2, F2; \
+	VXORPD            transSign<>(SB), x1, x1; \
+	VXORPD            transSign<>(SB), x2, x2; \
+	VMAXPD            sigLo<>(SB), x1, x1; \
+	VMAXPD            sigLo<>(SB), x2, x2; \
+	VMINPD            sigHi<>(SB), x1, x1; \
+	VMINPD            sigHi<>(SB), x2, x2; \
+	VMOVUPD           expLog2e<>(SB), k1; \
+	VMOVUPD           expLog2e<>(SB), k2; \
+	VFMADD213PD       transMagic<>(SB), x1, k1; \
+	VFMADD213PD       transMagic<>(SB), x2, k2; \
+	VPSLLQ            $52, k1, s1; \
+	VPSLLQ            $52, k2, s2; \
+	VPADDQ            transBias52<>(SB), s1, s1; \
+	VPADDQ            transBias52<>(SB), s2, s2; \
+	VSUBPD            transMagic<>(SB), k1, k1; \
+	VSUBPD            transMagic<>(SB), k2, k2; \
+	VFNMADD231PD      expLn2U<>(SB), k1, x1; \
+	VFNMADD231PD      expLn2U<>(SB), k2, x2; \
+	VFNMADD231PD      expLn2L<>(SB), k1, x1; \
+	VFNMADD231PD      expLn2L<>(SB), k2, x2; \
+	VMULPD            x1, x1, k1; \
+	VMULPD            x2, x2, k2; \
+	VMOVUPD           em1C13<>(SB), h1; \
+	VMOVUPD           em1C13<>(SB), h2; \
+	VMOVUPD           em1C12<>(SB), o1; \
+	VMOVUPD           em1C12<>(SB), o2; \
+	VFMADD213PD       em1C11<>(SB), k1, h1; \
+	VFMADD213PD       em1C11<>(SB), k2, h2; \
+	VFMADD213PD       em1C10<>(SB), k1, o1; \
+	VFMADD213PD       em1C10<>(SB), k2, o2; \
+	VFMADD213PD       em1C9<>(SB), k1, h1; \
+	VFMADD213PD       em1C9<>(SB), k2, h2; \
+	VFMADD213PD       em1C8<>(SB), k1, o1; \
+	VFMADD213PD       em1C8<>(SB), k2, o2; \
+	VFMADD213PD       em1C7<>(SB), k1, h1; \
+	VFMADD213PD       em1C7<>(SB), k2, h2; \
+	VFMADD213PD       em1C6<>(SB), k1, o1; \
+	VFMADD213PD       em1C6<>(SB), k2, o2; \
+	VFMADD213PD       em1C5<>(SB), k1, h1; \
+	VFMADD213PD       em1C5<>(SB), k2, h2; \
+	VFMADD213PD       em1C4<>(SB), k1, o1; \
+	VFMADD213PD       em1C4<>(SB), k2, o2; \
+	VFMADD213PD       em1C3<>(SB), k1, h1; \
+	VFMADD213PD       em1C3<>(SB), k2, h2; \
+	VFMADD213PD       expHalf<>(SB), k1, o1; \
+	VFMADD213PD       expHalf<>(SB), k2, o2; \
+	VFMADD213PD       transOne<>(SB), k1, h1; \
+	VFMADD213PD       transOne<>(SB), k2, h2; \
+	VFMADD231PD       o1, x1, h1; \
+	VFMADD231PD       o2, x2, h2; \
+	VMULPD            x1, h1, h1; \
+	VMULPD            x2, h2, h2; \
+	VADDPD            transOne<>(SB), s1, o1; \
+	VADDPD            transOne<>(SB), s2, o2; \
+	VFMADD231PD       h1, s1, o1; \
+	VFMADD231PD       h2, s2, o2; \
+	VCVTPD2PSY        o1, kx1; \
+	VCVTPD2PSY        o2, kx2; \
+	VRCPPS            kx1, kx1; \
+	VRCPPS            kx2, kx2; \
+	VCVTPS2PD         kx1, k1; \
+	VCVTPS2PD         kx2, k2; \
+	VMOVUPD           transOne<>(SB), x1; \
+	VMOVUPD           transOne<>(SB), x2; \
+	VFNMADD231PD      o1, k1, x1; \
+	VFNMADD231PD      o2, k2, x2; \
+	VFMADD231PD       x1, k1, k1; \
+	VFMADD231PD       x2, k2, k2; \
+	VMOVUPD           transOne<>(SB), x1; \
+	VMOVUPD           transOne<>(SB), x2; \
+	VFNMADD231PD      o1, k1, x1; \
+	VFNMADD231PD      o2, k2, x2; \
+	VFMADD213PD       x1, x1, x1; \
+	VFMADD213PD       x2, x2, x2; \
+	VFMADD231PD       x1, k1, k1; \
+	VFMADD231PD       x2, k2, k2; \
+	VCMPPD            $0x11, transTiny<>(SB), k1, x1; \
+	VCMPPD            $0x11, transTiny<>(SB), k2, x2; \
+	VORPD             x1, F1, F1; \
+	VORPD             x2, F2, F2; \
+	VPADDQ            transMidOff<>(SB), k1, x1; \
+	VPADDQ            transMidOff<>(SB), k2, x2; \
+	VPAND             transMid29<>(SB), x1, x1; \
+	VPAND             transMid29<>(SB), x2, x2; \
+	VPCMPGTQ          transMidThr<>(SB), x1, x1; \
+	VPCMPGTQ          transMidThr<>(SB), x2, x2; \
+	VORPD             x1, F1, F1; \
+	VORPD             x2, F2, F2
+
+
+#define TANH2Y(x1, q1, k1, kx1, s1, h1, o1, F1, x2, q2, k2, kx2, s2, h2, o2, F2) \
+	VCMPPD            $3, x1, x1, o1; \
+	VCMPPD            $3, x2, x2, o2; \
+	VORPD             o1, F1, F1; \
+	VORPD             o2, F2, F2; \
+	VANDPD            transAbs<>(SB), x1, q1; \
+	VANDPD            transAbs<>(SB), x2, q2; \
+	VMINPD            tanhHi<>(SB), q1, q1; \
+	VMINPD            tanhHi<>(SB), q2, q2; \
+	VMULPD            transMinusTwo<>(SB), q1, q1; \
+	VMULPD            transMinusTwo<>(SB), q2, q2; \
+	VMOVUPD           expLog2e<>(SB), k1; \
+	VMOVUPD           expLog2e<>(SB), k2; \
+	VFMADD213PD       transMagic<>(SB), q1, k1; \
+	VFMADD213PD       transMagic<>(SB), q2, k2; \
+	VPSLLQ            $52, k1, s1; \
+	VPSLLQ            $52, k2, s2; \
+	VPADDQ            transBias52<>(SB), s1, s1; \
+	VPADDQ            transBias52<>(SB), s2, s2; \
+	VSUBPD            transMagic<>(SB), k1, k1; \
+	VSUBPD            transMagic<>(SB), k2, k2; \
+	VFNMADD231PD      expLn2U<>(SB), k1, q1; \
+	VFNMADD231PD      expLn2U<>(SB), k2, q2; \
+	VFNMADD231PD      expLn2L<>(SB), k1, q1; \
+	VFNMADD231PD      expLn2L<>(SB), k2, q2; \
+	VMULPD            q1, q1, k1; \
+	VMULPD            q2, q2, k2; \
+	VMOVUPD           em1C13<>(SB), h1; \
+	VMOVUPD           em1C13<>(SB), h2; \
+	VMOVUPD           em1C12<>(SB), o1; \
+	VMOVUPD           em1C12<>(SB), o2; \
+	VFMADD213PD       em1C11<>(SB), k1, h1; \
+	VFMADD213PD       em1C11<>(SB), k2, h2; \
+	VFMADD213PD       em1C10<>(SB), k1, o1; \
+	VFMADD213PD       em1C10<>(SB), k2, o2; \
+	VFMADD213PD       em1C9<>(SB), k1, h1; \
+	VFMADD213PD       em1C9<>(SB), k2, h2; \
+	VFMADD213PD       em1C8<>(SB), k1, o1; \
+	VFMADD213PD       em1C8<>(SB), k2, o2; \
+	VFMADD213PD       em1C7<>(SB), k1, h1; \
+	VFMADD213PD       em1C7<>(SB), k2, h2; \
+	VFMADD213PD       em1C6<>(SB), k1, o1; \
+	VFMADD213PD       em1C6<>(SB), k2, o2; \
+	VFMADD213PD       em1C5<>(SB), k1, h1; \
+	VFMADD213PD       em1C5<>(SB), k2, h2; \
+	VFMADD213PD       em1C4<>(SB), k1, o1; \
+	VFMADD213PD       em1C4<>(SB), k2, o2; \
+	VFMADD213PD       em1C3<>(SB), k1, h1; \
+	VFMADD213PD       em1C3<>(SB), k2, h2; \
+	VFMADD213PD       expHalf<>(SB), k1, o1; \
+	VFMADD213PD       expHalf<>(SB), k2, o2; \
+	VFMADD213PD       transOne<>(SB), k1, h1; \
+	VFMADD213PD       transOne<>(SB), k2, h2; \
+	VFMADD231PD       o1, q1, h1; \
+	VFMADD231PD       o2, q2, h2; \
+	VMULPD            q1, h1, h1; \
+	VMULPD            q2, h2, h2; \
+	VSUBPD            transOne<>(SB), s1, o1; \
+	VSUBPD            transOne<>(SB), s2, o2; \
+	VFMADD231PD       h1, s1, o1; \
+	VFMADD231PD       h2, s2, o2; \
+	VADDPD            transTwo<>(SB), o1, h1; \
+	VADDPD            transTwo<>(SB), o2, h2; \
+	VCVTPD2PSY        h1, kx1; \
+	VCVTPD2PSY        h2, kx2; \
+	VRCPPS            kx1, kx1; \
+	VRCPPS            kx2, kx2; \
+	VCVTPS2PD         kx1, k1; \
+	VCVTPS2PD         kx2, k2; \
+	VMOVUPD           transOne<>(SB), q1; \
+	VMOVUPD           transOne<>(SB), q2; \
+	VFNMADD231PD      h1, k1, q1; \
+	VFNMADD231PD      h2, k2, q2; \
+	VFMADD231PD       q1, k1, k1; \
+	VFMADD231PD       q2, k2, k2; \
+	VMOVUPD           transOne<>(SB), q1; \
+	VMOVUPD           transOne<>(SB), q2; \
+	VFNMADD231PD      h1, k1, q1; \
+	VFNMADD231PD      h2, k2, q2; \
+	VFMADD213PD       q1, q1, q1; \
+	VFMADD213PD       q2, q2, q2; \
+	VFMADD231PD       q1, k1, k1; \
+	VFMADD231PD       q2, k2, k2; \
+	VMULPD            k1, o1, k1; \
+	VMULPD            k2, o2, k2; \
+	VANDPD            transAbs<>(SB), k1, k1; \
+	VANDPD            transAbs<>(SB), k2, k2; \
+	VCMPPD            $0x11, transTiny<>(SB), k1, q1; \
+	VCMPPD            $0x11, transTiny<>(SB), k2, q2; \
+	VORPD             q1, F1, F1; \
+	VORPD             q2, F2, F2; \
+	VPADDQ            transMidOff<>(SB), k1, q1; \
+	VPADDQ            transMidOff<>(SB), k2, q2; \
+	VPAND             transMid29<>(SB), q1, q1; \
+	VPAND             transMid29<>(SB), q2, q2; \
+	VPCMPGTQ          transMidThr<>(SB), q1, q1; \
+	VPCMPGTQ          transMidThr<>(SB), q2, q2; \
+	VORPD             q1, F1, F1; \
+	VORPD             q2, F2, F2; \
+	VANDPD            transSign<>(SB), x1, q1; \
+	VANDPD            transSign<>(SB), x2, q2; \
+	VORPD             q1, k1, k1; \
+	VORPD             q2, k2, k2
+
+
 // func sigmoidKernel(dst, src *float32, n int) int
 TEXT ·sigmoidKernel(SB), NOSPLIT, $0-32
-	MOVQ    dst+0(FP), DI
-	MOVQ    src+8(FP), SI
-	MOVQ    n+16(FP), CX
-	XORQ    AX, AX
-	VMOVUPD transOne<>(SB), Y15
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
 
 sigLoop:
-	CMPQ      AX, CX
-	JGE       sigDone
-	VCVTPS2PD (SI)(AX*4), Y0
-	VXORPD    transSign<>(SB), Y0, Y0 // −x
-	OUTOFRANGE(Y0, Y1, sigDone)
-	EXPCORE(Y0, Y1, X1, Y2)
-	VADDPD    Y15, Y0, Y0             // 1 + e
-	VDIVPD    Y0, Y15, Y0             // 1 / (1 + e)
-	VCVTPD2PSY Y0, X0
-	VMOVUPS   X0, (DI)(AX*4)
-	ADDQ      $4, AX
-	JMP       sigLoop
+	CMPQ       AX, CX
+	JGE        sigDone
+	VCVTPS2PD  (SI)(AX*4), Y0
+	VCVTPS2PD  16(SI)(AX*4), Y6
+	VXORPD     Y13, Y13, Y13
+	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
+	VPTEST     Y13, Y13
+	JNZ        sigDone
+	VCVTPD2PSY Y1, X1
+	VCVTPD2PSY Y7, X7
+	VMOVUPS    X1, (DI)(AX*4)
+	VMOVUPS    X7, 16(DI)(AX*4)
+	ADDQ       $8, AX
+	JMP        sigLoop
 
 sigDone:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// func tanhKernel(dst, src *float32, n int) int
+TEXT ·tanhKernel(SB), NOSPLIT, $0-32
+	MOVQ dst+0(FP), DI
+	MOVQ src+8(FP), SI
+	MOVQ n+16(FP), CX
+	XORQ AX, AX
+
+tanhLoop:
+	CMPQ       AX, CX
+	JGE        tanhDone
+	VCVTPS2PD  (SI)(AX*4), Y0
+	VCVTPS2PD  16(SI)(AX*4), Y6
+	VXORPD     Y13, Y13, Y13
+	TANH2Y(Y0, Y1, Y2, X2, Y3, Y4, Y5, Y13, Y6, Y7, Y8, X8, Y9, Y10, Y11, Y13)
+	VPTEST     Y13, Y13
+	JNZ        tanhDone
+	VCVTPD2PSY Y2, X2
+	VCVTPD2PSY Y8, X8
+	VMOVUPS    X2, (DI)(AX*4)
+	VMOVUPS    X8, 16(DI)(AX*4)
+	ADDQ       $8, AX
+	JMP        tanhLoop
+
+tanhDone:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// GATEY2 loads the four pre-activations at p and the four at q (16 bytes
+// on), adds the biases at b and c (one float32 add each) and widens them
+// into the float64 lanes of Y0 and Y6.
+#define GATEY2(p, q, b, c) \
+	VMOVUPS   p, X0; \
+	VMOVUPS   q, X6; \
+	VADDPS    b, X0, X0; \
+	VADDPS    c, X6, X6; \
+	VCVTPS2PD X0, Y0; \
+	VCVTPS2PD X6, Y6
+
+// func lstmCellKernel(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
+//
+// Eight elements of one row at a time, as two blocks of four: i, f, g and o
+// go to the frame (i at 0 and 16, f at 32, g at 64, o at 96), then c
+// (X12, X14) and tanh(c) (X2, X8); Y13 collects the lanes that fail the
+// rounding test. R8 and R11 walk the row's i section of gates and of bias,
+// the other sections R9 = h and 2·R9 bytes on and R10 = 3h bytes on; DI,
+// DX, BX and SI walk c, tanhC, out and cPrev. Eight elements any of whose
+// 40 results fails stop the kernel before it stores any of them.
+TEXT ·lstmCellKernel(SB), NOSPLIT, $128-72
+	MOVQ gates+0(FP), R8
+	MOVQ c+8(FP), DI
+	MOVQ tanhC+16(FP), DX
+	MOVQ out+24(FP), BX
+	MOVQ cPrev+32(FP), SI
+	MOVQ bias+40(FP), R11
+	MOVQ h+48(FP), R9
+	MOVQ n+56(FP), CX
+	SHLQ $2, R9
+	LEAQ (R9)(R9*2), R10
+	XORQ AX, AX
+
+cellLoop:
+	CMPQ       AX, CX
+	JGE        cellDone
+	VXORPD     Y13, Y13, Y13
+	GATEY2((R8), 16(R8), (R11), 16(R11))
+	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
+	VCVTPD2PSY Y1, X1
+	VCVTPD2PSY Y7, X7
+	VMOVUPS    X1, 0(SP)
+	VMOVUPS    X7, 16(SP)
+	GATEY2((R8)(R9*1), 16(R8)(R9*1), (R11)(R9*1), 16(R11)(R9*1))
+	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
+	VCVTPD2PSY Y1, X1
+	VCVTPD2PSY Y7, X7
+	VMOVUPS    X1, 32(SP)
+	VMOVUPS    X7, 48(SP)
+	GATEY2((R8)(R9*2), 16(R8)(R9*2), (R11)(R9*2), 16(R11)(R9*2))
+	TANH2Y(Y0, Y1, Y2, X2, Y3, Y4, Y5, Y13, Y6, Y7, Y8, X8, Y9, Y10, Y11, Y13)
+	VCVTPD2PSY Y2, X2
+	VCVTPD2PSY Y8, X8
+	VMOVUPS    X2, 64(SP)
+	VMOVUPS    X8, 80(SP)
+	GATEY2((R8)(R10*1), 16(R8)(R10*1), (R11)(R10*1), 16(R11)(R10*1))
+	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
+	VCVTPD2PSY Y1, X1
+	VCVTPD2PSY Y7, X7
+	VMOVUPS    X1, 96(SP)
+	VMOVUPS    X7, 112(SP)
+	VMOVUPS    32(SP), X12
+	VMULPS     (SI), X12, X12     // f·c′
+	VMOVUPS    0(SP), X14
+	VMULPS     64(SP), X14, X14   // i·g
+	VADDPS     X14, X12, X12      // c
+	VMOVUPS    48(SP), X14
+	VMULPS     16(SI), X14, X14
+	VMOVUPS    16(SP), X15
+	VMULPS     80(SP), X15, X15
+	VADDPS     X15, X14, X14
+	VCVTPS2PD  X12, Y0
+	VCVTPS2PD  X14, Y6
+	TANH2Y(Y0, Y1, Y2, X2, Y3, Y4, Y5, Y13, Y6, Y7, Y8, X8, Y9, Y10, Y11, Y13)
+	VCVTPD2PSY Y2, X2             // tanh(c)
+	VCVTPD2PSY Y8, X8
+	VPTEST     Y13, Y13
+	JNZ        cellDone
+	VMOVUPS    0(SP), X0
+	VMOVUPS    16(SP), X1
+	VMOVUPS    X0, (R8)
+	VMOVUPS    X1, 16(R8)
+	VMOVUPS    32(SP), X0
+	VMOVUPS    48(SP), X1
+	VMOVUPS    X0, (R8)(R9*1)
+	VMOVUPS    X1, 16(R8)(R9*1)
+	VMOVUPS    64(SP), X0
+	VMOVUPS    80(SP), X1
+	VMOVUPS    X0, (R8)(R9*2)
+	VMOVUPS    X1, 16(R8)(R9*2)
+	VMOVUPS    96(SP), X0
+	VMOVUPS    112(SP), X1
+	VMOVUPS    X0, (R8)(R10*1)
+	VMOVUPS    X1, 16(R8)(R10*1)
+	VMOVUPS    X12, (DI)
+	VMOVUPS    X14, 16(DI)
+	VMOVUPS    X2, (DX)
+	VMOVUPS    X8, 16(DX)
+	VMULPS     X2, X0, X0         // o·tanh(c)
+	VMULPS     X8, X1, X1
+	VMOVUPS    X0, (BX)
+	VMOVUPS    X1, 16(BX)
+	ADDQ       $32, R8
+	ADDQ       $32, R11
+	ADDQ       $32, DI
+	ADDQ       $32, DX
+	ADDQ       $32, BX
+	ADDQ       $32, SI
+	ADDQ       $8, AX
+	JMP        cellLoop
+
+cellDone:
+	MOVQ AX, ret+64(FP)
 	VZEROUPPER
 	RET
 
@@ -142,83 +538,18 @@ expDone:
 	VZEROUPPER
 	RET
 
-// func tanhKernel(dst, src *float32, n int) int
-//
-// Per lane, with z = |x|, the value of each branch of math.tanh, then blends
-// in the order that makes the switch's first true case win:
-//
-//	default      x + x·s·P(s)/Q(s), s = x·x (unfused, as tanh.go writes it)
-//	x == 0       x
-//	z >= 0.625   ±(1 − 2/(exp(2z) + 1)), the sign of x
-//	z > MAXLOG/2 ±1
-//
-// exp's argument is 2·min(z, MAXLOG/2), which leaves the lanes that take
-// its branch alone and keeps the others (NaN: VMINPD returns its second
-// operand) inside EXPCORE's range. A NaN fails every compare and takes the
-// rational, as it does in tanh.go.
-TEXT ·tanhKernel(SB), NOSPLIT, $0-32
-	MOVQ    dst+0(FP), DI
-	MOVQ    src+8(FP), SI
-	MOVQ    n+16(FP), CX
-	XORQ    AX, AX
-	VMOVUPD transOne<>(SB), Y15
-	VMOVUPD transTwo<>(SB), Y14
-	VXORPD  Y13, Y13, Y13
 
-tanhLoop:
-	CMPQ      AX, CX
-	JGE       tanhDone
-	VCVTPS2PD (SI)(AX*4), Y0
-	VANDPD    transAbs<>(SB), Y0, Y1       // z
-	VANDPD    transSign<>(SB), Y0, Y5      // sign of x
-	VMINPD    tanhHalfMaxLog<>(SB), Y1, Y2
-	VADDPD    Y2, Y2, Y2                   // 2z
-	EXPCORE(Y2, Y3, X3, Y4)
-	VADDPD    Y15, Y2, Y2                  // s + 1
-	VDIVPD    Y2, Y14, Y2                  // 2 / (s + 1)
-	VSUBPD    Y2, Y15, Y2                  // 1 − 2/(s + 1)
-	VXORPD    Y5, Y2, Y2
+// The 512-bit kernels, on eight float64 lanes per ZMM register. Each
+// constant is the first float64 of its CONST4 symbol, broadcast from memory
+// (.BCST) or by VBROADCASTSD; the logical operations are VPANDQ/VPXORQ/VPORQ
+// (AVX512F), which move the same bits as VANDPD/VXORPD/VORPD. A compare
+// writes an opmask register. ExpShift's kernel runs EXPCORE's operations in
+// its order; Sigmoid's and Tanh's round k by VRNDSCALEPD, scale by
+// VSCALEFPD and start the reciprocal from VRCP14PD, so their float64 lanes
+// may differ from the 256-bit kernels' in the last bits, and the rounding
+// test holds both to the same float32 results. Only Z0-Z15 are used, so
+// VZEROUPPER leaves no dirty upper state.
 
-	VMULPD    Y0, Y0, Y6                   // s = x·x
-	VMULPD    tanhP0<>(SB), Y6, Y7
-	VADDPD    tanhP1<>(SB), Y7, Y7
-	VMULPD    Y6, Y7, Y7
-	VADDPD    tanhP2<>(SB), Y7, Y7         // P(s)
-	VADDPD    tanhQ0<>(SB), Y6, Y8
-	VMULPD    Y6, Y8, Y8
-	VADDPD    tanhQ1<>(SB), Y8, Y8
-	VMULPD    Y6, Y8, Y8
-	VADDPD    tanhQ2<>(SB), Y8, Y8         // Q(s)
-	VMULPD    Y6, Y0, Y9                   // x·s
-	VMULPD    Y7, Y9, Y9                   // x·s·P
-	VDIVPD    Y8, Y9, Y9                   // x·s·P / Q
-	VADDPD    Y9, Y0, Y9                   // x + x·s·P/Q
-
-	VCMPPD    $0x00, Y13, Y0, Y10          // x == 0
-	VBLENDVPD Y10, Y0, Y9, Y9
-	VCMPPD    $0x1D, tanhSplit<>(SB), Y1, Y10 // z >= 0.625
-	VBLENDVPD Y10, Y2, Y9, Y9
-	VCMPPD    $0x1E, tanhHalfMaxLog<>(SB), Y1, Y10 // z > MAXLOG/2
-	VORPD     Y15, Y5, Y11                 // ±1
-	VBLENDVPD Y10, Y11, Y9, Y9
-
-	VCVTPD2PSY Y9, X9
-	VMOVUPS   X9, (DI)(AX*4)
-	ADDQ      $4, AX
-	JMP       tanhLoop
-
-tanhDone:
-	MOVQ AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// The 512-bit kernels: the same operations, in the same order, on eight
-// float64 lanes per ZMM register. Each constant is the first float64 of its
-// CONST4 symbol, broadcast from memory (.BCST) or by VBROADCASTSD; the
-// logical operations are VPANDQ/VPXORQ/VPORQ (AVX512F), which move the same
-// bits as VANDPD/VXORPD/VORPD. A compare writes an opmask register, and
-// tanh's blends are merge-masked moves. Only Z0-Z15 are used, so VZEROUPPER
-// leaves no dirty upper state.
 
 // EXPCORE512 is EXPCORE on the eight lanes of x; k (ky is its YMM half) and
 // p are clobbered.
@@ -259,33 +590,6 @@ tanhDone:
 	KORTESTW    K1, K1; \
 	JNZ         done
 
-// func sigmoidKernel512(dst, src *float32, n int) int
-TEXT ·sigmoidKernel512(SB), NOSPLIT, $0-32
-	MOVQ         dst+0(FP), DI
-	MOVQ         src+8(FP), SI
-	MOVQ         n+16(FP), CX
-	XORQ         AX, AX
-	VBROADCASTSD transOne<>(SB), Z15
-
-sig8Loop:
-	CMPQ        AX, CX
-	JGE         sig8Done
-	VCVTPS2PD   (SI)(AX*4), Z0
-	VPXORQ.BCST transSign<>(SB), Z0, Z0 // −x
-	OUTOFRANGE512(Z0, Z1, sig8Done)
-	EXPCORE512(Z0, Z1, Y1, Z2)
-	VADDPD      Z15, Z0, Z0             // 1 + e
-	VDIVPD      Z0, Z15, Z0             // 1 / (1 + e)
-	VCVTPD2PS   Z0, Y0
-	VMOVUPS     Y0, (DI)(AX*4)
-	ADDQ        $8, AX
-	JMP         sig8Loop
-
-sig8Done:
-	MOVQ AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
 // func expShiftKernel512(dst *float64, src *float32, n int, m float32) int
 TEXT ·expShiftKernel512(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
@@ -311,62 +615,352 @@ exp8Done:
 	VZEROUPPER
 	RET
 
+
+#define SIGMOID2Z(x1, k1, s1, h1, o1, F1, T1, x2, k2, s2, h2, o2, F2, T2) \
+	VCMPPD            $3, x1, x1, T1; \
+	VCMPPD            $3, x2, x2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2; \
+	VPXORQ.BCST       transSign<>(SB), x1, x1; \
+	VPXORQ.BCST       transSign<>(SB), x2, x2; \
+	VMAXPD.BCST       sigLo<>(SB), x1, x1; \
+	VMAXPD.BCST       sigLo<>(SB), x2, x2; \
+	VMINPD.BCST       sigHi<>(SB), x1, x1; \
+	VMINPD.BCST       sigHi<>(SB), x2, x2; \
+	VMULPD.BCST       expLog2e<>(SB), x1, k1; \
+	VMULPD.BCST       expLog2e<>(SB), x2, k2; \
+	VRNDSCALEPD       $0, k1, k1; \
+	VRNDSCALEPD       $0, k2, k2; \
+	VSCALEFPD         k1, Z15, s1; \
+	VSCALEFPD         k2, Z15, s2; \
+	VFNMADD231PD.BCST expLn2U<>(SB), k1, x1; \
+	VFNMADD231PD.BCST expLn2U<>(SB), k2, x2; \
+	VFNMADD231PD.BCST expLn2L<>(SB), k1, x1; \
+	VFNMADD231PD.BCST expLn2L<>(SB), k2, x2; \
+	VMULPD            x1, x1, k1; \
+	VMULPD            x2, x2, k2; \
+	VBROADCASTSD      em1C13<>(SB), h1; \
+	VBROADCASTSD      em1C13<>(SB), h2; \
+	VBROADCASTSD      em1C12<>(SB), o1; \
+	VBROADCASTSD      em1C12<>(SB), o2; \
+	VFMADD213PD.BCST  em1C11<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C11<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C10<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C10<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C9<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C9<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C8<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C8<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C7<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C7<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C6<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C6<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C5<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C5<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C4<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C4<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C3<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C3<>(SB), k2, h2; \
+	VFMADD213PD.BCST  expHalf<>(SB), k1, o1; \
+	VFMADD213PD.BCST  expHalf<>(SB), k2, o2; \
+	VFMADD213PD       Z15, k1, h1; \
+	VFMADD213PD       Z15, k2, h2; \
+	VFMADD231PD       o1, x1, h1; \
+	VFMADD231PD       o2, x2, h2; \
+	VMULPD            x1, h1, h1; \
+	VMULPD            x2, h2, h2; \
+	VADDPD            Z15, s1, o1; \
+	VADDPD            Z15, s2, o2; \
+	VFMADD231PD       h1, s1, o1; \
+	VFMADD231PD       h2, s2, o2; \
+	VRCP14PD          o1, k1; \
+	VRCP14PD          o2, k2; \
+	VMOVAPD           Z15, x1; \
+	VMOVAPD           Z15, x2; \
+	VFNMADD231PD      o1, k1, x1; \
+	VFNMADD231PD      o2, k2, x2; \
+	VFMADD231PD       x1, k1, k1; \
+	VFMADD231PD       x2, k2, k2; \
+	VMOVAPD           Z15, x1; \
+	VMOVAPD           Z15, x2; \
+	VFNMADD231PD      o1, k1, x1; \
+	VFNMADD231PD      o2, k2, x2; \
+	VFMADD231PD       x1, k1, k1; \
+	VFMADD231PD       x2, k2, k2; \
+	VCMPPD.BCST       $0x11, transTiny<>(SB), k1, T1; \
+	VCMPPD.BCST       $0x11, transTiny<>(SB), k2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2; \
+	VPADDQ.BCST       transMidOff<>(SB), k1, x1; \
+	VPADDQ.BCST       transMidOff<>(SB), k2, x2; \
+	VPANDQ.BCST       transMid29<>(SB), x1, x1; \
+	VPANDQ.BCST       transMid29<>(SB), x2, x2; \
+	VPCMPGTQ.BCST     transMidThr<>(SB), x1, T1; \
+	VPCMPGTQ.BCST     transMidThr<>(SB), x2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2
+
+
+#define TANH2Z(x1, q1, k1, s1, h1, o1, F1, T1, x2, q2, k2, s2, h2, o2, F2, T2) \
+	VCMPPD            $3, x1, x1, T1; \
+	VCMPPD            $3, x2, x2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2; \
+	VPANDQ.BCST       transAbs<>(SB), x1, q1; \
+	VPANDQ.BCST       transAbs<>(SB), x2, q2; \
+	VMINPD.BCST       tanhHi<>(SB), q1, q1; \
+	VMINPD.BCST       tanhHi<>(SB), q2, q2; \
+	VMULPD.BCST       transMinusTwo<>(SB), q1, q1; \
+	VMULPD.BCST       transMinusTwo<>(SB), q2, q2; \
+	VMULPD.BCST       expLog2e<>(SB), q1, k1; \
+	VMULPD.BCST       expLog2e<>(SB), q2, k2; \
+	VRNDSCALEPD       $0, k1, k1; \
+	VRNDSCALEPD       $0, k2, k2; \
+	VSCALEFPD         k1, Z15, s1; \
+	VSCALEFPD         k2, Z15, s2; \
+	VFNMADD231PD.BCST expLn2U<>(SB), k1, q1; \
+	VFNMADD231PD.BCST expLn2U<>(SB), k2, q2; \
+	VFNMADD231PD.BCST expLn2L<>(SB), k1, q1; \
+	VFNMADD231PD.BCST expLn2L<>(SB), k2, q2; \
+	VMULPD            q1, q1, k1; \
+	VMULPD            q2, q2, k2; \
+	VBROADCASTSD      em1C13<>(SB), h1; \
+	VBROADCASTSD      em1C13<>(SB), h2; \
+	VBROADCASTSD      em1C12<>(SB), o1; \
+	VBROADCASTSD      em1C12<>(SB), o2; \
+	VFMADD213PD.BCST  em1C11<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C11<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C10<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C10<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C9<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C9<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C8<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C8<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C7<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C7<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C6<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C6<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C5<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C5<>(SB), k2, h2; \
+	VFMADD213PD.BCST  em1C4<>(SB), k1, o1; \
+	VFMADD213PD.BCST  em1C4<>(SB), k2, o2; \
+	VFMADD213PD.BCST  em1C3<>(SB), k1, h1; \
+	VFMADD213PD.BCST  em1C3<>(SB), k2, h2; \
+	VFMADD213PD.BCST  expHalf<>(SB), k1, o1; \
+	VFMADD213PD.BCST  expHalf<>(SB), k2, o2; \
+	VFMADD213PD       Z15, k1, h1; \
+	VFMADD213PD       Z15, k2, h2; \
+	VFMADD231PD       o1, q1, h1; \
+	VFMADD231PD       o2, q2, h2; \
+	VMULPD            q1, h1, h1; \
+	VMULPD            q2, h2, h2; \
+	VSUBPD            Z15, s1, o1; \
+	VSUBPD            Z15, s2, o2; \
+	VFMADD231PD       h1, s1, o1; \
+	VFMADD231PD       h2, s2, o2; \
+	VADDPD.BCST       transTwo<>(SB), o1, h1; \
+	VADDPD.BCST       transTwo<>(SB), o2, h2; \
+	VRCP14PD          h1, k1; \
+	VRCP14PD          h2, k2; \
+	VMOVAPD           Z15, q1; \
+	VMOVAPD           Z15, q2; \
+	VFNMADD231PD      h1, k1, q1; \
+	VFNMADD231PD      h2, k2, q2; \
+	VFMADD231PD       q1, k1, k1; \
+	VFMADD231PD       q2, k2, k2; \
+	VMOVAPD           Z15, q1; \
+	VMOVAPD           Z15, q2; \
+	VFNMADD231PD      h1, k1, q1; \
+	VFNMADD231PD      h2, k2, q2; \
+	VFMADD231PD       q1, k1, k1; \
+	VFMADD231PD       q2, k2, k2; \
+	VMULPD            k1, o1, k1; \
+	VMULPD            k2, o2, k2; \
+	VPANDQ.BCST       transAbs<>(SB), k1, k1; \
+	VPANDQ.BCST       transAbs<>(SB), k2, k2; \
+	VCMPPD.BCST       $0x11, transTiny<>(SB), k1, T1; \
+	VCMPPD.BCST       $0x11, transTiny<>(SB), k2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2; \
+	VPADDQ.BCST       transMidOff<>(SB), k1, q1; \
+	VPADDQ.BCST       transMidOff<>(SB), k2, q2; \
+	VPANDQ.BCST       transMid29<>(SB), q1, q1; \
+	VPANDQ.BCST       transMid29<>(SB), q2, q2; \
+	VPCMPGTQ.BCST     transMidThr<>(SB), q1, T1; \
+	VPCMPGTQ.BCST     transMidThr<>(SB), q2, T2; \
+	KORW              T1, F1, F1; \
+	KORW              T2, F2, F2; \
+	VPANDQ.BCST       transSign<>(SB), x1, q1; \
+	VPANDQ.BCST       transSign<>(SB), x2, q2; \
+	VPORQ             q1, k1, k1; \
+	VPORQ             q2, k2, k2
+
+// func sigmoidKernel512(dst, src *float32, n int) int
+TEXT ·sigmoidKernel512(SB), NOSPLIT, $0-32
+	MOVQ         dst+0(FP), DI
+	MOVQ         src+8(FP), SI
+	MOVQ         n+16(FP), CX
+	XORQ         AX, AX
+	VBROADCASTSD transOne<>(SB), Z15
+
+sig8Loop:
+	CMPQ      AX, CX
+	JGE       sig8Done
+	VCVTPS2PD (SI)(AX*4), Z0
+	VCVTPS2PD 32(SI)(AX*4), Z5
+	KXORW     K2, K2, K2
+	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
+	KORTESTW  K2, K2
+	JNZ       sig8Done
+	VCVTPD2PS Z1, Y1
+	VCVTPD2PS Z6, Y6
+	VMOVUPS   Y1, (DI)(AX*4)
+	VMOVUPS   Y6, 32(DI)(AX*4)
+	ADDQ      $16, AX
+	JMP       sig8Loop
+
+sig8Done:
+	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
 // func tanhKernel512(dst, src *float32, n int) int
-//
-// tanhKernel on eight lanes; the three blends are merge-masked VMOVAPDs
-// under each compare's opmask, in the same order.
 TEXT ·tanhKernel512(SB), NOSPLIT, $0-32
 	MOVQ         dst+0(FP), DI
 	MOVQ         src+8(FP), SI
 	MOVQ         n+16(FP), CX
 	XORQ         AX, AX
 	VBROADCASTSD transOne<>(SB), Z15
-	VBROADCASTSD transTwo<>(SB), Z14
-	VPXORQ       Z13, Z13, Z13
 
 tanh8Loop:
-	CMPQ        AX, CX
-	JGE         tanh8Done
-	VCVTPS2PD   (SI)(AX*4), Z0
-	VPANDQ.BCST transAbs<>(SB), Z0, Z1        // z
-	VPANDQ.BCST transSign<>(SB), Z0, Z5       // sign of x
-	VMINPD.BCST tanhHalfMaxLog<>(SB), Z1, Z2
-	VADDPD      Z2, Z2, Z2                    // 2z
-	EXPCORE512(Z2, Z3, Y3, Z4)
-	VADDPD      Z15, Z2, Z2                   // s + 1
-	VDIVPD      Z2, Z14, Z2                   // 2 / (s + 1)
-	VSUBPD      Z2, Z15, Z2                   // 1 − 2/(s + 1)
-	VPXORQ      Z5, Z2, Z2
-
-	VMULPD      Z0, Z0, Z6                    // s = x·x
-	VMULPD.BCST tanhP0<>(SB), Z6, Z7
-	VADDPD.BCST tanhP1<>(SB), Z7, Z7
-	VMULPD      Z6, Z7, Z7
-	VADDPD.BCST tanhP2<>(SB), Z7, Z7          // P(s)
-	VADDPD.BCST tanhQ0<>(SB), Z6, Z8
-	VMULPD      Z6, Z8, Z8
-	VADDPD.BCST tanhQ1<>(SB), Z8, Z8
-	VMULPD      Z6, Z8, Z8
-	VADDPD.BCST tanhQ2<>(SB), Z8, Z8          // Q(s)
-	VMULPD      Z6, Z0, Z9                    // x·s
-	VMULPD      Z7, Z9, Z9                    // x·s·P
-	VDIVPD      Z8, Z9, Z9                    // x·s·P / Q
-	VADDPD      Z9, Z0, Z9                    // x + x·s·P/Q
-
-	VCMPPD      $0x00, Z13, Z0, K1            // x == 0
-	VMOVAPD     Z0, K1, Z9
-	VCMPPD.BCST $0x1D, tanhSplit<>(SB), Z1, K1 // z >= 0.625
-	VMOVAPD     Z2, K1, Z9
-	VCMPPD.BCST $0x1E, tanhHalfMaxLog<>(SB), Z1, K1 // z > MAXLOG/2
-	VPORQ       Z15, Z5, Z11                  // ±1
-	VMOVAPD     Z11, K1, Z9
-
-	VCVTPD2PS Z9, Y9
-	VMOVUPS   Y9, (DI)(AX*4)
-	ADDQ      $8, AX
+	CMPQ      AX, CX
+	JGE       tanh8Done
+	VCVTPS2PD (SI)(AX*4), Z0
+	VCVTPS2PD 32(SI)(AX*4), Z6
+	KXORW     K2, K2, K2
+	TANH2Z(Z0, Z1, Z2, Z3, Z4, Z5, K2, K1, Z6, Z7, Z8, Z9, Z10, Z11, K2, K3)
+	KORTESTW  K2, K2
+	JNZ       tanh8Done
+	VCVTPD2PS Z2, Y2
+	VCVTPD2PS Z8, Y8
+	VMOVUPS   Y2, (DI)(AX*4)
+	VMOVUPS   Y8, 32(DI)(AX*4)
+	ADDQ      $16, AX
 	JMP       tanh8Loop
 
 tanh8Done:
 	MOVQ AX, ret+24(FP)
+	VZEROUPPER
+	RET
+
+// GATEZ2 is GATEY2 for two blocks of eight (q and c 32 bytes on), into Z0
+// and z2: Z5 for the sigmoid macro's second block, Z6 for the tanh macro's.
+#define GATEZ2(p, q, b, c, y2, z2) \
+	VMOVUPS   p, Y0; \
+	VMOVUPS   q, y2; \
+	VADDPS    b, Y0, Y0; \
+	VADDPS    c, y2, y2; \
+	VCVTPS2PD Y0, Z0; \
+	VCVTPS2PD y2, z2
+
+// func lstmCellKernel512(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
+//
+// lstmCellKernel on sixteen elements at a time, as two blocks of eight: i,
+// f, g and o go to the frame (i at 0 and 32, f at 64, g at 128, o at 192),
+// then c (Y12, Y13) and tanh(c) (Y2, Y8); K2 collects the failing lanes.
+TEXT ·lstmCellKernel512(SB), NOSPLIT, $256-72
+	MOVQ         gates+0(FP), R8
+	MOVQ         c+8(FP), DI
+	MOVQ         tanhC+16(FP), DX
+	MOVQ         out+24(FP), BX
+	MOVQ         cPrev+32(FP), SI
+	MOVQ         bias+40(FP), R11
+	MOVQ         h+48(FP), R9
+	MOVQ         n+56(FP), CX
+	SHLQ         $2, R9
+	LEAQ         (R9)(R9*2), R10
+	XORQ         AX, AX
+	VBROADCASTSD transOne<>(SB), Z15
+
+cell8Loop:
+	CMPQ      AX, CX
+	JGE       cell8Done
+	KXORW     K2, K2, K2
+	GATEZ2((R8), 32(R8), (R11), 32(R11), Y5, Z5)
+	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
+	VCVTPD2PS Z1, Y1
+	VCVTPD2PS Z6, Y6
+	VMOVUPS   Y1, 0(SP)
+	VMOVUPS   Y6, 32(SP)
+	GATEZ2((R8)(R9*1), 32(R8)(R9*1), (R11)(R9*1), 32(R11)(R9*1), Y5, Z5)
+	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
+	VCVTPD2PS Z1, Y1
+	VCVTPD2PS Z6, Y6
+	VMOVUPS   Y1, 64(SP)
+	VMOVUPS   Y6, 96(SP)
+	GATEZ2((R8)(R9*2), 32(R8)(R9*2), (R11)(R9*2), 32(R11)(R9*2), Y6, Z6)
+	TANH2Z(Z0, Z1, Z2, Z3, Z4, Z5, K2, K1, Z6, Z7, Z8, Z9, Z10, Z11, K2, K3)
+	VCVTPD2PS Z2, Y2
+	VCVTPD2PS Z8, Y8
+	VMOVUPS   Y2, 128(SP)
+	VMOVUPS   Y8, 160(SP)
+	GATEZ2((R8)(R10*1), 32(R8)(R10*1), (R11)(R10*1), 32(R11)(R10*1), Y5, Z5)
+	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
+	VCVTPD2PS Z1, Y1
+	VCVTPD2PS Z6, Y6
+	VMOVUPS   Y1, 192(SP)
+	VMOVUPS   Y6, 224(SP)
+	VMOVUPS   64(SP), Y12
+	VMULPS    (SI), Y12, Y12      // f·c′
+	VMOVUPS   0(SP), Y14
+	VMULPS    128(SP), Y14, Y14   // i·g
+	VADDPS    Y14, Y12, Y12       // c
+	VMOVUPS   96(SP), Y13
+	VMULPS    32(SI), Y13, Y13
+	VMOVUPS   32(SP), Y14
+	VMULPS    160(SP), Y14, Y14
+	VADDPS    Y14, Y13, Y13
+	VCVTPS2PD Y12, Z0
+	VCVTPS2PD Y13, Z6
+	TANH2Z(Z0, Z1, Z2, Z3, Z4, Z5, K2, K1, Z6, Z7, Z8, Z9, Z10, Z11, K2, K3)
+	VCVTPD2PS Z2, Y2              // tanh(c)
+	VCVTPD2PS Z8, Y8
+	KORTESTW  K2, K2
+	JNZ       cell8Done
+	VMOVUPS   0(SP), Y0
+	VMOVUPS   32(SP), Y1
+	VMOVUPS   Y0, (R8)
+	VMOVUPS   Y1, 32(R8)
+	VMOVUPS   64(SP), Y0
+	VMOVUPS   96(SP), Y1
+	VMOVUPS   Y0, (R8)(R9*1)
+	VMOVUPS   Y1, 32(R8)(R9*1)
+	VMOVUPS   128(SP), Y0
+	VMOVUPS   160(SP), Y1
+	VMOVUPS   Y0, (R8)(R9*2)
+	VMOVUPS   Y1, 32(R8)(R9*2)
+	VMOVUPS   192(SP), Y0
+	VMOVUPS   224(SP), Y1
+	VMOVUPS   Y0, (R8)(R10*1)
+	VMOVUPS   Y1, 32(R8)(R10*1)
+	VMOVUPS   Y12, (DI)
+	VMOVUPS   Y13, 32(DI)
+	VMOVUPS   Y2, (DX)
+	VMOVUPS   Y8, 32(DX)
+	VMULPS    Y2, Y0, Y0          // o·tanh(c)
+	VMULPS    Y8, Y1, Y1
+	VMOVUPS   Y0, (BX)
+	VMOVUPS   Y1, 32(BX)
+	ADDQ      $64, R8
+	ADDQ      $64, R11
+	ADDQ      $64, DI
+	ADDQ      $64, DX
+	ADDQ      $64, BX
+	ADDQ      $64, SI
+	ADDQ      $16, AX
+	JMP       cell8Loop
+
+cell8Done:
+	MOVQ AX, ret+64(FP)
 	VZEROUPPER
 	RET

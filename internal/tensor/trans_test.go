@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"os/exec"
@@ -36,6 +37,20 @@ func forTransVariants(f func(v transVariant)) {
 		transActive = v
 		f(v)
 	}
+}
+
+// transKernelsInUse names, for each transcendental, the variant whose
+// kernel runs it, or "portable" where the scalar loop does.
+func transKernelsInUse() string {
+	v := transActive
+	sig, exp := "portable", "portable"
+	if v.sigmoid != nil {
+		sig = v.name
+	}
+	if v.expShift != nil {
+		exp = v.name
+	}
+	return fmt.Sprintf("Sigmoid, Tanh: %s; ExpShift: %s", sig, exp)
 }
 
 // TestTransMatchesScalarSweep runs every variant's kernels over a strided
@@ -149,6 +164,64 @@ func transTails(t *testing.T, v transVariant) {
 	}
 }
 
+// transMidpoints are arguments whose reference's float64 value lies near a
+// float32 rounding midpoint, d float64 ulps from it (found by scanning
+// every float32 in [10⁻³, 20] in magnitude and, for the smallest ones, by
+// TestTransExhaustive): within the 512-ulp margin a kernel must decline the
+// block, beyond it run it. The kernels' own float64 values lie within 4
+// ulps of these references, far less than the distance from the entries to
+// 256, 512 and 1024.
+var transMidpoints = []struct {
+	tanh bool
+	bits uint32
+	d    int
+}{
+	{false, 0xbe104170, 0}, {false, 0x3d21bc81, 0}, {false, 0xba928601, 0},
+	{false, 0x3dcec83d, 381}, {false, 0xbfca365d, -469}, {false, 0x415f61d3, 360},
+	{false, 0xc125db78, 352}, {false, 0x33ffffe7, -400},
+	{false, 0x3de7369a, -636}, {false, 0xbf8428d0, -679}, {false, 0x412eb8dd, 693},
+	{true, 0x39b89ba2, 32}, {true, 0x39b89b9d, 365}, {true, 0x3dec9300, -405},
+	{true, 0xbf97367c, -320}, {true, 0x3a8c2506, 444},
+	{true, 0x3dd1a85c, 601}, {true, 0xbf94c722, -588}, {true, 0xbaa2eec1, -601},
+}
+
+// TestTransMidpoints holds every kernel variant to the rounding test's
+// margin: a block whose last lane holds one of transMidpoints (the others
+// 0.25, which passes) is declined exactly when the entry lies within 512
+// ulps, and Sigmoid and Tanh give the scalar bits either way. A dropped
+// midpoint test, or a margin a bit smaller or larger, fails it.
+func TestTransMidpoints(t *testing.T) {
+	forTransVariants(func(v transVariant) {
+		if v.lanes == 0 {
+			return
+		}
+		src, dst := make(Vec, v.lanes), make(Vec, v.lanes)
+		for _, m := range transMidpoints {
+			for i := range src {
+				src[i] = 0.25
+			}
+			x := math.Float32frombits(m.bits)
+			src[v.lanes-1] = x
+			name, kernel, ref, op := "Sigmoid", v.sigmoid, sigmoidRef, Sigmoid
+			if m.tanh {
+				name, kernel, ref, op = "Tanh", v.tanh, tanhRef, Tanh
+			}
+			want := v.lanes
+			if m.d >= -512 && m.d <= 512 {
+				want = 0
+			}
+			if got := kernel(dst, src); got != want {
+				t.Errorf("%s: %s kernel on %g [%#08x] (%d ulps from a midpoint) finished %d of %d lanes, want %d",
+					v.name, name, x, m.bits, m.d, got, v.lanes, want)
+			}
+			op(dst, src)
+			if !same32(dst[v.lanes-1], ref(x)) || !same32(dst[0], ref(0.25)) {
+				t.Errorf("%s: %s(%g [%#08x]) = %g, scalar %g", v.name, name, x, m.bits, dst[v.lanes-1], ref(x))
+			}
+		}
+	})
+}
+
 // TestTransZeroAlloc: on every variant, the block walk's closures stay on
 // the stack, declined blocks included.
 func TestTransZeroAlloc(t *testing.T) {
@@ -157,7 +230,8 @@ func TestTransZeroAlloc(t *testing.T) {
 	}
 	src := make(Vec, 64)
 	NewRNG(1).NormVec(src, 0, 2)
-	src[5] = 701
+	src[5], src[20] = 701, float32(math.NaN())
+	src[41] = math.Float32frombits(transMidpoints[0].bits)
 	d32 := make(Vec, len(src))
 	d64 := make([]float64, len(src))
 	forTransVariants(func(v transVariant) {
@@ -171,16 +245,22 @@ func TestTransZeroAlloc(t *testing.T) {
 	})
 }
 
-// TestTransWithoutFMA reruns the tails in a process whose math.Exp is off
-// its FMA path (GODEBUG=cpu.fma=off): the start-up probe must see that and
-// leave the kernels off, or about one exp in ten differs in its last bit.
+// TestTransWithoutFMA reruns the oracles in a process whose math.Exp is off
+// its FMA path (GODEBUG=cpu.fma=off). Sigmoid's and Tanh's kernels stay on
+// and must still give the scalar bits: their rounding test covers both
+// paths. ExpShift's start-up probe must see the change and leave its
+// kernel off (TestTransKernelsRun checks which), or about one exp in ten
+// differs in its last bit.
 func TestTransWithoutFMA(t *testing.T) {
 	if os.Getenv("GODEBUG") == "cpu.fma=off" {
 		t.Skip("already the child")
 	}
-	cmd := exec.Command(os.Args[0], "-test.run=^TestTransTails$", "-test.count=1")
+	run := "^(TestTransMatchesScalarSweep|TestTransTails|TestTransMidpoints|TestTransKernelsRun)$"
+	cmd := exec.Command(os.Args[0], "-test.run="+run, "-test.count=1", "-test.v")
 	cmd.Env = append(os.Environ(), "GODEBUG=cpu.fma=off")
-	if out, err := cmd.CombinedOutput(); err != nil {
-		t.Fatalf("TestTransTails under GODEBUG=cpu.fma=off: %v\n%s", err, out)
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("%s under GODEBUG=cpu.fma=off: %v\n%s", run, err, out)
 	}
+	t.Logf("under GODEBUG=cpu.fma=off:\n%s", out)
 }
