@@ -32,9 +32,7 @@ type layerVariant struct {
 	maskCopy func(dst, src []float32, mask []uint32)
 	maskAdd  func(dst, src []float32, mask []uint32)
 	addBias  func(dst, src []float32, rows, hw, stride int, b float32)
-	// lstmCell and lstmGateGrad are LSTMCell and LSTMGateGrad over rows
-	// rows of h.
-	lstmCell     func(gates, c, tanhC, out, cPrev, bias []float32, rows, h int)
+	// lstmGateGrad is LSTMGateGrad over rows rows of h.
 	lstmGateGrad func(dz, dc, gates, tanhC, cPrev, dh []float32, rows, h int)
 	// rowMax and softmaxGrad are SoftmaxRows' maximum of a row and its
 	// gradient row, given the row's exponentials and their sum.
@@ -49,7 +47,7 @@ var (
 		maxPool2: func(dst []float32, arg []int32, src []float32, w int) { maxPoolScalar(dst, arg, src, w, 2, 0) },
 		relu:     reluScalar, reluGrad: reluGradScalar,
 		maskCopy: maskCopyScalar, maskAdd: maskAddScalar, addBias: addBiasScalar,
-		lstmCell: lstmCellScalar, lstmGateGrad: lstmGateGradScalar, rowMax: rowMaxScalar,
+		lstmGateGrad: lstmGateGradScalar, rowMax: rowMaxScalar,
 		softmaxGrad: func(dst []float32, exps []float64, sum float64, lbl int, scale float32) {
 			softmaxGradScalar(dst, exps, sum, lbl, scale, 0)
 		},
@@ -319,8 +317,8 @@ func addBiasScalar(dst, src []float32, rows, hw, stride int, b float32) {
 // rows: gates holds each row's gate pre-activations [i f g o] before the
 // bias, 4h elements a row, and bias the 4h biases; cPrev (the previous cell
 // state), c (the new one), tanhC and out (the new hidden state) hold h a
-// row. For each row and j < h, with σ and tanh Sigmoid's and Tanh's scalar
-// expressions, in this order,
+// row. For each row and j < h, with σ and tanh Sigmoid's and Tanh's
+// expressions,
 //
 //	i = σ(z[j] + b[j]),       f = σ(z[h+j] + b[h+j]),
 //	g = tanh(z[2h+j] + b[2h+j]), o = σ(z[3h+j] + b[3h+j]),
@@ -330,7 +328,8 @@ func addBiasScalar(dst, src []float32, rows, hw, stride int, b float32) {
 //
 // each bias add, product and sum one float32 operation; i, f, g and o
 // overwrite their pre-activations. c may be cPrev; no other operands may
-// overlap.
+// overlap. Sigmoid and Tanh give their bits on every build, so LSTMCell
+// does too.
 func LSTMCell(gates, c, tanhC, out, cPrev, bias []float32, h int) {
 	if h < 1 || len(cPrev)%h != 0 {
 		panic("tensor: LSTMCell rows are not h wide")
@@ -341,29 +340,26 @@ func LSTMCell(gates, c, tanhC, out, cPrev, bias []float32, h int) {
 	checkLen(len(out), rows*h)
 	checkLen(len(gates), 4*rows*h)
 	checkLen(len(bias), 4*h)
-	layerActive.lstmCell(gates, c, tanhC, out, cPrev, bias, rows, h)
-}
-
-func lstmCellScalar(gates, c, tanhC, out, cPrev, bias []float32, rows, h int) {
 	for r := 0; r < rows; r++ {
-		lstmCellRow(gates[4*r*h:4*(r+1)*h], c[r*h:(r+1)*h], tanhC[r*h:(r+1)*h],
-			out[r*h:(r+1)*h], cPrev[r*h:(r+1)*h], bias, h, 0, h)
+		z := gates[4*r*h : 4*(r+1)*h]
+		Add(z, bias)
+		Sigmoid(z[:2*h], z[:2*h])
+		Tanh(z[2*h:3*h], z[2*h:3*h])
+		Sigmoid(z[3*h:], z[3*h:])
+		i, f, g := z[:h], z[h:2*h], z[2*h:3*h]
+		cr, cp := c[r*h:(r+1)*h], cPrev[r*h:(r+1)*h]
+		for j := range cr {
+			// The conversions round each product on its own; without them
+			// an arm64 compiler fuses one of them into the sum.
+			cr[j] = float32(f[j]*cp[j]) + float32(i[j]*g[j])
+		}
 	}
-}
-
-// lstmCellRow is LSTMCell's loop over the elements [lo, hi) of one row. The
-// float32 conversions round each product on its own; without them an
-// arm64 compiler fuses one of them into the sum.
-func lstmCellRow(z, c, tanhC, out, cPrev, bias []float32, h, lo, hi int) {
-	for j := lo; j < hi; j++ {
-		i := sigmoid32(z[j] + bias[j])
-		f := sigmoid32(z[h+j] + bias[h+j])
-		g := tanh32(z[2*h+j] + bias[2*h+j])
-		o := sigmoid32(z[3*h+j] + bias[3*h+j])
-		z[j], z[h+j], z[2*h+j], z[3*h+j] = i, f, g, o
-		cj := float32(f*cPrev[j]) + float32(i*g)
-		t := tanh32(cj)
-		c[j], tanhC[j], out[j] = cj, t, o*t
+	Tanh(tanhC, c)
+	for r := 0; r < rows; r++ {
+		o, t, hr := gates[4*r*h+3*h:4*(r+1)*h], tanhC[r*h:(r+1)*h], out[r*h:(r+1)*h]
+		for j := range hr {
+			hr[j] = o[j] * t[j]
+		}
 	}
 }
 

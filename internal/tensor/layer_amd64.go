@@ -10,27 +10,18 @@ package tensor
 // the scalar loop's operations, in its order, eight lanes at a time.
 
 // layerVariants lists every variant of the layer kernels this binary can
-// run on this CPU, narrowest first. The avx512 variant is the avx2 one with
-// the 512-bit LSTM cell kernel (trans_amd64.s), the one layer kernel that
-// has a wider form.
+// run on this CPU, narrowest first.
 func layerVariants() []layerVariant {
-	if !cpuAVX2 || !cpuFMA {
-		return []layerVariant{layerPortable}
+	if cpuAVX2 && cpuFMA {
+		return []layerVariant{layerPortable, {
+			name: "avx2", channelSums: channelSumsAVX2,
+			normalize: normalizeAVX2, normalizeGrad: normalizeGradAVX2,
+			maxPool2: maxPool2AVX2, relu: reluAVX2, reluGrad: reluGradAVX2,
+			maskCopy: maskCopyAVX, maskAdd: maskAddAVX, addBias: addBiasAVX,
+			lstmGateGrad: lstmGateGradAVX2, rowMax: rowMaxAVX2, softmaxGrad: softmaxGradAVX2,
+		}}
 	}
-	avx2 := layerVariant{
-		name: "avx2", channelSums: channelSumsAVX2,
-		normalize: normalizeAVX2, normalizeGrad: normalizeGradAVX2,
-		maxPool2: maxPool2AVX2, relu: reluAVX2, reluGrad: reluGradAVX2,
-		maskCopy: maskCopyAVX, maskAdd: maskAddAVX, addBias: addBiasAVX,
-		lstmCell: lstmCellAVX2, lstmGateGrad: lstmGateGradAVX2,
-		rowMax: rowMaxAVX2, softmaxGrad: softmaxGradAVX2,
-	}
-	if !cpuAVX512 {
-		return []layerVariant{layerPortable, avx2}
-	}
-	avx512 := avx2
-	avx512.name, avx512.lstmCell = "avx512", lstmCellAVX512
-	return []layerVariant{layerPortable, avx2, avx512}
+	return []layerVariant{layerPortable}
 }
 
 // channelSumsKernel computes the sums of four channels whose planes start
@@ -93,21 +84,6 @@ func maskAddKernel(dst, src *float32, mask *uint32, period, n int)
 //
 //go:noescape
 func addBiasKernel(dst, src *float32, rows, hw, stride int, b float32)
-
-// lstmCellKernel runs LSTMCell over n elements of one row, n a multiple of
-// 8, from the element gates, c, tanhC, out, cPrev and bias point at (gates
-// and bias at the i section; the f, g and o sections are h elements apart),
-// and stops before the first block of 8 whose 40 transcendental results
-// hold a lane failing the rounding test, returning how many elements it
-// finished: Sigmoid's and Tanh's kernels (trans_amd64.s) on the bias-added
-// pre-activations and on c, the scalar loop's float32 adds and products
-// between them. lstmCellKernel512 is the same over blocks of 16.
-//
-//go:noescape
-func lstmCellKernel(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
-
-//go:noescape
-func lstmCellKernel512(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
 
 // lstmGateGradKernel is LSTMGateGrad over rows rows of h, h ≥ 1: each row
 // eight elements at a time, each lane the scalar loop's multiplies, adds and
@@ -231,34 +207,6 @@ func reluGradAVX2(dst, dy, out Vec) {
 		reluGradKernel(&dst[0], &dy[0], &out[0], full)
 	}
 	reluGradScalar(dst[full:], dy[full:], out[full:])
-}
-
-func lstmCellAVX2(gates, c, tanhC, out, cPrev, bias []float32, rows, h int) {
-	lstmCellRows(gates, c, tanhC, out, cPrev, bias, rows, h, 8, lstmCellKernel)
-}
-
-func lstmCellAVX512(gates, c, tanhC, out, cPrev, bias []float32, rows, h int) {
-	lstmCellRows(gates, c, tanhC, out, cPrev, bias, rows, h, 16, lstmCellKernel512)
-}
-
-// lstmCellRows hands each row's whole blocks of lanes elements to kernel,
-// and each block it declines and the row's last h mod lanes elements to
-// the portable loop: each element is its own, so the split changes no bit.
-func lstmCellRows(gates, c, tanhC, out, cPrev, bias []float32, rows, h, lanes int,
-	kernel func(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int) {
-	full := h - h%lanes
-	for r := 0; r < rows; r++ {
-		z, cr, tr := gates[4*r*h:4*(r+1)*h], c[r*h:(r+1)*h], tanhC[r*h:(r+1)*h]
-		hr, cp := out[r*h:(r+1)*h], cPrev[r*h:(r+1)*h]
-		for j := 0; j < full; {
-			j += kernel(&z[j], &cr[j], &tr[j], &hr[j], &cp[j], &bias[j], h, full-j)
-			if j < full {
-				lstmCellRow(z, cr, tr, hr, cp, bias, h, j, j+lanes)
-				j += lanes
-			}
-		}
-		lstmCellRow(z, cr, tr, hr, cp, bias, h, full, h)
-	}
 }
 
 func lstmGateGradAVX2(dz, dc, gates, tanhC, cPrev, dh []float32, rows, h int) {

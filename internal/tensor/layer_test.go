@@ -589,13 +589,14 @@ func lstmCellOracle(gates, c, tanhC, out, cPrev, bias []float32, B, H int) {
 	}
 }
 
-// Every H from 1 to 35 (whole blocks of four and eight and every tail) at
-// every B from 1 to 17; the pre-activations, the biases and the previous
-// cell state ordinary, salted with zeros and subnormals, or salted with
-// every special, and all three with cellExtremes. A third of the columns
-// have a +0 bias, and their pre-activations are salted with
-// transMidpoints, so the kernels' midpoint fallback runs inside the cell.
-// The last shape runs with c in place of cPrev. Mutation-checked: a
+// On every variant of the transcendentals, every H from 1 to 35 (whole
+// blocks of the Sigmoid and Tanh kernels and every tail) at every B from 1
+// to 17; the pre-activations, the biases and the previous cell state
+// ordinary, salted with zeros and subnormals, or salted with every special,
+// and all three with cellExtremes. A third of the columns have a +0 bias,
+// and their pre-activations are salted with transMidpoints, so the
+// kernels' midpoint fallback runs inside the cell. The last shape runs
+// with c in place of cPrev. Mutation-checked: a
 // skipped bias, a reordered cell update and a dropped Newton step each fail
 // it (a dropped midpoint test fails TestTransMidpoints).
 func TestLSTMCellMatchesPortable(t *testing.T) {
@@ -632,11 +633,11 @@ func TestLSTMCellMatchesPortable(t *testing.T) {
 			wantZ, wantC, wantT, wantH := run(func(gates, c, tanhC, out, cPrev []float32) {
 				lstmCellOracle(gates, c, tanhC, out, cPrev, bias, B, H)
 			})
-			eachLayerVariant(t, func(name string) {
+			forTransVariants(func(v transVariant) {
 				z, c, tc, h := run(func(gates, c, tanhC, out, cPrev []float32) {
 					LSTMCell(gates, c, tanhC, out, cPrev, bias, H)
 				})
-				what := fmt.Sprintf("%s H=%d B=%d in place %v", name, H, B, inPlace)
+				what := fmt.Sprintf("%s H=%d B=%d in place %v", v.name, H, B, inPlace)
 				sameLayerBits(t, what+" gates", z, wantZ, false)
 				sameLayerBits(t, what+" c", c, wantC, false)
 				sameLayerBits(t, what+" tanhC", tc, wantT, false)

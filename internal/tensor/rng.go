@@ -103,9 +103,10 @@
 // float32(math.Tanh(x)) and math.Exp(float64(x−m)), each over the exactly
 // converted float64 of its float32 argument — and give those bits on every
 // build, NaN for NaN. On amd64 with AVX2 and FMA (CPUID, read once) kernels
-// compute four float64 lanes to a YMM register, two registers to a block
-// of 8 elements — eight lanes to a ZMM register and blocks of 16 when the
-// CPU has AVX512F as well.
+// compute four float64 lanes to a YMM register — eight to a ZMM register
+// when the CPU has AVX512F as well — Sigmoid's and Tanh's two registers to
+// a block, ExpShift's one. LSTMCell (layer.go) runs Sigmoid and Tanh on
+// each row's gate sections and on the new cell state.
 //
 // Sigmoid and Tanh: a rounding test. Both map a float32 to a float32, so a
 // float64 value close enough to the reference's rounds to the same float32
@@ -162,10 +163,10 @@
 // # Layer kernels
 //
 // ChannelSums, Normalize, NormalizeGrad, MaxPool, ReLU, ReLUGrad, MaskCopy,
-// MaskAdd, AddBias, LSTMCell, LSTMGateGrad and SoftmaxRows (layer.go) are
-// nn's batch-norm, pooling, rectifier, convolution-lowering, LSTM-forward,
-// LSTM-backward and softmax-loss loops, each specified by its doc comment
-// and its portable loop: a channel's sums are
+// MaskAdd, AddBias, LSTMGateGrad and SoftmaxRows (layer.go) are nn's
+// batch-norm, pooling, rectifier, convolution-lowering, LSTM-backward and
+// softmax-loss loops, each specified by its doc comment and its portable
+// loop: a channel's sums are
 // float64 running sums from +0 in (row, element) order of the exactly
 // converted values and exact products; the batch-norm elementwise passes are
 // float32 with every operation rounded, in the order written, NormalizeGrad's
@@ -201,11 +202,6 @@
 //	at its period, which must be a multiple of 8 (otherwise, and for the
 //	last n mod 8 elements, the portable loop runs).
 //	AddBias: v + b eight lanes at a time; a run's tail under a mask.
-//	LSTMCell: one call per time step over its rows, a row's elements in
-//	blocks of 8 (16 with AVX512F): the bias adds, Sigmoid's and Tanh's
-//	fast path on the pre-activations and on c, the cell update's float32
-//	products and sum between them; a block any of whose results fails
-//	the rounding test, and a row's tail, run the portable loop.
 //	LSTMGateGrad: one call per time step over its rows, eight elements of
 //	a row to a register, the scalar loop's multiplies, adds and subtracts,
 //	separate, in its order; a row's tail under a mask.

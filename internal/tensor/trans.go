@@ -27,12 +27,9 @@ func Tanh(dst, src Vec) {
 // exponentials of a softmax. Panics when lengths differ.
 func ExpShift(dst []float64, src Vec, m float32) {
 	checkLen(len(dst), len(src))
-	kernel, lanes := transActive.expShift, transActive.lanes
-	if kernel == nil {
-		lanes = 0
-	}
-	transBlocks(len(src), lanes,
-		func(lo, hi int) int { return kernel(dst[lo:hi], src[lo:hi], m) },
+	v := transActive
+	transBlocks(len(src), v.expLanes,
+		func(lo, hi int) int { return v.expShift(dst[lo:hi], src[lo:hi], m) },
 		func(lo, hi int) { expShiftScalar(dst[lo:hi], src[lo:hi], m) })
 }
 
@@ -41,13 +38,13 @@ func ExpShift(dst []float64, src Vec, m float32) {
 // call takes.
 type transVariant struct {
 	name string
-	// lanes is the block the kernels take and decline whole (ExpShift's
-	// kernels step by half of it); 0 runs the scalar loops alone.
-	lanes int
+	// lanes and expLanes are the blocks the Sigmoid and Tanh kernels and
+	// the ExpShift kernel take and decline whole; 0 runs the scalar loop
+	// alone.
+	lanes, expLanes int
 	// sigmoid, tanh and expShift run over len(src) elements, a multiple of
-	// lanes, and return how many they finished: they stop before the first
-	// block they decline (the architecture files say which). A nil expShift
-	// leaves ExpShift to the scalar loop.
+	// their block, and return how many they finished: they stop before the
+	// first block they decline (the architecture files say which).
 	sigmoid, tanh func(dst, src Vec) int
 	expShift      func(dst []float64, src Vec, m float32) int
 }
@@ -60,11 +57,10 @@ var (
 	transActive = transVariants()[len(transVariants())-1]
 )
 
-// transBlocks covers [0, n): kernel(lo, hi) takes the elements [lo, hi) and
-// returns how many it finished, a multiple of its own step, which divides
-// lanes; scalar(lo, hi) takes the lanes elements after each stop (fewer if
-// the whole blocks end sooner), the tail, and everything when lanes is 0.
-// Elementwise, so the split changes no bit.
+// transBlocks covers [0, n): kernel(lo, hi) takes the elements [lo, hi),
+// hi − lo a multiple of lanes, and returns how many it finished; scalar(lo,
+// hi) takes each block the kernel declines, the tail, and everything when
+// lanes is 0. Elementwise, so the split changes no bit.
 func transBlocks(n, lanes int, kernel func(lo, hi int) int, scalar func(lo, hi int)) {
 	i := 0
 	if lanes > 0 {
@@ -72,28 +68,23 @@ func transBlocks(n, lanes int, kernel func(lo, hi int) int, scalar func(lo, hi i
 		for i < full {
 			i += kernel(i, full)
 			if i < full {
-				next := min(i+lanes, full)
-				scalar(i, next)
-				i = next
+				scalar(i, i+lanes)
+				i += lanes
 			}
 		}
 	}
 	scalar(i, n)
 }
 
-// sigmoid32 and tanh32 are Sigmoid's and Tanh's scalar expressions.
-func sigmoid32(x float32) float32 { return float32(1 / (1 + math.Exp(-float64(x)))) }
-func tanh32(x float32) float32    { return float32(math.Tanh(float64(x))) }
-
 func sigmoidScalar(dst, src Vec) {
 	for i, x := range src {
-		dst[i] = sigmoid32(x)
+		dst[i] = float32(1 / (1 + math.Exp(-float64(x))))
 	}
 }
 
 func tanhScalar(dst, src Vec) {
 	for i, x := range src {
-		dst[i] = tanh32(x)
+		dst[i] = float32(math.Tanh(float64(x)))
 	}
 }
 

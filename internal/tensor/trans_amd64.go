@@ -6,26 +6,27 @@ import "math"
 
 // The transcendental kernels (trans_amd64.s) compute four float64 lanes to
 // a YMM register (AVX2 and FMA) or eight to a ZMM register (AVX512F as
-// well), two registers to a block: 8 or 16 elements. Sigmoid's and Tanh's
-// compute a division-free approximation whose
-// float32 rounding is the scalar expression's wherever the rounding test
-// passes, and decline every block that holds a lane where it does not
-// (package comment, "Transcendentals"); that holds for both of math.Exp's
-// amd64 paths, so they need no probe. ExpShift's kernels run the float64
-// operations of Go's amd64 math.Exp on its FMA path, so each lane's result
-// is bitwise the scalar expression's when math.Exp takes that path, which
-// it does when CPUID reports AVX and FMA; a start-up probe turns them off
-// when GODEBUG hides either from the math package.
+// well). Sigmoid's and Tanh's take two registers to a block, 8 or 16
+// elements, and compute a division-free approximation whose float32
+// rounding is the scalar expression's wherever the rounding test passes,
+// and decline every block that holds a lane where it does not (package
+// comment, "Transcendentals"); that holds for both of math.Exp's amd64
+// paths, so they need no probe. ExpShift's take one register to a block, 4
+// or 8 elements, and run the float64 operations of Go's amd64 math.Exp on
+// its FMA path, so each lane's result is bitwise the scalar expression's
+// when math.Exp takes that path, which it does when CPUID reports AVX and
+// FMA; a start-up probe turns them off when GODEBUG hides either from the
+// math package.
 
 var (
 	transAVX2 = transVariant{
-		name: "avx2", lanes: 8,
+		name: "avx2", lanes: 8, expLanes: 4,
 		sigmoid:  func(dst, src Vec) int { return sigmoidKernel(&dst[0], &src[0], len(src)) },
 		tanh:     func(dst, src Vec) int { return tanhKernel(&dst[0], &src[0], len(src)) },
 		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel(&dst[0], &src[0], len(src), m) },
 	}
 	transAVX512 = transVariant{
-		name: "avx512", lanes: 16,
+		name: "avx512", lanes: 16, expLanes: 8,
 		sigmoid:  func(dst, src Vec) int { return sigmoidKernel512(&dst[0], &src[0], len(src)) },
 		tanh:     func(dst, src Vec) int { return tanhKernel512(&dst[0], &src[0], len(src)) },
 		expShift: func(dst []float64, src Vec, m float32) int { return expShiftKernel512(&dst[0], &src[0], len(src), m) },
@@ -47,10 +48,11 @@ func transVariants() []transVariant {
 	return vs
 }
 
-// probedExp returns v without its ExpShift kernel unless expAgrees(v).
+// probedExp returns v with ExpShift left to the scalar loop unless
+// expAgrees(v).
 func probedExp(v transVariant) transVariant {
 	if !expAgrees(v) {
-		v.expShift = nil
+		v.expShift, v.expLanes = nil, 0
 	}
 	return v
 }
@@ -61,12 +63,12 @@ func probedExp(v transVariant) transVariant {
 // these four arguments (every lane of a wider block takes one of them).
 func expAgrees(v transVariant) bool {
 	probe := [4]float32{-2.4751883, -0.47141004, -9.086903, 3.1554375}
-	src := make(Vec, v.lanes)
-	got := make([]float64, v.lanes)
+	src := make(Vec, v.expLanes)
+	got := make([]float64, v.expLanes)
 	for i := range src {
 		src[i] = probe[i%len(probe)]
 	}
-	if v.expShift(got, src, 0) != v.lanes {
+	if v.expShift(got, src, 0) != v.expLanes {
 		return false
 	}
 	for i, x := range src {

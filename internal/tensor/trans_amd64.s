@@ -2,10 +2,9 @@
 
 #include "textflag.h"
 
-// AVX2+FMA and AVX-512 transcendental kernels and the LSTM cell kernels
-// built on them. See trans_amd64.go and layer_amd64.go for the contracts and
-// the package comment ("Transcendentals") for the operation sequences and
-// the rounding test.
+// AVX2+FMA and AVX-512 transcendental kernels. See trans_amd64.go for the
+// contracts and the package comment ("Transcendentals") for the operation
+// sequences and the rounding test.
 
 // CONST4 defines sym as four float64 (or int64) copies of v, one YMM operand.
 #define CONST4(sym, v) \
@@ -397,122 +396,6 @@ tanhDone:
 	VZEROUPPER
 	RET
 
-// GATEY2 loads the four pre-activations at p and the four at q (16 bytes
-// on), adds the biases at b and c (one float32 add each) and widens them
-// into the float64 lanes of Y0 and Y6.
-#define GATEY2(p, q, b, c) \
-	VMOVUPS   p, X0; \
-	VMOVUPS   q, X6; \
-	VADDPS    b, X0, X0; \
-	VADDPS    c, X6, X6; \
-	VCVTPS2PD X0, Y0; \
-	VCVTPS2PD X6, Y6
-
-// func lstmCellKernel(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
-//
-// Eight elements of one row at a time, as two blocks of four: i, f, g and o
-// go to the frame (i at 0 and 16, f at 32, g at 64, o at 96), then c
-// (X12, X14) and tanh(c) (X2, X8); Y13 collects the lanes that fail the
-// rounding test. R8 and R11 walk the row's i section of gates and of bias,
-// the other sections R9 = h and 2·R9 bytes on and R10 = 3h bytes on; DI,
-// DX, BX and SI walk c, tanhC, out and cPrev. Eight elements any of whose
-// 40 results fails stop the kernel before it stores any of them.
-TEXT ·lstmCellKernel(SB), NOSPLIT, $128-72
-	MOVQ gates+0(FP), R8
-	MOVQ c+8(FP), DI
-	MOVQ tanhC+16(FP), DX
-	MOVQ out+24(FP), BX
-	MOVQ cPrev+32(FP), SI
-	MOVQ bias+40(FP), R11
-	MOVQ h+48(FP), R9
-	MOVQ n+56(FP), CX
-	SHLQ $2, R9
-	LEAQ (R9)(R9*2), R10
-	XORQ AX, AX
-
-cellLoop:
-	CMPQ       AX, CX
-	JGE        cellDone
-	VXORPD     Y13, Y13, Y13
-	GATEY2((R8), 16(R8), (R11), 16(R11))
-	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
-	VCVTPD2PSY Y1, X1
-	VCVTPD2PSY Y7, X7
-	VMOVUPS    X1, 0(SP)
-	VMOVUPS    X7, 16(SP)
-	GATEY2((R8)(R9*1), 16(R8)(R9*1), (R11)(R9*1), 16(R11)(R9*1))
-	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
-	VCVTPD2PSY Y1, X1
-	VCVTPD2PSY Y7, X7
-	VMOVUPS    X1, 32(SP)
-	VMOVUPS    X7, 48(SP)
-	GATEY2((R8)(R9*2), 16(R8)(R9*2), (R11)(R9*2), 16(R11)(R9*2))
-	TANH2Y(Y0, Y1, Y2, X2, Y3, Y4, Y5, Y13, Y6, Y7, Y8, X8, Y9, Y10, Y11, Y13)
-	VCVTPD2PSY Y2, X2
-	VCVTPD2PSY Y8, X8
-	VMOVUPS    X2, 64(SP)
-	VMOVUPS    X8, 80(SP)
-	GATEY2((R8)(R10*1), 16(R8)(R10*1), (R11)(R10*1), 16(R11)(R10*1))
-	SIGMOID2Y(Y0, Y1, X1, Y2, Y3, Y4, Y13, Y6, Y7, X7, Y8, Y9, Y10, Y13)
-	VCVTPD2PSY Y1, X1
-	VCVTPD2PSY Y7, X7
-	VMOVUPS    X1, 96(SP)
-	VMOVUPS    X7, 112(SP)
-	VMOVUPS    32(SP), X12
-	VMULPS     (SI), X12, X12     // f·c′
-	VMOVUPS    0(SP), X14
-	VMULPS     64(SP), X14, X14   // i·g
-	VADDPS     X14, X12, X12      // c
-	VMOVUPS    48(SP), X14
-	VMULPS     16(SI), X14, X14
-	VMOVUPS    16(SP), X15
-	VMULPS     80(SP), X15, X15
-	VADDPS     X15, X14, X14
-	VCVTPS2PD  X12, Y0
-	VCVTPS2PD  X14, Y6
-	TANH2Y(Y0, Y1, Y2, X2, Y3, Y4, Y5, Y13, Y6, Y7, Y8, X8, Y9, Y10, Y11, Y13)
-	VCVTPD2PSY Y2, X2             // tanh(c)
-	VCVTPD2PSY Y8, X8
-	VPTEST     Y13, Y13
-	JNZ        cellDone
-	VMOVUPS    0(SP), X0
-	VMOVUPS    16(SP), X1
-	VMOVUPS    X0, (R8)
-	VMOVUPS    X1, 16(R8)
-	VMOVUPS    32(SP), X0
-	VMOVUPS    48(SP), X1
-	VMOVUPS    X0, (R8)(R9*1)
-	VMOVUPS    X1, 16(R8)(R9*1)
-	VMOVUPS    64(SP), X0
-	VMOVUPS    80(SP), X1
-	VMOVUPS    X0, (R8)(R9*2)
-	VMOVUPS    X1, 16(R8)(R9*2)
-	VMOVUPS    96(SP), X0
-	VMOVUPS    112(SP), X1
-	VMOVUPS    X0, (R8)(R10*1)
-	VMOVUPS    X1, 16(R8)(R10*1)
-	VMOVUPS    X12, (DI)
-	VMOVUPS    X14, 16(DI)
-	VMOVUPS    X2, (DX)
-	VMOVUPS    X8, 16(DX)
-	VMULPS     X2, X0, X0         // o·tanh(c)
-	VMULPS     X8, X1, X1
-	VMOVUPS    X0, (BX)
-	VMOVUPS    X1, 16(BX)
-	ADDQ       $32, R8
-	ADDQ       $32, R11
-	ADDQ       $32, DI
-	ADDQ       $32, DX
-	ADDQ       $32, BX
-	ADDQ       $32, SI
-	ADDQ       $8, AX
-	JMP        cellLoop
-
-cellDone:
-	MOVQ AX, ret+64(FP)
-	VZEROUPPER
-	RET
-
 // func expShiftKernel(dst *float64, src *float32, n int, m float32) int
 TEXT ·expShiftKernel(SB), NOSPLIT, $0-40
 	MOVQ         dst+0(FP), DI
@@ -850,117 +733,5 @@ tanh8Loop:
 
 tanh8Done:
 	MOVQ AX, ret+24(FP)
-	VZEROUPPER
-	RET
-
-// GATEZ2 is GATEY2 for two blocks of eight (q and c 32 bytes on), into Z0
-// and z2: Z5 for the sigmoid macro's second block, Z6 for the tanh macro's.
-#define GATEZ2(p, q, b, c, y2, z2) \
-	VMOVUPS   p, Y0; \
-	VMOVUPS   q, y2; \
-	VADDPS    b, Y0, Y0; \
-	VADDPS    c, y2, y2; \
-	VCVTPS2PD Y0, Z0; \
-	VCVTPS2PD y2, z2
-
-// func lstmCellKernel512(gates, c, tanhC, out, cPrev, bias *float32, h, n int) int
-//
-// lstmCellKernel on sixteen elements at a time, as two blocks of eight: i,
-// f, g and o go to the frame (i at 0 and 32, f at 64, g at 128, o at 192),
-// then c (Y12, Y13) and tanh(c) (Y2, Y8); K2 collects the failing lanes.
-TEXT ·lstmCellKernel512(SB), NOSPLIT, $256-72
-	MOVQ         gates+0(FP), R8
-	MOVQ         c+8(FP), DI
-	MOVQ         tanhC+16(FP), DX
-	MOVQ         out+24(FP), BX
-	MOVQ         cPrev+32(FP), SI
-	MOVQ         bias+40(FP), R11
-	MOVQ         h+48(FP), R9
-	MOVQ         n+56(FP), CX
-	SHLQ         $2, R9
-	LEAQ         (R9)(R9*2), R10
-	XORQ         AX, AX
-	VBROADCASTSD transOne<>(SB), Z15
-
-cell8Loop:
-	CMPQ      AX, CX
-	JGE       cell8Done
-	KXORW     K2, K2, K2
-	GATEZ2((R8), 32(R8), (R11), 32(R11), Y5, Z5)
-	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
-	VCVTPD2PS Z1, Y1
-	VCVTPD2PS Z6, Y6
-	VMOVUPS   Y1, 0(SP)
-	VMOVUPS   Y6, 32(SP)
-	GATEZ2((R8)(R9*1), 32(R8)(R9*1), (R11)(R9*1), 32(R11)(R9*1), Y5, Z5)
-	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
-	VCVTPD2PS Z1, Y1
-	VCVTPD2PS Z6, Y6
-	VMOVUPS   Y1, 64(SP)
-	VMOVUPS   Y6, 96(SP)
-	GATEZ2((R8)(R9*2), 32(R8)(R9*2), (R11)(R9*2), 32(R11)(R9*2), Y6, Z6)
-	TANH2Z(Z0, Z1, Z2, Z3, Z4, Z5, K2, K1, Z6, Z7, Z8, Z9, Z10, Z11, K2, K3)
-	VCVTPD2PS Z2, Y2
-	VCVTPD2PS Z8, Y8
-	VMOVUPS   Y2, 128(SP)
-	VMOVUPS   Y8, 160(SP)
-	GATEZ2((R8)(R10*1), 32(R8)(R10*1), (R11)(R10*1), 32(R11)(R10*1), Y5, Z5)
-	SIGMOID2Z(Z0, Z1, Z2, Z3, Z4, K2, K1, Z5, Z6, Z7, Z8, Z9, K2, K3)
-	VCVTPD2PS Z1, Y1
-	VCVTPD2PS Z6, Y6
-	VMOVUPS   Y1, 192(SP)
-	VMOVUPS   Y6, 224(SP)
-	VMOVUPS   64(SP), Y12
-	VMULPS    (SI), Y12, Y12      // f·c′
-	VMOVUPS   0(SP), Y14
-	VMULPS    128(SP), Y14, Y14   // i·g
-	VADDPS    Y14, Y12, Y12       // c
-	VMOVUPS   96(SP), Y13
-	VMULPS    32(SI), Y13, Y13
-	VMOVUPS   32(SP), Y14
-	VMULPS    160(SP), Y14, Y14
-	VADDPS    Y14, Y13, Y13
-	VCVTPS2PD Y12, Z0
-	VCVTPS2PD Y13, Z6
-	TANH2Z(Z0, Z1, Z2, Z3, Z4, Z5, K2, K1, Z6, Z7, Z8, Z9, Z10, Z11, K2, K3)
-	VCVTPD2PS Z2, Y2              // tanh(c)
-	VCVTPD2PS Z8, Y8
-	KORTESTW  K2, K2
-	JNZ       cell8Done
-	VMOVUPS   0(SP), Y0
-	VMOVUPS   32(SP), Y1
-	VMOVUPS   Y0, (R8)
-	VMOVUPS   Y1, 32(R8)
-	VMOVUPS   64(SP), Y0
-	VMOVUPS   96(SP), Y1
-	VMOVUPS   Y0, (R8)(R9*1)
-	VMOVUPS   Y1, 32(R8)(R9*1)
-	VMOVUPS   128(SP), Y0
-	VMOVUPS   160(SP), Y1
-	VMOVUPS   Y0, (R8)(R9*2)
-	VMOVUPS   Y1, 32(R8)(R9*2)
-	VMOVUPS   192(SP), Y0
-	VMOVUPS   224(SP), Y1
-	VMOVUPS   Y0, (R8)(R10*1)
-	VMOVUPS   Y1, 32(R8)(R10*1)
-	VMOVUPS   Y12, (DI)
-	VMOVUPS   Y13, 32(DI)
-	VMOVUPS   Y2, (DX)
-	VMOVUPS   Y8, 32(DX)
-	VMULPS    Y2, Y0, Y0          // o·tanh(c)
-	VMULPS    Y8, Y1, Y1
-	VMOVUPS   Y0, (BX)
-	VMOVUPS   Y1, 32(BX)
-	ADDQ      $64, R8
-	ADDQ      $64, R11
-	ADDQ      $64, DI
-	ADDQ      $64, DX
-	ADDQ      $64, BX
-	ADDQ      $64, SI
-	ADDQ      $16, AX
-	JMP       cell8Loop
-
-cell8Done:
-	MOVQ AX, ret+64(FP)
 	VZEROUPPER
 	RET

@@ -33,7 +33,7 @@ func TestTransKernelsRun(t *testing.T) {
 	var got []string
 	for _, v := range transVariants() {
 		got = append(got, v.name)
-		if v.lanes > 0 && (v.sigmoid == nil || v.tanh == nil || (v.expShift == nil) != expOff) {
+		if v.lanes > 0 && (v.sigmoid == nil || v.tanh == nil || (v.expShift == nil) != expOff || (v.expLanes == 0) != expOff) {
 			t.Errorf("%s: kernels Sigmoid %v, Tanh %v, ExpShift %v with GODEBUG=%q", v.name,
 				v.sigmoid != nil, v.tanh != nil, v.expShift != nil, godebug)
 		}
