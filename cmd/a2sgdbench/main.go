@@ -14,6 +14,7 @@
 //	a2sgdbench -experiment auto -scale 10      # cost-model planner vs hand-tuned
 //	a2sgdbench -experiment auto -json results.json
 //	a2sgdbench -experiment chaos -chaostcp     # the fault matrix over loopback TCP
+//	a2sgdbench -experiment paperscale          # Table 1's models at full size: step time, G MAC/s, workspace
 //
 // -json writes every executed experiment's structured results (including the
 // auto sweep's modelled-vs-chosen plan prices) to a file, so the perf
@@ -83,7 +84,7 @@ func splitSpecs(s string) []string {
 // them all.
 var experiments = []string{
 	"table1", "fig1", "fig2", "fig3", "fig4", "fig5", "table2",
-	"ablation", "sweep", "auto", "chaos", "hotpath", "all",
+	"ablation", "sweep", "auto", "chaos", "hotpath", "paperscale", "all",
 }
 
 func main() {
@@ -252,6 +253,14 @@ func main() {
 		rep, err := bench.HotPath(w)
 		hotRep = rep
 		return rep, err
+	})
+
+	run("paperscale", func() (any, error) {
+		// Every Table 1 family at paper scale, one worker, batch 16: the
+		// fastest step, its multiply-adds and G MAC/s, and the workspace.
+		// `a2sgdbench -experiment paperscale -json -` prints the report an
+		// entry of BENCH_paperscale.json holds.
+		return bench.PaperScale(w)
 	})
 
 	if *jsonPath != "" {

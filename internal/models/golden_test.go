@@ -21,19 +21,28 @@ import (
 // of a fixed script. They were recorded from the row-AXPY / scalar-Dot matmuls
 // and the allocate-per-call layers this repository had before the strided
 // GEMM and the layer workspaces, and any kernel, build tag or buffer-reuse
-// change must reproduce them exactly on amd64. Two re-recordings since:
+// change must reproduce them exactly on amd64. Three re-recordings since:
 // vgg16 and resnet20 from step1 on, when the optimizer stopped handing
 // same-named tensors one shared momentum buffer — the script's updates run
 // momentum 0.9, so every phase after the first update reads other weights
 // (fnn3, lstm and every step0 did not move: no shared names, no update yet);
 // then every phase of every family, when the products that accumulated in
 // float64 (the dense and LSTM forwards, the conv weight gradient) moved to
-// Gemm's one float32 order. The digests before that move, in script order:
+// Gemm's one float32 order; then every phase of every family again, when
+// Gemm's terms became fused multiply-adds with one rounding each (FMA32).
+// The digests before the float32 move, in script order:
 //
 //	fnn3      1e1d5b7843a5f042 bae644cb096c5eb7 2f6959287d570bee 4b77881f279823ab 75dd85da52517fe8 b48fbfc5baca4429 4933131fc4d9699a 27c7f314bd89475d 8be262b600e8f111
 //	vgg16     b040acc1194078c8 0b5e980d5c17e99e 90f9b45abb114b41 b946dad90a997944 5050e7d7a3ba7bc5 40684cceb65b09c1 fadc3d5cc017aad8 e48a61c05af34a6e 771c549ca6efb6d6
 //	resnet20  96d9741d45e2faa2 1131d3bc6cdfd7c5 279984816d85c4f7 f6bb89e48f3226df 79dffc3d8aef9d52 3420069115b38f46 a71fdc601cbd85df 87b3bd1dbadf951e 2d622570d51e143b
 //	lstm      e133d9f7453d88a1 2def6d85a25024e1 d66e4f44dea8d4a4 94dc1f56a7934b76 a3a4acaae244ec7c e55d898ebc42b832 39ac99ed7cba13e3 45a6a9fd7a1d2ac4 ed120881878c3188
+//
+// and before the fused one:
+//
+//	fnn3      9fcd0a80d14efffe 3de3bcced9b4461f 4f22100e4ca6ccc1 00572c54aed83275 ba803a0a551cdfc1 9ee6fbe0e8d49d9e d4c6bbd4eb7bd19f bccc75e79bca19b0 1513fc9d3cb97fbb
+//	vgg16     b47bdc01e0d353ff be6c06a04069610f 979d3c21f56b8051 5e5b41abebf1d34d ee2f4504e38a832d 66e4a31229229811 9fda99567f3a4efa c3fe9b67b1d98a7f 9b38e000717a4e11
+//	resnet20  1ac7f177371eedcb 8330baaf916c7816 bfdb66bb552c0d42 ea65ebf41bb6947e 64dd50934d3d2453 3f5b011e61cae5ae ba13b681bf457abd af83ade4eace7b9a f857abbf93d16b22
+//	lstm      f81c4e03021938bc 484af7ea961f695e 871dbbded3b6d664 af58f9d4e4f87397 5011e44d135be7ac 696f6d32c0cd57d1 7aef49fb25f596c1 24212a27ff5b60f8 b573c98c520cfa08
 //
 // The script is longer than one step on purpose. A freshly allocated matrix
 // is zero, and the old layers leaned on that (im2col padding, ReLU output,
@@ -46,24 +55,24 @@ import (
 // both pass through every workspace.
 var goldenDigests = map[string][]string{
 	"fnn3": {
-		"step0:9fcd0a80d14efffe", "step1:3de3bcced9b4461f", "step2:4f22100e4ca6ccc1",
-		"interleaved:00572c54aed83275", "train16:ba803a0a551cdfc1", "eval64:9ee6fbe0e8d49d9e",
-		"train16b:d4c6bbd4eb7bd19f", "train8:bccc75e79bca19b0", "state:1513fc9d3cb97fbb",
+		"step0:c75e0b903dc9b185", "step1:30f9d866e611c9f7", "step2:e3d9adef17436d73",
+		"interleaved:758d4f39daaa3183", "train16:3801acdd378efcaf", "eval64:5e12081587ea1d8c",
+		"train16b:29d63dab6fa474b4", "train8:c15a34ac8240eaed", "state:181a01b2f9f42eac",
 	},
 	"vgg16": {
-		"step0:b47bdc01e0d353ff", "step1:be6c06a04069610f", "step2:979d3c21f56b8051",
-		"interleaved:5e5b41abebf1d34d", "train16:ee2f4504e38a832d", "eval64:66e4a31229229811",
-		"train16b:9fda99567f3a4efa", "train8:c3fe9b67b1d98a7f", "state:9b38e000717a4e11",
+		"step0:f3df4f24cf328663", "step1:728466fafecc6d12", "step2:f151b8bc53c0fdbe",
+		"interleaved:1379ee6aa1b49af1", "train16:e8bc78f6cb56c503", "eval64:1625caa70201e4d6",
+		"train16b:f5489fbfe7172f98", "train8:61b995aa1a8e2c56", "state:b53db284da195cd6",
 	},
 	"resnet20": {
-		"step0:1ac7f177371eedcb", "step1:8330baaf916c7816", "step2:bfdb66bb552c0d42",
-		"interleaved:ea65ebf41bb6947e", "train16:64dd50934d3d2453", "eval64:3f5b011e61cae5ae",
-		"train16b:ba13b681bf457abd", "train8:af83ade4eace7b9a", "state:f857abbf93d16b22",
+		"step0:aeb384507f94a357", "step1:9b7bd40232e9bb0d", "step2:c16517b087bf2cd4",
+		"interleaved:0de398bceb2787dd", "train16:2413676ce650074a", "eval64:21b366766c1bc116",
+		"train16b:7a6ad8bc92352271", "train8:63ad40513e632395", "state:0dc3bfffd5453337",
 	},
 	"lstm": {
-		"step0:f81c4e03021938bc", "step1:484af7ea961f695e", "step2:871dbbded3b6d664",
-		"interleaved:af58f9d4e4f87397", "train16:5011e44d135be7ac", "eval64:696f6d32c0cd57d1",
-		"train16b:7aef49fb25f596c1", "train8:24212a27ff5b60f8", "state:b573c98c520cfa08",
+		"step0:9184163bba99dc2e", "step1:e15ceb6062a44bb3", "step2:4ca6420892355617",
+		"interleaved:008c52397d263003", "train16:a6951076f1eb4ba0", "eval64:7ba881e1d52f93f5",
+		"train16b:1aac92226a67aa58", "train8:5a79abad26745b46", "state:b20b7c36f2e60fc6",
 	},
 }
 

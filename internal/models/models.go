@@ -384,3 +384,55 @@ func newLSTM(rng *tensor.RNG, cfg Config) Model {
 	}
 	return &lstmModel{lm: nn.NewDeepLSTMLM(rng, v, e, h, layers)}
 }
+
+// StepMACs returns the multiply-adds of the matrix products in one Step on
+// batch b, computed from the layer shapes: every weighted layer's forward
+// product, its weight gradient and its input gradient, except the bottom
+// layer's input gradient, which a classifier's Step does not form. For the
+// LSTM that is the output projection and, per layer and time step, the
+// input and recurrent products, their weight gradients and the input
+// gradient, with the recurrent gradient of the first step left out (BPTT
+// stops there). Elementwise work (activations, batch norm, pooling, the
+// optimizer) is not counted.
+func StepMACs(m Model, b Batch) int64 {
+	switch m := m.(type) {
+	case *classifier:
+		return layersMACs(m.net.Layers, int64(b.Size()), true)
+	case *lstmModel:
+		lm := m.lm
+		B, T := int64(len(b.Tokens)), int64(len(b.Tokens[0])-1)
+		H, V := int64(lm.Hidden), int64(lm.Vocab)
+		macs := 3 * T * B * H * V
+		for l := 0; l < lm.Layers; l++ {
+			in := int64(lm.Embed)
+			if l > 0 {
+				in = H
+			}
+			macs += 3*T*B*in*4*H + (3*T-1)*B*H*4*H
+		}
+		return macs
+	}
+	panic(fmt.Sprintf("models: StepMACs of %T", m))
+}
+
+// layersMACs is StepMACs over a layer stack for n samples; bottom says the
+// stack's first weighted layer forms no input gradient.
+func layersMACs(layers []nn.Layer, n int64, bottom bool) int64 {
+	var macs int64
+	for i, l := range layers {
+		grads := int64(3)
+		if bottom && i == 0 {
+			grads = 2
+		}
+		switch l := l.(type) {
+		case *nn.Conv2D:
+			out := l.OutShape()
+			macs += grads * n * int64(out.Size()) * int64(l.In.C*l.KH*l.KW)
+		case *nn.Linear:
+			macs += grads * n * int64(l.InF) * int64(l.OutF)
+		case *nn.Residual:
+			macs += layersMACs(l.Inner, n, false) + layersMACs(l.Proj, n, false)
+		}
+	}
+	return macs
+}

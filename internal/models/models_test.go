@@ -441,3 +441,36 @@ func TestStepSkipsBottomInputGradientBitwise(t *testing.T) {
 		}
 	}
 }
+
+// StepMACs from the layer shapes, against the products written out by hand
+// for the reduced fnn3 (64→64→48→32→10, the bottom layer without an input
+// gradient) and the reduced lstm (vocab 64, embed 16, hidden 32, one layer).
+func TestStepMACs(t *testing.T) {
+	fnn, err := New(Config{Family: "fnn3", Seed: 1, Reduced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 16
+	fwd := int64(n * (64*64 + 64*48 + 48*32 + 32*10))
+	dx := int64(n * (64*48 + 48*32 + 32*10))
+	if got, want := StepMACs(fnn, Batch{X: tensor.NewMat(n, 64)}), 2*fwd+dx; got != want {
+		t.Errorf("fnn3: %d multiply-adds, want %d", got, want)
+	}
+
+	lstm, err := New(Config{Family: "lstm", Seed: 1, Reduced: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tokens := make([][]int, n)
+	for i := range tokens {
+		tokens[i] = make([]int, 13) // 12 predicted positions
+	}
+	const T, H = 12, 32
+	proj := int64(T * n * H * 64)
+	input := int64(T * n * 16 * 4 * H)
+	recur := int64(n * H * 4 * H)
+	want := 3*proj + 3*input + (T+T+T-1)*recur
+	if got := StepMACs(lstm, Batch{Tokens: tokens}); got != want {
+		t.Errorf("lstm: %d multiply-adds, want %d", got, want)
+	}
+}

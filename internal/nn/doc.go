@@ -55,10 +55,10 @@
 // # Arithmetic
 //
 // All matrix products go through tensor.Gemm, whose specification (one
-// float32 accumulator per output element, k ascending, separate multiply
-// and add, the same for every product) is written in the tensor package
-// comment; the layers batch products only where each output element's sum
-// is unchanged. LSTMLM copies each layer's Whᵀ to row-major once per
+// float32 accumulator per output element, k ascending, each term one fused
+// multiply-add rounded once as tensor.FMA32 rounds it, the same for every
+// product) is written in the tensor package comment; the layers batch
+// products only where each output element's sum is unchanged. LSTMLM copies each layer's Whᵀ to row-major once per
 // Forward, so the T recurrent products read it in place. Conv2D lowers a
 // whole batch into one tape and multiplies once for the forward pass, once
 // for the weight gradient and once for the tape gradient. The weight

@@ -227,10 +227,11 @@ func TestMaxPoolAllNegInfWindowKeepsGradientInWindow(t *testing.T) {
 }
 
 // naiveConv is the direct definition of the convolution, its loops in the
-// order the lowering promises for every sum: forward over (c, ky, kx)
-// ascending in float32; dW per sample over pixels in float32, samples added
-// in order; dx per pixel over (ky, kx) ascending, each term a float32 sum
-// over output channels ascending.
+// order the lowering promises for every sum, each product term one
+// tensor.FMA32 (Gemm's specification): forward over (c, ky, kx) ascending
+// in float32; dW per sample over pixels in float32, samples added in order;
+// dx per pixel over (ky, kx) ascending, each term a float32 sum over output
+// channels ascending.
 func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []float32) {
 	out := c.OutShape()
 	k := c.In.C * c.KH * c.KW
@@ -253,7 +254,7 @@ func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []fl
 						for ky := 0; ky < c.KH; ky++ {
 							for kx := 0; kx < c.KW; kx++ {
 								w := c.W[oc*k+(ch*c.KH+ky)*c.KW+kx]
-								acc += float32(w * at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad))
+								acc = tensor.FMA32(w, at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad), acc)
 							}
 						}
 					}
@@ -269,7 +270,7 @@ func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []fl
 						for oy := 0; oy < out.H; oy++ {
 							for ox := 0; ox < out.W; ox++ {
 								d := dout.Row(s)[(oc*out.H+oy)*out.W+ox]
-								acc += float32(d * at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad))
+								acc = tensor.FMA32(d, at(x.Row(s), ch, oy*c.Stride+ky-c.Pad, ox*c.Stride+kx-c.Pad), acc)
 							}
 						}
 						gw[oc*k+(ch*c.KH+ky)*c.KW+kx] += acc
@@ -288,7 +289,7 @@ func naiveConv(c *Conv2D, x, dout *tensor.Mat) (res, dx *tensor.Mat, gw, gb []fl
 							}
 							var acc float32
 							for oc := 0; oc < c.OutC; oc++ {
-								acc += float32(c.W[oc*k+(ch*c.KH+ky)*c.KW+kx] * dout.Row(s)[(oc*out.H+oy)*out.W+ox])
+								acc = tensor.FMA32(c.W[oc*k+(ch*c.KH+ky)*c.KW+kx], dout.Row(s)[(oc*out.H+oy)*out.W+ox], acc)
 							}
 							dx.Row(s)[(ch*c.In.H+iy)*c.In.W+ix] += acc
 						}

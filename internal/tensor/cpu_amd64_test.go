@@ -3,12 +3,19 @@
 package tensor
 
 import (
+	"fmt"
 	"os"
 	"runtime"
 	"slices"
 	"strings"
 	"testing"
 )
+
+// gemmFeatures names the CPU features gemmSelect chose the GEMM variants
+// by: the FMA kernels need AVX and FMA.
+func gemmFeatures() string {
+	return fmt.Sprintf("AVX %v, FMA %v, AVX-512 %v", cpuAVX, cpuFMA, cpuAVX512)
+}
 
 // checkCPUFeatures logs what cpuFeatures read and, on Linux, checks its
 // AVX-512 bit against the avx512f flag of /proc/cpuinfo, which the kernel

@@ -63,29 +63,28 @@ func Gemm(dst, a, b View) { gemm(dst, a, b, false, 0) }
 // GemmAdd computes dst += a·b.
 //
 // Arithmetic specification (shared with Gemm, GemmAddSegmented and the
-// MatMul wrappers; the sentence a fused-multiply-add or a wider-accumulator
-// change would have to rewrite): every output element is ONE float32
-// accumulator that starts at +0 and takes the terms a(i,p)·b(p,j) for
-// p = 0, 1, …, k−1 in that order, each a separately rounded float32
-// multiply and add — acc = float32(acc + float32(a·b)), no FMA; the
-// finished sum is stored (Gemm) or added to dst(i,j) with one float32 add
-// (GemmAdd). GemmAddSegmented applies this to each segment of the
-// reduction in turn: per segment one accumulator from +0 over its steps,
-// then one float32 add to dst. Register blocking (a 4×32 or 4×16 tile, and
-// at a ragged last panel the narrower 4×16 and 4×8 tiles on dst and b in
-// place, the last fewer than 8 columns through a scratch tile), packing,
-// chunking a packed panel at segment boundaries, vector width and
-// row-parallelism only choose which elements are in flight together — a
-// vector lane always holds a different output element, never a partial
-// sum — so the vector kernels, the portable kernels and the naive triple
+// MatMul wrappers): every output element is ONE float32 accumulator that
+// starts at +0 and takes the terms a(i,p)·b(p,j) for p = 0, 1, …, k−1 in
+// that order, each as one fused multiply-add rounded once to float32 —
+// acc = FMA32(a(i,p), b(p,j), acc); the finished sum is stored (Gemm) or
+// added to dst(i,j) with one float32 add (GemmAdd). GemmAddSegmented
+// applies this to each segment of the reduction in turn: per segment one
+// accumulator from +0 over its steps, then one float32 add to dst.
+// Register blocking (a 4×32 or 4×16 tile, and at a ragged last panel the
+// narrower 4×16 and 4×8 tiles on dst and b in place, the last fewer than 8
+// columns through a scratch tile), packing, chunking a packed panel at
+// segment boundaries, vector width and row-parallelism only choose which
+// elements are in flight together — a vector lane always holds a
+// different output element, never a partial sum — so the FMA kernels, the
+// portable kernel (FMA32 in plain float64 arithmetic) and the naive triple
 // loop in the tests give the same bits on every build.
 //
 // No term is skipped: a zero in a still multiplies, so 0 × ±Inf and 0 × NaN
 // contribute NaN where the row-AXPY loops this replaced skipped them. On
-// finite operands the skip was unobservable (a term ±0 never changes an
-// accumulator that starts at +0, and such an accumulator never becomes −0);
-// on non-finite ones the NaN now reaches the gradient, where the training
-// step's finite check reports it.
+// finite operands the skip shows at most in the sign of a zero (a term ±0
+// adds an exact ±0, which changes only a zero accumulator of the other
+// sign); on non-finite ones the NaN now reaches the gradient, where the
+// training step's finite check reports it.
 //
 // dst must be row-major (ColStride 1) and must not overlap a or b. Large
 // products are split over output rows across GOMAXPROCS goroutines.
@@ -396,10 +395,8 @@ func gemmSegmentsGo(tiles, segs, seg int, a []float32, ars, aps int, b []float32
 }
 
 // gemmKernel32Go is the portable micro-kernel: C[4×8] (+)= A·B with
-// A(i,p) = a[i*ars+p*aps] and B(p,j) = b[p*bps+j], as four 2×4 blocks whose
-// eight accumulators the compiler keeps in registers. The explicit float32
-// conversion of each product forbids the compiler from fusing it into the
-// add on targets that have an FMA.
+// A(i,p) = a[i*ars+p*aps] and B(p,j) = b[p*bps+j], as four 2×4 blocks of
+// eight accumulators, each term one FMA32.
 func gemmKernel32Go(k int, a []float32, ars, aps int, b []float32, bps int, c []float32, ldc int, add bool) {
 	for i := 0; i < gemmMR; i += 2 {
 		a0, a1 := a[i*ars:], a[(i+1)*ars:]
@@ -409,14 +406,14 @@ func gemmKernel32Go(k int, a []float32, ars, aps int, b []float32, bps int, c []
 			for p := 0; p < k; p++ {
 				bp := bj[p*bps : p*bps+4 : p*bps+4]
 				x0, x1 := a0[p*aps], a1[p*aps]
-				c00 += float32(x0 * bp[0])
-				c01 += float32(x0 * bp[1])
-				c02 += float32(x0 * bp[2])
-				c03 += float32(x0 * bp[3])
-				c10 += float32(x1 * bp[0])
-				c11 += float32(x1 * bp[1])
-				c12 += float32(x1 * bp[2])
-				c13 += float32(x1 * bp[3])
+				c00 = FMA32(x0, bp[0], c00)
+				c01 = FMA32(x0, bp[1], c01)
+				c02 = FMA32(x0, bp[2], c02)
+				c03 = FMA32(x0, bp[3], c03)
+				c10 = FMA32(x1, bp[0], c10)
+				c11 = FMA32(x1, bp[1], c11)
+				c12 = FMA32(x1, bp[2], c12)
+				c13 = FMA32(x1, bp[3], c13)
 			}
 			r0 := c[i*ldc+j : i*ldc+j+4 : i*ldc+j+4]
 			r1 := c[(i+1)*ldc+j : (i+1)*ldc+j+4 : (i+1)*ldc+j+4]

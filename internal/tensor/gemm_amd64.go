@@ -6,16 +6,16 @@ package tensor
 // kernel holds the same eight accumulators as the portable kernel in
 // gemm.go — eight output elements per 256-bit register — the 4×8 edge
 // kernel four of them, and the 4×32 kernel eight of sixteen elements per
-// 512-bit register; all take the terms in the same order, with a separate
-// multiply and add per term, and start and end each segment as
+// 512-bit register; all take the terms in the same order, one VFMADD231PS
+// per term — FMA32's single rounding — and start and end each segment as
 // gemmSegmentsGo does, so the bits are those of the portable kernel and of
 // the specification on GemmAdd. The packer only moves bits, so it is pack32
-// bit for bit. The 256-bit kernels and the packer use AVX (VBROADCASTSS,
-// VMULPS, VADDPS, VUNPCKxPx), no FMA and no AVX2, and are selected when
-// CPUID reports AVX and the OS saves the YMM state; the 4×32 kernel needs
-// AVX512F and the OS saving the ZMM and opmask state as well, and its
-// variant runs the 4×16 and 4×8 kernels on a ragged last panel. Any other
-// amd64 CPU runs the portable kernel and packer.
+// bit for bit. The 256-bit kernels need AVX and FMA (VBROADCASTSS,
+// VFMADD231PS, VADDPS; no AVX2), the packer AVX (VUNPCKxPx), and the OS
+// saving the YMM state; the 4×32 kernel needs AVX512F and the OS saving the
+// ZMM and opmask state as well, and its variant runs the 4×16 and 4×8
+// kernels on a ragged last panel, so it needs FMA too. Any other amd64 CPU
+// — one with AVX but no FMA included — runs the portable kernel and packer.
 
 var (
 	gemmAVX    = gemmVariant{name: "avx", id: 1, nr: 16}
@@ -24,13 +24,18 @@ var (
 
 // gemmVariants lists every kernel variant this binary can run on this CPU,
 // narrowest first.
-func gemmVariants() []gemmVariant {
+func gemmVariants() []gemmVariant { return gemmSelect(cpuAVX, cpuFMA, cpuAVX512) }
+
+// gemmSelect lists the variants a CPU with the given features runs,
+// narrowest first: the portable one always, the 256-bit one with AVX and
+// FMA, the 512-bit one with AVX-512 as well.
+func gemmSelect(avx, fma, avx512 bool) []gemmVariant {
 	vs := []gemmVariant{gemmPortable}
-	if cpuAVX {
+	if avx && fma {
 		vs = append(vs, gemmAVX)
-	}
-	if cpuAVX512 {
-		vs = append(vs, gemmAVX512)
+		if avx512 {
+			vs = append(vs, gemmAVX512)
+		}
 	}
 	return vs
 }

@@ -2,17 +2,18 @@
 
 #include "textflag.h"
 
-// AVX and AVX-512 micro-kernels for Gemm. See gemm_amd64.go for the
+// FMA micro-kernels for Gemm, 256- and 512-bit. See gemm_amd64.go for the
 // contract: one float32 accumulator per output element, terms in ascending
-// k, a separate VMULPS and VADDPS per term, lanes never hold partial sums.
-// The 256-bit kernels need AVX only, the 512-bit one AVX512F.
+// k, one VFMADD231PS per term (a single rounding, FMA32's), lanes never
+// hold partial sums. The 256-bit kernels need AVX and FMA, the 512-bit one
+// AVX512F as well.
 
 // func gemmKernel32x32AVX512(tiles, segs, seg int, a *float32, ars, aps uintptr, b *float32, bps uintptr, c *float32, ldc uintptr, add bool)
 //
 // gemmKernel32AVX on 32 columns: Z0..Z7 accumulate a 4×32 tile, row r in
 // Z(2r) (columns 0-15) and Z(2r+1) (columns 16-31); per step the 32 B
-// values load once into Z8/Z9 and each row's A value is broadcast into
-// Z10. Only Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state.
+// values load once into Z8/Z9 and row r's A value is broadcast into
+// Z(10+r). Only Z0-Z15 are used, so VZEROUPPER leaves no dirty upper state.
 TEXT ·gemmKernel32x32AVX512(SB), NOSPLIT, $0-81
 	MOVQ seg+16(FP), R13
 	MOVQ a+24(FP), SI
@@ -43,25 +44,17 @@ z32loop:
 	VMOVUPS      (DI), Z8
 	VMOVUPS      64(DI), Z9
 	VBROADCASTSS (SI), Z10
-	VMULPS       Z8, Z10, Z11
-	VMULPS       Z9, Z10, Z12
-	VADDPS       Z11, Z0, Z0
-	VADDPS       Z12, Z1, Z1
-	VBROADCASTSS (SI)(R8*1), Z10
-	VMULPS       Z8, Z10, Z11
-	VMULPS       Z9, Z10, Z12
-	VADDPS       Z11, Z2, Z2
-	VADDPS       Z12, Z3, Z3
-	VBROADCASTSS (SI)(R8*2), Z10
-	VMULPS       Z8, Z10, Z11
-	VMULPS       Z9, Z10, Z12
-	VADDPS       Z11, Z4, Z4
-	VADDPS       Z12, Z5, Z5
-	VBROADCASTSS (SI)(R9*1), Z10
-	VMULPS       Z8, Z10, Z11
-	VMULPS       Z9, Z10, Z12
-	VADDPS       Z11, Z6, Z6
-	VADDPS       Z12, Z7, Z7
+	VFMADD231PS  Z8, Z10, Z0
+	VFMADD231PS  Z9, Z10, Z1
+	VBROADCASTSS (SI)(R8*1), Z11
+	VFMADD231PS  Z8, Z11, Z2
+	VFMADD231PS  Z9, Z11, Z3
+	VBROADCASTSS (SI)(R8*2), Z12
+	VFMADD231PS  Z8, Z12, Z4
+	VFMADD231PS  Z9, Z12, Z5
+	VBROADCASTSS (SI)(R9*1), Z13
+	VFMADD231PS  Z8, Z13, Z6
+	VFMADD231PS  Z9, Z13, Z7
 	ADDQ R10, SI
 	ADDQ R11, DI
 	DECQ CX
@@ -113,8 +106,9 @@ z32next:
 //
 // Y0..Y7 accumulate a 4×16 tile, row r in Y(2r) (columns 0-7) and Y(2r+1)
 // (columns 8-15). Per segment they start at +0; per step the sixteen B
-// values load once into Y8/Y9, and each row broadcasts its A value
-// (VBROADCASTSS), multiplies it by both halves and adds. At the segment's
+// values load once into Y8/Y9, and row r broadcasts its A value into
+// Y(10+r) (VBROADCASTSS) and fuses its product with both halves into the
+// accumulators (VFMADD231PS). At the segment's
 // end the tile is added to c (or stored, when add is false) and the next
 // segment starts where this one's steps ended. The next tile starts over at
 // b, four rows of A and C further on: a, kept in its argument slot, and
@@ -146,28 +140,20 @@ a32seg:
 	MOVQ   R13, CX
 
 a32loop:
-	VMOVUPS (DI), Y8
-	VMOVUPS 32(DI), Y9
+	VMOVUPS      (DI), Y8
+	VMOVUPS      32(DI), Y9
 	VBROADCASTSS (SI), Y10
-	VMULPS       Y8, Y10, Y11
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y11, Y0, Y0
-	VADDPS       Y12, Y1, Y1
-	VBROADCASTSS (SI)(R8*1), Y10
-	VMULPS       Y8, Y10, Y11
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y11, Y2, Y2
-	VADDPS       Y12, Y3, Y3
-	VBROADCASTSS (SI)(R8*2), Y10
-	VMULPS       Y8, Y10, Y11
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y11, Y4, Y4
-	VADDPS       Y12, Y5, Y5
-	VBROADCASTSS (SI)(R9*1), Y10
-	VMULPS       Y8, Y10, Y11
-	VMULPS       Y9, Y10, Y12
-	VADDPS       Y11, Y6, Y6
-	VADDPS       Y12, Y7, Y7
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y9, Y10, Y1
+	VBROADCASTSS (SI)(R8*1), Y11
+	VFMADD231PS  Y8, Y11, Y2
+	VFMADD231PS  Y9, Y11, Y3
+	VBROADCASTSS (SI)(R8*2), Y12
+	VFMADD231PS  Y8, Y12, Y4
+	VFMADD231PS  Y9, Y12, Y5
+	VBROADCASTSS (SI)(R9*1), Y13
+	VFMADD231PS  Y8, Y13, Y6
+	VFMADD231PS  Y9, Y13, Y7
 	ADDQ R10, SI
 	ADDQ R11, DI
 	DECQ CX
@@ -247,14 +233,10 @@ a8loop:
 	VBROADCASTSS (SI)(R8*1), Y11
 	VBROADCASTSS (SI)(R8*2), Y12
 	VBROADCASTSS (SI)(R9*1), Y13
-	VMULPS       Y8, Y10, Y4
-	VMULPS       Y8, Y11, Y5
-	VMULPS       Y8, Y12, Y6
-	VMULPS       Y8, Y13, Y7
-	VADDPS       Y4, Y0, Y0
-	VADDPS       Y5, Y1, Y1
-	VADDPS       Y6, Y2, Y2
-	VADDPS       Y7, Y3, Y3
+	VFMADD231PS  Y8, Y10, Y0
+	VFMADD231PS  Y8, Y11, Y1
+	VFMADD231PS  Y8, Y12, Y2
+	VFMADD231PS  Y8, Y13, Y3
 	ADDQ R10, SI
 	ADDQ R11, DI
 	DECQ CX

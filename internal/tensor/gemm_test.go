@@ -7,10 +7,10 @@ import (
 	"testing"
 )
 
-// The loops Gemm replaced survive here as the oracle: a triple loop, one
-// float32 accumulator per output element, k ascending, a separate multiply
-// and add per term. Every kernel variant compiled into the test binary must
-// reproduce it bit for bit.
+// The oracle is the specification as a triple loop: one float32
+// accumulator per output element, k ascending, one FMA32 per term. Every
+// kernel variant compiled into the test binary must reproduce it bit for
+// bit.
 
 // gemmCase is one product described on dense logical operands; the views
 // handed to Gemm are built from them by embed.
@@ -44,7 +44,7 @@ func (g *gemmCase) oracle() []float32 {
 				br := bt[j*g.k : (j+1)*g.k]
 				var acc float32
 				for p, x := range ar {
-					acc += float32(x * br[p])
+					acc = FMA32(x, br[p], acc)
 				}
 				sums[i*g.n+j] = acc
 			}
@@ -234,9 +234,10 @@ func TestGemmMatchesOracleLargeShapes(t *testing.T) {
 
 // Operands at both ends of float32's range: subnormals, whose products
 // underflow, and magnitudes near the largest finite float32, whose products
-// and sums overflow. A fused multiply-add would keep the product's low bits
-// and miss the float32 overflow, so every variant must round each product
-// on its own to give the oracle's bits here.
+// and sums overflow. A fused term keeps the whole product — its low bits
+// below float32's subnormals, its magnitude past float32's largest finite —
+// and rounds only the sum, so a variant that rounded the product on its own
+// would miss these expectations, which come from FMA32.
 func TestGemmMatchesOracleExtremeOperands(t *testing.T) {
 	rng := NewRNG(47)
 	extreme := func(n int) []float32 {
@@ -314,7 +315,7 @@ func skipZeroMul(a, b []float32, m, n, k int) []float32 {
 				continue
 			}
 			for j := 0; j < n; j++ {
-				out[i*n+j] += float32(av * b[p*n+j])
+				out[i*n+j] = FMA32(av, b[p*n+j], out[i*n+j])
 			}
 		}
 	}
@@ -322,9 +323,12 @@ func skipZeroMul(a, b []float32, m, n, k int) []float32 {
 }
 
 // The old loops skipped terms whose left factor was zero. On finite operands
-// that cannot be seen — an accumulator that starts at +0 never becomes −0,
-// and adding ±0 to anything else changes nothing — so dropping the skip is
-// not a numerical change. On non-finite operands it can: 0 × Inf is NaN.
+// that shows at most in the sign of a zero: a ±0 term adds an exact ±0,
+// which changes only an accumulator that is a zero of the other sign. With
+// a fused term an accumulator can be −0 — a nonzero exact product smaller
+// than half the least subnormal rounds to −0 — so a skipped +0 term leaves
+// a −0 that the unskipped one turns into +0; every other bit agrees. On
+// non-finite operands the skip shows: 0 × Inf is NaN.
 func TestGemmZeroSkipUnobservableOnFiniteOperands(t *testing.T) {
 	rng := NewRNG(53)
 	for it := 0; it < 200; it++ {
@@ -337,14 +341,24 @@ func TestGemmZeroSkipUnobservableOnFiniteOperands(t *testing.T) {
 		}
 		want := skipZeroMul(g.a, g.b, g.m, g.n, g.k)
 		for i, s := range g.oracle() {
-			if !sameBits(s, want[i]) {
+			if !sameBits(s, want[i]) && !(s == 0 && want[i] == 0) {
 				t.Fatalf("%v: element %d: oracle %x, zero-skipping loop %x", g, i, math.Float32bits(s), math.Float32bits(want[i]))
 			}
 		}
 		g.run(t)
 	}
 
-	g := &gemmCase{m: 1, n: 1, k: 2, a: []float32{0, 1}, b: []float32{float32(math.Inf(1)), 2}, c0: []float32{0}}
+	tiny := math.Float32frombits(1)
+	g := &gemmCase{m: 1, n: 1, k: 2, a: []float32{tiny, 0}, b: []float32{-tiny, 1}, c0: []float32{0}}
+	if got := g.oracle()[0]; math.Float32bits(got) != 0 {
+		t.Errorf("2⁻¹⁴⁹·(−2⁻¹⁴⁹) + 0·1 = %v, want +0 (−0 + +0)", got)
+	}
+	g.run(t)
+	if got := skipZeroMul(g.a, g.b, 1, 1, 2)[0]; math.Float32bits(got) != 0x80000000 {
+		t.Errorf("zero-skipping loop gave %v, want −0", got)
+	}
+
+	g = &gemmCase{m: 1, n: 1, k: 2, a: []float32{0, 1}, b: []float32{float32(math.Inf(1)), 2}, c0: []float32{0}}
 	if got := g.oracle()[0]; got == got {
 		t.Errorf("0×Inf + 1×2 = %v, want NaN (no term is skipped)", got)
 	}

@@ -24,7 +24,7 @@ func TestKernelVariants(t *testing.T) {
 	for _, v := range finiteVariants() {
 		finite = append(finite, v.name)
 	}
-	t.Logf("gemm:   %-8s of %v", gemmActive.name, gemm)
+	t.Logf("gemm:   %-8s of %v (%s)", gemmActive.name, gemm, gemmFeatures())
 	t.Logf("layer:  %-8s of %v", layerActive.name, layer)
 	t.Logf("trans:  %-8s of %v (%s)", transActive.name, trans, transKernelsInUse())
 	t.Logf("signed: %-8s of %v", signedActive.name, signed)

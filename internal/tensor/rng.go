@@ -17,30 +17,38 @@
 // compared bit for bit across builds and across PRs:
 //
 //	Every output element is one float32 accumulator that starts at +0 and
-//	takes the terms a(i,p)·b(p,j) for p ascending, each a separately
-//	rounded float32 multiply and add; GemmAdd then adds the finished sum
-//	to dst with one float32 add. No fused multiply-add, no wider
-//	accumulator, no partial sums, no skipped terms.
+//	takes the terms a(i,p)·b(p,j) for p ascending, each one fused
+//	multiply-add rounded once to float32: acc = FMA32(a(i,p), b(p,j), acc).
+//	GemmAdd then adds the finished sum to dst with one float32 add. No
+//	separately rounded product, no wider accumulator, no partial sums, no
+//	skipped terms.
 //
 // GemmAddSegmented cuts the reduction into segments of a fixed length and
 // gives the bits of one GemmAdd per segment, in order: each segment's sum
 // from +0, added to dst with one float32 add. It is the per-sample
 // association of a convolution's weight gradient as one call per layer.
 //
+// FMA32 (fma.go) is the term's definition and its portable form: the
+// float32 product is exact in float64, TwoSum's error rounds the float64
+// sum to odd, and one conversion rounds that to float32 — the correctly
+// rounded fused result on every target, where a float64 fused multiply-add
+// followed by a float32 conversion would round twice. On amd64 each term
+// is one VFMADD231PS, which computes the same single rounding.
+//
 // There is one precision for every product; a term's two factors commute,
-// so the sums do not depend on which operand is A. A change that fuses the
-// multiply, widens the accumulator or splits a sum across vector lanes
-// changes that paragraph, the golden digests in internal/models and the
-// oracle in gemm_test.go together, with its own accuracy evidence (the
-// figures gate in internal/bench). Everything else — the 4×8/4×16/4×32
-// register tile, packing, the AVX and AVX-512 micro-kernels and the AVX
-// packer (gemm_amd64.s), the portable kernel used under the purego tag, on
-// other architectures and on amd64 CPUs without AVX, row-parallelism for
-// very large products — only reschedules those operations and is tested to
-// give identical bits. One micro-kernel call runs every full row tile of a
-// column panel, each over a list of segments, clearing its accumulators at
-// a segment's start and adding them to C at its end; Gemm and GemmAdd are
-// the one-segment case. A ragged last column panel runs the variant's
+// so the sums do not depend on which operand is A. A change that rounds the
+// product on its own again, widens the accumulator or splits a sum across
+// vector lanes changes that paragraph, the golden digests in
+// internal/models and the oracle in gemm_test.go together, with its own
+// accuracy evidence (the figures gate in internal/bench). Everything else —
+// the 4×8/4×16/4×32 register tile, packing, the 256- and 512-bit FMA
+// micro-kernels and the AVX packer (gemm_amd64.s), the portable kernel
+// used under the purego tag, on other architectures and on amd64 CPUs
+// without AVX or FMA, row-parallelism for very large products — only
+// reschedules those operations and is tested to give identical bits. One
+// micro-kernel call runs every full row tile of a column panel, each over
+// a list of segments, clearing its accumulators at a segment's start and
+// adding them to C at its end; Gemm and GemmAdd are the one-segment case. A ragged last column panel runs the variant's
 // narrower kernels, widest first, on C and B in place (a 4×32 variant
 // covers 27 columns as 16 + 8 + 3); fewer than 8 leftover lanes, and the
 // rows of a ragged A edge, run through a scratch tile, loaded from C first
